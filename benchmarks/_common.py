@@ -61,21 +61,28 @@ def _load_bench_json(path: str) -> dict:
 
 def record_kernel(name: str, ns: float) -> None:
     """Merge one kernel's ns/element into <results_dir>/BENCH_pr.json."""
-    _record("ns_per_element", name, ns)
+    _record("ns_per_element", name, round(float(ns), 4))
 
 
 def record_speedup(name: str, ratio: float) -> None:
     """Merge one speedup ratio (dimensionless, machine-relative) into
     <results_dir>/BENCH_pr.json."""
-    _record("speedups", name, ratio)
+    _record("speedups", name, round(float(ratio), 4))
 
 
-def _record(section: str, name: str, value: float) -> None:
+def record_config(name: str, **config) -> None:
+    """Record, next to the number ``name``, the configuration it was
+    measured at (morsel size, engines, scale) — numbers from different
+    benches are only comparable when this says they are."""
+    _record("config", name, config)
+
+
+def _record(section: str, name: str, value) -> None:
     target = results_dir()
     os.makedirs(target, exist_ok=True)
     path = os.path.join(target, BENCH_JSON)
     payload = _load_bench_json(path)
-    payload.setdefault(section, {})[name] = round(float(value), 4)
+    payload.setdefault(section, {})[name] = value
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -5,7 +5,12 @@ run within 1.5x of IEEE vectorized Q1** — the paper's thesis is that
 reproducibility is affordable, and the fused kernels
 (:mod:`repro.engine.fused`) are what close the gap.  The floor is
 enforced as a machine-relative ratio (``q1_repro_fused_over_ieee``,
-floor ``1 / 1.5``) so it gates reliably across runners.
+floor ``1 / 1.5``) so it gates reliably across runners.  That gate
+runs at ``morsel_size=8192`` against the *unfused* IEEE engine, which
+is not what a user gets; ``q1_repro_fused_over_ieee_default`` (floor
+``1 / 1.6``) is the same query at the default morsel size with fused
+IEEE as the denominator — both engines as shipped.  Each ratio is
+recorded with its morsel size and engines.
 
 Reported series, all at ``workers=1`` so no parallelism hides kernel
 cost:
@@ -23,8 +28,15 @@ import time
 
 import numpy as np
 
-from _common import emit, ns_per_element, record_kernel, record_speedup, table
-from repro.engine import Database
+from _common import (
+    emit,
+    ns_per_element,
+    record_config,
+    record_kernel,
+    record_speedup,
+    table,
+)
+from repro.engine import DEFAULT_MORSEL_SIZE, Database
 from repro.tpch import load_lineitem, load_tpch, run_q1, run_q3
 
 SCALE = 0.01        # ~60k lineitem rows
@@ -36,14 +48,16 @@ ROUNDS = 7
 #: expressed as a speedup ratio floor (ieee_vec / repro_fused).
 RATIO_CEILING = 1.5
 SPEEDUP_FLOOR = 1.0 / RATIO_CEILING
+#: The same gate with every knob at its default and fused IEEE below.
+DEFAULT_RATIO_CEILING = 1.6
 
 
 def _result_bits(result):
     return tuple(np.asarray(arr).tobytes() for arr in result.arrays)
 
 
-def _prepare(mode: str, fused: bool):
-    db = Database(sum_mode=mode, workers=1, morsel_size=MORSEL_SIZE,
+def _prepare(mode: str, fused: bool, morsel_size: int = MORSEL_SIZE):
+    db = Database(sum_mode=mode, workers=1, morsel_size=morsel_size,
                   fused=fused)
     load_lineitem(db, scale_factor=SCALE)
     result = run_q1(db)  # warm-up: key dictionaries + kernel compile
@@ -59,6 +73,8 @@ def _prepare(mode: str, fused: bool):
 def test_fused_vs_vectorized_report():
     configs = [
         ("ieee", False), ("ieee", True), ("repro", False), ("repro", True),
+        ("ieee", True, DEFAULT_MORSEL_SIZE),
+        ("repro", True, DEFAULT_MORSEL_SIZE),
     ]
     dbs, bits = {}, {}
     for key in configs:
@@ -67,6 +83,11 @@ def test_fused_vs_vectorized_report():
         assert bits[(mode, False)] == bits[(mode, True)], (
             f"{mode}: fused result bits differ from the vectorized path"
         )
+    assert bits[("repro", True, DEFAULT_MORSEL_SIZE)] == bits[("repro", True)]
+    stats = dbs[("repro", True, DEFAULT_MORSEL_SIZE)].last_pipeline_stats
+    assert stats.ladder_blocks_scatter > 0, (
+        "the steady-state scatter does not engage at the default morsel size"
+    )
 
     best = {key: float("inf") for key in configs}
     for _ in range(ROUNDS):
@@ -76,12 +97,23 @@ def test_fused_vs_vectorized_report():
             run_q1(dbs[key])
             best[key] = min(best[key], time.perf_counter() - started)
 
-    for (mode, fused), seconds in best.items():
-        suffix = "fused" if fused else "vectorized_m8k"
-        record_kernel(f"q1_{mode}_{suffix}", ns_per_element(seconds, ROWS))
+    for key, seconds in best.items():
+        if len(key) == 2:  # the default-knob pair is gated as a ratio only
+            suffix = "fused" if key[1] else "vectorized_m8k"
+            record_kernel(f"q1_{key[0]}_{suffix}",
+                          ns_per_element(seconds, ROWS))
 
     gap_ratio = best[("repro", True)] / best[("ieee", False)]
     record_speedup("q1_repro_fused_over_ieee", 1.0 / gap_ratio)
+    record_config("q1_repro_fused_over_ieee", morsel_size=MORSEL_SIZE,
+                  numerator="ieee vectorized (unfused)",
+                  denominator="repro fused", scale_factor=SCALE, workers=1)
+    default_ratio = (best[("repro", True, DEFAULT_MORSEL_SIZE)]
+                     / best[("ieee", True, DEFAULT_MORSEL_SIZE)])
+    record_speedup("q1_repro_fused_over_ieee_default", 1.0 / default_ratio)
+    record_config("q1_repro_fused_over_ieee_default",
+                  morsel_size=DEFAULT_MORSEL_SIZE, numerator="ieee fused",
+                  denominator="repro fused", scale_factor=SCALE, workers=1)
     record_speedup(
         "q1_repro_fused_over_vectorized",
         best[("repro", False)] / best[("repro", True)],
@@ -107,8 +139,10 @@ def test_fused_vs_vectorized_report():
                 "interpreted vectorized vs. fused kernels"
             ),
         ),
-        f"repro fused / ieee vectorized = {gap_ratio:.2f}x "
-        f"(acceptance ceiling {RATIO_CEILING}x).\n"
+        f"repro fused / ieee vectorized = {gap_ratio:.2f}x at "
+        f"morsel={MORSEL_SIZE} (acceptance ceiling {RATIO_CEILING}x);\n"
+        f"repro fused / ieee fused = {default_ratio:.2f}x at the default "
+        f"morsel={DEFAULT_MORSEL_SIZE} (ceiling {DEFAULT_RATIO_CEILING}x).\n"
         "Fused kernels compile scan->filter->project->aggregate into one\n"
         "generated per-morsel function: dispatch is resolved at compile\n"
         "time, all repro sums share one ladder sweep, and the steady\n"
@@ -119,6 +153,10 @@ def test_fused_vs_vectorized_report():
     assert gap_ratio <= RATIO_CEILING, (
         f"repro fused Q1 runs {gap_ratio:.2f}x the IEEE vectorized time, "
         f"above the {RATIO_CEILING}x acceptance ceiling"
+    )
+    assert default_ratio <= DEFAULT_RATIO_CEILING, (
+        f"at default knobs repro fused Q1 runs {default_ratio:.2f}x the "
+        f"IEEE fused time, above the {DEFAULT_RATIO_CEILING}x ceiling"
     )
 
 

@@ -19,9 +19,14 @@ test suite asserts this — because:
 * contributions are accumulated as exact int64 quanta (bounds checked:
   ``|k| <= 2**(W-1)`` and chunks are capped so sums stay below 2**62).
 
-This kernel is what makes the Python reproduction usable at millions of
-rows; the paper's C++ reaches the same place with AVX + summation
-buffers, which we model in :mod:`repro.simulator`.
+:func:`add_blocked_multi` is the update the engine calls.  It walks a
+morsel in blocks of the exactness window — ``1 << (54 - W)`` rows,
+within which float64 sums of the integral quanta are exact in any
+order — so a block in steady state scatter-accumulates with no sort,
+and a block that is not takes the sorted segment walk on its own rows:
+the paper's "summation on batches" (§V) at the kernel level.  The
+paper's C++ reaches the same place with AVX + summation buffers, which
+we model in :mod:`repro.simulator`.
 """
 
 from __future__ import annotations
@@ -33,8 +38,15 @@ import numpy as np
 
 from ..core.params import RsumParams
 from ..core.state import LadderOverflowError, SummationState
+from .partition import stable_group_order
 
-__all__ = ["GroupedSummation", "add_pairs_multi", "add_sorted_runs_multi"]
+__all__ = [
+    "GroupedSummation",
+    "LadderCounters",
+    "add_blocked_multi",
+    "add_pairs_multi",
+    "add_sorted_runs_multi",
+]
 
 #: Ladder sentinel for "group has no finite non-zero value yet".
 _EMPTY_E0 = -(2**40)
@@ -60,6 +72,12 @@ class GroupedSummation:
         self._emin_grid = -(-fmt.min_exponent // self._w) * self._w
         self._emax_grid = (fmt.max_exponent // self._w) * self._w
         self._dtype = fmt.dtype if fmt.dtype is not None else np.dtype(np.float64)
+        #: Exactness window: how many level quanta (``|k| <= 2**(w-1)``)
+        #: float64 sums exactly in any order — ``n * 2**(w-1) <= 2**53``
+        #: — or 0 when the parameters leave no such window.
+        self._window = (
+            1 << (54 - self._w) if self._dtype.itemsize in (4, 8) else 0
+        )
         self.e0 = np.full(ngroups, _EMPTY_E0, dtype=np.int64)
         self.s = [np.zeros(ngroups, dtype=np.int64) for _ in range(self._L)]
         self.c = [np.zeros(ngroups, dtype=np.int64) for _ in range(self._L)]
@@ -99,32 +117,21 @@ class GroupedSummation:
         """Segmented fast path: add pairs whose ``group_ids`` are
         **non-decreasing** (each group's values form one contiguous run).
 
-        This is the kernel behind the engine's vectorized aggregation
-        layer (:mod:`repro.engine.vectorized`): per-group maxima and
-        int64 quantum sums become ``ufunc.reduceat`` segment reductions
-        instead of scattered ``ufunc.at`` updates, and when every group
-        in the batch sits on the same extractor ladder the per-level
-        anchors collapse to scalars.  Because quantum accumulation is
-        exact int64 arithmetic and the ladder logic is replicated from
-        :meth:`_add_chunk`, the resulting state is **bit-identical** to
-        :meth:`add_pairs` over any permutation of the same pairs — the
-        exactness that lets the engine vectorize without changing result
-        bits (asserted by the test suite).
+        The ``k = 1`` case of :func:`add_sorted_runs_multi`: per-group
+        maxima and quantum sums are ``ufunc.reduceat`` segment
+        reductions instead of scattered ``ufunc.at`` updates, and when
+        every group in the batch sits on the same extractor ladder the
+        per-level anchors collapse to scalars.  Quantum accumulation is
+        exact and the ladder logic is replicated from
+        :meth:`_add_chunk`, so the resulting state is **bit-identical**
+        to :meth:`add_pairs` over any permutation of the same pairs —
+        the exactness that lets the engine vectorize without changing
+        result bits (asserted by the test suite).
         """
-        gids = np.asarray(group_ids, dtype=np.int64)
         vals = np.asarray(values, dtype=self._dtype)
-        if gids.shape != vals.shape or gids.ndim != 1:
+        if vals.ndim != 1:
             raise ValueError("group_ids and values must be equal-length 1-D")
-        if gids.size == 0:
-            return
-        if gids[0] < 0 or gids[-1] >= self.ngroups:
-            raise IndexError("group id out of range")
-        if gids.size > _CHUNK:
-            # Rare huge batch: the generic chunked path keeps int64
-            # quantum sums exact; the result bits are the same.
-            self.add_pairs(gids, vals)
-            return
-        self._add_sorted_chunk(gids, vals, starts)
+        add_sorted_runs_multi([self], group_ids, vals[None, :], starts)
 
     @staticmethod
     def _run_starts(gids: np.ndarray) -> np.ndarray:
@@ -132,67 +139,40 @@ class GroupedSummation:
             np.concatenate(([True], gids[1:] != gids[:-1]))
         )
 
-    def _add_sorted_chunk(self, gids: np.ndarray, vals: np.ndarray,
-                          starts: np.ndarray | None = None) -> None:
+    def _add_filtered_runs(self, gids: np.ndarray, vals: np.ndarray) -> None:
+        """Sorted runs the batched walk cannot take as they are: count
+        the non-finite values, drop them and the zeros (neither touches
+        a ladder), and walk what is left — which now has a non-zero
+        finite maximum in every run, so it cannot land here again."""
+        keep = self._count_non_finite(gids, vals) & (vals != 0)
+        if keep.any():
+            add_sorted_runs_multi([self], gids[keep], vals[keep][None, :])
+
+    def _count_non_finite(self, gids: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """Count NaN / ±inf per group; returns the finite mask."""
         finite = np.isfinite(vals)
         if not finite.all():
-            nan_mask = np.isnan(vals)
-            np.add.at(self.nan_cnt, gids[nan_mask], 1)
+            np.add.at(self.nan_cnt, gids[np.isnan(vals)], 1)
             np.add.at(self.pos_cnt, gids[vals == np.inf], 1)
             np.add.at(self.neg_cnt, gids[vals == -np.inf], 1)
-            gids = gids[finite]
-            vals = vals[finite]
-            starts = None
-        nonzero = vals != 0
-        if not nonzero.all():
-            gids = gids[nonzero]
-            vals = vals[nonzero]
-            starts = None
-        if gids.size == 0:
-            return
-        if starts is None:
-            starts = self._run_starts(gids)
-        seg_gids = gids[starts]
+        return finite
 
-        # Ladder update: per-run max |value| via one segment reduction.
-        seg_max = np.maximum.reduceat(np.abs(vals), starts)
-        _, exps = np.frexp(seg_max)
-        eb = exps.astype(np.int64) - 1
-        raw = eb + self._m - self._w + 2
+    def _needed_e0(self, maxima: np.ndarray) -> np.ndarray:
+        """Top ladder exponent each non-zero finite ``|max|`` calls for."""
+        _, exps = np.frexp(maxima)
+        raw = exps.astype(np.int64) - 1 + self._m - self._w + 2
         needed = -((-raw) // self._w) * self._w
         if np.any(needed > self._emax_grid):
             raise LadderOverflowError(
                 "input magnitude exceeds the extractor ladder range"
             )
-        np.maximum(needed, self._emin_grid, out=needed)
-        target = self.e0.copy()
-        target[seg_gids] = np.maximum(target[seg_gids], needed)
-        self._demote_to(target)
+        return np.maximum(needed, self._emin_grid)
 
-        e0_seg = self.e0[seg_gids]
-        uniform = bool((e0_seg == e0_seg[0]).all())
-        if uniform and int(e0_seg[0]) - (self._L - 1) * self._w >= self._emin:
-            # All groups share one ladder and every level is normal:
-            # scalar anchors, no per-element masking.
-            e0 = int(e0_seg[0])
-            r = vals
-            for level in range(self._L):
-                e_l = e0 - level * self._w
-                anchor = np.ldexp(self._dtype.type(1.5), e_l)
-                q = (r + anchor) - anchor
-                r = r - q
-                k = np.ldexp(q, self._m - e_l).astype(np.int64)
-                self.s[level][seg_gids] += np.add.reduceat(k, starts)
-        else:
-            self._sweep_segments_elementwise(gids, vals, starts, seg_gids)
-        self._propagate()
-
-    def _sweep_segments_elementwise(self, gids: np.ndarray, vals: np.ndarray,
-                                    starts: np.ndarray,
-                                    seg_gids: np.ndarray) -> None:
-        """Per-element-anchor sweep of one sorted run batch (groups on
-        mixed ladders, or levels below the normal range).  Caller owns
-        the ladder demotion beforehand and :meth:`_propagate` after."""
+    def _elementwise_quanta(self, gids: np.ndarray, vals: np.ndarray):
+        """Anchor extraction under per-element anchors (groups on mixed
+        ladders, or levels below the normal range): yields each level's
+        int64 quanta for all elements at once.  Caller owns the ladder
+        demotion beforehand and :meth:`_propagate` after."""
         e0_elem = self.e0[gids]
         r = vals
         for level in range(self._L):
@@ -204,57 +184,27 @@ class GroupedSummation:
             q = np.where(active, q, self._dtype.type(0))
             r = r - q
             shift = np.where(active, self._m - e_l, 0).astype(np.int32)
-            k = np.ldexp(q, shift).astype(np.int64)
-            self.s[level][seg_gids] += np.add.reduceat(k, starts)
+            yield level, np.ldexp(q, shift).astype(np.int64)
 
     def _add_chunk(self, gids: np.ndarray, vals: np.ndarray) -> None:
-        finite = np.isfinite(vals)
-        if not finite.all():
-            nan_mask = np.isnan(vals)
-            np.add.at(self.nan_cnt, gids[nan_mask], 1)
-            np.add.at(self.pos_cnt, gids[vals == np.inf], 1)
-            np.add.at(self.neg_cnt, gids[vals == -np.inf], 1)
-            gids = gids[finite]
-            vals = vals[finite]
-        nonzero = vals != 0
-        if not nonzero.all():
-            gids = gids[nonzero]
-            vals = vals[nonzero]
+        keep = self._count_non_finite(gids, vals) & (vals != 0)
+        if not keep.all():
+            gids = gids[keep]
+            vals = vals[keep]
         if gids.size == 0:
             return
 
         # Ladder update: per-group max |value| decides the top exponent.
-        absvals = np.abs(vals)
         groupmax = np.zeros(self.ngroups, dtype=self._dtype)
-        np.maximum.at(groupmax, gids, absvals)
+        np.maximum.at(groupmax, gids, np.abs(vals))
         touched = groupmax > 0
-        _, exps = np.frexp(groupmax[touched])
-        eb = exps.astype(np.int64) - 1
-        raw = eb + self._m - self._w + 2
-        needed = -((-raw) // self._w) * self._w
-        if np.any(needed > self._emax_grid):
-            raise LadderOverflowError(
-                "input magnitude exceeds the extractor ladder range"
-            )
-        np.maximum(needed, self._emin_grid, out=needed)
         target = self.e0.copy()
-        tv = target[touched]
-        target[touched] = np.maximum(tv, needed)
+        target[touched] = np.maximum(
+            target[touched], self._needed_e0(groupmax[touched])
+        )
         self._demote_to(target)
 
-        # Anchor extraction, level by level, for all elements at once.
-        e0_elem = self.e0[gids]
-        r = vals
-        for level in range(self._L):
-            e_l = e0_elem - level * self._w
-            active = e_l >= self._emin
-            anchor_exp = np.where(active, e_l, 0).astype(np.int32)
-            anchor = np.ldexp(self._dtype.type(1.5), anchor_exp)
-            q = (r + anchor) - anchor
-            q = np.where(active, q, self._dtype.type(0))
-            r = r - q
-            shift = np.where(active, self._m - e_l, 0).astype(np.int32)
-            k = np.ldexp(q, shift).astype(np.int64)
+        for level, k in self._elementwise_quanta(gids, vals):
             np.add.at(self.s[level], gids, k)
         self._propagate()
 
@@ -377,25 +327,16 @@ class GroupedSummation:
         if ngroups == self.ngroups:
             return
         extra = ngroups - self.ngroups
-        self.e0 = np.concatenate(
-            [self.e0, np.full(extra, _EMPTY_E0, dtype=np.int64)]
-        )
-        for level in range(self._L):
-            self.s[level] = np.concatenate(
-                [self.s[level], np.zeros(extra, dtype=np.int64)]
-            )
-            self.c[level] = np.concatenate(
-                [self.c[level], np.zeros(extra, dtype=np.int64)]
-            )
-        self.nan_cnt = np.concatenate(
-            [self.nan_cnt, np.zeros(extra, dtype=np.int64)]
-        )
-        self.pos_cnt = np.concatenate(
-            [self.pos_cnt, np.zeros(extra, dtype=np.int64)]
-        )
-        self.neg_cnt = np.concatenate(
-            [self.neg_cnt, np.zeros(extra, dtype=np.int64)]
-        )
+
+        def grown(arr: np.ndarray, fill: int = 0) -> np.ndarray:
+            return np.concatenate([arr, np.full(extra, fill, dtype=np.int64)])
+
+        self.e0 = grown(self.e0, _EMPTY_E0)
+        self.s = [grown(s) for s in self.s]
+        self.c = [grown(c) for c in self.c]
+        self.nan_cnt = grown(self.nan_cnt)
+        self.pos_cnt = grown(self.pos_cnt)
+        self.neg_cnt = grown(self.neg_cnt)
         self.ngroups = ngroups
 
     def nbytes(self) -> int:
@@ -431,140 +372,196 @@ class GroupedSummation:
         )
 
 
-#: Largest element count the batched walk keeps persistent scratch for
-#: (beyond it, buffers are allocated per call rather than pinned).
-_WALK_SCRATCH_CAP = 1 << 18
+#: Largest element count kept as persistent per-thread scratch (beyond
+#: it, buffers are allocated per call rather than pinned).
+_SCRATCH_CAP = 1 << 18
 
-_WALK_SCRATCH = threading.local()
+_SCRATCH = threading.local()
 
 
-def _walk_buffers(count: int, dtype) -> tuple:
-    """Thread-local ``(float, float, int64)`` scratch for the batched walk.
+def _scratch(slot: str, count: int, dtype) -> np.ndarray:
+    """Thread-local 1-D scratch of ``count`` elements, one per ``slot``.
 
-    The walk's temporaries are as large as the morsel block itself, so
+    The kernels' temporaries are as large as the block they walk, so
     freshly allocating them every call means every pass streams through
-    cold pages.  Reusing one buffer set per thread keeps those pages
-    warm in cache from morsel to morsel; per-worker tables make the
-    walk thread-confined, so ``threading.local`` is the whole story.
+    cold pages.  Reusing one buffer per thread and slot keeps those
+    pages warm in cache from block to block; per-worker tables make the
+    kernels thread-confined, so ``threading.local`` is the whole story.
     Oversized requests fall back to plain allocation to keep the pinned
     footprint bounded.
     """
-    if count > _WALK_SCRATCH_CAP:
-        return (np.empty(count, dtype=dtype), np.empty(count, dtype=dtype),
-                np.empty(count, dtype=np.int64))
-    bufs = getattr(_WALK_SCRATCH, "bufs", None)
+    if count > _SCRATCH_CAP:
+        return np.empty(count, dtype=dtype)
+    bufs = getattr(_SCRATCH, "bufs", None)
     if bufs is None:
-        bufs = _WALK_SCRATCH.bufs = {}
-    entry = bufs.get(dtype)
-    if entry is None or entry[0].size < count:
-        cap = min(max(count, 1 << 14), _WALK_SCRATCH_CAP)
-        entry = (np.empty(cap, dtype=dtype), np.empty(cap, dtype=dtype),
-                 np.empty(cap, dtype=np.int64))
-        bufs[dtype] = entry
-    return entry
+        bufs = _SCRATCH.bufs = {}
+    key = (slot, np.dtype(dtype))
+    buf = bufs.get(key)
+    if buf is None or buf.size < count:
+        buf = bufs[key] = np.empty(
+            min(max(count, 1 << 14), _SCRATCH_CAP), dtype=dtype
+        )
+    return buf[:count]
 
 
-def add_pairs_multi(tables: list, group_ids: np.ndarray,
-                    values_rows: list, checked: bool = True) -> bool:
-    """Scatter fast path for the steady state: feed unsorted pairs to
-    several ladder tables with **no sort, no gather, no run starts**.
+class LadderCounters:
+    """Which path :func:`add_blocked_multi` took: window-sized blocks
+    scatter-accumulated in steady state, blocks covered by a sorted
+    walk, and why the first block that could not scatter could not."""
 
-    Applies only when, for every table, the whole ladder already sits
-    on one uniform top exponent high enough for this batch (checked
-    against each column's global |max|), every value is finite, and
-    ``n * 2**(w-1) <= 2**53`` so that float64 partial sums of the
-    integral-valued quanta are exact in any accumulation order — then
-    ``np.bincount`` scatter-sums replace the segment machinery
-    entirely.  Returns ``False`` (with nothing mutated) when any
-    precondition fails; the caller then takes the sorted path.
+    __slots__ = ("scatter", "sorted", "first_decline")
 
-    The exactness window ``n <= 2**(54-w)`` holds for binary32 ladders
-    with the *same* bound as binary64, because neither side of the
-    argument depends on the value format's significand width:
+    def __init__(self):
+        self.scatter = 0
+        self.sorted = 0
+        self.first_decline: str | None = None
 
-    * the quantum bound is format-independent — the no-demote
-      precondition gives ``eb + m - w + 2 <= e0`` per column, so every
-      level quantum ``q = k * 2**(e_l - m)`` has
-      ``|k| <= 2**(eb + 1 - e0 + m) <= 2**(w-1)`` whether ``m`` is 52
-      or 23;
-    * the accumulator is format-independent — ``np.bincount`` converts
-      its weights to float64 before summing, and every binary32
-      quantum converts exactly (float32 ⊂ float64), so each partial
-      sum is an exact integer multiple of ``2**(e_l - m)`` with
-      integer part at most ``n * 2**(w-1) <= 2**53``, representable
-      and closed under addition in float64 in any order (the scale
-      ``2**(e_l - m)`` stays at or above ``2**(emin - m)``, far inside
-      float64's range for both formats).
+    def merge(self, other: "LadderCounters") -> None:
+        self.scatter += other.scatter
+        self.sorted += other.sorted
+        if self.first_decline is None:
+            self.first_decline = other.first_decline
 
-    The per-element arithmetic stays in the table dtype either way:
-    the anchors ``ldexp(dt(1.5), e_l)`` are exact in binary32 for
-    every in-range ``e_l >= emin`` (one significand bit), and the
-    quantum extraction writes through same-dtype scratch — so each
-    float32 quantum is bit-identical to the reference walk's, and
-    ``np.ldexp(sums, m - e_l)`` lifts the exact float64 bin sums to
-    whole int64 quanta exactly.
 
-    ``checked=False`` skips the group-id range scan for callers that
-    construct the ids themselves (the fused kernels); out-of-range ids
-    are then undefined behavior exactly like any unchecked kernel.
+#: Decline reasons a sorted walk over the block's own rows clears (it
+#: seeds the empty ladder, performs the demote, counts the NaN), so the
+#: next block tries the scatter again.  The others — ``mixed_ladder``,
+#: ``subnormal``, ``window`` — describe the table or its parameters and
+#: outlive the block: the rest of the input takes one sorted walk.
+_BLOCK_LOCAL = frozenset(("cold_start", "demote", "non_finite"))
 
-    Bit-identity with the per-table reference walk: no table demotes
-    (``needed <= e0`` for every group by the global-max check), the
-    anchor extraction is element-wise so each value's quantum is the
-    value the reference computes, quanta are exact integers whose
-    float64 partial sums stay below 2**53 (every partial representable
-    — order cannot change the total), and zeros extract a zero quantum
-    at every level, making them exact no-ops just as in the
-    zero-filtering reference (including the group-absent case:
-    ``s += 0`` on a canonical state, then an idempotent propagate).
-    """
+
+def _same_params(tables) -> list:
     tables = list(tables)
-    if not tables:
-        return True
-    first = tables[0]
     for table in tables[1:]:
-        if table.params != first.params:
-            raise ValueError("add_pairs_multi requires identical parameters")
+        if table.params != tables[0].params:
+            raise ValueError("ladder tables must share identical parameters")
+    return tables
+
+
+def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
+                      counters: LadderCounters | None = None) -> None:
+    """The ladder update every reproducible SUM goes through: feed
+    unsorted ``(group id, value)`` pairs to several same-parameter
+    tables (``values_rows[i]`` goes to ``tables[i]``), walking the input
+    in blocks of the exactness window.
+
+    The window — ``1 << (54 - w)`` rows, 16 384 at ``W = 40`` — is how
+    many level quanta float64 can sum exactly in *any* order (proof in
+    :func:`add_pairs_multi`); it follows from the parameters and is not
+    a knob.  A block whose tables are in steady state (every ladder on
+    one uniform top exponent that the block's ``|max|`` does not raise,
+    all values finite) scatter-accumulates with ``np.bincount`` — no
+    sort, no gather, 128 KB temporaries that stay in the thread-local
+    scratch.  A block that is not takes the sorted segment walk
+    (:func:`add_sorted_runs_multi`) on its own rows only, with every
+    precondition and decline of that walk kept — so a query's first
+    block seeds the ladders and the rest of the morsel runs sort-free.
+    When the decline is a property of the table rather than of the
+    block (groups on different ladders: high-cardinality or
+    wide-magnitude inputs) no later block could scatter either, and
+    the rest of the input takes one sorted walk instead of many short
+    ones.
+
+    Both paths are bit-identical to per-table
+    :meth:`GroupedSummation.add_pairs`, and ladder states are exact
+    under any chunking of their input, so where the block boundaries
+    fall cannot change a bit.  ``counters`` records the path per block.
+    """
+    tables = _same_params(tables)
+    if not tables:
+        return
+    first = tables[0]
     gids = np.asarray(group_ids, dtype=np.int64)
+    rows = [np.asarray(r, dtype=first._dtype) for r in values_rows]
+    if (gids.ndim != 1 or len(rows) != len(tables)
+            or any(r.shape != gids.shape for r in rows)):
+        raise ValueError("one equal-length 1-D values row per table required")
     n = gids.size
-    if len(values_rows) != len(tables):
-        raise ValueError("one values row per table required")
     if n == 0:
-        return True
+        return
+    # one pass: viewed unsigned, a negative id is out of range upwards
+    if int(gids.view(np.uint64).max()) >= min(t.ngroups for t in tables):
+        raise IndexError("group id out of range")
+    if counters is None:
+        counters = LadderCounters()
+    step = first._window or n  # no window: one block, declined as such
+    pos = 0
+    while pos < n:
+        end = min(pos + step, n)
+        reason = _scatter_block(
+            tables, gids[pos:end], [r[pos:end] for r in rows]
+        )
+        if reason is None:
+            counters.scatter += 1
+        else:
+            if reason not in _BLOCK_LOCAL:
+                end = n
+            counters.sorted += -(-(end - pos) // step)
+            if counters.first_decline is None:
+                counters.first_decline = reason
+            _walk_sorted(tables, gids[pos:end], [r[pos:end] for r in rows])
+        pos = end
+
+
+def _walk_sorted(tables: list, gids: np.ndarray, rows: list) -> None:
+    """Sorted segment walk: cluster the pairs by group id, gather every
+    values row into one thread-local ``(k, n)`` block in that order, and
+    hand it to :func:`add_sorted_runs_multi`."""
+    order = None
+    if not bool((gids[1:] >= gids[:-1]).all()):
+        order = stable_group_order(gids)
+        gids = gids.take(order)
+    if order is None and len(rows) == 1:
+        block = rows[0][None, :]
+    else:
+        block = _scratch(
+            "gather", len(rows) * gids.size, rows[0].dtype
+        ).reshape(len(rows), gids.size)
+        for i, vals in enumerate(rows):
+            if order is None:
+                block[i] = vals
+            else:
+                # ``order`` is a permutation, so nothing is ever clipped;
+                # the mode only skips ``raise``'s buffered copy of ``out``
+                np.take(vals, order, out=block[i], mode="clip")
+    add_sorted_runs_multi(tables, gids, block)
+
+
+def _scatter_block(tables: list, gids: np.ndarray, rows: list) -> str | None:
+    """Steady-state scatter of one block of in-range pairs; returns
+    ``None`` when applied, else the decline reason with nothing
+    mutated.  See :func:`add_pairs_multi` for the proof."""
+    first = tables[0]
+    if gids.size > first._window:
+        return "window"
     m, w, levels = first._m, first._w, first._L
-    # binary64 and binary32 ladders share the n <= 2**(54-w) window:
-    # the quantum bound |k| <= 2**(w-1) and the float64 bincount
-    # accumulator are both independent of the value format (see the
-    # docstring); any other dtype declines to the reference walk.
-    if first._dtype.itemsize not in (4, 8) or w > 53 or n > 1 << (54 - w):
-        return False
     emin_floor = first._emin + (levels - 1) * w
     e0s = []
     for table in tables:
-        lo = int(table.e0.min())
-        if lo < emin_floor or lo != int(table.e0.max()):
-            return False
+        lo, hi = int(table.e0.min()), int(table.e0.max())
+        if hi == _EMPTY_E0:
+            return "cold_start"
+        if lo != hi:
+            return "mixed_ladder"
+        if lo < emin_floor:
+            return "subnormal"
         e0s.append(lo)
-    if checked and (int(gids.min()) < 0
-                    or int(gids.max()) >= min(t.ngroups for t in tables)):
-        return False  # let the sorted path raise the reference error
-    rows = [np.asarray(r, dtype=first._dtype) for r in values_rows]
     his = []
     for vals, e0 in zip(rows, e0s):
         # max/min propagate NaN and catch ±inf without a full |.| pass
         hi = max(float(vals.max()), -float(vals.min()))
         if not hi <= first.params.fmt.max_value:  # NaN or +inf
-            return False
+            return "non_finite"
         if hi > 0:
             eb = math.frexp(hi)[1] - 1
             if -(-(eb + m - w + 2) // w) * w > e0:
-                return False  # a demote would be needed somewhere
+                return "demote"  # some group's ladder has to rise
         his.append(hi)
 
     dt = first._dtype.type
-    qbuf, rbuf, _ = _walk_buffers(n, first._dtype)
-    q = qbuf[:n]
-    r = rbuf[:n]
+    q = _scratch("q", gids.size, first._dtype)
+    r = _scratch("r", gids.size, first._dtype)
     for vals, table, e0, hi in zip(rows, tables, e0s, his):
         if hi == 0:
             continue  # all-zero column: exact no-op, as in the reference
@@ -583,7 +580,86 @@ def add_pairs_multi(tables: list, group_ids: np.ndarray,
             # power-of-two-float range near ``emin``, so no ``2.0**p``).
             table.s[level] += np.ldexp(sums, m - e_l).astype(np.int64)
         table._propagate()
-    return True
+    return None
+
+
+def add_pairs_multi(tables: list, group_ids: np.ndarray,
+                    values_rows: list, checked: bool = True) -> bool:
+    """One block of the steady-state scatter: feed unsorted pairs to
+    several ladder tables with **no sort, no gather, no run starts**.
+    :func:`add_blocked_multi` is the caller that walks a whole morsel
+    through this, a window at a time.
+
+    Applies only when, for every table, the whole ladder already sits
+    on one uniform top exponent high enough for this block (checked
+    against each column's |max| over the block), every value is
+    finite, and the block fits the exactness window
+    ``n * 2**(w-1) <= 2**53``, so that float64 partial sums of the
+    integral-valued quanta are exact in any accumulation order — then
+    ``np.bincount`` scatter-sums replace the segment machinery
+    entirely.  Returns ``False`` (with nothing mutated) when any
+    precondition fails; the block then takes the sorted path.
+
+    The window ``n <= 2**(54-w)`` rows per block holds for binary32
+    ladders with the *same* bound as binary64, because neither side of
+    the argument depends on the value format's significand width:
+
+    * the quantum bound is format-independent — the no-demote
+      precondition gives ``eb + m - w + 2 <= e0`` per column, so every
+      level quantum ``q = k * 2**(e_l - m)`` has
+      ``|k| <= 2**(eb + 1 - e0 + m) <= 2**(w-1)`` whether ``m`` is 52
+      or 23;
+    * the accumulator is format-independent — ``np.bincount`` converts
+      its weights to float64 before summing, and every binary32
+      quantum converts exactly (float32 ⊂ float64), so each partial
+      sum within the block is an exact integer multiple of
+      ``2**(e_l - m)`` with integer part at most
+      ``n * 2**(w-1) <= 2**53``, representable and closed under
+      addition in float64 in any order (the scale ``2**(e_l - m)``
+      stays at or above ``2**(emin - m)``, far inside float64's range
+      for both formats).
+
+    The bound is on one block's sums, not on the table: each block's
+    bin sums are lifted to int64 quanta and added to the (exact,
+    carry-propagated) state before the next block starts, so a morsel
+    of any length is exact block by block.
+
+    The per-element arithmetic stays in the table dtype either way:
+    the anchors ``ldexp(dt(1.5), e_l)`` are exact in binary32 for
+    every in-range ``e_l >= emin`` (one significand bit), and the
+    quantum extraction writes through same-dtype scratch — so each
+    float32 quantum is bit-identical to the reference walk's, and
+    ``np.ldexp(sums, m - e_l)`` lifts the exact float64 bin sums to
+    whole int64 quanta exactly.
+
+    ``checked=False`` skips the group-id range scan for callers that
+    have validated the ids themselves; out-of-range ids are then
+    undefined behavior exactly like any unchecked kernel.
+
+    Bit-identity with the per-table reference walk: no table demotes
+    (``needed <= e0`` for every group by the block-max check), the
+    anchor extraction is element-wise so each value's quantum is the
+    value the reference computes, quanta are exact integers whose
+    float64 partial sums stay below 2**53 (every partial representable
+    — order cannot change the total), and zeros extract a zero quantum
+    at every level, making them exact no-ops just as in the
+    zero-filtering reference (including the group-absent case:
+    ``s += 0`` on a canonical state, then an idempotent propagate).
+    """
+    tables = _same_params(tables)
+    if not tables:
+        return True
+    first = tables[0]
+    gids = np.asarray(group_ids, dtype=np.int64)
+    if len(values_rows) != len(tables):
+        raise ValueError("one values row per table required")
+    if gids.size == 0:
+        return True
+    if checked and (int(gids.min()) < 0
+                    or int(gids.max()) >= min(t.ngroups for t in tables)):
+        return False  # let the sorted path raise the reference error
+    rows = [np.asarray(r, dtype=first._dtype) for r in values_rows]
+    return _scatter_block(tables, gids, rows) is None
 
 
 def add_sorted_runs_multi(tables: list, group_ids: np.ndarray,
@@ -594,37 +670,34 @@ def add_sorted_runs_multi(tables: list, group_ids: np.ndarray,
     ``values`` has shape ``(len(tables), n)``; row ``i`` is consumed by
     ``tables[i]``.  All tables must share identical :class:`RsumParams`.
     The states produced are bit-identical to calling
-    ``tables[i].add_sorted_runs(group_ids, values[i], starts)`` for each
-    table in turn: quantum accumulation is exact int64 arithmetic and the
+    ``tables[i].add_pairs(group_ids, values[i])`` for each table in
+    turn: quantum accumulation is exact integer arithmetic and the
     anchor extraction is element-wise, so batching the per-level sweeps
     across a 2-D array (one ``reduceat`` over ``axis=1`` instead of N
     ladder walks) cannot change any bits.  This is the engine's
     multi-aggregate amortization: TPC-H Q1's five repro sums share one
-    sorted morsel, one segment-max, and one anchor sweep per level.
+    sorted block, one segment-max, and one anchor sweep per level.  A
+    single table is the ``k = 1`` case
+    (:meth:`GroupedSummation.add_sorted_runs`).
 
-    Zeros do not break the batch even though the single-table path
-    filters them out before computing run starts: a zero extracts a
-    zero quantum at every level and cannot change a segment's absolute
-    maximum, so the accumulated state matches the zero-filtering
-    reference bit for bit — *unless* filtering would leave a segment
-    empty (the reference then never touches that group's ladder), in
-    which case the column takes the reference path.  Columns with
-    non-finite values always fall back to their own
-    ``add_sorted_runs`` call (the counts and the filtered run
-    structure are not batchable), as does the whole batch when any
-    ladder would overflow (so the exception surfaces from the
-    reference path with nothing mutated); a column whose ladders end
-    up non-uniform or subnormal drops to the element-wise sweep.
+    Zeros do not break the batch even though the reference filters
+    them out: a zero extracts a zero quantum at every level and cannot
+    change a segment's absolute maximum, so the accumulated state
+    matches the zero-filtering reference bit for bit — *unless*
+    filtering would leave a segment empty (the reference then never
+    touches that group's ladder), in which case the column is filtered
+    first (:meth:`GroupedSummation._add_filtered_runs`).  So are
+    columns with non-finite values (the counts and the filtered run
+    structure are not batchable).  When a ladder would overflow, the
+    tables are applied one by one and the offending one raises
+    :class:`LadderOverflowError` with nothing of its own mutated —
+    exactly the sequential per-table semantics; a column whose ladders
+    end up non-uniform or subnormal drops to the element-wise sweep.
     """
-    tables = list(tables)
+    tables = _same_params(tables)
     if not tables:
         return
     first = tables[0]
-    for table in tables[1:]:
-        if table.params != first.params:
-            raise ValueError(
-                "add_sorted_runs_multi requires identical parameters"
-            )
     gids = np.asarray(group_ids, dtype=np.int64)
     vals = np.asarray(values, dtype=first._dtype)
     if vals.shape != (len(tables), gids.size) or gids.ndim != 1:
@@ -634,8 +707,10 @@ def add_sorted_runs_multi(tables: list, group_ids: np.ndarray,
     if gids[0] < 0 or gids[-1] >= min(t.ngroups for t in tables):
         raise IndexError("group id out of range")
     if gids.size > _CHUNK:
+        # Rare huge batch: the generic chunked path keeps int64
+        # quantum sums exact; the result bits are the same.
         for table, row in zip(tables, vals):
-            table.add_sorted_runs(gids, row, starts)
+            table.add_pairs(gids, row)
         return
     if starts is None:
         starts = GroupedSummation._run_starts(gids)
@@ -644,14 +719,16 @@ def add_sorted_runs_multi(tables: list, group_ids: np.ndarray,
     m, w, levels = first._m, first._w, first._L
     n = gids.size
     nseg = len(starts)
-    qbuf, rbuf, kbuf = _walk_buffers(len(tables) * n, first._dtype)
-    absvals = np.abs(vals, out=qbuf[:len(tables) * n].reshape(vals.shape))
+    qbuf = _scratch("q", len(tables) * n, first._dtype)
+    rbuf = _scratch("r", len(tables) * n, first._dtype)
+    absvals = np.abs(vals, out=qbuf.reshape(vals.shape))
     # Run starts replicated at row offsets turn every 2-D segment
     # reduction into one flat ``reduceat``: rows are contiguous, and a
     # row's trailing segment stops at the next row's offset.  The
     # first ``kb`` rows' offsets are a prefix, so the walk below can
     # reuse slices of this array for any leading block width.
-    fstarts_all = (starts + (np.arange(len(tables)) * n)[:, None]).ravel()
+    fstarts_all = starts if len(tables) == 1 else (
+        starts + (np.arange(len(tables)) * n)[:, None]).ravel()
     seg_max_all = np.maximum.reduceat(
         absvals.reshape(-1), fstarts_all
     ).reshape(len(tables), nseg)
@@ -659,13 +736,14 @@ def add_sorted_runs_multi(tables: list, group_ids: np.ndarray,
     # ``np.maximum`` propagates NaN and |±inf| stays inf, so a
     # non-finite maximum flags a non-finite column, and a zero maximum
     # flags a segment the zero-filtering reference path would never
-    # touch (see docstring) — both take the reference path.
+    # touch (see docstring) — both are filtered and walked alone.
     ok = (np.isfinite(seg_max_all) & (seg_max_all > 0)).all(axis=1)
     batch = np.flatnonzero(ok)
-    for i in np.flatnonzero(~ok):
-        tables[int(i)].add_sorted_runs(gids, vals[i], starts)
-    if batch.size == 0:
-        return
+    if batch.size < len(tables):
+        for i in np.flatnonzero(~ok):
+            tables[int(i)]._add_filtered_runs(gids, vals[i])
+        if batch.size == 0:
+            return
 
     if batch.size == len(tables):
         sub = vals
@@ -673,18 +751,17 @@ def add_sorted_runs_multi(tables: list, group_ids: np.ndarray,
     else:
         sub = vals[batch]
         seg_max = seg_max_all[batch]
-    _, exps = np.frexp(seg_max)
-    eb = exps.astype(np.int64) - 1
-    raw = eb + m - w + 2
-    needed = -((-raw) // w) * w
-    if np.any(needed > first._emax_grid):
-        # Let the reference path raise LadderOverflowError for the
-        # offending table, with earlier tables fully applied — exactly
-        # the sequential per-table semantics.
-        for i in batch:
-            tables[int(i)].add_sorted_runs(gids, vals[i], starts)
+    try:
+        needed = first._needed_e0(seg_max)
+    except LadderOverflowError:
+        if len(tables) == 1:
+            raise
+        # Sequential per-table semantics: earlier tables are fully
+        # applied, the offending one raises with nothing mutated.
+        for j, i in enumerate(batch):
+            add_sorted_runs_multi([tables[int(i)]], gids, sub[j][None, :],
+                                  starts)
         return
-    np.maximum(needed, first._emin_grid, out=needed)
 
     plans: dict = {}  # uniform top exponent -> [(row in ``sub``, table)]
     emin_floor = first._emin + (levels - 1) * w
@@ -711,41 +788,37 @@ def add_sorted_runs_multi(tables: list, group_ids: np.ndarray,
             plans.setdefault(e0, []).append((j, table))
         elif bool((sub[j] == 0).any()):
             # The element-wise sweep is not audited for embedded
-            # zeros; the reference path is (it filters them), and the
-            # demotion above is idempotent under it.
-            table.add_sorted_runs(gids, vals[i], starts)
+            # zeros; filter them first (the demotion above is
+            # idempotent under the re-walk).
+            table._add_filtered_runs(gids, vals[i])
         else:
-            table._sweep_segments_elementwise(gids, sub[j], starts, seg_gids)
+            for level, k in table._elementwise_quanta(gids, sub[j]):
+                table.s[level][seg_gids] += np.add.reduceat(k, starts)
             table._propagate()
     if not plans:
         return
 
-    # The batched walk proper.  The run structure, segment maxima, and
+    # The batched walk proper.  The run structure, segment maxima and
     # demotion targets above were computed once for all columns;
     # columns that landed on the *same* top exponent (the common case
-    # — think TPC-H Q1's five price-of-ordinary-magnitude sums) then
-    # share one scalar anchor per level, extracting the whole block's
-    # quanta in one scalar-broadcast pass per level instead of one per
-    # column.  The block is walked as a single flat vector — rows are
-    # contiguous, so run starts replicated at row offsets give one
-    # ``reduceat`` over every column at once (each row's trailing
-    # segment stops at the next row boundary) — and every temporary
-    # lands in the thread-local scratch, keeping those pages warm in
-    # cache from morsel to morsel.  Scalar anchors and ``out=`` keep
-    # the arithmetic the single-table fast path's verbatim, so
-    # bit-identity is by construction; the remainder is dead after the
-    # last level and is not materialized.
+    # — think TPC-H Q1's five price-of-ordinary-magnitude sums) share
+    # one scalar anchor per level and are walked as a single flat
+    # vector (``fstarts_all`` above gives one ``reduceat`` over every
+    # column at once).  Every temporary lands in the thread-local
+    # scratch; the remainder is dead after the last level and is not
+    # materialized.
     dt = first._dtype.type
     p_lo, p_hi = (-126, 127) if first._dtype.itemsize == 4 else (-1022, 1023)
     # The ladder invariant bounds every quantum by ``|k| <= 2**(w-1)``
     # (that is what makes int64 accumulation exact under _CHUNK), so
-    # when ``n * 2**(w-1) <= 2**53`` every *partial* segment sum of
-    # the integral-valued ``q`` is exactly representable in binary64 —
-    # the float ``reduceat`` is then exact and the whole float→int64
-    # conversion pass can collapse to casting one tiny sum per
-    # segment.
-    float_sums = (first._dtype.itemsize == 8 and w <= 53
-                  and n <= 1 << (54 - w))
+    # while no run is longer than the exactness window every *partial*
+    # segment sum of the integral-valued ``q`` is exactly representable
+    # in binary64 — the float ``reduceat`` is then exact and the whole
+    # float→int64 conversion pass collapses to casting one tiny sum
+    # per segment.  (binary32 rows would reduce in binary32: excluded.)
+    float_sums = first._dtype.itemsize == 8 and (
+        n <= first._window
+        or int(np.diff(starts, append=n).max()) <= first._window)
     for e0, members in plans.items():
         kb = len(members)
         if kb == len(sub):
@@ -758,7 +831,6 @@ def add_sorted_runs_multi(tables: list, group_ids: np.ndarray,
         fstarts = starts if kb == 1 else fstarts_all[:kb * nseg]
         q = qbuf[:flat.size]
         r = rbuf[:flat.size]
-        kq = kbuf[:flat.size]
         src = flat
         for level in range(levels):
             e_l = e0 - level * w
@@ -780,6 +852,7 @@ def add_sorted_runs_multi(tables: list, group_ids: np.ndarray,
             if float_sums:
                 seg_sums = np.add.reduceat(q, fstarts).astype(np.int64)
             else:
+                kq = _scratch("k", flat.size, np.int64)
                 np.copyto(kq, q, casting="unsafe")
                 seg_sums = np.add.reduceat(kq, fstarts)
             for idx, (row, table) in enumerate(members):

@@ -21,10 +21,10 @@ aggregate into a single generated per-morsel function:
 3. **Kernel cache.**  Kernels are cached on the execution context
    keyed by a plan signature; the context counts hits and misses and
    invalidates the cache when knobs that shape execution change.
-4. **Batched ladder walk.**  All reproducible SUM/AVG/VAR states of
+4. **Batched ladder update.**  All reproducible SUM/AVG/VAR states of
    equal :class:`~repro.core.params.RsumParams` feed one
-   :func:`~repro.aggregation.grouped.add_sorted_runs_multi` sweep over
-   the shared sorted morsel, instead of N independent ladder walks.
+   :func:`~repro.aggregation.grouped.add_blocked_multi` call per
+   morsel, instead of N independent ladder walks.
 
 Reproducibility is preserved by construction: the kernels reuse the
 exact state objects and update arithmetic of the vectorized path
@@ -39,11 +39,8 @@ feature gate.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from ..aggregation.grouped import add_pairs_multi, add_sorted_runs_multi
 from .expr import SCALAR_FUNCTIONS, evaluate, expression_columns
 from .operators import (
     Batch,
@@ -59,6 +56,7 @@ from .vectorized import (
     SortedMorsel,
     VectorizedGroupTable,
     _update_float_sum,
+    update_ladders,
     _VecCountState,
     _VecMinMaxState,
     _VecSecondMomentState,
@@ -160,72 +158,6 @@ def _minmax_update(state, values, gids, morsel, ngroups: int) -> None:
         morsel.seg_gids,
         state.ufunc.reduceat(morsel.take(values), morsel.starts),
     )
-
-
-_SCRATCH = threading.local()
-
-#: Largest element count kept as persistent per-thread scratch.
-_STACK_SCRATCH_CAP = 1 << 18
-
-
-def _stack_buffer(slot: str, k: int, n: int, dtype) -> np.ndarray:
-    """Thread-local ``(k, n)`` scratch for ladder stacks and gathers.
-
-    A fresh 2-D array per morsel means every kernel invocation streams
-    through cold pages; one reused buffer per thread keeps them warm
-    in cache across morsels.  Two slots suffice: the assembled value
-    stack is dead the moment its sort-order gather completes, and the
-    gathered copy is dead when the ladder sweep returns.  Oversized
-    requests fall back to plain allocation.
-    """
-    count = k * n
-    if count > _STACK_SCRATCH_CAP:
-        return np.empty((k, n), dtype=dtype)
-    bufs = getattr(_SCRATCH, "bufs", None)
-    if bufs is None:
-        bufs = _SCRATCH.bufs = {}
-    key = (slot, np.dtype(dtype))
-    buf = bufs.get(key)
-    if buf is None or buf.size < count:
-        buf = bufs[key] = np.empty(
-            min(max(count, 1 << 14), _STACK_SCRATCH_CAP), dtype=dtype
-        )
-    return buf[:count].reshape(k, n)
-
-
-def _ladder_multi(impls, rows, gids, morsel, ngroups: int) -> None:
-    """Feed ``k`` same-parameter repro sum impls one sorted morsel in a
-    single multi-column ladder sweep.  ``rows`` is a list of ``k``
-    per-impl value arrays; each is gathered into sort order directly
-    inside one thread-local ``(k, n)`` block (no intermediate unsorted
-    stack), which :func:`add_sorted_runs_multi` then walks.
-    Bit-identical to ``k`` independent :func:`_update_float_sum` calls
-    because that walk is bit-identical to the per-table
-    ``add_sorted_runs``."""
-    groupeds = []
-    for impl in impls:
-        grouped = impl.grouped
-        if grouped.ngroups < ngroups:
-            grouped.resize(ngroups)
-        groupeds.append(grouped)
-    if gids.size == 0:
-        return
-    if add_pairs_multi(groupeds, gids, rows, checked=False):
-        # Steady-state scatter path: no sort, no gather, no starts.
-        return
-    morsel._ensure()
-    dtype = groupeds[0]._dtype
-    block = _stack_buffer("gather", len(rows), gids.size, dtype)
-    if morsel._identity:
-        for i, vals in enumerate(rows):
-            block[i] = vals
-    else:
-        order = morsel._order
-        for i, vals in enumerate(rows):
-            if vals.dtype != dtype:
-                vals = vals.astype(dtype)
-            np.take(vals, order, out=block[i])
-    add_sorted_runs_multi(groupeds, morsel.sorted_gids, block, morsel.starts)
 
 
 # ---------------------------------------------------------------------------
@@ -720,16 +652,10 @@ def _emit_states(em: _Emitter, aggregate) -> bool:
 
     # Batched ladder walks last: reordering whole-state updates is
     # bit-safe (each state object consumes exactly its own sequence).
-    for _key, slots in ladder_slots.items():
-        if len(slots) == 1:
-            impl_token, values_token = slots[0]
-            em.emit(
-                f"_UF({impl_token}, {values_token}, _gids, _morsel, _ngroups)"
-            )
-            continue
+    for slots in ladder_slots.values():
         impls = ", ".join(impl_token for impl_token, _ in slots)
         values = ", ".join(values_token for _, values_token in slots)
-        em.emit(f"_LM([{impls}], [{values}], _gids, _morsel, _ngroups)")
+        em.emit(f"_LM(({impls},), ({values},), _gids, _morsel, _ngroups)")
     return order_sensitive
 
 
@@ -817,7 +743,8 @@ def _finish_kernel(em: _Emitter, aggregate, signature, nfilters: int,
     # them first and splice the morsel construction in above them.
     morsel_at = len(em.lines)
     order_sensitive = _emit_states(em, aggregate)
-    morsel_ctor = "_SM(_gids)" if order_sensitive else "_CM(_gids, _ngroups)"
+    morsel_ctor = ("_SM(_gids, table.ladder)" if order_sensitive
+                   else "_CM(_gids, _ngroups, table.ladder)")
     em.lines.insert(morsel_at, f"_morsel = {morsel_ctor}")
 
     body = "\n".join("    " + line for line in em.lines)
@@ -831,7 +758,7 @@ def _finish_kernel(em: _Emitter, aggregate, signature, nfilters: int,
         "_CM": ClusteredMorsel,
         "_UF": _update_float_sum,
         "_MM": _minmax_update,
-        "_LM": _ladder_multi,
+        "_LM": update_ladders,
     }
     if extra_namespace:
         namespace.update(extra_namespace)

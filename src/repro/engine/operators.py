@@ -97,6 +97,9 @@ class OperatorTimings:
 
     def __init__(self):
         self.seconds: dict[str, float] = {}
+        #: per-query path counters (not times) the pipeline reports,
+        #: e.g. ``ladder_blocks_scatter``
+        self.counters: dict = {}
 
     def add(self, label: str, dt: float) -> None:
         self.seconds[label] = self.seconds.get(label, 0.0) + dt
@@ -235,7 +238,10 @@ class _PlainSumImpl:
 
     def merge(self, other, mapping, ngroups):
         self.sums = _grown(self.sums, ngroups)
-        np.add.at(self.sums, mapping, _grown(other.sums, len(mapping)))
+        # IEEE partials holding +inf and -inf for one group sum to NaN:
+        # the right answer, not worth a RuntimeWarning.
+        with np.errstate(invalid="ignore"):
+            np.add.at(self.sums, mapping, _grown(other.sums, len(mapping)))
 
     def finalize(self, ngroups):
         sums = _grown(self.sums, ngroups)

@@ -489,6 +489,17 @@ class PipelineStats:
         self.kernel_cache_hits = 0
         self.kernel_cache_misses = 0
         self.kernel_cache_evictions = 0
+        #: Which path this query's reproducible sums took, summed over
+        #: workers (per query, not cumulative): exactness-window blocks
+        #: scatter-accumulated in steady state vs. covered by a sorted
+        #: walk, and why the first block that declined the scatter did
+        #: (``cold_start`` / ``demote`` / ``non_finite`` /
+        #: ``mixed_ladder`` / ``subnormal`` / ``window``; ``None`` when
+        #: none did).  See :func:`repro.aggregation.grouped.
+        #: add_blocked_multi`.
+        self.ladder_blocks_scatter = 0
+        self.ladder_blocks_sorted = 0
+        self.ladder_first_decline: str | None = None
 
     def kernel_time(self) -> float:
         """Total CPU seconds spent in fused kernels across workers."""
@@ -635,6 +646,11 @@ def run_grouped_pipeline(
     key_arrays, results, ngroups = root.finalize()
     stats.finalize_seconds = time.thread_time() - finalize_started
 
+    ladder = getattr(root, "ladder", None)  # the scalar table has none
+    if ladder is not None:
+        stats.ladder_blocks_scatter = ladder.scatter
+        stats.ladder_blocks_sorted = ladder.sorted
+        stats.ladder_first_decline = ladder.first_decline
     stats.wall_seconds = time.perf_counter() - wall_started
     stats.kernel_cache_hits = getattr(context, "kernel_cache_hits", 0)
     stats.kernel_cache_misses = getattr(context, "kernel_cache_misses", 0)
@@ -648,6 +664,11 @@ def run_grouped_pipeline(
             "aggregation",
             sum(aggregation_seconds) + stats.merge_seconds
             + stats.finalize_seconds,
+        )
+        timings.counters.update(
+            ladder_blocks_scatter=stats.ladder_blocks_scatter,
+            ladder_blocks_sorted=stats.ladder_blocks_sorted,
+            ladder_first_decline=stats.ladder_first_decline,
         )
     return key_arrays, results, ngroups
 

@@ -17,11 +17,13 @@ This module is the batched alternative.  Per morsel it:
    with pure integer radix arithmetic, numeric keys go through
    ``np.unique`` with the same canonical NaN / ``-0.0`` handling as the
    scalar key table;
-3. sorts the morsel by group id **once** (a cheap int64 argsort shared
-   by every aggregate) and updates per-group partial states with
-   segment kernels — ``ufunc.reduceat`` reductions for MIN/MAX and the
-   RSUM quantum sums (:meth:`~repro.aggregation.grouped.
-   GroupedSummation.add_sorted_runs`);
+3. sorts the morsel by group id **at most once** (a lazy radix
+   argsort shared by the aggregates that need it) and updates
+   per-group partial states with segment kernels — ``ufunc.reduceat``
+   reductions for MIN/MAX and int sums; the RSUM ladders go through
+   the blocked kernel (:func:`~repro.aggregation.grouped.
+   add_blocked_multi`), which sorts only the blocks that are not in
+   steady state;
 4. shares physical states between aggregates: ``AVG(x)`` reuses the
    ``SUM(x)`` state and one common ``COUNT`` state, the six
    VARIANCE/STDDEV spellings share one second-moment state.
@@ -45,7 +47,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..aggregation.grouped import GroupedSummation
+from ..aggregation.grouped import (
+    GroupedSummation,
+    LadderCounters,
+    add_blocked_multi,
+)
+from ..aggregation.partition import stable_group_order
 from .expr import SCALAR_FUNCTIONS, ExprCache
 from .operators import (
     AggregateSpec,
@@ -150,10 +157,15 @@ class SortedMorsel:
     segment starts, and the per-segment gids.  When the ids are already
     non-decreasing (single group, pre-sorted input) the permutation is
     the identity and :meth:`take` returns the input array untouched.
+    ``counters`` is the owning group table's ladder-path accounting,
+    carried here because the morsel is the one per-update object every
+    state sees.
     """
 
-    def __init__(self, gids: np.ndarray):
+    def __init__(self, gids: np.ndarray,
+                 counters: LadderCounters | None = None):
         self.gids = gids
+        self.counters = counters
         self._ready = False
         self._identity = False
         self._order: np.ndarray | None = None
@@ -175,7 +187,7 @@ class SortedMorsel:
                 self._identity = True
                 self._sorted_gids = gids
             else:
-                self._order = np.argsort(gids, kind="stable")
+                self._order = stable_group_order(gids)
                 self._sorted_gids = gids[self._order]
             sg = self._sorted_gids
             self._starts = GroupedSummation._run_starts(sg)
@@ -227,8 +239,9 @@ class ClusteredMorsel(SortedMorsel):
     #: lose to one radix argsort; fall back to the stable morsel.
     _MAX_COUNTING_GROUPS = 32
 
-    def __init__(self, gids: np.ndarray, ngroups: int):
-        super().__init__(gids)
+    def __init__(self, gids: np.ndarray, ngroups: int,
+                 counters: LadderCounters | None = None):
+        super().__init__(gids, counters)
         self._ngroups = ngroups
 
     def _ensure(self) -> None:
@@ -270,22 +283,29 @@ def _update_float_sum(impl, values: np.ndarray, gids: np.ndarray,
                       morsel: SortedMorsel, ngroups: int) -> None:
     """Feed one morsel into a float-sum impl.
 
-    Repro impls take the segmented fast path (exact, so sorting cannot
-    change the bits); IEEE and sorted-mode impls keep their scalar-path
-    update — ``np.add.at`` in physical row order — so even the
-    order-*sensitive* mode returns bits identical to the scalar path.
+    Repro impls go through the blocked ladder kernel (exact, so neither
+    blocking nor sorting can change the bits); IEEE and sorted-mode
+    impls keep their scalar-path update — ``np.add.at`` in physical row
+    order — so even the order-*sensitive* mode returns bits identical
+    to the scalar path.
     """
     if isinstance(impl, _ReproSumImpl):
-        if impl.grouped.ngroups < ngroups:
-            impl.grouped.resize(ngroups)
-        if gids.size:
-            fmt = impl._fmt_dtype
-            vals = values if values.dtype == fmt else values.astype(fmt)
-            impl.grouped.add_sorted_runs(
-                morsel.sorted_gids, morsel.take(vals), morsel.starts
-            )
+        update_ladders((impl,), (values,), gids, morsel, ngroups)
     else:
         impl.update(values, gids, ngroups)
+
+
+def update_ladders(impls, rows, gids: np.ndarray, morsel: SortedMorsel,
+                   ngroups: int) -> None:
+    """Feed one morsel into ``k`` same-parameter repro sum impls
+    (``rows[i]`` goes to ``impls[i]``) with one call into
+    :func:`~repro.aggregation.grouped.add_blocked_multi`."""
+    groupeds = []
+    for impl in impls:
+        if impl.grouped.ngroups < ngroups:
+            impl.grouped.resize(ngroups)
+        groupeds.append(impl.grouped)
+    add_blocked_multi(groupeds, gids, rows, morsel.counters)
 
 
 class _VecSumState(_SumState):
@@ -374,6 +394,14 @@ class VectorizedGroupTable(PartialGroupTable):
         #: ``("rows", total)`` tag of the build-row path).
         self._lut: np.ndarray | None = None
         self._lut_bases = None
+        #: Which ladder path this table's morsels took (scatter vs
+        #: sorted blocks); merged with the workers' and reported on
+        #: :class:`~repro.engine.pipeline.PipelineStats`.
+        self.ladder = LadderCounters()
+
+    def merge(self, other: PartialGroupTable) -> None:
+        super().merge(other)
+        self.ladder.merge(other.ladder)
 
     def approx_bytes(self) -> int:
         lut = 0 if self._lut is None else self._lut.nbytes
@@ -440,7 +468,7 @@ class VectorizedGroupTable(PartialGroupTable):
         cache = ExprCache(batch.columns, batch.types)
         gids = self._factorize_vectorized(batch, cache)
         ngroups = self.ngroups
-        morsel = SortedMorsel(gids)
+        morsel = SortedMorsel(gids, self.ladder)
         for state in self.states:
             state.update_vec(batch, cache, gids, morsel, ngroups)
 

@@ -291,6 +291,73 @@ class TestKernelCache:
             db.execute("SET fused = 'banana'")
 
 
+class TestBlockedLadderPath:
+    """The steady-state scatter must engage at the *default* knobs, and
+    which path a block took must never reach the result bits."""
+
+    Q1_SHAPED = (
+        "SELECT f, s, SUM(q) AS sq, SUM(p) AS sp, SUM(p * (1 - d)) AS sd, "
+        "SUM(p * (1 - d) * (1 + t)) AS sc, AVG(q) AS aq, AVG(d) AS ad, "
+        "COUNT(*) AS c FROM t WHERE q < 49 GROUP BY f, s ORDER BY f, s"
+    )
+
+    @pytest.fixture(scope="class")
+    def lineitems(self):
+        rng = np.random.default_rng(23)
+        n = 70_000
+        return {
+            "f": np.array(["A", "N", "R"], dtype=object)[rng.integers(0, 3, n)],
+            "s": np.array(["F", "O"], dtype=object)[rng.integers(0, 2, n)],
+            "q": rng.integers(1, 51, n).astype(np.float64),
+            "p": rng.uniform(900.0, 105000.0, n).round(2),
+            "d": rng.integers(0, 11, n) / 100.0,
+            "t": rng.integers(0, 9, n) / 100.0,
+        }
+
+    COLUMNS = ("f VARCHAR(1), s VARCHAR(1), q DOUBLE, p DOUBLE, d DOUBLE, "
+               "t DOUBLE")
+
+    def test_default_knobs_reach_the_scatter(self, lineitems):
+        db = Database(sum_mode="repro")  # every knob at its default
+        db.execute(f"CREATE TABLE t ({self.COLUMNS})")
+        db.table("t").bulk_load(lineitems)
+        db.execute(self.Q1_SHAPED)
+        stats = db.last_pipeline_stats
+        assert stats.fused
+        assert stats.ladder_first_decline == "cold_start"
+        assert stats.ladder_blocks_sorted == 1
+        assert stats.ladder_blocks_scatter >= 4
+        counters = db.last_timings.counters
+        assert counters["ladder_blocks_scatter"] == stats.ladder_blocks_scatter
+        assert counters["ladder_first_decline"] == "cold_start"
+        # per query, not cumulative
+        db.execute(self.Q1_SHAPED)
+        assert db.last_pipeline_stats.ladder_blocks_sorted == 1
+
+    def test_bits_independent_of_blocking(self, lineitems):
+        reference = make_db(self.COLUMNS, lineitems, vectorized=False,
+                            fused=False, morsel_size=1 << 12)
+        expected = result_bits(reference.execute(self.Q1_SHAPED))
+        assert reference.last_pipeline_stats.ladder_blocks_scatter == 0
+        for fused in (True, False):
+            for workers in (1, 4):
+                for morsel_size in (1024, 16384, 65536):
+                    db = make_db(self.COLUMNS, lineitems, fused=fused,
+                                 workers=workers, morsel_size=morsel_size)
+                    assert result_bits(db.execute(self.Q1_SHAPED)) == expected
+                    stats = db.last_pipeline_stats
+                    assert stats.ladder_blocks_scatter > 0
+                    # every worker's first block seeds its own tables
+                    assert stats.ladder_blocks_sorted >= 1
+
+    def test_ieee_mode_counts_nothing(self, lineitems):
+        db = make_db(self.COLUMNS, lineitems, sum_mode="ieee")
+        db.execute(self.Q1_SHAPED)
+        stats = db.last_pipeline_stats
+        assert (stats.ladder_blocks_scatter, stats.ladder_blocks_sorted,
+                stats.ladder_first_decline) == (0, 0, None)
+
+
 class TestClusteredMorsel:
     def test_same_segments_as_stable_sort(self):
         rng = np.random.default_rng(5)
@@ -525,10 +592,11 @@ class TestAddPairsMulti:
                        premut=_seed_uniform(np.float32(150.0)))
 
     def test_window_boundary_straddle(self, rng):
-        # The batch window n <= 2**(54-w) is format-independent (the
-        # float64 bincount accumulator bounds it, not the value dtype);
-        # the default widths put it out of reach (2**14 for binary64,
-        # 2**36 for binary32), so straddle it with a wide-w params:
+        # The block window n <= 2**(54-w) is format-independent (the
+        # float64 bincount accumulator bounds it, not the value dtype):
+        # 2**14 rows for binary64, 2**36 for binary32 at the default
+        # widths.  One call is one block (add_blocked_multi does the
+        # walking), so straddle a narrow window with a wide-w params:
         # exactly-at-window applies, one addend past it declines.
         params = RsumParams(BINARY64, w=45)
         limit = 1 << (54 - 45)

@@ -2,11 +2,10 @@
 """Canonical-query reproducibility digest for the CI matrix.
 
 Runs a fixed query set under the repro sum modes across every
-``(workers, morsel_size, vectorized, fused, memory_budget)``
-combination — and, for the join queries, every hash-join build side —
-asserts the
-result bits are identical *within* this process, and writes one digest
-line per (query, mode) to ``--out`` (default ``repro_digest.txt``).
+``(workers, morsel_size, memory_budget, shards)`` combination — and,
+for the join queries, every hash-join build side — asserts the result
+bits are identical *within* this process, and writes one digest line
+per (query, mode) to ``--out`` (default ``repro_digest.txt``).
 
 The digest deliberately excludes the execution knobs: a leg running
 ``--workers 1,2`` and a leg running ``--workers 4,8`` — or a different
@@ -20,18 +19,16 @@ repro-mode bits.  The memory-budget axis extends it to out-of-core
 execution: an unbounded run, a tight budget that forces the external
 aggregation to spill partitions to disk, and a pathological 1-byte
 budget that spills after every morsel must all agree bit for bit.
-The fused axis extends it to code generation: plans compiled into one
-fused morsel kernel (:mod:`repro.engine.fused`) and the same plans run
-through the interpreted operator pipeline must also agree bit for bit
-— including the automatic fallback legs where fusion declines (scalar
-path, external aggregation).  The join legs (``tpch_q3`` and
-``join_edge_fused``) cross it with the build-side axis: there the
-``fused=on`` configs run the fused join-probe kernel (probe → gather →
-filter → aggregate in one morsel pass) and the script *asserts* the
-kernel engaged, so the comparison is genuinely kernel-vs-interpreter
-and not interpreter-vs-interpreter; ``join_edge_keys`` keeps a
-COUNT DISTINCT so the automatic join-plan decline stays in the gate
-too.
+Code generation is held to the gate *across legs*: whether a generated
+morsel kernel (:mod:`repro.engine.fused`) or the interpreter feeds the
+group table is the planner's decision, and the script asserts it —
+every query whose default plan EXPLAINs ``fused`` (``tpch_q3`` and
+``join_edge_fused`` by name) engaged its kernel on every unbudgeted
+config, and on a spill leg (no ``unbounded`` in the sweep) every
+grouped query ran external and unfused at the smallest budget — so the
+compare job's byte-diff of the two kinds of leg is kernel-vs-interpreter,
+never interpreter-vs-interpreter; ``join_edge_keys`` keeps a COUNT
+DISTINCT so the automatic kernel decline stays in the gate too.
 
 Env overrides (so matrix legs vary without changing the command line):
 
@@ -39,8 +36,6 @@ Env overrides (so matrix legs vary without changing the command line):
 * ``REPRO_DIGEST_BUILD_SIDES`` — hash-join build sides for join legs;
 * ``REPRO_DIGEST_MEMORY_BUDGETS`` — comma-separated byte budgets;
   ``unbounded`` (or ``0``) disables spilling for that run;
-* ``REPRO_DIGEST_FUSED`` — comma-separated ``on`` / ``off`` flags for
-  the fused-kernel sweep (default ``on,off``);
 * ``REPRO_DIGEST_SHARDS`` — comma-separated shard counts (``0`` = the
   in-process pipeline, ``N`` = hash-sharded multi-process execution
   with partial-state exchange; default ``0,2``);
@@ -55,12 +50,13 @@ byte-identically to the single-process legs.
 
 import argparse
 import hashlib
+import itertools
 import os
 import sys
 
 import numpy as np
 
-from repro.engine import Database
+from repro.engine import DEFAULT_MORSEL_SIZE, Database
 from repro.tpch import Q1_SQL, Q3_SQL, Q6_SQL, load_tpch
 
 MODES = ("repro", "repro_buffered", "sorted")
@@ -79,8 +75,8 @@ JOIN_EDGE_QUERY = (
     "FROM jl, jr WHERE jl.k = jr.k GROUP BY jl.k ORDER BY k"
 )
 #: Same adversarial-key join without COUNT DISTINCT (which declines
-#: fusion), so the fused axis exercises the fused join-probe kernel
-#: rather than the interpreted fallback on both settings.
+#: fusion), so the unbudgeted legs exercise the fused join-probe
+#: kernel rather than the interpreted fallback.
 JOIN_EDGE_FUSED_QUERY = (
     "SELECT jl.k AS k, SUM(v) AS sv, SUM(w) AS sw, COUNT(*) AS c, "
     "MIN(v) AS lo, MAX(v) AS hi "
@@ -100,7 +96,7 @@ def _view_maintenance(db):
     scan over the same table, and return it for the digest.
 
     The interleaving is deterministic, so every matrix leg — any
-    workers / morsel_size / vectorized / memory_budget / OS / Python —
+    workers / morsel_size / memory_budget / OS / Python —
     must digest identically.
     """
     rng = np.random.default_rng(20180418)
@@ -433,10 +429,48 @@ QUERIES = (
     ("durability", None, _durability, False),
 )
 
-#: Join legs whose ``fused=on`` configs must actually engage the fused
-#: join-probe kernel — otherwise the fused axis silently degenerates to
-#: interpreted-vs-interpreted and the gate proves nothing.
+#: Join legs whose unbudgeted configs must engage the fused join-probe
+#: kernel whatever EXPLAIN says — otherwise a planner change that
+#: declines them would silently turn the in-memory legs into
+#: interpreted-vs-interpreted and the gate would prove nothing.
 FUSED_JOIN_QUERY_IDS = frozenset({"tpch_q3", "join_edge_fused"})
+
+
+def _default_plan_fuses(db, sql) -> bool:
+    """Does this query's plan at *default* knobs run under a generated
+    kernel?  (Then no swept knob may talk the planner out of it.)"""
+    session = db.session(
+        workers=1,
+        morsel_size=DEFAULT_MORSEL_SIZE,
+        join_build="auto",
+        memory_budget=None,
+        shards=0,
+    )
+    try:
+        return "FusedPipeline[" in session.explain(sql)
+    finally:
+        session.close()
+
+
+def _check_engine_path(query_id, sql, db, config, spill_budget):
+    """Kernel on unbudgeted configs, interpreter at ``spill_budget`` (a
+    spill leg's smallest budget, else ``None``); see the module docstring."""
+    budget = config[3]
+    stats = db.last_pipeline_stats
+    if budget is None:
+        must_fuse = query_id in FUSED_JOIN_QUERY_IDS or _default_plan_fuses(db, sql)
+        if must_fuse and not (stats is not None and stats.fused):
+            raise SystemExit(
+                f"{query_id}: unbudgeted leg at {config} did not engage "
+                "the fused kernel its default plan EXPLAINs"
+            )
+    elif budget == spill_budget and " GROUP BY " in sql:
+        if stats is None or not stats.external or stats.fused:
+            raise SystemExit(
+                f"{query_id}: spill leg at {config} did not run the "
+                "external, interpreted aggregation (is the smallest "
+                "swept budget small enough to force it?)"
+            )
 
 
 def parse_workers(text: str) -> list[int]:
@@ -451,20 +485,6 @@ def parse_build_sides(text: str) -> tuple[str, ...]:
     if not sides or any(s not in ("auto", "left", "right") for s in sides):
         raise SystemExit(f"bad build sides {text!r}")
     return sides
-
-
-def parse_fused(text: str) -> tuple[bool, ...]:
-    flags = []
-    for part in text.split(","):
-        part = part.strip().lower()
-        if not part:
-            continue
-        if part not in ("on", "off", "true", "false", "1", "0"):
-            raise SystemExit(f"bad fused flag {part!r}")
-        flags.append(part in ("on", "true", "1"))
-    if not flags:
-        raise SystemExit(f"no fused flags in {text!r}")
-    return tuple(flags)
 
 
 def parse_shards(text: str) -> tuple[int, ...]:
@@ -515,46 +535,26 @@ def canonical_bytes(result):
     return b"\x1e".join(pieces)
 
 
-def _sweep_configs(workers, build_sides, budgets, fused_flags, shards_counts,
-                   sweeps_builds):
-    sides = build_sides if sweeps_builds else ("auto",)
-    for worker_count in workers:
-        for morsel_size in MORSEL_SIZES:
-            for vectorized in (True, False):
-                # Fusion only engages on the vectorized path, so
-                # sweeping it there covers kernel-vs-interpreter; the
-                # vectorized=False legs keep the scalar fallback in
-                # the same gate.
-                flags = fused_flags if vectorized else (False,)
-                for fused in flags:
-                    for build_side in sides:
-                        for budget in budgets:
-                            for shard_count in shards_counts:
-                                yield (
-                                    worker_count, morsel_size, vectorized,
-                                    fused, build_side, budget, shard_count,
-                                )
-
-
-def digest_lines(workers, build_sides, budgets=(None,), queries=QUERIES,
-                 fused_flags=(True, False), shards_counts=(0,)):
+def digest_lines(
+    workers, build_sides, budgets=(None,), queries=QUERIES, shards_counts=(0,)
+):
     lines = []
+    spill_budget = None if None in budgets else min(budgets)
     for query_id, source, sql, sweeps_builds in queries:
         for mode in MODES:
             reference = None
             reference_config = None
-            for config in _sweep_configs(
-                workers, build_sides, budgets, fused_flags, shards_counts,
-                sweeps_builds,
+            sides = build_sides if sweeps_builds else ("auto",)
+            for config in itertools.product(
+                workers, MORSEL_SIZES, sides, budgets, shards_counts
             ):
-                (worker_count, morsel_size, vectorized, fused,
-                 build_side, budget, shard_count) = config
+                worker_count, morsel_size, build_side, budget, shard_count = (
+                    config
+                )
                 db = Database(
                     sum_mode=mode,
                     workers=worker_count,
                     morsel_size=morsel_size,
-                    vectorized=vectorized,
-                    fused=fused,
                     join_build=build_side,
                     memory_budget=budget,
                     shards=shard_count,
@@ -565,16 +565,8 @@ def digest_lines(workers, build_sides, budgets=(None,), queries=QUERIES,
                         result = sql(db)
                     else:
                         result = db.execute(sql)
+                        _check_engine_path(query_id, sql, db, config, spill_budget)
                     payload = canonical_bytes(result)
-                    if (query_id in FUSED_JOIN_QUERY_IDS and fused
-                            and vectorized and budget is None):
-                        stats = db.last_pipeline_stats
-                        if stats is None or not stats.fused:
-                            raise SystemExit(
-                                f"{query_id}: fused=on leg at {config} "
-                                "did not engage the fused join-probe "
-                                "kernel"
-                            )
                 finally:
                     # Tear down shard executor processes and worker
                     # pools before the next config spins its own.
@@ -615,14 +607,6 @@ def main(argv=None):
         ),
     )
     parser.add_argument(
-        "--fused",
-        default=os.environ.get("REPRO_DIGEST_FUSED", "on,off"),
-        help=(
-            "comma-separated on/off flags for the fused-kernel sweep "
-            "on the vectorized legs (default on,off)"
-        ),
-    )
-    parser.add_argument(
         "--shards",
         default=os.environ.get("REPRO_DIGEST_SHARDS", "0,2"),
         help=(
@@ -635,12 +619,10 @@ def main(argv=None):
     workers = parse_workers(args.workers)
     build_sides = parse_build_sides(args.build_sides)
     budgets = parse_budgets(args.memory_budgets)
-    fused_flags = parse_fused(args.fused)
     shards_counts = parse_shards(args.shards)
 
     lines = digest_lines(
-        workers, build_sides, budgets, QUERIES, fused_flags,
-        shards_counts=shards_counts,
+        workers, build_sides, budgets, QUERIES, shards_counts=shards_counts
     )
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -650,7 +632,6 @@ def main(argv=None):
         f"\nwrote {args.out} (workers swept: {workers}, "
         f"build sides swept: {list(build_sides)}, "
         f"memory budgets swept: {list(budgets)}, "
-        f"fused swept: {list(fused_flags)}, "
         f"shards swept: {list(shards_counts)}, "
         f"tpch scale: {tpch_scale()})"
     )

@@ -105,7 +105,7 @@ def open(path=None, **session_defaults):
     same session surface over the network.
 
     Keyword arguments are session defaults (``sum_mode``, ``workers``,
-    ``vectorized``, ...) exactly as for
+    ``morsel_size``, ...) exactly as for
     :class:`~repro.engine.session.Database`.
 
     >>> with repro.open() as db:                       # doctest: +SKIP

@@ -409,11 +409,9 @@ def run_external_grouped_pipeline(
     group_exprs,
     specs,
     morsels,
-    where,
     context,
     timings=None,
     transform=None,
-    vectorized: bool | None = None,
 ):
     """External-aggregation twin of
     :func:`repro.engine.pipeline.run_grouped_pipeline`: same signature,
@@ -425,24 +423,13 @@ def run_external_grouped_pipeline(
     workers, morsel_size)`` combination.
     """
     from ..engine import pipeline as pipeline_mod
-    from ..engine.operators import PartialGroupTable
-    from ..engine.pipeline import PipelineStats, apply_where
-    from ..engine.vectorized import (
-        VectorizedGroupTable,
-        plan_supports_vectorized,
-    )
+    from ..engine.pipeline import PipelineStats
 
     wall_started = time.perf_counter()
     stats = PipelineStats(min(context.workers, max(len(morsels), 1)))
     stats.morsel_count = len(morsels)
-    if vectorized is None:
-        vectorized = bool(
-            context.vectorized
-            and plan_supports_vectorized(group_exprs, specs, where)
-        )
-    stats.vectorized = bool(vectorized)
     stats.external = True
-    make_table = VectorizedGroupTable if stats.vectorized else PartialGroupTable
+    make_table = pipeline_mod.make_group_table
 
     npartitions = context.spill_partitions
     fanin = context.spill_merge_fanin
@@ -466,9 +453,8 @@ def run_external_grouped_pipeline(
                 batch = morsels[index]
                 if transform is not None:
                     batch = transform(batch)
-                filtered = apply_where(batch, where)
                 t1 = time.thread_time()
-                agg.update(filtered)
+                agg.update(batch)
                 t2 = time.thread_time()
                 selection_seconds[worker_id] += t1 - t0
                 aggregation_seconds[worker_id] += t2 - t1

@@ -17,7 +17,7 @@ codes.
         total = s.execute("SELECT SUM(f) FROM t").scalar()
 
 Session options passed to :func:`connect` (``sum_mode``, ``workers``,
-``fused``, ``memory_budget``, ...) travel in the hello frame and
+``memory_budget``, ...) travel in the hello frame and
 configure the server-side session, same knobs as ``db.session()``.
 """
 
@@ -38,7 +38,8 @@ def connect(address, timeout: float | None = None, **options) -> "RemoteSession"
     ``address`` is ``(host, port)`` for TCP or a filesystem path (str)
     for a unix socket; ``timeout`` bounds every socket operation;
     keyword ``options`` configure the server-side session
-    (``sum_mode``, ``workers``, ``fused``, ...).
+    (``sum_mode``, ``workers``, ``memory_budget``, ...); a name the
+    server's ``db.session()`` does not know is a typed error.
     """
     if isinstance(address, str):
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)

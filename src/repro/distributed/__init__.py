@@ -4,9 +4,9 @@ The paper's core result — per-group partial aggregate states merge
 *exactly*, so final bits are independent of how work is split — is
 what makes distribution safe: this package splits tables into hash
 shards across worker *processes* (escaping the GIL entirely), runs the
-local scan -> filter -> partial-aggregate pipeline per shard with the
-engine's existing scalar / vectorized / fused kernels, and exchanges
-the partial group tables back over the spill run-file format
+local scan -> filter -> partial-aggregate pipeline per shard on the
+engine's one group table (kernel-driven where the plan fused), and
+exchanges the partial group tables back over the spill run-file format
 (:mod:`repro.storage.spill`) used as a framed, CRC-checked wire
 protocol.  The coordinator merges partials in shard order and
 finalizes once; shard count, placement, worker count, and reply

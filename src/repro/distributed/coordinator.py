@@ -27,11 +27,10 @@ from __future__ import annotations
 import time
 from multiprocessing.connection import wait as _connection_wait
 
+from ..engine import pipeline as pipeline_mod
 from ..engine.fused import _probe_fingerprint
-from ..engine.operators import PartialGroupTable
 from ..engine.physical import PhysProbe
 from ..engine.pipeline import PipelineStats
-from ..engine.vectorized import VectorizedGroupTable
 from ..errors import ReproError
 from ..storage.spill import (
     encode_payload,
@@ -78,7 +77,6 @@ def _build_task(aggregate, scan, chain_ops, joins, context):
         # themselves travel separately as broadcast "build" messages
         # keyed by each descriptor's token.
         "joins": tuple(joins),
-        "vectorized": bool(aggregate.vectorized),
         "fused": bool(aggregate.fused),
         "morsel_size": int(context.morsel_size),
     }
@@ -166,7 +164,6 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
 
     pool = context.shard_pool(nworkers)
     stats = PipelineStats(nworkers)
-    stats.vectorized = bool(aggregate.vectorized) or bool(aggregate.fused)
     stats.fused = bool(aggregate.fused)
     stats.sharded = True
     stats.shards = nshards
@@ -262,9 +259,7 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
     # construction; exact state merge makes even this order choice
     # invisible in the repro modes.
     merge_started = time.thread_time()
-    make_table = (
-        VectorizedGroupTable if aggregate.vectorized else PartialGroupTable
-    )
+    make_table = pipeline_mod.make_group_table
     root = make_table(aggregate.group_exprs, aggregate.specs)
     for shard in sorted(frames):
         fresh = make_table(aggregate.group_exprs, aggregate.specs)

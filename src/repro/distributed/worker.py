@@ -4,8 +4,8 @@ Each worker process owns a cache of *shard replicas* — the shard-local
 column arrays of one table version, shipped by the coordinator as
 framed, CRC-checked spill payloads (:mod:`repro.storage.spill`) — and
 answers ``run`` requests by executing the local pipeline over one
-shard: morsel scan -> filters -> partial aggregate, with the same
-scalar / vectorized / fused kernels the in-process engine uses.  The
+shard: morsel scan -> filters -> partial aggregate, on the same group
+table (kernel-driven or interpreted) the in-process engine uses.  The
 reply is the partial group table, serialized with :func:`dump_table`
 and framed — the spill run-file format used as the wire protocol.
 
@@ -25,12 +25,12 @@ import time
 import traceback
 from collections import OrderedDict
 
-from ..engine.fused import FusedGroupTable, compile_fused
+from ..engine import pipeline as pipeline_mod
+from ..engine.fused import compile_fused
 from ..engine.join import HashJoin
 from ..engine.operators import (
     AggregateSpec,
     Batch,
-    PartialGroupTable,
     SumConfig,
     factorize_object,
 )
@@ -41,8 +41,7 @@ from ..engine.physical import (
     PhysProbe,
     PhysScan,
 )
-from ..engine.pipeline import ExecutionContext, apply_where
-from ..engine.vectorized import VectorizedGroupTable
+from ..engine.pipeline import apply_where
 from ..storage.spill import (
     decode_payload,
     dump_table,
@@ -56,11 +55,10 @@ __all__ = ["worker_main"]
 class _KernelHost:
     """The minimal kernel-cache surface :func:`compile_fused` needs —
     one per worker process, so repeated tasks reuse compiled kernels.
-    Mirrors the in-process context's LRU bound and counters."""
+    Mirrors the in-process context's counters."""
 
     def __init__(self):
         self._kernel_cache: OrderedDict = OrderedDict()
-        self.kernel_cache_size = ExecutionContext.DEFAULT_KERNEL_CACHE_SIZE
         self.kernel_cache_hits = 0
         self.kernel_cache_misses = 0
         self.kernel_cache_evictions = 0
@@ -110,7 +108,7 @@ def _compile_kernel(task, specs, host):
                 fingerprint=tuple(desc["fingerprint"]),
             ))
     chain = PhysPipeline(scan, ops)
-    aggregate = PhysAggregate(tuple(task["group_exprs"]), specs, True)
+    aggregate = PhysAggregate(tuple(task["group_exprs"]), specs)
     return compile_fused(chain, aggregate, host)
 
 
@@ -196,20 +194,14 @@ def _execute_task(task, replica, host, builds):
     group_exprs = tuple(task["group_exprs"])
     morsels = _shard_morsels(task, replica)
     joins = _local_joins(task, builds)
-    kernel = None
-    if task["fused"] and task["vectorized"]:
-        kernel = _compile_kernel(task, specs, host)
-    if kernel is not None and kernel.njoins == len(joins):
-        table = FusedGroupTable(group_exprs, specs, kernel, joins)
-        for batch in morsels:
-            table.update(batch)
-        return table, len(morsels)
-    # Interpreted fallback: walk the shipped chain in order (filters
-    # via apply_where, probes via the interpreted HashJoin.probe) —
+    kernel = _compile_kernel(task, specs, host) if task["fused"] else None
+    if kernel is not None and kernel.njoins != len(joins):
+        kernel = None
+    # Without a kernel, walk the shipped chain in order (filters via
+    # apply_where, probes via the interpreted HashJoin.probe) —
     # bit-identical to the fused kernel by construction.
-    make_table = VectorizedGroupTable if task["vectorized"] else PartialGroupTable
-    table = make_table(group_exprs, specs)
-    chain_ops = task["chain_ops"]
+    chain_ops = () if kernel is not None else task["chain_ops"]
+    table = pipeline_mod.make_group_table(group_exprs, specs, kernel, joins)
     for batch in morsels:
         for step in chain_ops:
             if step[0] == "filter":

@@ -41,7 +41,6 @@ from .expr import (
 from .operators import (
     AggregateSpec,
     Batch,
-    GroupByOp,
     OperatorTimings,
     PartialGroupTable,
     SumConfig,
@@ -75,7 +74,6 @@ from .table import VersionClock
 from .vectorized import (
     SortedMorsel,
     VectorizedGroupTable,
-    plan_supports_vectorized,
 )
 from .table import Column, Schema, Table
 from .types import (
@@ -113,7 +111,6 @@ __all__ = [
     "PartialGroupTable",
     "VectorizedGroupTable",
     "SortedMorsel",
-    "plan_supports_vectorized",
     "run_grouped_pipeline",
     "run_projection_pipeline",
     "Table",
@@ -137,7 +134,6 @@ __all__ = [
     "ViewDefinitionError",
     "match_view",
     "Batch",
-    "GroupByOp",
     "SumConfig",
     "OperatorTimings",
     "grouped_float_sum",

@@ -449,8 +449,7 @@ def _run_physical(query: PhysicalQuery, context: ExecutionContext,
                 query.pipeline, context, timings, snapshot
             )
             names, arrays = run_projection_pipeline(
-                query.items, morsels, None, context, timings,
-                transform=transform,
+                query.items, morsels, context, timings, transform=transform,
             )
 
     out_types: list[SqlType | None] = [None] * len(names)
@@ -539,7 +538,6 @@ def _grouped_arrays(query: PhysicalQuery, morsels: list[Batch], transform,
                     timings: OperatorTimings | None, joins=None):
     """Run the aggregate sink: ``(key_arrays, result_arrays, ngroups)``."""
     aggregate = query.aggregate
-    specs = aggregate.specs
     if aggregate.external:
         # Out-of-core GROUP BY: radix partitions spill to disk under
         # the session memory budget and re-merge exactly (imported
@@ -547,21 +545,15 @@ def _grouped_arrays(query: PhysicalQuery, morsels: list[Batch], transform,
         from ..aggregation.external_agg import run_external_grouped_pipeline
 
         return run_external_grouped_pipeline(
-            aggregate.group_exprs, specs, morsels, None, context, timings,
-            transform=transform, vectorized=aggregate.vectorized,
+            aggregate.group_exprs, aggregate.specs, morsels, context,
+            timings, transform=transform,
         )
-    if aggregate.fused:
-        # The generated kernel subsumes the whole per-morsel operator
-        # chain (filters and probes included), so no transform is
-        # passed; the built joins ride along as kernel parameters.
-        return run_grouped_pipeline(
-            aggregate.group_exprs, specs, morsels, None, context, timings,
-            vectorized=aggregate.vectorized, kernel=aggregate.kernel,
-            joins=joins,
-        )
+    # A fused plan's kernel subsumes the whole per-morsel operator
+    # chain, so _instantiate_grouped built no transform for it; the
+    # built joins ride along as kernel parameters.
     return run_grouped_pipeline(
-        aggregate.group_exprs, specs, morsels, None, context, timings,
-        transform=transform, vectorized=aggregate.vectorized,
+        aggregate.group_exprs, aggregate.specs, morsels, context, timings,
+        transform=transform, kernel=aggregate.kernel, joins=joins,
     )
 
 

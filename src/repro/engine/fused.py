@@ -1,12 +1,13 @@
 """Fused, plan-specialized morsel kernels.
 
-The vectorized path (:mod:`repro.engine.vectorized`) already batches
-the arithmetic, but it still pays interpreter tax per morsel: one
-Python dispatch per physical state, one :class:`~repro.engine.expr.
+The group table (:mod:`repro.engine.vectorized`) already batches the
+arithmetic, but interpreted it still pays tax per morsel: one Python
+dispatch per physical state, one :class:`~repro.engine.expr.
 ExprCache` dictionary probe per sub-expression, and one independent
 rsum ladder walk per reproducible aggregate.  This module removes that
 tax for *qualifying* plans by compiling scan -> filter -> project ->
-aggregate into a single generated per-morsel function:
+aggregate into a single generated per-morsel function that drives the
+same table:
 
 1. **Codegen, no dependencies.**  The kernel body is composed as plain
    Python source over NumPy calls and compiled with :func:`exec`.
@@ -19,22 +20,25 @@ aggregate into a single generated per-morsel function:
    per morsel are taken *once*, at compile time, from a zero-length
    dtype probe of the scan schema.
 3. **Kernel cache.**  Kernels are cached on the execution context
-   keyed by a plan signature; the context counts hits and misses and
-   invalidates the cache when knobs that shape execution change.
+   keyed by a plan signature, LRU-bounded to
+   :attr:`ExecutionContext.DEFAULT_KERNEL_CACHE_SIZE`; the context
+   counts hits, misses and evictions and invalidates the cache when
+   knobs that shape execution change.
 4. **Batched ladder update.**  All reproducible SUM/AVG/VAR states of
    equal :class:`~repro.core.params.RsumParams` feed one
    :func:`~repro.aggregation.grouped.add_blocked_multi` call per
    morsel, instead of N independent ladder walks.
 
 Reproducibility is preserved by construction: the kernels reuse the
-exact state objects and update arithmetic of the vectorized path
+exact state objects and update arithmetic of the interpreted table
 (:func:`_update_float_sum`, ``ufunc.reduceat`` extremes, int64
 segmented sums that are associative, and the multi-column ladder sweep
 that is proven bit-identical to the per-table walk), so fused results
-are byte-identical to both the vectorized and the scalar paths in
-every sum mode.  Plans the generator cannot express fall back to the
-interpreted engines automatically — fusion is an optimization, never a
-feature gate.
+are byte-identical to the interpreted table and to the scalar
+reference in every sum mode.  Whether a plan fuses is the planner's
+decision alone — there is no switch; plans the generator cannot
+express run the same table interpreted, with the reason in EXPLAIN
+(``unfused:<reason>``).
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .operators import (
     _ReproSumImpl,
     _make_float_sum_impl,
 )
+from .pipeline import ExecutionContext
 from .sql import ast
 from .types import DecimalSqlType
 from .vectorized import (
@@ -58,17 +63,18 @@ from .vectorized import (
     _update_float_sum,
     update_ladders,
     _VecCountState,
+    _VecDistinctCountState,
     _VecMinMaxState,
     _VecSecondMomentState,
     _VecSumState,
 )
 
-__all__ = ["FusedKernel", "FusedGroupTable", "compile_fused"]
+__all__ = ["FusedKernel", "compile_fused"]
 
 
 class _NoFuse(Exception):
     """Raised by the emitter when a plan shape is not fuseable; the
-    caller falls back to the interpreted vectorized path.  ``reason``
+    table then runs interpreted.  ``reason``
     is a short machine-readable decline code surfaced in EXPLAIN."""
 
     def __init__(self, message: str = "", reason: str = "unsupported_expr"):
@@ -88,7 +94,7 @@ class FusedKernel:
         self.fn = fn
         self.nfilters = nfilters
         #: hash-join probes fused into the kernel; the executing
-        #: :class:`FusedGroupTable` must carry one built
+        #: group table must carry one built
         #: :class:`~repro.engine.join.HashJoin` per probe, in chain
         #: order.
         self.njoins = njoins
@@ -97,35 +103,6 @@ class FusedKernel:
         return (
             f"FusedKernel(nfilters={self.nfilters}, njoins={self.njoins})"
         )
-
-
-class FusedGroupTable(VectorizedGroupTable):
-    """Vectorized group table driven by one generated kernel.
-
-    Key registration, merge, and canonical finalize are inherited
-    unchanged, which is what pins the fused path's bits to the
-    interpreted engines: only per-morsel *dispatch* differs.
-
-    ``joins`` holds the built :class:`~repro.engine.join.HashJoin`
-    objects for kernels that fuse probe stages (one per probe, in
-    chain order): the kernel code is compiled at *plan* time and
-    cached across queries, while hash tables are built at *execution*
-    time, so the joins ride the table as runtime parameters rather
-    than being baked into the generated source.
-    """
-
-    def __init__(self, group_exprs, specs, kernel: FusedKernel, joins=()):
-        super().__init__(group_exprs, specs)
-        self._fused_kernel = kernel
-        self._joins = list(joins or ())
-        if len(self._joins) != kernel.njoins:
-            raise ValueError(
-                f"kernel fuses {kernel.njoins} join probe(s) but "
-                f"{len(self._joins)} built join(s) were supplied"
-            )
-
-    def update(self, batch: Batch) -> None:
-        self._fused_kernel.fn(batch, self)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +624,9 @@ def _emit_states(em: _Emitter, aggregate) -> bool:
             em.emit(f"_MM({svar}, {values}, _gids, _morsel, _ngroups)")
         elif isinstance(state, _VecSecondMomentState):
             _emit_moment_state(em, state, svar, i, ladder)
+        elif isinstance(state, _VecDistinctCountState):
+            # Per-group value sets have no segmented kernel.
+            raise _NoFuse(reason="count_distinct")
         else:  # pragma: no cover - new state types fall back
             raise _NoFuse(f"state {type(state).__name__}")
 
@@ -1004,22 +984,14 @@ def compile_fused(chain, aggregate, context) -> FusedKernel | None:
     On decline the machine-readable reason is recorded on
     ``aggregate.fuse_reason`` (surfaced by EXPLAIN).  Cache entries are
     ``(kernel-or-None, reason)`` pairs so a cached decline replays its
-    reason; when the context's cache is an ``OrderedDict`` it is kept
-    LRU-bounded to ``context.kernel_cache_size`` entries, counting
-    evictions on ``context.kernel_cache_evictions``."""
+    reason; the cache is kept LRU-bounded to
+    :attr:`ExecutionContext.DEFAULT_KERNEL_CACHE_SIZE` entries,
+    counting evictions on ``context.kernel_cache_evictions``."""
 
     def decline(reason: str):
-        if aggregate is not None:
-            aggregate.fuse_reason = reason
+        aggregate.fuse_reason = reason
         return None
 
-    if aggregate is None or not aggregate.vectorized:
-        return decline(
-            "count_distinct"
-            if aggregate is not None
-            and any(spec.call.distinct for spec in aggregate.specs)
-            else "not_vectorized"
-        )
     if aggregate.external:
         return decline("external")
     if chain.source.table is None:
@@ -1031,40 +1003,25 @@ def compile_fused(chain, aggregate, context) -> FusedKernel | None:
     except _NoFuse as exc:
         return decline(exc.reason)
 
-    cache = getattr(context, "_kernel_cache", None)
-    if cache is not None and signature in cache:
+    cache = context._kernel_cache
+    if signature in cache:
         kernel, reason = cache[signature]
-        if hasattr(cache, "move_to_end"):
-            cache.move_to_end(signature)
-        context.kernel_cache_hits = getattr(
-            context, "kernel_cache_hits", 0
-        ) + 1
-        if kernel is None:
-            return decline(reason)
-        aggregate.fuse_reason = None
-        return kernel
-    try:
-        kernel, reason = _generate(chain, aggregate, signature, columns,
-                                   types), None
-    except _NoFuse as exc:
-        kernel, reason = None, exc.reason
-    except Exception:
-        # Genuine surprises: the interpreted path is always correct,
-        # so an uncompilable plan just runs unfused.
-        kernel, reason = None, "codegen_error"
-    if cache is not None:
+        cache.move_to_end(signature)
+        context.kernel_cache_hits += 1
+    else:
+        try:
+            kernel, reason = _generate(chain, aggregate, signature, columns,
+                                       types), None
+        except _NoFuse as exc:
+            kernel, reason = None, exc.reason
+        except Exception:
+            # Genuine surprises: the interpreted path is always correct,
+            # so an uncompilable plan just runs unfused.
+            kernel, reason = None, "codegen_error"
         cache[signature] = (kernel, reason)
-        context.kernel_cache_misses = getattr(
-            context, "kernel_cache_misses", 0
-        ) + 1
-        limit = getattr(context, "kernel_cache_size", None)
-        if limit and hasattr(cache, "move_to_end"):
-            while len(cache) > limit:
-                cache.popitem(last=False)
-                context.kernel_cache_evictions = getattr(
-                    context, "kernel_cache_evictions", 0
-                ) + 1
-    if kernel is None:
-        return decline(reason)
-    aggregate.fuse_reason = None
+        context.kernel_cache_misses += 1
+        while len(cache) > ExecutionContext.DEFAULT_KERNEL_CACHE_SIZE:
+            cache.popitem(last=False)
+            context.kernel_cache_evictions += 1
+    aggregate.fuse_reason = reason  # None exactly when a kernel exists
     return kernel

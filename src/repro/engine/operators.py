@@ -30,8 +30,6 @@ sum mode.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..core.params import RsumParams
@@ -42,7 +40,6 @@ from .types import DecimalSqlType, SqlType
 
 __all__ = [
     "Batch",
-    "GroupByOp",
     "SumConfig",
     "OperatorTimings",
     "AggregateSpec",
@@ -59,7 +56,7 @@ class Batch:
     ``encodings`` optionally carries dictionary encodings of key
     columns — ``{name: (codes, uniques)}`` with ``codes`` aligned to the
     batch rows — produced by the storage layer and consumed by the
-    vectorized GROUP BY (:mod:`repro.engine.vectorized`).
+    group table (:mod:`repro.engine.vectorized`).
     """
 
     def __init__(self, columns: dict, types: dict[str, SqlType],
@@ -1148,53 +1145,6 @@ class PartialGroupTable:
             for arr in self._finalize_results(ngroups)
         ]
         return key_arrays, results, ngroups
-
-
-class GroupByOp:
-    """Hash GROUP BY with pluggable partial-aggregate functions.
-
-    Whole-batch execution is the one-morsel special case of the
-    pipeline: build one :class:`PartialGroupTable`, feed it the batch,
-    finalize.  For the repro sum modes the result bits are therefore
-    identical whether a query runs here or through the parallel
-    pipeline — that is the paper's exact-merge property.
-    """
-
-    def __init__(self, group_exprs, agg_items, sum_config: SumConfig,
-                 timings: OperatorTimings | None = None):
-        self.group_exprs = tuple(group_exprs)
-        self.agg_items = tuple(agg_items)  # list of FuncCall
-        self.sum_config = sum_config
-        self.timings = timings
-
-    def specs(self) -> list[AggregateSpec]:
-        """One spec per distinct aggregate (deduped by SQL text)."""
-        seen: dict[str, AggregateSpec] = {}
-        for call in self.agg_items:
-            key = call.sql()
-            if key not in seen:
-                seen[key] = AggregateSpec(call, self.sum_config)
-        return list(seen.values())
-
-    def execute(self, batch: Batch):
-        """Returns (key_arrays, agg_env, ngroups).
-
-        ``agg_env`` maps each aggregate's canonical SQL text to its
-        per-group result array, ready for select items and HAVING.
-        """
-        started = time.perf_counter()
-        try:
-            specs = self.specs()
-            table = PartialGroupTable(self.group_exprs, specs)
-            table.update(batch)
-            key_arrays, results, ngroups = table.finalize()
-            agg_env = {
-                spec.sql: arr for spec, arr in zip(specs, results)
-            }
-            return key_arrays, agg_env, ngroups
-        finally:
-            if self.timings is not None:
-                self.timings.add("aggregation", time.perf_counter() - started)
 
 
 def grouped_float_sum(values: np.ndarray, gids: np.ndarray, ngroups: int,

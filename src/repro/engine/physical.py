@@ -7,17 +7,17 @@ The logical tree (:mod:`repro.engine.plan`, rewritten by
   per-morsel operators (filters and hash-join probes); pipeline
   breakers (join build sides) become nested pipelines that are
   materialized before the stream starts;
-* an optional **aggregate sink** with a *per-node* engine decision:
-  scalar partial tables or the vectorized columnar kernels
-  (:mod:`repro.engine.vectorized`), parallelised across
-  ``context.workers`` — replacing the old query-global
-  ``plan_supports_vectorized`` fallback in the executor;
+* an optional **aggregate sink** — always the one group table of
+  :mod:`repro.engine.vectorized`, parallelised across
+  ``context.workers`` — with a *per-node* decision whether a generated
+  kernel (:mod:`repro.engine.fused`) drives it, taken here from the
+  plan shape alone;
 * the **finishing** stages executed on the gathered result arrays:
   HAVING, output projection, ORDER BY, LIMIT.
 
 The planner never executes anything, so ``EXPLAIN`` can render the
-chosen operators (vectorized or scalar, parallel or serial, which join
-side builds) without touching the data.
+chosen operators (fused or interpreted and why, parallel or serial,
+which join side builds) without touching the data.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pipeline as pipeline_mod
+from .fused import compile_fused
 from .operators import (
     _KEY_BYTES_BASE,
     _KEY_BYTES_PER_COLUMN,
@@ -142,7 +143,6 @@ class PhysPipeline:
 class PhysAggregate:
     group_exprs: tuple[ast.Expr, ...]
     specs: list[AggregateSpec]
-    vectorized: bool
     #: External (spill-to-disk) aggregation: chosen when the estimated
     #: group state exceeds the session memory budget.  Repro-mode bits
     #: are identical either way; this is purely an operator choice.
@@ -168,7 +168,6 @@ class PhysAggregate:
     shard_workers: int = 0
 
     def describe(self, workers: int, morsel_size: int) -> str:
-        engine = "vectorized" if self.vectorized else "scalar"
         group = ", ".join(e.sql() for e in self.group_exprs)
         aggs = ", ".join(spec.sql for spec in self.specs)
         mode = "morsel-parallel" if workers > 1 else "serial"
@@ -185,11 +184,11 @@ class PhysAggregate:
             return (
                 f"ShardedAggregate(shards={self.shards}, "
                 f"shard_workers={self.shard_workers})"
-                f"[{engine}, morsel_size={morsel_size}{extra}]"
+                f"[morsel_size={morsel_size}{extra}]"
                 f"(group=[{group}], aggs=[{aggs}])"
             )
         return (
-            f"Aggregate[{engine}, {mode}, workers={workers}, "
+            f"Aggregate[{mode}, workers={workers}, "
             f"morsel_size={morsel_size}{extra}]"
             f"(group=[{group}], aggs=[{aggs}])"
         )
@@ -332,14 +331,7 @@ def plan_physical(root: LogicalNode, context,
     aggregate = None
     if isinstance(node, Aggregate):
         specs = _dedup_specs(node.aggregates, sum_config)
-        # Per-node engine decision.  The predicate is looked up through
-        # the pipeline module so test hooks (and future per-plan
-        # overrides) see one authoritative symbol.
-        supported = pipeline_mod.plan_supports_vectorized(
-            node.group_exprs, specs, _combined_predicate(node.child)
-        )
-        vectorized = bool(context.vectorized and supported)
-        aggregate = PhysAggregate(node.group_exprs, specs, vectorized)
+        aggregate = PhysAggregate(node.group_exprs, specs)
         budget = getattr(context, "memory_budget_bytes", None)
         if budget is not None and node.group_exprs:
             # External vs in-memory: worst-case group-state estimate
@@ -366,11 +358,10 @@ def plan_physical(root: LogicalNode, context,
                 )
                 aggregate.memory_budget_bytes = budget
                 aggregate.est_state_bytes = est_bytes
-        if vectorized:
-            state.encode_wanted = {
-                expr.name for expr in node.group_exprs
-                if isinstance(expr, ast.ColumnRef)
-            }
+        state.encode_wanted = {
+            expr.name for expr in node.group_exprs
+            if isinstance(expr, ast.ColumnRef)
+        }
         group_exprs = node.group_exprs
         node = node.child
     else:
@@ -379,18 +370,13 @@ def plan_physical(root: LogicalNode, context,
     chain = _build_pipeline(node, state)
 
     if aggregate is not None:
-        if not getattr(context, "fused", False):
-            aggregate.fuse_reason = "fused_off"
-        else:
-            from .fused import compile_fused
-
-            # compile_fused handles its own qualification (vectorized,
-            # external, chain shape) and records the decline reason on
-            # aggregate.fuse_reason for EXPLAIN.
-            kernel = compile_fused(chain, aggregate, context)
-            if kernel is not None:
-                aggregate.fused = True
-                aggregate.kernel = kernel
+        # compile_fused handles its own qualification (external, chain
+        # shape, aggregate states) and records the decline reason on
+        # aggregate.fuse_reason for EXPLAIN.
+        kernel = compile_fused(chain, aggregate, context)
+        if kernel is not None:
+            aggregate.fused = True
+            aggregate.kernel = kernel
 
     # Sharded multi-process execution: chosen when the session sets
     # shards > 0 and the plan is a single-table scan -> filters ->
@@ -519,30 +505,6 @@ def _dedup_specs(aggregates, sum_config: SumConfig) -> list[AggregateSpec]:
         if key not in seen:
             seen[key] = AggregateSpec(call, sum_config)
     return list(seen.values())
-
-
-def _combined_predicate(node: LogicalNode) -> ast.Expr | None:
-    """AND of every row-scope predicate below ``node`` (the shape the
-    vectorization predicate historically received)."""
-    predicates: list[ast.Expr] = []
-
-    def walk(n: LogicalNode) -> None:
-        if isinstance(n, Scan) and n.predicate is not None:
-            predicates.append(n.predicate)
-        if isinstance(n, Filter) and not n.having:
-            predicates.append(n.predicate)
-        if isinstance(n, Join) and n.residual is not None:
-            predicates.append(n.residual)
-        for child in n.children():
-            walk(child)
-
-    walk(node)
-    if not predicates:
-        return None
-    combined = predicates[0]
-    for predicate in predicates[1:]:
-        combined = ast.Binary("AND", combined, predicate)
-    return combined
 
 
 # ---------------------------------------------------------------------------

@@ -35,22 +35,27 @@ import numpy as np
 
 from ..errors import ConfigError
 from .expr import evaluate
-from .operators import (
-    AggregateSpec,
-    Batch,
-    OperatorTimings,
-    PartialGroupTable,
-)
+from .operators import AggregateSpec, Batch, OperatorTimings
 from .sql import ast
-from .vectorized import VectorizedGroupTable, plan_supports_vectorized
+from .vectorized import VectorizedGroupTable
 
 __all__ = [
     "DEFAULT_MORSEL_SIZE",
     "ExecutionContext",
     "PipelineStats",
+    "make_group_table",
     "run_grouped_pipeline",
     "run_projection_pipeline",
 ]
+
+#: THE constructor of per-morsel group tables —
+#: ``make_group_table(group_exprs, specs, kernel=None, joins=())``.
+#: The in-memory and external pipelines, the shard executors and the
+#: shard coordinator all build their tables through this one symbol
+#: (looked up on this module at call time), so no query can select a
+#: different runtime; the differential tests substitute the scalar
+#: reference table by patching it.
+make_group_table = VectorizedGroupTable
 
 #: Default morsel size: big enough to amortise NumPy dispatch, small
 #: enough that a few morsels exist at TPC-H bench scales.
@@ -70,10 +75,11 @@ class ExecutionContext:
     #: native engine).
     DEFAULT_SPILL_PARTITIONS = 4
 
-    #: Default bound on cached fused kernels per context.  Signatures
-    #: include build-side fingerprints that change on DML, so join
-    #: workloads naturally churn entries; a small LRU keeps steady-state
-    #: hits while bounding a long session's footprint.
+    #: Bound on cached fused kernels per context (and per shard
+    #: executor process).  Signatures include build-side fingerprints
+    #: that change on DML, so join workloads naturally churn entries; a
+    #: small LRU keeps steady-state hits while bounding a long
+    #: session's footprint.
     DEFAULT_KERNEL_CACHE_SIZE = 64
 
     #: Bound on cached hash-join builds per context.  Entries hold the
@@ -90,12 +96,11 @@ class ExecutionContext:
 
     def __init__(self, workers: int = 1,
                  morsel_size: int = DEFAULT_MORSEL_SIZE,
-                 vectorized: bool = True, join_build: str = "auto",
+                 join_build: str = "auto",
                  memory_budget_bytes: int | None = None,
                  spill_partitions: int | None = None,
-                 spill_merge_fanin: int = 0, fused: bool = True,
-                 shards: int = 0, shard_workers: int | None = None,
-                 kernel_cache_size: int | None = None):
+                 spill_merge_fanin: int = 0,
+                 shards: int = 0, shard_workers: int | None = None):
         workers = int(workers)
         morsel_size = int(morsel_size)
         if workers < 1:
@@ -108,16 +113,6 @@ class ExecutionContext:
             )
         self.workers = workers
         self.morsel_size = morsel_size
-        #: Use the batched kernels of :mod:`repro.engine.vectorized` for
-        #: GROUP BY plans they support (bit-identical repro results;
-        #: unsupported plans fall back to the scalar path per query).
-        self.vectorized = bool(vectorized)
-        #: Compile qualifying vectorized GROUP BY plans into fused
-        #: per-morsel kernels (:mod:`repro.engine.fused`).  Bits are
-        #: identical with the knob on or off — the reproducibility CI
-        #: sweeps it; plans the generator cannot express run the
-        #: interpreted vectorized path regardless.
-        self.fused = bool(fused)
         #: Force the hash-join build side for inner joins ('left' /
         #: 'right'); 'auto' lets the optimizer pick by estimated
         #: cardinality.  In the repro sum modes the result bits are
@@ -159,13 +154,9 @@ class ExecutionContext:
         #: Plan-signature -> ``(kernel-or-None, decline reason)``;
         #: maintained LRU by :func:`repro.engine.fused.compile_fused`
         #: (hits move to the back, inserts evict from the front past
-        #: :attr:`kernel_cache_size`), cleared when execution-shaping
-        #: knobs change.
+        #: :attr:`DEFAULT_KERNEL_CACHE_SIZE`), cleared when
+        #: execution-shaping knobs change.
         self._kernel_cache: OrderedDict = OrderedDict()
-        self.kernel_cache_size = self._check_cache_size(
-            self.DEFAULT_KERNEL_CACHE_SIZE if kernel_cache_size is None
-            else kernel_cache_size
-        )
         self.kernel_cache_hits = 0
         self.kernel_cache_misses = 0
         self.kernel_cache_invalidations = 0
@@ -189,14 +180,13 @@ class ExecutionContext:
     #: Every knob ``SET <name> = <value>`` accepts, for error messages.
     PARAM_NAMES = (
         "memory_budget_bytes", "memory_budget", "spill_partitions",
-        "spill_merge_fanin", "workers", "morsel_size", "vectorized",
-        "join_build", "fused", "shards", "shard_workers",
-        "kernel_cache_size",
+        "spill_merge_fanin", "workers", "morsel_size", "join_build",
+        "shards", "shard_workers",
     )
 
     def _invalidate_kernels(self) -> None:
         """Drop compiled kernels after a knob change that shapes
-        execution (workers / vectorized / memory budget): cached code
+        execution (workers / memory budget): cached code
         must never outlive the plan decisions it was specialized on."""
         if self._kernel_cache:
             self._kernel_cache.clear()
@@ -219,25 +209,6 @@ class ExecutionContext:
             raise ConfigError(
                 f"{name} expects an integer value, got {value!r}"
             ) from None
-
-    @staticmethod
-    def _as_bool(value, name: str) -> bool:
-        """Coerce a knob value to bool, accepting the usual SQL-ish
-        spellings and rejecting everything else by name."""
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, (int, float)) and value in (0, 1):
-            return bool(value)
-        if isinstance(value, str):
-            low = value.lower()
-            if low in ("true", "on", "yes", "1"):
-                return True
-            if low in ("false", "off", "no", "0"):
-                return False
-        raise ConfigError(
-            f"{name} expects a boolean value "
-            f"(TRUE/FALSE, on/off, 0/1), got {value!r}"
-        )
 
     @classmethod
     def _check_budget(cls, value) -> int | None:
@@ -268,13 +239,6 @@ class ExecutionContext:
         return value
 
     @classmethod
-    def _check_cache_size(cls, value) -> int:
-        value = cls._as_int(value, "kernel_cache_size")
-        if value < 1:
-            raise ConfigError("kernel_cache_size must be >= 1")
-        return value
-
-    @classmethod
     def _check_shards(cls, value) -> int:
         value = cls._as_int(value, "shards")
         if value < 0:
@@ -300,12 +264,11 @@ class ExecutionContext:
         Accepted names: ``memory_budget_bytes`` (alias
         ``memory_budget``; 0, NULL, or 'unbounded' clears it),
         ``spill_partitions``, ``spill_merge_fanin``, ``workers``,
-        ``morsel_size``, ``vectorized``, ``join_build``, ``fused``,
-        ``kernel_cache_size``.
+        ``morsel_size``, ``join_build``, ``shards``, ``shard_workers``.
 
-        Changes to ``workers``, ``vectorized``, or the memory budget
-        invalidate the fused kernel cache (the compiled kernels are
-        specialized against plan decisions those knobs shape).
+        Changes to ``workers`` or the memory budget invalidate the
+        fused kernel cache (the compiled kernels are specialized
+        against plan decisions those knobs shape).
         """
         key = name.lower()
         if key in ("memory_budget_bytes", "memory_budget"):
@@ -337,21 +300,6 @@ class ExecutionContext:
             if morsel_size < 1:
                 raise ConfigError("morsel_size must be >= 1")
             self.morsel_size = morsel_size
-        elif key == "vectorized":
-            vectorized = self._as_bool(value, "vectorized")
-            if vectorized != self.vectorized:
-                self._invalidate_kernels()
-            self.vectorized = vectorized
-        elif key == "fused":
-            self.fused = self._as_bool(value, "fused")
-        elif key == "kernel_cache_size":
-            size = self._check_cache_size(value)
-            self.kernel_cache_size = size
-            # Shrinking trims the cold end now; the trim counts as
-            # evictions, not an invalidation (surviving entries stay).
-            while len(self._kernel_cache) > size:
-                self._kernel_cache.popitem(last=False)
-                self.kernel_cache_evictions += 1
         elif key == "join_build":
             side = str(value).lower()
             if side not in self.JOIN_BUILD_SIDES:
@@ -455,9 +403,6 @@ class PipelineStats:
         self.merge_seconds = 0.0
         self.finalize_seconds = 0.0
         self.wall_seconds = 0.0
-        #: True when the grouped plan ran the batched kernels
-        #: (:mod:`repro.engine.vectorized`) rather than the scalar path.
-        self.vectorized = False
         #: True when the grouped plan ran one fused generated kernel
         #: per morsel (:mod:`repro.engine.fused`).
         self.fused = False
@@ -565,11 +510,9 @@ def run_grouped_pipeline(
     group_exprs,
     specs: list[AggregateSpec],
     morsels: list[Batch],
-    where: ast.Expr | None,
     context: ExecutionContext,
     timings: OperatorTimings | None = None,
     transform=None,
-    vectorized: bool | None = None,
     kernel=None,
     joins=None,
 ):
@@ -577,61 +520,42 @@ def run_grouped_pipeline(
 
     ``transform`` (optional) is a per-morsel operator chain — filters
     and hash-join probes composed by the physical planner — applied
-    inside the worker before ``where``.  ``vectorized`` carries the
-    planner's per-node engine decision; ``None`` falls back to deciding
-    here (legacy callers that skip the planner).  ``kernel`` (a
+    inside the worker.  ``kernel`` (a
     :class:`~repro.engine.fused.FusedKernel`) replaces the per-morsel
-    transform/filter/update loop with one generated call per morsel;
-    the kernel subsumes the operator chain, so it is mutually exclusive
-    with ``transform`` and ``where``.  ``joins`` carries the built
+    transform/update loop with one generated call per morsel; the
+    kernel subsumes the operator chain, so it is mutually exclusive
+    with ``transform``.  ``joins`` carries the built
     :class:`~repro.engine.join.HashJoin` objects a join-fusing kernel
     probes at runtime (one per fused probe, in chain order).
 
     Returns ``(key_arrays, result_arrays, ngroups)`` in canonical
     (sorted-key) group order.
     """
-    if kernel is not None and (transform is not None or where is not None):
+    if kernel is not None and transform is not None:
         raise ValueError(
-            "a fused kernel subsumes transform/where; pass one or the other"
+            "a fused kernel subsumes the transform; pass one or the other"
         )
     wall_started = time.perf_counter()
     stats = PipelineStats(min(context.workers, max(len(morsels), 1)))
     stats.morsel_count = len(morsels)
-    if vectorized is None:
-        vectorized = bool(
-            context.vectorized
-            and plan_supports_vectorized(group_exprs, specs, where)
-        )
-    stats.vectorized = bool(vectorized) or kernel is not None
     stats.fused = kernel is not None
-    make_table = VectorizedGroupTable if stats.vectorized else PartialGroupTable
     selection_seconds = [0.0] * stats.workers
     aggregation_seconds = [0.0] * stats.workers
 
-    def work_one(worker_id: int, assigned: list[int]) -> PartialGroupTable:
-        if kernel is not None:
-            from .fused import FusedGroupTable
-
-            table = FusedGroupTable(group_exprs, specs, kernel, joins)
-            for index in assigned:
-                t1 = time.thread_time()
-                table.update(morsels[index])
-                dt = time.thread_time() - t1
-                stats.kernel_seconds[worker_id] += dt
-                aggregation_seconds[worker_id] += dt
-            return table
-        table = make_table(group_exprs, specs)
+    def work_one(worker_id: int, assigned: list[int]):
+        table = make_group_table(group_exprs, specs, kernel, joins)
         for index in assigned:
             t0 = time.thread_time()
             batch = morsels[index]
             if transform is not None:
                 batch = transform(batch)
-            filtered = apply_where(batch, where)
             t1 = time.thread_time()
-            table.update(filtered)
+            table.update(batch)
             t2 = time.thread_time()
             selection_seconds[worker_id] += t1 - t0
             aggregation_seconds[worker_id] += t2 - t1
+            if kernel is not None:
+                stats.kernel_seconds[worker_id] += t2 - t1
         return table
 
     tables = _run_workers(morsels, context, stats, work_one)
@@ -646,17 +570,15 @@ def run_grouped_pipeline(
     key_arrays, results, ngroups = root.finalize()
     stats.finalize_seconds = time.thread_time() - finalize_started
 
-    ladder = getattr(root, "ladder", None)  # the scalar table has none
+    ladder = getattr(root, "ladder", None)  # the scalar reference has none
     if ladder is not None:
         stats.ladder_blocks_scatter = ladder.scatter
         stats.ladder_blocks_sorted = ladder.sorted
         stats.ladder_first_decline = ladder.first_decline
     stats.wall_seconds = time.perf_counter() - wall_started
-    stats.kernel_cache_hits = getattr(context, "kernel_cache_hits", 0)
-    stats.kernel_cache_misses = getattr(context, "kernel_cache_misses", 0)
-    stats.kernel_cache_evictions = getattr(
-        context, "kernel_cache_evictions", 0
-    )
+    stats.kernel_cache_hits = context.kernel_cache_hits
+    stats.kernel_cache_misses = context.kernel_cache_misses
+    stats.kernel_cache_evictions = context.kernel_cache_evictions
     context.last_stats = stats
     if timings is not None:
         timings.add("selection", sum(selection_seconds))
@@ -676,15 +598,14 @@ def run_grouped_pipeline(
 def run_projection_pipeline(
     items,
     morsels: list[Batch],
-    where: ast.Expr | None,
     context: ExecutionContext,
     timings: OperatorTimings | None = None,
     transform=None,
 ):
     """Parallel filter + project; morsel order is preserved on gather.
 
-    ``transform`` is the physical planner's per-morsel operator chain
-    (applied before ``where``), as in :func:`run_grouped_pipeline`.
+    ``transform`` is the physical planner's per-morsel operator chain,
+    as in :func:`run_grouped_pipeline`.
 
     Returns ``(names, arrays)``.
     """
@@ -716,9 +637,8 @@ def run_projection_pipeline(
             batch = morsels[index]
             if transform is not None:
                 batch = transform(batch)
-            filtered = apply_where(batch, where)
             selection_seconds[worker_id] += time.thread_time() - t0
-            out.append((index, project_one(filtered)))
+            out.append((index, project_one(batch)))
         return out
 
     per_worker = _run_workers(morsels, context, stats, work_one)

@@ -9,8 +9,8 @@ PR 7 splits the old monolithic ``Database`` in two:
   implicit default session.
 * :class:`Session` owns what is *per connection* — the SUM
   configuration, the execution knobs (``workers`` / ``morsel_size`` /
-  ``vectorized`` / ``fused`` / ``memory_budget`` / spill shape /
-  ``join_build``), per-query timings, and snapshot pinning.  Both the
+  ``memory_budget`` / spill shape / ``join_build`` / ``shards``),
+  per-query timings, and snapshot pinning.  Both the
   local embedding (``db.session()``) and the network client
   (:func:`repro.client.connect`) present this same surface, so code
   written against one runs unchanged against the other.
@@ -55,8 +55,9 @@ class Session:
 
     Owns the session-scoped knobs — SUM semantics (``sum_mode`` /
     ``levels`` / ``buffer_size``) and the execution shape (``workers``,
-    ``morsel_size``, ``vectorized``, ``fused``, ``join_build``,
-    ``memory_budget``, ``spill_partitions``, ``spill_merge_fanin``) —
+    ``morsel_size``, ``join_build``, ``memory_budget``,
+    ``spill_partitions``, ``spill_merge_fanin``, ``shards``,
+    ``shard_workers``) —
     plus :attr:`last_timings` and :attr:`last_pipeline_stats` for the
     most recent SELECT.  Catalog state (tables, views) is shared with
     every other session of the same database.
@@ -78,20 +79,20 @@ class Session:
     def __init__(self, database: Database, sum_mode: str = "ieee",
                  levels: int = 2, buffer_size: int | None = None,
                  workers: int = 1, morsel_size: int = DEFAULT_MORSEL_SIZE,
-                 vectorized: bool = True, join_build: str = "auto",
+                 join_build: str = "auto",
                  memory_budget: int | None = None,
                  spill_partitions: int | None = None,
-                 spill_merge_fanin: int = 0, fused: bool = True,
+                 spill_merge_fanin: int = 0,
                  shards: int = 0, shard_workers: int | None = None):
         self.database = database
         self.catalog = database.catalog
         self.sum_config = SumConfig(sum_mode, levels, buffer_size)
         self.execution_context = ExecutionContext(
-            workers, morsel_size, vectorized, join_build,
+            workers, morsel_size, join_build,
             memory_budget_bytes=memory_budget,
             spill_partitions=spill_partitions,
             spill_merge_fanin=spill_merge_fanin,
-            fused=fused, shards=shards, shard_workers=shard_workers,
+            shards=shards, shard_workers=shard_workers,
         )
         self.last_timings: OperatorTimings | None = None
         #: explicit pin from :meth:`snapshot` (``None`` = pin per query)
@@ -251,9 +252,9 @@ class Session:
         """Plan text for a SELECT (with or without an EXPLAIN prefix).
 
         Shows the optimized logical plan (pushdown rules applied) and
-        the chosen physical operators — vectorized or scalar
-        aggregation, worker/morsel configuration, hash-join build
-        sides — without executing the query.
+        the chosen physical operators — fused or interpreted
+        aggregation (and why), worker/morsel configuration, hash-join
+        build sides — without executing the query.
         """
         stmt = parse(sql_text)
         if isinstance(stmt, ast.Explain):
@@ -413,10 +414,10 @@ class Database:
     def __init__(self, sum_mode: str = "ieee", levels: int = 2,
                  buffer_size: int | None = None, workers: int = 1,
                  morsel_size: int = DEFAULT_MORSEL_SIZE,
-                 vectorized: bool = True, join_build: str = "auto",
+                 join_build: str = "auto",
                  memory_budget: int | None = None,
                  spill_partitions: int | None = None,
-                 spill_merge_fanin: int = 0, fused: bool = True,
+                 spill_merge_fanin: int = 0,
                  shards: int = 0, shard_workers: int | None = None,
                  path: str | None = None, wal_sync: str = "commit",
                  checkpoint_interval: float | None = 60.0):
@@ -430,12 +431,10 @@ class Database:
             "buffer_size": buffer_size,
             "workers": workers,
             "morsel_size": morsel_size,
-            "vectorized": vectorized,
             "join_build": join_build,
             "memory_budget": memory_budget,
             "spill_partitions": spill_partitions,
             "spill_merge_fanin": spill_merge_fanin,
-            "fused": fused,
             "shards": shards,
             "shard_workers": shard_workers,
         }
@@ -454,7 +453,9 @@ class Database:
                 storage.open_catalog(self.catalog)
                 # SET PERSISTENT defaults recovered from the directory
                 # override the constructor's, exactly as they would
-                # have in the process that set them.
+                # have in the process that set them (names this
+                # version no longer has — an older writer's
+                # ``vectorized`` / ``fused`` — select nothing).
                 for name, value in storage.persistent_defaults.items():
                     if name in self.session_defaults:
                         self.session_defaults[name] = value

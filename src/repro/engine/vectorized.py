@@ -1,14 +1,17 @@
-"""Vectorized columnar aggregation kernels for the morsel pipeline.
+"""The per-morsel group table of every SELECT aggregate.
 
-The scalar pipeline (:class:`~repro.engine.operators.PartialGroupTable`)
-is correct for any expression the engine can type, but it leaves speed
-on the table: every morsel re-factorizes its key columns with
-``np.unique`` over object arrays (an O(n log n) sort with Python-level
-comparisons), every aggregate re-evaluates its argument expression, and
-the reproducible summation scatters quanta with unbuffered ``ufunc.at``
-updates.
+:class:`VectorizedGroupTable` is the one aggregate runtime: the
+in-memory pipeline, the external (spill) aggregation and the shard
+executors all build it through :data:`repro.engine.pipeline.
+make_group_table`, driven by a generated kernel
+(:mod:`repro.engine.fused`) when the planner compiled one and by its
+own :meth:`~VectorizedGroupTable.update` otherwise.  The scalar
+:class:`~repro.engine.operators.PartialGroupTable` it extends — every
+morsel re-factorizes its key columns with ``np.unique`` over object
+arrays, every aggregate re-evaluates its argument expression — is the
+reference the differential tests compare against, never a query path.
 
-This module is the batched alternative.  Per morsel it:
+Per morsel the table:
 
 1. evaluates all expressions through one :class:`~repro.engine.expr.
    ExprCache` (common sub-expressions are computed once);
@@ -36,11 +39,6 @@ re-ordering a morsel by group id cannot change the final bits.  IEEE
 sums keep the scalar path's unbuffered ``np.add.at`` accumulation in
 physical row order, so even the *non*-reproducible mode returns the
 same bits as the scalar path.  The equivalence suite asserts both.
-
-Plans the kernels cannot express (unknown aggregate or expression node
-types) fall back to the scalar path automatically — see
-:func:`plan_supports_vectorized` and the dispatch in
-:mod:`repro.engine.pipeline`.
 """
 
 from __future__ import annotations
@@ -53,13 +51,13 @@ from ..aggregation.grouped import (
     add_blocked_multi,
 )
 from ..aggregation.partition import stable_group_order
-from .expr import SCALAR_FUNCTIONS, ExprCache
+from .expr import ExprCache
 from .operators import (
     AggregateSpec,
     Batch,
     PartialGroupTable,
-    _VAR_NAMES,
     _CountState,
+    _DistinctCountState,
     _MinMaxState,
     _ReproSumImpl,
     _SumState,
@@ -72,12 +70,7 @@ from .types import DecimalSqlType
 __all__ = [
     "VectorizedGroupTable",
     "SortedMorsel",
-    "plan_supports_vectorized",
 ]
-
-_SUPPORTED_AGGREGATES = frozenset(
-    ("COUNT", "SUM", "RSUM", "AVG", "MIN", "MAX") + _VAR_NAMES
-)
 
 #: Composite-code spaces at most this large use a persistent
 #: code -> gid lookup table instead of a per-morsel ``np.unique``.
@@ -86,64 +79,6 @@ _LUT_MAX = 1 << 20
 #: Radix-combine guard: the product of the per-key dictionary sizes must
 #: stay below this for the composite int64 codes to be collision-free.
 _RADIX_MAX = 1 << 62
-
-
-# ---------------------------------------------------------------------------
-# Plan support (the automatic-fallback predicate)
-# ---------------------------------------------------------------------------
-
-def _expr_vectorizable(expr: ast.Expr) -> bool:
-    if isinstance(expr, (ast.Literal, ast.DateLiteral, ast.IntervalLiteral,
-                         ast.ColumnRef)):
-        return True
-    if isinstance(expr, ast.Unary):
-        return _expr_vectorizable(expr.operand)
-    if isinstance(expr, ast.Binary):
-        return _expr_vectorizable(expr.left) and _expr_vectorizable(expr.right)
-    if isinstance(expr, ast.Between):
-        return (_expr_vectorizable(expr.operand)
-                and _expr_vectorizable(expr.low)
-                and _expr_vectorizable(expr.high))
-    if isinstance(expr, ast.FuncCall):
-        if expr.is_aggregate:
-            return False
-        return expr.name in SCALAR_FUNCTIONS and all(
-            _expr_vectorizable(arg) for arg in expr.args
-        )
-    return False
-
-
-def plan_supports_vectorized(group_exprs, aggregates,
-                             where: ast.Expr | None = None) -> bool:
-    """True if the batched kernels can run this GROUP BY plan.
-
-    ``aggregates`` may hold :class:`AggregateSpec` objects or bare
-    :class:`~repro.engine.sql.ast.FuncCall` nodes (the executor gates
-    its scan-time encoding work before specs exist).  Unknown aggregate
-    names or expression node types (future syntax the kernels were not
-    taught) return False, and the pipeline silently uses the scalar
-    :class:`PartialGroupTable` instead — vectorization is an
-    optimization, never a feature gate.
-    """
-    for aggregate in aggregates:
-        call = aggregate.call if isinstance(aggregate, AggregateSpec) else aggregate
-        if call.name not in _SUPPORTED_AGGREGATES:
-            return False
-        if getattr(call, "distinct", False):
-            # COUNT(DISTINCT) keeps per-group value sets; that state has
-            # no segmented kernel, so the scalar path runs it.
-            return False
-        for arg in call.args:
-            if isinstance(arg, ast.Star):
-                continue  # COUNT(*)
-            if not _expr_vectorizable(arg):
-                return False
-    for expr in group_exprs:
-        if not _expr_vectorizable(expr):
-            return False
-    if where is not None and not _expr_vectorizable(where):
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +214,12 @@ class _VecCountState(_CountState):
         _CountState.update(self, batch, gids, ngroups)
 
 
+class _VecDistinctCountState(_DistinctCountState):
+    def update_vec(self, batch: Batch, cache: ExprCache, gids, morsel,
+                   ngroups: int) -> None:
+        _DistinctCountState.update(self, batch, gids, ngroups)
+
+
 def _update_float_sum(impl, values: np.ndarray, gids: np.ndarray,
                       morsel: SortedMorsel, ngroups: int) -> None:
     """Feed one morsel into a float-sum impl.
@@ -383,11 +324,29 @@ class VectorizedGroupTable(PartialGroupTable):
     VARIANCE/STDDEV spellings share one second-moment state), which is
     bit-safe because a shared state consumes exactly the value sequence
     each private state would have.
+
+    ``kernel`` (a :class:`~repro.engine.fused.FusedKernel`) replaces
+    the interpreted per-morsel dispatch of :meth:`update` with one
+    generated call; key registration, merge and finalize are the same
+    methods either way, which is what pins the two to the same bits.
+    ``joins`` holds the built :class:`~repro.engine.join.HashJoin`
+    objects the kernel probes (one per fused probe, in chain order):
+    kernels are compiled at *plan* time and cached across queries,
+    hash tables are built at *execution* time, so the joins ride the
+    table as runtime parameters.
     """
 
-    def __init__(self, group_exprs, specs: list[AggregateSpec]):
+    def __init__(self, group_exprs, specs: list[AggregateSpec],
+                 kernel=None, joins=()):
         super().__init__(group_exprs, specs)
         self.states, self._spec_plan = self._build_plan(specs)
+        self._kernel = kernel
+        self._joins = list(joins or ())
+        if kernel is not None and len(self._joins) != kernel.njoins:
+            raise ValueError(
+                f"kernel fuses {kernel.njoins} join probe(s) but "
+                f"{len(self._joins)} built join(s) were supplied"
+            )
         #: Persistent code -> gid table shared by the two stable-code
         #: factorization paths; ``_lut_bases`` records which code space
         #: the table indexes (per-part dictionary bases, or the
@@ -435,7 +394,12 @@ class VectorizedGroupTable(PartialGroupTable):
             name = spec.call.name
             mode = spec.sum_config.mode
             if name == "COUNT":
-                plan.append(("count", need_count()))
+                if spec.call.distinct:
+                    state = _VecDistinctCountState(spec.call.args[0])
+                    states.append(state)
+                else:
+                    state = need_count()
+                plan.append(("count", state))
                 continue
             arg = spec.call.args[0]
             if name in ("SUM", "RSUM"):
@@ -465,6 +429,9 @@ class VectorizedGroupTable(PartialGroupTable):
 
     # -- morsel consumption ------------------------------------------------
     def update(self, batch: Batch) -> None:
+        if self._kernel is not None:
+            self._kernel.fn(batch, self)
+            return
         cache = ExprCache(batch.columns, batch.types)
         gids = self._factorize_vectorized(batch, cache)
         ngroups = self.ngroups

@@ -125,9 +125,14 @@ def _schema_columns(spec) -> list:
 # ---------------------------------------------------------------------------
 
 _CTX_KNOBS = (
-    "workers", "morsel_size", "vectorized", "fused", "join_build",
+    "workers", "morsel_size", "join_build",
     "memory_budget_bytes", "spill_partitions", "spill_merge_fanin",
 )
+
+#: Knobs older writers logged that no longer exist: both only chose
+#: between engines whose bits were identical in every sum mode, so a
+#: replay may ignore them.  Any other unknown key stays an error.
+_RETIRED_CTX_KNOBS = ("vectorized", "fused")
 
 
 def _context_spec(context) -> dict:
@@ -154,7 +159,10 @@ class _ContextCache:
             if spec is None:
                 context = ExecutionContext(1, DEFAULT_MORSEL_SIZE)
             else:
-                context = ExecutionContext(**spec)
+                context = ExecutionContext(**{
+                    knob: value for knob, value in spec.items()
+                    if knob not in _RETIRED_CTX_KNOBS
+                })
             self._contexts[key] = context
         return context
 
@@ -492,7 +500,7 @@ class DurableStore:
                 # Replay under the *original* execution shape: repro
                 # views are shape-invariant anyway, but an IEEE-mode
                 # full recompute is only bit-faithful with the same
-                # workers x morsel x vectorized x fused configuration.
+                # workers x morsel x budget configuration.
                 view.refresh(
                     contexts.get(record.get("ctx")),
                     to_version=watermark,

@@ -29,3 +29,40 @@ def small_pairs(rng):
     keys = rng.integers(0, 50, size=2_000).astype(np.uint32)
     values = rng.exponential(size=2_000)
     return keys, values
+
+
+@pytest.fixture
+def engine_path(monkeypatch):
+    """The one door to the aggregate runtimes no query can select.
+
+    ``with engine_path("interpreted"):`` plans inside the block never
+    get a generated kernel (``physical.compile_fused`` returns ``None``),
+    so the query table runs its own ``update()``;
+    ``with engine_path("scalar"):`` additionally swaps the single table
+    constructor, ``pipeline.make_group_table``, for the scalar
+    :class:`PartialGroupTable` — the reference of the differential
+    tests.  ``engine_path("fused")`` patches nothing (what users run).
+    Build the ``Database`` inside the block: plans cached outside it
+    keep the kernel they were lowered with.
+    """
+    from contextlib import contextmanager
+
+    from repro.engine import physical, pipeline
+    from repro.engine.operators import PartialGroupTable
+
+    def scalar_table(group_exprs, specs, kernel=None, joins=()):
+        assert kernel is None, "plan was lowered outside engine_path"
+        return PartialGroupTable(group_exprs, specs)
+
+    @contextmanager
+    def select(path):
+        assert path in ("scalar", "interpreted", "fused"), path
+        with monkeypatch.context() as patch:
+            if path != "fused":
+                patch.setattr(physical, "compile_fused",
+                              lambda chain, aggregate, context: None)
+            if path == "scalar":
+                patch.setattr(pipeline, "make_group_table", scalar_table)
+            yield
+
+    return select

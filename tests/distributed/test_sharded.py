@@ -71,7 +71,7 @@ def _run_all(rows, **kw):
 
 
 @pytest.mark.parametrize("mode", ["repro", "repro_buffered", "sorted"])
-def test_bits_invariant_under_sharding(mode):
+def test_bits_invariant_under_sharding(mode, engine_path):
     rows = _rows()
     base = _run_all(rows, sum_mode=mode)
     for config in (
@@ -79,12 +79,17 @@ def test_bits_invariant_under_sharding(mode):
         dict(shards=3, shard_workers=2),
         dict(shards=8, shard_workers=4),
         dict(shards=8, shard_workers=1),
-        dict(shards=2, fused=False),
-        dict(shards=2, vectorized=False, fused=False),
         dict(shards=2, morsel_size=257),
         dict(shards=2, workers=4),
     ):
         assert _run_all(rows, sum_mode=mode, **config) == base, config
+    # Cross-path identity: the executors' tables run interpreted when
+    # the coordinator's plan carries no kernel, and the unsharded scalar
+    # reference table agrees with every sharded run above.
+    with engine_path("interpreted"):
+        assert _run_all(rows, sum_mode=mode, shards=2) == base
+    with engine_path("scalar"):
+        assert _run_all(rows, sum_mode=mode) == base
 
 
 def test_explain_renders_sharded_aggregate():
@@ -103,11 +108,11 @@ def test_explain_renders_sharded_aggregate():
         assert "ShardedAggregate" in join_plan
         assert "FusedJoinProbe" in join_plan
         # Unfused join plans still fall back to the thread pipeline.
-        db.execute("SET fused = off")
         unfused_plan = db.explain(
             "SELECT names.label, SUM(t.f) FROM t "
-            "JOIN names ON t.g = names.g GROUP BY names.label"
+            "LEFT JOIN names ON t.g = names.g GROUP BY names.label"
         )
+        assert "unfused:join_left_outer" in unfused_plan
         assert "ShardedAggregate" not in unfused_plan
 
 

@@ -5,8 +5,8 @@ The headline claims of the serving layer:
 * **Digest equality** — N threads hammering one shared table with a
   seeded INSERT/DELETE/REFRESH + SELECT interleaving leave the
   database in a state whose query bits equal a serial replay of the
-  same per-thread scripts, across the workers x vectorized x fused
-  matrix.  (Repro-mode aggregation is order-invariant, so as long as
+  same per-thread scripts, at several worker counts and on each
+  aggregate runtime (the ``engine_path`` fixture).  (Repro-mode aggregation is order-invariant, so as long as
   every statement is atomic, the interleaving cannot show.)
 * **Snapshot pinning** — a reader admitted before a write never sees
   it: the SELECT's bits are fixed at admission even while a DML
@@ -23,11 +23,15 @@ import pytest
 from repro.engine import Database
 
 MATRIX = [
-    # (workers, vectorized, fused)
-    (1, False, False),
-    (2, True, False),
-    (4, True, True),
+    # (workers, the query table?, driven by its kernel?)
+    (1, False, False),  # the scalar reference table
+    (2, True, False),   # the query table, interpreted
+    (4, True, True),    # what users run
 ]
+ENGINE_PATHS = {
+    (False, False): "scalar", (True, False): "interpreted",
+    (True, True): "fused",
+}
 
 
 def _result_bytes(result) -> bytes:
@@ -84,13 +88,17 @@ FINAL_QUERIES = (
 )
 
 
-@pytest.mark.parametrize("workers,vectorized,fused", MATRIX)
-def test_concurrent_replay_matches_serial_bits(workers, vectorized, fused):
+@pytest.mark.parametrize("workers,query_table,kernel", MATRIX)
+def test_concurrent_replay_matches_serial_bits(workers, query_table, kernel,
+                                               engine_path):
+    with engine_path(ENGINE_PATHS[query_table, kernel]):
+        _replay_concurrently_and_serially(workers)
+
+
+def _replay_concurrently_and_serially(workers):
     n_threads, steps = 8, 40
     scripts = [_script(t, steps) for t in range(n_threads)]
-    config = dict(
-        sum_mode="repro", workers=workers, vectorized=vectorized, fused=fused
-    )
+    config = dict(sum_mode="repro", workers=workers)
 
     # Serial replay: round-robin one statement at a time (any serial
     # order works — the final multiset is the same).
@@ -253,7 +261,7 @@ def test_view_serving_respects_snapshots():
 
 def test_sessions_isolate_knobs_but_share_catalog():
     db = Database(sum_mode="repro")
-    a = db.session(workers=4, fused=False)
+    a = db.session(workers=4, join_build="left")
     b = db.session()
     a.execute("CREATE TABLE t (f DOUBLE)")
     a.execute("INSERT INTO t VALUES (1.5)")
@@ -263,8 +271,8 @@ def test_sessions_isolate_knobs_but_share_catalog():
     b.execute("SET workers = 2")
     assert a.execution_context.workers == 4
     assert b.execution_context.workers == 2
-    assert a.execution_context.fused is False
-    assert b.execution_context.fused is True
+    assert a.execution_context.join_build == "left"
+    assert b.execution_context.join_build == "auto"
     a.memory_budget = 1 << 20
     assert b.memory_budget is None
 

@@ -4,11 +4,12 @@
 The fused path compiles scan->filter->project->aggregate into one
 specialized Python function per plan signature.  Everything these tests
 pin down follows from one invariant: *only dispatch may change*.  Key
-registration, ladder updates, and canonical finalize are shared with
-the interpreted engines, so fused results must be byte-identical to
-both the interpreted vectorized path and the scalar path — in every
-sum mode, for every ``(workers, morsel_size)`` split, and across the
-IEEE special values (NaN / ±inf / -0.0) in keys and arguments.
+registration, ladder updates, and canonical finalize are the group
+table's own, so fused results must be byte-identical to the same table
+run interpreted and to the scalar reference table (both reached through
+the ``engine_path`` fixture — no query can select them) — in every sum
+mode, for every ``(workers, morsel_size)`` split, and across the IEEE
+special values (NaN / ±inf / -0.0) in keys and arguments.
 
 The second half unit-tests the batched ladder entry points the kernels
 call — :func:`add_sorted_runs_multi` (one shared sort, all aggregates)
@@ -27,6 +28,7 @@ from repro.aggregation.grouped import (
 from repro.core.params import RsumParams
 from repro.engine import Database
 from repro.engine.vectorized import ClusteredMorsel, SortedMorsel
+from repro.errors import ConfigError
 from repro.fp.formats import BINARY32, BINARY64
 
 MODES = ("repro", "repro_buffered", "sorted", "ieee")
@@ -52,27 +54,28 @@ def result_bits(result):
     return tuple(np.asarray(arr).tobytes() for arr in result.arrays)
 
 
-def make_db(columns, data, sum_mode="repro", vectorized=True, fused=True,
-            workers=1, morsel_size=1 << 16):
+def make_db(columns, data, sum_mode="repro", workers=1, morsel_size=1 << 16):
     db = Database(sum_mode=sum_mode, workers=workers,
-                  morsel_size=morsel_size, vectorized=vectorized,
-                  fused=fused)
+                  morsel_size=morsel_size)
     db.execute(f"CREATE TABLE t ({columns})")
     db.table("t").bulk_load(data)
     return db
 
 
-def run_three(columns, data, query, sum_mode, workers=1, morsel_size=1 << 16):
-    """(scalar, interpreted vectorized, fused) results for one query."""
-    out = []
-    for vectorized, fused in ((False, False), (True, False), (True, True)):
-        db = make_db(columns, data, sum_mode, vectorized, fused,
-                     workers, morsel_size)
-        out.append(db.execute(query))
-        stats = db.last_pipeline_stats
-        assert stats.vectorized is vectorized
-        assert stats.fused is (fused and stats.vectorized)
-    return out
+@pytest.fixture
+def run_three(engine_path):
+    """(scalar, interpreted, fused) results for one query."""
+
+    def run(columns, data, query, sum_mode, workers=1, morsel_size=1 << 16):
+        out = []
+        for path in ("scalar", "interpreted", "fused"):
+            with engine_path(path):
+                db = make_db(columns, data, sum_mode, workers, morsel_size)
+                out.append(db.execute(query))
+                assert db.last_pipeline_stats.fused is (path == "fused")
+        return out
+
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +97,7 @@ def dataset():
 
 class TestBitEquivalence:
     @pytest.mark.parametrize("sum_mode", MODES)
-    def test_bits_match_both_paths_for_every_split(self, dataset, sum_mode):
+    def test_bits_match_both_paths_for_every_split(self, dataset, sum_mode, run_three):
         baseline = None
         for workers in (1, 2, 4):
             for morsel_size in (1, 7, 64, 1 << 16):
@@ -110,7 +113,7 @@ class TestBitEquivalence:
                     assert bits == baseline
 
     @pytest.mark.parametrize("query", (SUMS_QUERY, FILTERED_QUERY))
-    def test_order_insensitive_kernels(self, dataset, query):
+    def test_order_insensitive_kernels(self, dataset, query, run_three):
         for workers, morsel_size in ((1, 13), (2, 64), (1, 1 << 16)):
             scalar, vector, fused = run_three(
                 "k INT, s VARCHAR(1), v DOUBLE", dataset, query,
@@ -119,7 +122,7 @@ class TestBitEquivalence:
             bits = result_bits(fused)
             assert bits == result_bits(scalar) == result_bits(vector)
 
-    def test_nan_and_signed_zero_keys(self):
+    def test_nan_and_signed_zero_keys(self, run_three):
         data = {
             "k": [float("nan"), 2.0, float("nan"), -0.0, 0.0, float("inf"),
                   float("nan"), float("inf"), 2.0],
@@ -135,7 +138,7 @@ class TestBitEquivalence:
             assert result_bits(fused) == result_bits(scalar)
             assert result_bits(fused) == result_bits(vector)
 
-    def test_empty_table_and_empty_morsels(self):
+    def test_empty_table_and_empty_morsels(self, run_three):
         # Empty input, and a filter that empties every morsel: the
         # kernel must handle zero-row updates.
         for data, query, expect in (
@@ -148,7 +151,7 @@ class TestBitEquivalence:
             )
             assert fused.rows() == scalar.rows() == expect
 
-    def test_all_distinct_groups(self):
+    def test_all_distinct_groups(self, run_three):
         n = 300
         data = {"k": list(range(n)),
                 "v": (np.linspace(-1.0, 1.0, n) * 2.0 ** 40).tolist()}
@@ -159,7 +162,7 @@ class TestBitEquivalence:
         )
         assert result_bits(fused) == result_bits(scalar)
 
-    def test_float32_values(self, dataset):
+    def test_float32_values(self, dataset, run_three):
         data = dict(dataset)
         data["v"] = [
             float(np.float32(v)) if np.isfinite(v) else v for v in data["v"]
@@ -194,12 +197,16 @@ class TestQualification:
         assert db.last_pipeline_stats.fused is False
 
     def test_count_distinct_falls_back(self, dataset):
+        # Per-group value sets have no segmented kernel: the same table
+        # runs interpreted, and EXPLAIN says why.
         db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset)
-        db.execute("SELECT k, COUNT(DISTINCT v) FROM t GROUP BY k")
+        query = "SELECT k, COUNT(DISTINCT v), SUM(v) FROM t GROUP BY k"
+        db.execute(query)
         assert db.last_pipeline_stats.fused is False
+        assert "unfused:count_distinct" in db.explain(query)
 
     def test_external_aggregation_falls_back(self, dataset):
-        db = Database(sum_mode="repro", fused=True, memory_budget=1)
+        db = Database(sum_mode="repro", memory_budget=1)
         db.execute("CREATE TABLE t (k INT, v DOUBLE)")
         db.table("t").bulk_load({"k": dataset["k"], "v": dataset["v"]})
         result = db.execute(SUMS_QUERY)
@@ -210,13 +217,14 @@ class TestQualification:
             reference.execute(SUMS_QUERY)
         )
 
-    def test_explain_renders_fused_stage(self, dataset):
+    def test_explain_renders_fused_stage(self, dataset, engine_path):
         db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset)
         plan = db.explain(FILTERED_QUERY)
         assert "FusedPipeline[" in plan
-        assert ", fused" in plan
-        db.execute("SET fused = off")
-        plan = db.explain(FILTERED_QUERY)
+        assert "Aggregate[serial, workers=1, morsel_size=65536, fused]" in plan
+        with engine_path("interpreted"):
+            db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset)
+            plan = db.explain(FILTERED_QUERY)
         assert "FusedPipeline" not in plan
         assert ", fused" not in plan
 
@@ -258,7 +266,6 @@ class TestKernelCache:
 
     @pytest.mark.parametrize("knob", (
         "SET workers = 2",
-        "SET vectorized = false",
         "SET memory_budget = 4096",
     ))
     def test_execution_knobs_invalidate(self, dataset, knob):
@@ -270,25 +277,18 @@ class TestKernelCache:
         assert not context._kernel_cache
         assert context.kernel_cache_invalidations == 1
 
-    def test_toggling_fused_keeps_cache(self, dataset):
-        # The knob only gates *use* of the cache; flipping it must not
-        # throw away code that is still valid.
+    def test_set_fused_validates(self, dataset):
+        # Fusion is the planner's decision alone: the name is unknown,
+        # not a silently ignored switch, and nothing was invalidated.
         db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset)
-        context = db.execution_context
         db.execute(SUMS_QUERY)
-        db.execute("SET fused = off")
-        db.execute(SUMS_QUERY)
-        assert db.last_pipeline_stats.fused is False
-        db.execute("SET fused = on")
+        for value in ("off", "'banana'"):
+            with pytest.raises(ConfigError, match="fused") as err:
+                db.execute(f"SET fused = {value}")
+            assert "valid parameters: " in str(err.value)
         db.execute(SUMS_QUERY)
         assert db.last_pipeline_stats.fused is True
-        assert context.kernel_cache_invalidations == 0
-        assert context.kernel_cache_misses == 1
-
-    def test_set_fused_validates(self, dataset):
-        db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset)
-        with pytest.raises(ValueError, match="fused"):
-            db.execute("SET fused = 'banana'")
+        assert db.execution_context.kernel_cache_invalidations == 0
 
 
 class TestBlockedLadderPath:
@@ -334,18 +334,22 @@ class TestBlockedLadderPath:
         db.execute(self.Q1_SHAPED)
         assert db.last_pipeline_stats.ladder_blocks_sorted == 1
 
-    def test_bits_independent_of_blocking(self, lineitems):
-        reference = make_db(self.COLUMNS, lineitems, vectorized=False,
-                            fused=False, morsel_size=1 << 12)
-        expected = result_bits(reference.execute(self.Q1_SHAPED))
+    def test_bits_independent_of_blocking(self, lineitems, engine_path):
+        with engine_path("scalar"):
+            reference = make_db(self.COLUMNS, lineitems,
+                                morsel_size=1 << 12)
+            expected = result_bits(reference.execute(self.Q1_SHAPED))
         assert reference.last_pipeline_stats.ladder_blocks_scatter == 0
-        for fused in (True, False):
+        for path in ("fused", "interpreted"):
             for workers in (1, 4):
                 for morsel_size in (1024, 16384, 65536):
-                    db = make_db(self.COLUMNS, lineitems, fused=fused,
-                                 workers=workers, morsel_size=morsel_size)
-                    assert result_bits(db.execute(self.Q1_SHAPED)) == expected
+                    with engine_path(path):
+                        db = make_db(self.COLUMNS, lineitems,
+                                     workers=workers, morsel_size=morsel_size)
+                        bits = result_bits(db.execute(self.Q1_SHAPED))
+                    assert bits == expected
                     stats = db.last_pipeline_stats
+                    assert stats.fused is (path == "fused")
                     assert stats.ladder_blocks_scatter > 0
                     # every worker's first block seeds its own tables
                     assert stats.ladder_blocks_sorted >= 1

@@ -3,13 +3,14 @@
 PR 10 compiles probe->filter->aggregate into one morsel pass.  The
 kernel reuses the interpreted path's key encoders and hash tables, so
 the only thing allowed to change is dispatch: result bits must be
-byte-identical to the interpreted vectorized path and the scalar path —
+byte-identical to the same table run interpreted and to the scalar
+reference table (the ``engine_path`` fixture) —
 across build-side choice, worker counts, morsel sizes, shard counts,
 and the IEEE special values (NaN / -0.0) and NULLs in the join keys.
 
 The second half pins the operational surface: decline reasons in
 EXPLAIN, build-side DML invalidation through content fingerprints, and
-the bounded LRU kernel cache with its SET-able size knob.
+the bounded LRU kernel cache.
 """
 
 import itertools
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.engine import Database
-from repro.errors import ReproError
+from repro.engine.pipeline import ExecutionContext
+from repro.errors import ConfigError
 
 MODES = ("repro", "repro_buffered", "sorted")
 
@@ -96,20 +98,24 @@ QUERIES = (JOIN_FLOAT_KEY, JOIN_STRING_KEY, JOIN_THEN_FILTER)
 
 class TestJoinBitEquivalence:
     @pytest.mark.parametrize("sum_mode", MODES)
-    def test_bits_invariant_across_fusion_matrix(self, sum_mode):
-        with _make_db(sum_mode, vectorized=False, fused=False) as db:
+    def test_bits_invariant_across_fusion_matrix(self, sum_mode,
+                                                 engine_path):
+        with engine_path("scalar"), _make_db(sum_mode) as db:
             base = [_result_bits(db.execute(q)) for q in QUERIES]
-        for fused, build, workers, morsel in itertools.product(
-            (True, False), ("left", "right"), (1, 3), (1 << 16, 257)
+        for path, build, workers, morsel in itertools.product(
+            ("fused", "interpreted"), ("left", "right"), (1, 3),
+            (1 << 16, 257),
         ):
-            with _make_db(sum_mode, fused=fused, join_build=build,
-                          workers=workers, morsel_size=morsel) as db:
+            with engine_path(path), _make_db(
+                sum_mode, join_build=build, workers=workers,
+                morsel_size=morsel,
+            ) as db:
                 got = []
                 for query in QUERIES:
                     got.append(_result_bits(db.execute(query)))
                     stats = db.last_pipeline_stats
-                    assert stats.fused is fused, (query, fused)
-                assert got == base, (fused, build, workers, morsel)
+                    assert stats.fused is (path == "fused"), (query, path)
+                assert got == base, (path, build, workers, morsel)
 
     @pytest.mark.parametrize("shards", (2, 3))
     def test_bits_invariant_under_sharded_fused_joins(self, shards):
@@ -171,11 +177,6 @@ class TestJoinQualificationSurface:
         with _make_db() as db:
             assert reason in db.explain(query)
 
-    def test_explain_shows_fused_off(self):
-        with _make_db() as db:
-            db.execute("SET fused = off")
-            assert "unfused:fused_off" in db.explain(JOIN_FLOAT_KEY)
-
     def test_build_side_dml_invalidates_kernel(self):
         # The plan signature embeds a content fingerprint of every
         # build-side table, so DML on the build table is a new cache
@@ -195,10 +196,15 @@ class TestJoinQualificationSurface:
 
 
 class TestKernelCacheLRU:
+    @pytest.fixture(autouse=True)
+    def two_entry_cache(self, monkeypatch):
+        # The bound is one constant, read by compile_fused at insert
+        # time (in-process contexts and shard executors alike).
+        monkeypatch.setattr(ExecutionContext, "DEFAULT_KERNEL_CACHE_SIZE", 2)
+
     def test_eviction_counter_and_bound(self):
         with _make_db() as db:
             context = db.execution_context
-            db.execute("SET kernel_cache_size = 2")
             queries = (
                 "SELECT k, SUM(v) FROM t GROUP BY k",
                 "SELECT s, SUM(v) FROM t GROUP BY s",
@@ -221,7 +227,6 @@ class TestKernelCacheLRU:
     def test_lru_order_tracks_use(self):
         with _make_db() as db:
             context = db.execution_context
-            db.execute("SET kernel_cache_size = 2")
             db.execute("SELECT k, SUM(v) FROM t GROUP BY k")
             db.execute("SELECT s, SUM(v) FROM t GROUP BY s")
             # Touch the older entry, then insert a third: the middle
@@ -236,22 +241,14 @@ class TestKernelCacheLRU:
             db.execute("SELECT k, SUM(v) FROM t GROUP BY k")
             assert context.kernel_cache_misses == misses  # still cached
 
-    def test_shrinking_size_trims_cold_entries(self):
-        with _make_db() as db:
-            context = db.execution_context
-            db.execute("SELECT k, SUM(v) FROM t GROUP BY k")
-            db.execute("SELECT s, SUM(v) FROM t GROUP BY s")
-            db.execute("SELECT k, COUNT(*) FROM t GROUP BY k")
-            assert len(context._kernel_cache) == 3
-            db.execute("SET kernel_cache_size = 1")
-            assert len(context._kernel_cache) == 1
-            assert context.kernel_cache_evictions == 2
-            assert context.kernel_cache_invalidations == 0
-
     def test_set_validates(self):
+        # Not a knob: the name is unknown to SET (valid names listed)
+        # and the context carries no such attribute.
         with _make_db() as db:
-            with pytest.raises(ReproError, match="kernel_cache_size"):
-                db.execute("SET kernel_cache_size = 0")
+            with pytest.raises(ConfigError, match="kernel_cache_size") as err:
+                db.execute("SET kernel_cache_size = 2")
+            assert "valid parameters: " in str(err.value)
+            assert not hasattr(db.execution_context, "kernel_cache_size")
 
     def test_stats_surface_cache_counters(self):
         with _make_db() as db:

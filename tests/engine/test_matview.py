@@ -6,7 +6,7 @@ Covers the PR-5 acceptance criteria:
   inf included), with empty-group elimination;
 * REFRESH after any INSERT/DELETE interleaving is byte-identical to
   recreating the view from scratch, across
-  workers x morsel_size x vectorized x memory_budget;
+  workers x morsel_size x memory_budget;
 * the view-matching rewrite serves fresh views (EXPLAIN ViewScan) and
   falls back to the base scan when stale;
 * SELECT DISTINCT as a zero-aggregate GROUP BY;
@@ -591,33 +591,29 @@ class TestInterleavingMatrix:
         reference = None
         for workers in (1, 3):
             for morsel_size in (7, 1 << 16):
-                for vectorized in (True, False):
-                    for budget in (None, 1):
-                        db = Database(
-                            sum_mode=mode, workers=workers,
-                            morsel_size=morsel_size, vectorized=vectorized,
-                            memory_budget=budget,
-                        )
-                        replay_interleaving(db)
-                        assert db.view("mv").is_fresh()
-                        assert "ViewScan(mv" in db.explain(MATRIX_QUERY)
-                        served = result_bits(db.execute(MATRIX_QUERY))
+                for budget in (None, 1):
+                    db = Database(
+                        sum_mode=mode, workers=workers,
+                        morsel_size=morsel_size, memory_budget=budget,
+                    )
+                    replay_interleaving(db)
+                    assert db.view("mv").is_fresh()
+                    assert "ViewScan(mv" in db.explain(MATRIX_QUERY)
+                    served = result_bits(db.execute(MATRIX_QUERY))
 
-                        scratch = Database(
-                            sum_mode=mode, workers=workers,
-                            morsel_size=morsel_size, vectorized=vectorized,
-                            memory_budget=budget,
-                        )
-                        replay_interleaving(scratch, refresh=False)
-                        base = result_bits(scratch.execute(MATRIX_QUERY))
-                        assert served == base, (
-                            f"view != scratch at workers={workers}, "
-                            f"morsel={morsel_size}, vec={vectorized}, "
-                            f"budget={budget}"
-                        )
-                        if reference is None:
-                            reference = served
-                        assert served == reference
+                    scratch = Database(
+                        sum_mode=mode, workers=workers,
+                        morsel_size=morsel_size, memory_budget=budget,
+                    )
+                    replay_interleaving(scratch, refresh=False)
+                    base = result_bits(scratch.execute(MATRIX_QUERY))
+                    assert served == base, (
+                        f"view != scratch at workers={workers}, "
+                        f"morsel={morsel_size}, budget={budget}"
+                    )
+                    if reference is None:
+                        reference = served
+                    assert served == reference
 
 
 # ---------------------------------------------------------------------------
@@ -681,15 +677,15 @@ class TestSelectDistinct:
         with pytest.raises(NotImplementedError):
             db.execute("SELECT SUM(DISTINCT v) FROM obs")
 
-    def test_distinct_bits_invariant_across_knobs(self):
+    def test_distinct_bits_invariant_across_knobs(self, engine_path):
         reference = None
         for workers in (1, 4):
-            for vectorized in (True, False):
-                db = fresh_db(workers=workers, vectorized=vectorized,
-                              morsel_size=3)
-                bits = result_bits(db.execute(
-                    "SELECT DISTINCT k, s FROM obs ORDER BY k, s"
-                ))
+            for path in ("fused", "scalar"):
+                with engine_path(path):
+                    db = fresh_db(workers=workers, morsel_size=3)
+                    bits = result_bits(db.execute(
+                        "SELECT DISTINCT k, s FROM obs ORDER BY k, s"
+                    ))
                 if reference is None:
                     reference = bits
                 assert bits == reference
@@ -708,7 +704,7 @@ class TestSetPragmaErrors:
         message = str(err.value)
         assert "no_such_knob" in message
         for name in ("workers", "morsel_size", "memory_budget_bytes",
-                     "vectorized", "join_build", "spill_partitions"):
+                     "shards", "join_build", "spill_partitions"):
             assert name in message
 
     def test_non_numeric_value_names_the_knob(self):
@@ -728,15 +724,15 @@ class TestSetPragmaErrors:
         assert "lots" in str(err.value)
 
     def test_bad_boolean_named(self):
+        # No boolean knob is left: the retired engine switches are
+        # unknown names whatever the value's spelling, never ignored.
         db = Database()
-        with pytest.raises(ValueError) as err:
-            db.execute("SET vectorized = banana")
-        assert "vectorized" in str(err.value)
-        # The accepted spellings still work.
-        db.execute("SET vectorized = off")
-        assert not db.execution_context.vectorized
-        db.execute("SET vectorized = TRUE")
-        assert db.execution_context.vectorized
+        for knob in ("vectorized", "fused"):
+            for value in ("banana", "off", "TRUE"):
+                with pytest.raises(ValueError) as err:
+                    db.execute(f"SET {knob} = {value}")
+                assert knob in str(err.value)
+                assert "valid parameters" in str(err.value)
 
     def test_fractional_rejected_with_name(self):
         db = Database()

@@ -278,12 +278,15 @@ class TestExplain:
         assert "FusedJoinProbe" in text and "build=" in text
 
     def test_explain_shows_engine_choice(self, db):
-        vec = db.explain("SELECT shared, SUM(v) FROM a GROUP BY shared")
-        assert "Aggregate[vectorized" in vec
-        scalar = db.explain(
+        # One table; the only engine decision is whether a generated
+        # kernel drives it, and EXPLAIN says why not when it does not.
+        fused = db.explain("SELECT shared, SUM(v) FROM a GROUP BY shared")
+        assert "Aggregate[serial, workers=1, morsel_size=65536, fused]" in fused
+        interpreted = db.explain(
             "SELECT shared, COUNT(DISTINCT v) FROM a GROUP BY shared"
         )
-        assert "Aggregate[scalar" in scalar
+        assert ("Aggregate[serial, workers=1, morsel_size=65536, "
+                "unfused:count_distinct]") in interpreted
 
     def test_explain_rejects_dml(self, db):
         with pytest.raises(TypeError):

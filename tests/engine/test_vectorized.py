@@ -1,12 +1,14 @@
-"""Vectorized-vs-scalar equivalence: the batched kernels of
+"""Query-table-vs-scalar equivalence: the batched kernels of
 :mod:`repro.engine.vectorized` must be invisible in the result bits.
+The scalar reference is reached through the ``engine_path`` fixture
+(no query, constructor argument or ``SET`` can select it).
 
 For the repro sum modes this is the paper's exactness claim carried one
 layer up: re-ordering a morsel by group id and accumulating quanta with
 segment reductions cannot change the final bits, for any
 ``(workers, morsel_size)`` split.  For IEEE mode the engine makes a
-*stronger* promise than reproducibility requires: the vectorized path
-keeps the scalar path's physical-row-order accumulation, so even the
+*stronger* promise than reproducibility requires: the query table
+keeps the scalar table's physical-row-order accumulation, so even the
 order-sensitive mode returns identical bits (and, a fortiori, identical
 group sets).
 """
@@ -16,10 +18,11 @@ import pytest
 
 from repro.aggregation.grouped import GroupedSummation
 from repro.core.params import RsumParams
-from repro.engine import Database, ExprCache, plan_supports_vectorized
-from repro.engine import pipeline as pipeline_mod
+from repro.engine import Database, ExprCache
 from repro.engine.operators import AggregateSpec, SumConfig
-from repro.engine.sql import ast, parse_expression
+from repro.engine.sql import parse_expression
+from repro.engine.vectorized import VectorizedGroupTable
+from repro.errors import ConfigError, ReproError
 from repro.fp.formats import BINARY32, BINARY64
 
 WORKERS = (1, 2, 4)
@@ -33,25 +36,37 @@ QUERY = (
 
 
 def result_bits(result):
-    return tuple(np.asarray(arr).tobytes() for arr in result.arrays)
+    return tuple(
+        repr(arr.tolist()).encode() if arr.dtype == object else arr.tobytes()
+        for arr in map(np.asarray, result.arrays)
+    )
 
 
-def make_db(columns, data, sum_mode="repro", vectorized=True, workers=1,
-            morsel_size=1 << 16):
+def make_db(columns, data, sum_mode="repro", workers=1, morsel_size=1 << 16,
+            **knobs):
     db = Database(sum_mode=sum_mode, workers=workers, morsel_size=morsel_size,
-                  vectorized=vectorized)
+                  **knobs)
     db.execute(f"CREATE TABLE t ({columns})")
     db.table("t").bulk_load(data)
     return db
 
 
-def run_both(columns, data, query, sum_mode, workers=1, morsel_size=1 << 16):
-    scalar = make_db(columns, data, sum_mode, False, workers, morsel_size)
-    vector = make_db(columns, data, sum_mode, True, workers, morsel_size)
-    scalar_result = scalar.execute(query)
-    vector_result = vector.execute(query)
-    assert scalar.last_pipeline_stats.vectorized is False
-    return scalar_result, vector_result, vector.last_pipeline_stats
+@pytest.fixture
+def run_both(engine_path):
+    """``(scalar reference result, query-table result)`` for one query;
+    the query table runs interpreted so its own ``update()`` is what is
+    compared (test_fused.py covers the kernel-driven side)."""
+
+    def run(columns, data, query, sum_mode, workers=1, morsel_size=1 << 16):
+        results = []
+        for path in ("scalar", "interpreted"):
+            with engine_path(path):
+                db = make_db(columns, data, sum_mode, workers, morsel_size)
+                results.append(db.execute(query))
+                assert db.last_pipeline_stats.fused is False
+        return results
+
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -79,15 +94,14 @@ def dataset():
 class TestBitEquivalence:
     @pytest.mark.parametrize("sum_mode",
                              ("repro", "repro_buffered", "sorted", "ieee"))
-    def test_bits_match_scalar_for_every_split(self, dataset, sum_mode):
+    def test_bits_match_scalar_for_every_split(self, dataset, sum_mode, run_both):
         baseline = None
         for workers in WORKERS:
             for morsel_size in MORSEL_SIZES:
-                scalar_result, vector_result, stats = run_both(
+                scalar_result, vector_result = run_both(
                     "k INT, s VARCHAR(1), v DOUBLE", dataset, QUERY,
                     sum_mode, workers, morsel_size,
                 )
-                assert stats.vectorized is True
                 assert result_bits(vector_result) == result_bits(scalar_result)
                 if sum_mode != "ieee":
                     # Repro modes: additionally split-invariant.
@@ -95,27 +109,26 @@ class TestBitEquivalence:
                         baseline = result_bits(vector_result)
                     assert result_bits(vector_result) == baseline
 
-    def test_float32_values(self, dataset):
+    def test_float32_values(self, dataset, run_both):
         data = dict(dataset)
         data["v"] = [
             float(np.float32(v)) if np.isfinite(v) else v for v in data["v"]
         ]
-        scalar_result, vector_result, stats = run_both(
+        scalar_result, vector_result = run_both(
             "k INT, s VARCHAR(1), v FLOAT", data, QUERY, "repro", 2, 64
         )
-        assert stats.vectorized is True
         assert result_bits(vector_result) == result_bits(scalar_result)
 
-    def test_decimal_sum_exact_path(self, dataset):
+    def test_decimal_sum_exact_path(self, dataset, run_both):
         data = {"k": dataset["k"], "v": [i / 100.0 for i in range(500)]}
         query = ("SELECT k, SUM(v) AS sv, AVG(v) AS av FROM t "
                  "GROUP BY k ORDER BY k")
-        scalar_result, vector_result, _ = run_both(
+        scalar_result, vector_result = run_both(
             "k INT, v DECIMAL(12, 2)", data, query, "repro", 2, 32
         )
         assert result_bits(vector_result) == result_bits(scalar_result)
 
-    def test_nan_and_signed_zero_keys(self):
+    def test_nan_and_signed_zero_keys(self, run_both):
         data = {
             "k": [float("nan"), 2.0, float("nan"), -0.0, 0.0, float("inf"),
                   float("nan"), float("inf"), 2.0],
@@ -125,7 +138,7 @@ class TestBitEquivalence:
         baseline = None
         for workers in (1, 3):
             for morsel_size in (1, 2, 16):
-                scalar_result, vector_result, _ = run_both(
+                scalar_result, vector_result = run_both(
                     "k DOUBLE, v DOUBLE", data, query, "repro",
                     workers, morsel_size,
                 )
@@ -138,18 +151,18 @@ class TestBitEquivalence:
         rows = db.execute(query).rows()
         assert len(rows) == 4
 
-    def test_empty_table(self):
+    def test_empty_table(self, run_both):
         for query, expect in (
             ("SELECT COUNT(*) FROM t", [(0,)]),
             ("SELECT SUM(v) FROM t", [(0.0,)]),
             ("SELECT k, SUM(v) FROM t GROUP BY k", []),
         ):
-            scalar_result, vector_result, _ = run_both(
+            scalar_result, vector_result = run_both(
                 "k INT, v DOUBLE", {"k": [], "v": []}, query, "repro"
             )
             assert vector_result.rows() == scalar_result.rows() == expect
 
-    def test_single_group_and_all_distinct_extremes(self):
+    def test_single_group_and_all_distinct_extremes(self, run_both):
         n = 300
         values = (np.linspace(-1.0, 1.0, n) * 2.0 ** np.arange(n % 50 + 1).sum()
                   ).tolist()
@@ -157,62 +170,184 @@ class TestBitEquivalence:
         all_distinct = {"k": list(range(n)), "v": values}
         query = "SELECT k, SUM(v), AVG(v) FROM t GROUP BY k ORDER BY k"
         for data in (one_group, all_distinct):
-            scalar_result, vector_result, _ = run_both(
+            scalar_result, vector_result = run_both(
                 "k INT, v DOUBLE", data, query, "repro", 2, 17
             )
             assert result_bits(vector_result) == result_bits(scalar_result)
 
-    def test_expression_keys_and_args(self, dataset):
+    def test_expression_keys_and_args(self, dataset, run_both):
         query = (
             "SELECT k + 1, SUM(v * 2 + 1), VARIANCE(ABS(v)) FROM t "
             "WHERE NOT (v > 1e300) GROUP BY k + 1 ORDER BY k + 1"
         )
         data = {"k": dataset["k"], "v": [float(i) for i in range(500)]}
-        scalar_result, vector_result, stats = run_both(
+        scalar_result, vector_result = run_both(
             "k INT, v DOUBLE", data, query, "repro", 2, 64
         )
-        assert stats.vectorized is True
         assert result_bits(vector_result) == result_bits(scalar_result)
 
 
-class TestFallback:
-    def test_plan_predicate_rejects_unknown_nodes(self):
-        config = SumConfig("repro")
+class TestOneRuntime:
+    def test_fixture_reaches_the_scalar_table(self, dataset, engine_path,
+                                              monkeypatch):
+        """Every query builds :class:`VectorizedGroupTable`; only the
+        fixture's patched constructor reaches the scalar reference."""
+        from repro.engine import pipeline as pipeline_mod
 
-        class Mystery(ast.Expr):
-            def sql(self):
-                return "MYSTERY()"
+        built = []
+        real = pipeline_mod.make_group_table
 
-        call = parse_expression("SUM(v)")
-        spec = AggregateSpec(call, config)
-        assert plan_supports_vectorized([], [spec], None)
-        assert not plan_supports_vectorized([Mystery()], [spec], None)
-        assert not plan_supports_vectorized([], [spec], Mystery())
-        weird_sum = ast.FuncCall(name="SUM", args=(Mystery(),))
-        assert not plan_supports_vectorized(
-            [], [AggregateSpec(weird_sum, config)], None
-        )
+        def spy(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
 
-    def test_unsupported_plan_falls_back_to_scalar(self, dataset,
-                                                   monkeypatch):
-        monkeypatch.setattr(
-            pipeline_mod, "plan_supports_vectorized",
-            lambda *args, **kwargs: False,
-        )
+        monkeypatch.setattr(pipeline_mod, "make_group_table", spy)
         db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset, "repro")
-        fallback = db.execute(QUERY)
-        assert db.last_pipeline_stats.vectorized is False
+        default = db.execute(QUERY)
+        assert built and all(
+            type(table) is VectorizedGroupTable for table in built
+        )
+        assert db.last_pipeline_stats.fused is True
         monkeypatch.undo()
-        db2 = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset, "repro")
-        vectorized = db2.execute(QUERY)
-        assert db2.last_pipeline_stats.vectorized is True
-        assert result_bits(vectorized) == result_bits(fallback)
+        with engine_path("scalar"):
+            db2 = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset, "repro")
+            scalar = db2.execute(QUERY)
+            assert db2.last_pipeline_stats.fused is False
+            # The scalar table has no ladder counters to report.
+            assert db2.last_pipeline_stats.ladder_first_decline is None
+            assert "fused" not in db2.explain(QUERY).split("Aggregate[")[1]
+        assert result_bits(default) == result_bits(scalar)
 
-    def test_session_knob_disables(self, dataset):
-        db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset, "repro",
-                     vectorized=False)
-        db.execute(QUERY)
-        assert db.last_pipeline_stats.vectorized is False
+
+class TestRetiredOptions:
+    """``vectorized`` / ``fused`` / ``kernel_cache_size`` are gone from
+    every surface: a typed error that lists the valid names, never a
+    silently ignored setting."""
+
+    @pytest.mark.parametrize("statement", (
+        "SET vectorized = off",
+        "SET fused = off",
+        "SET kernel_cache_size = 2",
+    ))
+    def test_set_is_an_unknown_parameter(self, statement):
+        db = Database()
+        with pytest.raises(ConfigError) as err:
+            db.execute(statement)
+        assert "unknown session parameter" in str(err.value)
+        for name in db.execution_context.PARAM_NAMES:
+            assert name in str(err.value)
+        assert len(db.execution_context.PARAM_NAMES) == 9
+
+    def test_session_knob_is_rejected(self):
+        db = Database()
+        for option in ("vectorized", "fused", "kernel_cache_size"):
+            with pytest.raises(ReproError) as err:
+                db.session(**{option: False})
+            assert "unknown session options" in str(err.value)
+            assert "morsel_size" in str(err.value)
+            with pytest.raises(ReproError):
+                db.set_default(option, False)
+            with pytest.raises(TypeError):
+                Database(**{option: False})
+            assert not hasattr(db.execution_context, option)
+
+
+class TestCountDistinct:
+    """COUNT(DISTINCT) keeps per-group value sets — no segmented kernel,
+    so it never fuses — yet runs on the query table like every other
+    aggregate, with the scalar reference's bits in every sum mode."""
+
+    COLUMNS = "k INT, s VARCHAR(1), v DOUBLE"
+    QUERIES = (
+        "SELECT k, COUNT(DISTINCT v) AS d FROM t GROUP BY k ORDER BY k",
+        "SELECT COUNT(DISTINCT v) AS d FROM t",
+        "SELECT k, COUNT(DISTINCT v) AS d, SUM(v) AS sv, AVG(v) AS av, "
+        "MIN(v) AS lo, COUNT(*) AS c FROM t GROUP BY k ORDER BY k",
+        "SELECT COUNT(DISTINCT s) AS ds, COUNT(DISTINCT v) AS dv, "
+        "SUM(v) AS sv, AVG(v) AS av, MIN(v) AS lo FROM t",
+    )
+    JOIN_QUERY = (
+        "SELECT names.label, COUNT(DISTINCT t.v) AS d, SUM(t.v) AS sv "
+        "FROM t JOIN names ON t.k = names.k "
+        "GROUP BY names.label ORDER BY names.label"
+    )
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        rng = np.random.default_rng(23)
+        n = 600
+        # Few distinct finite values, so sets genuinely deduplicate.
+        values = rng.choice(
+            [1.5, -2.25, 1e30, -1e30, 3.0, 1e-30], size=n
+        )
+        values[::41] = np.nan
+        values[1::43] = 0.0
+        values[2::47] = -0.0
+        values[3::53] = np.inf
+        return {
+            "k": rng.integers(0, 5, size=n).tolist(),
+            "s": np.array(["a", "b", "c"], dtype=object)[
+                rng.integers(0, 3, n)].tolist(),
+            "v": values.tolist(),
+        }
+
+    def run_all(self, data, sum_mode, **knobs):
+        with make_db(self.COLUMNS, data, sum_mode, **knobs) as db:
+            db.execute("CREATE TABLE names (k INT, label VARCHAR)")
+            db.execute(
+                "INSERT INTO names VALUES (0, 'zero'), (1, 'odd'), "
+                "(2, 'even'), (3, 'odd'), (4, 'even')"
+            )
+            bits, plans, stats = [], [], []
+            for query in self.QUERIES + (self.JOIN_QUERY,):
+                bits.append(result_bits(db.execute(query)))
+                plans.append(db.explain(query))
+                stats.append(db.last_pipeline_stats)
+            return bits, plans, stats
+
+    @pytest.mark.parametrize("sum_mode",
+                             ("repro", "repro_buffered", "sorted", "ieee"))
+    def test_bits_match_scalar_on_every_operator(self, members, sum_mode,
+                                                 engine_path):
+        configs = [
+            dict(),
+            dict(workers=4, morsel_size=37),
+            dict(workers=4, morsel_size=64, memory_budget=1,
+                 spill_partitions=3),
+            dict(shards=2, morsel_size=64),
+        ]
+        baseline = None
+        for knobs in configs:
+            # The reference never shards: executor processes build their
+            # own tables, and exact merge makes the split invisible.
+            local = {k: v for k, v in knobs.items() if k != "shards"}
+            with engine_path("scalar"):
+                expected, _, _ = self.run_all(members, sum_mode, **local)
+            bits, plans, stats = self.run_all(members, sum_mode, **knobs)
+            assert bits == expected, knobs
+            if sum_mode != "ieee":
+                baseline = baseline or bits
+                assert bits == baseline, knobs
+            for plan, stat in zip(plans, stats):
+                assert stat.fused is False
+                # (an external aggregate renders its spill shape instead)
+                assert ("unfused:count_distinct" in plan
+                        or ", external(partitions=3" in plan)
+            grouped = stats[0]
+            assert grouped.external is ("memory_budget" in knobs)
+            assert grouped.sharded is ("shards" in knobs)
+
+    def test_nan_and_signed_zero_members(self):
+        data = {
+            "k": [1, 1, 1, 1, 2, 2, 2],
+            "s": ["a"] * 7,
+            "v": [float("nan"), float("nan"), 0.0, -0.0,
+                  float("inf"), float("inf"), float("-inf")],
+        }
+        with make_db(self.COLUMNS, data, morsel_size=2, workers=2) as db:
+            # NaNs are one member; -0.0 and 0.0 are one member.
+            assert db.execute(self.QUERIES[0]).rows() == [(1, 2), (2, 2)]
+            assert db.execute(self.QUERIES[1]).scalar() == 4
 
 
 class TestStorageEncoding:

@@ -243,6 +243,38 @@ def test_digest_detects_non_reproducibility(digest, monkeypatch):
         digest.digest_lines([1], ("auto",), (None,), _edge_queries(digest))
 
 
+def test_digest_asserts_kernel_on_unbudgeted_legs(digest, engine_path):
+    """The in-memory legs must be kernel legs: a planner that stops
+    fusing the join-probe queries fails the digest instead of silently
+    comparing interpreter against interpreter."""
+    queries = tuple(
+        entry for entry in digest.QUERIES if entry[0] == "join_edge_fused"
+    )
+    assert len(digest.digest_lines([1], ("auto",), (None,), queries)) == 3
+    with engine_path("interpreted"):
+        with pytest.raises(SystemExit, match="did not engage the fused"):
+            digest.digest_lines([1], ("auto",), (None,), queries)
+
+
+def test_digest_asserts_interpreter_on_spill_legs(digest):
+    """... and a spill leg (no unbounded budget) must run every grouped
+    query external and unfused at its smallest budget — a budget too
+    generous to force that is a broken leg, not a pass."""
+    queries = _edge_queries(digest)
+    assert digest.digest_lines([1], ("auto",), (1 << 30, 1), queries)
+    with pytest.raises(SystemExit, match="external, interpreted"):
+        digest.digest_lines([1], ("auto",), (1 << 30,), queries)
+    # With an unbounded run in the sweep the leg is a kernel leg.
+    assert digest.digest_lines([1], ("auto",), (None, 1 << 30), queries)
+
+
+def test_digest_has_no_engine_axis(digest, capsys):
+    assert not hasattr(digest, "parse_fused")
+    with pytest.raises(SystemExit):
+        digest.main(["--fused", "on,off"])
+    assert "unrecognized arguments: --fused" in capsys.readouterr().err
+
+
 def test_digest_main_writes_file(digest, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(digest, "QUERIES", _edge_queries(digest))
     out = tmp_path / "digest.txt"

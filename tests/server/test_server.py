@@ -231,6 +231,15 @@ def test_invalid_session_options_rejected_at_hello(served):
     db, server = served
     with pytest.raises(ReproError):
         repro.connect(server.address, bogus_knob=1)
+    # Retired engine switches are unknown too, never silently ignored;
+    # the error names what a session does accept.
+    for retired in ("fused", "vectorized", "kernel_cache_size"):
+        with pytest.raises(ReproError) as err:
+            repro.connect(server.address, **{retired: False})
+        assert "unknown session options" in str(err.value)
+        assert "morsel_size" in str(err.value)
+    with repro.connect(server.address, workers=2) as s:
+        assert s.execute("SELECT 1 + 1").scalar() == 2
 
 
 def test_unix_socket_serving(tmp_path):

@@ -233,6 +233,80 @@ def test_recovery_replays_ieee_refresh_bit_identically(tmp_path):
         recovered.close()
 
 
+def test_directory_written_with_retired_engine_knobs_still_opens(tmp_path):
+    """Writers before the ``vectorized`` / ``fused`` switches were
+    retired logged both in every ``refresh_view`` record's ``ctx`` and
+    could persist them as session defaults.  Such a directory must
+    recover to the bits of a never-crashed run — the two names (and
+    only those) are ignored on replay."""
+    from repro.storage.durable import _ContextCache, _context_spec
+
+    config = dict(sum_mode="ieee", workers=2, morsel_size=257)
+    rng = np.random.default_rng(11)
+    rows = ", ".join(
+        f"({int(k)}, {float(v)!r})"
+        for k, v in zip(
+            rng.integers(0, 5, size=600),
+            rng.standard_normal(600) * 10.0 ** rng.integers(-8, 9, size=600),
+        )
+    )
+    statements = (
+        "CREATE TABLE t (k INT, f DOUBLE)",
+        f"INSERT INTO t VALUES {rows}",
+        # MIN cannot retract -> full (shape-dependent IEEE) recompute.
+        "CREATE MATERIALIZED VIEW vm AS "
+        "SELECT k, SUM(f) AS sf, MIN(f) AS lo FROM t GROUP BY k",
+        "DELETE FROM t WHERE k = 3",
+        "REFRESH MATERIALIZED VIEW vm",
+    )
+    with Database(**config) as never_crashed:
+        for statement in statements:
+            never_crashed.execute(statement)
+        want = {
+            name: arr.copy()
+            for name, arr in never_crashed.view("vm").agg_results.items()
+        }
+
+    db = repro.open(str(tmp_path), checkpoint_interval=None, **config)
+    storage = db.storage
+
+    def log_as_the_old_writer_did(view, context):
+        storage._append({
+            "op": "refresh_view",
+            "name": view.name,
+            "watermark": int(view.watermark),
+            "ctx": dict(_context_spec(context), vectorized=False, fused=False),
+        })
+
+    storage.log_view_refreshed = log_as_the_old_writer_did
+    for statement in statements:
+        db.execute(statement)
+    assert "vectorized" not in _context_spec(db.execution_context)
+    storage.log_set_default("vectorized", False)  # Database.set_default refuses
+    storage.log_set_default("workers", 3)
+    db.simulate_crash()
+
+    recovered = repro.open(str(tmp_path), checkpoint_interval=None, **config)
+    try:
+        got = recovered.view("vm").agg_results
+        assert set(got) == set(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        # The retired default selects nothing; its neighbour applies.
+        assert "vectorized" not in recovered.session_defaults
+        assert recovered.session_defaults["workers"] == 3
+    finally:
+        recovered.close()
+
+    # Exactly those two keys: any other unknown knob is still an error.
+    contexts = _ContextCache()
+    try:
+        with pytest.raises(TypeError):
+            contexts.get({"workers": 1, "turbo": True})
+    finally:
+        contexts.close()
+
+
 # ---------------------------------------------------------------------------
 # Crash injection: truncation + single-byte corruption
 # ---------------------------------------------------------------------------

@@ -16,7 +16,12 @@ cost:
   ``q1_{ieee,repro}_fused`` kernels) and at the default morsel size
   (the gated ratio);
 * **Q3 end-to-end** in repro mode (``q3_repro_fused``): the fused
-  probe -> filter -> aggregate kernel.
+  probe -> filter -> aggregate kernel;
+* **the ladder update alone, many small groups**
+  (``rsum_add_blocked_highcard``): the paper's pairs input through
+  ``add_blocked_multi`` the way the engine feeds it — the regime where
+  groups are first seen mid-input and the row partition decides
+  between the scatter and the sorted walk.
 
 There is one aggregate runtime and no switch to compare against: how
 the kernels hold up against the interpreted table is the differential
@@ -28,15 +33,24 @@ machine's slow drift out of the ratio.
 import gc
 import time
 
+import numpy as np
 from _common import (
     emit,
     ns_per_element,
     record_config,
     record_kernel,
     record_speedup,
+    standard_pairs,
     table,
 )
+from repro.aggregation.grouped import (
+    GroupedSummation,
+    LadderCounters,
+    add_blocked_multi,
+)
+from repro.core.params import RsumParams
 from repro.engine import DEFAULT_MORSEL_SIZE, Database
+from repro.fp.formats import BINARY64
 from repro.tpch import load_lineitem, load_tpch, run_q1, run_q3
 
 SCALE = 0.01        # ~60k lineitem rows
@@ -68,8 +82,8 @@ def test_fused_q1_report():
     ]
     dbs = {key: _prepare(*key) for key in configs}
     stats = dbs[("repro", DEFAULT_MORSEL_SIZE)].last_pipeline_stats
-    assert stats.ladder_blocks_scatter > 0, (
-        "the steady-state scatter does not engage at the default morsel size"
+    assert stats.ladder_rows_scatter > 4 * stats.ladder_rows_sorted, (
+        "the ladder scatter does not engage at the default morsel size"
     )
 
     best = {key: float("inf") for key in configs}
@@ -138,4 +152,58 @@ def test_fused_join_report():
         f"TPC-H Q3 repro (SF={SCALE}, morsel={MORSEL_SIZE}, workers=1), "
         "filter -> probe(orders) -> probe(customer) -> aggregate in one "
         f"generated per-morsel pass: {best * 1e3:.2f} ms",
+    )
+
+
+PAIRS_ROWS = 2**18
+PAIRS_GROUPS = 2**15
+
+
+def test_blocked_ladder_highcard_report():
+    """The ladder update on ``make_pairs(2**18, 2**15, "Exp(1)")``: 8
+    rows per group, every morsel registering new groups."""
+    keys, values = standard_pairs(PAIRS_ROWS, PAIRS_GROUPS)
+    # group ids in first-seen order, as the engine's key table assigns
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    gids = np.argsort(np.argsort(first))[inverse].astype(np.int64)
+    params = RsumParams(BINARY64)
+
+    def update(counters):
+        grouped = GroupedSummation(params, 0)
+        for pos in range(0, PAIRS_ROWS, DEFAULT_MORSEL_SIZE):
+            morsel = gids[pos:pos + DEFAULT_MORSEL_SIZE]
+            grouped.resize(max(grouped.ngroups, int(morsel.max()) + 1))
+            add_blocked_multi(
+                [grouped], morsel,
+                [values[pos:pos + DEFAULT_MORSEL_SIZE]], counters)
+        return grouped
+
+    counters = LadderCounters()
+    reference = GroupedSummation.from_pairs(
+        params, gids, values, int(gids.max()) + 1)
+    assert (update(counters).finalize().tobytes()
+            == reference.finalize().tobytes())
+    assert counters.scatter >= 0.8 * PAIRS_ROWS, (
+        counters.scatter, counters.sorted, counters.first_decline)
+
+    best = float("inf")
+    for _ in range(ROUNDS):
+        gc.collect()
+        started = time.perf_counter()
+        update(None)
+        best = min(best, time.perf_counter() - started)
+
+    record_kernel("rsum_add_blocked_highcard",
+                  ns_per_element(best, PAIRS_ROWS))
+    record_config("rsum_add_blocked_highcard", rows=PAIRS_ROWS,
+                  groups=PAIRS_GROUPS, distribution="Exp(1)",
+                  morsel_size=DEFAULT_MORSEL_SIZE, tables=1,
+                  scatter_rows=counters.scatter, sorted_rows=counters.sorted)
+    emit(
+        "blocked_ladder_highcard",
+        f"add_blocked_multi on make_pairs({PAIRS_ROWS}, {PAIRS_GROUPS}, "
+        f"'Exp(1)') at morsel={DEFAULT_MORSEL_SIZE}: {best * 1e3:.2f} ms, "
+        f"{ns_per_element(best, PAIRS_ROWS):.1f} ns/element; "
+        f"{counters.scatter} rows scattered, {counters.sorted} walked sorted.",
     )

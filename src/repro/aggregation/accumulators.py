@@ -178,9 +178,10 @@ class ReproSpec(AggregatorSpec):
         return GroupedSummation(self.params, ngroups)
 
     def accumulate(self, table, group_ids, values):
-        # The blocked kernel (steady-state scatter, else a sorted walk)
-        # is bit-identical to ``table.add_pairs`` — the repro states
-        # being exact under any ordering and chunking — and far faster.
+        # The blocked kernel (rows on the prevailing ladder scatter, the
+        # stragglers walk sorted) is bit-identical to
+        # ``table.add_pairs`` — the repro states being exact under any
+        # ordering and chunking — and far faster.
         add_blocked_multi([table], group_ids, [values])
 
     def accumulate_elementwise(self, table, group_ids, values):

@@ -19,14 +19,15 @@ test suite asserts this — because:
 * contributions are accumulated as exact int64 quanta (bounds checked:
   ``|k| <= 2**(W-1)`` and chunks are capped so sums stay below 2**62).
 
-:func:`add_blocked_multi` is the update the engine calls.  It walks a
-morsel in blocks of the exactness window — ``1 << (54 - W)`` rows,
-within which float64 sums of the integral quanta are exact in any
-order — so a block in steady state scatter-accumulates with no sort,
-and a block that is not takes the sorted segment walk on its own rows:
-the paper's "summation on batches" (§V) at the kernel level.  The
-paper's C++ reaches the same place with AVX + summation buffers, which
-we model in :mod:`repro.simulator`.
+:func:`add_blocked_multi` is the update the engine calls.  It splits
+a morsel *by row*: rows whose group sits on the table's prevailing
+ladder scatter-accumulate with no sort — float64 sums of the integral
+quanta are exact in any order while no group receives more than the
+exactness window, ``1 << (54 - W)`` rows — and the stragglers (new
+ladders, other ladders, non-finite values) take the sorted segment
+walk as an index subset: the paper's "summation on batches" (§V) at the
+kernel level.  The paper's C++ reaches the same place with AVX +
+summation buffers, which we model in :mod:`repro.simulator`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "GroupedSummation",
     "LadderCounters",
     "add_blocked_multi",
-    "add_pairs_multi",
     "add_sorted_runs_multi",
 ]
 
@@ -84,6 +84,8 @@ class GroupedSummation:
         self.nan_cnt = np.zeros(ngroups, dtype=np.int64)
         self.pos_cnt = np.zeros(ngroups, dtype=np.int64)
         self.neg_cnt = np.zeros(ngroups, dtype=np.int64)
+        #: what the arrays above are row prefixes of once :meth:`resize`d
+        self._spare: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -326,17 +328,22 @@ class GroupedSummation:
             raise ValueError("cannot shrink a grouped summation")
         if ngroups == self.ngroups:
             return
-        extra = ngroups - self.ngroups
-
-        def grown(arr: np.ndarray, fill: int = 0) -> np.ndarray:
-            return np.concatenate([arr, np.full(extra, fill, dtype=np.int64)])
-
-        self.e0 = grown(self.e0, _EMPTY_E0)
-        self.s = [grown(s) for s in self.s]
-        self.c = [grown(c) for c in self.c]
-        self.nan_cnt = grown(self.nan_cnt)
-        self.pos_cnt = grown(self.pos_cnt)
-        self.neg_cnt = grown(self.neg_cnt)
+        arrays = [self.e0, *self.s, *self.c,
+                  self.nan_cnt, self.pos_cnt, self.neg_cnt]
+        spare = self._spare
+        if (spare is None or spare.shape[1] < ngroups
+                or any(arr.base is not spare for arr in arrays)):
+            # Grow geometrically: a table that gains groups every
+            # morsel pays one allocation and copy per doubling, not
+            # nine per morsel.
+            spare = self._spare = np.zeros(
+                (len(arrays), max(ngroups, 2 * self.ngroups)), dtype=np.int64)
+            spare[0] = _EMPTY_E0
+            for row, arr in zip(spare, arrays):
+                row[:self.ngroups] = arr
+        self.e0, *rows = (row[:ngroups] for row in spare)
+        self.s, self.c = rows[:self._L], rows[self._L:2 * self._L]
+        self.nan_cnt, self.pos_cnt, self.neg_cnt = rows[-3:]
         self.ngroups = ngroups
 
     def nbytes(self) -> int:
@@ -405,9 +412,13 @@ def _scratch(slot: str, count: int, dtype) -> np.ndarray:
 
 
 class LadderCounters:
-    """Which path :func:`add_blocked_multi` took: window-sized blocks
-    scatter-accumulated in steady state, blocks covered by a sorted
-    walk, and why the first block that could not scatter could not."""
+    """Which path the rows fed to :func:`add_blocked_multi` took, in
+    rows summed over tables: scatter-accumulated on their table's
+    prevailing ladder, or handed to the sorted walk — and why the first
+    row that went there did (``off_ladder``: it raises a ladder, or its
+    group sits on another one or on none; ``non_finite``;
+    ``subnormal`` / ``window``: the parameters leave the block no
+    scatter at all)."""
 
     __slots__ = ("scatter", "sorted", "first_decline")
 
@@ -416,19 +427,14 @@ class LadderCounters:
         self.sorted = 0
         self.first_decline: str | None = None
 
+    def decline(self, rows: int, reason: str | None) -> None:
+        self.sorted += rows
+        if self.first_decline is None:
+            self.first_decline = reason
+
     def merge(self, other: "LadderCounters") -> None:
         self.scatter += other.scatter
-        self.sorted += other.sorted
-        if self.first_decline is None:
-            self.first_decline = other.first_decline
-
-
-#: Decline reasons a sorted walk over the block's own rows clears (it
-#: seeds the empty ladder, performs the demote, counts the NaN), so the
-#: next block tries the scatter again.  The others — ``mixed_ladder``,
-#: ``subnormal``, ``window`` — describe the table or its parameters and
-#: outlive the block: the rest of the input takes one sorted walk.
-_BLOCK_LOCAL = frozenset(("cold_start", "demote", "non_finite"))
+        self.decline(other.sorted, other.first_decline)
 
 
 def _same_params(tables) -> list:
@@ -443,30 +449,60 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
                       counters: LadderCounters | None = None) -> None:
     """The ladder update every reproducible SUM goes through: feed
     unsorted ``(group id, value)`` pairs to several same-parameter
-    tables (``values_rows[i]`` goes to ``tables[i]``), walking the input
-    in blocks of the exactness window.
+    tables (``values_rows[i]`` goes to ``tables[i]``), bit-identical to
+    per-table :meth:`GroupedSummation.add_pairs`.
 
-    The window — ``1 << (54 - w)`` rows, 16 384 at ``W = 40`` — is how
-    many level quanta float64 can sum exactly in *any* order (proof in
-    :func:`add_pairs_multi`); it follows from the parameters and is not
-    a knob.  A block whose tables are in steady state (every ladder on
-    one uniform top exponent that the block's ``|max|`` does not raise,
-    all values finite) scatter-accumulates with ``np.bincount`` — no
-    sort, no gather, 128 KB temporaries that stay in the thread-local
-    scratch.  A block that is not takes the sorted segment walk
-    (:func:`add_sorted_runs_multi`) on its own rows only, with every
-    precondition and decline of that walk kept — so a query's first
-    block seeds the ladders and the rest of the morsel runs sort-free.
-    When the decline is a property of the table rather than of the
-    block (groups on different ladders: high-cardinality or
-    wide-magnitude inputs) no later block could scatter either, and
-    the rest of the input takes one sorted walk instead of many short
-    ones.
+    Ladder states are exact under any chunking and permutation of their
+    input, so each table's rows are split *by row*.  With ``E`` the
+    table's prevailing ladder (its highest top exponent; for an empty
+    table, the one the block's ``|max|`` calls for) and ``m``, ``w``
+    the mantissa bits and ``W``:
 
-    Both paths are bit-identical to per-table
-    :meth:`GroupedSummation.add_pairs`, and ladder states are exact
-    under any chunking of their input, so where the block boundaries
-    fall cannot change a bit.  ``counters`` records the path per block.
+    * **warm** rows — ``|v| < 2**(E-m+w-1)`` (the row fits under ``E``)
+      and the group sits on ``E`` — scatter-accumulate with one scalar
+      anchor per level and ``np.bincount``: no sort, no gather.
+    * **cold** rows — NaN/±inf, rows that would raise a ladder, rows of
+      groups on another ladder or on none — take the sorted segment
+      walk (:func:`add_sorted_runs_multi`) as an index subset, after
+      the scatter, with every filter, demotion and
+      :class:`LadderOverflowError` of that walk; tables whose cold rows
+      coincide (the usual case: new groups) share one walk.
+
+    **Seeding.**  An empty group that receives a row needing exactly
+    ``E`` (``2**(E-m-1) <= |v|``, or just ``v != 0`` on the floor
+    ladder) is put on ``E`` first, which makes its fitting rows warm.
+    The reference puts a group on the ladder of its own ``|max|``; that
+    row proves the max calls for at least ``E``, and a row calling for
+    more is cold and demotes the group afterwards exactly as a later
+    chunk would.  A group whose rows are all zero or all below ``E``'s
+    class is not seeded — the reference leaves it empty, or on a lower
+    ladder — so those rows are cold.
+
+    **Exactness of the scatter.**  A warm row has ``|v| < 2**(eb+1)``
+    with ``eb + m - w + 2 <= E``, so every level quantum
+    ``q = k * 2**(e_l - m)`` has ``|k| <= 2**(w-1)`` whether ``m`` is
+    52 or 23.  The extraction runs element-wise in the table dtype with
+    anchors ``ldexp(1.5, e_l)`` (exact: one significand bit), so each
+    quantum is the one the reference walk computes; cold positions are
+    zero-filled, and a zero extracts a zero quantum at every level — an
+    exact no-op, as in the zero-filtering reference (``s += 0`` on a
+    canonical state, then an idempotent propagate).  ``np.bincount``
+    sums its weights in float64 (every binary32 quantum converts
+    exactly) and *per bin*: with at most ``n`` rows in a group, every
+    partial sum is an integer multiple of ``2**(e_l - m)`` with integer
+    part at most ``n * 2**(w-1)``, representable and closed under
+    addition in any order while ``n <= 2**(54-w)``.  ``np.ldexp`` lifts
+    the bin sums to whole int64 quanta exactly (the shift can leave the
+    power-of-two-float range near ``emin``, so no ``2.0**p``) and they
+    join the carry-propagated state before the next block.
+
+    So the window — ``1 << (54 - w)``, 16 384 at ``W = 40``, derived
+    from the parameters and not a knob — bounds the rows of one group,
+    not of one block: when no group receives more the input is one
+    block (a scratch buffer's worth at a time), otherwise it is walked
+    a window at a time.  Subnormal bottom levels, a format with no
+    window (binary16) and a magnitude past the ladder range send the
+    whole block to the sorted walk.  ``counters`` records rows per path.
     """
     tables = _same_params(tables)
     if not tables:
@@ -480,28 +516,163 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     n = gids.size
     if n == 0:
         return
+    ngroups = min(t.ngroups for t in tables)
     # one pass: viewed unsigned, a negative id is out of range upwards
-    if int(gids.view(np.uint64).max()) >= min(t.ngroups for t in tables):
+    if int(gids.view(np.uint64).max()) >= ngroups:
         raise IndexError("group id out of range")
     if counters is None:
         counters = LadderCounters()
-    step = first._window or n  # no window: one block, declined as such
-    pos = 0
-    while pos < n:
-        end = min(pos + step, n)
-        reason = _scatter_block(
-            tables, gids[pos:end], [r[pos:end] for r in rows]
-        )
-        if reason is None:
-            counters.scatter += 1
-        else:
-            if reason not in _BLOCK_LOCAL:
-                end = n
-            counters.sorted += -(-(end - pos) // step)
-            if counters.first_decline is None:
-                counters.first_decline = reason
-            _walk_sorted(tables, gids[pos:end], [r[pos:end] for r in rows])
-        pos = end
+    window = first._window
+    if not window:
+        counters.decline(n * len(tables), "window")
+        _walk_sorted(tables, gids, rows)
+        return
+    # Counting rows per group costs a pass over the rows and saves one
+    # over the groups per block avoided: tried only when the groups
+    # outnumber a block's rows.
+    if n <= window or (ngroups >= window
+                       and int(np.bincount(gids).max()) <= window):
+        step = min(n, _SCRATCH_CAP)
+    else:
+        step = window
+    for pos in range(0, n, step):
+        _add_block(tables, gids[pos:pos + step],
+                   [r[pos:pos + step] for r in rows], counters)
+
+
+def _add_block(tables: list, gids: np.ndarray, rows: list,
+               counters: LadderCounters) -> None:
+    """One block of :func:`add_blocked_multi` (which carries the
+    proof): in-range ids, at most ``window`` rows per group."""
+    first = tables[0]
+    m, w = first._m, first._w
+    n = gids.size
+    plans = []  # (table, values, ladder, |max|, min |v| or 0, table empty)
+    reason = None  # why the whole block has to walk, if it does
+    for table, vals in zip(tables, rows):
+        # max/min propagate NaN and catch ±inf without a full |.| pass
+        vmin, vmax = float(vals.min()), float(vals.max())
+        top = max(vmax, -vmin)
+        if top == 0:
+            continue  # all zeros: an exact no-op, as in the reference
+        if top >= math.ldexp(1.0, first._emax_grid - m + w - 1):
+            # past the ladder range, or ±inf: the walk raises the
+            # reference error with its per-table semantics
+            reason = "off_ladder" if top < math.inf else "non_finite"
+            break
+        e0 = int(table.e0.max())
+        empty = e0 == _EMPTY_E0
+        if empty:
+            # the ladder the block's finite |max| calls for
+            peak = top
+            if top != top:
+                peak = float(np.abs(vals[np.isfinite(vals)]).max(initial=0))
+            if peak == 0:
+                reason = "non_finite"
+                break
+            e0 = int(first._needed_e0(first._dtype.type(peak)))
+        if e0 - (first._L - 1) * w < first._emin:
+            reason = "subnormal"
+            break
+        # known without a pass when the block is single-signed
+        least = vmin if vmin > 0 else -vmax if vmax < 0 else 0.0
+        plans.append((table, vals, e0, top, least, empty))
+    if reason is not None:
+        counters.decline(n * len(tables), reason)
+        _walk_sorted(tables, gids, rows)
+        return
+    counters.scatter += n * (len(tables) - len(plans))
+
+    colds = []  # ([table], [values], cold row indices)
+    for table, vals, e0, top, least, empty in plans:
+        cold = _cold_rows(table, gids, vals, e0, top, least, empty)
+        ncold = 0 if cold is None else cold.size
+        counters.scatter += n - ncold
+        if ncold < n:
+            _scatter(table, gids, vals, e0, cold)
+        if ncold:
+            counters.decline(ncold, "off_ladder" if math.isfinite(
+                vals[cold[0]]) else "non_finite")
+            colds.append(([table], [vals], cold))
+    # cold rows that coincide in every table share one walk
+    shared = colds[0][2] if len(colds) == len(tables) else None
+    if shared is not None and all(
+            c.size == shared.size and bool((c == shared).all())
+            for _, _, c in colds[1:]):
+        colds = [(tables, rows, shared)]
+    for walked, values, cold in colds:
+        _walk_sorted(walked, gids[cold], [r[cold] for r in values])
+
+
+def _cold_rows(table: GroupedSummation, gids: np.ndarray, vals: np.ndarray,
+               e0: int, top: float, least: float,
+               empty: bool) -> np.ndarray | None:
+    """Seed the empty groups a row of this block puts on ``e0``; return
+    the indices of the rows that cannot scatter there (``None``: every
+    row can).  ``top`` is the block's ``|max|`` (NaN if it holds one),
+    ``least`` its smallest ``|v|`` where known, else 0; ``empty``: no
+    group of the table is on a ladder yet."""
+    m, w = table._m, table._w
+    fits_under = math.ldexp(1.0, e0 - m + w - 1)
+    fits = top < fits_under
+    lo = _EMPTY_E0 if empty else int(table.e0.min())
+    if fits and lo == e0:
+        return None  # steady state: one ladder, and it holds the block
+    # a row needs exactly ``e0`` from here up (any non-zero one does on
+    # the floor ladder, which nothing sits below)
+    needs = (np.ldexp(table._dtype.type(1), e0 - m - 1)
+             if e0 > table._emin_grid
+             else np.finfo(table._dtype).smallest_subnormal)
+    if fits and empty and least >= needs:
+        table.e0[gids] = e0  # every row seeds its group
+        return None
+    idx = None  # rows that may be cold; None = every row
+    if lo == e0:
+        idx = np.flatnonzero(~(np.abs(vals) < fits_under))
+    elif not empty:
+        off = (table.e0 != e0).take(gids)
+        if not fits:
+            off |= ~(np.abs(vals) < fits_under)
+        idx = np.flatnonzero(off)
+    g, v = (gids, vals) if idx is None else (gids[idx], vals[idx])
+    mag = np.abs(v)
+    warm = mag < fits_under
+    if lo == _EMPTY_E0:
+        seeds = g[warm & (mag >= needs)]
+        if not empty:
+            seeds = seeds[table.e0[seeds] == _EMPTY_E0]
+        table.e0[seeds] = e0
+    warm &= (table.e0 == e0).take(g)
+    cold = np.flatnonzero(~warm)
+    if cold.size == 0:
+        return None
+    return cold if idx is None else idx[cold]
+
+
+def _scatter(table: GroupedSummation, gids: np.ndarray, vals: np.ndarray,
+             e0: int, cold: np.ndarray | None) -> None:
+    """Scatter-accumulate the rows of one block on ladder ``e0``, the
+    ``cold`` ones zero-filled (see :func:`add_blocked_multi`)."""
+    m, w, levels = table._m, table._w, table._L
+    dt = table._dtype.type
+    q = _scratch("q", gids.size, table._dtype)
+    r = _scratch("r", gids.size, table._dtype)
+    src = vals
+    if cold is not None:
+        np.copyto(r, vals)
+        r[cold] = 0
+        src = r
+    for level in range(levels):
+        e_l = e0 - level * w
+        anchor = np.ldexp(dt(1.5), e_l)
+        np.add(src, anchor, out=q)
+        np.subtract(q, anchor, out=q)
+        if level + 1 < levels:
+            np.subtract(src, q, out=r)
+            src = r
+        sums = np.bincount(gids, weights=q, minlength=table.ngroups)
+        table.s[level] += np.ldexp(sums, m - e_l).astype(np.int64)
+    table._propagate()
 
 
 def _walk_sorted(tables: list, gids: np.ndarray, rows: list) -> None:
@@ -526,140 +697,6 @@ def _walk_sorted(tables: list, gids: np.ndarray, rows: list) -> None:
                 # the mode only skips ``raise``'s buffered copy of ``out``
                 np.take(vals, order, out=block[i], mode="clip")
     add_sorted_runs_multi(tables, gids, block)
-
-
-def _scatter_block(tables: list, gids: np.ndarray, rows: list) -> str | None:
-    """Steady-state scatter of one block of in-range pairs; returns
-    ``None`` when applied, else the decline reason with nothing
-    mutated.  See :func:`add_pairs_multi` for the proof."""
-    first = tables[0]
-    if gids.size > first._window:
-        return "window"
-    m, w, levels = first._m, first._w, first._L
-    emin_floor = first._emin + (levels - 1) * w
-    e0s = []
-    for table in tables:
-        lo, hi = int(table.e0.min()), int(table.e0.max())
-        if hi == _EMPTY_E0:
-            return "cold_start"
-        if lo != hi:
-            return "mixed_ladder"
-        if lo < emin_floor:
-            return "subnormal"
-        e0s.append(lo)
-    his = []
-    for vals, e0 in zip(rows, e0s):
-        # max/min propagate NaN and catch ±inf without a full |.| pass
-        hi = max(float(vals.max()), -float(vals.min()))
-        if not hi <= first.params.fmt.max_value:  # NaN or +inf
-            return "non_finite"
-        if hi > 0:
-            eb = math.frexp(hi)[1] - 1
-            if -(-(eb + m - w + 2) // w) * w > e0:
-                return "demote"  # some group's ladder has to rise
-        his.append(hi)
-
-    dt = first._dtype.type
-    q = _scratch("q", gids.size, first._dtype)
-    r = _scratch("r", gids.size, first._dtype)
-    for vals, table, e0, hi in zip(rows, tables, e0s, his):
-        if hi == 0:
-            continue  # all-zero column: exact no-op, as in the reference
-        src = vals
-        for level in range(levels):
-            e_l = e0 - level * w
-            anchor = np.ldexp(dt(1.5), e_l)
-            np.add(src, anchor, out=q)
-            np.subtract(q, anchor, out=q)
-            if level + 1 < levels:
-                np.subtract(src, q, out=r)
-                src = r
-            sums = np.bincount(gids, weights=q, minlength=table.ngroups)
-            # Sums are exact multiples of the level grid; ldexp lifts
-            # them to whole quanta exactly (the shift can exceed the
-            # power-of-two-float range near ``emin``, so no ``2.0**p``).
-            table.s[level] += np.ldexp(sums, m - e_l).astype(np.int64)
-        table._propagate()
-    return None
-
-
-def add_pairs_multi(tables: list, group_ids: np.ndarray,
-                    values_rows: list, checked: bool = True) -> bool:
-    """One block of the steady-state scatter: feed unsorted pairs to
-    several ladder tables with **no sort, no gather, no run starts**.
-    :func:`add_blocked_multi` is the caller that walks a whole morsel
-    through this, a window at a time.
-
-    Applies only when, for every table, the whole ladder already sits
-    on one uniform top exponent high enough for this block (checked
-    against each column's |max| over the block), every value is
-    finite, and the block fits the exactness window
-    ``n * 2**(w-1) <= 2**53``, so that float64 partial sums of the
-    integral-valued quanta are exact in any accumulation order — then
-    ``np.bincount`` scatter-sums replace the segment machinery
-    entirely.  Returns ``False`` (with nothing mutated) when any
-    precondition fails; the block then takes the sorted path.
-
-    The window ``n <= 2**(54-w)`` rows per block holds for binary32
-    ladders with the *same* bound as binary64, because neither side of
-    the argument depends on the value format's significand width:
-
-    * the quantum bound is format-independent — the no-demote
-      precondition gives ``eb + m - w + 2 <= e0`` per column, so every
-      level quantum ``q = k * 2**(e_l - m)`` has
-      ``|k| <= 2**(eb + 1 - e0 + m) <= 2**(w-1)`` whether ``m`` is 52
-      or 23;
-    * the accumulator is format-independent — ``np.bincount`` converts
-      its weights to float64 before summing, and every binary32
-      quantum converts exactly (float32 ⊂ float64), so each partial
-      sum within the block is an exact integer multiple of
-      ``2**(e_l - m)`` with integer part at most
-      ``n * 2**(w-1) <= 2**53``, representable and closed under
-      addition in float64 in any order (the scale ``2**(e_l - m)``
-      stays at or above ``2**(emin - m)``, far inside float64's range
-      for both formats).
-
-    The bound is on one block's sums, not on the table: each block's
-    bin sums are lifted to int64 quanta and added to the (exact,
-    carry-propagated) state before the next block starts, so a morsel
-    of any length is exact block by block.
-
-    The per-element arithmetic stays in the table dtype either way:
-    the anchors ``ldexp(dt(1.5), e_l)`` are exact in binary32 for
-    every in-range ``e_l >= emin`` (one significand bit), and the
-    quantum extraction writes through same-dtype scratch — so each
-    float32 quantum is bit-identical to the reference walk's, and
-    ``np.ldexp(sums, m - e_l)`` lifts the exact float64 bin sums to
-    whole int64 quanta exactly.
-
-    ``checked=False`` skips the group-id range scan for callers that
-    have validated the ids themselves; out-of-range ids are then
-    undefined behavior exactly like any unchecked kernel.
-
-    Bit-identity with the per-table reference walk: no table demotes
-    (``needed <= e0`` for every group by the block-max check), the
-    anchor extraction is element-wise so each value's quantum is the
-    value the reference computes, quanta are exact integers whose
-    float64 partial sums stay below 2**53 (every partial representable
-    — order cannot change the total), and zeros extract a zero quantum
-    at every level, making them exact no-ops just as in the
-    zero-filtering reference (including the group-absent case:
-    ``s += 0`` on a canonical state, then an idempotent propagate).
-    """
-    tables = _same_params(tables)
-    if not tables:
-        return True
-    first = tables[0]
-    gids = np.asarray(group_ids, dtype=np.int64)
-    if len(values_rows) != len(tables):
-        raise ValueError("one values row per table required")
-    if gids.size == 0:
-        return True
-    if checked and (int(gids.min()) < 0
-                    or int(gids.max()) >= min(t.ngroups for t in tables)):
-        return False  # let the sorted path raise the reference error
-    rows = [np.asarray(r, dtype=first._dtype) for r in values_rows]
-    return _scatter_block(tables, gids, rows) is None
 
 
 def add_sorted_runs_multi(tables: list, group_ids: np.ndarray,

@@ -4,6 +4,7 @@ from .errors import (
     TABLE2_PAPER,
     conventional_error_bound,
     expected_table2_bound,
+    grid_aligned_error_bound,
     rsum_error_bound,
     table2_rows,
 )
@@ -18,6 +19,7 @@ __all__ = [
     "max_group_error",
     "conventional_error_bound",
     "rsum_error_bound",
+    "grid_aligned_error_bound",
     "expected_table2_bound",
     "table2_rows",
     "TABLE2_PAPER",

@@ -16,6 +16,13 @@ precision.  :func:`table2_rows` reproduces the table and additionally
 reports the *measured* error of our implementation against the exact
 sum — which the paper notes is "up to 2**(W-1) times" better than the
 bound.
+
+The bound this implementation *guarantees* is twice Equation 6,
+:func:`grid_aligned_error_bound`: extractor ladders are aligned to
+multiples of ``W`` (that is what makes the ladder a function of
+``max |b_i|`` alone), so one ladder serves ``W`` binades of maxima and a
+maximum in the bottom one sits a full binade below where Equation 6
+assumes it.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .exact import abs_error, fsum
 __all__ = [
     "conventional_error_bound",
     "rsum_error_bound",
+    "grid_aligned_error_bound",
     "expected_table2_bound",
     "table2_rows",
     "TABLE2_PAPER",
@@ -73,6 +81,24 @@ def rsum_error_bound(n: int, max_abs: float, levels: int,
     """Equation 6: ``n * 2**((1 - L) * W - 1) * max |b_i|``."""
     w = w if w is not None else default_w(fmt)
     return n * 2.0 ** ((1 - levels) * w - 1) * max_abs
+
+
+def grid_aligned_error_bound(n: int, max_abs: float, levels: int,
+                             w: int | None = None,
+                             fmt: FloatFormat = BINARY64) -> float:
+    """``n * 2**((1 - L) * W) * max |b_i|`` — the bound the grid-aligned
+    ladder meets, one binade above Equation 6.
+
+    The ladder with top exponent ``E`` (a multiple of ``W``) serves
+    every maximum with ``E - m - 1 <= floor(log2 max|b|) <= E - m + W -
+    2``.  Its last level rounds each value to the grid ``2**(E - (L-1)W
+    - m)``, dropping at most half of that: ``2**((1-L)W) * 2**(E-m-1)``.
+    For a maximum in the ladder's bottom binade ``2**(E-m-1)`` is the
+    best available lower bound on it — e.g. ``[1.4913415096091814e-16]``
+    at ``L = 2`` errs by ``1.2 * 2**-41 * |b|``, past Equation 6 — so
+    per value the guarantee is ``2**((1-L)W) * max|b|``.
+    """
+    return 2.0 * rsum_error_bound(n, max_abs, levels, w, fmt)
 
 
 def expected_table2_bound(algorithm: str, n: int, distribution: str) -> float:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import time
 from multiprocessing.connection import wait as _connection_wait
 
+from ..aggregation.grouped import LadderCounters
 from ..engine import pipeline as pipeline_mod
 from ..engine.fused import _probe_fingerprint
 from ..engine.physical import PhysProbe
@@ -213,6 +214,7 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
 
             # Collect replies in arrival order (permutable in tests).
             frames: dict[int, bytes] = {}
+            ladders: dict = {}  # shard id -> the executor's LadderCounters
             conn_to_worker = {
                 pool.conn(worker_id): worker_id for worker_id in assignment
             }
@@ -236,8 +238,10 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
                             f"shard executor {worker_id} failed:\n"
                             f"{message[1]}"
                         )
-                    _, shard_id, _ngroups, nmorsels, busy, frame = message
+                    (_, shard_id, _ngroups, nmorsels, busy, frame,
+                     ladder) = message
                     frames[shard_id] = frame
+                    ladders[shard_id] = ladder
                     stats.worker_busy[worker_id] += busy
                     stats.worker_morsels[worker_id] += nmorsels
                     stats.morsel_count += nmorsels
@@ -261,6 +265,7 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
     merge_started = time.thread_time()
     make_table = pipeline_mod.make_group_table
     root = make_table(aggregate.group_exprs, aggregate.specs)
+    ladder = LadderCounters()  # counted where the rows were fed
     for shard in sorted(frames):
         fresh = make_table(aggregate.group_exprs, aggregate.specs)
         load_table_into(
@@ -268,12 +273,15 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
             fresh,
         )
         root.merge(fresh)
+        if ladders[shard] is not None:
+            ladder.merge(ladders[shard])
     stats.merge_seconds = time.thread_time() - merge_started
 
     finalize_started = time.thread_time()
     key_arrays, results, ngroups = root.finalize()
     stats.finalize_seconds = time.thread_time() - finalize_started
 
+    stats.record_ladder(ladder, timings)
     stats.wall_seconds = time.perf_counter() - wall_started
     context.last_stats = stats
     if timings is not None:

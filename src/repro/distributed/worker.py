@@ -271,7 +271,7 @@ def worker_main(conn) -> None:
                 frame = frame_payload(dump_table(table))
                 conn.send(
                     ("partial", shard_id, table.ngroups, nmorsels, busy,
-                     frame)
+                     frame, getattr(table, "ladder", None))
                 )
             else:
                 raise ValueError(f"unknown shard request {kind!r}")

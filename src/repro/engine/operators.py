@@ -95,7 +95,7 @@ class OperatorTimings:
     def __init__(self):
         self.seconds: dict[str, float] = {}
         #: per-query path counters (not times) the pipeline reports,
-        #: e.g. ``ladder_blocks_scatter``
+        #: e.g. ``ladder_rows_scatter``
         self.counters: dict = {}
 
     def add(self, label: str, dt: float) -> None:

@@ -434,17 +434,31 @@ class PipelineStats:
         self.kernel_cache_hits = 0
         self.kernel_cache_misses = 0
         self.kernel_cache_evictions = 0
-        #: Which path this query's reproducible sums took, summed over
-        #: workers (per query, not cumulative): exactness-window blocks
-        #: scatter-accumulated in steady state vs. covered by a sorted
-        #: walk, and why the first block that declined the scatter did
-        #: (``cold_start`` / ``demote`` / ``non_finite`` /
-        #: ``mixed_ladder`` / ``subnormal`` / ``window``; ``None`` when
-        #: none did).  See :func:`repro.aggregation.grouped.
-        #: add_blocked_multi`.
-        self.ladder_blocks_scatter = 0
-        self.ladder_blocks_sorted = 0
+        #: Which path this query's reproducible sums took, in rows
+        #: summed over tables and workers (per query, not cumulative):
+        #: scatter-accumulated on their table's prevailing ladder vs.
+        #: handed to the sorted walk, and why the first row that went
+        #: there did (``off_ladder`` / ``non_finite`` / ``subnormal`` /
+        #: ``window``; ``None`` when none did).  See
+        #: :func:`repro.aggregation.grouped.add_blocked_multi`.
+        self.ladder_rows_scatter = 0
+        self.ladder_rows_sorted = 0
         self.ladder_first_decline: str | None = None
+
+    def record_ladder(self, ladder, timings=None) -> None:
+        """Report a group table's :class:`~repro.aggregation.grouped.
+        LadderCounters` (``None`` for the scalar reference, which has
+        none) here and on ``timings.counters``."""
+        if ladder is not None:
+            self.ladder_rows_scatter = ladder.scatter
+            self.ladder_rows_sorted = ladder.sorted
+            self.ladder_first_decline = ladder.first_decline
+        if timings is not None:
+            timings.counters.update(
+                ladder_rows_scatter=self.ladder_rows_scatter,
+                ladder_rows_sorted=self.ladder_rows_sorted,
+                ladder_first_decline=self.ladder_first_decline,
+            )
 
     def kernel_time(self) -> float:
         """Total CPU seconds spent in fused kernels across workers."""
@@ -570,11 +584,7 @@ def run_grouped_pipeline(
     key_arrays, results, ngroups = root.finalize()
     stats.finalize_seconds = time.thread_time() - finalize_started
 
-    ladder = getattr(root, "ladder", None)  # the scalar reference has none
-    if ladder is not None:
-        stats.ladder_blocks_scatter = ladder.scatter
-        stats.ladder_blocks_sorted = ladder.sorted
-        stats.ladder_first_decline = ladder.first_decline
+    stats.record_ladder(getattr(root, "ladder", None), timings)
     stats.wall_seconds = time.perf_counter() - wall_started
     stats.kernel_cache_hits = context.kernel_cache_hits
     stats.kernel_cache_misses = context.kernel_cache_misses
@@ -586,11 +596,6 @@ def run_grouped_pipeline(
             "aggregation",
             sum(aggregation_seconds) + stats.merge_seconds
             + stats.finalize_seconds,
-        )
-        timings.counters.update(
-            ladder_blocks_scatter=stats.ladder_blocks_scatter,
-            ladder_blocks_sorted=stats.ladder_blocks_sorted,
-            ladder_first_decline=stats.ladder_first_decline,
         )
     return key_arrays, results, ngroups
 

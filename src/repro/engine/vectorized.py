@@ -25,8 +25,9 @@ Per morsel the table:
    per-group partial states with segment kernels — ``ufunc.reduceat``
    reductions for MIN/MAX and int sums; the RSUM ladders go through
    the blocked kernel (:func:`~repro.aggregation.grouped.
-   add_blocked_multi`), which sorts only the blocks that are not in
-   steady state;
+   add_blocked_multi`), which scatter-accumulates every row whose
+   group sits on its table's prevailing ladder and sorts only the
+   stragglers;
 4. shares physical states between aggregates: ``AVG(x)`` reuses the
    ``SUM(x)`` state and one common ``COUNT`` state, the six
    VARIANCE/STDDEV spellings share one second-moment state.
@@ -353,8 +354,8 @@ class VectorizedGroupTable(PartialGroupTable):
         #: ``("rows", total)`` tag of the build-row path).
         self._lut: np.ndarray | None = None
         self._lut_bases = None
-        #: Which ladder path this table's morsels took (scatter vs
-        #: sorted blocks); merged with the workers' and reported on
+        #: Which ladder path this table's rows took (scattered vs
+        #: walked sorted); merged with the workers' and reported on
         #: :class:`~repro.engine.pipeline.PipelineStats`.
         self.ladder = LadderCounters()
 

@@ -1,10 +1,11 @@
 """The blocked ladder update must be invisible in the state bits.
 
-:func:`add_blocked_multi` walks its input in exactness-window blocks:
-steady-state blocks scatter-accumulate, the others take the sorted walk
-on their own rows.  Where the boundaries fall, and which path a block
-takes, may change the counters — never a bit of state.  The reference
-throughout is the per-table, unbatched :meth:`GroupedSummation.add_pairs`.
+:func:`add_blocked_multi` splits its input by row: rows whose group
+sits on the table's prevailing ladder scatter-accumulate, the others
+take the sorted walk as an index subset.  Which path a row takes, and
+where the block boundaries fall, may change the counters — never a bit
+of state.  The reference throughout is the per-table, unbatched
+:meth:`GroupedSummation.add_pairs`.
 """
 
 import warnings
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation.grouped import (
+    _EMPTY_E0,
     GroupedSummation,
     LadderCounters,
     add_blocked_multi,
@@ -79,40 +81,45 @@ class TestBlockedWalk:
             [rng.normal(size=n) * 100, rng.normal(size=n)],
             seed=seed_uniform(1e4),
         )
-        assert counters.scatter == -(-n // WINDOW)
-        assert counters.sorted == 0
+        assert (counters.sorted, counters.scatter) == (0, 2 * n)
         assert counters.first_decline is None
 
     def test_cold_start_seeds_then_scatters(self, rng):
+        # every group holds a value of the block maximum's class, so
+        # empty ladders are seeded in place and nothing walks
         n = 4 * WINDOW + 7
         counters = check(P64, G, rng.integers(0, G, n),
                          [rng.uniform(1.0, 2.0, size=n) for _ in range(3)])
-        assert (counters.sorted, counters.scatter) == (1, 4)
-        assert counters.first_decline == "cold_start"
+        assert (counters.sorted, counters.scatter) == (0, 3 * n)
+        assert counters.first_decline is None
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     def test_non_finite_block_alone_goes_sorted(self, rng, bad):
+        # a NaN walks alone; ±inf shows in the block maximum, where it
+        # cannot be told from a magnitude past the ladder range, and
+        # takes its block (of that table pair) with it
         n = 5 * WINDOW
         values = rng.normal(size=n)
         values[2 * WINDOW + 17] = bad
         counters = check(P64, G, rng.integers(0, G, n),
                          [values, rng.normal(size=n)],
                          seed=seed_uniform(100.0))
-        assert (counters.sorted, counters.scatter) == (1, 4)
+        walked = 1 if bad != bad else 2 * WINDOW
+        assert (counters.sorted, counters.scatter) == (walked, 2 * n - walked)
         assert counters.first_decline == "non_finite"
 
     def test_demote_mid_morsel(self, rng):
-        # One huge value in block 2 raises one group's ladder: that
-        # block walks sorted, and the table is off its uniform ladder
-        # afterwards, so the rest takes one sorted walk.
+        # One huge value in block 2 raises one group's ladder: that row
+        # walks alone, and from the next block on the raised ladder
+        # prevails, so only that group's rows still scatter.
         n = 4 * WINDOW
+        gids = rng.integers(0, G, n)
         values = rng.normal(size=n)
         values[WINDOW + 5] = 1e60
-        counters = check(P64, G, rng.integers(0, G, n), [values],
-                         seed=seed_uniform(1.0))
-        assert counters.scatter == 1
-        assert counters.sorted == 3
-        assert counters.first_decline == "demote"
+        counters = check(P64, G, gids, [values], seed=seed_uniform(1.0))
+        walked = 1 + int((gids[2 * WINDOW:] != gids[WINDOW + 5]).sum())
+        assert (counters.sorted, counters.scatter) == (walked, n - walked)
+        assert counters.first_decline == "off_ladder"
 
     def test_all_zero_column(self, rng):
         n = 2 * WINDOW + 3
@@ -128,28 +135,33 @@ class TestBlockedWalk:
         counters = check(P64, G, rng.integers(0, G, n),
                          [rng.normal(size=n), rng.normal(size=n) * 1e20],
                          seed=seed_uniform(1.0, 1e21))
-        assert (counters.sorted, counters.scatter) == (0, 2)
+        assert (counters.sorted, counters.scatter) == (0, 2 * n)
 
     def test_mixed_ladder_takes_one_sorted_walk(self, rng):
+        # group 0 holds the prevailing ladder and scatters; the
+        # straggler on a lower ladder and the two empty groups (not
+        # seeded by values this small) walk, once per block
         def seed(tables):
             for table in tables:
                 table.add_pairs(np.array([0, 1]), np.array([1e40, 1e-60]))
         n = 3 * WINDOW
-        counters = check(P64, G, rng.integers(0, G, n),
-                         [rng.normal(size=n)], seed=seed)
-        assert (counters.sorted, counters.scatter) == (3, 0)
-        assert counters.first_decline == "mixed_ladder"
+        gids = rng.integers(0, G, n)
+        counters = check(P64, G, gids, [rng.normal(size=n)], seed=seed)
+        walked = int((gids != 0).sum())
+        assert (counters.sorted, counters.scatter) == (walked, n - walked)
+        assert counters.first_decline == "off_ladder"
 
     def test_binary32(self, rng):
         # W = 18 puts the binary32 window at 2**36 rows: one block per
-        # call, the first seeding the ladders, the second scattering.
+        # call, seeded in place.
         n = 2 * WINDOW + 5
         cols = [rng.normal(size=n).astype(np.float32) for _ in range(2)]
         counters = check(P32, G, rng.integers(0, G, n), cols, reps=2)
-        assert (counters.sorted, counters.scatter) == (1, 1)
+        assert (counters.sorted, counters.scatter) == (0, 4 * n)
         cols[1][WINDOW + 1] = np.float32(np.nan)
         counters = check(P32, G, rng.integers(0, G, n), cols,
                          seed=seed_uniform(np.float32(50.0)))
+        assert counters.sorted == 1
         assert counters.first_decline == "non_finite"
 
     def test_narrow_window(self, rng):
@@ -159,15 +171,23 @@ class TestBlockedWalk:
         counters = check(params, G, rng.integers(0, G, n),
                          [rng.uniform(50.0, 200.0, size=n)],
                          seed=seed_uniform(150.0))
-        assert (counters.sorted, counters.scatter) == (0, 4)
+        assert (counters.sorted, counters.scatter) == (0, n)
 
     def test_no_window_walks_everything_sorted(self, rng):
         # binary16 rows have no float64-exact scatter: one sorted walk
         n = 100
         counters = check(RsumParams(BINARY16), G, rng.integers(0, G, n),
                          [rng.uniform(1.0, 2.0, size=n)], reps=2)
-        assert (counters.sorted, counters.scatter) == (2, 0)
+        assert (counters.sorted, counters.scatter) == (2 * n, 0)
         assert counters.first_decline == "window"
+
+    def test_subnormal_bottom_level_walks_the_block(self, rng):
+        # the floor ladder's bottom level lies below the normal range
+        n = 50
+        counters = check(P64, G, rng.integers(0, G, n),
+                         [rng.uniform(1.0, 2.0, size=n) * 1e-306])
+        assert (counters.sorted, counters.scatter) == (n, 0)
+        assert counters.first_decline == "subnormal"
 
     def test_high_cardinality_sorted_input(self, rng):
         ngroups = 3000
@@ -188,6 +208,158 @@ class TestBlockedWalk:
                 np.array([0, 1]), [np.ones(2), np.ones(2)],
             )
         assert table.finalize().tolist() == [0.0, 0.0]
+
+
+# Special groups of the partition property, one per way a row can miss
+# (or must not miss) the scatter; each table draws which ones it plays,
+# so the cold sets differ between tables.  Ids 0..3 are residents on
+# the prevailing ladder; ids past the roles are one-row filler groups.
+ROLES = ("zeros", "below", "straggler", "raises", "non_finite", "late")
+RESIDENTS = 4
+FIRST_FILLER = RESIDENTS + len(ROLES) + 1
+HOT = FIRST_FILLER - 1
+
+
+@st.composite
+def partition_cases(draw):
+    fmt, w = draw(st.sampled_from(
+        ((BINARY64, None), (BINARY64, 45), (BINARY32, None))))
+    params = RsumParams(fmt, levels=draw(st.integers(1, 3)), w=w)
+    tables = [
+        (draw(st.sampled_from(("normal", "floor"))),
+         draw(st.integers(-2, 3)),
+         draw(st.frozensets(st.sampled_from(ROLES))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return (params, tables, draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestRowPartition:
+    """``add_blocked_multi`` ≡ per-table ``add_pairs`` on inputs built
+    to put every kind of row in one block."""
+
+    @staticmethod
+    def _values(rng, count, lo_exp, hi_exp, dtype):
+        """``count`` values ±[1, 2) * 2**e, e uniform in [lo, hi]."""
+        exps = rng.integers(lo_exp, hi_exp + 1, count)
+        with np.errstate(under="ignore"):
+            return (rng.choice([-1.0, 1.0], count)
+                    * np.ldexp(rng.uniform(1.0, 2.0, count), exps)
+                    ).astype(dtype)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=partition_cases())
+    def test_equals_reference(self, case):
+        from unittest import mock
+
+        from repro.aggregation import grouped as grouped_mod
+
+        params, tables, hot, seed = case
+        rng = np.random.default_rng(seed)
+        dtype = params.fmt.dtype
+        m, w = params.fmt.mantissa_bits, params.w
+        probe = GroupedSummation(params, 1)
+        window = probe._window
+        hot = hot and window <= 512  # > window rows has to stay cheap
+        nfill = 700
+        ngroups = FIRST_FILLER + nfill
+
+        # rows per group: residents and role groups a handful each, the
+        # fillers one each (so the average group is tiny), the hot
+        # group more than two windows' worth
+        counts = np.ones(ngroups, dtype=np.int64)
+        counts[:FIRST_FILLER] = rng.integers(3, 9, FIRST_FILLER)
+        counts[HOT] = 2 * window + 50 if hot else 1
+        gids = rng.permutation(np.repeat(np.arange(ngroups), counts))
+        # "late": the group's rows all sit in the second half
+        late = RESIDENTS + ROLES.index("late")
+        where = np.flatnonzero(gids == late)
+        swap = np.arange(gids.size - where.size, gids.size)
+        gids[where], gids[swap] = gids[swap], late
+
+        cols, seeds, expect = [], [], []
+        for kind, shift, roles in tables:
+            if kind == "floor":
+                e0 = probe._emin_grid
+            else:
+                e0 = shift * 2 * w
+            # binades of the rows that fit under e0 and need exactly
+            # it: on the floor ladder, down to the last subnormal
+            fits = e0 - m + w - 2
+            needs = (e0 - m - 1 if kind == "normal"
+                     else params.fmt.min_exponent - m)
+            vals = self._values(rng, gids.size, needs, fits, dtype)
+            group = {role: RESIDENTS + i for i, role in enumerate(ROLES)}
+            below = (self._values(rng, gids.size, needs - w, needs - 1, dtype)
+                     if kind == "normal" else np.zeros(gids.size, dtype))
+            if "zeros" in roles:
+                vals[gids == group["zeros"]] = 0
+            if "below" in roles:
+                sel = gids == group["below"]
+                vals[sel] = below[sel]
+            if "straggler" in roles:
+                # on a lower ladder beforehand: small rows, one large
+                sel = np.flatnonzero(gids == group["straggler"])
+                vals[sel[1:]] = below[sel[1:]]
+            if "raises" in roles:
+                sel = np.flatnonzero(gids == group["raises"])
+                vals[sel[0]] = np.ldexp(dtype.type(1.5), fits + 3)
+            if "non_finite" in roles:
+                sel = np.flatnonzero(gids == group["non_finite"])
+                vals[sel[:3]] = [np.nan, np.inf, -np.inf]
+            if hot:
+                # quanta near 2**(w-1) with random low bits: more than
+                # a window of them in one float64 bin would round
+                sel = gids == HOT
+                vals[sel] = np.abs(self._values(
+                    rng, int(sel.sum()), fits, fits, dtype))
+            cols.append(vals)
+            # beforehand: residents (and the groups that must already
+            # be warm) on e0, the straggler on the ladder below
+            warm = list(range(RESIDENTS)) + [
+                group["raises"], group["non_finite"], HOT]
+            seed_gids = np.array(warm + [group["straggler"]])
+            seed_vals = self._values(rng, seed_gids.size, fits, fits, dtype)
+            seed_vals[-1] = (below[0] if "straggler" in roles
+                             else seed_vals[-1])
+            seeds.append((seed_gids, seed_vals))
+            expect.append((kind, e0, roles, group))
+
+        reference = [GroupedSummation(params, ngroups) for _ in cols]
+        blocked = [GroupedSummation(params, ngroups) for _ in cols]
+        for side in (reference, blocked):
+            for table, (seed_gids, seed_vals) in zip(side, seeds):
+                table.add_pairs(seed_gids, seed_vals)
+        for table, col in zip(reference, cols):
+            table.add_pairs(gids, col)
+        sizes = []
+        real = grouped_mod._add_block
+
+        def spy(tables_, gids_, rows_, counters_):
+            sizes.append(gids_.size)
+            real(tables_, gids_, rows_, counters_)
+
+        counters = LadderCounters()
+        with mock.patch.object(grouped_mod, "_add_block", spy):
+            add_blocked_multi(blocked, gids, cols, counters)
+
+        for ref, got in zip(reference, blocked):
+            assert got.state_tuples() == ref.state_tuples()
+            assert got.finalize().tobytes() == ref.finalize().tobytes()
+        assert counters.scatter + counters.sorted == gids.size * len(cols)
+        # per-group rule: tiny groups make the input one block, one
+        # group past the window brings the window blocks back
+        if hot:
+            assert max(sizes) == window and sum(sizes) == gids.size
+        else:
+            assert sizes == [gids.size]
+        for table, (kind, e0, roles, group) in zip(blocked, expect):
+            if "zeros" in roles:
+                assert table.e0[group["zeros"]] == _EMPTY_E0
+            if "below" in roles and kind == "normal":
+                assert table.e0[group["below"]] == e0 - w
+            assert table.e0[0] == e0
 
 
 class TestStableGroupOrder:

@@ -13,8 +13,9 @@ special values (NaN / ±inf / -0.0) in keys and arguments.
 
 The second half unit-tests the batched ladder entry points the kernels
 call — :func:`add_sorted_runs_multi` (one shared sort, all aggregates)
-and :func:`add_pairs_multi` (the steady-state scatter that skips the
-sort entirely) — against the per-table reference kernels.
+and the scatter of :func:`add_blocked_multi` (which skips the sort for
+every row on its table's prevailing ladder) — against the per-table
+reference kernels.
 """
 
 import numpy as np
@@ -22,7 +23,8 @@ import pytest
 
 from repro.aggregation.grouped import (
     GroupedSummation,
-    add_pairs_multi,
+    LadderCounters,
+    add_blocked_multi,
     add_sorted_runs_multi,
 )
 from repro.core.params import RsumParams
@@ -291,9 +293,15 @@ class TestKernelCache:
         assert db.execution_context.kernel_cache_invalidations == 0
 
 
+def scatter_share(stats):
+    """Share of a query's ladder rows that took the scatter."""
+    total = stats.ladder_rows_scatter + stats.ladder_rows_sorted
+    return stats.ladder_rows_scatter / total if total else 0.0
+
+
 class TestBlockedLadderPath:
-    """The steady-state scatter must engage at the *default* knobs, and
-    which path a block took must never reach the result bits."""
+    """The scatter must engage at the *default* knobs, and which path a
+    row took must never reach the result bits."""
 
     Q1_SHAPED = (
         "SELECT f, s, SUM(q) AS sq, SUM(p) AS sp, SUM(p * (1 - d)) AS sd, "
@@ -324,22 +332,26 @@ class TestBlockedLadderPath:
         db.execute(self.Q1_SHAPED)
         stats = db.last_pipeline_stats
         assert stats.fused
-        assert stats.ladder_first_decline == "cold_start"
-        assert stats.ladder_blocks_sorted == 1
-        assert stats.ladder_blocks_scatter >= 4
+        # five ladder tables (q, p, two products, d), every group
+        # seeded by its own rows: nothing is left for the sorted walk
+        kept = int((lineitems["q"] < 49).sum())
+        assert stats.ladder_rows_scatter == 5 * kept
+        assert stats.ladder_rows_sorted == 0
+        assert stats.ladder_first_decline is None
         counters = db.last_timings.counters
-        assert counters["ladder_blocks_scatter"] == stats.ladder_blocks_scatter
-        assert counters["ladder_first_decline"] == "cold_start"
+        assert counters["ladder_rows_scatter"] == stats.ladder_rows_scatter
+        assert counters["ladder_first_decline"] is None
         # per query, not cumulative
         db.execute(self.Q1_SHAPED)
-        assert db.last_pipeline_stats.ladder_blocks_sorted == 1
+        assert db.last_pipeline_stats.ladder_rows_scatter == 5 * kept
 
     def test_bits_independent_of_blocking(self, lineitems, engine_path):
         with engine_path("scalar"):
             reference = make_db(self.COLUMNS, lineitems,
                                 morsel_size=1 << 12)
             expected = result_bits(reference.execute(self.Q1_SHAPED))
-        assert reference.last_pipeline_stats.ladder_blocks_scatter == 0
+        assert reference.last_pipeline_stats.ladder_rows_scatter == 0
+        kept = int((lineitems["q"] < 49).sum())
         for path in ("fused", "interpreted"):
             for workers in (1, 4):
                 for morsel_size in (1024, 16384, 65536):
@@ -350,16 +362,78 @@ class TestBlockedLadderPath:
                     assert bits == expected
                     stats = db.last_pipeline_stats
                     assert stats.fused is (path == "fused")
-                    assert stats.ladder_blocks_scatter > 0
-                    # every worker's first block seeds its own tables
-                    assert stats.ladder_blocks_sorted >= 1
+                    # every worker's tables seed themselves per morsel
+                    assert (stats.ladder_rows_scatter
+                            + stats.ladder_rows_sorted) == 5 * kept
+                    assert scatter_share(stats) >= 0.8
 
     def test_ieee_mode_counts_nothing(self, lineitems):
         db = make_db(self.COLUMNS, lineitems, sum_mode="ieee")
         db.execute(self.Q1_SHAPED)
         stats = db.last_pipeline_stats
-        assert (stats.ladder_blocks_scatter, stats.ladder_blocks_sorted,
+        assert (stats.ladder_rows_scatter, stats.ladder_rows_sorted,
                 stats.ladder_first_decline) == (0, 0, None)
+
+    # The three shapes the row partition opens up (the other three
+    # workloads of BENCHMARK.json): many small groups first seen
+    # mid-input, sixty binades of magnitudes behind a filter, and a SUM
+    # behind two hash-join probes.
+    def _pairs(self, rng):
+        n, groups = 1 << 17, 1 << 14
+        return ("k INT, v DOUBLE",
+                {"k": rng.integers(0, groups, n), "v": rng.exponential(size=n)},
+                (), "SELECT k, SUM(v) AS s FROM t GROUP BY k")
+
+    def _obs(self, rng):
+        n = 50_000
+        values = (rng.choice([-1.0, 1.0], size=n)
+                  * np.exp2(rng.uniform(-30, 30, n)))
+        return ("k INT, v DOUBLE",
+                {"k": rng.permutation(np.arange(n) % 256), "v": values}, (),
+                "SELECT k, SUM(v) AS s, COUNT(*) AS c FROM t "
+                "WHERE v > 0 GROUP BY k")
+
+    def _q3(self, rng):
+        n, orders, customers = 60_000, 15_000, 1_500
+        return ("ok INT, p DOUBLE, d DOUBLE, sd INT",
+                {"ok": rng.integers(0, orders, n),
+                 "p": rng.uniform(900.0, 105000.0, n).round(2),
+                 "d": rng.integers(0, 11, n) / 100.0,
+                 "sd": rng.integers(0, 100, n)},
+                (("o", "ok INT, ck INT, od INT",
+                  {"ok": np.arange(orders),
+                   "ck": rng.integers(0, customers, orders),
+                   "od": rng.integers(0, 100, orders)}),
+                 ("c", "ck INT, seg VARCHAR(10)",
+                  {"ck": np.arange(customers),
+                   "seg": np.array(["BUILDING", "MACHINERY", "AUTOMOBILE"],
+                                   dtype=object)[
+                       rng.integers(0, 3, customers)]})),
+                "SELECT t.ok, SUM(t.p * (1 - t.d)) AS revenue, o.od "
+                "FROM c JOIN o ON c.ck = o.ck JOIN t ON t.ok = o.ok "
+                "WHERE c.seg = 'BUILDING' AND o.od < 50 AND t.sd > 50 "
+                "GROUP BY t.ok, o.od ORDER BY revenue DESC LIMIT 10")
+
+    @pytest.mark.parametrize("shape", ("_pairs", "_obs", "_q3"))
+    def test_row_partition_shapes_scatter(self, shape, engine_path):
+        columns, data, others, query = getattr(self, shape)(
+            np.random.default_rng(29))
+
+        def run(**knobs):
+            db = Database(sum_mode="repro", **knobs)
+            for name, cols, arrays in (("t", columns, data),) + others:
+                db.execute(f"CREATE TABLE {name} ({cols})")
+                db.table(name).bulk_load(arrays)
+            with db:
+                return result_bits(db.execute(query)), db.last_pipeline_stats
+
+        with engine_path("scalar"):
+            expected, _ = run()
+        for knobs in ({}, {"workers": 4}, {"shards": 2}):
+            bits, stats = run(**knobs)
+            assert bits == expected, knobs
+            assert stats.fused and stats.sharded is ("shards" in knobs)
+            assert scatter_share(stats) >= 0.8, (knobs, stats.ladder_rows_sorted)
 
 
 class TestClusteredMorsel:
@@ -420,10 +494,10 @@ def _check_pair(params, ngroups, gids, cols, reps=2, premut=None):
 
 
 def _check_scatter(params, ngroups, gids, cols, premut=None, reps=2,
-                   expect_applied=True, checked=True):
-    """``add_pairs_multi`` vs looped ``add_pairs``; asserts whether the
-    scatter fast path engaged on the final rep and that bits agree
-    either way (declined reps replay through ``add_pairs``)."""
+                   expect_sorted=0):
+    """``add_blocked_multi`` vs looped ``add_pairs``; asserts how many
+    rows (summed over tables) missed the scatter on the final rep and
+    that bits agree either way."""
     gids = np.asarray(gids, dtype=np.int64)
     cols = [np.asarray(c, dtype=params.fmt.dtype) for c in cols]
     reference = [GroupedSummation(params, ngroups) for _ in cols]
@@ -431,15 +505,13 @@ def _check_scatter(params, ngroups, gids, cols, premut=None, reps=2,
     if premut:
         premut(reference)
         premut(batched)
-    applied = None
     for _ in range(reps):
         for grouped, col in zip(reference, cols):
             grouped.add_pairs(gids, col)
-        applied = add_pairs_multi(batched, gids, cols, checked=checked)
-        if not applied:
-            for grouped, col in zip(batched, cols):
-                grouped.add_pairs(gids, col)
-    assert applied is expect_applied
+        counters = LadderCounters()
+        add_blocked_multi(batched, gids, cols, counters)
+    assert counters.sorted == expect_sorted
+    assert counters.scatter == gids.size * len(cols) - expect_sorted
     for ref, got in zip(reference, batched):
         assert ref.state_tuples() == got.state_tuples()
         assert ref.finalize().tobytes() == got.finalize().tobytes()
@@ -539,6 +611,11 @@ class TestAddSortedRunsMulti:
 
 
 class TestAddPairsMulti:
+    """The scatter of ``add_blocked_multi``, case by case (the class
+    keeps the name of the retired one-block entry point so the test ids
+    stay put): which rows scatter is asserted in row units, and the
+    bits must match ``add_pairs`` whichever path a row took."""
+
     @pytest.fixture(scope="class")
     def rng(self):
         return np.random.default_rng(11)
@@ -556,12 +633,16 @@ class TestAddPairsMulti:
                        premut=_seed_uniform(150.0))
 
     def test_fresh_tables_reach_steady_state(self, rng):
-        # Rep 1 declines (empty ladders) and replays via add_pairs,
-        # which seeds uniform e0; rep 2 takes the scatter path.
+        # Empty ladders are seeded by the rows themselves: every group
+        # holds a value of the block maximum's class, so even the first
+        # call scatters every row.
         gids = rng.integers(0, G, N)
+        _check_scatter(P64, G, gids, [rng.normal(size=N)], reps=1)
         _check_scatter(P64, G, gids, [rng.normal(size=N)])
 
     def test_demote_declines_then_applies(self, rng):
+        # Rep 1 raises every ladder through the sorted walk; rep 2
+        # finds the table uniform on the new one and scatters.
         gids = rng.integers(0, G, N)
         _check_scatter(P64, G, gids, [rng.normal(size=N) * 1e50],
                        premut=_seed_uniform(1.0))
@@ -577,31 +658,35 @@ class TestAddPairsMulti:
                        premut=_seed_uniform(1e-299))
 
     def test_nan_declines(self, rng):
+        # only the NaN rows leave the scatter
         gids = rng.integers(0, G, N)
         values = np.where(rng.random(N) < 0.01, np.nan, rng.normal(size=N))
         _check_scatter(P64, G, gids, [values], premut=_seed_uniform(150.0),
-                       expect_applied=False)
+                       expect_sorted=int(np.isnan(values).sum()))
 
     def test_inf_declines(self, rng):
+        # ±inf shows in the block maximum: the whole block walks
         gids = rng.integers(0, G, N)
         values = np.where(rng.random(N) < 0.01, -np.inf, rng.normal(size=N))
         _check_scatter(P64, G, gids, [values], premut=_seed_uniform(150.0),
-                       expect_applied=False)
+                       expect_sorted=N)
 
     def test_binary32_applies(self, rng):
         # PR 10: the scatter fast path runs binary32 ladders through
-        # the same float64 bucket trick — exact while n <= 2**(54-w).
+        # the same float64 bucket trick — exact while no group receives
+        # more than 2**(54-w) rows.
         gids = rng.integers(0, G, N)
         _check_scatter(P32, G, gids, [rng.normal(size=N).astype(np.float32)],
                        premut=_seed_uniform(np.float32(150.0)))
 
     def test_window_boundary_straddle(self, rng):
-        # The block window n <= 2**(54-w) is format-independent (the
-        # float64 bincount accumulator bounds it, not the value dtype):
-        # 2**14 rows for binary64, 2**36 for binary32 at the default
-        # widths.  One call is one block (add_blocked_multi does the
-        # walking), so straddle a narrow window with a wide-w params:
-        # exactly-at-window applies, one addend past it declines.
+        # The window 2**(54-w) is format-independent (the float64
+        # bincount accumulator bounds it, not the value dtype): 2**14
+        # rows for binary64, 2**36 for binary32 at the default widths.
+        # It bounds the rows of one *group* in one block, so straddle a
+        # narrow window (wide w) with a single group: exactly-at-window
+        # is one block, one addend past it must be split — and with
+        # many groups of few rows the same length is one block again.
         params = RsumParams(BINARY64, w=45)
         limit = 1 << (54 - 45)
         values = rng.uniform(50.0, 200.0, size=limit + 1)
@@ -610,8 +695,9 @@ class TestAddPairsMulti:
                        premut=_seed_uniform(150.0, ngroups=1), reps=1)
         _check_scatter(params, 1, np.zeros(limit + 1, dtype=np.int64),
                        [values],
-                       premut=_seed_uniform(150.0, ngroups=1), reps=1,
-                       expect_applied=False)
+                       premut=_seed_uniform(150.0, ngroups=1), reps=1)
+        _check_scatter(params, G, np.arange(limit + 1) % G, [values],
+                       premut=_seed_uniform(150.0), reps=1)
 
     def test_binary32_subnormal_anchor(self, rng):
         # Anchors near emin = -126: slices live in the subnormal range
@@ -628,33 +714,43 @@ class TestAddPairsMulti:
         v_nan[13] = np.nan
         _check_scatter(P32, G, gids, [v_nan],
                        premut=_seed_uniform(np.float32(150.0)),
-                       expect_applied=False)
+                       expect_sorted=1)
         v_inf = rng.normal(size=N).astype(np.float32)
         v_inf[7] = np.inf
         _check_scatter(P32, G, gids, [v_inf],
                        premut=_seed_uniform(np.float32(150.0)),
-                       expect_applied=False)
+                       expect_sorted=N)
 
     def test_mixed_per_group_e0_declines(self, rng):
+        # group 0 holds the prevailing ladder; the rows of every other
+        # group (one on a lower ladder, two empty and not seeded by
+        # values this small) walk
         gids = rng.integers(0, G, N)
         _check_scatter(P64, G, gids, [rng.normal(size=N)],
-                       premut=_seed_split, expect_applied=False)
+                       premut=_seed_split,
+                       expect_sorted=int((gids != 0).sum()))
 
-    def test_out_of_range_gids_decline_when_checked(self):
+    def test_out_of_range_gids_raise_the_reference_error(self):
         tables = [GroupedSummation(P64, 2)]
         tables[0].add_pairs(np.array([0, 1], dtype=np.int64),
                             np.array([1.0, 1.0]))
-        bad = np.array([0, 5], dtype=np.int64)
-        assert add_pairs_multi(tables, bad, [np.array([1.0, 2.0])]) is False
+        before = tables[0].state_tuples()
+        for bad in ([0, 5], [-1, 0]):
+            with pytest.raises(IndexError):
+                add_blocked_multi(tables, np.array(bad, dtype=np.int64),
+                                  [np.array([1.0, 2.0])])
+        assert tables[0].state_tuples() == before
 
     def test_mixed_params_rejected(self):
         tables = [GroupedSummation(P64, 2), GroupedSummation(P64L3, 2)]
         with pytest.raises(ValueError):
-            add_pairs_multi(tables, np.array([0, 1], dtype=np.int64),
-                            [np.ones(2), np.ones(2)])
+            add_blocked_multi(tables, np.array([0, 1], dtype=np.int64),
+                              [np.ones(2), np.ones(2)])
 
     def test_empty_input(self):
         tables = [GroupedSummation(P64, 2)]
-        assert add_pairs_multi(tables, np.empty(0, dtype=np.int64),
-                               [np.empty(0)]) is True
+        counters = LadderCounters()
+        add_blocked_multi(tables, np.empty(0, dtype=np.int64),
+                          [np.empty(0)], counters)
+        assert (counters.scatter, counters.sorted) == (0, 0)
         assert tables[0].finalize().tolist() == [0.0, 0.0]

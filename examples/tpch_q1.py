@@ -32,7 +32,7 @@ def main(scale_factor: float = 0.005):
 
     timings = {}
     results = {}
-    for mode in ("ieee", "repro", "repro_buffered", "sorted"):
+    for mode in ("ieee", "repro", "sorted"):
         db = Database(sum_mode=mode, levels=2)
         db.catalog.add(reference_db.table("lineitem"))
         run_q1(db)  # warm-up

@@ -59,7 +59,7 @@ import numpy as np
 from repro.engine import DEFAULT_MORSEL_SIZE, Database
 from repro.tpch import Q1_SQL, Q3_SQL, Q6_SQL, load_tpch
 
-MODES = ("repro", "repro_buffered", "sorted")
+MODES = ("repro", "sorted")
 MORSEL_SIZES = (1 << 16, 4096, 257)
 DEFAULT_TPCH_SCALE = 0.002  # ~12k lineitem rows: fast, still multi-morsel
 

@@ -112,8 +112,8 @@ def partition_ids_for_batch(batch, group_exprs, npartitions: int) -> np.ndarray:
     if npartitions <= 1 or not group_exprs:
         return np.zeros(batch.nrows, dtype=np.int64)
     from ..engine.expr import evaluate
-    from ..engine.operators import PartialGroupTable, factorize_object
     from ..engine.sql import ast
+    from ..engine.vectorized import VectorizedGroupTable
 
     parts = []
     total = 1
@@ -128,14 +128,7 @@ def partition_ids_for_batch(batch, group_exprs, npartitions: int) -> np.ndarray:
             arr = np.asarray(evaluate(expr, batch.columns, batch.types))
             if arr.shape == ():
                 arr = np.full(batch.nrows, arr)
-            if arr.dtype == object:
-                codes, uniques = factorize_object(arr)
-            else:
-                try:
-                    uniques, codes = np.unique(arr, return_inverse=True)
-                except TypeError:
-                    codes, uniques = factorize_object(arr)
-                codes = codes.astype(np.int64, copy=False)
+            codes, uniques = VectorizedGroupTable._encode_values(arr)
         total *= max(len(uniques), 1)
         parts.append((codes, uniques))
         if total >= _ROUTE_RADIX_MAX:
@@ -146,7 +139,7 @@ def partition_ids_for_batch(batch, group_exprs, npartitions: int) -> np.ndarray:
     for codes, uniques in parts[1:]:
         combined = combined * max(len(uniques), 1) + codes
     dense, inverse = np.unique(combined, return_inverse=True)
-    key_columns = PartialGroupTable._decode_columns(
+    key_columns = VectorizedGroupTable._decode_columns(
         dense,
         [uniques for _, uniques in parts],
         [max(len(uniques), 1) for _, uniques in parts],

@@ -66,7 +66,6 @@ def _build_task(aggregate, scan, chain_ops, joins, context):
         "agg_calls": tuple(spec.call for spec in aggregate.specs),
         "sum_mode": sum_config.mode,
         "sum_levels": sum_config.levels,
-        "sum_buffer": sum_config.buffer_size,
         "types": dict(scan.types),
         "column_map": dict(scan.column_map),
         "encode_keys": tuple(scan.encode_keys),
@@ -273,8 +272,7 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
             fresh,
         )
         root.merge(fresh)
-        if ladders[shard] is not None:
-            ladder.merge(ladders[shard])
+        ladder.merge(ladders[shard])
     stats.merge_seconds = time.thread_time() - merge_started
 
     finalize_started = time.thread_time()

@@ -187,9 +187,7 @@ def _local_joins(task, builds):
 
 def _execute_task(task, replica, host, builds):
     """Run one shard-local partial aggregation; returns the table."""
-    sum_config = SumConfig(
-        task["sum_mode"], task["sum_levels"], task["sum_buffer"]
-    )
+    sum_config = SumConfig(task["sum_mode"], task["sum_levels"])
     specs = [AggregateSpec(call, sum_config) for call in task["agg_calls"]]
     group_exprs = tuple(task["group_exprs"])
     morsels = _shard_morsels(task, replica)
@@ -271,7 +269,7 @@ def worker_main(conn) -> None:
                 frame = frame_payload(dump_table(table))
                 conn.send(
                     ("partial", shard_id, table.ngroups, nmorsels, busy,
-                     frame, getattr(table, "ladder", None))
+                     frame, table.ladder)
                 )
             else:
                 raise ValueError(f"unknown shard request {kind!r}")

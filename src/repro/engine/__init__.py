@@ -8,7 +8,7 @@ operator choice (:mod:`repro.engine.physical`, inspectable via
 updates, a bit-reproducible hash equi-join (:mod:`repro.engine.join`),
 a morsel-driven parallel pipeline with partial-aggregate/exact-merge
 GROUP BY, and a SUM implementation selectable per session (``ieee`` /
-``repro`` / ``repro_buffered`` / ``sorted``) plus the explicit
+``repro`` / ``sorted``) plus the explicit
 ``RSUM(expr, L)`` aggregate the paper proposes in Section V-D.  In the
 repro modes the result bits are invariant under the ``workers``,
 ``morsel_size``, ``join_build`` and ``memory_budget`` execution knobs
@@ -42,9 +42,7 @@ from .operators import (
     AggregateSpec,
     Batch,
     OperatorTimings,
-    PartialGroupTable,
     SumConfig,
-    grouped_float_sum,
 )
 from .pipeline import (
     DEFAULT_MORSEL_SIZE,
@@ -108,7 +106,6 @@ __all__ = [
     "PipelineStats",
     "DEFAULT_MORSEL_SIZE",
     "AggregateSpec",
-    "PartialGroupTable",
     "VectorizedGroupTable",
     "SortedMorsel",
     "run_grouped_pipeline",
@@ -136,7 +133,6 @@ __all__ = [
     "Batch",
     "SumConfig",
     "OperatorTimings",
-    "grouped_float_sum",
     "parse",
     "parse_expression",
     "tokenize",

@@ -1,0 +1,726 @@
+"""The physical aggregate states — one definition of each.
+
+The paper's design point (Section IV) is that the reproducible
+accumulator is a *drop-in numeric type*: GROUP BY does not care which
+accumulator sits behind ``SUM``.  This module is where that holds.  A
+group table (:mod:`repro.engine.vectorized`) owns a list of states and
+knows nothing about what is inside them; each state class owns its
+whole life cycle::
+
+    update(batch, cache, gids, morsel, ngroups)   consume one morsel
+    retract(...)                 exact inverse of update (where one exists)
+    merge(other, mapping, ngroups)   fold a partial in; mapping[g] is the
+                                     target group of other's group g
+    finalize(ngroups)            per-group results, table gid order
+    approx_bytes()               resident size, for the memory budget
+    dump() / load(data)          the spill / shard-exchange payload tree
+
+``cache`` is the morsel's :class:`~repro.engine.expr.ExprCache` and
+``morsel`` its :class:`~repro.engine.vectorized.SortedMorsel` (one lazy
+sort by group id, shared by every state that needs segments).
+
+``SUM`` picks one of three accumulators from its input type and the
+session mode on the first morsel: :class:`PlainSum` (exact int64 for
+INT / BOOL / bare DECIMAL columns; IEEE floats in ``ieee`` mode),
+:class:`LadderSum` (the reproducible rsum ladder of ``repro`` mode and
+``RSUM``; built ``retractable`` it keeps the full grid so deletes
+subtract exactly) and :class:`SortedSum` (``sorted`` mode).  For the
+repro accumulator update and merge are *exact*, which is what makes a
+parallel, spilled or sharded GROUP BY bit-reproducible.
+
+AVG, VARIANCE and STDDEV are not states: the table finalizes them from
+a shared :class:`SumState` / :class:`Moment2State` and the common
+:class:`CountState`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..aggregation.grouped import GroupedSummation, add_blocked_multi
+from ..aggregation.retractable import RetractableGroupedSummation
+from ..core.params import RsumParams
+from ..errors import SpillFormatError
+from ..fp.formats import BINARY32, BINARY64
+from ..storage.spill import dump_grouped_summation, load_grouped_summation
+from .expr import ExprError
+from .operators import canonical_float_bits, factorize_object
+from .sql import ast
+from .types import DecimalSqlType
+
+__all__ = [
+    "CountState",
+    "DistinctState",
+    "LadderSum",
+    "MinMaxState",
+    "Moment2State",
+    "PlainSum",
+    "SortedSum",
+    "SumState",
+    "sum_value_kind",
+    "update_ladders",
+]
+
+
+def _grown(arr: np.ndarray, n: int) -> np.ndarray:
+    """Zero-extend a per-group array to ``n`` groups."""
+    if len(arr) >= n:
+        return arr
+    out = np.zeros(n, dtype=arr.dtype)
+    out[: len(arr)] = arr
+    return out
+
+
+def _expect_tag(data, tag: str) -> None:
+    if not isinstance(data, dict) or data.get("tag") != tag:
+        raise SpillFormatError(
+            f"state payload tag mismatch: wanted {tag!r}, "
+            f"got {data.get('tag') if isinstance(data, dict) else data!r}"
+        )
+
+
+class CountState:
+    """COUNT(*) / COUNT(expr): rows per group (also AVG's and the
+    VARIANCE family's shared denominator)."""
+
+    tag = "count"
+
+    def __init__(self):
+        self.counts = np.zeros(0, dtype=np.int64)
+
+    def update(self, batch, cache, gids, morsel, ngroups: int) -> None:
+        self.counts = _grown(self.counts, ngroups)
+        if gids.size:
+            self.counts += np.bincount(gids, minlength=ngroups)
+
+    def retract(self, batch, cache, gids, morsel, ngroups: int) -> None:
+        self.counts = _grown(self.counts, ngroups)
+        if gids.size:
+            self.counts -= np.bincount(gids, minlength=ngroups)
+
+    def merge(self, other: "CountState", mapping, ngroups: int) -> None:
+        self.counts = _grown(self.counts, ngroups)
+        np.add.at(self.counts, mapping, _grown(other.counts, len(mapping)))
+
+    def finalize(self, ngroups: int) -> np.ndarray:
+        return _grown(self.counts, ngroups)
+
+    def approx_bytes(self) -> int:
+        return self.counts.nbytes
+
+    def dump(self) -> dict:
+        return {"tag": self.tag, "counts": self.counts}
+
+    def load(self, data: dict) -> None:
+        _expect_tag(data, self.tag)
+        self.counts = np.asarray(data["counts"], dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# SUM: three accumulators behind one state
+# ---------------------------------------------------------------------------
+
+
+class PlainSum:
+    """Accumulator-array sums: exact for int64 (INT/BOOL columns and
+    unscaled DECIMAL storage, with the scale applied at finalize); for
+    float dtypes this is the conventional IEEE mode — merge order is
+    deterministic but the result depends on how the input was split
+    (non-reproducible)."""
+
+    kind = "plain"
+
+    def __init__(self, dtype, scale: int | None = None):
+        self.scale = scale
+        self.sums = np.zeros(0, dtype=dtype)
+
+    def empty_like(self):
+        return PlainSum(self.sums.dtype, self.scale)
+
+    def approx_bytes(self) -> int:
+        return self.sums.nbytes
+
+    def add(self, values, gids, morsel, ngroups: int) -> None:
+        """Unbuffered accumulation in physical row order, so the
+        order-*sensitive* IEEE mode means the same thing whether a
+        kernel or the interpreter feeds it."""
+        self.sums = _grown(self.sums, ngroups)
+        if gids.size:
+            # +inf meeting -inf in one IEEE group is NaN: the right
+            # answer, not worth a RuntimeWarning.
+            with np.errstate(invalid="ignore"):
+                np.add.at(self.sums, gids, values)
+
+    def add_sorted(self, values, morsel, ngroups: int) -> None:
+        """Segmented update for the exact int64 accumulators: integer
+        addition is associative, so one ``reduceat`` partial per sorted
+        run plus a per-segment scatter is bit-identical to :meth:`add`
+        and far cheaper than per-element ``ufunc.at``.  Never used for
+        float accumulators (IEEE adds are order-sensitive; those keep
+        physical row order)."""
+        self.sums = _grown(self.sums, ngroups)
+        if morsel.gids.size:
+            seg = np.add.reduceat(
+                morsel.take(values).astype(np.int64, copy=False),
+                morsel.starts,
+            )
+            np.add.at(self.sums, morsel.seg_gids, seg)
+
+    def retract(self, values, gids, morsel, ngroups: int) -> None:
+        """Inverse of :meth:`add` — exact for the int64 accumulators
+        only; IEEE subtraction carries rounding residue, so float plain
+        sums are excluded from incremental view maintenance (see
+        :meth:`AggregateSpec.supports_retraction`)."""
+        self.sums = _grown(self.sums, ngroups)
+        if gids.size:
+            np.subtract.at(self.sums, gids, values)
+
+    def merge(self, other: "PlainSum", mapping, ngroups: int) -> None:
+        self.sums = _grown(self.sums, ngroups)
+        with np.errstate(invalid="ignore"):  # +inf + -inf, as in add()
+            np.add.at(self.sums, mapping, _grown(other.sums, len(mapping)))
+
+    def finalize(self, ngroups: int) -> np.ndarray:
+        sums = _grown(self.sums, ngroups)
+        if self.scale is not None:
+            return sums.astype(np.float64) / 10.0**self.scale
+        return sums
+
+    def dump(self) -> dict:
+        return {
+            "kind": self.kind,
+            "dtype": self.sums.dtype.str,
+            "scale": self.scale,
+            "sums": self.sums,
+        }
+
+    @classmethod
+    def load(cls, data: dict) -> "PlainSum":
+        acc = cls(np.dtype(data["dtype"]), data["scale"])
+        acc.sums = np.asarray(data["sums"])
+        return acc
+
+
+class LadderSum:
+    """Reproducible sums: one rsum ladder per group, exact merge.
+
+    ``retractable=True`` (incremental view maintenance) keeps the
+    full-grid :class:`~repro.aggregation.retractable.
+    RetractableGroupedSummation` instead of the truncated L-level
+    ladder, which adds an exact :meth:`retract`; its ``finalize``
+    renders down to the truncated ladder first, so the produced bits
+    equal the query-time accumulator's.
+    """
+
+    kind = "repro"
+
+    def __init__(self, dtype, levels: int, retractable: bool = False):
+        self.dtype = np.dtype(dtype)
+        self.levels = levels
+        self.retractable = retractable
+        fmt = BINARY32 if self.dtype == np.float32 else BINARY64
+        self.params = RsumParams(fmt, levels)
+        table = RetractableGroupedSummation if retractable else GroupedSummation
+        self.grouped = table(self.params, 0)
+
+    def empty_like(self):
+        return LadderSum(self.dtype, self.levels, self.retractable)
+
+    def approx_bytes(self) -> int:
+        return self.grouped.nbytes()
+
+    def _grow(self, ngroups: int) -> None:
+        if self.grouped.ngroups < ngroups:
+            self.grouped.resize(ngroups)
+
+    def add(self, values, gids, morsel, ngroups: int) -> None:
+        if not self.retractable:
+            update_ladders((self,), (values,), gids, morsel, ngroups)
+            return
+        self._grow(ngroups)
+        if gids.size:
+            self.grouped.add_pairs(gids, values.astype(self.params.fmt.dtype))
+
+    def retract(self, values, gids, morsel, ngroups: int) -> None:
+        self._grow(ngroups)
+        if gids.size:
+            self.grouped.retract_pairs(
+                gids, values.astype(self.params.fmt.dtype)
+            )
+
+    def merge(self, other: "LadderSum", mapping, ngroups: int) -> None:
+        self._grow(ngroups)
+        other._grow(len(mapping))
+        self.grouped.merge(other.grouped, np.asarray(mapping, dtype=np.int64))
+
+    def finalize(self, ngroups: int) -> np.ndarray:
+        self._grow(ngroups)
+        return self.grouped.finalize()
+
+    def dump(self) -> dict:
+        return {
+            "kind": self.kind,
+            "dtype": self.dtype.str,
+            "levels": int(self.levels),
+            "grouped": dump_grouped_summation(self.grouped),
+        }
+
+    @classmethod
+    def load(cls, data: dict) -> "LadderSum":
+        acc = cls(np.dtype(data["dtype"]), int(data["levels"]))
+        acc.grouped = load_grouped_summation(data["grouped"])
+        return acc
+
+
+def update_ladders(accs, rows, gids: np.ndarray, morsel, ngroups: int) -> None:
+    """Feed one morsel into ``k`` same-parameter :class:`LadderSum`
+    accumulators (``rows[i]`` goes to ``accs[i]``) with one call into
+    :func:`~repro.aggregation.grouped.add_blocked_multi` — exact, so
+    neither its blocking nor its sorting can change the bits."""
+    groupeds = []
+    for acc in accs:
+        acc._grow(ngroups)
+        groupeds.append(acc.grouped)
+    add_blocked_multi(groupeds, gids, rows, morsel.counters)
+
+
+class SortedSum:
+    """Sort-based reproducible sums.
+
+    Partials buffer the raw (gid, value) pairs; finalize sorts all pairs
+    by (group, value-bits) and accumulates.  Because the final sort
+    canonicalises the pair order, the result bits are independent of how
+    the input was split across morsels and workers.
+    """
+
+    kind = "sorted"
+
+    def __init__(self, dtype):
+        self.dtype = np.dtype(dtype)
+        self.chunks: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def empty_like(self):
+        return SortedSum(self.dtype)
+
+    def approx_bytes(self) -> int:
+        return sum(g.nbytes + v.nbytes for g, v in self.chunks)
+
+    def add(self, values, gids, morsel, ngroups: int) -> None:
+        if gids.size:
+            self.chunks.append((gids, values))
+
+    def merge(self, other: "SortedSum", mapping, ngroups: int) -> None:
+        for gids, values in other.chunks:
+            self.chunks.append((np.asarray(mapping)[gids], values))
+
+    def finalize(self, ngroups: int) -> np.ndarray:
+        if not self.chunks:
+            return np.zeros(ngroups, dtype=self.dtype)
+        gids = np.concatenate([g for g, _ in self.chunks])
+        values = np.concatenate([v for _, v in self.chunks])
+        bits = values.view(
+            np.uint32 if values.dtype == np.float32 else np.uint64
+        )
+        order = np.lexsort((bits, gids))
+        out = np.zeros(ngroups, dtype=values.dtype)
+        with np.errstate(invalid="ignore"):  # +inf + -inf is NaN, quietly
+            np.add.at(out, gids[order], values[order])
+        return out
+
+    def dump(self) -> dict:
+        return {
+            "kind": self.kind,
+            "dtype": self.dtype.str,
+            "chunks": [list(chunk) for chunk in self.chunks],
+        }
+
+    @classmethod
+    def load(cls, data: dict) -> "SortedSum":
+        acc = cls(np.dtype(data["dtype"]))
+        acc.chunks = [
+            (np.asarray(gids, dtype=np.int64), np.asarray(values))
+            for gids, values in data["chunks"]
+        ]
+        return acc
+
+
+_ACCUMULATORS = {cls.kind: cls for cls in (PlainSum, LadderSum, SortedSum)}
+
+
+def _float_accumulator(dtype, mode: str, levels: int, retractable: bool):
+    if mode == "ieee":
+        return PlainSum(dtype)
+    if mode == "repro":
+        return LadderSum(dtype, levels, retractable)
+    if mode == "sorted":
+        return SortedSum(dtype)
+    raise ValueError(f"unknown sum mode {mode!r}")
+
+
+def _dump_accumulator(acc) -> dict:
+    return {"kind": "none"} if acc is None else acc.dump()
+
+
+def _load_accumulator(data: dict):
+    kind = data.get("kind")
+    if kind == "none":
+        return None
+    if kind not in _ACCUMULATORS:
+        raise SpillFormatError(f"unknown sum impl kind {kind!r}")
+    return _ACCUMULATORS[kind].load(data)
+
+
+def sum_value_kind(arg: ast.Expr, types: dict, values_of):
+    """``(kind, decimal scale)`` of SUM's input — THE dispatch both the
+    interpreted update and the fused emitter take.
+
+    ``"decimal"``: a bare DECIMAL column, summed exactly over its raw
+    unscaled int64 storage (the argument is never evaluated);
+    ``"int"`` / ``"float"`` by the dtype of ``values_of(arg)``, which
+    evaluates the argument over the morsel (interpreter) or over a
+    zero-length probe of the scan schema (emitter).
+    """
+    if isinstance(arg, ast.ColumnRef):
+        sql_type = types.get(arg.name.lower())
+        if isinstance(sql_type, DecimalSqlType):
+            return "decimal", sql_type.scale
+    kind = np.asarray(values_of(arg)).dtype.kind
+    return ("int" if kind in "iub" else "float"), None
+
+
+class SumState:
+    """SUM / RSUM over one expression (and AVG's numerator); the
+    accumulator is chosen from the input on the first morsel."""
+
+    tag = "sum"
+
+    def __init__(self, arg: ast.Expr, mode: str, levels: int,
+                 retractable: bool = False):
+        self.arg = arg
+        self.mode = mode
+        self.levels = levels
+        self.retractable = retractable
+        self.acc = None
+
+    def new_accumulator(self, kind: str, scale, dtype):
+        if kind in ("decimal", "int"):
+            return PlainSum(np.int64, scale)
+        return _float_accumulator(
+            dtype, self.mode, self.levels, self.retractable
+        )
+
+    def _input(self, batch, cache):
+        kind, scale = sum_value_kind(
+            self.arg, batch.types, lambda arg: cache.values(arg, batch.nrows)
+        )
+        if kind == "decimal":
+            values = batch.columns[self.arg.name.lower()]
+        else:
+            values = cache.values(self.arg, batch.nrows)
+        if self.acc is None:
+            self.acc = self.new_accumulator(kind, scale, values.dtype)
+        return values
+
+    def update(self, batch, cache, gids, morsel, ngroups: int) -> None:
+        values = self._input(batch, cache)
+        self.acc.add(values, gids, morsel, ngroups)
+
+    def retract(self, batch, cache, gids, morsel, ngroups: int) -> None:
+        values = self._input(batch, cache)
+        self.acc.retract(values, gids, morsel, ngroups)
+
+    def merge(self, other: "SumState", mapping, ngroups: int) -> None:
+        if other.acc is None:
+            return
+        if self.acc is None:
+            self.acc = other.acc.empty_like()
+        self.acc.merge(other.acc, mapping, ngroups)
+
+    def finalize(self, ngroups: int) -> np.ndarray:
+        if self.acc is None:
+            return np.zeros(ngroups, dtype=np.float64)
+        return self.acc.finalize(ngroups)
+
+    def approx_bytes(self) -> int:
+        return 0 if self.acc is None else self.acc.approx_bytes()
+
+    def dump(self) -> dict:
+        return {"tag": self.tag, "impl": _dump_accumulator(self.acc)}
+
+    def load(self, data: dict) -> None:
+        _expect_tag(data, self.tag)
+        self.acc = _load_accumulator(data["impl"])
+
+
+class Moment2State:
+    """SUM(x) and SUM(x*x) behind the VARIANCE / STDDEV family — the
+    paper's footnote-2 recipe: with a reproducible SUM these become
+    reproducible too.  ``x*x`` is element-wise (order-free), so
+    retracting the squares is as exact as adding them was.  Counts live
+    in the table's common :class:`CountState`."""
+
+    tag = "moment2"
+
+    def __init__(self, arg: ast.Expr, mode: str, levels: int,
+                 retractable: bool = False):
+        self.arg = arg
+        self.mode = mode
+        self.levels = levels
+        self.sum_x = _float_accumulator(np.float64, mode, levels, retractable)
+        self.sum_xx = _float_accumulator(np.float64, mode, levels, retractable)
+
+    def _powers(self, batch, cache):
+        values = np.asarray(cache.values(self.arg, batch.nrows),
+                            dtype=np.float64)
+        return values, values * values
+
+    def update(self, batch, cache, gids, morsel, ngroups: int) -> None:
+        x, xx = self._powers(batch, cache)
+        self.sum_x.add(x, gids, morsel, ngroups)
+        self.sum_xx.add(xx, gids, morsel, ngroups)
+
+    def retract(self, batch, cache, gids, morsel, ngroups: int) -> None:
+        x, xx = self._powers(batch, cache)
+        self.sum_x.retract(x, gids, morsel, ngroups)
+        self.sum_xx.retract(xx, gids, morsel, ngroups)
+
+    def merge(self, other: "Moment2State", mapping, ngroups: int) -> None:
+        self.sum_x.merge(other.sum_x, mapping, ngroups)
+        self.sum_xx.merge(other.sum_xx, mapping, ngroups)
+
+    def finalize(self, ngroups: int):
+        """``(SUM(x), SUM(x*x))`` per group."""
+        return self.sum_x.finalize(ngroups), self.sum_xx.finalize(ngroups)
+
+    def approx_bytes(self) -> int:
+        return self.sum_x.approx_bytes() + self.sum_xx.approx_bytes()
+
+    def dump(self) -> dict:
+        return {
+            "tag": self.tag,
+            "sum_x": self.sum_x.dump(),
+            "sum_xx": self.sum_xx.dump(),
+        }
+
+    def load(self, data: dict) -> None:
+        _expect_tag(data, self.tag)
+        self.sum_x = _load_accumulator(data["sum_x"])
+        self.sum_xx = _load_accumulator(data["sum_xx"])
+
+
+# ---------------------------------------------------------------------------
+# COUNT(DISTINCT), MIN / MAX
+# ---------------------------------------------------------------------------
+
+
+def _canonical_distinct_codes(values: np.ndarray):
+    """Dictionary-encode one morsel's values for DISTINCT counting.
+
+    Returns ``(codes, members)``: ``codes[i]`` indexes ``members``, a
+    list of hashable canonical representatives — canonical float bit
+    patterns (:func:`canonical_float_bits`), plain Python values
+    otherwise.
+    """
+    if values.dtype.kind == "f":
+        bits = canonical_float_bits(values)
+        uniques, codes = np.unique(bits, return_inverse=True)
+        return codes.astype(np.int64, copy=False), uniques.tolist()
+    if values.dtype == object:
+        codes, uniques = factorize_object(values)
+        return codes, uniques.tolist()
+    uniques, codes = np.unique(values, return_inverse=True)
+    return codes.astype(np.int64, copy=False), uniques.tolist()
+
+
+class DistinctState:
+    """COUNT(DISTINCT expr): per-group collections of canonical values.
+
+    The partial state is a plain set per group, so update and merge are
+    *exact* for any morsel split, worker count, or join build side —
+    the same horizontal-merge property the repro SUM states have, which
+    is what keeps COUNT(DISTINCT) in the bit-reproducible family.  Each
+    morsel is dictionary-encoded once and the (gid, code) pairs
+    deduplicated vectorized before the Python collections are touched.
+
+    ``retractable=True`` (incremental view maintenance) keeps a
+    ``{member: occurrences}`` dict per group instead: a deleted row
+    decrements its value's refcount and the member only disappears with
+    its last occurrence.  Finalize counts members either way, so both
+    forms are byte-identical over the same live rows.
+    """
+
+    tag = "distinct"
+
+    def __init__(self, arg: ast.Expr, retractable: bool = False):
+        self.arg = arg
+        self.retractable = retractable
+        #: one set (or refcount dict) per group
+        self.groups: list = []
+        #: running total of members, maintained incrementally so
+        #: :meth:`approx_bytes` is O(1) (budget accounting runs per
+        #: morsel)
+        self.member_count = 0
+
+    def _grow(self, ngroups: int) -> None:
+        empty = dict if self.retractable else set
+        while len(self.groups) < ngroups:
+            self.groups.append(empty())
+
+    def _pairs(self, batch, cache, gids):
+        """``(pair codes, base, members)``: row ``i`` holds member
+        ``members[code % base]`` in group ``code // base``."""
+        codes, members = _canonical_distinct_codes(
+            cache.values(self.arg, batch.nrows)
+        )
+        base = max(len(members), 1)
+        return gids.astype(np.int64) * base + codes, base, members
+
+    def update(self, batch, cache, gids, morsel, ngroups: int) -> None:
+        self._grow(ngroups)
+        if not gids.size:
+            return
+        if self.retractable:
+            self._count(batch, cache, gids, +1)
+            return
+        pairs, base, members = self._pairs(batch, cache, gids)
+        for pair in np.unique(pairs).tolist():
+            gid, code = divmod(pair, base)
+            group = self.groups[gid]
+            before = len(group)
+            group.add(members[code])
+            self.member_count += len(group) - before
+
+    def retract(self, batch, cache, gids, morsel, ngroups: int) -> None:
+        self._grow(ngroups)
+        if gids.size:
+            self._count(batch, cache, gids, -1)
+
+    def _count(self, batch, cache, gids, sign: int) -> None:
+        pairs, base, members = self._pairs(batch, cache, gids)
+        pairs, counts = np.unique(pairs, return_counts=True)
+        for pair, count in zip(pairs.tolist(), counts.tolist()):
+            gid, code = divmod(pair, base)
+            group = self.groups[gid]
+            member = members[code]
+            total = group.get(member, 0) + sign * count
+            if total > 0:
+                if member not in group:
+                    self.member_count += 1
+                group[member] = total
+            elif total == 0 and member in group:
+                del group[member]
+                self.member_count -= 1
+            elif total < 0:
+                raise ValueError(
+                    f"retract of unseen DISTINCT value {member!r}"
+                )
+
+    def merge(self, other: "DistinctState", mapping, ngroups: int) -> None:
+        self._grow(ngroups)
+        for gid, theirs in enumerate(other.groups):
+            if not theirs:
+                continue
+            target = self.groups[mapping[gid]]
+            before = len(target)
+            if self.retractable:
+                for member, count in theirs.items():
+                    target[member] = target.get(member, 0) + count
+            else:
+                target |= theirs
+            self.member_count += len(target) - before
+
+    def finalize(self, ngroups: int) -> np.ndarray:
+        self._grow(ngroups)
+        return np.array(
+            [len(group) for group in self.groups[:ngroups]], dtype=np.int64
+        )
+
+    def approx_bytes(self) -> int:
+        # ~one collection header per group plus ~64 bytes per member
+        # (slot + boxed value; 96 with a refcount) — a deliberate
+        # over-estimate so budgets spill DISTINCT state early rather
+        # than late.
+        per_member = 96 if self.retractable else 64
+        return 64 * len(self.groups) + per_member * self.member_count
+
+    def dump(self) -> dict:
+        return {"tag": self.tag, "sets": [set(g) for g in self.groups]}
+
+    def load(self, data: dict) -> None:
+        _expect_tag(data, self.tag)
+        self.groups = [set(members) for members in data["sets"]]
+        self.member_count = sum(len(group) for group in self.groups)
+
+
+class MinMaxState:
+    """MIN / MAX: one extreme per group (not retractable — a bounded
+    extreme forgets the runner-up)."""
+
+    tag = "minmax"
+
+    def __init__(self, arg: ast.Expr, is_min: bool):
+        self.arg = arg
+        self.name = "MIN" if is_min else "MAX"
+        self.ufunc = np.minimum if is_min else np.maximum
+        self.extremes: np.ndarray | None = None
+        self.seen = np.zeros(0, dtype=bool)
+
+    def _grow(self, ngroups: int, dtype) -> None:
+        if self.extremes is None:
+            self.extremes = np.empty(0, dtype=dtype)
+        if len(self.extremes) < ngroups:
+            pad = np.empty(ngroups - len(self.extremes),
+                           dtype=self.extremes.dtype)
+            self.extremes = np.concatenate([self.extremes, pad])
+            grown_seen = np.zeros(ngroups, dtype=bool)
+            grown_seen[: len(self.seen)] = self.seen
+            self.seen = grown_seen
+
+    def _combine(self, idx: np.ndarray, ext: np.ndarray) -> None:
+        known = self.seen[idx]
+        fresh = idx[~known]
+        self.extremes[fresh] = ext[~known]
+        self.seen[fresh] = True
+        old = idx[known]
+        if old.size:
+            self.extremes[old] = self.ufunc(self.extremes[old], ext[known])
+
+    def add(self, values, gids, morsel, ngroups: int) -> None:
+        """One ``reduceat`` per sorted run of the morsel (what a fused
+        kernel calls with its already-evaluated argument)."""
+        self._grow(ngroups, values.dtype)
+        if gids.size:
+            self._combine(
+                morsel.seg_gids,
+                self.ufunc.reduceat(morsel.take(values), morsel.starts),
+            )
+
+    def update(self, batch, cache, gids, morsel, ngroups: int) -> None:
+        self.add(cache.values(self.arg, batch.nrows), gids, morsel, ngroups)
+
+    def merge(self, other: "MinMaxState", mapping, ngroups: int) -> None:
+        if other.extremes is None:
+            return
+        self._grow(ngroups, other.extremes.dtype)
+        src = np.flatnonzero(other.seen)
+        if src.size:
+            self._combine(np.asarray(mapping)[src], other.extremes[src])
+
+    def finalize(self, ngroups: int) -> np.ndarray:
+        if (self.extremes is None or len(self.extremes) < ngroups
+                or not self.seen[:ngroups].all()):
+            raise ExprError(f"{self.name} over empty input")
+        return self.extremes[:ngroups]
+
+    def approx_bytes(self) -> int:
+        extremes = 0 if self.extremes is None else self.extremes.nbytes
+        return extremes + self.seen.nbytes
+
+    def dump(self) -> dict:
+        return {"tag": self.tag, "extremes": self.extremes, "seen": self.seen}
+
+    def load(self, data: dict) -> None:
+        _expect_tag(data, self.tag)
+        extremes = data["extremes"]
+        self.extremes = None if extremes is None else np.asarray(extremes)
+        self.seen = np.asarray(data["seen"], dtype=bool)

@@ -1,8 +1,8 @@
 """Fused, plan-specialized morsel kernels.
 
 The group table (:mod:`repro.engine.vectorized`) already batches the
-arithmetic, but interpreted it still pays tax per morsel: one Python
-dispatch per physical state, one :class:`~repro.engine.expr.
+arithmetic, but its own ``update()`` still pays tax per morsel: one
+Python dispatch per physical state, one :class:`~repro.engine.expr.
 ExprCache` dictionary probe per sub-expression, and one independent
 rsum ladder walk per reproducible aggregate.  This module removes that
 tax for *qualifying* plans by compiling scan -> filter -> project ->
@@ -29,45 +29,35 @@ same table:
    :func:`~repro.aggregation.grouped.add_blocked_multi` call per
    morsel, instead of N independent ladder walks.
 
-Reproducibility is preserved by construction: the kernels reuse the
-exact state objects and update arithmetic of the interpreted table
-(:func:`_update_float_sum`, ``ufunc.reduceat`` extremes, int64
-segmented sums that are associative, and the multi-column ladder sweep
-that is proven bit-identical to the per-table walk), so fused results
-are byte-identical to the interpreted table and to the scalar
-reference in every sum mode.  Whether a plan fuses is the planner's
-decision alone — there is no switch; plans the generator cannot
-express run the same table interpreted, with the reason in EXPLAIN
-(``unfused:<reason>``).
+Reproducibility is preserved by construction: the kernels feed the
+table's own state objects through the states' own methods
+(:mod:`repro.engine.aggregates`: ``add`` / ``add_sorted`` / one
+batched :func:`~repro.engine.aggregates.update_ladders`), so fused
+results are byte-identical to the interpreted table and to the
+row-order test reference in every sum mode.  Whether a plan fuses is
+the planner's decision alone — there is no switch; plans the generator
+cannot express run the same table interpreted, with the reason in
+EXPLAIN (``unfused:<reason>``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expr import SCALAR_FUNCTIONS, evaluate, expression_columns
-from .operators import (
-    Batch,
-    PartialGroupTable,
-    _PlainSumImpl,
-    _ReproSumImpl,
-    _make_float_sum_impl,
+from .aggregates import (
+    CountState,
+    DistinctState,
+    MinMaxState,
+    Moment2State,
+    SumState,
+    sum_value_kind,
+    update_ladders,
 )
+from .expr import SCALAR_FUNCTIONS, evaluate, expression_columns
 from .pipeline import ExecutionContext
 from .sql import ast
 from .types import DecimalSqlType
-from .vectorized import (
-    ClusteredMorsel,
-    SortedMorsel,
-    VectorizedGroupTable,
-    _update_float_sum,
-    update_ladders,
-    _VecCountState,
-    _VecDistinctCountState,
-    _VecMinMaxState,
-    _VecSecondMomentState,
-    _VecSumState,
-)
+from .vectorized import ClusteredMorsel, SortedMorsel, VectorizedGroupTable
 
 __all__ = ["FusedKernel", "compile_fused"]
 
@@ -106,38 +96,6 @@ class FusedKernel:
 
 
 # ---------------------------------------------------------------------------
-# Runtime helpers referenced from generated code
-# ---------------------------------------------------------------------------
-
-def _scalar_fallback(table, batch: Batch, sel):
-    """Radix-overflow escape hatch: register keys through the scalar
-    per-morsel key table, exactly like the interpreted path does."""
-    if sel is not None:
-        batch = batch.filter(sel)
-    return PartialGroupTable._factorize(table, batch)
-
-
-def _joined_fallback(table, columns: dict, types: dict):
-    """Radix-overflow escape hatch for join kernels.  There is no
-    input batch to re-filter — the surviving rows only exist as the
-    kernel's post-probe gathered arrays — so those columns are wrapped
-    into a batch and re-enter key registration through the scalar
-    path, exactly like the interpreted join pipeline would."""
-    return PartialGroupTable._factorize(table, Batch(columns, types))
-
-
-def _minmax_update(state, values, gids, morsel, ngroups: int) -> None:
-    """Mirror of :meth:`_VecMinMaxState.update_vec` minus the cache."""
-    state._grow(ngroups, values.dtype)
-    if gids.size == 0:
-        return
-    state._combine(
-        morsel.seg_gids,
-        state.ufunc.reduceat(morsel.take(values), morsel.starts),
-    )
-
-
-# ---------------------------------------------------------------------------
 # The code generator
 # ---------------------------------------------------------------------------
 
@@ -165,7 +123,6 @@ class _Emitter:
         self.lines: list[str] = []
         self.consts: dict = {}        # (type name, repr) -> const name
         self.const_values: dict = {}  # const name -> value
-        self.factories: dict = {}     # factory name -> callable
         self._counter = 0
         self._memo: dict[str, str] = {}
         self._bmemo: dict[str, str] = {}
@@ -191,11 +148,6 @@ class _Emitter:
             name = f"_K{len(self.consts)}"
             self.consts[key] = name
             self.const_values[name] = value
-        return name
-
-    def factory(self, fn) -> str:
-        name = f"_mk{len(self.factories)}"
-        self.factories[name] = fn
         return name
 
     def reset_stage(self) -> None:
@@ -457,11 +409,7 @@ def _emit_group_ids(em: _Emitter, aggregate, have_filters: bool) -> None:
         else:
             em.emit(f"_pc{j}, _pu{j} = _ENC({em.values_tok(expr)})")
         em.emit(f"_parts.append((_pc{j}, _pu{j}, max(len(_pu{j}), 1)))")
-    fallback_sel = "_sel" if have_filters else "None"
-    em.emit(
-        "_gids = table._gids_from_parts(_parts, _ae, "
-        f"lambda: _FB(table, batch, {fallback_sel}))"
-    )
+    em.emit("_gids = table._gids_from_parts(_parts, _ae)")
 
 
 def _rows_group_plan(ops, origins, aggregate, em: _Emitter):
@@ -565,16 +513,15 @@ def _emit_group_ids_rows(em: _Emitter, plan, bt_var: str) -> None:
     )
 
 
-def _emit_group_ids_joined(em: _Emitter, aggregate, stage2_columns) -> None:
+def _emit_group_ids_joined(em: _Emitter, aggregate) -> None:
     """Group-id emission after one or more fused probes.  The rows no
     longer correspond to input-batch positions, so dictionary
     encodings cannot be consulted (their codes index the pre-probe
-    batch) and the radix fallback re-wraps the gathered survivor
-    columns instead of re-filtering the batch.  Skipping the encoding
-    fast path is bit-safe: group-id *numbering* within a morsel never
-    reaches the results — rows keep their relative order through the
-    stable sorted morsel and finalize orders groups by canonical key
-    values, which are identical either way."""
+    batch).  Skipping the encoding fast path is bit-safe: group-id
+    *numbering* within a morsel never reaches the results — rows keep
+    their relative order through the stable sorted morsel and finalize
+    orders groups by canonical key values, which are identical either
+    way."""
     if not aggregate.group_exprs:
         em.emit("_gids = np.zeros(_n, dtype=np.int64)")
         return
@@ -582,13 +529,7 @@ def _emit_group_ids_joined(em: _Emitter, aggregate, stage2_columns) -> None:
     for j, expr in enumerate(aggregate.group_exprs):
         em.emit(f"_gc{j}, _gu{j} = _ENC({em.values_tok(expr)})")
         em.emit(f"_parts.append((_gc{j}, _gu{j}, max(len(_gu{j}), 1)))")
-    cols = ", ".join(
-        f"{name!r}: {em.column_var(name)}" for name in sorted(stage2_columns)
-    )
-    em.emit(
-        "_gids = table._gids_from_parts(_parts, False, "
-        f"lambda: _FBJ(table, {{{cols}}}, _TYPES))"
-    )
+    em.emit("_gids = table._gids_from_parts(_parts, False)")
 
 
 def _emit_states(em: _Emitter, aggregate) -> bool:
@@ -596,35 +537,34 @@ def _emit_states(em: _Emitter, aggregate) -> bool:
     bits depend on intra-group morsel order (which forces the stable
     :class:`SortedMorsel` over the cheaper counting permutation)."""
     order_sensitive = False
-    # The deterministic shared-state layout, recomputed at compile time
-    # (the method reads nothing from self, see vectorized._build_plan).
-    probe_states, _ = VectorizedGroupTable._build_plan(None, aggregate.specs)
-    #: (params key) -> list of (impl token, fmt-dtype values token)
+    # The deterministic shared-state layout, recomputed at compile time.
+    probe_states, _ = VectorizedGroupTable._build_plan(aggregate.specs)
+    #: (is float32, levels) -> list of (accumulator token, values token)
     ladder_slots: dict = {}
 
-    def ladder(impl_token: str, values_token: str, is_f32: bool,
+    def ladder(acc_token: str, values_token: str, is_f32: bool,
                levels: int) -> None:
         ladder_slots.setdefault((is_f32, levels), []).append(
-            (impl_token, values_token)
+            (acc_token, values_token)
         )
 
     for i, state in enumerate(probe_states):
         svar = f"_S{i}"
         em.emit(f"{svar} = table.states[{i}]")
-        if isinstance(state, _VecCountState):
-            em.emit(f"{svar}.update_vec(None, None, _gids, _morsel, _ngroups)")
-        elif isinstance(state, _VecSumState):
+        if isinstance(state, CountState):
+            em.emit(f"{svar}.update(None, None, _gids, _morsel, _ngroups)")
+        elif isinstance(state, SumState):
             _emit_sum_state(em, state, svar, ladder)
-        elif isinstance(state, _VecMinMaxState):
+        elif isinstance(state, MinMaxState):
             values = em.values_tok(state.arg)
             if np.asarray(em.probe(state.arg)).dtype.kind == "f":
                 # Float MIN/MAX can return either zero of a ±0.0 tie
                 # depending on encounter order within the segment.
                 order_sensitive = True
-            em.emit(f"_MM({svar}, {values}, _gids, _morsel, _ngroups)")
-        elif isinstance(state, _VecSecondMomentState):
+            em.emit(f"{svar}.add({values}, _gids, _morsel, _ngroups)")
+        elif isinstance(state, Moment2State):
             _emit_moment_state(em, state, svar, i, ladder)
-        elif isinstance(state, _VecDistinctCountState):
+        elif isinstance(state, DistinctState):
             # Per-group value sets have no segmented kernel.
             raise _NoFuse(reason="count_distinct")
         else:  # pragma: no cover - new state types fall back
@@ -633,31 +573,32 @@ def _emit_states(em: _Emitter, aggregate) -> bool:
     # Batched ladder walks last: reordering whole-state updates is
     # bit-safe (each state object consumes exactly its own sequence).
     for slots in ladder_slots.values():
-        impls = ", ".join(impl_token for impl_token, _ in slots)
+        accs = ", ".join(acc_token for acc_token, _ in slots)
         values = ", ".join(values_token for _, values_token in slots)
-        em.emit(f"_LM(({impls},), ({values},), _gids, _morsel, _ngroups)")
+        em.emit(f"_LM(({accs},), ({values},), _gids, _morsel, _ngroups)")
     return order_sensitive
 
 
 def _emit_sum_state(em: _Emitter, state, svar: str, ladder) -> None:
-    """Specialize one `_VecSumState`: the kind/dtype dispatch its
-    ``update_vec`` re-takes per morsel, resolved from the schema."""
+    """Specialize one :class:`SumState`: the kind/dtype dispatch its
+    ``update`` re-takes per morsel, resolved once from the schema."""
     arg = state.arg
-    kind, scale, values_token, dtype = _sum_kind(em, arg)
-    if kind in ("decimal", "int"):
-        factory = em.factory(_plain_int_factory(scale))
-        em.emit(f"if {svar}.impl is None:")
-        em.emit(f"    {svar}.impl = {factory}()")
-        em.emit(f"{svar}.impl.update_sorted({values_token}, _morsel, _ngroups)")
-        return
-    factory = em.factory(_float_factory(dtype, state.mode, state.levels))
-    em.emit(f"if {svar}.impl is None:")
-    em.emit(f"    {svar}.impl = {factory}()")
-    if state.mode in ("repro", "repro_buffered"):
-        ladder(f"{svar}.impl", values_token, dtype == np.dtype(np.float32),
+    kind, scale = sum_value_kind(arg, em.types, em.probe)
+    if kind == "decimal":
+        # Exact integer path over the raw unscaled storage column.
+        values, dtype = em.column_var(arg.name.lower()), np.dtype(np.int64)
+    else:
+        values, dtype = em.values_tok(arg), np.asarray(em.probe(arg)).dtype
+    em.emit(f"if {svar}.acc is None:")
+    em.emit(f"    {svar}.acc = {svar}.new_accumulator("
+            f"{kind!r}, {scale!r}, {em.const(dtype)})")
+    if kind != "float":
+        em.emit(f"{svar}.acc.add_sorted({values}, _morsel, _ngroups)")
+    elif state.mode == "repro":
+        ladder(f"{svar}.acc", values, dtype == np.dtype(np.float32),
                state.levels)
     else:
-        em.emit(f"_UF({svar}.impl, {values_token}, _gids, _morsel, _ngroups)")
+        em.emit(f"{svar}.acc.add({values}, _gids, _morsel, _ngroups)")
 
 
 def _emit_moment_state(em: _Emitter, state, svar: str, i: int,
@@ -665,41 +606,12 @@ def _emit_moment_state(em: _Emitter, state, svar: str, i: int,
     values = em.values_tok(state.arg)
     em.emit(f"_vf{i} = np.asarray({values}, dtype=np.float64)")
     em.emit(f"_vsq{i} = _vf{i} * _vf{i}")
-    if isinstance(state.sum_x, _ReproSumImpl):
-        levels = state.sum_x._levels
-        ladder(f"{svar}.sum_x", f"_vf{i}", False, levels)
-        ladder(f"{svar}.sum_xx", f"_vsq{i}", False, levels)
+    if state.mode == "repro":
+        ladder(f"{svar}.sum_x", f"_vf{i}", False, state.levels)
+        ladder(f"{svar}.sum_xx", f"_vsq{i}", False, state.levels)
     else:
-        em.emit(f"_UF({svar}.sum_x, _vf{i}, _gids, _morsel, _ngroups)")
-        em.emit(f"_UF({svar}.sum_xx, _vsq{i}, _gids, _morsel, _ngroups)")
-
-
-def _sum_kind(em: _Emitter, arg: ast.Expr):
-    """Mirror `_VecSumState._values_cached` at compile time: returns
-    (kind, decimal scale, values token, values dtype)."""
-    if isinstance(arg, ast.ColumnRef):
-        sql_type = em.types.get(arg.name.lower())
-        if isinstance(sql_type, DecimalSqlType):
-            # Exact integer path over the raw unscaled storage column.
-            return ("decimal", sql_type.scale,
-                    em.column_var(arg.name.lower()), np.dtype(np.int64))
-    dtype = np.asarray(em.probe(arg)).dtype
-    values_token = em.values_tok(arg)
-    if dtype.kind in "iub":
-        return "int", None, values_token, dtype
-    return "float", None, values_token, dtype
-
-
-def _plain_int_factory(scale):
-    def make():
-        return _PlainSumImpl(np.int64, scale)
-    return make
-
-
-def _float_factory(dtype, mode: str, levels: int):
-    def make():
-        return _make_float_sum_impl(dtype, mode, levels)
-    return make
+        em.emit(f"{svar}.sum_x.add(_vf{i}, _gids, _morsel, _ngroups)")
+        em.emit(f"{svar}.sum_xx.add(_vsq{i}, _gids, _morsel, _ngroups)")
 
 
 def _stage2_columns(aggregate) -> set:
@@ -732,18 +644,13 @@ def _finish_kernel(em: _Emitter, aggregate, signature, nfilters: int,
     namespace = {
         "np": np,
         "_ENC": VectorizedGroupTable._encode_values,
-        "_FB": _scalar_fallback,
-        "_FBJ": _joined_fallback,
         "_SM": SortedMorsel,
         "_CM": ClusteredMorsel,
-        "_UF": _update_float_sum,
-        "_MM": _minmax_update,
         "_LM": update_ladders,
     }
     if extra_namespace:
         namespace.update(extra_namespace)
     namespace.update(em.const_values)
-    namespace.update(em.factories)
     exec(compile(source, "<fused-kernel>", "exec"), namespace)
     return FusedKernel(signature, source, namespace["_fused_kernel"],
                        nfilters, njoins)
@@ -935,10 +842,7 @@ def _generate_joined(chain, aggregate, signature, types) -> FusedKernel:
         extra_namespace["_RDT"] = dtypes
         extra_namespace["_RDEC"] = _make_rows_decoder(specs)
     else:
-        _emit_group_ids_joined(em, aggregate, stage2_columns)
-    extra_namespace["_TYPES"] = {
-        name: types[name] for name in stage2_columns if name in types
-    }
+        _emit_group_ids_joined(em, aggregate)
     return _finish_kernel(em, aggregate, signature, nfilters, probe_no,
                           extra_namespace=extra_namespace)
 

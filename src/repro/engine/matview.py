@@ -6,16 +6,18 @@ they also subtract exactly, so a materialized ``GROUP BY`` can be kept
 up to date by **merging** the partial states of inserted rows and
 **retracting** those of deleted rows — and the refreshed view is
 byte-identical to recomputing it from scratch, under any
-``workers x morsel_size x vectorized x memory_budget`` configuration.
+``workers x morsel_size x memory_budget x shards`` configuration.
 
 The pieces:
 
-* :class:`MaintenanceGroupTable` — a :class:`PartialGroupTable` whose
-  per-aggregate states are built in retractable form (full-grid rsum
-  ladders, int64 counts/sums, refcounted DISTINCT sets) plus a
-  per-group live-row count that drives *empty-group elimination*: a
-  group whose COUNT(*) reaches zero disappears from the view, exactly
-  as it would from a fresh query.
+* :class:`MaintenanceGroupTable` — the query group table
+  (:class:`~repro.engine.vectorized.VectorizedGroupTable`: same key
+  path, expression cache and state sharing as every SELECT) with its
+  states built in retractable form (full-grid rsum ladders, int64
+  counts/sums, refcounted DISTINCT sets) plus a per-group live-row
+  count that drives *empty-group elimination*: a group whose COUNT(*)
+  reaches zero disappears from the view, exactly as it would from a
+  fresh query.
 * :class:`MaterializedView` — the catalog object: the bound + optimized
   definition, the maintenance state, the consumed row-version
   watermark, and the finalized contents served to matching queries.
@@ -37,7 +39,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BindError
-from .operators import Batch, PartialGroupTable, SumConfig, _CountState
+from .aggregates import CountState
+from .operators import Batch, SumConfig
 from .optimizer import optimize
 from .physical import (
     PhysicalQuery,
@@ -58,6 +61,7 @@ from .plan import (
     plan_column_types,
 )
 from .sql import ast
+from .vectorized import VectorizedGroupTable
 
 __all__ = [
     "ViewDefinitionError",
@@ -77,8 +81,8 @@ class ViewDefinitionError(BindError):
 # ---------------------------------------------------------------------------
 
 
-class MaintenanceGroupTable(PartialGroupTable):
-    """Group table with retractable aggregate states + live-row counts.
+class MaintenanceGroupTable(VectorizedGroupTable):
+    """The query group table built retractable, plus live-row counts.
 
     ``update`` consumes inserted-row batches, ``retract`` consumes
     deleted-row batches; both are exact, so any interleaving over the
@@ -89,24 +93,17 @@ class MaintenanceGroupTable(PartialGroupTable):
     """
 
     def __init__(self, group_exprs, specs):
-        super().__init__(group_exprs, specs)
-        self.states = [spec.make_state(retractable=True) for spec in specs]
-        #: live rows per group (the empty-group elimination driver)
-        self.row_counts = _CountState()
-
-    def update(self, batch: Batch) -> None:
-        gids = self._factorize(batch)
-        ngroups = self.ngroups
-        self.row_counts.update(batch, gids, ngroups)
-        for state in self.states:
-            state.update(batch, gids, ngroups)
+        super().__init__(group_exprs, specs, retractable=True)
+        #: live rows per group (the empty-group elimination driver);
+        #: riding ``states`` it is updated, retracted and merged with
+        #: the aggregates
+        self.row_counts = CountState()
+        self.states.append(self.row_counts)
 
     def retract(self, batch: Batch) -> None:
-        gids = self._factorize(batch)
-        ngroups = self.ngroups
-        self.row_counts.retract(batch, gids, ngroups)
+        args = self._prepare(batch)
         for state in self.states:
-            state.retract(batch, gids, ngroups)
+            state.retract(batch, *args)
 
     def finalize_live(self):
         """``(key_arrays, result_arrays, ngroups)`` over *live* groups,
@@ -315,7 +312,6 @@ class MaterializedView:
         return (
             sum_config.mode == self.sum_config.mode
             and sum_config.levels == self.sum_config.levels
-            and sum_config.buffer_size == self.sum_config.buffer_size
         )
 
     # -- refresh -----------------------------------------------------------

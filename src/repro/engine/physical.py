@@ -28,12 +28,7 @@ import numpy as np
 
 from . import pipeline as pipeline_mod
 from .fused import compile_fused
-from .operators import (
-    _KEY_BYTES_BASE,
-    _KEY_BYTES_PER_COLUMN,
-    AggregateSpec,
-    SumConfig,
-)
+from .operators import AggregateSpec, SumConfig
 from .plan import (
     Aggregate,
     Dual,
@@ -46,6 +41,7 @@ from .plan import (
     Sort,
 )
 from .sql import ast
+from .vectorized import _KEY_BYTES_BASE, _KEY_BYTES_PER_COLUMN
 
 __all__ = [
     "PhysScan",
@@ -461,11 +457,9 @@ def _broadcastable_build(op: PhysProbe) -> bool:
 #: Per-group state-size model for the external-aggregation decision
 #: (rough, deliberately pessimistic — see plan_physical).  The key
 #: costs reuse the constants behind the runtime spill accounting
-#: (:meth:`~repro.engine.operators.PartialGroupTable.approx_bytes`),
+#: (:meth:`~repro.engine.vectorized.VectorizedGroupTable.approx_bytes`),
 #: so the planner's estimate and the operator's budget checks cannot
 #: drift apart.
-_KEY_ENTRY_BYTES = _KEY_BYTES_BASE
-_KEY_COLUMN_BYTES = _KEY_BYTES_PER_COLUMN
 _DISTINCT_GROUP_BYTES = 96
 
 
@@ -475,7 +469,7 @@ def _spec_state_bytes(spec: AggregateSpec) -> int:
     mode = spec.sum_config.mode
     if name == "COUNT":
         return _DISTINCT_GROUP_BYTES if spec.call.distinct else 8
-    repro = mode in ("repro", "repro_buffered")
+    repro = mode == "repro"
     # One rsum ladder: e0 + (s, c) per level + the three specials.
     rsum_bytes = 8 + 16 * spec.levels + 24
     if name in ("SUM", "RSUM"):
@@ -493,7 +487,7 @@ def estimate_group_state_bytes(est_groups: int, nkeys: int,
     """Estimated resident bytes of a group table with ``est_groups``
     groups — the quantity the planner holds against the session memory
     budget when choosing external vs in-memory aggregation."""
-    per_group = _KEY_ENTRY_BYTES + _KEY_COLUMN_BYTES * nkeys
+    per_group = _KEY_BYTES_BASE + _KEY_BYTES_PER_COLUMN * nkeys
     per_group += sum(_spec_state_bytes(spec) for spec in specs)
     return est_groups * per_group
 

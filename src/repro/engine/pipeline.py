@@ -53,8 +53,8 @@ __all__ = [
 #: The in-memory and external pipelines, the shard executors and the
 #: shard coordinator all build their tables through this one symbol
 #: (looked up on this module at call time), so no query can select a
-#: different runtime; the differential tests substitute the scalar
-#: reference table by patching it.
+#: different runtime; the differential tests substitute their
+#: row-order reference table by patching it.
 make_group_table = VectorizedGroupTable
 
 #: Default morsel size: big enough to amortise NumPy dispatch, small
@@ -447,12 +447,10 @@ class PipelineStats:
 
     def record_ladder(self, ladder, timings=None) -> None:
         """Report a group table's :class:`~repro.aggregation.grouped.
-        LadderCounters` (``None`` for the scalar reference, which has
-        none) here and on ``timings.counters``."""
-        if ladder is not None:
-            self.ladder_rows_scatter = ladder.scatter
-            self.ladder_rows_sorted = ladder.sorted
-            self.ladder_first_decline = ladder.first_decline
+        LadderCounters` here and on ``timings.counters``."""
+        self.ladder_rows_scatter = ladder.scatter
+        self.ladder_rows_sorted = ladder.sorted
+        self.ladder_first_decline = ladder.first_decline
         if timings is not None:
             timings.counters.update(
                 ladder_rows_scatter=self.ladder_rows_scatter,
@@ -584,7 +582,7 @@ def run_grouped_pipeline(
     key_arrays, results, ngroups = root.finalize()
     stats.finalize_seconds = time.thread_time() - finalize_started
 
-    stats.record_ladder(getattr(root, "ladder", None), timings)
+    stats.record_ladder(root.ladder, timings)
     stats.wall_seconds = time.perf_counter() - wall_started
     stats.kernel_cache_hits = context.kernel_cache_hits
     stats.kernel_cache_misses = context.kernel_cache_misses

@@ -4,9 +4,9 @@ PR 7 splits the old monolithic ``Database`` in two:
 
 * :class:`Database` owns what is *shared* across connections — the
   catalog (tables, materialized views) and the version clock behind
-  MVCC snapshots.  It no longer executes anything itself;
-  :meth:`Database.execute` survives as a thin deprecated delegate to an
-  implicit default session.
+  MVCC snapshots.  It executes nothing itself:
+  :meth:`Database.execute` is the single-session convenience, a thin
+  delegate to an implicit default session.
 * :class:`Session` owns what is *per connection* — the SUM
   configuration, the execution knobs (``workers`` / ``morsel_size`` /
   ``memory_budget`` / spill shape / ``join_build`` / ``shards``),
@@ -54,7 +54,7 @@ class Session:
     """One connection's execution state over a shared :class:`Database`.
 
     Owns the session-scoped knobs — SUM semantics (``sum_mode`` /
-    ``levels`` / ``buffer_size``) and the execution shape (``workers``,
+    ``levels``) and the execution shape (``workers``,
     ``morsel_size``, ``join_build``, ``memory_budget``,
     ``spill_partitions``, ``spill_merge_fanin``, ``shards``,
     ``shard_workers``) —
@@ -77,8 +77,8 @@ class Session:
     """
 
     def __init__(self, database: Database, sum_mode: str = "ieee",
-                 levels: int = 2, buffer_size: int | None = None,
-                 workers: int = 1, morsel_size: int = DEFAULT_MORSEL_SIZE,
+                 levels: int = 2, workers: int = 1,
+                 morsel_size: int = DEFAULT_MORSEL_SIZE,
                  join_build: str = "auto",
                  memory_budget: int | None = None,
                  spill_partitions: int | None = None,
@@ -86,7 +86,7 @@ class Session:
                  shards: int = 0, shard_workers: int | None = None):
         self.database = database
         self.catalog = database.catalog
-        self.sum_config = SumConfig(sum_mode, levels, buffer_size)
+        self.sum_config = SumConfig(sum_mode, levels)
         self.execution_context = ExecutionContext(
             workers, morsel_size, join_build,
             memory_budget_bytes=memory_budget,
@@ -396,11 +396,11 @@ class Database:
     keeps everything in memory.  :func:`repro.open` is the public
     spelling of this constructor.
 
-    ``Database.execute(...)``, ``explain``, ``last_timings`` etc.
-    remain as **deprecated** thin delegates to an implicit default
-    session, so single-session code (and years of tests) run
-    unchanged.  New code — and anything concurrent — should hold an
-    explicit :class:`Session` per logical connection.
+    ``Database.execute(...)``, ``explain``, ``last_timings`` etc. are
+    thin delegates to an implicit default session — the supported
+    single-session spelling (scripts, tests, benches, the docs).
+    Anything concurrent should hold an explicit :class:`Session` per
+    logical connection.
 
     >>> db = Database(sum_mode="repro")
     >>> db.execute("CREATE TABLE r (i INT, f DOUBLE)")
@@ -412,8 +412,7 @@ class Database:
     """
 
     def __init__(self, sum_mode: str = "ieee", levels: int = 2,
-                 buffer_size: int | None = None, workers: int = 1,
-                 morsel_size: int = DEFAULT_MORSEL_SIZE,
+                 workers: int = 1, morsel_size: int = DEFAULT_MORSEL_SIZE,
                  join_build: str = "auto",
                  memory_budget: int | None = None,
                  spill_partitions: int | None = None,
@@ -428,7 +427,6 @@ class Database:
         self.session_defaults = {
             "sum_mode": sum_mode,
             "levels": levels,
-            "buffer_size": buffer_size,
             "workers": workers,
             "morsel_size": morsel_size,
             "join_build": join_build,
@@ -455,8 +453,11 @@ class Database:
                 # override the constructor's, exactly as they would
                 # have in the process that set them (names this
                 # version no longer has — an older writer's
-                # ``vectorized`` / ``fused`` — select nothing).
+                # ``vectorized`` / ``fused`` / ``buffer_size`` — select
+                # nothing; a retired ``sum_mode`` selects its successor).
                 for name, value in storage.persistent_defaults.items():
+                    if name == "sum_mode":
+                        value = SumConfig.stored(value)
                     if name in self.session_defaults:
                         self.session_defaults[name] = value
             # Created eagerly: constructing it validates every default
@@ -559,8 +560,8 @@ class Database:
 
     @property
     def default_session(self) -> Session:
-        """The implicit session behind the deprecated ``Database``
-        execution surface."""
+        """The implicit session behind ``Database.execute`` and the
+        other single-session delegates."""
         return self._default_session
 
     @property
@@ -568,14 +569,13 @@ class Database:
         """The shared version clock (snapshot watermark source)."""
         return self.catalog.clock
 
-    # -- deprecated single-session delegates -------------------------------
+    # -- single-session delegates ------------------------------------------
     def execute(self, sql_text: str):
-        """Deprecated: delegates to the implicit default session.
-        Prefer ``db.session().execute(...)``."""
+        """Execute on the implicit default session."""
         return self.default_session.execute(sql_text)
 
     def explain(self, sql_text: str) -> str:
-        """Deprecated: delegates to the implicit default session."""
+        """EXPLAIN on the implicit default session."""
         return self.default_session.explain(sql_text)
 
     def view(self, name: str):

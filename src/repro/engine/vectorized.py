@@ -1,72 +1,75 @@
-"""The per-morsel group table of every SELECT aggregate.
+"""The group table of every aggregate — SELECT, view build and REFRESH.
 
 :class:`VectorizedGroupTable` is the one aggregate runtime: the
-in-memory pipeline, the external (spill) aggregation and the shard
-executors all build it through :data:`repro.engine.pipeline.
-make_group_table`, driven by a generated kernel
-(:mod:`repro.engine.fused`) when the planner compiled one and by its
-own :meth:`~VectorizedGroupTable.update` otherwise.  The scalar
-:class:`~repro.engine.operators.PartialGroupTable` it extends — every
-morsel re-factorizes its key columns with ``np.unique`` over object
-arrays, every aggregate re-evaluates its argument expression — is the
-reference the differential tests compare against, never a query path.
+in-memory pipeline, the external (spill) aggregation, the shard
+executors and — built retractable, as :class:`~repro.engine.matview.
+MaintenanceGroupTable` — materialized-view maintenance all construct
+it, the query paths through :data:`repro.engine.pipeline.
+make_group_table`.  A generated kernel (:mod:`repro.engine.fused`)
+feeds it when the planner compiled one, its own
+:meth:`~VectorizedGroupTable.update` otherwise; key registration,
+exact merge and finalize are the same methods either way, which is
+what pins the two to the same bits.  The table owns three things:
 
-Per morsel the table:
+* the **key registry** — group keys get dense gids in first-arrival
+  order, NaN keys collapse and ``-0.0`` joins ``0.0``; finalize emits
+  groups in canonical (sorted-key) order, so output is independent of
+  arrival order;
+* the **spec -> shared-state plan** — ``AVG(x)`` reuses the ``SUM(x)``
+  state and one common ``COUNT`` state, the six VARIANCE/STDDEV
+  spellings share one second-moment state.  Sharing is bit-safe
+  because a shared state consumes exactly the value sequence each
+  private one would have.  The states themselves
+  (:mod:`repro.engine.aggregates`) are opaque to the table;
+* the only **AVG and VARIANCE/STDDEV formulas**, applied at finalize.
+
+Per morsel :meth:`~VectorizedGroupTable.update`:
 
 1. evaluates all expressions through one :class:`~repro.engine.expr.
    ExprCache` (common sub-expressions are computed once);
 2. computes group ids for the whole morsel at once — dictionary-encoded
    key columns (see :meth:`repro.engine.table.Column.encoding`) combine
-   with pure integer radix arithmetic, numeric keys go through
-   ``np.unique`` with the same canonical NaN / ``-0.0`` handling as the
-   scalar key table;
-3. sorts the morsel by group id **at most once** (a lazy radix
-   argsort shared by the aggregates that need it) and updates
-   per-group partial states with segment kernels — ``ufunc.reduceat``
-   reductions for MIN/MAX and int sums; the RSUM ladders go through
-   the blocked kernel (:func:`~repro.aggregation.grouped.
-   add_blocked_multi`), which scatter-accumulates every row whose
-   group sits on its table's prevailing ladder and sorts only the
-   stragglers;
-4. shares physical states between aggregates: ``AVG(x)`` reuses the
-   ``SUM(x)`` state and one common ``COUNT`` state, the six
-   VARIANCE/STDDEV spellings share one second-moment state.
+   with pure integer radix arithmetic through a persistent code -> gid
+   table, other keys go through ``np.unique``;
+3. hands every state the same lazily **sorted-at-most-once** morsel
+   (:class:`SortedMorsel`): ``ufunc.reduceat`` segments for MIN/MAX and
+   int sums; the rsum ladders go through the blocked kernel
+   (:func:`~repro.aggregation.grouped.add_blocked_multi`), which
+   scatter-accumulates every row whose group sits on its table's
+   prevailing ladder and sorts only the stragglers.
 
-Reproducibility is preserved *by construction*: the repro-mode partial
-states are exact under any permutation and chunking of their input (the
+Reproducibility is preserved *by construction*: the repro-mode states
+are exact under any permutation and chunking of their input (the
 paper's Algorithm 3 horizontal-merge property, which
 :class:`~repro.core.rsum_simd.SimdRsum` demonstrates lane-wise), so
 re-ordering a morsel by group id cannot change the final bits.  IEEE
-sums keep the scalar path's unbuffered ``np.add.at`` accumulation in
-physical row order, so even the *non*-reproducible mode returns the
-same bits as the scalar path.  The equivalence suite asserts both.
+sums accumulate unbuffered in physical row order, so even the
+*non*-reproducible mode means the same thing under every feeder.  The
+differential tests hold all of this against a row-order reference
+table that lives under ``tests/``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..aggregation.grouped import (
-    GroupedSummation,
-    LadderCounters,
-    add_blocked_multi,
-)
+from ..aggregation.grouped import GroupedSummation, LadderCounters
 from ..aggregation.partition import stable_group_order
+from .aggregates import (
+    CountState,
+    DistinctState,
+    MinMaxState,
+    Moment2State,
+    SumState,
+)
 from .expr import ExprCache
 from .operators import (
     AggregateSpec,
     Batch,
-    PartialGroupTable,
-    _CountState,
-    _DistinctCountState,
-    _MinMaxState,
-    _ReproSumImpl,
-    _SumState,
-    _make_float_sum_impl,
+    _object_sort_rank,
     factorize_object,
 )
 from .sql import ast
-from .types import DecimalSqlType
 
 __all__ = [
     "VectorizedGroupTable",
@@ -80,6 +83,15 @@ _LUT_MAX = 1 << 20
 #: Radix-combine guard: the product of the per-key dictionary sizes must
 #: stay below this for the composite int64 codes to be collision-free.
 _RADIX_MAX = 1 << 62
+
+#: Rough per-group cost of one key-table entry (dict slot + tuple), and
+#: per key member within the tuple — used by the memory-budget
+#: accounting of the external aggregation (order of magnitude is all
+#: the spill heuristics need).
+_KEY_BYTES_BASE = 64
+_KEY_BYTES_PER_COLUMN = 32
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -206,141 +218,79 @@ class ClusteredMorsel(SortedMorsel):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized partial states (merge/finalize inherited => exact parity)
+# The group table
 # ---------------------------------------------------------------------------
 
-class _VecCountState(_CountState):
-    def update_vec(self, batch: Batch, cache: ExprCache, gids, morsel,
-                   ngroups: int) -> None:
-        _CountState.update(self, batch, gids, ngroups)
+#: Dict stand-in for NaN group keys: ``nan != nan``, so a raw NaN can
+#: never be found again in the key table; ``np.unique`` collapses NaNs
+#: within a morsel and the key dict must do the same across morsels.
+_NAN_KEY = object()
 
 
-class _VecDistinctCountState(_DistinctCountState):
-    def update_vec(self, batch: Batch, cache: ExprCache, gids, morsel,
-                   ngroups: int) -> None:
-        _DistinctCountState.update(self, batch, gids, ngroups)
+def _key_identity(key: tuple) -> tuple:
+    """Hash/equality form of a key tuple: NaN -> sentinel, -0.0 -> 0.0."""
+    out = []
+    for value in key:
+        if isinstance(value, (float, np.floating)):
+            if value != value:  # NaN
+                out.append(_NAN_KEY)
+                continue
+            if value == 0.0:
+                value = type(value)(0.0)
+        out.append(value)
+    return tuple(out)
 
 
-def _update_float_sum(impl, values: np.ndarray, gids: np.ndarray,
-                      morsel: SortedMorsel, ngroups: int) -> None:
-    """Feed one morsel into a float-sum impl.
-
-    Repro impls go through the blocked ladder kernel (exact, so neither
-    blocking nor sorting can change the bits); IEEE and sorted-mode
-    impls keep their scalar-path update — ``np.add.at`` in physical row
-    order — so even the order-*sensitive* mode returns bits identical
-    to the scalar path.
-    """
-    if isinstance(impl, _ReproSumImpl):
-        update_ladders((impl,), (values,), gids, morsel, ngroups)
-    else:
-        impl.update(values, gids, ngroups)
+def _avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    return sums / np.maximum(counts, 1)
 
 
-def update_ladders(impls, rows, gids: np.ndarray, morsel: SortedMorsel,
-                   ngroups: int) -> None:
-    """Feed one morsel into ``k`` same-parameter repro sum impls
-    (``rows[i]`` goes to ``impls[i]``) with one call into
-    :func:`~repro.aggregation.grouped.add_blocked_multi`."""
-    groupeds = []
-    for impl in impls:
-        if impl.grouped.ngroups < ngroups:
-            impl.grouped.resize(ngroups)
-        groupeds.append(impl.grouped)
-    add_blocked_multi(groupeds, gids, rows, morsel.counters)
+def _variance(name: str, sums, squares, counts) -> np.ndarray:
+    """VARIANCE / STDDEV (``_SAMP`` default, ``_POP``) from SUM(x),
+    SUM(x*x) and COUNT — the paper's footnote-2 recipe."""
+    counts = counts.astype(np.float64)
+    ddof = 0.0 if name.endswith("_POP") else 1.0
+    denominator = np.maximum(counts - ddof, 1.0)
+    # A group that saw +inf has inf - inf = NaN here: the right answer,
+    # not worth a RuntimeWarning.
+    with np.errstate(invalid="ignore"):
+        variance = squares - sums * sums / np.maximum(counts, 1.0)
+    variance = np.maximum(variance, 0.0) / denominator
+    return np.sqrt(variance) if name.startswith("STDDEV") else variance
 
 
-class _VecSumState(_SumState):
-    def _values_cached(self, batch: Batch, cache: ExprCache):
-        if isinstance(self.arg, ast.ColumnRef):
-            sql_type = batch.types.get(self.arg.name.lower())
-            if isinstance(sql_type, DecimalSqlType):
-                # Exact integer path: SUM over a bare DECIMAL column.
-                return (
-                    batch.columns[self.arg.name.lower()],
-                    "decimal",
-                    sql_type.scale,
-                )
-        values = cache.values(self.arg, batch.nrows)
-        if values.dtype.kind in "iub":
-            return values, "int", None
-        return values, "float", None
-
-    def update_vec(self, batch: Batch, cache: ExprCache, gids, morsel,
-                   ngroups: int) -> None:
-        values, kind, scale = self._values_cached(batch, cache)
-        if self.impl is None:
-            self.impl = self._make_impl(kind, scale, values.dtype)
-        _update_float_sum(self.impl, values, gids, morsel, ngroups)
-
-
-class _VecMinMaxState(_MinMaxState):
-    def update_vec(self, batch: Batch, cache: ExprCache, gids, morsel,
-                   ngroups: int) -> None:
-        values = cache.values(self.arg, batch.nrows)
-        self._grow(ngroups, values.dtype)
-        if gids.size == 0:
-            return
-        self._combine(
-            morsel.seg_gids,
-            self.ufunc.reduceat(morsel.take(values), morsel.starts),
-        )
-
-
-class _VecSecondMomentState:
-    """Shared SUM(x) / SUM(x*x) state behind the VARIANCE/STDDEV family
-    (counts live in the table's common count state)."""
-
-    def __init__(self, arg: ast.Expr, mode: str, levels: int):
-        self.arg = arg
-        self.sum_x = _make_float_sum_impl(np.float64, mode, levels)
-        self.sum_xx = _make_float_sum_impl(np.float64, mode, levels)
-
-    def update_vec(self, batch: Batch, cache: ExprCache, gids, morsel,
-                   ngroups: int) -> None:
-        values = np.asarray(cache.values(self.arg, batch.nrows),
-                            dtype=np.float64)
-        _update_float_sum(self.sum_x, values, gids, morsel, ngroups)
-        _update_float_sum(self.sum_xx, values * values, gids, morsel, ngroups)
-
-    def merge(self, other: "_VecSecondMomentState", mapping,
-              ngroups: int) -> None:
-        self.sum_x.merge(other.sum_x, mapping, ngroups)
-        self.sum_xx.merge(other.sum_xx, mapping, ngroups)
-
-    def approx_bytes(self) -> int:
-        return self.sum_x.approx_bytes() + self.sum_xx.approx_bytes()
-
-
-# ---------------------------------------------------------------------------
-# The vectorized group table
-# ---------------------------------------------------------------------------
-
-class VectorizedGroupTable(PartialGroupTable):
-    """Batched drop-in for :class:`PartialGroupTable`.
-
-    The key table, exact merge, and canonical finalize order are
-    inherited — only morsel consumption changes.  Physical partial
-    states are shared between specs (AVG reuses SUM and COUNT; the
-    VARIANCE/STDDEV spellings share one second-moment state), which is
-    bit-safe because a shared state consumes exactly the value sequence
-    each private state would have.
+class VectorizedGroupTable:
+    """Worker-local GROUP BY state: a key registry plus the shared
+    physical states of an aggregate list.
 
     ``kernel`` (a :class:`~repro.engine.fused.FusedKernel`) replaces
     the interpreted per-morsel dispatch of :meth:`update` with one
-    generated call; key registration, merge and finalize are the same
-    methods either way, which is what pins the two to the same bits.
-    ``joins`` holds the built :class:`~repro.engine.join.HashJoin`
-    objects the kernel probes (one per fused probe, in chain order):
-    kernels are compiled at *plan* time and cached across queries,
-    hash tables are built at *execution* time, so the joins ride the
-    table as runtime parameters.
+    generated call.  ``joins`` holds the built
+    :class:`~repro.engine.join.HashJoin` objects the kernel probes (one
+    per fused probe, in chain order): kernels are compiled at *plan*
+    time and cached across queries, hash tables are built at
+    *execution* time, so the joins ride the table as runtime
+    parameters.  ``retractable`` builds every state in its exactly
+    invertible form (view maintenance; see
+    :meth:`AggregateSpec.supports_retraction`).
     """
 
     def __init__(self, group_exprs, specs: list[AggregateSpec],
-                 kernel=None, joins=()):
-        super().__init__(group_exprs, specs)
-        self.states, self._spec_plan = self._build_plan(specs)
+                 kernel=None, joins=(), retractable: bool = False):
+        self.group_exprs = tuple(group_exprs)
+        self.specs = specs
+        self.states, self._spec_plan = self._build_plan(specs, retractable)
+        self._key_to_gid: dict = {}
+        self._keys: list[tuple] = []
+        self._key_dtypes: list | None = None
+        #: ``(ngroups, columns)`` memo for :meth:`_key_columns`; stale
+        #: the moment a registration grows ``_keys``
+        self._key_columns_memo = None
+        if not self.group_exprs:
+            # Aggregation without grouping: one global group, always
+            # present (so zero-row inputs still produce one output row).
+            self._key_to_gid[()] = 0
+            self._keys.append(())
         self._kernel = kernel
         self._joins = list(joins or ())
         if kernel is not None and len(self._joins) != kernel.njoins:
@@ -348,10 +298,8 @@ class VectorizedGroupTable(PartialGroupTable):
                 f"kernel fuses {kernel.njoins} join probe(s) but "
                 f"{len(self._joins)} built join(s) were supplied"
             )
-        #: Persistent code -> gid table shared by the two stable-code
-        #: factorization paths; ``_lut_bases`` records which code space
-        #: the table indexes (per-part dictionary bases, or the
-        #: ``("rows", total)`` tag of the build-row path).
+        #: Persistent code -> gid table of :meth:`_gids_from_codes`;
+        #: ``_lut_bases`` records which code space it indexes.
         self._lut: np.ndarray | None = None
         self._lut_bases = None
         #: Which ladder path this table's rows took (scattered vs
@@ -359,73 +307,84 @@ class VectorizedGroupTable(PartialGroupTable):
         #: :class:`~repro.engine.pipeline.PipelineStats`.
         self.ladder = LadderCounters()
 
-    def merge(self, other: PartialGroupTable) -> None:
-        super().merge(other)
-        self.ladder.merge(other.ladder)
+    @property
+    def ngroups(self) -> int:
+        return len(self._keys)
 
     def approx_bytes(self) -> int:
+        """Resident-memory estimate: key registry, code table and every
+        aggregate state.  Used by the external aggregation's budget
+        accounting (:mod:`repro.aggregation.external_agg`); a rough
+        upper bound is all it needs."""
+        keys = self.ngroups * (
+            _KEY_BYTES_BASE + _KEY_BYTES_PER_COLUMN * len(self.group_exprs)
+        )
         lut = 0 if self._lut is None else self._lut.nbytes
-        return super().approx_bytes() + lut
+        return keys + lut + sum(state.approx_bytes() for state in self.states)
 
     # -- shared physical-state plan ---------------------------------------
-    def _build_plan(self, specs: list[AggregateSpec]):
+    @staticmethod
+    def _build_plan(specs: list[AggregateSpec], retractable: bool = False):
+        """``(states, plan)``: the distinct physical states and, per
+        spec, ``result(final)`` rendering its output from
+        ``final(state)`` — the finalized value of a state, computed
+        once however many specs share it."""
         states: list = []
-        count_state: list = []  # 0 or 1 element, shared
-        sums: dict = {}
-        minmax: dict = {}
-        moments: dict = {}
+        shared: dict = {}
 
-        def need_count() -> _VecCountState:
-            if not count_state:
-                count_state.append(_VecCountState())
-                states.append(count_state[0])
-            return count_state[0]
-
-        def need_sum(arg: ast.Expr, mode: str, levels: int) -> _VecSumState:
-            key = (arg.sql(), mode, levels)
-            state = sums.get(key)
+        def need(key, make):
+            state = shared.get(key)
             if state is None:
-                state = _VecSumState(arg, mode, levels)
-                sums[key] = state
+                state = shared[key] = make()
                 states.append(state)
             return state
+
+        def need_count():
+            return need("count", CountState)
+
+        def need_sum(arg, mode, levels):
+            return need(
+                ("sum", arg.sql(), mode, levels),
+                lambda: SumState(arg, mode, levels, retractable),
+            )
 
         plan = []
         for spec in specs:
             name = spec.call.name
             mode = spec.sum_config.mode
-            if name == "COUNT":
-                if spec.call.distinct:
-                    state = _VecDistinctCountState(spec.call.args[0])
-                    states.append(state)
-                else:
-                    state = need_count()
-                plan.append(("count", state))
-                continue
-            arg = spec.call.args[0]
-            if name in ("SUM", "RSUM"):
-                resolved = "repro" if name == "RSUM" else mode
-                plan.append(("sum", need_sum(arg, resolved, spec.levels)))
-            elif name == "AVG":
-                plan.append(
-                    ("avg", need_sum(arg, mode, spec.levels), need_count())
+            arg = spec.call.args[0] if spec.call.args else None
+            if name == "COUNT" and spec.call.distinct:
+                state = DistinctState(arg, retractable)
+                states.append(state)
+            elif name == "COUNT":
+                state = need_count()
+            elif name in ("SUM", "RSUM"):
+                # RSUM is reproducible regardless of the session mode.
+                state = need_sum(
+                    arg, "repro" if name == "RSUM" else mode, spec.levels
                 )
             elif name in ("MIN", "MAX"):
-                key = (arg.sql(), name)
-                state = minmax.get(key)
-                if state is None:
-                    state = _VecMinMaxState(arg, is_min=(name == "MIN"))
-                    minmax[key] = state
-                    states.append(state)
-                plan.append(("minmax", state))
+                state = need(
+                    (name, arg.sql()),
+                    lambda: MinMaxState(arg, is_min=(name == "MIN")),
+                )
+            elif name == "AVG":
+                plan.append(
+                    lambda final, s=need_sum(arg, mode, spec.levels),
+                    c=need_count(): _avg(final(s), final(c))
+                )
+                continue
             else:  # VARIANCE/STDDEV family
-                key = (arg.sql(), mode, spec.levels)
-                state = moments.get(key)
-                if state is None:
-                    state = _VecSecondMomentState(arg, mode, spec.levels)
-                    moments[key] = state
-                    states.append(state)
-                plan.append(("var", name, state, need_count()))
+                moment = need(
+                    ("moment2", arg.sql(), mode, spec.levels),
+                    lambda: Moment2State(arg, mode, spec.levels, retractable),
+                )
+                plan.append(
+                    lambda final, n=name, m=moment, c=need_count():
+                    _variance(n, *final(m), final(c))
+                )
+                continue
+            plan.append(lambda final, s=state: final(s))
         return states, plan
 
     # -- morsel consumption ------------------------------------------------
@@ -433,15 +392,18 @@ class VectorizedGroupTable(PartialGroupTable):
         if self._kernel is not None:
             self._kernel.fn(batch, self)
             return
-        cache = ExprCache(batch.columns, batch.types)
-        gids = self._factorize_vectorized(batch, cache)
-        ngroups = self.ngroups
-        morsel = SortedMorsel(gids, self.ladder)
+        args = self._prepare(batch)
         for state in self.states:
-            state.update_vec(batch, cache, gids, morsel, ngroups)
+            state.update(batch, *args)
 
-    def _factorize_vectorized(self, batch: Batch,
-                              cache: ExprCache) -> np.ndarray:
+    def _prepare(self, batch: Batch):
+        """``(cache, gids, morsel, ngroups)`` — what every state's
+        ``update`` / ``retract`` takes after the batch."""
+        cache = ExprCache(batch.columns, batch.types)
+        gids = self._group_ids(batch, cache)
+        return cache, gids, SortedMorsel(gids, self.ladder), self.ngroups
+
+    def _group_ids(self, batch: Batch, cache: ExprCache) -> np.ndarray:
         if not self.group_exprs:
             return np.zeros(batch.nrows, dtype=np.int64)
         parts = []
@@ -457,10 +419,7 @@ class VectorizedGroupTable(PartialGroupTable):
                 arr = cache.values(expr, batch.nrows)
                 codes, uniques = self._encode_values(arr)
             parts.append((codes, uniques, max(len(uniques), 1)))
-        return self._gids_from_parts(
-            parts, all_encoded,
-            lambda: PartialGroupTable._factorize(self, batch),
-        )
+        return self._gids_from_parts(parts, all_encoded)
 
     @staticmethod
     def _encode_values(arr: np.ndarray):
@@ -472,15 +431,15 @@ class VectorizedGroupTable(PartialGroupTable):
             codes = codes.astype(np.int64, copy=False)
         return codes, uniques
 
-    def _gids_from_parts(self, parts, all_encoded: bool,
-                         scalar_fallback) -> np.ndarray:
+    def _gids_from_parts(self, parts, all_encoded: bool) -> np.ndarray:
         """Composite ``(codes, uniques, base)`` key parts -> table gids.
 
-        Shared by the interpreted vectorized path and the fused kernels
+        Shared by the interpreted update and the fused kernels
         (:mod:`repro.engine.fused`), so key registration — radix
         combine, persistent LUT, canonical NaN/-0.0 identity — cannot
-        diverge between the two.  ``scalar_fallback`` produces the gids
-        when the composite radix space would overflow int64.
+        diverge between the two.  ``all_encoded`` says every part is a
+        storage dictionary, whose codes mean the same thing in every
+        morsel.
         """
         total = 1
         for _, _, base in parts:
@@ -488,36 +447,34 @@ class VectorizedGroupTable(PartialGroupTable):
         if self._key_dtypes is None:
             self._key_dtypes = [uniques.dtype for _, uniques, _ in parts]
         if total >= _RADIX_MAX:
-            # Composite radix codes would overflow int64: let the scalar
-            # per-morsel key table handle this (automatic fallback).
-            return scalar_fallback()
+            return self._gids_past_radix(parts)
         combined = parts[0][0]
         for codes, _, base in parts[1:]:
             combined = combined * base + codes
+        return self._gids_from_codes(
+            combined, total,
+            [base for _, _, base in parts] if all_encoded else None,
+            lambda dense: self._decode_columns(
+                dense,
+                [uniques for _, uniques, _ in parts],
+                [base for _, _, base in parts],
+            ),
+        )
 
-        if all_encoded and total <= _LUT_MAX:
-            # Stable global dictionaries: composite codes mean the same
-            # thing in every morsel, so a persistent code -> gid lookup
-            # replaces the per-morsel np.unique entirely.
-            bases = [base for _, _, base in parts]
-            if self._lut is None or self._lut_bases != bases:
-                self._lut = np.full(total, -1, dtype=np.int64)
-                self._lut_bases = bases
-            gids = self._lut[combined]
-            missing = gids < 0
-            if missing.any():
-                fresh = np.unique(combined[missing])
-                key_columns = self._decode_parts(fresh, parts)
-                self._lut[fresh] = self._bulk_register(
-                    list(zip(*[col.tolist() for col in key_columns]))
-                )
-                gids = self._lut[combined]
-            return gids
-
-        dense, inverse = np.unique(combined, return_inverse=True)
-        key_columns = self._decode_parts(dense, parts)
-        lut = self._bulk_register(
-            list(zip(*[col.tolist() for col in key_columns]))
+    def _gids_past_radix(self, parts) -> np.ndarray:
+        """Key parts whose radix space would overflow int64: re-densify
+        the running composite after every key, so it never exceeds
+        rows x base, and read each distinct key off a representative
+        row instead of decoding the composite."""
+        combined = parts[0][0]
+        for codes, _, base in parts[1:]:
+            combined = np.unique(combined, return_inverse=True)[1]
+            combined = combined.astype(np.int64, copy=False) * base + codes
+        _, first, inverse = np.unique(
+            combined, return_index=True, return_inverse=True
+        )
+        lut = self._register_columns(
+            [uniques[codes[first]] for codes, uniques, _ in parts]
         )
         return lut[inverse.astype(np.int64, copy=False)]
 
@@ -529,54 +486,201 @@ class VectorizedGroupTable(PartialGroupTable):
         The fused join kernels pass gathered build-row indices here
         when every group key is a function of the build row (a
         build-side column, or a probe key the inner join made equal to
-        the build key): unlike per-morsel dictionary codes, a build-row
-        index means the same key tuple in every morsel, so a persistent
-        code -> gid lookup registers each key *once* for the whole
-        query instead of re-uniquing and re-registering per morsel.
+        the build key): a build-row index means the same key tuple in
+        every morsel, so each key registers *once* for the whole query.
         ``decode_rows(fresh_codes)`` gathers the per-key value columns
-        for codes not seen before; registration goes through the same
-        :meth:`_bulk_register` identity logic as every other path, so
-        the stored key representatives (and the result bits) cannot
-        diverge.  Code spaces beyond ``_LUT_MAX`` degrade to the
-        per-morsel ``np.unique`` registration — same bits, no cache.
+        for codes not seen before.
         """
         if self._key_dtypes is None:
             self._key_dtypes = list(dtypes)
-        if total <= _LUT_MAX:
-            signature = ("rows", total)
-            if self._lut is None or self._lut_bases != signature:
+        return self._gids_from_codes(codes, total, ("rows", total),
+                                     decode_rows)
+
+    def _gids_from_codes(self, codes: np.ndarray, total: int, stable,
+                         decode) -> np.ndarray:
+        """Composite key codes -> table gids, registering new keys
+        (``decode(distinct codes)`` -> their per-key value columns)
+        through :meth:`_bulk_register` like every other path.
+
+        ``stable`` names a code space that means the same thing in
+        every morsel (``None`` when it does not): a persistent
+        code -> gid table then replaces the per-morsel ``np.unique``
+        entirely.  Spaces beyond ``_LUT_MAX`` degrade to per-morsel
+        registration — same bits, no cache.
+        """
+        if stable is not None and total <= _LUT_MAX:
+            if self._lut is None or self._lut_bases != stable:
                 self._lut = np.full(total, -1, dtype=np.int64)
-                self._lut_bases = signature
+                self._lut_bases = stable
             gids = self._lut[codes]
             missing = gids < 0
             if missing.any():
                 fresh = np.unique(codes[missing])
-                key_columns = decode_rows(fresh)
-                self._lut[fresh] = self._bulk_register(
-                    list(zip(*[col.tolist() for col in key_columns]))
-                )
+                self._lut[fresh] = self._register_columns(decode(fresh))
                 gids = self._lut[codes]
             return gids
         dense, inverse = np.unique(codes, return_inverse=True)
-        key_columns = decode_rows(dense)
-        lut = self._bulk_register(
-            list(zip(*[col.tolist() for col in key_columns]))
-        )
+        lut = self._register_columns(decode(dense))
         return lut[inverse.astype(np.int64, copy=False)]
 
-    @classmethod
-    def _decode_parts(cls, dense: np.ndarray, parts) -> list:
-        """Radix decode over (codes, uniques, base) parts — delegates to
-        the key decode shared with the scalar path."""
-        return cls._decode_columns(
-            dense,
-            [uniques for _, uniques, _ in parts],
-            [base for _, _, base in parts],
+    def _register_columns(self, key_columns) -> np.ndarray:
+        return self._bulk_register(
+            list(zip(*[col.tolist() for col in key_columns]))
         )
 
+    @staticmethod
+    def _decode_columns(dense: np.ndarray, uniques: list,
+                        bases: list[int]) -> list:
+        """Split composite radix codes back into per-key distinct values
+        (also the spill router's decode, so the two cannot diverge)."""
+        key_cols = []
+        radix = dense
+        for uniq, base in zip(reversed(uniques[1:]), reversed(bases[1:])):
+            key_cols.append(uniq[radix % base])
+            radix = radix // base
+        key_cols.append(uniques[0][radix])
+        key_cols.reverse()
+        return key_cols
+
+
+    def _ident_is_key(self) -> bool:
+        """True when key tuples *are* their identity form — no float
+        key columns (the only dtype :func:`_key_identity` rewrites) and
+        no object columns (which may hold floats or None)."""
+        dtypes = self._key_dtypes
+        if dtypes is None or len(dtypes) != len(self.group_exprs):
+            return not self.group_exprs
+        return all(
+            dt is not None and np.dtype(dt).kind in "iubUSM"
+            for dt in dtypes
+        )
+
+    def _bulk_register(self, keys: list) -> np.ndarray:
+        """Register many key tuples at once; returns their gids.
+
+        The bulk paths (exact merge, spill-run restore) pay one
+        C-level dict sweep for the hits and only run Python-level work
+        for genuinely new keys — the difference between O(n) dict ops
+        and O(n) Python function calls matters when the external
+        aggregation re-merges thousands of groups per run file.
+        """
+        if self._ident_is_key():
+            idents = keys
+        else:
+            idents = [_key_identity(key) for key in keys]
+        table = self._key_to_gid
+        stored = self._keys
+        hits = list(map(table.get, idents))
+        if None not in hits:
+            # Steady state (merges, spill restores): every key already
+            # registered — one C-level conversion, no Python loop.
+            return np.fromiter(hits, np.int64, len(hits))
+        self._key_columns_memo = None
+        fast = idents is keys
+        if fast:
+            # Identity keys: insert every miss speculatively with one
+            # C-level ``dict.update``.  Registered gids are < base, so
+            # -1 marks the miss slots unambiguously.  Callers pass
+            # within-call-distinct keys; if a duplicate slips in the
+            # update self-overwrites (the size delta betrays it) and
+            # the speculative insert is unwound below.
+            base = len(stored)
+            gids = np.fromiter(
+                (-1 if h is None else h for h in hits),
+                np.int64, len(hits),
+            )
+            misses = [k for k, h in zip(keys, hits) if h is None]
+            table.update(zip(misses, range(base, base + len(misses))))
+            if len(table) == base + len(misses):
+                stored.extend(misses)
+                gids[gids < 0] = np.arange(
+                    base, base + len(misses), dtype=np.int64
+                )
+                return gids
+            for key in misses:
+                if table.get(key, -1) >= base:
+                    del table[key]
+        mapping = np.empty(len(keys), dtype=np.int64)
+        for g, gid in enumerate(hits):
+            if gid is None:
+                fresh = len(stored)
+                gid = table.setdefault(idents[g], fresh)
+                if gid == fresh:
+                    if fast:
+                        stored.append(keys[g])
+                    else:
+                        stored.append(tuple(
+                            orig if member is _NAN_KEY else member
+                            for orig, member in zip(keys[g], idents[g])
+                        ))
+            mapping[g] = gid
+        return mapping
+
+    # -- exact merge -------------------------------------------------------
+    def merge(self, other: "VectorizedGroupTable") -> None:
+        """Fold a worker-local table in (exact for repro aggregates)."""
+        if self._key_dtypes is None:
+            self._key_dtypes = other._key_dtypes
+        mapping = self._bulk_register(other._keys)
+        ngroups = self.ngroups
+        for state, other_state in zip(self.states, other.states):
+            state.merge(other_state, mapping, ngroups)
+        self.ladder.merge(other.ladder)
+
     # -- finalisation ------------------------------------------------------
-    def _finalize_results(self, ngroups: int) -> list:
-        finals: dict[int, np.ndarray] = {}
+    def _canonical_order(self) -> np.ndarray | None:
+        """Permutation putting groups in sorted-key order (the order the
+        whole-batch ``np.unique`` factorisation produced pre-pipeline)."""
+        if not self.group_exprs or self.ngroups <= 1:
+            return None
+        codes = []
+        for i in range(len(self.group_exprs)):
+            col = self._key_column(i)
+            if col.dtype == object:
+                codes.append(_object_sort_rank(col))
+            elif col.dtype.kind in "iubUSM":
+                # Raw values rank exactly like their unique-inverse
+                # codes for totally-ordered dtypes; skip the per-column
+                # sort the code substitution would cost.  Floats keep
+                # the code path (NaN/-0.0 collapse rules live there).
+                codes.append(col)
+            else:
+                codes.append(np.unique(col, return_inverse=True)[1])
+        return np.lexsort(tuple(reversed(codes)))
+
+    def _key_columns(self) -> list[np.ndarray]:
+        """Every key column materialized in one transpose, memoized:
+        finalisation reads each column twice (ordering + output), and
+        the C-level ``np.array`` over a transposed tuple beats a
+        Python assignment loop per group."""
+        memo = self._key_columns_memo
+        if memo is not None and memo[0] == self.ngroups:
+            return memo[1]
+        nkeys = len(self.group_exprs)
+        dtypes = self._key_dtypes if self._key_dtypes else [object] * nkeys
+        if not self._keys:
+            columns = [np.empty(0, dtype=dt) for dt in dtypes]
+        else:
+            columns = [
+                np.array(values, dtype=dt)
+                for values, dt in zip(zip(*self._keys), dtypes)
+            ]
+        self._key_columns_memo = (self.ngroups, columns)
+        return columns
+
+    def _key_column(self, i: int) -> np.ndarray:
+        return self._key_columns()[i]
+
+    def finalize(self):
+        """Returns (key_arrays, result_arrays, ngroups), canonical order."""
+        ngroups = self.ngroups
+        order = self._canonical_order()
+        key_arrays = []
+        if self.group_exprs:
+            for i in range(len(self.group_exprs)):
+                col = self._key_column(i)
+                key_arrays.append(col if order is None else col[order])
+        finals: dict[int, object] = {}
 
         def final(state):
             key = id(state)
@@ -584,36 +688,7 @@ class VectorizedGroupTable(PartialGroupTable):
                 finals[key] = state.finalize(ngroups)
             return finals[key]
 
-        def impl_final(impl):
-            key = id(impl)
-            if key not in finals:
-                finals[key] = impl.finalize(ngroups)
-            return finals[key]
-
-        results = []
-        for entry in self._spec_plan:
-            kind = entry[0]
-            if kind == "count":
-                results.append(final(entry[1]))
-            elif kind == "sum":
-                results.append(final(entry[1]))
-            elif kind == "avg":
-                sums = final(entry[1])
-                counts = final(entry[2])
-                results.append(sums / np.maximum(counts, 1))
-            elif kind == "minmax":
-                results.append(final(entry[1]))
-            else:  # var
-                name, moment, count = entry[1], entry[2], entry[3]
-                sums = impl_final(moment.sum_x)
-                squares = impl_final(moment.sum_xx)
-                counts = final(count).astype(np.float64)
-                ddof = 0.0 if name.endswith("_POP") else 1.0
-                denominator = np.maximum(counts - ddof, 1.0)
-                variance = squares - sums * sums / np.maximum(counts, 1.0)
-                variance = np.maximum(variance, 0.0) / denominator
-                if name.startswith("STDDEV"):
-                    results.append(np.sqrt(variance))
-                else:
-                    results.append(variance)
-        return results
+        results = [result(final) for result in self._spec_plan]
+        if order is not None:
+            results = [arr[order] for arr in results]
+        return key_arrays, results, ngroups

@@ -24,7 +24,7 @@ import asyncio
 import contextlib
 import signal
 
-from ..engine import Database
+from ..engine import Database, SumConfig
 from . import ReproServer
 
 
@@ -45,7 +45,7 @@ def _parse_args(argv=None):
                         help="background WAL compaction cadence "
                              "(with --data-dir)")
     parser.add_argument("--sum-mode", default="repro",
-                        choices=("ieee", "repro", "repro_buffered", "sorted"),
+                        choices=SumConfig.MODES,
                         help="default SUM semantics for new sessions")
     parser.add_argument("--workers", type=int, default=1,
                         help="default intra-query worker count")

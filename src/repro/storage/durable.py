@@ -379,7 +379,6 @@ class DurableStore:
                 "sql": view.select.sql(),
                 "sum_mode": view.sum_config.mode,
                 "levels": int(view.sum_config.levels),
-                "buffer_size": view.sum_config.buffer_size,
                 "watermark": int(view.watermark),
                 "populated": bool(view._populated),
                 "refresh_count": int(view.refresh_count),
@@ -448,8 +447,10 @@ class DurableStore:
             raise CheckpointError(
                 f"view {spec.get('name')!r} definition is not a SELECT"
             )
+        # Older writers also recorded a ``buffer_size`` no kernel read
+        # and could name a since-retired mode: same bits either way.
         config = SumConfig(
-            spec["sum_mode"], int(spec["levels"]), spec["buffer_size"]
+            SumConfig.stored(spec["sum_mode"]), int(spec["levels"])
         )
         return MaterializedView(
             spec["name"], select, catalog.get, config
@@ -577,7 +578,6 @@ class DurableStore:
             "sql": view.select.sql(),
             "sum_mode": view.sum_config.mode,
             "levels": int(view.sum_config.levels),
-            "buffer_size": view.sum_config.buffer_size,
         })
 
     def log_drop_view(self, name: str) -> None:

@@ -479,7 +479,8 @@ def load_buffered_repro(data: dict):
 
 
 # ---------------------------------------------------------------------------
-# Partial aggregate states (engine layer)
+# Group keys (engine layer; every aggregate state dumps and loads itself,
+# see repro.engine.aggregates)
 # ---------------------------------------------------------------------------
 
 
@@ -530,150 +531,13 @@ def _load_key_column(data: dict, ngroups: int) -> np.ndarray:
     return uniques[codes].astype(dtype, copy=False)
 
 
-def _dump_sum_impl(impl) -> dict:
-    from ..engine import operators as ops
-
-    if impl is None:
-        return {"kind": "none"}
-    if isinstance(impl, ops._PlainSumImpl):
-        return {
-            "kind": "plain",
-            "dtype": impl.sums.dtype.str,
-            "scale": impl.scale,
-            "sums": impl.sums,
-        }
-    if isinstance(impl, ops._ReproSumImpl):
-        return {
-            "kind": "repro",
-            "dtype": np.dtype(impl._dtype).str,
-            "levels": int(impl._levels),
-            "grouped": dump_grouped_summation(impl.grouped),
-        }
-    if isinstance(impl, ops._SortedSumImpl):
-        return {
-            "kind": "sorted",
-            "dtype": impl.dtype.str,
-            "chunks": [list(chunk) for chunk in impl.chunks],
-        }
-    raise TypeError(f"cannot spill sum impl {type(impl).__name__}")
-
-
-def _load_sum_impl(data: dict):
-    from ..engine import operators as ops
-
-    kind = data.get("kind")
-    if kind == "none":
-        return None
-    if kind == "plain":
-        impl = ops._PlainSumImpl(np.dtype(data["dtype"]), data["scale"])
-        impl.sums = np.asarray(data["sums"])
-        return impl
-    if kind == "repro":
-        impl = ops._ReproSumImpl(
-            np.dtype(data["dtype"]).type, int(data["levels"])
-        )
-        impl.grouped = load_grouped_summation(data["grouped"])
-        return impl
-    if kind == "sorted":
-        impl = ops._SortedSumImpl(np.dtype(data["dtype"]))
-        impl.chunks = [
-            (np.asarray(gids, dtype=np.int64), np.asarray(values))
-            for gids, values in data["chunks"]
-        ]
-        return impl
-    raise SpillFormatError(f"unknown sum impl kind {kind!r}")
-
-
-def _dump_state(state) -> dict:
-    from ..engine import operators as ops
-    from ..engine import vectorized as vec
-
-    if isinstance(state, ops._SumState):  # includes _VecSumState
-        return {"tag": "sum", "impl": _dump_sum_impl(state.impl)}
-    if isinstance(state, ops._CountState):  # includes _VecCountState
-        return {"tag": "count", "counts": state.counts}
-    if isinstance(state, ops._DistinctCountState):
-        return {"tag": "distinct", "sets": [set(s) for s in state.sets]}
-    if isinstance(state, ops._MinMaxState):
-        return {
-            "tag": "minmax",
-            "extremes": state.extremes,
-            "seen": state.seen,
-        }
-    if isinstance(state, ops._AvgState):
-        return {
-            "tag": "avg",
-            "sum": _dump_state(state.sum),
-            "count": _dump_state(state.count),
-        }
-    if isinstance(state, ops._VarState):
-        return {
-            "tag": "var",
-            "sum_x": _dump_sum_impl(state.sum_x),
-            "sum_xx": _dump_sum_impl(state.sum_xx),
-            "count": _dump_state(state.count),
-        }
-    if isinstance(state, vec._VecSecondMomentState):
-        return {
-            "tag": "moment2",
-            "sum_x": _dump_sum_impl(state.sum_x),
-            "sum_xx": _dump_sum_impl(state.sum_xx),
-        }
-    raise TypeError(f"cannot spill aggregate state {type(state).__name__}")
-
-
-def _expect_tag(data: dict, tag: str) -> None:
-    if not isinstance(data, dict) or data.get("tag") != tag:
-        raise SpillFormatError(
-            f"state payload tag mismatch: wanted {tag!r}, "
-            f"got {data.get('tag') if isinstance(data, dict) else data!r}"
-        )
-
-
-def _load_state_into(state, data: dict) -> None:
-    from ..engine import operators as ops
-    from ..engine import vectorized as vec
-
-    if isinstance(state, ops._SumState):
-        _expect_tag(data, "sum")
-        state.impl = _load_sum_impl(data["impl"])
-    elif isinstance(state, ops._CountState):
-        _expect_tag(data, "count")
-        state.counts = np.asarray(data["counts"], dtype=np.int64)
-    elif isinstance(state, ops._DistinctCountState):
-        _expect_tag(data, "distinct")
-        state.sets = [set(s) for s in data["sets"]]
-        state.member_count = sum(len(s) for s in state.sets)
-    elif isinstance(state, ops._MinMaxState):
-        _expect_tag(data, "minmax")
-        extremes = data["extremes"]
-        state.extremes = None if extremes is None else np.asarray(extremes)
-        state.seen = np.asarray(data["seen"], dtype=bool)
-    elif isinstance(state, ops._AvgState):
-        _expect_tag(data, "avg")
-        _load_state_into(state.sum, data["sum"])
-        _load_state_into(state.count, data["count"])
-    elif isinstance(state, ops._VarState):
-        _expect_tag(data, "var")
-        state.sum_x = _load_sum_impl(data["sum_x"])
-        state.sum_xx = _load_sum_impl(data["sum_xx"])
-        _load_state_into(state.count, data["count"])
-    elif isinstance(state, vec._VecSecondMomentState):
-        _expect_tag(data, "moment2")
-        state.sum_x = _load_sum_impl(data["sum_x"])
-        state.sum_xx = _load_sum_impl(data["sum_xx"])
-    else:
-        raise TypeError(f"cannot restore state {type(state).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Partial group tables
 # ---------------------------------------------------------------------------
 
 
 def dump_table(table) -> bytes:
-    """Serialize one partial group table (scalar or vectorized) into
-    spill payload bytes."""
+    """Serialize one partial group table into spill payload bytes."""
     ngroups = table.ngroups
     nkeys = len(table.group_exprs)
     keys = []
@@ -688,7 +552,7 @@ def dump_table(table) -> bytes:
             else [np.dtype(dt).str for dt in table._key_dtypes]
         ),
         "keys": keys,
-        "states": [_dump_state(state) for state in table.states],
+        "states": [state.dump() for state in table.states],
     }
     return _encode_payload(payload)
 
@@ -700,7 +564,7 @@ def load_table_into(payload: bytes, table) -> None:
 
     The table's key registry and state objects are filled in place, so
     the result merges through the ordinary exact
-    :meth:`~repro.engine.operators.PartialGroupTable.merge`.
+    :meth:`~repro.engine.vectorized.VectorizedGroupTable.merge`.
     """
     data = _decode_payload(payload)
     if not isinstance(data, dict) or data.get("version") != 1:
@@ -729,4 +593,4 @@ def load_table_into(payload: bytes, table) -> None:
     if len(states) != len(table.states):
         raise SpillFormatError("aggregate state count mismatch")
     for state, state_data in zip(table.states, states):
-        _load_state_into(state, state_data)
+        state.load(state_data)

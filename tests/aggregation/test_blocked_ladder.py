@@ -23,7 +23,7 @@ from repro.aggregation.grouped import (
 )
 from repro.aggregation.partition import stable_group_order
 from repro.core.params import RsumParams
-from repro.engine.operators import _PlainSumImpl
+from repro.engine.aggregates import PlainSum
 from repro.fp.formats import BINARY16, BINARY32, BINARY64
 
 P64 = RsumParams(BINARY64)
@@ -393,10 +393,10 @@ class TestStableGroupOrder:
 def test_plain_sum_merge_opposite_infinities_is_quiet_nan():
     # IEEE partials holding +inf and -inf for one group: NaN is the
     # right answer and no RuntimeWarning may escape the merge.
-    left, right = _PlainSumImpl(np.float64), _PlainSumImpl(np.float64)
+    left, right = PlainSum(np.float64), PlainSum(np.float64)
     gids = np.array([0, 1], dtype=np.int64)
-    left.update(np.array([np.inf, 1.0]), gids, 2)
-    right.update(np.array([-np.inf, 2.0]), gids, 2)
+    left.add(np.array([np.inf, 1.0]), gids, None, 2)
+    right.add(np.array([-np.inf, 2.0]), gids, None, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         left.merge(right, gids, 2)

@@ -39,16 +39,17 @@ def engine_path(monkeypatch):
     get a generated kernel (``physical.compile_fused`` returns ``None``),
     so the query table runs its own ``update()``;
     ``with engine_path("scalar"):`` additionally swaps the single table
-    constructor, ``pipeline.make_group_table``, for the scalar
-    :class:`PartialGroupTable` — the reference of the differential
-    tests.  ``engine_path("fused")`` patches nothing (what users run).
+    constructor, ``pipeline.make_group_table``, for the row-order
+    :class:`reference_table.PartialGroupTable` — the reference of the
+    differential tests.  ``engine_path("fused")`` patches nothing (what
+    users run).
     Build the ``Database`` inside the block: plans cached outside it
     keep the kernel they were lowered with.
     """
     from contextlib import contextmanager
 
+    from reference_table import PartialGroupTable
     from repro.engine import physical, pipeline
-    from repro.engine.operators import PartialGroupTable
 
     def scalar_table(group_exprs, specs, kernel=None, joins=()):
         assert kernel is None, "plan was lowered outside engine_path"

@@ -70,7 +70,7 @@ def _run_all(rows, **kw):
 # -- bit identity across the distribution matrix ---------------------------
 
 
-@pytest.mark.parametrize("mode", ["repro", "repro_buffered", "sorted"])
+@pytest.mark.parametrize("mode", ["repro", "sorted"])
 def test_bits_invariant_under_sharding(mode, engine_path):
     rows = _rows()
     base = _run_all(rows, sum_mode=mode)
@@ -169,7 +169,7 @@ def test_snapshot_pinned_reads_are_stable_under_sharding():
 # -- exchange-arrival order and placement invariance -----------------------
 
 
-@pytest.mark.parametrize("mode", ["repro", "repro_buffered", "sorted"])
+@pytest.mark.parametrize("mode", ["repro", "sorted"])
 def test_exchange_arrival_order_invariance(mode, monkeypatch):
     """Permute which ready executor is served first; bits must hold.
 

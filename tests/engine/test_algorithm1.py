@@ -49,10 +49,6 @@ class TestAlgorithm1:
         before, after = run_algorithm1("repro")
         assert before == after
 
-    def test_repro_buffered_is_stable(self):
-        before, after = run_algorithm1("repro_buffered")
-        assert before == after
-
     def test_sorted_is_stable(self):
         before, after = run_algorithm1("sorted")
         assert before == after

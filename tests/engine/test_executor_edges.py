@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.engine import Database, QueryResult, SumConfig
-from repro.engine.operators import Batch, grouped_float_sum
+from reference_table import grouped_float_sum
+from repro.engine.operators import Batch
 
 
 @pytest.fixture

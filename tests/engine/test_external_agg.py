@@ -63,7 +63,7 @@ def _bits(result):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["repro", "repro_buffered", "sorted"])
+@pytest.mark.parametrize("mode", ["repro", "sorted"])
 def test_bits_invariant_under_budget_and_fanout(mode):
     reference = _bits(_build(sum_mode=mode).execute(QUERY))
     for budget in (2048, 1):

@@ -33,7 +33,7 @@ from repro.engine.vectorized import ClusteredMorsel, SortedMorsel
 from repro.errors import ConfigError
 from repro.fp.formats import BINARY32, BINARY64
 
-MODES = ("repro", "repro_buffered", "sorted", "ieee")
+MODES = ("repro", "sorted", "ieee")
 
 QUERY = (
     "SELECT k, s, SUM(v) AS sv, RSUM(v, 3) AS rv, AVG(v) AS av, "

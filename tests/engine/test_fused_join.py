@@ -22,7 +22,7 @@ from repro.engine import Database
 from repro.engine.pipeline import ExecutionContext
 from repro.errors import ConfigError
 
-MODES = ("repro", "repro_buffered", "sorted")
+MODES = ("repro", "sorted")
 
 JOIN_FLOAT_KEY = (
     "SELECT r.tag, SUM(v) AS sv, COUNT(*) AS c, MIN(v) AS lo, "

@@ -17,21 +17,20 @@ import numpy as np
 import pytest
 
 from repro.engine import Database
-from repro.engine.matview import MaintenanceGroupTable, ViewDefinitionError
-from repro.engine.operators import (
-    AggregateSpec,
-    Batch,
-    SumConfig,
-    _AvgState,
-    _CountState,
-    _PlainSumImpl,
-    _RefcountedDistinctState,
-    _RetractableReproSumImpl,
-    _SumState,
-    _VarState,
+from repro.engine.aggregates import (
+    CountState,
+    DistinctState,
+    LadderSum,
+    Moment2State,
+    PlainSum,
+    SumState,
 )
+from repro.engine.expr import ExprCache
+from repro.engine.matview import MaintenanceGroupTable, ViewDefinitionError
+from repro.engine.operators import AggregateSpec, Batch, SumConfig
 from repro.engine.sql import parse, parse_expression
 from repro.engine.sql import ast
+from repro.engine.vectorized import SortedMorsel
 
 
 # ---------------------------------------------------------------------------
@@ -52,34 +51,61 @@ def result_bits(result):
 
 def state_snapshot(state):
     """Comparable byte-level identity of one partial aggregate state."""
-    if isinstance(state, _CountState):
+    if isinstance(state, CountState):
         return ("count", tuple(state.counts.tolist()))
-    if isinstance(state, _PlainSumImpl):
+    if isinstance(state, PlainSum):
         return ("plain", tuple(state.sums.tolist()), state.scale)
-    if isinstance(state, _RetractableReproSumImpl):
+    if isinstance(state, LadderSum):
         return ("rsum", state.grouped.state_identity())
-    if isinstance(state, _SumState):
-        return ("sumstate", None if state.impl is None
-                else state_snapshot(state.impl))
-    if isinstance(state, _AvgState):
-        return ("avg", state_snapshot(state.sum), state_snapshot(state.count))
-    if isinstance(state, _VarState):
+    if isinstance(state, SumState):
+        return ("sumstate", None if state.acc is None
+                else state_snapshot(state.acc))
+    if isinstance(state, Moment2State):
         return (
-            "var",
+            "moment2",
             state_snapshot(state.sum_x),
             state_snapshot(state.sum_xx),
-            state_snapshot(state.count),
         )
-    if isinstance(state, _RefcountedDistinctState):
+    if isinstance(state, DistinctState):
         return (
             "distinct",
             tuple(
                 tuple(sorted((repr(k), v) for k, v in counts.items()))
-                for counts in state.refcounts
+                for counts in state.groups
             ),
             state.member_count,
         )
     raise TypeError(f"no snapshot for {state!r}")
+
+
+class RetractableStates:
+    """The states a retractable table builds for one aggregate (AVG is
+    its shared SUM + COUNT, the VARIANCE family its second moment +
+    COUNT), driven with explicit group ids."""
+
+    def __init__(self, sql, mode):
+        self.spec = AggregateSpec(parse_expression(sql), SumConfig(mode))
+        self.states = MaintenanceGroupTable((), [self.spec]).states
+
+    def _apply(self, method, values, gids, ngroups):
+        batch = make_batch(values)
+        cache = ExprCache(batch.columns, batch.types)
+        for state in self.states:
+            getattr(state, method)(
+                batch, cache, gids, SortedMorsel(gids), ngroups
+            )
+
+    def update(self, values, gids, ngroups):
+        self._apply("update", values, gids, ngroups)
+
+    def retract(self, values, gids, ngroups):
+        self._apply("retract", values, gids, ngroups)
+
+    def snapshot(self):
+        return tuple(state_snapshot(state) for state in self.states)
+
+    def finalize(self, ngroups):
+        return self.states[0].finalize(ngroups)
 
 
 def make_batch(values, extra=None):
@@ -107,19 +133,18 @@ SPEC_SQLS = [
 
 class TestRetractionRoundTrips:
     @pytest.mark.parametrize("sql", SPEC_SQLS)
-    @pytest.mark.parametrize("mode", ["repro", "repro_buffered"])
+    @pytest.mark.parametrize("mode", ["repro"])
     def test_merge_then_retract_restores_state(self, sql, mode):
         rng = np.random.default_rng(hash(sql) % 2**31)
-        spec = AggregateSpec(parse_expression(sql), SumConfig(mode))
-        assert spec.supports_retraction()
-        state = spec.make_state(retractable=True)
+        state = RetractableStates(sql, mode)
+        assert state.spec.supports_retraction()
 
         base = rng.uniform(-10, 10, size=50) * np.exp2(
             rng.uniform(-40, 40, size=50)
         )
         gids = rng.integers(0, 5, size=50)
-        state.update(make_batch(base), gids, 5)
-        before = state_snapshot(state)
+        state.update(base, gids, 5)
+        before = state.snapshot()
 
         # The adversarial delta: NaN, +/-inf, -0.0, a ladder-promoting
         # huge value, and duplicates of existing values.
@@ -127,38 +152,37 @@ class TestRetractionRoundTrips:
             [np.nan, np.inf, -np.inf, -0.0, 0.0, 2.0**70, base[0], base[0]]
         )
         delta_gids = np.array([0, 1, 2, 3, 4, 0, 1, 1])
-        state.update(make_batch(delta), delta_gids, 5)
-        assert state_snapshot(state) != before
-        state.retract(make_batch(delta), delta_gids, 5)
-        assert state_snapshot(state) == before
+        state.update(delta, delta_gids, 5)
+        assert state.snapshot() != before
+        state.retract(delta, delta_gids, 5)
+        assert state.snapshot() == before
 
     def test_int_sum_round_trip(self):
-        spec = AggregateSpec(parse_expression("SUM(v)"), SumConfig("ieee"))
-        state = spec.make_state(retractable=True)
+        state = RetractableStates("SUM(v)", "ieee")
         gids = np.array([0, 1, 0])
-        state.update(make_batch(np.array([5, 7, -2], dtype=np.int64)), gids, 2)
-        before = state_snapshot(state)
+        state.update(np.array([5, 7, -2], dtype=np.int64), gids, 2)
+        before = state.snapshot()
         delta = np.array([100, -3, 9], dtype=np.int64)
-        state.update(make_batch(delta), gids, 2)
-        state.retract(make_batch(delta), gids, 2)
-        assert state_snapshot(state) == before
+        state.update(delta, gids, 2)
+        state.retract(delta, gids, 2)
+        assert state.snapshot() == before
 
     def test_refcounted_distinct_keeps_surviving_duplicates(self):
-        state = _RefcountedDistinctState(ast.ColumnRef("v"))
+        state = RetractableStates("COUNT(DISTINCT v)", "repro")
         gids = np.array([0, 0, 0])
-        state.update(make_batch(np.array([1.0, 1.0, 2.0])), gids, 1)
+        state.update(np.array([1.0, 1.0, 2.0]), gids, 1)
         assert state.finalize(1).tolist() == [2]
         # Retract ONE of the two 1.0 occurrences: the member survives.
-        state.retract(make_batch(np.array([1.0])), np.array([0]), 1)
+        state.retract(np.array([1.0]), np.array([0]), 1)
         assert state.finalize(1).tolist() == [2]
-        state.retract(make_batch(np.array([1.0])), np.array([0]), 1)
+        state.retract(np.array([1.0]), np.array([0]), 1)
         assert state.finalize(1).tolist() == [1]
 
     def test_refcounted_distinct_rejects_unseen_retract(self):
-        state = _RefcountedDistinctState(ast.ColumnRef("v"))
-        state.update(make_batch(np.array([1.0])), np.array([0]), 1)
+        state = RetractableStates("COUNT(DISTINCT v)", "repro")
+        state.update(np.array([1.0]), np.array([0]), 1)
         with pytest.raises(ValueError):
-            state.retract(make_batch(np.array([9.0])), np.array([0]), 1)
+            state.retract(np.array([9.0]), np.array([0]), 1)
 
     def test_min_max_not_retractable(self):
         for sql in ("MIN(v)", "MAX(v)"):
@@ -586,7 +610,7 @@ MATRIX_QUERY = (
 
 
 class TestInterleavingMatrix:
-    @pytest.mark.parametrize("mode", ["repro", "repro_buffered"])
+    @pytest.mark.parametrize("mode", ["repro"])
     def test_view_bits_equal_scratch_across_knob_matrix(self, mode):
         reference = None
         for workers in (1, 3):

@@ -11,12 +11,13 @@ whole-column kernels (``grouped_float_sum``) bit-for-bit.  IEEE mode is
 import numpy as np
 import pytest
 
-from repro.engine import Database, ExecutionContext, grouped_float_sum
+from reference_table import grouped_float_sum
+from repro.engine import Database, ExecutionContext
 from repro.engine.pipeline import DEFAULT_MORSEL_SIZE
 
 WORKERS = (1, 2, 4, 8)
 MORSEL_SIZES = (1, 7, 64, 4096)
-REPRO_MODES = ("repro", "repro_buffered", "sorted")
+REPRO_MODES = ("repro", "sorted")
 
 N_ROWS = 240
 N_KEYS = 8
@@ -69,7 +70,7 @@ class TestReproModesBitIdentical:
                     f"morsel_size={morsel_size}"
                 )
 
-    @pytest.mark.parametrize("mode", ("repro", "repro_buffered"))
+    @pytest.mark.parametrize("mode", ("repro",))
     def test_workers1_matches_pre_refactor_serial_kernel(self, dataset, mode):
         """The one-shot whole-column kernel is the pre-pipeline serial
         path; workers=1 (and any other split) must reproduce its bits."""

@@ -93,7 +93,7 @@ def dataset():
 
 class TestBitEquivalence:
     @pytest.mark.parametrize("sum_mode",
-                             ("repro", "repro_buffered", "sorted", "ieee"))
+                             ("repro", "sorted", "ieee"))
     def test_bits_match_scalar_for_every_split(self, dataset, sum_mode, run_both):
         baseline = None
         for workers in WORKERS:
@@ -213,7 +213,7 @@ class TestOneRuntime:
             db2 = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset, "repro")
             scalar = db2.execute(QUERY)
             assert db2.last_pipeline_stats.fused is False
-            # The scalar table has no ladder counters to report.
+            # The reference walks add_pairs: no ladder path to report.
             assert db2.last_pipeline_stats.ladder_first_decline is None
             assert "fused" not in db2.explain(QUERY).split("Aggregate[")[1]
         assert result_bits(default) == result_bits(scalar)
@@ -250,6 +250,68 @@ class TestRetiredOptions:
             with pytest.raises(TypeError):
                 Database(**{option: False})
             assert not hasattr(db.execution_context, option)
+
+
+    def test_retired_sum_mode_names_its_successor(self):
+        """``repro_buffered`` never selected different code; the name
+        (and ``buffer_size``, which no kernel read) fails loudly."""
+        from repro.server.__main__ import main as serve
+
+        db = Database()
+        for build in (
+            lambda: Database(sum_mode="repro_buffered"),
+            lambda: db.session(sum_mode="repro_buffered"),
+            lambda: SumConfig("repro_buffered"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert "'repro_buffered' is retired, use 'repro'" in str(err.value)
+        assert "repro_buffered" not in SumConfig.MODES
+        assert len(SumConfig.MODES) == 3
+        with pytest.raises(ReproError, match="unknown session options"):
+            db.session(buffer_size=512)
+        with pytest.raises(ReproError):
+            db.set_default("buffer_size", 512)
+        with pytest.raises(TypeError):
+            Database(buffer_size=512)
+        with pytest.raises(TypeError):
+            SumConfig("repro", 2, 512)
+        with pytest.raises(SystemExit):
+            serve(["--sum-mode", "repro_buffered"])
+
+
+class TestRadixOverflow:
+    """Key parts whose composite code space would overflow int64 are
+    re-densified per key instead of radix-combined: same groups, same
+    bits, kernel-fed or interpreted."""
+
+    QUERY = (
+        "SELECT k, s, v AS g, SUM(v) AS sv, COUNT(*) AS c, MIN(v) AS lo "
+        "FROM t GROUP BY k, s, v ORDER BY k, s, v"
+    )
+
+    @pytest.mark.parametrize("path", ("fused", "interpreted"))
+    def test_bits_do_not_depend_on_the_radix_guard(self, dataset, path,
+                                                   engine_path, monkeypatch):
+        from repro.engine import vectorized
+
+        with engine_path(path):
+            db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset, "repro",
+                         workers=2, morsel_size=97)
+            expected = result_bits(db.execute(self.QUERY))
+            taken = []
+            real = vectorized.VectorizedGroupTable._gids_past_radix
+
+            def spy(table, parts):
+                taken.append(len(parts))
+                return real(table, parts)
+
+            monkeypatch.setattr(
+                vectorized.VectorizedGroupTable, "_gids_past_radix", spy
+            )
+            monkeypatch.setattr(vectorized, "_RADIX_MAX", 4)
+            assert result_bits(db.execute(self.QUERY)) == expected
+            assert taken and set(taken) == {3}
 
 
 class TestCountDistinct:
@@ -306,7 +368,7 @@ class TestCountDistinct:
             return bits, plans, stats
 
     @pytest.mark.parametrize("sum_mode",
-                             ("repro", "repro_buffered", "sorted", "ieee"))
+                             ("repro", "sorted", "ieee"))
     def test_bits_match_scalar_on_every_operator(self, members, sum_mode,
                                                  engine_path):
         configs = [
@@ -418,9 +480,10 @@ class TestKernels:
     def test_object_keys_without_storage_encoding(self):
         # A Batch built directly (no table scan) has no dictionary
         # encodings: the object-key fast path must still agree with the
-        # scalar key table.
+        # reference key factorization.
+        from reference_table import PartialGroupTable
         from repro.engine import VectorizedGroupTable
-        from repro.engine.operators import Batch, PartialGroupTable
+        from repro.engine.operators import Batch
 
         rng = np.random.default_rng(3)
         labels = np.array(["p", "q", "r"], dtype=object)[

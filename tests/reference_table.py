@@ -1,0 +1,149 @@
+"""The differential oracle: a row-order reference group table.
+
+:class:`PartialGroupTable` builds exactly the states the query table
+builds (same plan, same merge, same finalize, same spill payload — all
+inherited) and overrides only *morsel consumption*, replacing every
+batched technique with the plainest thing that is obviously right:
+
+* keys: every morsel re-factorizes every key column with ``np.unique``
+  over the evaluated arrays — no storage dictionaries, no persistent
+  code table;
+* arguments: every aggregate re-evaluates its expression with the
+  un-cached :func:`~repro.engine.expr.evaluate`;
+* ladders: :meth:`GroupedSummation.add_pairs` in row order instead of
+  the blocked scatter; extremes through a private stable ``argsort``;
+  IEEE / int / sorted sums already are ``np.add.at`` / a pair buffer in
+  row order, so those go through the accumulator's own ``add``.
+
+No query can reach it: ``conftest.engine_path("scalar")`` is the only
+door.  :func:`grouped_float_sum` is the even older whole-column oracle
+the pipeline tests compare against.
+"""
+
+import numpy as np
+
+from repro.aggregation.grouped import GroupedSummation
+from repro.core.params import RsumParams
+from repro.engine.aggregates import (
+    LadderSum,
+    MinMaxState,
+    Moment2State,
+    SumState,
+)
+from repro.engine.expr import evaluate
+from repro.engine.operators import factorize_object
+from repro.engine.vectorized import VectorizedGroupTable
+from repro.fp.formats import BINARY32, BINARY64
+
+
+def _eval_values(arg, batch) -> np.ndarray:
+    values = np.asarray(evaluate(arg, batch.columns, batch.types))
+    if values.shape == ():
+        values = np.full(batch.nrows, values)
+    return values
+
+
+class _Uncached:
+    """``ExprCache`` stand-in that re-evaluates on every request."""
+
+    def __init__(self, batch):
+        self.batch = batch
+
+    def values(self, expr, nrows):
+        return _eval_values(expr, self.batch)
+
+
+def _add(acc, values, gids, ngroups) -> None:
+    if isinstance(acc, LadderSum) and not acc.retractable:
+        acc._grow(ngroups)
+        if gids.size:
+            acc.grouped.add_pairs(gids, values.astype(acc.params.fmt.dtype))
+    else:
+        acc.add(values, gids, None, ngroups)
+
+
+class PartialGroupTable(VectorizedGroupTable):
+    #: morsels consumed by any instance (the CI gate's call counter)
+    updates = 0
+
+    def update(self, batch) -> None:
+        assert self._kernel is None, "the reference never runs a kernel"
+        PartialGroupTable.updates += 1
+        gids = self._factorize(batch)
+        ngroups = self.ngroups
+        cache = _Uncached(batch)
+        for state in self.states:
+            if isinstance(state, SumState):
+                values = state._input(batch, cache)
+                _add(state.acc, values, gids, ngroups)
+            elif isinstance(state, Moment2State):
+                x, xx = state._powers(batch, cache)
+                _add(state.sum_x, x, gids, ngroups)
+                _add(state.sum_xx, xx, gids, ngroups)
+            elif isinstance(state, MinMaxState):
+                values = _eval_values(state.arg, batch)
+                state._grow(ngroups, values.dtype)
+                if gids.size:
+                    order = np.argsort(gids, kind="stable")
+                    sorted_gids = gids[order]
+                    starts = np.flatnonzero(np.concatenate(
+                        ([True], sorted_gids[1:] != sorted_gids[:-1])
+                    ))
+                    state._combine(
+                        sorted_gids[starts],
+                        state.ufunc.reduceat(values[order], starts),
+                    )
+            else:  # counts and DISTINCT sets have one (row-order) update
+                state.update(batch, cache, gids, None, ngroups)
+
+    def _factorize(self, batch) -> np.ndarray:
+        """Composite morsel keys -> table gids, registering new keys."""
+        if not self.group_exprs:
+            return np.zeros(batch.nrows, dtype=np.int64)
+        inverses = []
+        uniques = []
+        for expr in self.group_exprs:
+            arr = _eval_values(expr, batch)
+            try:
+                uniq, inverse = np.unique(arr, return_inverse=True)
+            except TypeError:
+                # Object keys with None entries (a LEFT JOIN's
+                # null-introduced column) cannot sort; dictionary-
+                # encode instead.
+                inverse, uniq = factorize_object(arr)
+            inverses.append(inverse.astype(np.int64))
+            uniques.append(uniq)
+        if self._key_dtypes is None:
+            self._key_dtypes = [uniq.dtype for uniq in uniques]
+        combined = inverses[0]
+        for inv, uniq in zip(inverses[1:], uniques[1:]):
+            combined = combined * len(uniq) + inv
+        dense_uniq, morsel_gids = np.unique(combined, return_inverse=True)
+        lut = self._register_columns(self._decode_columns(
+            dense_uniq, uniques, [len(uniq) for uniq in uniques]
+        ))
+        return lut[morsel_gids.astype(np.int64)]
+
+
+def grouped_float_sum(values: np.ndarray, gids: np.ndarray, ngroups: int,
+                      mode: str, levels: int = 2) -> np.ndarray:
+    """The three SUM implementations as one-shot whole-column kernels:
+    for the repro modes the partial-state pipeline must reproduce these
+    bits exactly, for any (workers, morsel_size) split."""
+    if mode == "ieee":
+        out = np.zeros(ngroups, dtype=values.dtype)
+        np.add.at(out, gids, values)
+        return out
+    if mode == "repro":
+        fmt = BINARY32 if values.dtype == np.float32 else BINARY64
+        grouped = GroupedSummation.from_pairs(
+            RsumParams(fmt, levels), gids, values.astype(fmt.dtype), ngroups
+        )
+        return grouped.finalize()
+    if mode == "sorted":
+        bits = values.view(np.uint32 if values.dtype == np.float32 else np.uint64)
+        order = np.lexsort((bits, gids))
+        out = np.zeros(ngroups, dtype=values.dtype)
+        np.add.at(out, gids[order], values[order])
+        return out
+    raise ValueError(f"unknown sum mode {mode!r}")

@@ -250,7 +250,8 @@ def test_digest_asserts_kernel_on_unbudgeted_legs(digest, engine_path):
     queries = tuple(
         entry for entry in digest.QUERIES if entry[0] == "join_edge_fused"
     )
-    assert len(digest.digest_lines([1], ("auto",), (None,), queries)) == 3
+    lines = digest.digest_lines([1], ("auto",), (None,), queries)
+    assert len(lines) == len(digest.MODES)
     with engine_path("interpreted"):
         with pytest.raises(SystemExit, match="did not engage the fused"):
             digest.digest_lines([1], ("auto",), (None,), queries)
@@ -287,3 +288,61 @@ def test_digest_main_writes_file(digest, tmp_path, monkeypatch, capsys):
     assert len(lines) == len(digest.MODES)
     assert all(line.startswith("edge_keys ") for line in lines)
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# one aggregate runtime: the reference stays under tests/
+# ---------------------------------------------------------------------------
+
+
+def test_library_does_not_know_the_reference_table():
+    """The row-order reference is test code: nothing under ``src/repro``
+    imports it or keeps its name alive."""
+    src = _SCRIPTS.parent / "src" / "repro"
+    offenders = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if any(word in path.read_text(encoding="utf-8")
+               for word in ("PartialGroupTable", "reference_table"))
+    ]
+    assert offenders == []
+
+
+def test_only_the_fixture_runs_the_reference_update(engine_path):
+    """``engine_path("scalar")`` provably feeds SELECTs through the
+    reference ``update`` (its call counter moves) — and view build,
+    REFRESH and the post-recovery rebuild provably never do, even
+    inside the block: they run the query table, built retractable."""
+    from reference_table import PartialGroupTable
+    from repro.engine import Database
+
+    query = "SELECT k, SUM(v) AS sv, AVG(v) AS av FROM t GROUP BY k"
+    with engine_path("scalar"):
+        db = Database(sum_mode="repro", morsel_size=2)
+        db.execute("CREATE TABLE t (k INT, v DOUBLE)")
+        db.execute("INSERT INTO t VALUES (1, 0.5), (2, 0.25), (1, 1e10)")
+        before = PartialGroupTable.updates
+        scratch = db.execute(query + " ORDER BY k")
+        assert PartialGroupTable.updates == before + 2  # one per morsel
+
+        before = PartialGroupTable.updates
+        db.execute(f"CREATE MATERIALIZED VIEW vm AS {query}")
+        view = db.view("vm")
+        assert view.maintenance == "incremental"
+        db.execute("INSERT INTO t VALUES (2, -1e10), (3, 3.0)")
+        db.execute("DELETE FROM t WHERE v = 0.5")
+        db.execute("REFRESH MATERIALIZED VIEW vm")
+        view._needs_rebuild = True  # what restore_served leaves behind
+        db.execute("INSERT INTO t VALUES (3, 0.125)")
+        db.execute("REFRESH MATERIALIZED VIEW vm")
+        assert not view._needs_rebuild
+        assert PartialGroupTable.updates == before
+        assert "ViewScan" in db.explain(query)
+        served = db.execute(query + " ORDER BY k")
+        db.execute("DROP MATERIALIZED VIEW vm")
+        again = db.execute(query + " ORDER BY k")
+        assert PartialGroupTable.updates > before
+    assert len(scratch) == 2
+    assert [a.tobytes() for a in served.arrays] == [
+        a.tobytes() for a in again.arrays
+    ]

@@ -547,20 +547,75 @@ def test_storage_errors_round_trip_the_wire():
         assert isinstance(back, StorageError) and isinstance(back, ReproError)
 
 
+def test_directory_written_by_the_parent_commit_still_serves_its_bits(tmp_path):
+    """``parent_commit_dir`` was written by the commit before
+    ``repro_buffered`` / ``buffer_size`` were retired, with both in
+    every place they could be persisted: the checkpointed view spec, a
+    ``create_view`` WAL record, and the ``set_default`` records.  It
+    must open, select ``repro``, serve the bits that commit served, and
+    refresh *incrementally* to the bits that commit refreshed to
+    (``parent_commit_dir.json``, recorded by that commit)."""
+    import json
+    import pathlib
+    import shutil
+
+    here = pathlib.Path(__file__).parent
+    golden = json.loads((here / "parent_commit_dir.json").read_text())
+    shutil.copytree(here / "parent_commit_dir", tmp_path / "dir")
+    query = golden["view_sql"] + " ORDER BY k, s"
+
+    def bits(result):
+        return {
+            name: (np.asarray(arr).tobytes().hex()
+                   if np.asarray(arr).dtype != object
+                   else repr(np.asarray(arr).tolist()))
+            for name, arr in zip(result.names, result.arrays)
+        }
+
+    db = repro.open(str(tmp_path / "dir"), checkpoint_interval=None)
+    try:
+        assert db.session_defaults["sum_mode"] == "repro"
+        assert "buffer_size" not in db.session_defaults
+        assert db.session_defaults["workers"] == 2
+        assert db.sum_config.mode == db.view("vm2").sum_config.mode == "repro"
+        view = db.view("vm")
+        assert view.sum_config.mode == "repro"
+        assert view.maintenance == "incremental"
+        assert "ViewScan" in db.explain(query)
+        assert bits(db.execute(query)) == golden["served"]
+        assert bits(db.execute(
+            "SELECT k, SUM(f) AS sf FROM t GROUP BY k ORDER BY k"
+        )) == golden["served_vm2"]
+
+        # Replaying the WAL's REFRESH already rebuilt the maintenance
+        # state from the checkpointed served arrays; this one is a delta.
+        db.execute(golden["follow_up"])
+        assert db.execute("REFRESH MATERIALIZED VIEW vm") == 3
+        assert not view._needs_rebuild
+        assert "ViewScan" in db.explain(query)
+        assert bits(db.execute(query)) == golden["after_refresh"]
+        db.checkpoint()
+    finally:
+        db.close()
+    # ... and what this version wrote over it opens again.
+    with repro.open(str(tmp_path / "dir"), checkpoint_interval=None) as db:
+        assert bits(db.execute(query)) == golden["after_refresh"]
+
+
 def test_persistent_defaults_survive_reopen(tmp_path):
     db = repro.open(str(tmp_path), **CONFIG)
     db.execute("CREATE TABLE t (f DOUBLE)")
-    db.set_default("sum_mode", "repro_buffered")
+    db.set_default("sum_mode", "sorted")
     db.set_default("workers", 3)
     with pytest.raises(ReproError):
         db.set_default("not_a_knob", 1)
     db.close()
     reopened = repro.open(str(tmp_path), checkpoint_interval=None)
     try:
-        assert reopened.session_defaults["sum_mode"] == "repro_buffered"
+        assert reopened.session_defaults["sum_mode"] == "sorted"
         assert reopened.session_defaults["workers"] == 3
         session = reopened.session()
-        assert session.sum_config.mode == "repro_buffered"
+        assert session.sum_config.mode == "sorted"
     finally:
         reopened.close()
 

@@ -17,12 +17,8 @@ from repro.core.buffer import BufferedReproFloat
 from repro.core.params import RsumParams
 from repro.core.state import SummationState
 from repro.engine import parse_expression
-from repro.engine.operators import (
-    AggregateSpec,
-    Batch,
-    PartialGroupTable,
-    SumConfig,
-)
+from reference_table import PartialGroupTable
+from repro.engine.operators import AggregateSpec, Batch, SumConfig
 from repro.engine.types import DOUBLE, INT, VarcharType
 from repro.engine.vectorized import VectorizedGroupTable
 from repro.fp.formats import BINARY32, BINARY64

@@ -4,6 +4,7 @@
 Usage:
     python scripts/check_bench_regression.py CURRENT BASELINE \
         [--tolerance 0.25] [--update-baseline]
+    python scripts/check_bench_regression.py --trajectory [BENCH_N.json ...]
 
 ``ns_per_element`` kernels fail when the current value exceeds the
 baseline by more than the tolerance (default 25%, overridable with
@@ -18,12 +19,22 @@ deltas are visible on the run page without downloading artifacts.
 
 ``--update-baseline`` rewrites the baseline's ``ns_per_element``
 section from the current run (floors are left untouched).
+
+``--trajectory`` gates nothing: it prints, per (metric, workload) of
+the end-to-end benchmark, the median each committed ``BENCH_<pr>.json``
+recorded (``benchmarks/e2e/compare.py --summary`` files; by default
+every one in the repository, oldest PR first), so the run page shows
+where each number has been going.
 """
 
 import argparse
+import glob
 import json
 import os
+import re
 import sys
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def load(path):
@@ -115,6 +126,54 @@ def render_markdown(kernel_rows, speedup_rows, tolerance, failures):
     return "\n".join(lines) + "\n"
 
 
+def committed_bench_files(root=_REPO):
+    """Every committed ``BENCH_<pr>.json`` summary, oldest PR first."""
+    older = os.path.join(root, "benchmarks", "e2e", "trajectory")
+    found = [
+        path
+        for directory in (root, older)
+        for path in glob.glob(os.path.join(directory, "BENCH_*.json"))
+    ]
+    return sorted(found, key=_pr_number)
+
+
+def _pr_number(path):
+    match = re.search(r"BENCH_(\d+)\.json$", path)
+    return int(match.group(1)) if match else 0
+
+
+def trajectory(paths):
+    """``(labels, rows)``: one label per file and one row ``(metric,
+    workload, unit, [median or None per file])`` per pair any file
+    measured — metrics, then workloads, in the order first seen."""
+    labels, rows, metric_rank, workload_rank = [], {}, {}, {}
+    for column, path in enumerate(paths):
+        labels.append(os.path.basename(path)[: -len(".json")])
+        for workload, metrics in load(path)["metrics"].items():
+            workload_rank.setdefault(workload, len(workload_rank))
+            for metric, entry in metrics.items():
+                metric_rank.setdefault(metric, len(metric_rank))
+                blank = (entry["unit"], [None] * len(paths))
+                rows.setdefault((metric, workload), blank)[1][column] = entry["median"]
+    ordered = sorted(rows, key=lambda k: (metric_rank[k[0]], workload_rank[k[1]]))
+    return labels, [(m, w, *rows[m, w]) for m, w in ordered]
+
+
+def render_trajectory(labels, rows):
+    """The trajectory as a Markdown table (also what stdout gets)."""
+    lines = [
+        "## End-to-end benchmark trajectory (medians per committed BENCH file)",
+        "",
+        "| metric | workload | unit | " + " | ".join(labels) + " |",
+        "| --- | --- | --- | " + " | ".join("---:" for _ in labels) + " |",
+    ]
+    for metric, workload, unit, medians in rows:
+        cells = ["—" if value is None else f"{value:.4g}" for value in medians]
+        head = f"| `{metric}` | {workload} | {unit} | "
+        lines.append(head + " | ".join(cells) + " |")
+    return "\n".join(lines) + "\n"
+
+
 def write_step_summary(markdown, path=None):
     """Append the report to ``$GITHUB_STEP_SUMMARY`` when present."""
     target = path if path is not None else os.environ.get("GITHUB_STEP_SUMMARY")
@@ -128,8 +187,15 @@ def write_step_summary(markdown, path=None):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("current", help="BENCH_pr.json from this run")
-    parser.add_argument("baseline", help="committed benchmarks/baseline.json")
+    parser.add_argument("current", nargs="?", help="BENCH_pr.json from this run")
+    parser.add_argument("baseline", nargs="?", help="committed baseline.json")
+    parser.add_argument(
+        "--trajectory",
+        nargs="*",
+        metavar="BENCH_N.json",
+        help="print the medians across these compare.py summaries "
+        "(default: every committed BENCH_<pr>.json) and exit",
+    )
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -142,6 +208,15 @@ def main(argv=None):
         help="rewrite the baseline ns/element numbers from the current run",
     )
     args = parser.parse_args(argv)
+
+    if args.trajectory is not None:
+        paths = args.trajectory or committed_bench_files()
+        report = render_trajectory(*trajectory(paths))
+        print(report)
+        write_step_summary(report)
+        return 0
+    if args.current is None or args.baseline is None:
+        parser.error("CURRENT and BASELINE are required without --trajectory")
 
     current = load(args.current)
     baseline = load(args.baseline)

@@ -45,6 +45,7 @@ from .errors import (
     CheckpointError,
     ConfigError,
     ConnectionClosed,
+    DataError,
     ParseError,
     ProtocolError,
     QueryTimeout,
@@ -63,6 +64,7 @@ __all__ = [
     "BindError",
     "CatalogError",
     "ConfigError",
+    "DataError",
     "AdmissionError",
     "QueryTimeout",
     "ProtocolError",

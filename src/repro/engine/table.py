@@ -30,6 +30,28 @@ still in flight at admission) are invisible, bit for bit, no matter
 how long the scan takes.  Writers serialize per table through
 :attr:`Table.lock`; readers only take it briefly to materialize column
 arrays, never for the duration of a query.
+
+What a column holds
+-------------------
+
+A :class:`Column` *is* its storage: one capacity-doubling NumPy buffer
+of the type's storage dtype plus a row count — no Python list of boxed
+values behind it, nothing to convert before a scan.  Fixed-width types
+cost their dtype's width per row (INT/DATE 4 bytes, BIGINT/DOUBLE/
+DECIMAL(p <= 18) 8, BOOLEAN 1); VARCHAR and DECIMAL(p > 18) are
+object-dtype buffers, 8 bytes of pointer per row plus the ``str`` /
+``int`` it points at (NumPy arrays are not traversed by the cyclic
+collector, so neither costs a gen-2 collection anything).  The table
+adds two ``int64`` vectors — each row's insert and delete version, 16
+bytes per row — and derives validity from them.
+
+Every array the table hands out is a view that no later statement
+changes: an append writes only buffer slots past the committed row
+count (so past every earlier view), a capacity growth allocates a
+fresh buffer, and a DELETE/UPDATE overwrites delete versions in a
+fresh copy of that vector.  The same rule makes statements atomic:
+values are coerced and written past the row count first, and become
+rows only when every column has taken them.
 """
 
 from __future__ import annotations
@@ -38,7 +60,8 @@ import threading
 
 import numpy as np
 
-from .types import SqlType
+from ..errors import DataError
+from .types import BIGINT, SqlType
 
 __all__ = ["Column", "Table", "Schema", "VersionClock"]
 
@@ -92,59 +115,83 @@ class VersionClock:
 
 
 class Column:
-    """One append-only column."""
+    """One append-only column: a typed NumPy buffer and a row count.
+
+    Rows ``[0, len(self))`` of the buffer are the column; the slots
+    past them are where the next statement *stages* its values
+    (:meth:`reserve`) before :meth:`commit` turns them into rows.  A
+    view from :meth:`array` therefore never changes: appends write past
+    it, growth and :meth:`put` move to a fresh buffer.  Callers must
+    hold the owning table's lock (every :class:`Table` accessor does).
+    """
 
     def __init__(self, name: str, sql_type: SqlType):
         self.name = name
         self.sql_type = sql_type
-        self._data: list = []
-        #: capacity-doubling conversion buffer; ``_converted`` rows of
-        #: ``_data`` are materialized in ``_buffer``
-        self._buffer: np.ndarray | None = None
-        self._converted = 0
+        self._buffer = np.empty(0, dtype=sql_type.numpy_dtype)
+        self._rows = 0
         self._encoding: tuple[np.ndarray, np.ndarray] | None = None
 
-    def append(self, value) -> None:
-        self._data.append(self.sql_type.coerce(value))
+    def coerce(self, values: list) -> np.ndarray:
+        """SQL literals as one storage array (raises, storing nothing,
+        on the first value the type rejects)."""
+        coerce = self.sql_type.coerce
+        return np.array([coerce(v) for v in values], dtype=self._buffer.dtype)
+
+    def checked(self, values) -> np.ndarray:
+        """Pre-coerced storage values as an array that assigns into the
+        buffer without loss — the input itself when it already is one."""
+        dtype = self._buffer.dtype
+        arr = np.asarray(values, dtype=object if dtype == object else None)
+        if arr.ndim != 1:
+            raise ValueError(f"column {self.name!r}: expected a 1-d array")
+        if arr.dtype != dtype and arr.size:
+            if arr.dtype.kind not in "biuf":
+                raise DataError(
+                    f"column {self.name!r}: cannot store {arr.dtype} values "
+                    f"as {self.sql_type.name}"
+                )
+            if dtype.kind == "i":
+                # the assignment casts like C: in range it truncates,
+                # out of range (or NaN) it would store garbage
+                info = np.iinfo(dtype)
+                low, high = arr.min().item(), arr.max().item()
+                if not (info.min <= low and high <= info.max):
+                    raise DataError(
+                        f"column {self.name!r}: value out of range for "
+                        f"{self.sql_type.name}"
+                    )
+        return arr
+
+    def _move(self, capacity: int) -> None:
+        fresh = np.empty(capacity, dtype=self._buffer.dtype)
+        fresh[: self._rows] = self._buffer[: self._rows]
+        self._buffer = fresh
+
+    def reserve(self, count: int) -> np.ndarray:
+        """The ``count`` buffer slots past the rows, growing by doubling
+        when they do not exist yet.  Writing them is invisible to every
+        view and to :meth:`array` until :meth:`commit`."""
+        end = self._rows + count
+        if end > len(self._buffer):
+            self._move(max(end, 2 * len(self._buffer)))
+        return self._buffer[self._rows : end]
+
+    def commit(self, count: int) -> None:
+        """Turn the first ``count`` reserved slots into rows."""
+        self._rows += count
         self._encoding = None
 
-    def extend_raw(self, values) -> None:
-        """Append pre-coerced storage values (bulk load fast path)."""
-        self._data.extend(values)
+    def put(self, indices: np.ndarray, value) -> None:
+        """Overwrite rows in a fresh copy of the buffer (one copy plus
+        O(hits)), so views handed out earlier keep what they showed."""
+        self._move(len(self._buffer))
+        self._buffer[: self._rows][indices] = value
         self._encoding = None
 
     def array(self) -> np.ndarray:
-        """The column as a NumPy array (a view over the conversion
-        buffer).
-
-        The buffer extends *incrementally* with capacity doubling:
-        appending rows converts only the new tail, so a small INSERT
-        does not pay a whole-column rebuild — the storage-layer
-        property that keeps incremental view refresh O(delta) instead
-        of O(table).  Handed-out views stay valid: appends only write
-        buffer slots beyond every previously returned view's length,
-        and a capacity growth allocates a fresh buffer.
-
-        Callers materializing concurrently must hold the owning
-        table's lock (every :class:`Table` accessor does).
-        """
-        n = len(self._data)
-        if self._converted < n or self._buffer is None:
-            tail = np.asarray(
-                self._data[self._converted:],
-                dtype=self.sql_type.numpy_dtype,
-            )
-            if self._buffer is None or len(self._buffer) < n:
-                capacity = max(
-                    n, 2 * (0 if self._buffer is None else len(self._buffer))
-                )
-                grown = np.empty(capacity, dtype=self.sql_type.numpy_dtype)
-                if self._converted:
-                    grown[: self._converted] = self._buffer[: self._converted]
-                self._buffer = grown
-            self._buffer[self._converted : n] = tail
-            self._converted = n
-        return self._buffer[:n]
+        """The column as a NumPy array: a zero-copy view of the rows."""
+        return self._buffer[: self._rows]
 
     def encoding(self) -> tuple[np.ndarray, np.ndarray]:
         """Dictionary encoding ``(codes, uniques)`` over all physical rows.
@@ -178,7 +225,7 @@ class Column:
         return self._encoding
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._rows
 
 
 class Schema:
@@ -225,11 +272,17 @@ class Table:
     the table exactly as it stood at ``W`` (the MVCC read path behind
     the serving layer, :mod:`repro.server`).
 
+    Storage is arrays only (see the module docstring): one
+    :class:`Column` per schema column plus two ``int64`` columns of
+    per-row versions; no attribute is a Python container that grows
+    with the row count.  Every array handed out is a stable view.
+
     Concurrency: :attr:`lock` (re-entrant) serializes mutating
-    statements and guards lazy cache materialization.  Each mutating
-    method is statement-atomic under it; multi-call statements (UPDATE)
-    use :meth:`replace_rows` so the delete and re-insert share one
-    version.
+    statements and guards reads of the row count.  Each mutating
+    method is statement-atomic under it — a statement that raises
+    leaves rows, version and log untouched — and multi-call statements
+    (UPDATE) use :meth:`replace_rows` so the delete and re-insert share
+    one version.
     """
 
     def __init__(self, name: str, schema: Schema,
@@ -240,10 +293,10 @@ class Table:
             col_name: Column(col_name, sql_type)
             for col_name, sql_type in schema.columns
         }
-        #: per physical row: watermark of the deleting statement, 0 = live
-        self._deleted: list[int] = []
         #: per physical row: watermark of the appending statement
-        self._inserted: list[int] = []
+        self._inserted = Column("<inserted>", BIGINT)
+        #: per physical row: watermark of the deleting statement, 0 = live
+        self._deleted = Column("<deleted>", BIGINT)
         #: monotone DML watermark (bumped once per mutating statement)
         self._version = 0
         #: version source — private until a catalog attaches its own
@@ -253,11 +306,6 @@ class Table:
         #: durable store logging mutations (:mod:`repro.storage.durable`);
         #: ``None`` keeps the table purely in-memory with zero overhead
         self._storage = None
-        # Incremental caches: appends extend the cached arrays with
-        # just the new tail; deletes (rare) invalidate them outright.
-        self._valid_arr: np.ndarray | None = None
-        self._ins_arr: np.ndarray | None = None
-        self._del_arr: np.ndarray | None = None
         # Shard layouts keyed by (nshards, version watermark): DML
         # never mutates an existing layout — a new version gets a new
         # entry (versioned re-shard), old snapshots keep theirs.
@@ -281,8 +329,7 @@ class Table:
     # -- size -------------------------------------------------------------
     def __len__(self) -> int:
         """Number of *visible* rows."""
-        with self.lock:
-            return int(np.count_nonzero(self.valid_mask()))
+        return int(np.count_nonzero(self.valid_mask()))
 
     @property
     def physical_rows(self) -> int:
@@ -295,44 +342,15 @@ class Table:
         return self._version
 
     def valid_mask(self) -> np.ndarray:
+        """Physical-row liveness now (a fresh array per call)."""
         with self.lock:
-            if self._valid_arr is None:
-                self._valid_arr = np.asarray(
-                    [d == 0 for d in self._deleted], dtype=bool
-                )
-            elif len(self._valid_arr) != len(self._deleted):
-                # Appended rows are live until a delete invalidates the
-                # cache, so the tail extension is all-True.
-                tail = np.ones(len(self._deleted) - len(self._valid_arr),
-                               dtype=bool)
-                self._valid_arr = np.concatenate([self._valid_arr, tail])
-            return self._valid_arr
-
-    def _version_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(insert_version, delete_version)`` per physical row, with
-        the same incremental-tail caching as :meth:`valid_mask`."""
-        with self.lock:
-            n = len(self._inserted)
-            if self._ins_arr is None:
-                self._ins_arr = np.asarray(self._inserted, dtype=np.int64)
-            elif len(self._ins_arr) != n:
-                tail = np.asarray(self._inserted[len(self._ins_arr):],
-                                  dtype=np.int64)
-                self._ins_arr = np.concatenate([self._ins_arr, tail])
-            if self._del_arr is None:
-                self._del_arr = np.asarray(self._deleted, dtype=np.int64)
-            elif len(self._del_arr) != n:
-                tail = np.zeros(n - len(self._del_arr), dtype=np.int64)
-                self._del_arr = np.concatenate([self._del_arr, tail])
-            return self._ins_arr, self._del_arr
+            return self._deleted.array() == 0
 
     def snapshot_mask(self, snapshot: int) -> np.ndarray:
         """Physical-row visibility at version ``snapshot``: inserted at
         or before it, not deleted at or before it."""
         with self.lock:
-            n = len(self._inserted)
-            ins, del_ = self._version_arrays()
-            ins, del_ = ins[:n], del_[:n]
+            ins, del_ = self._inserted.array(), self._deleted.array()
             return (ins <= snapshot) & ((del_ == 0) | (del_ > snapshot))
 
     def delta_masks(self, since: int,
@@ -349,10 +367,7 @@ class Table:
         mutations are already in the table.
         """
         with self.lock:
-            if not self._inserted:
-                empty = np.zeros(0, dtype=bool)
-                return empty, empty.copy()
-            ins, del_ = self._version_arrays()
+            ins, del_ = self._inserted.array(), self._deleted.array()
             if upto is None:
                 inserted = (ins > since) & (del_ == 0)
                 deleted = (ins <= since) & (del_ > since)
@@ -369,24 +384,89 @@ class Table:
         if lo == hi:
             return False
         with self.lock:
-            if not self._inserted:
-                return False
-            ins, del_ = self._version_arrays()
+            ins, del_ = self._inserted.array(), self._deleted.array()
             return bool(
                 np.any((ins > lo) & (ins <= hi))
                 or np.any((del_ > lo) & (del_ <= hi))
             )
 
     # -- mutation ----------------------------------------------------------
-    def _append_row(self, values: dict, version: int) -> None:
-        lowered = {k.lower(): v for k, v in values.items()}
-        missing = [n for n in self.schema.names() if n not in lowered]
-        if missing:
-            raise ValueError(f"missing values for columns {missing}")
-        for col_name, _ in self.schema.columns:
-            self._columns[col_name].append(lowered[col_name])
-        self._deleted.append(0)
-        self._inserted.append(version)
+    def _coerce_rows(self, rows: list[dict]) -> dict:
+        """One statement's row dicts as per-column storage arrays."""
+        names = self.schema.names()
+        lowered = [{k.lower(): v for k, v in row.items()} for row in rows]
+        for row in lowered:
+            missing = [n for n in names if n not in row]
+            if missing:
+                raise ValueError(f"missing values for columns {missing}")
+        return {
+            name: self._columns[name].coerce([row[name] for row in lowered])
+            for name in names
+        }
+
+    def _stage(self, columns: dict) -> int:
+        """Check one statement's per-column storage values and write
+        them past the committed rows — the single copy every append
+        path makes.  Returns the row count; :meth:`_apply` commits."""
+        arrays = {}
+        for name, column in self._columns.items():
+            if name not in columns:
+                raise ValueError(f"missing column {name!r}")
+            arrays[name] = column.checked(columns[name])
+        lengths = {len(arr) for arr in arrays.values()}
+        if len(lengths) > 1:
+            raise ValueError("all columns must have the same length")
+        nrows = lengths.pop() if lengths else 0
+        for name, arr in arrays.items():
+            self._columns[name].reserve(nrows)[:] = arr
+        return nrows
+
+    def _apply(self, version: int, hits, nrows: int,
+               inserted=None, deleted=0) -> None:
+        """Mask ``hits`` and turn the ``nrows`` staged rows into rows
+        (inserted by ``version`` and live, unless an image says
+        otherwise); ``version`` becomes the watermark.  Nothing here
+        can fail half-way."""
+        if hits is not None and len(hits):
+            self._deleted.put(hits, version)
+        if nrows:
+            self._inserted.reserve(nrows)[:] = (
+                version if inserted is None else inserted
+            )
+            self._deleted.reserve(nrows)[:] = deleted
+            for column in (*self._columns.values(), self._inserted,
+                           self._deleted):
+                column.commit(nrows)
+        self._version = version
+
+    def _live(self, physical_indices) -> np.ndarray:
+        """The subset of ``physical_indices`` that is not yet masked."""
+        indices = np.asarray(physical_indices, dtype=np.int64)
+        return indices[self._deleted.array()[indices] == 0]
+
+    def _statement(self, hits=None, columns=None) -> None:
+        """One DML statement: mask ``hits`` and/or append ``columns``
+        under a single new version, then log it.  A statement with no
+        effect does not advance the watermark, so it cannot make a
+        fresh materialized view look stale."""
+        nrows = 0 if columns is None else self._stage(columns)
+        if not nrows and (hits is None or not len(hits)):
+            return
+        start = self.physical_rows
+        version = self._clock.begin()
+        try:
+            self._apply(version, hits, nrows)
+            if self._storage is not None:
+                if hits is None:
+                    self._storage.log_rows_appended(self, version, start)
+                elif columns is None:
+                    self._storage.log_rows_masked(self, version, hits)
+                else:
+                    self._storage.log_rows_replaced(
+                        self, version, hits, start
+                    )
+        finally:
+            self._clock.commit(version)
 
     def insert_row(self, values: dict) -> None:
         self.insert_rows([values])
@@ -395,75 +475,22 @@ class Table:
         """Append many rows as one versioned chunk (one watermark bump
         for the whole statement — INSERT ... VALUES / INSERT ... SELECT).
         An empty statement leaves the watermark untouched."""
-        if not rows:
-            return 0
         with self.lock:
-            start = len(self._deleted)
-            version = self._clock.begin()
-            try:
-                for row in rows:
-                    self._append_row(row, version)
-                self._version = version
-                if self._storage is not None:
-                    self._storage.log_rows_appended(self, version, start)
-            finally:
-                self._clock.commit(version)
+            self._statement(columns=self._coerce_rows(rows))
         return len(rows)
 
     def bulk_load(self, columns: dict) -> None:
         """Load pre-coerced storage arrays (used by the TPC-H generator)."""
-        lowered = {k.lower(): v for k, v in columns.items()}
-        lengths = {len(v) for v in lowered.values()}
-        if len(lengths) != 1:
-            raise ValueError("all columns must have the same length")
-        (nrows,) = lengths
         with self.lock:
-            for col_name, _ in self.schema.columns:
-                if col_name not in lowered:
-                    raise ValueError(f"missing column {col_name!r}")
-            if nrows == 0:
-                for col_name, _ in self.schema.columns:
-                    self._columns[col_name].extend_raw(list(lowered[col_name]))
-                return
-            start = len(self._deleted)
-            version = self._clock.begin()
-            try:
-                for col_name, _ in self.schema.columns:
-                    self._columns[col_name].extend_raw(list(lowered[col_name]))
-                self._deleted.extend([0] * nrows)
-                self._inserted.extend([version] * nrows)
-                self._version = version
-                if self._storage is not None:
-                    self._storage.log_rows_appended(self, version, start)
-            finally:
-                self._clock.commit(version)
+            self._statement(
+                columns={k.lower(): v for k, v in columns.items()}
+            )
 
     def mask_rows(self, physical_indices: np.ndarray) -> int:
-        """Delete row versions in place (the masking half of UPDATE).
-
-        A statement that masks nothing does not advance the watermark,
-        so it cannot make a fresh materialized view look stale.
-        """
+        """Delete row versions (the masking half of UPDATE)."""
         with self.lock:
-            hits = [
-                idx for idx in np.asarray(physical_indices).tolist()
-                if self._deleted[idx] == 0
-            ]
-            if not hits:
-                return 0
-            version = self._clock.begin()
-            try:
-                for idx in hits:
-                    self._deleted[idx] = version
-                self._version = version
-                if self._storage is not None:
-                    self._storage.log_rows_masked(self, version, hits)
-            finally:
-                self._clock.commit(version)
-            # Deletes mutate existing entries: drop the caches rather
-            # than mutate arrays callers may still hold.
-            self._valid_arr = None
-            self._del_arr = None
+            hits = self._live(physical_indices)
+            self._statement(hits=hits)
             return len(hits)
 
     def replace_rows(self, physical_indices: np.ndarray,
@@ -473,28 +500,8 @@ class Table:
         either the whole statement or none of it — never the masked
         half without the re-inserted half."""
         with self.lock:
-            hits = [
-                idx for idx in np.asarray(physical_indices).tolist()
-                if self._deleted[idx] == 0
-            ]
-            if not hits and not rows:
-                return 0
-            start = len(self._deleted)
-            version = self._clock.begin()
-            try:
-                for idx in hits:
-                    self._deleted[idx] = version
-                for row in rows:
-                    self._append_row(row, version)
-                self._version = version
-                if self._storage is not None:
-                    self._storage.log_rows_replaced(
-                        self, version, hits, start
-                    )
-            finally:
-                self._clock.commit(version)
-            self._valid_arr = None
-            self._del_arr = None
+            hits = self._live(physical_indices)
+            self._statement(hits=hits, columns=self._coerce_rows(rows))
             return len(hits)
 
     def append_versions(self, rows: list[dict]) -> None:
@@ -506,72 +513,47 @@ class Table:
         """Storage arrays of physical rows ``start:`` per column — the
         physical effect of one append, as the WAL records it."""
         with self.lock:
-            n = len(self._deleted)
             return {
-                name: self._columns[name].array()[start:n].copy()
-                for name, _ in self.schema.columns
+                name: column.array()[start:]
+                for name, column in self._columns.items()
             }
 
-    @staticmethod
-    def _storage_values(values) -> list:
-        return values.tolist() if isinstance(values, np.ndarray) else list(
-            values
-        )
+    def physical_state(self) -> dict:
+        """Everything a checkpoint image holds, as the keyword arguments
+        of :meth:`restore_physical`: every column's rows (visible and
+        masked), per-row insert/delete versions, the watermark."""
+        with self.lock:
+            return {
+                "columns": self.column_tails(0),
+                "inserted": self._inserted.array(),
+                "deleted": self._deleted.array(),
+                "version": self._version,
+            }
 
-    def _extend_physical(self, columns: dict, versions: list[int]) -> None:
-        nrows = len(versions)
-        for name, _ in self.schema.columns:
-            values = self._storage_values(columns[name])
-            if len(values) != nrows:
-                raise ValueError(
-                    f"column {name!r}: {len(values)} values for "
-                    f"{nrows} logged rows"
-                )
-            self._columns[name].extend_raw(values)
-        self._deleted.extend([0] * nrows)
-        self._inserted.extend(versions)
-
-    def replay_append(self, version: int, columns: dict) -> None:
-        """Re-apply one logged append (idempotent: versions the table
+    def _replay(self, version: int, indices=None, columns=None) -> None:
+        """Re-apply one logged statement (idempotent: versions the table
         already contains — a fuzzy checkpoint overlap — are skipped)."""
         with self.lock:
             version = int(version)
             if version <= self._version:
                 return
-            names = self.schema.names()
-            nrows = len(self._storage_values(columns[names[0]])) if names else 0
-            self._extend_physical(columns, [version] * nrows)
-            self._version = version
+            if indices is not None:
+                indices = np.asarray(indices, dtype=np.int64)
+            nrows = 0 if columns is None else self._stage(columns)
+            self._apply(version, indices, nrows)
             self._clock.advance_to(version)
 
+    def replay_append(self, version: int, columns: dict) -> None:
+        """Re-apply one logged append."""
+        self._replay(version, columns=columns)
+
     def replay_mask(self, version: int, indices) -> None:
-        """Re-apply one logged delete (idempotent, see replay_append)."""
-        with self.lock:
-            version = int(version)
-            if version <= self._version:
-                return
-            for idx in np.asarray(indices, dtype=np.int64).tolist():
-                self._deleted[idx] = version
-            self._version = version
-            self._clock.advance_to(version)
-            self._valid_arr = None
-            self._del_arr = None
+        """Re-apply one logged delete."""
+        self._replay(version, indices=indices)
 
     def replay_replace(self, version: int, indices, columns: dict) -> None:
         """Re-apply one logged UPDATE: mask + append under one version."""
-        with self.lock:
-            version = int(version)
-            if version <= self._version:
-                return
-            for idx in np.asarray(indices, dtype=np.int64).tolist():
-                self._deleted[idx] = version
-            names = self.schema.names()
-            nrows = len(self._storage_values(columns[names[0]])) if names else 0
-            self._extend_physical(columns, [version] * nrows)
-            self._version = version
-            self._clock.advance_to(version)
-            self._valid_arr = None
-            self._del_arr = None
+        self._replay(version, indices=indices, columns=columns)
 
     def restore_physical(self, columns: dict, inserted, deleted,
                          version: int) -> None:
@@ -579,26 +561,15 @@ class Table:
         (empty) table: column values, per-row insert/delete versions,
         and the watermark — the exact layout the image captured."""
         with self.lock:
-            if self._deleted:
+            if self.physical_rows:
                 raise ValueError("restore_physical requires an empty table")
-            inserted = [int(v) for v in self._storage_values(inserted)]
-            deleted = [int(v) for v in self._storage_values(deleted)]
-            if len(inserted) != len(deleted):
-                raise ValueError("insert/delete version length mismatch")
-            for name, _ in self.schema.columns:
-                values = self._storage_values(columns[name])
-                if len(values) != len(inserted):
-                    raise ValueError(
-                        f"column {name!r} length mismatch in image"
-                    )
-                self._columns[name].extend_raw(values)
-            self._inserted = inserted
-            self._deleted = deleted
-            self._version = int(version)
+            nrows = self._stage(columns)
+            inserted = self._inserted.checked(inserted)
+            deleted = self._deleted.checked(deleted)
+            if not len(inserted) == len(deleted) == nrows:
+                raise ValueError("row / version length mismatch in image")
+            self._apply(int(version), None, nrows, inserted, deleted)
             self._clock.advance_to(self._version)
-            self._valid_arr = None
-            self._ins_arr = None
-            self._del_arr = None
 
     # -- access --------------------------------------------------------------
     def column_array(self, name: str, visible_only: bool = True) -> np.ndarray:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import DataError
 from ..fp.decimal_fixed import DecimalType
 
 __all__ = [
@@ -35,6 +36,18 @@ __all__ = [
     "parse_date",
     "type_from_name",
 ]
+
+
+def _fit_int(value, bits: int, type_name: str) -> int:
+    """``int(value)``, refused when a ``bits``-wide column cannot hold
+    it (stored unchecked it would poison every later read)."""
+    try:
+        value = int(value)
+    except OverflowError as exc:  # int(inf)
+        raise DataError(f"{value!r} out of range for {type_name}") from exc
+    if not -(1 << (bits - 1)) <= value < 1 << (bits - 1):
+        raise DataError(f"{value} out of range for {type_name}")
+    return value
 
 
 class SqlType:
@@ -80,7 +93,7 @@ class IntType(SqlType):
     def coerce(self, value):
         if value is None:
             raise ValueError("NULLs are not supported")
-        return int(value)
+        return _fit_int(value, self.bits, self.name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +131,10 @@ class DecimalSqlType(SqlType):
         return np.dtype(np.int64 if self.precision <= 18 else object)
 
     def coerce(self, value):
-        return self.decimal.unscaled_from_real(value)
+        try:
+            return self.decimal.unscaled_from_real(value)
+        except OverflowError as exc:  # past the storage width, or inf
+            raise DataError(str(exc)) from exc
 
     def to_python(self, stored):
         return float(stored) / 10**self.scale
@@ -139,7 +155,7 @@ class VarcharType(SqlType):
     def coerce(self, value):
         s = str(value)
         if len(s) > self.length:
-            raise ValueError(f"string too long for {self.name}: {s!r}")
+            raise DataError(f"string too long for {self.name}: {s!r}")
         return s
 
 
@@ -153,7 +169,7 @@ class DateType(SqlType):
             return value.toordinal()
         if isinstance(value, str):
             return parse_date(value)
-        return int(value)
+        return _fit_int(value, 32, self.name)
 
     def to_python(self, stored):
         return datetime.date.fromordinal(int(stored))

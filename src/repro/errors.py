@@ -21,6 +21,7 @@ __all__ = [
     "BindError",
     "CatalogError",
     "ConfigError",
+    "DataError",
     "AdmissionError",
     "QueryTimeout",
     "ProtocolError",
@@ -76,6 +77,15 @@ class ConfigError(ReproError, ValueError):
     """Invalid session knob name or value (the ``SET`` pragma paths)."""
 
     code = "config_error"
+
+
+class DataError(ReproError, ValueError):
+    """A value a statement tried to store does not fit its column's
+    type: an integer outside the column's width, a DECIMAL past its
+    storage, a string past its VARCHAR length.  The statement fails
+    whole — nothing is stored, nothing is logged."""
+
+    code = "data_error"
 
 
 class AdmissionError(ReproError):
@@ -154,6 +164,7 @@ _WIRE_TYPES = {
         BindError,
         CatalogError,
         ConfigError,
+        DataError,
         AdmissionError,
         QueryTimeout,
         ProtocolError,

@@ -356,20 +356,15 @@ class DurableStore:
 
     @staticmethod
     def _dump_table(table) -> dict:
-        with table.lock:
-            n = len(table._deleted)
-            columns = {
-                name: table._columns[name].array()[:n].copy()
-                for name, _ in table.schema.columns
-            }
-            return {
-                "name": table.name,
-                "schema": _schema_spec(table.schema),
-                "version": int(table._version),
-                "inserted": np.asarray(table._inserted, dtype=np.int64),
-                "deleted": np.asarray(table._deleted, dtype=np.int64),
-                "columns": columns,
-            }
+        state = table.physical_state()
+        return {
+            "name": table.name,
+            "schema": _schema_spec(table.schema),
+            "version": int(state["version"]),
+            "inserted": state["inserted"],
+            "deleted": state["deleted"],
+            "columns": state["columns"],
+        }
 
     @staticmethod
     def _dump_view(view) -> dict:
@@ -525,7 +520,7 @@ class DurableStore:
             "cols": table.column_tails(start),
         })
 
-    def log_rows_masked(self, table, version: int, hits: list) -> None:
+    def log_rows_masked(self, table, version: int, hits) -> None:
         self._append({
             "op": "mask",
             "table": table.name,
@@ -533,7 +528,7 @@ class DurableStore:
             "rows": np.asarray(hits, dtype=np.int64),
         })
 
-    def log_rows_replaced(self, table, version: int, hits: list,
+    def log_rows_replaced(self, table, version: int, hits,
                           start: int) -> None:
         self._append({
             "op": "replace",
@@ -554,18 +549,15 @@ class DurableStore:
         """A pre-populated table joined the catalog: log its full
         physical state (rows were born outside the WAL's sight)."""
         with table.lock:
-            n = len(table._deleted)
+            state = table.physical_state()
             self._append({
                 "op": "attach_table",
                 "name": table.name,
                 "schema": _schema_spec(table.schema),
-                "version": int(table._version),
-                "inserted": np.asarray(table._inserted, dtype=np.int64),
-                "deleted": np.asarray(table._deleted, dtype=np.int64),
-                "cols": {
-                    name: table._columns[name].array()[:n].copy()
-                    for name, _ in table.schema.columns
-                },
+                "version": int(state["version"]),
+                "inserted": state["inserted"],
+                "deleted": state["deleted"],
+                "cols": state["columns"],
             })
 
     def log_drop_table(self, name: str) -> None:

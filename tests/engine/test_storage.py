@@ -201,3 +201,96 @@ class TestVersionedStorage:
         assert table.valid_mask().tolist() == [True, True]
         table.mask_rows(np.array([0]))
         assert table.valid_mask().tolist() == [False, True]
+
+    def test_views_handed_out_before_a_delete_or_append_keep_their_contents(
+        self,
+    ):
+        """No statement changes an array a reader already holds — across
+        an append into spare capacity, a capacity doubling, a DELETE and
+        an UPDATE, for column views, masks and the version vectors."""
+        table = self.make_table()
+        table.insert_rows([{"i": k, "f": k / 4} for k in range(3)])
+        table.insert_rows([{"i": 3, "f": 0.75}])    # capacity 6, 4 rows
+
+        def holdings():
+            state = table.physical_state()
+            return {
+                "column": table.column_array("f", visible_only=False),
+                "valid": table.valid_mask(),
+                "snapshot": table.snapshot_mask(table.version),
+                "tails": table.column_tails(1)["i"],
+                "inserted": state["inserted"],
+                "deleted": state["deleted"],
+                "scan": table.physical_scan()[0]["i"],
+            }
+
+        held = []
+        for statement in (
+            lambda: table.insert_row({"i": 4, "f": 1.0}),       # in place
+            lambda: table.mask_rows(np.array([1])),
+            lambda: table.insert_rows(                          # doubles
+                [{"i": k, "f": 0.0} for k in range(5, 12)]
+            ),
+            lambda: table.replace_rows(
+                np.array([0, 6]), [{"i": -1, "f": -1.0}]
+            ),
+            lambda: table.replay_mask(table.version + 1, [2]),
+        ):
+            views = holdings()
+            held.append((views, {k: v.copy() for k, v in views.items()}))
+            statement()
+        for views, copies in held:
+            for what, view in views.items():
+                assert view.tolist() == copies[what].tolist(), what
+        assert table.valid_mask().tolist() == (
+            [False, False, False, True, True, True, False] + [True] * 6
+        )
+
+    def test_delete_keeps_the_dictionary_encoding_append_drops_it(self):
+        table = Table("t", Schema([("s", VarcharType(3)), ("f", DOUBLE)]))
+        table.insert_rows([{"s": s, "f": 0.0} for s in "abcab"])
+        _, uniques = table.key_encodings(["s"])["s"]
+        table.mask_rows(np.array([0]))
+        codes, again = table.key_encodings(["s"])["s"]
+        assert again is uniques and again[codes].tolist() == list("bcab")
+        table.insert_rows([{"s": "d", "f": 0.0}])
+        codes, fresh = table.key_encodings(["s"])["s"]
+        assert fresh is not uniques and fresh[codes].tolist() == list("bcabd")
+
+    def test_physical_state_round_trips_through_restore_physical(self):
+        table = self.make_table()
+        table.insert_rows([{"i": k, "f": k / 2} for k in range(5)])
+        table.mask_rows(np.array([1, 3]))
+        table.replace_rows(np.array([0]), [{"i": 9, "f": 9.0}])
+        state = table.physical_state()
+        twin = self.make_table()
+        twin.restore_physical(**state)
+        again = twin.physical_state()
+        assert again["version"] == state["version"] == table.version
+        for key in ("inserted", "deleted"):
+            assert again[key].tobytes() == state[key].tobytes()
+            assert not np.shares_memory(again[key], state[key])
+        for name, arr in state["columns"].items():
+            assert again["columns"][name].tobytes() == arr.tobytes()
+            assert not np.shares_memory(again["columns"][name], arr)
+        with pytest.raises(ValueError):
+            twin.restore_physical(**state)      # only into an empty table
+
+    def test_bulk_paths_never_alias_the_callers_array(self):
+        table = self.make_table()
+        mine = {"i": np.arange(4, dtype=np.int32), "f": np.ones(4)}
+        table.bulk_load(mine)
+        mine["f"][:] = -1.0
+        assert table.column_array("f").tolist() == [1.0] * 4
+        table.replay_append(table.version + 1, mine)
+        mine["i"][:] = 0
+        assert table.column_array("i").tolist() == [0, 1, 2, 3] * 2
+
+    def test_bulk_load_refuses_values_the_dtype_cannot_hold(self):
+        table = self.make_table()
+        for bad in (np.array([1 << 31]), np.array([np.nan]), ["x"]):
+            with pytest.raises(ValueError):
+                table.bulk_load({"i": bad, "f": np.zeros(1)})
+        assert table.physical_rows == 0 and table.version == 0
+        table.bulk_load({"i": np.array([2.9]), "f": [1]})   # C-style cast
+        assert table.rows() == [(2, 1.0)]

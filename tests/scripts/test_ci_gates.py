@@ -149,6 +149,58 @@ def test_bench_gate_no_summary_without_env(bench_gate, monkeypatch):
     assert bench_gate.write_step_summary("# nope\n") is False
 
 
+def _summary(**medians):
+    """A ``compare.py --summary`` file, as far as --trajectory reads it."""
+    return {"metrics": {
+        workload: {
+            metric: {"unit": "ms", "median": value}
+            for metric, value in metrics.items()
+        }
+        for workload, metrics in medians.items()
+    }}
+
+
+def test_trajectory_prints_medians_across_bench_files(
+    bench_gate, tmp_path, monkeypatch, capsys
+):
+    summary = tmp_path / "summary.md"
+    monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
+    older = _write(tmp_path, "BENCH_9.json", _summary(
+        q1={"p50_ms": 30.0, "p90_ms": 60.0}, q3={"p50_ms": 15.0},
+    ))
+    newer = _write(tmp_path, "BENCH_12.json", _summary(
+        q1={"p50_ms": 27.5, "p90_ms": 31.25}, q3={"p50_ms": 15.5, "new_ms": 1.0},
+    ))
+    assert bench_gate.main(["--trajectory", older, newer]) == 0
+    out = capsys.readouterr().out
+    assert out.strip() == summary.read_text().strip()
+    table = [line for line in out.splitlines() if line.startswith("| `")]
+    # one row per (metric, workload): metrics first seen first, a file
+    # that did not measure the pair shows a dash
+    assert table == [
+        "| `p50_ms` | q1 | ms | 30 | 27.5 |",
+        "| `p50_ms` | q3 | ms | 15 | 15.5 |",
+        "| `p90_ms` | q1 | ms | 60 | 31.25 |",
+        "| `new_ms` | q3 | ms | — | 1 |",
+    ]
+    assert "| metric | workload | unit | BENCH_9 | BENCH_12 |" in out
+
+
+def test_trajectory_defaults_to_the_committed_bench_files(bench_gate, capsys):
+    files = bench_gate.committed_bench_files()
+    numbers = [bench_gate._pr_number(path) for path in files]
+    assert numbers == sorted(numbers) and len(numbers) >= 5
+    assert bench_gate.main(["--trajectory"]) == 0
+    out = capsys.readouterr().out
+    assert "| `repro_p90_ms` | q3_join_topk | ms |" in out
+
+
+def test_bench_gate_still_requires_both_files(bench_gate, capsys):
+    with pytest.raises(SystemExit):
+        bench_gate.main([])
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # repro_digest
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ the exact production path, port 0 so the OS picks a free port.
 from __future__ import annotations
 
 import asyncio
+import collections
+import os
+import platform
+import subprocess
+import sys
 import threading
 import time
 
@@ -28,7 +33,7 @@ from repro.errors import (
     error_from_wire,
     error_to_wire,
 )
-from repro.server import AdmissionGate, ReproServer
+from repro.server import AdmissionGate, ReproServer, StatementThreads
 from repro.server.protocol import decode_result, encode_result
 
 # ---------------------------------------------------------------------------
@@ -399,3 +404,227 @@ def test_eight_served_sessions_match_serial_replay_bits(served):
     assert got.names == expected.names
     for mine, theirs in zip(expected.arrays, got.arrays):
         assert mine.tobytes() == theirs.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Engine threads: which thread a statement runs on
+# ---------------------------------------------------------------------------
+
+
+def test_statement_threads_are_idle_before_their_result_is_seen():
+    """Pure asyncio, no sockets: the next statement is submitted the
+    instant the last one resolves — the race ``ThreadPoolExecutor``
+    loses (it read 2-3 threads on this loop) — and still finds the
+    thread idle.  Errors arrive as the future's exception."""
+
+    async def main():
+        pool = StatementThreads("repro-serve-test")
+        loop = asyncio.get_running_loop()
+        ran_on = {
+            await pool.submit(loop, threading.get_ident) for _ in range(2000)
+        }
+        with pytest.raises(ZeroDivisionError):
+            await pool.submit(loop, lambda: 1 // 0)
+        ran_on.add(await pool.submit(loop, threading.get_ident))
+        pool.shutdown()
+        with pytest.raises(RuntimeError):
+            pool.submit(loop, threading.get_ident)
+        return ran_on
+
+    assert len(asyncio.run(main())) == 1
+
+
+def test_statement_threads_never_outnumber_the_statements_in_flight():
+    """Stress: eight submitters, a 10 us switch interval.  A lost update
+    of the idle list would strand a thread (a ninth one starts) or hand
+    one inbox to two statements at once (``busy`` reads 2)."""
+
+    busy = collections.Counter()
+
+    def job(value):
+        me = threading.get_ident()
+        busy[me] += 1
+        at_once = busy[me]
+        busy[me] -= 1
+        return value, me, at_once
+
+    async def main():
+        pool = StatementThreads("repro-serve-test")
+        loop = asyncio.get_running_loop()
+
+        async def submitter(n):
+            return [await pool.submit(loop, job, (n, i)) for i in range(300)]
+
+        try:
+            return await asyncio.wait_for(
+                asyncio.gather(*(submitter(n) for n in range(8))), 60
+            )
+        finally:
+            pool.shutdown()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        outcomes = asyncio.run(main())
+    finally:
+        sys.setswitchinterval(interval)
+    for n, replies in enumerate(outcomes):
+        assert [value for value, _, _ in replies] == [
+            (n, i) for i in range(300)
+        ]
+    flat = [reply for replies in outcomes for reply in replies]
+    assert {at_once for _, _, at_once in flat} == {1}
+    assert len({thread for _, thread, _ in flat}) <= 8
+
+
+class _WhereSession:
+    """Session that answers every statement with the engine thread it
+    ran on (as a row count: the one reply that needs no result)."""
+
+    def __init__(self, barrier=None):
+        self._barrier = barrier
+
+    def execute(self, sql):
+        if self._barrier is not None and sql == "together":
+            self._barrier.wait(10)
+        return threading.get_ident()
+
+    def close(self):
+        pass
+
+
+def _engine_threads():
+    return {
+        t for t in threading.enumerate() if t.name.startswith("repro-serve")
+    }
+
+
+def test_one_statement_at_a_time_is_served_by_one_thread():
+    """Two connections used alternately, never concurrently (the
+    benchmark's client): a thread is idle before its reply is sent, so
+    the next statement always finds it and no second thread starts."""
+    before = _engine_threads()
+    server = ServerThread(
+        Database(), session_factory=lambda **opts: _WhereSession()
+    )
+    try:
+        with repro.connect(server.address) as a, \
+                repro.connect(server.address) as b:
+            ran_on = {
+                conn.execute("alone") for _ in range(300) for conn in (a, b)
+            }
+        assert len(ran_on) == 1
+        assert len(_engine_threads() - before) == 1
+    finally:
+        server.stop()
+
+
+def test_concurrent_statements_get_threads_and_serial_ones_reuse_the_last():
+    before = _engine_threads()
+    barrier = threading.Barrier(3)
+    server = ServerThread(
+        Database(), session_factory=lambda **opts: _WhereSession(barrier)
+    )
+    try:
+        conns = [repro.connect(server.address) for _ in range(3)]
+        together = {}
+
+        def fire(i):
+            together[i] = conns[i].execute("together")
+
+        clients = [threading.Thread(target=fire, args=(i,)) for i in range(3)]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(timeout=15)
+        # the barrier only opens when all three run at once
+        assert len(set(together.values())) == 3, together
+        alone = {conns[i % 3].execute("alone") for i in range(60)}
+        assert len(alone) == 1 and alone < set(together.values())
+        for conn in conns:
+            conn.close()
+    finally:
+        server.stop()
+    deadline = time.monotonic() + 5
+    while _engine_threads() - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _engine_threads() - before   # stop() ends the idle threads
+
+
+# ---------------------------------------------------------------------------
+# python -m repro.server: start-up order
+# ---------------------------------------------------------------------------
+
+
+def test_server_process_freezes_its_heap_before_it_listens(
+    monkeypatch, tmp_path, capsys
+):
+    """What recovery built never dies: it is collected once and frozen
+    out of every later gen-2 traversal, after the directory is open and
+    before the first connection can be accepted."""
+    from repro.server import __main__ as entry
+
+    events = []
+
+    class FakeGc:
+        collect = staticmethod(lambda: events.append("collect"))
+        freeze = staticmethod(lambda: events.append("freeze"))
+
+    class FakeServer:
+        address = ("127.0.0.1", 0)
+
+        def __init__(self, db, **kwargs):
+            events.append(("open", db.catalog.storage is not None))
+
+        async def start(self):
+            events.append("listen")
+
+        async def serve_forever(self):
+            events.append("serve")
+
+        async def stop(self):
+            events.append("stop")
+
+    monkeypatch.setattr(entry, "gc", FakeGc)
+    monkeypatch.setattr(entry, "ReproServer", FakeServer)
+    monkeypatch.setattr(
+        entry, "_settle_allocator", lambda: events.append("settle")
+    )
+    entry.main(["--data-dir", str(tmp_path), "--checkpoint-interval", "0.5"])
+    capsys.readouterr()
+    assert events == [
+        "settle", ("open", True), "collect", "freeze", "listen", "serve",
+        "stop",
+    ]
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds"
+)
+def test_settled_allocator_recycles_arrays_that_keep_growing():
+    """Counts, not times: four arrays that grow a little every round (a
+    filtered scan of a table taking INSERTs) are recycled from the heap
+    once the allocator is settled — the rounds after the first take no
+    page faults.  Unsettled, glibc trims or unmaps them every round
+    (over 100 000 faults on this loop)."""
+    code = """
+import resource
+import numpy as np
+from repro.server.__main__ import _settle_allocator
+
+_settle_allocator()
+rows, faults = 60_000, []
+for _ in range(201):
+    rows += 200
+    arrays = [np.ones(rows) for _ in range(4)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+print(faults[-1] - faults[0])
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 2_000, out.stdout

@@ -85,13 +85,10 @@ def _digest(db) -> bytes:
     pieces = [
         _harness._result_bytes(session.execute(q)) for q in DIGEST_QUERIES
     ]
-    table = db.table("t")
-    with table.lock:
-        n = len(table._deleted)
-        for name in table.schema.names():
-            pieces.append(table._columns[name].array()[:n].tobytes())
-        pieces.append(np.asarray(table._inserted, dtype=np.int64).tobytes())
-        pieces.append(np.asarray(table._deleted, dtype=np.int64).tobytes())
+    state = db.table("t").physical_state()
+    pieces.extend(arr.tobytes() for arr in state["columns"].values())
+    pieces.append(state["inserted"].tobytes())
+    pieces.append(state["deleted"].tobytes())
     return b"|".join(pieces)
 
 
@@ -448,13 +445,7 @@ def test_concurrent_writers_survive_kill(tmp_path):
         _harness._result_bytes(setup.execute(q))
         for q in _harness.FINAL_QUERIES
     ]
-    table = db.table("cs")
-    with table.lock:
-        n = len(table._deleted)
-        physical = {
-            name: table._columns[name].array()[:n].copy()
-            for name in table.schema.names()
-        }
+    physical = db.table("cs").physical_state()["columns"]
     db.simulate_crash()
 
     recovered = repro.open(
@@ -467,10 +458,9 @@ def test_concurrent_writers_survive_kill(tmp_path):
             for q in _harness.FINAL_QUERIES
         ]
         assert got == expected
-        rec_table = recovered.table("cs")
+        have = recovered.table("cs").physical_state()["columns"]
         for name, want in physical.items():
-            have = rec_table._columns[name].array()[: len(want)]
-            assert np.array_equal(have, want, equal_nan=True), name
+            assert np.array_equal(have[name], want, equal_nan=True), name
     finally:
         recovered.close()
 

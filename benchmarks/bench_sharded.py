@@ -14,7 +14,7 @@ machines.  Result bits are asserted identical between both paths in
 the same run — the speedup is only admissible because the answer is
 the same answer.
 
-Warm-up runs pay kernel compilation *and* shard replica shipping; the
+Warm-up runs pay planning *and* shard replica shipping; the
 measured runs exercise the steady state the replica cache is for:
 local compute + partial-state exchange only.
 """

@@ -5,9 +5,9 @@ after a **1% delta** of new lineitem rows must be at least **2.5x**
 faster than recomputing the aggregate from scratch — while remaining
 byte-identical to the from-scratch result (asserted here and in the
 ``view_maintenance`` leg of the reproducibility CI).  (The bound was
-5x when full recomputation ran the interpreted pipeline; the fused
-kernels since roughly halved the denominator, so the floor was
-re-based — the refresh itself did not get slower.)
+5x before late materialization and the batched ladder update roughly
+halved the full recomputation; the floor was re-based — the refresh
+itself did not get slower.)
 
 Reported series (``sum_mode="repro"``, ``workers=1``):
 

@@ -19,16 +19,17 @@ repro-mode bits.  The memory-budget axis extends it to out-of-core
 execution: an unbounded run, a tight budget that forces the external
 aggregation to spill partitions to disk, and a pathological 1-byte
 budget that spills after every morsel must all agree bit for bit.
-Code generation is held to the gate *across legs*: whether a generated
-morsel kernel (:mod:`repro.engine.fused`) or the interpreter feeds the
-group table is the planner's decision, and the script asserts it —
-every query whose default plan EXPLAINs ``fused`` (``tpch_q3`` and
-``join_edge_fused`` by name) engaged its kernel on every unbudgeted
-config, and on a spill leg (no ``unbounded`` in the sweep) every
-grouped query ran external and unfused at the smallest budget — so the
-compare job's byte-diff of the two kinds of leg is kernel-vs-interpreter,
-never interpreter-vs-interpreter; ``join_edge_keys`` keeps a COUNT
-DISTINCT so the automatic kernel decline stays in the gate too.
+Plan shape is held to the gate *across legs*: where an aggregate's
+group ids come from is the planner's decision, and the script asserts
+it on EXPLAIN — on every unbudgeted config at the optimizer's own build
+side ``tpch_q3`` takes the build-row rule (its keys are functions of
+the orders probe's build row) and ``join_edge_fused`` (a pinned name:
+adversarial DOUBLE keys, so the generic key path through the lazy
+probe) does not, and on a spill leg (no ``unbounded`` in the sweep)
+every grouped query ran external at the smallest budget — so the
+compare job's byte-diff of the two kinds of leg is never
+in-memory-vs-in-memory; ``join_edge_keys`` keeps a COUNT DISTINCT so
+per-group value sets stay in the gate too.
 
 Env overrides (so matrix legs vary without changing the command line):
 
@@ -56,7 +57,7 @@ import sys
 
 import numpy as np
 
-from repro.engine import DEFAULT_MORSEL_SIZE, Database
+from repro.engine import Database
 from repro.tpch import Q1_SQL, Q3_SQL, Q6_SQL, load_tpch
 
 MODES = ("repro", "sorted")
@@ -74,9 +75,10 @@ JOIN_EDGE_QUERY = (
     "COUNT(DISTINCT v) AS dv, COUNT(*) AS c "
     "FROM jl, jr WHERE jl.k = jr.k GROUP BY jl.k ORDER BY k"
 )
-#: Same adversarial-key join without COUNT DISTINCT (which declines
-#: fusion), so the unbudgeted legs exercise the fused join-probe
-#: kernel rather than the interpreted fallback.
+#: Same adversarial-key join without COUNT DISTINCT ("fused" is the
+#: id it was pinned under): DOUBLE probe keys keep it off the build-row
+#: rule, so this is the leg whose group keys are read through the lazy
+#: probe's composed indices.
 JOIN_EDGE_FUSED_QUERY = (
     "SELECT jl.k AS k, SUM(v) AS sv, SUM(w) AS sw, COUNT(*) AS c, "
     "MIN(v) AS lo, MAX(v) AS hi "
@@ -429,47 +431,35 @@ QUERIES = (
     ("durability", None, _durability, False),
 )
 
-#: Join legs whose unbudgeted configs must engage the fused join-probe
-#: kernel whatever EXPLAIN says — otherwise a planner change that
-#: declines them would silently turn the in-memory legs into
-#: interpreted-vs-interpreted and the gate would prove nothing.
-FUSED_JOIN_QUERY_IDS = frozenset({"tpch_q3", "join_edge_fused"})
-
-
-def _default_plan_fuses(db, sql) -> bool:
-    """Does this query's plan at *default* knobs run under a generated
-    kernel?  (Then no swept knob may talk the planner out of it.)"""
-    session = db.session(
-        workers=1,
-        morsel_size=DEFAULT_MORSEL_SIZE,
-        join_build="auto",
-        memory_budget=None,
-        shards=0,
-    )
-    try:
-        return "FusedPipeline[" in session.explain(sql)
-    finally:
-        session.close()
+#: Join legs whose group-id path is pinned: does EXPLAIN name the
+#: build-row rule on the Aggregate line?  Otherwise a planner change
+#: could silently move both onto one path and the legs would stop
+#: covering the other.
+BUILD_ROW_RULE = {"tpch_q3": True, "join_edge_fused": False}
 
 
 def _check_engine_path(query_id, sql, db, config, spill_budget):
-    """Kernel on unbudgeted configs, interpreter at ``spill_budget`` (a
-    spill leg's smallest budget, else ``None``); see the module docstring."""
-    budget = config[3]
-    stats = db.last_pipeline_stats
+    """The pinned group-id path on unbudgeted configs, the external
+    aggregation at ``spill_budget`` (a spill leg's smallest budget, else
+    ``None``); see the module docstring."""
+    _, _, build_side, budget, _ = config
     if budget is None:
-        must_fuse = query_id in FUSED_JOIN_QUERY_IDS or _default_plan_fuses(db, sql)
-        if must_fuse and not (stats is not None and stats.fused):
+        expected = BUILD_ROW_RULE.get(query_id)
+        if expected is not None and build_side == "auto" and (
+            "group_ids=build_row(" in db.explain(sql)
+        ) is not expected:
             raise SystemExit(
-                f"{query_id}: unbudgeted leg at {config} did not engage "
-                "the fused kernel its default plan EXPLAINs"
+                f"{query_id}: unbudgeted leg at {config} "
+                + ("does not take" if expected else "takes")
+                + " the build-row group-id rule"
             )
     elif budget == spill_budget and " GROUP BY " in sql:
-        if stats is None or not stats.external or stats.fused:
+        stats = db.last_pipeline_stats
+        if stats is None or not stats.external:
             raise SystemExit(
                 f"{query_id}: spill leg at {config} did not run the "
-                "external, interpreted aggregation (is the smallest "
-                "swept budget small enough to force it?)"
+                "external aggregation (is the smallest swept budget "
+                "small enough to force it?)"
             )
 
 

@@ -48,6 +48,7 @@ import time
 
 import numpy as np
 
+from .grouped import LadderCounters
 from ..storage.spill import (
     dump_table,
     load_table_into,
@@ -120,7 +121,7 @@ def partition_ids_for_batch(batch, group_exprs, npartitions: int) -> np.ndarray:
     for expr in group_exprs:
         encoding = None
         if isinstance(expr, ast.ColumnRef):
-            encoding = batch.encodings.get(expr.name.lower())
+            encoding = batch.encoding(expr.name.lower())
         if encoding is not None:
             codes, uniques = encoding
             codes = codes.astype(np.int64, copy=False)
@@ -197,9 +198,10 @@ def _hash_key_columns(key_columns: list, npartitions: int) -> np.ndarray:
 def _split_batch(batch, pids: np.ndarray):
     """Split one morsel into per-partition pieces.
 
-    One stable sort of the partition ids, one gather per column, then
-    zero-copy slice views per partition — far cheaper than a boolean
-    mask filter per partition.  Yields ``(pid, piece)`` in ascending
+    One stable sort of the partition ids, then one row selection per
+    partition (:meth:`Batch.select`: nothing is gathered until the
+    partition's table reads it) — far cheaper than a boolean mask
+    filter per partition.  Yields ``(pid, piece)`` in ascending
     partition order; the stable sort preserves row order within each
     partition.
     """
@@ -209,30 +211,16 @@ def _split_batch(batch, pids: np.ndarray):
     if bool((pids == first).all()):
         yield first, batch
         return
-    from ..engine.operators import Batch
-
     order = np.argsort(pids, kind="stable")
     sorted_pids = pids[order]
-    columns = {name: arr[order] for name, arr in batch.columns.items()}
-    encodings = {
-        name: (codes[order], uniques)
-        for name, (codes, uniques) in batch.encodings.items()
-    }
     run_starts = np.flatnonzero(
         np.concatenate(([True], sorted_pids[1:] != sorted_pids[:-1]))
     )
     bounds = np.append(run_starts, sorted_pids.size)
     for i, start in enumerate(run_starts.tolist()):
-        stop = int(bounds[i + 1])
-        piece = Batch(
-            {name: arr[start:stop] for name, arr in columns.items()},
-            batch.types,
-            {
-                name: (codes[start:stop], uniques)
-                for name, (codes, uniques) in encodings.items()
-            } or None,
+        yield int(sorted_pids[start]), batch.select(
+            order[start:int(bounds[i + 1])]
         )
-        yield int(sorted_pids[start]), piece
 
 
 class ExternalGroupAggregator:
@@ -252,14 +240,17 @@ class ExternalGroupAggregator:
             raise ValueError("npartitions must be >= 1")
         self.group_exprs = tuple(group_exprs)
         self.specs = specs
+        #: Which ladder path this aggregator's rows took, counted where
+        #: they are fed: every table it ever holds reports into this one
+        #: object, so the count outlives promotion and spilled tables
+        #: (a run file does not carry it).
+        self.ladder = LadderCounters()
         self.make_table = make_table
         self.npartitions = npartitions
         self.budget_bytes = budget_bytes
         self.spill_dir = spill_dir
         self.tag = tag
-        self.partitions = [
-            make_table(self.group_exprs, specs) for _ in range(npartitions)
-        ]
+        self.partitions = [self._new_table() for _ in range(npartitions)]
         #: run-file paths per partition, in spill order
         self.runs: list[list[str]] = [[] for _ in range(npartitions)]
         #: whole-table runs spilled before partition routing kicked in
@@ -271,7 +262,7 @@ class ExternalGroupAggregator:
         #: run (merged directly into the final fold) and promotes the
         #: aggregator to routed mode.
         self._single = (
-            make_table(self.group_exprs, specs)
+            self._new_table()
             if npartitions > 1 and budget_bytes is not None else None
         )
         self.runs_spilled = 0
@@ -282,6 +273,11 @@ class ExternalGroupAggregator:
         #: by an update are re-measured, so budget accounting costs
         #: O(touched state), not O(all resident state), per morsel
         self._sizes = [0] * npartitions
+
+    def _new_table(self):
+        table = self.make_table(self.group_exprs, self.specs)
+        table.ladder = self.ladder
+        return table
 
     # -- consumption -------------------------------------------------------
     def update(self, batch) -> None:
@@ -354,7 +350,7 @@ class ExternalGroupAggregator:
         self.runs[p].append(path)
         self.runs_spilled += 1
         self.bytes_spilled += written
-        self.partitions[p] = self.make_table(self.group_exprs, self.specs)
+        self.partitions[p] = self._new_table()
         self._sizes[p] = 0
         return path
 
@@ -499,6 +495,10 @@ def run_external_grouped_pipeline(
         stats.peak_resident_bytes = max(
             (agg.peak_resident_bytes for agg in aggregators), default=0
         )
+        ladder = LadderCounters()
+        for agg in aggregators:
+            ladder.merge(agg.ladder)
+        stats.record_ladder(ladder, timings)
     finally:
         shutil.rmtree(spill_dir, ignore_errors=True)
 

@@ -4,9 +4,9 @@ The paper's core result — per-group partial aggregate states merge
 *exactly*, so final bits are independent of how work is split — is
 what makes distribution safe: this package splits tables into hash
 shards across worker *processes* (escaping the GIL entirely), runs the
-local scan -> filter -> partial-aggregate pipeline per shard on the
-engine's one group table (kernel-driven where the plan fused), and
-exchanges the partial group tables back over the spill run-file format
+local scan -> filter / probe -> partial-aggregate pipeline per shard
+on the engine's one group table, and exchanges the partial group
+tables back over the spill run-file format
 (:mod:`repro.storage.spill`) used as a framed, CRC-checked wire
 protocol.  The coordinator merges partials in shard order and
 finalizes once; shard count, placement, worker count, and reply
@@ -18,7 +18,7 @@ Layout:
 * :mod:`~repro.distributed.router` — process-stable row-content hash
   (splitmix64 over canonical lanes + blake2b for objects);
 * :mod:`~repro.distributed.worker` — the executor process loop
-  (replica cache, local kernels, framed replies);
+  (replica cache, local pipeline, framed replies);
 * :mod:`~repro.distributed.pool` — executor fleet lifecycle;
 * :mod:`~repro.distributed.coordinator` — ship / run / collect /
   exact-merge / finalize.

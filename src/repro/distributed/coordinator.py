@@ -29,7 +29,6 @@ from multiprocessing.connection import wait as _connection_wait
 
 from ..aggregation.grouped import LadderCounters
 from ..engine import pipeline as pipeline_mod
-from ..engine.fused import _probe_fingerprint
 from ..engine.physical import PhysProbe
 from ..engine.pipeline import PipelineStats
 from ..errors import ReproError
@@ -71,37 +70,14 @@ def _build_task(aggregate, scan, chain_ops, joins, context):
         "encode_keys": tuple(scan.encode_keys),
         # Operator chain in order: ("filter", predicate AST) per
         # filter, ("probe", join index) per hash-join probe — the
-        # worker rebuilds the chain (fused or interpreted) from this.
+        # worker walks the chain from this.
         "chain_ops": tuple(chain_ops),
         # Per-probe join descriptors (chain order); the build batches
         # themselves travel separately as broadcast "build" messages
         # keyed by each descriptor's token.
         "joins": tuple(joins),
-        "fused": bool(aggregate.fused),
         "morsel_size": int(context.morsel_size),
     }
-
-
-def _build_plan_sig(chain):
-    """Structural identity of one build-side pipeline: table names,
-    scanned columns, predicates, and nested probe shapes.  Combined
-    with the content fingerprint (table versions) and the snapshot it
-    keys the broadcast-build cache on the workers."""
-    sig: list = [
-        getattr(chain.source.table, "name", None),
-        tuple(sorted(chain.source.column_map)),
-    ]
-    for op in chain.ops:
-        if isinstance(op, PhysProbe):
-            sig.append((
-                "probe", op.kind,
-                tuple(k.sql() for k in op.probe_keys),
-                tuple(k.sql() for k in op.build_keys),
-                _build_plan_sig(op.build),
-            ))
-        else:
-            sig.append(("filter", op.predicate.sql()))
-    return tuple(sig)
 
 
 def _plan_chain(query, context, timings, snapshot):
@@ -109,19 +85,20 @@ def _plan_chain(query, context, timings, snapshot):
     join_descs, build_frames)``.  Each probe's build side is
     materialized here on the coordinator (it has the catalog) and
     broadcast to the executors as a framed column payload."""
-    from ..engine.executor import _materialize_build
+    from ..engine.executor import _materialize_build, build_signature
 
     chain_ops: list = []
     join_descs: list = []
     build_frames: list = []  # (slot signature, token, frame) per probe
     for op in query.pipeline.ops:
         if isinstance(op, PhysProbe):
-            fingerprint = _probe_fingerprint(op)
-            plan_sig = _build_plan_sig(op.build)
-            token = ("join_build", plan_sig, fingerprint, snapshot)
+            structure, content = build_signature(op.build)
+            token = ("join_build", structure, content, snapshot)
             batch = _materialize_build(op, context, timings, snapshot)
             frame = frame_payload(
-                encode_payload({"version": 1, "columns": batch.columns})
+                encode_payload(
+                    {"version": 1, "columns": dict(batch.columns)}
+                )
             )
             join_descs.append({
                 "token": token,
@@ -129,12 +106,12 @@ def _plan_chain(query, context, timings, snapshot):
                 "probe_keys": tuple(op.probe_keys),
                 "kind": op.kind,
                 "probe_is_left": bool(op.probe_is_left),
+                "group_keys": op.group_keys,
                 "build_side": op.build_side,
                 "rows": int(batch.nrows),
                 "types": dict(batch.types),
-                "fingerprint": fingerprint,
             })
-            build_frames.append((("join_build", plan_sig), token, frame))
+            build_frames.append((("join_build", structure), token, frame))
             chain_ops.append(("probe", len(join_descs) - 1))
         else:
             chain_ops.append(("filter", op.predicate))
@@ -164,7 +141,6 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
 
     pool = context.shard_pool(nworkers)
     stats = PipelineStats(nworkers)
-    stats.fused = bool(aggregate.fused)
     stats.sharded = True
     stats.shards = nshards
 
@@ -182,8 +158,8 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
                 conn = pool.conn(worker_id)
                 # Broadcast join build sides this worker does not
                 # already hold (cached per slot like shard replicas;
-                # build-table DML changes the token via the
-                # fingerprint, superseding the stale build).
+                # build-table DML changes the token through the
+                # signature's table versions, superseding the stale build).
                 for slot_sig, token, frame in build_frames:
                     slot = (worker_id, slot_sig)
                     if pool.shipped.get(slot) != token:

@@ -4,42 +4,30 @@ Each worker process owns a cache of *shard replicas* — the shard-local
 column arrays of one table version, shipped by the coordinator as
 framed, CRC-checked spill payloads (:mod:`repro.storage.spill`) — and
 answers ``run`` requests by executing the local pipeline over one
-shard: morsel scan -> filters -> partial aggregate, on the same group
-table (kernel-driven or interpreted) the in-process engine uses.  The
-reply is the partial group table, serialized with :func:`dump_table`
-and framed — the spill run-file format used as the wire protocol.
+shard: morsel scan -> filters / hash-join probes -> partial aggregate,
+with the same operators and the same group table the in-process engine
+uses.  The reply is the partial group table, serialized with
+:func:`dump_table` and framed — the spill run-file format used as the
+wire protocol.
 
 Everything here is spawn-safe: :func:`worker_main` is a top-level
-function, tasks arrive as plain picklable plan fragments (AST
-expressions, SQL types, aggregate calls), and fused kernels — which
-hold exec-compiled functions and cannot cross a process boundary — are
-compiled *locally*, from the shipped plan description, through the same
-:func:`repro.engine.fused.compile_fused` entry point (bits are
-identical with or without the kernel, so a worker-side compile decline
-is only a slowdown, never a divergence).
+function and tasks arrive as plain picklable plan fragments (AST
+expressions, SQL types, aggregate calls, the build-row rule).
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from collections import OrderedDict
+from functools import partial
 
 from ..engine import pipeline as pipeline_mod
-from ..engine.fused import compile_fused
 from ..engine.join import HashJoin
 from ..engine.operators import (
     AggregateSpec,
     Batch,
     SumConfig,
     factorize_object,
-)
-from ..engine.physical import (
-    PhysAggregate,
-    PhysFilter,
-    PhysPipeline,
-    PhysProbe,
-    PhysScan,
 )
 from ..engine.pipeline import apply_where
 from ..storage.spill import (
@@ -50,66 +38,6 @@ from ..storage.spill import (
 )
 
 __all__ = ["worker_main"]
-
-
-class _KernelHost:
-    """The minimal kernel-cache surface :func:`compile_fused` needs —
-    one per worker process, so repeated tasks reuse compiled kernels.
-    Mirrors the in-process context's counters."""
-
-    def __init__(self):
-        self._kernel_cache: OrderedDict = OrderedDict()
-        self.kernel_cache_hits = 0
-        self.kernel_cache_misses = 0
-        self.kernel_cache_evictions = 0
-
-
-#: Stand-in for the scan's table object: ``compile_fused`` only checks
-#: it is not ``None`` (the generated kernel touches batches, never the
-#: table), and worker processes have no table — only shard replicas.
-_REPLICA_TABLE = object()
-
-
-def _compile_kernel(task, specs, host):
-    scan = PhysScan(
-        table=_REPLICA_TABLE,
-        binding="",
-        column_map=dict(task["column_map"]),
-        types=dict(task["types"]),
-        predicate=None,
-        encode_keys=tuple(task["encode_keys"]),
-    )
-    ops = []
-    for step in task["chain_ops"]:
-        if step[0] == "filter":
-            ops.append(PhysFilter(step[1]))
-        else:
-            # Probe stage: a replica-backed build pipeline carrying the
-            # coordinator's build schema and content fingerprint, so
-            # the worker-side kernel signature matches DML semantics
-            # (a new build version is a new cache entry).
-            desc = task["joins"][step[1]]
-            build_scan = PhysScan(
-                table=_REPLICA_TABLE,
-                binding="",
-                column_map={name: name for name in desc["types"]},
-                types=dict(desc["types"]),
-                predicate=None,
-                encode_keys=(),
-            )
-            ops.append(PhysProbe(
-                build=PhysPipeline(build_scan),
-                build_keys=tuple(desc["build_keys"]),
-                probe_keys=tuple(desc["probe_keys"]),
-                kind=desc["kind"],
-                probe_is_left=desc["probe_is_left"],
-                build_side=desc["build_side"],
-                est_build_rows=desc["rows"],
-                fingerprint=tuple(desc["fingerprint"]),
-            ))
-    chain = PhysPipeline(scan, ops)
-    aggregate = PhysAggregate(tuple(task["group_exprs"]), specs)
-    return compile_fused(chain, aggregate, host)
 
 
 def _shard_morsels(task, replica):
@@ -153,12 +81,13 @@ def _shard_morsels(task, replica):
     return morsels
 
 
-def _local_joins(task, builds):
-    """Construct (or fetch) one :class:`HashJoin` per shipped join
-    descriptor, in chain order.  The hash table is cached on the
-    broadcast build entry — keyed by the keys/kind it was built for —
-    so repeated tasks over the same build pay the build cost once."""
-    joins = []
+def _local_probes(task, builds):
+    """One probe step per shipped join descriptor, in chain order: the
+    :class:`HashJoin`'s ``probe`` bound to the descriptor's build-row
+    rule.  The hash table is cached on the broadcast build entry —
+    keyed by the keys/kind it was built for — so repeated tasks over
+    the same build pay the build cost once."""
+    probes = []
     for desc in task["joins"]:
         entry = builds.get(desc["token"])
         if entry is None:
@@ -181,31 +110,25 @@ def _local_joins(task, builds):
                 desc["probe_is_left"],
             )
             entry["joins"][cache_key] = join
-        joins.append(join)
-    return joins
+        probes.append(partial(join.probe, group_keys=desc["group_keys"]))
+    return probes
 
 
-def _execute_task(task, replica, host, builds):
+def _execute_task(task, replica, builds):
     """Run one shard-local partial aggregation; returns the table."""
     sum_config = SumConfig(task["sum_mode"], task["sum_levels"])
     specs = [AggregateSpec(call, sum_config) for call in task["agg_calls"]]
-    group_exprs = tuple(task["group_exprs"])
     morsels = _shard_morsels(task, replica)
-    joins = _local_joins(task, builds)
-    kernel = _compile_kernel(task, specs, host) if task["fused"] else None
-    if kernel is not None and kernel.njoins != len(joins):
-        kernel = None
-    # Without a kernel, walk the shipped chain in order (filters via
-    # apply_where, probes via the interpreted HashJoin.probe) —
-    # bit-identical to the fused kernel by construction.
-    chain_ops = () if kernel is not None else task["chain_ops"]
-    table = pipeline_mod.make_group_table(group_exprs, specs, kernel, joins)
+    probes = _local_probes(task, builds)
+    table = pipeline_mod.make_group_table(tuple(task["group_exprs"]), specs)
+    # The shipped chain in order: the same two operators the thread
+    # pipeline's transform applies.
     for batch in morsels:
-        for step in chain_ops:
+        for step in task["chain_ops"]:
             if step[0] == "filter":
                 batch = apply_where(batch, step[1])
             else:
-                batch = joins[step[1]].probe(batch)
+                batch = probes[step[1]](batch)
         table.update(batch)
     return table, len(morsels)
 
@@ -217,7 +140,6 @@ def worker_main(conn) -> None:
     by_slot: dict = {}    # replica slot -> its current token
     builds: dict = {}     # broadcast-build token -> {columns, joins}
     build_by_slot: dict = {}  # build slot -> its current token
-    host = _KernelHost()
     while True:
         try:
             message = conn.recv()
@@ -264,7 +186,7 @@ def worker_main(conn) -> None:
                         f"shard replica {token!r} was never shipped"
                     )
                 busy_started = time.thread_time()
-                table, nmorsels = _execute_task(task, replica, host, builds)
+                table, nmorsels = _execute_task(task, replica, builds)
                 busy = time.thread_time() - busy_started
                 frame = frame_payload(dump_table(table))
                 conn.send(

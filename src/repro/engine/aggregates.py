@@ -142,8 +142,8 @@ class PlainSum:
 
     def add(self, values, gids, morsel, ngroups: int) -> None:
         """Unbuffered accumulation in physical row order, so the
-        order-*sensitive* IEEE mode means the same thing whether a
-        kernel or the interpreter feeds it."""
+        order-*sensitive* IEEE mode means the same thing under every
+        morsel split the reference table is held against."""
         self.sums = _grown(self.sums, ngroups)
         if gids.size:
             # +inf meeting -inf in one IEEE group is NaN: the right
@@ -235,7 +235,11 @@ class LadderSum:
 
     def add(self, values, gids, morsel, ngroups: int) -> None:
         if not self.retractable:
-            update_ladders((self,), (values,), gids, morsel, ngroups)
+            # Queued, not fed: the table makes one update_ladders call
+            # per parameter set when every state has seen the morsel.
+            accs, rows = morsel.ladders.setdefault(self.params, ([], []))
+            accs.append(self)
+            rows.append(values)
             return
         self._grow(ngroups)
         if gids.size:
@@ -371,14 +375,12 @@ def _load_accumulator(data: dict):
 
 
 def sum_value_kind(arg: ast.Expr, types: dict, values_of):
-    """``(kind, decimal scale)`` of SUM's input — THE dispatch both the
-    interpreted update and the fused emitter take.
+    """``(kind, decimal scale)`` of SUM's input.
 
     ``"decimal"``: a bare DECIMAL column, summed exactly over its raw
     unscaled int64 storage (the argument is never evaluated);
     ``"int"`` / ``"float"`` by the dtype of ``values_of(arg)``, which
-    evaluates the argument over the morsel (interpreter) or over a
-    zero-length probe of the scan schema (emitter).
+    evaluates the argument over the morsel.
     """
     if isinstance(arg, ast.ColumnRef):
         sql_type = types.get(arg.name.lower())
@@ -686,8 +688,7 @@ class MinMaxState:
             self.extremes[old] = self.ufunc(self.extremes[old], ext[known])
 
     def add(self, values, gids, morsel, ngroups: int) -> None:
-        """One ``reduceat`` per sorted run of the morsel (what a fused
-        kernel calls with its already-evaluated argument)."""
+        """One ``reduceat`` per sorted run of the morsel."""
         self._grow(ngroups, values.dtype)
         if gids.size:
             self._combine(

@@ -20,6 +20,7 @@ streams probe morsels through the per-worker operator chains of
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -227,32 +228,33 @@ def _scan_morsels(scan: PhysScan, morsel_size: int,
 
 
 def _concat_batches(batches: list[Batch]) -> Batch:
-    """One build-side Batch from a materialized pipeline's morsels."""
+    """One build-side Batch from a materialized pipeline's morsels —
+    real arrays throughout: the hash join shares it between workers,
+    so nothing in it may still be waiting to be gathered."""
     kept = [b for b in batches if b.nrows]
     batches = kept or batches[:1]
-    if len(batches) == 1:
-        return batches[0]
-    names = list(batches[0].columns)
+    first = batches[0]
+
+    def whole(parts):
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     columns = {
-        name: np.concatenate([b.columns[name] for b in batches])
-        for name in names
+        name: whole([b.columns[name] for b in batches])
+        for name in first.columns
     }
     encodings = None
-    shared = batches[0].encodings
-    if shared and all(
-        set(b.encodings) == set(shared)
-        and all(b.encodings[n][1] is shared[n][1] for n in shared)
+    if first.dictionaries and all(
+        b.dictionaries.keys() == first.dictionaries.keys()
+        and all(b.dictionaries[name] is uniques
+                for name, uniques in first.dictionaries.items())
         for b in batches[1:]
     ):
         # Same dictionary object in every piece: codes concatenate.
         encodings = {
-            name: (
-                np.concatenate([b.encodings[name][0] for b in batches]),
-                uniques,
-            )
-            for name, (_, uniques) in shared.items()
+            name: (whole([b.codes[name] for b in batches]), uniques)
+            for name, uniques in first.dictionaries.items()
         }
-    return Batch(columns, batches[0].types, encodings)
+    return Batch(columns, first.types, encodings)
 
 
 def _instantiate(chain: PhysPipeline, context: ExecutionContext,
@@ -276,7 +278,7 @@ def _instantiate(chain: PhysPipeline, context: ExecutionContext,
             )
         elif isinstance(op, PhysProbe):
             join = _build_join(op, context, timings, snapshot)
-            steps.append(join.probe)
+            steps.append(partial(join.probe, group_keys=op.group_keys))
         else:  # pragma: no cover - planner emits only the two op kinds
             raise TypeError(f"unknown pipeline op {op!r}")
     if not steps:
@@ -311,15 +313,20 @@ def _materialize_build(op: PhysProbe, context: ExecutionContext,
     return result
 
 
-def _join_chain_sig(chain) -> tuple:
-    """Structural identity of a build pipeline: scan shape (table,
-    binding, projection, pushed filter, encodings) plus the op chain,
-    recursing through nested probes.  Two plans with equal signatures
-    materialize byte-identical build sides *for the same table
-    content*; content identity is pinned separately by the build
-    fingerprint (table versions) and the read snapshot."""
+def build_signature(chain: PhysPipeline) -> tuple:
+    """``(structure, content)`` of one build pipeline — the one
+    description of it, behind the join cache key and the shard
+    coordinator's broadcast token alike.
+
+    ``structure``: scan shape (table, binding, projection, pushed
+    filter, encodings) plus the op chain, recursing through nested
+    probes; two pipelines of equal structure materialize byte-identical
+    batches *for the same table content*.  ``content``: ``(table name,
+    row version)`` of every scan in the tree, so DML on any build table
+    makes a new key instead of reusing a stale build.
+    """
     scan = chain.source
-    sig: list[tuple] = [(
+    structure: list[tuple] = [(
         "scan",
         getattr(scan.table, "name", None),
         scan.binding,
@@ -327,17 +334,23 @@ def _join_chain_sig(chain) -> tuple:
         None if scan.predicate is None else scan.predicate.sql(),
         tuple(scan.encode_keys),
     )]
+    content = [(
+        getattr(scan.table, "name", None),
+        getattr(scan.table, "version", None),
+    )]
     for op in chain.ops:
         if isinstance(op, PhysProbe):
-            sig.append((
+            nested, versions = build_signature(op.build)
+            structure.append((
                 "probe", op.kind, op.probe_is_left,
                 tuple(k.sql() for k in op.probe_keys),
                 tuple(k.sql() for k in op.build_keys),
-                _join_chain_sig(op.build),
+                nested,
             ))
+            content.extend(versions)
         else:
-            sig.append(("filter", op.predicate.sql()))
-    return tuple(sig)
+            structure.append(("filter", op.predicate.sql()))
+    return tuple(structure), tuple(content)
 
 
 def _build_join(op: PhysProbe, context: ExecutionContext,
@@ -348,23 +361,20 @@ def _build_join(op: PhysProbe, context: ExecutionContext,
     Builds are pipeline breakers whose cost is pure fixed overhead on
     repeated queries, so finished :class:`HashJoin` objects are kept in
     a small per-context LRU.  Caching requires a read snapshot: the
-    cache key combines the build chain's structural signature, the
-    build-content fingerprint (every build table's version watermark),
-    and the snapshot, so DML or a newer snapshot can never be served a
-    stale build.  Snapshot-less executions (internal replays, shard
-    workers) always rebuild.
+    cache key combines the build pipeline's :func:`build_signature`
+    (structure + every build table's version watermark), the join's own
+    shape and the snapshot, so DML or a newer snapshot can never be
+    served a stale build.  Snapshot-less executions (internal replays,
+    shard workers) always rebuild.
     """
     key = None
     if snapshot is not None:
-        from .fused import _probe_fingerprint
-
         started = time.perf_counter()
         key = (
-            _join_chain_sig(op.build),
+            build_signature(op.build),
             op.kind, op.probe_is_left,
             tuple(k.sql() for k in op.probe_keys),
             tuple(k.sql() for k in op.build_keys),
-            _probe_fingerprint(op),
             snapshot,
         )
         cached = context._join_cache.get(key)
@@ -431,11 +441,8 @@ def _run_physical(query: PhysicalQuery, context: ExecutionContext,
         names, arrays = _finish_grouped(query, key_arrays, agg_env, ngroups)
     else:
         if query.aggregate is not None:
-            morsels, transform, joins = _instantiate_grouped(
+            key_arrays, results, ngroups = compute_grouped_arrays(
                 query, context, timings, snapshot
-            )
-            key_arrays, results, ngroups = _grouped_arrays(
-                query, morsels, transform, context, timings, joins
             )
             agg_env = {
                 spec.sql: arr
@@ -504,74 +511,34 @@ def _order_key(order_item: ast.OrderItem, items, env: dict):
     return arr
 
 
-def _instantiate_grouped(query: PhysicalQuery, context: ExecutionContext,
-                         timings: OperatorTimings | None, snapshot=None):
-    """``(morsels, transform, joins)`` for one aggregate query.
-
-    A fused plan's kernel subsumes the whole per-morsel operator chain,
-    so only the scan morsels are materialized plus one built
-    :class:`HashJoin` per fused probe (in chain order) for the kernel's
-    runtime join parameters; everything else gets the interpreted
-    transform as before.
-    """
-    aggregate = query.aggregate
-    if aggregate is not None and aggregate.fused:
-        started = time.perf_counter()
-        morsels = _scan_morsels(
-            query.pipeline.source, context.morsel_size, snapshot
-        )
-        if timings is not None:
-            timings.add("scan", time.perf_counter() - started)
-        joins = [
-            _build_join(op, context, timings, snapshot)
-            for op in query.pipeline.ops
-            if isinstance(op, PhysProbe)
-        ]
-        return morsels, None, joins
-    morsels, transform = _instantiate(query.pipeline, context, timings,
-                                      snapshot)
-    return morsels, transform, None
-
-
-def _grouped_arrays(query: PhysicalQuery, morsels: list[Batch], transform,
-                    context: ExecutionContext,
-                    timings: OperatorTimings | None, joins=None):
-    """Run the aggregate sink: ``(key_arrays, result_arrays, ngroups)``."""
-    aggregate = query.aggregate
-    if aggregate.external:
-        # Out-of-core GROUP BY: radix partitions spill to disk under
-        # the session memory budget and re-merge exactly (imported
-        # lazily — most queries never need it).
-        from ..aggregation.external_agg import run_external_grouped_pipeline
-
-        return run_external_grouped_pipeline(
-            aggregate.group_exprs, aggregate.specs, morsels, context,
-            timings, transform=transform,
-        )
-    # A fused plan's kernel subsumes the whole per-morsel operator
-    # chain, so _instantiate_grouped built no transform for it; the
-    # built joins ride along as kernel parameters.
-    return run_grouped_pipeline(
-        aggregate.group_exprs, aggregate.specs, morsels, context, timings,
-        transform=transform, kernel=aggregate.kernel, joins=joins,
-    )
-
-
 def compute_grouped_arrays(query: PhysicalQuery, context: ExecutionContext,
                            timings: OperatorTimings | None = None,
                            snapshot: int | None = None):
     """Drive one physical aggregate query up to (but not through) the
     finishing stages: ``(key_arrays, result_arrays, ngroups)``.
 
-    Used by full-recompute materialized-view refresh
+    Also used by full-recompute materialized-view refresh
     (:mod:`repro.engine.matview`), which stores the raw aggregate
     state rather than the projected output.  ``snapshot`` pins the base
     scan at a row-version watermark so a replayed REFRESH aggregates
     exactly the rows the original one saw.
     """
-    morsels, transform, joins = _instantiate_grouped(query, context, timings,
-                                                     snapshot)
-    return _grouped_arrays(query, morsels, transform, context, timings, joins)
+    morsels, transform = _instantiate(query.pipeline, context, timings,
+                                      snapshot)
+    aggregate = query.aggregate
+    if aggregate.external:
+        # Out-of-core GROUP BY: radix partitions spill to disk under
+        # the session memory budget and re-merge exactly (imported
+        # lazily — most queries never need it).
+        from ..aggregation.external_agg import (
+            run_external_grouped_pipeline as run,
+        )
+    else:
+        run = run_grouped_pipeline
+    return run(
+        aggregate.group_exprs, aggregate.specs, morsels, context, timings,
+        transform=transform,
+    )
 
 
 def _finish_grouped(query: PhysicalQuery, key_arrays, agg_env: dict,

@@ -49,6 +49,15 @@ def evaluate(
         key = expr.sql()
         if key in agg_env:
             return agg_env[key]
+    return _apply(
+        expr, batch, types, lambda e: evaluate(e, batch, types, agg_env)
+    )
+
+
+def _apply(expr: ast.Expr, batch, types, operand):
+    """THE node dispatch: one operator applied to operands obtained
+    through ``operand(sub_expression)`` — plain recursion for
+    :func:`evaluate`, the memo for :class:`ExprCache`."""
     if isinstance(expr, ast.Literal):
         return expr.value
     if isinstance(expr, ast.DateLiteral):
@@ -67,17 +76,13 @@ def evaluate(
             return arr.astype(np.float64) / 10.0**scale
         return arr
     if isinstance(expr, ast.Unary):
-        operand = evaluate(expr.operand, batch, types, agg_env)
-        return apply_unary(expr.op, operand)
+        return apply_unary(expr.op, operand(expr.operand))
     if isinstance(expr, ast.Between):
-        operand = evaluate(expr.operand, batch, types, agg_env)
-        low = evaluate(expr.low, batch, types, agg_env)
-        high = evaluate(expr.high, batch, types, agg_env)
-        return apply_between(operand, low, high)
+        return apply_between(
+            operand(expr.operand), operand(expr.low), operand(expr.high)
+        )
     if isinstance(expr, ast.Binary):
-        left = evaluate(expr.left, batch, types, agg_env)
-        right = evaluate(expr.right, batch, types, agg_env)
-        return apply_binary(expr.op, left, right)
+        return apply_binary(expr.op, operand(expr.left), operand(expr.right))
     if isinstance(expr, ast.FuncCall):
         if expr.is_aggregate:
             raise ExprError(
@@ -89,7 +94,7 @@ def evaluate(
             )
         func = SCALAR_FUNCTIONS.get(expr.name)
         if func is not None:
-            return func(evaluate(expr.args[0], batch, types, agg_env))
+            return func(operand(expr.args[0]))
         raise ExprError(f"unknown function {expr.name!r}")
     if isinstance(expr, ast.Star):
         raise ExprError("'*' is only valid inside COUNT(*)")
@@ -159,9 +164,10 @@ class ExprCache:
     their canonical SQL text, so common sub-expressions — the same
     column referenced by several aggregates, or the shared
     ``l_extendedprice * (1 - l_discount)`` prefix of TPC-H Q1's
-    ``sum_disc_price`` / ``sum_charge`` — are computed once.  The ops
-    applied are exactly :func:`evaluate`'s, so every cached array is
-    bit-identical to an uncached evaluation.
+    ``sum_disc_price`` / ``sum_charge`` — are computed once.  It is a
+    memoizing front of :func:`evaluate`'s own node dispatch
+    (:func:`_apply`), so every cached array is bit-identical to an
+    uncached evaluation.
     """
 
     def __init__(self, columns: dict, types: dict[str, SqlType] | None = None):
@@ -173,27 +179,9 @@ class ExprCache:
     def eval(self, expr: ast.Expr):
         """Evaluate with sub-expression memoization (array or scalar)."""
         key = expr.sql()
-        if key in self._memo:
-            return self._memo[key]
-        if isinstance(expr, ast.Binary):
-            value = apply_binary(
-                expr.op, self.eval(expr.left), self.eval(expr.right)
-            )
-        elif isinstance(expr, ast.Unary):
-            value = apply_unary(expr.op, self.eval(expr.operand))
-        elif isinstance(expr, ast.Between):
-            value = apply_between(
-                self.eval(expr.operand),
-                self.eval(expr.low),
-                self.eval(expr.high),
-            )
-        elif (isinstance(expr, ast.FuncCall) and not expr.is_aggregate
-                and expr.name in SCALAR_FUNCTIONS):
-            value = SCALAR_FUNCTIONS[expr.name](self.eval(expr.args[0]))
-        else:
-            value = evaluate(expr, self.columns, self.types)
-        self._memo[key] = value
-        return value
+        if key not in self._memo:
+            self._memo[key] = _apply(expr, self.columns, self.types, self.eval)
+        return self._memo[key]
 
     def values(self, expr: ast.Expr, nrows: int) -> np.ndarray:
         """Evaluate and broadcast to one array per row (cached)."""

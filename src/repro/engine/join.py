@@ -3,7 +3,13 @@
 The build side is materialized once into per-key dictionaries; probe
 morsels stream through :meth:`HashJoin.probe`, which maps probe keys
 into the build dictionaries with pure integer arithmetic and expands
-matches with ``repeat``/gather kernels — no Python-level row loop.
+matches into two index vectors — no Python-level row loop, and for an
+inner join no column copied: the joined batch holds ``(probe column,
+probe_take)`` and ``(build column, build_take)`` and gathers a column
+when something first reads it (:class:`~repro.engine.operators.Batch`).
+When the planner found that the matched build row determines the
+GROUP BY key, ``build_take`` itself rides along as a hidden column and
+becomes the group id (:class:`BuildRowKeys`).
 
 Key canonicalisation follows the engine's GROUP BY key table
 (:func:`repro.engine.operators._key_identity`): ``-0.0`` joins with
@@ -33,11 +39,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import Batch, canonical_float_bits, factorize_object
+from .expr import evaluate
+from .operators import (
+    BUILD_ROW,
+    Batch,
+    canonical_float_bits,
+    factorize_object,
+)
 from .sql import ast
 from .types import DecimalSqlType, SqlType
 
-__all__ = ["HashJoin", "canonical_key_codes"]
+__all__ = ["BuildRowKeys", "HashJoin", "canonical_key_codes"]
 
 
 #: Integer-key dictionaries whose value span is at most this build a
@@ -223,6 +235,42 @@ def _null_fill(array: np.ndarray, take: np.ndarray, missing: np.ndarray,
     return out, None
 
 
+class BuildRowKeys:
+    """Dictionary of the :data:`~repro.engine.operators.BUILD_ROW`
+    encoding: reads every group key off a build row of one built join.
+
+    ``specs`` is the planner's rule
+    (:func:`repro.engine.physical._build_row_rule`), one ``(kind, key,
+    dtype, scale)`` per group expression: ``("col", name, ...)`` is a
+    build-side column, ``("key", i, ...)`` the ``i``-th evaluated build
+    key (an integer probe key that the inner match made equal to it).
+    ``dtype`` / ``scale`` are what evaluating the group expression over
+    a morsel would have produced (DECIMAL columns rescale to float64),
+    so a key registers the same value either way.
+    """
+
+    def __init__(self, join: "HashJoin", specs):
+        self.join = join
+        self.specs = specs
+        #: size of the code space: a build-row index means the same key
+        #: tuple in every morsel of the query
+        self.total = max(join.build_rows, 1)
+        self.dtypes = [dtype for _, _, dtype, _ in specs]
+
+    def decode(self, rows: np.ndarray) -> list:
+        columns = []
+        for kind, key, dtype, scale in self.specs:
+            source = (self.join.build_batch.columns if kind == "col"
+                      else self.join.build_key_values)
+            arr = source[key][rows]
+            if scale is not None:
+                arr = arr.astype(np.float64) / scale
+            elif arr.dtype != dtype:
+                arr = arr.astype(dtype)
+            columns.append(arr)
+        return columns
+
+
 class HashJoin:
     """One built hash join, ready to stream probe morsels through."""
 
@@ -231,8 +279,6 @@ class HashJoin:
                  probe_keys: tuple[ast.Expr, ...],
                  kind: str = "inner",
                  probe_is_left: bool = True):
-        from .expr import evaluate
-
         if kind not in ("inner", "left"):
             raise ValueError(f"unsupported join kind {kind!r}")
         if kind == "left" and not probe_is_left:
@@ -257,9 +303,9 @@ class HashJoin:
                 values = np.full(build_batch.nrows, values)
             build_key_arrays.append(values)
         #: Evaluated build-key value arrays, one per key, in build-row
-        #: order.  The fused kernels' build-row group-id path reads
-        #: these: an inner match makes the probe-side key value equal
-        #: to the build-side value (exactly, in integer key space), so
+        #: order.  :class:`BuildRowKeys` reads these: an inner match
+        #: makes the probe-side key value equal to the build-side value
+        #: (exactly, in integer key space), so
         #: ``build_key_values[i][build_take]`` reproduces a grouped
         #: probe key without re-encoding it per morsel.
         self.build_key_values = build_key_arrays
@@ -297,13 +343,11 @@ class HashJoin:
             self._code_counts[self._segment_codes] = self._segment_counts
             self._code_starts[self._segment_codes] = self._segment_starts
 
-    # -- probe primitives (shared with the fused kernels) ------------------
+    # -- probe primitives --------------------------------------------------
     def encode_probe(self, key_arrays) -> np.ndarray:
         """Map per-row probe key arrays into the build code space
-        (``-1`` where the key has no build entry).  This is the
-        composite-code / value-LUT encoder the interpreted probe uses;
-        the fused kernels (:mod:`repro.engine.fused`) call it directly
-        so fused and interpreted probes cannot diverge."""
+        (``-1`` where the key has no build entry): the composite-code
+        / value-LUT encoder of :func:`canonical_key_codes`."""
         return self._probe_encoder([np.asarray(a) for a in key_arrays])
 
     def expand_inner(self, probe_codes: np.ndarray):
@@ -313,11 +357,8 @@ class HashJoin:
         ``probe_take[j]`` is the probe row of output row ``j`` (probe
         rows repeat once per match, preserving probe-row order) and
         ``build_take[j]`` the matching build row (emitted in build-row
-        order within each probe row).  This is exactly the expansion
-        arithmetic of :meth:`probe` for an inner join, minus the batch
-        materialization — the fused kernels gather only the surviving
-        columns through these indices instead of building an
-        intermediate joined batch.
+        order within each probe row).  :meth:`probe` hands the two to
+        the batch as selection indices; no column moves here.
         """
         counts, starts = self._match(probe_codes)
         total = int(counts.sum())
@@ -354,10 +395,19 @@ class HashJoin:
             starts[hit] = self._segment_starts[positions[hit]]
         return counts, starts
 
-    def probe(self, batch: Batch) -> Batch:
-        """Join one probe morsel; probe-row order is preserved."""
-        from .expr import evaluate
+    def probe(self, batch: Batch, group_keys=None) -> Batch:
+        """Join one probe morsel; probe-row order is preserved.
 
+        An inner probe gathers nothing: the probe side is re-pointed
+        through ``probe_take`` (:meth:`Batch.select`) and every build
+        column rides as ``(build column, build_take)`` until something
+        reads it.  ``group_keys`` is the planner's build-row rule for
+        this probe (``PhysProbe.group_keys``): ``build_take`` then
+        rides along as the hidden :data:`BUILD_ROW` encoding, which
+        later filters and probes select like any column.  LEFT joins
+        null-fill eagerly — the fill changes dtypes, so there is no
+        base array to defer to.
+        """
         probe_key_arrays = []
         for expr in self.probe_key_exprs:
             values = np.asarray(evaluate(expr, batch.columns, batch.types))
@@ -365,13 +415,19 @@ class HashJoin:
                 values = np.full(batch.nrows, values)
             probe_key_arrays.append(values)
         probe_codes = self.encode_probe(probe_key_arrays)
-        counts, starts = self._match(probe_codes)
+        build = self.build_batch
+        if self.kind == "inner":
+            probe_take, build_take = self.expand_inner(probe_codes)
+            out = batch.select(probe_take)
+            out.extend(build, build_take)
+            if group_keys is not None:
+                out.encode(BUILD_ROW, build_take,
+                           BuildRowKeys(self, group_keys))
+            return out
 
-        if self.kind == "left":
-            # Preserved rows with no match survive once, null-filled.
-            out_counts = np.maximum(counts, 1)
-        else:
-            out_counts = counts
+        # LEFT: preserved rows with no match survive once, null-filled.
+        counts, starts = self._match(probe_codes)
+        out_counts = np.maximum(counts, 1)
         total = int(out_counts.sum())
         probe_take = np.repeat(
             np.arange(batch.nrows, dtype=np.int64), out_counts
@@ -391,36 +447,17 @@ class HashJoin:
             build_take = np.full(total, -1, dtype=np.int64)
         missing = build_take < 0
 
-        columns: dict = {}
-        types: dict = {}
-        encodings: dict = {}
-
-        # Probe-side columns: plain gather (encodings gather too).
-        for name, arr in batch.columns.items():
-            columns[name] = arr[probe_take]
-        for name, sql_type in batch.types.items():
-            types[name] = sql_type
-        for name, (codes, uniques) in batch.encodings.items():
-            encodings[name] = (codes[probe_take], uniques)
-
-        # Build-side columns.  LEFT joins always promote (even when this
-        # particular morsel has no unmatched row) so column dtypes are
-        # identical across morsels and worker splits.
-        build = self.build_batch
-        if self.kind == "inner":
-            for name, arr in build.columns.items():
-                columns[name] = arr[build_take]
-            for name, sql_type in build.types.items():
-                types[name] = sql_type
-            for name, (codes, uniques) in build.encodings.items():
-                encodings[name] = (codes[build_take], uniques)
-        else:
-            for name, arr in build.columns.items():
-                values, out_type = _null_fill(
-                    arr, build_take, missing, build.types.get(name)
-                )
-                columns[name] = values
-                if out_type is not None:
-                    types[name] = out_type
-
-        return Batch(columns, types, encodings or None)
+        # Build columns always promote (even when this particular
+        # morsel has no unmatched row) so column dtypes are identical
+        # across morsels and worker splits.
+        out = batch.select(probe_take)
+        filled: dict = {}
+        filled_types: dict = {}
+        for name, arr in build.columns.items():
+            filled[name], out_type = _null_fill(
+                arr, build_take, missing, build.types.get(name)
+            )
+            if out_type is not None:
+                filled_types[name] = out_type
+        out.extend(Batch(filled, filled_types))
+        return out

@@ -1,7 +1,9 @@
 """Shared vocabulary of the aggregate runtime.
 
-The pieces every layer of the engine passes around: the columnar
-:class:`Batch` (one morsel), the session's :class:`SumConfig`, the
+The pieces every layer of the engine passes around: the columnar,
+late-materialized :class:`Batch` (one morsel: filters and inner probes
+re-point its columns through row indices, a column is gathered when
+first read), the session's :class:`SumConfig`, the
 validated :class:`AggregateSpec` of one aggregate call, the
 :class:`OperatorTimings` breakdown, and the canonical float / object
 key encodings shared by GROUP BY keys, COUNT(DISTINCT) and the hash
@@ -35,6 +37,8 @@ sum mode.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -43,7 +47,9 @@ from .sql import ast
 from .types import SqlType
 
 __all__ = [
+    "BUILD_ROW",
     "Batch",
+    "LazyColumns",
     "SumConfig",
     "OperatorTimings",
     "AggregateSpec",
@@ -52,35 +58,139 @@ __all__ = [
 ]
 
 
-class Batch:
-    """Columnar batch: arrays + SQL types + row count.
+#: Key of the hidden build-row encoding (a tuple cannot collide with a
+#: column name): its codes are the build-row index a hash-join probe
+#: matched each row to, its dictionary a
+#: :class:`~repro.engine.join.BuildRowKeys`.
+BUILD_ROW = ("build row",)
 
-    ``encodings`` optionally carries dictionary encodings of key
-    columns — ``{name: (codes, uniques)}`` with ``codes`` aligned to the
-    batch rows — produced by the storage layer and consumed by the
-    group table (:mod:`repro.engine.vectorized`).
+
+class LazyColumns(Mapping):
+    """``name -> array`` over ``(base, index)`` sources: ``base`` itself
+    when ``index`` is ``None``, else ``base.take(index)`` — gathered on
+    first read and memoized by replacing the source, so a column nobody
+    reads is never gathered.  Iterating (``items()``, ``dict(...)``)
+    reads, i.e. materializes, every column."""
+
+    __slots__ = ("sources",)
+
+    def __init__(self, sources: dict):
+        self.sources = sources
+
+    def __getitem__(self, name):
+        base, index = self.sources[name]
+        if index is not None:
+            base = base.take(index)
+            self.sources[name] = (base, None)
+        return base
+
+    def __contains__(self, name) -> bool:
+        return name in self.sources
+
+    def __iter__(self):
+        return iter(self.sources)
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+
+class Batch:
+    """One morsel: late-materialized columns + SQL types + row count.
+
+    Filters and inner hash-join probes never copy a column: they only
+    re-point every ``(base, index)`` source through the surviving rows
+    (:meth:`select` composes each *distinct* index once), and a column
+    is gathered when an expression first reads it.  ``columns`` holds
+    the visible columns; whoever needs real arrays for all of them
+    (``SELECT *``, a build side about to be shared between workers, a
+    spill or exchange payload) iterates it or takes ``dict(columns)``.
+
+    ``codes`` / ``dictionaries`` are the dictionary encodings of key
+    columns, selected along with the rows and never part of the visible
+    columns: storage dictionaries of GROUP BY keys (``name -> uniques``,
+    consumed by the group table) and, under :data:`BUILD_ROW`, the
+    build-row index a probe carries when the planner found that it
+    determines the group.  :meth:`encoding` reads one.
     """
 
     def __init__(self, columns: dict, types: dict[str, SqlType],
                  encodings: dict | None = None):
-        self.columns = columns
-        self.types = types
-        self.encodings = encodings or {}
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise ValueError("ragged batch")
         self.nrows = lengths.pop() if lengths else 0
+        self.columns = LazyColumns(
+            {name: (arr, None) for name, arr in columns.items()}
+        )
+        self.types = types
+        encodings = encodings or {}
+        self.codes = LazyColumns(
+            {name: (codes, None) for name, (codes, _) in encodings.items()}
+        )
+        self.dictionaries = {
+            name: uniques for name, (_, uniques) in encodings.items()
+        }
+
+    @classmethod
+    def _lazy(cls, columns: dict, types, codes: dict, dictionaries: dict,
+              nrows: int) -> "Batch":
+        batch = cls.__new__(cls)
+        batch.columns = LazyColumns(columns)
+        batch.types = types
+        batch.codes = LazyColumns(codes)
+        batch.dictionaries = dictionaries
+        batch.nrows = nrows
+        return batch
+
+    def encoding(self, key):
+        """``(codes, dictionary)`` of one encoded key, or ``None``."""
+        dictionary = self.dictionaries.get(key)
+        return None if dictionary is None else (self.codes[key], dictionary)
+
+    def select(self, rows: np.ndarray) -> "Batch":
+        """The batch whose row ``j`` is this one's row ``rows[j]``: no
+        column is gathered, each distinct pending index is composed
+        with ``rows`` once."""
+        composed: dict = {}
+
+        def compose(index):
+            if index is None:
+                return rows
+            out = composed.get(id(index))
+            if out is None:
+                out = composed[id(index)] = index.take(rows)
+            return out
+
+        return Batch._lazy(
+            {name: (base, compose(index))
+             for name, (base, index) in self.columns.sources.items()},
+            self.types,
+            {name: (base, compose(index))
+             for name, (base, index) in self.codes.sources.items()},
+            self.dictionaries, len(rows),
+        )
 
     def filter(self, mask: np.ndarray) -> "Batch":
-        encodings = {
-            name: (codes[mask], uniques)
-            for name, (codes, uniques) in self.encodings.items()
-        } or None
-        return Batch(
-            {name: arr[mask] for name, arr in self.columns.items()},
-            self.types,
-            encodings,
-        )
+        return self.select(np.flatnonzero(mask))
+
+    def extend(self, other: "Batch", rows: np.ndarray | None = None) -> None:
+        """Add ``other``'s columns and encodings, row ``j`` reading
+        ``other``'s row ``rows[j]`` (its own row ``j`` when ``None``)
+        once something asks for it.  A name bound on both sides reads
+        ``other`` from now on."""
+        for name in other.columns.sources:
+            self.columns.sources[name] = (other.columns[name], rows)
+        for key in other.codes.sources:
+            self.codes.sources[key] = (other.codes[key], rows)
+        self.types = {**self.types, **other.types}
+        if other.dictionaries:
+            self.dictionaries = {**self.dictionaries, **other.dictionaries}
+
+    def encode(self, key, codes: np.ndarray, dictionary) -> None:
+        """Attach one more encoding: row-aligned ``codes`` and the
+        dictionary that decodes them."""
+        self.codes.sources[key] = (codes, None)
+        self.dictionaries = {**self.dictionaries, key: dictionary}
 
 
 class OperatorTimings:

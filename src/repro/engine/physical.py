@@ -9,15 +9,17 @@ The logical tree (:mod:`repro.engine.plan`, rewritten by
   materialized before the stream starts;
 * an optional **aggregate sink** — always the one group table of
   :mod:`repro.engine.vectorized`, parallelised across
-  ``context.workers`` — with a *per-node* decision whether a generated
-  kernel (:mod:`repro.engine.fused`) drives it, taken here from the
-  plan shape alone;
+  ``context.workers``, fed by the chain's own operators.  The one
+  per-plan decision about it is taken here, from the plan shape and
+  the schema dtypes alone: whether one probe's build row determines
+  the group (:func:`_build_row_rule`), in which case that probe carries
+  its build-row index along and the table takes group ids from it;
 * the **finishing** stages executed on the gathered result arrays:
   HAVING, output projection, ORDER BY, LIMIT.
 
 The planner never executes anything, so ``EXPLAIN`` can render the
-chosen operators (fused or interpreted and why, parallel or serial,
-which join side builds) without touching the data.
+chosen operators (where group ids come from, parallel or serial, which
+join side builds) without touching the data.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pipeline as pipeline_mod
-from .fused import compile_fused
+from .expr import ExprError, evaluate
 from .operators import AggregateSpec, SumConfig
 from .plan import (
     Aggregate,
@@ -41,6 +43,7 @@ from .plan import (
     Sort,
 )
 from .sql import ast
+from .types import DecimalSqlType
 from .vectorized import _KEY_BYTES_BASE, _KEY_BYTES_PER_COLUMN
 
 __all__ = [
@@ -109,20 +112,22 @@ class PhysProbe:
     probe_is_left: bool
     build_side: str  # which logical input builds ('left' | 'right')
     est_build_rows: int = 0
-    #: build-content identity override for fused-kernel signatures.
-    #: Normally derived by walking the build tree's catalog tables
-    #: (name + row-version watermark); distributed workers plan
-    #: against replica scans with no catalog table, so the coordinator
-    #: ships the fingerprint it computed and the worker pins it here.
-    fingerprint: tuple | None = None
+    #: The build-row rule (:func:`_build_row_rule`), set on at most one
+    #: probe of an aggregate's chain: per group expression, how to read
+    #: it off this probe's build row.  The probe then carries its
+    #: build-row index along as a hidden column and the group table
+    #: takes its group ids from it.
+    group_keys: tuple | None = None
 
-    def describe(self) -> str:
-        keys = ", ".join(
+    def keys_sql(self) -> str:
+        return ", ".join(
             f"{p.sql()} = {b.sql()}"
             for p, b in zip(self.probe_keys, self.build_keys)
         )
+
+    def describe(self) -> str:
         return (
-            f"HashJoinProbe({self.kind}, keys=[{keys}], "
+            f"HashJoinProbe({self.kind}, keys=[{self.keys_sql()}], "
             f"build={self.build_side}, ~{self.est_build_rows} build rows)"
         )
 
@@ -146,14 +151,6 @@ class PhysAggregate:
     spill_partitions: int = 0
     memory_budget_bytes: int | None = None
     est_state_bytes: int = 0
-    #: True when the planner compiled the whole pipeline + aggregate
-    #: into one generated morsel kernel (:mod:`repro.engine.fused`).
-    fused: bool = False
-    kernel: object = None
-    #: why fusion declined this plan (``None`` when fused or when no
-    #: decision was taken); machine-readable code surfaced in EXPLAIN
-    #: so bench regressions are diagnosable without a debugger.
-    fuse_reason: str | None = None
     #: True when the plan runs as a ShardedAggregate: the table is
     #: hash-sharded across executor processes and partial group tables
     #: are exchanged back over the spill wire format
@@ -163,13 +160,14 @@ class PhysAggregate:
     shards: int = 0
     shard_workers: int = 0
 
-    def describe(self, workers: int, morsel_size: int) -> str:
+    def describe(self, workers: int, morsel_size: int,
+                 build_row_probe: PhysProbe | None = None) -> str:
         group = ", ".join(e.sql() for e in self.group_exprs)
         aggs = ", ".join(spec.sql for spec in self.specs)
         mode = "morsel-parallel" if workers > 1 else "serial"
-        extra = ", fused" if self.fused else ""
-        if not self.fused and self.fuse_reason:
-            extra = f", unfused:{self.fuse_reason}"
+        extra = ""
+        if build_row_probe is not None:
+            extra = f", group_ids=build_row({build_row_probe.keys_sql()})"
         if self.external:
             extra = (
                 f", external(partitions={self.spill_partitions}, "
@@ -364,47 +362,26 @@ def plan_physical(root: LogicalNode, context,
         group_exprs = ()
 
     chain = _build_pipeline(node, state)
-
-    if aggregate is not None:
-        # compile_fused handles its own qualification (external, chain
-        # shape, aggregate states) and records the decline reason on
-        # aggregate.fuse_reason for EXPLAIN.
-        kernel = compile_fused(chain, aggregate, context)
-        if kernel is not None:
-            aggregate.fused = True
-            aggregate.kernel = kernel
+    if aggregate is not None and not aggregate.external:
+        _build_row_rule(chain, aggregate.group_exprs)
 
     # Sharded multi-process execution: chosen when the session sets
-    # shards > 0 and the plan is a single-table scan -> filters ->
-    # aggregate, or a *fused* join plan whose every build side is
-    # small enough to broadcast to the shard executors (interpreted
-    # joins and the external spill path stay on the thread pipeline).
-    # Result bits in the repro modes are invariant under this choice —
-    # executors run the same kernels over a disjoint row partition and
-    # the partial states merge exactly.
+    # shards > 0 and the chain is filters and inner probes over real
+    # scans whose every build side is small enough to broadcast to the
+    # shard executors (LEFT joins and the external spill path stay on
+    # the thread pipeline).  Result bits in the repro modes are
+    # invariant under this choice — executors run the same operators
+    # over a disjoint row partition and the partial states merge
+    # exactly.
     shards = getattr(context, "shards", 0)
     if (aggregate is not None and shards > 0 and not aggregate.external
-            and chain.source.table is not None):
-        plain = all(isinstance(op, PhysFilter) for op in chain.ops)
-        fused_join = (
-            aggregate.fused
-            and getattr(aggregate.kernel, "njoins", 0) > 0
-            and all(
-                isinstance(op, (PhysFilter, PhysProbe))
-                for op in chain.ops
-            )
-            and all(
-                _broadcastable_build(op) for op in chain.ops
-                if isinstance(op, PhysProbe)
-            )
+            and _shardable(chain)):
+        aggregate.sharded = True
+        aggregate.shards = shards
+        shard_workers = getattr(context, "shard_workers", None)
+        aggregate.shard_workers = max(
+            1, min(shard_workers or shards, shards)
         )
-        if plain or fused_join:
-            aggregate.sharded = True
-            aggregate.shards = shards
-            shard_workers = getattr(context, "shard_workers", None)
-            aggregate.shard_workers = max(
-                1, min(shard_workers or shards, shards)
-            )
 
     from .plan import plan_column_types
 
@@ -426,32 +403,114 @@ def plan_physical(root: LogicalNode, context,
     )
 
 
+def _pipeline_types(chain: PhysPipeline) -> dict:
+    """``name -> SqlType`` of everything one chain's morsels carry: its
+    scan's columns plus, recursively, every build side's."""
+    types = dict(chain.source.types)
+    for op in chain.ops:
+        if isinstance(op, PhysProbe):
+            types.update(_pipeline_types(op.build))
+    return types
+
+
+def _all_inner(chain: PhysPipeline) -> bool:
+    """Is every probe of this chain, and of every build pipeline nested
+    under it, an inner join?"""
+    return all(
+        op.kind == "inner" and _all_inner(op.build)
+        for op in chain.ops if isinstance(op, PhysProbe)
+    )
+
+
+def _build_row_rule(chain: PhysPipeline, group_exprs) -> None:
+    """Decide, from the plan shape and the schema dtypes alone, whether
+    one probe's build row determines the group — and if so record on
+    that probe (``group_keys``) how to read each group key off it.
+
+    Two group-key shapes qualify.  A build-side column of probe ``p``
+    *is* ``build column[build row]`` by construction.  A probe key of
+    ``p`` over *integer* key space equals the matched build key exactly
+    (integer-space matching is exact-value), so the evaluated build key
+    reproduces it.  Float and string probe keys do not qualify: the
+    generic path registers the *probe* value while the build row holds
+    the *build* value, and ``-0.0`` / ``NaN`` keys make those distinct
+    bit patterns.  Only plans whose every probe is inner are considered
+    — nested build pipelines included: a LEFT join null-fills, so a
+    column that went through one, even inside a build side, is float64
+    with NaN and already descaled, not the schema dtype the rule reads
+    — and only one probe's rows: a single row index always fits the
+    group table's persistent code -> gid table, a multi-probe composite
+    would need an overflow guard for no workload we have.
+    """
+    probes = [op for op in chain.ops if isinstance(op, PhysProbe)]
+    if not group_exprs or not probes or not _all_inner(chain):
+        return
+    types = _pipeline_types(chain)
+    empty = {
+        name: np.empty(0, sql_type.numpy_dtype)
+        for name, sql_type in types.items()
+    }
+
+    def dtype_of(expr) -> np.dtype:
+        # value-independent promotion makes a zero-length probe exact
+        return np.asarray(evaluate(expr, empty, types)).dtype
+
+    #: which probe binds each build-side name (the last one wins, as in
+    #: :meth:`HashJoin.probe`)
+    origin = {
+        name: op for op in probes for name in _pipeline_types(op.build)
+    }
+    for op in probes:
+        probe_keys = [key.sql() for key in op.probe_keys]
+        specs = []
+        try:
+            for expr in group_exprs:
+                if isinstance(expr, ast.ColumnRef) \
+                        and origin.get(expr.name.lower()) is op:
+                    sql_type = types[expr.name.lower()]
+                    scale = (10.0 ** sql_type.scale
+                             if isinstance(sql_type, DecimalSqlType) else None)
+                    specs.append(
+                        ("col", expr.name.lower(), dtype_of(expr), scale)
+                    )
+                elif expr.sql() in probe_keys:
+                    i = probe_keys.index(expr.sql())
+                    dtype = dtype_of(expr)
+                    if dtype.kind not in "iub" \
+                            or dtype_of(op.build_keys[i]).kind not in "iub":
+                        break
+                    specs.append(("key", i, dtype, None))
+                else:
+                    break
+        except (ExprError, TypeError):
+            return  # the query fails at execution, with its own message
+        if len(specs) == len(group_exprs):
+            op.group_keys = tuple(specs)
+            return
+
+
 #: Largest estimated build-side row count the planner will broadcast
-#: to every shard executor for a fused join plan; past this, shipping
-#: the build to each worker dwarfs the sharded scan it parallelises.
+#: to every shard executor; past this, shipping the build to each
+#: worker dwarfs the sharded scan it parallelises.
 _BROADCAST_BUILD_MAX_ROWS = 1 << 20
 
 
-def _broadcastable_build(op: PhysProbe) -> bool:
-    """Can this probe's build side be materialized once on the
-    coordinator and broadcast to every shard executor?  Requires real
-    scans throughout the build tree (the coordinator materializes it
-    from the catalog) and a bounded estimated size."""
-    if op.est_build_rows > _BROADCAST_BUILD_MAX_ROWS:
+def _shardable(chain: PhysPipeline, streamed: bool = True) -> bool:
+    """Can this chain run on the shard executors?  Filters and inner
+    probes over real scans throughout (the coordinator materializes
+    every build side from the catalog), and the builds the executors
+    receive (``streamed`` chain only) of bounded estimated size."""
+    if chain.source.table is None:
         return False
-
-    def ok(chain: PhysPipeline) -> bool:
-        if chain.source.table is None:
-            return False
-        for o in chain.ops:
-            if isinstance(o, PhysProbe):
-                if not ok(o.build):
-                    return False
-            elif not isinstance(o, PhysFilter):
+    for op in chain.ops:
+        if isinstance(op, PhysProbe):
+            if op.kind != "inner" or not _shardable(op.build, False) or (
+                streamed and op.est_build_rows > _BROADCAST_BUILD_MAX_ROWS
+            ):
                 return False
-        return True
-
-    return ok(op.build)
+        elif not isinstance(op, PhysFilter):
+            return False
+    return True
 
 
 #: Per-group state-size model for the external-aggregation decision
@@ -507,45 +566,15 @@ def _dedup_specs(aggregates, sum_config: SumConfig) -> list[AggregateSpec]:
 
 
 def _render_pipeline(chain: PhysPipeline, indent: int,
-                     lines: list[str],
-                     aggregate: PhysAggregate | None) -> None:
+                     lines: list[str]) -> None:
     pad = "  " * indent
-    if aggregate is not None and aggregate.fused:
-        # The whole chain runs as one generated kernel: render it as a
-        # single fused stage — probe stages become FusedJoinProbe lines
-        # (build sides are materialized pipelines, rendered normally).
-        filters = ", ".join(
-            op.predicate.sql() for op in chain.ops
-            if isinstance(op, PhysFilter)
-        )
-        detail = f"filters=[{filters}]" if filters else "no filters"
-        lines.append(pad + f"FusedPipeline[{detail}]")
-        indent += 1
-        for op in reversed(
-            [op for op in chain.ops if isinstance(op, PhysProbe)]
-        ):
-            pad = "  " * indent
-            keys = ", ".join(
-                f"{p.sql()} = {b.sql()}"
-                for p, b in zip(op.probe_keys, op.build_keys)
-            )
-            lines.append(
-                pad + f"FusedJoinProbe[{op.kind}, keys=[{keys}], "
-                f"build={op.build_side}, ~{op.est_build_rows} build rows]"
-            )
-            lines.append(pad + "  [build side]")
-            _render_pipeline(op.build, indent + 2, lines, None)
-            lines.append(pad + "  [probe side]")
-            indent += 2
-        lines.append("  " * indent + chain.source.describe())
-        return
     for op in reversed(chain.ops):
         if isinstance(op, PhysFilter) and op.at_scan:
             continue
         lines.append(pad + op.describe())
         if isinstance(op, PhysProbe):
             lines.append(pad + "  [build side]")
-            _render_pipeline(op.build, indent + 2, lines, None)
+            _render_pipeline(op.build, indent + 2, lines)
             lines.append(pad + "  [probe side]")
             indent += 2
             pad = "  " * indent
@@ -578,10 +607,16 @@ def render_physical(query: PhysicalQuery) -> str:
         lines.append("  " * indent + query.view_scan.describe())
         return "\n".join(lines)
     if query.aggregate is not None:
+        build_row_probe = next(
+            (op for op in query.pipeline.ops
+             if isinstance(op, PhysProbe) and op.group_keys is not None),
+            None,
+        )
         lines.append(
             "  " * indent
-            + query.aggregate.describe(query.workers, query.morsel_size)
+            + query.aggregate.describe(query.workers, query.morsel_size,
+                                       build_row_probe)
         )
         indent += 1
-    _render_pipeline(query.pipeline, indent, lines, query.aggregate)
+    _render_pipeline(query.pipeline, indent, lines)
     return "\n".join(lines)

@@ -3,8 +3,15 @@
 The engine executes SELECTs as a streaming pipeline over *morsels* —
 columnar chunks of at most :data:`ExecutionContext.morsel_size` rows:
 
-    morsel scan -> filter -> project / partial-aggregate (per worker)
-                -> exact merge -> finalize
+    morsel scan -> filter / probe -> project / partial-aggregate
+                (per worker) -> exact merge -> finalize
+
+One feeder: every plan runs these operators — there is no generated
+code and no second path to choose.  A morsel is a late-materialized
+:class:`~repro.engine.operators.Batch`: :func:`apply_where` and the
+inner :meth:`~repro.engine.join.HashJoin.probe` only compose row
+indices, and a column is gathered when the projection or an aggregate
+state first reads it.
 
 Morsels are pre-assigned to workers round-robin by morsel index, and
 worker partials are merged in worker order.  That makes the plan fully
@@ -17,11 +24,10 @@ combination, including the serial whole-batch path.  IEEE mode keeps
 plain float partials, so its results may drift with the split — the
 engine-layer demonstration of the paper's motivating problem.
 
-Timing hooks: per-worker busy time is measured with
-``time.thread_time`` (CPU time of that thread only), so
-:meth:`PipelineStats.critical_path` models the wall-clock of the plan
-on ``workers`` dedicated cores even when the host serialises the
-threads (GIL, single-core CI runners).
+Timing hooks: :attr:`PipelineStats.wall_seconds` is the statement's
+wall-clock; per-worker busy time is measured with ``time.thread_time``
+(CPU time of that thread only) and says how the morsels were shared
+out, nothing about elapsed time — the threads serialise on the GIL.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ __all__ = [
 ]
 
 #: THE constructor of per-morsel group tables —
-#: ``make_group_table(group_exprs, specs, kernel=None, joins=())``.
+#: ``make_group_table(group_exprs, specs)``.
 #: The in-memory and external pipelines, the shard executors and the
 #: shard coordinator all build their tables through this one symbol
 #: (looked up on this module at call time), so no query can select a
@@ -74,13 +80,6 @@ class ExecutionContext:
     #: sub-batch, so high fan-outs hurt more here than in the paper's
     #: native engine).
     DEFAULT_SPILL_PARTITIONS = 4
-
-    #: Bound on cached fused kernels per context (and per shard
-    #: executor process).  Signatures include build-side fingerprints
-    #: that change on DML, so join workloads naturally churn entries; a
-    #: small LRU keeps steady-state hits while bounding a long
-    #: session's footprint.
-    DEFAULT_KERNEL_CACHE_SIZE = 64
 
     #: Bound on cached hash-join builds per context.  Entries hold the
     #: materialized build batch, so the bound is deliberately small;
@@ -151,16 +150,6 @@ class ExecutionContext:
         self._finalizer = None
         self._shard_pool = None
         self._shard_finalizer = None
-        #: Plan-signature -> ``(kernel-or-None, decline reason)``;
-        #: maintained LRU by :func:`repro.engine.fused.compile_fused`
-        #: (hits move to the back, inserts evict from the front past
-        #: :attr:`DEFAULT_KERNEL_CACHE_SIZE`), cleared when
-        #: execution-shaping knobs change.
-        self._kernel_cache: OrderedDict = OrderedDict()
-        self.kernel_cache_hits = 0
-        self.kernel_cache_misses = 0
-        self.kernel_cache_invalidations = 0
-        self.kernel_cache_evictions = 0
         #: Build-chain signature -> materialized :class:`HashJoin`,
         #: maintained LRU by :func:`repro.engine.executor._build_join`.
         #: Keys embed every build-side table version plus the read
@@ -183,16 +172,6 @@ class ExecutionContext:
         "spill_merge_fanin", "workers", "morsel_size", "join_build",
         "shards", "shard_workers",
     )
-
-    def _invalidate_kernels(self) -> None:
-        """Drop compiled kernels after a knob change that shapes
-        execution (workers / memory budget): cached code
-        must never outlive the plan decisions it was specialized on."""
-        if self._kernel_cache:
-            self._kernel_cache.clear()
-            self.kernel_cache_invalidations += 1
-        self._join_cache.clear()
-        self._plan_cache.clear()
 
     # -- knob validation / SET surface ------------------------------------
     @staticmethod
@@ -266,16 +245,13 @@ class ExecutionContext:
         ``spill_partitions``, ``spill_merge_fanin``, ``workers``,
         ``morsel_size``, ``join_build``, ``shards``, ``shard_workers``.
 
-        Changes to ``workers`` or the memory budget invalidate the
-        fused kernel cache (the compiled kernels are specialized
-        against plan decisions those knobs shape).
+        Every successful SET drops the cached plans.  Cached join
+        builds stay: their key (:func:`~repro.engine.executor.build_signature`,
+        join shape, snapshot) depends on no knob.
         """
         key = name.lower()
         if key in ("memory_budget_bytes", "memory_budget"):
-            budget = self._check_budget(value)
-            if budget != self.memory_budget_bytes:
-                self._invalidate_kernels()
-            self.memory_budget_bytes = budget
+            self.memory_budget_bytes = self._check_budget(value)
         elif key == "spill_partitions":
             self.spill_partitions = self._check_partitions(value)
         elif key == "spill_merge_fanin":
@@ -284,16 +260,14 @@ class ExecutionContext:
             workers = self._as_int(value, "workers")
             if workers < 1:
                 raise ConfigError("workers must be >= 1")
-            if workers != self.workers:
-                self._invalidate_kernels()
-                if self._pool is not None:
-                    # The pool's max_workers is fixed at creation;
-                    # replace it.
-                    if self._finalizer is not None:
-                        self._finalizer.detach()
-                        self._finalizer = None
-                    self._pool.shutdown(wait=False)
-                    self._pool = None
+            if workers != self.workers and self._pool is not None:
+                # The pool's max_workers is fixed at creation;
+                # replace it.
+                if self._finalizer is not None:
+                    self._finalizer.detach()
+                    self._finalizer = None
+                self._pool.shutdown(wait=False)
+                self._pool = None
             self.workers = workers
         elif key == "morsel_size":
             morsel_size = self._as_int(value, "morsel_size")
@@ -390,9 +364,9 @@ class ExecutionContext:
 class PipelineStats:
     """Per-query pipeline accounting.
 
-    ``worker_busy[w]`` is worker ``w``'s CPU time (``time.thread_time``),
-    so :meth:`critical_path` is the modelled wall-clock on dedicated
-    cores: the slowest worker plus the serial merge + finalize tail.
+    ``wall_seconds`` is the clock a client sees.  ``worker_busy[w]`` is
+    worker ``w``'s CPU time (``time.thread_time``) — how the work was
+    split, not how long anyone waited: worker threads share the GIL.
     """
 
     def __init__(self, workers: int):
@@ -403,14 +377,6 @@ class PipelineStats:
         self.merge_seconds = 0.0
         self.finalize_seconds = 0.0
         self.wall_seconds = 0.0
-        #: True when the grouped plan ran one fused generated kernel
-        #: per morsel (:mod:`repro.engine.fused`).
-        self.fused = False
-        #: Per-worker CPU time spent *inside* the fused kernel (a
-        #: subset of ``worker_busy``), so the modelled speedup and the
-        #: operator breakdown see fused execution rather than only
-        #: whole-worker wall time.
-        self.kernel_seconds = [0.0] * workers
         #: True when the external (spill-to-disk) aggregation ran; the
         #: spill_* fields below are its accounting
         #: (:mod:`repro.aggregation.external_agg`).
@@ -428,12 +394,6 @@ class PipelineStats:
         self.sharded = False
         self.shards = 0
         self.exchange_bytes = 0
-        #: Kernel-cache counters of the owning context, snapshotted
-        #: when the run finishes (cumulative across the context's
-        #: lifetime, not per-query deltas).
-        self.kernel_cache_hits = 0
-        self.kernel_cache_misses = 0
-        self.kernel_cache_evictions = 0
         #: Which path this query's reproducible sums took, in rows
         #: summed over tables and workers (per query, not cumulative):
         #: scatter-accumulated on their table's prevailing ladder vs.
@@ -458,27 +418,11 @@ class PipelineStats:
                 ladder_first_decline=self.ladder_first_decline,
             )
 
-    def kernel_time(self) -> float:
-        """Total CPU seconds spent in fused kernels across workers."""
-        return sum(self.kernel_seconds)
-
-    def critical_path(self) -> float:
-        busiest = max(self.worker_busy) if self.worker_busy else 0.0
-        return busiest + self.merge_seconds + self.finalize_seconds
-
-    def total_busy(self) -> float:
-        return sum(self.worker_busy) + self.merge_seconds + self.finalize_seconds
-
-    def modeled_speedup(self) -> float:
-        """Work over critical path: the speedup ``workers`` cores buy."""
-        critical = self.critical_path()
-        return self.total_busy() / critical if critical > 0 else 1.0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"PipelineStats({self.workers} workers, "
             f"{self.morsel_count} morsels, "
-            f"critical_path={self.critical_path():.6f}s)"
+            f"wall={self.wall_seconds:.6f}s)"
         )
 
 
@@ -525,37 +469,24 @@ def run_grouped_pipeline(
     context: ExecutionContext,
     timings: OperatorTimings | None = None,
     transform=None,
-    kernel=None,
-    joins=None,
 ):
     """Parallel GROUP BY: per-worker partial tables, exact merge.
 
     ``transform`` (optional) is a per-morsel operator chain — filters
     and hash-join probes composed by the physical planner — applied
-    inside the worker.  ``kernel`` (a
-    :class:`~repro.engine.fused.FusedKernel`) replaces the per-morsel
-    transform/update loop with one generated call per morsel; the
-    kernel subsumes the operator chain, so it is mutually exclusive
-    with ``transform``.  ``joins`` carries the built
-    :class:`~repro.engine.join.HashJoin` objects a join-fusing kernel
-    probes at runtime (one per fused probe, in chain order).
+    inside the worker.
 
     Returns ``(key_arrays, result_arrays, ngroups)`` in canonical
     (sorted-key) group order.
     """
-    if kernel is not None and transform is not None:
-        raise ValueError(
-            "a fused kernel subsumes the transform; pass one or the other"
-        )
     wall_started = time.perf_counter()
     stats = PipelineStats(min(context.workers, max(len(morsels), 1)))
     stats.morsel_count = len(morsels)
-    stats.fused = kernel is not None
     selection_seconds = [0.0] * stats.workers
     aggregation_seconds = [0.0] * stats.workers
 
     def work_one(worker_id: int, assigned: list[int]):
-        table = make_group_table(group_exprs, specs, kernel, joins)
+        table = make_group_table(group_exprs, specs)
         for index in assigned:
             t0 = time.thread_time()
             batch = morsels[index]
@@ -566,8 +497,6 @@ def run_grouped_pipeline(
             t2 = time.thread_time()
             selection_seconds[worker_id] += t1 - t0
             aggregation_seconds[worker_id] += t2 - t1
-            if kernel is not None:
-                stats.kernel_seconds[worker_id] += t2 - t1
         return table
 
     tables = _run_workers(morsels, context, stats, work_one)
@@ -584,9 +513,6 @@ def run_grouped_pipeline(
 
     stats.record_ladder(root.ladder, timings)
     stats.wall_seconds = time.perf_counter() - wall_started
-    stats.kernel_cache_hits = context.kernel_cache_hits
-    stats.kernel_cache_misses = context.kernel_cache_misses
-    stats.kernel_cache_evictions = context.kernel_cache_evictions
     context.last_stats = stats
     if timings is not None:
         timings.add("selection", sum(selection_seconds))

@@ -252,9 +252,9 @@ class Session:
         """Plan text for a SELECT (with or without an EXPLAIN prefix).
 
         Shows the optimized logical plan (pushdown rules applied) and
-        the chosen physical operators — fused or interpreted
-        aggregation (and why), worker/morsel configuration, hash-join
-        build sides — without executing the query.
+        the chosen physical operators — where the group ids come from,
+        worker/morsel configuration, hash-join build sides — without
+        executing the query.
         """
         stmt = parse(sql_text)
         if isinstance(stmt, ast.Explain):

@@ -5,11 +5,8 @@ in-memory pipeline, the external (spill) aggregation, the shard
 executors and — built retractable, as :class:`~repro.engine.matview.
 MaintenanceGroupTable` — materialized-view maintenance all construct
 it, the query paths through :data:`repro.engine.pipeline.
-make_group_table`.  A generated kernel (:mod:`repro.engine.fused`)
-feeds it when the planner compiled one, its own
-:meth:`~VectorizedGroupTable.update` otherwise; key registration,
-exact merge and finalize are the same methods either way, which is
-what pins the two to the same bits.  The table owns three things:
+make_group_table`.  One feeder: every morsel arrives through
+:meth:`~VectorizedGroupTable.update`.  The table owns three things:
 
 * the **key registry** — group keys get dense gids in first-arrival
   order, NaN keys collapse and ``-0.0`` joins ``0.0``; finalize emits
@@ -26,17 +23,30 @@ what pins the two to the same bits.  The table owns three things:
 Per morsel :meth:`~VectorizedGroupTable.update`:
 
 1. evaluates all expressions through one :class:`~repro.engine.expr.
-   ExprCache` (common sub-expressions are computed once);
-2. computes group ids for the whole morsel at once — dictionary-encoded
-   key columns (see :meth:`repro.engine.table.Column.encoding`) combine
-   with pure integer radix arithmetic through a persistent code -> gid
-   table, other keys go through ``np.unique``;
-3. hands every state the same lazily **sorted-at-most-once** morsel
-   (:class:`SortedMorsel`): ``ufunc.reduceat`` segments for MIN/MAX and
-   int sums; the rsum ladders go through the blocked kernel
-   (:func:`~repro.aggregation.grouped.add_blocked_multi`), which
-   scatter-accumulates every row whose group sits on its table's
-   prevailing ladder and sorts only the stragglers.
+   ExprCache` (common sub-expressions are computed once; a column of
+   the late-materialized batch is gathered when first read, one nobody
+   reads never);
+2. computes group ids for the whole morsel at once — from the hidden
+   build-row column when the planner found that a probe's build row
+   determines the group (:meth:`~VectorizedGroupTable._gids_from_rows`:
+   the key columns are then never gathered and each key registers once
+   per query); otherwise dictionary-encoded key columns (see
+   :meth:`repro.engine.table.Column.encoding`) combine with pure
+   integer radix arithmetic through a persistent code -> gid table and
+   other keys go through ``np.unique``;
+3. hands every state the same lazily **sorted-at-most-once** morsel:
+   ``ufunc.reduceat`` segments for MIN/MAX and int sums, over the
+   cheaper :class:`ClusteredMorsel` unless a float MIN/MAX needs the
+   stable :class:`SortedMorsel`;
+4. feeds the rsum ladders last, **one call per parameter set**: every
+   ``LadderSum`` of equal ``(dtype, levels)`` — SUM, AVG's numerator,
+   both moments of VARIANCE — queued its values in step 3 and they go
+   through the blocked kernel (:func:`~repro.aggregation.grouped.
+   add_blocked_multi`) together; it scatter-accumulates every row
+   whose group sits on its table's prevailing ladder and sorts only
+   the stragglers.  Batching is bit-neutral: each accumulator still
+   consumes exactly its own value sequence, only the dispatch is
+   shared.
 
 Reproducibility is preserved *by construction*: the repro-mode states
 are exact under any permutation and chunking of their input (the
@@ -44,7 +54,7 @@ paper's Algorithm 3 horizontal-merge property, which
 :class:`~repro.core.rsum_simd.SimdRsum` demonstrates lane-wise), so
 re-ordering a morsel by group id cannot change the final bits.  IEEE
 sums accumulate unbuffered in physical row order, so even the
-*non*-reproducible mode means the same thing under every feeder.  The
+*non*-reproducible mode means the same thing under every split.  The
 differential tests hold all of this against a row-order reference
 table that lives under ``tests/``.
 """
@@ -61,9 +71,11 @@ from .aggregates import (
     MinMaxState,
     Moment2State,
     SumState,
+    update_ladders,
 )
 from .expr import ExprCache
 from .operators import (
+    BUILD_ROW,
     AggregateSpec,
     Batch,
     _object_sort_rank,
@@ -114,6 +126,10 @@ class SortedMorsel:
                  counters: LadderCounters | None = None):
         self.gids = gids
         self.counters = counters
+        #: ``RsumParams -> ([LadderSum], [values])`` queued by
+        #: :meth:`LadderSum.add`; the table feeds each slot with one
+        #: :func:`update_ladders` call once every state has queued
+        self.ladders: dict = {}
         self._ready = False
         self._identity = False
         self._order: np.ndarray | None = None
@@ -263,23 +279,18 @@ class VectorizedGroupTable:
     """Worker-local GROUP BY state: a key registry plus the shared
     physical states of an aggregate list.
 
-    ``kernel`` (a :class:`~repro.engine.fused.FusedKernel`) replaces
-    the interpreted per-morsel dispatch of :meth:`update` with one
-    generated call.  ``joins`` holds the built
-    :class:`~repro.engine.join.HashJoin` objects the kernel probes (one
-    per fused probe, in chain order): kernels are compiled at *plan*
-    time and cached across queries, hash tables are built at
-    *execution* time, so the joins ride the table as runtime
-    parameters.  ``retractable`` builds every state in its exactly
-    invertible form (view maintenance; see
-    :meth:`AggregateSpec.supports_retraction`).
+    ``retractable`` builds every state in its exactly invertible form
+    (view maintenance; see :meth:`AggregateSpec.supports_retraction`).
     """
 
     def __init__(self, group_exprs, specs: list[AggregateSpec],
-                 kernel=None, joins=(), retractable: bool = False):
+                 retractable: bool = False):
         self.group_exprs = tuple(group_exprs)
         self.specs = specs
         self.states, self._spec_plan = self._build_plan(specs, retractable)
+        self._extremes = [
+            state for state in self.states if isinstance(state, MinMaxState)
+        ]
         self._key_to_gid: dict = {}
         self._keys: list[tuple] = []
         self._key_dtypes: list | None = None
@@ -291,13 +302,6 @@ class VectorizedGroupTable:
             # present (so zero-row inputs still produce one output row).
             self._key_to_gid[()] = 0
             self._keys.append(())
-        self._kernel = kernel
-        self._joins = list(joins or ())
-        if kernel is not None and len(self._joins) != kernel.njoins:
-            raise ValueError(
-                f"kernel fuses {kernel.njoins} join probe(s) but "
-                f"{len(self._joins)} built join(s) were supplied"
-            )
         #: Persistent code -> gid table of :meth:`_gids_from_codes`;
         #: ``_lut_bases`` records which code space it indexes.
         self._lut: np.ndarray | None = None
@@ -389,29 +393,46 @@ class VectorizedGroupTable:
 
     # -- morsel consumption ------------------------------------------------
     def update(self, batch: Batch) -> None:
-        if self._kernel is not None:
-            self._kernel.fn(batch, self)
-            return
         args = self._prepare(batch)
         for state in self.states:
             state.update(batch, *args)
+        _, gids, morsel, ngroups = args
+        # One ladder call per parameter set, after every state has
+        # queued its values: each accumulator still consumes exactly
+        # its own value sequence, so batching cannot move a bit.
+        for accs, rows in morsel.ladders.values():
+            update_ladders(accs, rows, gids, morsel, ngroups)
 
     def _prepare(self, batch: Batch):
         """``(cache, gids, morsel, ngroups)`` — what every state's
         ``update`` / ``retract`` takes after the batch."""
         cache = ExprCache(batch.columns, batch.types)
         gids = self._group_ids(batch, cache)
-        return cache, gids, SortedMorsel(gids, self.ladder), self.ngroups
+        ngroups = self.ngroups
+        # Only a float MIN/MAX reads the order *within* a group (which
+        # zero of a +-0.0 tie it returns); everything else takes the
+        # cheaper clustering permutation.
+        if any(
+            cache.values(state.arg, batch.nrows).dtype.kind == "f"
+            for state in self._extremes
+        ):
+            morsel = SortedMorsel(gids, self.ladder)
+        else:
+            morsel = ClusteredMorsel(gids, ngroups, self.ladder)
+        return cache, gids, morsel, ngroups
 
     def _group_ids(self, batch: Batch, cache: ExprCache) -> np.ndarray:
         if not self.group_exprs:
             return np.zeros(batch.nrows, dtype=np.int64)
+        build_rows = batch.encoding(BUILD_ROW)
+        if build_rows is not None:
+            return self._gids_from_rows(*build_rows)
         parts = []
         all_encoded = True
         for expr in self.group_exprs:
             encoding = None
             if isinstance(expr, ast.ColumnRef):
-                encoding = batch.encodings.get(expr.name.lower())
+                encoding = batch.encoding(expr.name.lower())
             if encoding is not None:
                 codes, uniques = encoding
             else:
@@ -434,12 +455,8 @@ class VectorizedGroupTable:
     def _gids_from_parts(self, parts, all_encoded: bool) -> np.ndarray:
         """Composite ``(codes, uniques, base)`` key parts -> table gids.
 
-        Shared by the interpreted update and the fused kernels
-        (:mod:`repro.engine.fused`), so key registration — radix
-        combine, persistent LUT, canonical NaN/-0.0 identity — cannot
-        diverge between the two.  ``all_encoded`` says every part is a
-        storage dictionary, whose codes mean the same thing in every
-        morsel.
+        ``all_encoded`` says every part is a storage dictionary, whose
+        codes mean the same thing in every morsel.
         """
         total = 1
         for _, _, base in parts:
@@ -478,23 +495,19 @@ class VectorizedGroupTable:
         )
         return lut[inverse.astype(np.int64, copy=False)]
 
-    def _gids_from_rows(self, codes: np.ndarray, total: int, dtypes,
-                        decode_rows) -> np.ndarray:
-        """Morsel gids from composite *source-row* codes whose meaning
-        is stable across morsels.
-
-        The fused join kernels pass gathered build-row indices here
-        when every group key is a function of the build row (a
-        build-side column, or a probe key the inner join made equal to
-        the build key): a build-row index means the same key tuple in
-        every morsel, so each key registers *once* for the whole query.
-        ``decode_rows(fresh_codes)`` gathers the per-key value columns
-        for codes not seen before.
+    def _gids_from_rows(self, rows: np.ndarray, keys) -> np.ndarray:
+        """Morsel gids from the build-row index a probe carried
+        (:data:`~repro.engine.operators.BUILD_ROW`), when the planner
+        found every group key to be a function of that build row: the
+        index means the same key tuple in every morsel, so each key
+        registers *once* for the whole query and the key columns are
+        never gathered.  ``keys`` (a :class:`~repro.engine.join.
+        BuildRowKeys`) reads the key values of rows not seen before.
         """
         if self._key_dtypes is None:
-            self._key_dtypes = list(dtypes)
-        return self._gids_from_codes(codes, total, ("rows", total),
-                                     decode_rows)
+            self._key_dtypes = list(keys.dtypes)
+        return self._gids_from_codes(rows, keys.total, ("rows", keys.total),
+                                     keys.decode)
 
     def _gids_from_codes(self, codes: np.ndarray, total: int, stable,
                          decode) -> np.ndarray:

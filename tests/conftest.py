@@ -33,37 +33,27 @@ def small_pairs(rng):
 
 @pytest.fixture
 def engine_path(monkeypatch):
-    """The one door to the aggregate runtimes no query can select.
+    """The one door to the aggregate runtime no query can select.
 
-    ``with engine_path("interpreted"):`` plans inside the block never
-    get a generated kernel (``physical.compile_fused`` returns ``None``),
-    so the query table runs its own ``update()``;
-    ``with engine_path("scalar"):`` additionally swaps the single table
-    constructor, ``pipeline.make_group_table``, for the row-order
+    ``with engine_path("scalar"):`` swaps the single table constructor,
+    ``pipeline.make_group_table``, for the row-order
     :class:`reference_table.PartialGroupTable` — the reference of the
-    differential tests.  ``engine_path("fused")`` patches nothing (what
-    users run).
-    Build the ``Database`` inside the block: plans cached outside it
-    keep the kernel they were lowered with.
+    differential tests (it re-evaluates every key and argument from the
+    batch and ignores every encoding, the build-row one included).
+    ``engine_path(None)`` patches nothing (what users run), so a test
+    can loop over both.  Build the ``Database`` inside the block.
     """
     from contextlib import contextmanager
 
     from reference_table import PartialGroupTable
-    from repro.engine import physical, pipeline
-
-    def scalar_table(group_exprs, specs, kernel=None, joins=()):
-        assert kernel is None, "plan was lowered outside engine_path"
-        return PartialGroupTable(group_exprs, specs)
+    from repro.engine import pipeline
 
     @contextmanager
     def select(path):
-        assert path in ("scalar", "interpreted", "fused"), path
+        assert path in (None, "scalar"), path
         with monkeypatch.context() as patch:
-            if path != "fused":
-                patch.setattr(physical, "compile_fused",
-                              lambda chain, aggregate, context: None)
-            if path == "scalar":
-                patch.setattr(pipeline, "make_group_table", scalar_table)
+            if path:
+                patch.setattr(pipeline, "make_group_table", PartialGroupTable)
             yield
 
     return select

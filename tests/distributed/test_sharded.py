@@ -83,11 +83,8 @@ def test_bits_invariant_under_sharding(mode, engine_path):
         dict(shards=2, workers=4),
     ):
         assert _run_all(rows, sum_mode=mode, **config) == base, config
-    # Cross-path identity: the executors' tables run interpreted when
-    # the coordinator's plan carries no kernel, and the unsharded scalar
-    # reference table agrees with every sharded run above.
-    with engine_path("interpreted"):
-        assert _run_all(rows, sum_mode=mode, shards=2) == base
+    # Cross-path identity: the unsharded scalar reference table agrees
+    # with every sharded run above.
     with engine_path("scalar"):
         assert _run_all(rows, sum_mode=mode) == base
 
@@ -97,8 +94,9 @@ def test_explain_renders_sharded_aggregate():
         _populate(db, _rows(n=50))
         plan = db.explain(QUERIES[0])
         assert "ShardedAggregate(shards=8, shard_workers=8)" in plan
-        # Fused join plans shard too: the build side is broadcast to
-        # the executors and the kernel recompiles worker-side.
+        # Inner-join plans shard too: the build side is broadcast to
+        # the executors, which walk the same chain (the build-row rule
+        # ships with it).
         db.execute("CREATE TABLE names (g INT, label VARCHAR)")
         db.execute("INSERT INTO names VALUES (1, 'one'), (2, 'two')")
         join_plan = db.explain(
@@ -106,14 +104,14 @@ def test_explain_renders_sharded_aggregate():
             "JOIN names ON t.g = names.g GROUP BY names.label"
         )
         assert "ShardedAggregate" in join_plan
-        assert "FusedJoinProbe" in join_plan
-        # Unfused join plans still fall back to the thread pipeline.
-        unfused_plan = db.explain(
+        assert "group_ids=build_row(t.g = names.g)" in join_plan
+        # LEFT-join plans stay on the thread pipeline.
+        left_plan = db.explain(
             "SELECT names.label, SUM(t.f) FROM t "
             "LEFT JOIN names ON t.g = names.g GROUP BY names.label"
         )
-        assert "unfused:join_left_outer" in unfused_plan
-        assert "ShardedAggregate" not in unfused_plan
+        assert "HashJoinProbe(left" in left_plan
+        assert "ShardedAggregate" not in left_plan
 
 
 def test_set_shards_takes_effect_and_validates():

@@ -5,9 +5,10 @@ The headline claims of the serving layer:
 * **Digest equality** — N threads hammering one shared table with a
   seeded INSERT/DELETE/REFRESH + SELECT interleaving leave the
   database in a state whose query bits equal a serial replay of the
-  same per-thread scripts, at several worker counts and on each
-  aggregate runtime (the ``engine_path`` fixture).  (Repro-mode aggregation is order-invariant, so as long as
-  every statement is atomic, the interleaving cannot show.)
+  same per-thread scripts, at several worker counts, on the scalar
+  reference (the ``engine_path`` fixture) and through the external
+  aggregation.  (Repro-mode aggregation is order-invariant, so as long
+  as every statement is atomic, the interleaving cannot show.)
 * **Snapshot pinning** — a reader admitted before a write never sees
   it: the SELECT's bits are fixed at admission even while a DML
   barrage commits mid-flight.
@@ -23,15 +24,11 @@ import pytest
 from repro.engine import Database
 
 MATRIX = [
-    # (workers, the query table?, driven by its kernel?)
+    # (workers, the query table?, under a memory budget that spills?)
     (1, False, False),  # the scalar reference table
-    (2, True, False),   # the query table, interpreted
-    (4, True, True),    # what users run
+    (2, True, False),   # what users run
+    (4, True, True),    # ... through the external aggregation
 ]
-ENGINE_PATHS = {
-    (False, False): "scalar", (True, False): "interpreted",
-    (True, True): "fused",
-}
 
 
 def _result_bytes(result) -> bytes:
@@ -88,17 +85,20 @@ FINAL_QUERIES = (
 )
 
 
-@pytest.mark.parametrize("workers,query_table,kernel", MATRIX)
-def test_concurrent_replay_matches_serial_bits(workers, query_table, kernel,
+@pytest.mark.parametrize("workers,query_table,spilled", MATRIX)
+def test_concurrent_replay_matches_serial_bits(workers, query_table, spilled,
                                                engine_path):
-    with engine_path(ENGINE_PATHS[query_table, kernel]):
-        _replay_concurrently_and_serially(workers)
+    with engine_path(None if query_table else "scalar"):
+        _replay_concurrently_and_serially(
+            workers, memory_budget=64 if spilled else None
+        )
 
 
-def _replay_concurrently_and_serially(workers):
+def _replay_concurrently_and_serially(workers, memory_budget=None):
     n_threads, steps = 8, 40
     scripts = [_script(t, steps) for t in range(n_threads)]
-    config = dict(sum_mode="repro", workers=workers)
+    config = dict(sum_mode="repro", workers=workers,
+                  memory_budget=memory_budget)
 
     # Serial replay: round-robin one statement at a time (any serial
     # order works — the final multiset is the same).

@@ -107,6 +107,34 @@ def test_promotion_keeps_no_spill_runs_in_memory():
     assert stats.spilled_runs == 0
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+def test_spilled_query_reports_its_ladder_path(workers):
+    """Ladder rows are counted where they are fed, so a spilled query
+    reports as many as the in-memory one — the counters used to die
+    with every spilled partition's table (0 / 0 / None under a budget,
+    and an empty ``last_timings.counters``)."""
+    query = "SELECT k, SUM(v) FROM t GROUP BY k"
+    totals = {}
+    for budget in (None, 4096):
+        db = Database(sum_mode="repro", memory_budget=budget,
+                      workers=workers, morsel_size=512)
+        db.execute("CREATE TABLE t (k INT, v DOUBLE)")
+        rng = np.random.default_rng(7)
+        db.table("t").bulk_load({"k": rng.integers(0, 400, 4000),
+                                 "v": rng.normal(size=4000)})
+        db.execute(query)
+        stats = db.last_pipeline_stats
+        assert stats.external is (budget is not None)
+        assert (stats.spilled_runs > 0) is (budget is not None)
+        totals[budget] = stats.ladder_rows_scatter + stats.ladder_rows_sorted
+        counters = db.last_timings.counters
+        assert counters["ladder_rows_scatter"] == stats.ladder_rows_scatter
+        assert counters["ladder_rows_sorted"] == stats.ladder_rows_sorted
+        if stats.ladder_rows_sorted:
+            assert stats.ladder_first_decline is not None
+    assert totals[None] == totals[4096] == 4000
+
+
 def test_ieee_mode_external_executes():
     """IEEE mode may drift under the budget (the paper's point), but
     the external operator must still run it and count correctly."""

@@ -202,7 +202,7 @@ class TestLeftJoin:
         and stay split-invariant."""
         reference = None
         for workers, morsel, path in itertools.product(
-            (1, 4), (1, 64), ("fused", "scalar")
+            (1, 4), (1, 64), (None, "scalar")
         ):
             with engine_path(path):
                 db = make_db(workers=workers, morsel_size=morsel)
@@ -286,7 +286,7 @@ class TestReproducibility:
     def test_bits_identical_across_all_knobs(self, engine_path):
         reference = None
         for workers, morsel, build, path in itertools.product(
-            (1, 4), (2, 64), ("auto", "left", "right"), ("fused", "scalar")
+            (1, 4), (2, 64), ("auto", "left", "right"), (None, "scalar")
         ):
             with engine_path(path):
                 db = make_db(

@@ -704,7 +704,7 @@ class TestSelectDistinct:
     def test_distinct_bits_invariant_across_knobs(self, engine_path):
         reference = None
         for workers in (1, 4):
-            for path in ("fused", "scalar"):
+            for path in (None, "scalar"):
                 with engine_path(path):
                     db = fresh_db(workers=workers, morsel_size=3)
                     bits = result_bits(db.execute(

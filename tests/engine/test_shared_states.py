@@ -5,8 +5,10 @@ levels) and lets every aggregate that needs it read it: ``AVG(x)`` is
 ``SUM(x)``'s state over the common COUNT, the six VARIANCE / STDDEV
 spellings read one second-moment state.  Sharing is only sound if it is
 invisible: an aggregate must return the same bits alone as next to any
-set of neighbours in one SELECT — in every sum mode, kernel-fed and
-interpreted, over values that send rows down every ladder path.
+set of neighbours in one SELECT — in every sum mode, over values that
+send rows down every ladder path.  The same property pins the batched
+ladder update: alone, a state's ladder gets a call of its own; among
+neighbours of equal parameters it shares one.
 """
 
 import itertools
@@ -63,39 +65,35 @@ def _select(aggregates):
     return f"SELECT k, {items} FROM t GROUP BY k ORDER BY k"
 
 
-@pytest.mark.parametrize("path", ("fused", "interpreted"))
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("knobs", (
     {}, {"workers": 2, "morsel_size": 64},
 ), ids=("default", "w2m64"))
-def test_every_aggregate_returns_the_same_bits_alone_and_combined(
-        engine_path, mode, path, knobs):
+def test_every_aggregate_returns_the_same_bits_alone_and_combined(mode, knobs):
     rng = np.random.default_rng(20180416)
     keys, values = _role_values(rng)
-    with engine_path(path):
-        db = Database(sum_mode=mode, **knobs)
-        db.execute("CREATE TABLE t (k INT, x DOUBLE)")
-        db.table("t").bulk_load({"k": keys, "x": values})
+    db = Database(sum_mode=mode, **knobs)
+    db.execute("CREATE TABLE t (k INT, x DOUBLE)")
+    db.table("t").bulk_load({"k": keys, "x": values})
 
-        alone = {}
-        for sql in AGGREGATES:
-            alone.update(_bits(db.execute(_select([sql]))))
-            assert db.last_pipeline_stats.fused is (path == "fused")
-        keys_bits = alone.pop("k")
+    alone = {}
+    for sql in AGGREGATES:
+        alone.update(_bits(db.execute(_select([sql]))))
+    keys_bits = alone.pop("k")
 
-        combos = [list(AGGREGATES), list(reversed(AGGREGATES))]
-        combos += [list(pair) for pair in itertools.combinations(
-            ("AVG(x)", "SUM(x)", "COUNT(*)", "STDDEV(x)", "RSUM(x, 3)"), 2
-        )]
-        for _ in range(8):
-            size = int(rng.integers(2, len(AGGREGATES)))
-            combos.append(list(rng.permutation(AGGREGATES)[:size]))
-        for combo in combos:
-            got = _bits(db.execute(_select(combo)))
-            assert got.pop("k") == keys_bits
-            for name, bits in got.items():
-                assert bits == alone[name], (mode, path, combo, name)
-        db.close()
+    combos = [list(AGGREGATES), list(reversed(AGGREGATES))]
+    combos += [list(pair) for pair in itertools.combinations(
+        ("AVG(x)", "SUM(x)", "COUNT(*)", "STDDEV(x)", "RSUM(x, 3)"), 2
+    )]
+    for _ in range(8):
+        size = int(rng.integers(2, len(AGGREGATES)))
+        combos.append(list(rng.permutation(AGGREGATES)[:size]))
+    for combo in combos:
+        got = _bits(db.execute(_select(combo)))
+        assert got.pop("k") == keys_bits
+        for name, bits in got.items():
+            assert bits == alone[name], (mode, combo, name)
+    db.close()
 
 
 def test_role_values_reach_both_ladder_paths():

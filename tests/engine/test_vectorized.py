@@ -53,18 +53,14 @@ def make_db(columns, data, sum_mode="repro", workers=1, morsel_size=1 << 16,
 
 @pytest.fixture
 def run_both(engine_path):
-    """``(scalar reference result, query-table result)`` for one query;
-    the query table runs interpreted so its own ``update()`` is what is
-    compared (test_fused.py covers the kernel-driven side)."""
+    """``(scalar reference result, query-table result)`` for one query."""
 
     def run(columns, data, query, sum_mode, workers=1, morsel_size=1 << 16):
-        results = []
-        for path in ("scalar", "interpreted"):
-            with engine_path(path):
-                db = make_db(columns, data, sum_mode, workers, morsel_size)
-                results.append(db.execute(query))
-                assert db.last_pipeline_stats.fused is False
-        return results
+        with engine_path("scalar"):
+            scalar = make_db(columns, data, sum_mode, workers,
+                             morsel_size).execute(query)
+        return scalar, make_db(columns, data, sum_mode, workers,
+                               morsel_size).execute(query)
 
     return run
 
@@ -207,15 +203,14 @@ class TestOneRuntime:
         assert built and all(
             type(table) is VectorizedGroupTable for table in built
         )
-        assert db.last_pipeline_stats.fused is True
+        assert db.last_pipeline_stats.ladder_rows_scatter > 0
         monkeypatch.undo()
         with engine_path("scalar"):
             db2 = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset, "repro")
             scalar = db2.execute(QUERY)
-            assert db2.last_pipeline_stats.fused is False
             # The reference walks add_pairs: no ladder path to report.
+            assert db2.last_pipeline_stats.ladder_rows_scatter == 0
             assert db2.last_pipeline_stats.ladder_first_decline is None
-            assert "fused" not in db2.explain(QUERY).split("Aggregate[")[1]
         assert result_bits(default) == result_bits(scalar)
 
 
@@ -283,41 +278,41 @@ class TestRetiredOptions:
 class TestRadixOverflow:
     """Key parts whose composite code space would overflow int64 are
     re-densified per key instead of radix-combined: same groups, same
-    bits, kernel-fed or interpreted."""
+    bits."""
 
     QUERY = (
         "SELECT k, s, v AS g, SUM(v) AS sv, COUNT(*) AS c, MIN(v) AS lo "
         "FROM t GROUP BY k, s, v ORDER BY k, s, v"
     )
 
-    @pytest.mark.parametrize("path", ("fused", "interpreted"))
+    @pytest.mark.parametrize("path", ("interpreted",))  # the id it had
     def test_bits_do_not_depend_on_the_radix_guard(self, dataset, path,
-                                                   engine_path, monkeypatch):
+                                                   monkeypatch):
         from repro.engine import vectorized
 
-        with engine_path(path):
-            db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset, "repro",
-                         workers=2, morsel_size=97)
-            expected = result_bits(db.execute(self.QUERY))
-            taken = []
-            real = vectorized.VectorizedGroupTable._gids_past_radix
+        db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset, "repro",
+                     workers=2, morsel_size=97)
+        expected = result_bits(db.execute(self.QUERY))
+        taken = []
+        real = vectorized.VectorizedGroupTable._gids_past_radix
 
-            def spy(table, parts):
-                taken.append(len(parts))
-                return real(table, parts)
+        def spy(table, parts):
+            taken.append(len(parts))
+            return real(table, parts)
 
-            monkeypatch.setattr(
-                vectorized.VectorizedGroupTable, "_gids_past_radix", spy
-            )
-            monkeypatch.setattr(vectorized, "_RADIX_MAX", 4)
-            assert result_bits(db.execute(self.QUERY)) == expected
-            assert taken and set(taken) == {3}
+        monkeypatch.setattr(
+            vectorized.VectorizedGroupTable, "_gids_past_radix", spy
+        )
+        monkeypatch.setattr(vectorized, "_RADIX_MAX", 4)
+        assert result_bits(db.execute(self.QUERY)) == expected
+        assert taken and set(taken) == {3}
 
 
 class TestCountDistinct:
-    """COUNT(DISTINCT) keeps per-group value sets — no segmented kernel,
-    so it never fuses — yet runs on the query table like every other
-    aggregate, with the scalar reference's bits in every sum mode."""
+    """COUNT(DISTINCT) keeps per-group value sets — no segmented update
+    — yet runs on the query table like every other aggregate, under
+    every operator choice, with the scalar reference's bits in every
+    sum mode."""
 
     COLUMNS = "k INT, s VARCHAR(1), v DOUBLE"
     QUERIES = (
@@ -390,14 +385,17 @@ class TestCountDistinct:
             if sum_mode != "ieee":
                 baseline = baseline or bits
                 assert bits == baseline, knobs
-            for plan, stat in zip(plans, stats):
-                assert stat.fused is False
-                # (an external aggregate renders its spill shape instead)
-                assert ("unfused:count_distinct" in plan
-                        or ", external(partitions=3" in plan)
-            grouped = stats[0]
+            grouped, joined = stats[0], plans[-1]
             assert grouped.external is ("memory_budget" in knobs)
             assert grouped.sharded is ("shards" in knobs)
+            # names.label is a column of the probe's build row — unless
+            # the aggregate is external, which keeps the generic keys
+            # and renders its spill shape instead
+            assert ("group_ids=build_row(" in joined) is (
+                "memory_budget" not in knobs)
+            assert (", external(partitions=3" in joined) is (
+                "memory_budget" in knobs)
+            assert joined.count("ShardedAggregate(") == ("shards" in knobs)
 
     def test_nan_and_signed_zero_members(self):
         data = {

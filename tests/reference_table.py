@@ -67,7 +67,6 @@ class PartialGroupTable(VectorizedGroupTable):
     updates = 0
 
     def update(self, batch) -> None:
-        assert self._kernel is None, "the reference never runs a kernel"
         PartialGroupTable.updates += 1
         gids = self._factorize(batch)
         ngroups = self.ngroups

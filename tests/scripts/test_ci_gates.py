@@ -295,29 +295,38 @@ def test_digest_detects_non_reproducibility(digest, monkeypatch):
         digest.digest_lines([1], ("auto",), (None,), _edge_queries(digest))
 
 
-def test_digest_asserts_kernel_on_unbudgeted_legs(digest, engine_path):
-    """The in-memory legs must be kernel legs: a planner that stops
-    fusing the join-probe queries fails the digest instead of silently
-    comparing interpreter against interpreter."""
+def test_digest_asserts_kernel_on_unbudgeted_legs(digest, monkeypatch):
+    """The in-memory join legs must stay on the group-id path they are
+    pinned to (the name dates from when that path was a kernel): a
+    planner that moves one fails the digest instead of silently leaving
+    the other path uncovered."""
+    from repro.engine import physical
+
     queries = tuple(
-        entry for entry in digest.QUERIES if entry[0] == "join_edge_fused"
+        entry for entry in digest.QUERIES
+        if entry[0] in digest.BUILD_ROW_RULE
     )
+    assert [entry[0] for entry in queries] == ["tpch_q3", "join_edge_fused"]
     lines = digest.digest_lines([1], ("auto",), (None,), queries)
-    assert len(lines) == len(digest.MODES)
-    with engine_path("interpreted"):
-        with pytest.raises(SystemExit, match="did not engage the fused"):
+    assert len(lines) == 2 * len(digest.MODES)
+    with monkeypatch.context() as patch:
+        patch.setattr(physical, "_build_row_rule", lambda chain, keys: None)
+        with pytest.raises(SystemExit, match="tpch_q3.*does not take"):
             digest.digest_lines([1], ("auto",), (None,), queries)
+    monkeypatch.setitem(digest.BUILD_ROW_RULE, "join_edge_fused", True)
+    with pytest.raises(SystemExit, match="join_edge_fused.*does not take"):
+        digest.digest_lines([1], ("auto",), (None,), queries[1:])
 
 
 def test_digest_asserts_interpreter_on_spill_legs(digest):
     """... and a spill leg (no unbounded budget) must run every grouped
-    query external and unfused at its smallest budget — a budget too
-    generous to force that is a broken leg, not a pass."""
+    query external at its smallest budget — a budget too generous to
+    force that is a broken leg, not a pass."""
     queries = _edge_queries(digest)
     assert digest.digest_lines([1], ("auto",), (1 << 30, 1), queries)
-    with pytest.raises(SystemExit, match="external, interpreted"):
+    with pytest.raises(SystemExit, match="did not run the external"):
         digest.digest_lines([1], ("auto",), (1 << 30,), queries)
-    # With an unbounded run in the sweep the leg is a kernel leg.
+    # With an unbounded run in the sweep the leg is an in-memory leg.
     assert digest.digest_lines([1], ("auto",), (None, 1 << 30), queries)
 
 
@@ -358,6 +367,34 @@ def test_library_does_not_know_the_reference_table():
                for word in ("PartialGroupTable", "reference_table"))
     ]
     assert offenders == []
+
+
+def test_library_generates_no_code():
+    """One feeder: nothing under ``src/`` compiles source at run time,
+    and the switch that once chose between feeders still fails with
+    the unknown-name errors it got when it was retired."""
+    import ast as python_ast
+
+    from repro.engine import Database
+    from repro.errors import ConfigError
+
+    src = _SCRIPTS.parent / "src"
+    offenders = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in python_ast.walk(
+            python_ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, python_ast.Call)
+        and isinstance(node.func, python_ast.Name)
+        and node.func.id in ("exec", "compile", "eval")
+    ]
+    assert offenders == []
+    assert not (src / "repro" / "engine" / "fused.py").exists()
+    with pytest.raises(ConfigError, match="unknown session parameter 'fused'"
+                                          ".*valid parameters: "):
+        Database().execute("SET fused = off")
+    with pytest.raises(TypeError, match="fused"):
+        Database(fused=False)
 
 
 def test_only_the_fixture_runs_the_reference_update(engine_path):

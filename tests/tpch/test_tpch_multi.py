@@ -113,13 +113,26 @@ class TestQ3:
                 workers, morsel, build
             )
 
-    def test_explain_shows_planner_decisions(self, db):
+    def test_explain_shows_planner_decisions(self, db, engine_path):
         text = db.explain(Q3_SQL)
         assert "HashJoinProbe" in text
         assert "build=" in text
         assert "filter=" in text  # predicate pushed into the scans
         assert "columns=[" in text  # projection pushdown at the scans
-        assert "Aggregate[" in text
+        # l_orderkey is an integer probe key, the two o_ columns sit on
+        # the probe's build row: the build row decides the group.
+        assert ("Aggregate[serial, workers=1, morsel_size=65536, "
+                "group_ids=build_row(l_orderkey = o_orderkey)]") in text
+        # ... and the row-order reference, which reads every key off the
+        # batch and never sees a build row, returns the same bits.
+        taken = run_q3(db)
+        with engine_path("scalar"):
+            reference = Database(sum_mode="repro")
+            for name in ("lineitem", "orders", "customer"):
+                reference.catalog.add(db.table(name))
+            expected = run_q3(reference)
+        assert [np.asarray(a).tobytes() for a in taken.arrays] == [
+            np.asarray(a).tobytes() for a in expected.arrays]
 
 
 class TestQ5:
@@ -131,12 +144,14 @@ class TestQ5:
             assert revenue == pytest.approx(reference[name], rel=1e-12)
 
     def test_six_table_plan_builds(self, db):
-        # PR 10: probes on the aggregate's chain compile into the fused
-        # kernel; probes nested inside build sides stay interpreted.
         text = db.explain(Q5_SQL)
-        assert text.count("FusedJoinProbe") + text.count("HashJoinProbe") == 5
-        assert text.count("FusedJoinProbe") >= 1
+        assert text.count("HashJoinProbe") == 5
         assert "Scan(region" in text
+        # n_name rides the nation probe's build row; the region probe
+        # after it only re-selects the hidden build-row column.
+        assert "group_ids=build_row(s_nationkey = n_nationkey)" in text
+        assert text.index("keys=[n_regionkey = r_regionkey]") < text.index(
+            "keys=[s_nationkey = n_nationkey]")  # rendered top-down
 
     def test_ieee_join_aggregate_can_drift(self, db):
         """The motivating contrast: IEEE-mode join aggregation may

@@ -13,10 +13,10 @@ Reported series (all ``sum_mode="repro"``, ``workers=1``):
   budget.  Three legs: in-memory (unbounded), external with a
   spill-forcing budget (the tracked ratio), and the pathological
   1-byte budget;
-* **TPC-H Q1** — the low-cardinality classic, external with an
-  over-pessimistic planner estimate but no actual spills: the
-  promotion path must make the external operator ~free when the data
-  fits after all.
+* **TPC-H Q1** — the low-cardinality classic under a 1 MiB budget: the
+  planner bounds its groups by the dictionary sizes of the two flag
+  columns, so it must be planned *in memory* and read within noise of
+  the unbudgeted run.
 
 Everything lands in ``BENCH_pr.json`` for the CI bench-regression
 gate: ns/element per leg plus the ``highcard_inmem_over_external``
@@ -31,10 +31,12 @@ import numpy as np
 from _common import (
     emit,
     ns_per_element,
+    record_config,
     record_kernel,
     record_speedup,
     table,
 )
+from repro.aggregation.external_agg import SPILL_PARTITIONS
 from repro.engine import Database
 from repro.tpch import load_lineitem, run_q1
 
@@ -43,11 +45,14 @@ MORSEL_SIZE = 8192
 ROWS = int(SCALE * 6_000_000)
 REPS = 5
 
-#: Spill-forcing budget for the tracked leg: below the ~1.5 MiB
-#: resident group state of the high-cardinality query, so several runs
-#: spill and re-merge per execution (asserted below).
+#: Spill-forcing budget for the tracked leg: below the ~4 MB resident
+#: group state of the high-cardinality query, so several runs spill and
+#: re-merge per execution (asserted below).
 SPILL_BUDGET = 1024 * 1024
-SPILL_PARTITIONS = 2
+
+#: Q1 under a budget is the same in-memory plan: the two timings may
+#: differ by run-to-run noise only (generous: the box drifts +-25 %).
+Q1_NOISE = 1.5
 
 #: The acceptance bound: external under a spill-forcing budget stays
 #: within this factor of the in-memory repro path.
@@ -70,10 +75,10 @@ def _result_bits(result):
     return tuple(pieces)
 
 
-def _measure(run, budget, partitions=SPILL_PARTITIONS):
+def _measure(run, budget):
     db = Database(
         sum_mode="repro", workers=1, morsel_size=MORSEL_SIZE,
-        memory_budget=budget, spill_partitions=partitions,
+        memory_budget=budget,
     )
     load_lineitem(db, scale_factor=SCALE)
     result = run(db)  # warm-up
@@ -99,45 +104,56 @@ def test_external_agg_report():
     assert spill_bits == inmem_bits
     assert patho_bits == inmem_bits
 
-    # Q1: external chosen (pessimistic estimate) but never spills —
-    # the promotion path keeps it at in-memory speed.
+    # The finish is per partition: the budgeted run never has the
+    # whole state resident (the pathological one pays whole morsels).
+    assert spill_stats.peak_resident_bytes < inmem_stats.peak_resident_bytes
+
+    # Q1: 3 x 2 dictionary-encoded flags — planned in memory under the
+    # budget, at in-memory speed.
     q1_inmem_s, _, q1_inmem_bits = _measure(run_q1, None)
     q1_ext_s, q1_stats, q1_ext_bits = _measure(run_q1, 1 << 20)
-    assert q1_stats.external and q1_stats.spilled_runs == 0
+    assert not q1_stats.external
     assert q1_ext_bits == q1_inmem_bits
+    assert q1_ext_s <= q1_inmem_s * Q1_NOISE, (
+        f"Q1 under a 1 MiB budget reads {q1_ext_s / q1_inmem_s:.2f}x "
+        "the unbudgeted run; both are the in-memory plan"
+    )
 
     ratio = inmem_s / spill_s
     record_kernel("extagg_highcard_inmem", ns_per_element(inmem_s, ROWS))
     record_kernel("extagg_highcard_spill", ns_per_element(spill_s, ROWS))
     record_kernel("extagg_q1_nospill", ns_per_element(q1_ext_s, ROWS))
     record_speedup("highcard_inmem_over_external", ratio)
+    record_config(
+        "extagg_highcard_spill", budget_bytes=SPILL_BUDGET,
+        morsel_size=MORSEL_SIZE, partitions=SPILL_PARTITIONS,
+        scale_factor=SCALE,
+    )
+    record_config(
+        "extagg_q1_nospill", budget_bytes=1 << 20, morsel_size=MORSEL_SIZE,
+        plan="in memory (dictionary-size group bound)", scale_factor=SCALE,
+    )
+
+    def leg(name, budget, seconds, stats, over):
+        return (
+            name, budget, f"{seconds * 1e3:.1f}",
+            f"{ns_per_element(seconds, ROWS):.0f}", stats.spilled_runs,
+            stats.peak_resident_bytes, f"{seconds / over:.2f}x",
+        )
 
     rows = [
-        (
-            "highcard in-memory", "unbounded",
-            f"{inmem_s * 1e3:.1f}", f"{ns_per_element(inmem_s, ROWS):.0f}",
-            0, "1.00x",
-        ),
-        (
-            "highcard external", f"{SPILL_BUDGET >> 10} KiB",
-            f"{spill_s * 1e3:.1f}", f"{ns_per_element(spill_s, ROWS):.0f}",
-            spill_stats.spilled_runs, f"{spill_s / inmem_s:.2f}x",
-        ),
-        (
-            "highcard pathological", "1 B",
-            f"{patho_s * 1e3:.1f}", f"{ns_per_element(patho_s, ROWS):.0f}",
-            patho_stats.spilled_runs, f"{patho_s / inmem_s:.2f}x",
-        ),
-        (
-            "Q1 external (no spill)", "1 MiB",
-            f"{q1_ext_s * 1e3:.1f}", f"{ns_per_element(q1_ext_s, ROWS):.0f}",
-            0, f"{q1_ext_s / q1_inmem_s:.2f}x",
-        ),
+        leg("highcard in-memory", "unbounded", inmem_s, inmem_stats, inmem_s),
+        leg("highcard external", f"{SPILL_BUDGET >> 10} KiB", spill_s,
+            spill_stats, inmem_s),
+        leg("highcard pathological", "1 B", patho_s, patho_stats, inmem_s),
+        leg("Q1 in memory under a budget", "1 MiB", q1_ext_s, q1_stats,
+            q1_inmem_s),
     ]
     emit(
         "bench_external_agg",
         table(
-            ["leg", "budget", "ms", "ns/el", "runs spilled", "vs in-memory"],
+            ["leg", "budget", "ms", "ns/el", "runs spilled",
+             "peak resident B", "vs in-memory"],
             rows,
             title=(
                 f"Out-of-core aggregation, repro mode "

@@ -29,7 +29,12 @@ probe) does not, and on a spill leg (no ``unbounded`` in the sweep)
 every grouped query ran external at the smallest budget — so the
 compare job's byte-diff of the two kinds of leg is never
 in-memory-vs-in-memory; ``join_edge_keys`` keeps a COUNT DISTINCT so
-per-group value sets stay in the gate too.
+per-group value sets stay in the gate too.  A spill leg also holds the
+budget to what it bounds (:func:`check_resident_bound`, at the leg's
+larger budget): a high-cardinality probe — not digested, the query set
+is sized for speed, not for state — must never have as much partial
+state resident as the unbudgeted table holds, which a finish that folds
+every spill partition back into one table would.
 
 Env overrides (so matrix legs vary without changing the command line):
 
@@ -463,6 +468,60 @@ def _check_engine_path(query_id, sql, db, config, spill_budget):
             )
 
 
+#: The resident-state probe: enough groups that one partition, one
+#: morsel's growth per worker and the budget together stay far below
+#: the whole state at every budget and worker count the legs sweep.
+PROBE_ROWS = 40_000
+PROBE_KEYS = 10_000
+PROBE_QUERY = "SELECT k, SUM(v) AS sv, COUNT(*) AS c FROM probe GROUP BY k"
+
+
+def check_resident_bound(workers: int, budget: int) -> None:
+    """Run the probe unbudgeted and under ``budget``: the external run's
+    ``peak_resident_bytes`` — which covers the finish — must stay below
+    the size of the table the unbudgeted run finalizes."""
+    rng = np.random.default_rng(20180419)
+    data = {
+        "k": rng.integers(0, PROBE_KEYS, size=PROBE_ROWS),
+        "v": rng.normal(size=PROBE_ROWS),
+    }
+    for mode in MODES:
+        runs = []
+        # One worker unbudgeted: its peak is the one table's size.
+        for run_workers, run_budget in ((1, None), (workers, budget)):
+            db = Database(
+                sum_mode=mode, workers=run_workers,
+                morsel_size=min(MORSEL_SIZES), memory_budget=run_budget,
+            )
+            try:
+                db.execute("CREATE TABLE probe (k INT, v DOUBLE)")
+                db.table("probe").bulk_load(data)
+                payload = canonical_bytes(db.execute(PROBE_QUERY))
+                runs.append((payload, db.last_pipeline_stats))
+            finally:
+                db.close()
+        (reference, unbudgeted), (payload, stats) = runs
+        whole = unbudgeted.peak_resident_bytes
+        if payload != reference:
+            raise SystemExit(
+                f"NON-REPRODUCIBLE: resident-state probe [{mode}] at "
+                f"budget {budget} differs from the unbudgeted run"
+            )
+        if not stats.external:
+            raise SystemExit(
+                f"resident-state probe [{mode}] at budget {budget} did "
+                "not run the external aggregation"
+            )
+        if stats.peak_resident_bytes >= whole:
+            raise SystemExit(
+                f"resident-state probe [{mode}] at budget {budget}, "
+                f"{workers} workers: {stats.peak_resident_bytes} bytes of "
+                f"partial state were resident at once, the unbudgeted "
+                f"table holds {whole} (is the finish folding every spill "
+                "partition back into one table?)"
+            )
+
+
 def parse_workers(text: str) -> list[int]:
     workers = [int(part) for part in text.split(",") if part.strip()]
     if not workers or any(w < 1 for w in workers):
@@ -614,6 +673,8 @@ def main(argv=None):
     lines = digest_lines(
         workers, build_sides, budgets, QUERIES, shards_counts=shards_counts
     )
+    if None not in budgets and max(budgets) > 1:
+        check_resident_bound(min(workers), max(budgets))
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     for line in lines:

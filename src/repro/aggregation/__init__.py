@@ -33,16 +33,6 @@ from .shared_agg import shared_aggregate
 from .sort_agg import sort_aggregate
 from .streaming import StreamingGroupSum
 
-# Imported last: the external aggregation bridges to the engine layer
-# and the spill format, so it must not sit in the middle of the
-# low-level imports above.
-from .external_agg import (
-    ExternalGroupAggregator,
-    partition_ids_for_batch,
-    run_external_grouped_pipeline,
-    stable_key_hash,
-)
-
 __all__ = [
     "AggregatorSpec",
     "ConventionalFloatSpec",
@@ -68,8 +58,4 @@ __all__ = [
     "sort_aggregate",
     "GroupByResult",
     "StreamingGroupSum",
-    "ExternalGroupAggregator",
-    "partition_ids_for_batch",
-    "run_external_grouped_pipeline",
-    "stable_key_hash",
 ]

@@ -15,8 +15,8 @@ claim the thread pipeline makes, now across process boundaries.
 
 Layout:
 
-* :mod:`~repro.distributed.router` — process-stable row-content hash
-  (splitmix64 over canonical lanes + blake2b for objects);
+* :mod:`~repro.distributed.router` — rows to shards by the engine's
+  process-stable content hash (:mod:`repro.engine.content_hash`);
 * :mod:`~repro.distributed.worker` — the executor process loop
   (replica cache, local pipeline, framed replies);
 * :mod:`~repro.distributed.pool` — executor fleet lifecycle;
@@ -26,12 +26,11 @@ Layout:
 
 from .coordinator import ShardExchangeError, run_sharded_grouped_pipeline
 from .pool import ShardWorkerPool
-from .router import row_content_hashes, shard_ids
+from .router import shard_ids
 
 __all__ = [
     "ShardExchangeError",
     "ShardWorkerPool",
-    "row_content_hashes",
     "run_sharded_grouped_pipeline",
     "shard_ids",
 ]

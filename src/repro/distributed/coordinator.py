@@ -13,7 +13,8 @@ one aggregate query it:
    worker — placement is ``shard % nworkers``, overridable in tests;
 4. collects the framed partial group tables **in arrival order** —
    whichever executor answers first is served first;
-5. merges the partials **in shard-id order** and finalizes once.
+5. merges the partials **in shard-id order** and finalizes once
+   (:func:`repro.engine.pipeline.finish_grouped`, the one epilogue).
 
 Step 5 makes arrival order structurally invisible, and the paper's
 exact-merge property makes even the merge *order* irrelevant for the
@@ -25,19 +26,14 @@ tests force adversarial arrival schedules through a service-order hook
 from __future__ import annotations
 
 import time
+from functools import partial
 from multiprocessing.connection import wait as _connection_wait
 
 from ..aggregation.grouped import LadderCounters
-from ..engine import pipeline as pipeline_mod
 from ..engine.physical import PhysProbe
-from ..engine.pipeline import PipelineStats
+from ..engine.pipeline import PipelineStats, finish_grouped
 from ..errors import ReproError
-from ..storage.spill import (
-    encode_payload,
-    frame_payload,
-    load_table_into,
-    unframe_payload,
-)
+from ..storage.spill import encode_payload, frame_payload, unframe_payload
 
 __all__ = ["ShardExchangeError", "run_sharded_grouped_pipeline"]
 
@@ -122,12 +118,14 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
                                  snapshot=None):
     """Drive one sharded aggregate to ``(key_arrays, results,
     ngroups)`` — the same contract as the thread pipeline drivers."""
-    wall_started = time.perf_counter()
     aggregate = query.aggregate
     scan = query.pipeline.source
     table = scan.table
     nshards = aggregate.shards
     nworkers = max(1, min(aggregate.shard_workers or nshards, nshards))
+    stats = PipelineStats(nworkers)
+    stats.sharded = True
+    stats.shards = nshards
     chain_ops, join_descs, build_frames = _plan_chain(
         query, context, timings, snapshot
     )
@@ -140,9 +138,6 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
     cols_sig = tuple(sorted(source_columns))
 
     pool = context.shard_pool(nworkers)
-    stats = PipelineStats(nworkers)
-    stats.sharded = True
-    stats.shards = nshards
 
     try:
         with pool.lock:
@@ -237,29 +232,16 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
     # Merge in shard-id order — arrival order cannot matter, by
     # construction; exact state merge makes even this order choice
     # invisible in the repro modes.
-    merge_started = time.thread_time()
-    make_table = pipeline_mod.make_group_table
-    root = make_table(aggregate.group_exprs, aggregate.specs)
     ladder = LadderCounters()  # counted where the rows were fed
+    partials = []
     for shard in sorted(frames):
-        fresh = make_table(aggregate.group_exprs, aggregate.specs)
-        load_table_into(
-            unframe_payload(frames[shard], context=f"shard {shard} partial"),
-            fresh,
-        )
-        root.merge(fresh)
         ladder.merge(ladders[shard])
-    stats.merge_seconds = time.thread_time() - merge_started
-
-    finalize_started = time.thread_time()
-    key_arrays, results, ngroups = root.finalize()
-    stats.finalize_seconds = time.thread_time() - finalize_started
-
-    stats.record_ladder(ladder, timings)
-    stats.wall_seconds = time.perf_counter() - wall_started
-    context.last_stats = stats
+        partials.append(partial(
+            unframe_payload, frames[shard], context=f"shard {shard} partial"
+        ))
     if timings is not None:
         timings.add("shard_exchange", ship_seconds)
-        timings.add("aggregation", sum(stats.worker_busy)
-                    + stats.merge_seconds + stats.finalize_seconds)
-    return key_arrays, results, ngroups
+    return finish_grouped(
+        [(0, partials)], aggregate.group_exprs, aggregate.specs, ladder,
+        context, stats, timings, sum(stats.worker_busy),
+    )

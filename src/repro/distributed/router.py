@@ -1,18 +1,13 @@
-"""Shard router: process-stable row-content hashing.
+"""Shard router: the content hash over all of a row's columns.
 
-Rows are assigned to shards by a 64-bit content hash over *all* of the
-row's column values, built from the same primitives as the external
-aggregation's partition router (:mod:`repro.aggregation.external_agg`):
-the vectorized splitmix64 finalizer over canonical numeric lanes —
-``-0.0`` folded into ``0.0``, every NaN payload collapsed, exact float
-bit patterns otherwise — and the blake2b ``stable_key_hash`` for
-object-dtype values.  Neither depends on ``PYTHONHASHSEED`` or any
-per-process state, so every executor process, on any host, routes the
-same row to the same shard.
+A row's shard is :func:`repro.engine.content_hash.row_hashes` — the
+process-stable hash the spill router also uses — over *every* column of
+the table, modulo the shard count, so every executor process, on any
+host, routes the same row to the same shard.
 
-Placement is still only a *performance* decision: the partial
-aggregate states merge exactly, so result bits are invariant under the
-shard count and under any (even adversarial) placement.  The digest CI
+Placement is only a *performance* decision: the partial aggregate
+states merge exactly, so result bits are invariant under the shard
+count and under any (even adversarial) placement.  The digest CI
 sweeps shard counts to hold the router to that claim.
 """
 
@@ -20,51 +15,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..aggregation.external_agg import _mix64, stable_key_hash
-from ..engine.operators import canonical_float_bits, factorize_object
+from ..engine.content_hash import row_hashes
 
-__all__ = ["row_content_hashes", "shard_ids"]
-
-
-def _column_lanes(column: np.ndarray) -> np.ndarray:
-    """One uint64 lane per row for a single column's values."""
-    kind = column.dtype.kind
-    if column.dtype != object and kind in "iub":
-        return column.astype(np.int64).view(np.uint64)
-    if kind == "f":
-        return canonical_float_bits(column.astype(np.float64))
-    if kind in "Mm":
-        return column.view(np.int64).view(np.uint64)
-    # Strings, dates-as-objects, and anything else: hash each distinct
-    # value once with the process-stable key hash, then gather.
-    codes, uniques = factorize_object(np.asarray(column, dtype=object))
-    per_unique = np.fromiter(
-        (stable_key_hash((value,)) for value in uniques.tolist()),
-        dtype=np.uint64,
-        count=len(uniques),
-    )
-    if not len(per_unique):
-        return np.zeros(len(column), dtype=np.uint64)
-    return per_unique[codes]
-
-
-def row_content_hashes(columns: dict) -> np.ndarray:
-    """uint64 content hash per row over all columns (sorted by name,
-    so the hash does not depend on dict insertion order)."""
-    names = sorted(columns)
-    if not names:
-        return np.zeros(0, dtype=np.uint64)
-    nrows = len(columns[names[0]])
-    mixed = np.zeros(nrows, dtype=np.uint64)
-    for name in names:
-        lanes = _column_lanes(np.asarray(columns[name]))
-        mixed = _mix64(mixed ^ _mix64(lanes.copy()))
-    return mixed
+__all__ = ["shard_ids"]
 
 
 def shard_ids(columns: dict, nshards: int) -> np.ndarray:
-    """int64 shard id per row: ``content_hash % nshards``."""
+    """int64 shard id per row: ``content_hash % nshards``, over the
+    columns sorted by name (dict insertion order must not matter)."""
     if nshards < 1:
         raise ValueError("nshards must be >= 1")
-    hashes = row_content_hashes(columns)
+    hashes = row_hashes(columns[name] for name in sorted(columns))
     return (hashes % np.uint64(nshards)).astype(np.int64)

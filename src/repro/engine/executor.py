@@ -424,40 +424,28 @@ def _run_physical(query: PhysicalQuery, context: ExecutionContext,
         names, arrays = _finish_grouped(
             query, key_arrays, dict(agg_results), ngroups
         )
-    elif query.aggregate is not None and query.aggregate.sharded:
-        # Sharded multi-process execution: no local scan at all — the
-        # executor processes hold the shard replicas and return framed
-        # partial group tables that merge exactly
-        # (:mod:`repro.distributed.coordinator`).
-        from ..distributed.coordinator import run_sharded_grouped_pipeline
-
-        key_arrays, results, ngroups = run_sharded_grouped_pipeline(
-            query, context, timings, snapshot
-        )
+    elif query.aggregate is not None:
+        run = compute_grouped_arrays
+        if query.aggregate.sharded:
+            # No local scan at all: executor processes hold the shard
+            # replicas and return framed partial group tables that
+            # merge exactly (imported lazily — most sessions never shard).
+            from ..distributed.coordinator import (
+                run_sharded_grouped_pipeline as run,
+            )
+        key_arrays, results, ngroups = run(query, context, timings, snapshot)
         agg_env = {
             spec.sql: arr
             for spec, arr in zip(query.aggregate.specs, results)
         }
         names, arrays = _finish_grouped(query, key_arrays, agg_env, ngroups)
     else:
-        if query.aggregate is not None:
-            key_arrays, results, ngroups = compute_grouped_arrays(
-                query, context, timings, snapshot
-            )
-            agg_env = {
-                spec.sql: arr
-                for spec, arr in zip(query.aggregate.specs, results)
-            }
-            names, arrays = _finish_grouped(
-                query, key_arrays, agg_env, ngroups
-            )
-        else:
-            morsels, transform = _instantiate(
-                query.pipeline, context, timings, snapshot
-            )
-            names, arrays = run_projection_pipeline(
-                query.items, morsels, context, timings, transform=transform,
-            )
+        morsels, transform = _instantiate(
+            query.pipeline, context, timings, snapshot
+        )
+        names, arrays = run_projection_pipeline(
+            query.items, morsels, context, timings, transform=transform,
+        )
 
     out_types: list[SqlType | None] = [None] * len(names)
     for i, item in enumerate(query.items):
@@ -526,18 +514,9 @@ def compute_grouped_arrays(query: PhysicalQuery, context: ExecutionContext,
     morsels, transform = _instantiate(query.pipeline, context, timings,
                                       snapshot)
     aggregate = query.aggregate
-    if aggregate.external:
-        # Out-of-core GROUP BY: radix partitions spill to disk under
-        # the session memory budget and re-merge exactly (imported
-        # lazily — most queries never need it).
-        from ..aggregation.external_agg import (
-            run_external_grouped_pipeline as run,
-        )
-    else:
-        run = run_grouped_pipeline
-    return run(
+    return run_grouped_pipeline(
         aggregate.group_exprs, aggregate.specs, morsels, context, timings,
-        transform=transform,
+        transform=transform, external=aggregate.external,
     )
 
 

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pipeline as pipeline_mod
+from ..aggregation import external_agg
 from .expr import ExprError, evaluate
 from .operators import AggregateSpec, SumConfig
+from .optimizer import estimate_rows
 from .plan import (
     Aggregate,
     Dual,
@@ -148,7 +149,6 @@ class PhysAggregate:
     #: group state exceeds the session memory budget.  Repro-mode bits
     #: are identical either way; this is purely an operator choice.
     external: bool = False
-    spill_partitions: int = 0
     memory_budget_bytes: int | None = None
     est_state_bytes: int = 0
     #: True when the plan runs as a ShardedAggregate: the table is
@@ -170,7 +170,7 @@ class PhysAggregate:
             extra = f", group_ids=build_row({build_row_probe.keys_sql()})"
         if self.external:
             extra = (
-                f", external(partitions={self.spill_partitions}, "
+                f", external(partitions={external_agg.SPILL_PARTITIONS}, "
                 f"budget={self.memory_budget_bytes}B, "
                 f"~{self.est_state_bytes}B state)"
             )
@@ -284,8 +284,6 @@ def _build_pipeline(node: LogicalNode, state: _PlannerState) -> PhysPipeline:
         if node.kind == "left":
             nulled = set(node.right.output_columns())
             state.null_introduced |= nulled
-        from .optimizer import estimate_rows
-
         chain = _build_pipeline(probe_node, state)
         chain.ops.append(
             PhysProbe(
@@ -328,28 +326,22 @@ def plan_physical(root: LogicalNode, context,
         aggregate = PhysAggregate(node.group_exprs, specs)
         budget = getattr(context, "memory_budget_bytes", None)
         if budget is not None and node.group_exprs:
-            # External vs in-memory: worst-case group-state estimate
-            # (every input row a distinct group) against the budget.
-            # Over-estimating is cheap — the external operator without
-            # actual spills is just a partitioned in-memory aggregation.
+            # External vs in-memory: the group-state estimate at the
+            # group-count bound against the budget.  Over-estimating
+            # costs the router and the per-partition updates, nothing
+            # else — an external operator that never spills is a
+            # partitioned in-memory aggregation.
             # Global aggregates (no GROUP BY) never go external: with a
             # single group there is no key partitioning to spill along,
             # and the one state that grows with input cardinality —
             # COUNT(DISTINCT) — would need value-partitioned spilling,
             # which the operator does not implement; the budget is
             # documented as covering grouped aggregation only.
-            from .optimizer import estimate_rows
-
-            est_groups = max(1, estimate_rows(node.child))
             est_bytes = estimate_group_state_bytes(
-                est_groups, len(node.group_exprs), specs
+                _group_count_bound(node), len(node.group_exprs), specs
             )
             if est_bytes > budget:
                 aggregate.external = True
-                aggregate.spill_partitions = getattr(
-                    context, "spill_partitions",
-                    pipeline_mod.ExecutionContext.DEFAULT_SPILL_PARTITIONS,
-                )
                 aggregate.memory_budget_bytes = budget
                 aggregate.est_state_bytes = est_bytes
         state.encode_wanted = {
@@ -511,6 +503,35 @@ def _shardable(chain: PhysPipeline, streamed: bool = True) -> bool:
         elif not isinstance(op, PhysFilter):
             return False
     return True
+
+
+def _group_count_bound(node: Aggregate) -> int:
+    """Upper estimate of an aggregate's group count: its input row
+    estimate, or the product of the per-key bounds where that is
+    smaller.  A key that is a dictionary-encoded base column has at
+    most as many values as its storage dictionary — which covers every
+    physical row, so the bound holds at any snapshot — plus the NULL a
+    LEFT join may add; any other key is bounded by the rows alone.
+    """
+    rows = max(1, estimate_rows(node.child))
+    bound = 1
+    for expr in node.group_exprs:
+        scan = isinstance(expr, ast.ColumnRef) and _scan_of(node.child, expr)
+        if not scan or scan.columns[expr.name][1].numpy_dtype != object:
+            return rows
+        bound *= scan.table.dictionary_size(scan.columns[expr.name][0]) + 1
+    return min(rows, bound)
+
+
+def _scan_of(node: LogicalNode, column: ast.ColumnRef) -> Scan | None:
+    """The Scan under ``node`` that produces a resolved column."""
+    if isinstance(node, Scan):
+        return node if column.name in node.columns else None
+    for child in node.children():
+        scan = _scan_of(child, column)
+        if scan is not None:
+            return scan
+    return None
 
 
 #: Per-group state-size model for the external-aggregation decision

@@ -13,6 +13,12 @@ inner :meth:`~repro.engine.join.HashJoin.probe` only compose row
 indices, and a column is gathered when the projection or an aggregate
 state first reads it.
 
+One grouped driver: :func:`run_grouped_pipeline` gives each worker a
+sink — a group table, or under a memory budget the spilling one of
+:mod:`repro.aggregation.external_agg` — and ends in
+:func:`finish_grouped`, the one merge -> finalize -> stats epilogue,
+which the shard coordinator calls for its partials too.
+
 Morsels are pre-assigned to workers round-robin by morsel index, and
 worker partials are merged in worker order.  That makes the plan fully
 deterministic for a given ``(workers, morsel_size)`` — and, because the
@@ -32,6 +38,8 @@ out, nothing about elapsed time — the threads serialise on the GIL.
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
 import time
 import weakref
 from collections import OrderedDict
@@ -39,16 +47,20 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ..aggregation import external_agg
+from ..aggregation.grouped import LadderCounters
 from ..errors import ConfigError
+from ..storage.spill import load_table_into
 from .expr import evaluate
 from .operators import AggregateSpec, Batch, OperatorTimings
 from .sql import ast
-from .vectorized import VectorizedGroupTable
+from .vectorized import VectorizedGroupTable, canonical_key_order
 
 __all__ = [
     "DEFAULT_MORSEL_SIZE",
     "ExecutionContext",
     "PipelineStats",
+    "finish_grouped",
     "make_group_table",
     "run_grouped_pipeline",
     "run_projection_pipeline",
@@ -56,7 +68,7 @@ __all__ = [
 
 #: THE constructor of per-morsel group tables —
 #: ``make_group_table(group_exprs, specs)``.
-#: The in-memory and external pipelines, the shard executors and the
+#: The grouped driver, its spilling sink, the shard executors and the
 #: shard coordinator all build their tables through this one symbol
 #: (looked up on this module at call time), so no query can select a
 #: different runtime; the differential tests substitute their
@@ -72,14 +84,6 @@ class ExecutionContext:
     """Execution knobs threaded from the session into the pipeline."""
 
     JOIN_BUILD_SIDES = ("auto", "left", "right")
-
-    #: Default spill partition fan-out for the external aggregation —
-    #: enough to bound per-partition merge state, few enough that the
-    #: per-morsel split and per-partition update overhead stay small
-    #: (the Python pipeline pays a fixed NumPy dispatch cost per
-    #: sub-batch, so high fan-outs hurt more here than in the paper's
-    #: native engine).
-    DEFAULT_SPILL_PARTITIONS = 4
 
     #: Bound on cached hash-join builds per context.  Entries hold the
     #: materialized build batch, so the bound is deliberately small;
@@ -97,8 +101,6 @@ class ExecutionContext:
                  morsel_size: int = DEFAULT_MORSEL_SIZE,
                  join_build: str = "auto",
                  memory_budget_bytes: int | None = None,
-                 spill_partitions: int | None = None,
-                 spill_merge_fanin: int = 0,
                  shards: int = 0, shard_workers: int | None = None):
         workers = int(workers)
         morsel_size = int(morsel_size)
@@ -125,15 +127,6 @@ class ExecutionContext:
         #: the budget.  In the repro sum modes the result bits are
         #: invariant under this knob — the reproducibility CI sweeps it.
         self.memory_budget_bytes = self._check_budget(memory_budget_bytes)
-        #: Radix partition fan-out of the external aggregation.
-        self.spill_partitions = self._check_partitions(
-            self.DEFAULT_SPILL_PARTITIONS if spill_partitions is None
-            else spill_partitions
-        )
-        #: Bounded fan-in for merging spilled runs (0 = unbounded, one
-        #: pass; >= 2 merges runs in groups of this size, re-spilling
-        #: intermediates — more passes, same bits).
-        self.spill_merge_fanin = self._check_fanin(spill_merge_fanin)
         #: Shard count for multi-process execution (0 = off).  When
         #: > 0, qualifying aggregate plans run as a ShardedAggregate:
         #: the table is hash-sharded across executor *processes* and
@@ -168,8 +161,7 @@ class ExecutionContext:
 
     #: Every knob ``SET <name> = <value>`` accepts, for error messages.
     PARAM_NAMES = (
-        "memory_budget_bytes", "memory_budget", "spill_partitions",
-        "spill_merge_fanin", "workers", "morsel_size", "join_build",
+        "memory_budget", "workers", "morsel_size", "join_build",
         "shards", "shard_workers",
     )
 
@@ -177,7 +169,7 @@ class ExecutionContext:
     @staticmethod
     def _as_int(value, name: str) -> int:
         """Coerce a knob value to int, rejecting fractional numbers
-        (silently truncating ``SET memory_budget_bytes = 1.5e6`` to
+        (silently truncating ``SET memory_budget = 1.5e6`` to
         one byte would be a nasty surprise) and naming the knob for
         non-numeric values."""
         if isinstance(value, float) and not value.is_integer():
@@ -202,22 +194,6 @@ class ExecutionContext:
         return None if value == 0 else value
 
     @classmethod
-    def _check_partitions(cls, value) -> int:
-        value = cls._as_int(value, "spill_partitions")
-        if value < 1:
-            raise ConfigError("spill_partitions must be >= 1")
-        return value
-
-    @classmethod
-    def _check_fanin(cls, value) -> int:
-        value = cls._as_int(value, "spill_merge_fanin")
-        if value != 0 and value < 2:
-            raise ConfigError(
-                "spill_merge_fanin must be 0 (unbounded) or >= 2"
-            )
-        return value
-
-    @classmethod
     def _check_shards(cls, value) -> int:
         value = cls._as_int(value, "shards")
         if value < 0:
@@ -240,22 +216,16 @@ class ExecutionContext:
     def set_param(self, name: str, value) -> None:
         """Session ``SET`` surface: validate and apply one knob.
 
-        Accepted names: ``memory_budget_bytes`` (alias
-        ``memory_budget``; 0, NULL, or 'unbounded' clears it),
-        ``spill_partitions``, ``spill_merge_fanin``, ``workers``,
-        ``morsel_size``, ``join_build``, ``shards``, ``shard_workers``.
+        Accepted names: :attr:`PARAM_NAMES` (``memory_budget`` 0, NULL,
+        or 'unbounded' clears it).
 
         Every successful SET drops the cached plans.  Cached join
         builds stay: their key (:func:`~repro.engine.executor.build_signature`,
         join shape, snapshot) depends on no knob.
         """
         key = name.lower()
-        if key in ("memory_budget_bytes", "memory_budget"):
+        if key == "memory_budget":
             self.memory_budget_bytes = self._check_budget(value)
-        elif key == "spill_partitions":
-            self.spill_partitions = self._check_partitions(value)
-        elif key == "spill_merge_fanin":
-            self.spill_merge_fanin = self._check_fanin(value)
         elif key == "workers":
             workers = self._as_int(value, "workers")
             if workers < 1:
@@ -293,6 +263,12 @@ class ExecutionContext:
             if shard_workers != self.shard_workers:
                 self._close_shard_pool()
             self.shard_workers = shard_workers
+        elif key == "memory_budget_bytes" or key.startswith("spill_"):
+            raise ConfigError(
+                f"session parameter {name!r} is retired: memory_budget (in "
+                "bytes) is the one knob of the external aggregation, its "
+                "spill shape is not configurable"
+            )
         else:
             raise ConfigError(
                 f"unknown session parameter {name!r}; valid parameters: "
@@ -370,6 +346,8 @@ class PipelineStats:
     """
 
     def __init__(self, workers: int):
+        #: the drivers build their stats first thing
+        self.started = time.perf_counter()
         self.workers = workers
         self.worker_busy = [0.0] * workers
         self.worker_morsels = [0] * workers
@@ -377,15 +355,15 @@ class PipelineStats:
         self.merge_seconds = 0.0
         self.finalize_seconds = 0.0
         self.wall_seconds = 0.0
-        #: True when the external (spill-to-disk) aggregation ran; the
-        #: spill_* fields below are its accounting
+        #: The most partial-table state (``approx_bytes``) resident at
+        #: once: the tables alive at the finish; for an external run
+        #: also the workers' own peaks while scanning, summed.
+        self.peak_resident_bytes = 0
+        #: True when the external (spill-to-disk) aggregation ran
         #: (:mod:`repro.aggregation.external_agg`).
         self.external = False
-        self.spill_partitions = 0
         self.spilled_runs = 0
         self.spilled_bytes = 0
-        self.merge_passes = 0
-        self.peak_resident_bytes = 0
         #: True when the plan ran as a ShardedAggregate across executor
         #: processes (:mod:`repro.distributed`); ``worker_busy`` then
         #: holds per-*process* CPU time reported by the executors, and
@@ -462,6 +440,70 @@ def _run_workers(morsels: list[Batch], context: ExecutionContext,
     return list(context.pool().map(timed, range(workers), assignments))
 
 
+def finish_grouped(partitions, group_exprs, specs, ladder,
+                   context: ExecutionContext, stats: PipelineStats,
+                   timings: OperatorTimings | None, fed_seconds: float):
+    """The epilogue of every grouped driver — threads, spilling, shards.
+
+    ``partitions`` yields ``(held, sources)`` per key-disjoint unit of
+    partial state: everything, for an in-memory or sharded run; one
+    spill partition at a time for an external one.  ``sources`` merge
+    in order into the first of them; a callable one returns an unframed
+    ``dump_table`` payload (a spill run, a shard's reply), read and
+    loaded only when its turn comes.  Each unit is finalized and
+    dropped before the next is asked for, so only one is ever whole;
+    ``held`` is the bytes of partial tables alive beside it.  Several
+    units' outputs are concatenated in the canonical key order
+    :meth:`VectorizedGroupTable.finalize` emits.
+
+    Returns ``(key_arrays, result_arrays, ngroups)``.
+    """
+    outputs = []
+    for held, sources in partitions:
+        started = time.thread_time()
+        root = None
+        for table in sources:
+            if callable(table):
+                payload = table()
+                table = make_group_table(group_exprs, specs)
+                load_table_into(payload, table)
+            if root is None:
+                root = table
+            else:
+                root.merge(table)
+        merged = time.thread_time()
+        stats.peak_resident_bytes = max(
+            stats.peak_resident_bytes, held + root.approx_bytes()
+        )
+        outputs.append(root.finalize())
+        root = table = None  # gone before the next unit is merged
+        stats.merge_seconds += merged - started
+        stats.finalize_seconds += time.thread_time() - merged
+    key_arrays, results, ngroups = outputs[0]
+    if len(outputs) > 1:
+        started = time.thread_time()
+        key_arrays, results = (
+            [np.concatenate(parts) for parts in zip(*(o[i] for o in outputs))]
+            for i in (0, 1)
+        )
+        # units are key-disjoint by routing alone: the sort checks
+        order = canonical_key_order(key_arrays, distinct=True)
+        key_arrays = [arr[order] for arr in key_arrays]
+        results = [arr[order] for arr in results]
+        ngroups = len(order)
+        stats.finalize_seconds += time.thread_time() - started
+
+    stats.record_ladder(ladder, timings)
+    stats.wall_seconds = time.perf_counter() - stats.started
+    context.last_stats = stats
+    if timings is not None:
+        timings.add(
+            "aggregation",
+            fed_seconds + stats.merge_seconds + stats.finalize_seconds,
+        )
+    return key_arrays, results, ngroups
+
+
 def run_grouped_pipeline(
     group_exprs,
     specs: list[AggregateSpec],
@@ -469,59 +511,66 @@ def run_grouped_pipeline(
     context: ExecutionContext,
     timings: OperatorTimings | None = None,
     transform=None,
+    external: bool = False,
 ):
     """Parallel GROUP BY: per-worker partial tables, exact merge.
 
     ``transform`` (optional) is a per-morsel operator chain — filters
     and hash-join probes composed by the physical planner — applied
-    inside the worker.
+    inside the worker.  ``external`` (the planner's choice under a
+    memory budget) gives each worker a spilling sink over an equal
+    share of ``context.memory_budget_bytes`` instead of a plain table;
+    in the repro sum modes the returned bits are the same either way.
 
     Returns ``(key_arrays, result_arrays, ngroups)`` in canonical
     (sorted-key) group order.
     """
-    wall_started = time.perf_counter()
     stats = PipelineStats(min(context.workers, max(len(morsels), 1)))
     stats.morsel_count = len(morsels)
+    stats.external = external
     selection_seconds = [0.0] * stats.workers
     aggregation_seconds = [0.0] * stats.workers
 
-    def work_one(worker_id: int, assigned: list[int]):
-        table = make_group_table(group_exprs, specs)
-        for index in assigned:
-            t0 = time.thread_time()
-            batch = morsels[index]
-            if transform is not None:
-                batch = transform(batch)
-            t1 = time.thread_time()
-            table.update(batch)
-            t2 = time.thread_time()
-            selection_seconds[worker_id] += t1 - t0
-            aggregation_seconds[worker_id] += t2 - t1
-        return table
+    with (tempfile.TemporaryDirectory(prefix="repro-spill-") if external
+          else contextlib.nullcontext()) as spill_dir:
 
-    tables = _run_workers(morsels, context, stats, work_one)
+        def work_one(worker_id: int, assigned: list[int]):
+            if external:
+                sink = external_agg.ExternalGroupAggregator(
+                    group_exprs, specs, make_group_table,
+                    max(1, context.memory_budget_bytes // stats.workers),
+                    spill_dir, tag=f"w{worker_id:03d}",
+                )
+            else:
+                sink = make_group_table(group_exprs, specs)
+            for index in assigned:
+                t0 = time.thread_time()
+                batch = morsels[index]
+                if transform is not None:
+                    batch = transform(batch)
+                t1 = time.thread_time()
+                sink.update(batch)
+                t2 = time.thread_time()
+                selection_seconds[worker_id] += t1 - t0
+                aggregation_seconds[worker_id] += t2 - t1
+            return sink
 
-    merge_started = time.thread_time()
-    root = tables[0]
-    for table in tables[1:]:
-        root.merge(table)
-    stats.merge_seconds = time.thread_time() - merge_started
-
-    finalize_started = time.thread_time()
-    key_arrays, results, ngroups = root.finalize()
-    stats.finalize_seconds = time.thread_time() - finalize_started
-
-    stats.record_ladder(root.ladder, timings)
-    stats.wall_seconds = time.perf_counter() - wall_started
-    context.last_stats = stats
-    if timings is not None:
-        timings.add("selection", sum(selection_seconds))
-        timings.add(
-            "aggregation",
-            sum(aggregation_seconds) + stats.merge_seconds
-            + stats.finalize_seconds,
+        sinks = _run_workers(morsels, context, stats, work_one)
+        ladder = LadderCounters()
+        for sink in sinks:
+            ladder.merge(sink.ladder)
+        if external:
+            partitions = external_agg.spilled_partitions(sinks, stats)
+        else:
+            # worker 0's table takes the others in, which stay alive
+            held = sum(table.approx_bytes() for table in sinks[1:])
+            partitions = [(held, sinks)]
+        if timings is not None:
+            timings.add("selection", sum(selection_seconds))
+        return finish_grouped(
+            partitions, group_exprs, specs, ladder, context, stats, timings,
+            sum(aggregation_seconds),
         )
-    return key_arrays, results, ngroups
 
 
 def run_projection_pipeline(
@@ -538,7 +587,6 @@ def run_projection_pipeline(
 
     Returns ``(names, arrays)``.
     """
-    wall_started = time.perf_counter()
     stats = PipelineStats(min(context.workers, max(len(morsels), 1)))
     stats.morsel_count = len(morsels)
     selection_seconds = [0.0] * stats.workers
@@ -585,7 +633,7 @@ def run_projection_pipeline(
     ]
     stats.finalize_seconds = time.thread_time() - gather_started
 
-    stats.wall_seconds = time.perf_counter() - wall_started
+    stats.wall_seconds = time.perf_counter() - stats.started
     context.last_stats = stats
     if timings is not None:
         timings.add("selection", sum(selection_seconds))

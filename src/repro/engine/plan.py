@@ -420,18 +420,41 @@ def bind_select(stmt: ast.Select, get_table) -> LogicalNode:
     if stmt.order_by:
         order_items = []
         for order_item in stmt.order_by:
-            try:
-                bound = _bind_expr(order_item.expr, scope)
-            except BindError:
-                # Output aliases (ORDER BY revenue) resolve against the
-                # result columns at execution time, not the scope.
-                bound = order_item.expr
+            expr = order_item.expr
+            if not expression_columns(expr) and not find_aggregates(expr):
+                bound = _output_position(expr, items)
+            else:
+                try:
+                    bound = _bind_expr(expr, scope)
+                except BindError:
+                    # Output aliases (ORDER BY revenue) resolve against
+                    # the result columns at execution time, not the scope.
+                    bound = expr
             order_items.append(ast.OrderItem(bound, order_item.descending))
         node = Sort(node, tuple(order_items))
 
     if stmt.limit is not None:
         node = Limit(node, stmt.limit)
     return node
+
+
+def _output_position(expr: ast.Expr, items) -> ast.Expr:
+    """``ORDER BY 2``: a positive integer literal names the output
+    column at that 1-based position and sorts by its expression.  Any
+    other constant orders nothing (evaluated, it would be one scalar
+    standing in for the whole sort key), so it is rejected here."""
+    position = expr.value if isinstance(expr, ast.Literal) else None
+    if isinstance(position, bool) or not isinstance(position, int):
+        raise BindError(
+            f"ORDER BY key {expr.sql()} is a constant; order by a column, "
+            "an output name, or a 1-based output position"
+        )
+    if not 1 <= position <= len(items):
+        raise BindError(
+            f"ORDER BY position {position} is not in the select list "
+            f"(1..{len(items)})"
+        )
+    return items[position - 1].expr
 
 
 # ---------------------------------------------------------------------------

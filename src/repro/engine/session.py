@@ -9,7 +9,7 @@ PR 7 splits the old monolithic ``Database`` in two:
   delegate to an implicit default session.
 * :class:`Session` owns what is *per connection* — the SUM
   configuration, the execution knobs (``workers`` / ``morsel_size`` /
-  ``memory_budget`` / spill shape / ``join_build`` / ``shards``),
+  ``memory_budget`` / ``join_build`` / ``shards``),
   per-query timings, and snapshot pinning.  Both the
   local embedding (``db.session()``) and the network client
   (:func:`repro.client.connect`) present this same surface, so code
@@ -55,8 +55,7 @@ class Session:
 
     Owns the session-scoped knobs — SUM semantics (``sum_mode`` /
     ``levels``) and the execution shape (``workers``,
-    ``morsel_size``, ``join_build``, ``memory_budget``,
-    ``spill_partitions``, ``spill_merge_fanin``, ``shards``,
+    ``morsel_size``, ``join_build``, ``memory_budget``, ``shards``,
     ``shard_workers``) —
     plus :attr:`last_timings` and :attr:`last_pipeline_stats` for the
     most recent SELECT.  Catalog state (tables, views) is shared with
@@ -81,8 +80,6 @@ class Session:
                  morsel_size: int = DEFAULT_MORSEL_SIZE,
                  join_build: str = "auto",
                  memory_budget: int | None = None,
-                 spill_partitions: int | None = None,
-                 spill_merge_fanin: int = 0,
                  shards: int = 0, shard_workers: int | None = None):
         self.database = database
         self.catalog = database.catalog
@@ -90,8 +87,6 @@ class Session:
         self.execution_context = ExecutionContext(
             workers, morsel_size, join_build,
             memory_budget_bytes=memory_budget,
-            spill_partitions=spill_partitions,
-            spill_merge_fanin=spill_merge_fanin,
             shards=shards, shard_workers=shard_workers,
         )
         self.last_timings: OperatorTimings | None = None
@@ -106,7 +101,7 @@ class Session:
     def memory_budget(self) -> int | None:
         """Aggregation memory budget in bytes (``None`` = unbounded).
 
-        Settable here or via ``SET memory_budget_bytes = N``.  In the
+        Settable here or via ``SET memory_budget = N``.  In the
         repro sum modes result bits are invariant under this knob —
         spilling is a pure performance trade, same as ``workers``.
         """
@@ -114,7 +109,7 @@ class Session:
 
     @memory_budget.setter
     def memory_budget(self, value) -> None:
-        self.execution_context.set_param("memory_budget_bytes", value)
+        self.execution_context.set_param("memory_budget", value)
 
     @property
     def last_pipeline_stats(self) -> PipelineStats | None:
@@ -415,8 +410,6 @@ class Database:
                  workers: int = 1, morsel_size: int = DEFAULT_MORSEL_SIZE,
                  join_build: str = "auto",
                  memory_budget: int | None = None,
-                 spill_partitions: int | None = None,
-                 spill_merge_fanin: int = 0,
                  shards: int = 0, shard_workers: int | None = None,
                  path: str | None = None, wal_sync: str = "commit",
                  checkpoint_interval: float | None = 60.0):
@@ -431,8 +424,6 @@ class Database:
             "morsel_size": morsel_size,
             "join_build": join_build,
             "memory_budget": memory_budget,
-            "spill_partitions": spill_partitions,
-            "spill_merge_fanin": spill_merge_fanin,
             "shards": shards,
             "shard_workers": shard_workers,
         }
@@ -453,8 +444,9 @@ class Database:
                 # override the constructor's, exactly as they would
                 # have in the process that set them (names this
                 # version no longer has — an older writer's
-                # ``vectorized`` / ``fused`` / ``buffer_size`` — select
-                # nothing; a retired ``sum_mode`` selects its successor).
+                # ``vectorized`` / ``fused`` / ``buffer_size`` / the
+                # spill shape — select nothing; a retired ``sum_mode``
+                # selects its successor).
                 for name, value in storage.persistent_defaults.items():
                     if name == "sum_mode":
                         value = SumConfig.stored(value)

@@ -307,7 +307,7 @@ class _Parser:
     def parse_set(self) -> ast.SetParam:
         """``SET name = value`` — value is a literal, TRUE/FALSE/NULL,
         or a bare identifier (e.g. ``SET join_build = left``,
-        ``SET memory_budget_bytes = unbounded``)."""
+        ``SET memory_budget = unbounded``)."""
         self.expect_kw("SET")
         name = self.expect_ident()
         self.expect_op("=")

@@ -666,6 +666,13 @@ class Table:
                 out[low] = (codes[: len(mask)][mask], uniques)
         return out
 
+    def dictionary_size(self, name: str) -> int:
+        """Distinct values the named column's storage dictionary holds
+        — over every physical row, so an upper bound on its distinct
+        values at any snapshot."""
+        with self.lock:
+            return len(self._columns[name.lower()].encoding()[1])
+
     #: bound on cached shard layouts per table (each is one int64
     #: permutation of the visible rows; a handful covers the live
     #: version plus recent snapshots without growing with DML history)

@@ -65,6 +65,7 @@ import numpy as np
 
 from ..aggregation.grouped import GroupedSummation, LadderCounters
 from ..aggregation.partition import stable_group_order
+from ..errors import SpillFormatError
 from .aggregates import (
     CountState,
     DistinctState,
@@ -86,6 +87,7 @@ from .sql import ast
 __all__ = [
     "VectorizedGroupTable",
     "SortedMorsel",
+    "canonical_key_order",
 ]
 
 #: Composite-code spaces at most this large use a persistent
@@ -102,8 +104,6 @@ _RADIX_MAX = 1 << 62
 #: the spill heuristics need).
 _KEY_BYTES_BASE = 64
 _KEY_BYTES_PER_COLUMN = 32
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,42 @@ def _key_identity(key: tuple) -> tuple:
                 value = type(value)(0.0)
         out.append(value)
     return tuple(out)
+
+
+def canonical_key_order(key_columns, distinct: bool = False) -> np.ndarray:
+    """Permutation putting key rows in sorted-key order (the order the
+    whole-batch ``np.unique`` factorisation produced pre-pipeline) —
+    THE output order of every grouped result.
+
+    ``distinct`` adds the pass a concatenation of separately finalized
+    partitions needs: two rows holding one key (equal under the key
+    identity) raise rather than return a group twice.
+    """
+    codes = []
+    for col in key_columns:
+        if col.dtype == object:
+            codes.append(_object_sort_rank(col))
+        elif col.dtype.kind in "iubUSM":
+            # Raw values rank exactly like their unique-inverse codes
+            # for totally-ordered dtypes; skip the per-column sort the
+            # code substitution would cost.  Floats keep the code path
+            # (NaN/-0.0 collapse rules live there).
+            codes.append(col)
+        else:
+            codes.append(np.unique(col, return_inverse=True)[1])
+    order = np.lexsort(tuple(reversed(codes)))
+    if distinct and len(order) > 1:
+        same = np.ones(len(order) - 1, dtype=bool)
+        for code in codes:
+            ranked = code[order]
+            same &= ranked[1:] == ranked[:-1]
+        if same.any():
+            raise SpillFormatError(
+                f"{int(same.sum())} group keys reached more than one "
+                "spill partition: the partition router sent equal keys "
+                "different ways"
+            )
+    return order
 
 
 def _avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -544,8 +580,8 @@ class VectorizedGroupTable:
     @staticmethod
     def _decode_columns(dense: np.ndarray, uniques: list,
                         bases: list[int]) -> list:
-        """Split composite radix codes back into per-key distinct values
-        (also the spill router's decode, so the two cannot diverge)."""
+        """Split composite radix codes back into per-key distinct
+        values."""
         key_cols = []
         radix = dense
         for uniq, base in zip(reversed(uniques[1:]), reversed(bases[1:])):
@@ -554,7 +590,6 @@ class VectorizedGroupTable:
         key_cols.append(uniques[0][radix])
         key_cols.reverse()
         return key_cols
-
 
     def _ident_is_key(self) -> bool:
         """True when key tuples *are* their identity form — no float
@@ -622,9 +657,11 @@ class VectorizedGroupTable:
                     if fast:
                         stored.append(keys[g])
                     else:
+                        # the canonical NaN, not the first arrival's
+                        # payload: output keys must not depend on order
                         stored.append(tuple(
-                            orig if member is _NAN_KEY else member
-                            for orig, member in zip(keys[g], idents[g])
+                            np.nan if member is _NAN_KEY else member
+                            for member in idents[g]
                         ))
             mapping[g] = gid
         return mapping
@@ -642,24 +679,11 @@ class VectorizedGroupTable:
 
     # -- finalisation ------------------------------------------------------
     def _canonical_order(self) -> np.ndarray | None:
-        """Permutation putting groups in sorted-key order (the order the
-        whole-batch ``np.unique`` factorisation produced pre-pipeline)."""
+        """:func:`canonical_key_order` of this table's groups (``None``
+        when there is nothing to reorder)."""
         if not self.group_exprs or self.ngroups <= 1:
             return None
-        codes = []
-        for i in range(len(self.group_exprs)):
-            col = self._key_column(i)
-            if col.dtype == object:
-                codes.append(_object_sort_rank(col))
-            elif col.dtype.kind in "iubUSM":
-                # Raw values rank exactly like their unique-inverse
-                # codes for totally-ordered dtypes; skip the per-column
-                # sort the code substitution would cost.  Floats keep
-                # the code path (NaN/-0.0 collapse rules live there).
-                codes.append(col)
-            else:
-                codes.append(np.unique(col, return_inverse=True)[1])
-        return np.lexsort(tuple(reversed(codes)))
+        return canonical_key_order(self._key_columns())
 
     def _key_columns(self) -> list[np.ndarray]:
         """Every key column materialized in one transpose, memoized:

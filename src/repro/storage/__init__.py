@@ -6,9 +6,8 @@ through disk without changing a single result bit.  This package holds
 the columnar spill format that makes that practical:
 :mod:`repro.storage.spill` serializes dictionary-encoded group keys
 plus every partial aggregate state — including the integer-canonical
-rsum ladders of :class:`~repro.core.state.SummationState` and
-:class:`~repro.aggregation.grouped.GroupedSummation` — into framed,
-checksummed run files that the external GROUP BY operator
+rsum ladders of :class:`~repro.aggregation.grouped.GroupedSummation` —
+into framed, checksummed run files that the external GROUP BY operator
 (:mod:`repro.aggregation.external_agg`) spills and re-merges.
 """
 
@@ -17,15 +16,11 @@ from .spill import (
     SPILL_MAGIC,
     FrameDecoder,
     SpillFormatError,
-    dump_buffered_repro,
     dump_grouped_summation,
-    dump_summation_state,
     dump_table,
     frame_payload,
     iter_frames,
-    load_buffered_repro,
     load_grouped_summation,
-    load_summation_state,
     load_table_into,
     read_run_file,
     unframe_payload,
@@ -39,15 +34,11 @@ __all__ = [
     "FrameDecoder",
     "SpillFormatError",
     "WriteAheadLog",
-    "dump_buffered_repro",
     "dump_grouped_summation",
-    "dump_summation_state",
     "dump_table",
     "frame_payload",
     "iter_frames",
-    "load_buffered_repro",
     "load_grouped_summation",
-    "load_summation_state",
     "load_table_into",
     "read_run_file",
     "unframe_payload",

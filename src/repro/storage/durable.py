@@ -124,14 +124,16 @@ def _schema_columns(spec) -> list:
 # Execution-shape capture for REFRESH replay
 # ---------------------------------------------------------------------------
 
-_CTX_KNOBS = (
-    "workers", "morsel_size", "join_build",
-    "memory_budget_bytes", "spill_partitions", "spill_merge_fanin",
-)
+_CTX_KNOBS = ("workers", "morsel_size", "join_build", "memory_budget_bytes")
 
-#: Knobs older writers logged that no longer exist: both only chose
-#: between engines whose bits were identical in every sum mode, so a
-#: replay may ignore them.  Any other unknown key stays an error.
+#: Knobs older writers logged that no longer exist, which a replay
+#: ignores (any other unknown key stays an error).  ``vectorized`` /
+#: ``fused`` chose between engines whose bits were identical in every
+#: sum mode.  The ``spill_*`` pair (partition fan-out, merge fan-in)
+#: shaped how the external aggregation split and re-merged its state:
+#: repro and sorted bits cannot depend on that (every split is an exact
+#: merge away from every other), and an ieee-mode view makes no
+#: cross-version bit promise.
 _RETIRED_CTX_KNOBS = ("vectorized", "fused")
 
 
@@ -162,6 +164,7 @@ class _ContextCache:
                 context = ExecutionContext(**{
                     knob: value for knob, value in spec.items()
                     if knob not in _RETIRED_CTX_KNOBS
+                    and not knob.startswith("spill_")
                 })
             self._contexts[key] = context
         return context

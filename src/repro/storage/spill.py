@@ -38,7 +38,6 @@ import zlib
 import numpy as np
 
 from ..core.params import RsumParams
-from ..core.state import SummationState
 from ..errors import SpillFormatError
 from ..fp.formats import format_by_name
 
@@ -46,17 +45,13 @@ __all__ = [
     "SPILL_MAGIC",
     "FrameDecoder",
     "SpillFormatError",
-    "dump_buffered_repro",
     "dump_grouped_summation",
-    "dump_summation_state",
     "decode_payload",
     "dump_table",
     "encode_payload",
     "frame_payload",
     "iter_frames",
-    "load_buffered_repro",
     "load_grouped_summation",
-    "load_summation_state",
     "load_table_into",
     "read_run_file",
     "unframe_payload",
@@ -219,32 +214,24 @@ class _Reader:
             raise SpillFormatError("corrupted object frame") from exc
 
 
-def _encode_payload(value) -> bytes:
-    out = bytearray()
-    _encode(value, out)
-    return bytes(out)
-
-
-def _decode_payload(raw: bytes):
-    reader = _Reader(raw)
-    value = reader.decode()
-    if reader.pos != len(raw):
-        raise SpillFormatError("trailing bytes after spill payload")
-    return value
-
-
 def encode_payload(value) -> bytes:
     """Serialize one payload tree with the tagged spill codec.
 
     The distributed exchange ships shard replicas and control payloads
     as codec trees inside :func:`frame_payload` frames — the same bytes
     a run file holds, minus the filesystem."""
-    return _encode_payload(value)
+    out = bytearray()
+    _encode(value, out)
+    return bytes(out)
 
 
 def decode_payload(raw: bytes):
     """Inverse of :func:`encode_payload` (raises on damage)."""
-    return _decode_payload(raw)
+    reader = _Reader(raw)
+    value = reader.decode()
+    if reader.pos != len(raw):
+        raise SpillFormatError("trailing bytes after spill payload")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +356,7 @@ def read_run_file(path: str) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Core rsum state round-trips
+# The grouped rsum ladders' round-trip
 # ---------------------------------------------------------------------------
 
 
@@ -416,66 +403,6 @@ def load_grouped_summation(data: dict):
     except (KeyError, TypeError, ValueError) as exc:
         raise SpillFormatError(f"bad GroupedSummation payload: {exc}") from exc
     return grouped
-
-
-def dump_summation_state(state: SummationState) -> dict:
-    """Payload tree for a scalar :class:`SummationState` (exact,
-    including unbounded carry counters)."""
-    return {
-        "fmt": state.params.fmt.name,
-        "levels": int(state.params.levels),
-        "w": int(state.params.w),
-        "e0": state.e0,
-        "s": list(state.s),
-        "c": list(state.c),
-        "nan": int(state.nan_count),
-        "pos": int(state.posinf_count),
-        "neg": int(state.neginf_count),
-    }
-
-
-def load_summation_state(data: dict) -> SummationState:
-    try:
-        params = RsumParams(
-            format_by_name(data["fmt"]), data["levels"], data["w"]
-        )
-        state = SummationState(params)
-        if len(data["s"]) != params.levels or len(data["c"]) != params.levels:
-            raise SpillFormatError("level count mismatch in rsum payload")
-        state.e0 = None if data["e0"] is None else int(data["e0"])
-        state.s = [int(v) for v in data["s"]]
-        state.c = [int(v) for v in data["c"]]
-        state.nan_count = int(data["nan"])
-        state.posinf_count = int(data["pos"])
-        state.neginf_count = int(data["neg"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpillFormatError(f"bad SummationState payload: {exc}") from exc
-    return state
-
-
-def dump_buffered_repro(buffered) -> dict:
-    """Payload tree for a :class:`BufferedReproFloat` (flushes first —
-    the buffer is a performance device, not state; RSUM's
-    batching-independence makes the flush bit-invisible)."""
-    buffered.flush()
-    return {
-        "buffer_size": int(buffered.buffer_size),
-        "state": dump_summation_state(buffered.accumulator.state),
-    }
-
-
-def load_buffered_repro(data: dict):
-    from ..core.buffer import BufferedReproFloat
-
-    try:
-        state = load_summation_state(data["state"])
-        buffered = BufferedReproFloat(
-            buffer_size=int(data["buffer_size"]), params=state.params
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpillFormatError(f"bad buffered payload: {exc}") from exc
-    buffered.accumulator.state = state
-    return buffered
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +481,7 @@ def dump_table(table) -> bytes:
         "keys": keys,
         "states": [state.dump() for state in table.states],
     }
-    return _encode_payload(payload)
+    return encode_payload(payload)
 
 
 def load_table_into(payload: bytes, table) -> None:
@@ -566,7 +493,7 @@ def load_table_into(payload: bytes, table) -> None:
     the result merges through the ordinary exact
     :meth:`~repro.engine.vectorized.VectorizedGroupTable.merge`.
     """
-    data = _decode_payload(payload)
+    data = decode_payload(payload)
     if not isinstance(data, dict) or data.get("version") != 1:
         raise SpillFormatError("unsupported spill payload version")
     nkeys = data["nkeys"]

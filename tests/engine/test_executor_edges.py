@@ -6,6 +6,7 @@ import pytest
 from repro.engine import Database, QueryResult, SumConfig
 from reference_table import grouped_float_sum
 from repro.engine.operators import Batch
+from repro.errors import BindError
 
 
 @pytest.fixture
@@ -55,6 +56,31 @@ class TestOrderByEdges:
 
     def test_limit_zero(self, db):
         assert len(db.execute("SELECT k FROM t LIMIT 0")) == 0
+
+    def test_order_by_output_position(self, db):
+        """``ORDER BY 1`` is the first output column.  The literal used
+        to be evaluated to a scalar that ``np.lexsort`` took for the
+        whole key: three groups came back as one 0-d row."""
+        res = db.execute("SELECT k, SUM(v) FROM t GROUP BY k ORDER BY 1")
+        assert [arr.shape for arr in res.arrays] == [(3,), (3,)]
+        assert res.rows() == [(1, 6.0), (2, 1.0), (3, 3.0)]
+        res = db.execute("SELECT k, SUM(v) FROM t GROUP BY k ORDER BY 2 DESC")
+        assert res.rows() == [(1, 6.0), (3, 3.0), (2, 1.0)]
+        res = db.execute("SELECT k, v FROM t ORDER BY 1, 2 DESC")
+        assert res.rows() == [(1, 4.0), (1, 2.0), (2, 1.0), (3, 3.0)]
+        res = db.execute("SELECT s AS label, v + 1 FROM t ORDER BY 2 DESC")
+        assert res.rows() == [("a", 5.0), ("c", 4.0), ("a", 3.0), ("b", 2.0)]
+        assert db.execute("SELECT * FROM t ORDER BY 3 DESC").rows()[0] == (
+            1, "a", 4.0)
+        plan = db.explain("SELECT k, SUM(v) FROM t GROUP BY k ORDER BY 2 DESC")
+        assert "Sort(SUM(v) DESC)" in plan
+
+    @pytest.mark.parametrize("key", ("0", "3", "-1", "1.5", "'k'", "1 + 1"))
+    def test_order_by_constant_is_a_bind_error(self, db, key):
+        with pytest.raises(BindError, match="ORDER BY"):
+            db.execute(f"SELECT k, v FROM t ORDER BY {key}")
+        with pytest.raises(BindError, match="ORDER BY"):
+            db.explain(f"SELECT k, SUM(v) FROM t GROUP BY k ORDER BY {key}")
 
 
 class TestGroupingEdges:

@@ -727,14 +727,14 @@ class TestSetPragmaErrors:
             db.execute("SET no_such_knob = 3")
         message = str(err.value)
         assert "no_such_knob" in message
-        for name in ("workers", "morsel_size", "memory_budget_bytes",
-                     "shards", "join_build", "spill_partitions"):
+        for name in ("workers", "morsel_size", "memory_budget",
+                     "shards", "join_build", "shard_workers"):
             assert name in message
 
     def test_non_numeric_value_names_the_knob(self):
         db = Database()
-        for knob in ("workers", "morsel_size", "spill_partitions",
-                     "spill_merge_fanin"):
+        for knob in ("workers", "morsel_size", "shards",
+                     "shard_workers"):
             with pytest.raises(ValueError) as err:
                 db.execute(f"SET {knob} = banana")
             assert knob in str(err.value)
@@ -743,7 +743,7 @@ class TestSetPragmaErrors:
     def test_non_numeric_budget_names_the_knob(self):
         db = Database()
         with pytest.raises(ValueError) as err:
-            db.execute("SET memory_budget_bytes = lots")
+            db.execute("SET memory_budget = lots")
         assert "memory budget" in str(err.value)
         assert "lots" in str(err.value)
 

@@ -231,7 +231,7 @@ class TestRetiredOptions:
         assert "unknown session parameter" in str(err.value)
         for name in db.execution_context.PARAM_NAMES:
             assert name in str(err.value)
-        assert len(db.execution_context.PARAM_NAMES) == 9
+        assert len(db.execution_context.PARAM_NAMES) == 6
 
     def test_session_knob_is_rejected(self):
         db = Database()
@@ -369,8 +369,7 @@ class TestCountDistinct:
         configs = [
             dict(),
             dict(workers=4, morsel_size=37),
-            dict(workers=4, morsel_size=64, memory_budget=1,
-                 spill_partitions=3),
+            dict(workers=4, morsel_size=64, memory_budget=1),
             dict(shards=2, morsel_size=64),
         ]
         baseline = None
@@ -393,7 +392,7 @@ class TestCountDistinct:
             # and renders its spill shape instead
             assert ("group_ids=build_row(" in joined) is (
                 "memory_budget" not in knobs)
-            assert (", external(partitions=3" in joined) is (
+            assert (", external(partitions=4" in joined) is (
                 "memory_budget" in knobs)
             assert joined.count("ShardedAggregate(") == ("shards" in knobs)
 

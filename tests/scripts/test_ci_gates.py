@@ -330,6 +330,84 @@ def test_digest_asserts_interpreter_on_spill_legs(digest):
     assert digest.digest_lines([1], ("auto",), (None, 1 << 30), queries)
 
 
+def test_digest_spill_leg_holds_the_budget_to_the_finish(
+        digest, monkeypatch, tmp_path, capsys):
+    """A spill leg runs a high-cardinality probe at its larger budget:
+    ``peak_resident_bytes`` (which covers the finish) must stay below
+    the unbudgeted table's size — a finish that folds every partition
+    back into one table fails the digest job, not just a unit test."""
+    from repro.aggregation import external_agg
+
+    monkeypatch.setattr(digest, "PROBE_ROWS", 16_000)
+    monkeypatch.setattr(digest, "PROBE_KEYS", 4_000)
+    digest.check_resident_bound(2, 65536)
+    with monkeypatch.context() as patch:
+        # one partition is the whole state: what the old fold held
+        patch.setattr(external_agg, "SPILL_PARTITIONS", 1)
+        with pytest.raises(SystemExit, match="folding every spill partition"):
+            digest.check_resident_bound(2, 65536)
+    with pytest.raises(SystemExit, match="did not run the external"):
+        digest.check_resident_bound(1, 1 << 30)
+
+    # main() runs it on spill legs only, at the larger budget.
+    calls = []
+    monkeypatch.setattr(digest, "QUERIES", _edge_queries(digest))
+    monkeypatch.setattr(
+        digest, "check_resident_bound", lambda *args: calls.append(args)
+    )
+    for budgets in ("65536,1", "unbounded,65536", "1"):
+        assert digest.main([
+            "--workers", "2,1", "--build-sides", "auto", "--shards", "0",
+            "--memory-budgets", budgets, "--out", str(tmp_path / "d.txt"),
+        ]) == 0
+    assert calls == [(1, 65536)]
+    capsys.readouterr()
+
+
+def test_every_set_name_is_documented_and_exercised(digest):
+    """Options only go down if someone counts them: every
+    ``PARAM_NAMES`` entry is a row of README's knob table and is set by
+    a digest leg or a tier-1 test, every knob the table says ``SET``
+    takes is accepted, and no retired name is documented as a knob."""
+    import re
+
+    from repro.engine import Database
+    from repro.engine.pipeline import ExecutionContext
+
+    root = _SCRIPTS.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Parallel execution knobs", 1)[1]
+    table = table.split("\n\n", 2)[1]
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*?) \|", table, re.M))
+    assert set(ExecutionContext.PARAM_NAMES) <= set(rows)
+    assert len(ExecutionContext.PARAM_NAMES) == 6
+    retired = ("memory_budget_bytes", "spill_partitions", "spill_merge_fanin")
+    assert not set(retired) & set(rows)
+
+    sample = {
+        "memory_budget": 4096, "workers": 2, "morsel_size": 128,
+        "join_build": "left", "shards": 0, "shard_workers": 1,
+    }
+    settable = {name for name, where in rows.items() if "`SET " in where}
+    assert settable == set(ExecutionContext.PARAM_NAMES)
+    db = Database()
+    for name in sorted(settable):
+        assert db.execute(f"SET {name} = {sample[name]}") == 0
+    for name in retired:
+        with pytest.raises(ValueError, match="retired"):
+            db.execute(f"SET {name} = 2")
+
+    exercised = (root / "scripts" / "repro_digest.py").read_text(
+        encoding="utf-8"
+    ) + "".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted((root / "tests").rglob("test_*.py"))
+        if path != pathlib.Path(__file__).resolve()
+    )
+    for name in ExecutionContext.PARAM_NAMES:
+        assert re.search(rf"\b{name}\s*=|SET {name}\b", exercised), name
+
+
 def test_digest_has_no_engine_axis(digest, capsys):
     assert not hasattr(digest, "parse_fused")
     with pytest.raises(SystemExit):

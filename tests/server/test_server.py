@@ -232,13 +232,35 @@ def test_typed_errors_cross_the_wire(served):
         assert s.execute("SELECT COUNT(*) FROM t").scalar() == 0
 
 
+def test_order_by_output_position_served(served):
+    """``ORDER BY <n>`` through the wire: every group comes back, in
+    the order of the n-th output column (it used to be one 0-d row),
+    and a constant key that is no position is a typed ``BindError``."""
+    db, server = served
+    with repro.connect(server.address) as s:
+        s.execute("CREATE TABLE t (k INT, v DOUBLE)")
+        s.execute("INSERT INTO t VALUES (2, 1.0), (1, 2.0), (3, 3.0), (1, 4.0)")
+        got = s.execute("SELECT k, SUM(v) FROM t GROUP BY k ORDER BY 1")
+        assert [arr.shape for arr in got.arrays] == [(3,), (3,)]
+        assert got.rows() == [(1, 6.0), (2, 1.0), (3, 3.0)]
+        got = s.execute("SELECT k, SUM(v) FROM t GROUP BY k ORDER BY 2 DESC")
+        assert got.rows() == [(1, 6.0), (3, 3.0), (2, 1.0)]
+        assert s.execute("SELECT k, v FROM t ORDER BY 1").column(
+            "k").tolist() == [1, 1, 2, 3]
+        assert "Sort(k)" in s.explain("SELECT k, v FROM t ORDER BY 1")
+        for key in ("3", "'k'"):
+            with pytest.raises(BindError, match="ORDER BY"):
+                s.execute(f"SELECT k, v FROM t ORDER BY {key}")
+
+
 def test_invalid_session_options_rejected_at_hello(served):
     db, server = served
     with pytest.raises(ReproError):
         repro.connect(server.address, bogus_knob=1)
     # Retired engine switches are unknown too, never silently ignored;
     # the error names what a session does accept.
-    for retired in ("fused", "vectorized", "kernel_cache_size"):
+    for retired in ("fused", "vectorized", "kernel_cache_size",
+                    "spill_partitions", "spill_merge_fanin"):
         with pytest.raises(ReproError) as err:
             repro.connect(server.address, **{retired: False})
         assert "unknown session options" in str(err.value)

@@ -592,6 +592,80 @@ def test_directory_written_by_the_parent_commit_still_serves_its_bits(tmp_path):
         assert bits(db.execute(query)) == golden["after_refresh"]
 
 
+def test_directory_with_retired_spill_knobs_opens_serves_and_refreshes(
+        tmp_path):
+    """``parent_commit_spill_dir`` was written by the commit before
+    ``spill_partitions`` / ``spill_merge_fanin`` were retired, with
+    non-default values of both in ``set_default`` records and in the
+    logged shape of two REFRESHes of a budgeted full-recompute view
+    (external, spilled, multi-pass at that commit).  The defaults
+    select nothing, the replay ignores the two knobs, and the view
+    serves and refreshes to the repro bits that commit recorded
+    (``parent_commit_spill_dir.json``)."""
+    import json
+    import pathlib
+    import shutil
+
+    from repro.storage.wal import scan_wal
+
+    here = pathlib.Path(__file__).parent
+    golden = json.loads((here / "parent_commit_spill_dir.json").read_text())
+    shutil.copytree(here / "parent_commit_spill_dir", tmp_path / "dir")
+    logged = list(scan_wal(str(tmp_path / "dir"), 1, repair=False))
+    assert {r["name"]: r["value"] for r in logged
+            if r["op"] == "set_default"} == {
+        "memory_budget": 2048, "spill_partitions": 3,
+        "spill_merge_fanin": 2, "morsel_size": 64,
+    }
+    shapes = [r["ctx"] for r in logged if r["op"] == "refresh_view"]
+    assert len(shapes) == 2 and all(
+        (ctx["memory_budget_bytes"], ctx["spill_partitions"],
+         ctx["spill_merge_fanin"]) == (2048, 3, 2) for ctx in shapes
+    )
+    query = golden["view_sql"] + " ORDER BY k, s"
+
+    def bits(result):
+        return {
+            name: (np.asarray(arr).tobytes().hex()
+                   if np.asarray(arr).dtype != object
+                   else repr(np.asarray(arr).tolist()))
+            for name, arr in zip(result.names, result.arrays)
+        }
+
+    db = repro.open(
+        str(tmp_path / "dir"), sum_mode="repro", checkpoint_interval=None
+    )
+    try:
+        assert db.session_defaults["memory_budget"] == 2048
+        assert db.session_defaults["morsel_size"] == 64
+        assert "spill_partitions" not in db.session_defaults
+        assert "spill_merge_fanin" not in db.session_defaults
+        view = db.view("vm")
+        assert view.maintenance == "full"
+        assert "ViewScan" in db.explain(query)
+        assert bits(db.execute(query)) == golden["served"]
+
+        db.execute(golden["follow_up"])
+        db.execute("REFRESH MATERIALIZED VIEW vm")
+        stats = db.last_pipeline_stats
+        assert stats.external and stats.spilled_runs > 0
+        assert "ViewScan" in db.explain(query)
+        assert bits(db.execute(query)) == golden["after_refresh"]
+    finally:
+        db.close()
+    # What this version logged carries the budget and no spill shape,
+    # and opens again.
+    ctx = [r["ctx"] for r in scan_wal(str(tmp_path / "dir"), 1, repair=False)
+           if r["op"] == "refresh_view"][-1]
+    assert sorted(ctx) == [
+        "join_build", "memory_budget_bytes", "morsel_size", "workers",
+    ]
+    with repro.open(str(tmp_path / "dir"), sum_mode="repro",
+                    checkpoint_interval=None) as db:
+        assert "ViewScan" in db.explain(query)
+        assert bits(db.execute(query)) == golden["after_refresh"]
+
+
 def test_persistent_defaults_survive_reopen(tmp_path):
     db = repro.open(str(tmp_path), **CONFIG)
     db.execute("CREATE TABLE t (f DOUBLE)")

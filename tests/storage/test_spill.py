@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation.grouped import GroupedSummation
-from repro.core.buffer import BufferedReproFloat
 from repro.core.params import RsumParams
-from repro.core.state import SummationState
 from repro.engine import parse_expression
 from reference_table import PartialGroupTable
 from repro.engine.operators import AggregateSpec, Batch, SumConfig
@@ -26,16 +24,12 @@ from repro.storage.spill import (
     FrameDecoder,
     SpillFormatError,
     decode_payload,
-    dump_buffered_repro,
     dump_grouped_summation,
-    dump_summation_state,
     dump_table,
     encode_payload,
     frame_payload,
     iter_frames,
-    load_buffered_repro,
     load_grouped_summation,
-    load_summation_state,
     load_table_into,
     read_run_file,
     unframe_payload,
@@ -76,26 +70,6 @@ def test_grouped_summation_round_trip(fmt):
     ref = grouped.finalize()
     got = clone.finalize()
     assert ref.tobytes() == got.tobytes()
-
-
-def test_summation_state_round_trip_including_big_carries():
-    state = SummationState(RsumParams(BINARY64, 2))
-    state.add_array(_wide_values(np.random.default_rng(5), 2000))
-    # Unbounded Python-int carry counters must survive (the scalar
-    # state's counters cannot overflow, unlike the paper's floats).
-    state.c[0] += 2**80
-    clone = load_summation_state(dump_summation_state(state))
-    assert clone.state_tuple() == state.state_tuple()
-    assert clone.c[0] == state.c[0]
-
-
-def test_buffered_repro_round_trip():
-    buffered = BufferedReproFloat("double", levels=3, buffer_size=64)
-    buffered.append_array(_wide_values(np.random.default_rng(6), 500))
-    buffered.append(0.125)  # leave the buffer partially full
-    clone = load_buffered_repro(dump_buffered_repro(buffered))
-    assert clone.buffer_size == 64
-    assert clone.bits() == buffered.bits()
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ class ReproSpec(AggregatorSpec):
 
     def accumulate(self, table, group_ids, values):
         # The blocked kernel (rows on the prevailing ladder scatter, the
-        # stragglers walk sorted) is bit-identical to
+        # stragglers take ``add_pairs`` itself) is bit-identical to
         # ``table.add_pairs`` — the repro states being exact under any
         # ordering and chunking — and far faster.
         add_blocked_multi([table], group_ids, [values])

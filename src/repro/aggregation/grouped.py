@@ -19,15 +19,24 @@ test suite asserts this — because:
 * contributions are accumulated as exact int64 quanta (bounds checked:
   ``|k| <= 2**(W-1)`` and chunks are capped so sums stay below 2**62).
 
-:func:`add_blocked_multi` is the update the engine calls.  It splits
-a morsel *by row*: rows whose group sits on the table's prevailing
-ladder scatter-accumulate with no sort — float64 sums of the integral
-quanta are exact in any order while no group receives more than the
-exactness window, ``1 << (54 - W)`` rows — and the stragglers (new
-ladders, other ladders, non-finite values) take the sorted segment
-walk as an index subset: the paper's "summation on batches" (§V) at the
-kernel level.  The paper's C++ reaches the same place with AVX +
-summation buffers, which we model in :mod:`repro.simulator`.
+There are two updates and no third.  :meth:`GroupedSummation.add_pairs`
+is the **reference**: the chunked element-wise extraction above, held
+directly against the scalar Algorithm-2 state, and the update every
+other path is tested against.  :func:`add_blocked_multi` is what the
+engine calls: it splits a morsel *by row*, and rows whose group sits on
+the table's prevailing ladder **scatter**-accumulate with one scalar
+anchor per level and no sort — float64 sums of the integral quanta are
+exact in any order while no group receives more than the exactness
+window, ``1 << (54 - W)`` rows.  A row the scatter declines — it is
+NaN/±inf, it would raise a ladder, its group sits on another ladder or
+on none, or its whole block has no scatter (subnormal bottom level, no
+window, a finite magnitude past the ladder range, no finite non-zero
+value at all) — takes the reference.  Carry-free partial states are exact under any chunking, so
+*which* exact update takes a row is invisible in the bits; this is the
+paper's "summation on batches" (§V) at the kernel level, with the
+preprocessing kept off the per-row path.  The paper's C++ reaches the
+same place with AVX + summation buffers, which we model in
+:mod:`repro.simulator`.
 """
 
 from __future__ import annotations
@@ -39,13 +48,11 @@ import numpy as np
 
 from ..core.params import RsumParams
 from ..core.state import LadderOverflowError, SummationState
-from .partition import stable_group_order
 
 __all__ = [
     "GroupedSummation",
     "LadderCounters",
     "add_blocked_multi",
-    "add_sorted_runs_multi",
 ]
 
 #: Ladder sentinel for "group has no finite non-zero value yet".
@@ -114,41 +121,14 @@ class GroupedSummation:
         for start in range(0, gids.size, _CHUNK):
             self._add_chunk(gids[start : start + _CHUNK], vals[start : start + _CHUNK])
 
-    def add_sorted_runs(self, group_ids: np.ndarray, values: np.ndarray,
-                        starts: np.ndarray | None = None) -> None:
-        """Segmented fast path: add pairs whose ``group_ids`` are
-        **non-decreasing** (each group's values form one contiguous run).
-
-        The ``k = 1`` case of :func:`add_sorted_runs_multi`: per-group
-        maxima and quantum sums are ``ufunc.reduceat`` segment
-        reductions instead of scattered ``ufunc.at`` updates, and when
-        every group in the batch sits on the same extractor ladder the
-        per-level anchors collapse to scalars.  Quantum accumulation is
-        exact and the ladder logic is replicated from
-        :meth:`_add_chunk`, so the resulting state is **bit-identical**
-        to :meth:`add_pairs` over any permutation of the same pairs —
-        the exactness that lets the engine vectorize without changing
-        result bits (asserted by the test suite).
-        """
-        vals = np.asarray(values, dtype=self._dtype)
-        if vals.ndim != 1:
-            raise ValueError("group_ids and values must be equal-length 1-D")
-        add_sorted_runs_multi([self], group_ids, vals[None, :], starts)
-
-    @staticmethod
-    def _run_starts(gids: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(
-            np.concatenate(([True], gids[1:] != gids[:-1]))
-        )
-
-    def _add_filtered_runs(self, gids: np.ndarray, vals: np.ndarray) -> None:
-        """Sorted runs the batched walk cannot take as they are: count
-        the non-finite values, drop them and the zeros (neither touches
-        a ladder), and walk what is left — which now has a non-zero
-        finite maximum in every run, so it cannot land here again."""
-        keep = self._count_non_finite(gids, vals) & (vals != 0)
-        if keep.any():
-            add_sorted_runs_multi([self], gids[keep], vals[keep][None, :])
+    def add_sorted_runs(self, group_ids: np.ndarray, values: np.ndarray) -> None:
+        """:meth:`add_pairs` under the name of the retired sorted segment
+        walk, whose contract — bit-identical to :meth:`add_pairs` over
+        any permutation of the same pairs — it keeps trivially.  Here
+        only because the frozen end-to-end tracer
+        (``benchmarks/e2e/traced.py``) still times it; it goes with
+        that file's dead rows."""
+        self.add_pairs(group_ids, values)
 
     def _count_non_finite(self, gids: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Count NaN / ±inf per group; returns the finite mask."""
@@ -389,8 +369,8 @@ _SCRATCH = threading.local()
 def _scratch(slot: str, count: int, dtype) -> np.ndarray:
     """Thread-local 1-D scratch of ``count`` elements, one per ``slot``.
 
-    The kernels' temporaries are as large as the block they walk, so
-    freshly allocating them every call means every pass streams through
+    The scatter's temporaries are as large as its block, so freshly
+    allocating them every call means every pass streams through
     cold pages.  Reusing one buffer per thread and slot keeps those
     pages warm in cache from block to block; per-worker tables make the
     kernels thread-confined, so ``threading.local`` is the whole story.
@@ -412,29 +392,29 @@ def _scratch(slot: str, count: int, dtype) -> np.ndarray:
 
 
 class LadderCounters:
-    """Which path the rows fed to :func:`add_blocked_multi` took, in
+    """Which update the rows fed to :func:`add_blocked_multi` took, in
     rows summed over tables: scatter-accumulated on their table's
-    prevailing ladder, or handed to the sorted walk — and why the first
+    prevailing ladder, or handed to the reference — and why the first
     row that went there did (``off_ladder``: it raises a ladder, or its
     group sits on another one or on none; ``non_finite``;
     ``subnormal`` / ``window``: the parameters leave the block no
     scatter at all)."""
 
-    __slots__ = ("scatter", "sorted", "first_decline")
+    __slots__ = ("scatter", "reference", "first_decline")
 
     def __init__(self):
         self.scatter = 0
-        self.sorted = 0
+        self.reference = 0
         self.first_decline: str | None = None
 
     def decline(self, rows: int, reason: str | None) -> None:
-        self.sorted += rows
+        self.reference += rows
         if self.first_decline is None:
             self.first_decline = reason
 
     def merge(self, other: "LadderCounters") -> None:
         self.scatter += other.scatter
-        self.decline(other.sorted, other.first_decline)
+        self.decline(other.reference, other.first_decline)
 
 
 def _same_params(tables) -> list:
@@ -462,11 +442,10 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
       and the group sits on ``E`` — scatter-accumulate with one scalar
       anchor per level and ``np.bincount``: no sort, no gather.
     * **cold** rows — NaN/±inf, rows that would raise a ladder, rows of
-      groups on another ladder or on none — take the sorted segment
-      walk (:func:`add_sorted_runs_multi`) as an index subset, after
-      the scatter, with every filter, demotion and
-      :class:`LadderOverflowError` of that walk; tables whose cold rows
-      coincide (the usual case: new groups) share one walk.
+      groups on another ladder or on none — are declined: after the
+      scatter they take the update every other path is tested against,
+      ``table.add_pairs(gids[cold], vals[cold])``, with every filter
+      and demotion of the reference.
 
     **Seeding.**  An empty group that receives a row needing exactly
     ``E`` (``2**(E-m-1) <= |v|``, or just ``v != 0`` on the floor
@@ -483,7 +462,7 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     ``q = k * 2**(e_l - m)`` has ``|k| <= 2**(w-1)`` whether ``m`` is
     52 or 23.  The extraction runs element-wise in the table dtype with
     anchors ``ldexp(1.5, e_l)`` (exact: one significand bit), so each
-    quantum is the one the reference walk computes; cold positions are
+    quantum is the one the reference computes; cold positions are
     zero-filled, and a zero extracts a zero quantum at every level — an
     exact no-op, as in the zero-filtering reference (``s += 0`` on a
     canonical state, then an idempotent propagate).  ``np.bincount``
@@ -499,10 +478,14 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     So the window — ``1 << (54 - w)``, 16 384 at ``W = 40``, derived
     from the parameters and not a knob — bounds the rows of one group,
     not of one block: when no group receives more the input is one
-    block (a scratch buffer's worth at a time), otherwise it is walked
+    block (a scratch buffer's worth at a time), otherwise it is taken
     a window at a time.  Subnormal bottom levels, a format with no
-    window (binary16) and a magnitude past the ladder range send the
-    whole block to the sorted walk.  ``counters`` records rows per path.
+    window (binary16), a block with no finite non-zero value and a
+    finite magnitude past the ladder range decline the whole block of
+    every table: the reference then runs table by table, so a
+    :class:`LadderOverflowError` leaves the earlier tables applied and
+    the later ones untouched, as a loop over ``add_pairs`` would.
+    ``counters`` records rows per update.
     """
     tables = _same_params(tables)
     if not tables:
@@ -525,7 +508,8 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     window = first._window
     if not window:
         counters.decline(n * len(tables), "window")
-        _walk_sorted(tables, gids, rows)
+        for table, vals in zip(tables, rows):
+            table.add_pairs(gids, vals)
         return
     # Counting rows per group costs a pass over the rows and saves one
     # over the groups per block avoided: tried only when the groups
@@ -548,28 +532,26 @@ def _add_block(tables: list, gids: np.ndarray, rows: list,
     m, w = first._m, first._w
     n = gids.size
     plans = []  # (table, values, ladder, |max|, min |v| or 0, table empty)
-    reason = None  # why the whole block has to walk, if it does
+    reason = None  # why the scatter declines the whole block, if it does
     for table, vals in zip(tables, rows):
         # max/min propagate NaN and catch ±inf without a full |.| pass
         vmin, vmax = float(vals.min()), float(vals.max())
         top = max(vmax, -vmin)
         if top == 0:
             continue  # all zeros: an exact no-op, as in the reference
-        if top >= math.ldexp(1.0, first._emax_grid - m + w - 1):
-            # past the ladder range, or ±inf: the walk raises the
-            # reference error with its per-table semantics
-            reason = "off_ladder" if top < math.inf else "non_finite"
+        # the finite |max| ranks the block; NaN/±inf rows go cold alone
+        peak = top
+        if not top < math.inf:
+            peak = float(np.abs(vals[np.isfinite(vals)]).max(initial=0))
+            if peak == 0:
+                reason = "non_finite"
+                break
+        if peak >= math.ldexp(1.0, first._emax_grid - m + w - 1):
+            reason = "off_ladder"  # the reference raises its range error
             break
         e0 = int(table.e0.max())
         empty = e0 == _EMPTY_E0
         if empty:
-            # the ladder the block's finite |max| calls for
-            peak = top
-            if top != top:
-                peak = float(np.abs(vals[np.isfinite(vals)]).max(initial=0))
-            if peak == 0:
-                reason = "non_finite"
-                break
             e0 = int(first._needed_e0(first._dtype.type(peak)))
         if e0 - (first._L - 1) * w < first._emin:
             reason = "subnormal"
@@ -579,11 +561,11 @@ def _add_block(tables: list, gids: np.ndarray, rows: list,
         plans.append((table, vals, e0, top, least, empty))
     if reason is not None:
         counters.decline(n * len(tables), reason)
-        _walk_sorted(tables, gids, rows)
+        for table, vals in zip(tables, rows):
+            table.add_pairs(gids, vals)
         return
     counters.scatter += n * (len(tables) - len(plans))
 
-    colds = []  # ([table], [values], cold row indices)
     for table, vals, e0, top, least, empty in plans:
         cold = _cold_rows(table, gids, vals, e0, top, least, empty)
         ncold = 0 if cold is None else cold.size
@@ -593,15 +575,7 @@ def _add_block(tables: list, gids: np.ndarray, rows: list,
         if ncold:
             counters.decline(ncold, "off_ladder" if math.isfinite(
                 vals[cold[0]]) else "non_finite")
-            colds.append(([table], [vals], cold))
-    # cold rows that coincide in every table share one walk
-    shared = colds[0][2] if len(colds) == len(tables) else None
-    if shared is not None and all(
-            c.size == shared.size and bool((c == shared).all())
-            for _, _, c in colds[1:]):
-        colds = [(tables, rows, shared)]
-    for walked, values, cold in colds:
-        _walk_sorted(walked, gids[cold], [r[cold] for r in values])
+            table.add_pairs(gids[cold], vals[cold])
 
 
 def _cold_rows(table: GroupedSummation, gids: np.ndarray, vals: np.ndarray,
@@ -609,9 +583,9 @@ def _cold_rows(table: GroupedSummation, gids: np.ndarray, vals: np.ndarray,
                empty: bool) -> np.ndarray | None:
     """Seed the empty groups a row of this block puts on ``e0``; return
     the indices of the rows that cannot scatter there (``None``: every
-    row can).  ``top`` is the block's ``|max|`` (NaN if it holds one),
-    ``least`` its smallest ``|v|`` where known, else 0; ``empty``: no
-    group of the table is on a ladder yet."""
+    row can).  ``top`` is the block's ``|max|`` (NaN or inf if it holds
+    one), ``least`` its smallest ``|v|`` where known, else 0; ``empty``:
+    no group of the table is on a ladder yet."""
     m, w = table._m, table._w
     fits_under = math.ldexp(1.0, e0 - m + w - 1)
     fits = top < fits_under
@@ -673,232 +647,3 @@ def _scatter(table: GroupedSummation, gids: np.ndarray, vals: np.ndarray,
         sums = np.bincount(gids, weights=q, minlength=table.ngroups)
         table.s[level] += np.ldexp(sums, m - e_l).astype(np.int64)
     table._propagate()
-
-
-def _walk_sorted(tables: list, gids: np.ndarray, rows: list) -> None:
-    """Sorted segment walk: cluster the pairs by group id, gather every
-    values row into one thread-local ``(k, n)`` block in that order, and
-    hand it to :func:`add_sorted_runs_multi`."""
-    order = None
-    if not bool((gids[1:] >= gids[:-1]).all()):
-        order = stable_group_order(gids)
-        gids = gids.take(order)
-    if order is None and len(rows) == 1:
-        block = rows[0][None, :]
-    else:
-        block = _scratch(
-            "gather", len(rows) * gids.size, rows[0].dtype
-        ).reshape(len(rows), gids.size)
-        for i, vals in enumerate(rows):
-            if order is None:
-                block[i] = vals
-            else:
-                # ``order`` is a permutation, so nothing is ever clipped;
-                # the mode only skips ``raise``'s buffered copy of ``out``
-                np.take(vals, order, out=block[i], mode="clip")
-    add_sorted_runs_multi(tables, gids, block)
-
-
-def add_sorted_runs_multi(tables: list, group_ids: np.ndarray,
-                          values: np.ndarray,
-                          starts: np.ndarray | None = None) -> None:
-    """Feed one sorted morsel into several ladder tables in one sweep.
-
-    ``values`` has shape ``(len(tables), n)``; row ``i`` is consumed by
-    ``tables[i]``.  All tables must share identical :class:`RsumParams`.
-    The states produced are bit-identical to calling
-    ``tables[i].add_pairs(group_ids, values[i])`` for each table in
-    turn: quantum accumulation is exact integer arithmetic and the
-    anchor extraction is element-wise, so batching the per-level sweeps
-    across a 2-D array (one ``reduceat`` over ``axis=1`` instead of N
-    ladder walks) cannot change any bits.  This is the engine's
-    multi-aggregate amortization: TPC-H Q1's five repro sums share one
-    sorted block, one segment-max, and one anchor sweep per level.  A
-    single table is the ``k = 1`` case
-    (:meth:`GroupedSummation.add_sorted_runs`).
-
-    Zeros do not break the batch even though the reference filters
-    them out: a zero extracts a zero quantum at every level and cannot
-    change a segment's absolute maximum, so the accumulated state
-    matches the zero-filtering reference bit for bit — *unless*
-    filtering would leave a segment empty (the reference then never
-    touches that group's ladder), in which case the column is filtered
-    first (:meth:`GroupedSummation._add_filtered_runs`).  So are
-    columns with non-finite values (the counts and the filtered run
-    structure are not batchable).  When a ladder would overflow, the
-    tables are applied one by one and the offending one raises
-    :class:`LadderOverflowError` with nothing of its own mutated —
-    exactly the sequential per-table semantics; a column whose ladders
-    end up non-uniform or subnormal drops to the element-wise sweep.
-    """
-    tables = _same_params(tables)
-    if not tables:
-        return
-    first = tables[0]
-    gids = np.asarray(group_ids, dtype=np.int64)
-    vals = np.asarray(values, dtype=first._dtype)
-    if vals.shape != (len(tables), gids.size) or gids.ndim != 1:
-        raise ValueError("values must have shape (len(tables), len(group_ids))")
-    if gids.size == 0:
-        return
-    if gids[0] < 0 or gids[-1] >= min(t.ngroups for t in tables):
-        raise IndexError("group id out of range")
-    if gids.size > _CHUNK:
-        # Rare huge batch: the generic chunked path keeps int64
-        # quantum sums exact; the result bits are the same.
-        for table, row in zip(tables, vals):
-            table.add_pairs(gids, row)
-        return
-    if starts is None:
-        starts = GroupedSummation._run_starts(gids)
-    seg_gids = gids[starts]
-
-    m, w, levels = first._m, first._w, first._L
-    n = gids.size
-    nseg = len(starts)
-    qbuf = _scratch("q", len(tables) * n, first._dtype)
-    rbuf = _scratch("r", len(tables) * n, first._dtype)
-    absvals = np.abs(vals, out=qbuf.reshape(vals.shape))
-    # Run starts replicated at row offsets turn every 2-D segment
-    # reduction into one flat ``reduceat``: rows are contiguous, and a
-    # row's trailing segment stops at the next row's offset.  The
-    # first ``kb`` rows' offsets are a prefix, so the walk below can
-    # reuse slices of this array for any leading block width.
-    fstarts_all = starts if len(tables) == 1 else (
-        starts + (np.arange(len(tables)) * n)[:, None]).ravel()
-    seg_max_all = np.maximum.reduceat(
-        absvals.reshape(-1), fstarts_all
-    ).reshape(len(tables), nseg)
-    # One look at the segment maxima replaces full-width scans:
-    # ``np.maximum`` propagates NaN and |±inf| stays inf, so a
-    # non-finite maximum flags a non-finite column, and a zero maximum
-    # flags a segment the zero-filtering reference path would never
-    # touch (see docstring) — both are filtered and walked alone.
-    ok = (np.isfinite(seg_max_all) & (seg_max_all > 0)).all(axis=1)
-    batch = np.flatnonzero(ok)
-    if batch.size < len(tables):
-        for i in np.flatnonzero(~ok):
-            tables[int(i)]._add_filtered_runs(gids, vals[i])
-        if batch.size == 0:
-            return
-
-    if batch.size == len(tables):
-        sub = vals
-        seg_max = seg_max_all
-    else:
-        sub = vals[batch]
-        seg_max = seg_max_all[batch]
-    try:
-        needed = first._needed_e0(seg_max)
-    except LadderOverflowError:
-        if len(tables) == 1:
-            raise
-        # Sequential per-table semantics: earlier tables are fully
-        # applied, the offending one raises with nothing mutated.
-        for j, i in enumerate(batch):
-            add_sorted_runs_multi([tables[int(i)]], gids, sub[j][None, :],
-                                  starts)
-        return
-
-    plans: dict = {}  # uniform top exponent -> [(row in ``sub``, table)]
-    emin_floor = first._emin + (levels - 1) * w
-    needed_hi = needed.max(axis=1)
-    for j, i in enumerate(batch):
-        table = tables[int(i)]
-        # Steady state: the whole table already sits on one ladder
-        # high enough for this morsel.  Two scalar reductions over the
-        # (tiny) e0 array decide that without touching ``seg_gids``.
-        lo = int(table.e0.min())
-        if needed_hi[j] <= lo and lo == int(table.e0.max()):
-            if lo >= emin_floor:
-                plans.setdefault(lo, []).append((j, table))
-                continue
-        e0_seg = table.e0[seg_gids]
-        if not bool((needed[j] <= e0_seg).all()):
-            target = table.e0.copy()
-            target[seg_gids] = np.maximum(e0_seg, needed[j])
-            table._demote_to(target)
-            e0_seg = table.e0[seg_gids]
-        e0 = int(e0_seg[0])
-        if (bool((e0_seg == e0).all())
-                and e0 - (levels - 1) * w >= table._emin):
-            plans.setdefault(e0, []).append((j, table))
-        elif bool((sub[j] == 0).any()):
-            # The element-wise sweep is not audited for embedded
-            # zeros; filter them first (the demotion above is
-            # idempotent under the re-walk).
-            table._add_filtered_runs(gids, vals[i])
-        else:
-            for level, k in table._elementwise_quanta(gids, sub[j]):
-                table.s[level][seg_gids] += np.add.reduceat(k, starts)
-            table._propagate()
-    if not plans:
-        return
-
-    # The batched walk proper.  The run structure, segment maxima and
-    # demotion targets above were computed once for all columns;
-    # columns that landed on the *same* top exponent (the common case
-    # — think TPC-H Q1's five price-of-ordinary-magnitude sums) share
-    # one scalar anchor per level and are walked as a single flat
-    # vector (``fstarts_all`` above gives one ``reduceat`` over every
-    # column at once).  Every temporary lands in the thread-local
-    # scratch; the remainder is dead after the last level and is not
-    # materialized.
-    dt = first._dtype.type
-    p_lo, p_hi = (-126, 127) if first._dtype.itemsize == 4 else (-1022, 1023)
-    # The ladder invariant bounds every quantum by ``|k| <= 2**(w-1)``
-    # (that is what makes int64 accumulation exact under _CHUNK), so
-    # while no run is longer than the exactness window every *partial*
-    # segment sum of the integral-valued ``q`` is exactly representable
-    # in binary64 — the float ``reduceat`` is then exact and the whole
-    # float→int64 conversion pass collapses to casting one tiny sum
-    # per segment.  (binary32 rows would reduce in binary32: excluded.)
-    float_sums = first._dtype.itemsize == 8 and (
-        n <= first._window
-        or int(np.diff(starts, append=n).max()) <= first._window)
-    for e0, members in plans.items():
-        kb = len(members)
-        if kb == len(sub):
-            block = sub
-        elif kb == 1:
-            block = sub[members[0][0]][None, :]
-        else:
-            block = sub[[row for row, _ in members]]
-        flat = block.reshape(kb * n)
-        fstarts = starts if kb == 1 else fstarts_all[:kb * nseg]
-        q = qbuf[:flat.size]
-        r = rbuf[:flat.size]
-        src = flat
-        for level in range(levels):
-            e_l = e0 - level * w
-            anchor = np.ldexp(dt(1.5), e_l)
-            np.add(src, anchor, out=q)
-            np.subtract(q, anchor, out=q)
-            if level + 1 < levels:
-                np.subtract(src, q, out=r)
-                src = r
-            p = m - e_l
-            if p_lo <= p <= p_hi:
-                # An exact power-of-two factor shifts the exponent just
-                # like ``ldexp`` (bitwise, including overflow to inf)
-                # and NumPy's multiply loop is ~2x faster than its
-                # scalbn loop; out-of-range shifts keep ``ldexp``.
-                np.multiply(q, dt(2.0) ** p, out=q)
-            else:
-                np.ldexp(q, p, out=q)
-            if float_sums:
-                seg_sums = np.add.reduceat(q, fstarts).astype(np.int64)
-            else:
-                kq = _scratch("k", flat.size, np.int64)
-                np.copyto(kq, q, casting="unsafe")
-                seg_sums = np.add.reduceat(kq, fstarts)
-            for idx, (row, table) in enumerate(members):
-                chunk = seg_sums[idx * nseg:(idx + 1) * nseg]
-                if nseg == table.ngroups:
-                    # Sorted in-range gids covering every group means
-                    # ``seg_gids`` is exactly ``arange(ngroups)``.
-                    table.s[level] += chunk
-                else:
-                    table.s[level][seg_gids] += chunk
-        for row, table in members:
-            table._propagate()

@@ -16,8 +16,9 @@ whole life cycle::
     dump() / load(data)          the spill / shard-exchange payload tree
 
 ``cache`` is the morsel's :class:`~repro.engine.expr.ExprCache` and
-``morsel`` its :class:`~repro.engine.vectorized.SortedMorsel` (one lazy
-sort by group id, shared by every state that needs segments).
+``morsel`` its :class:`~repro.engine.vectorized.SortedMorsel`: one lazy
+stable sort by group id, which only MIN/MAX reads, and the queue the
+ladder sums fill so the table can feed them with one call.
 
 ``SUM`` picks one of three accumulators from its input type and the
 session mode on the first morsel: :class:`PlainSum` (exact int64 for
@@ -151,21 +152,6 @@ class PlainSum:
             with np.errstate(invalid="ignore"):
                 np.add.at(self.sums, gids, values)
 
-    def add_sorted(self, values, morsel, ngroups: int) -> None:
-        """Segmented update for the exact int64 accumulators: integer
-        addition is associative, so one ``reduceat`` partial per sorted
-        run plus a per-segment scatter is bit-identical to :meth:`add`
-        and far cheaper than per-element ``ufunc.at``.  Never used for
-        float accumulators (IEEE adds are order-sensitive; those keep
-        physical row order)."""
-        self.sums = _grown(self.sums, ngroups)
-        if morsel.gids.size:
-            seg = np.add.reduceat(
-                morsel.take(values).astype(np.int64, copy=False),
-                morsel.starts,
-            )
-            np.add.at(self.sums, morsel.seg_gids, seg)
-
     def retract(self, values, gids, morsel, ngroups: int) -> None:
         """Inverse of :meth:`add` — exact for the int64 accumulators
         only; IEEE subtraction carries rounding residue, so float plain
@@ -280,7 +266,8 @@ def update_ladders(accs, rows, gids: np.ndarray, morsel, ngroups: int) -> None:
     """Feed one morsel into ``k`` same-parameter :class:`LadderSum`
     accumulators (``rows[i]`` goes to ``accs[i]``) with one call into
     :func:`~repro.aggregation.grouped.add_blocked_multi` — exact, so
-    neither its blocking nor its sorting can change the bits."""
+    neither its blocking nor which of its two updates takes a row can
+    change the bits."""
     groupeds = []
     for acc in accs:
         acc._grow(ngroups)

@@ -372,27 +372,27 @@ class PipelineStats:
         self.sharded = False
         self.shards = 0
         self.exchange_bytes = 0
-        #: Which path this query's reproducible sums took, in rows
+        #: Which update this query's reproducible sums took, in rows
         #: summed over tables and workers (per query, not cumulative):
         #: scatter-accumulated on their table's prevailing ladder vs.
-        #: handed to the sorted walk, and why the first row that went
+        #: handed to the reference, and why the first row that went
         #: there did (``off_ladder`` / ``non_finite`` / ``subnormal`` /
         #: ``window``; ``None`` when none did).  See
         #: :func:`repro.aggregation.grouped.add_blocked_multi`.
         self.ladder_rows_scatter = 0
-        self.ladder_rows_sorted = 0
+        self.ladder_rows_reference = 0
         self.ladder_first_decline: str | None = None
 
     def record_ladder(self, ladder, timings=None) -> None:
         """Report a group table's :class:`~repro.aggregation.grouped.
         LadderCounters` here and on ``timings.counters``."""
         self.ladder_rows_scatter = ladder.scatter
-        self.ladder_rows_sorted = ladder.sorted
+        self.ladder_rows_reference = ladder.reference
         self.ladder_first_decline = ladder.first_decline
         if timings is not None:
             timings.counters.update(
                 ladder_rows_scatter=self.ladder_rows_scatter,
-                ladder_rows_sorted=self.ladder_rows_sorted,
+                ladder_rows_reference=self.ladder_rows_reference,
                 ladder_first_decline=self.ladder_first_decline,
             )
 

@@ -34,19 +34,18 @@ Per morsel :meth:`~VectorizedGroupTable.update`:
    :meth:`repro.engine.table.Column.encoding`) combine with pure
    integer radix arithmetic through a persistent code -> gid table and
    other keys go through ``np.unique``;
-3. hands every state the same lazily **sorted-at-most-once** morsel:
-   ``ufunc.reduceat`` segments for MIN/MAX and int sums, over the
-   cheaper :class:`ClusteredMorsel` unless a float MIN/MAX needs the
-   stable :class:`SortedMorsel`;
+3. hands every state the same morsel, carrying one lazy stable sort
+   by group id (:class:`SortedMorsel`) that only MIN/MAX reads — its
+   ``ufunc.reduceat`` segments; counts, sums and ladders never sort;
 4. feeds the rsum ladders last, **one call per parameter set**: every
    ``LadderSum`` of equal ``(dtype, levels)`` — SUM, AVG's numerator,
    both moments of VARIANCE — queued its values in step 3 and they go
    through the blocked kernel (:func:`~repro.aggregation.grouped.
    add_blocked_multi`) together; it scatter-accumulates every row
-   whose group sits on its table's prevailing ladder and sorts only
-   the stragglers.  Batching is bit-neutral: each accumulator still
-   consumes exactly its own value sequence, only the dispatch is
-   shared.
+   whose group sits on its table's prevailing ladder and hands the
+   stragglers to the reference chunk update.  Batching is bit-neutral:
+   each accumulator still consumes exactly its own value sequence, only
+   the dispatch is shared.
 
 Reproducibility is preserved *by construction*: the repro-mode states
 are exact under any permutation and chunking of their input (the
@@ -63,7 +62,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..aggregation.grouped import GroupedSummation, LadderCounters
+from ..aggregation.grouped import LadderCounters
 from ..aggregation.partition import stable_group_order
 from ..errors import SpillFormatError
 from .aggregates import (
@@ -111,7 +110,8 @@ _KEY_BYTES_PER_COLUMN = 32
 # ---------------------------------------------------------------------------
 
 class SortedMorsel:
-    """One stable sort of a morsel's group ids, shared by every state.
+    """One stable sort of a morsel's group ids, shared by the states
+    that read segments (MIN/MAX; counts, sums and ladders never sort).
 
     Lazily computes the permutation putting rows in group-id order, the
     segment starts, and the per-segment gids.  When the ids are already
@@ -133,7 +133,6 @@ class SortedMorsel:
         self._ready = False
         self._identity = False
         self._order: np.ndarray | None = None
-        self._sorted_gids: np.ndarray | None = None
         self._starts: np.ndarray | None = None
         self._seg_gids: np.ndarray | None = None
 
@@ -143,25 +142,19 @@ class SortedMorsel:
         gids = self.gids
         if gids.size == 0:
             self._identity = True
-            self._sorted_gids = gids
             self._starts = np.empty(0, dtype=np.int64)
             self._seg_gids = gids
         else:
             if bool((gids[1:] >= gids[:-1]).all()):
                 self._identity = True
-                self._sorted_gids = gids
             else:
                 self._order = stable_group_order(gids)
-                self._sorted_gids = gids[self._order]
-            sg = self._sorted_gids
-            self._starts = GroupedSummation._run_starts(sg)
-            self._seg_gids = sg[self._starts]
+                gids = gids[self._order]
+            self._starts = np.flatnonzero(
+                np.concatenate(([True], gids[1:] != gids[:-1]))
+            )
+            self._seg_gids = gids[self._starts]
         self._ready = True
-
-    @property
-    def sorted_gids(self) -> np.ndarray:
-        self._ensure()
-        return self._sorted_gids
 
     @property
     def starts(self) -> np.ndarray:
@@ -181,56 +174,6 @@ class SortedMorsel:
         if self._identity:
             return values
         return values[self._order]
-
-
-class ClusteredMorsel(SortedMorsel):
-    """Group-clustering permutation without intra-group stability.
-
-    Consumers whose per-segment reduction is bit-independent of the
-    order *within* a group — exact int64 quantum sums (repro ladders),
-    int/decimal sums, counts — pay for the stable argsort of
-    :class:`SortedMorsel` without needing it.  When few distinct
-    groups are present, one counting pass per group builds a grouping
-    permutation in ``O(n * distinct)`` sequential scans (each far
-    cheaper than a sort's data-dependent movement) and the run starts
-    fall out of the group counts for free.  Kernels containing an
-    order-sensitive state must keep the stable morsel: float MIN/MAX
-    can return either zero of a ``±0.0`` tie depending on encounter
-    order, and IEEE-mode float sums depend on it outright.
-    """
-
-    #: Beyond this many distinct groups the per-group counting passes
-    #: lose to one radix argsort; fall back to the stable morsel.
-    _MAX_COUNTING_GROUPS = 32
-
-    def __init__(self, gids: np.ndarray, ngroups: int,
-                 counters: LadderCounters | None = None):
-        super().__init__(gids, counters)
-        self._ngroups = ngroups
-
-    def _ensure(self) -> None:
-        if self._ready:
-            return
-        gids = self.gids
-        if gids.size == 0 or bool((gids[1:] >= gids[:-1]).all()):
-            super()._ensure()
-            return
-        counts = np.bincount(gids, minlength=self._ngroups)
-        present = np.flatnonzero(counts)
-        if present.size > self._MAX_COUNTING_GROUPS:
-            super()._ensure()
-            return
-        kcounts = counts[present]
-        self._order = np.concatenate(
-            [np.flatnonzero(gids == g) for g in present]
-        )
-        self._sorted_gids = np.repeat(present, kcounts)
-        starts = np.empty(present.size, dtype=np.int64)
-        starts[0] = 0
-        np.cumsum(kcounts[:-1], out=starts[1:])
-        self._starts = starts
-        self._seg_gids = present
-        self._ready = True
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +267,6 @@ class VectorizedGroupTable:
         self.group_exprs = tuple(group_exprs)
         self.specs = specs
         self.states, self._spec_plan = self._build_plan(specs, retractable)
-        self._extremes = [
-            state for state in self.states if isinstance(state, MinMaxState)
-        ]
         self._key_to_gid: dict = {}
         self._keys: list[tuple] = []
         self._key_dtypes: list | None = None
@@ -342,8 +282,8 @@ class VectorizedGroupTable:
         #: ``_lut_bases`` records which code space it indexes.
         self._lut: np.ndarray | None = None
         self._lut_bases = None
-        #: Which ladder path this table's rows took (scattered vs
-        #: walked sorted); merged with the workers' and reported on
+        #: Which ladder update this table's rows took (scatter vs
+        #: reference); merged with the workers' and reported on
         #: :class:`~repro.engine.pipeline.PipelineStats`.
         self.ladder = LadderCounters()
 
@@ -444,18 +384,7 @@ class VectorizedGroupTable:
         ``update`` / ``retract`` takes after the batch."""
         cache = ExprCache(batch.columns, batch.types)
         gids = self._group_ids(batch, cache)
-        ngroups = self.ngroups
-        # Only a float MIN/MAX reads the order *within* a group (which
-        # zero of a +-0.0 tie it returns); everything else takes the
-        # cheaper clustering permutation.
-        if any(
-            cache.values(state.arg, batch.nrows).dtype.kind == "f"
-            for state in self._extremes
-        ):
-            morsel = SortedMorsel(gids, self.ladder)
-        else:
-            morsel = ClusteredMorsel(gids, ngroups, self.ladder)
-        return cache, gids, morsel, ngroups
+        return cache, gids, SortedMorsel(gids, self.ladder), self.ngroups
 
     def _group_ids(self, batch: Batch, cache: ExprCache) -> np.ndarray:
         if not self.group_exprs:

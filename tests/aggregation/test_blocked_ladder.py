@@ -2,10 +2,10 @@
 
 :func:`add_blocked_multi` splits its input by row: rows whose group
 sits on the table's prevailing ladder scatter-accumulate, the others
-take the sorted walk as an index subset.  Which path a row takes, and
-where the block boundaries fall, may change the counters — never a bit
-of state.  The reference throughout is the per-table, unbatched
-:meth:`GroupedSummation.add_pairs`.
+take the reference update as an index subset.  Which update a row
+takes, and where the block boundaries fall, may change the counters —
+never a bit of state.  The reference throughout is the per-table,
+unbatched :meth:`GroupedSummation.add_pairs`.
 """
 
 import warnings
@@ -23,20 +23,23 @@ from repro.aggregation.grouped import (
 )
 from repro.aggregation.partition import stable_group_order
 from repro.core.params import RsumParams
+from repro.core.state import LadderOverflowError
 from repro.engine.aggregates import PlainSum
 from repro.fp.formats import BINARY16, BINARY32, BINARY64
 
 P64 = RsumParams(BINARY64)
+P64L3 = RsumParams(BINARY64, levels=3)
 P32 = RsumParams(BINARY32)
 WINDOW = 1 << (54 - P64.w)
 G = 4
+N = 1024
 
 
-def check(params, ngroups, gids, cols, seed=None, reps=1):
-    """Feed ``cols`` (``reps`` times) through the blocked kernel and
-    through per-table ``add_pairs``; assert equal state and result
-    bits; return the kernel's counters.  ``seed(tables)`` pre-loads
-    both sides."""
+def check(params, ngroups, gids, cols, seed=None, reps=1, morsel=None):
+    """Feed ``cols`` (``reps`` times, ``morsel`` rows a call when given)
+    through the blocked kernel and through per-table ``add_pairs``;
+    assert equal state and result bits; return the kernel's counters.
+    ``seed(tables)`` pre-loads both sides."""
     gids = np.asarray(gids, dtype=np.int64)
     cols = [np.asarray(c, dtype=params.fmt.dtype) for c in cols]
     reference = [GroupedSummation(params, ngroups) for _ in cols]
@@ -45,10 +48,14 @@ def check(params, ngroups, gids, cols, seed=None, reps=1):
         seed(reference)
         seed(blocked)
     counters = LadderCounters()
+    spans = [slice(None)] if morsel is None else [
+        slice(pos, pos + morsel) for pos in range(0, gids.size, morsel)]
     for _ in range(reps):
-        for table, col in zip(reference, cols):
-            table.add_pairs(gids, col)
-        add_blocked_multi(blocked, gids, cols, counters)
+        for span in spans:
+            for table, col in zip(reference, cols):
+                table.add_pairs(gids[span], col[span])
+            add_blocked_multi(blocked, gids[span],
+                              [col[span] for col in cols], counters)
     for ref, got in zip(reference, blocked):
         assert got.state_tuples() == ref.state_tuples()
         assert got.finalize().tobytes() == ref.finalize().tobytes()
@@ -66,6 +73,12 @@ def seed_uniform(*magnitudes, ngroups=G):
     return seed
 
 
+def seed_split(tables):
+    """Group 0 on a huge ladder, group 1 on a tiny one, the rest empty."""
+    for table in tables:
+        table.add_pairs(np.array([0, 1]), np.array([1e40, 1e-60]))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(13)
@@ -81,44 +94,42 @@ class TestBlockedWalk:
             [rng.normal(size=n) * 100, rng.normal(size=n)],
             seed=seed_uniform(1e4),
         )
-        assert (counters.sorted, counters.scatter) == (0, 2 * n)
+        assert (counters.reference, counters.scatter) == (0, 2 * n)
         assert counters.first_decline is None
 
     def test_cold_start_seeds_then_scatters(self, rng):
         # every group holds a value of the block maximum's class, so
-        # empty ladders are seeded in place and nothing walks
+        # empty ladders are seeded in place and nothing is declined
         n = 4 * WINDOW + 7
         counters = check(P64, G, rng.integers(0, G, n),
                          [rng.uniform(1.0, 2.0, size=n) for _ in range(3)])
-        assert (counters.sorted, counters.scatter) == (0, 3 * n)
+        assert (counters.reference, counters.scatter) == (0, 3 * n)
         assert counters.first_decline is None
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     def test_non_finite_block_alone_goes_sorted(self, rng, bad):
-        # a NaN walks alone; ±inf shows in the block maximum, where it
-        # cannot be told from a magnitude past the ladder range, and
-        # takes its block (of that table pair) with it
+        # the non-finite row is declined, no more: the block is ranked
+        # by its finite |max|, so a ±inf goes cold alone as a NaN does
         n = 5 * WINDOW
         values = rng.normal(size=n)
         values[2 * WINDOW + 17] = bad
         counters = check(P64, G, rng.integers(0, G, n),
                          [values, rng.normal(size=n)],
                          seed=seed_uniform(100.0))
-        walked = 1 if bad != bad else 2 * WINDOW
-        assert (counters.sorted, counters.scatter) == (walked, 2 * n - walked)
+        assert (counters.reference, counters.scatter) == (1, 2 * n - 1)
         assert counters.first_decline == "non_finite"
 
     def test_demote_mid_morsel(self, rng):
         # One huge value in block 2 raises one group's ladder: that row
-        # walks alone, and from the next block on the raised ladder
+        # is declined alone, and from the next block on the raised ladder
         # prevails, so only that group's rows still scatter.
         n = 4 * WINDOW
         gids = rng.integers(0, G, n)
         values = rng.normal(size=n)
         values[WINDOW + 5] = 1e60
         counters = check(P64, G, gids, [values], seed=seed_uniform(1.0))
-        walked = 1 + int((gids[2 * WINDOW:] != gids[WINDOW + 5]).sum())
-        assert (counters.sorted, counters.scatter) == (walked, n - walked)
+        declined = 1 + int((gids[2 * WINDOW:] != gids[WINDOW + 5]).sum())
+        assert (counters.reference, counters.scatter) == (declined, n - declined)
         assert counters.first_decline == "off_ladder"
 
     def test_all_zero_column(self, rng):
@@ -126,7 +137,7 @@ class TestBlockedWalk:
         counters = check(P64, G, rng.integers(0, G, n),
                          [np.zeros(n), rng.normal(size=n)],
                          seed=seed_uniform(10.0))
-        assert counters.sorted == 0
+        assert counters.reference == 0
         # ... and with nothing seeded, where zeros never touch a ladder
         check(P64, G, rng.integers(0, G, n), [np.zeros(n), np.zeros(n)])
 
@@ -135,20 +146,17 @@ class TestBlockedWalk:
         counters = check(P64, G, rng.integers(0, G, n),
                          [rng.normal(size=n), rng.normal(size=n) * 1e20],
                          seed=seed_uniform(1.0, 1e21))
-        assert (counters.sorted, counters.scatter) == (0, 2 * n)
+        assert (counters.reference, counters.scatter) == (0, 2 * n)
 
     def test_mixed_ladder_takes_one_sorted_walk(self, rng):
         # group 0 holds the prevailing ladder and scatters; the
         # straggler on a lower ladder and the two empty groups (not
-        # seeded by values this small) walk, once per block
-        def seed(tables):
-            for table in tables:
-                table.add_pairs(np.array([0, 1]), np.array([1e40, 1e-60]))
+        # seeded by values this small) take the reference, block by block
         n = 3 * WINDOW
         gids = rng.integers(0, G, n)
-        counters = check(P64, G, gids, [rng.normal(size=n)], seed=seed)
-        walked = int((gids != 0).sum())
-        assert (counters.sorted, counters.scatter) == (walked, n - walked)
+        counters = check(P64, G, gids, [rng.normal(size=n)], seed=seed_split)
+        declined = int((gids != 0).sum())
+        assert (counters.reference, counters.scatter) == (declined, n - declined)
         assert counters.first_decline == "off_ladder"
 
     def test_binary32(self, rng):
@@ -157,11 +165,11 @@ class TestBlockedWalk:
         n = 2 * WINDOW + 5
         cols = [rng.normal(size=n).astype(np.float32) for _ in range(2)]
         counters = check(P32, G, rng.integers(0, G, n), cols, reps=2)
-        assert (counters.sorted, counters.scatter) == (0, 4 * n)
+        assert (counters.reference, counters.scatter) == (0, 4 * n)
         cols[1][WINDOW + 1] = np.float32(np.nan)
         counters = check(P32, G, rng.integers(0, G, n), cols,
                          seed=seed_uniform(np.float32(50.0)))
-        assert counters.sorted == 1
+        assert counters.reference == 1
         assert counters.first_decline == "non_finite"
 
     def test_narrow_window(self, rng):
@@ -171,14 +179,14 @@ class TestBlockedWalk:
         counters = check(params, G, rng.integers(0, G, n),
                          [rng.uniform(50.0, 200.0, size=n)],
                          seed=seed_uniform(150.0))
-        assert (counters.sorted, counters.scatter) == (0, n)
+        assert (counters.reference, counters.scatter) == (0, n)
 
     def test_no_window_walks_everything_sorted(self, rng):
-        # binary16 rows have no float64-exact scatter: one sorted walk
+        # binary16 rows have no float64-exact scatter: all reference
         n = 100
         counters = check(RsumParams(BINARY16), G, rng.integers(0, G, n),
                          [rng.uniform(1.0, 2.0, size=n)], reps=2)
-        assert (counters.sorted, counters.scatter) == (2 * n, 0)
+        assert (counters.reference, counters.scatter) == (2 * n, 0)
         assert counters.first_decline == "window"
 
     def test_subnormal_bottom_level_walks_the_block(self, rng):
@@ -186,7 +194,7 @@ class TestBlockedWalk:
         n = 50
         counters = check(P64, G, rng.integers(0, G, n),
                          [rng.uniform(1.0, 2.0, size=n) * 1e-306])
-        assert (counters.sorted, counters.scatter) == (n, 0)
+        assert (counters.reference, counters.scatter) == (n, 0)
         assert counters.first_decline == "subnormal"
 
     def test_high_cardinality_sorted_input(self, rng):
@@ -208,6 +216,210 @@ class TestBlockedWalk:
                 np.array([0, 1]), [np.ones(2), np.ones(2)],
             )
         assert table.finalize().tolist() == [0.0, 0.0]
+
+
+class TestAdversarialInputs:
+    """The inputs the retired batched sorted walk was held against,
+    kept as inputs of the one differential left: whatever the scatter
+    makes of a row, the state equals looped ``add_pairs``."""
+
+    def test_random_columns(self, rng):
+        cols = [rng.normal(size=N) * 10.0 ** float(rng.integers(-3, 4))
+                for _ in range(5)]
+        check(P64, G, rng.integers(0, G, N), cols, reps=3)
+
+    def test_huge_magnitudes(self, rng):
+        check(P64, G, rng.integers(0, G, N),
+              [rng.normal(size=N) * 1e280, rng.normal(size=N)], reps=2)
+
+    def test_near_emin_magnitudes(self, rng):
+        check(P64, G, rng.integers(0, G, N),
+              [rng.normal(size=N) * 1e-300, rng.normal(size=N)], reps=2)
+
+    def test_three_levels(self, rng):
+        cols = [rng.normal(size=N) * 10.0 ** float(rng.integers(-9, 10))
+                for _ in range(3)]
+        check(P64L3, G, rng.integers(0, G, N), cols, reps=2)
+
+    def test_all_distinct_groups(self, rng):
+        check(P64, N, rng.permutation(N), [rng.normal(size=N)], reps=2)
+
+    def test_binary32(self, rng):
+        cols = [rng.normal(size=N).astype(np.float32) * np.float32(1e30),
+                rng.normal(size=N).astype(np.float32)]
+        check(P32, G, rng.integers(0, G, N), cols, reps=2)
+
+    def test_nan_inf_columns(self, rng):
+        v_nan = rng.normal(size=N)
+        v_nan[17] = np.nan
+        v_inf = rng.normal(size=N)
+        v_inf[33] = np.inf
+        v_inf[99] = -np.inf
+        counters = check(P64, G, rng.integers(0, G, N),
+                         [v_nan, v_inf, rng.normal(size=N)], reps=2)
+        assert counters.reference == 2 * 3  # the non-finite rows, no more
+
+    def test_zeros_and_negative_zero(self, rng):
+        values = rng.normal(size=N)
+        values[rng.random(N) < 0.3] = 0.0
+        values[rng.random(N) < 0.1] = -0.0
+        check(P64, G, rng.integers(0, G, N),
+              [values, rng.normal(size=N)], reps=3)
+
+    def test_all_zero_segment_and_column(self, rng):
+        gids = rng.integers(0, G, N)
+        seg_zero = rng.normal(size=N)
+        seg_zero[gids == 2] = 0.0
+        check(P64, G, gids, [seg_zero, rng.normal(size=N)], reps=2)
+        check(P64, G, gids, [np.zeros(N), rng.normal(size=N)], reps=2)
+
+    def test_zeros_with_nonuniform_magnitudes(self, rng):
+        values = rng.normal(size=N) * 1e200
+        values[rng.random(N) < 0.2] = 0.0
+        check(P64, G, rng.integers(0, G, N),
+              [values, rng.normal(size=N)], reps=2)
+
+    def test_mixed_per_group_ladders(self, rng):
+        check(P64, G, rng.integers(0, G, N),
+              [rng.normal(size=N), rng.normal(size=N) * 1e-50],
+              seed=seed_split, reps=2)
+
+
+class TestDeclinedRegimes:
+    """Where declined rows are most of the input, or were a cliff."""
+
+    def test_sixty_binades_into_many_groups(self, rng):
+        # the one regime that lives on the cold path: two rows per
+        # group per morsel, and only a row within three binades of the
+        # block's top puts its group on the prevailing ladder
+        n, ngroups = 1 << 18, 1 << 15
+        values = (rng.choice([-1.0, 1.0], size=n)
+                  * np.exp2(rng.uniform(-30, 30, n)))
+        counters = check(P64, ngroups, rng.integers(0, ngroups, n),
+                         [values], morsel=1 << 16)
+        assert counters.reference >= 0.8 * n
+        assert counters.first_decline == "off_ladder"
+
+    def test_one_group_persistently_below(self, rng):
+        # group 3 never reaches the others' ladder, so its rows are
+        # declined in every call (the one shape the walk used to win)
+        gids = rng.integers(0, G, N)
+        values = rng.uniform(1.0, 2.0, size=N)
+        values[gids == 3] *= 2.0 ** -60
+        counters = check(P64, G, gids, [values, values], reps=2)
+        assert counters.reference == 2 * 2 * int((gids == 3).sum())
+        assert counters.first_decline == "off_ladder"
+
+    @pytest.mark.parametrize("params", (P64, P32), ids=("binary64", "binary32"))
+    def test_non_finite_rows_decline_alone(self, rng, params):
+        # steady state, k non-finite rows among finite ones: exactly k
+        # declined per affected table — one ±inf used to take its whole
+        # block, in every table of the call
+        n = 3 * WINDOW + 11
+        dtype = params.fmt.dtype
+        cols = [rng.normal(size=n).astype(dtype) for _ in range(3)]
+        for block in range(3):  # one ±inf per window block
+            cols[0][block * WINDOW + 17] = (-1) ** block * np.inf
+        cols[1][[5, WINDOW + 5, WINDOW + 6]] = [np.nan, np.inf, -np.inf]
+        counters = check(params, G, rng.integers(0, G, n), cols,
+                         seed=seed_uniform(dtype.type(100.0)))
+        assert (counters.reference, counters.scatter) == (6, 3 * n - 6)
+        assert counters.first_decline == "non_finite"
+
+    def test_all_non_finite_block_declines_whole(self, rng):
+        values = np.full(N, np.nan)
+        values[::3] = np.inf
+        counters = check(P64, G, rng.integers(0, G, N),
+                         [rng.normal(size=N), values],
+                         seed=seed_uniform(100.0))
+        assert (counters.reference, counters.scatter) == (2 * N, 0)
+        assert counters.first_decline == "non_finite"
+
+    def test_overflow_in_the_second_of_three_tables(self, rng):
+        # a finite magnitude past the ladder range declines the block
+        # of every table, and the reference runs table by table: the
+        # first is applied, the second raises having counted its NaN
+        # (what add_pairs leaves), the third is untouched
+        gids = rng.integers(0, G, N)
+        cols = [rng.normal(size=N) for _ in range(3)]
+        cols[1][7], cols[1][8], cols[1][9] = 1e300, np.nan, np.inf
+        looped = [GroupedSummation(P64, G) for _ in cols]
+        blocked = [GroupedSummation(P64, G) for _ in cols]
+        for side in (looped, blocked):
+            seed_uniform(100.0)(side)
+        untouched = looped[2].state_tuples()
+        with pytest.raises(LadderOverflowError):
+            for table, col in zip(looped, cols):
+                table.add_pairs(gids, col)
+        counters = LadderCounters()
+        with pytest.raises(LadderOverflowError):
+            add_blocked_multi(blocked, gids, cols, counters)
+        for ref, got in zip(looped, blocked):
+            assert got.state_tuples() == ref.state_tuples()
+        assert blocked[2].state_tuples() == untouched
+        assert blocked[1].nan_cnt.sum() == 1 and blocked[1].pos_cnt.sum() == 1
+        assert (counters.reference, counters.first_decline) == (
+            3 * N, "off_ladder")
+
+
+@st.composite
+def scatter_or_reference_cases(draw):
+    fmt, centre, spread = draw(st.sampled_from((
+        (BINARY64, 200, 120), (BINARY32, 40, 60))))
+    return dict(
+        params=RsumParams(fmt, levels=draw(st.integers(1, 3))),
+        ngroups=draw(st.integers(1, 300)),
+        rows=draw(st.integers(0, 600)),
+        tables=[
+            dict(centre=draw(st.integers(-centre, centre)),
+                 spread=draw(st.integers(0, spread)),
+                 special=draw(st.sampled_from((0.0, 0.02, 0.3))),
+                 seeded=draw(st.sampled_from(("empty", "uniform", "some"))))
+            for _ in range(draw(st.integers(1, 3)))
+        ],
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestScatterOrReference:
+    """Whichever of the two updates takes a row, the state is the
+    reference's: format, levels, group and row counts, tables per
+    call, magnitude spread, sprinkled NaN / ±inf / ±0 and pre-seeded
+    ladders all drawn, two reps."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scatter_or_reference_cases())
+    def test_equals_looped_add_pairs(self, case):
+        rng = np.random.default_rng(case["seed"])
+        params, ngroups, rows = case["params"], case["ngroups"], case["rows"]
+        dtype = params.fmt.dtype
+
+        def values(count, table):
+            exps = table["centre"] + rng.integers(
+                -table["spread"], table["spread"] + 1, count)
+            return (rng.choice([-1.0, 1.0], count)
+                    * np.ldexp(rng.uniform(1.0, 2.0, count), exps)
+                    ).astype(dtype)
+
+        cols, seeds = [], []
+        for table in case["tables"]:
+            col = values(rows, table)
+            special = rng.random(rows) < table["special"]
+            col[special] = rng.choice(
+                [np.nan, np.inf, -np.inf, 0.0, -0.0], int(special.sum()))
+            cols.append(col)
+            seeded = {"empty": 0, "uniform": ngroups,
+                      "some": ngroups // 2}[table["seeded"]]
+            seeds.append((rng.permutation(ngroups)[:seeded],
+                          values(seeded, table)))
+
+        def seed(tables):
+            for table, (seed_gids, seed_vals) in zip(tables, seeds):
+                table.add_pairs(seed_gids, seed_vals)
+
+        counters = check(params, ngroups, rng.integers(0, ngroups, rows),
+                         cols, seed=seed, reps=2)
+        assert counters.scatter + counters.reference == 2 * rows * len(cols)
 
 
 # Special groups of the partition property, one per way a row can miss
@@ -347,7 +559,7 @@ class TestRowPartition:
         for ref, got in zip(reference, blocked):
             assert got.state_tuples() == ref.state_tuples()
             assert got.finalize().tobytes() == ref.finalize().tobytes()
-        assert counters.scatter + counters.sorted == gids.size * len(cols)
+        assert counters.scatter + counters.reference == gids.size * len(cols)
         # per-group rule: tiny groups make the input one block, one
         # group past the window brings the window blocks back
         if hot:

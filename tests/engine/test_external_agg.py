@@ -264,11 +264,11 @@ def test_spilled_query_reports_its_ladder_path(workers):
         stats = db.last_pipeline_stats
         assert stats.external is (budget is not None)
         assert (stats.spilled_runs > 0) is (budget is not None)
-        totals[budget] = stats.ladder_rows_scatter + stats.ladder_rows_sorted
+        totals[budget] = stats.ladder_rows_scatter + stats.ladder_rows_reference
         counters = db.last_timings.counters
         assert counters["ladder_rows_scatter"] == stats.ladder_rows_scatter
-        assert counters["ladder_rows_sorted"] == stats.ladder_rows_sorted
-        if stats.ladder_rows_sorted:
+        assert counters["ladder_rows_reference"] == stats.ladder_rows_reference
+        if stats.ladder_rows_reference:
             assert stats.ladder_first_decline is not None
     assert totals[None] == totals[4096] == 4000
 

@@ -3,19 +3,19 @@
 This module (and ``test_fused_join.py``) keeps the file and class names
 of the generated-kernel tests it started as, so the test ids stay put;
 the kernels are gone and what the names pin now is this: late
-materialization, build-row group ids, one ladder call per morsel and
-the clustered morsel are *dispatch only*.  Key registration, ladder
+materialization, build-row group ids and one ladder call per morsel
+are *dispatch only*.  Key registration, ladder
 updates and canonical finalize are the group table's own, so results
 must be byte-identical to the scalar reference table (reached through
 the ``engine_path`` fixture — no query can select it) in every sum
 mode, for every ``(workers, morsel_size)`` split, and across the IEEE
 special values (NaN / ±inf / -0.0) in keys and arguments.
 
-The second half unit-tests the batched ladder entry points the table
-calls — :func:`add_sorted_runs_multi` (one shared sort, all aggregates)
-and the scatter of :func:`add_blocked_multi` (which skips the sort for
-every row on its table's prevailing ladder) — against the per-table
-reference kernels.
+The second half unit-tests the ladder entry point the table calls —
+:func:`add_blocked_multi`, which scatters every row on its table's
+prevailing ladder and hands the rest to the reference — against looped
+:meth:`GroupedSummation.add_pairs` (more of the same, with the property
+tests, in ``tests/aggregation/test_blocked_ladder.py``).
 """
 
 import numpy as np
@@ -25,11 +25,9 @@ from repro.aggregation.grouped import (
     GroupedSummation,
     LadderCounters,
     add_blocked_multi,
-    add_sorted_runs_multi,
 )
 from repro.core.params import RsumParams
 from repro.engine import Database
-from repro.engine.vectorized import ClusteredMorsel, SortedMorsel
 from repro.errors import ConfigError
 from repro.fp.formats import BINARY32, BINARY64
 
@@ -40,8 +38,7 @@ QUERY = (
     "COUNT(*) AS c, MIN(v) AS lo, MAX(v) AS hi, STDDEV(v) AS sd "
     "FROM t GROUP BY k, s ORDER BY k, s"
 )
-#: No float MIN/MAX: the only order-sensitive state is absent, so the
-#: generated kernel may use the cheaper clustering permutation.
+#: No MIN/MAX: nothing in this query reads the morsel's sort.
 SUMS_QUERY = (
     "SELECT k, SUM(v) AS sv, RSUM(v, 3) AS rv, COUNT(*) AS c "
     "FROM t GROUP BY k ORDER BY k"
@@ -240,30 +237,6 @@ class TestQualification:
         assert "Scan(t, columns=[k, v], filter=(v > 0))" in plan
         assert "fused" not in plan.lower()
 
-    def test_morsel_flavor_tracks_order_sensitivity(self, dataset,
-                                                    monkeypatch):
-        # Float MIN/MAX is the one order-sensitive state (-0.0/0.0
-        # ties resolve to the first operand seen), so those tables
-        # must keep the stable sort; pure-sum tables may cluster.
-        from repro.engine.vectorized import VectorizedGroupTable
-
-        flavors = []
-        real = VectorizedGroupTable._prepare
-
-        def spy(table, batch):
-            args = real(table, batch)
-            flavors.append(type(args[2]))
-            return args
-
-        monkeypatch.setattr(VectorizedGroupTable, "_prepare", spy)
-        db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset)
-        db.execute(SUMS_QUERY)
-        assert flavors == [ClusteredMorsel]
-        db.execute(QUERY)
-        assert flavors == [ClusteredMorsel, SortedMorsel]
-        db.execute("SELECT s, MIN(k), MAX(s) FROM t GROUP BY s")
-        assert flavors[2:] == [ClusteredMorsel]  # int / string extremes
-
 
 class TestKernelCache:
     """No kernel cache is left; of its invalidation rules one remains —
@@ -303,7 +276,7 @@ class TestKernelCache:
 
 def scatter_share(stats):
     """Share of a query's ladder rows that took the scatter."""
-    total = stats.ladder_rows_scatter + stats.ladder_rows_sorted
+    total = stats.ladder_rows_scatter + stats.ladder_rows_reference
     return stats.ladder_rows_scatter / total if total else 0.0
 
 
@@ -340,10 +313,10 @@ class TestBlockedLadderPath:
         db.execute(self.Q1_SHAPED)
         stats = db.last_pipeline_stats
         # five ladder tables (q, p, two products, d), every group
-        # seeded by its own rows: nothing is left for the sorted walk
+        # seeded by its own rows: nothing is left for the reference
         kept = int((lineitems["q"] < 49).sum())
         assert stats.ladder_rows_scatter == 5 * kept
-        assert stats.ladder_rows_sorted == 0
+        assert stats.ladder_rows_reference == 0
         assert stats.ladder_first_decline is None
         counters = db.last_timings.counters
         assert counters["ladder_rows_scatter"] == stats.ladder_rows_scatter
@@ -367,14 +340,14 @@ class TestBlockedLadderPath:
                 stats = db.last_pipeline_stats
                 # every worker's tables seed themselves per morsel
                 assert (stats.ladder_rows_scatter
-                        + stats.ladder_rows_sorted) == 5 * kept
+                        + stats.ladder_rows_reference) == 5 * kept
                 assert scatter_share(stats) >= 0.8
 
     def test_ieee_mode_counts_nothing(self, lineitems):
         db = make_db(self.COLUMNS, lineitems, sum_mode="ieee")
         db.execute(self.Q1_SHAPED)
         stats = db.last_pipeline_stats
-        assert (stats.ladder_rows_scatter, stats.ladder_rows_sorted,
+        assert (stats.ladder_rows_scatter, stats.ladder_rows_reference,
                 stats.ladder_first_decline) == (0, 0, None)
 
     # The three shapes the row partition opens up (the other three
@@ -436,36 +409,11 @@ class TestBlockedLadderPath:
             bits, stats = run(**knobs)
             assert bits == expected, knobs
             assert stats.sharded is ("shards" in knobs)
-            assert scatter_share(stats) >= 0.8, (knobs, stats.ladder_rows_sorted)
-
-
-class TestClusteredMorsel:
-    def test_same_segments_as_stable_sort(self):
-        rng = np.random.default_rng(5)
-        gids = rng.integers(0, 7, size=200).astype(np.int64)
-        clustered = ClusteredMorsel(gids, 7)
-        stable = SortedMorsel(gids)
-        assert clustered.sorted_gids.tolist() == stable.sorted_gids.tolist()
-        assert clustered.starts.tolist() == stable.starts.tolist()
-        assert clustered.seg_gids.tolist() == stable.seg_gids.tolist()
-        # The permutation is a bijection that realizes the clustering.
-        order = np.sort(clustered._order)
-        assert order.tolist() == list(range(gids.size))
-        assert gids[clustered._order].tolist() == stable.sorted_gids.tolist()
-
-    def test_high_cardinality_falls_back_to_stable(self):
-        rng = np.random.default_rng(6)
-        ngroups = ClusteredMorsel._MAX_COUNTING_GROUPS * 4
-        gids = rng.permutation(ngroups).astype(np.int64)
-        clustered = ClusteredMorsel(gids, ngroups)
-        stable = SortedMorsel(gids)
-        assert clustered.sorted_gids.tolist() == stable.sorted_gids.tolist()
-        assert (np.asarray(clustered._order) == np.asarray(stable._order)
-                ).all()
+            assert scatter_share(stats) >= 0.8, (knobs, stats.ladder_rows_reference)
 
 
 # ---------------------------------------------------------------------------
-# Batched ladder kernels vs. the per-table reference
+# The blocked ladder update vs. the per-table reference
 # ---------------------------------------------------------------------------
 
 P64 = RsumParams(BINARY64)
@@ -475,29 +423,8 @@ P32 = RsumParams(BINARY32)
 N, G = 1024, 4
 
 
-def _check_pair(params, ngroups, gids, cols, reps=2, premut=None):
-    """``add_sorted_runs_multi`` vs looped ``add_sorted_runs``."""
-    gids = np.asarray(gids, dtype=np.int64)
-    order = np.argsort(gids, kind="stable")
-    gids = gids[order]
-    cols = [np.asarray(c, dtype=params.fmt.dtype)[order] for c in cols]
-    starts = np.flatnonzero(np.r_[True, gids[1:] != gids[:-1]])
-    reference = [GroupedSummation(params, ngroups) for _ in cols]
-    batched = [GroupedSummation(params, ngroups) for _ in cols]
-    if premut:
-        premut(reference)
-        premut(batched)
-    for _ in range(reps):
-        for grouped, col in zip(reference, cols):
-            grouped.add_sorted_runs(gids, col, starts)
-        add_sorted_runs_multi(batched, gids, np.stack(cols), starts)
-    for ref, got in zip(reference, batched):
-        assert ref.state_tuples() == got.state_tuples()
-        assert ref.finalize().tobytes() == got.finalize().tobytes()
-
-
 def _check_scatter(params, ngroups, gids, cols, premut=None, reps=2,
-                   expect_sorted=0):
+                   expect_reference=0):
     """``add_blocked_multi`` vs looped ``add_pairs``; asserts how many
     rows (summed over tables) missed the scatter on the final rep and
     that bits agree either way."""
@@ -513,8 +440,8 @@ def _check_scatter(params, ngroups, gids, cols, premut=None, reps=2,
             grouped.add_pairs(gids, col)
         counters = LadderCounters()
         add_blocked_multi(batched, gids, cols, counters)
-    assert counters.sorted == expect_sorted
-    assert counters.scatter == gids.size * len(cols) - expect_sorted
+    assert counters.reference == expect_reference
+    assert counters.scatter == gids.size * len(cols) - expect_reference
     for ref, got in zip(reference, batched):
         assert ref.state_tuples() == got.state_tuples()
         assert ref.finalize().tobytes() == got.finalize().tobytes()
@@ -533,84 +460,8 @@ def _seed_uniform(magnitude, ngroups=G):
 def _seed_split(tables):
     """Premutation: group 0 huge, group 1 tiny — mixed per-group e0."""
     gg = np.array([0, 1], dtype=np.int64)
-    st = np.array([0, 1], dtype=np.int64)
     for table in tables:
-        table.add_sorted_runs(gg, np.array([1e40, 1e-60]), st)
-
-
-class TestAddSortedRunsMulti:
-    @pytest.fixture(scope="class")
-    def rng(self):
-        return np.random.default_rng(7)
-
-    def test_random_columns(self, rng):
-        gids = rng.integers(0, G, N)
-        cols = [rng.normal(size=N) * 10.0 ** float(rng.integers(-3, 4))
-                for _ in range(5)]
-        _check_pair(P64, G, gids, cols, reps=3)
-
-    def test_huge_magnitudes(self, rng):
-        gids = rng.integers(0, G, N)
-        _check_pair(P64, G, gids,
-                    [rng.normal(size=N) * 1e280, rng.normal(size=N)])
-
-    def test_three_levels(self, rng):
-        gids = rng.integers(0, G, N)
-        cols = [rng.normal(size=N) * 10.0 ** float(rng.integers(-9, 10))
-                for _ in range(3)]
-        _check_pair(P64L3, G, gids, cols)
-
-    def test_all_distinct_groups(self, rng):
-        _check_pair(P64, N, np.arange(N), [rng.normal(size=N)])
-
-    def test_binary32(self, rng):
-        gids = rng.integers(0, G, N)
-        cols = [rng.normal(size=N).astype(np.float32) * np.float32(1e30),
-                rng.normal(size=N).astype(np.float32)]
-        _check_pair(P32, G, gids, cols)
-
-    def test_nan_inf_columns(self, rng):
-        gids = rng.integers(0, G, N)
-        v_nan = rng.normal(size=N)
-        v_nan[17] = np.nan
-        v_inf = rng.normal(size=N)
-        v_inf[33] = np.inf
-        v_inf[99] = -np.inf
-        _check_pair(P64, G, gids, [v_nan, v_inf, rng.normal(size=N)])
-
-    def test_zeros_and_negative_zero(self, rng):
-        gids = rng.integers(0, G, N)
-        values = rng.normal(size=N)
-        values[rng.random(N) < 0.3] = 0.0
-        values[rng.random(N) < 0.1] = -0.0
-        _check_pair(P64, G, gids, [values, rng.normal(size=N)], reps=3)
-
-    def test_all_zero_segment_and_column(self, rng):
-        gids = rng.integers(0, G, N)
-        seg_zero = rng.normal(size=N)
-        seg_zero[gids == 2] = 0.0
-        _check_pair(P64, G, gids, [seg_zero, rng.normal(size=N)])
-        _check_pair(P64, G, gids, [np.zeros(N), rng.normal(size=N)])
-
-    def test_zeros_with_nonuniform_magnitudes(self, rng):
-        gids = rng.integers(0, G, N)
-        values = rng.normal(size=N) * 1e200
-        values[rng.random(N) < 0.2] = 0.0
-        _check_pair(P64, G, gids, [values, rng.normal(size=N)])
-
-    def test_mixed_per_group_ladders(self, rng):
-        gids = rng.integers(0, G, N)
-        _check_pair(P64, G, gids,
-                    [rng.normal(size=N), rng.normal(size=N) * 1e-50],
-                    premut=_seed_split)
-
-    def test_mixed_params_rejected(self):
-        gids = np.array([0, 1], dtype=np.int64)
-        values = np.ones((2, 2))
-        tables = [GroupedSummation(P64, 2), GroupedSummation(P64L3, 2)]
-        with pytest.raises(ValueError):
-            add_sorted_runs_multi(tables, gids, values,
-                                  np.array([0, 1], dtype=np.int64))
+        table.add_pairs(gg, np.array([1e40, 1e-60]))
 
 
 class TestAddPairsMulti:
@@ -644,7 +495,7 @@ class TestAddPairsMulti:
         _check_scatter(P64, G, gids, [rng.normal(size=N)])
 
     def test_demote_declines_then_applies(self, rng):
-        # Rep 1 raises every ladder through the sorted walk; rep 2
+        # Rep 1 raises every ladder through the reference; rep 2
         # finds the table uniform on the new one and scatters.
         gids = rng.integers(0, G, N)
         _check_scatter(P64, G, gids, [rng.normal(size=N) * 1e50],
@@ -665,14 +516,14 @@ class TestAddPairsMulti:
         gids = rng.integers(0, G, N)
         values = np.where(rng.random(N) < 0.01, np.nan, rng.normal(size=N))
         _check_scatter(P64, G, gids, [values], premut=_seed_uniform(150.0),
-                       expect_sorted=int(np.isnan(values).sum()))
+                       expect_reference=int(np.isnan(values).sum()))
 
     def test_inf_declines(self, rng):
-        # ±inf shows in the block maximum: the whole block walks
+        # only the ±inf rows leave the scatter, as with NaN
         gids = rng.integers(0, G, N)
         values = np.where(rng.random(N) < 0.01, -np.inf, rng.normal(size=N))
         _check_scatter(P64, G, gids, [values], premut=_seed_uniform(150.0),
-                       expect_sorted=N)
+                       expect_reference=int(np.isinf(values).sum()))
 
     def test_binary32_applies(self, rng):
         # PR 10: the scatter fast path runs binary32 ladders through
@@ -717,21 +568,21 @@ class TestAddPairsMulti:
         v_nan[13] = np.nan
         _check_scatter(P32, G, gids, [v_nan],
                        premut=_seed_uniform(np.float32(150.0)),
-                       expect_sorted=1)
+                       expect_reference=1)
         v_inf = rng.normal(size=N).astype(np.float32)
         v_inf[7] = np.inf
         _check_scatter(P32, G, gids, [v_inf],
                        premut=_seed_uniform(np.float32(150.0)),
-                       expect_sorted=N)
+                       expect_reference=1)
 
     def test_mixed_per_group_e0_declines(self, rng):
         # group 0 holds the prevailing ladder; the rows of every other
         # group (one on a lower ladder, two empty and not seeded by
-        # values this small) walk
+        # values this small) take the reference
         gids = rng.integers(0, G, N)
         _check_scatter(P64, G, gids, [rng.normal(size=N)],
                        premut=_seed_split,
-                       expect_sorted=int((gids != 0).sum()))
+                       expect_reference=int((gids != 0).sum()))
 
     def test_out_of_range_gids_raise_the_reference_error(self):
         tables = [GroupedSummation(P64, 2)]
@@ -755,5 +606,5 @@ class TestAddPairsMulti:
         counters = LadderCounters()
         add_blocked_multi(tables, np.empty(0, dtype=np.int64),
                           [np.empty(0)], counters)
-        assert (counters.scatter, counters.sorted) == (0, 0)
+        assert (counters.scatter, counters.reference) == (0, 0)
         assert tables[0].finalize().tolist() == [0.0, 0.0]

@@ -17,16 +17,34 @@ the same answer.
 Warm-up runs pay planning *and* shard replica shipping; the
 measured runs exercise the steady state the replica cache is for:
 local compute + partial-state exchange only.
+
+What replica shipping itself costs is the second report
+(:func:`test_replica_shipping_report`, SF 0.05, ``shards=2``): the
+first sharded Q1 on a fresh fleet (spawn, frame and ship every
+replica), and the first one after a committed write to an *unrelated*
+table — which must ship nothing, because a replica is named by the
+content of the table it copies.  Both are micro-entries with no
+end-to-end twin (no served workload shards), bits asserted equal to
+serial.
 """
 
 import gc
 import os
+import statistics
 import time
 
 import numpy as np
 
-from _common import emit, ns_per_element, record_kernel, record_speedup, table
+from _common import (
+    emit,
+    ns_per_element,
+    record_config,
+    record_kernel,
+    record_speedup,
+    table,
+)
 from repro.engine import Database
+from repro.engine.pipeline import DEFAULT_MORSEL_SIZE
 from repro.tpch import load_lineitem, run_q1
 
 SCALE = float(os.environ.get("REPRO_BENCH_SHARDED_SCALE", "0.1"))
@@ -70,7 +88,7 @@ def test_sharded_vs_threads_report():
         thread_dbs[workers] = db
         assert bits is None or db_bits == bits
         bits = db_bits
-    sharded_db, sharded_bits = _prepare(shards=SHARDS, shard_workers=SHARDS)
+    sharded_db, sharded_bits = _prepare(shards=SHARDS)
     assert sharded_bits == bits, (
         "sharded Q1 bits differ from the thread pipeline"
     )
@@ -112,3 +130,69 @@ def test_sharded_vs_threads_report():
     for db in thread_dbs.values():
         db.close()
     sharded_db.close()
+
+
+SHIP_SCALE = 0.05
+SHIP_ROWS = int(SHIP_SCALE * 6_000_000)
+SHIP_SHARDS = 2
+SHIP_ROUNDS = 5
+
+
+def test_replica_shipping_report():
+    with Database(sum_mode="repro") as db:
+        load_lineitem(db, scale_factor=SHIP_SCALE)
+        bits = _result_bits(run_q1(db))
+
+    def timed_q1(db):
+        gc.collect()
+        started = time.perf_counter()
+        result = run_q1(db)
+        wall = time.perf_counter() - started
+        assert _result_bits(result) == bits
+        return wall, db.last_pipeline_stats.exchange_bytes
+
+    first, warm, after = [], [], []
+    for _ in range(SHIP_ROUNDS):
+        with Database(sum_mode="repro", shards=SHIP_SHARDS) as db:
+            load_lineitem(db, scale_factor=SHIP_SCALE)
+            db.execute("CREATE TABLE other (x INT)")
+            first.append(timed_q1(db))
+            warm.extend(timed_q1(db) for _ in range(5))
+            db.execute("INSERT INTO other VALUES (1)")
+            after.append(timed_q1(db))
+
+    def median_wall(samples):
+        return statistics.median(wall for wall, _ in samples)
+
+    warm_wall = median_wall(warm)
+    body = []
+    for name, label, samples in (
+        ("q1_sharded2_first_query", "first query, fresh fleet", first),
+        (None, "warm (5 per database)", warm),
+        ("q1_sharded2_after_unrelated_write",
+         "first after a write to another table", after),
+    ):
+        wall = median_wall(samples)
+        exchanged = max(nbytes for _, nbytes in samples)
+        if name is not None:
+            record_kernel(name, ns_per_element(wall, SHIP_ROWS))
+            record_config(
+                name, scale_factor=SHIP_SCALE, shards=SHIP_SHARDS,
+                morsel_size=DEFAULT_MORSEL_SIZE,
+                clock=f"wall, median of {SHIP_ROUNDS} fresh databases",
+                exchange_bytes=exchanged,
+            )
+        body.append([
+            label, round(wall * 1e3, 2),
+            round(ns_per_element(wall, SHIP_ROWS), 1), exchanged,
+            f"{wall / warm_wall:.2f}x warm",
+        ])
+    emit(
+        "sharded_replica_shipping",
+        table(
+            ["statement", "wall ms", "ns/row", "exchange bytes", "headline"],
+            body,
+            f"TPC-H Q1 (SF={SHIP_SCALE}, shards={SHIP_SHARDS}, repro): "
+            "what shipping replicas costs, and when it is paid",
+        ),
+    )

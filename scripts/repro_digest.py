@@ -43,14 +43,17 @@ Env overrides (so matrix legs vary without changing the command line):
 * ``REPRO_DIGEST_MEMORY_BUDGETS`` — comma-separated byte budgets;
   ``unbounded`` (or ``0``) disables spilling for that run;
 * ``REPRO_DIGEST_SHARDS`` — comma-separated shard counts (``0`` = the
-  in-process pipeline, ``N`` = hash-sharded multi-process execution
-  with partial-state exchange; default ``0,2``);
+  in-process pipeline, ``N`` = position-sharded multi-process execution
+  with partial-state exchange, one executor per shard; default
+  ``0,2,3`` — 3 is a stride that does not divide the ``obs`` (4 000)
+  and ``edge`` (10) row counts, so shards are uneven there);
 * ``REPRO_DIGEST_TPCH_SCALE`` — TPC-H scale factor (the nightly deep
   matrix runs x10 the PR default).
 
 The shards axis extends the gate across *process* boundaries: a leg
-that hash-shards every eligible aggregate over executor processes and
-exchanges partial group tables over the spill wire format must digest
+that deals the rows of every eligible aggregate to executor processes
+by position (shard ``s`` of ``N`` is every ``N``-th row from row ``s``)
+and exchanges partial group tables over the spill wire format must digest
 byte-identically to the single-process legs.
 """
 
@@ -657,10 +660,10 @@ def main(argv=None):
     )
     parser.add_argument(
         "--shards",
-        default=os.environ.get("REPRO_DIGEST_SHARDS", "0,2"),
+        default=os.environ.get("REPRO_DIGEST_SHARDS", "0,2,3"),
         help=(
             "comma-separated shard counts to sweep (0 = in-process "
-            "pipeline, N = multi-process shard exchange; default 0,2)"
+            "pipeline, N = multi-process shard exchange; default 0,2,3)"
         ),
     )
     parser.add_argument("--out", default="repro_digest.txt")

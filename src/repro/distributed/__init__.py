@@ -2,23 +2,22 @@
 
 The paper's core result — per-group partial aggregate states merge
 *exactly*, so final bits are independent of how work is split — is
-what makes distribution safe: this package splits tables into hash
-shards across worker *processes* (escaping the GIL entirely), runs the
-local scan -> filter / probe -> partial-aggregate pipeline per shard
-on the engine's one group table, and exchanges the partial group
-tables back over the spill run-file format
-(:mod:`repro.storage.spill`) used as a framed, CRC-checked wire
+what makes distribution safe, and what makes the split itself a
+non-decision: shard ``s`` of ``N`` is every ``N``-th visible row from
+row ``s`` on, and there is one executor *process* per shard (escaping
+the GIL entirely).  Each runs the local scan -> filter / probe ->
+partial-aggregate pipeline over its rows on the engine's one group
+table and returns the partial group table over the spill run-file
+format (:mod:`repro.storage.spill`) used as a framed, CRC-checked wire
 protocol.  The coordinator merges partials in shard order and
-finalizes once; shard count, placement, worker count, and reply
-arrival order are all invisible in repro-mode result bits — the same
-claim the thread pipeline makes, now across process boundaries.
+finalizes once; shard count and reply arrival order are invisible in
+repro-mode result bits — the same claim the thread pipeline makes, now
+across process boundaries.
 
 Layout:
 
-* :mod:`~repro.distributed.router` — rows to shards by the engine's
-  process-stable content hash (:mod:`repro.engine.content_hash`);
 * :mod:`~repro.distributed.worker` — the executor process loop
-  (replica cache, local pipeline, framed replies);
+  (shipped copies, local pipeline, framed replies);
 * :mod:`~repro.distributed.pool` — executor fleet lifecycle;
 * :mod:`~repro.distributed.coordinator` — ship / run / collect /
   exact-merge / finalize.
@@ -26,11 +25,9 @@ Layout:
 
 from .coordinator import ShardExchangeError, run_sharded_grouped_pipeline
 from .pool import ShardWorkerPool
-from .router import shard_ids
 
 __all__ = [
     "ShardExchangeError",
     "ShardWorkerPool",
     "run_sharded_grouped_pipeline",
-    "shard_ids",
 ]

@@ -2,24 +2,30 @@
 merge exactly, finalize once.
 
 The coordinator side of the ``ShardedAggregate`` physical node.  For
-one aggregate query it:
+one aggregate query over ``N`` shards it:
 
-1. resolves the table's shard layout at the query snapshot (cached per
-   table version — INSERTs re-shard by versioning, not by mutation);
-2. ships any shard replicas the executor processes do not already hold,
-   as framed spill payloads over the worker pipes;
-3. sends each shard's task (a picklable plan fragment: group
-   expressions, aggregate calls, filter predicates, types) to its
-   worker — placement is ``shard % nworkers``, overridable in tests;
+1. names the table's rows at the query snapshot
+   (:meth:`repro.engine.table.Table.content_version`: the table's own
+   watermark, so a write to *another* table changes no name);
+2. ships executor ``s`` — there is one process per shard — every
+   ``N``-th visible row starting at row ``s``, unless it already holds
+   the rows of that name, as a framed spill payload over its pipe; join
+   build sides are broadcast under the same rule, named by the content
+   of every table they read;
+3. sends each executor the task (a picklable plan fragment: group
+   expressions, aggregate calls, filter predicates, types);
 4. collects the framed partial group tables **in arrival order** —
    whichever executor answers first is served first;
-5. merges the partials **in shard-id order** and finalizes once
+5. merges the partials **in shard order** and finalizes once
    (:func:`repro.engine.pipeline.finish_grouped`, the one epilogue).
 
-Step 5 makes arrival order structurally invisible, and the paper's
-exact-merge property makes even the merge *order* irrelevant for the
-repro modes — the belt under the suspenders.  The seeded-permutation
-tests force adversarial arrival schedules through a service-order hook
+Which rows an executor receives is invisible in the bits — partial
+states merge exactly — so the split is the cheapest balanced one: a
+strided view, dealt by position like the thread path's round-robin
+morsels (and balanced under clustered filters such as a date range,
+which contiguous ranges would not be).  Step 5 makes arrival order
+structurally invisible too; the seeded-permutation tests force
+adversarial arrival schedules through a service-order hook
 (:data:`_service_order`) and assert byte-identical finalizes.
 """
 
@@ -48,12 +54,6 @@ class ShardExchangeError(ReproError):
 _service_order = None
 
 
-def _placement(shard: int, nworkers: int) -> int:
-    """shard -> worker process (overridable in tests: placement must be
-    invisible in result bits)."""
-    return shard % nworkers
-
-
 def _build_task(aggregate, scan, chain_ops, joins, context):
     sum_config = aggregate.specs[0].sum_config
     return {
@@ -69,33 +69,55 @@ def _build_task(aggregate, scan, chain_ops, joins, context):
         # worker walks the chain from this.
         "chain_ops": tuple(chain_ops),
         # Per-probe join descriptors (chain order); the build batches
-        # themselves travel separately as broadcast "build" messages
-        # keyed by each descriptor's token.
+        # themselves travel separately, broadcast under each
+        # descriptor's token.
         "joins": tuple(joins),
         "morsel_size": int(context.morsel_size),
     }
 
 
-def _plan_chain(query, context, timings, snapshot):
+def _frame_columns(columns: dict) -> bytes:
+    return frame_payload(encode_payload({"version": 1, "columns": columns}))
+
+
+def _lacking(pool, slot, token) -> list[int]:
+    """The executors that do not hold ``token`` in ``slot``."""
+    return [
+        worker_id for worker_id in range(pool.nworkers)
+        if pool.shipped.get((worker_id, slot)) != token
+    ]
+
+
+def _send(pool, stats, worker_id, slot, token, message) -> None:
+    """Ship one framed copy (the message's last field) to an executor."""
+    pool.conn(worker_id).send(message)
+    pool.shipped[worker_id, slot] = token
+    stats.exchange_bytes += len(message[-1])
+
+
+def _plan_chain(query, context, timings, snapshot, pool, stats, once):
     """Lower the query's operator chain for shipping: ``(chain_ops,
-    join_descs, build_frames)``.  Each probe's build side is
-    materialized here on the coordinator (it has the catalog) and
-    broadcast to the executors as a framed column payload."""
+    join_descs)``.  Each probe's build side is named by its
+    :func:`~repro.engine.executor.build_signature`; one an executor
+    lacks is materialized here on the coordinator (it has the catalog)
+    and broadcast as a framed column payload."""
     from ..engine.executor import _materialize_build, build_signature
 
     chain_ops: list = []
     join_descs: list = []
-    build_frames: list = []  # (slot signature, token, frame) per probe
     for op in query.pipeline.ops:
         if isinstance(op, PhysProbe):
-            structure, content = build_signature(op.build)
-            token = ("join_build", structure, content, snapshot)
-            batch = _materialize_build(op, context, timings, snapshot)
-            frame = frame_payload(
-                encode_payload(
-                    {"version": 1, "columns": dict(batch.columns)}
-                )
-            )
+            structure, content = build_signature(op.build, snapshot)
+            slot = ("join_build", structure)
+            token = (*slot, content, *once)
+
+            lacking = _lacking(pool, slot, token)
+            if lacking:
+                batch = _materialize_build(op, context, timings, snapshot)
+                message = ("load", slot, token, dict(batch.types),
+                           _frame_columns(dict(batch.columns)))
+                for worker_id in lacking:
+                    _send(pool, stats, worker_id, slot, token, message)
             join_descs.append({
                 "token": token,
                 "build_keys": tuple(op.build_keys),
@@ -103,15 +125,11 @@ def _plan_chain(query, context, timings, snapshot):
                 "kind": op.kind,
                 "probe_is_left": bool(op.probe_is_left),
                 "group_keys": op.group_keys,
-                "build_side": op.build_side,
-                "rows": int(batch.nrows),
-                "types": dict(batch.types),
             })
-            build_frames.append((("join_build", structure), token, frame))
             chain_ops.append(("probe", len(join_descs) - 1))
         else:
             chain_ops.append(("filter", op.predicate))
-    return chain_ops, join_descs, build_frames
+    return chain_ops, join_descs
 
 
 def run_sharded_grouped_pipeline(query, context, timings=None,
@@ -122,102 +140,68 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
     scan = query.pipeline.source
     table = scan.table
     nshards = aggregate.shards
-    nworkers = max(1, min(aggregate.shard_workers or nshards, nshards))
-    stats = PipelineStats(nworkers)
+    stats = PipelineStats(nshards)
     stats.sharded = True
     stats.shards = nshards
-    chain_ops, join_descs, build_frames = _plan_chain(
-        query, context, timings, snapshot
-    )
-    task = _build_task(aggregate, scan, chain_ops, join_descs, context)
 
     source_columns = list(scan.column_map.values())
     if not source_columns and table.schema.names():
         # COUNT(*)-only plans still need row counts per shard.
         source_columns = [table.schema.names()[0]]
-    cols_sig = tuple(sorted(source_columns))
-
-    pool = context.shard_pool(nworkers)
+    pool = context.shard_pool(nshards)
+    # Only a pinned read names content exactly — live rows can change
+    # between the name and the scan — so what an unpinned one ships gets
+    # a name nothing will ask for again (sessions always pin).
+    once = () if snapshot is not None else (next(pool.unpinned_reads),)
 
     try:
         with pool.lock:
             ship_started = time.perf_counter()
-            version_key, _, _ = table.shard_layout(nshards, snapshot)
-            assignment: dict[int, list[int]] = {}
+            chain_ops, join_descs = _plan_chain(
+                query, context, timings, snapshot, pool, stats, once
+            )
+            task = _build_task(
+                aggregate, scan, chain_ops, join_descs, context
+            )
+            # Shard s is every nshards-th visible row from row s on:
+            # executor s keeps it until the table's content moves on.
+            slot = (table.name, nshards, tuple(sorted(source_columns)))
+            token = (*slot, table.content_version(snapshot), *once)
+            lacking = _lacking(pool, slot, token)
+            if lacking:
+                columns = table.scan(source_columns, snapshot)
+                for shard in lacking:
+                    replica = {
+                        name: arr[shard::nshards]
+                        for name, arr in columns.items()
+                    }
+                    _send(pool, stats, shard, slot, token,
+                          ("load", slot, token, None,
+                           _frame_columns(replica)))
             for shard in range(nshards):
-                assignment.setdefault(
-                    _placement(shard, nworkers) % nworkers, []
-                ).append(shard)
-            expected = 0
-            for worker_id, shards_for in sorted(assignment.items()):
-                conn = pool.conn(worker_id)
-                # Broadcast join build sides this worker does not
-                # already hold (cached per slot like shard replicas;
-                # build-table DML changes the token through the
-                # signature's table versions, superseding the stale build).
-                for slot_sig, token, frame in build_frames:
-                    slot = (worker_id, slot_sig)
-                    if pool.shipped.get(slot) != token:
-                        conn.send(("build", slot_sig, token, frame))
-                        pool.shipped[slot] = token
-                        stats.exchange_bytes += len(frame)
-                for shard in shards_for:
-                    token = (
-                        table.name, nshards, version_key, cols_sig, shard,
-                    )
-                    slot = (worker_id, (token[0], token[1], token[3], shard))
-                    if pool.shipped.get(slot) != token:
-                        columns = table.shard_scan(
-                            nshards, shard, source_columns, snapshot
-                        )
-                        frame = frame_payload(
-                            encode_payload(
-                                {"version": 1, "columns": columns}
-                            )
-                        )
-                        conn.send(("load", token, frame))
-                        pool.shipped[slot] = token
-                        stats.exchange_bytes += len(frame)
-                    conn.send(("run", shard, token, task))
-                    expected += 1
+                pool.conn(shard).send(("run", token, task))
             ship_seconds = time.perf_counter() - ship_started
 
             # Collect replies in arrival order (permutable in tests).
-            frames: dict[int, bytes] = {}
-            ladders: dict = {}  # shard id -> the executor's LadderCounters
-            conn_to_worker = {
-                pool.conn(worker_id): worker_id for worker_id in assignment
-            }
-            remaining = {
-                worker_id: len(shards_for)
-                for worker_id, shards_for in assignment.items()
-            }
-            while expected:
-                pending = [
-                    conn for conn, worker_id in conn_to_worker.items()
-                    if remaining[worker_id] > 0
-                ]
-                ready = _connection_wait(pending)
+            frames: list = [None] * nshards
+            ladders: list = [None] * nshards  # per executor LadderCounters
+            pending = {pool.conn(shard): shard for shard in range(nshards)}
+            while pending:
+                ready = _connection_wait(list(pending))
                 if _service_order is not None:
                     ready = _service_order(list(ready))
                 for conn in ready:
-                    worker_id = conn_to_worker[conn]
+                    shard = pending.pop(conn)
                     message = conn.recv()
                     if message[0] == "error":
                         raise ShardExchangeError(
-                            f"shard executor {worker_id} failed:\n"
-                            f"{message[1]}"
+                            f"shard executor {shard} failed:\n{message[1]}"
                         )
-                    (_, shard_id, _ngroups, nmorsels, busy, frame,
-                     ladder) = message
-                    frames[shard_id] = frame
-                    ladders[shard_id] = ladder
-                    stats.worker_busy[worker_id] += busy
-                    stats.worker_morsels[worker_id] += nmorsels
+                    _, nmorsels, busy, frames[shard], ladders[shard] = message
+                    stats.worker_busy[shard] += busy
+                    stats.worker_morsels[shard] += nmorsels
                     stats.morsel_count += nmorsels
-                    stats.exchange_bytes += len(frame)
-                    remaining[worker_id] -= 1
-                    expected -= 1
+                    stats.exchange_bytes += len(frames[shard])
     except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
         # A dead executor poisons the pool: discard it so the next
         # query starts a fresh fleet instead of hanging on a dead pipe.
@@ -229,16 +213,16 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
         context.discard_shard_pool()
         raise
 
-    # Merge in shard-id order — arrival order cannot matter, by
+    # Merge in shard order — arrival order cannot matter, by
     # construction; exact state merge makes even this order choice
     # invisible in the repro modes.
     ladder = LadderCounters()  # counted where the rows were fed
-    partials = []
-    for shard in sorted(frames):
-        ladder.merge(ladders[shard])
-        partials.append(partial(
-            unframe_payload, frames[shard], context=f"shard {shard} partial"
-        ))
+    for counters in ladders:
+        ladder.merge(counters)
+    partials = [
+        partial(unframe_payload, frame, context=f"shard {shard} partial")
+        for shard, frame in enumerate(frames)
+    ]
     if timings is not None:
         timings.add("shard_exchange", ship_seconds)
     return finish_grouped(

@@ -1,21 +1,23 @@
-"""Shard worker process pool: lifecycle + shipped-replica tracking.
+"""Shard worker process pool: lifecycle + shipped-copy tracking.
 
-One pool holds ``nworkers`` executor processes, each running
-:func:`repro.distributed.worker.worker_main` over its own duplex pipe.
+One pool holds one executor process per shard (worker id = shard id),
+each running :func:`repro.distributed.worker.worker_main` over its own
+duplex pipe.
 Workers are daemonic — an interpreter that exits without calling
 :meth:`close` cannot leave orphan executors behind — but sessions are
 expected to close their pools (``Database.close()`` / ``with
 Database(...)`` tears them down promptly; a GC finalizer on the
 execution context is the backstop).
 
-The pool also remembers which shard replicas each worker already holds
-(``shipped``), so repeated queries over an unchanged table version pay
-the shard shipping cost once — the replica cache that makes the warm
-path pure compute + partial-state exchange.
+The pool also remembers which copies — shard replicas, broadcast join
+builds — each worker already holds (``shipped``), so repeated queries
+over unchanged table content pay the shipping cost once: the warm path
+is pure compute + partial-state exchange.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import threading
 
@@ -25,7 +27,7 @@ __all__ = ["ShardWorkerPool"]
 
 
 class ShardWorkerPool:
-    """A fixed-size fleet of shard executor processes."""
+    """A fixed-size fleet of shard executor processes, one per shard."""
 
     def __init__(self, nworkers: int, mp_context=None):
         if nworkers < 1:
@@ -36,8 +38,10 @@ class ShardWorkerPool:
         #: concurrent sessions sharing a context never interleave
         #: messages on one worker's pipe
         self.lock = threading.Lock()
-        #: (worker id, replica slot) -> shipped token
+        #: (worker id, copy slot) -> shipped token
         self.shipped: dict = {}
+        #: makes the tokens of a snapshot-less read unique (coordinator)
+        self.unpinned_reads = itertools.count()
         self._procs = []
         self._conns = []
         self.closed = False

@@ -1,14 +1,15 @@
 """Shard executor: the per-process worker loop.
 
-Each worker process owns a cache of *shard replicas* — the shard-local
-column arrays of one table version, shipped by the coordinator as
-framed, CRC-checked spill payloads (:mod:`repro.storage.spill`) — and
-answers ``run`` requests by executing the local pipeline over one
-shard: morsel scan -> filters / hash-join probes -> partial aggregate,
-with the same operators and the same group table the in-process engine
-uses.  The reply is the partial group table, serialized with
-:func:`dump_table` and framed — the spill run-file format used as the
-wire protocol.
+Executor ``s`` of ``N`` owns *its* replica of each table it has been
+asked about — every ``N``-th visible row from row ``s`` on, the columns
+a plan reads, named by the table's content version and shipped by the
+coordinator as a framed, CRC-checked spill payload
+(:mod:`repro.storage.spill`) — and answers ``run`` requests by
+executing the local pipeline over it: morsel scan -> filters /
+hash-join probes -> partial aggregate, with the same operators and the
+same group table the in-process engine uses.  The reply is the partial
+group table, serialized with :func:`dump_table` and framed — the spill
+run-file format used as the wire protocol.
 
 Everything here is spawn-safe: :func:`worker_main` is a top-level
 function and tasks arrive as plain picklable plan fragments (AST
@@ -81,7 +82,7 @@ def _shard_morsels(task, replica):
     return morsels
 
 
-def _local_probes(task, builds):
+def _local_probes(task, copies):
     """One probe step per shipped join descriptor, in chain order: the
     :class:`HashJoin`'s ``probe`` bound to the descriptor's build-row
     rule.  The hash table is cached on the broadcast build entry —
@@ -89,7 +90,7 @@ def _local_probes(task, builds):
     the same build pay the build cost once."""
     probes = []
     for desc in task["joins"]:
-        entry = builds.get(desc["token"])
+        entry = copies.get(desc["token"])
         if entry is None:
             raise KeyError(
                 f"join build {desc['token']!r} was never shipped"
@@ -102,7 +103,7 @@ def _local_probes(task, builds):
         join = entry["joins"].get(cache_key)
         if join is None:
             build_batch = Batch(
-                dict(entry["columns"]), dict(desc["types"])
+                dict(entry["columns"]), dict(entry["types"])
             )
             join = HashJoin(
                 build_batch, tuple(desc["build_keys"]),
@@ -114,12 +115,12 @@ def _local_probes(task, builds):
     return probes
 
 
-def _execute_task(task, replica, builds):
+def _execute_task(task, replica, copies):
     """Run one shard-local partial aggregation; returns the table."""
     sum_config = SumConfig(task["sum_mode"], task["sum_levels"])
     specs = [AggregateSpec(call, sum_config) for call in task["agg_calls"]]
     morsels = _shard_morsels(task, replica)
-    probes = _local_probes(task, builds)
+    probes = _local_probes(task, copies)
     table = pipeline_mod.make_group_table(tuple(task["group_exprs"]), specs)
     # The shipped chain in order: the same two operators the thread
     # pipeline's transform applies.
@@ -136,10 +137,8 @@ def _execute_task(task, replica, builds):
 def worker_main(conn) -> None:
     """The executor loop: serve ``load`` / ``run`` / ``stop`` requests
     over one pipe until told to stop (or the pipe closes)."""
-    replicas: dict = {}   # token -> {columns, encodings caches}
-    by_slot: dict = {}    # replica slot -> its current token
-    builds: dict = {}     # broadcast-build token -> {columns, joins}
-    build_by_slot: dict = {}  # build slot -> its current token
+    copies: dict = {}   # token -> shard replica or broadcast join build
+    by_slot: dict = {}  # slot -> the token it currently holds
     while True:
         try:
             message = conn.recv()
@@ -150,49 +149,30 @@ def worker_main(conn) -> None:
             break
         try:
             if kind == "load":
-                _, token, frame = message
+                _, slot, token, types, frame = message
                 payload = decode_payload(
-                    unframe_payload(frame, context="shard replica")
+                    unframe_payload(frame, context=f"shipped {slot[0]}")
                 )
-                # A newer table version supersedes the old replica of
-                # the same (table, shards, columns, shard) slot.
-                slot = (token[0], token[1], token[3], token[4])
-                old = by_slot.get(slot)
-                if old is not None and old != token:
-                    replicas.pop(old, None)
+                # New content (DML on a table the copy reads, or an
+                # older pinned snapshot) supersedes the slot's old copy.
+                copies.pop(by_slot.get(slot), None)
                 by_slot[slot] = token
-                replicas[token] = {
-                    "columns": payload["columns"], "encodings": {},
-                }
-            elif kind == "build":
-                _, slot, token, frame = message
-                payload = decode_payload(
-                    unframe_payload(frame, context="join build")
-                )
-                # A newer build (DML on a build-side table, or a new
-                # snapshot) supersedes the old broadcast in this slot.
-                old = build_by_slot.get(slot)
-                if old is not None and old != token:
-                    builds.pop(old, None)
-                build_by_slot[slot] = token
-                builds[token] = {
-                    "columns": payload["columns"], "joins": {},
+                copies[token] = {
+                    "columns": payload["columns"], "types": types,
+                    "encodings": {}, "joins": {},
                 }
             elif kind == "run":
-                _, shard_id, token, task = message
-                replica = replicas.get(token)
+                _, token, task = message
+                replica = copies.get(token)
                 if replica is None:
                     raise KeyError(
                         f"shard replica {token!r} was never shipped"
                     )
                 busy_started = time.thread_time()
-                table, nmorsels = _execute_task(task, replica, builds)
+                table, nmorsels = _execute_task(task, replica, copies)
                 busy = time.thread_time() - busy_started
                 frame = frame_payload(dump_table(table))
-                conn.send(
-                    ("partial", shard_id, table.ngroups, nmorsels, busy,
-                     frame, table.ladder)
-                )
+                conn.send(("partial", nmorsels, busy, frame, table.ladder))
             else:
                 raise ValueError(f"unknown shard request {kind!r}")
         except Exception:

@@ -1,4 +1,4 @@
-"""The process-stable content hash — one definition, two routers.
+"""The process-stable content hash — one definition, one router.
 
 :func:`row_hashes` maps rows to 64-bit hashes that are a pure function
 of the rows' *values* under the engine's key identity: ``-0.0`` hashes
@@ -8,10 +8,12 @@ through blake2b (:func:`value_hash`).  Nothing here depends on
 ``PYTHONHASHSEED`` or any other per-process state, so every thread,
 executor process and run sends equal values the same way.
 
-Both routers are this hash modulo a fan-out: the shard router over all
-of a table's columns (:func:`repro.distributed.router.shard_ids`), the
-spill router over a query's group keys
-(:func:`repro.aggregation.external_agg.partition_ids`).
+The one router is this hash modulo a fan-out: the spill partitioner over
+a query's group keys
+(:func:`repro.aggregation.external_agg.partition_ids`) — the one place
+where equal keys must meet.  Shard executors need no router: partial
+states merge exactly, so which rows a process receives is invisible in
+the bits and :mod:`repro.distributed` deals them by position.
 """
 
 from __future__ import annotations

@@ -313,7 +313,7 @@ def _materialize_build(op: PhysProbe, context: ExecutionContext,
     return result
 
 
-def build_signature(chain: PhysPipeline) -> tuple:
+def build_signature(chain: PhysPipeline, snapshot=None) -> tuple:
     """``(structure, content)`` of one build pipeline — the one
     description of it, behind the join cache key and the shard
     coordinator's broadcast token alike.
@@ -322,25 +322,28 @@ def build_signature(chain: PhysPipeline) -> tuple:
     filter, encodings) plus the op chain, recursing through nested
     probes; two pipelines of equal structure materialize byte-identical
     batches *for the same table content*.  ``content``: ``(table name,
-    row version)`` of every scan in the tree, so DML on any build table
-    makes a new key instead of reusing a stale build.
+    :meth:`~repro.engine.table.Table.content_version` at the
+    snapshot)`` of every scan in the tree, so DML on any build table
+    makes a new key instead of reusing a stale build, and a write to
+    any other table leaves the key alone.
     """
     scan = chain.source
+    name = version = None  # the one-row dual
+    if scan.table is not None:
+        name = scan.table.name
+        version = scan.table.content_version(snapshot)
     structure: list[tuple] = [(
         "scan",
-        getattr(scan.table, "name", None),
+        name,
         scan.binding,
         tuple(scan.column_map.items()),
         None if scan.predicate is None else scan.predicate.sql(),
         tuple(scan.encode_keys),
     )]
-    content = [(
-        getattr(scan.table, "name", None),
-        getattr(scan.table, "version", None),
-    )]
+    content = [(name, version)]
     for op in chain.ops:
         if isinstance(op, PhysProbe):
-            nested, versions = build_signature(op.build)
+            nested, versions = build_signature(op.build, snapshot)
             structure.append((
                 "probe", op.kind, op.probe_is_left,
                 tuple(k.sql() for k in op.probe_keys),
@@ -360,22 +363,22 @@ def _build_join(op: PhysProbe, context: ExecutionContext,
 
     Builds are pipeline breakers whose cost is pure fixed overhead on
     repeated queries, so finished :class:`HashJoin` objects are kept in
-    a small per-context LRU.  Caching requires a read snapshot: the
-    cache key combines the build pipeline's :func:`build_signature`
-    (structure + every build table's version watermark), the join's own
-    shape and the snapshot, so DML or a newer snapshot can never be
-    served a stale build.  Snapshot-less executions (internal replays,
-    shard workers) always rebuild.
+    a small per-context LRU.  Caching requires a read snapshot (only a
+    pinned read names content exactly): the cache key combines the build
+    pipeline's :func:`build_signature` (structure + every build table's
+    content version at the snapshot) and the join's own shape, so DML on
+    a build table can never be served a stale build and a write to any
+    other table keeps the hit.  Snapshot-less executions (internal
+    replays, shard workers) always rebuild.
     """
     key = None
     if snapshot is not None:
         started = time.perf_counter()
         key = (
-            build_signature(op.build),
+            build_signature(op.build, snapshot),
             op.kind, op.probe_is_left,
             tuple(k.sql() for k in op.probe_keys),
             tuple(k.sql() for k in op.build_keys),
-            snapshot,
         )
         cached = context._join_cache.get(key)
         if cached is not None:
@@ -488,8 +491,11 @@ def _order_key(order_item: ast.OrderItem, items, env: dict):
             raise ExprError(f"cannot resolve ORDER BY expression {expr.sql()!r}")
     arr = np.asarray(arr)
     if order_item.descending:
-        if arr.dtype.kind in "fiu":
-            return -arr.astype(np.float64)
+        if arr.dtype.kind in "iu":
+            # exact at any magnitude, INT64_MIN included: -x - 1
+            return ~arr
+        if arr.dtype.kind == "f":
+            return -arr
         # Lexicographic descending for strings: invert rank.  The rank
         # orders NULL before every real value (np.unique cannot sort
         # ``None`` against strings).

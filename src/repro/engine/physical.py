@@ -152,13 +152,12 @@ class PhysAggregate:
     memory_budget_bytes: int | None = None
     est_state_bytes: int = 0
     #: True when the plan runs as a ShardedAggregate: the table is
-    #: hash-sharded across executor processes and partial group tables
-    #: are exchanged back over the spill wire format
+    #: dealt row by row to ``shards`` executor processes and partial
+    #: group tables are exchanged back over the spill wire format
     #: (:mod:`repro.distributed`).  Bits are identical either way in
     #: the repro modes — the reproducibility CI sweeps the shard count.
     sharded: bool = False
     shards: int = 0
-    shard_workers: int = 0
 
     def describe(self, workers: int, morsel_size: int,
                  build_row_probe: PhysProbe | None = None) -> str:
@@ -176,8 +175,7 @@ class PhysAggregate:
             )
         if self.sharded:
             return (
-                f"ShardedAggregate(shards={self.shards}, "
-                f"shard_workers={self.shard_workers})"
+                f"ShardedAggregate(shards={self.shards})"
                 f"[morsel_size={morsel_size}{extra}]"
                 f"(group=[{group}], aggs=[{aggs}])"
             )
@@ -370,10 +368,6 @@ def plan_physical(root: LogicalNode, context,
             and _shardable(chain)):
         aggregate.sharded = True
         aggregate.shards = shards
-        shard_workers = getattr(context, "shard_workers", None)
-        aggregate.shard_workers = max(
-            1, min(shard_workers or shards, shards)
-        )
 
     from .plan import plan_column_types
 

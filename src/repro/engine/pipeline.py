@@ -87,9 +87,9 @@ class ExecutionContext:
 
     #: Bound on cached hash-join builds per context.  Entries hold the
     #: materialized build batch, so the bound is deliberately small;
-    #: keys embed build-table versions and the read snapshot, making a
-    #: stale hit impossible (DML bumps the version, a new snapshot is a
-    #: new key) — the LRU exists purely to bound memory.
+    #: keys embed every build table's content version, making a stale
+    #: hit impossible (DML on a build table is a new key, a write to
+    #: any other table is not) — the LRU exists purely to bound memory.
     DEFAULT_JOIN_CACHE_SIZE = 8
 
     #: Bound on cached physical plans per context.  Keys embed the read
@@ -101,7 +101,7 @@ class ExecutionContext:
                  morsel_size: int = DEFAULT_MORSEL_SIZE,
                  join_build: str = "auto",
                  memory_budget_bytes: int | None = None,
-                 shards: int = 0, shard_workers: int | None = None):
+                 shards: int = 0):
         workers = int(workers)
         morsel_size = int(morsel_size)
         if workers < 1:
@@ -129,14 +129,12 @@ class ExecutionContext:
         self.memory_budget_bytes = self._check_budget(memory_budget_bytes)
         #: Shard count for multi-process execution (0 = off).  When
         #: > 0, qualifying aggregate plans run as a ShardedAggregate:
-        #: the table is hash-sharded across executor *processes* and
-        #: partial group tables are exchanged back over the spill wire
-        #: format (:mod:`repro.distributed`).  Repro-mode bits are
-        #: invariant under this knob — the reproducibility CI sweeps
-        #: it.
+        #: executor *process* ``s`` of ``shards`` aggregates every
+        #: ``shards``-th row from row ``s`` on and partial group tables
+        #: are exchanged back over the spill wire format
+        #: (:mod:`repro.distributed`).  Repro-mode bits are invariant
+        #: under this knob — the reproducibility CI sweeps it.
         self.shards = self._check_shards(shards)
-        #: Executor process count (``None`` = one per shard).
-        self.shard_workers = self._check_shard_workers(shard_workers)
         #: Stats of the most recent pipeline run (set by the drivers).
         self.last_stats: PipelineStats | None = None
         self._pool: ThreadPoolExecutor | None = None
@@ -145,8 +143,8 @@ class ExecutionContext:
         self._shard_finalizer = None
         #: Build-chain signature -> materialized :class:`HashJoin`,
         #: maintained LRU by :func:`repro.engine.executor._build_join`.
-        #: Keys embed every build-side table version plus the read
-        #: snapshot, so entries can never serve stale rows.
+        #: Keys embed every build-side table's content version at the
+        #: read snapshot, so entries can never serve stale rows.
         self._join_cache: OrderedDict = OrderedDict()
         self.join_cache_hits = 0
         self.join_cache_misses = 0
@@ -161,8 +159,7 @@ class ExecutionContext:
 
     #: Every knob ``SET <name> = <value>`` accepts, for error messages.
     PARAM_NAMES = (
-        "memory_budget", "workers", "morsel_size", "join_build",
-        "shards", "shard_workers",
+        "memory_budget", "workers", "morsel_size", "join_build", "shards",
     )
 
     # -- knob validation / SET surface ------------------------------------
@@ -200,19 +197,6 @@ class ExecutionContext:
             raise ConfigError("shards must be >= 0 (0 = off)")
         return value
 
-    @classmethod
-    def _check_shard_workers(cls, value) -> int | None:
-        if value is None:
-            return None
-        if isinstance(value, str) and value.lower() in ("none", "auto"):
-            return None
-        value = cls._as_int(value, "shard_workers")
-        if value < 1:
-            raise ConfigError(
-                "shard_workers must be >= 1 (or NULL for one per shard)"
-            )
-        return value
-
     def set_param(self, name: str, value) -> None:
         """Session ``SET`` surface: validate and apply one knob.
 
@@ -221,7 +205,7 @@ class ExecutionContext:
 
         Every successful SET drops the cached plans.  Cached join
         builds stay: their key (:func:`~repro.engine.executor.build_signature`,
-        join shape, snapshot) depends on no knob.
+        join shape) depends on no knob.
         """
         key = name.lower()
         if key == "memory_budget":
@@ -259,10 +243,10 @@ class ExecutionContext:
                 self._close_shard_pool()
             self.shards = shards
         elif key == "shard_workers":
-            shard_workers = self._check_shard_workers(value)
-            if shard_workers != self.shard_workers:
-                self._close_shard_pool()
-            self.shard_workers = shard_workers
+            raise ConfigError(
+                "session parameter 'shard_workers' is retired: there is "
+                "one executor per shard, shards is the one knob"
+            )
         elif key == "memory_budget_bytes" or key.startswith("spill_"):
             raise ConfigError(
                 f"session parameter {name!r} is retired: memory_budget (in "
@@ -292,15 +276,13 @@ class ExecutionContext:
         return self._pool
 
     def shard_pool(self, nworkers: int):
-        """The context's shard executor fleet, created lazily and
-        reused across queries (the replica cache only pays off if the
-        processes survive between queries).  Re-created when the
-        requested worker count changes; shut down by :meth:`close` or,
-        failing that, a GC finalizer."""
-        if self._shard_pool is not None and (
-            self._shard_pool.nworkers != nworkers
-            or not self._shard_pool.alive()
-        ):
+        """The context's shard executor fleet — one process per shard —
+        created lazily and reused across queries (shipped replicas only
+        pay off if the processes survive between queries).  A fleet
+        with a dead executor is replaced; ``SET shards`` closes the old
+        one; shut down by :meth:`close` or, failing that, a GC
+        finalizer."""
+        if self._shard_pool is not None and not self._shard_pool.alive():
             self._close_shard_pool()
         if self._shard_pool is None:
             from ..distributed.pool import ShardWorkerPool

@@ -55,8 +55,7 @@ class Session:
 
     Owns the session-scoped knobs — SUM semantics (``sum_mode`` /
     ``levels``) and the execution shape (``workers``,
-    ``morsel_size``, ``join_build``, ``memory_budget``, ``shards``,
-    ``shard_workers``) —
+    ``morsel_size``, ``join_build``, ``memory_budget``, ``shards``) —
     plus :attr:`last_timings` and :attr:`last_pipeline_stats` for the
     most recent SELECT.  Catalog state (tables, views) is shared with
     every other session of the same database.
@@ -80,14 +79,13 @@ class Session:
                  morsel_size: int = DEFAULT_MORSEL_SIZE,
                  join_build: str = "auto",
                  memory_budget: int | None = None,
-                 shards: int = 0, shard_workers: int | None = None):
+                 shards: int = 0):
         self.database = database
         self.catalog = database.catalog
         self.sum_config = SumConfig(sum_mode, levels)
         self.execution_context = ExecutionContext(
             workers, morsel_size, join_build,
-            memory_budget_bytes=memory_budget,
-            shards=shards, shard_workers=shard_workers,
+            memory_budget_bytes=memory_budget, shards=shards,
         )
         self.last_timings: OperatorTimings | None = None
         #: explicit pin from :meth:`snapshot` (``None`` = pin per query)
@@ -409,8 +407,7 @@ class Database:
     def __init__(self, sum_mode: str = "ieee", levels: int = 2,
                  workers: int = 1, morsel_size: int = DEFAULT_MORSEL_SIZE,
                  join_build: str = "auto",
-                 memory_budget: int | None = None,
-                 shards: int = 0, shard_workers: int | None = None,
+                 memory_budget: int | None = None, shards: int = 0,
                  path: str | None = None, wal_sync: str = "commit",
                  checkpoint_interval: float | None = 60.0):
         self.catalog = Catalog()
@@ -425,7 +422,6 @@ class Database:
             "join_build": join_build,
             "memory_budget": memory_budget,
             "shards": shards,
-            "shard_workers": shard_workers,
         }
         #: every session ever created over this database (weakly held)
         #: so :meth:`close` can tear all of them down
@@ -445,8 +441,8 @@ class Database:
                 # have in the process that set them (names this
                 # version no longer has — an older writer's
                 # ``vectorized`` / ``fused`` / ``buffer_size`` / the
-                # spill shape — select nothing; a retired ``sum_mode``
-                # selects its successor).
+                # spill shape / the executor count — select nothing; a
+                # retired ``sum_mode`` selects its successor).
                 for name, value in storage.persistent_defaults.items():
                     if name == "sum_mode":
                         value = SumConfig.stored(value)

@@ -306,10 +306,6 @@ class Table:
         #: durable store logging mutations (:mod:`repro.storage.durable`);
         #: ``None`` keeps the table purely in-memory with zero overhead
         self._storage = None
-        # Shard layouts keyed by (nshards, version watermark): DML
-        # never mutates an existing layout — a new version gets a new
-        # entry (versioned re-shard), old snapshots keep theirs.
-        self._shard_layouts: dict = {}
 
     def attach_clock(self, clock: VersionClock) -> None:
         """Switch to a shared clock (catalog registration), keeping
@@ -340,6 +336,16 @@ class Table:
     def version(self) -> int:
         """The current row-version watermark."""
         return self._version
+
+    def content_version(self, snapshot: int | None = None) -> int:
+        """What names this table's rows as ``snapshot`` sees them — the
+        key of everything that copies them (shard replicas, join
+        builds): the watermark when the snapshot covers every statement
+        the table has seen (an in-flight writer has already raised it
+        past a reader pinned before), the snapshot itself otherwise."""
+        if snapshot is None or snapshot >= self._version:
+            return self._version
+        return int(snapshot)
 
     def valid_mask(self) -> np.ndarray:
         """Physical-row liveness now (a fresh array per call)."""
@@ -672,84 +678,6 @@ class Table:
         values at any snapshot."""
         with self.lock:
             return len(self._columns[name.lower()].encoding()[1])
-
-    #: bound on cached shard layouts per table (each is one int64
-    #: permutation of the visible rows; a handful covers the live
-    #: version plus recent snapshots without growing with DML history)
-    _SHARD_LAYOUT_CACHE = 4
-
-    def shard_layout(self, nshards: int,
-                     snapshot: int | None = None) -> tuple:
-        """Shard assignment of the visible rows, as ``(version_key,
-        order, bounds)``.
-
-        ``order`` is a stable permutation of the visible-row index
-        space grouping rows by shard id; shard ``s`` owns
-        ``order[bounds[s]:bounds[s + 1]]``.  Rows are routed by the
-        process-stable content hash over *all* columns
-        (:func:`repro.distributed.router.shard_ids`), so every process
-        — coordinator or executor, any host — agrees on placement.
-
-        Layouts are cached per ``(nshards, version)``: an INSERT bumps
-        the table version, so the next query at the new watermark
-        computes (and caches) a fresh layout while readers pinned at
-        older snapshots keep theirs — re-shard by versioning, never by
-        mutation.  ``version_key`` identifies the layout (it is the
-        snapshot, or the live version for unpinned reads) and doubles
-        as the replica cache token for the distributed exchange.
-        """
-        nshards = int(nshards)
-        if nshards < 1:
-            raise ValueError("nshards must be >= 1")
-        with self.lock:
-            version_key = (
-                self._version if snapshot is None else int(snapshot)
-            )
-            key = (nshards, version_key)
-            cached = self._shard_layouts.get(key)
-            if cached is not None:
-                return version_key, cached[0], cached[1]
-            if snapshot is None:
-                mask = self.valid_mask()
-            else:
-                mask = self.snapshot_mask(snapshot)
-            data = self.masked_scan(mask, None)
-            nrows = len(next(iter(data.values()))) if data else 0
-            if nshards > 1 and nrows:
-                from ..distributed.router import shard_ids
-
-                sids = shard_ids(data, nshards)
-            else:
-                sids = np.zeros(nrows, dtype=np.int64)
-            order = np.argsort(sids, kind="stable").astype(
-                np.int64, copy=False
-            )
-            counts = np.bincount(sids, minlength=nshards)
-            bounds = np.concatenate(([0], np.cumsum(counts))).astype(
-                np.int64
-            )
-            self._shard_layouts[key] = (order, bounds)
-            while len(self._shard_layouts) > self._SHARD_LAYOUT_CACHE:
-                self._shard_layouts.pop(next(iter(self._shard_layouts)))
-            return version_key, order, bounds
-
-    def shard_scan(self, nshards: int, shard: int,
-                   columns: list[str] | None = None,
-                   snapshot: int | None = None) -> dict:
-        """One shard's rows as column arrays (the shard-local view the
-        coordinator ships to an executor process).  Row order within
-        the shard is physical scan order — but the aggregate states
-        merge exactly, so shard-internal order is a non-event for
-        result bits."""
-        with self.lock:
-            _, order, bounds = self.shard_layout(nshards, snapshot)
-            if not 0 <= int(shard) < nshards:
-                raise ValueError(
-                    f"shard {shard} out of range for {nshards} shards"
-                )
-            data = self.scan(columns, snapshot=snapshot)
-            select = order[int(bounds[shard]):int(bounds[shard + 1])]
-            return {name: arr[select] for name, arr in data.items()}
 
     def physical_scan(self) -> tuple[dict, np.ndarray]:
         """All row versions plus the validity mask (for UPDATE/DELETE)."""

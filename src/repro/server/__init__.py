@@ -58,7 +58,9 @@ class AdmissionGate:
         self.max_backlog = max_backlog
         self.inflight = 0
         self._waiters: collections.deque[asyncio.Future] = collections.deque()
-        #: lifetime counters (surfaced by the stats op / benchmarks)
+        #: lifetime counters, in-process only (``server.gate``): the
+        #: wire has no op that reads them — ``_dispatch`` takes
+        #: ``execute`` / ``explain``
         self.admitted = 0
         self.rejected = 0
 

@@ -53,6 +53,7 @@ __all__ = [
     "iter_frames",
     "load_grouped_summation",
     "load_table_into",
+    "read_frame",
     "read_run_file",
     "unframe_payload",
     "write_run_file",
@@ -240,8 +241,10 @@ def decode_payload(raw: bytes):
 # The frame is self-delimiting (magic | u64 payload length | payload |
 # crc32 | end marker), so the same bytes work as an on-disk run file,
 # an in-memory buffer, or a stream of back-to-back frames on a pipe —
-# the spill format *is* the wire protocol.  Every reader validates
-# magic, length, end marker, and CRC; damage raises, never mis-reads.
+# the spill format *is* the wire protocol.  Every reader — one blob,
+# a stream, the WAL's segment walk — goes through read_frame, which
+# validates magic, length, end marker, and CRC; damage raises, never
+# mis-reads.
 # ---------------------------------------------------------------------------
 
 _HEAD_LEN = len(SPILL_MAGIC) + 8
@@ -261,25 +264,45 @@ def frame_payload(payload: bytes) -> bytes:
     )
 
 
-def unframe_payload(blob: bytes, context: str = "frame") -> bytes:
-    """Verify and strip exactly one frame (raises on any damage)."""
-    blob = bytes(blob)
-    if len(blob) < _HEAD_LEN or blob[: len(SPILL_MAGIC)] != SPILL_MAGIC:
+#: refuse absurd frame lengths when probing damaged bytes
+_MAX_FRAME = 1 << 40
+
+
+def read_frame(blob, pos: int = 0, context: str = "frame"):
+    """THE frame parser: verify the frame that starts at ``blob[pos]``
+    and return ``(payload, end offset)`` — or ``None`` when ``blob``
+    ends before the frame does (a stream reader waits for more bytes,
+    everyone else calls that truncation).  Any damage raises: magic,
+    length cap, end marker, CRC."""
+    head = pos + _HEAD_LEN
+    if len(blob) < head:
+        return None
+    if blob[pos : pos + len(SPILL_MAGIC)] != SPILL_MAGIC:
         raise SpillFormatError(f"{context}: not a spill frame")
-    (length,) = struct.unpack("<Q", blob[len(SPILL_MAGIC) : _HEAD_LEN])
-    expected = _HEAD_LEN + length + _FOOT_LEN
-    if len(blob) != expected:
-        raise SpillFormatError(
-            f"{context}: truncated frame "
-            f"({len(blob)} bytes, expected {expected})"
-        )
-    payload = blob[_HEAD_LEN : _HEAD_LEN + length]
-    (crc,) = struct.unpack("<I", blob[_HEAD_LEN + length : _HEAD_LEN + length + 4])
-    if blob[-len(_END_MARK) :] != _END_MARK:
+    (length,) = _S_U64.unpack_from(blob, pos + len(SPILL_MAGIC))
+    if length > _MAX_FRAME:
+        raise SpillFormatError(f"{context}: absurd frame length {length}")
+    end = head + length + _FOOT_LEN
+    if len(blob) < end:
+        return None
+    payload = bytes(blob[head : head + length])
+    (crc,) = _S_U32.unpack_from(blob, head + length)
+    if blob[end - len(_END_MARK) : end] != _END_MARK:
         raise SpillFormatError(f"{context}: missing end marker")
     if zlib.crc32(payload) != crc:
         raise SpillFormatError(f"{context}: payload checksum mismatch")
-    return payload
+    return payload, end
+
+
+def unframe_payload(blob: bytes, context: str = "frame") -> bytes:
+    """Verify and strip exactly one frame (raises on any damage)."""
+    parsed = read_frame(blob, 0, context)
+    if parsed is None or parsed[1] != len(blob):
+        raise SpillFormatError(
+            f"{context}: {len(blob)} bytes are not exactly one frame "
+            "(truncated, or trailing bytes)"
+        )
+    return parsed[0]
 
 
 class FrameDecoder:
@@ -302,25 +325,17 @@ class FrameDecoder:
         """Absorb ``chunk``; return every newly completed payload."""
         self._buffer += chunk
         payloads = []
+        pos = 0
         while True:
-            if len(self._buffer) < _HEAD_LEN:
-                break
-            if self._buffer[: len(SPILL_MAGIC)] != SPILL_MAGIC:
-                raise SpillFormatError(f"{self._context}: not a spill frame")
-            (length,) = struct.unpack(
-                "<Q", self._buffer[len(SPILL_MAGIC) : _HEAD_LEN]
+            parsed = read_frame(
+                self._buffer, pos, f"{self._context}[{self.frames_decoded}]"
             )
-            total = _HEAD_LEN + length + _FOOT_LEN
-            if len(self._buffer) < total:
+            if parsed is None:
                 break
-            frame = bytes(self._buffer[:total])
-            del self._buffer[:total]
-            payloads.append(
-                unframe_payload(
-                    frame, f"{self._context}[{self.frames_decoded}]"
-                )
-            )
+            payload, pos = parsed
+            payloads.append(payload)
             self.frames_decoded += 1
+        del self._buffer[:pos]
         return payloads
 
     def finish(self) -> None:

@@ -32,9 +32,7 @@ Crash semantics (the contract recovery leans on):
 from __future__ import annotations
 
 import os
-import struct
 import threading
-import zlib
 
 from ..errors import WalCorruptError
 from .spill import (
@@ -42,17 +40,13 @@ from .spill import (
     decode_payload,
     encode_payload,
     frame_payload,
+    read_frame,
 )
 
 __all__ = ["WriteAheadLog", "read_segment", "scan_wal", "segment_path"]
 
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".log"
-_HEAD_LEN = len(SPILL_MAGIC) + 8
-_END_MARK = b"RSPLEND."
-_FOOT_LEN = 4 + len(_END_MARK)
-#: refuse absurd frame lengths when probing damaged bytes
-_MAX_RECORD = 1 << 40
 
 
 def segment_path(directory: str, index: int) -> str:
@@ -78,33 +72,16 @@ def list_segments(directory: str) -> list[tuple[int, str]]:
 def _parse_one_frame(blob: bytes, pos: int):
     """Parse the frame starting at ``pos``; returns ``(record, end)``
     or ``None`` when the bytes there are not one intact record."""
-    if blob[pos : pos + len(SPILL_MAGIC)] != SPILL_MAGIC:
-        return None
-    if pos + _HEAD_LEN > len(blob):
-        return None
-    (length,) = struct.unpack(
-        "<Q", blob[pos + len(SPILL_MAGIC) : pos + _HEAD_LEN]
-    )
-    if length > _MAX_RECORD:
-        return None
-    end = pos + _HEAD_LEN + length + _FOOT_LEN
-    if end > len(blob):
-        return None
-    payload = blob[pos + _HEAD_LEN : pos + _HEAD_LEN + length]
-    (crc,) = struct.unpack(
-        "<I", blob[pos + _HEAD_LEN + length : pos + _HEAD_LEN + length + 4]
-    )
-    if blob[end - len(_END_MARK) : end] != _END_MARK:
-        return None
-    if zlib.crc32(payload) != crc:
-        return None
     try:
-        record = decode_payload(payload)
+        parsed = read_frame(blob, pos)
+        if parsed is None:
+            return None
+        record = decode_payload(parsed[0])
     except Exception:
         return None
     if not isinstance(record, dict) or not isinstance(record.get("lsn"), int):
         return None
-    return record, end
+    return record, parsed[1]
 
 
 def _any_valid_frame_after(blob: bytes, start: int) -> bool:

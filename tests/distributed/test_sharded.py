@@ -1,11 +1,12 @@
 """Sharded multi-process execution: distribution must be invisible.
 
-The tentpole claim of PR 8: hash-sharding a table across worker
+The tentpole claim of PR 8: dealing a table's rows to executor
 *processes* and exchanging partial group tables over the spill wire
 format changes wall-clock, never bits.  These tests pin result bits
-across shard counts x placement x exchange-arrival order x worker
-counts x morsel sizes x engines, in every repro sum mode — and the
-lifecycle contract: no executor process or pool thread survives
+across shard counts x exchange-arrival order x worker counts x morsel
+sizes x engines, in every repro sum mode; what names a shipped replica
+(the table's own content, so a write elsewhere re-ships nothing); and
+the lifecycle contract: no executor process or pool thread survives
 ``Database.close()``.
 """
 
@@ -17,7 +18,7 @@ import pytest
 
 from repro.distributed import coordinator
 from repro.engine.session import Database
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 
 QUERIES = [
     "SELECT g, SUM(f), AVG(f), COUNT(*) FROM t GROUP BY g ORDER BY g",
@@ -61,39 +62,53 @@ def _result_bits(result):
     return tuple(pieces)
 
 
-def _run_all(rows, **kw):
+def _run_all(rows, dml=(), **kw):
     with Database(**kw) as db:
         _populate(db, rows)
+        for statement in dml:
+            db.execute(statement)
         return [_result_bits(db.execute(q)) for q in QUERIES]
 
 
 # -- bit identity across the distribution matrix ---------------------------
 
+#: DELETE and UPDATE mask row versions (UPDATE re-appends them at the
+#: tail), so the visible rows a stride deals are not a physical prefix.
+MASKING_DML = (
+    "DELETE FROM t WHERE d = 7",
+    "UPDATE t SET f = 0.5 WHERE g = 2 AND d < 20",
+)
+
 
 @pytest.mark.parametrize("mode", ["repro", "sorted"])
 def test_bits_invariant_under_sharding(mode, engine_path):
-    rows = _rows()
-    base = _run_all(rows, sum_mode=mode)
-    for config in (
-        dict(shards=2),
-        dict(shards=3, shard_workers=2),
-        dict(shards=8, shard_workers=4),
-        dict(shards=8, shard_workers=1),
-        dict(shards=2, morsel_size=257),
-        dict(shards=2, workers=4),
+    # 3001 rows (2661 visible after the DML): neither 3 nor 8 divides
+    # either count; then fewer rows than shards; then none at all.
+    for rows, dml in (
+        (_rows(n=3001), MASKING_DML), (_rows(n=5), ()), ([], ()),
     ):
-        assert _run_all(rows, sum_mode=mode, **config) == base, config
-    # Cross-path identity: the unsharded scalar reference table agrees
-    # with every sharded run above.
-    with engine_path("scalar"):
-        assert _run_all(rows, sum_mode=mode) == base
+        base = _run_all(rows, dml, sum_mode=mode, shards=0)
+        for config in (
+            dict(shards=1),
+            dict(shards=2),
+            dict(shards=3),
+            dict(shards=8),
+            dict(shards=2, morsel_size=257),
+            dict(shards=3, workers=4),
+        ):
+            got = _run_all(rows, dml, sum_mode=mode, **config)
+            assert got == base, (len(rows), config)
+        # Cross-path identity: the unsharded scalar reference table
+        # agrees with every sharded run above.
+        with engine_path("scalar"):
+            assert _run_all(rows, dml, sum_mode=mode) == base
 
 
 def test_explain_renders_sharded_aggregate():
     with Database(sum_mode="repro", shards=8) as db:
         _populate(db, _rows(n=50))
         plan = db.explain(QUERIES[0])
-        assert "ShardedAggregate(shards=8, shard_workers=8)" in plan
+        assert "ShardedAggregate(shards=8)[morsel_size=" in plan
         # Inner-join plans shard too: the build side is broadcast to
         # the executors, which walk the same chain (the build-row rule
         # ships with it).
@@ -119,33 +134,123 @@ def test_set_shards_takes_effect_and_validates():
         _populate(db, _rows(n=400))
         base = _result_bits(db.execute(QUERIES[0]))
         db.execute("SET shards = 4")
-        db.execute("SET shard_workers = 2")
-        assert "ShardedAggregate(shards=4" in db.explain(QUERIES[0])
+        assert "ShardedAggregate(shards=4)" in db.explain(QUERIES[0])
         assert _result_bits(db.execute(QUERIES[0])) == base
         stats = db.last_pipeline_stats
         assert stats.sharded and stats.shards == 4
         assert stats.exchange_bytes > 0
+        # One executor per shard: a new shard count is a new fleet.
+        first = set(db.execution_context._shard_pool.pids)
+        assert len(first) == 4
+        db.execute("SET shards = 2")
+        assert _result_bits(db.execute(QUERIES[0])) == base
+        second = set(db.execution_context._shard_pool.pids)
+        assert len(second) == 2 and not (first & second)
+        assert len(multiprocessing.active_children()) == 2
         db.execute("SET shards = 0")
         assert "ShardedAggregate" not in db.explain(QUERIES[0])
         with pytest.raises(ReproError):
             db.execute("SET shards = -1")
-        with pytest.raises(ReproError):
-            db.execute("SET shard_workers = 0")
+        # The executor count is not a knob any more; the plan stands.
+        db.execute("SET shards = 2")
+        with pytest.raises(ConfigError, match="one executor per shard"):
+            db.execute("SET shard_workers = 2")
+        assert "ShardedAggregate(shards=2)" in db.explain(QUERIES[0])
+        with pytest.raises(TypeError):
+            Database(sum_mode="repro", shards=2, shard_workers=1)
+        with pytest.raises(ReproError, match="unknown session options"):
+            db.session(shard_workers=1)
+    assert multiprocessing.active_children() == []
 
 
-def test_insert_reshards_by_versioning():
-    rows = _rows(n=600)
+JOIN_QUERY = (
+    "SELECT names.label, SUM(t.f), COUNT(*) FROM t "
+    "JOIN names ON t.g = names.g GROUP BY names.label ORDER BY names.label"
+)
+
+
+def test_insert_reshards_by_versioning(monkeypatch):
+    """A replica is named by the content of the table it copies: a
+    committed write to another table ships nothing (the cliff this test
+    pins: at the parent it re-hashed and re-shipped every replica), a
+    write to the table ships each of its replicas once, and a reader
+    pinned before that write keeps reading the old rows."""
+    shipped = []  # (executor, slot) per replica / build sent
+    send = coordinator._send
+
+    def recording_send(pool, stats, worker_id, slot, token, message):
+        shipped.append((worker_id, slot))
+        send(pool, stats, worker_id, slot, token, message)
+
+    monkeypatch.setattr(coordinator, "_send", recording_send)
+
+    def run(session, query=QUERIES[0]):
+        del shipped[:]
+        bits = _result_bits(session.execute(query))
+        return bits, session.last_pipeline_stats.exchange_bytes, list(shipped)
+
     extra = [{"g": 3, "f": 1.5, "d": 99, "s": "new"},
              {"g": 99, "f": -2.25, "d": 1, "s": None}]
-    with Database(sum_mode="repro", shards=4, shard_workers=2) as db:
-        _populate(db, rows)
-        before = _result_bits(db.execute(QUERIES[0]))
-        db.table("t").insert_rows(extra)
-        after = _result_bits(db.execute(QUERIES[0]))
+    with Database(sum_mode="repro", shards=2) as db:
+        _populate(db, _rows(n=600))
+        db.execute("CREATE TABLE names (g INT, label VARCHAR)")
+        db.execute("INSERT INTO names VALUES (1, 'one'), (2, 'two'), (3, 'x')")
+        db.execute("CREATE TABLE other (x INT)")
+        session, serial = db.session(), db.session(shards=0)
+
+        before, first_bytes, sent = run(session)
+        assert [w for w, _ in sent] == [0, 1]
+        _, steady, sent = run(session)
+        assert not sent and steady < first_bytes
+        # Same columns of ``t`` as above: the replicas are shared, only
+        # the build over ``names`` travels.
+        join_before, _, sent = run(session, JOIN_QUERY)
+        assert [(w, slot[0]) for w, slot in sent] == [
+            (0, "join_build"), (1, "join_build"),
+        ]
+        _, join_steady, sent = run(session, JOIN_QUERY)
+        assert not sent
+        run(serial, JOIN_QUERY), run(serial, JOIN_QUERY)
+        context = serial.execution_context
+        assert (context.join_cache_misses, context.join_cache_hits) == (1, 1)
+
+        # A committed write to an unrelated table moves the snapshot
+        # and nothing else: steady-state bytes, the cached build hit.
+        db.execute("INSERT INTO other VALUES (1)")
+        assert run(session) == (before, steady, [])
+        assert run(session, JOIN_QUERY) == (join_before, join_steady, [])
+        assert run(serial, JOIN_QUERY)[0] == join_before
+        assert (context.join_cache_misses, context.join_cache_hits) == (1, 2)
+
+        # A write to the sharded table: each of its replicas once, the
+        # build over ``names`` not at all; the reader pinned before it
+        # keeps the old bits.
+        pinned = db.session()
+        with pinned.snapshot():
+            assert run(pinned)[0] == before
+            db.table("t").insert_rows(extra)
+            after, bytes_after, sent = run(session)
+            assert after != before and bytes_after > steady
+            assert sorted((w, slot[0]) for w, slot in sent) == [
+                (0, "t"), (1, "t"),
+            ]
+            join_after, _, sent = run(session, JOIN_QUERY)
+            assert join_after != join_before and not sent
+            for round_ in range(3):
+                old, old_bytes, old_sent = run(pinned)
+                new, new_bytes, new_sent = run(session)
+                assert (old, new) == (before, after), round_
+                assert not new_sent and new_bytes == run(session)[1]
+                # the pinned reader's name for the old rows changed once
+                # (from the table's watermark to its own snapshot)
+                assert len(old_sent) == (2 if round_ == 0 else 0), round_
+        assert run(pinned)[0] == after
+
         db.execute("DELETE FROM t WHERE g = 99")
-        reverted = _result_bits(db.execute(QUERIES[0]))
+        reverted, _, sent = run(session)
+        assert len(sent) == 2
     with Database(sum_mode="repro") as db:
-        _populate(db, rows)
+        _populate(db, _rows(n=600))
         assert _result_bits(db.execute(QUERIES[0])) == before
         db.table("t").insert_rows(extra)
         assert _result_bits(db.execute(QUERIES[0])) == after
@@ -164,7 +269,7 @@ def test_snapshot_pinned_reads_are_stable_under_sharding():
         assert _result_bits(session.execute(QUERIES[0])) != before
 
 
-# -- exchange-arrival order and placement invariance -----------------------
+# -- exchange-arrival order invariance -------------------------------------
 
 
 @pytest.mark.parametrize("mode", ["repro", "sorted"])
@@ -184,20 +289,9 @@ def test_exchange_arrival_order_invariance(mode, monkeypatch):
             return ready
 
         monkeypatch.setattr(coordinator, "_service_order", permute)
-        got = _run_all(rows, sum_mode=mode, shards=8, shard_workers=4)
+        got = _run_all(rows, sum_mode=mode, shards=8)
         assert got == base, f"arrival permutation seed={seed}"
     monkeypatch.setattr(coordinator, "_service_order", None)
-
-
-def test_placement_invariance(monkeypatch):
-    rows = _rows(n=600)
-    base = _run_all(rows, sum_mode="repro")
-    assert _run_all(rows, sum_mode="repro", shards=6, shard_workers=3) == base
-    monkeypatch.setattr(
-        coordinator, "_placement", lambda shard, nworkers: nworkers - 1 - (
-            shard % nworkers)
-    )
-    assert _run_all(rows, sum_mode="repro", shards=6, shard_workers=3) == base
 
 
 # -- lifecycle: nothing survives close() -----------------------------------
@@ -205,11 +299,10 @@ def test_placement_invariance(monkeypatch):
 
 def test_no_stray_processes_or_threads_after_close():
     before_threads = set(threading.enumerate())
-    with Database(sum_mode="repro", shards=4, shard_workers=2,
-                  workers=2) as db:
+    with Database(sum_mode="repro", shards=4, workers=2) as db:
         _populate(db, _rows(n=300))
         db.execute(QUERIES[0])
-        assert len(multiprocessing.active_children()) == 2
+        assert len(multiprocessing.active_children()) == 4
     assert multiprocessing.active_children() == []
     stray = {
         t for t in set(threading.enumerate()) - before_threads if t.is_alive()
@@ -220,11 +313,11 @@ def test_no_stray_processes_or_threads_after_close():
 def test_session_close_is_idempotent_and_db_closes_all_sessions():
     db = Database(sum_mode="repro", shards=2)
     _populate(db, _rows(n=200))
-    s1 = db.session(shard_workers=1)
+    s1 = db.session()
     s2 = db.session(shards=3)
     s1.execute(QUERIES[3])
     s2.execute(QUERIES[3])
-    assert multiprocessing.active_children() != []
+    assert len(multiprocessing.active_children()) == 2 + 3
     db.close()
     assert multiprocessing.active_children() == []
     s1.close()  # idempotent
@@ -236,21 +329,8 @@ def test_session_close_is_idempotent_and_db_closes_all_sessions():
     assert multiprocessing.active_children() == []
 
 
-def test_changing_shard_workers_recycles_pool():
-    with Database(sum_mode="repro", shards=4, shard_workers=4) as db:
-        _populate(db, _rows(n=200))
-        base = _result_bits(db.execute(QUERIES[0]))
-        first = set(db.execution_context._shard_pool.pids)
-        assert len(first) == 4
-        db.execute("SET shard_workers = 2")
-        assert _result_bits(db.execute(QUERIES[0])) == base
-        second = set(db.execution_context._shard_pool.pids)
-        assert len(second) == 2 and not (first & second)
-    assert multiprocessing.active_children() == []
-
-
 def test_executor_crash_heals_between_queries():
-    with Database(sum_mode="repro", shards=2, shard_workers=2) as db:
+    with Database(sum_mode="repro", shards=2) as db:
         _populate(db, _rows(n=200))
         base = _result_bits(db.execute(QUERIES[0]))
         pool = db.execution_context._shard_pool
@@ -263,7 +343,7 @@ def test_executor_crash_heals_between_queries():
 
 
 def test_executor_death_mid_exchange_raises_and_recovers(monkeypatch):
-    with Database(sum_mode="repro", shards=2, shard_workers=2) as db:
+    with Database(sum_mode="repro", shards=2) as db:
         _populate(db, _rows(n=200))
         base = _result_bits(db.execute(QUERIES[0]))
         pool = db.execution_context._shard_pool

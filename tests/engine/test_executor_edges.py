@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Database, QueryResult, SumConfig
+from order_by_cases import check_desc_integer_keys
 from reference_table import grouped_float_sum
 from repro.engine.operators import Batch
 from repro.errors import BindError
@@ -74,6 +75,12 @@ class TestOrderByEdges:
             1, "a", 4.0)
         plan = db.explain("SELECT k, SUM(v) FROM t GROUP BY k ORDER BY 2 DESC")
         assert "Sort(SUM(v) DESC)" in plan
+
+    def test_order_by_desc_integer_keys_are_exact(self):
+        """``DESC`` used to sort integers through ``-float64(x)``: past
+        2**53 neighbouring BIGINTs collapsed into one key and came back
+        in scan order (…994, …992, …993).  The key is ``~x`` now."""
+        check_desc_integer_keys(Database().execute)
 
     @pytest.mark.parametrize("key", ("0", "3", "-1", "1.5", "'k'", "1 + 1"))
     def test_order_by_constant_is_a_bind_error(self, db, key):

@@ -118,7 +118,7 @@ class TestJoinBitEquivalence:
     def test_bits_invariant_under_sharded_fused_joins(self, shards):
         with _make_db("repro") as db:
             base = [_result_bits(db.execute(q)) for q in QUERIES]
-        with _make_db("repro", shards=shards, shard_workers=2) as db:
+        with _make_db("repro", shards=shards) as db:
             for query, expect in zip(QUERIES, base):
                 assert "ShardedAggregate(" in db.explain(query)
                 assert _result_bits(db.execute(query)) == expect, query

@@ -380,13 +380,14 @@ def test_every_set_name_is_documented_and_exercised(digest):
     table = table.split("\n\n", 2)[1]
     rows = dict(re.findall(r"^\| `(\w+)` \| (.*?) \|", table, re.M))
     assert set(ExecutionContext.PARAM_NAMES) <= set(rows)
-    assert len(ExecutionContext.PARAM_NAMES) == 6
-    retired = ("memory_budget_bytes", "spill_partitions", "spill_merge_fanin")
+    assert len(ExecutionContext.PARAM_NAMES) == 5
+    retired = ("memory_budget_bytes", "spill_partitions", "spill_merge_fanin",
+               "shard_workers")
     assert not set(retired) & set(rows)
 
     sample = {
         "memory_budget": 4096, "workers": 2, "morsel_size": 128,
-        "join_build": "left", "shards": 0, "shard_workers": 1,
+        "join_build": "left", "shards": 0,
     }
     settable = {name for name, where in rows.items() if "`SET " in where}
     assert settable == set(ExecutionContext.PARAM_NAMES)

@@ -253,6 +253,16 @@ def test_order_by_output_position_served(served):
                 s.execute(f"SELECT k, v FROM t ORDER BY {key}")
 
 
+def test_order_by_desc_integer_keys_served(served):
+    """``ORDER BY <integer> DESC`` through the wire: the cases of
+    ``TestOrderByEdges::test_order_by_desc_integer_keys_are_exact``."""
+    from order_by_cases import check_desc_integer_keys
+
+    db, server = served
+    with repro.connect(server.address) as s:
+        check_desc_integer_keys(s.execute)
+
+
 def test_invalid_session_options_rejected_at_hello(served):
     db, server = served
     with pytest.raises(ReproError):

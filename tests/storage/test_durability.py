@@ -666,6 +666,67 @@ def test_directory_with_retired_spill_knobs_opens_serves_and_refreshes(
         assert bits(db.execute(query)) == golden["after_refresh"]
 
 
+def test_directory_with_retired_shard_workers_opens_serves_sharded_and_refreshes(
+        tmp_path):
+    """``parent_commit_shard_dir`` was written by the commit before
+    ``shard_workers`` was retired and rows were dealt to shards by
+    position: ``set_default('shards', 2)`` and ``set_default(
+    'shard_workers', 1)`` sit in its checkpoint image, the latter again
+    in a WAL record, beside one table and one refreshed view.  The
+    retired default selects nothing, ``shards`` still shards, and the
+    directory serves and refreshes to the bits that commit recorded
+    (``parent_commit_shard_dir.json``; that commit routed rows by
+    content hash, this one by position — same bits)."""
+    import json
+    import pathlib
+    import shutil
+
+    from repro.storage.wal import scan_wal
+
+    here = pathlib.Path(__file__).parent
+    golden = json.loads((here / "parent_commit_shard_dir.json").read_text())
+    shutil.copytree(here / "parent_commit_shard_dir", tmp_path / "dir")
+    assert [(r["name"], r["value"])
+            for r in scan_wal(str(tmp_path / "dir"), 1, repair=False)
+            if r["op"] == "set_default"] == [("shard_workers", 1)]
+    query = golden["view_sql"] + " ORDER BY k, s"
+    sharded = golden["sharded_sql"]
+
+    def bits(result):
+        return {
+            name: (np.asarray(arr).tobytes().hex()
+                   if np.asarray(arr).dtype != object
+                   else repr(np.asarray(arr).tolist()))
+            for name, arr in zip(result.names, result.arrays)
+        }
+
+    with repro.open(str(tmp_path / "dir"), sum_mode="repro",
+                    checkpoint_interval=None) as db:
+        assert db.session_defaults["shards"] == 2
+        assert "shard_workers" not in db.session_defaults
+        assert "ViewScan" in db.explain(query)
+        assert bits(db.execute(query)) == golden["served"]
+        assert "ShardedAggregate(shards=2)[" in db.explain(sharded)
+        assert bits(db.execute(sharded)) == golden["served_sharded"]
+        stats = db.last_pipeline_stats
+        assert stats.sharded and stats.shards == 2
+
+        db.execute(golden["follow_up"])
+        db.execute("REFRESH MATERIALIZED VIEW vm")
+        assert "ViewScan" in db.explain(query)
+        assert bits(db.execute(query)) == golden["after_refresh"]
+        assert bits(db.execute(sharded)) == golden["after_refresh_sharded"]
+        db.checkpoint()
+    # What this version checkpointed over it opens again, the retired
+    # default still on disk and still selecting nothing.
+    with repro.open(str(tmp_path / "dir"), sum_mode="repro",
+                    checkpoint_interval=None) as db:
+        assert db.storage.persistent_defaults["shard_workers"] == 1
+        assert "shard_workers" not in db.session_defaults
+        assert bits(db.execute(query)) == golden["after_refresh"]
+        assert bits(db.execute(sharded)) == golden["after_refresh_sharded"]
+
+
 def test_persistent_defaults_survive_reopen(tmp_path):
     db = repro.open(str(tmp_path), **CONFIG)
     db.execute("CREATE TABLE t (f DOUBLE)")

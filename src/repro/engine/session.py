@@ -36,7 +36,7 @@ import weakref
 
 import numpy as np
 
-from ..errors import ReproError
+from ..errors import BindError, ReproError
 from .catalog import Catalog
 from .executor import (
     QueryResult, execute_select, explain_select, plan_select, run_planned,
@@ -45,7 +45,7 @@ from .expr import evaluate
 from .operators import OperatorTimings, SumConfig
 from .pipeline import DEFAULT_MORSEL_SIZE, ExecutionContext, PipelineStats
 from .sql import ast, parse
-from .types import type_from_name
+from .types import DateType, DecimalSqlType, type_from_name
 
 __all__ = ["Database", "Session"]
 
@@ -280,11 +280,13 @@ class Session:
     # -- DML ------------------------------------------------------------------
     def _execute_insert(self, stmt: ast.Insert) -> int:
         table = self.catalog.get(stmt.table)
-        columns = list(stmt.columns) or table.schema.names()
-        if stmt.select is not None:
+        names = list(stmt.columns) or table.schema.names()
+        if stmt.select is None:
+            columns = _value_columns(stmt.values, len(names))
+        else:
             # INSERT INTO t SELECT ...: run the query (through the
             # same timing path as a top-level SELECT — the sub-SELECT
-            # is a full pipeline run), then append the rows as one
+            # is a full pipeline run), then append its columns as one
             # versioned chunk.
             timings = OperatorTimings()
             result = execute_select(
@@ -293,29 +295,27 @@ class Session:
                 snapshot=self.pin_snapshot(),
             )
             self.last_timings = timings
-            if len(result.names) != len(columns):
-                raise ValueError(
-                    f"INSERT arity mismatch: {len(columns)} target "
+            if len(result.names) != len(names):
+                raise BindError(
+                    f"INSERT arity mismatch: {len(names)} target "
                     f"columns, SELECT produces {len(result.names)}"
                 )
-            rows = [dict(zip(columns, row)) for row in result.rows()]
-            return table.insert_rows(rows)
-        rows = []
-        for row in stmt.rows:
-            if len(row) != len(columns):
-                raise ValueError("INSERT arity mismatch")
-            values = {}
-            for name, expr in zip(columns, row):
-                values[name] = evaluate(expr, {}, {})
-            rows.append(values)
-        return table.insert_rows(rows)
+            columns = [
+                # a stored DECIMAL / DATE is not its value: convert as
+                # ``result.rows()`` would
+                [sql_type.to_python(v) for v in column]
+                if isinstance(sql_type, (DecimalSqlType, DateType))
+                else column
+                for column, sql_type in zip(result.arrays, result.types)
+            ]
+        return table.insert_columns(dict(zip(names, columns)))
 
     def _execute_update(self, stmt: ast.Update) -> int:
         """MonetDB/PostgreSQL-style UPDATE: mask old versions, append new.
 
         This physically reorders the table — the storage-layer effect
         behind the paper's Algorithm 1.  The mask and the re-insert
-        are applied under one row version (``Table.replace_rows``), so
+        are applied under one row version (``Table.replace_columns``), so
         snapshot readers see the statement atomically.
         """
         table = self.catalog.get(stmt.table)
@@ -341,18 +341,10 @@ class Session:
                     result = np.full(hit.size, result)
                 new_values[name.lower()] = result
             # Mask the old versions and append the new ones at the
-            # tail, atomically under one version.
-            rows = []
-            for i in range(hit.size):
-                row = {}
-                for name in table.schema.names():
-                    sql_type = table.schema.type_of(name)
-                    if name in new_values:
-                        row[name] = _np_to_python(new_values[name][i])
-                    else:
-                        row[name] = sql_type.to_python(hit_batch[name][i])
-                rows.append(row)
-            table.replace_rows(hit, rows)
+            # tail, atomically under one version: the hit rows' stored
+            # values, the assigned columns replaced.
+            hit_batch.update(table.coerce_columns(new_values))
+            table.replace_columns(hit, hit_batch)
             return hit.size
 
     def _execute_delete(self, stmt: ast.Delete) -> int:
@@ -603,7 +595,26 @@ class Database:
         self.default_session.memory_budget = value
 
 
-def _np_to_python(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
+def _value_columns(values, arity: int) -> list[list]:
+    """A VALUES list as one list of Python values per target column:
+    literal runs arrive as columns already, expression rows are
+    evaluated value by value.  Rows keep statement order."""
+    columns: list[list] = [[] for _ in range(arity)]
+    row_number = 1
+    for entry in values:
+        literal = isinstance(entry, ast.LiteralRows)
+        width = len(entry.columns if literal else entry)
+        if width != arity:
+            raise BindError(
+                f"INSERT arity mismatch: row {row_number} has {width} "
+                f"values for {arity} target columns"
+            )
+        if literal:
+            for column, run in zip(columns, entry.columns):
+                column.extend(run)
+            row_number += len(entry)
+        else:
+            for column, expr in zip(columns, entry):
+                column.append(evaluate(expr, {}, {}))
+            row_number += 1
+    return columns

@@ -29,6 +29,7 @@ __all__ = [
     "CreateTable",
     "ColumnDef",
     "Insert",
+    "LiteralRows",
     "Update",
     "Delete",
     "DropTable",
@@ -278,12 +279,40 @@ class CreateTable:
 
 
 @dataclass(frozen=True)
+class LiteralRows:
+    """A run of ``VALUES`` rows holding only bare literals, column-major:
+    one list of Python values per position (the scanner builds it
+    without a token, an expression or a :class:`Literal` per value)."""
+
+    columns: tuple[list, ...]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
+@dataclass(frozen=True)
 class Insert:
     table: str
     columns: tuple[str, ...]  # empty: schema order
-    rows: tuple[tuple[Expr, ...], ...]
-    #: INSERT INTO t SELECT ... (``rows`` is empty when set)
+    #: the VALUES list in statement order: each entry a
+    #: :class:`LiteralRows` run or one row of expressions
+    values: "tuple[LiteralRows | tuple[Expr, ...], ...]"
+    #: INSERT INTO t SELECT ... (``values`` is empty when set)
     select: "Select | None" = None
+
+    @property
+    def rows(self) -> tuple[tuple[Expr, ...], ...]:
+        """Every VALUES row as expressions — what the grammar alone
+        would have built."""
+        rows: list[tuple] = []
+        for entry in self.values:
+            if isinstance(entry, LiteralRows):
+                rows.extend(
+                    tuple(map(Literal, row)) for row in zip(*entry.columns)
+                )
+            else:
+                rows.append(entry)
+        return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,20 @@ fresh buffer, and a DELETE/UPDATE overwrites delete versions in a
 fresh copy of that vector.  The same rule makes statements atomic:
 values are coerced and written past the row count first, and become
 rows only when every column has taken them.
+
+Statements arrive as columns
+----------------------------
+
+Every DML statement hands the table one sequence of values *per
+column* — ``INSERT ... VALUES`` the lists its literal rows were scanned
+into, ``INSERT ... SELECT`` the result arrays, ``UPDATE`` the arrays
+its assignments evaluated to — and :meth:`Column.coerce` converts each
+whole (:meth:`Table.coerce_columns`; vectorised for the integer, float
+and boolean types, value by value for DECIMAL, VARCHAR and DATE) before
+:meth:`Table.insert_columns` / :meth:`Table.replace_columns` stage
+anything.  ``insert_rows`` / ``insert_row`` / ``replace_rows`` /
+``append_versions`` take rows as dicts and transpose them into the same
+call.
 """
 
 from __future__ import annotations
@@ -60,7 +74,7 @@ import threading
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import BindError, DataError
 from .types import BIGINT, SqlType
 
 __all__ = ["Column", "Table", "Schema", "VersionClock"]
@@ -132,11 +146,15 @@ class Column:
         self._rows = 0
         self._encoding: tuple[np.ndarray, np.ndarray] | None = None
 
-    def coerce(self, values: list) -> np.ndarray:
-        """SQL literals as one storage array (raises, storing nothing,
-        on the first value the type rejects)."""
-        coerce = self.sql_type.coerce
-        return np.array([coerce(v) for v in values], dtype=self._buffer.dtype)
+    def coerce(self, values) -> np.ndarray:
+        """SQL values — a list of Python literals or an array of values
+        — as one storage array, converted a column at a time
+        (:meth:`SqlType.coerce_column`).  A value the type rejects is a
+        :class:`DataError` naming the column; nothing is stored."""
+        try:
+            return self.sql_type.coerce_column(values)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise DataError(f"column {self.name!r}: {exc}") from exc
 
     def checked(self, values) -> np.ndarray:
         """Pre-coerced storage values as an array that assigns into the
@@ -281,8 +299,8 @@ class Table:
     statements and guards reads of the row count.  Each mutating
     method is statement-atomic under it — a statement that raises
     leaves rows, version and log untouched — and multi-call statements
-    (UPDATE) use :meth:`replace_rows` so the delete and re-insert share
-    one version.
+    (UPDATE) use :meth:`replace_columns` so the delete and re-insert
+    share one version.
     """
 
     def __init__(self, name: str, schema: Schema,
@@ -397,18 +415,28 @@ class Table:
             )
 
     # -- mutation ----------------------------------------------------------
-    def _coerce_rows(self, rows: list[dict]) -> dict:
-        """One statement's row dicts as per-column storage arrays."""
+    def coerce_columns(self, values: dict) -> dict:
+        """SQL values per named column (lists of Python literals or
+        arrays) as storage arrays.  A statement converts everything it
+        means to store through here *first*, so a value its column
+        rejects (:class:`DataError`) fails it with nothing staged."""
+        for name in values:
+            if name not in self._columns:
+                raise BindError(f"table {self.name!r} has no column {name!r}")
+        return {
+            name: self._columns[name].coerce(column)
+            for name, column in values.items()
+        }
+
+    def _transpose(self, rows: list[dict]) -> dict:
+        """Row dicts as one list of values per schema column."""
         names = self.schema.names()
         lowered = [{k.lower(): v for k, v in row.items()} for row in rows]
         for row in lowered:
             missing = [n for n in names if n not in row]
             if missing:
                 raise ValueError(f"missing values for columns {missing}")
-        return {
-            name: self._columns[name].coerce([row[name] for row in lowered])
-            for name in names
-        }
+        return {name: [row[name] for row in lowered] for name in names}
 
     def _stage(self, columns: dict) -> int:
         """Check one statement's per-column storage values and write
@@ -417,7 +445,9 @@ class Table:
         arrays = {}
         for name, column in self._columns.items():
             if name not in columns:
-                raise ValueError(f"missing column {name!r}")
+                raise BindError(
+                    f"table {self.name!r}: no values for column {name!r}"
+                )
             arrays[name] = column.checked(columns[name])
         lengths = {len(arr) for arr in arrays.values()}
         if len(lengths) > 1:
@@ -450,14 +480,15 @@ class Table:
         indices = np.asarray(physical_indices, dtype=np.int64)
         return indices[self._deleted.array()[indices] == 0]
 
-    def _statement(self, hits=None, columns=None) -> None:
+    def _statement(self, hits=None, columns=None) -> int:
         """One DML statement: mask ``hits`` and/or append ``columns``
-        under a single new version, then log it.  A statement with no
-        effect does not advance the watermark, so it cannot make a
-        fresh materialized view look stale."""
+        (storage arrays) under a single new version, then log it;
+        returns the rows appended.  A statement with no effect does not
+        advance the watermark, so it cannot make a fresh materialized
+        view look stale."""
         nrows = 0 if columns is None else self._stage(columns)
         if not nrows and (hits is None or not len(hits)):
-            return
+            return nrows
         start = self.physical_rows
         version = self._clock.begin()
         try:
@@ -473,17 +504,22 @@ class Table:
                     )
         finally:
             self._clock.commit(version)
+        return nrows
+
+    def insert_columns(self, values: dict) -> int:
+        """Append one statement's rows, given as SQL values per column,
+        as one versioned chunk (one watermark bump — INSERT ... VALUES /
+        INSERT ... SELECT); returns the row count.  An empty statement
+        leaves the watermark untouched."""
+        with self.lock:
+            return self._statement(columns=self.coerce_columns(values))
 
     def insert_row(self, values: dict) -> None:
         self.insert_rows([values])
 
     def insert_rows(self, rows: list[dict]) -> int:
-        """Append many rows as one versioned chunk (one watermark bump
-        for the whole statement — INSERT ... VALUES / INSERT ... SELECT).
-        An empty statement leaves the watermark untouched."""
-        with self.lock:
-            self._statement(columns=self._coerce_rows(rows))
-        return len(rows)
+        """:meth:`insert_columns` for rows given as dicts."""
+        return self.insert_columns(self._transpose(rows))
 
     def bulk_load(self, columns: dict) -> None:
         """Load pre-coerced storage arrays (used by the TPC-H generator)."""
@@ -499,16 +535,24 @@ class Table:
             self._statement(hits=hits)
             return len(hits)
 
-    def replace_rows(self, physical_indices: np.ndarray,
-                     rows: list[dict]) -> int:
+    def replace_columns(self, physical_indices: np.ndarray,
+                        columns: dict) -> int:
         """One UPDATE statement: mask the old versions and append the
-        new ones under a *single* version, so a snapshot reader sees
+        new ones (storage arrays per column — :meth:`coerce_columns`
+        makes them) under a *single* version, so a snapshot reader sees
         either the whole statement or none of it — never the masked
         half without the re-inserted half."""
         with self.lock:
             hits = self._live(physical_indices)
-            self._statement(hits=hits, columns=self._coerce_rows(rows))
+            self._statement(hits=hits, columns=columns)
             return len(hits)
+
+    def replace_rows(self, physical_indices: np.ndarray,
+                     rows: list[dict]) -> int:
+        """:meth:`replace_columns` for new versions given as dicts."""
+        return self.replace_columns(
+            physical_indices, self.coerce_columns(self._transpose(rows))
+        )
 
     def append_versions(self, rows: list[dict]) -> None:
         """Append new row versions (the re-insertion half of UPDATE)."""

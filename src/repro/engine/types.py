@@ -50,6 +50,23 @@ def _fit_int(value, bits: int, type_name: str) -> int:
     return value
 
 
+def _plain_numbers(values) -> np.ndarray | None:
+    """``values`` as one array when they are plain numbers of one kind —
+    a numeric array, or a list of nothing but Python ints (and bools)
+    or nothing but floats — else ``None``: the per-value path decides."""
+    if isinstance(values, np.ndarray):
+        return values if values.dtype.kind in "biuf" else None
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return np.array(values, dtype=np.float64)
+    if kinds and kinds <= {int, bool}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:  # past 64 bits
+            return None
+    return None
+
+
 class SqlType:
     """Base class for SQL column types."""
 
@@ -59,6 +76,17 @@ class SqlType:
     def coerce(self, value):
         """Convert a Python literal into the storage representation."""
         raise NotImplementedError
+
+    def coerce_column(self, values) -> np.ndarray:
+        """A whole column — a list of Python literals, or an array of
+        values — as one storage array: :meth:`coerce` of every value.
+        The numeric types override it with the same conversion done
+        once per column and come back here for whatever that cannot
+        take, so this loop is also what names a refused value."""
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        coerce = self.coerce
+        return np.array([coerce(v) for v in values], dtype=self.numpy_dtype)
 
     def to_python(self, stored):
         """Convert a stored value back to a natural Python value."""
@@ -72,6 +100,16 @@ class SqlType:
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, tuple(sorted(self.__dict__.items()))))
+
+
+def _cast_column(sql_type: SqlType, values) -> np.ndarray:
+    """``coerce_column`` of the types whose ``coerce`` is what a NumPy
+    cast does (``float(value)``, ``bool(value)``): plain numbers are
+    cast as one array."""
+    numbers = _plain_numbers(values)
+    if numbers is None:
+        return SqlType.coerce_column(sql_type, values)
+    return numbers.astype(sql_type.numpy_dtype, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +133,17 @@ class IntType(SqlType):
             raise ValueError("NULLs are not supported")
         return _fit_int(value, self.bits, self.name)
 
+    def coerce_column(self, values) -> np.ndarray:
+        numbers = _plain_numbers(values)
+        if numbers is not None and numbers.size:
+            if numbers.dtype.kind == "f":
+                numbers = np.trunc(numbers)  # int(value)
+            bound = 1 << (self.bits - 1)
+            # NaN fails both comparisons
+            if -bound <= numbers.min().item() and numbers.max().item() < bound:
+                return numbers.astype(self.numpy_dtype, copy=False)
+        return super().coerce_column(values)
+
 
 @dataclass(frozen=True, eq=False)
 class FloatType(SqlType):
@@ -110,6 +159,8 @@ class FloatType(SqlType):
 
     def coerce(self, value):
         return float(value)
+
+    coerce_column = _cast_column
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +233,8 @@ class BooleanType(SqlType):
 
     def coerce(self, value):
         return bool(value)
+
+    coerce_column = _cast_column
 
 
 INT = IntType(32)

@@ -175,3 +175,145 @@ class TestStatementParsing:
             "UPDATE R SET i = i + 1 WHERE i = 2",
         ]:
             parse(sql)
+
+
+class TestLexErrorsAreTyped:
+    """Reproduced at the commit before the compiled scanner: these
+    escaped ``float()`` / ``int()`` as a bare ``ValueError`` (wire code
+    ``error``), and ``SELECT 1 + ٣`` *returned 4* because
+    ``str.isdigit`` accepts every Unicode digit."""
+
+    @pytest.mark.parametrize("sql,position", [
+        ("INSERT INTO t VALUES (1, 1e, 'a')", 25),
+        ("INSERT INTO t VALUES (1, 1e+, 'a')", 25),
+        ("INSERT INTO t VALUES (1, 1.e, 'a')", 25),
+        ("SELECT .5E- 3", 7),
+    ])
+    def test_malformed_exponent(self, sql, position):
+        for entry in (tokenize, parse):
+            with pytest.raises(SqlLexError, match=f"exponent.* {position}$"):
+                entry(sql)
+
+    @pytest.mark.parametrize("sql,position", [
+        ("SELECT ²", 7),
+        ("SELECT 1 + ٣", 11),
+        ("SELECT 1٣", 8),
+        ("INSERT INTO t VALUES (٣)", 22),
+        ("INSERT INTO t VALUES (1), (1, 2²)", 31),
+    ])
+    def test_non_ascii_digit(self, sql, position):
+        for entry in (tokenize, parse):
+            with pytest.raises(SqlLexError,
+                               match=f"non-ASCII digit .* {position}$"):
+                entry(sql)
+
+    def test_a_non_ascii_digit_is_not_a_number_in_a_query(self):
+        from repro.engine import Database
+        from repro.errors import ParseError
+
+        db = Database()
+        assert db.execute("SELECT 1 + 3").scalar() == 4
+        with pytest.raises(ParseError) as info:
+            db.execute("SELECT 1 + ٣")
+        assert info.value.code == "parse_error"
+        db.execute("CREATE TABLE t (k INT, v DOUBLE, s VARCHAR(4))")
+        for sql in ("INSERT INTO t VALUES (1, 1e, 'a')",
+                    "INSERT INTO t VALUES (1, 1e+, 'a')",
+                    "SELECT ²"):
+            with pytest.raises(SqlLexError) as info:
+                db.execute(sql)
+            assert info.value.code == "parse_error"
+        assert db.table("t").physical_rows == 0
+
+    def test_identifiers_keep_their_unicode_letters(self):
+        tokens = tokenize("SELECT größe, naïve_2, 数量, x² FROM tablé")
+        assert [t.value for t in tokens if t.kind == "IDENT"] == [
+            "größe", "naïve_2", "数量", "x²", "tablé",
+        ]
+
+    def test_token_is_a_cheap_value_with_equality(self):
+        from repro.engine.sql import Token
+
+        token = Token("NUMBER", 1, 7)
+        assert (token.kind, token.value, token.pos) == ("NUMBER", 1, 7)
+        assert token == Token("NUMBER", 1, 7)
+        assert token != Token("NUMBER", 2, 7)
+        assert tokenize("1")[0] == Token("NUMBER", 1, 0)
+
+
+class TestLiteralRows:
+    """``VALUES`` rows of bare literals reach the statement as columns;
+    anything else goes through the grammar, in the same statement."""
+
+    def test_literal_rows_arrive_column_major(self):
+        stmt = parse("INSERT INTO r VALUES (1, 2.5e-16, 'a'), (-2, .5, 'it''s')")
+        assert stmt.values == (
+            ast.LiteralRows(([1, -2], [2.5e-16, 0.5], ["a", "it's"])),
+        )
+        assert [type(v) for v in stmt.values[0].columns[0]] == [int, int]
+        assert stmt.rows == (
+            (ast.Literal(1), ast.Literal(2.5e-16), ast.Literal("a")),
+            (ast.Literal(-2), ast.Literal(0.5), ast.Literal("it's")),
+        )
+
+    def test_a_run_is_rows_of_the_same_types(self):
+        sql = "INSERT INTO r VALUES (1, 0.5), (2, 1), (3, 1.5), (4, .5), ('5', 6.)"
+        stmt = parse(sql)
+        assert stmt.values == (
+            ast.LiteralRows(([1], [0.5])),
+            ast.LiteralRows(([2], [1])),
+            ast.LiteralRows(([3, 4], [1.5, 0.5])),
+            ast.LiteralRows((["5"], [6.0])),
+        )
+        assert [type(row[1].value) for row in stmt.rows] == [
+            float, int, float, float, float,
+        ]
+
+    def test_expression_rows_share_the_statement(self):
+        stmt = parse(
+            "INSERT INTO r VALUES (1, 2), (1 + 1, 2), (3, 4), (5, 6), "
+            "(DATE '1998-01-01', 7), (- 8, 9), (10, 11) -- the end\n;"
+        )
+        kinds = [type(entry).__name__ for entry in stmt.values]
+        assert kinds == ["LiteralRows", "tuple", "LiteralRows", "tuple",
+                         "tuple", "LiteralRows"]
+        assert len(stmt.rows) == 7
+        assert stmt.rows[5] == (ast.Literal(-8), ast.Literal(9))
+
+    @pytest.mark.parametrize("row", [
+        "(1+1, 2)", "(DATE '1998-01-01', 2)", "(TRUE, 2)", "(- 5, 2)",
+        "(1, -- five\n 2)", "((1), 2)", "(+1, 2)", "(a, 2)",
+    ])
+    def test_a_row_the_pattern_does_not_cover_is_not_guessed_at(self, row):
+        from repro.engine.sql import lexer
+
+        tokens = lexer.scan(f"INSERT INTO r VALUES (1, 2), {row}, (3, 4)")
+        # INSERT INTO r VALUES ROWS , <the row, as plain tokens> , ROWS EOF
+        plain = [(t.kind, t.value) for t in tokenize(row)[:-1]]
+        assert [(t.kind, t.value) for t in tokens[4:]] == [
+            ("ROWS", [[1], [2]]), ("OP", ","), *plain, ("OP", ","),
+            ("ROWS", [[3], [4]]), ("EOF", None),
+        ]
+
+    def test_literal_values_are_what_the_grammar_builds(self):
+        stmt = parse(
+            "INSERT INTO r VALUES (-0, -0.0, 1e400, 1., 1.e2, "
+            "123456789012345678901234567890, '', '(,)--')"
+        )
+        (run,) = stmt.values
+        values = [column[0] for column in run.columns]
+        assert values == [0, -0.0, float("inf"), 1.0, 100.0,
+                          123456789012345678901234567890, "", "(,)--"]
+        assert [type(v) for v in values] == [
+            int, float, float, float, float, int, str, str,
+        ]
+        import math
+
+        assert math.copysign(1.0, values[1]) == -1.0
+
+    def test_tokenize_never_folds_rows(self):
+        tokens = tokenize("INSERT INTO r VALUES (1, 2)")
+        assert [t.kind for t in tokens] == [
+            "KEYWORD", "KEYWORD", "IDENT", "KEYWORD",
+            "OP", "NUMBER", "OP", "NUMBER", "OP", "EOF",
+        ]

@@ -23,7 +23,7 @@ import pathlib
 import pytest
 
 import repro
-from repro.errors import DataError, ReproError
+from repro.errors import BindError, DataError, ReproError
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,9 +98,9 @@ def door(request, tmp_path):
     door.close()
 
 
-def _fails_whole(door, sql):
+def _fails_whole(door, sql, error=DataError, match=None):
     before = door.state()
-    with pytest.raises(DataError) as info:
+    with pytest.raises(error, match=match) as info:
         door.execute(sql)
     # typed, and still a ValueError like its siblings in errors.py
     assert isinstance(info.value, ReproError)
@@ -167,3 +167,54 @@ def test_decimal_and_date_past_their_storage_are_refused(door):
     _fails_whole(door, "INSERT INTO t VALUES (100000000000000000.0, 5)")
     _fails_whole(door, "INSERT INTO t VALUES (1.0, 99999999999)")
     assert door.execute("SELECT COUNT(*) FROM t").scalar() == 1
+
+
+# Reproduced at the commit before the columnar append: each of these
+# raised a bare ``ValueError`` (wire code ``error``).  A row of bare
+# literals reaches the table as columns straight from the scanner; a
+# row holding an expression (``1 + 0``) goes through the grammar — both
+# must fail the same way.
+
+@pytest.mark.parametrize("one", ["1", "1 + 0"], ids=["literal", "grammar"])
+def test_wrong_arity_is_a_bind_error_naming_the_row(door, one):
+    door.execute("CREATE TABLE t (k INT, v DOUBLE, s VARCHAR(4))")
+    door.execute("INSERT INTO t VALUES (0, 0.5, 'z')")
+    _fails_whole(
+        door, f"INSERT INTO t VALUES ({one}, 2.0)", BindError,
+        "row 1 has 2 values for 3 target columns",
+    )
+    _fails_whole(
+        door,
+        f"INSERT INTO t VALUES ({one}, 2.0, 'a'), (2, 3.0, 'b'), (3, 4.0)",
+        BindError, "row 3 has 2 values for 3 target columns",
+    )
+    _fails_whole(
+        door, f"INSERT INTO t (v, k) VALUES (2.0, {one}), (1.0, 2, 'c', 4)",
+        BindError, "row 2 has 4 values for 2 target columns",
+    )
+    assert door.execute("SELECT COUNT(*) FROM t").scalar() == 1
+    door.reopen()
+    assert door.execute("SELECT k, v, s FROM t").rows() == [(0, 0.5, "z")]
+
+
+@pytest.mark.parametrize("one", ["1", "1 + 0"], ids=["literal", "grammar"])
+def test_a_value_the_column_cannot_take_is_a_data_error_naming_it(door, one):
+    door.execute("CREATE TABLE t (k INT, v DOUBLE, s VARCHAR(4))")
+    door.execute("INSERT INTO t VALUES (0, 0.5, 'z')")
+    _fails_whole(
+        door, f"INSERT INTO t VALUES ({one}, 'x', 'a')", match="column 'v'"
+    )
+    _fails_whole(
+        door, f"INSERT INTO t VALUES ({one}, 2.0, 'a'), (2, 3.0, 'toolong')",
+        match="column 's'",
+    )
+    _fails_whole(
+        door, f"INSERT INTO t VALUES ({one}, 2.0, 'a'), ('k', 3.0, 'b')",
+        match="column 'k'",
+    )
+    _fails_whole(door, "UPDATE t SET k = 'k'", match="column 'k'")
+    _fails_whole(door, "INSERT INTO t (k, nope, v, s) VALUES (1, 2, 3.0, 'a')",
+                 BindError, "no column 'nope'")
+    assert door.execute("SELECT COUNT(*) FROM t").scalar() == 1
+    door.reopen()
+    assert door.execute("SELECT k, v, s FROM t").rows() == [(0, 0.5, "z")]

@@ -448,6 +448,29 @@ def test_library_does_not_know_the_reference_table():
     assert offenders == []
 
 
+def test_library_does_not_know_the_reference_lexer():
+    """The per-character loop is test code (``tests/reference_lexer.py``):
+    nothing under ``src/repro`` imports it, and the SQL front end holds
+    no second copy of it to select — no character-class method calls."""
+    src = _SCRIPTS.parent / "src" / "repro"
+    offenders = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if "reference_lexer" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+    loops = [
+        f"{path.name}: {word}"
+        for path in sorted((src / "engine" / "sql").glob("*.py"))
+        for word in ("isdigit", "isalpha", "isalnum", "isspace")
+        if word in path.read_text(encoding="utf-8")
+    ]
+    assert loops == []
+    assert "def tokenize" in (
+        _SCRIPTS.parent / "tests" / "reference_lexer.py"
+    ).read_text(encoding="utf-8")
+
+
 def test_library_generates_no_code():
     """One feeder: nothing under ``src/`` compiles source at run time,
     and the switch that once chose between feeders still fails with

@@ -232,6 +232,29 @@ def test_typed_errors_cross_the_wire(served):
         assert s.execute("SELECT COUNT(*) FROM t").scalar() == 0
 
 
+def test_lexer_and_dml_errors_are_typed_on_the_wire(served):
+    """Reproduced at the commit before the compiled scanner: each of
+    these escaped as a bare ``ValueError`` and arrived with wire code
+    ``error`` — and ``SELECT 1 + ٣`` arrived as the number 4."""
+    db, server = served
+    with repro.connect(server.address) as s:
+        s.execute("CREATE TABLE t (k INT, v DOUBLE, s VARCHAR(4))")
+        for sql, code in [
+            ("INSERT INTO t VALUES (1, 1e, 'a')", "parse_error"),
+            ("INSERT INTO t VALUES (1, 1e+, 'a')", "parse_error"),
+            ("SELECT ²", "parse_error"),
+            ("SELECT 1 + ٣", "parse_error"),
+            ("INSERT INTO t VALUES (1, 2.0)", "bind_error"),
+            ("INSERT INTO t VALUES (1, 2.0, 'a'), (2, 3.0)", "bind_error"),
+            ("INSERT INTO t VALUES (1, 'x', 'a')", "data_error"),
+        ]:
+            with pytest.raises(ReproError) as info:
+                s.execute(sql)
+            assert info.value.code == code, sql
+        assert s.execute("SELECT COUNT(*) FROM t").scalar() == 0
+        assert s.execute("SELECT 1 + 3").scalar() == 4
+
+
 def test_order_by_output_position_served(served):
     """``ORDER BY <n>`` through the wire: every group comes back, in
     the order of the n-th output column (it used to be one 0-d row),

@@ -305,6 +305,15 @@ def _durability_script():
     return statements
 
 
+def _served_bytes(view) -> list:
+    """What a materialized view serves, byte for byte."""
+    return [
+        view.watermark,
+        [arr.tobytes() for arr in view.key_arrays],
+        {sql: arr.tobytes() for sql, arr in view.agg_results.items()},
+    ]
+
+
 def _durability(db):
     """The durability leg: replay a seeded DML/REFRESH workload twice —
     once against the in-memory sweep database and once against a
@@ -341,6 +350,15 @@ def _durability(db):
                 raise SystemExit(
                     "NON-REPRODUCIBLE: durability leg recovered to bits "
                     "that differ from the never-crashed database"
+                )
+            # Replay refreshes a view once, from its last logged REFRESH,
+            # not once per record: the view it leaves is checked too.
+            if _served_bytes(recovered.view("du_agg")) != _served_bytes(
+                db.view("du_agg")
+            ):
+                raise SystemExit(
+                    "NON-REPRODUCIBLE: durability leg recovered du_agg to "
+                    "served arrays that differ from the never-crashed view"
                 )
         finally:
             recovered.close()

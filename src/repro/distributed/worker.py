@@ -22,6 +22,8 @@ import time
 import traceback
 from functools import partial
 
+import numpy as np
+
 from ..engine import pipeline as pipeline_mod
 from ..engine.join import HashJoin
 from ..engine.operators import (
@@ -158,7 +160,13 @@ def worker_main(conn) -> None:
                 copies.pop(by_slot.get(slot), None)
                 by_slot[slot] = token
                 copies[token] = {
-                    "columns": payload["columns"], "types": types,
+                    # kept, so copied off the frame (spill's ownership
+                    # rule): aligned arrays, and the frame can go
+                    "columns": {
+                        name: np.array(column)
+                        for name, column in payload["columns"].items()
+                    },
+                    "types": types,
                     "encodings": {}, "joins": {},
                 }
             elif kind == "run":

@@ -114,7 +114,7 @@ class CountState:
 
     def load(self, data: dict) -> None:
         _expect_tag(data, self.tag)
-        self.counts = np.asarray(data["counts"], dtype=np.int64)
+        self.counts = np.array(data["counts"], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ class PlainSum:
     @classmethod
     def load(cls, data: dict) -> "PlainSum":
         acc = cls(np.dtype(data["dtype"]), data["scale"])
-        acc.sums = np.asarray(data["sums"])
+        acc.sums = np.array(data["sums"])
         return acc
 
 
@@ -329,7 +329,7 @@ class SortedSum:
     def load(cls, data: dict) -> "SortedSum":
         acc = cls(np.dtype(data["dtype"]))
         acc.chunks = [
-            (np.asarray(gids, dtype=np.int64), np.asarray(values))
+            (np.array(gids, dtype=np.int64), np.array(values))
             for gids, values in data["chunks"]
         ]
         return acc
@@ -710,5 +710,5 @@ class MinMaxState:
     def load(self, data: dict) -> None:
         _expect_tag(data, self.tag)
         extremes = data["extremes"]
-        self.extremes = None if extremes is None else np.asarray(extremes)
-        self.seen = np.asarray(data["seen"], dtype=bool)
+        self.extremes = None if extremes is None else np.array(extremes)
+        self.seen = np.array(data["seen"], dtype=bool)

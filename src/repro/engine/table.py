@@ -227,12 +227,14 @@ class Column:
                 # ``np.unique`` cannot order ``None`` against strings;
                 # rank NULL before every real value, matching the
                 # object-key sort convention of the group finalizers.
+                values = arr.tolist()
                 ordered = sorted(
-                    set(arr.tolist()), key=lambda v: (v is not None, v)
+                    set(values), key=lambda v: (v is not None, v)
                 )
                 index = {value: j for j, value in enumerate(ordered)}
+                # one C-level sweep: no generator frame per row
                 codes = np.fromiter(
-                    (index[v] for v in arr.tolist()),
+                    map(index.__getitem__, values),
                     dtype=np.int64, count=len(arr),
                 )
                 uniques = np.empty(len(ordered), dtype=object)

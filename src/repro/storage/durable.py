@@ -35,6 +35,10 @@ claim rather than a slogan.  The moving parts that make it hold:
   view's consumed watermark back through the retractable states.
   Exact merge guarantees the rebuilt state finalizes to the same
   bytes the incrementally-built one did.
+* **One refresh per view.** A ``refresh_view`` record is a watermark
+  plus an execution shape, not a delta, so replay runs the last one
+  per view (:class:`_PendingRefreshes`) instead of one per record;
+  ``refresh_count`` still counts them all.
 * **Torn-tail truncation.** A crash mid-append leaves a half record;
   recovery truncates to the last intact record.  Damage *before*
   intact records raises :class:`~repro.errors.WalCorruptError` —
@@ -53,8 +57,8 @@ from .spill import (
     SpillFormatError,
     decode_payload,
     encode_payload,
-    frame_payload,
     unframe_payload,
+    write_frame,
 )
 from .wal import WriteAheadLog, scan_wal
 
@@ -175,6 +179,56 @@ class _ContextCache:
         self._contexts.clear()
 
 
+#: record ops that create or drop a catalog object
+_DDL_OPS = frozenset((
+    "create_table", "attach_table", "drop_table", "create_view", "drop_view",
+))
+
+
+class _PendingRefreshes:
+    """The logged REFRESHes replay has read and not yet run.
+
+    A ``refresh_view`` record is a watermark plus an execution shape,
+    not a delta: an incremental view consumes ``(its watermark, the
+    record's]`` whatever refreshes lay between (exact merge — one
+    refresh over the union of N deltas finishes to the bytes the N
+    did), and a full-mode recompute pinned at a watermark reads no
+    earlier refresh at all.  So replay keeps the last record per view
+    while table records stream past and runs one refresh per view —
+    at the end of the scan, or before a DDL record is applied.
+    """
+
+    def __init__(self, catalog, contexts: _ContextCache):
+        self._catalog = catalog
+        self._contexts = contexts
+        #: view name -> [last record, records seen]
+        self._pending: dict = {}
+
+    def add(self, record: dict) -> None:
+        entry = self._pending.setdefault(record["name"], [record, 0])
+        entry[0] = record
+        entry[1] += 1
+
+    def flush(self) -> None:
+        pending, self._pending = self._pending, {}
+        for name, (record, seen) in pending.items():
+            view = self._catalog.get_view(name)
+            # every logged REFRESH counted when it ran, also the ones
+            # whose work an image or a later record makes unnecessary
+            count = view.refresh_count + seen
+            watermark = int(record["watermark"])
+            if watermark > view.watermark or not view._populated:
+                # Replay under the *original* execution shape: repro
+                # views are shape-invariant anyway, but an IEEE-mode
+                # full recompute is only bit-faithful with the same
+                # workers x morsel x budget configuration.
+                view.refresh(
+                    self._contexts.get(record.get("ctx")),
+                    to_version=watermark,
+                )
+            view.refresh_count = count
+
+
 # ---------------------------------------------------------------------------
 # The store
 # ---------------------------------------------------------------------------
@@ -249,9 +303,11 @@ class DurableStore:
                 first_segment = int(image["wal_segment"])
                 next_lsn = int(image["next_lsn"])
                 self._restore_image(catalog, image)
+            refreshes = _PendingRefreshes(catalog, contexts)
             for record in scan_wal(self.path, first_segment, repair=True):
-                self._apply(catalog, record, contexts)
+                self._apply(catalog, record, refreshes)
                 next_lsn = int(record["lsn"]) + 1
+            refreshes.flush()
         finally:
             contexts.close()
         self.wal = WriteAheadLog(self.path, sync=self.wal_sync)
@@ -311,13 +367,12 @@ class DurableStore:
                 raise StorageError("durable store is closed")
             horizon = self.wal.rotate()
             next_lsn = self.wal.next_lsn
-            image = self._capture_image(horizon, next_lsn)
-            payload = frame_payload(encode_payload(image))
+            payload = encode_payload(self._capture_image(horizon, next_lsn))
             final = os.path.join(self.path, CHECKPOINT_FILE)
             tmp = final + ".tmp"
             try:
                 with open(tmp, "wb") as handle:
-                    handle.write(payload)
+                    write_frame(handle, payload)
                     handle.flush()
                     os.fsync(handle.fileno())
                 os.replace(tmp, final)
@@ -455,8 +510,12 @@ class DurableStore:
         )
 
     # -- WAL replay --------------------------------------------------------
-    def _apply(self, catalog, record: dict, contexts) -> None:
+    def _apply(self, catalog, record: dict, refreshes) -> None:
         op = record.get("op")
+        if op in _DDL_OPS:
+            # DDL can re-bind the name a pending refresh holds, or drop
+            # what it reads: run the pending ones first.
+            refreshes.flush()
         if op == "append":
             catalog.get(record["table"]).replay_append(
                 record["version"], record["cols"]
@@ -493,17 +552,7 @@ class DurableStore:
         elif op == "drop_view":
             catalog.drop_view(record["name"], if_exists=True)
         elif op == "refresh_view":
-            view = catalog.get_view(record["name"])
-            watermark = int(record["watermark"])
-            if watermark > view.watermark or not view._populated:
-                # Replay under the *original* execution shape: repro
-                # views are shape-invariant anyway, but an IEEE-mode
-                # full recompute is only bit-faithful with the same
-                # workers x morsel x budget configuration.
-                view.refresh(
-                    contexts.get(record.get("ctx")),
-                    to_version=watermark,
-                )
+            refreshes.add(record)
         elif op == "set_default":
             self.persistent_defaults[record["name"]] = record["value"]
         else:

@@ -27,6 +27,18 @@ produced by this process, never untrusted input.
 Crash safety: a truncated or corrupted file fails the length, CRC, or
 end-marker check and raises :class:`SpillFormatError` — the engine
 never silently aggregates over half a run.
+
+Ownership: **a decoded array is a read-only view over the frame it came
+from; whoever keeps one copies it.**  :func:`read_frame` hands back a
+read-only ``memoryview`` of the verified payload and
+:func:`decode_payload` builds its arrays over that view, so reading a
+checkpoint, a WAL segment, a run file or an exchange frame touches each
+array's bytes once — in the copy its keeper makes (``Table._stage``, a
+state's ``load``, a view's ``restore_served``).  A write to a decoded
+array raises, so a keeper that forgot its copy fails at once instead of
+corrupting a buffer it shares; and a kept view would pin its whole
+frame in memory.  Only the stream :class:`FrameDecoder` copies payloads
+out, because the buffer it parses keeps moving.
 """
 
 from __future__ import annotations
@@ -56,6 +68,7 @@ __all__ = [
     "read_frame",
     "read_run_file",
     "unframe_payload",
+    "write_frame",
     "write_run_file",
 ]
 
@@ -74,6 +87,7 @@ _INT64_MAX = (1 << 63) - 1
 # struct-format parse is worth hoisting.
 _S_I64 = struct.Struct("<q")
 _S_F64 = struct.Struct("<d")
+_S_U8 = struct.Struct("<B")
 _S_U16 = struct.Struct("<H")
 _S_U32 = struct.Struct("<I")
 _S_U64 = struct.Struct("<Q")
@@ -109,16 +123,18 @@ def _encode(value, out: bytearray) -> None:
             raw = pickle.dumps(value.tolist(), protocol=4)
             out += b"o" + _S_U32.pack(len(raw)) + raw
         else:
-            little = value.astype(value.dtype.newbyteorder("<"), copy=False)
+            little = np.ascontiguousarray(
+                value.astype(value.dtype.newbyteorder("<"), copy=False)
+            ).reshape(-1)
             dts = little.dtype.str.encode("ascii")
-            raw = little.tobytes()
             out += (
                 b"A"
                 + _S_U16.pack(len(dts))
                 + dts
-                + _S_U64.pack(len(raw))
-                + raw
+                + _S_U64.pack(little.nbytes)
             )
+            # the array's own buffer, not a tobytes() temporary
+            out += little.view(np.uint8).data
     elif isinstance(value, (set, frozenset)):
         raw = pickle.dumps(set(value), protocol=4)
         out += b"S" + _S_U32.pack(len(raw)) + raw
@@ -140,11 +156,14 @@ def _encode(value, out: bytearray) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    """Walks one payload through a read-only ``memoryview``: nothing
+    is sliced out as ``bytes`` except what the value itself is."""
+
+    def __init__(self, buf):
+        self.buf = memoryview(buf).toreadonly()
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         end = self.pos + n
         if end > len(self.buf):
             raise SpillFormatError("spill payload truncated mid-value")
@@ -153,30 +172,36 @@ class _Reader:
         return piece
 
     def unpack(self, s: struct.Struct):
-        (value,) = s.unpack(self.take(s.size))
+        try:
+            (value,) = s.unpack_from(self.buf, self.pos)
+        except struct.error:
+            raise SpillFormatError(
+                "spill payload truncated mid-value"
+            ) from None
+        self.pos += s.size
         return value
 
     def decode(self):
-        tag = self.take(1)
-        if tag == b"N":
+        tag = chr(self.unpack(_S_U8))
+        if tag == "N":
             return None
-        if tag == b"T":
+        if tag == "T":
             return True
-        if tag == b"F":
+        if tag == "F":
             return False
-        if tag == b"i":
+        if tag == "i":
             return self.unpack(_S_I64)
-        if tag == b"I":
+        if tag == "I":
             raw = self.take(self.unpack(_S_U32))
             return int.from_bytes(raw, "little", signed=True)
-        if tag == b"f":
+        if tag == "f":
             return self.unpack(_S_F64)
-        if tag == b"s":
-            return self.take(self.unpack(_S_U32)).decode("utf-8")
-        if tag == b"b":
-            return self.take(self.unpack(_S_U32))
-        if tag == b"A":
-            dts = self.take(self.unpack(_S_U16)).decode("ascii")
+        if tag == "s":
+            return str(self.take(self.unpack(_S_U32)), "utf-8")
+        if tag == "b":
+            return bytes(self.take(self.unpack(_S_U32)))
+        if tag == "A":
+            dts = str(self.take(self.unpack(_S_U16)), "ascii")
             raw = self.take(self.unpack(_S_U64))
             try:
                 dtype = np.dtype(dts)
@@ -184,21 +209,25 @@ class _Reader:
                 raise SpillFormatError(f"bad array dtype {dts!r}") from exc
             if dtype.itemsize and len(raw) % dtype.itemsize:
                 raise SpillFormatError("array byte length not a dtype multiple")
+            # A view over the frame (read-only, like the frame); only a
+            # foreign byte order costs a copy here.
             arr = np.frombuffer(raw, dtype=dtype)
-            return arr.astype(dtype.newbyteorder("="), copy=True)
-        if tag == b"o":
-            items = self._unpickle(self.take(self.unpack(_S_U32)))
-            arr = np.empty(len(items), dtype=object)
-            for i, item in enumerate(items):
-                arr[i] = item
+            if not dtype.isnative:
+                arr = arr.astype(dtype.newbyteorder("="))
+                arr.flags.writeable = False
             return arr
-        if tag == b"S":
+        if tag == "o":
+            items = self._unpickle(self.take(self.unpack(_S_U32)))
+            arr = np.fromiter(items, dtype=object, count=len(items))
+            arr.flags.writeable = False
+            return arr
+        if tag == "S":
             return self._unpickle(self.take(self.unpack(_S_U32)))
-        if tag == b"U":
+        if tag == "U":
             return tuple(self.decode() for _ in range(self.unpack(_S_U32)))
-        if tag == b"L":
+        if tag == "L":
             return [self.decode() for _ in range(self.unpack(_S_U32))]
-        if tag == b"D":
+        if tag == "D":
             count = self.unpack(_S_U32)
             out = {}
             for _ in range(count):
@@ -208,7 +237,7 @@ class _Reader:
         raise SpillFormatError(f"unknown spill value tag {tag!r}")
 
     @staticmethod
-    def _unpickle(raw: bytes):
+    def _unpickle(raw):
         try:
             return pickle.loads(raw)
         except Exception as exc:  # truncated/corrupted pickle frame
@@ -226,8 +255,10 @@ def encode_payload(value) -> bytes:
     return bytes(out)
 
 
-def decode_payload(raw: bytes):
-    """Inverse of :func:`encode_payload` (raises on damage)."""
+def decode_payload(raw):
+    """Inverse of :func:`encode_payload` over any bytes-like ``raw``
+    (raises on damage).  Arrays in the tree are read-only views over
+    ``raw`` — see the module docstring's ownership rule."""
     reader = _Reader(raw)
     value = reader.decode()
     if reader.pos != len(raw):
@@ -251,17 +282,29 @@ _HEAD_LEN = len(SPILL_MAGIC) + 8
 _FOOT_LEN = 4 + len(_END_MARK)
 
 
+def _frame_parts(payload) -> tuple[bytes, bytes]:
+    """The header and footer that make ``payload`` a frame."""
+    return (
+        SPILL_MAGIC + _S_U64.pack(len(payload)),
+        _S_U32.pack(zlib.crc32(payload)) + _END_MARK,
+    )
+
+
 def frame_payload(payload: bytes) -> bytes:
     """One framed, checksummed blob (the run-file layout, in memory)."""
-    return b"".join(
-        (
-            SPILL_MAGIC,
-            struct.pack("<Q", len(payload)),
-            payload,
-            struct.pack("<I", zlib.crc32(payload)),
-            _END_MARK,
-        )
-    )
+    head, foot = _frame_parts(payload)
+    return b"".join((head, payload, foot))
+
+
+def write_frame(handle, payload) -> int:
+    """Write ``payload`` to ``handle`` as one frame — header, payload,
+    footer, without joining them into another payload-sized copy first;
+    returns the frame's length."""
+    head, foot = _frame_parts(payload)
+    handle.write(head)
+    handle.write(payload)
+    handle.write(foot)
+    return len(head) + len(payload) + len(foot)
 
 
 #: refuse absurd frame lengths when probing damaged bytes
@@ -273,7 +316,8 @@ def read_frame(blob, pos: int = 0, context: str = "frame"):
     and return ``(payload, end offset)`` — or ``None`` when ``blob``
     ends before the frame does (a stream reader waits for more bytes,
     everyone else calls that truncation).  Any damage raises: magic,
-    length cap, end marker, CRC."""
+    length cap, end marker, CRC.  The payload is a read-only
+    ``memoryview`` of ``blob``, not a copy."""
     head = pos + _HEAD_LEN
     if len(blob) < head:
         return None
@@ -285,17 +329,19 @@ def read_frame(blob, pos: int = 0, context: str = "frame"):
     end = head + length + _FOOT_LEN
     if len(blob) < end:
         return None
-    payload = bytes(blob[head : head + length])
     (crc,) = _S_U32.unpack_from(blob, head + length)
     if blob[end - len(_END_MARK) : end] != _END_MARK:
         raise SpillFormatError(f"{context}: missing end marker")
+    payload = memoryview(blob)[head : head + length].toreadonly()
     if zlib.crc32(payload) != crc:
+        payload.release()
         raise SpillFormatError(f"{context}: payload checksum mismatch")
     return payload, end
 
 
-def unframe_payload(blob: bytes, context: str = "frame") -> bytes:
-    """Verify and strip exactly one frame (raises on any damage)."""
+def unframe_payload(blob, context: str = "frame") -> memoryview:
+    """Verify and strip exactly one frame (raises on any damage); the
+    payload comes back as a read-only view of ``blob``."""
     parsed = read_frame(blob, 0, context)
     if parsed is None or parsed[1] != len(blob):
         raise SpillFormatError(
@@ -333,7 +379,10 @@ class FrameDecoder:
             if parsed is None:
                 break
             payload, pos = parsed
-            payloads.append(payload)
+            # Copy out and let go: the buffer is about to move, which a
+            # bytearray refuses while a view of it is alive.
+            payloads.append(bytes(payload))
+            payload.release()
             self.frames_decoded += 1
         del self._buffer[:pos]
         return payloads
@@ -357,13 +406,11 @@ def iter_frames(blob: bytes, context: str = "frame stream"):
 
 def write_run_file(path: str, payload: bytes) -> int:
     """Write one framed, checksummed run file; returns bytes written."""
-    frame = frame_payload(payload)
     with open(path, "wb") as handle:
-        handle.write(frame)
-    return len(frame)
+        return write_frame(handle, payload)
 
 
-def read_run_file(path: str) -> bytes:
+def read_run_file(path: str) -> memoryview:
     """Read and verify one run file's payload (raises on any damage)."""
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -399,16 +446,17 @@ def load_grouped_summation(data: dict):
             format_by_name(data["fmt"]), data["levels"], data["w"]
         )
         grouped = GroupedSummation(params, int(data["ngroups"]))
-        levels = [np.asarray(level, dtype=np.int64) for level in data["s"]]
-        carries = [np.asarray(level, dtype=np.int64) for level in data["c"]]
+        # The ladder adds into these in place: copy them off the frame.
+        levels = [np.array(level, dtype=np.int64) for level in data["s"]]
+        carries = [np.array(level, dtype=np.int64) for level in data["c"]]
         if len(levels) != params.levels or len(carries) != params.levels:
             raise SpillFormatError("level count mismatch in rsum payload")
-        grouped.e0 = np.asarray(data["e0"], dtype=np.int64)
+        grouped.e0 = np.array(data["e0"], dtype=np.int64)
         grouped.s = levels
         grouped.c = carries
-        grouped.nan_cnt = np.asarray(data["nan"], dtype=np.int64)
-        grouped.pos_cnt = np.asarray(data["pos"], dtype=np.int64)
-        grouped.neg_cnt = np.asarray(data["neg"], dtype=np.int64)
+        grouped.nan_cnt = np.array(data["nan"], dtype=np.int64)
+        grouped.pos_cnt = np.array(data["pos"], dtype=np.int64)
+        grouped.neg_cnt = np.array(data["neg"], dtype=np.int64)
         for arr in (
             grouped.e0, grouped.nan_cnt, grouped.pos_cnt, grouped.neg_cnt,
             *grouped.s, *grouped.c,

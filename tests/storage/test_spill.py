@@ -361,3 +361,81 @@ def test_decoded_stream_payloads_decode_back():
     (raw,) = iter_frames(blob)
     restored = decode_payload(raw)
     np.testing.assert_array_equal(restored["rows"], table_payload["rows"])
+
+
+# ---------------------------------------------------------------------------
+# Ownership: decoded arrays are read-only views over the frame
+# ---------------------------------------------------------------------------
+
+
+def _every_tag_tree():
+    return {
+        "none": None, "flags": (True, False), "int": -7, "big": 1 << 70,
+        "float": -0.0, "text": "çé", "raw": b"\x00\xff",
+        "f8": np.array([0.1, -0.0, np.nan, np.inf]),
+        "i4": np.arange(5, dtype=np.int32),
+        "swapped": np.arange(3, dtype=">i8"),
+        "strided": np.arange(10.0)[::3],
+        "grid": np.arange(6).reshape(2, 3),     # decodes flat, C order
+        "bool": np.array([True, False]),
+        "empty": np.empty(0, dtype=np.float32),
+        "objects": np.array(["a", None, (1, 2), 3 ** 40], dtype=object),
+        "set": {1.5, "x"},
+        "nested": [{"k": [np.arange(2)]}, ()],
+    }
+
+
+def _same_tree(got, want) -> None:
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _same_tree(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_tree(g, w)
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype.newbyteorder("=")
+        if want.dtype == object:
+            assert got.tolist() == want.tolist()
+        else:
+            assert got.tobytes() == want.astype(got.dtype).tobytes()
+    else:
+        assert got == want and repr(got) == repr(want)
+
+
+def _arrays(tree):
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, dict):
+        for item in tree.values():
+            yield from _arrays(item)
+    elif isinstance(tree, (list, tuple)):
+        for item in tree:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("buffer", [bytes, bytearray, memoryview])
+def test_decode_payload_over_any_bytes_like(buffer):
+    tree = _every_tag_tree()
+    raw = encode_payload(tree)
+    got = decode_payload(buffer(raw))
+    _same_tree(got, tree)
+    _same_tree(decode_payload(unframe_payload(buffer(frame_payload(raw)))),
+               tree)
+
+
+@pytest.mark.parametrize("buffer", [bytes, bytearray])
+def test_decoded_arrays_reject_writes(buffer):
+    """Also over a writable buffer: the rule is the codec's, not an
+    accident of ``bytes`` being immutable."""
+    decoded = list(_arrays(decode_payload(buffer(
+        encode_payload(_every_tag_tree())
+    ))))
+    assert len(decoded) == 9
+    for arr in decoded:
+        assert not arr.flags.writeable
+        if arr.size:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]

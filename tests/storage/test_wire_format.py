@@ -33,6 +33,8 @@ from repro.storage.spill import (
     frame_payload,
     iter_frames,
     load_table_into,
+    read_run_file,
+    unframe_payload,
 )
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_spill_tables.bin")
@@ -124,6 +126,39 @@ def test_golden_payload_loads_to_the_live_table_bits(index):
     load_table_into(payload, restored)
     assert _finalized_bits(restored) == _finalized_bits(
         _seeded_table(MODES[index])
+    )
+
+
+@pytest.mark.parametrize("route", ["run file", "exchange frame"])
+@pytest.mark.parametrize("index", range(len(MODES)), ids=MODES)
+def test_restored_tables_own_their_state(index, route, tmp_path):
+    """A payload off a run file or an exchange frame is a read-only
+    view, and so is every array decoded from it: a restored table that
+    then updates, merges and finalizes to the live table's bits has
+    copied every array it kept (a write into the frame would raise)."""
+    mode = MODES[index]
+    frame = list(iter_frames(GOLDEN.read_bytes()))[index]
+    frame = frame_payload(frame)
+
+    def restored():
+        if route == "run file":
+            path = tmp_path / "golden.run"
+            path.write_bytes(frame)
+            payload = read_run_file(str(path))
+        else:
+            payload = unframe_payload(bytearray(frame))
+        assert isinstance(payload, memoryview) and payload.readonly
+        table = _table(mode)
+        load_table_into(payload, table)
+        return table
+
+    def exercised(left, right):
+        left.update(_batch(np.random.default_rng(7), 90))
+        left.merge(right)
+        return _finalized_bits(left)
+
+    assert exercised(restored(), restored()) == exercised(
+        _seeded_table(mode), _seeded_table(mode)
     )
 
 

@@ -2,7 +2,7 @@
 """Canonical-query reproducibility digest for the CI matrix.
 
 Runs a fixed query set under the repro sum modes across every
-``(workers, morsel_size, memory_budget, shards)`` combination — and,
+``(workers, morsel_size, memory_budget)`` combination — and,
 for the join queries, every hash-join build side — asserts the result
 bits are identical *within* this process, and writes one digest line
 per (query, mode) to ``--out`` (default ``repro_digest.txt``).
@@ -38,23 +38,22 @@ every spill partition back into one table would.
 
 Env overrides (so matrix legs vary without changing the command line):
 
-* ``REPRO_DIGEST_WORKERS`` — comma-separated worker counts;
+* ``REPRO_DIGEST_WORKERS`` — comma-separated worker counts (``1`` =
+  in-process, ``N`` = every eligible aggregate dealt by position to
+  ``N`` executor processes with partial-state exchange; default
+  ``1,2,3`` — 3 is a stride that does not divide the ``obs`` (4 000)
+  and ``edge`` (10) row counts, so shards are uneven there);
 * ``REPRO_DIGEST_BUILD_SIDES`` — hash-join build sides for join legs;
 * ``REPRO_DIGEST_MEMORY_BUDGETS`` — comma-separated byte budgets;
   ``unbounded`` (or ``0``) disables spilling for that run;
-* ``REPRO_DIGEST_SHARDS`` — comma-separated shard counts (``0`` = the
-  in-process pipeline, ``N`` = position-sharded multi-process execution
-  with partial-state exchange, one executor per shard; default
-  ``0,2,3`` — 3 is a stride that does not divide the ``obs`` (4 000)
-  and ``edge`` (10) row counts, so shards are uneven there);
 * ``REPRO_DIGEST_TPCH_SCALE`` — TPC-H scale factor (the nightly deep
   matrix runs x10 the PR default).
 
-The shards axis extends the gate across *process* boundaries: a leg
-that deals the rows of every eligible aggregate to executor processes
-by position (shard ``s`` of ``N`` is every ``N``-th row from row ``s``)
-and exchanges partial group tables over the spill wire format must digest
-byte-identically to the single-process legs.
+The workers axis extends the gate across *process* boundaries: a leg
+whose aggregates run on executor processes (shard ``s`` of ``N`` is
+every ``N``-th row from row ``s``) and exchange partial group tables
+over the spill wire format must digest byte-identically to the
+in-process legs.
 """
 
 import argparse
@@ -468,7 +467,7 @@ def _check_engine_path(query_id, sql, db, config, spill_budget):
     """The pinned group-id path on unbudgeted configs, the external
     aggregation at ``spill_budget`` (a spill leg's smallest budget, else
     ``None``); see the module docstring."""
-    _, _, build_side, budget, _ = config
+    _, _, build_side, budget = config
     if budget is None:
         expected = BUILD_ROW_RULE.get(query_id)
         if expected is not None and build_side == "auto" and (
@@ -490,14 +489,14 @@ def _check_engine_path(query_id, sql, db, config, spill_budget):
 
 
 #: The resident-state probe: enough groups that one partition, one
-#: morsel's growth per worker and the budget together stay far below
-#: the whole state at every budget and worker count the legs sweep.
+#: morsel's growth and the budget together stay far below the whole
+#: state at every budget the legs sweep.
 PROBE_ROWS = 40_000
 PROBE_KEYS = 10_000
 PROBE_QUERY = "SELECT k, SUM(v) AS sv, COUNT(*) AS c FROM probe GROUP BY k"
 
 
-def check_resident_bound(workers: int, budget: int) -> None:
+def check_resident_bound(budget: int) -> None:
     """Run the probe unbudgeted and under ``budget``: the external run's
     ``peak_resident_bytes`` — which covers the finish — must stay below
     the size of the table the unbudgeted run finalizes."""
@@ -508,11 +507,11 @@ def check_resident_bound(workers: int, budget: int) -> None:
     }
     for mode in MODES:
         runs = []
-        # One worker unbudgeted: its peak is the one table's size.
-        for run_workers, run_budget in ((1, None), (workers, budget)):
+        # Unbudgeted, the peak is the one table's size.
+        for run_budget in (None, budget):
             db = Database(
-                sum_mode=mode, workers=run_workers,
-                morsel_size=min(MORSEL_SIZES), memory_budget=run_budget,
+                sum_mode=mode, morsel_size=min(MORSEL_SIZES),
+                memory_budget=run_budget,
             )
             try:
                 db.execute("CREATE TABLE probe (k INT, v DOUBLE)")
@@ -535,8 +534,8 @@ def check_resident_bound(workers: int, budget: int) -> None:
             )
         if stats.peak_resident_bytes >= whole:
             raise SystemExit(
-                f"resident-state probe [{mode}] at budget {budget}, "
-                f"{workers} workers: {stats.peak_resident_bytes} bytes of "
+                f"resident-state probe [{mode}] at budget {budget}: "
+                f"{stats.peak_resident_bytes} bytes of "
                 f"partial state were resident at once, the unbudgeted "
                 f"table holds {whole} (is the finish folding every spill "
                 "partition back into one table?)"
@@ -555,16 +554,6 @@ def parse_build_sides(text: str) -> tuple[str, ...]:
     if not sides or any(s not in ("auto", "left", "right") for s in sides):
         raise SystemExit(f"bad build sides {text!r}")
     return sides
-
-
-def parse_shards(text: str) -> tuple[int, ...]:
-    try:
-        shards = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise SystemExit(f"bad shard counts {text!r}") from None
-    if not shards or any(s < 0 for s in shards):
-        raise SystemExit(f"bad shard counts {text!r}")
-    return shards
 
 
 def parse_budgets(text: str) -> tuple:
@@ -605,9 +594,7 @@ def canonical_bytes(result):
     return b"\x1e".join(pieces)
 
 
-def digest_lines(
-    workers, build_sides, budgets=(None,), queries=QUERIES, shards_counts=(0,)
-):
+def digest_lines(workers, build_sides, budgets=(None,), queries=QUERIES):
     lines = []
     spill_budget = None if None in budgets else min(budgets)
     for query_id, source, sql, sweeps_builds in queries:
@@ -615,19 +602,14 @@ def digest_lines(
             reference = None
             reference_config = None
             sides = build_sides if sweeps_builds else ("auto",)
-            for config in itertools.product(
-                workers, MORSEL_SIZES, sides, budgets, shards_counts
-            ):
-                worker_count, morsel_size, build_side, budget, shard_count = (
-                    config
-                )
+            for config in itertools.product(workers, MORSEL_SIZES, sides, budgets):
+                worker_count, morsel_size, build_side, budget = config
                 db = Database(
                     sum_mode=mode,
                     workers=worker_count,
                     morsel_size=morsel_size,
                     join_build=build_side,
                     memory_budget=budget,
-                    shards=shard_count,
                 )
                 try:
                     _load(db, source)
@@ -638,8 +620,8 @@ def digest_lines(
                         _check_engine_path(query_id, sql, db, config, spill_budget)
                     payload = canonical_bytes(result)
                 finally:
-                    # Tear down shard executor processes and worker
-                    # pools before the next config spins its own.
+                    # Tear down executor processes before the next
+                    # config spins its own.
                     db.close()
                 if reference is None:
                     reference = payload
@@ -659,8 +641,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--workers",
-        default=os.environ.get("REPRO_DIGEST_WORKERS", "1,2,4"),
-        help="comma-separated worker counts to sweep (default 1,2,4)",
+        default=os.environ.get("REPRO_DIGEST_WORKERS", "1,2,3"),
+        help=(
+            "comma-separated worker counts to sweep (1 = in-process, "
+            "N = N executor processes; default 1,2,3)"
+        ),
     )
     parser.add_argument(
         "--build-sides",
@@ -676,26 +661,15 @@ def main(argv=None):
             "pathological spill-every-morsel leg)"
         ),
     )
-    parser.add_argument(
-        "--shards",
-        default=os.environ.get("REPRO_DIGEST_SHARDS", "0,2,3"),
-        help=(
-            "comma-separated shard counts to sweep (0 = in-process "
-            "pipeline, N = multi-process shard exchange; default 0,2,3)"
-        ),
-    )
     parser.add_argument("--out", default="repro_digest.txt")
     args = parser.parse_args(argv)
     workers = parse_workers(args.workers)
     build_sides = parse_build_sides(args.build_sides)
     budgets = parse_budgets(args.memory_budgets)
-    shards_counts = parse_shards(args.shards)
 
-    lines = digest_lines(
-        workers, build_sides, budgets, QUERIES, shards_counts=shards_counts
-    )
+    lines = digest_lines(workers, build_sides, budgets, QUERIES)
     if None not in budgets and max(budgets) > 1:
-        check_resident_bound(min(workers), max(budgets))
+        check_resident_bound(max(budgets))
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     for line in lines:
@@ -704,7 +678,6 @@ def main(argv=None):
         f"\nwrote {args.out} (workers swept: {workers}, "
         f"build sides swept: {list(build_sides)}, "
         f"memory budgets swept: {list(budgets)}, "
-        f"shards swept: {list(shards_counts)}, "
         f"tpch scale: {tpch_scale()})"
     )
     return 0

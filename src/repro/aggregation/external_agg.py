@@ -4,25 +4,25 @@ The paper's partition-based aggregation (§V) aggregates each key
 partition *independently* and concatenates the results; Goodrich &
 Eldawy make the same point for external-memory sums: partial states
 combine exactly in any order, so nothing ever has to hold all of them
-at once.  :func:`repro.engine.pipeline.run_grouped_pipeline` hands
-every worker one :class:`ExternalGroupAggregator` when the planner
+at once.  :func:`repro.engine.pipeline.run_grouped_pipeline` feeds its
+morsels into one :class:`ExternalGroupAggregator` when the planner
 chose the external aggregation::
 
     morsel -> route rows to SPILL_PARTITIONS partitions by the content
               hash of the group key -> update that partition's table
-           -> resident tables past the worker's budget?  spill the
-              largest partitions to run files (:mod:`repro.storage.spill`)
+           -> resident tables past the budget?  spill the largest
+              partitions to run files (:mod:`repro.storage.spill`)
 
     finish -> per partition (:func:`spilled_partitions`): exact-merge
-              the workers' residents and the runs, finalize, release;
+              the resident table and the runs, finalize, release;
               concatenate the outputs in canonical key order
 
 Every spill boundary is a state round-trip plus an exact merge, so the
-repro-mode result bits are invariant under the budget and the worker
-count — memory is a pure performance knob.  The budget bounds the
-resident partial state *between* morsels and, at the finish, the
-unspilled residents plus one partition's merged state; not the growth
-one morsel causes before the check runs, nor the result arrays.
+repro-mode result bits are invariant under the budget — memory is a
+pure performance knob.  The budget bounds the resident partial state
+*between* morsels and, at the finish, the unspilled residents plus one
+partition's merged state; not the growth one morsel causes before the
+check runs, nor the result arrays.
 
 Partitions are finalized separately, so correctness *depends* on the
 router sending equal keys one way: it hashes under the group tables'
@@ -100,7 +100,7 @@ def _split_batch(batch, pids: np.ndarray):
 
 
 class ExternalGroupAggregator:
-    """One worker's radix-partitioned, budget-bounded GROUP BY state.
+    """A radix-partitioned, budget-bounded GROUP BY state.
 
     ``budget_bytes`` bounds the *resident* partial tables; when an
     update pushes the estimate past it, whole partitions are spilled
@@ -109,7 +109,7 @@ class ExternalGroupAggregator:
     """
 
     def __init__(self, group_exprs, specs, make_table, budget_bytes: int,
-                 spill_dir: str, tag: str):
+                 spill_dir: str):
         self.group_exprs = tuple(group_exprs)
         self.specs = specs
         #: Which ladder path this aggregator's rows took, counted where
@@ -120,7 +120,6 @@ class ExternalGroupAggregator:
         self.make_table = make_table
         self.budget_bytes = budget_bytes
         self.spill_dir = spill_dir
-        self.tag = tag
         self.partitions = [
             self._new_table() for _ in range(SPILL_PARTITIONS)
         ]
@@ -178,7 +177,7 @@ class ExternalGroupAggregator:
     def spill_partition(self, p: int) -> None:
         """Serialize partition ``p``'s table to a run file and reset it."""
         path = os.path.join(
-            self.spill_dir, f"{self.tag}-p{p:04d}-r{self._seq:06d}.run"
+            self.spill_dir, f"p{p:04d}-r{self._seq:06d}.run"
         )
         self._seq += 1
         self.bytes_spilled += write_run_file(
@@ -189,38 +188,27 @@ class ExternalGroupAggregator:
         self.sizes[p] = 0
 
 
-def spilled_partitions(sinks, stats):
+def spilled_partitions(sink: ExternalGroupAggregator, stats):
     """The external run's ``partitions`` for
     :func:`~repro.engine.pipeline.finish_grouped`: per occupied spill
-    partition ``(held, sources)`` — the workers' resident tables in
-    worker order, then the run files in spill order — released before
-    the next is yielded.  ``held`` is what stays resident beside the
-    partition's accumulator: its other residents and all later ones'.
-    Also fills in the scan-phase accounting of ``stats``.
+    partition ``(held, sources)`` — the resident table, then the run
+    files in spill order — released before the next is yielded.
+    ``held`` is what stays resident beside the partition's accumulator:
+    the later partitions' residents.  Also fills in the scan-phase
+    accounting of ``stats``.
     """
-    stats.spilled_runs = sum(len(runs) for sink in sinks for runs in sink.runs)
-    stats.spilled_bytes = sum(sink.bytes_spilled for sink in sinks)
-    stats.peak_resident_bytes = sum(
-        sink.peak_resident_bytes for sink in sinks
-    )
-    npartitions = len(sinks[0].partitions)
+    stats.spilled_runs = sum(len(runs) for runs in sink.runs)
+    stats.spilled_bytes = sink.bytes_spilled
+    stats.peak_resident_bytes = sink.peak_resident_bytes
     occupied = [
-        p for p in range(npartitions)
-        if any(sink.partitions[p].ngroups or sink.runs[p] for sink in sinks)
+        p for p, table in enumerate(sink.partitions)
+        if table.ngroups or sink.runs[p]
     ]
-    # Empty input: every sink's partition 0 saw the empty morsels, and
-    # merged they carry the dtypes the in-memory result would have.
+    # Empty input: partition 0 saw the empty morsels and carries the
+    # dtypes the in-memory result would have.
     for p in occupied or [0]:
-        residents = [
-            sink for sink in sinks
-            if sink.partitions[p].ngroups or not occupied
-        ]
-        held = sum(sink.sizes[p] for sink in residents[1:]) + sum(
-            sum(sink.sizes[p + 1:]) for sink in sinks
-        )
-        yield held, [sink.partitions[p] for sink in residents] + [
-            partial(read_run_file, path)
-            for sink in sinks for path in sink.runs[p]
-        ]
-        for sink in sinks:
-            sink.partitions[p] = None
+        resident = sink.partitions[p]
+        yield sum(sink.sizes[p + 1:]), (
+            [resident] if resident.ngroups or not occupied else []
+        ) + [partial(read_run_file, path) for path in sink.runs[p]]
+        sink.partitions[p] = resident = None

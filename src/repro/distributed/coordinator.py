@@ -2,7 +2,7 @@
 merge exactly, finalize once.
 
 The coordinator side of the ``ShardedAggregate`` physical node.  For
-one aggregate query over ``N`` shards it:
+one aggregate query at ``workers = N`` it:
 
 1. names the table's rows at the query snapshot
    (:meth:`repro.engine.table.Table.content_version`: the table's own
@@ -21,11 +21,10 @@ one aggregate query over ``N`` shards it:
 
 Which rows an executor receives is invisible in the bits — partial
 states merge exactly — so the split is the cheapest balanced one: a
-strided view, dealt by position like the thread path's round-robin
-morsels (and balanced under clustered filters such as a date range,
-which contiguous ranges would not be).  Step 5 makes arrival order
-structurally invisible too; the seeded-permutation tests force
-adversarial arrival schedules through a service-order hook
+strided view, dealt by position (and balanced under clustered filters
+such as a date range, which contiguous ranges would not be).  Step 5
+makes arrival order structurally invisible too; the seeded-permutation
+tests force adversarial arrival schedules through a service-order hook
 (:data:`_service_order`) and assert byte-identical finalizes.
 """
 
@@ -36,6 +35,7 @@ from functools import partial
 from multiprocessing.connection import wait as _connection_wait
 
 from ..aggregation.grouped import LadderCounters
+from ..engine.operators import SumConfig
 from ..engine.physical import PhysProbe
 from ..engine.pipeline import PipelineStats, finish_grouped
 from ..errors import ReproError
@@ -55,7 +55,9 @@ _service_order = None
 
 
 def _build_task(aggregate, scan, chain_ops, joins, context):
-    sum_config = aggregate.specs[0].sum_config
+    # SELECT DISTINCT aggregates nothing: any SUM config serves it
+    sum_config = (aggregate.specs[0].sum_config if aggregate.specs
+                  else SumConfig())
     return {
         "group_exprs": tuple(aggregate.group_exprs),
         "agg_calls": tuple(spec.call for spec in aggregate.specs),
@@ -135,20 +137,19 @@ def _plan_chain(query, context, timings, snapshot, pool, stats, once):
 def run_sharded_grouped_pipeline(query, context, timings=None,
                                  snapshot=None):
     """Drive one sharded aggregate to ``(key_arrays, results,
-    ngroups)`` — the same contract as the thread pipeline drivers."""
+    ngroups)`` — the same contract as the in-process grouped driver."""
     aggregate = query.aggregate
     scan = query.pipeline.source
     table = scan.table
-    nshards = aggregate.shards
+    pool = context.shard_pool()
+    nshards = pool.nworkers
     stats = PipelineStats(nshards)
     stats.sharded = True
-    stats.shards = nshards
 
     source_columns = list(scan.column_map.values())
     if not source_columns and table.schema.names():
         # COUNT(*)-only plans still need row counts per shard.
         source_columns = [table.schema.names()[0]]
-    pool = context.shard_pool(nshards)
     # Only a pinned read names content exactly — live rows can change
     # between the name and the scan — so what an unpinned one ships gets
     # a name nothing will ask for again (sessions always pin).

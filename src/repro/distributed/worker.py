@@ -124,7 +124,7 @@ def _execute_task(task, replica, copies):
     morsels = _shard_morsels(task, replica)
     probes = _local_probes(task, copies)
     table = pipeline_mod.make_group_table(tuple(task["group_exprs"]), specs)
-    # The shipped chain in order: the same two operators the thread
+    # The shipped chain in order: the same two operators the in-process
     # pipeline's transform applies.
     for batch in morsels:
         for step in task["chain_ops"]:

@@ -6,9 +6,10 @@ logical-plan IR (:mod:`repro.engine.plan`), a rule-based optimizer
 operator choice (:mod:`repro.engine.physical`, inspectable via
 ``EXPLAIN``), columnar storage with MonetDB-style delete+append
 updates, a bit-reproducible hash equi-join (:mod:`repro.engine.join`),
-a morsel-driven parallel pipeline with partial-aggregate/exact-merge
-GROUP BY, and a SUM implementation selectable per session (``ieee`` /
-``repro`` / ``sorted``) plus the explicit
+a morsel-driven pipeline with partial-aggregate/exact-merge GROUP BY
+(in-process, or over ``workers`` executor processes:
+:mod:`repro.distributed`), and a SUM implementation selectable per
+session (``ieee`` / ``repro`` / ``sorted``) plus the explicit
 ``RSUM(expr, L)`` aggregate the paper proposes in Section V-D.  In the
 repro modes the result bits are invariant under the ``workers``,
 ``morsel_size``, ``join_build`` and ``memory_budget`` execution knobs

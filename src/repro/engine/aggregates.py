@@ -281,7 +281,7 @@ class SortedSum:
     Partials buffer the raw (gid, value) pairs; finalize sorts all pairs
     by (group, value-bits) and accumulates.  Because the final sort
     canonicalises the pair order, the result bits are independent of how
-    the input was split across morsels and workers.
+    the input was split across morsels and executor processes.
     """
 
     kind = "sorted"

@@ -12,9 +12,11 @@ join-key extraction, build-side choice), and the physical planner
 (:mod:`repro.engine.physical`) picks concrete operators per node.
 This module only *runs* physical queries: it materializes scan
 morsels, builds hash-join tables for the pipeline-breaker sides,
-streams probe morsels through the per-worker operator chains of
-:mod:`repro.engine.pipeline`, and applies the finishing stages
-(HAVING, output projection, ORDER BY, LIMIT) on the gathered arrays.
+streams probe morsels through the operator chains of
+:mod:`repro.engine.pipeline` (or hands a ``ShardedAggregate`` to the
+executor processes of :mod:`repro.distributed`), and applies the
+finishing stages (HAVING, output projection, ORDER BY, LIMIT) on the
+gathered arrays.
 """
 
 from __future__ import annotations
@@ -229,8 +231,9 @@ def _scan_morsels(scan: PhysScan, morsel_size: int,
 
 def _concat_batches(batches: list[Batch]) -> Batch:
     """One build-side Batch from a materialized pipeline's morsels —
-    real arrays throughout: the hash join shares it between workers,
-    so nothing in it may still be waiting to be gathered."""
+    real arrays throughout: the hash join is cached and shipped to
+    executor processes, so nothing in it may still be waiting to be
+    gathered."""
     kept = [b for b in batches if b.nrows]
     batches = kept or batches[:1]
     first = batches[0]
@@ -432,7 +435,8 @@ def _run_physical(query: PhysicalQuery, context: ExecutionContext,
         if query.aggregate.sharded:
             # No local scan at all: executor processes hold the shard
             # replicas and return framed partial group tables that
-            # merge exactly (imported lazily — most sessions never shard).
+            # merge exactly (imported lazily — most sessions run
+            # in-process).
             from ..distributed.coordinator import (
                 run_sharded_grouped_pipeline as run,
             )
@@ -508,12 +512,14 @@ def _order_key(order_item: ast.OrderItem, items, env: dict):
 def compute_grouped_arrays(query: PhysicalQuery, context: ExecutionContext,
                            timings: OperatorTimings | None = None,
                            snapshot: int | None = None):
-    """Drive one physical aggregate query up to (but not through) the
-    finishing stages: ``(key_arrays, result_arrays, ngroups)``.
+    """Drive one physical aggregate query in-process up to (but not
+    through) the finishing stages: ``(key_arrays, result_arrays,
+    ngroups)``.
 
     Also used by full-recompute materialized-view refresh
     (:mod:`repro.engine.matview`), which stores the raw aggregate
-    state rather than the projected output.  ``snapshot`` pins the base
+    state rather than the projected output — always in-process, so no
+    refresh depends on ``workers``.  ``snapshot`` pins the base
     scan at a row-version watermark so a replayed REFRESH aggregates
     exactly the rows the original one saw.
     """

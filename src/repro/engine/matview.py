@@ -6,7 +6,7 @@ they also subtract exactly, so a materialized ``GROUP BY`` can be kept
 up to date by **merging** the partial states of inserted rows and
 **retracting** those of deleted rows — and the refreshed view is
 byte-identical to recomputing it from scratch, under any
-``workers x morsel_size x memory_budget x shards`` configuration.
+``workers x morsel_size x memory_budget`` configuration.
 
 The pieces:
 

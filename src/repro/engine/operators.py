@@ -102,7 +102,7 @@ class Batch:
     (:meth:`select` composes each *distinct* index once), and a column
     is gathered when an expression first reads it.  ``columns`` holds
     the visible columns; whoever needs real arrays for all of them
-    (``SELECT *``, a build side about to be shared between workers, a
+    (``SELECT *``, a build side about to be cached or shipped, a
     spill or exchange payload) iterates it or takes ``dict(columns)``.
 
     ``codes`` / ``dictionaries`` are the dictionary encodings of key
@@ -196,12 +196,12 @@ class Batch:
 class OperatorTimings:
     """CPU time per operator class (Table IV's breakdown).
 
-    In a parallel session the pipeline reports ``selection`` and
-    ``aggregation`` as per-thread CPU time *summed across workers*, so
-    with ``workers > 1`` they can exceed the query's wall-clock; use
-    :class:`~repro.engine.pipeline.PipelineStats` for wall-clock /
-    critical-path accounting.  With the default ``workers=1`` the two
-    views coincide.
+    In-process execution is serial, so these are the statement's own
+    CPU seconds.  A ShardedAggregate (``workers > 1``) reports its
+    executors' CPU time *summed across processes* as ``aggregation``,
+    which can exceed the query's wall-clock; use
+    :class:`~repro.engine.pipeline.PipelineStats` for wall-clock
+    accounting.
     """
 
     def __init__(self):

@@ -8,18 +8,20 @@ The logical tree (:mod:`repro.engine.plan`, rewritten by
   breakers (join build sides) become nested pipelines that are
   materialized before the stream starts;
 * an optional **aggregate sink** — always the one group table of
-  :mod:`repro.engine.vectorized`, parallelised across
-  ``context.workers``, fed by the chain's own operators.  The one
-  per-plan decision about it is taken here, from the plan shape and
-  the schema dtypes alone: whether one probe's build row determines
-  the group (:func:`_build_row_rule`), in which case that probe carries
-  its build-row index along and the table takes group ids from it;
+  :mod:`repro.engine.vectorized`, fed by the chain's own operators,
+  in-process or — with ``context.workers > 1`` and a chain the
+  executors can run (:func:`_shardable`) — on that many executor
+  processes.  The other per-plan decision about it is taken here, from
+  the plan shape and the schema dtypes alone: whether one probe's build
+  row determines the group (:func:`_build_row_rule`), in which case
+  that probe carries its build-row index along and the table takes
+  group ids from it;
 * the **finishing** stages executed on the gathered result arrays:
   HAVING, output projection, ORDER BY, LIMIT.
 
 The planner never executes anything, so ``EXPLAIN`` can render the
-chosen operators (where group ids come from, parallel or serial, which
-join side builds) without touching the data.
+chosen operators (where group ids come from, in-process or on executor
+processes, which join side builds) without touching the data.
 """
 
 from __future__ import annotations
@@ -152,18 +154,16 @@ class PhysAggregate:
     memory_budget_bytes: int | None = None
     est_state_bytes: int = 0
     #: True when the plan runs as a ShardedAggregate: the table is
-    #: dealt row by row to ``shards`` executor processes and partial
+    #: dealt row by row to ``workers`` executor processes and partial
     #: group tables are exchanged back over the spill wire format
     #: (:mod:`repro.distributed`).  Bits are identical either way in
-    #: the repro modes — the reproducibility CI sweeps the shard count.
+    #: the repro modes — the reproducibility CI sweeps the worker count.
     sharded: bool = False
-    shards: int = 0
 
     def describe(self, workers: int, morsel_size: int,
                  build_row_probe: PhysProbe | None = None) -> str:
         group = ", ".join(e.sql() for e in self.group_exprs)
         aggs = ", ".join(spec.sql for spec in self.specs)
-        mode = "morsel-parallel" if workers > 1 else "serial"
         extra = ""
         if build_row_probe is not None:
             extra = f", group_ids=build_row({build_row_probe.keys_sql()})"
@@ -173,15 +173,10 @@ class PhysAggregate:
                 f"budget={self.memory_budget_bytes}B, "
                 f"~{self.est_state_bytes}B state)"
             )
-        if self.sharded:
-            return (
-                f"ShardedAggregate(shards={self.shards})"
-                f"[morsel_size={morsel_size}{extra}]"
-                f"(group=[{group}], aggs=[{aggs}])"
-            )
+        name = (f"ShardedAggregate(workers={workers})" if self.sharded
+                else "Aggregate")
         return (
-            f"Aggregate[{mode}, workers={workers}, "
-            f"morsel_size={morsel_size}{extra}]"
+            f"{name}[morsel_size={morsel_size}{extra}]"
             f"(group=[{group}], aggs=[{aggs}])"
         )
 
@@ -355,19 +350,16 @@ def plan_physical(root: LogicalNode, context,
     if aggregate is not None and not aggregate.external:
         _build_row_rule(chain, aggregate.group_exprs)
 
-    # Sharded multi-process execution: chosen when the session sets
-    # shards > 0 and the chain is filters and inner probes over real
-    # scans whose every build side is small enough to broadcast to the
-    # shard executors (LEFT joins and the external spill path stay on
-    # the thread pipeline).  Result bits in the repro modes are
-    # invariant under this choice — executors run the same operators
-    # over a disjoint row partition and the partial states merge
-    # exactly.
-    shards = getattr(context, "shards", 0)
-    if (aggregate is not None and shards > 0 and not aggregate.external
-            and _shardable(chain)):
+    # Multi-process execution: chosen when the session sets workers > 1
+    # and the chain is filters and inner probes over real scans whose
+    # every build side is small enough to broadcast to the executors
+    # (LEFT joins and the external spill path run in-process).  Result
+    # bits in the repro modes are invariant under this choice —
+    # executors run the same operators over a disjoint row partition
+    # and the partial states merge exactly.
+    if (aggregate is not None and context.workers > 1
+            and not aggregate.external and _shardable(chain)):
         aggregate.sharded = True
-        aggregate.shards = shards
 
     from .plan import plan_column_types
 

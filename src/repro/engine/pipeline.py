@@ -1,10 +1,10 @@
-"""Morsel-driven parallel query pipeline.
+"""Morsel-driven query pipeline.
 
 The engine executes SELECTs as a streaming pipeline over *morsels* —
 columnar chunks of at most :data:`ExecutionContext.morsel_size` rows:
 
     morsel scan -> filter / probe -> project / partial-aggregate
-                (per worker) -> exact merge -> finalize
+                -> finalize
 
 One feeder: every plan runs these operators — there is no generated
 code and no second path to choose.  A morsel is a late-materialized
@@ -13,27 +13,26 @@ inner :meth:`~repro.engine.join.HashJoin.probe` only compose row
 indices, and a column is gathered when the projection or an aggregate
 state first reads it.
 
-One grouped driver: :func:`run_grouped_pipeline` gives each worker a
-sink — a group table, or under a memory budget the spilling one of
-:mod:`repro.aggregation.external_agg` — and ends in
+One grouped driver: :func:`run_grouped_pipeline` feeds every morsel, in
+scan order, into one sink — a group table, or under a memory budget the
+spilling one of :mod:`repro.aggregation.external_agg` — and ends in
 :func:`finish_grouped`, the one merge -> finalize -> stats epilogue,
-which the shard coordinator calls for its partials too.
+which the shard coordinator calls for its executors' partials too.
 
-Morsels are pre-assigned to workers round-robin by morsel index, and
-worker partials are merged in worker order.  That makes the plan fully
-deterministic for a given ``(workers, morsel_size)`` — and, because the
-repro aggregate states merge *exactly*
+In-process execution is serial.  ``workers = N > 1`` is served by
+executor *processes* (:mod:`repro.distributed`): the planner runs every
+aggregate whose chain qualifies as a ``ShardedAggregate`` over ``N`` of
+them, and everything else — projections, LEFT joins, external
+aggregates — here.  Because the repro aggregate states merge *exactly*
 (:class:`~repro.aggregation.grouped.GroupedSummation` /
 :meth:`~repro.core.state.SummationState.merge`), the repro-mode result
 bits are identical for **every** ``(workers, morsel_size)``
-combination, including the serial whole-batch path.  IEEE mode keeps
-plain float partials, so its results may drift with the split — the
-engine-layer demonstration of the paper's motivating problem.
+combination.  IEEE mode keeps plain float partials, so its results may
+drift with the split — the engine-layer demonstration of the paper's
+motivating problem.
 
 Timing hooks: :attr:`PipelineStats.wall_seconds` is the statement's
-wall-clock; per-worker busy time is measured with ``time.thread_time``
-(CPU time of that thread only) and says how the morsels were shared
-out, nothing about elapsed time — the threads serialise on the GIL.
+wall-clock; ``worker_busy`` is CPU time per process that fed rows.
 """
 
 from __future__ import annotations
@@ -43,12 +42,10 @@ import tempfile
 import time
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..aggregation import external_agg
-from ..aggregation.grouped import LadderCounters
 from ..errors import ConfigError
 from ..storage.spill import load_table_into
 from .expr import evaluate
@@ -100,25 +97,22 @@ class ExecutionContext:
     def __init__(self, workers: int = 1,
                  morsel_size: int = DEFAULT_MORSEL_SIZE,
                  join_build: str = "auto",
-                 memory_budget_bytes: int | None = None,
-                 shards: int = 0):
-        workers = int(workers)
-        morsel_size = int(morsel_size)
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if morsel_size < 1:
-            raise ConfigError("morsel_size must be >= 1")
-        if join_build not in self.JOIN_BUILD_SIDES:
-            raise ConfigError(
-                f"join_build must be one of {self.JOIN_BUILD_SIDES}"
-            )
-        self.workers = workers
-        self.morsel_size = morsel_size
+                 memory_budget_bytes: int | None = None):
+        #: Degree of parallelism: the number of executor *processes* a
+        #: qualifying aggregate plan runs on as a ShardedAggregate —
+        #: executor ``s`` of ``workers`` aggregates every
+        #: ``workers``-th row from row ``s`` on and returns its partial
+        #: group table over the spill wire format
+        #: (:mod:`repro.distributed`).  ``1`` runs every plan
+        #: in-process.  Repro-mode bits are invariant under this knob —
+        #: the reproducibility CI sweeps it.
+        self.workers = self._check_workers(workers)
+        self.morsel_size = self._check_morsel_size(morsel_size)
         #: Force the hash-join build side for inner joins ('left' /
         #: 'right'); 'auto' lets the optimizer pick by estimated
         #: cardinality.  In the repro sum modes the result bits are
         #: identical either way — the reproducibility CI sweeps this.
-        self.join_build = join_build
+        self.join_build = self._check_join_build(join_build)
         #: Aggregation memory budget in bytes; ``None`` (or 0 through
         #: the setters) means unbounded.  When set, the physical
         #: planner chooses the external (spill-to-disk) GROUP BY for
@@ -127,18 +121,8 @@ class ExecutionContext:
         #: the budget.  In the repro sum modes the result bits are
         #: invariant under this knob — the reproducibility CI sweeps it.
         self.memory_budget_bytes = self._check_budget(memory_budget_bytes)
-        #: Shard count for multi-process execution (0 = off).  When
-        #: > 0, qualifying aggregate plans run as a ShardedAggregate:
-        #: executor *process* ``s`` of ``shards`` aggregates every
-        #: ``shards``-th row from row ``s`` on and partial group tables
-        #: are exchanged back over the spill wire format
-        #: (:mod:`repro.distributed`).  Repro-mode bits are invariant
-        #: under this knob — the reproducibility CI sweeps it.
-        self.shards = self._check_shards(shards)
         #: Stats of the most recent pipeline run (set by the drivers).
         self.last_stats: PipelineStats | None = None
-        self._pool: ThreadPoolExecutor | None = None
-        self._finalizer = None
         self._shard_pool = None
         self._shard_finalizer = None
         #: Build-chain signature -> materialized :class:`HashJoin`,
@@ -158,11 +142,10 @@ class ExecutionContext:
         self.plan_cache_misses = 0
 
     #: Every knob ``SET <name> = <value>`` accepts, for error messages.
-    PARAM_NAMES = (
-        "memory_budget", "workers", "morsel_size", "join_build", "shards",
-    )
+    PARAM_NAMES = ("memory_budget", "workers", "morsel_size", "join_build")
 
-    # -- knob validation / SET surface ------------------------------------
+    # -- knob validation: one validator per knob, for the constructor
+    # -- and ``SET`` alike -------------------------------------------------
     @staticmethod
     def _as_int(value, name: str) -> int:
         """Coerce a knob value to int, rejecting fractional numbers
@@ -179,6 +162,29 @@ class ExecutionContext:
             ) from None
 
     @classmethod
+    def _check_workers(cls, value) -> int:
+        value = cls._as_int(value, "workers")
+        if value < 1:
+            raise ConfigError("workers must be >= 1")
+        return value
+
+    @classmethod
+    def _check_morsel_size(cls, value) -> int:
+        value = cls._as_int(value, "morsel_size")
+        if value < 1:
+            raise ConfigError("morsel_size must be >= 1")
+        return value
+
+    @classmethod
+    def _check_join_build(cls, value) -> str:
+        side = str(value).lower()
+        if side not in cls.JOIN_BUILD_SIDES:
+            raise ConfigError(
+                f"join_build must be one of {cls.JOIN_BUILD_SIDES}"
+            )
+        return side
+
+    @classmethod
     def _check_budget(cls, value) -> int | None:
         if value is None:
             return None
@@ -189,13 +195,6 @@ class ExecutionContext:
         if value < 0:
             raise ConfigError("memory budget must be >= 0 (0 = unbounded)")
         return None if value == 0 else value
-
-    @classmethod
-    def _check_shards(cls, value) -> int:
-        value = cls._as_int(value, "shards")
-        if value < 0:
-            raise ConfigError("shards must be >= 0 (0 = off)")
-        return value
 
     def set_param(self, name: str, value) -> None:
         """Session ``SET`` surface: validate and apply one knob.
@@ -211,41 +210,20 @@ class ExecutionContext:
         if key == "memory_budget":
             self.memory_budget_bytes = self._check_budget(value)
         elif key == "workers":
-            workers = self._as_int(value, "workers")
-            if workers < 1:
-                raise ConfigError("workers must be >= 1")
-            if workers != self.workers and self._pool is not None:
-                # The pool's max_workers is fixed at creation;
-                # replace it.
-                if self._finalizer is not None:
-                    self._finalizer.detach()
-                    self._finalizer = None
-                self._pool.shutdown(wait=False)
-                self._pool = None
+            workers = self._check_workers(value)
+            if workers != self.workers:
+                # The fleet is sized for the old count; a fresh one is
+                # spawned lazily on the next sharded query.
+                self._close_shard_pool()
             self.workers = workers
         elif key == "morsel_size":
-            morsel_size = self._as_int(value, "morsel_size")
-            if morsel_size < 1:
-                raise ConfigError("morsel_size must be >= 1")
-            self.morsel_size = morsel_size
+            self.morsel_size = self._check_morsel_size(value)
         elif key == "join_build":
-            side = str(value).lower()
-            if side not in self.JOIN_BUILD_SIDES:
-                raise ConfigError(
-                    f"join_build must be one of {self.JOIN_BUILD_SIDES}"
-                )
-            self.join_build = side
-        elif key == "shards":
-            shards = self._check_shards(value)
-            if shards != self.shards:
-                # The pool is sized for the old shard fan-out; a fresh
-                # one is spawned lazily on the next sharded query.
-                self._close_shard_pool()
-            self.shards = shards
-        elif key == "shard_workers":
+            self.join_build = self._check_join_build(value)
+        elif key in ("shards", "shard_workers"):
             raise ConfigError(
-                "session parameter 'shard_workers' is retired: there is "
-                "one executor per shard, shards is the one knob"
+                f"session parameter {name!r} is retired: workers counts "
+                "the executor processes, one per shard"
             )
         elif key == "memory_budget_bytes" or key.startswith("spill_"):
             raise ConfigError(
@@ -264,38 +242,27 @@ class ExecutionContext:
         # cheap to rebuild once.
         self._plan_cache.clear()
 
-    def pool(self) -> ThreadPoolExecutor:
-        """The context's worker pool, created lazily and reused across
-        queries (spawning threads per SELECT would dominate small
-        queries).  Shut down when the context is garbage collected."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            self._finalizer = weakref.finalize(
-                self, self._pool.shutdown, wait=False
-            )
-        return self._pool
-
-    def shard_pool(self, nworkers: int):
-        """The context's shard executor fleet — one process per shard —
-        created lazily and reused across queries (shipped replicas only
-        pay off if the processes survive between queries).  A fleet
-        with a dead executor is replaced; ``SET shards`` closes the old
-        one; shut down by :meth:`close` or, failing that, a GC
+    def shard_pool(self):
+        """The context's executor fleet — ``workers`` processes, one per
+        shard — created lazily and reused across queries (shipped
+        replicas only pay off if the processes survive between queries).
+        A fleet with a dead executor is replaced; ``SET workers`` closes
+        the old one; shut down by :meth:`close` or, failing that, a GC
         finalizer."""
         if self._shard_pool is not None and not self._shard_pool.alive():
             self._close_shard_pool()
         if self._shard_pool is None:
             from ..distributed.pool import ShardWorkerPool
 
-            self._shard_pool = ShardWorkerPool(nworkers)
+            self._shard_pool = ShardWorkerPool(self.workers)
             self._shard_finalizer = weakref.finalize(
                 self, self._shard_pool.close
             )
         return self._shard_pool
 
     def discard_shard_pool(self) -> None:
-        """Tear down a poisoned shard pool (a dead executor, a broken
-        pipe): the next sharded query spawns a fresh fleet."""
+        """Tear down a poisoned executor fleet (a dead executor, a
+        broken pipe): the next sharded query spawns a fresh one."""
         self._close_shard_pool()
 
     def _close_shard_pool(self) -> None:
@@ -307,15 +274,8 @@ class ExecutionContext:
             self._shard_pool = None
 
     def close(self) -> None:
-        """Shut down the worker pool and any shard executor processes
-        now (sessions call this on close; GC would get there
-        eventually via the finalizers)."""
-        if self._pool is not None:
-            if self._finalizer is not None:
-                self._finalizer.detach()
-                self._finalizer = None
-            self._pool.shutdown(wait=False)
-            self._pool = None
+        """Shut down any executor processes now (sessions call this on
+        close; GC would get there eventually via the finalizer)."""
         self._close_shard_pool()
 
 
@@ -323,11 +283,12 @@ class PipelineStats:
     """Per-query pipeline accounting.
 
     ``wall_seconds`` is the clock a client sees.  ``worker_busy[w]`` is
-    worker ``w``'s CPU time (``time.thread_time``) — how the work was
-    split, not how long anyone waited: worker threads share the GIL.
+    the CPU time of process ``w`` that fed rows — the one in-process
+    feeder, or each executor of a ShardedAggregate (``workers`` of
+    them) — how the work was split, not how long anyone waited.
     """
 
-    def __init__(self, workers: int):
+    def __init__(self, workers: int = 1):
         #: the drivers build their stats first thing
         self.started = time.perf_counter()
         self.workers = workers
@@ -339,7 +300,7 @@ class PipelineStats:
         self.wall_seconds = 0.0
         #: The most partial-table state (``approx_bytes``) resident at
         #: once: the tables alive at the finish; for an external run
-        #: also the workers' own peaks while scanning, summed.
+        #: also the sink's own peak while scanning.
         self.peak_resident_bytes = 0
         #: True when the external (spill-to-disk) aggregation ran
         #: (:mod:`repro.aggregation.external_agg`).
@@ -347,19 +308,17 @@ class PipelineStats:
         self.spilled_runs = 0
         self.spilled_bytes = 0
         #: True when the plan ran as a ShardedAggregate across executor
-        #: processes (:mod:`repro.distributed`); ``worker_busy`` then
-        #: holds per-*process* CPU time reported by the executors, and
-        #: ``exchange_bytes`` counts framed bytes over the wire (shard
-        #: replicas shipped + partial tables returned).
+        #: processes (:mod:`repro.distributed`); ``exchange_bytes``
+        #: then counts framed bytes over the wire (shard replicas
+        #: shipped + partial tables returned).
         self.sharded = False
-        self.shards = 0
         self.exchange_bytes = 0
         #: Which update this query's reproducible sums took, in rows
-        #: summed over tables and workers (per query, not cumulative):
-        #: scatter-accumulated on their table's prevailing ladder vs.
-        #: handed to the reference, and why the first row that went
-        #: there did (``off_ladder`` / ``non_finite`` / ``subnormal`` /
-        #: ``window``; ``None`` when none did).  See
+        #: summed over tables and executors (per query, not
+        #: cumulative): scatter-accumulated on their table's prevailing
+        #: ladder vs. handed to the reference, and why the first row
+        #: that went there did (``off_ladder`` / ``non_finite`` /
+        #: ``subnormal`` / ``window``; ``None`` when none did).  See
         #: :func:`repro.aggregation.grouped.add_blocked_multi`.
         self.ladder_rows_scatter = 0
         self.ladder_rows_reference = 0
@@ -396,36 +355,29 @@ def apply_where(batch: Batch, where: ast.Expr | None) -> Batch:
     return batch.filter(mask.astype(bool))
 
 
-def _assignments(n_morsels: int, workers: int) -> list[list[int]]:
-    """Round-robin morsel indices per worker (deterministic)."""
-    return [list(range(w, n_morsels, workers)) for w in range(workers)]
-
-
-def _run_workers(morsels: list[Batch], context: ExecutionContext,
-                 stats: PipelineStats, work_one):
-    """Drive ``work_one(worker_id, assigned_morsel_indices)`` across the
-    worker pool, recording per-worker busy time.  Returns the worker
-    results in worker order."""
-
-    workers = min(context.workers, max(len(morsels), 1))
-
-    def timed(worker_id: int, assigned: list[int]):
-        started = time.thread_time()
-        result = work_one(worker_id, assigned)
-        stats.worker_busy[worker_id] += time.thread_time() - started
-        stats.worker_morsels[worker_id] += len(assigned)
-        return result
-
-    assignments = _assignments(len(morsels), workers)
-    if workers == 1:
-        return [timed(0, assignments[0])]
-    return list(context.pool().map(timed, range(workers), assignments))
+def _feed(morsels: list[Batch], transform, consume, stats: PipelineStats):
+    """Run every morsel, in scan order, through ``transform`` into
+    ``consume``.  Returns ``(selection, consumption)`` CPU seconds."""
+    selection = consumption = 0.0
+    for batch in morsels:
+        t0 = time.thread_time()
+        if transform is not None:
+            batch = transform(batch)
+        t1 = time.thread_time()
+        consume(batch)
+        t2 = time.thread_time()
+        selection += t1 - t0
+        consumption += t2 - t1
+    stats.morsel_count = stats.worker_morsels[0] = len(morsels)
+    stats.worker_busy[0] = selection + consumption
+    return selection, consumption
 
 
 def finish_grouped(partitions, group_exprs, specs, ladder,
                    context: ExecutionContext, stats: PipelineStats,
                    timings: OperatorTimings | None, fed_seconds: float):
-    """The epilogue of every grouped driver — threads, spilling, shards.
+    """The epilogue of every grouped driver — in-process, spilling,
+    sharded.
 
     ``partitions`` yields ``(held, sources)`` per key-disjoint unit of
     partial state: everything, for an in-memory or sharded run; one
@@ -495,63 +447,40 @@ def run_grouped_pipeline(
     transform=None,
     external: bool = False,
 ):
-    """Parallel GROUP BY: per-worker partial tables, exact merge.
+    """In-process GROUP BY: every morsel into one sink, then finish.
 
     ``transform`` (optional) is a per-morsel operator chain — filters
-    and hash-join probes composed by the physical planner — applied
-    inside the worker.  ``external`` (the planner's choice under a
-    memory budget) gives each worker a spilling sink over an equal
-    share of ``context.memory_budget_bytes`` instead of a plain table;
-    in the repro sum modes the returned bits are the same either way.
+    and hash-join probes composed by the physical planner.
+    ``external`` (the planner's choice under a memory budget) makes the
+    sink a spilling one over ``context.memory_budget_bytes`` instead of
+    a plain table; in the repro sum modes the returned bits are the
+    same either way.
 
     Returns ``(key_arrays, result_arrays, ngroups)`` in canonical
     (sorted-key) group order.
     """
-    stats = PipelineStats(min(context.workers, max(len(morsels), 1)))
-    stats.morsel_count = len(morsels)
+    stats = PipelineStats()
     stats.external = external
-    selection_seconds = [0.0] * stats.workers
-    aggregation_seconds = [0.0] * stats.workers
 
     with (tempfile.TemporaryDirectory(prefix="repro-spill-") if external
           else contextlib.nullcontext()) as spill_dir:
-
-        def work_one(worker_id: int, assigned: list[int]):
-            if external:
-                sink = external_agg.ExternalGroupAggregator(
-                    group_exprs, specs, make_group_table,
-                    max(1, context.memory_budget_bytes // stats.workers),
-                    spill_dir, tag=f"w{worker_id:03d}",
-                )
-            else:
-                sink = make_group_table(group_exprs, specs)
-            for index in assigned:
-                t0 = time.thread_time()
-                batch = morsels[index]
-                if transform is not None:
-                    batch = transform(batch)
-                t1 = time.thread_time()
-                sink.update(batch)
-                t2 = time.thread_time()
-                selection_seconds[worker_id] += t1 - t0
-                aggregation_seconds[worker_id] += t2 - t1
-            return sink
-
-        sinks = _run_workers(morsels, context, stats, work_one)
-        ladder = LadderCounters()
-        for sink in sinks:
-            ladder.merge(sink.ladder)
         if external:
-            partitions = external_agg.spilled_partitions(sinks, stats)
+            sink = external_agg.ExternalGroupAggregator(
+                group_exprs, specs, make_group_table,
+                context.memory_budget_bytes, spill_dir,
+            )
         else:
-            # worker 0's table takes the others in, which stay alive
-            held = sum(table.approx_bytes() for table in sinks[1:])
-            partitions = [(held, sinks)]
+            sink = make_group_table(group_exprs, specs)
+        selection, aggregation = _feed(morsels, transform, sink.update, stats)
+        if external:
+            partitions = external_agg.spilled_partitions(sink, stats)
+        else:
+            partitions = [(0, [sink])]
         if timings is not None:
-            timings.add("selection", sum(selection_seconds))
+            timings.add("selection", selection)
         return finish_grouped(
-            partitions, group_exprs, specs, ladder, context, stats, timings,
-            sum(aggregation_seconds),
+            partitions, group_exprs, specs, sink.ladder, context, stats,
+            timings, aggregation,
         )
 
 
@@ -562,16 +491,15 @@ def run_projection_pipeline(
     timings: OperatorTimings | None = None,
     transform=None,
 ):
-    """Parallel filter + project; morsel order is preserved on gather.
+    """In-process filter + project, gathered in morsel order.
 
     ``transform`` is the physical planner's per-morsel operator chain,
     as in :func:`run_grouped_pipeline`.
 
     Returns ``(names, arrays)``.
     """
-    stats = PipelineStats(min(context.workers, max(len(morsels), 1)))
-    stats.morsel_count = len(morsels)
-    selection_seconds = [0.0] * stats.workers
+    stats = PipelineStats()
+    pieces = []
 
     def project_one(batch: Batch):
         names, arrays = [], []
@@ -587,36 +515,20 @@ def run_projection_pipeline(
                 arr = np.full(batch.nrows, value)
             names.append(item.output_name(i))
             arrays.append(arr)
-        return names, arrays
+        pieces.append((names, arrays))
 
-    def work_one(worker_id: int, assigned: list[int]):
-        out = []
-        for index in assigned:
-            t0 = time.thread_time()
-            batch = morsels[index]
-            if transform is not None:
-                batch = transform(batch)
-            selection_seconds[worker_id] += time.thread_time() - t0
-            out.append((index, project_one(batch)))
-        return out
-
-    per_worker = _run_workers(morsels, context, stats, work_one)
+    selection, _ = _feed(morsels, transform, project_one, stats)
 
     gather_started = time.thread_time()
-    pieces = sorted(
-        (piece for chunk in per_worker for piece in chunk),
-        key=lambda item: item[0],
-    )
-    names = pieces[0][1][0]
-    columns = [[piece[1][1][i] for piece in pieces] for i in range(len(names))]
+    names = pieces[0][0]
     arrays = [
         parts[0] if len(parts) == 1 else np.concatenate(parts)
-        for parts in columns
+        for parts in zip(*(arrays for _, arrays in pieces))
     ]
     stats.finalize_seconds = time.thread_time() - gather_started
 
     stats.wall_seconds = time.perf_counter() - stats.started
     context.last_stats = stats
     if timings is not None:
-        timings.add("selection", sum(selection_seconds))
+        timings.add("selection", selection)
     return names, arrays

@@ -9,7 +9,7 @@ PR 7 splits the old monolithic ``Database`` in two:
   delegate to an implicit default session.
 * :class:`Session` owns what is *per connection* — the SUM
   configuration, the execution knobs (``workers`` / ``morsel_size`` /
-  ``memory_budget`` / ``join_build`` / ``shards``),
+  ``memory_budget`` / ``join_build``), its executor processes,
   per-query timings, and snapshot pinning.  Both the
   local embedding (``db.session()``) and the network client
   (:func:`repro.client.connect`) present this same surface, so code
@@ -55,7 +55,7 @@ class Session:
 
     Owns the session-scoped knobs — SUM semantics (``sum_mode`` /
     ``levels``) and the execution shape (``workers``,
-    ``morsel_size``, ``join_build``, ``memory_budget``, ``shards``) —
+    ``morsel_size``, ``join_build``, ``memory_budget``) —
     plus :attr:`last_timings` and :attr:`last_pipeline_stats` for the
     most recent SELECT.  Catalog state (tables, views) is shared with
     every other session of the same database.
@@ -65,7 +65,7 @@ class Session:
     :meth:`snapshot` pins one watermark across several statements.
 
     >>> db = Database()
-    >>> s = db.session(sum_mode="repro", workers=4)
+    >>> s = db.session(sum_mode="repro")
     >>> s.execute("CREATE TABLE r (f DOUBLE)")
     0
     >>> s.execute("INSERT INTO r VALUES (0.5), (0.25)")
@@ -78,14 +78,13 @@ class Session:
                  levels: int = 2, workers: int = 1,
                  morsel_size: int = DEFAULT_MORSEL_SIZE,
                  join_build: str = "auto",
-                 memory_budget: int | None = None,
-                 shards: int = 0):
+                 memory_budget: int | None = None):
         self.database = database
         self.catalog = database.catalog
         self.sum_config = SumConfig(sum_mode, levels)
         self.execution_context = ExecutionContext(
             workers, morsel_size, join_build,
-            memory_budget_bytes=memory_budget, shards=shards,
+            memory_budget_bytes=memory_budget,
         )
         self.last_timings: OperatorTimings | None = None
         #: explicit pin from :meth:`snapshot` (``None`` = pin per query)
@@ -246,8 +245,8 @@ class Session:
 
         Shows the optimized logical plan (pushdown rules applied) and
         the chosen physical operators — where the group ids come from,
-        worker/morsel configuration, hash-join build sides — without
-        executing the query.
+        in-process or on executor processes, hash-join build sides —
+        without executing the query.
         """
         stmt = parse(sql_text)
         if isinstance(stmt, ast.Explain):
@@ -257,10 +256,10 @@ class Session:
         return self._explain(stmt)
 
     def close(self) -> None:
-        """Release session resources — the thread worker pool and any
-        shard worker processes.  The catalog belongs to the database
-        and is untouched.  Idempotent, and safe on a session whose
-        ``__init__`` failed partway (e.g. an invalid knob)."""
+        """Release session resources — its executor processes, if any
+        ran.  The catalog belongs to the database and is untouched.
+        Idempotent, and safe on a session whose ``__init__`` failed
+        partway (e.g. an invalid knob)."""
         context = getattr(self, "execution_context", None)
         if context is not None:
             context.close()
@@ -399,7 +398,7 @@ class Database:
     def __init__(self, sum_mode: str = "ieee", levels: int = 2,
                  workers: int = 1, morsel_size: int = DEFAULT_MORSEL_SIZE,
                  join_build: str = "auto",
-                 memory_budget: int | None = None, shards: int = 0,
+                 memory_budget: int | None = None,
                  path: str | None = None, wal_sync: str = "commit",
                  checkpoint_interval: float | None = 60.0):
         self.catalog = Catalog()
@@ -413,7 +412,6 @@ class Database:
             "morsel_size": morsel_size,
             "join_build": join_build,
             "memory_budget": memory_budget,
-            "shards": shards,
         }
         #: every session ever created over this database (weakly held)
         #: so :meth:`close` can tear all of them down
@@ -433,16 +431,21 @@ class Database:
                 # have in the process that set them (names this
                 # version no longer has — an older writer's
                 # ``vectorized`` / ``fused`` / ``buffer_size`` / the
-                # spill shape / the executor count — select nothing; a
-                # retired ``sum_mode`` selects its successor).
-                for name, value in storage.persistent_defaults.items():
+                # spill shape / ``shard_workers`` — select nothing; a
+                # retired ``sum_mode`` selects its successor, and
+                # ``shards = N > 0``, which ran aggregates on N
+                # executor processes, selects ``workers = N``).
+                persisted = storage.persistent_defaults
+                for name, value in persisted.items():
                     if name == "sum_mode":
                         value = SumConfig.stored(value)
                     if name in self.session_defaults:
                         self.session_defaults[name] = value
+                if persisted.get("shards"):
+                    self.session_defaults["workers"] = persisted["shards"]
             # Created eagerly: constructing it validates every default
             # knob at Database() time, exactly as the monolithic class
-            # did (the worker pool inside is still lazy).
+            # did (executor processes are still spawned lazily).
             self._default_session = self.session()
             if self._storage is not None:
                 self._storage.start_checkpointer()
@@ -473,8 +476,8 @@ class Database:
 
     def close(self) -> None:
         """Tear down every session created over this database —
-        thread pools and shard worker processes included — then fsync
-        and release durable storage (WAL handle, directory lock).  The
+        executor processes included — then fsync and release durable
+        storage (WAL handle, directory lock).  The
         catalog stays readable (a later ``session()`` works), but
         nothing lingers after exit.  Idempotent, and safe on a
         database whose ``__init__`` failed partway."""

@@ -283,7 +283,7 @@ class VectorizedGroupTable:
         self._lut: np.ndarray | None = None
         self._lut_bases = None
         #: Which ladder update this table's rows took (scatter vs
-        #: reference); merged with the workers' and reported on
+        #: reference); merged with the executors' and reported on
         #: :class:`~repro.engine.pipeline.PipelineStats`.
         self.ladder = LadderCounters()
 

@@ -51,7 +51,8 @@ def _parse_args(argv=None):
                         choices=SumConfig.MODES,
                         help="default SUM semantics for new sessions")
     parser.add_argument("--workers", type=int, default=1,
-                        help="default intra-query worker count")
+                        help="default degree of parallelism: N executor "
+                             "processes per session (1 = in-process)")
     parser.add_argument("--max-inflight", type=int, default=8,
                         help="statements executing concurrently")
     parser.add_argument("--max-backlog", type=int, default=32,

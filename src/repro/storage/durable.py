@@ -128,7 +128,10 @@ def _schema_columns(spec) -> list:
 # Execution-shape capture for REFRESH replay
 # ---------------------------------------------------------------------------
 
-_CTX_KNOBS = ("workers", "morsel_size", "join_build", "memory_budget_bytes")
+#: The knobs a refresh's bits can depend on: REFRESH runs in-process,
+#: so ``workers`` is not one (records older writers logged with it
+#: replay unchanged — :class:`ExecutionContext` still takes it).
+_CTX_KNOBS = ("morsel_size", "join_build", "memory_budget_bytes")
 
 #: Knobs older writers logged that no longer exist, which a replay
 #: ignores (any other unknown key stays an error).  ``vectorized`` /
@@ -221,7 +224,7 @@ class _PendingRefreshes:
                 # Replay under the *original* execution shape: repro
                 # views are shape-invariant anyway, but an IEEE-mode
                 # full recompute is only bit-faithful with the same
-                # workers x morsel x budget configuration.
+                # morsel x budget configuration.
                 view.refresh(
                     self._contexts.get(record.get("ctx")),
                     to_version=watermark,

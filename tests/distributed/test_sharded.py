@@ -1,13 +1,14 @@
-"""Sharded multi-process execution: distribution must be invisible.
+"""Multi-process execution: distribution must be invisible.
 
-The tentpole claim of PR 8: dealing a table's rows to executor
-*processes* and exchanging partial group tables over the spill wire
-format changes wall-clock, never bits.  These tests pin result bits
-across shard counts x exchange-arrival order x worker counts x morsel
-sizes x engines, in every repro sum mode; what names a shipped replica
-(the table's own content, so a write elsewhere re-ships nothing); and
-the lifecycle contract: no executor process or pool thread survives
-``Database.close()``.
+``workers = N > 1`` deals a table's rows to N executor *processes* and
+exchanges partial group tables over the spill wire format; that changes
+wall-clock, never bits.  These tests pin result bits across worker
+counts x exchange-arrival order x morsel sizes x engines, in every
+repro sum mode; what names a shipped replica (the table's own content,
+so a write elsewhere re-ships nothing); which plans run in-process; the
+retired ``shards`` knob on every surface; and the lifecycle contract:
+no executor process survives ``Database.close()``, and no thread is
+started.
 """
 
 import multiprocessing
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.distributed import coordinator
-from repro.engine.session import Database
+from repro.engine.session import Database, Session
 from repro.errors import ConfigError, ReproError
 
 QUERIES = [
@@ -87,28 +88,26 @@ def test_bits_invariant_under_sharding(mode, engine_path):
     for rows, dml in (
         (_rows(n=3001), MASKING_DML), (_rows(n=5), ()), ([], ()),
     ):
-        base = _run_all(rows, dml, sum_mode=mode, shards=0)
+        base = _run_all(rows, dml, sum_mode=mode)
         for config in (
-            dict(shards=1),
-            dict(shards=2),
-            dict(shards=3),
-            dict(shards=8),
-            dict(shards=2, morsel_size=257),
-            dict(shards=3, workers=4),
+            dict(workers=2),
+            dict(workers=3),
+            dict(workers=8),
+            dict(workers=2, morsel_size=257),
         ):
             got = _run_all(rows, dml, sum_mode=mode, **config)
             assert got == base, (len(rows), config)
-        # Cross-path identity: the unsharded scalar reference table
+        # Cross-path identity: the in-process scalar reference table
         # agrees with every sharded run above.
         with engine_path("scalar"):
             assert _run_all(rows, dml, sum_mode=mode) == base
 
 
 def test_explain_renders_sharded_aggregate():
-    with Database(sum_mode="repro", shards=8) as db:
+    with Database(sum_mode="repro", workers=8) as db:
         _populate(db, _rows(n=50))
         plan = db.explain(QUERIES[0])
-        assert "ShardedAggregate(shards=8)[morsel_size=" in plan
+        assert "ShardedAggregate(workers=8)[morsel_size=" in plan
         # Inner-join plans shard too: the build side is broadcast to
         # the executors, which walk the same chain (the build-row rule
         # ships with it).
@@ -120,46 +119,66 @@ def test_explain_renders_sharded_aggregate():
         )
         assert "ShardedAggregate" in join_plan
         assert "group_ids=build_row(t.g = names.g)" in join_plan
-        # LEFT-join plans stay on the thread pipeline.
+        # LEFT-join plans run in-process.
         left_plan = db.explain(
             "SELECT names.label, SUM(t.f) FROM t "
             "LEFT JOIN names ON t.g = names.g GROUP BY names.label"
         )
         assert "HashJoinProbe(left" in left_plan
         assert "ShardedAggregate" not in left_plan
+        assert "Aggregate[morsel_size=" in left_plan
 
 
-def test_set_shards_takes_effect_and_validates():
+def test_set_workers_takes_effect_and_validates():
     with Database(sum_mode="repro") as db:
         _populate(db, _rows(n=400))
         base = _result_bits(db.execute(QUERIES[0]))
-        db.execute("SET shards = 4")
-        assert "ShardedAggregate(shards=4)" in db.explain(QUERIES[0])
+        assert "Aggregate[morsel_size=65536](" in db.explain(QUERIES[0])
+        db.execute("SET workers = 4")
+        assert "ShardedAggregate(workers=4)" in db.explain(QUERIES[0])
         assert _result_bits(db.execute(QUERIES[0])) == base
         stats = db.last_pipeline_stats
-        assert stats.sharded and stats.shards == 4
+        assert stats.sharded and stats.workers == 4
         assert stats.exchange_bytes > 0
-        # One executor per shard: a new shard count is a new fleet.
+        # One executor per shard: a new worker count is a new fleet.
         first = set(db.execution_context._shard_pool.pids)
         assert len(first) == 4
-        db.execute("SET shards = 2")
+        db.execute("SET workers = 2")
         assert _result_bits(db.execute(QUERIES[0])) == base
         second = set(db.execution_context._shard_pool.pids)
         assert len(second) == 2 and not (first & second)
         assert len(multiprocessing.active_children()) == 2
-        db.execute("SET shards = 0")
+        db.execute("SET workers = 1")
+        assert db.execution_context._shard_pool is None
         assert "ShardedAggregate" not in db.explain(QUERIES[0])
-        with pytest.raises(ReproError):
-            db.execute("SET shards = -1")
-        # The executor count is not a knob any more; the plan stands.
-        db.execute("SET shards = 2")
-        with pytest.raises(ConfigError, match="one executor per shard"):
-            db.execute("SET shard_workers = 2")
-        assert "ShardedAggregate(shards=2)" in db.explain(QUERIES[0])
-        with pytest.raises(TypeError):
-            Database(sum_mode="repro", shards=2, shard_workers=1)
-        with pytest.raises(ReproError, match="unknown session options"):
-            db.session(shard_workers=1)
+        for bad in ("0", "1.5", "'x'"):
+            with pytest.raises(ConfigError, match="workers"):
+                db.execute(f"SET workers = {bad}")
+    assert multiprocessing.active_children() == []
+
+
+def test_retired_shards_fails_naming_workers():
+    """``shards`` folded into ``workers``: every surface that took it
+    fails, naming its successor — ``SET``, the constructors, a session
+    option and a default (the wire hello: ``test_server``) — and
+    ``shard_workers`` with it."""
+    with Database(sum_mode="repro") as db:
+        for name in ("shards", "shard_workers"):
+            with pytest.raises(ConfigError, match="retired: workers") as err:
+                db.execute(f"SET {name} = 2")
+            assert name in str(err.value)
+            assert name not in db.execution_context.PARAM_NAMES
+            with pytest.raises(TypeError, match=name):
+                Database(**{name: 2})
+            with pytest.raises(TypeError, match=name):
+                Session(db, **{name: 2})
+            for unknown in (lambda: db.session(**{name: 2}),
+                            lambda: db.set_default(name, 2)):
+                with pytest.raises(ReproError, match="unknown session") as err:
+                    unknown()
+                assert name in str(err.value)
+                assert "workers" in str(err.value).replace(name, "")
+            assert not hasattr(db.execution_context, name)
     assert multiprocessing.active_children() == []
 
 
@@ -191,12 +210,12 @@ def test_insert_reshards_by_versioning(monkeypatch):
 
     extra = [{"g": 3, "f": 1.5, "d": 99, "s": "new"},
              {"g": 99, "f": -2.25, "d": 1, "s": None}]
-    with Database(sum_mode="repro", shards=2) as db:
+    with Database(sum_mode="repro", workers=2) as db:
         _populate(db, _rows(n=600))
         db.execute("CREATE TABLE names (g INT, label VARCHAR)")
         db.execute("INSERT INTO names VALUES (1, 'one'), (2, 'two'), (3, 'x')")
         db.execute("CREATE TABLE other (x INT)")
-        session, serial = db.session(), db.session(shards=0)
+        session, serial = db.session(), db.session(workers=1)
 
         before, first_bytes, sent = run(session)
         assert [w for w, _ in sent] == [0, 1]
@@ -259,7 +278,7 @@ def test_insert_reshards_by_versioning(monkeypatch):
 
 
 def test_snapshot_pinned_reads_are_stable_under_sharding():
-    with Database(sum_mode="repro", shards=2) as db:
+    with Database(sum_mode="repro", workers=2) as db:
         _populate(db, _rows(n=500))
         session = db.default_session
         with session.snapshot():
@@ -289,7 +308,7 @@ def test_exchange_arrival_order_invariance(mode, monkeypatch):
             return ready
 
         monkeypatch.setattr(coordinator, "_service_order", permute)
-        got = _run_all(rows, sum_mode=mode, shards=8)
+        got = _run_all(rows, sum_mode=mode, workers=8)
         assert got == base, f"arrival permutation seed={seed}"
     monkeypatch.setattr(coordinator, "_service_order", None)
 
@@ -298,11 +317,19 @@ def test_exchange_arrival_order_invariance(mode, monkeypatch):
 
 
 def test_no_stray_processes_or_threads_after_close():
+    """A Q1-shaped aggregate at ``workers=2`` starts exactly two
+    executor processes and no thread; ``close`` stops both."""
     before_threads = set(threading.enumerate())
-    with Database(sum_mode="repro", shards=4, workers=2) as db:
+    with Database(sum_mode="repro", workers=2) as db:
         _populate(db, _rows(n=300))
-        db.execute(QUERIES[0])
-        assert len(multiprocessing.active_children()) == 4
+        assert multiprocessing.active_children() == []
+        db.execute(
+            "SELECT s, SUM(f), AVG(f), COUNT(*) FROM t WHERE d < 30 "
+            "GROUP BY s ORDER BY s"
+        )
+        assert db.last_pipeline_stats.sharded
+        assert len(multiprocessing.active_children()) == 2
+        assert set(threading.enumerate()) == before_threads
     assert multiprocessing.active_children() == []
     stray = {
         t for t in set(threading.enumerate()) - before_threads if t.is_alive()
@@ -310,11 +337,37 @@ def test_no_stray_processes_or_threads_after_close():
     assert not stray, [t.name for t in stray]
 
 
+def test_plans_the_executors_cannot_run_stay_in_process():
+    """A LEFT-join aggregate, a projection, an external aggregate and
+    dual run in-process at ``workers=2``: no fleet is spawned."""
+    with Database(sum_mode="repro", workers=2) as db:
+        _populate(db, _rows(n=300))
+        db.execute("CREATE TABLE names (g INT, label VARCHAR)")
+        db.execute("INSERT INTO names VALUES (1, 'one'), (2, 'two')")
+        serial = db.session(workers=1)
+        left = ("SELECT names.label, SUM(t.f) FROM t LEFT JOIN names "
+                "ON t.g = names.g GROUP BY names.label ORDER BY names.label")
+        for query in (left, "SELECT g, f FROM t WHERE d < 3", "SELECT 1 + 1"):
+            assert "ShardedAggregate" not in db.explain(query)
+            bits = _result_bits(db.execute(query))
+            assert not db.last_pipeline_stats.sharded
+            assert bits == _result_bits(serial.execute(query))
+        assert "Aggregate[morsel_size=65536](" in db.explain(left)
+        db.memory_budget = 1
+        assert "Aggregate[morsel_size=65536, external(" in db.explain(QUERIES[0])
+        assert _result_bits(db.execute(QUERIES[0])) == _result_bits(
+            serial.execute(QUERIES[0])
+        )
+        assert db.last_pipeline_stats.external
+        assert not db.last_pipeline_stats.sharded
+        assert multiprocessing.active_children() == []
+
+
 def test_session_close_is_idempotent_and_db_closes_all_sessions():
-    db = Database(sum_mode="repro", shards=2)
+    db = Database(sum_mode="repro", workers=2)
     _populate(db, _rows(n=200))
     s1 = db.session()
-    s2 = db.session(shards=3)
+    s2 = db.session(workers=3)
     s1.execute(QUERIES[3])
     s2.execute(QUERIES[3])
     assert len(multiprocessing.active_children()) == 2 + 3
@@ -330,7 +383,7 @@ def test_session_close_is_idempotent_and_db_closes_all_sessions():
 
 
 def test_executor_crash_heals_between_queries():
-    with Database(sum_mode="repro", shards=2) as db:
+    with Database(sum_mode="repro", workers=2) as db:
         _populate(db, _rows(n=200))
         base = _result_bits(db.execute(QUERIES[0]))
         pool = db.execution_context._shard_pool
@@ -343,7 +396,7 @@ def test_executor_crash_heals_between_queries():
 
 
 def test_executor_death_mid_exchange_raises_and_recovers(monkeypatch):
-    with Database(sum_mode="repro", shards=2) as db:
+    with Database(sum_mode="repro", workers=2) as db:
         _populate(db, _rows(n=200))
         base = _result_bits(db.execute(QUERIES[0]))
         pool = db.execution_context._shard_pool

@@ -25,9 +25,10 @@ from repro.engine import Database
 
 MATRIX = [
     # (workers, the query table?, under a memory budget that spills?)
-    (1, False, False),  # the scalar reference table
-    (2, True, False),   # what users run
-    (4, True, True),    # ... through the external aggregation
+    (1, False, False),  # the scalar reference table, in-process
+    (2, True, False),   # every session's aggregates on two executors
+    (4, True, True),    # grouped ones external (in-process), global
+                        # ones on four executors
 ]
 
 
@@ -143,6 +144,8 @@ def _replay_concurrently_and_serially(workers, memory_budget=None):
     check = conc_db.session()
     check.execute("REFRESH MATERIALIZED VIEW cs_totals")
     got = [_result_bytes(check.execute(q)) for q in FINAL_QUERIES]
+    serial_db.close()
+    conc_db.close()
     assert got == expected
 
 
@@ -278,12 +281,12 @@ def test_sessions_isolate_knobs_but_share_catalog():
 
 
 def test_database_execute_still_works_as_delegate():
-    db = Database(sum_mode="repro", workers=2)
-    db.execute("CREATE TABLE t (f DOUBLE)")
-    db.execute("INSERT INTO t VALUES (0.5), (0.25)")
-    assert db.execute("SELECT SUM(f) FROM t").scalar() == 0.75
-    assert db.last_timings is not None
-    assert db.execution_context is db.default_session.execution_context
+    with Database(sum_mode="repro", workers=2) as db:
+        db.execute("CREATE TABLE t (f DOUBLE)")
+        db.execute("INSERT INTO t VALUES (0.5), (0.25)")
+        assert db.execute("SELECT SUM(f) FROM t").scalar() == 0.75
+        assert db.last_timings is not None
+        assert db.execution_context is db.default_session.execution_context
 
 
 def test_insert_select_records_timings():

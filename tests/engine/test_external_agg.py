@@ -4,9 +4,9 @@ The paper's buffered, partition-based aggregation is designed so
 reproducible sums survive any partitioning of the input; these tests
 assert the engine-level consequence: for the repro sum modes, result
 bits, dtypes and row order are identical across ``memory_budget``
-(unbounded, spill-forcing, pathological), the spill partition fan-out
-(a module constant, patched here) and the worker count — memory is a
-pure performance knob — and that the finish really is per partition:
+(unbounded, spill-forcing, pathological) and the spill partition
+fan-out (a module constant, patched here) — memory is a pure
+performance knob — and that the finish really is per partition:
 no table as large as the whole state is ever finalized, and
 ``peak_resident_bytes`` says so.
 """
@@ -74,10 +74,7 @@ def test_bits_invariant_under_budget_and_fanout(mode, monkeypatch):
     for budget in (2048, 1):
         for partitions in (1, 5):
             monkeypatch.setattr(external_agg, "SPILL_PARTITIONS", partitions)
-            db = _build(
-                sum_mode=mode, workers=3, morsel_size=193,
-                memory_budget=budget,
-            )
+            db = _build(sum_mode=mode, morsel_size=193, memory_budget=budget)
             assert _bits(db.execute(QUERY)) == reference, (
                 mode, budget, partitions,
             )
@@ -137,27 +134,22 @@ def test_finish_per_partition_equals_in_memory(shape, mode, monkeypatch):
     )
     for nrows in (0, 320):
         reference = _bits(_shape_db(nrows, sum_mode=mode).execute(query))
-        for workers in (1, 3):
-            for morsel_size in (97, 8192):
-                db = _shape_db(
-                    nrows, sum_mode=mode, workers=workers,
-                    morsel_size=morsel_size,
+        for morsel_size in (97, 8192):
+            db = _shape_db(nrows, sum_mode=mode, morsel_size=morsel_size)
+            for partitions in (1, 4, 5):
+                monkeypatch.setattr(
+                    external_agg, "SPILL_PARTITIONS", partitions
                 )
-                for partitions in (1, 4, 5):
-                    monkeypatch.setattr(
-                        external_agg, "SPILL_PARTITIONS", partitions
-                    )
-                    for budget in (None, 1 << 20, 4096, 1):
-                        db.memory_budget = budget
-                        leg = (nrows, workers, morsel_size, partitions,
-                               budget)
-                        assert _bits(db.execute(query)) == reference, leg
-                        stats = db.last_pipeline_stats
-                        if budget in (None, 1):
-                            assert stats.external is (budget == 1), leg
-                            assert (stats.spilled_runs > 0) is (
-                                budget == 1 and nrows > 0
-                            ), leg
+                for budget in (None, 1 << 20, 4096, 1):
+                    db.memory_budget = budget
+                    leg = (nrows, morsel_size, partitions, budget)
+                    assert _bits(db.execute(query)) == reference, leg
+                    stats = db.last_pipeline_stats
+                    if budget in (None, 1):
+                        assert stats.external is (budget == 1), leg
+                        assert (stats.spilled_runs > 0) is (
+                            budget == 1 and nrows > 0
+                        ), leg
 
 
 def _probe_db(**kwargs):
@@ -172,11 +164,11 @@ def _probe_db(**kwargs):
 
 
 def test_finish_never_holds_the_whole_state(monkeypatch):
-    """The probe of ISSUE 19: 200 000 rows into ~49 000 groups under a
-    1 MiB budget.  No table the size of the whole state is finalized,
-    and ``peak_resident_bytes`` covers the finish — it used to be the
-    scan-phase maximum over workers while ``finalize`` ran on a table
-    holding all of it."""
+    """200 000 rows into ~49 000 groups under a 1 MiB budget.  No table
+    the size of the whole state is finalized, and
+    ``peak_resident_bytes`` covers the finish — it used to be the
+    scan-phase maximum while ``finalize`` ran on a table holding all of
+    it."""
     finalized = []
     finalize = VectorizedGroupTable.finalize
 
@@ -202,20 +194,16 @@ def test_finish_never_holds_the_whole_state(monkeypatch):
     (whole,) = finalized
     assert db.last_pipeline_stats.peak_resident_bytes == whole
 
-    for workers in (1, 3):
-        finalized.clear()
-        sinks.clear()
-        db = _probe_db(memory_budget=1 << 20, workers=workers)
-        assert _bits(db.execute(query)) == reference
-        stats = db.last_pipeline_stats
-        assert stats.external and stats.spilled_runs > 0
-        assert len(finalized) == external_agg.SPILL_PARTITIONS
-        assert max(finalized) <= stats.peak_resident_bytes <= 0.5 * whole
-        # ... and it is the workers' scan peaks summed, not their
-        # maximum: each fills its share of the budget on its own.
-        scan_peaks = [sink.peak_resident_bytes for sink in sinks]
-        assert len(scan_peaks) == workers
-        assert stats.peak_resident_bytes >= sum(scan_peaks)
+    finalized.clear()
+    db = _probe_db(memory_budget=1 << 20)
+    assert _bits(db.execute(query)) == reference
+    stats = db.last_pipeline_stats
+    assert stats.external and stats.spilled_runs > 0
+    assert len(finalized) == external_agg.SPILL_PARTITIONS
+    assert max(finalized) <= stats.peak_resident_bytes <= 0.5 * whole
+    # ... and it covers the one sink's scan peak too
+    (sink,) = sinks
+    assert stats.peak_resident_bytes >= sink.peak_resident_bytes
 
 
 def test_misrouted_key_raises_instead_of_returning_it_twice(monkeypatch):
@@ -250,17 +238,18 @@ def test_spilled_query_reports_its_ladder_path(workers):
     """Ladder rows are counted where they are fed, so a spilled query
     reports as many as the in-memory one — the counters used to die
     with every spilled partition's table (0 / 0 / None under a budget,
-    and an empty ``last_timings.counters``)."""
+    and an empty ``last_timings.counters``) — whether the in-memory one
+    ran in-process or on executor processes."""
     query = "SELECT k, SUM(v) FROM t GROUP BY k"
     totals = {}
     for budget in (None, 4096):
-        db = Database(sum_mode="repro", memory_budget=budget,
-                      workers=workers, morsel_size=512)
-        db.execute("CREATE TABLE t (k INT, v DOUBLE)")
-        rng = np.random.default_rng(7)
-        db.table("t").bulk_load({"k": rng.integers(0, 400, 4000),
-                                 "v": rng.normal(size=4000)})
-        db.execute(query)
+        with Database(sum_mode="repro", memory_budget=budget,
+                      workers=workers, morsel_size=512) as db:
+            db.execute("CREATE TABLE t (k INT, v DOUBLE)")
+            rng = np.random.default_rng(7)
+            db.table("t").bulk_load({"k": rng.integers(0, 400, 4000),
+                                     "v": rng.normal(size=4000)})
+            db.execute(query)
         stats = db.last_pipeline_stats
         assert stats.external is (budget is not None)
         assert (stats.spilled_runs > 0) is (budget is not None)
@@ -378,11 +367,17 @@ def test_memory_budget_property_setter():
 
 
 def test_set_workers_resets_pool():
-    db = _build(sum_mode="repro", workers=2, morsel_size=193)
-    db.execute(QUERY)  # spins up the 2-worker pool
-    db.execute("SET workers = 4")
-    db.execute(QUERY)
-    assert db.last_pipeline_stats.workers > 2
+    with _build(sum_mode="repro", workers=2, morsel_size=193) as db:
+        db.execute(QUERY)  # spins up the two executor processes
+        pool = db.execution_context._shard_pool
+        db.execute("SET workers = 3")
+        assert pool.closed
+        db.execute(QUERY)
+        assert db.last_pipeline_stats.workers == 3
+        # an external plan runs in-process: the fleet is left alone
+        db.memory_budget = 1
+        db.execute(QUERY)
+        assert db.last_pipeline_stats.workers == 1
 
 
 # ---------------------------------------------------------------------------

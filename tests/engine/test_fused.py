@@ -50,7 +50,12 @@ FILTERED_QUERY = (
 
 
 def result_bits(result):
-    return tuple(np.asarray(arr).tobytes() for arr in result.arrays)
+    """Bit-exact encoding; object columns by value (an executor's
+    strings are equal, not the same objects)."""
+    return tuple(
+        repr(arr.tolist()).encode() if arr.dtype == object else arr.tobytes()
+        for arr in map(np.asarray, result.arrays)
+    )
 
 
 def make_db(columns, data, sum_mode="repro", workers=1, morsel_size=1 << 16):
@@ -63,16 +68,26 @@ def make_db(columns, data, sum_mode="repro", workers=1, morsel_size=1 << 16):
 
 @pytest.fixture
 def run_both(engine_path):
-    """(scalar reference, query table) results for one query."""
+    """(scalar reference, query table) results for one query — one
+    database per (path, table, mode, workers), its morsel size ``SET``
+    per call, so a worker count spawns one executor fleet per path."""
+    dbs = {}
 
     def run(columns, data, query, sum_mode, workers=1, morsel_size=1 << 16):
-        with engine_path("scalar"):
-            scalar = make_db(columns, data, sum_mode, workers,
-                             morsel_size).execute(query)
-        return scalar, make_db(columns, data, sum_mode, workers,
-                               morsel_size).execute(query)
+        results = []
+        for path in ("scalar", None):
+            key = (path, columns, id(data), sum_mode, workers)
+            with engine_path(path):
+                if key not in dbs:
+                    dbs[key] = data, make_db(columns, data, sum_mode, workers)
+                db = dbs[key][1]
+                db.execute(f"SET morsel_size = {morsel_size}")
+                results.append(db.execute(query))
+        return tuple(results)
 
-    return run
+    yield run
+    for _, db in dbs.values():
+        db.close()
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +111,7 @@ class TestBitEquivalence:
     @pytest.mark.parametrize("sum_mode", MODES)
     def test_bits_match_both_paths_for_every_split(self, dataset, sum_mode, run_both):
         baseline = None
-        for workers in (1, 2, 4):
+        for workers in (1, 2):
             for morsel_size in (1, 7, 64, 1 << 16):
                 scalar, table = run_both(
                     "k INT, s VARCHAR(1), v DOUBLE", dataset, QUERY,
@@ -125,7 +140,7 @@ class TestBitEquivalence:
         }
         query = ("SELECT k, SUM(v), MIN(v), MAX(v), COUNT(*) FROM t "
                  "GROUP BY k ORDER BY k")
-        for workers, morsel_size in ((1, 1), (1, 2), (3, 16)):
+        for workers, morsel_size in ((1, 1), (1, 2), (2, 16)):
             scalar, table = run_both(
                 "k DOUBLE, v DOUBLE", data, query, "repro",
                 workers, morsel_size,
@@ -233,7 +248,7 @@ class TestQualification:
         # fused / unfused:<reason> qualifier exists to render.
         db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset)
         plan = db.explain(FILTERED_QUERY)
-        assert "Aggregate[serial, workers=1, morsel_size=65536](" in plan
+        assert "Aggregate[morsel_size=65536](" in plan
         assert "Scan(t, columns=[k, v], filter=(v > 0))" in plan
         assert "fused" not in plan.lower()
 
@@ -252,7 +267,10 @@ class TestKernelCache:
         db.execute("CREATE TABLE r (k INT, w DOUBLE)")
         db.table("r").bulk_load({"k": [0, 1, 2], "w": [1.0, 2.0, 3.0]})
         context = db.execution_context
-        query = "SELECT t.k, SUM(v) FROM t, r WHERE t.k = r.k GROUP BY t.k"
+        # a LEFT join runs in-process at any worker count: the build is
+        # served from the context's join cache
+        query = ("SELECT t.k, SUM(v) FROM t LEFT JOIN r ON t.k = r.k "
+                 "GROUP BY t.k")
         before = result_bits(db.execute(query))
         assert context._join_cache and context._plan_cache
         db.execute(knob)
@@ -332,16 +350,16 @@ class TestBlockedLadderPath:
             expected = result_bits(reference.execute(self.Q1_SHAPED))
         assert reference.last_pipeline_stats.ladder_rows_scatter == 0
         kept = int((lineitems["q"] < 49).sum())
-        for workers in (1, 4):
-            for morsel_size in (1024, 16384, 65536):
-                db = make_db(self.COLUMNS, lineitems,
-                             workers=workers, morsel_size=morsel_size)
-                assert result_bits(db.execute(self.Q1_SHAPED)) == expected
-                stats = db.last_pipeline_stats
-                # every worker's tables seed themselves per morsel
-                assert (stats.ladder_rows_scatter
-                        + stats.ladder_rows_reference) == 5 * kept
-                assert scatter_share(stats) >= 0.8
+        for workers in (1, 2):
+            with make_db(self.COLUMNS, lineitems, workers=workers) as db:
+                for morsel_size in (1024, 16384, 65536):
+                    db.execute(f"SET morsel_size = {morsel_size}")
+                    assert result_bits(db.execute(self.Q1_SHAPED)) == expected
+                    stats = db.last_pipeline_stats
+                    # every executor's tables seed themselves per morsel
+                    assert (stats.ladder_rows_scatter
+                            + stats.ladder_rows_reference) == 5 * kept
+                    assert scatter_share(stats) >= 0.8
 
     def test_ieee_mode_counts_nothing(self, lineitems):
         db = make_db(self.COLUMNS, lineitems, sum_mode="ieee")
@@ -405,10 +423,10 @@ class TestBlockedLadderPath:
 
         with engine_path("scalar"):
             expected, _ = run()
-        for knobs in ({}, {"workers": 4}, {"shards": 2}):
+        for knobs in ({}, {"workers": 2}):
             bits, stats = run(**knobs)
             assert bits == expected, knobs
-            assert stats.sharded is ("shards" in knobs)
+            assert stats.sharded is ("workers" in knobs)
             assert scatter_share(stats) >= 0.8, (knobs, stats.ladder_rows_reference)
 
 

@@ -5,9 +5,9 @@ The lazy probe (index composition, no per-column gather) reuses the
 join's own key encoders and hash tables, so the only thing allowed to
 change is *when* a column is gathered: result bits must be
 byte-identical to the scalar reference table (the ``engine_path``
-fixture) — across build-side choice, worker counts, morsel sizes,
-shard counts, and the IEEE special values (NaN / -0.0) and NULLs in
-the join keys.  These keys are adversarial DOUBLEs and strings, so
+fixture) — across build-side choice, worker counts (executor
+processes), morsel sizes, and the IEEE special values (NaN / -0.0) and
+NULLs in the join keys.  These keys are adversarial DOUBLEs and strings, so
 every query here stays on the generic group-key path; the build-row
 rule is pinned in ``test_lazy_batch.py`` and ``tests/tpch``.
 
@@ -104,21 +104,20 @@ class TestJoinBitEquivalence:
                                                  engine_path):
         with engine_path("scalar"), _make_db(sum_mode) as db:
             base = [_result_bits(db.execute(q)) for q in QUERIES]
-        for build, workers, morsel in itertools.product(
-            ("left", "right"), (1, 3), (1 << 16, 257),
+        for build, morsel in itertools.product(
+            ("left", "right"), (1 << 16, 257),
         ):
             with _make_db(
-                sum_mode, join_build=build, workers=workers,
-                morsel_size=morsel,
+                sum_mode, join_build=build, morsel_size=morsel,
             ) as db:
                 got = [_result_bits(db.execute(query)) for query in QUERIES]
-                assert got == base, (build, workers, morsel)
+                assert got == base, (build, morsel)
 
-    @pytest.mark.parametrize("shards", (2, 3))
-    def test_bits_invariant_under_sharded_fused_joins(self, shards):
+    @pytest.mark.parametrize("workers", (2, 3))
+    def test_bits_invariant_under_sharded_fused_joins(self, workers):
         with _make_db("repro") as db:
             base = [_result_bits(db.execute(q)) for q in QUERIES]
-        with _make_db("repro", shards=shards) as db:
+        with _make_db("repro", workers=workers) as db:
             for query, expect in zip(QUERIES, base):
                 assert "ShardedAggregate(" in db.explain(query)
                 assert _result_bits(db.execute(query)) == expect, query

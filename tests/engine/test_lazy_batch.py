@@ -237,9 +237,9 @@ def test_build_row_rule_shows_in_explain_and_never_in_bits(shape, engine_path):
     query += " ORDER BY " + query.split("GROUP BY ")[1]
     with engine_path("scalar"), _star_schema() as db:
         expected = _bits(db.execute(query))
-    for knobs in ({}, {"workers": 3, "morsel_size": 257},
+    for knobs in ({}, {"morsel_size": 257},
                   {"join_build": "left"}, {"join_build": "right"},
-                  {"memory_budget": 1}, {"shards": 2}):
+                  {"memory_budget": 1}, {"workers": 2}):
         with _star_schema(**knobs) as db:
             plan = db.explain(query)
             if not knobs:

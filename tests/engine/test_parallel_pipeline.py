@@ -3,9 +3,12 @@ engine layer.
 
 For the repro sum modes, ``Database.execute`` must return bit-identical
 result arrays for every ``(workers, morsel_size)`` combination —
-including ``workers=1``, which must match the pre-refactor serial
-whole-column kernels (``grouped_float_sum``) bit-for-bit.  IEEE mode is
-*allowed* (and shown) to drift under the same knobs.
+``workers=1`` in-process, which must match the pre-refactor serial
+whole-column kernels (``grouped_float_sum``) bit-for-bit, and
+``workers=2`` on two executor processes.  IEEE mode is *allowed* (and
+shown) to drift under the same knobs.  Each worker count is one
+database whose morsel size is ``SET`` in place, so a fleet is spawned
+per worker count, not per case.
 """
 
 import numpy as np
@@ -14,8 +17,10 @@ import pytest
 from reference_table import grouped_float_sum
 from repro.engine import Database, ExecutionContext
 from repro.engine.pipeline import DEFAULT_MORSEL_SIZE
+from repro.engine.sql import ast
+from repro.errors import ConfigError
 
-WORKERS = (1, 2, 4, 8)
+WORKERS = (1, 2)
 MORSEL_SIZES = (1, 7, 64, 4096)
 REPRO_MODES = ("repro", "sorted")
 
@@ -54,7 +59,12 @@ QUERY = (
 
 
 def result_bits(result):
-    return tuple(np.asarray(arr).tobytes() for arr in result.arrays)
+    """Bit-exact encoding; object columns by value (an executor's
+    strings are equal, not the same objects)."""
+    return tuple(
+        repr(arr.tolist()).encode() if arr.dtype == object else arr.tobytes()
+        for arr in map(np.asarray, result.arrays)
+    )
 
 
 class TestReproModesBitIdentical:
@@ -62,13 +72,15 @@ class TestReproModesBitIdentical:
     def test_bits_invariant_under_workers_and_morsel_size(self, dataset, mode):
         baseline = result_bits(make_db(dataset, mode).execute(QUERY))
         for workers in WORKERS:
-            for morsel_size in MORSEL_SIZES:
-                db = make_db(dataset, mode, workers, morsel_size)
-                bits = result_bits(db.execute(QUERY))
-                assert bits == baseline, (
-                    f"{mode} drifted at workers={workers}, "
-                    f"morsel_size={morsel_size}"
-                )
+            with make_db(dataset, mode, workers) as db:
+                for morsel_size in MORSEL_SIZES:
+                    db.execute(f"SET morsel_size = {morsel_size}")
+                    bits = result_bits(db.execute(QUERY))
+                    assert bits == baseline, (
+                        f"{mode} drifted at workers={workers}, "
+                        f"morsel_size={morsel_size}"
+                    )
+                    assert db.last_pipeline_stats.sharded is (workers > 1)
 
     @pytest.mark.parametrize("mode", ("repro",))
     def test_workers1_matches_pre_refactor_serial_kernel(self, dataset, mode):
@@ -77,11 +89,11 @@ class TestReproModesBitIdentical:
         keys, _, values = dataset
         _, gids = np.unique(keys, return_inverse=True)
         expected = grouped_float_sum(values, gids, N_KEYS, mode, levels=2)
-        for workers, morsel_size in ((1, DEFAULT_MORSEL_SIZE), (4, 7)):
-            db = make_db(dataset, mode, workers, morsel_size)
-            got = db.execute(
-                "SELECT k, SUM(v) AS total FROM g GROUP BY k ORDER BY k"
-            ).column("total")
+        for workers, morsel_size in ((1, DEFAULT_MORSEL_SIZE), (2, 7)):
+            with make_db(dataset, mode, workers, morsel_size) as db:
+                got = db.execute(
+                    "SELECT k, SUM(v) AS total FROM g GROUP BY k ORDER BY k"
+                ).column("total")
             assert got.tobytes() == expected.tobytes()
 
     def test_rsum_reproducible_even_in_ieee_session(self, dataset):
@@ -90,46 +102,51 @@ class TestReproModesBitIdentical:
         keys, _, values = dataset
         _, gids = np.unique(keys, return_inverse=True)
         expected = grouped_float_sum(values, gids, N_KEYS, "repro", levels=3)
-        for workers in (1, 4):
-            for morsel_size in (13, 4096):
-                db = make_db(dataset, "ieee", workers, morsel_size)
-                got = db.execute(
-                    "SELECT k, RSUM(v, 3) AS total FROM g GROUP BY k ORDER BY k"
-                ).column("total")
-                assert got.tobytes() == expected.tobytes()
+        for workers in WORKERS:
+            with make_db(dataset, "ieee", workers) as db:
+                for morsel_size in (13, 4096):
+                    db.execute(f"SET morsel_size = {morsel_size}")
+                    got = db.execute(
+                        "SELECT k, RSUM(v, 3) AS total FROM g GROUP BY k "
+                        "ORDER BY k"
+                    ).column("total")
+                    assert got.tobytes() == expected.tobytes()
 
     def test_nan_and_signed_zero_keys_split_invariant(self):
         """NaN and -0.0/0.0 group keys must coalesce identically no
         matter how the input is split (np.unique collapses them within
         a morsel; the key table must do the same across morsels)."""
 
-        def run(workers, morsel_size):
-            db = Database(sum_mode="repro", workers=workers,
-                          morsel_size=morsel_size)
-            db.execute("CREATE TABLE t (k DOUBLE, v DOUBLE)")
-            db.table("t").bulk_load({
-                "k": [float("nan"), 2.0, float("nan"), float("nan"),
-                      -0.0, 0.0],
-                "v": [1.0, 1.0, 1.0, 1.0, 5.0, 7.0],
-            })
-            return result_bits(
-                db.execute("SELECT k, SUM(v) FROM t GROUP BY k ORDER BY k")
-            )
+        def runs(workers, morsel_sizes):
+            with Database(sum_mode="repro", workers=workers) as db:
+                db.execute("CREATE TABLE t (k DOUBLE, v DOUBLE)")
+                db.table("t").bulk_load({
+                    "k": [float("nan"), 2.0, float("nan"), float("nan"),
+                          -0.0, 0.0],
+                    "v": [1.0, 1.0, 1.0, 1.0, 5.0, 7.0],
+                })
+                for morsel_size in morsel_sizes:
+                    db.execute(f"SET morsel_size = {morsel_size}")
+                    yield result_bits(db.execute(
+                        "SELECT k, SUM(v) FROM t GROUP BY k ORDER BY k"
+                    ))
 
-        baseline = run(1, DEFAULT_MORSEL_SIZE)
-        for workers in (1, 2, 4):
-            for morsel_size in (1, 2, 3):
-                assert run(workers, morsel_size) == baseline
+        (baseline,) = runs(1, (DEFAULT_MORSEL_SIZE,))
+        for workers in WORKERS:
+            for bits in runs(workers, (1, 2, 3)):
+                assert bits == baseline
 
     def test_projection_preserves_row_order(self, dataset):
-        """Filter + project must gather morsels in scan order."""
+        """Filter + project must gather morsels in scan order — and run
+        in-process at any worker count."""
         serial = make_db(dataset, "ieee").execute(
             "SELECT v FROM g WHERE v > 0"
         )
-        parallel = make_db(dataset, "ieee", workers=3, morsel_size=11).execute(
-            "SELECT v FROM g WHERE v > 0"
-        )
-        assert parallel.column("v").tobytes() == serial.column("v").tobytes()
+        with make_db(dataset, "ieee", workers=2, morsel_size=11) as db:
+            split = db.execute("SELECT v FROM g WHERE v > 0")
+            assert not db.last_pipeline_stats.sharded
+            assert db.last_pipeline_stats.morsel_count == -(-N_ROWS // 11)
+        assert split.column("v").tobytes() == serial.column("v").tobytes()
 
 
 class TestIeeeModeCanDiffer:
@@ -140,17 +157,18 @@ class TestIeeeModeCanDiffer:
         Algorithm 1 experiment.
 
         Serial order sums (1 + 1e16) + 1 - 1e16 = 0.0 (each +1 is
-        absorbed); the two-worker, morsel_size=1 split sums the small
-        and large values separately, (1 + 1) + (1e16 - 1e16) = 2.0.
+        absorbed); two executor processes, dealt every other row, sum
+        the small and large values separately, (1 + 1) + (1e16 - 1e16)
+        = 2.0.
         """
         rows = [1.0, 1e16, 1.0, -1e16]
 
         def ieee_sum(workers, morsel_size):
-            db = Database(sum_mode="ieee", workers=workers,
-                          morsel_size=morsel_size)
-            db.execute("CREATE TABLE t (v DOUBLE)")
-            db.table("t").bulk_load({"v": rows})
-            return db.execute("SELECT SUM(v) FROM t").scalar()
+            with Database(sum_mode="ieee", workers=workers,
+                          morsel_size=morsel_size) as db:
+                db.execute("CREATE TABLE t (v DOUBLE)")
+                db.table("t").bulk_load({"v": rows})
+                return db.execute("SELECT SUM(v) FROM t").scalar()
 
         serial = ieee_sum(1, DEFAULT_MORSEL_SIZE)
         split = ieee_sum(2, 1)
@@ -162,16 +180,64 @@ class TestIeeeModeCanDiffer:
         rows = [1.0, 1e16, 1.0, -1e16]
 
         def repro_sum(workers, morsel_size):
-            db = Database(sum_mode="repro", workers=workers,
-                          morsel_size=morsel_size)
-            db.execute("CREATE TABLE t (v DOUBLE)")
-            db.table("t").bulk_load({"v": rows})
-            return db.execute("SELECT SUM(v) FROM t").scalar()
+            with Database(sum_mode="repro", workers=workers,
+                          morsel_size=morsel_size) as db:
+                db.execute("CREATE TABLE t (v DOUBLE)")
+                db.table("t").bulk_load({"v": rows})
+                return db.execute("SELECT SUM(v) FROM t").scalar()
 
         assert repro_sum(1, DEFAULT_MORSEL_SIZE) == repro_sum(2, 1)
 
 
+#: knob -> ([(accepted value, what the context then holds)], rejected
+#: values) — one set, whichever entry point the value comes through
+#: (every value here is spellable in SQL: ``SET`` has no negative
+#: numbers)
+KNOB_VALUES = {
+    "workers": ([(1, 1), (3, 3), (2.0, 2), ("2", 2)],
+                (0, 2.5, "x", None)),
+    "morsel_size": ([(1, 1), (1000, 1000), (1000.0, 1000)],
+                    (0, 1000.7, "x", None)),
+    "join_build": ([("auto", "auto"), ("left", "left"), ("LEFT", "left"),
+                    ("Right", "right")],
+                   ("sideways", 1, None)),
+    "memory_budget": ([(None, None), (0, None), (4096, 4096),
+                       ("unbounded", None)],
+                      (1.5, "lots")),
+}
+
+
+def _context_through(entry, knob, value):
+    """The execution context after ``knob = value`` came in through
+    ``entry``: the constructor, ``SET`` or ``db.session(...)``."""
+    if entry == "constructor":
+        return Database(**{knob: value}).execution_context
+    db = Database()
+    if entry == "session":
+        return db.session(**{knob: value}).execution_context
+    literal = "NULL" if value is None else ast.Literal(value).sql()
+    db.execute(f"SET {knob} = {literal}")
+    return db.execution_context
+
+
 class TestExecutionContext:
+    @pytest.mark.parametrize("entry", ("constructor", "set", "session"))
+    def test_every_entry_point_takes_the_same_values(self, entry):
+        """One validator per knob behind every entry point: at the
+        parent the constructor ran ``workers=2.5`` as 2 and
+        ``morsel_size=1000.7`` as 1000, raised a bare ``ValueError``
+        for ``workers='x'`` and rejected the ``'LEFT'`` that ``SET``
+        took."""
+        for knob, (accepted, rejected) in KNOB_VALUES.items():
+            attribute = "memory_budget_bytes" if knob == "memory_budget" \
+                else knob
+            for value, held in accepted:
+                context = _context_through(entry, knob, value)
+                assert getattr(context, attribute) == held, (knob, value)
+            for value in rejected:
+                with pytest.raises(ConfigError, match=knob.split("_")[0]):
+                    _context_through(entry, knob, value)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExecutionContext(workers=0)
@@ -179,12 +245,15 @@ class TestExecutionContext:
             ExecutionContext(morsel_size=0)
 
     def test_pipeline_stats_exposed(self, dataset):
-        db = make_db(dataset, "repro", workers=4, morsel_size=16)
-        db.execute(QUERY)
-        stats = db.last_pipeline_stats
-        assert stats is not None
-        assert stats.morsel_count == -(-N_ROWS // 16)
-        assert len(stats.worker_busy) == 4
-        assert sum(stats.worker_morsels) == stats.morsel_count
-        assert all(count > 0 for count in stats.worker_morsels)
-        assert stats.wall_seconds > 0.0
+        for workers in WORKERS:
+            with make_db(dataset, "repro", workers, morsel_size=16) as db:
+                db.execute(QUERY)
+                stats = db.last_pipeline_stats
+            assert stats is not None
+            assert stats.sharded is (workers > 1)
+            # executor s of 2 is dealt every other row: 120 rows each
+            assert stats.morsel_count == workers * -(-N_ROWS // workers // 16)
+            assert len(stats.worker_busy) == workers
+            assert sum(stats.worker_morsels) == stats.morsel_count
+            assert all(count > 0 for count in stats.worker_morsels)
+            assert stats.wall_seconds > 0.0

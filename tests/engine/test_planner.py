@@ -286,7 +286,7 @@ class TestExplain:
             plan = db.explain(
                 f"SELECT shared, {aggregate} FROM a GROUP BY shared"
             )
-            assert "Aggregate[serial, workers=1, morsel_size=65536](" in plan
+            assert "Aggregate[morsel_size=65536](" in plan
             assert "fused" not in plan.lower()
 
     def test_explain_rejects_dml(self, db):

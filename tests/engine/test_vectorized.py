@@ -25,7 +25,7 @@ from repro.engine.vectorized import VectorizedGroupTable
 from repro.errors import ConfigError, ReproError
 from repro.fp.formats import BINARY32, BINARY64
 
-WORKERS = (1, 2, 4)
+WORKERS = (1, 2)
 MORSEL_SIZES = (1, 7, 64, 1 << 16)
 
 QUERY = (
@@ -53,16 +53,28 @@ def make_db(columns, data, sum_mode="repro", workers=1, morsel_size=1 << 16,
 
 @pytest.fixture
 def run_both(engine_path):
-    """``(scalar reference result, query-table result)`` for one query."""
+    """``(scalar reference result, query-table result)`` for one query.
+
+    One database per (path, table, mode, workers), its morsel size
+    ``SET`` per call: a worker count spawns one executor fleet per path
+    (forked under the path's table), not one per case."""
+    dbs = {}
 
     def run(columns, data, query, sum_mode, workers=1, morsel_size=1 << 16):
-        with engine_path("scalar"):
-            scalar = make_db(columns, data, sum_mode, workers,
-                             morsel_size).execute(query)
-        return scalar, make_db(columns, data, sum_mode, workers,
-                               morsel_size).execute(query)
+        results = []
+        for path in ("scalar", None):
+            key = (path, columns, id(data), sum_mode, workers)
+            with engine_path(path):
+                if key not in dbs:
+                    dbs[key] = data, make_db(columns, data, sum_mode, workers)
+                db = dbs[key][1]
+                db.execute(f"SET morsel_size = {morsel_size}")
+                results.append(db.execute(query))
+        return tuple(results)
 
-    return run
+    yield run
+    for _, db in dbs.values():
+        db.close()
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +144,7 @@ class TestBitEquivalence:
         }
         query = "SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k ORDER BY k"
         baseline = None
-        for workers in (1, 3):
+        for workers in WORKERS:
             for morsel_size in (1, 2, 16):
                 scalar_result, vector_result = run_both(
                     "k DOUBLE, v DOUBLE", data, query, "repro",
@@ -231,7 +243,7 @@ class TestRetiredOptions:
         assert "unknown session parameter" in str(err.value)
         for name in db.execution_context.PARAM_NAMES:
             assert name in str(err.value)
-        assert len(db.execution_context.PARAM_NAMES) == 5
+        assert len(db.execution_context.PARAM_NAMES) == 4
 
     def test_session_knob_is_rejected(self):
         db = Database()
@@ -291,7 +303,7 @@ class TestRadixOverflow:
         from repro.engine import vectorized
 
         db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset, "repro",
-                     workers=2, morsel_size=97)
+                     morsel_size=97)
         expected = result_bits(db.execute(self.QUERY))
         taken = []
         real = vectorized.VectorizedGroupTable._gids_past_radix
@@ -368,25 +380,26 @@ class TestCountDistinct:
                                                  engine_path):
         configs = [
             dict(),
-            dict(workers=4, morsel_size=37),
-            dict(workers=4, morsel_size=64, memory_budget=1),
-            dict(shards=2, morsel_size=64),
+            dict(morsel_size=37),
+            dict(workers=2, morsel_size=64, memory_budget=1),
+            dict(workers=2, morsel_size=64),
         ]
         baseline = None
         for knobs in configs:
-            # The reference never shards: executor processes build their
-            # own tables, and exact merge makes the split invisible.
-            local = {k: v for k, v in knobs.items() if k != "shards"}
+            # The reference shards too: its executors are forked inside
+            # the block, so they build its tables and split like the
+            # query table's (IEEE bits then agree as well).
             with engine_path("scalar"):
-                expected, _, _ = self.run_all(members, sum_mode, **local)
+                expected, _, _ = self.run_all(members, sum_mode, **knobs)
             bits, plans, stats = self.run_all(members, sum_mode, **knobs)
             assert bits == expected, knobs
             if sum_mode != "ieee":
                 baseline = baseline or bits
                 assert bits == baseline, knobs
             grouped, joined = stats[0], plans[-1]
+            sharded = "workers" in knobs and "memory_budget" not in knobs
             assert grouped.external is ("memory_budget" in knobs)
-            assert grouped.sharded is ("shards" in knobs)
+            assert grouped.sharded is sharded
             # names.label is a column of the probe's build row — unless
             # the aggregate is external, which keeps the generic keys
             # and renders its spill shape instead
@@ -394,7 +407,7 @@ class TestCountDistinct:
                 "memory_budget" not in knobs)
             assert (", external(partitions=4" in joined) is (
                 "memory_budget" in knobs)
-            assert joined.count("ShardedAggregate(") == ("shards" in knobs)
+            assert joined.count("ShardedAggregate(") == sharded
 
     def test_nan_and_signed_zero_members(self):
         data = {

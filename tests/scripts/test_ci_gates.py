@@ -230,29 +230,18 @@ def test_parse_workers_and_sides(digest):
         digest.parse_build_sides("sideways")
 
 
-def test_parse_shards(digest):
-    assert digest.parse_shards("0,2") == (0, 2)
-    assert digest.parse_shards("8") == (8,)
-    with pytest.raises(SystemExit):
-        digest.parse_shards("")
-    with pytest.raises(SystemExit):
-        digest.parse_shards("-2")
-    with pytest.raises(SystemExit):
-        digest.parse_shards("two")
-
-
 def test_digest_shards_invisible(digest):
-    """A leg exchanging partial states across executor processes must
-    digest byte-identically to the in-process legs."""
+    """A leg exchanging partial states across executor processes
+    (``workers`` > 1: shard s of N is every N-th row) must digest
+    byte-identically to the in-process legs; the shards axis is gone."""
     queries = _edge_queries(digest)
     in_process = digest.digest_lines([1], ("auto",), (None,), queries)
-    sharded = digest.digest_lines(
-        [1], ("auto",), (None,), queries, shards_counts=(2,)
-    )
-    mixed = digest.digest_lines(
-        [1], ("auto",), (None,), queries, shards_counts=(0, 3)
-    )
+    sharded = digest.digest_lines([2], ("auto",), (None,), queries)
+    mixed = digest.digest_lines([1, 3], ("auto",), (None,), queries)
     assert in_process == sharded == mixed
+    assert not hasattr(digest, "parse_shards")
+    with pytest.raises(TypeError):
+        digest.digest_lines([1], ("auto",), (None,), queries, shards_counts=(2,))
 
 
 def test_tpch_scale_env_override(digest, monkeypatch):
@@ -340,14 +329,14 @@ def test_digest_spill_leg_holds_the_budget_to_the_finish(
 
     monkeypatch.setattr(digest, "PROBE_ROWS", 16_000)
     monkeypatch.setattr(digest, "PROBE_KEYS", 4_000)
-    digest.check_resident_bound(2, 65536)
+    digest.check_resident_bound(65536)
     with monkeypatch.context() as patch:
         # one partition is the whole state: what the old fold held
         patch.setattr(external_agg, "SPILL_PARTITIONS", 1)
         with pytest.raises(SystemExit, match="folding every spill partition"):
-            digest.check_resident_bound(2, 65536)
+            digest.check_resident_bound(65536)
     with pytest.raises(SystemExit, match="did not run the external"):
-        digest.check_resident_bound(1, 1 << 30)
+        digest.check_resident_bound(1 << 30)
 
     # main() runs it on spill legs only, at the larger budget.
     calls = []
@@ -357,10 +346,10 @@ def test_digest_spill_leg_holds_the_budget_to_the_finish(
     )
     for budgets in ("65536,1", "unbounded,65536", "1"):
         assert digest.main([
-            "--workers", "2,1", "--build-sides", "auto", "--shards", "0",
+            "--workers", "2,1", "--build-sides", "auto",
             "--memory-budgets", budgets, "--out", str(tmp_path / "d.txt"),
         ]) == 0
-    assert calls == [(1, 65536)]
+    assert calls == [(65536,)]
     capsys.readouterr()
 
 
@@ -380,14 +369,16 @@ def test_every_set_name_is_documented_and_exercised(digest):
     table = table.split("\n\n", 2)[1]
     rows = dict(re.findall(r"^\| `(\w+)` \| (.*?) \|", table, re.M))
     assert set(ExecutionContext.PARAM_NAMES) <= set(rows)
-    assert len(ExecutionContext.PARAM_NAMES) == 5
+    assert ExecutionContext.PARAM_NAMES == (
+        "memory_budget", "workers", "morsel_size", "join_build",
+    )
     retired = ("memory_budget_bytes", "spill_partitions", "spill_merge_fanin",
-               "shard_workers")
+               "shard_workers", "shards")
     assert not set(retired) & set(rows)
 
     sample = {
         "memory_budget": 4096, "workers": 2, "morsel_size": 128,
-        "join_build": "left", "shards": 0,
+        "join_build": "left",
     }
     settable = {name for name, where in rows.items() if "`SET " in where}
     assert settable == set(ExecutionContext.PARAM_NAMES)

@@ -293,11 +293,14 @@ def test_invalid_session_options_rejected_at_hello(served):
     # Retired engine switches are unknown too, never silently ignored;
     # the error names what a session does accept.
     for retired in ("fused", "vectorized", "kernel_cache_size",
-                    "spill_partitions", "spill_merge_fanin"):
+                    "spill_partitions", "spill_merge_fanin", "shards",
+                    "shard_workers"):
         with pytest.raises(ReproError) as err:
             repro.connect(server.address, **{retired: False})
         assert "unknown session options" in str(err.value)
+        assert retired in str(err.value)
         assert "morsel_size" in str(err.value)
+        assert "workers" in str(err.value).replace(retired, "")
     with repro.connect(server.address, workers=2) as s:
         assert s.execute("SELECT 1 + 1").scalar() == 2
 

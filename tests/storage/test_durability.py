@@ -657,9 +657,7 @@ def test_directory_with_retired_spill_knobs_opens_serves_and_refreshes(
     # and opens again.
     ctx = [r["ctx"] for r in scan_wal(str(tmp_path / "dir"), 1, repair=False)
            if r["op"] == "refresh_view"][-1]
-    assert sorted(ctx) == [
-        "join_build", "memory_budget_bytes", "morsel_size", "workers",
-    ]
+    assert sorted(ctx) == ["join_build", "memory_budget_bytes", "morsel_size"]
     with repro.open(str(tmp_path / "dir"), sum_mode="repro",
                     checkpoint_interval=None) as db:
         assert "ViewScan" in db.explain(query)
@@ -673,7 +671,8 @@ def test_directory_with_retired_shard_workers_opens_serves_sharded_and_refreshes
     position: ``set_default('shards', 2)`` and ``set_default(
     'shard_workers', 1)`` sit in its checkpoint image, the latter again
     in a WAL record, beside one table and one refreshed view.  The
-    retired default selects nothing, ``shards`` still shards, and the
+    retired ``shard_workers`` selects nothing, ``shards = 2`` opens as
+    its successor ``workers = 2`` (two executor processes), and the
     directory serves and refreshes to the bits that commit recorded
     (``parent_commit_shard_dir.json``; that commit routed rows by
     content hash, this one by position — same bits)."""
@@ -702,14 +701,15 @@ def test_directory_with_retired_shard_workers_opens_serves_sharded_and_refreshes
 
     with repro.open(str(tmp_path / "dir"), sum_mode="repro",
                     checkpoint_interval=None) as db:
-        assert db.session_defaults["shards"] == 2
+        assert db.session_defaults["workers"] == 2
+        assert "shards" not in db.session_defaults
         assert "shard_workers" not in db.session_defaults
         assert "ViewScan" in db.explain(query)
         assert bits(db.execute(query)) == golden["served"]
-        assert "ShardedAggregate(shards=2)[" in db.explain(sharded)
+        assert "ShardedAggregate(workers=2)[" in db.explain(sharded)
         assert bits(db.execute(sharded)) == golden["served_sharded"]
         stats = db.last_pipeline_stats
-        assert stats.sharded and stats.shards == 2
+        assert stats.sharded and stats.workers == 2
 
         db.execute(golden["follow_up"])
         db.execute("REFRESH MATERIALIZED VIEW vm")
@@ -723,6 +723,7 @@ def test_directory_with_retired_shard_workers_opens_serves_sharded_and_refreshes
                     checkpoint_interval=None) as db:
         assert db.storage.persistent_defaults["shard_workers"] == 1
         assert "shard_workers" not in db.session_defaults
+        assert db.session_defaults["workers"] == 2
         assert bits(db.execute(query)) == golden["after_refresh"]
         assert bits(db.execute(sharded)) == golden["after_refresh_sharded"]
 

@@ -34,8 +34,9 @@ from repro.engine.session import Database
 from repro.storage.wal import _parse_one_frame, list_segments
 
 CONFIG = dict(sum_mode="repro", checkpoint_interval=None)
-#: two workers, three-row morsels: every statement below crosses morsel
-#: boundaries, and the IEEE view's bits depend on the shape being replayed
+#: three-row morsels: every statement below crosses morsel boundaries,
+#: and the IEEE view's bits depend on the shape being replayed (two
+#: workers too, which no refresh depends on: REFRESH runs in-process)
 SHAPE = dict(workers=2, morsel_size=3)
 
 #: per view: the sum mode of the session that creates it and the

@@ -194,12 +194,12 @@ def _mixed_query_bits(digest, **knobs):
 
 
 def test_sharded_and_spilled_runs_match_in_memory_bits():
-    """The payload is what crosses the process boundary (``shards``)
+    """The payload is what crosses the process boundary (``workers``)
     and the disk (``memory_budget``): both must serve the same bits."""
     digest = _load_digest_script()
     expected, stats = _mixed_query_bits(digest)
     assert not stats.sharded and not stats.external
-    sharded, stats = _mixed_query_bits(digest, shards=2)
+    sharded, stats = _mixed_query_bits(digest, workers=2)
     assert stats.sharded and stats.exchange_bytes > 0
     spilled, stats = _mixed_query_bits(digest, memory_budget=4096)
     assert stats.external and stats.spilled_runs > 0

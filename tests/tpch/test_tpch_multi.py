@@ -99,19 +99,19 @@ class TestQ3:
             )
 
         reference = bits(run_q3(db))
-        for workers, morsel, build in itertools.product(
-            (1, 4), (64, 4096), ("left", "right")
-        ):
-            other = Database(
-                sum_mode="repro", workers=workers, morsel_size=morsel,
-                join_build=build,
-            )
-            for name in ("lineitem", "orders", "customer", "supplier",
-                         "nation", "region"):
-                other.catalog.add(db.table(name))
-            assert bits(run_q3(other)) == reference, (
-                workers, morsel, build
-            )
+        for workers in (1, 2):
+            with Database(sum_mode="repro", workers=workers) as other:
+                for name in ("lineitem", "orders", "customer", "supplier",
+                             "nation", "region"):
+                    other.catalog.add(db.table(name))
+                for morsel, build in itertools.product(
+                    (64, 4096), ("left", "right")
+                ):
+                    other.execute(f"SET morsel_size = {morsel}")
+                    other.execute(f"SET join_build = {build}")
+                    assert bits(run_q3(other)) == reference, (
+                        workers, morsel, build
+                    )
 
     def test_explain_shows_planner_decisions(self, db, engine_path):
         text = db.explain(Q3_SQL)
@@ -121,7 +121,7 @@ class TestQ3:
         assert "columns=[" in text  # projection pushdown at the scans
         # l_orderkey is an integer probe key, the two o_ columns sit on
         # the probe's build row: the build row decides the group.
-        assert ("Aggregate[serial, workers=1, morsel_size=65536, "
+        assert ("Aggregate[morsel_size=65536, "
                 "group_ids=build_row(l_orderkey = o_orderkey)]") in text
         # ... and the row-order reference, which reads every key off the
         # batch and never sees a build row, returns the same bits.

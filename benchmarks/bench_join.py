@@ -1,6 +1,6 @@
 """Hash-join benchmarks: probe kernel throughput and TPC-H Q3.
 
-Two series, both landing in ``BENCH_pr.json`` for the CI
+Three series, all landing in ``BENCH_pr.json`` for the CI
 bench-regression gate:
 
 * **probe micro-kernel** — :class:`repro.engine.join.HashJoin.probe`
@@ -13,9 +13,16 @@ bench-regression gate:
   pipeline in repro mode (ns per lineitem row), measured at both
   forced build sides.  The two sides must return **bit-identical**
   results: the planner's build-side choice is a pure performance
-  decision, which is exactly what reproducible aggregation buys.
+  decision, which is exactly what reproducible aggregation buys;
+* **Q3 build-row GROUP BY** — Q3's aggregate stage alone: lineitem
+  morsels probe one cached orders build and feed the group table
+  through the build-row rule (``GROUP BY l_orderkey, o_orderdate,
+  o_shippriority``, every key read off the matched orders row), then
+  finalize (ns per probe row).  This is the group-id path the join's
+  once-per-build key factorisation serves.
 """
 
+import datetime
 import time
 
 import numpy as np
@@ -23,9 +30,11 @@ import numpy as np
 from _common import emit, ns_per_element, record_kernel, record_speedup, table
 from repro.engine import Database
 from repro.engine.join import HashJoin
-from repro.engine.operators import Batch
+from repro.engine.operators import AggregateSpec, Batch, SumConfig
 from repro.engine.sql import parse_expression
+from repro.engine.vectorized import VectorizedGroupTable
 from repro.tpch import load_tpch, run_q3
+from repro.tpch.dbgen import generate_lineitem_arrays, generate_orders_arrays
 
 SCALE = 0.01        # ~60k lineitem rows, ~15k orders, ~1.5k customers
 MORSEL_SIZE = 4096
@@ -34,6 +43,18 @@ REPS = 5
 
 BUILD_ROWS = 20_000
 PROBE_ROWS = 1 << 18
+
+#: The build-row GROUP BY series: TPC-H scale and morsel of the served
+#: ``q3_join_topk`` workload, Q3's date cutoff, and the rule the planner
+#: derives for Q3 (the probe key, then two orders columns).
+GROUPBY_SCALE = 0.05
+GROUPBY_MORSEL = 65536
+Q3_CUTOFF = datetime.date(1995, 3, 15).toordinal()
+Q3_GROUP_KEYS = (
+    ("key", 0, np.dtype(np.int64), None),
+    ("col", "o_orderdate", np.dtype(np.int64), None),
+    ("col", "o_shippriority", np.dtype(np.int64), None),
+)
 
 #: Acceptance floor: the vectorized probe vs. a Python dict probe.
 PROBE_SPEEDUP_FLOOR = 2.0
@@ -99,6 +120,45 @@ def probe_kernel_series():
     return vector_seconds, python_seconds
 
 
+def q3_groupby_series():
+    """Best-of-``REPS`` seconds of one Q3 aggregate stage over a cached
+    build, and the probe rows it reads.  The orders build keeps Q3's
+    date filter and one in five customers (the segment filter's
+    share); lineitem keeps Q3's ship-date filter."""
+    orders = generate_orders_arrays(GROUPBY_SCALE)
+    keep = (orders["o_orderdate"] < Q3_CUTOFF) & (orders["o_custkey"] % 5 == 0)
+    build = Batch({name: orders[name][keep] for name in
+                   ("o_orderkey", "o_orderdate", "o_shippriority")}, {})
+    item = generate_lineitem_arrays(GROUPBY_SCALE)
+    keep = item["l_shipdate"] > Q3_CUTOFF
+    probe = {name: item[name][keep] for name in
+             ("l_orderkey", "l_extendedprice", "l_discount")}
+    nrows = len(probe["l_orderkey"])
+    morsels = [
+        Batch({name: arr[start:start + GROUPBY_MORSEL]
+               for name, arr in probe.items()}, {})
+        for start in range(0, nrows, GROUPBY_MORSEL)
+    ]
+    join = HashJoin(build, (parse_expression("o_orderkey"),),
+                    (parse_expression("l_orderkey"),))
+    group_exprs = tuple(parse_expression(name) for name in
+                        ("l_orderkey", "o_orderdate", "o_shippriority"))
+    specs = [AggregateSpec(
+        parse_expression("SUM(l_extendedprice * (1 - l_discount))"),
+        SumConfig("repro"),
+    )]
+
+    def statement():
+        table = VectorizedGroupTable(group_exprs, specs)
+        for batch in morsels:
+            table.update(join.probe(batch, group_keys=Q3_GROUP_KEYS))
+        return table.finalize()
+
+    statement()  # the first statement on a build pays its one-off costs
+    best, _ = measure_best(statement, reps=2 * REPS)
+    return best, nrows
+
+
 def measure_q3(build_side: str):
     db = Database(
         sum_mode="repro", workers=1, morsel_size=MORSEL_SIZE,
@@ -122,6 +182,9 @@ def test_join_report():
     right_seconds, right_bits = measure_q3("right")
     record_kernel("q3_repro_build_left", ns_per_element(left_seconds, ROWS))
     record_kernel("q3_repro_build_right", ns_per_element(right_seconds, ROWS))
+    groupby_seconds, groupby_rows = q3_groupby_series()
+    record_kernel("q3_build_row_groupby",
+                  ns_per_element(groupby_seconds, groupby_rows))
 
     emit(
         "join_pipeline",
@@ -136,6 +199,9 @@ def test_join_report():
                  round(ns_per_element(left_seconds, ROWS), 1)],
                 ["Q3 repro, build=right", round(right_seconds, 4),
                  round(ns_per_element(right_seconds, ROWS), 1)],
+                [f"Q3 build-row GROUP BY (SF={GROUPBY_SCALE})",
+                 round(groupby_seconds, 4),
+                 round(ns_per_element(groupby_seconds, groupby_rows), 1)],
             ],
             title=(
                 f"hash join: {BUILD_ROWS} build x {PROBE_ROWS} probe rows; "

@@ -8,8 +8,10 @@ inner join no column copied: the joined batch holds ``(probe column,
 probe_take)`` and ``(build column, build_take)`` and gathers a column
 when something first reads it (:class:`~repro.engine.operators.Batch`).
 When the planner found that the matched build row determines the
-GROUP BY key, ``build_take`` itself rides along as a hidden column and
-becomes the group id (:class:`BuildRowKeys`).
+GROUP BY key, ``build_take`` itself rides along as a hidden encoding,
+and the group table names each group by the key code the join
+assigned that build row once per build (:class:`BuildRowKeys`) — kept
+across statements while the join is cached.
 
 Key canonicalisation follows the engine's GROUP BY key table
 (:func:`repro.engine.operators._key_identity`): ``-0.0`` joins with
@@ -48,6 +50,7 @@ from .operators import (
 )
 from .sql import ast
 from .types import DecimalSqlType, SqlType
+from .vectorized import factorize_keys
 
 __all__ = ["BuildRowKeys", "HashJoin", "canonical_key_codes"]
 
@@ -237,7 +240,10 @@ def _null_fill(array: np.ndarray, take: np.ndarray, missing: np.ndarray,
 
 class BuildRowKeys:
     """Dictionary of the :data:`~repro.engine.operators.BUILD_ROW`
-    encoding: reads every group key off a build row of one built join.
+    encoding: the GROUP BY key of every build row of one built join,
+    factorised once per build.  A cached join keeps it for every later
+    statement; snapshot-less executions (executor processes) rebuild
+    the join, so they factorise once per statement.
 
     ``specs`` is the planner's rule
     (:func:`repro.engine.physical._build_row_rule`), one ``(kind, key,
@@ -246,29 +252,42 @@ class BuildRowKeys:
     key (an integer probe key that the inner match made equal to it).
     ``dtype`` / ``scale`` are what evaluating the group expression over
     a morsel would have produced (DECIMAL columns rescale to float64),
-    so a key registers the same value either way.
+    so a key has the same value either way.
+
+    ``row_code[r]`` names build row ``r``'s distinct key tuple under
+    the group table's key identity (:func:`~repro.engine.vectorized.
+    factorize_keys`: one NaN group, ``-0.0`` is ``0.0``): two build
+    rows holding one key share a code.  ``columns`` holds each code's
+    key as the group table outputs it — a representative row's values
+    read through :meth:`decode`, canonicalised.  The group table names
+    its groups by these codes and materialises key values only at
+    finalize (:meth:`key_columns`).
     """
 
     def __init__(self, join: "HashJoin", specs):
         self.join = join
         self.specs = specs
-        #: size of the code space: a build-row index means the same key
-        #: tuple in every morsel of the query
-        self.total = max(join.build_rows, 1)
         self.dtypes = [dtype for _, _, dtype, _ in specs]
+        self.row_code, self.columns = factorize_keys(self.decode())
 
-    def decode(self, rows: np.ndarray) -> list:
+    def decode(self) -> list:
+        """Key value columns of every build row, exactly as evaluating
+        the group expressions would produce them."""
         columns = []
         for kind, key, dtype, scale in self.specs:
             source = (self.join.build_batch.columns if kind == "col"
                       else self.join.build_key_values)
-            arr = source[key][rows]
+            arr = source[key]
             if scale is not None:
                 arr = arr.astype(np.float64) / scale
             elif arr.dtype != dtype:
                 arr = arr.astype(dtype)
             columns.append(arr)
         return columns
+
+    def key_columns(self, codes: np.ndarray) -> list:
+        """The output key columns of ``codes``, one gather each."""
+        return [col[codes] for col in self.columns]
 
 
 class HashJoin:
@@ -331,6 +350,15 @@ class HashJoin:
         counts = np.diff(np.concatenate((starts, [len(sorted_codes)]))) \
             if len(starts) else np.empty(0, dtype=np.int64)
         self._segment_counts = counts.astype(np.int64)
+        #: every build code holds at most one row (a key join such as
+        #: lineitem -> orders): :meth:`expand_inner` then skips the
+        #: per-match repeat/cumsum expansion
+        self._unique_build = not len(counts) or int(counts.max()) <= 1
+        #: ``group_keys`` rule -> its :class:`BuildRowKeys`, built on
+        #: first use and kept as long as this (cached) join is
+        self._row_keys: dict = {}
+        #: how many :class:`BuildRowKeys` factorisations this join ran
+        self.key_factorisations = 0
         # Dense code -> (count, start) lookup: probe codes land in the
         # composite code space (product of dictionary sizes), so for
         # normal key cardinalities the match is a plain gather.
@@ -342,6 +370,16 @@ class HashJoin:
             self._code_starts = np.zeros(code_space, dtype=np.int64)
             self._code_counts[self._segment_codes] = self._segment_counts
             self._code_starts[self._segment_codes] = self._segment_starts
+
+    def row_keys(self, group_keys) -> BuildRowKeys:
+        """The :class:`BuildRowKeys` of one build-row rule, factorised
+        on first use and reused by every later probe and statement
+        served by this join."""
+        keys = self._row_keys.get(group_keys)
+        if keys is None:
+            keys = self._row_keys[group_keys] = BuildRowKeys(self, group_keys)
+            self.key_factorisations += 1
+        return keys
 
     # -- probe primitives --------------------------------------------------
     def encode_probe(self, key_arrays) -> np.ndarray:
@@ -358,9 +396,15 @@ class HashJoin:
         rows repeat once per match, preserving probe-row order) and
         ``build_take[j]`` the matching build row (emitted in build-row
         order within each probe row).  :meth:`probe` hands the two to
-        the batch as selection indices; no column moves here.
+        the batch as selection indices; no column moves here.  When no
+        build code holds two rows (decided once, at build), each probe
+        row matches at most once and the expansion is one
+        ``flatnonzero`` and one gather.
         """
         counts, starts = self._match(probe_codes)
+        if self._unique_build:
+            probe_take = np.flatnonzero(counts)
+            return probe_take, self._build_order[starts[probe_take]]
         total = int(counts.sum())
         probe_take = np.repeat(
             np.arange(len(probe_codes), dtype=np.int64), counts
@@ -421,8 +465,7 @@ class HashJoin:
             out = batch.select(probe_take)
             out.extend(build, build_take)
             if group_keys is not None:
-                out.encode(BUILD_ROW, build_take,
-                           BuildRowKeys(self, group_keys))
+                out.encode(BUILD_ROW, build_take, self.row_keys(group_keys))
             return out
 
         # LEFT: preserved rows with no match survive once, null-filled.

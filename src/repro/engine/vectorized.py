@@ -29,8 +29,9 @@ Per morsel :meth:`~VectorizedGroupTable.update`:
 2. computes group ids for the whole morsel at once — from the hidden
    build-row column when the planner found that a probe's build row
    determines the group (:meth:`~VectorizedGroupTable._gids_from_rows`:
-   the key columns are then never gathered and each key registers once
-   per query); otherwise dictionary-encoded key columns (see
+   the join factorised its build keys once per build, so a
+   group is named by its build key code, no key column is gathered and
+   no key tuple registered); otherwise dictionary-encoded key columns (see
    :meth:`repro.engine.table.Column.encoding`) combine with pure
    integer radix arithmetic through a persistent code -> gid table and
    other keys go through ``np.unique``;
@@ -79,6 +80,7 @@ from .operators import (
     AggregateSpec,
     Batch,
     _object_sort_rank,
+    canonical_float_bits,
     factorize_object,
 )
 from .sql import ast
@@ -87,6 +89,7 @@ __all__ = [
     "VectorizedGroupTable",
     "SortedMorsel",
     "canonical_key_order",
+    "factorize_keys",
 ]
 
 #: Composite-code spaces at most this large use a persistent
@@ -236,6 +239,60 @@ def canonical_key_order(key_columns, distinct: bool = False) -> np.ndarray:
     return order
 
 
+def factorize_keys(columns) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``(row_code, key_columns)``: distinct-key codes of the rows of
+    ``columns`` under the key identity :func:`_key_identity` applies
+    (one NaN group, ``-0.0`` is ``0.0``; strings and ``None`` as
+    themselves), and each code's key as the registry would output it
+    — the first row holding it, NaN canonical and ``-0.0`` as ``0.0``.
+    """
+    parts = []
+    for col in columns:
+        if col.dtype == object:
+            index: dict = {}
+            codes = np.fromiter(
+                (index.setdefault(value, len(index))
+                 for value in _key_identity(col.tolist())),
+                np.int64, len(col),
+            )
+        else:
+            identity = canonical_float_bits(col) if col.dtype.kind == "f" \
+                else col
+            codes = np.unique(identity, return_inverse=True)[1]
+            codes = codes.astype(np.int64, copy=False)
+        parts.append((codes, int(codes.max(initial=0)) + 1))
+    first, row_code = _distinct_rows(parts)
+    key_columns = []
+    for col in columns:
+        col = col[first]
+        if col.dtype == object:
+            values = [np.nan if member is _NAN_KEY else member
+                      for member in _key_identity(col.tolist())]
+            col = np.empty(len(values), dtype=object)
+            col[:] = values
+        elif col.dtype.kind == "f":
+            col[col == 0.0] = 0.0
+            col[np.isnan(col)] = np.nan
+        key_columns.append(col)
+    return row_code, key_columns
+
+
+def _distinct_rows(parts) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` over the distinct rows of per-key codes
+    ``parts`` (``(codes, base)`` pairs, ``0 <= codes < base``): one
+    representative row per distinct key tuple, and each row's dense
+    distinct-key code.  The running composite is re-densified after
+    every key, so it never exceeds rows x base and cannot overflow."""
+    combined = parts[0][0]
+    for codes, base in parts[1:]:
+        combined = np.unique(combined, return_inverse=True)[1]
+        combined = combined.astype(np.int64, copy=False) * base + codes
+    _, first, inverse = np.unique(
+        combined, return_index=True, return_inverse=True
+    )
+    return first, inverse.astype(np.int64, copy=False)
+
+
 def _avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums / np.maximum(counts, 1)
 
@@ -282,6 +339,13 @@ class VectorizedGroupTable:
         #: ``_lut_bases`` records which code space it indexes.
         self._lut: np.ndarray | None = None
         self._lut_bases = None
+        #: Build-row groups (:meth:`_gids_from_rows`): the join's
+        #: :class:`~repro.engine.join.BuildRowKeys` naming them, its
+        #: key code -> gid table and every gid's key code.  The key
+        #: registry above stays empty while these are set.
+        self._row_keys = None
+        self._row_lut: np.ndarray | None = None
+        self._gid_codes: np.ndarray | None = None
         #: Which ladder update this table's rows took (scatter vs
         #: reference); merged with the executors' and reported on
         #: :class:`~repro.engine.pipeline.PipelineStats`.
@@ -289,6 +353,8 @@ class VectorizedGroupTable:
 
     @property
     def ngroups(self) -> int:
+        if self._row_keys is not None:
+            return len(self._gid_codes)
         return len(self._keys)
 
     def approx_bytes(self) -> int:
@@ -296,9 +362,12 @@ class VectorizedGroupTable:
         aggregate state.  Used by the external aggregation's budget
         accounting (:mod:`repro.aggregation.external_agg`); a rough
         upper bound is all it needs."""
-        keys = self.ngroups * (
-            _KEY_BYTES_BASE + _KEY_BYTES_PER_COLUMN * len(self.group_exprs)
-        )
+        if self._row_keys is not None:
+            keys = self._gid_codes.nbytes + self._row_lut.nbytes
+        else:
+            keys = self.ngroups * (
+                _KEY_BYTES_BASE + _KEY_BYTES_PER_COLUMN * len(self.group_exprs)
+            )
         lut = 0 if self._lut is None else self._lut.nbytes
         return keys + lut + sum(state.approx_bytes() for state in self.states)
 
@@ -448,31 +517,59 @@ class VectorizedGroupTable:
         the running composite after every key, so it never exceeds
         rows x base, and read each distinct key off a representative
         row instead of decoding the composite."""
-        combined = parts[0][0]
-        for codes, _, base in parts[1:]:
-            combined = np.unique(combined, return_inverse=True)[1]
-            combined = combined.astype(np.int64, copy=False) * base + codes
-        _, first, inverse = np.unique(
-            combined, return_index=True, return_inverse=True
+        first, inverse = _distinct_rows(
+            [(codes, base) for codes, _, base in parts]
         )
         lut = self._register_columns(
             [uniques[codes[first]] for codes, uniques, _ in parts]
         )
-        return lut[inverse.astype(np.int64, copy=False)]
+        return lut[inverse]
 
     def _gids_from_rows(self, rows: np.ndarray, keys) -> np.ndarray:
         """Morsel gids from the build-row index a probe carried
         (:data:`~repro.engine.operators.BUILD_ROW`), when the planner
-        found every group key to be a function of that build row: the
-        index means the same key tuple in every morsel, so each key
-        registers *once* for the whole query and the key columns are
-        never gathered.  ``keys`` (a :class:`~repro.engine.join.
-        BuildRowKeys`) reads the key values of rows not seen before.
+        found every group key to be a function of that build row.
+        ``keys`` (a :class:`~repro.engine.join.BuildRowKeys`) factorised
+        the build's keys once per build, so a row's key is its
+        ``row_code``: no key column is gathered and no key tuple
+        registered — key values are read at finalize.  The table keeps
+        a build code -> gid array and each gid's code; codes not seen
+        before get the next dense gids from one ``np.unique``.  A table
+        that already holds groups named otherwise (by key value, or by
+        another build's codes) registers these rows' keys by value.
         """
-        if self._key_dtypes is None:
+        codes = keys.row_code[rows]
+        if keys is not self._row_keys:
+            if self.ngroups:
+                self._to_registry()
+                dense, inverse = np.unique(codes, return_inverse=True)
+                return self._register_columns(keys.key_columns(dense))[
+                    inverse.astype(np.int64, copy=False)
+                ]
+            self._row_keys = keys
             self._key_dtypes = list(keys.dtypes)
-        return self._gids_from_codes(rows, keys.total, ("rows", keys.total),
-                                     keys.decode)
+            self._row_lut = np.full(len(keys.columns[0]), -1, dtype=np.int64)
+            self._gid_codes = np.empty(0, dtype=np.int64)
+        gids = self._row_lut[codes]
+        missing = gids < 0
+        if missing.any():
+            fresh = np.unique(codes[missing])
+            base = len(self._gid_codes)
+            self._row_lut[fresh] = np.arange(
+                base, base + len(fresh), dtype=np.int64
+            )
+            self._gid_codes = np.concatenate((self._gid_codes, fresh))
+            gids = self._row_lut[codes]
+        return gids
+
+    def _to_registry(self) -> None:
+        """Register the build-row groups' keys, gid for gid, in the key
+        registry and forget the build codes."""
+        if self._row_keys is None:
+            return
+        columns = self._key_columns()
+        self._row_keys = self._row_lut = self._gid_codes = None
+        self._register_columns(columns)
 
     def _gids_from_codes(self, codes: np.ndarray, total: int, stable,
                          decode) -> np.ndarray:
@@ -481,10 +578,10 @@ class VectorizedGroupTable:
         through :meth:`_bulk_register` like every other path.
 
         ``stable`` names a code space that means the same thing in
-        every morsel (``None`` when it does not): a persistent
-        code -> gid table then replaces the per-morsel ``np.unique``
-        entirely.  Spaces beyond ``_LUT_MAX`` degrade to per-morsel
-        registration — same bits, no cache.
+        every morsel (the storage dictionaries' sizes; ``None`` when it
+        does not): a persistent code -> gid table then replaces the
+        per-morsel ``np.unique`` entirely.  Spaces beyond ``_LUT_MAX``
+        degrade to per-morsel registration — same bits, no cache.
         """
         if stable is not None and total <= _LUT_MAX:
             if self._lut is None or self._lut_bases != stable:
@@ -600,7 +697,11 @@ class VectorizedGroupTable:
         """Fold a worker-local table in (exact for repro aggregates)."""
         if self._key_dtypes is None:
             self._key_dtypes = other._key_dtypes
-        mapping = self._bulk_register(other._keys)
+        if not self.group_exprs:
+            mapping = np.zeros(1, dtype=np.int64)  # the one global group
+        else:
+            self._to_registry()
+            mapping = self._register_columns(other._key_columns())
         ngroups = self.ngroups
         for state, other_state in zip(self.states, other.states):
             state.merge(other_state, mapping, ngroups)
@@ -624,7 +725,9 @@ class VectorizedGroupTable:
             return memo[1]
         nkeys = len(self.group_exprs)
         dtypes = self._key_dtypes if self._key_dtypes else [object] * nkeys
-        if not self._keys:
+        if self._row_keys is not None:
+            columns = self._row_keys.key_columns(self._gid_codes)
+        elif not self._keys:
             columns = [np.empty(0, dtype=dt) for dt in dtypes]
         else:
             columns = [

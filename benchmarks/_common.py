@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from repro.analysis.reporting import banner, format_table
+from paper.analysis.reporting import banner, format_table
 
 
 def results_dir() -> str:
@@ -98,6 +98,6 @@ def ns_per_element(seconds: float, n: int) -> float:
 
 def standard_pairs(n: int, ngroups: int, seed: int = 0, dtype=np.float64):
     """The paper's standard workload at bench scale."""
-    from repro.workloads.generators import make_pairs
+    from repro.workloads import make_pairs
 
     return make_pairs(n, ngroups, "Exp(1)", dtype, seed)

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from _common import emit, table
-from repro.analysis import abs_error, rsum_error_bound
-from repro.analysis.reporting import format_sci
+from paper.analysis import abs_error, rsum_error_bound
+from paper.analysis.reporting import format_sci
 from repro.core import ReproducibleSummer, RsumParams, max_block_size
 from repro.fp.formats import BINARY64
 

@@ -15,7 +15,7 @@ import pytest
 
 from _common import emit, ns_per_element, standard_pairs, table
 from repro.aggregation import ConventionalFloatSpec, ReproSpec, hash_aggregate
-from repro.simulator import fig4_series
+from paper.simulator import fig4_series
 
 N_MEASURED = 2**14
 NGROUPS = 16

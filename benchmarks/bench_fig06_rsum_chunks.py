@@ -17,7 +17,7 @@ import pytest
 
 from _common import emit, ns_per_element, table
 from repro.core import ReproducibleSummer
-from repro.simulator import PAPER_ANCHORS, fig6_crossover, fig6_series
+from paper.simulator import PAPER_ANCHORS, fig6_crossover, fig6_series
 
 N_MEASURED = 2**18
 CHUNKS = [2**i for i in range(4, 13)]

@@ -20,7 +20,7 @@ from repro.aggregation import (
     ReproSpec,
     partition_and_aggregate,
 )
-from repro.simulator import fig7_series
+from paper.simulator import fig7_series
 
 N_MEASURED = 2**17
 GROUP_EXPS_MEASURED = [2, 6, 10, 14]

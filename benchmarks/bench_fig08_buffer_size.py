@@ -16,7 +16,7 @@ import pytest
 
 from _common import emit, table
 from repro.core import BufferedReproFloat, optimal_buffer_size
-from repro.simulator import fig8_series
+from paper.simulator import fig8_series
 
 BUFFER_SIZES_MEASURED = [2**i for i in range(4, 11)]
 N_MEASURED = 2**15
@@ -75,7 +75,7 @@ def test_fig08_equation4_close_to_optimal(benchmark, model):
     worst deviation where Equation 4 fills the cache to the brim (the
     paper observes the same: "bsz = 512 is slightly better than the
     predicted bsz = 1024 for 2**6 groups")."""
-    from repro.simulator import dtype_model
+    from paper.simulator import dtype_model
 
     def sweep():
         ratios = []

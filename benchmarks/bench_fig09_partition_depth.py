@@ -15,7 +15,7 @@ import pytest
 
 from _common import emit, standard_pairs, table
 from repro.aggregation import ReproSpec, partition_and_aggregate
-from repro.simulator import fig9_series
+from paper.simulator import fig9_series
 
 N_MEASURED = 2**16
 

@@ -18,7 +18,7 @@ import pytest
 
 from _common import emit, standard_pairs, table
 from repro.aggregation import BufferedReproSpec, ReproSpec, hash_aggregate
-from repro.simulator import PAPER_ANCHORS, fig10_series
+from paper.simulator import PAPER_ANCHORS, fig10_series
 
 N_MEASURED = 2**13
 
@@ -92,7 +92,7 @@ def test_fig10_report(benchmark, model):
 
 def test_fig10_l4_speedup_up_to_6x(model):
     """Paper: 'up to factor 6 for the omitted L = 4'."""
-    from repro.simulator import dtype_model
+    from paper.simulator import dtype_model
 
     buffered = dtype_model("repro<double,4>").buffered()
     unbuffered = dtype_model("repro<double,4>")

@@ -15,7 +15,7 @@ import pytest
 
 from _common import emit, standard_pairs, table
 from repro.aggregation import BufferedReproSpec, hash_aggregate
-from repro.simulator import fig11_series
+from paper.simulator import fig11_series
 
 N_MEASURED = 2**14
 

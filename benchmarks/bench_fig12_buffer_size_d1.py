@@ -9,7 +9,7 @@ partitioning pass.
 import pytest
 
 from _common import emit, table
-from repro.simulator import fig8_series, fig12_series
+from paper.simulator import fig8_series, fig12_series
 
 
 def test_fig12_report(benchmark, model):

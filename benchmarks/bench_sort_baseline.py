@@ -18,7 +18,7 @@ from repro.aggregation import (
     partition_and_aggregate,
     sort_aggregate,
 )
-from repro.simulator import sort_baseline_series
+from paper.simulator import sort_baseline_series
 
 N_MEASURED = 2**16
 

@@ -9,7 +9,7 @@ actually measured errors of this implementation against exact oracles.
 import pytest
 
 from _common import emit, table
-from repro.analysis import format_sci, table2_rows
+from paper.analysis import format_sci, table2_rows
 
 
 def test_table2_report(benchmark):

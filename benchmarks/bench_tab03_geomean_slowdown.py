@@ -7,7 +7,7 @@ group counts — "an affordable price for full reproducibility".
 import pytest
 
 from _common import emit, table
-from repro.simulator import PAPER_ANCHORS, table3_geomeans
+from paper.simulator import PAPER_ANCHORS, table3_geomeans
 
 
 def test_table3_report(benchmark, model):

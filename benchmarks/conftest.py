@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repro.simulator import CostModel
+from paper.simulator import CostModel
 
 
 @pytest.fixture(scope="session")

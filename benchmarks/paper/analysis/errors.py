@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.params import RsumParams, default_w
-from ..core.rsum import reproducible_sum
-from ..fp.formats import BINARY64, FloatFormat
+from repro.core.params import RsumParams, default_w
+from repro.core.rsum import reproducible_sum
+from repro.fp.formats import BINARY64, FloatFormat
 from .exact import abs_error, fsum
 
 __all__ = [
@@ -181,7 +181,7 @@ def table2_rows(sizes=(10**3, 10**6), trials: int = 3, seed: int = 0,
                             worst = max(worst, abs_error(total, values))
                         else:
                             levels = int(algorithm.split("=")[1].rstrip(")"))
-                            from ..core.rsum import ReproducibleSummer
+                            from repro.core.rsum import ReproducibleSummer
 
                             summer = ReproducibleSummer(levels=levels)
                             summer.add_array(values)

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..aggregation.grouped import GroupedSummation
-from ..core.params import RsumParams
-from ..fp.formats import BINARY64
+from repro.aggregation.grouped import GroupedSummation
+from repro.core.params import RsumParams
+from repro.fp.formats import BINARY64
 
 __all__ = [
     "synthetic_web_graph",

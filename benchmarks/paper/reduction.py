@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import DEFAULT_LEVELS
-from .rsum import ReproducibleSummer, params_from_spec
-from .state import SummationState
+from repro.core.params import DEFAULT_LEVELS
+from repro.core.rsum import ReproducibleSummer, params_from_spec
+from repro.core.state import SummationState
 
 __all__ = [
     "linear_reduce",

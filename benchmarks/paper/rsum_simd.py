@@ -27,8 +27,8 @@ import math
 
 import numpy as np
 
-from .params import RsumParams
-from .state import SummationState
+from repro.core.params import RsumParams
+from repro.core.state import SummationState
 
 __all__ = ["SimdRsum", "default_vector_width"]
 

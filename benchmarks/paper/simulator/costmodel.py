@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..core.tuning import optimal_buffer_size
+from repro.core.tuning import optimal_buffer_size
 from .machine import HASWELL_EP, Machine
 
 __all__ = ["DtypeModel", "CostModel", "DTYPES", "dtype_model"]

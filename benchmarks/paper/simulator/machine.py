@@ -7,7 +7,7 @@ used, HyperThreading and frequency scaling off.
 
 Pure Python cannot time that machine, so the figure benches run an
 analytic cost model over this descriptor (see
-:mod:`repro.simulator.costmodel`), calibrated against the anchor
+:mod:`paper.simulator.costmodel`), calibrated against the anchor
 numbers the paper itself reports.  DESIGN.md §2 documents the
 substitution.
 """

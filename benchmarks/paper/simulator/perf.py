@@ -1,7 +1,7 @@
 """Figure/table series generators over the cost model.
 
 Each function returns the rows of one of the paper's performance plots,
-computed from :class:`~repro.simulator.costmodel.CostModel`, alongside
+computed from :class:`~paper.simulator.costmodel.CostModel`, alongside
 the paper's reported anchor values where the paper states them
 (:data:`PAPER_ANCHORS`).  The ``benchmarks/`` harnesses print these
 side by side with scaled-down wall-clock measurements of the Python

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .formats import BINARY64, FloatFormat
+from repro.fp.formats import BINARY64, FloatFormat
 
 __all__ = [
     "RoundingMode",

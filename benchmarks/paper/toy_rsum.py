@@ -6,7 +6,7 @@ b1 = 1.3125, b2 = 9, b3 = 4.25 — including a level demotion when b2
 arrives — to the final result 14.
 
 :class:`ToyRsum` runs Algorithm 2 verbatim on
-:class:`~repro.fp.softfloat.SoftFloat` values of *any* format, so that
+:class:`~paper.softfloat.SoftFloat` values of *any* format, so that
 worked example (and any other toy-format trace) can be executed and
 asserted step by step.  It is an executable specification: slow,
 exact, and format-generic — the binary32/64 production code in
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..fp.formats import TOY_M4, FloatFormat
-from ..fp.softfloat import NEAREST_EVEN, RoundingMode, SoftFloat
+from repro.fp.formats import TOY_M4, FloatFormat
+from .softfloat import NEAREST_EVEN, RoundingMode, SoftFloat
 
 __all__ = ["ToyRsum", "figure2_trace"]
 

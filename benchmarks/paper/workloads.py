@@ -1,23 +1,20 @@
-"""Workload generators for the aggregation experiments.
+"""Workload shapes for the figure and table benches.
 
-The paper's standard input (Section VI-A): ``n = 2**30`` (key, value)
-pairs, uint32 keys "drawn uniformly at random from the range
-[0, ngroups)" — so the realised group count is slightly below
-``ngroups`` when ``ngroups ~ n``.  Values are doubles/floats from one
-of the :mod:`~repro.workloads.distributions`.
-
-Python benches run the same sweeps at smaller ``n``; the generators are
-seeded so every run (and every permutation of a run) is repeatable.
+The paper's standard input itself — :func:`repro.workloads.make_pairs`
+over its named distributions — stays in the package, because the
+end-to-end benchmark loads it; these are the sweeps the figure
+benches build around it (permutations, chunks, per-thread shares),
+plus the paper's Algorithm 1 values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distributions import DISTRIBUTIONS
+from repro.workloads import make_pairs
 
 __all__ = [
-    "make_pairs",
+    "algorithm1_values",
     "permuted",
     "chunked",
     "thread_chunks",
@@ -25,18 +22,9 @@ __all__ = [
 ]
 
 
-def make_pairs(
-    n: int,
-    ngroups: int,
-    distribution: str = "Exp(1)",
-    dtype=np.float64,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The paper's standard (key, value) workload."""
-    rng = np.random.default_rng(seed)
-    keys = rng.integers(0, ngroups, size=n, dtype=np.uint32)
-    values = DISTRIBUTIONS[distribution](n, rng).astype(dtype)
-    return keys, values
+def algorithm1_values() -> np.ndarray:
+    """The paper's Algorithm 1 inputs."""
+    return np.array([2.5e-16, 0.999999999999999, 2.5e-16])
 
 
 def permuted(keys: np.ndarray, values: np.ndarray, seed: int):

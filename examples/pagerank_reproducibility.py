@@ -13,9 +13,15 @@ scale-free graph (preferential attachment) — the effect is the same.
 Run:  python examples/pagerank_reproducibility.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from repro.workloads.pagerank import (
+# The experiment lives with the paper's figure code, beside the benches.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from paper.pagerank import (  # noqa: E402
     pagerank,
     rank_swaps,
     synthetic_web_graph,

@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 import repro
-from repro.analysis import fsum
 from repro.fp.decimal_fixed import DECIMAL18, DecimalOverflowError
 
 
@@ -67,7 +66,7 @@ def main():
     # Reproducible: identical bits, and accuracy scales with L.
     print("-- reproducible GROUP BY SUM, accuracy vs L --")
     exact = {
-        int(k): fsum(values[keys == k]) for k in np.unique(keys)
+        int(k): math.fsum(values[keys == k]) for k in np.unique(keys)
     }
     for levels in (1, 2, 3, 4):
         result = repro.group_sum(keys, values, levels=levels)

@@ -1,9 +1,9 @@
-"""End-to-end TPC-H Query 1 under the four SUM implementations.
+"""End-to-end TPC-H Query 1 under both SUM implementations.
 
 The paper's Table IV experiment at laptop scale: load a generated
-``lineitem``, run Q1 with conventional, reproducible (buffered),
-and sorted SUM, time the operators, and check bit-stability across a
-physical shuffle of the table.
+``lineitem``, run Q1 with conventional and reproducible (buffered)
+SUM, time the operators, and check bit-stability across a physical
+shuffle of the table.
 
 Run:  python examples/tpch_q1.py [scale_factor]
 """
@@ -32,7 +32,7 @@ def main(scale_factor: float = 0.005):
 
     timings = {}
     results = {}
-    for mode in ("ieee", "repro", "sorted"):
+    for mode in ("ieee", "repro"):
         db = Database(sum_mode=mode, levels=2)
         db.catalog.add(reference_db.table("lineitem"))
         run_q1(db)  # warm-up

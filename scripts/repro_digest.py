@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Canonical-query reproducibility digest for the CI matrix.
 
-Runs a fixed query set under the repro sum modes across every
+Runs a fixed query set in repro mode across every
 ``(workers, morsel_size, memory_budget)`` combination — and,
 for the join queries, every hash-join build side — asserts the result
 bits are identical *within* this process, and writes one digest line
@@ -67,7 +67,7 @@ import numpy as np
 from repro.engine import Database
 from repro.tpch import Q1_SQL, Q3_SQL, Q6_SQL, load_tpch
 
-MODES = ("repro", "sorted")
+MODES = ("repro",)
 MORSEL_SIZES = (1 << 16, 4096, 257)
 DEFAULT_TPCH_SCALE = 0.002  # ~12k lineitem rows: fast, still multi-morsel
 

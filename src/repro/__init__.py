@@ -32,7 +32,6 @@ from .core import (
     ReproducibleSummer,
     ReproFloat,
     RsumParams,
-    SimdRsum,
     SummationState,
     choose_partition_depth,
     optimal_buffer_size,
@@ -83,7 +82,6 @@ __all__ = [
     "ReproducibleSummer",
     "ReproFloat",
     "BufferedReproFloat",
-    "SimdRsum",
     "SummationState",
     "RsumParams",
     "optimal_buffer_size",

@@ -36,7 +36,7 @@ value at all) — takes the reference.  Carry-free partial states are exact unde
 paper's "summation on batches" (§V) at the kernel level, with the
 preprocessing kept off the per-row path.  The paper's C++ reaches the
 same place with AVX + summation buffers, which we model in
-:mod:`repro.simulator`.
+``benchmarks/paper/simulator``.
 """
 
 from __future__ import annotations

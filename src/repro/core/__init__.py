@@ -6,21 +6,19 @@ Public surface:
 * :class:`ReproducibleSummer` — streaming/mergeable summation.
 * :class:`ReproFloat` — the ``repro<ScalarT,L>`` drop-in accumulator.
 * :class:`BufferedReproFloat` — the same, fronted by a summation buffer.
-* :class:`SimdRsum` — the V-lane Algorithm 3 with horizontal summation.
 * :class:`SummationState` — raw state, for engine integrations.
+* Reproducible dot product / mean / variance (:mod:`.stats`).
 * Tuning helpers: :func:`optimal_buffer_size`,
   :func:`choose_partition_depth` (Equation 4 and Figure 9 rules).
+
+The paper's demonstrations that no query runs — the toy-format RSUM of
+Figure 2, the V-lane Algorithm 3, the reduction-topology simulation —
+live with the figure benches under ``benchmarks/paper``.
 """
 
 from .buffer import DEFAULT_BUFFER_SIZE, BufferedReproFloat
 from .eft import exact_sum_fraction, extract, extract_array, fast_two_sum, two_sum
 from .params import DEFAULT_LEVELS, DEFAULT_W, RsumParams, default_w, max_block_size
-from .reduction import (
-    butterfly_reduce,
-    linear_reduce,
-    simulate_mimd_sum,
-    tree_reduce,
-)
 from .repro_type import ReproFloat, repro_spec_name
 from .rsum import (
     ReproducibleSummer,
@@ -28,7 +26,6 @@ from .rsum import (
     params_from_spec,
     reproducible_sum,
 )
-from .rsum_simd import SimdRsum, default_vector_width
 from .stats import (
     reproducible_dot,
     reproducible_mean,
@@ -38,7 +35,6 @@ from .stats import (
     two_product_array,
 )
 from .state import LadderOverflowError, SummationState
-from .toy_rsum import ToyRsum, figure2_trace
 from .tuning import (
     DEPTH_THRESHOLD_GROUPS,
     HASWELL_CACHE,
@@ -57,10 +53,6 @@ __all__ = [
     "reproducible_std",
     "two_product",
     "two_product_array",
-    "linear_reduce",
-    "tree_reduce",
-    "butterfly_reduce",
-    "simulate_mimd_sum",
     "ReproducibleSummer",
     "ScalarRsumPaper",
     "params_from_spec",
@@ -68,12 +60,8 @@ __all__ = [
     "repro_spec_name",
     "BufferedReproFloat",
     "DEFAULT_BUFFER_SIZE",
-    "SimdRsum",
-    "default_vector_width",
     "SummationState",
     "LadderOverflowError",
-    "ToyRsum",
-    "figure2_trace",
     "RsumParams",
     "DEFAULT_LEVELS",
     "DEFAULT_W",

@@ -42,7 +42,7 @@ Because contributions are accumulated as exact integers, the SIMD block
 size ``NB`` is not a correctness constraint here (no float accumulator
 can leave its binade); it remains a *performance* parameter of the
 paper's native implementation and is modelled in
-:mod:`repro.simulator.costmodel`.
+``benchmarks/paper/simulator/costmodel.py``.
 """
 
 from __future__ import annotations

@@ -216,7 +216,7 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
 
     # Merge in shard order — arrival order cannot matter, by
     # construction; exact state merge makes even this order choice
-    # invisible in the repro modes.
+    # invisible in repro mode.
     ladder = LadderCounters()  # counted where the rows were fed
     for counters in ladders:
         ladder.merge(counters)

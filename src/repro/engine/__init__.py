@@ -9,9 +9,9 @@ updates, a bit-reproducible hash equi-join (:mod:`repro.engine.join`),
 a morsel-driven pipeline with partial-aggregate/exact-merge GROUP BY
 (in-process, or over ``workers`` executor processes:
 :mod:`repro.distributed`), and a SUM implementation selectable per
-session (``ieee`` / ``repro`` / ``sorted``) plus the explicit
+session (``ieee`` / ``repro``) plus the explicit
 ``RSUM(expr, L)`` aggregate the paper proposes in Section V-D.  In the
-repro modes the result bits are invariant under the ``workers``,
+repro mode the result bits are invariant under the ``workers``,
 ``morsel_size``, ``join_build`` and ``memory_budget`` execution knobs
 (the latter via the out-of-core external aggregation of
 :mod:`repro.aggregation.external_agg`); in IEEE mode they may drift.

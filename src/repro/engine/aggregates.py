@@ -20,14 +20,14 @@ whole life cycle::
 stable sort by group id, which only MIN/MAX reads, and the queue the
 ladder sums fill so the table can feed them with one call.
 
-``SUM`` picks one of three accumulators from its input type and the
+``SUM`` picks one of two accumulators from its input type and the
 session mode on the first morsel: :class:`PlainSum` (exact int64 for
-INT / BOOL / bare DECIMAL columns; IEEE floats in ``ieee`` mode),
+INT / BOOL / bare DECIMAL columns; IEEE floats in ``ieee`` mode) and
 :class:`LadderSum` (the reproducible rsum ladder of ``repro`` mode and
 ``RSUM``; built ``retractable`` it keeps the full grid so deletes
-subtract exactly) and :class:`SortedSum` (``sorted`` mode).  For the
-repro accumulator update and merge are *exact*, which is what makes a
-parallel, spilled or sharded GROUP BY bit-reproducible.
+subtract exactly).  For the repro accumulator update and merge are
+*exact*, which is what makes a parallel, spilled or sharded GROUP BY
+bit-reproducible.
 
 AVG, VARIANCE and STDDEV are not states: the table finalizes them from
 a shared :class:`SumState` / :class:`Moment2State` and the common
@@ -56,7 +56,6 @@ __all__ = [
     "MinMaxState",
     "Moment2State",
     "PlainSum",
-    "SortedSum",
     "SumState",
     "sum_value_kind",
     "update_ladders",
@@ -118,7 +117,7 @@ class CountState:
 
 
 # ---------------------------------------------------------------------------
-# SUM: three accumulators behind one state
+# SUM: two accumulators behind one state
 # ---------------------------------------------------------------------------
 
 
@@ -275,67 +274,7 @@ def update_ladders(accs, rows, gids: np.ndarray, morsel, ngroups: int) -> None:
     add_blocked_multi(groupeds, gids, rows, morsel.counters)
 
 
-class SortedSum:
-    """Sort-based reproducible sums.
-
-    Partials buffer the raw (gid, value) pairs; finalize sorts all pairs
-    by (group, value-bits) and accumulates.  Because the final sort
-    canonicalises the pair order, the result bits are independent of how
-    the input was split across morsels and executor processes.
-    """
-
-    kind = "sorted"
-
-    def __init__(self, dtype):
-        self.dtype = np.dtype(dtype)
-        self.chunks: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def empty_like(self):
-        return SortedSum(self.dtype)
-
-    def approx_bytes(self) -> int:
-        return sum(g.nbytes + v.nbytes for g, v in self.chunks)
-
-    def add(self, values, gids, morsel, ngroups: int) -> None:
-        if gids.size:
-            self.chunks.append((gids, values))
-
-    def merge(self, other: "SortedSum", mapping, ngroups: int) -> None:
-        for gids, values in other.chunks:
-            self.chunks.append((np.asarray(mapping)[gids], values))
-
-    def finalize(self, ngroups: int) -> np.ndarray:
-        if not self.chunks:
-            return np.zeros(ngroups, dtype=self.dtype)
-        gids = np.concatenate([g for g, _ in self.chunks])
-        values = np.concatenate([v for _, v in self.chunks])
-        bits = values.view(
-            np.uint32 if values.dtype == np.float32 else np.uint64
-        )
-        order = np.lexsort((bits, gids))
-        out = np.zeros(ngroups, dtype=values.dtype)
-        with np.errstate(invalid="ignore"):  # +inf + -inf is NaN, quietly
-            np.add.at(out, gids[order], values[order])
-        return out
-
-    def dump(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dtype": self.dtype.str,
-            "chunks": [list(chunk) for chunk in self.chunks],
-        }
-
-    @classmethod
-    def load(cls, data: dict) -> "SortedSum":
-        acc = cls(np.dtype(data["dtype"]))
-        acc.chunks = [
-            (np.array(gids, dtype=np.int64), np.array(values))
-            for gids, values in data["chunks"]
-        ]
-        return acc
-
-
-_ACCUMULATORS = {cls.kind: cls for cls in (PlainSum, LadderSum, SortedSum)}
+_ACCUMULATORS = {cls.kind: cls for cls in (PlainSum, LadderSum)}
 
 
 def _float_accumulator(dtype, mode: str, levels: int, retractable: bool):
@@ -343,8 +282,6 @@ def _float_accumulator(dtype, mode: str, levels: int, retractable: bool):
         return PlainSum(dtype)
     if mode == "repro":
         return LadderSum(dtype, levels, retractable)
-    if mode == "sorted":
-        return SortedSum(dtype)
     raise ValueError(f"unknown sum mode {mode!r}")
 
 

@@ -22,12 +22,11 @@ STDDEV, which are built from it) means:
   Partial states are :class:`~repro.aggregation.grouped.
   GroupedSummation` ladders whose merge is *exact*, so the result bits
   are identical for every input permutation, chunking, and parallel
-  split;
-* ``"sorted"`` — the only conventional way to force reproducibility
-  (Table IV's 7x-slower baseline).  Partial states buffer the raw
-  (group, value) pairs; finalize sorts them by (group, value-bits) and
-  sums, which is split-independent because the final sort
-  canonicalises any partitioning of the input.
+  split.
+
+Table IV's other reproducible baseline, sorting the pairs before an
+IEEE sum, is not a mode: ``benchmarks/bench_tab04_tpch_q1.py`` times
+it beside the engine.
 
 ``RSUM(expr [, L])`` is the paper's proposed "alternate aggregate
 function ... which would give the user control on the desired
@@ -220,20 +219,22 @@ class OperatorTimings:
 class SumConfig:
     """Session-level configuration of the SUM implementation."""
 
-    MODES = ("ieee", "repro", "sorted")
+    MODES = ("ieee", "repro")
 
-    #: Names earlier versions accepted for what is now ``"repro"`` (the
-    #: engine never read their buffer).  New sessions reject them; view
-    #: and default records of durable directories written with them
-    #: still open, through :meth:`stored`.
-    RETIRED_MODES = {"repro_buffered": "repro"}
+    #: Names earlier versions accepted, and the mode that replaced each:
+    #: ``repro_buffered`` (same bits — the engine never read its
+    #: buffer) and ``sorted`` (reproducible too, other bits: it summed
+    #: pairs sorted by value).  New sessions reject them; view and
+    #: default records of durable directories written with them still
+    #: open, through :meth:`stored`.
+    RETIRED_MODES = {"repro_buffered": "repro", "sorted": "repro"}
 
     def __init__(self, mode: str = "ieee", levels: int = 2):
         if mode not in self.MODES:
             successor = self.RETIRED_MODES.get(mode)
             raise ConfigError(
                 f"sum_mode must be one of {self.MODES}" + (
-                    f"; {mode!r} is retired, use {successor!r} (same bits)"
+                    f"; {mode!r} is retired, use {successor!r}"
                     if successor else ""
                 )
             )

@@ -157,7 +157,7 @@ class PhysAggregate:
     #: dealt row by row to ``workers`` executor processes and partial
     #: group tables are exchanged back over the spill wire format
     #: (:mod:`repro.distributed`).  Bits are identical either way in
-    #: the repro modes — the reproducibility CI sweeps the worker count.
+    #: repro mode — the reproducibility CI sweeps the worker count.
     sharded: bool = False
 
     def describe(self, workers: int, morsel_size: int,
@@ -354,7 +354,7 @@ def plan_physical(root: LogicalNode, context,
     # and the chain is filters and inner probes over real scans whose
     # every build side is small enough to broadcast to the executors
     # (LEFT joins and the external spill path run in-process).  Result
-    # bits in the repro modes are invariant under this choice —
+    # bits in repro mode are invariant under this choice —
     # executors run the same operators over a disjoint row partition
     # and the partial states merge exactly.
     if (aggregate is not None and context.workers > 1

@@ -110,7 +110,7 @@ class ExecutionContext:
         self.morsel_size = self._check_morsel_size(morsel_size)
         #: Force the hash-join build side for inner joins ('left' /
         #: 'right'); 'auto' lets the optimizer pick by estimated
-        #: cardinality.  In the repro sum modes the result bits are
+        #: cardinality.  In repro mode the result bits are
         #: identical either way — the reproducibility CI sweeps this.
         self.join_build = self._check_join_build(join_build)
         #: Aggregation memory budget in bytes; ``None`` (or 0 through
@@ -118,7 +118,7 @@ class ExecutionContext:
         #: planner chooses the external (spill-to-disk) GROUP BY for
         #: plans whose estimated group state exceeds it, and the
         #: operator spills partitions once resident partial tables pass
-        #: the budget.  In the repro sum modes the result bits are
+        #: the budget.  In repro mode the result bits are
         #: invariant under this knob — the reproducibility CI sweeps it.
         self.memory_budget_bytes = self._check_budget(memory_budget_bytes)
         #: Stats of the most recent pipeline run (set by the drivers).
@@ -386,9 +386,9 @@ def finish_grouped(partitions, group_exprs, specs, ladder,
     ``dump_table`` payload (a spill run, a shard's reply), read and
     loaded only when its turn comes.  Each unit is finalized and
     dropped before the next is asked for, so only one is ever whole;
-    ``held`` is the bytes of partial tables alive beside it.  Several
-    units' outputs are concatenated in the canonical key order
-    :meth:`VectorizedGroupTable.finalize` emits.
+    ``held`` is the bytes of partial tables alive beside it.  Units
+    finalize unordered; their outputs are put in canonical key order
+    once, together.
 
     Returns ``(key_arrays, result_arrays, ngroups)``.
     """
@@ -409,23 +409,24 @@ def finish_grouped(partitions, group_exprs, specs, ladder,
         stats.peak_resident_bytes = max(
             stats.peak_resident_bytes, held + root.approx_bytes()
         )
-        outputs.append(root.finalize())
+        outputs.append(root.finalize(ordered=False))
         root = table = None  # gone before the next unit is merged
         stats.merge_seconds += merged - started
         stats.finalize_seconds += time.thread_time() - merged
+    started = time.thread_time()
     key_arrays, results, ngroups = outputs[0]
     if len(outputs) > 1:
-        started = time.thread_time()
         key_arrays, results = (
             [np.concatenate(parts) for parts in zip(*(o[i] for o in outputs))]
             for i in (0, 1)
         )
+        ngroups = sum(o[2] for o in outputs)
+    if key_arrays and ngroups > 1:
         # units are key-disjoint by routing alone: the sort checks
-        order = canonical_key_order(key_arrays, distinct=True)
+        order = canonical_key_order(key_arrays, distinct=len(outputs) > 1)
         key_arrays = [arr[order] for arr in key_arrays]
         results = [arr[order] for arr in results]
-        ngroups = len(order)
-        stats.finalize_seconds += time.thread_time() - started
+    stats.finalize_seconds += time.thread_time() - started
 
     stats.record_ladder(ladder, timings)
     stats.wall_seconds = time.perf_counter() - stats.started
@@ -453,7 +454,7 @@ def run_grouped_pipeline(
     and hash-join probes composed by the physical planner.
     ``external`` (the planner's choice under a memory budget) makes the
     sink a spilling one over ``context.memory_budget_bytes`` instead of
-    a plain table; in the repro sum modes the returned bits are the
+    a plain table; in repro mode the returned bits are the
     same either way.
 
     Returns ``(key_arrays, result_arrays, ngroups)`` in canonical

@@ -98,8 +98,8 @@ class Session:
     def memory_budget(self) -> int | None:
         """Aggregation memory budget in bytes (``None`` = unbounded).
 
-        Settable here or via ``SET memory_budget = N``.  In the
-        repro sum modes result bits are invariant under this knob —
+        Settable here or via ``SET memory_budget = N``.  In
+        repro mode result bits are invariant under this knob —
         spilling is a pure performance trade, same as ``workers``.
         """
         return self.execution_context.memory_budget_bytes
@@ -366,7 +366,7 @@ class Database:
 
     The constructor knobs are *defaults* for the sessions it creates —
     ``db.session()`` inherits them, ``db.session(workers=8)``
-    overrides per connection.  In the repro sum modes the result bits
+    overrides per connection.  In repro mode the result bits
     are identical for every setting of every execution knob; in IEEE
     mode they may drift — the paper's point, now demonstrable with two
     session parameters.

@@ -51,7 +51,7 @@ Per morsel :meth:`~VectorizedGroupTable.update`:
 Reproducibility is preserved *by construction*: the repro-mode states
 are exact under any permutation and chunking of their input (the
 paper's Algorithm 3 horizontal-merge property, which
-:class:`~repro.core.rsum_simd.SimdRsum` demonstrates lane-wise), so
+``benchmarks/paper/rsum_simd.py`` demonstrates lane-wise), so
 re-ordering a morsel by group id cannot change the final bits.  IEEE
 sums accumulate unbuffered in physical row order, so even the
 *non*-reproducible mode means the same thing under every split.  The
@@ -740,10 +740,12 @@ class VectorizedGroupTable:
     def _key_column(self, i: int) -> np.ndarray:
         return self._key_columns()[i]
 
-    def finalize(self):
-        """Returns (key_arrays, result_arrays, ngroups), canonical order."""
+    def finalize(self, ordered: bool = True):
+        """Returns (key_arrays, result_arrays, ngroups), in canonical
+        order — or, ``ordered=False``, in gid order, for a caller that
+        sorts several tables' outputs as one."""
         ngroups = self.ngroups
-        order = self._canonical_order()
+        order = self._canonical_order() if ordered else None
         key_arrays = []
         if self.group_exprs:
             for i in range(len(self.group_exprs)):

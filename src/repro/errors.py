@@ -7,10 +7,15 @@ and the client (:mod:`repro.client`) can re-raise the *same* exception
 type on the other side of the socket — a ``ParseError`` over the wire
 is still a ``ParseError`` to the caller.
 
-Several classes also inherit from the builtin exception the engine
-historically raised (``ValueError`` for parse/bind/config failures,
-``KeyError`` for catalog lookups), so existing callers that catch the
-builtins keep working.
+Six classes also inherit the builtin the engine raised before the
+hierarchy existed: ``ValueError`` for parse / bind / config / data /
+spill-format failures, ``KeyError`` and ``ValueError`` for catalog
+failures.  They stay, because callers catch the builtins: 62 tier-1
+tests do (knob validation on every entry point, statement atomicity,
+catalog lookups, ``repro.open`` with a bad knob), and
+``DurableStore._restore_image``'s ``except (KeyError, TypeError,
+ValueError)`` is what turns a duplicate or unparsable object in a
+checkpoint image into a :class:`CheckpointError`.
 """
 
 from __future__ import annotations

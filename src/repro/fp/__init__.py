@@ -1,5 +1,6 @@
-"""Floating-point substrate: formats, bit-level helpers, software floats,
-and fixed-point DECIMAL types.
+"""Floating-point substrate: formats, bit-level helpers and fixed-point
+DECIMAL types (the exact-rational software float the paper's worked
+examples use is ``benchmarks/paper/softfloat.py``).
 
 This package contains everything the reproducible-summation core needs
 to reason about number representations, independent of any database
@@ -38,7 +39,6 @@ from .ieee import (
     ulp,
     ulp_at,
 )
-from .softfloat import NEAREST_EVEN, TRUNCATE, RoundingMode, SoftFloat, round_to_format
 
 __all__ = [
     "BINARY16",
@@ -60,11 +60,6 @@ __all__ = [
     "bits_to_float32",
     "same_bits",
     "exact_pow2",
-    "RoundingMode",
-    "NEAREST_EVEN",
-    "TRUNCATE",
-    "SoftFloat",
-    "round_to_format",
     "DecimalType",
     "DecimalValue",
     "DecimalColumn",

@@ -9,7 +9,7 @@ in Section II-B and an ``m = 4`` format in Figure 2).
 
 A :class:`FloatFormat` is a *description*; actual arithmetic is done
 either natively (for the IEEE formats, through Python floats and NumPy
-scalars) or through :mod:`repro.fp.softfloat` (for any format).
+scalars) or through ``benchmarks/paper/softfloat.py`` (for any format).
 """
 
 from __future__ import annotations

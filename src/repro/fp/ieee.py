@@ -9,7 +9,7 @@ These implement the quantities the paper defines in Section III-A:
   mantissa bit, ``ulp(x) = 2**(E - m)`` for an ``m``-bit mantissa.
 
 Both are defined per *format*, because the core algorithms run on
-binary32 and binary64 (and, through :mod:`repro.fp.softfloat`, on toy
+binary32 and binary64 (and, through ``benchmarks/paper/softfloat.py``, on toy
 formats).  All helpers are exact: they use ``math.frexp`` / ``math.ldexp``
 rather than logarithms, so no rounding can leak in.
 """

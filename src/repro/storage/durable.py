@@ -504,7 +504,9 @@ class DurableStore:
                 f"view {spec.get('name')!r} definition is not a SELECT"
             )
         # Older writers also recorded a ``buffer_size`` no kernel read
-        # and could name a since-retired mode: same bits either way.
+        # and could name a since-retired mode, which opens as its
+        # successor (a ``sorted`` view serves repro bits from its next
+        # REFRESH on).
         config = SumConfig(
             SumConfig.stored(spec["sum_mode"]), int(spec["levels"])
         )

@@ -4,11 +4,9 @@ A *run file* holds one serialized partial group table: the group keys
 (dictionary-encoded per key column) plus every partial aggregate state
 — exact int64 quantum ladders for the repro sums
 (:class:`~repro.aggregation.grouped.GroupedSummation`), plain
-accumulator arrays for IEEE/integer sums, buffered raw pairs for the
-sorted mode, per-group value sets for COUNT(DISTINCT), and the
-MIN/MAX/COUNT arrays.  Because every one of those states merges
-*exactly* (or, for the sorted mode, canonicalises order at finalize),
-a table that round-trips through this format and is re-merged produces
+accumulator arrays for IEEE/integer sums, per-group value sets for
+COUNT(DISTINCT), and the MIN/MAX/COUNT arrays.  Because every one of
+those states merges *exactly*, a table that round-trips through this format and is re-merged produces
 **bit-identical** results — which is what lets the external GROUP BY
 operator (:mod:`repro.aggregation.external_agg`) treat the memory
 budget as a pure performance knob.

@@ -11,7 +11,7 @@ Query 6 (also shipped) is the no-grouping aggregation counterpart.
 Queries 3 and 5 exercise the planner stack end to end: multi-table
 FROM lists whose WHERE equalities become hash-join keys, filters pushed
 below the joins into the scans, and a reproducible SUM aggregated on
-the probe side of the join pipeline.  In the repro sum modes their
+the probe side of the join pipeline.  In repro mode their
 result bits are identical for every worker count, morsel size, and
 join build side.  :func:`q3_reference` / :func:`q5_reference` are
 ``math.fsum`` oracles over hand-rolled dictionary joins.

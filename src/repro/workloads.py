@@ -1,12 +1,20 @@
-"""Value distributions used across the paper's experiments.
+"""The paper's standard aggregation input (Section VI-A).
 
-* ``uniform12``      — U[1, 2), the benign case (Table II);
-* ``exponential1``   — Exp(1), mild dynamic range (Table II);
-* ``wide_exponent``  — log-uniform exponents, the "measurements /
-  scientific data" regime Section II-C argues cannot use fixed point;
-* ``cancellation``   — pairs (x, -x) plus noise: adversarial for
-  conventional sums, where rounding errors dominate the tiny true sum;
-* ``algorithm1``     — the paper's 3-row example values.
+``n`` (key, value) pairs, uint32 keys "drawn uniformly at random from
+the range [0, ngroups)" — so the realised group count is slightly
+below ``ngroups`` when ``ngroups ~ n`` — and values from one of the
+named :data:`DISTRIBUTIONS`:
+
+* ``U[1,2)``  — the benign case (Table II);
+* ``Exp(1)``  — mild dynamic range (Table II), the benchmarks' default;
+* ``wide``    — log-uniform exponents, the "measurements / scientific
+  data" regime Section II-C argues cannot use fixed point;
+* ``cancel``  — pairs (x, -x) plus noise: adversarial for conventional
+  sums, where rounding errors dominate the tiny true sum.
+
+Seeded, so every run (and every permutation of a run) is repeatable.
+The end-to-end benchmark's ``groupby_highcard`` table is
+``make_pairs(2**18, 2**15, "Exp(1)")``.
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ __all__ = [
     "exponential1",
     "wide_exponent",
     "cancellation",
-    "algorithm1_values",
     "DISTRIBUTIONS",
+    "make_pairs",
 ]
 
 
@@ -53,14 +61,23 @@ def cancellation(n: int, rng: np.random.Generator,
     return values[:n]
 
 
-def algorithm1_values() -> np.ndarray:
-    """The paper's Algorithm 1 inputs."""
-    return np.array([2.5e-16, 0.999999999999999, 2.5e-16])
-
-
 DISTRIBUTIONS = {
     "U[1,2)": uniform12,
     "Exp(1)": exponential1,
     "wide": wide_exponent,
     "cancel": cancellation,
 }
+
+
+def make_pairs(
+    n: int,
+    ngroups: int,
+    distribution: str = "Exp(1)",
+    dtype=np.float64,
+    seed: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's standard (key, value) workload."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, ngroups, size=n, dtype=np.uint32)
+    values = DISTRIBUTIONS[distribution](n, rng).astype(dtype)
+    return keys, values

@@ -20,7 +20,7 @@ from repro.aggregation import (
     sort_aggregate,
 )
 from repro.fp.decimal_fixed import DECIMAL18
-from repro.analysis.exact import max_group_error
+from paper.analysis.exact import max_group_error
 
 
 def oracle(keys, values):

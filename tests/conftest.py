@@ -1,7 +1,15 @@
 """Shared fixtures for the repro test suite."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# The paper-figure code (``benchmarks/paper``, imported as ``paper``) is
+# not part of the package; its tests and the oracles it holds import it
+# from the checkout.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.errors import grid_aligned_error_bound
+from paper.analysis.errors import grid_aligned_error_bound
 from repro.core.params import RsumParams
 from repro.core.rsum import reproducible_sum
 from repro.core.state import SummationState

@@ -81,7 +81,7 @@ MASKING_DML = (
 )
 
 
-@pytest.mark.parametrize("mode", ["repro", "sorted"])
+@pytest.mark.parametrize("mode", ["repro"])
 def test_bits_invariant_under_sharding(mode, engine_path):
     # 3001 rows (2661 visible after the DML): neither 3 nor 8 divides
     # either count; then fewer rows than shards; then none at all.
@@ -291,7 +291,7 @@ def test_snapshot_pinned_reads_are_stable_under_sharding():
 # -- exchange-arrival order invariance -------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["repro", "sorted"])
+@pytest.mark.parametrize("mode", ["repro"])
 def test_exchange_arrival_order_invariance(mode, monkeypatch):
     """Permute which ready executor is served first; bits must hold.
 

@@ -49,10 +49,6 @@ class TestAlgorithm1:
         before, after = run_algorithm1("repro")
         assert before == after
 
-    def test_sorted_is_stable(self):
-        before, after = run_algorithm1("sorted")
-        assert before == after
-
     def test_rsum_function_stable_in_ieee_session(self):
         db = Database(sum_mode="ieee")
         for sql in ALGORITHM1_DOUBLE:

@@ -2,7 +2,7 @@
 
 The paper's buffered, partition-based aggregation is designed so
 reproducible sums survive any partitioning of the input; these tests
-assert the engine-level consequence: for the repro sum modes, result
+assert the engine-level consequence: for repro mode, result
 bits, dtypes and row order are identical across ``memory_budget``
 (unbounded, spill-forcing, pathological) and the spill partition
 fan-out (a module constant, patched here) — memory is a pure
@@ -68,7 +68,7 @@ def _bits(result):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["repro", "sorted"])
+@pytest.mark.parametrize("mode", ["repro"])
 def test_bits_invariant_under_budget_and_fanout(mode, monkeypatch):
     reference = _bits(_build(sum_mode=mode).execute(QUERY))
     for budget in (2048, 1):
@@ -122,7 +122,7 @@ def _shape_db(nrows, **kwargs):
     return db
 
 
-@pytest.mark.parametrize("mode", ["repro", "sorted"])
+@pytest.mark.parametrize("mode", ["repro"])
 @pytest.mark.parametrize("shape", sorted(KEY_SHAPES))
 def test_finish_per_partition_equals_in_memory(shape, mode, monkeypatch):
     """Bits, dtypes and row order (no ORDER BY: the canonical order
@@ -163,6 +163,32 @@ def _probe_db(**kwargs):
     return db
 
 
+def test_partitions_finalize_unordered_and_sort_once(monkeypatch):
+    """Each spill partition finalizes in gid order and the finish sorts
+    their concatenation once: a per-partition sort would be redone."""
+    from repro.engine import pipeline
+
+    expected = _bits(_build(sum_mode="repro").execute(QUERY))
+    sorts, per_table = [], []
+    real_sort = pipeline.canonical_key_order
+    real_order = VectorizedGroupTable._canonical_order
+
+    def sort(columns, distinct=False):
+        sorts.append(distinct)
+        return real_sort(columns, distinct)
+
+    def order(table):
+        per_table.append(table)
+        return real_order(table)
+
+    monkeypatch.setattr(pipeline, "canonical_key_order", sort)
+    monkeypatch.setattr(VectorizedGroupTable, "_canonical_order", order)
+    db = _build(sum_mode="repro", memory_budget=1)
+    assert _bits(db.execute(QUERY)) == expected
+    assert db.last_pipeline_stats.external
+    assert sorts == [True] and per_table == []
+
+
 def test_finish_never_holds_the_whole_state(monkeypatch):
     """200 000 rows into ~49 000 groups under a 1 MiB budget.  No table
     the size of the whole state is finalized, and
@@ -172,9 +198,9 @@ def test_finish_never_holds_the_whole_state(monkeypatch):
     finalized = []
     finalize = VectorizedGroupTable.finalize
 
-    def spy(table):
+    def spy(table, **kwargs):
         finalized.append(table.approx_bytes())
-        return finalize(table)
+        return finalize(table, **kwargs)
 
     monkeypatch.setattr(VectorizedGroupTable, "finalize", spy)
     sinks = []

@@ -12,8 +12,7 @@ every query here stays on the generic group-key path; the build-row
 rule is pinned in ``test_lazy_batch.py`` and ``tests/tpch``.
 
 The second half pins the operational surface: what EXPLAIN renders,
-and the plan and join-build caches.  (File and class names are those
-of the generated-kernel tests this started as — the ids stay put.)
+and the plan and join-build caches.
 """
 
 import itertools
@@ -23,8 +22,6 @@ import pytest
 
 from repro.engine import Database
 from repro.errors import ConfigError
-
-MODES = ("repro", "sorted")
 
 JOIN_FLOAT_KEY = (
     "SELECT r.tag, SUM(v) AS sv, COUNT(*) AS c, MIN(v) AS lo, "
@@ -99,22 +96,18 @@ QUERIES = (JOIN_FLOAT_KEY, JOIN_STRING_KEY, JOIN_THEN_FILTER)
 
 
 class TestJoinBitEquivalence:
-    @pytest.mark.parametrize("sum_mode", MODES)
-    def test_bits_invariant_across_fusion_matrix(self, sum_mode,
-                                                 engine_path):
-        with engine_path("scalar"), _make_db(sum_mode) as db:
+    def test_bits_invariant_across_build_side_and_morsel(self, engine_path):
+        with engine_path("scalar"), _make_db() as db:
             base = [_result_bits(db.execute(q)) for q in QUERIES]
         for build, morsel in itertools.product(
             ("left", "right"), (1 << 16, 257),
         ):
-            with _make_db(
-                sum_mode, join_build=build, morsel_size=morsel,
-            ) as db:
+            with _make_db(join_build=build, morsel_size=morsel) as db:
                 got = [_result_bits(db.execute(query)) for query in QUERIES]
                 assert got == base, (build, morsel)
 
     @pytest.mark.parametrize("workers", (2, 3))
-    def test_bits_invariant_under_sharded_fused_joins(self, workers):
+    def test_bits_invariant_under_sharded_joins(self, workers):
         with _make_db("repro") as db:
             base = [_result_bits(db.execute(q)) for q in QUERIES]
         with _make_db("repro", workers=workers) as db:
@@ -125,7 +118,7 @@ class TestJoinBitEquivalence:
                 assert stats.sharded
                 assert stats.exchange_bytes > 0
 
-    def test_fused_join_matches_fsum_oracle(self):
+    def test_join_matches_fsum_oracle(self):
         import math
 
         with _make_db("repro") as db:
@@ -155,8 +148,8 @@ class TestJoinBitEquivalence:
                 assert sw == pytest.approx(math.fsum(ws), rel=1e-12)
 
 
-class TestJoinQualificationSurface:
-    def test_explain_renders_fused_join_probe(self):
+class TestJoinExplain:
+    def test_explain_renders_the_join_probe(self):
         with _make_db() as db:
             plan = db.explain(JOIN_THEN_FILTER)
             assert "HashJoinProbe(inner, keys=[" in plan
@@ -182,8 +175,8 @@ class TestJoinQualificationSurface:
             assert got == _result_bits(db.execute(query))
 
 
-class TestKernelCacheLRU:
-    def test_set_validates(self):
+class TestRetiredKernelCacheKnob:
+    def test_set_kernel_cache_size_is_an_unknown_name(self):
         # Not a knob: the name is unknown to SET (valid names listed)
         # and the context carries no such attribute.
         with _make_db() as db:

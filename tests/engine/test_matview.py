@@ -190,7 +190,7 @@ class TestRetractionRoundTrips:
             assert not spec.supports_retraction()
 
     def test_float_sum_not_retractable_outside_repro(self):
-        for mode in ("ieee", "sorted"):
+        for mode in ("ieee",):
             spec = AggregateSpec(parse_expression("SUM(v)"), SumConfig(mode))
             assert not spec.supports_retraction()
             # RSUM forces the repro state, so it retracts in any mode.

@@ -1,10 +1,7 @@
 """The operators every plan runs, against the row-order reference.
 
-This module (and ``test_fused_join.py``) keeps the file and class names
-of the generated-kernel tests it started as, so the test ids stay put;
-the kernels are gone and what the names pin now is this: late
-materialization, build-row group ids and one ladder call per morsel
-are *dispatch only*.  Key registration, ladder
+Late materialization, build-row group ids and one ladder call per
+morsel are *dispatch only*.  Key registration, ladder
 updates and canonical finalize are the group table's own, so results
 must be byte-identical to the scalar reference table (reached through
 the ``engine_path`` fixture — no query can select it) in every sum
@@ -31,7 +28,7 @@ from repro.engine import Database
 from repro.errors import ConfigError
 from repro.fp.formats import BINARY32, BINARY64
 
-MODES = ("repro", "sorted", "ieee")
+MODES = ("repro", "ieee")
 
 QUERY = (
     "SELECT k, s, SUM(v) AS sv, RSUM(v, 3) AS rv, AVG(v) AS av, "
@@ -124,7 +121,7 @@ class TestBitEquivalence:
                     assert bits == baseline
 
     @pytest.mark.parametrize("query", (SUMS_QUERY, FILTERED_QUERY))
-    def test_order_insensitive_kernels(self, dataset, query, run_both):
+    def test_order_insensitive_sums(self, dataset, query, run_both):
         for workers, morsel_size in ((1, 13), (2, 64), (1, 1 << 16)):
             scalar, table = run_both(
                 "k INT, s VARCHAR(1), v DOUBLE", dataset, query,
@@ -185,10 +182,9 @@ class TestBitEquivalence:
 BUILD_ROW_RULE = "group_ids=build_row("
 
 
-class TestQualification:
-    """What the planner decides per plan, read off EXPLAIN (the class
-    keeps the name it had when the decision was "does a kernel compile")
-    — and that the decision never reaches the bits."""
+class TestPlanChoices:
+    """What the planner decides per plan, read off EXPLAIN — and that
+    the decision never reaches the bits."""
 
     @pytest.fixture
     def joined(self, dataset):
@@ -199,7 +195,7 @@ class TestQualification:
             return db
         return build
 
-    def test_inner_join_plan_fuses(self, joined, engine_path):
+    def test_inner_join_takes_the_build_row_rule(self, joined, engine_path):
         # An integer probe key the inner match made equal to its build
         # key: the probe's build row determines the group.
         query = "SELECT t.k, SUM(v) FROM t, r WHERE t.k = r.k GROUP BY t.k"
@@ -243,7 +239,7 @@ class TestQualification:
             reference.execute(SUMS_QUERY)
         )
 
-    def test_explain_renders_fused_stage(self, dataset):
+    def test_explain_renders_the_operators(self, dataset):
         # One feeder: the plan is the operators themselves, and no
         # fused / unfused:<reason> qualifier exists to render.
         db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset)
@@ -253,10 +249,9 @@ class TestQualification:
         assert "fused" not in plan.lower()
 
 
-class TestKernelCache:
-    """No kernel cache is left; of its invalidation rules one remains —
-    plans never outlive the knobs they were made under (class name kept
-    for the test ids)."""
+class TestPlanCacheInvalidation:
+    """Plans never outlive the knobs they were made under; join builds
+    do."""
 
     @pytest.mark.parametrize("knob", (
         "SET workers = 2",
@@ -280,7 +275,7 @@ class TestKernelCache:
         assert result_bits(db.execute(query)) == before
         assert context.join_cache_hits == hits + 1
 
-    def test_set_fused_validates(self, dataset):
+    def test_set_fused_is_an_unknown_name(self, dataset):
         # Not a knob: the name is unknown, not a silently ignored
         # switch, and nothing cached was dropped on the way.
         db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset)
@@ -482,11 +477,10 @@ def _seed_split(tables):
         table.add_pairs(gg, np.array([1e40, 1e-60]))
 
 
-class TestAddPairsMulti:
-    """The scatter of ``add_blocked_multi``, case by case (the class
-    keeps the name of the retired one-block entry point so the test ids
-    stay put): which rows scatter is asserted in row units, and the
-    bits must match ``add_pairs`` whichever path a row took."""
+class TestBlockedLadderScatter:
+    """The scatter of ``add_blocked_multi``, case by case: which rows
+    scatter is asserted in row units, and the bits must match
+    ``add_pairs`` whichever path a row took."""
 
     @pytest.fixture(scope="class")
     def rng(self):

@@ -1,7 +1,7 @@
 """Parallel-pipeline reproducibility: the paper's invariant at the
 engine layer.
 
-For the repro sum modes, ``Database.execute`` must return bit-identical
+For repro mode, ``Database.execute`` must return bit-identical
 result arrays for every ``(workers, morsel_size)`` combination —
 ``workers=1`` in-process, which must match the pre-refactor serial
 whole-column kernels (``grouped_float_sum``) bit-for-bit, and
@@ -22,7 +22,7 @@ from repro.errors import ConfigError
 
 WORKERS = (1, 2)
 MORSEL_SIZES = (1, 7, 64, 4096)
-REPRO_MODES = ("repro", "sorted")
+REPRO_MODES = ("repro",)
 
 N_ROWS = 240
 N_KEYS = 8

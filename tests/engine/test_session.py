@@ -3,7 +3,6 @@
 import datetime
 import math
 
-import numpy as np
 import pytest
 
 from repro.engine import Database
@@ -196,19 +195,3 @@ class TestSumModes:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             Database(sum_mode="fast")
-
-    def test_sorted_mode_reproducible(self, rng=np.random.default_rng(3)):
-        values = (rng.uniform(1e14, 1e15, size=500)
-                  * rng.choice([-1.0, 1.0], size=500))
-        db = Database(sum_mode="sorted")
-        db.execute("CREATE TABLE r (k INT, v DOUBLE)")
-        table = db.table("r")
-        table.bulk_load({"k": np.zeros(500, dtype=np.int64), "v": values})
-        first = db.execute("SELECT SUM(v) FROM r").scalar()
-        db2 = Database(sum_mode="sorted")
-        db2.execute("CREATE TABLE r (k INT, v DOUBLE)")
-        order = rng.permutation(500)
-        db2.table("r").bulk_load(
-            {"k": np.zeros(500, dtype=np.int64), "v": values[order]}
-        )
-        assert db2.execute("SELECT SUM(v) FROM r").scalar() == first

@@ -22,7 +22,7 @@ AGGREGATES = (
     "AVG(x)", "VARIANCE(x)", "VAR_SAMP(x)", "VAR_POP(x)", "STDDEV(x)",
     "STDDEV_SAMP(x)", "STDDEV_POP(x)", "SUM(x)", "COUNT(*)", "RSUM(x, 3)",
 )
-MODES = ("ieee", "repro", "sorted")
+MODES = ("ieee", "repro")
 
 
 def _role_values(rng):

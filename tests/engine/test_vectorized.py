@@ -3,7 +3,7 @@
 The scalar reference is reached through the ``engine_path`` fixture
 (no query, constructor argument or ``SET`` can select it).
 
-For the repro sum modes this is the paper's exactness claim carried one
+For repro mode this is the paper's exactness claim carried one
 layer up: re-ordering a morsel by group id and accumulating quanta with
 segment reductions cannot change the final bits, for any
 ``(workers, morsel_size)`` split.  For IEEE mode the engine makes a
@@ -101,7 +101,7 @@ def dataset():
 
 class TestBitEquivalence:
     @pytest.mark.parametrize("sum_mode",
-                             ("repro", "sorted", "ieee"))
+                             ("repro", "ieee"))
     def test_bits_match_scalar_for_every_split(self, dataset, sum_mode, run_both):
         baseline = None
         for workers in WORKERS:
@@ -259,22 +259,24 @@ class TestRetiredOptions:
             assert not hasattr(db.execution_context, option)
 
 
-    def test_retired_sum_mode_names_its_successor(self):
-        """``repro_buffered`` never selected different code; the name
-        (and ``buffer_size``, which no kernel read) fails loudly."""
+    @pytest.mark.parametrize("retired", ("repro_buffered", "sorted"))
+    def test_retired_sum_mode_names_its_successor(self, retired):
+        """``repro_buffered`` never selected different code and no
+        served workload selected ``sorted``; both names (and
+        ``buffer_size``, which no kernel read) fail loudly."""
         from repro.server.__main__ import main as serve
 
         db = Database()
         for build in (
-            lambda: Database(sum_mode="repro_buffered"),
-            lambda: db.session(sum_mode="repro_buffered"),
-            lambda: SumConfig("repro_buffered"),
+            lambda: Database(sum_mode=retired),
+            lambda: db.session(sum_mode=retired),
+            lambda: SumConfig(retired),
         ):
             with pytest.raises(ConfigError) as err:
                 build()
-            assert "'repro_buffered' is retired, use 'repro'" in str(err.value)
-        assert "repro_buffered" not in SumConfig.MODES
-        assert len(SumConfig.MODES) == 3
+            assert f"'{retired}' is retired, use 'repro'" in str(err.value)
+        assert retired not in SumConfig.MODES
+        assert SumConfig.MODES == ("ieee", "repro")
         with pytest.raises(ReproError, match="unknown session options"):
             db.session(buffer_size=512)
         with pytest.raises(ReproError):
@@ -284,7 +286,7 @@ class TestRetiredOptions:
         with pytest.raises(TypeError):
             SumConfig("repro", 2, 512)
         with pytest.raises(SystemExit):
-            serve(["--sum-mode", "repro_buffered"])
+            serve(["--sum-mode", retired])
 
 
 class TestRadixOverflow:
@@ -375,7 +377,7 @@ class TestCountDistinct:
             return bits, plans, stats
 
     @pytest.mark.parametrize("sum_mode",
-                             ("repro", "sorted", "ieee"))
+                             ("repro", "ieee"))
     def test_bits_match_scalar_on_every_operator(self, members, sum_mode,
                                                  engine_path):
         configs = [

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from paper.analysis import (
     TABLE2_PAPER,
     abs_error,
     banner,
@@ -21,7 +21,7 @@ from repro.analysis import (
     rsum_error_bound,
     table2_rows,
 )
-from repro.analysis.errors import state_exact_value
+from paper.analysis.errors import state_exact_value
 from repro.core import ReproducibleSummer
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simulator import (
+from paper.simulator import (
     PAPER_ANCHORS,
     CostModel,
     fig6_series,

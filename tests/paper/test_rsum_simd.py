@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.params import RsumParams
-from repro.core.rsum_simd import SimdRsum, default_vector_width
+from paper.rsum_simd import SimdRsum, default_vector_width
 from repro.core.state import SummationState
 from repro.fp.ieee import same_bits
 

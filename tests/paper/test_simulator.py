@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.tuning import optimal_buffer_size
-from repro.simulator import (
+from paper.simulator import (
     DTYPES,
     HASWELL_EP,
     PAPER_ANCHORS,

@@ -1,4 +1,4 @@
-"""Tests for repro.fp.softfloat, including the paper's worked examples."""
+"""Tests for paper.softfloat, including the paper's worked examples."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.fp.formats import BINARY64, TOY_M2, TOY_M4, FloatFormat
-from repro.fp.softfloat import (
+from paper.softfloat import (
     NEAREST_EVEN,
     TRUNCATE,
     SoftFloat,

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.toy_rsum import ToyRsum, figure2_trace
+from paper.toy_rsum import ToyRsum, figure2_trace
 from repro.fp.formats import BINARY16, TOY_M4
 
 

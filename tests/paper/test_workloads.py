@@ -3,20 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.workloads import (
+from paper.pagerank import pagerank, rank_swaps, synthetic_web_graph
+from paper.workloads import (
     AggregationWorkload,
     algorithm1_values,
-    cancellation,
     chunked,
-    make_pairs,
-    pagerank,
     permuted,
-    rank_swaps,
-    synthetic_web_graph,
     thread_chunks,
-    uniform12,
-    wide_exponent,
 )
+from repro.workloads import cancellation, make_pairs, uniform12, wide_exponent
 
 
 class TestDistributions:

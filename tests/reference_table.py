@@ -126,8 +126,8 @@ class PartialGroupTable(VectorizedGroupTable):
 
 def grouped_float_sum(values: np.ndarray, gids: np.ndarray, ngroups: int,
                       mode: str, levels: int = 2) -> np.ndarray:
-    """The three SUM implementations as one-shot whole-column kernels:
-    for the repro modes the partial-state pipeline must reproduce these
+    """The two SUM implementations as one-shot whole-column kernels:
+    for the repro mode the partial-state pipeline must reproduce these
     bits exactly, for any (workers, morsel_size) split."""
     if mode == "ieee":
         out = np.zeros(ngroups, dtype=values.dtype)
@@ -139,10 +139,4 @@ def grouped_float_sum(values: np.ndarray, gids: np.ndarray, ngroups: int,
             RsumParams(fmt, levels), gids, values.astype(fmt.dtype), ngroups
         )
         return grouped.finalize()
-    if mode == "sorted":
-        bits = values.view(np.uint32 if values.dtype == np.float32 else np.uint64)
-        order = np.lexsort((bits, gids))
-        out = np.zeros(ngroups, dtype=values.dtype)
-        np.add.at(out, gids[order], values[order])
-        return out
     raise ValueError(f"unknown sum mode {mode!r}")

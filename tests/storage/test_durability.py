@@ -728,20 +728,61 @@ def test_directory_with_retired_shard_workers_opens_serves_sharded_and_refreshes
         assert bits(db.execute(sharded)) == golden["after_refresh_sharded"]
 
 
+def test_directory_with_retired_sorted_mode_opens_as_repro(tmp_path):
+    """``parent_commit_sorted_dir`` was written by the commit before
+    ``sum_mode='sorted'`` was retired: a persisted ``sorted`` default
+    and a ``sorted`` view in the checkpoint image, then an INSERT and
+    a logged REFRESH.  It opens with ``repro`` for both; replaying the
+    REFRESH recomputes the view in ``repro``, so it serves the repro
+    bits that commit computed for the same rows, not the sorted bits it
+    served (``parent_commit_sorted_dir.json``), and refreshes
+    incrementally from there."""
+    import json
+    import pathlib
+    import shutil
+
+    here = pathlib.Path(__file__).parent
+    golden = json.loads((here / "parent_commit_sorted_dir.json").read_text())
+    shutil.copytree(here / "parent_commit_sorted_dir", tmp_path / "dir")
+    query = golden["view_sql"] + " ORDER BY k, s"
+
+    def bits(result):
+        return {
+            name: (np.asarray(arr).tobytes().hex()
+                   if np.asarray(arr).dtype != object
+                   else repr(np.asarray(arr).tolist()))
+            for name, arr in zip(result.names, result.arrays)
+        }
+
+    with repro.open(str(tmp_path / "dir"), checkpoint_interval=None) as db:
+        assert db.storage.persistent_defaults["sum_mode"] == "sorted"
+        assert db.session_defaults["sum_mode"] == "repro"
+        view = db.view("vm")
+        assert view.sum_config.mode == "repro"
+        assert view.maintenance == "incremental"
+        assert "ViewScan" in db.explain(query)
+        served = bits(db.execute(query))
+        assert served == golden["served_repro"]
+        assert served["sf"] != golden["served_sorted"]["sf"]
+        db.execute(golden["follow_up"])
+        db.execute("REFRESH MATERIALIZED VIEW vm")
+        assert bits(db.execute(query)) == golden["after_refresh"]
+
+
 def test_persistent_defaults_survive_reopen(tmp_path):
     db = repro.open(str(tmp_path), **CONFIG)
     db.execute("CREATE TABLE t (f DOUBLE)")
-    db.set_default("sum_mode", "sorted")
+    db.set_default("sum_mode", "ieee")
     db.set_default("workers", 3)
     with pytest.raises(ReproError):
         db.set_default("not_a_knob", 1)
     db.close()
     reopened = repro.open(str(tmp_path), checkpoint_interval=None)
     try:
-        assert reopened.session_defaults["sum_mode"] == "sorted"
+        assert reopened.session_defaults["sum_mode"] == "ieee"
         assert reopened.session_defaults["workers"] == 3
         session = reopened.session()
-        assert session.sum_config.mode == "sorted"
+        assert session.sum_config.mode == "ieee"
     finally:
         reopened.close()
 

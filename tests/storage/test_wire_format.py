@@ -6,7 +6,8 @@ process), so ``dump_table`` bytes may only change on purpose.  The
 golden blob was generated at the commit *before* the aggregate states
 moved into :mod:`repro.engine.aggregates` (``python
 tests/storage/test_wire_format.py`` rewrites it — only ever do that
-for a deliberate format change).
+for a deliberate format change).  Its third frame is a ``sorted``-mode
+table, a mode since retired: it must fail typed, never load.
 """
 
 import importlib.util
@@ -38,7 +39,9 @@ from repro.storage.spill import (
 )
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_spill_tables.bin")
-MODES = ("ieee", "repro", "sorted")
+MODES = ("ieee", "repro")
+#: the golden blob's frame written by the retired ``sorted`` mode
+RETIRED_FRAME = 2
 
 #: Every aggregate, over every value kind the sum dispatch knows
 #: (float64, float32, int, bare DECIMAL), object and float extremes,
@@ -93,14 +96,22 @@ def _table(mode):
 
 
 def golden_blob() -> bytes:
-    """One frame per sum mode: a seeded table fed two morsels."""
+    """One frame per sum mode: a seeded table fed two morsels (then the
+    retired mode's frame, kept as it was written)."""
+    retired = list(iter_frames(GOLDEN.read_bytes()))[RETIRED_FRAME]
     return b"".join(
         frame_payload(dump_table(_seeded_table(mode))) for mode in MODES
-    )
+    ) + frame_payload(retired)
 
 
 def test_dump_table_bytes_equal_parent_commit_golden():
     assert golden_blob() == GOLDEN.read_bytes()
+
+
+def test_retired_sorted_payload_fails_typed():
+    payload = list(iter_frames(GOLDEN.read_bytes()))[RETIRED_FRAME]
+    with pytest.raises(SpillFormatError, match="unknown sum impl kind 'sorted'"):
+        load_table_into(payload, _table("repro"))
 
 
 def _seeded_table(mode):

@@ -26,7 +26,7 @@ from repro.aggregation import (
 )
 from repro.engine import Database
 from repro.tpch import load_lineitem, run_q1, shuffled_copy
-from repro.workloads import AggregationWorkload
+from paper.workloads import AggregationWorkload
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +126,7 @@ class TestTuningConsistency:
     def test_model_agrees_with_figure9_rule(self):
         """The offline rule and the cost model pick similar depths."""
         from repro.core import choose_partition_depth
-        from repro.simulator import CostModel, dtype_model
+        from paper.simulator import CostModel, dtype_model
 
         model = CostModel()
         dt = dtype_model("repro<float,2>").buffered()

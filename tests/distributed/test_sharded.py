@@ -81,26 +81,37 @@ MASKING_DML = (
 )
 
 
-@pytest.mark.parametrize("mode", ["repro"])
-def test_bits_invariant_under_sharding(mode, engine_path):
+#: repro at the default ladder depth and one level deeper: an executor
+#: must sum with the session's ``levels``, not its own default.
+REPRO_CONFIGS = [
+    pytest.param("repro", 2, id="repro"),
+    pytest.param("repro", 3, id="repro-levels3"),
+]
+
+
+@pytest.mark.parametrize("mode, levels", REPRO_CONFIGS)
+def test_bits_invariant_under_sharding(mode, levels, engine_path):
     # 3001 rows (2661 visible after the DML): neither 3 nor 8 divides
     # either count; then fewer rows than shards; then none at all.
     for rows, dml in (
         (_rows(n=3001), MASKING_DML), (_rows(n=5), ()), ([], ()),
     ):
-        base = _run_all(rows, dml, sum_mode=mode)
+        base = _run_all(rows, dml, sum_mode=mode, levels=levels)
         for config in (
             dict(workers=2),
             dict(workers=3),
             dict(workers=8),
             dict(workers=2, morsel_size=257),
         ):
-            got = _run_all(rows, dml, sum_mode=mode, **config)
+            got = _run_all(rows, dml, sum_mode=mode, levels=levels,
+                           **config)
             assert got == base, (len(rows), config)
         # Cross-path identity: the in-process scalar reference table
         # agrees with every sharded run above.
         with engine_path("scalar"):
-            assert _run_all(rows, dml, sum_mode=mode) == base
+            assert _run_all(
+                rows, dml, sum_mode=mode, levels=levels
+            ) == base
 
 
 def test_explain_renders_sharded_aggregate():
@@ -291,15 +302,15 @@ def test_snapshot_pinned_reads_are_stable_under_sharding():
 # -- exchange-arrival order invariance -------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["repro"])
-def test_exchange_arrival_order_invariance(mode, monkeypatch):
+@pytest.mark.parametrize("mode, levels", REPRO_CONFIGS)
+def test_exchange_arrival_order_invariance(mode, levels, monkeypatch):
     """Permute which ready executor is served first; bits must hold.
 
     Covers every sum mode plus COUNT DISTINCT — the states whose merge
     the paper proves exact.
     """
     rows = _rows(n=800)
-    base = _run_all(rows, sum_mode=mode)
+    base = _run_all(rows, sum_mode=mode, levels=levels)
     for seed in range(5):
         shuffle_rng = np.random.default_rng(seed)
 
@@ -308,7 +319,7 @@ def test_exchange_arrival_order_invariance(mode, monkeypatch):
             return ready
 
         monkeypatch.setattr(coordinator, "_service_order", permute)
-        got = _run_all(rows, sum_mode=mode, workers=8)
+        got = _run_all(rows, sum_mode=mode, levels=levels, workers=8)
         assert got == base, f"arrival permutation seed={seed}"
     monkeypatch.setattr(coordinator, "_service_order", None)
 

@@ -23,8 +23,8 @@ ALGORITHM1 = [
 ALGORITHM1_DOUBLE = [s.replace("f float", "f double") for s in ALGORITHM1]
 
 
-def run_algorithm1(sum_mode: str):
-    db = Database(sum_mode=sum_mode)
+def run_algorithm1(sum_mode: str, levels: int = 2):
+    db = Database(sum_mode=sum_mode, levels=levels)
     for sql in ALGORITHM1_DOUBLE:
         db.execute(sql)
     before = db.execute("SELECT SUM(f) FROM R").scalar()
@@ -47,6 +47,10 @@ class TestAlgorithm1:
 
     def test_repro_sum_is_stable(self):
         before, after = run_algorithm1("repro")
+        assert before == after
+
+    def test_repro_sum_is_stable_at_three_levels(self):
+        before, after = run_algorithm1("repro", levels=3)
         assert before == after
 
     def test_rsum_function_stable_in_ieee_session(self):

@@ -68,15 +68,24 @@ def _bits(result):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["repro"])
-def test_bits_invariant_under_budget_and_fanout(mode, monkeypatch):
-    reference = _bits(_build(sum_mode=mode).execute(QUERY))
+#: repro at the default ladder depth and one level deeper: a run file
+#: carries every level of every state.
+REPRO_CONFIGS = [
+    pytest.param("repro", 2, id="repro"),
+    pytest.param("repro", 3, id="repro-levels3"),
+]
+
+
+@pytest.mark.parametrize("mode, levels", REPRO_CONFIGS)
+def test_bits_invariant_under_budget_and_fanout(mode, levels, monkeypatch):
+    reference = _bits(_build(sum_mode=mode, levels=levels).execute(QUERY))
     for budget in (2048, 1):
         for partitions in (1, 5):
             monkeypatch.setattr(external_agg, "SPILL_PARTITIONS", partitions)
-            db = _build(sum_mode=mode, morsel_size=193, memory_budget=budget)
+            db = _build(sum_mode=mode, levels=levels, morsel_size=193,
+                        memory_budget=budget)
             assert _bits(db.execute(QUERY)) == reference, (
-                mode, budget, partitions,
+                mode, levels, budget, partitions,
             )
             stats = db.last_pipeline_stats
             assert stats.external
@@ -122,9 +131,10 @@ def _shape_db(nrows, **kwargs):
     return db
 
 
-@pytest.mark.parametrize("mode", ["repro"])
+@pytest.mark.parametrize("mode, levels", REPRO_CONFIGS)
 @pytest.mark.parametrize("shape", sorted(KEY_SHAPES))
-def test_finish_per_partition_equals_in_memory(shape, mode, monkeypatch):
+def test_finish_per_partition_equals_in_memory(shape, mode, levels,
+                                               monkeypatch):
     """Bits, dtypes and row order (no ORDER BY: the canonical order
     itself) equal the in-memory result on every leg, the empty table
     included."""
@@ -133,9 +143,12 @@ def test_finish_per_partition_equals_in_memory(shape, mode, monkeypatch):
         f"SELECT {keys}, {AGGREGATES}, SUM(k) AS sk FROM obs GROUP BY {keys}"
     )
     for nrows in (0, 320):
-        reference = _bits(_shape_db(nrows, sum_mode=mode).execute(query))
+        reference = _bits(
+            _shape_db(nrows, sum_mode=mode, levels=levels).execute(query)
+        )
         for morsel_size in (97, 8192):
-            db = _shape_db(nrows, sum_mode=mode, morsel_size=morsel_size)
+            db = _shape_db(nrows, sum_mode=mode, levels=levels,
+                           morsel_size=morsel_size)
             for partitions in (1, 4, 5):
                 monkeypatch.setattr(
                     external_agg, "SPILL_PARTITIONS", partitions

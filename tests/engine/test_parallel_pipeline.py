@@ -22,7 +22,11 @@ from repro.errors import ConfigError
 
 WORKERS = (1, 2)
 MORSEL_SIZES = (1, 7, 64, 4096)
-REPRO_MODES = ("repro",)
+#: (mode, ladder levels): repro at the default depth and one deeper
+REPRO_CONFIGS = [
+    pytest.param("repro", 2, id="repro"),
+    pytest.param("repro", 3, id="repro-levels3"),
+]
 
 N_ROWS = 240
 N_KEYS = 8
@@ -43,9 +47,11 @@ def dataset():
     return keys, labels, values
 
 
-def make_db(dataset, sum_mode, workers=1, morsel_size=DEFAULT_MORSEL_SIZE):
+def make_db(dataset, sum_mode, workers=1, morsel_size=DEFAULT_MORSEL_SIZE,
+            levels=2):
     keys, labels, values = dataset
-    db = Database(sum_mode=sum_mode, workers=workers, morsel_size=morsel_size)
+    db = Database(sum_mode=sum_mode, workers=workers, morsel_size=morsel_size,
+                  levels=levels)
     db.execute("CREATE TABLE g (k INT, s VARCHAR(1), v DOUBLE)")
     db.table("g").bulk_load(
         {"k": keys.tolist(), "s": labels.tolist(), "v": values.tolist()}
@@ -68,16 +74,20 @@ def result_bits(result):
 
 
 class TestReproModesBitIdentical:
-    @pytest.mark.parametrize("mode", REPRO_MODES)
-    def test_bits_invariant_under_workers_and_morsel_size(self, dataset, mode):
-        baseline = result_bits(make_db(dataset, mode).execute(QUERY))
+    @pytest.mark.parametrize("mode, levels", REPRO_CONFIGS)
+    def test_bits_invariant_under_workers_and_morsel_size(self, dataset, mode,
+                                                          levels):
+        baseline = result_bits(
+            make_db(dataset, mode, levels=levels).execute(QUERY)
+        )
         for workers in WORKERS:
-            with make_db(dataset, mode, workers) as db:
+            with make_db(dataset, mode, workers, levels=levels) as db:
                 for morsel_size in MORSEL_SIZES:
                     db.execute(f"SET morsel_size = {morsel_size}")
                     bits = result_bits(db.execute(QUERY))
                     assert bits == baseline, (
-                        f"{mode} drifted at workers={workers}, "
+                        f"{mode} (levels={levels}) drifted at "
+                        f"workers={workers}, "
                         f"morsel_size={morsel_size}"
                     )
                     assert db.last_pipeline_stats.sharded is (workers > 1)

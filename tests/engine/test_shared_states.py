@@ -22,7 +22,13 @@ AGGREGATES = (
     "AVG(x)", "VARIANCE(x)", "VAR_SAMP(x)", "VAR_POP(x)", "STDDEV(x)",
     "STDDEV_SAMP(x)", "STDDEV_POP(x)", "SUM(x)", "COUNT(*)", "RSUM(x, 3)",
 )
-MODES = ("ieee", "repro")
+#: (mode, ladder levels); at three levels SUM(x) and RSUM(x, 3) share
+#: one state
+MODES = [
+    pytest.param("ieee", 2, id="ieee"),
+    pytest.param("repro", 2, id="repro"),
+    pytest.param("repro", 3, id="repro-levels3"),
+]
 
 
 def _role_values(rng):
@@ -65,14 +71,15 @@ def _select(aggregates):
     return f"SELECT k, {items} FROM t GROUP BY k ORDER BY k"
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode, levels", MODES)
 @pytest.mark.parametrize("knobs", (
     {}, {"workers": 2, "morsel_size": 64},
 ), ids=("default", "w2m64"))
-def test_every_aggregate_returns_the_same_bits_alone_and_combined(mode, knobs):
+def test_every_aggregate_returns_the_same_bits_alone_and_combined(mode, levels,
+                                                                 knobs):
     rng = np.random.default_rng(20180416)
     keys, values = _role_values(rng)
-    db = Database(sum_mode=mode, **knobs)
+    db = Database(sum_mode=mode, levels=levels, **knobs)
     db.execute("CREATE TABLE t (k INT, x DOUBLE)")
     db.table("t").bulk_load({"k": keys, "x": values})
 
@@ -92,7 +99,7 @@ def test_every_aggregate_returns_the_same_bits_alone_and_combined(mode, knobs):
         got = _bits(db.execute(_select(combo)))
         assert got.pop("k") == keys_bits
         for name, bits in got.items():
-            assert bits == alone[name], (mode, combo, name)
+            assert bits == alone[name], (mode, levels, combo, name)
     db.close()
 
 

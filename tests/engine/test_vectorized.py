@@ -60,13 +60,15 @@ def run_both(engine_path):
     (forked under the path's table), not one per case."""
     dbs = {}
 
-    def run(columns, data, query, sum_mode, workers=1, morsel_size=1 << 16):
+    def run(columns, data, query, sum_mode, workers=1, morsel_size=1 << 16,
+            levels=2):
         results = []
         for path in ("scalar", None):
-            key = (path, columns, id(data), sum_mode, workers)
+            key = (path, columns, id(data), sum_mode, workers, levels)
             with engine_path(path):
                 if key not in dbs:
-                    dbs[key] = data, make_db(columns, data, sum_mode, workers)
+                    dbs[key] = data, make_db(columns, data, sum_mode, workers,
+                                             levels=levels)
                 db = dbs[key][1]
                 db.execute(f"SET morsel_size = {morsel_size}")
                 results.append(db.execute(query))
@@ -99,16 +101,24 @@ def dataset():
     }
 
 
+#: (mode, ladder levels): both modes, and repro one level deeper
+SUM_CONFIGS = [
+    pytest.param("repro", 2, id="repro"),
+    pytest.param("ieee", 2, id="ieee"),
+    pytest.param("repro", 3, id="repro-levels3"),
+]
+
+
 class TestBitEquivalence:
-    @pytest.mark.parametrize("sum_mode",
-                             ("repro", "ieee"))
-    def test_bits_match_scalar_for_every_split(self, dataset, sum_mode, run_both):
+    @pytest.mark.parametrize("sum_mode, levels", SUM_CONFIGS)
+    def test_bits_match_scalar_for_every_split(self, dataset, sum_mode, levels,
+                                               run_both):
         baseline = None
         for workers in WORKERS:
             for morsel_size in MORSEL_SIZES:
                 scalar_result, vector_result = run_both(
                     "k INT, s VARCHAR(1), v DOUBLE", dataset, QUERY,
-                    sum_mode, workers, morsel_size,
+                    sum_mode, workers, morsel_size, levels,
                 )
                 assert result_bits(vector_result) == result_bits(scalar_result)
                 if sum_mode != "ieee":
@@ -376,16 +386,16 @@ class TestCountDistinct:
                 stats.append(db.last_pipeline_stats)
             return bits, plans, stats
 
-    @pytest.mark.parametrize("sum_mode",
-                             ("repro", "ieee"))
+    @pytest.mark.parametrize("sum_mode, levels", SUM_CONFIGS)
     def test_bits_match_scalar_on_every_operator(self, members, sum_mode,
-                                                 engine_path):
+                                                 levels, engine_path):
         configs = [
             dict(),
             dict(morsel_size=37),
             dict(workers=2, morsel_size=64, memory_budget=1),
             dict(workers=2, morsel_size=64),
         ]
+        configs = [dict(knobs, levels=levels) for knobs in configs]
         baseline = None
         for knobs in configs:
             # The reference shards too: its executors are forked inside

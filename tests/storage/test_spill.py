@@ -82,8 +82,8 @@ _AGG_SQL = (
 )
 
 
-def _specs(mode):
-    config = SumConfig(mode)
+def _specs(mode, levels=2):
+    config = SumConfig(mode, levels)
     return [
         AggregateSpec(parse_expression(sql), config) for sql in _AGG_SQL
     ]
@@ -125,13 +125,21 @@ def _finalized_bits(table):
     return tuple(pieces)
 
 
-@pytest.mark.parametrize("mode", ["repro", "ieee"])
+#: (mode, ladder levels); a dump carries every level of every state
+SUM_CONFIGS = [
+    pytest.param("repro", 2, id="repro"),
+    pytest.param("ieee", 2, id="ieee"),
+    pytest.param("repro", 3, id="repro-levels3"),
+]
+
+
+@pytest.mark.parametrize("mode, levels", SUM_CONFIGS)
 @pytest.mark.parametrize(
     "make_table", [PartialGroupTable, VectorizedGroupTable]
 )
-def test_table_round_trip_bit_identical(mode, make_table):
+def test_table_round_trip_bit_identical(mode, levels, make_table):
     rng = np.random.default_rng(42)
-    specs = _specs(mode)
+    specs = _specs(mode, levels)
     table = make_table(_group_exprs(), specs)
     table.update(_batch(rng))
 
@@ -140,22 +148,26 @@ def test_table_round_trip_bit_identical(mode, make_table):
     assert _finalized_bits(fresh) == _finalized_bits(table)
 
 
-@pytest.mark.parametrize("mode", ["repro"])
-def test_round_trip_then_merge_matches_direct_merge(mode):
+@pytest.mark.parametrize("mode, levels", [
+    pytest.param("repro", 2, id="repro"),
+    pytest.param("repro", 3, id="repro-levels3"),
+])
+def test_round_trip_then_merge_matches_direct_merge(mode, levels):
     """Spilling one side of a merge must not change the merged bits."""
     rng = np.random.default_rng(7)
     batch_one, batch_two = _batch(rng), _batch(rng)
+    specs = _specs(mode, levels)
 
-    left = PartialGroupTable(_group_exprs(), _specs(mode))
-    right = PartialGroupTable(_group_exprs(), _specs(mode))
+    left = PartialGroupTable(_group_exprs(), specs)
+    right = PartialGroupTable(_group_exprs(), specs)
     left.update(batch_one)
     right.update(batch_two)
-    restored = PartialGroupTable(_group_exprs(), _specs(mode))
+    restored = PartialGroupTable(_group_exprs(), specs)
     load_table_into(dump_table(right), restored)
     left.merge(restored)
 
-    direct_left = PartialGroupTable(_group_exprs(), _specs(mode))
-    direct_right = PartialGroupTable(_group_exprs(), _specs(mode))
+    direct_left = PartialGroupTable(_group_exprs(), specs)
+    direct_right = PartialGroupTable(_group_exprs(), specs)
     direct_left.update(batch_one)
     direct_right.update(batch_two)
     direct_left.merge(direct_right)

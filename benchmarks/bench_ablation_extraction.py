@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from _common import emit, standard_pairs, table
-from repro.core import ReproducibleSummer, RsumParams, ScalarRsumPaper, SummationState
+from paper.rsum_paper import ScalarRsumPaper
+from repro.core import ReproducibleSummer, RsumParams, SummationState
 from repro.fp.ieee import float_to_bits
 
 

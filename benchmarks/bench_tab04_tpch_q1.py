@@ -40,7 +40,7 @@ def q1_timings():
             started = time.perf_counter()
             run_q1(db)
             elapsed = time.perf_counter() - started
-            agg = db.last_timings.seconds.get("aggregation", 0.0)
+            agg = db.last_pipeline_stats.seconds.get("aggregation", 0.0)
             if best is None or elapsed < best[0]:
                 best = (elapsed, agg)
         results[mode] = {"total": best[0], "aggregation": best[1]}

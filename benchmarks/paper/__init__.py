@@ -11,6 +11,8 @@ here, beside the benches that print them:
   report formatting;
 * ``toy_rsum`` / ``softfloat`` — Figure 2's RSUM on toy float formats
   over exact rationals;
+* ``rsum_paper`` — Algorithm 2 verbatim (running-sum extraction), the
+  extraction ablation's subject and the production state's cross-check;
 * ``rsum_simd`` — the V-lane Algorithm 3 with horizontal summation;
 * ``reduction`` — linear / tree / butterfly reductions and the MIMD
   simulation of Section III;

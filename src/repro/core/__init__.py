@@ -20,12 +20,7 @@ from .buffer import DEFAULT_BUFFER_SIZE, BufferedReproFloat
 from .eft import exact_sum_fraction, extract, extract_array, fast_two_sum, two_sum
 from .params import DEFAULT_LEVELS, DEFAULT_W, RsumParams, default_w, max_block_size
 from .repro_type import ReproFloat, repro_spec_name
-from .rsum import (
-    ReproducibleSummer,
-    ScalarRsumPaper,
-    params_from_spec,
-    reproducible_sum,
-)
+from .rsum import ReproducibleSummer, params_from_spec, reproducible_sum
 from .stats import (
     reproducible_dot,
     reproducible_mean,
@@ -54,7 +49,6 @@ __all__ = [
     "two_product",
     "two_product_array",
     "ReproducibleSummer",
-    "ScalarRsumPaper",
     "params_from_spec",
     "ReproFloat",
     "repro_spec_name",

@@ -37,7 +37,7 @@ from multiprocessing.connection import wait as _connection_wait
 from ..aggregation.grouped import LadderCounters
 from ..engine.operators import SumConfig
 from ..engine.physical import PhysProbe
-from ..engine.pipeline import PipelineStats, finish_grouped
+from ..engine.pipeline import finish_grouped
 from ..errors import ReproError
 from ..storage.spill import encode_payload, frame_payload, unframe_payload
 
@@ -97,7 +97,7 @@ def _send(pool, stats, worker_id, slot, token, message) -> None:
     stats.exchange_bytes += len(message[-1])
 
 
-def _plan_chain(query, context, timings, snapshot, pool, stats, once):
+def _plan_chain(query, context, stats, snapshot, pool, once):
     """Lower the query's operator chain for shipping: ``(chain_ops,
     join_descs)``.  Each probe's build side is named by its
     :func:`~repro.engine.executor.build_signature`; one an executor
@@ -115,7 +115,7 @@ def _plan_chain(query, context, timings, snapshot, pool, stats, once):
 
             lacking = _lacking(pool, slot, token)
             if lacking:
-                batch = _materialize_build(op, context, timings, snapshot)
+                batch = _materialize_build(op, context, stats, snapshot)
                 message = ("load", slot, token, dict(batch.types),
                            _frame_columns(dict(batch.columns)))
                 for worker_id in lacking:
@@ -134,8 +134,7 @@ def _plan_chain(query, context, timings, snapshot, pool, stats, once):
     return chain_ops, join_descs
 
 
-def run_sharded_grouped_pipeline(query, context, timings=None,
-                                 snapshot=None):
+def run_sharded_grouped_pipeline(query, context, stats, snapshot=None):
     """Drive one sharded aggregate to ``(key_arrays, results,
     ngroups)`` — the same contract as the in-process grouped driver."""
     aggregate = query.aggregate
@@ -143,7 +142,7 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
     table = scan.table
     pool = context.shard_pool()
     nshards = pool.nworkers
-    stats = PipelineStats(nshards)
+    stats.start(nshards)
     stats.sharded = True
 
     source_columns = list(scan.column_map.values())
@@ -159,7 +158,7 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
         with pool.lock:
             ship_started = time.perf_counter()
             chain_ops, join_descs = _plan_chain(
-                query, context, timings, snapshot, pool, stats, once
+                query, context, stats, snapshot, pool, once
             )
             task = _build_task(
                 aggregate, scan, chain_ops, join_descs, context
@@ -224,9 +223,8 @@ def run_sharded_grouped_pipeline(query, context, timings=None,
         partial(unframe_payload, frame, context=f"shard {shard} partial")
         for shard, frame in enumerate(frames)
     ]
-    if timings is not None:
-        timings.add("shard_exchange", ship_seconds)
+    stats.add_seconds("shard_exchange", ship_seconds)
     return finish_grouped(
         [(0, partials)], aggregate.group_exprs, aggregate.specs, ladder,
-        context, stats, timings, sum(stats.worker_busy),
+        stats, sum(stats.worker_busy),
     )

@@ -42,7 +42,6 @@ from .expr import (
 from .operators import (
     AggregateSpec,
     Batch,
-    OperatorTimings,
     SumConfig,
 )
 from .pipeline import (
@@ -133,7 +132,6 @@ __all__ = [
     "match_view",
     "Batch",
     "SumConfig",
-    "OperatorTimings",
     "parse",
     "parse_expression",
     "tokenize",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .expr import ExprError, evaluate
 from .join import HashJoin
-from .operators import Batch, OperatorTimings, SumConfig, _object_sort_rank
+from .operators import Batch, SumConfig, _object_sort_rank
 from .optimizer import optimize
 from .physical import (
     PhysFilter,
@@ -41,6 +41,7 @@ from .physical import (
 )
 from .pipeline import (
     ExecutionContext,
+    PipelineStats,
     apply_where,
     run_grouped_pipeline,
     run_projection_pipeline,
@@ -158,17 +159,20 @@ def plan_select(stmt: ast.Select, get_table, sum_config: SumConfig,
 
 
 def run_planned(physical, context: ExecutionContext,
-                timings: OperatorTimings | None = None,
+                stats: PipelineStats | None = None,
                 snapshot=None) -> QueryResult:
-    """Execute an already-planned physical query (plan-cache hits)."""
-    return _run_physical(physical, context, timings, snapshot)
+    """Execute an already-planned physical query, filling ``stats``
+    (``None``: the caller keeps no record, a throwaway one is filled)."""
+    if stats is None:
+        stats = PipelineStats()
+    return _run_physical(physical, context, stats, snapshot)
 
 
 def execute_select(
     stmt: ast.Select,
     get_table,
     sum_config: SumConfig,
-    timings: OperatorTimings | None = None,
+    stats: PipelineStats | None = None,
     context: ExecutionContext | None = None,
     views=None,
     snapshot=None,
@@ -185,7 +189,7 @@ def execute_select(
     _, physical = _plan(
         stmt, get_table, sum_config, context, views, snapshot
     )
-    return _run_physical(physical, context, timings, snapshot)
+    return run_planned(physical, context, stats, snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +265,7 @@ def _concat_batches(batches: list[Batch]) -> Batch:
 
 
 def _instantiate(chain: PhysPipeline, context: ExecutionContext,
-                 timings: OperatorTimings | None, snapshot=None):
+                 stats: PipelineStats, snapshot=None):
     """Materialize scan morsels and build every hash join in the chain.
 
     Returns ``(morsels, transform)`` where ``transform`` applies the
@@ -269,8 +273,7 @@ def _instantiate(chain: PhysPipeline, context: ExecutionContext,
     """
     started = time.perf_counter()
     morsels = _scan_morsels(chain.source, context.morsel_size, snapshot)
-    if timings is not None:
-        timings.add("scan", time.perf_counter() - started)
+    stats.add_seconds("scan", time.perf_counter() - started)
 
     steps = []
     for op in chain.ops:
@@ -280,7 +283,7 @@ def _instantiate(chain: PhysPipeline, context: ExecutionContext,
                 lambda batch, p=predicate: apply_where(batch, p)
             )
         elif isinstance(op, PhysProbe):
-            join = _build_join(op, context, timings, snapshot)
+            join = _build_join(op, context, stats, snapshot)
             steps.append(partial(join.probe, group_keys=op.group_keys))
         else:  # pragma: no cover - planner emits only the two op kinds
             raise TypeError(f"unknown pipeline op {op!r}")
@@ -296,13 +299,13 @@ def _instantiate(chain: PhysPipeline, context: ExecutionContext,
 
 
 def _materialize_build(op: PhysProbe, context: ExecutionContext,
-                       timings: OperatorTimings | None,
+                       stats: PipelineStats,
                        snapshot=None) -> Batch:
     """Materialize one probe's build side (a pipeline breaker) into a
     single batch.  Shared by the in-process join build and the sharded
     coordinator, which broadcasts the batch to shard executors."""
     build_morsels, build_transform = _instantiate(
-        op.build, context, timings, snapshot
+        op.build, context, stats, snapshot
     )
     started = time.perf_counter()
     built = []
@@ -311,8 +314,7 @@ def _materialize_build(op: PhysProbe, context: ExecutionContext,
             batch = build_transform(batch)
         built.append(batch)
     result = _concat_batches(built)
-    if timings is not None:
-        timings.add("join_build", time.perf_counter() - started)
+    stats.add_seconds("join_build", time.perf_counter() - started)
     return result
 
 
@@ -360,13 +362,14 @@ def build_signature(chain: PhysPipeline, snapshot=None) -> tuple:
 
 
 def _build_join(op: PhysProbe, context: ExecutionContext,
-                timings: OperatorTimings | None,
+                stats: PipelineStats,
                 snapshot=None) -> HashJoin:
     """Materialize the build side and construct the hash table.
 
     Builds are pipeline breakers whose cost is pure fixed overhead on
     repeated queries, so finished :class:`HashJoin` objects are kept in
-    a small per-context LRU.  Caching requires a read snapshot (only a
+    a small per-context LRU; ``stats`` counts this statement's hits
+    and misses.  Caching requires a read snapshot (only a
     pinned read names content exactly): the cache key combines the build
     pipeline's :func:`build_signature` (structure + every build table's
     content version at the snapshot) and the join's own shape, so DML on
@@ -385,24 +388,19 @@ def _build_join(op: PhysProbe, context: ExecutionContext,
         )
         cached = context._join_cache.get(key)
         if cached is not None:
-            context._join_cache.move_to_end(key)
-            context.join_cache_hits += 1
-            if timings is not None:
-                timings.add("join_build", time.perf_counter() - started)
+            stats.join_cache_hits += 1
+            stats.add_seconds("join_build", time.perf_counter() - started)
             return cached
-        context.join_cache_misses += 1
-    build_batch = _materialize_build(op, context, timings, snapshot)
+        stats.join_cache_misses += 1
+    build_batch = _materialize_build(op, context, stats, snapshot)
     started = time.perf_counter()
     join = HashJoin(
         build_batch, op.build_keys, op.probe_keys,
         op.kind, op.probe_is_left,
     )
-    if timings is not None:
-        timings.add("join_build", time.perf_counter() - started)
+    stats.add_seconds("join_build", time.perf_counter() - started)
     if key is not None:
-        context._join_cache[key] = join
-        while len(context._join_cache) > context.DEFAULT_JOIN_CACHE_SIZE:
-            context._join_cache.popitem(last=False)
+        context._join_cache.put(key, join)
     return join
 
 
@@ -412,21 +410,14 @@ def _build_join(op: PhysProbe, context: ExecutionContext,
 
 
 def _run_physical(query: PhysicalQuery, context: ExecutionContext,
-                  timings: OperatorTimings | None,
+                  stats: PipelineStats,
                   snapshot=None) -> QueryResult:
     if query.view_scan is not None:
         # Serve from the matched materialized view's finalized state —
-        # no base-table scan, no aggregation.  Prefer the state tuple
+        # no base-table scan, no aggregation.  The state tuple was
         # captured at plan time: a REFRESH committed since then must
         # not bleed into this query's snapshot.
-        served = query.view_scan.served
-        if served is not None:
-            _, key_arrays, agg_results, ngroups = served
-        else:
-            view = query.view_scan.view
-            key_arrays = view.key_arrays
-            agg_results = view.agg_results
-            ngroups = view.ngroups
+        _, key_arrays, agg_results, ngroups = query.view_scan.served
         names, arrays = _finish_grouped(
             query, key_arrays, dict(agg_results), ngroups
         )
@@ -440,7 +431,7 @@ def _run_physical(query: PhysicalQuery, context: ExecutionContext,
             from ..distributed.coordinator import (
                 run_sharded_grouped_pipeline as run,
             )
-        key_arrays, results, ngroups = run(query, context, timings, snapshot)
+        key_arrays, results, ngroups = run(query, context, stats, snapshot)
         agg_env = {
             spec.sql: arr
             for spec, arr in zip(query.aggregate.specs, results)
@@ -448,10 +439,10 @@ def _run_physical(query: PhysicalQuery, context: ExecutionContext,
         names, arrays = _finish_grouped(query, key_arrays, agg_env, ngroups)
     else:
         morsels, transform = _instantiate(
-            query.pipeline, context, timings, snapshot
+            query.pipeline, context, stats, snapshot
         )
         names, arrays = run_projection_pipeline(
-            query.items, morsels, context, timings, transform=transform,
+            query.items, morsels, stats, transform=transform,
         )
 
     out_types: list[SqlType | None] = [None] * len(names)
@@ -510,7 +501,7 @@ def _order_key(order_item: ast.OrderItem, items, env: dict):
 
 
 def compute_grouped_arrays(query: PhysicalQuery, context: ExecutionContext,
-                           timings: OperatorTimings | None = None,
+                           stats: PipelineStats,
                            snapshot: int | None = None):
     """Drive one physical aggregate query in-process up to (but not
     through) the finishing stages: ``(key_arrays, result_arrays,
@@ -523,11 +514,11 @@ def compute_grouped_arrays(query: PhysicalQuery, context: ExecutionContext,
     scan at a row-version watermark so a replayed REFRESH aggregates
     exactly the rows the original one saw.
     """
-    morsels, transform = _instantiate(query.pipeline, context, timings,
+    morsels, transform = _instantiate(query.pipeline, context, stats,
                                       snapshot)
     aggregate = query.aggregate
     return run_grouped_pipeline(
-        aggregate.group_exprs, aggregate.specs, morsels, context, timings,
+        aggregate.group_exprs, aggregate.specs, morsels, context, stats,
         transform=transform, external=aggregate.external,
     )
 

@@ -48,7 +48,7 @@ from .physical import (
     _dedup_specs,
     plan_physical,
 )
-from .pipeline import ExecutionContext, apply_where
+from .pipeline import ExecutionContext, PipelineStats, apply_where
 from .plan import (
     Aggregate,
     Filter,
@@ -429,8 +429,10 @@ class MaterializedView:
         from .executor import compute_grouped_arrays
 
         physical = plan_physical(self.logical, context, self.sum_config)
+        # a throwaway record: a REFRESH (or its WAL replay) is not the
+        # session's last SELECT
         key_arrays, results, ngroups = compute_grouped_arrays(
-            physical, context, snapshot=target
+            physical, context, PipelineStats(), snapshot=target
         )
         self._store(key_arrays, results, ngroups)
         return int(np.count_nonzero(self.table.snapshot_mask(target)))
@@ -529,7 +531,7 @@ def match_view(logical: LogicalNode, views_for_table,
 
 def plan_view_scan(logical: LogicalNode, view: MaterializedView,
                    context: ExecutionContext,
-                   served=None) -> PhysicalQuery:
+                   served: tuple) -> PhysicalQuery:
     """Lower a matched aggregate plan onto the view's finalized state.
 
     ``served`` is the state tuple captured by the planner at match

@@ -4,10 +4,9 @@ The pieces every layer of the engine passes around: the columnar,
 late-materialized :class:`Batch` (one morsel: filters and inner probes
 re-point its columns through row indices, a column is gathered when
 first read), the session's :class:`SumConfig`, the
-validated :class:`AggregateSpec` of one aggregate call, the
-:class:`OperatorTimings` breakdown, and the canonical float / object
-key encodings shared by GROUP BY keys, COUNT(DISTINCT) and the hash
-join.  The partial aggregate *states* live in
+validated :class:`AggregateSpec` of one aggregate call, and the
+canonical float / object key encodings shared by GROUP BY keys,
+COUNT(DISTINCT) and the hash join.  The partial aggregate *states* live in
 :mod:`repro.engine.aggregates`; the group table that owns them in
 :mod:`repro.engine.vectorized`.
 
@@ -50,7 +49,6 @@ __all__ = [
     "Batch",
     "LazyColumns",
     "SumConfig",
-    "OperatorTimings",
     "AggregateSpec",
     "canonical_float_bits",
     "factorize_object",
@@ -190,30 +188,6 @@ class Batch:
         dictionary that decodes them."""
         self.codes.sources[key] = (codes, None)
         self.dictionaries = {**self.dictionaries, key: dictionary}
-
-
-class OperatorTimings:
-    """CPU time per operator class (Table IV's breakdown).
-
-    In-process execution is serial, so these are the statement's own
-    CPU seconds.  A ShardedAggregate (``workers > 1``) reports its
-    executors' CPU time *summed across processes* as ``aggregation``,
-    which can exceed the query's wall-clock; use
-    :class:`~repro.engine.pipeline.PipelineStats` for wall-clock
-    accounting.
-    """
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-        #: per-query path counters (not times) the pipeline reports,
-        #: e.g. ``ladder_rows_scatter``
-        self.counters: dict = {}
-
-    def add(self, label: str, dt: float) -> None:
-        self.seconds[label] = self.seconds.get(label, 0.0) + dt
-
-    def total(self) -> float:
-        return sum(self.seconds.values())
 
 
 class SumConfig:

@@ -188,9 +188,8 @@ class PhysViewScan:
 
     view: object  # engine MaterializedView
     #: served-state tuple ``(watermark, key_arrays, agg_results,
-    #: ngroups)`` captured at plan time (``None`` = read the view's
-    #: live attributes at execution, the pre-MVCC behavior)
-    served: tuple | None = None
+    #: ngroups)`` captured at plan time
+    served: tuple
 
     def describe(self) -> str:
         view = self.view

@@ -31,8 +31,10 @@ combination.  IEEE mode keeps plain float partials, so its results may
 drift with the split — the engine-layer demonstration of the paper's
 motivating problem.
 
-Timing hooks: :attr:`PipelineStats.wall_seconds` is the statement's
-wall-clock; ``worker_busy`` is CPU time per process that fed rows.
+Accounting: the session opens one :class:`PipelineStats` per statement
+and every operator and driver here fills it — CPU seconds per operator
+class, the driver's wall-clock, busy time per process that fed rows,
+spill, exchange, ladder and cache counters.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ from ..aggregation import external_agg
 from ..errors import ConfigError
 from ..storage.spill import load_table_into
 from .expr import evaluate
-from .operators import AggregateSpec, Batch, OperatorTimings
+from .operators import AggregateSpec, Batch
 from .sql import ast
 from .vectorized import VectorizedGroupTable, canonical_key_order
 
 __all__ = [
     "DEFAULT_MORSEL_SIZE",
+    "BoundedLRU",
     "ExecutionContext",
     "PipelineStats",
     "finish_grouped",
@@ -75,6 +78,28 @@ make_group_table = VectorizedGroupTable
 #: Default morsel size: big enough to amortise NumPy dispatch, small
 #: enough that a few morsels exist at TPC-H bench scales.
 DEFAULT_MORSEL_SIZE = 1 << 16
+
+
+class BoundedLRU(OrderedDict):
+    """A dict of at most ``size`` entries that evicts the least recently
+    used one first — the context's plan and join caches."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def get(self, key):
+        """The entry under ``key``, now the most recent, or ``None``."""
+        value = super().get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        self[key] = value
+        self.move_to_end(key)
+        if len(self) > self.size:
+            self.popitem(last=False)
 
 
 class ExecutionContext:
@@ -121,23 +146,22 @@ class ExecutionContext:
         #: the budget.  In repro mode the result bits are
         #: invariant under this knob — the reproducibility CI sweeps it.
         self.memory_budget_bytes = self._check_budget(memory_budget_bytes)
-        #: Stats of the most recent pipeline run (set by the drivers).
-        self.last_stats: PipelineStats | None = None
         self._shard_pool = None
         self._shard_finalizer = None
         #: Build-chain signature -> materialized :class:`HashJoin`,
-        #: maintained LRU by :func:`repro.engine.executor._build_join`.
-        #: Keys embed every build-side table's content version at the
-        #: read snapshot, so entries can never serve stale rows.
-        self._join_cache: OrderedDict = OrderedDict()
-        self.join_cache_hits = 0
-        self.join_cache_misses = 0
+        #: filled by :func:`repro.engine.executor._build_join`.  Keys
+        #: embed every build-side table's content version at the read
+        #: snapshot, so entries can never serve stale rows.
+        self._join_cache = BoundedLRU(self.DEFAULT_JOIN_CACHE_SIZE)
         #: ``(sql text, snapshot, catalog ddl epoch)`` -> planned
-        #: PhysicalQuery, maintained LRU by the session's SELECT path.
-        #: The snapshot pins row content, the DDL epoch pins schema
+        #: PhysicalQuery, filled by the session's SELECT path.  The
+        #: snapshot pins row content, the DDL epoch pins schema
         #: identity, and any SET clears the cache — so a hit replays
         #: planning whose every input is provably unchanged.
-        self._plan_cache: OrderedDict = OrderedDict()
+        self._plan_cache = BoundedLRU(self.DEFAULT_PLAN_CACHE_SIZE)
+        #: Lifetime plan-cache counts, kept only for the end-to-end
+        #: tracer (``benchmarks/e2e``), which diffs them; a statement's
+        #: own hit is :attr:`PipelineStats.plan_cache_hit`.
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
 
@@ -280,24 +304,37 @@ class ExecutionContext:
 
 
 class PipelineStats:
-    """Per-query pipeline accounting.
+    """One statement's accounting record.
 
-    ``wall_seconds`` is the clock a client sees.  ``worker_busy[w]`` is
-    the CPU time of process ``w`` that fed rows — the one in-process
-    feeder, or each executor of a ShardedAggregate (``workers`` of
-    them) — how the work was split, not how long anyone waited.
+    The session opens one for each SELECT and INSERT ... SELECT (a
+    REFRESH or a WAL replay opens a throwaway one) and hands it down;
+    operators and drivers fill it, none builds its own.
+
+    ``seconds`` is CPU time per operator class (paper Table IV's
+    breakdown): ``scan``, ``join_build``, ``selection``,
+    ``aggregation`` and ``shard_exchange``.  A ShardedAggregate reports
+    its executors' CPU time summed across processes as
+    ``aggregation``, which can exceed the wall-clock.
+    ``wall_seconds`` is the driver's wall-clock, from :meth:`start` to
+    finalized output.  ``worker_busy[w]`` is the CPU time of process
+    ``w`` that fed rows — the one in-process feeder, or each executor
+    of a ShardedAggregate (``workers`` of them) — how the work was
+    split, not how long anyone waited.
     """
 
-    def __init__(self, workers: int = 1):
-        #: the drivers build their stats first thing
-        self.started = time.perf_counter()
-        self.workers = workers
-        self.worker_busy = [0.0] * workers
-        self.worker_morsels = [0] * workers
+    def __init__(self):
+        self.start()
+        self.seconds: dict[str, float] = {}
         self.morsel_count = 0
         self.merge_seconds = 0.0
         self.finalize_seconds = 0.0
         self.wall_seconds = 0.0
+        #: True when the session served the plan from its plan cache.
+        self.plan_cache_hit = False
+        #: Hash-join builds taken from / added to the context's join
+        #: cache by this statement.
+        self.join_cache_hits = 0
+        self.join_cache_misses = 0
         #: The most partial-table state (``approx_bytes``) resident at
         #: once: the tables alive at the finish; for an external run
         #: also the sink's own peak while scanning.
@@ -324,18 +361,22 @@ class PipelineStats:
         self.ladder_rows_reference = 0
         self.ladder_first_decline: str | None = None
 
-    def record_ladder(self, ladder, timings=None) -> None:
+    def start(self, workers: int = 1) -> None:
+        """Stamp the driver's start; size the per-process lists."""
+        self.started = time.perf_counter()
+        self.workers = workers
+        self.worker_busy = [0.0] * workers
+        self.worker_morsels = [0] * workers
+
+    def add_seconds(self, label: str, dt: float) -> None:
+        self.seconds[label] = self.seconds.get(label, 0.0) + dt
+
+    def record_ladder(self, ladder) -> None:
         """Report a group table's :class:`~repro.aggregation.grouped.
-        LadderCounters` here and on ``timings.counters``."""
+        LadderCounters`."""
         self.ladder_rows_scatter = ladder.scatter
         self.ladder_rows_reference = ladder.reference
         self.ladder_first_decline = ladder.first_decline
-        if timings is not None:
-            timings.counters.update(
-                ladder_rows_scatter=self.ladder_rows_scatter,
-                ladder_rows_reference=self.ladder_rows_reference,
-                ladder_first_decline=self.ladder_first_decline,
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -374,8 +415,7 @@ def _feed(morsels: list[Batch], transform, consume, stats: PipelineStats):
 
 
 def finish_grouped(partitions, group_exprs, specs, ladder,
-                   context: ExecutionContext, stats: PipelineStats,
-                   timings: OperatorTimings | None, fed_seconds: float):
+                   stats: PipelineStats, fed_seconds: float):
     """The epilogue of every grouped driver — in-process, spilling,
     sharded.
 
@@ -428,14 +468,12 @@ def finish_grouped(partitions, group_exprs, specs, ladder,
         results = [arr[order] for arr in results]
     stats.finalize_seconds += time.thread_time() - started
 
-    stats.record_ladder(ladder, timings)
+    stats.record_ladder(ladder)
     stats.wall_seconds = time.perf_counter() - stats.started
-    context.last_stats = stats
-    if timings is not None:
-        timings.add(
-            "aggregation",
-            fed_seconds + stats.merge_seconds + stats.finalize_seconds,
-        )
+    stats.add_seconds(
+        "aggregation",
+        fed_seconds + stats.merge_seconds + stats.finalize_seconds,
+    )
     return key_arrays, results, ngroups
 
 
@@ -444,7 +482,7 @@ def run_grouped_pipeline(
     specs: list[AggregateSpec],
     morsels: list[Batch],
     context: ExecutionContext,
-    timings: OperatorTimings | None = None,
+    stats: PipelineStats,
     transform=None,
     external: bool = False,
 ):
@@ -460,7 +498,7 @@ def run_grouped_pipeline(
     Returns ``(key_arrays, result_arrays, ngroups)`` in canonical
     (sorted-key) group order.
     """
-    stats = PipelineStats()
+    stats.start()
     stats.external = external
 
     with (tempfile.TemporaryDirectory(prefix="repro-spill-") if external
@@ -477,19 +515,16 @@ def run_grouped_pipeline(
             partitions = external_agg.spilled_partitions(sink, stats)
         else:
             partitions = [(0, [sink])]
-        if timings is not None:
-            timings.add("selection", selection)
+        stats.add_seconds("selection", selection)
         return finish_grouped(
-            partitions, group_exprs, specs, sink.ladder, context, stats,
-            timings, aggregation,
+            partitions, group_exprs, specs, sink.ladder, stats, aggregation,
         )
 
 
 def run_projection_pipeline(
     items,
     morsels: list[Batch],
-    context: ExecutionContext,
-    timings: OperatorTimings | None = None,
+    stats: PipelineStats,
     transform=None,
 ):
     """In-process filter + project, gathered in morsel order.
@@ -499,7 +534,7 @@ def run_projection_pipeline(
 
     Returns ``(names, arrays)``.
     """
-    stats = PipelineStats()
+    stats.start()
     pieces = []
 
     def project_one(batch: Batch):
@@ -529,7 +564,5 @@ def run_projection_pipeline(
     stats.finalize_seconds = time.thread_time() - gather_started
 
     stats.wall_seconds = time.perf_counter() - stats.started
-    context.last_stats = stats
-    if timings is not None:
-        timings.add("selection", selection)
+    stats.add_seconds("selection", selection)
     return names, arrays

@@ -9,8 +9,8 @@ PR 7 splits the old monolithic ``Database`` in two:
   delegate to an implicit default session.
 * :class:`Session` owns what is *per connection* — the SUM
   configuration, the execution knobs (``workers`` / ``morsel_size`` /
-  ``memory_budget`` / ``join_build``), its executor processes,
-  per-query timings, and snapshot pinning.  Both the
+  ``memory_budget`` / ``join_build``), its executor processes, the
+  accounting record of its last query, and snapshot pinning.  Both the
   local embedding (``db.session()``) and the network client
   (:func:`repro.client.connect`) present this same surface, so code
   written against one runs unchanged against the other.
@@ -42,12 +42,19 @@ from .executor import (
     QueryResult, execute_select, explain_select, plan_select, run_planned,
 )
 from .expr import evaluate
-from .operators import OperatorTimings, SumConfig
+from .operators import SumConfig
 from .pipeline import DEFAULT_MORSEL_SIZE, ExecutionContext, PipelineStats
 from .sql import ast, parse
 from .types import DateType, DecimalSqlType, type_from_name
 
 __all__ = ["Database", "Session"]
+
+
+def _retired_last_timings(*_):
+    raise AttributeError(
+        "last_timings is retired: last_pipeline_stats is the one record "
+        "of a query (.seconds holds the per-operator CPU seconds)"
+    )
 
 
 class Session:
@@ -56,9 +63,9 @@ class Session:
     Owns the session-scoped knobs — SUM semantics (``sum_mode`` /
     ``levels``) and the execution shape (``workers``,
     ``morsel_size``, ``join_build``, ``memory_budget``) —
-    plus :attr:`last_timings` and :attr:`last_pipeline_stats` for the
-    most recent SELECT.  Catalog state (tables, views) is shared with
-    every other session of the same database.
+    plus :attr:`last_pipeline_stats`, the accounting record of the
+    most recent SELECT or INSERT ... SELECT.  Catalog state (tables,
+    views) is shared with every other session of the same database.
 
     Every SELECT pins the database's committed-version watermark at
     admission and reads all tables at that snapshot;
@@ -86,7 +93,9 @@ class Session:
             workers, morsel_size, join_build,
             memory_budget_bytes=memory_budget,
         )
-        self.last_timings: OperatorTimings | None = None
+        #: the :class:`PipelineStats` of the last SELECT or
+        #: INSERT ... SELECT (``None`` before the first)
+        self.last_pipeline_stats: PipelineStats | None = None
         #: explicit pin from :meth:`snapshot` (``None`` = pin per query)
         self._pinned: int | None = None
         #: test hook: called with the pinned version right after query
@@ -108,10 +117,7 @@ class Session:
     def memory_budget(self, value) -> None:
         self.execution_context.set_param("memory_budget", value)
 
-    @property
-    def last_pipeline_stats(self) -> PipelineStats | None:
-        """Pipeline accounting of the most recent SELECT."""
-        return self.execution_context.last_stats
+    last_timings = property(_retired_last_timings, _retired_last_timings)
 
     # -- snapshots ---------------------------------------------------------
     def pin_snapshot(self) -> int:
@@ -150,42 +156,35 @@ class Session:
         cache, so a hit cannot shadow a DML statement.
         """
         context = self.execution_context
-        plan_cache = context._plan_cache
-        plan_key = None
-        if plan_cache:
-            snapshot = self.pin_snapshot()
-            plan_key = (sql_text, snapshot, self.catalog.ddl_epoch)
-            physical = plan_cache.get(plan_key)
-            if physical is not None:
-                plan_cache.move_to_end(plan_key)
-                context.plan_cache_hits += 1
-                if self._after_pin is not None:
-                    self._after_pin(snapshot)
-                timings = OperatorTimings()
-                result = run_planned(physical, context, timings, snapshot)
-                self.last_timings = timings
-                return result
-        stmt = parse(sql_text)
-        if isinstance(stmt, ast.Explain):
-            return self._explain(stmt.query)
-        if isinstance(stmt, ast.Select):
-            snapshot = self.pin_snapshot()
-            if self._after_pin is not None:
-                self._after_pin(snapshot)
-            timings = OperatorTimings()
+        snapshot = self.pin_snapshot()
+        plan_key = (sql_text, snapshot, self.catalog.ddl_epoch)
+        physical = context._plan_cache.get(plan_key)
+        hit = physical is not None
+        if not hit:
+            stmt = parse(sql_text)
+            if not isinstance(stmt, ast.Select):
+                return self._execute_statement(stmt)
+        if self._after_pin is not None:
+            self._after_pin(snapshot)
+        stats = PipelineStats()
+        stats.plan_cache_hit = hit
+        if hit:
+            context.plan_cache_hits += 1
+        else:
             physical = plan_select(
-                stmt, self.catalog.get, self.sum_config,
-                self.execution_context, views=self.catalog.views_on,
-                snapshot=snapshot,
+                stmt, self.catalog.get, self.sum_config, context,
+                views=self.catalog.views_on, snapshot=snapshot,
             )
             context.plan_cache_misses += 1
-            key = (sql_text, snapshot, self.catalog.ddl_epoch)
-            plan_cache[key] = physical
-            while len(plan_cache) > context.DEFAULT_PLAN_CACHE_SIZE:
-                plan_cache.popitem(last=False)
-            result = run_planned(physical, context, timings, snapshot)
-            self.last_timings = timings
-            return result
+            context._plan_cache.put(plan_key, physical)
+        result = run_planned(physical, context, stats, snapshot)
+        self.last_pipeline_stats = stats
+        return result
+
+    def _execute_statement(self, stmt):
+        """Every statement but a SELECT."""
+        if isinstance(stmt, ast.Explain):
+            return self._explain(stmt.query)
         if isinstance(stmt, ast.CreateTable):
             columns = [
                 (col.name, type_from_name(col.type_name, col.type_args))
@@ -283,17 +282,16 @@ class Session:
         if stmt.select is None:
             columns = _value_columns(stmt.values, len(names))
         else:
-            # INSERT INTO t SELECT ...: run the query (through the
-            # same timing path as a top-level SELECT — the sub-SELECT
-            # is a full pipeline run), then append its columns as one
-            # versioned chunk.
-            timings = OperatorTimings()
+            # INSERT INTO t SELECT ...: run the query (a full pipeline
+            # run, with its own record like a top-level SELECT), then
+            # append its columns as one versioned chunk.
+            stats = PipelineStats()
             result = execute_select(
-                stmt.select, self.catalog.get, self.sum_config, timings,
+                stmt.select, self.catalog.get, self.sum_config, stats,
                 self.execution_context, views=self.catalog.views_on,
                 snapshot=self.pin_snapshot(),
             )
-            self.last_timings = timings
+            self.last_pipeline_stats = stats
             if len(result.names) != len(names):
                 raise BindError(
                     f"INSERT arity mismatch: {len(names)} target "
@@ -380,8 +378,8 @@ class Database:
     keeps everything in memory.  :func:`repro.open` is the public
     spelling of this constructor.
 
-    ``Database.execute(...)``, ``explain``, ``last_timings`` etc. are
-    thin delegates to an implicit default session — the supported
+    ``Database.execute(...)``, ``explain``, ``last_pipeline_stats``
+    etc. are thin delegates to an implicit default session — the supported
     single-session spelling (scripts, tests, benches, the docs).
     Anything concurrent should hold an explicit :class:`Session` per
     logical connection.
@@ -576,17 +574,11 @@ class Database:
     def execution_context(self) -> ExecutionContext:
         return self.default_session.execution_context
 
-    @property
-    def last_timings(self) -> OperatorTimings | None:
-        return self.default_session.last_timings
-
-    @last_timings.setter
-    def last_timings(self, value) -> None:
-        self.default_session.last_timings = value
+    last_timings = property(_retired_last_timings, _retired_last_timings)
 
     @property
     def last_pipeline_stats(self) -> PipelineStats | None:
-        """Pipeline accounting of the most recent SELECT."""
+        """The default session's :attr:`Session.last_pipeline_stats`."""
         return self.default_session.last_pipeline_stats
 
     @property

@@ -327,8 +327,8 @@ class VectorizedGroupTable:
         self._key_to_gid: dict = {}
         self._keys: list[tuple] = []
         self._key_dtypes: list | None = None
-        #: ``(ngroups, columns)`` memo for :meth:`_key_columns`; stale
-        #: the moment a registration grows ``_keys``
+        #: ``(ngroups, columns)`` memo for :meth:`_key_columns`: every
+        #: registration grows ``ngroups``, which retires it
         self._key_columns_memo = None
         if not self.group_exprs:
             # Aggregation without grouping: one global group, always
@@ -649,7 +649,6 @@ class VectorizedGroupTable:
             # Steady state (merges, spill restores): every key already
             # registered — one C-level conversion, no Python loop.
             return np.fromiter(hits, np.int64, len(hits))
-        self._key_columns_memo = None
         fast = idents is keys
         if fast:
             # Identity keys: insert every miss speculatively with one

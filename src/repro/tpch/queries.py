@@ -95,7 +95,8 @@ ORDER BY revenue DESC, n_name
 
 
 def run_q1(db: Database):
-    """Execute Query 1; ``db.last_timings`` holds the operator breakdown."""
+    """Execute Query 1; ``db.last_pipeline_stats.seconds`` holds the
+    operator breakdown."""
     return db.execute(Q1_SQL)
 
 

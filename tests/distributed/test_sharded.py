@@ -240,9 +240,12 @@ def test_insert_reshards_by_versioning(monkeypatch):
         ]
         _, join_steady, sent = run(session, JOIN_QUERY)
         assert not sent
-        run(serial, JOIN_QUERY), run(serial, JOIN_QUERY)
-        context = serial.execution_context
-        assert (context.join_cache_misses, context.join_cache_hits) == (1, 1)
+        run(serial, JOIN_QUERY)
+        stats = serial.last_pipeline_stats
+        assert (stats.join_cache_misses, stats.join_cache_hits) == (1, 0)
+        run(serial, JOIN_QUERY)
+        stats = serial.last_pipeline_stats
+        assert (stats.join_cache_misses, stats.join_cache_hits) == (0, 1)
 
         # A committed write to an unrelated table moves the snapshot
         # and nothing else: steady-state bytes, the cached build hit.
@@ -250,7 +253,8 @@ def test_insert_reshards_by_versioning(monkeypatch):
         assert run(session) == (before, steady, [])
         assert run(session, JOIN_QUERY) == (join_before, join_steady, [])
         assert run(serial, JOIN_QUERY)[0] == join_before
-        assert (context.join_cache_misses, context.join_cache_hits) == (1, 2)
+        stats = serial.last_pipeline_stats
+        assert (stats.join_cache_misses, stats.join_cache_hits) == (0, 1)
 
         # A write to the sharded table: each of its replicas once, the
         # build over ``names`` not at all; the reader pinned before it

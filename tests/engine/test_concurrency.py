@@ -285,7 +285,7 @@ def test_database_execute_still_works_as_delegate():
         db.execute("CREATE TABLE t (f DOUBLE)")
         db.execute("INSERT INTO t VALUES (0.5), (0.25)")
         assert db.execute("SELECT SUM(f) FROM t").scalar() == 0.75
-        assert db.last_timings is not None
+        assert db.last_pipeline_stats is not None
         assert db.execution_context is db.default_session.execution_context
 
 
@@ -295,9 +295,11 @@ def test_insert_select_records_timings():
     s.execute("CREATE TABLE src (k INT, f DOUBLE)")
     s.execute("CREATE TABLE dst (k INT, f DOUBLE)")
     s.execute("INSERT INTO src VALUES (1, 0.5), (2, 0.25)")
-    s.last_timings = None
+    s.execute("SELECT k FROM src")
+    before = s.last_pipeline_stats
     n = s.execute("INSERT INTO dst SELECT k, f FROM src")
     assert n == 2
-    # The sub-SELECT ran through the standard timing path.
-    assert s.last_timings is not None
-    assert s.last_timings.total() > 0.0
+    # The sub-SELECT's own record is the session's last one.
+    assert s.last_pipeline_stats is not before
+    assert sum(s.last_pipeline_stats.seconds.values()) > 0.0
+    assert s.last_pipeline_stats.morsel_count == 1

@@ -232,15 +232,15 @@ class TestPlanAndJoinCaches:
         with _make_db() as db:
             context = db.execution_context
             db.execute(JOIN_FLOAT_KEY)
-            misses = context.join_cache_misses
-            hits = context.join_cache_hits
+            assert db.last_pipeline_stats.join_cache_misses > 0
             # Same snapshot, same build chain: the materialized hash
             # table is reused.  Clear the plan cache so the probe is
             # genuinely re-planned and re-instantiated.
             context._plan_cache.clear()
             db.execute(JOIN_FLOAT_KEY)
-            assert context.join_cache_misses == misses
-            assert context.join_cache_hits == hits + 1
+            stats = db.last_pipeline_stats
+            assert not stats.plan_cache_hit
+            assert (stats.join_cache_misses, stats.join_cache_hits) == (0, 1)
 
     def test_join_cache_never_serves_stale_build(self):
         with _make_db() as db:

@@ -79,8 +79,3 @@ def test_served_rows_scatter(shape, monkeypatch):
     else:
         assert stats.ladder_rows_reference == 0
         assert stats.ladder_first_decline is None
-    counters = db.last_timings.counters
-    assert (counters["ladder_rows_scatter"], counters["ladder_rows_reference"],
-            counters["ladder_first_decline"]) == (
-        stats.ladder_rows_scatter, stats.ladder_rows_reference,
-        stats.ladder_first_decline)

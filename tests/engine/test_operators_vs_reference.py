@@ -271,9 +271,8 @@ class TestPlanCacheInvalidation:
         db.execute(knob)
         # plans bake the knobs in; a built join depends on neither
         assert not context._plan_cache and context._join_cache
-        hits = context.join_cache_hits
         assert result_bits(db.execute(query)) == before
-        assert context.join_cache_hits == hits + 1
+        assert db.last_pipeline_stats.join_cache_hits == 1
 
     def test_set_fused_is_an_unknown_name(self, dataset):
         # Not a knob: the name is unknown, not a silently ignored
@@ -331,9 +330,6 @@ class TestBlockedLadderPath:
         assert stats.ladder_rows_scatter == 5 * kept
         assert stats.ladder_rows_reference == 0
         assert stats.ladder_first_decline is None
-        counters = db.last_timings.counters
-        assert counters["ladder_rows_scatter"] == stats.ladder_rows_scatter
-        assert counters["ladder_first_decline"] is None
         # per query, not cumulative
         db.execute(self.Q1_SHAPED)
         assert db.last_pipeline_stats.ladder_rows_scatter == 5 * kept

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.engine import executor
 from repro.engine.session import Database
 from repro.errors import (
     CheckpointError,
@@ -593,7 +594,7 @@ def test_directory_written_by_the_parent_commit_still_serves_its_bits(tmp_path):
 
 
 def test_directory_with_retired_spill_knobs_opens_serves_and_refreshes(
-        tmp_path):
+        tmp_path, monkeypatch):
     """``parent_commit_spill_dir`` was written by the commit before
     ``spill_partitions`` / ``spill_merge_fanin`` were retired, with
     non-default values of both in ``set_default`` records and in the
@@ -646,8 +647,18 @@ def test_directory_with_retired_spill_knobs_opens_serves_and_refreshes(
         assert bits(db.execute(query)) == golden["served"]
 
         db.execute(golden["follow_up"])
-        db.execute("REFRESH MATERIALIZED VIEW vm")
-        stats = db.last_pipeline_stats
+        # a REFRESH fills a record of its own, not last_pipeline_stats
+        refreshes = []
+        real = executor.compute_grouped_arrays
+
+        def spy(query, context, stats, snapshot=None):
+            refreshes.append(stats)
+            return real(query, context, stats, snapshot)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(executor, "compute_grouped_arrays", spy)
+            db.execute("REFRESH MATERIALIZED VIEW vm")
+        [stats] = refreshes
         assert stats.external and stats.spilled_runs > 0
         assert "ViewScan" in db.explain(query)
         assert bits(db.execute(query)) == golden["after_refresh"]

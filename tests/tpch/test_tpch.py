@@ -141,9 +141,9 @@ class TestQ1:
 
     def test_timings_recorded(self, db):
         run_q1(db)
-        assert db.last_timings is not None
-        assert "aggregation" in db.last_timings.seconds
-        assert db.last_timings.total() > 0
+        seconds = db.last_pipeline_stats.seconds
+        assert "aggregation" in seconds
+        assert sum(seconds.values()) > 0
 
 
 class TestQ6:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from _common import emit, ns_per_element, standard_pairs, table
-from repro.aggregation import ConventionalFloatSpec, ReproSpec, hash_aggregate
+from paper.operators import ConventionalFloatSpec, ReproSpec, hash_aggregate
 from paper.simulator import fig4_series
 
 N_MEASURED = 2**14

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from _common import emit, standard_pairs, table
-from repro.aggregation import (
+from paper.operators import (
     ConventionalFloatSpec,
     ReproSpec,
     partition_and_aggregate,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from _common import emit, standard_pairs, table
-from repro.aggregation import ReproSpec, partition_and_aggregate
+from paper.operators import ReproSpec, partition_and_aggregate
 from paper.simulator import fig9_series
 
 N_MEASURED = 2**16

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from _common import emit, standard_pairs, table
-from repro.aggregation import BufferedReproSpec, ReproSpec, hash_aggregate
+from paper.operators import BufferedReproSpec, ReproSpec, hash_aggregate
 from paper.simulator import PAPER_ANCHORS, fig10_series
 
 N_MEASURED = 2**13

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from _common import emit, standard_pairs, table
-from repro.aggregation import BufferedReproSpec, hash_aggregate
+from paper.operators import BufferedReproSpec, hash_aggregate
 from paper.simulator import fig11_series
 
 N_MEASURED = 2**14

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from _common import emit, table
-from repro.aggregation import ReproSpec, hash_aggregate
+from paper.operators import ReproSpec, hash_aggregate
 from repro.engine import Database
 from paper.simulator import PAPER_ANCHORS
 from repro.tpch import Q1_SQL, load_lineitem, run_q1

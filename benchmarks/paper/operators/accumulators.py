@@ -1,7 +1,7 @@
 """Pluggable per-group accumulator specifications.
 
-Every aggregation algorithm in this package (hash, partition+aggregate,
-sort, shared) is generic over *how* a group's values are summed.  The
+Every operator in this package (hash, partition+aggregate, sort,
+shared) is generic over *how* a group's values are summed.  The
 paper compares exactly these choices:
 
 * ``ConventionalFloatSpec`` — built-in float/double accumulators, one
@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.buffer import DEFAULT_BUFFER_SIZE, BufferedReproFloat
-from ..core.params import RsumParams
-from ..core.repro_type import ReproFloat, repro_spec_name
-from ..core.rsum import params_from_spec
-from ..fp.decimal_fixed import DecimalType
-from .grouped import GroupedSummation, add_blocked_multi
+from repro.aggregation.grouped import GroupedSummation, add_blocked_multi
+from repro.core.buffer import DEFAULT_BUFFER_SIZE, BufferedReproFloat
+from repro.core.params import RsumParams
+from repro.core.repro_type import ReproFloat, repro_spec_name
+from repro.core.rsum import params_from_spec
+from repro.fp.decimal_fixed import DecimalType
 
 __all__ = [
     "AggregatorSpec",
@@ -39,7 +39,6 @@ __all__ = [
     "DecimalSpec",
     "ReproSpec",
     "BufferedReproSpec",
-    "spec_from_options",
 ]
 
 
@@ -156,10 +155,6 @@ class DecimalSpec(AggregatorSpec):
             self.decimal_type.check(int(total))
         return np.asarray([float(int(v)) * scale for v in table])
 
-    def finalize_unscaled(self, table) -> list:
-        """Exact unscaled totals (overflow-checked)."""
-        return [self.decimal_type.check(int(v)) for v in table]
-
 
 class ReproSpec(AggregatorSpec):
     """``repro<ScalarT,L>`` accumulators (Section IV)."""
@@ -258,24 +253,3 @@ class BufferedReproSpec(ReproSpec):
             table.pos_cnt[gid] = own.posinf_count
             table.neg_cnt[gid] = own.neginf_count
 
-
-def spec_from_options(
-    dtype="double",
-    reproducible: bool = True,
-    levels: int = 2,
-    buffered: bool = True,
-    buffer_size: int | None = None,
-    decimal: DecimalType | None = None,
-    w=None,
-) -> AggregatorSpec:
-    """Resolve user-facing options into an accumulator spec."""
-    if decimal is not None:
-        return DecimalSpec(decimal)
-    if not reproducible:
-        np_dtype = np.float32 if str(dtype) in ("float", "binary32", "float32") else np.float64
-        return ConventionalFloatSpec(np_dtype)
-    if buffered:
-        return BufferedReproSpec(
-            dtype, levels, buffer_size or DEFAULT_BUFFER_SIZE, w
-        )
-    return ReproSpec(dtype, levels, w)

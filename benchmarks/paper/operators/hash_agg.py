@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.aggregation.result import GroupByResult
+
 from .accumulators import AggregatorSpec
 from .hash_table import dense_group_ids
-from .result import GroupByResult
 
 __all__ = ["hash_aggregate", "group_ids"]
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.aggregation.result import GroupByResult
+
 from .accumulators import AggregatorSpec
 from .hash_agg import group_ids
-from .result import GroupByResult
 
 __all__ = ["shared_aggregate"]
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.aggregation.result import GroupByResult
+
 from .accumulators import AggregatorSpec, ConventionalFloatSpec
-from .result import GroupByResult
 
 __all__ = ["sort_aggregate"]
 

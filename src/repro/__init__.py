@@ -23,6 +23,7 @@ See DESIGN.md for the architecture and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
+from .aggregation.api import group_sum
 from .core import (
     BufferedReproFloat,
     reproducible_dot,
@@ -130,15 +131,3 @@ def connect(address, **kwargs):
     from .client import connect as _connect
 
     return _connect(address, **kwargs)
-
-
-def group_sum(keys, values, **kwargs):
-    """Bit-reproducible GROUP BY SUM (convenience facade).
-
-    See :func:`repro.aggregation.api.group_sum` for the full signature
-    (algorithm selection, dtype/levels, buffering, partition depth,
-    simulated thread count).
-    """
-    from .aggregation.api import group_sum as _group_sum
-
-    return _group_sum(keys, values, **kwargs)

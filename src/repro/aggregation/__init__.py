@@ -1,61 +1,55 @@
-"""GROUP BY aggregation algorithms, generic over accumulator specs.
+"""The reproducible GROUP BY state the engine runs, and one library call.
 
-Implements the paper's operator zoo: HASHAGGREGATION,
-PARTITIONANDAGGREGATE (Algorithm 4), SORTAGGREGATION, and
-SHAREDAGGREGATION, all parameterised by the accumulator
-(conventional float, DECIMAL(p), ``repro<ScalarT,L>``, or buffered
-``repro``).
+* ``grouped`` — :class:`GroupedSummation` (one rsum ladder per group,
+  exact merge) and ``add_blocked_multi``, the ladder update every
+  reproducible SUM goes through;
+* ``retractable`` — its full-grid twin for incremental view maintenance;
+* ``external_agg`` — the spilling aggregation a memory budget selects;
+* ``api`` — :func:`group_sum`, SQL's SUM path over two arrays, returning
+  a :class:`GroupByResult`.
+
+The paper's Section IV operators (hash / partition / sort / shared
+aggregation over pluggable accumulator specs) live beside the figure
+benches that measure them, in ``benchmarks/paper/operators``.
 """
 
-from .accumulators import (
-    AggregatorSpec,
-    BufferedReproSpec,
-    ConventionalFloatSpec,
-    DecimalSpec,
-    ReproSpec,
-    spec_from_options,
-)
 from .api import group_sum
 from .grouped import GroupedSummation
-from .retractable import RetractableGroupedSummation
-from .hash_agg import group_ids, hash_aggregate
-from .hash_table import FIB_MULTIPLIER, HashTable, dense_group_ids
-from .partition import (
-    DEFAULT_FANOUT,
-    parallel_partition,
-    partition_ids,
-    radix_partition,
-    recursive_partition,
-)
-from .partition_agg import partition_and_aggregate
 from .result import GroupByResult
-from .shared_agg import shared_aggregate
-from .sort_agg import sort_aggregate
-from .streaming import StreamingGroupSum
+from .retractable import RetractableGroupedSummation
 
 __all__ = [
-    "AggregatorSpec",
-    "ConventionalFloatSpec",
-    "DecimalSpec",
-    "ReproSpec",
-    "BufferedReproSpec",
-    "spec_from_options",
-    "group_sum",
+    "GroupByResult",
     "GroupedSummation",
     "RetractableGroupedSummation",
-    "hash_aggregate",
-    "group_ids",
-    "HashTable",
-    "dense_group_ids",
-    "FIB_MULTIPLIER",
-    "partition_ids",
-    "radix_partition",
-    "recursive_partition",
-    "parallel_partition",
-    "DEFAULT_FANOUT",
-    "partition_and_aggregate",
-    "shared_aggregate",
-    "sort_aggregate",
-    "GroupByResult",
-    "StreamingGroupSum",
+    "group_sum",
 ]
+
+_MOVED = frozenset({
+    "AggregatorSpec", "ConventionalFloatSpec", "DecimalSpec", "ReproSpec",
+    "BufferedReproSpec", "hash_aggregate", "group_ids", "HashTable",
+    "dense_group_ids", "FIB_MULTIPLIER", "partition_ids", "radix_partition",
+    "recursive_partition", "parallel_partition", "DEFAULT_FANOUT",
+    "partition_and_aggregate", "shared_aggregate", "sort_aggregate",
+})
+_RETIRED = {
+    "StreamingGroupSum": "repro.group_sum over the concatenated batches "
+    "returns the same bits; to aggregate incrementally, INSERT the "
+    "batches and run SELECT k, SUM(v) ... GROUP BY k (repro.open())",
+    "spec_from_options": "repro.group_sum takes reproducible, dtype and "
+    "levels itself; the specs are in paper.operators",
+}
+
+
+def __getattr__(name):
+    # ImportError, not AttributeError: ``from repro.aggregation import X``
+    # would replace an AttributeError's message with its own.
+    if name in _RETIRED:
+        raise ImportError(f"repro.aggregation.{name} is retired: "
+                          f"{_RETIRED[name]}", name=name)
+    if name in _MOVED:
+        raise ImportError(
+            f"repro.aggregation.{name} moved out of the package with the "
+            "paper's operators: import it from paper.operators "
+            "(benchmarks/paper/operators in a checkout)", name=name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

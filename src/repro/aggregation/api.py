@@ -1,141 +1,75 @@
-"""Public GROUP BY SUM facade.
-
-One call, all the paper's machinery::
+"""``group_sum``: SQL's ``SUM ... GROUP BY`` over two arrays.
 
     result = group_sum(keys, values)                      # reproducible
     result = group_sum(keys, values, reproducible=False)  # IEEE baseline
-    result = group_sum(keys, values, method="partition", threads=8,
-                       dtype="float", levels=3, buffer_size=512)
 
-The default configuration is the paper's recommendation: partition-and-
-aggregate with offline-tuned depth, summation buffers sized by
-Equation 4, and ``repro<double,2>`` accumulators (accuracy comparable
-to IEEE doubles, bit-reproducible under any physical reordering).
+It runs the code ``SELECT k, SUM(v) FROM t GROUP BY k`` runs: keys are
+factorised once under the engine's key identity (one NaN group, ``-0.0``
+joins ``0.0``); repro mode adds into one :class:`GroupedSummation`
+through :func:`add_blocked_multi`, the call ``LadderSum`` makes through
+``update_ladders``; ieee mode adds in row order with ``np.add.at``, as
+``PlainSum.add`` does.  So the two agree bit for bit by construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.tuning import (
-    HASWELL_CACHE,
-    PARTITION_FANOUT,
-    choose_partition_depth,
-    optimal_buffer_size,
-)
-from ..fp.decimal_fixed import DecimalType
-from .accumulators import AggregatorSpec, spec_from_options
-from .hash_agg import hash_aggregate
-from .partition_agg import partition_and_aggregate
+from ..core.repro_type import repro_spec_name
+from ..core.rsum import params_from_spec
+from .grouped import GroupedSummation, add_blocked_multi
 from .result import GroupByResult
-from .shared_agg import shared_aggregate
-from .sort_agg import sort_aggregate
 
 __all__ = ["group_sum"]
 
-_METHODS = ("auto", "hash", "partition", "sort", "shared")
+_PAPER = "benchmarks/paper/operators, imported as paper.operators"
+#: Parameters ``group_sum`` no longer takes -> what replaced them.
+RETIRED = {
+    **dict.fromkeys(("method", "spec", "depth", "fanout", "threads",
+                     "hashing", "engine", "seed"),
+                    "the paper's hash / partition / sort / shared operators "
+                    f"that took it are in {_PAPER}"),
+    **dict.fromkeys(("buffered", "buffer_size"),
+                    "summation buffers never change RSUM's bits; "
+                    f"BufferedReproSpec is in {_PAPER}"),
+    "decimal": "SUM over a DECIMAL column is exact in SQL (repro.open())",
+    "sort_output": "groups always come in ascending key order",
+}
 
 
-def group_sum(
-    keys,
-    values,
-    method: str = "auto",
-    dtype: str = "double",
-    reproducible: bool = True,
-    levels: int = 2,
-    buffered: bool = True,
-    buffer_size: int | None = None,
-    decimal: DecimalType | None = None,
-    depth: int | None = None,
-    fanout: int = PARTITION_FANOUT,
-    threads: int = 1,
-    hashing: str = "identity",
-    engine: str = "numpy",
-    seed: int | None = 0,
-    spec: AggregatorSpec | None = None,
-    sort_output: bool = True,
-) -> GroupByResult:
-    """GROUP BY SUM over ``(keys, values)`` pairs.
-
-    Parameters
-    ----------
-    method:
-        ``"hash"`` (plain hash aggregation), ``"partition"``
-        (Algorithm 4), ``"sort"`` (sort-based baseline), ``"shared"``
-        (shared-table with simulated scheduling), or ``"auto"``
-        (partition with offline-tuned depth — the paper's default).
-    dtype / levels:
-        Scalar type (``"float"``/``"double"``) and accuracy levels
-        ``L`` of the reproducible accumulator.
-    reproducible:
-        ``False`` selects the conventional IEEE baseline.
-    buffered / buffer_size:
-        Summation buffers (Section V); ``buffer_size=None`` applies
-        Equation 4 against the number of groups.
-    decimal:
-        A :class:`~repro.fp.decimal_fixed.DecimalType` for the
-        fixed-point comparison baseline (overrides dtype options).
-    depth / fanout / threads:
-        Partitioning depth (None: Figure 9 rule), radix fan-out, and
-        simulated thread count.
-    seed:
-        Scheduling seed for ``method="shared"``.
-    sort_output:
-        Return groups in ascending key order (canonical).
-    """
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}")
+def group_sum(keys, values, reproducible: bool = True, dtype="double",
+              levels: int = 2, **retired) -> GroupByResult:
+    """GROUP BY SUM over ``(keys, values)`` pairs, groups in ascending
+    key order.  ``dtype`` (``"double"`` / ``"float"``) and ``levels``
+    pick the accumulator, as a DOUBLE / FLOAT column and the session's
+    ``levels`` do in SQL; ``reproducible=False`` is the IEEE baseline."""
+    for name in retired:
+        if name not in RETIRED:
+            raise TypeError(f"group_sum() got an unexpected keyword "
+                            f"argument {name!r}")
+        raise TypeError(f"group_sum() no longer takes {name!r}: "
+                        f"{RETIRED[name]}")
     keys = np.asarray(keys)
     values = np.asarray(values)
     if keys.ndim != 1 or values.ndim != 1:
-        raise ValueError(
-            "group_sum expects 1-D keys and values, got shapes "
-            f"{keys.shape} and {values.shape}"
-        )
+        raise ValueError("group_sum expects 1-D keys and values, got shapes "
+                         f"{keys.shape} and {values.shape}")
     if keys.shape != values.shape:
-        raise ValueError(
-            f"keys and values must have the same length, got {keys.size} "
-            f"keys and {values.size} values"
-        )
+        raise ValueError(f"keys and values must have the same length, got "
+                         f"{keys.size} keys and {values.size} values")
     if keys.size == 0:
-        raise ValueError(
-            "group_sum requires at least one (key, value) pair; for "
-            "incrementally filled (possibly empty) aggregations use "
-            "repro.aggregation.StreamingGroupSum"
-        )
-
-    if spec is None:
-        if buffer_size is None and buffered and reproducible and decimal is None:
-            ngroups = max(1, np.unique(keys).size)
-            eff_fanout = fanout ** (
-                depth
-                if depth is not None
-                else choose_partition_depth(ngroups, fanout)
-            )
-            itemsize = 4 if str(dtype) in ("float", "binary32", "float32") else 8
-            buffer_size = optimal_buffer_size(
-                ngroups, itemsize, eff_fanout, HASWELL_CACHE
-            )
-        spec = spec_from_options(
-            dtype=dtype,
-            reproducible=reproducible,
-            levels=levels,
-            buffered=buffered,
-            buffer_size=buffer_size,
-            decimal=decimal,
-        )
-
-    if method in ("auto", "partition"):
-        result = partition_and_aggregate(
-            keys, values, spec, depth=depth, fanout=fanout,
-            threads=threads, hashing=hashing, engine=engine,
-        )
-    elif method == "hash":
-        result = hash_aggregate(keys, values, spec, engine=engine, hashing=hashing)
-    elif method == "sort":
-        result = sort_aggregate(keys, values, spec)
-    else:  # shared
-        result = shared_aggregate(
-            keys, values, spec, threads=max(threads, 2), seed=seed, engine=engine
-        )
-    return result.sorted_by_key() if sort_output else result
+        raise ValueError("group_sum requires at least one (key, value) pair")
+    if keys.dtype.kind == "f":
+        keys = np.where(keys == 0, keys.dtype.type(0), keys)
+        keys[np.isnan(keys)] = np.nan
+    distinct, gids = np.unique(keys, return_inverse=True)
+    params = params_from_spec(dtype, levels)
+    if reproducible:
+        table = GroupedSummation(params, distinct.size)
+        add_blocked_multi([table], gids, [values])
+        return GroupByResult(distinct, table.finalize(),
+                             repro_spec_name(params))
+    sums = np.zeros(distinct.size, dtype=params.fmt.dtype)
+    with np.errstate(invalid="ignore"):  # +inf + -inf, as in PlainSum.add
+        np.add.at(sums, gids, values.astype(sums.dtype, copy=False))
+    return GroupByResult(distinct, sums, sums.dtype.name)

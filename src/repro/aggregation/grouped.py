@@ -300,7 +300,7 @@ class GroupedSummation:
     def resize(self, ngroups: int) -> None:
         """Grow the table to ``ngroups`` (new groups start empty).
 
-        Used by the streaming aggregation when previously unseen keys
+        Used by the engine's group tables when previously unseen keys
         arrive; existing group states are untouched, so growth cannot
         affect any bits.
         """

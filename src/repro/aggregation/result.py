@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fp.ieee import float32_to_bits, float_to_bits
-
 __all__ = ["GroupByResult"]
+
+
+def _bit_patterns(arr: np.ndarray) -> list:
+    """Floats as the unsigned integers of their bits; anything else as
+    its own Python values."""
+    if arr.dtype.kind == "f":
+        arr = arr.view(np.dtype(f"u{arr.dtype.itemsize}"))
+    return arr.tolist()
 
 
 class GroupByResult:
     """The ``(key, aggregate)`` pairs produced by a GROUP BY SUM.
 
     ``keys[i]`` is the i-th distinct key, ``sums[i]`` its aggregate.
-    Group order depends on the algorithm (insertion order for hash
-    aggregation, partition order for partition-and-aggregate); use
-    :meth:`sorted_by_key` before comparing results across algorithms.
+    Group order depends on who produced it (:func:`repro.group_sum`:
+    ascending keys); use :meth:`sorted_by_key` before comparing results
+    of different producers.
     """
 
     __slots__ = ("keys", "sums", "spec_name")
@@ -36,27 +42,24 @@ class GroupByResult:
         return GroupByResult(self.keys[order], self.sums[order], self.spec_name)
 
     def as_dict(self) -> dict:
-        return {int(k): v for k, v in zip(self.keys, self.sums)}
+        return dict(zip(self.keys.tolist(), self.sums))
 
     def bits(self) -> list[int]:
         """Bit patterns of the aggregates, in key order.
 
         This is the identity under which the paper defines
         reproducibility: two executions agree iff these lists agree.
+        Float sums of any width are compared by their bits, integer
+        aggregates by value.
         """
-        ordered = self.sorted_by_key()
-        if ordered.sums.dtype == np.float32:
-            return [float32_to_bits(v) for v in ordered.sums]
-        if ordered.sums.dtype == np.float64:
-            return [float_to_bits(float(v)) for v in ordered.sums]
-        return [int(v) for v in ordered.sums]  # exact integer aggregates
+        return _bit_patterns(self.sorted_by_key().sums)
 
     def bit_equal(self, other: "GroupByResult") -> bool:
         a, b = self.sorted_by_key(), other.sorted_by_key()
         return (
             len(a) == len(b)
-            and bool(np.all(a.keys == b.keys))
-            and a.bits() == b.bits()
+            and _bit_patterns(a.keys) == _bit_patterns(b.keys)
+            and _bit_patterns(a.sums) == _bit_patterns(b.sums)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,11 +1,16 @@
 """Tests for the group_sum facade and GroupByResult."""
 
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.aggregation import GroupByResult, group_sum
-from repro.fp.decimal_fixed import DECIMAL18
+from repro.aggregation.api import RETIRED
+from repro.core import ReproducibleSummer
 
 
 class TestGroupByResult:
@@ -33,26 +38,38 @@ class TestGroupByResult:
         result = GroupByResult(np.array([5, 6]), np.array([1.5, 2.5]))
         assert result.as_dict() == {5: 1.5, 6: 2.5}
 
+    def test_as_dict_keeps_float_and_string_keys(self):
+        floats = GroupByResult(np.array([0.5, 0.7]), np.array([1.0, 2.0]))
+        assert floats.as_dict() == {0.5: 1.0, 0.7: 2.0}
+        strings = GroupByResult(np.array(["a", "b"]), np.array([1.0, 2.0]))
+        assert strings.as_dict() == {"a": 1.0, "b": 2.0}
+
     def test_integer_bits(self):
         result = GroupByResult(np.array([1]), np.array([42]))
         assert result.bits() == [42]
+
+    def test_narrow_float_bits(self):
+        a = GroupByResult([1], np.array([1.5], dtype=np.float16))
+        b = GroupByResult([1], np.array([1.25], dtype=np.float16))
+        assert a.bits() == [0x3E00]
+        assert not a.bit_equal(b)
+
+    def test_nan_keys_are_bit_equal(self):
+        a = GroupByResult(np.array([1.0, np.nan]), np.array([1.0, 2.0]))
+        b = GroupByResult(np.array([np.nan, 1.0]), np.array([2.0, 1.0]))
+        assert a.bit_equal(b)
 
 
 class TestGroupSumFacade:
     def test_top_level_reexport(self, small_pairs):
         keys, values = small_pairs
-        a = repro.group_sum(keys, values)
-        b = group_sum(keys, values)
-        assert a.bit_equal(b)
+        assert repro.group_sum is group_sum
+        assert repro.group_sum(keys, values).bit_equal(group_sum(keys, values))
 
-    def test_methods_bit_agree(self, small_pairs):
-        keys, values = small_pairs
-        results = [
-            group_sum(keys, values, method=m, fanout=16)
-            for m in ("auto", "hash", "partition", "sort", "shared")
-        ]
-        for other in results[1:]:
-            assert results[0].bit_equal(other)
+    def test_five_parameters(self):
+        named = [name for name, p in inspect.signature(group_sum).parameters.items()
+                 if p.kind is not p.VAR_KEYWORD]
+        assert named == ["keys", "values", "reproducible", "dtype", "levels"]
 
     def test_output_sorted_by_default(self, small_pairs):
         keys, values = small_pairs
@@ -72,23 +89,29 @@ class TestGroupSumFacade:
         c2 = group_sum(keys[perm], values[perm], reproducible=False)
         assert not c1.bit_equal(c2)
 
+    def test_ieee_adds_in_row_order(self):
+        keys = np.array([7, 7, 7, 7])
+        values = np.array([1.0, 1e16, 1.0, -1e16])
+        result = group_sum(keys, values, reproducible=False)
+        assert result.sums.tolist() == [((1.0 + 1e16) + 1.0) - 1e16]
+        assert group_sum(keys, values).sums.tolist() == [2.0]
+
     def test_float_dtype(self, rng):
         keys = rng.integers(0, 10, size=500).astype(np.uint32)
         values = rng.exponential(size=500).astype(np.float32)
         result = group_sum(keys, values, dtype="float")
         assert result.sums.dtype == np.float32
+        ieee = group_sum(keys, values, reproducible=False, dtype="float")
+        assert ieee.sums.dtype == np.float32
 
-    def test_decimal_option(self, rng):
-        keys = rng.integers(0, 5, size=200).astype(np.uint32)
-        cents = rng.integers(0, 1000, size=200)
-        result = group_sum(keys, cents, decimal=DECIMAL18)
-        assert len(result) <= 5
-
-    def test_explicit_buffer_size(self, small_pairs):
-        keys, values = small_pairs
-        a = group_sum(keys, values, buffer_size=16)
-        b = group_sum(keys, values, buffer_size=1024)
-        assert a.bit_equal(b)
+    def test_float_keys_collapse_nan_and_signed_zero(self):
+        payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(
+            np.float64)[0]
+        keys = np.array([np.nan, -0.0, 0.0, payload_nan, np.inf, -np.inf])
+        result = group_sum(keys, np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0]))
+        assert result.keys.view(np.uint64).tolist() == np.array(
+            [-np.inf, 0.0, np.inf, np.nan]).view(np.uint64).tolist()
+        assert result.sums.tolist() == [32.0, 6.0, 16.0, 9.0]
 
     def test_levels_change_bits_on_hard_input(self, wide_values, rng):
         keys = rng.integers(0, 4, size=len(wide_values)).astype(np.uint32)
@@ -100,16 +123,57 @@ class TestGroupSumFacade:
         assert l2.bit_equal(group_sum(keys[perm], wide_values[perm], levels=2))
         assert l4.bit_equal(group_sum(keys[perm], wide_values[perm], levels=4))
 
-    def test_invalid_method(self, small_pairs):
-        keys, values = small_pairs
-        with pytest.raises(ValueError):
-            group_sum(keys, values, method="quantum")
+    @given(st.lists(st.tuples(st.integers(0, 7),
+                              st.floats(-1e20, 1e20, allow_nan=False)),
+                    min_size=1, max_size=80))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_scalar_rsum_oracle(self, pairs):
+        keys = np.array([k for k, _ in pairs], dtype=np.uint32)
+        values = np.array([v for _, v in pairs])
+        result = group_sum(keys, values)
+        for key, total in result.as_dict().items():
+            summer = ReproducibleSummer("double", 2)
+            for v in values[keys == key]:
+                summer.add(v)
+            assert repro.same_bits(total, summer.result())
 
-    def test_threads_param(self, small_pairs):
+
+class TestRetiredNames:
+    @pytest.mark.parametrize("name", sorted(RETIRED))
+    def test_retired_parameter_names_its_successor(self, small_pairs, name):
         keys, values = small_pairs
-        a = group_sum(keys, values, threads=1)
-        b = group_sum(keys, values, threads=7)
-        assert a.bit_equal(b)
+        with pytest.raises(TypeError, match=f"no longer takes '{name}'") as err:
+            group_sum(keys, values, **{name: None})
+        assert ("paper.operators" in str(err.value)
+                or name in ("decimal", "sort_output"))
+
+    def test_retired_parameter_list(self):
+        assert sorted(RETIRED) == sorted(
+            ["method", "buffered", "buffer_size", "depth", "fanout", "threads",
+             "hashing", "engine", "seed", "spec", "decimal", "sort_output"])
+
+    def test_unknown_keyword_is_a_plain_type_error(self, small_pairs):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            group_sum(*small_pairs, levles=3)
+
+    def test_retired_names_point_to_group_sum(self):
+        with pytest.raises(ImportError, match="retired: repro.group_sum"):
+            from repro.aggregation import StreamingGroupSum  # noqa: F401
+        with pytest.raises(ImportError, match="retired: repro.group_sum"):
+            from repro.aggregation import spec_from_options  # noqa: F401
+
+    @pytest.mark.parametrize("name", ["ReproSpec", "hash_aggregate",
+                                      "partition_and_aggregate", "HashTable"])
+    def test_moved_operators_name_their_home(self, name):
+        import repro.aggregation
+
+        with pytest.raises(ImportError, match="paper.operators"):
+            getattr(repro.aggregation, name)
+
+    def test_unknown_attribute_is_an_attribute_error(self):
+        import repro.aggregation
+
+        assert not hasattr(repro.aggregation, "no_such_name")
 
 
 class TestInputValidation:

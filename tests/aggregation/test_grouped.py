@@ -180,3 +180,19 @@ class TestValidation:
         grouped = GroupedSummation(params(), 2)
         with pytest.raises(ValueError):
             grouped.add_pairs(np.array([0, 1]), np.array([1.0]))
+
+
+class TestGroupedResize:
+    def test_resize_preserves_states(self, small_pairs):
+        keys, values = small_pairs
+        gids = keys.astype(np.int64)
+        grouped = GroupedSummation.from_pairs(params(), gids, values, 50)
+        before = grouped.state_tuples()
+        grouped.resize(80)
+        assert grouped.state_tuples()[:50] == before
+        assert grouped.finalize()[50:].tolist() == [0.0] * 30
+
+    def test_shrink_rejected(self):
+        grouped = GroupedSummation(params(), 10)
+        with pytest.raises(ValueError):
+            grouped.resize(5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.aggregation.hash_table import FIB_MULTIPLIER, HashTable, dense_group_ids
+from paper.operators.hash_table import FIB_MULTIPLIER, HashTable, dense_group_ids
 
 
 class TestScalarInterface:

@@ -1,19 +1,18 @@
-"""Property-based tests (hypothesis) for the aggregation layer.
+"""Property-based tests (hypothesis) for the paper's GROUP BY operators.
 
 The GROUP BY counterpart of tests/core/test_properties.py: for any
-small random workload, every execution strategy of the reproducible
-aggregation returns the same bits, and results always match a per-group
-scalar-RSUM oracle exactly.
+small random workload, every operator over a reproducible spec returns
+the same bits, and results always match a per-group scalar-RSUM oracle
+exactly.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregation import (
+from paper.operators import (
     BufferedReproSpec,
     ReproSpec,
-    StreamingGroupSum,
     hash_aggregate,
     partition_and_aggregate,
     shared_aggregate,
@@ -104,18 +103,6 @@ class TestStrategyEquivalence:
         sorted_result = sort_aggregate(keys, values, ReproSpec("double", 2))
         assert reference.sorted_by_key().bit_equal(
             sorted_result.sorted_by_key()
-        )
-
-    @given(keys_strategy, values_strategy, st.integers(1, 20))
-    @settings(max_examples=40, deadline=None)
-    def test_streaming_batching_irrelevant(self, keys, values, batch):
-        keys, values = make_workload(keys, values)
-        reference = hash_aggregate(keys, values, ReproSpec("double", 2))
-        stream = StreamingGroupSum("double", 2)
-        for lo in range(0, len(keys), batch):
-            stream.update(keys[lo : lo + batch], values[lo : lo + batch])
-        assert reference.sorted_by_key().bit_equal(
-            stream.result().sorted_by_key()
         )
 
 

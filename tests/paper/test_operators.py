@@ -1,11 +1,12 @@
-"""Tests for the aggregation operator zoo (hash / partition / sort / shared)."""
+"""Tests for the paper's GROUP BY operators (hash / partition / sort / shared)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.aggregation import (
+import repro
+from paper.operators import (
     BufferedReproSpec,
     ConventionalFloatSpec,
     DecimalSpec,
@@ -258,3 +259,62 @@ class TestSharedAggregate:
         keys, values = small_pairs
         with pytest.raises(ValueError):
             shared_aggregate(keys, values, ReproSpec(), threads=0)
+
+
+class TestOperatorsMatchGroupSum:
+    """With a reproducible spec every operator returns the bits the
+    engine's SUM path (``repro.group_sum``) returns."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        from paper.workloads import AggregationWorkload
+
+        return AggregationWorkload(30_000, 200, "Exp(1)", seed=11)
+
+    def test_matrix_of_strategies(self, workload):
+        keys, values = workload.keys, workload.values
+        spec2 = ReproSpec("double", 2)
+        candidates = [
+            hash_aggregate(keys, values, spec2),
+            hash_aggregate(keys, values, spec2, engine="hash"),
+            hash_aggregate(keys, values, spec2, hashing="multiplicative"),
+            partition_and_aggregate(keys, values, spec2, depth=0, threads=6),
+            partition_and_aggregate(keys, values, spec2, depth=1, fanout=16),
+            partition_and_aggregate(keys, values, spec2, depth=2, fanout=16,
+                                    threads=3),
+            sort_aggregate(keys, values, spec2),
+            shared_aggregate(keys, values, spec2, threads=5, seed=99),
+            hash_aggregate(keys, values, BufferedReproSpec("double", 2, 7)),
+            hash_aggregate(keys, values, BufferedReproSpec("double", 2, 333)),
+        ]
+        reference = repro.group_sum(keys, values)
+        for i, other in enumerate(candidates):
+            assert reference.bit_equal(other.sorted_by_key()), f"strategy {i}"
+
+    def test_equation4_buffers_match_group_sum(self, workload):
+        """The Equation-4 buffer size the paper's default operator ran
+        with changes no bit."""
+        from repro.core import optimal_buffer_size
+
+        spec = BufferedReproSpec("double", 2, optimal_buffer_size(200, 8))
+        ours = partition_and_aggregate(workload.keys, workload.values, spec)
+        assert repro.group_sum(workload.keys, workload.values).bit_equal(ours)
+
+    @pytest.mark.parametrize("levels", [2, 3, 4])
+    def test_every_operator_matches_group_sum(self, small_pairs, levels):
+        keys, values = small_pairs
+        spec = ReproSpec("double", levels)
+        reference = repro.group_sum(keys, values, levels=levels)
+        for result in (
+            hash_aggregate(keys, values, spec),
+            partition_and_aggregate(keys, values, spec, fanout=16),
+            sort_aggregate(keys, values, spec),
+            shared_aggregate(keys, values, spec, threads=3, seed=5),
+        ):
+            assert reference.bit_equal(result)
+
+    def test_conventional_hash_matches_ieee_group_sum(self, small_pairs):
+        keys, values = small_pairs
+        ieee = repro.group_sum(keys, values, reproducible=False)
+        assert ieee.bit_equal(
+            hash_aggregate(keys, values, ConventionalFloatSpec()))

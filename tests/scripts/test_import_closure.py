@@ -29,19 +29,12 @@ ENTRY_POINTS = (
 SERVING = frozenset({
     "repro",
     "repro.aggregation",
-    "repro.aggregation.accumulators",
     "repro.aggregation.api",
     "repro.aggregation.external_agg",
     "repro.aggregation.grouped",
-    "repro.aggregation.hash_agg",
-    "repro.aggregation.hash_table",
     "repro.aggregation.partition",
-    "repro.aggregation.partition_agg",
     "repro.aggregation.result",
     "repro.aggregation.retractable",
-    "repro.aggregation.shared_agg",
-    "repro.aggregation.sort_agg",
-    "repro.aggregation.streaming",
     "repro.client",
     "repro.core",
     "repro.core.buffer",

@@ -5,8 +5,7 @@ user would, pinning the properties the paper promises:
 
 1. any execution strategy -> same bits (the reproducibility claim);
 2. the engine, the aggregation library, and the raw kernels agree;
-3. the tuning rules (Equation 4 / Figure 9 thresholds) are consistent
-   between the tuner, the facade, and the cost model.
+3. the Figure 9 tuning rule is consistent with the cost model.
 """
 
 import math
@@ -16,17 +15,22 @@ import numpy as np
 import pytest
 
 import repro
-from repro.aggregation import (
-    BufferedReproSpec,
-    ReproSpec,
-    hash_aggregate,
-    partition_and_aggregate,
-    shared_aggregate,
-    sort_aggregate,
-)
+from repro.aggregation import GroupByResult
 from repro.engine import Database
 from repro.tpch import load_lineitem, run_q1, shuffled_copy
 from paper.workloads import AggregationWorkload
+
+
+def _sql_group_sum(keys, values, mode, **knobs):
+    """``SELECT k, SUM(v) ... GROUP BY k`` over the two arrays, as a
+    :class:`GroupByResult` (groups in SQL's order)."""
+    db = Database(sum_mode=mode, **knobs)
+    key_type = "DOUBLE" if keys.dtype.kind == "f" else "INT"
+    value_type = "FLOAT" if values.dtype == np.float32 else "DOUBLE"
+    db.execute(f"CREATE TABLE t (k {key_type}, v {value_type})")
+    db.table("t").bulk_load({"k": keys, "v": values})
+    res = db.execute("SELECT k, SUM(v) FROM t GROUP BY k")
+    return GroupByResult(res.arrays[0], res.arrays[1])
 
 
 @pytest.fixture(scope="module")
@@ -35,33 +39,19 @@ def workload():
 
 
 class TestEveryExecutionStrategySameBits:
-    def test_matrix_of_strategies(self, workload):
-        keys, values = workload.keys, workload.values
-        spec2 = ReproSpec("double", 2)
-        candidates = [
-            hash_aggregate(keys, values, spec2),
-            hash_aggregate(keys, values, spec2, engine="hash"),
-            hash_aggregate(keys, values, spec2, hashing="multiplicative"),
-            partition_and_aggregate(keys, values, spec2, depth=0, threads=6),
-            partition_and_aggregate(keys, values, spec2, depth=1, fanout=16),
-            partition_and_aggregate(keys, values, spec2, depth=2, fanout=16,
-                                    threads=3),
-            sort_aggregate(keys, values, spec2),
-            shared_aggregate(keys, values, spec2, threads=5, seed=99),
-            hash_aggregate(keys, values, BufferedReproSpec("double", 2, 7)),
-            hash_aggregate(keys, values, BufferedReproSpec("double", 2, 333)),
-        ]
-        reference = candidates[0].sorted_by_key()
-        for i, other in enumerate(candidates[1:], 1):
-            assert reference.bit_equal(other.sorted_by_key()), f"strategy {i}"
-
     def test_permutations_and_strategies_jointly(self, workload, rng):
-        reference = repro.group_sum(workload.keys, workload.values)
-        for seed in range(3):
-            pk, pv = workload.permutation(seed)
-            method = ("hash", "partition", "shared")[seed % 3]
-            result = repro.group_sum(pk, pv, method=method, fanout=16)
-            assert reference.bit_equal(result)
+        """Library, SQL at two morsel sizes and two levels: the bits of
+        each setting survive every permutation of the input."""
+        for levels in (2, 3):
+            reference = repro.group_sum(workload.keys, workload.values,
+                                        levels=levels)
+            for seed in range(3):
+                pk, pv = workload.permutation(seed)
+                assert reference.bit_equal(
+                    repro.group_sum(pk, pv, levels=levels))
+                assert _sql_group_sum(pk, pv, "repro", levels=levels,
+                                      morsel_size=(1024, 65536)[seed % 2]
+                                      ).bit_equal(reference)
 
     def test_scalar_sum_equals_group_of_one(self, workload):
         total = repro.reproducible_sum(workload.values)
@@ -72,18 +62,27 @@ class TestEveryExecutionStrategySameBits:
 
 
 class TestEngineMatchesLibrary:
-    def test_sql_sum_equals_group_sum(self, workload):
-        db = Database(sum_mode="repro")
-        db.execute("CREATE TABLE t (k INT, v DOUBLE)")
-        db.table("t").bulk_load(
-            {"k": workload.keys.astype(np.int64), "v": workload.values}
-        )
-        res = db.execute("SELECT k, SUM(v) FROM t GROUP BY k ORDER BY k")
-        lib = repro.group_sum(workload.keys, workload.values)
-        sql_sums = res.arrays[1]
-        assert np.array_equal(
-            sql_sums.view(np.uint64), lib.sums.view(np.uint64)
-        )
+    def test_sql_sum_equals_group_sum(self, workload, rng):
+        """Both modes, INT / DOUBLE keys (NaN, +-0.0, +-inf among them)
+        and DOUBLE / FLOAT values, several morsels: key and sum bits
+        equal SQL's at ``workers=1``."""
+        special = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1.5, -2.0])
+        float_keys = rng.choice(special, size=5_000)
+        float_keys[::97] = -np.nan
+        cases = [
+            (workload.keys.astype(np.int64), workload.values, "double"),
+            (float_keys, rng.exponential(size=5_000) - 0.5, "double"),
+            (workload.keys.astype(np.int64),
+             workload.values.astype(np.float32), "float"),
+        ]
+        for mode in ("repro", "ieee"):
+            for keys, values, dtype in cases:
+                lib = repro.group_sum(keys, values, mode == "repro", dtype)
+                sql = _sql_group_sum(keys, values, mode, morsel_size=4096)
+                assert sql.sums.dtype == lib.sums.dtype, (mode, dtype)
+                sql_keys = sql.keys.astype(lib.keys.dtype)  # INT is int32
+                assert sql_keys.tobytes() == lib.keys.tobytes(), (mode, dtype)
+                assert sql.sums.tobytes() == lib.sums.tobytes(), (mode, dtype)
 
     def test_rsum_sql_equals_reproducible_sum(self, workload):
         db = Database(sum_mode="ieee")
@@ -111,18 +110,6 @@ class TestEngineMatchesLibrary:
 
 
 class TestTuningConsistency:
-    def test_facade_uses_equation4(self, workload):
-        """group_sum with default buffering must agree bitwise with an
-        explicit Equation-4 buffer size (sanity of the plumbing)."""
-        from repro.core import optimal_buffer_size
-
-        bsz = optimal_buffer_size(200, 8)
-        auto = repro.group_sum(workload.keys, workload.values)
-        explicit = repro.group_sum(
-            workload.keys, workload.values, buffer_size=bsz
-        )
-        assert auto.bit_equal(explicit)
-
     def test_model_agrees_with_figure9_rule(self):
         """The offline rule and the cost model pick similar depths."""
         from repro.core import choose_partition_depth

@@ -15,7 +15,8 @@ import pytest
 
 from _common import emit, standard_pairs, table
 from paper.rsum_paper import ScalarRsumPaper
-from repro.core import ReproducibleSummer, RsumParams, SummationState
+from paper.state import SummationState
+from repro.core import ReproducibleSummer, RsumParams
 from repro.fp.ieee import float_to_bits
 
 

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from _common import emit, table
-from repro.core import BufferedReproFloat, optimal_buffer_size
+from paper.buffer import BufferedReproFloat
 from paper.simulator import fig8_series
+from paper.tuning import optimal_buffer_size
 
 BUFFER_SIZES_MEASURED = [2**i for i in range(4, 11)]
 N_MEASURED = 2**15

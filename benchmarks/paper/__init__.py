@@ -9,10 +9,20 @@ here, beside the benches that print them:
   and IV anchors);
 * ``analysis`` — exact-sum oracles, the Table II error bounds and the
   report formatting;
+* ``state`` / ``eft`` — the scalar Algorithm 2 state (anchor
+  extraction, integer carries) and its error-free transformations: the
+  independent oracle the engine's vectorised ladder is tested against;
+* ``repro_type`` / ``buffer`` / ``tuning`` — Section IV's
+  ``repro<ScalarT,L>`` accumulator, Section V's summation buffers and
+  the Equation 4 / Figure 9 tuning rules, for the §IV operators and
+  Figs. 4 and 6–9;
+* ``operators`` — the §IV hash / partition / sort / shared GROUP BY
+  operators over pluggable accumulator specs;
 * ``toy_rsum`` / ``softfloat`` — Figure 2's RSUM on toy float formats
   over exact rationals;
 * ``rsum_paper`` — Algorithm 2 verbatim (running-sum extraction), the
-  extraction ablation's subject and the production state's cross-check;
+  extraction ablation's subject and the cross-check of both the scalar
+  state and the engine's ladder;
 * ``rsum_simd`` — the V-lane Algorithm 3 with horizontal summation;
 * ``reduction`` — linear / tree / butterfly reductions and the MIMD
   simulation of Section III;

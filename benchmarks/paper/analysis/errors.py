@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.params import RsumParams, default_w
-from repro.core.rsum import reproducible_sum
 from repro.fp.formats import BINARY64, FloatFormat
 from .exact import abs_error, fsum
 
@@ -181,18 +180,17 @@ def table2_rows(sizes=(10**3, 10**6), trials: int = 3, seed: int = 0,
                             worst = max(worst, abs_error(total, values))
                         else:
                             levels = int(algorithm.split("=")[1].rstrip(")"))
-                            from repro.core.rsum import ReproducibleSummer
-
-                            summer = ReproducibleSummer(levels=levels)
-                            summer.add_array(values)
-                            worst = max(
-                                worst, abs_error(summer.result(), values)
-                            )
+                            from ..state import SummationState
                             from .exact import exact_sum
 
+                            state = SummationState(
+                                RsumParams(BINARY64, levels))
+                            state.add_array(values)
+                            worst = max(
+                                worst, abs_error(state.finalize(), values)
+                            )
                             state_err = abs(
-                                state_exact_value(summer.state)
-                                - exact_sum(values)
+                                state_exact_value(state) - exact_sum(values)
                             )
                             worst_state = max(worst_state, float(state_err))
                     measured = worst

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import DEFAULT_LEVELS, RsumParams
+from repro.core.params import DEFAULT_LEVELS, RsumParams
+from repro.core.rsum import params_from_spec
+
 from .repro_type import ReproFloat
-from .rsum import params_from_spec
 
 __all__ = ["BufferedReproFloat", "DEFAULT_BUFFER_SIZE"]
 
@@ -36,7 +37,7 @@ DEFAULT_BUFFER_SIZE = 256
 class BufferedReproFloat:
     """A ``repro<ScalarT,L>`` accumulator fronted by a summation buffer.
 
-    Drop-in replacement for :class:`~repro.core.repro_type.ReproFloat`
+    Drop-in replacement for :class:`~paper.repro_type.ReproFloat`
     in any aggregation algorithm (paper: "we can implement this as [a]
     new data type again ... and use this new data type in any existing
     AGGREGATION algorithm transparently").

@@ -9,8 +9,9 @@ an input value ``b`` against an *extractor* ``a`` into a contribution
 
 (Ogita, Rump & Oishi 2004; the paper's Figure 1).  Both subtractions are
 exact when ``|b|`` is small enough relative to ``a`` — the calling code
-in :mod:`repro.core.state` guarantees that by managing the extractor
-ladder.
+in :mod:`paper.state` guarantees that by managing the extractor ladder
+(the engine's vectorised ladder, ``repro.aggregation.grouped``, inlines
+the same split).
 
 This module provides the classical EFTs in scalar and NumPy-vectorised
 form, for both binary64 (native Python floats) and binary32 (NumPy
@@ -87,8 +88,8 @@ def split_against_anchor(b: np.ndarray, anchor, scale_exp: int) -> Tuple[np.ndar
 
     Returns ``(k, r)`` where ``k = q / 2**scale_exp`` as int64 (exact,
     because ``q`` is a multiple of the level ulp ``2**scale_exp``) and
-    ``r`` is the exact remainder array.  This is the vectorised hot path
-    used by :class:`repro.core.state.SummationState`.
+    ``r`` is the exact remainder array.  This is the vectorised path of
+    :meth:`paper.state.SummationState.add_array`.
     """
     q = (b + anchor) - anchor
     r = b - q

@@ -27,11 +27,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aggregation.grouped import GroupedSummation, add_blocked_multi
-from repro.core.buffer import DEFAULT_BUFFER_SIZE, BufferedReproFloat
 from repro.core.params import RsumParams
-from repro.core.repro_type import ReproFloat, repro_spec_name
-from repro.core.rsum import params_from_spec
+from repro.core.rsum import params_from_spec, repro_spec_name
 from repro.fp.decimal_fixed import DecimalType
+
+from ..buffer import DEFAULT_BUFFER_SIZE, BufferedReproFloat
+from ..repro_type import ReproFloat
+from ..state import into_grouped
 
 __all__ = [
     "AggregatorSpec",
@@ -191,15 +193,7 @@ class ReproSpec(AggregatorSpec):
                 scratch[int(gid)] = acc
             acc += val
         for gid, acc in scratch.items():
-            own = table.to_state(gid)
-            own.merge(acc.state)
-            table.e0[gid] = own.e0 if own.e0 is not None else table.e0[gid]
-            for level in range(self.params.levels):
-                table.s[level][gid] = own.s[level]
-                table.c[level][gid] = own.c[level]
-            table.nan_cnt[gid] = own.nan_count
-            table.pos_cnt[gid] = own.posinf_count
-            table.neg_cnt[gid] = own.neginf_count
+            into_grouped(table, gid, acc.state)
 
     def merge(self, table, other_table, mapping):
         table.merge(other_table, mapping)
@@ -242,14 +236,5 @@ class BufferedReproSpec(ReproSpec):
                 buffers[int(gid)] = buf
             buf.append(val)
         for gid, buf in buffers.items():
-            acc = buf.to_repro()
-            own = table.to_state(gid)
-            own.merge(acc.state)
-            table.e0[gid] = own.e0 if own.e0 is not None else table.e0[gid]
-            for level in range(self.params.levels):
-                table.s[level][gid] = own.s[level]
-                table.c[level][gid] = own.c[level]
-            table.nan_cnt[gid] = own.nan_count
-            table.pos_cnt[gid] = own.posinf_count
-            table.neg_cnt[gid] = own.neginf_count
+            into_grouped(table, gid, buf.to_repro().state)
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aggregation.result import GroupByResult
-from repro.core.tuning import choose_partition_depth
 
+from ..tuning import choose_partition_depth
 from .accumulators import AggregatorSpec
 from .hash_agg import group_ids
 from .partition import DEFAULT_FANOUT, parallel_partition

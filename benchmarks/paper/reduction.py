@@ -4,7 +4,7 @@
     process performs the full summation of the local data and the
     results are finally summed up globally using MPI_Reduce."
 
-The :class:`~repro.core.state.SummationState` merge is exact and
+The :class:`~paper.state.SummationState` merge is exact and
 ladder-aligning, so *any* reduction topology over per-worker partial
 states yields the same bits.  This module provides the topologies a
 distributed engine would use — linear chains, binary/k-ary trees,
@@ -19,8 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.params import DEFAULT_LEVELS
-from repro.core.rsum import ReproducibleSummer, params_from_spec
-from repro.core.state import SummationState
+from repro.core.rsum import params_from_spec
+
+from .state import SummationState
 
 __all__ = [
     "linear_reduce",
@@ -118,9 +119,9 @@ def simulate_mimd_sum(
         )
     states = []
     for worker in range(workers):
-        summer = ReproducibleSummer(params=params)
-        summer.add_array(values[assignment == worker])
-        states.append(summer.state)
+        state = SummationState(params)
+        state.add_array(values[assignment == worker])
+        states.append(state)
     if topology == "linear":
         final = linear_reduce(states)
     elif topology == "tree":

@@ -18,19 +18,13 @@ general numeric type.
 
 from __future__ import annotations
 
-from .params import DEFAULT_LEVELS, RsumParams
-from .rsum import params_from_spec
+from repro.core.params import DEFAULT_LEVELS, RsumParams
+from repro.core.rsum import params_from_spec, repro_spec_name
+from repro.fp.ieee import float32_to_bits, float_to_bits
+
 from .state import SummationState
 
-__all__ = ["ReproFloat", "repro_spec_name"]
-
-
-def repro_spec_name(params: RsumParams) -> str:
-    """Paper-style type name, e.g. ``repro<float,2>``."""
-    scalar = {"binary32": "float", "binary64": "double"}.get(
-        params.fmt.name, params.fmt.name
-    )
-    return f"repro<{scalar},{params.levels}>"
+__all__ = ["ReproFloat"]
 
 
 class ReproFloat:
@@ -80,8 +74,6 @@ class ReproFloat:
 
     def bits(self) -> int:
         """Bit pattern of the finalised value (reproducibility identity)."""
-        from ..fp.ieee import float32_to_bits, float_to_bits
-
         if self.params.fmt.name == "binary32":
             return float32_to_bits(self.value)
         return float_to_bits(float(self.value))

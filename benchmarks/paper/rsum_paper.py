@@ -2,12 +2,13 @@
 
 :class:`ScalarRsumPaper` is a literal transcription of Algorithm 2,
 extracting against the *running sums* ``S(l)`` and keeping float state.
-It matches the production path (:class:`repro.core.state.SummationState`)
-bit-for-bit on all inputs except round-to-nearest *ties*, where its
-(q, r) split — and in unlucky cases its result — depends on input
-order.  It is the subject of ``bench_ablation_extraction.py`` and the
-executable specification the production path is cross-checked against
-(``tests/paper/test_rsum_paper.py``).
+It matches the anchor-extraction formulation — the scalar oracle
+:class:`paper.state.SummationState` and the engine's vectorised ladder
+that ``repro.reproducible_sum`` and SQL's SUM run — bit-for-bit on all
+inputs except round-to-nearest *ties*, where its (q, r) split — and in
+unlucky cases its result — depends on input order.  It is the subject
+of ``bench_ablation_extraction.py`` and the executable specification
+both are cross-checked against (``tests/paper/test_rsum_paper.py``).
 """
 
 from __future__ import annotations

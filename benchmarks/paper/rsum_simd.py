@@ -15,7 +15,7 @@ the final bits — the property Figure 6 exploits by calling the routine
 once per buffered chunk.
 
 Our lanes are :class:`SummationState` objects; the horizontal sum is the
-states' exact :meth:`~repro.core.state.SummationState.merge`.  The tiling
+states' exact :meth:`~paper.state.SummationState.merge`.  The tiling
 parameter ``NB`` (one max-check / carry propagation per ``V * NB``
 elements) is kept for structural faithfulness and for the cost model,
 although integer-canonical carries make it a no-op for correctness.
@@ -28,7 +28,8 @@ import math
 import numpy as np
 
 from repro.core.params import RsumParams
-from repro.core.state import SummationState
+
+from .state import SummationState
 
 __all__ = ["SimdRsum", "default_vector_width"]
 

@@ -1,4 +1,5 @@
-"""Reproducible summation state (paper Sections III-C and III-D).
+"""The scalar Algorithm 2 state: the independent oracle of the engine's
+ladder (paper Sections III-C and III-D).
 
 A :class:`SummationState` is the complete state of one reproducible sum:
 the *extractor ladder* plus, per level ``l``, the running sum ``S(l)``
@@ -35,8 +36,19 @@ round-to-nearest-even consults the last bit of the accumulator — i.e.
 the accumulated *order* of previous inputs.  Anchor extraction removes
 that order dependence (Demmel & Nguyen's binned formulation makes the
 same choice), so bit-reproducibility holds unconditionally.  The
-running-sum variant is kept in :mod:`repro.core.rsum` for the ablation
-study.
+running-sum variant is kept in :mod:`paper.rsum_paper` for the
+ablation study.
+
+Role
+----
+No query runs this class.  ``repro.reproducible_sum``, SQL's SUM and
+``repro.group_sum`` all run ``repro.aggregation.grouped``'s vectorised
+ladder; this is the scalar formulation that ladder is held against
+group by group in the tests, and the state the paper's accumulator
+types (:mod:`paper.repro_type`, :mod:`paper.buffer`), the V-lane
+Algorithm 3 (:mod:`paper.rsum_simd`) and the reduction topologies
+(:mod:`paper.reduction`) are built on.  :func:`from_grouped` /
+:func:`into_grouped` move one group between the two.
 
 Because contributions are accumulated as exact integers, the SIMD block
 size ``NB`` is not a correctness constraint here (no float accumulator
@@ -51,27 +63,19 @@ import math
 
 import numpy as np
 
-from ..fp.formats import BINARY64, FloatFormat
-from ..fp.ieee import exponent as _exponent
-from .eft import split_against_anchor
-from .params import RsumParams
+from repro.aggregation.grouped import _EMPTY_E0, GroupedSummation
+from repro.core.params import RsumParams
+from repro.errors import LadderOverflowError
+from repro.fp.ieee import exponent as _exponent
 
-__all__ = ["SummationState", "LadderOverflowError"]
+from .eft import split_against_anchor
+
+__all__ = ["SummationState", "from_grouped", "into_grouped"]
 
 #: Block size for the vectorised path.  Any value works (see module
 #: docstring); 4096 amortises NumPy call overhead nicely and matches the
 #: paper's NB bound for binary64 (2**(52-40-1) = 2048) within a factor 2.
 _VECTOR_BLOCK = 4096
-
-
-class LadderOverflowError(OverflowError):
-    """Raised when an input is too large for the extractor ladder.
-
-    The top anchor must remain a normal number, which caps handled
-    magnitudes at roughly ``2**(E_max + W - m - 2)`` (about ``2**986``
-    for binary64 with W = 40).  Inputs beyond that would need a special
-    top bin; the paper's implementation has the same restriction.
-    """
 
 
 class SummationState:
@@ -375,3 +379,32 @@ class SummationState:
             f"SummationState(L={self._L}, e0={self.e0}, "
             f"value~{float(self.finalize())!r})"
         )
+
+
+def from_grouped(table: GroupedSummation, group: int) -> SummationState:
+    """One group of the engine's vectorised ladder as a scalar state."""
+    state = SummationState(table.params)
+    if table.e0[group] > _EMPTY_E0:
+        state.e0 = int(table.e0[group])
+        state.s = [int(s[group]) for s in table.s]
+        state.c = [int(c[group]) for c in table.c]
+    state.nan_count = int(table.nan_cnt[group])
+    state.posinf_count = int(table.pos_cnt[group])
+    state.neginf_count = int(table.neg_cnt[group])
+    return state
+
+
+def into_grouped(table: GroupedSummation, group: int,
+                 state: SummationState) -> None:
+    """Fold a scalar state into one group of a vectorised ladder (an
+    exact merge, like :meth:`SummationState.merge`)."""
+    own = from_grouped(table, group)
+    own.merge(state)
+    if own.e0 is not None:
+        table.e0[group] = own.e0
+    for level in range(table.params.levels):
+        table.s[level][group] = own.s[level]
+        table.c[level][group] = own.c[level]
+    table.nan_cnt[group] = own.nan_count
+    table.pos_cnt[group] = own.posinf_count
+    table.neg_cnt[group] = own.neginf_count

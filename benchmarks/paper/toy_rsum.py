@@ -9,8 +9,9 @@ arrives — to the final result 14.
 :class:`~paper.softfloat.SoftFloat` values of *any* format, so that
 worked example (and any other toy-format trace) can be executed and
 asserted step by step.  It is an executable specification: slow,
-exact, and format-generic — the binary32/64 production code in
-:mod:`repro.core.state` is its fast sibling.
+exact, and format-generic — the binary32/64 scalar state in
+:mod:`paper.state` is its fast sibling, and the engine's vectorised
+ladder (``repro.aggregation.grouped``) the one queries run.
 
 A finding from executing the example: the paper's *text* (Algorithm 2,
 line 4) demotes while ``|b| >= 2**(W-1) * ulp(S(1))``, but its

@@ -76,13 +76,13 @@ def main():
     )
 
     # ------------------------------------------------------------------
-    section("The drop-in accumulator type repro<ScalarT, L>")
-    acc = repro.ReproFloat("double", levels=2)
+    section("An accumulator: += one value at a time")
+    acc = repro.ReproducibleSummer("double", levels=2)
     acc += 0.1
     acc += 1e17
     acc += -1e17
-    print(f"0.1 + 1e17 - 1e17 via repro<double,2>: {float(acc)!r}")
-    print(f"same via plain floats:                 {(0.1 + 1e17) - 1e17!r}")
+    print(f"0.1 + 1e17 - 1e17, reproducible L=2: {float(acc.result())!r}")
+    print(f"same via plain floats:               {(0.1 + 1e17) - 1e17!r}")
 
     print("\nDone.  See examples/algorithm1_sql.py for the SQL-level demo.")
 

@@ -25,18 +25,13 @@ paper-vs-measured record.
 
 from .aggregation.api import group_sum
 from .core import (
-    BufferedReproFloat,
+    ReproducibleSummer,
+    RsumParams,
     reproducible_dot,
     reproducible_mean,
     reproducible_std,
-    reproducible_variance,
-    ReproducibleSummer,
-    ReproFloat,
-    RsumParams,
-    SummationState,
-    choose_partition_depth,
-    optimal_buffer_size,
     reproducible_sum,
+    reproducible_variance,
 )
 from .errors import (
     AdmissionError,
@@ -81,16 +76,26 @@ __all__ = [
     "reproducible_variance",
     "reproducible_std",
     "ReproducibleSummer",
-    "ReproFloat",
-    "BufferedReproFloat",
-    "SummationState",
     "RsumParams",
-    "optimal_buffer_size",
-    "choose_partition_depth",
     "same_bits",
     "group_sum",
     "__version__",
 ]
+
+
+#: The accumulator types and tuning rules that left with the scalar
+#: Algorithm 2 state (``benchmarks/paper``, imported as ``paper``).
+_MOVED = frozenset({"ReproFloat", "BufferedReproFloat", "SummationState",
+                    "optimal_buffer_size", "choose_partition_depth"})
+
+
+def __getattr__(name):
+    # ImportError naming where the name went, as ``repro.core`` raises
+    if name in _MOVED:
+        from .core import moved_error
+
+        raise moved_error(__name__, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def open(path=None, **session_defaults):

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.repro_type import repro_spec_name
-from ..core.rsum import params_from_spec
+from ..core.rsum import params_from_spec, repro_spec_name
 from .grouped import GroupedSummation, add_blocked_multi
 from .result import GroupByResult
 

@@ -1,16 +1,19 @@
-"""Vectorised multi-group reproducible summation.
+"""Vectorised multi-group reproducible summation: the ladder every
+reproducible sum runs.
 
 The paper's problem with RSUM inside GROUP BY is that the HPC tuning
 assumes *one* long vector, while a GROUP BY juggles many interleaved
 sums.  The buffered operators solve this at the algorithm level; this
 module solves it at the kernel level: :class:`GroupedSummation` runs the
-anchor-extraction of :mod:`repro.core.state` for *all* groups at once
-using NumPy element-wise arithmetic, with per-element anchors selected
-by group id.
+anchor extraction of Algorithm 2 for *all* groups at once using NumPy
+element-wise arithmetic, with per-element anchors selected by group id.
+SQL's SUM / RSUM, ``repro.group_sum`` and ``repro.reproducible_sum``
+(one group) all feed it through :func:`add_blocked_multi`.
 
 The final per-group states are bit-identical to feeding each group's
-values through its own :class:`~repro.core.state.SummationState` — the
-test suite asserts this — because:
+values through its own scalar Algorithm 2 state — the independent
+oracle ``SummationState`` in ``benchmarks/paper/state.py``, which the
+test suite holds this module against — because:
 
 * the ladder of a group depends only on the group's max |value| (fixed
   extractor grid), so it can be computed up-front in one segmented max;
@@ -47,7 +50,7 @@ import threading
 import numpy as np
 
 from ..core.params import RsumParams
-from ..core.state import LadderOverflowError, SummationState
+from ..errors import LadderOverflowError
 
 __all__ = [
     "GroupedSummation",
@@ -336,21 +339,19 @@ class GroupedSummation:
             + self.nan_cnt.nbytes + self.pos_cnt.nbytes + self.neg_cnt.nbytes
         )
 
-    def to_state(self, group: int) -> SummationState:
-        """Extract one group as a scalar :class:`SummationState`."""
-        state = SummationState(self.params)
-        if self.e0[group] > _EMPTY_E0:
-            state.e0 = int(self.e0[group])
-            state.s = [int(self.s[level][group]) for level in range(self._L)]
-            state.c = [int(self.c[level][group]) for level in range(self._L)]
-        state.nan_count = int(self.nan_cnt[group])
-        state.posinf_count = int(self.pos_cnt[group])
-        state.neginf_count = int(self.neg_cnt[group])
-        return state
-
     def state_tuples(self) -> list:
-        """Canonical identity per group (for reproducibility assertions)."""
-        return [self.to_state(g).state_tuple() for g in range(self.ngroups)]
+        """Canonical identity per group (for reproducibility
+        assertions): ``(e0, s, c, has NaN, has +inf, has -inf)``, with
+        ``e0 = None`` and zero levels for a group on no ladder — the
+        scalar oracle's ``state_tuple``."""
+        empty = (None, (0,) * self._L, (0,) * self._L)
+        s, c = np.array(self.s).T.tolist(), np.array(self.c).T.tolist()
+        return [
+            ((int(e0), tuple(s[g]), tuple(c[g])) if e0 > _EMPTY_E0
+             else empty) + (bool(nan), bool(pos), bool(neg))
+            for g, (e0, nan, pos, neg) in enumerate(zip(
+                self.e0, self.nan_cnt, self.pos_cnt, self.neg_cnt))
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -53,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.params import RsumParams
-from ..core.state import LadderOverflowError
+from ..errors import LadderOverflowError
 from .grouped import GroupedSummation, _EMPTY_E0
 
 __all__ = ["RetractableGroupedSummation"]

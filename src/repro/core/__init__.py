@@ -1,26 +1,23 @@
-"""Core reproducible-summation algorithms (the paper's contribution).
+"""Core reproducible-summation API (the paper's contribution).
 
 Public surface:
 
 * :func:`reproducible_sum` — one-shot bit-reproducible sum.
 * :class:`ReproducibleSummer` — streaming/mergeable summation.
-* :class:`ReproFloat` — the ``repro<ScalarT,L>`` drop-in accumulator.
-* :class:`BufferedReproFloat` — the same, fronted by a summation buffer.
-* :class:`SummationState` — raw state, for engine integrations.
 * Reproducible dot product / mean / variance (:mod:`.stats`).
-* Tuning helpers: :func:`optimal_buffer_size`,
-  :func:`choose_partition_depth` (Equation 4 and Figure 9 rules).
+* :class:`RsumParams` — the ``(format, L, W)`` of one ladder.
 
-The paper's demonstrations that no query runs — the toy-format RSUM of
-Figure 2, the V-lane Algorithm 3, the reduction-topology simulation —
-live with the figure benches under ``benchmarks/paper``.
+Both sums run SQL's SUM path, one ``GroupedSummation`` group fed by
+``add_blocked_multi``.  The paper's scalar Algorithm 2 state and the
+accumulator types and tuning rules built on it — ``SummationState``,
+``repro<ScalarT,L>`` (``ReproFloat``), summation buffers, Equation 4 /
+Figure 9 — live with the figure benches under ``benchmarks/paper``
+(imported as ``paper``), as do the toy-format RSUM of Figure 2, the
+V-lane Algorithm 3 and the reduction-topology simulation.
 """
 
-from .buffer import DEFAULT_BUFFER_SIZE, BufferedReproFloat
-from .eft import exact_sum_fraction, extract, extract_array, fast_two_sum, two_sum
 from .params import DEFAULT_LEVELS, DEFAULT_W, RsumParams, default_w, max_block_size
-from .repro_type import ReproFloat, repro_spec_name
-from .rsum import ReproducibleSummer, params_from_spec, reproducible_sum
+from .rsum import ReproducibleSummer, params_from_spec, repro_spec_name, reproducible_sum
 from .stats import (
     reproducible_dot,
     reproducible_mean,
@@ -28,16 +25,6 @@ from .stats import (
     reproducible_variance,
     two_product,
     two_product_array,
-)
-from .state import LadderOverflowError, SummationState
-from .tuning import (
-    DEPTH_THRESHOLD_GROUPS,
-    HASWELL_CACHE,
-    PARTITION_FANOUT,
-    CacheConfig,
-    choose_partition_depth,
-    optimal_buffer_size,
-    working_set_bytes,
 )
 
 __all__ = [
@@ -50,27 +37,45 @@ __all__ = [
     "two_product_array",
     "ReproducibleSummer",
     "params_from_spec",
-    "ReproFloat",
     "repro_spec_name",
-    "BufferedReproFloat",
-    "DEFAULT_BUFFER_SIZE",
-    "SummationState",
-    "LadderOverflowError",
     "RsumParams",
     "DEFAULT_LEVELS",
     "DEFAULT_W",
     "default_w",
     "max_block_size",
-    "two_sum",
-    "fast_two_sum",
-    "extract",
-    "extract_array",
-    "exact_sum_fraction",
-    "CacheConfig",
-    "HASWELL_CACHE",
-    "optimal_buffer_size",
-    "choose_partition_depth",
-    "working_set_bytes",
-    "PARTITION_FANOUT",
-    "DEPTH_THRESHOLD_GROUPS",
 ]
+
+#: Names that left the package with the scalar Algorithm 2 state ->
+#: the module that holds them now (``paper``: ``benchmarks/paper``).
+_MOVED = {
+    "LadderOverflowError": "repro.errors",
+    **dict.fromkeys(("state", "SummationState"), "paper.state"),
+    **dict.fromkeys(("repro_type", "ReproFloat"), "paper.repro_type"),
+    **dict.fromkeys(("buffer", "BufferedReproFloat", "DEFAULT_BUFFER_SIZE"),
+                    "paper.buffer"),
+    **dict.fromkeys(("tuning", "CacheConfig", "HASWELL_CACHE",
+                     "optimal_buffer_size", "choose_partition_depth",
+                     "working_set_bytes", "PARTITION_FANOUT",
+                     "DEPTH_THRESHOLD_GROUPS"), "paper.tuning"),
+    **dict.fromkeys(("eft", "two_sum", "fast_two_sum", "extract",
+                     "extract_array", "split_against_anchor",
+                     "exact_sum_fraction"), "paper.eft"),
+}
+
+
+def moved_error(owner: str, name: str) -> ImportError:
+    """The error a retired name raises: it names where the name went."""
+    where = _MOVED[name]
+    if where.startswith("paper."):
+        where += (" (benchmarks/paper in a checkout; reproducible_sum and "
+                  "ReproducibleSummer run SQL's SUM path)")
+    return ImportError(f"{owner}.{name} moved: import it from {where}",
+                       name=name)
+
+
+def __getattr__(name):
+    # ImportError, not AttributeError: ``from repro.core import X``
+    # would replace an AttributeError's message with its own.
+    if name in _MOVED:
+        raise moved_error(__name__, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,7 +38,7 @@ from ..aggregation.grouped import LadderCounters
 from ..engine.operators import SumConfig
 from ..engine.physical import PhysProbe
 from ..engine.pipeline import finish_grouped
-from ..errors import ReproError
+from ..errors import ReproError, error_from_wire
 from ..storage.spill import encode_payload, frame_payload, unframe_payload
 
 __all__ = ["ShardExchangeError", "run_sharded_grouped_pipeline"]
@@ -194,8 +194,11 @@ def run_sharded_grouped_pipeline(query, context, stats, snapshot=None):
                     shard = pending.pop(conn)
                     message = conn.recv()
                     if message[0] == "error":
+                        _, trace, wire = message
+                        if wire is not None:
+                            raise error_from_wire(wire)
                         raise ShardExchangeError(
-                            f"shard executor {shard} failed:\n{message[1]}"
+                            f"shard executor {shard} failed:\n{trace}"
                         )
                     _, nmorsels, busy, frames[shard], ladders[shard] = message
                     stats.worker_busy[shard] += busy
@@ -209,7 +212,10 @@ def run_sharded_grouped_pipeline(query, context, stats, snapshot=None):
         raise ShardExchangeError(
             f"shard executor pipe failed: {exc!r}"
         ) from exc
-    except ShardExchangeError:
+    except ReproError:
+        # an executor's failure (typed, or a ShardExchangeError) leaves
+        # the other executors' replies undrained: a fresh fleet serves
+        # the next query
         context.discard_shard_pool()
         raise
 

@@ -33,6 +33,7 @@ from ..engine.operators import (
     factorize_object,
 )
 from ..engine.pipeline import apply_where
+from ..errors import ReproError, error_to_wire
 from ..storage.spill import (
     decode_payload,
     dump_table,
@@ -183,9 +184,12 @@ def worker_main(conn) -> None:
                 conn.send(("partial", nmorsels, busy, frame, table.ladder))
             else:
                 raise ValueError(f"unknown shard request {kind!r}")
-        except Exception:
+        except Exception as exc:
+            # an engine error travels in its wire form, so the
+            # coordinator raises the type the in-process engine would
+            wire = error_to_wire(exc) if isinstance(exc, ReproError) else None
             try:
-                conn.send(("error", traceback.format_exc()))
+                conn.send(("error", traceback.format_exc(), wire))
             except (OSError, BrokenPipeError):  # coordinator went away
                 break
     try:

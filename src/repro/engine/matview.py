@@ -276,10 +276,11 @@ class MaterializedView:
         self.refresh_count = 0
         #: durable store logging REFRESHes (None = in-memory database)
         self._storage = None
-        #: set by :meth:`restore_served`: the maintenance table must be
-        #: rebuilt from the base table before the next incremental
-        #: refresh (checkpoints persist served results, not the
-        #: retractable states)
+        #: set by :meth:`restore_served` and by a failed refresh: the
+        #: maintenance table must be rebuilt from the base table before
+        #: the next incremental refresh (checkpoints persist served
+        #: results, not the retractable states; a failed refresh may
+        #: have applied part of its delta)
         self._needs_rebuild = False
 
     # -- freshness ---------------------------------------------------------
@@ -335,7 +336,14 @@ class MaterializedView:
             self.table.version if to_version is None else int(to_version)
         )
         if self.maintenance == "incremental":
-            consumed = self._refresh_incremental(context, target)
+            try:
+                consumed = self._refresh_incremental(context, target)
+            except BaseException:
+                # The maintenance table may hold part of the delta; the
+                # next refresh rebuilds it at the unchanged watermark,
+                # as recovery does.
+                self._needs_rebuild = True
+                raise
         else:
             consumed = self._refresh_full(context, target)
         self.watermark = target
@@ -378,7 +386,8 @@ class MaterializedView:
         return filtered, nrows
 
     def _ensure_maintenance(self, context: ExecutionContext) -> None:
-        """Rebuild the retractable maintenance state after recovery.
+        """Rebuild the retractable maintenance state after recovery or a
+        failed refresh.
 
         A checkpoint persists the view's *served* arrays but not the
         maintenance group table; the first incremental refresh after a

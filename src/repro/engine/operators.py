@@ -35,6 +35,7 @@ sum mode.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Mapping
 
 import numpy as np
@@ -190,6 +191,13 @@ class Batch:
         self.dictionaries = {**self.dictionaries, key: dictionary}
 
 
+def valid_levels(levels) -> bool:
+    """A ladder's level count — the session's ``levels`` or ``RSUM``'s
+    second argument — is an integer >= 1 (not a boolean)."""
+    return (isinstance(levels, numbers.Integral)
+            and not isinstance(levels, bool) and levels >= 1)
+
+
 class SumConfig:
     """Session-level configuration of the SUM implementation."""
 
@@ -212,8 +220,11 @@ class SumConfig:
                     if successor else ""
                 )
             )
+        if not valid_levels(levels):
+            raise ConfigError(
+                f"levels must be an integer >= 1, got {levels!r}")
         self.mode = mode
-        self.levels = levels
+        self.levels = int(levels)
 
     @classmethod
     def stored(cls, mode: str) -> str:
@@ -293,10 +304,7 @@ class AggregateSpec:
             raise ExprError(f"{name} requires an argument")
         self.levels = sum_config.levels
         if name == "RSUM" and len(call.args) > 1:
-            lv = call.args[1]
-            if not isinstance(lv, ast.Literal) or not isinstance(lv.value, int):
-                raise ExprError("RSUM level argument must be an integer literal")
-            self.levels = lv.value
+            self.levels = call.args[1].value  # checked by the binder
         if name not in ("COUNT", "SUM", "RSUM", "AVG", "MIN", "MAX") + _VAR_NAMES:
             raise ExprError(f"unknown aggregate {name!r}")
 

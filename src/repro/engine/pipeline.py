@@ -24,10 +24,9 @@ executor *processes* (:mod:`repro.distributed`): the planner runs every
 aggregate whose chain qualifies as a ``ShardedAggregate`` over ``N`` of
 them, and everything else — projections, LEFT joins, external
 aggregates — here.  Because the repro aggregate states merge *exactly*
-(:class:`~repro.aggregation.grouped.GroupedSummation` /
-:meth:`~repro.core.state.SummationState.merge`), the repro-mode result
-bits are identical for **every** ``(workers, morsel_size)``
-combination.  IEEE mode keeps plain float partials, so its results may
+(:meth:`~repro.aggregation.grouped.GroupedSummation.merge`), the
+repro-mode result bits are identical for **every** ``(workers,
+morsel_size)`` combination.  IEEE mode keeps plain float partials, so its results may
 drift with the split — the engine-layer demonstration of the paper's
 motivating problem.
 

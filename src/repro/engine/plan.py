@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import ExprError, expression_columns, find_aggregates
+from .operators import valid_levels
 from .sql import ast
 from .table import Table
 from .types import SqlType
@@ -393,6 +394,8 @@ def bind_select(stmt: ast.Select, get_table) -> LogicalNode:
         aggregates.extend(find_aggregates(item.expr))
     if having is not None:
         aggregates.extend(find_aggregates(having))
+    for call in aggregates:
+        _check_rsum_levels(call)
     grouped = bool(stmt.group_by) or bool(aggregates)
 
     if stmt.distinct:
@@ -436,6 +439,19 @@ def bind_select(stmt: ast.Select, get_table) -> LogicalNode:
     if stmt.limit is not None:
         node = Limit(node, stmt.limit)
     return node
+
+
+def _check_rsum_levels(call: ast.FuncCall) -> None:
+    """``RSUM(expr, L)``: ``L`` is an integer literal >= 1, so a plan
+    (and its EXPLAIN) never carries a ladder that cannot be built."""
+    if call.name != "RSUM" or len(call.args) < 2:
+        return
+    levels = call.args[1]
+    if not (isinstance(levels, ast.Literal) and valid_levels(levels.value)):
+        raise BindError(
+            "RSUM level argument must be an integer literal >= 1, got "
+            f"{levels.sql()}"
+        )
 
 
 def _output_position(expr: ast.Expr, items) -> ast.Expr:

@@ -527,6 +527,10 @@ class Database:
                 f"unknown session option {name!r}; valid: "
                 + ", ".join(sorted(self.session_defaults))
             )
+        # A session built with the new default runs the knob's
+        # validator before anything is logged: a logged bad value would
+        # fail every later open of the directory.
+        Session(self, **dict(self.session_defaults, **{name: value})).close()
         self.session_defaults[name] = value
         if self._storage is not None:
             self._storage.log_set_default(name, value)

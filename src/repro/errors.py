@@ -7,10 +7,11 @@ and the client (:mod:`repro.client`) can re-raise the *same* exception
 type on the other side of the socket — a ``ParseError`` over the wire
 is still a ``ParseError`` to the caller.
 
-Six classes also inherit the builtin the engine raised before the
+Seven classes also inherit the builtin the engine raised before the
 hierarchy existed: ``ValueError`` for parse / bind / config / data /
 spill-format failures, ``KeyError`` and ``ValueError`` for catalog
-failures.  They stay, because callers catch the builtins: 62 tier-1
+failures, ``OverflowError`` (and ``ValueError``, through
+:class:`DataError`) for a sum past the extractor ladder's range.  They stay, because callers catch the builtins: 62 tier-1
 tests do (knob validation on every entry point, statement atomicity,
 catalog lookups, ``repro.open`` with a bad knob), and
 ``DurableStore._restore_image``'s ``except (KeyError, TypeError,
@@ -27,6 +28,7 @@ __all__ = [
     "CatalogError",
     "ConfigError",
     "DataError",
+    "LadderOverflowError",
     "AdmissionError",
     "QueryTimeout",
     "ProtocolError",
@@ -91,6 +93,19 @@ class DataError(ReproError, ValueError):
     whole — nothing is stored, nothing is logged."""
 
     code = "data_error"
+
+
+class LadderOverflowError(DataError, OverflowError):
+    """A reproducible sum met a value too large for the extractor
+    ladder.
+
+    The top anchor must remain a normal number, which caps handled
+    magnitudes at roughly ``2**(E_max + W - m - 2)`` (about ``2**986``
+    for binary64 with W = 40); the paper's implementation has the same
+    restriction.  The same type reaches the caller in-process, from an
+    executor process and over the wire."""
+
+    code = "ladder_overflow"
 
 
 class AdmissionError(ReproError):
@@ -170,6 +185,7 @@ _WIRE_TYPES = {
         CatalogError,
         ConfigError,
         DataError,
+        LadderOverflowError,
         AdmissionError,
         QueryTimeout,
         ProtocolError,

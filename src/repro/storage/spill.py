@@ -104,7 +104,7 @@ def _encode(value, out: bytearray) -> None:
         if _INT64_MIN <= value <= _INT64_MAX:
             out += b"i" + _S_I64.pack(value)
         else:
-            # Unbounded carry counters from the scalar SummationState.
+            # A Python int past int64 keeps its exact value.
             raw = value.to_bytes(
                 (value.bit_length() + 8) // 8, "little", signed=True
             )

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from paper.state import SummationState
 from repro.aggregation import GroupByResult, group_sum
 from repro.aggregation.api import RETIRED
-from repro.core import ReproducibleSummer
+from repro.core import RsumParams
 
 
 class TestGroupByResult:
@@ -132,10 +133,10 @@ class TestGroupSumFacade:
         values = np.array([v for _, v in pairs])
         result = group_sum(keys, values)
         for key, total in result.as_dict().items():
-            summer = ReproducibleSummer("double", 2)
+            oracle = SummationState(RsumParams.double(2))
             for v in values[keys == key]:
-                summer.add(v)
-            assert repro.same_bits(total, summer.result())
+                oracle.add(v)
+            assert repro.same_bits(total, oracle.finalize())
 
 
 class TestRetiredNames:

@@ -23,8 +23,8 @@ from repro.aggregation.grouped import (
 )
 from repro.aggregation.partition import stable_group_order
 from repro.core.params import RsumParams
-from repro.core.state import LadderOverflowError
 from repro.engine.aggregates import PlainSum
+from repro.errors import LadderOverflowError
 from repro.fp.formats import BINARY16, BINARY32, BINARY64
 
 P64 = RsumParams(BINARY64)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from paper.state import SummationState
 from repro.aggregation.grouped import GroupedSummation
 from repro.core.params import RsumParams
-from repro.core.state import LadderOverflowError, SummationState
+from repro.errors import LadderOverflowError
 from repro.fp.ieee import same_bits
 
 
@@ -23,7 +24,7 @@ class TestAgainstScalarStates:
         for g in range(50):
             reference = SummationState(params())
             reference.add_array(values[gids == g])
-            assert grouped.to_state(g).state_tuple() == reference.state_tuple(), g
+            assert grouped.state_tuples()[g] == reference.state_tuple(), g
 
     def test_finalize_matches_scalar(self, small_pairs):
         keys, values = small_pairs
@@ -43,7 +44,7 @@ class TestAgainstScalarStates:
         for g in range(8):
             reference = SummationState(params())
             reference.add_array(values[gids == g])
-            assert grouped.to_state(g).state_tuple() == reference.state_tuple()
+            assert grouped.state_tuples()[g] == reference.state_tuple()
 
     def test_float32(self, rng):
         p = RsumParams.single(2)
@@ -134,7 +135,7 @@ class TestMerge:
         for g in range(20):
             reference = SummationState(params())
             reference.add_array(values[gids == g])
-            assert big.to_state(int(perm[g])).state_tuple() == reference.state_tuple()
+            assert big.state_tuples()[int(perm[g])] == reference.state_tuple()
 
     def test_merge_with_ladder_mismatch(self, rng):
         a_vals = rng.uniform(0, 1, size=100)
@@ -145,7 +146,7 @@ class TestMerge:
         a.merge(b)
         reference = SummationState(params())
         reference.add_array(np.concatenate([a_vals, b_vals]))
-        assert a.to_state(0).state_tuple() == reference.state_tuple()
+        assert a.state_tuples()[0] == reference.state_tuple()
 
     def test_non_injective_mapping_rejected(self):
         a = GroupedSummation(params(), 4)

@@ -22,7 +22,7 @@ import pytest
 
 from repro.aggregation import GroupedSummation, RetractableGroupedSummation
 from repro.core.params import RsumParams
-from repro.core.state import LadderOverflowError
+from repro.errors import LadderOverflowError
 from repro.fp.formats import BINARY32, BINARY64
 
 

@@ -1,4 +1,6 @@
-"""Property-based tests (hypothesis) for the core invariants.
+"""Property-based tests (hypothesis) for the core invariants of the
+library sum, which runs the engine's ladder (one ``GroupedSummation``
+group fed by ``add_blocked_multi``).
 
 These are the paper's claims as executable properties:
 
@@ -19,9 +21,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from paper.analysis.errors import grid_aligned_error_bound
+from paper.state import SummationState
 from repro.core.params import RsumParams
-from repro.core.rsum import reproducible_sum
-from repro.core.state import SummationState
+from repro.core.rsum import ReproducibleSummer, reproducible_sum
 from repro.fp.ieee import float_to_bits
 
 # Keep magnitudes within the ladder range and avoid subnormal-horizon
@@ -37,6 +39,16 @@ def bits_of(values, levels=2):
     return float_to_bits(float(reproducible_sum(values, levels=levels)))
 
 
+def summed(values) -> ReproducibleSummer:
+    summer = ReproducibleSummer()
+    summer.add_array(np.asarray(values, dtype=np.float64))
+    return summer
+
+
+def state_of(summer: ReproducibleSummer) -> tuple:
+    return summer.table.state_tuples()[0]
+
+
 class TestReproducibilityProperties:
     @given(value_lists, st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
@@ -48,36 +60,30 @@ class TestReproducibilityProperties:
     @given(value_lists, st.integers(1, 10))
     @settings(max_examples=100, deadline=None)
     def test_chunking_invariance(self, values, nchunks):
-        state_whole = SummationState(RsumParams.double(2))
-        state_whole.add_array(np.asarray(values))
-        state_chunks = SummationState(RsumParams.double(2))
-        for chunk in np.array_split(np.asarray(values), nchunks):
-            state_chunks.add_array(chunk)
-        assert state_whole.state_tuple() == state_chunks.state_tuple()
+        chunks = ReproducibleSummer()
+        for chunk in np.array_split(np.asarray(values, dtype=np.float64),
+                                    nchunks):
+            chunks.add_array(chunk)
+        assert state_of(chunks) == state_of(summed(values))
 
     @given(value_lists, st.integers(0, 59))
     @settings(max_examples=100, deadline=None)
     def test_merge_split_invariance(self, values, split_raw):
         assume(len(values) > 0)
         split = split_raw % len(values)
-        whole = SummationState(RsumParams.double(2))
-        whole.add_array(np.asarray(values))
-        left = SummationState(RsumParams.double(2))
-        left.add_array(np.asarray(values[:split]))
-        right = SummationState(RsumParams.double(2))
-        right.add_array(np.asarray(values[split:]))
-        left.merge(right)
-        assert left.state_tuple() == whole.state_tuple()
+        left = summed(values[:split])
+        left.merge(summed(values[split:]))
+        assert state_of(left) == state_of(summed(values))
 
     @given(value_lists)
     @settings(max_examples=60, deadline=None)
     def test_scalar_vector_agreement(self, values):
+        """The engine's ladder against the independent scalar
+        Algorithm 2 state, one value at a time."""
         scalar = SummationState(RsumParams.double(2))
         for v in values:
             scalar.add(v)
-        vector = SummationState(RsumParams.double(2))
-        vector.add_array(np.asarray(values))
-        assert scalar.state_tuple() == vector.state_tuple()
+        assert state_of(summed(values)) == scalar.state_tuple()
 
     @given(value_lists, st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -128,32 +134,23 @@ class TestStateInvariants:
     @given(value_lists)
     @settings(max_examples=100, deadline=None)
     def test_canonical_window(self, values):
-        state = SummationState(RsumParams.double(2))
-        state.add_array(np.asarray(values))
-        bound = 2 ** (state.params.fmt.mantissa_bits - 2)
-        for level in range(state.params.levels):
-            assert 0 <= state.s[level] < bound
+        summer = summed(values)
+        bound = 2 ** (summer.params.fmt.mantissa_bits - 2)
+        for level in range(summer.params.levels):
+            assert 0 <= summer.table.s[level][0] < bound
 
     @given(value_lists)
     @settings(max_examples=60, deadline=None)
     def test_ladder_grid_alignment(self, values):
-        state = SummationState(RsumParams.double(2))
-        state.add_array(np.asarray(values))
-        if state.e0 is not None:
-            assert state.e0 % state.params.w == 0
+        e0 = state_of(summed(values))[0]
+        if e0 is not None:
+            assert e0 % RsumParams.double(2).w == 0
 
     @given(value_lists, value_lists)
     @settings(max_examples=60, deadline=None)
     def test_merge_commutes(self, left_values, right_values):
-        a1 = SummationState(RsumParams.double(2))
-        a1.add_array(np.asarray(left_values))
-        b1 = SummationState(RsumParams.double(2))
-        b1.add_array(np.asarray(right_values))
-        a1.merge(b1)
-
-        b2 = SummationState(RsumParams.double(2))
-        b2.add_array(np.asarray(right_values))
-        a2 = SummationState(RsumParams.double(2))
-        a2.add_array(np.asarray(left_values))
-        b2.merge(a2)
-        assert a1.state_tuple() == b2.state_tuple()
+        a1 = summed(left_values)
+        a1.merge(summed(right_values))
+        b2 = summed(right_values)
+        b2.merge(summed(left_values))
+        assert state_of(a1) == state_of(b2)

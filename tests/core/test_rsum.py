@@ -1,19 +1,29 @@
-"""Tests for repro.core.rsum (the public API)."""
+"""Tests for repro.core.rsum (the public API), held against the scalar
+Algorithm 2 state of ``benchmarks/paper/state.py``."""
 
 import math
 
 import numpy as np
 import pytest
 
+import repro
+import repro.core
+from paper.state import SummationState
 from repro.core.params import RsumParams
 from repro.core.rsum import (
     ReproducibleSummer,
     params_from_spec,
     reproducible_sum,
 )
-from repro.core.state import SummationState
+from repro.errors import DataError, LadderOverflowError
 from repro.fp.formats import BINARY32, BINARY64
-from repro.fp.ieee import float_to_bits, same_bits
+from repro.fp.ieee import same_bits
+
+
+def oracle(values, params=None):
+    state = SummationState(params or RsumParams.double(2))
+    state.add_array(np.asarray(values))
+    return state.finalize()
 
 
 class TestParamsFromSpec:
@@ -73,7 +83,7 @@ class TestReproducibleSummer:
         summer = ReproducibleSummer()
         for chunk in np.array_split(exp_values, 13):
             summer.add_array(chunk)
-        assert same_bits(summer.result(), reproducible_sum(exp_values))
+        assert same_bits(summer.result(), oracle(exp_values))
 
     def test_iadd_scalar_and_summer(self):
         a = ReproducibleSummer()
@@ -94,12 +104,72 @@ class TestReproducibleSummer:
         merged = summers[0]
         for s in summers[1:]:
             merged.merge(s)
-        assert same_bits(merged.result(), reproducible_sum(exp_values))
+        assert same_bits(merged.result(), oracle(exp_values))
 
     def test_explicit_params(self):
         p = RsumParams.double(3)
         summer = ReproducibleSummer(params=p)
         assert summer.params is p
+
+
+class TestAgainstScalarState:
+    """The library sum runs the engine's ladder; the scalar Algorithm 2
+    state is the independent oracle."""
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dtype", ["double", "float"])
+    def test_bits_and_state(self, wide_values, dtype, levels):
+        params = params_from_spec(dtype, levels)
+        values = wide_values.astype(params.fmt.dtype)
+        summer = ReproducibleSummer(params=params)
+        summer.add_array(values)
+        state = SummationState(params)
+        state.add_array(values)
+        assert summer.table.state_tuples() == [state.state_tuple()]
+        assert same_bits(reproducible_sum(values, dtype, levels),
+                         state.finalize())
+
+    def test_specials(self):
+        values = np.array([1.0, np.inf, 5e-324, -0.0, np.nan, 2.5e-16])
+        for cut in range(values.size + 1):
+            assert same_bits(reproducible_sum(values[:cut]),
+                             oracle(values[:cut]))
+
+    def test_overflow_is_typed(self):
+        with pytest.raises(LadderOverflowError) as err:
+            reproducible_sum([1.0, 2.0**1000])
+        assert isinstance(err.value, DataError)
+        assert isinstance(err.value, OverflowError)
+
+
+class TestRetiredNames:
+    @pytest.mark.parametrize("name, successor", [
+        ("SummationState", "paper.state"),
+        ("ReproFloat", "paper.repro_type"),
+        ("BufferedReproFloat", "paper.buffer"),
+        ("optimal_buffer_size", "paper.tuning"),
+        ("choose_partition_depth", "paper.tuning"),
+        ("split_against_anchor", "paper.eft"),
+        ("two_sum", "paper.eft"),
+        ("state", "paper.state"),
+        ("LadderOverflowError", "repro.errors"),
+    ])
+    def test_core_name_names_its_successor(self, name, successor):
+        with pytest.raises(ImportError, match=successor):
+            getattr(repro.core, name)
+
+    @pytest.mark.parametrize("name", [
+        "ReproFloat", "BufferedReproFloat", "SummationState",
+        "optimal_buffer_size", "choose_partition_depth",
+    ])
+    def test_package_name_names_its_successor(self, name):
+        assert name not in repro.__all__
+        with pytest.raises(ImportError, match=f"repro.{name} moved: .*paper"):
+            getattr(repro, name)
+
+    def test_unknown_name_is_still_an_attribute_error(self):
+        with pytest.raises(AttributeError):
+            repro.core.no_such_name
 
 
 class TestDoctest:

@@ -8,6 +8,7 @@ existing ``except`` clauses keep working.
 
 import pytest
 
+import repro
 from repro.engine import Database
 from repro.errors import (
     BindError,
@@ -78,3 +79,39 @@ def test_unknown_session_option_is_typed():
     db = Database()
     with pytest.raises(ReproError):
         db.session(not_a_knob=True)
+
+
+@pytest.mark.parametrize("levels", [0, -1, 2.5, "x", True, None])
+def test_levels_is_validated_at_open(levels):
+    with pytest.raises(ConfigError, match="levels"):
+        repro.open(sum_mode="repro", levels=levels)
+    with pytest.raises(ConfigError, match="levels"):
+        Database().session(levels=levels)
+
+
+@pytest.mark.parametrize("literal", ["0", "-2", "TRUE", "FALSE", "1.5"])
+def test_rsum_level_literal_is_bound(db, literal):
+    sql = f"SELECT RSUM(f, {literal}) FROM t"
+    with pytest.raises(BindError, match="RSUM level"):
+        db.explain(sql)
+    with pytest.raises(BindError, match="RSUM level"):
+        db.execute(sql)
+    db.execute("INSERT INTO t VALUES (1, 0.5)")
+    assert db.execute("SELECT RSUM(f, 1) FROM t").scalar() == 0.5
+
+
+@pytest.mark.parametrize("name, value", [
+    ("workers", 0), ("morsel_size", -1), ("join_build", "sideways"),
+    ("sum_mode", "sorted"), ("levels", 0), ("memory_budget", -5),
+])
+def test_set_default_validates_before_logging(tmp_path, name, value):
+    db = repro.open(str(tmp_path / "d"))
+    try:
+        with pytest.raises(ConfigError):
+            db.set_default(name, value)
+        db.set_default("morsel_size", 512)
+    finally:
+        db.close()
+    with repro.open(str(tmp_path / "d"), workers=1) as db:
+        assert db.session_defaults["morsel_size"] == 512
+        assert db.session_defaults[name] != value

@@ -530,6 +530,29 @@ class TestMaterializedViews:
         assert db.catalog.view_names() == []
         db.execute("DROP TABLE t")  # no dependent-view block
 
+    def test_failed_refresh_applies_none_of_its_delta(self):
+        """A REFRESH that raises mid-delta (here: COUNT took the batch,
+        then the SUM's ladder-range check failed) leaves the view at its
+        watermark; the next REFRESH rebuilds the maintenance state there
+        instead of applying the delta a second time."""
+        db = Database(sum_mode="repro")
+        db.execute("CREATE TABLE t (k INT, v DOUBLE)")
+        db.execute("INSERT INTO t VALUES (1, 0.5), (2, 0.25)")
+        view_sql = "SELECT k, COUNT(*) AS c, SUM(v) AS s FROM t GROUP BY k"
+        db.execute(f"CREATE MATERIALIZED VIEW mv AS {view_sql}")
+        watermark = db.view("mv").watermark
+        db.execute("INSERT INTO t VALUES (1, 1.0), (2, 1e300)")
+        with pytest.raises(OverflowError):
+            db.execute("REFRESH MATERIALIZED VIEW mv")
+        assert db.view("mv").watermark == watermark
+        db.execute("DELETE FROM t WHERE v > 1e299")
+        db.execute("REFRESH MATERIALIZED VIEW mv")
+        assert "ViewScan(mv" in db.explain(view_sql)
+        served = db.execute(view_sql)
+        assert served.rows() == [(1, 2, 1.5), (2, 1, 0.25)]
+        db.execute("DROP MATERIALIZED VIEW mv")
+        assert result_bits(served) == result_bits(db.execute(view_sql))
+
     def test_noop_dml_keeps_views_fresh(self):
         db = fresh_db()
         db.execute(VIEW_SQL)

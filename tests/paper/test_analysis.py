@@ -22,7 +22,8 @@ from paper.analysis import (
     table2_rows,
 )
 from paper.analysis.errors import state_exact_value
-from repro.core import ReproducibleSummer
+from paper.state import SummationState
+from repro.core import RsumParams
 
 
 class TestExactOracles:
@@ -73,13 +74,13 @@ class TestBounds:
             assert row["state_error"] <= row["bound"] * 1.001
 
     def test_state_exact_value(self):
-        summer = ReproducibleSummer()
+        state = SummationState(RsumParams.double(2))
         values = [0.5, 0.25, 2.0**-30]
-        summer.add_array(np.asarray(values))
-        assert state_exact_value(summer.state) == exact_sum(values)
+        state.add_array(np.asarray(values))
+        assert state_exact_value(state) == exact_sum(values)
 
     def test_state_exact_value_empty(self):
-        assert state_exact_value(ReproducibleSummer().state) == 0
+        assert state_exact_value(SummationState(RsumParams.double(2))) == 0
 
 
 class TestReporting:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.buffer import DEFAULT_BUFFER_SIZE, BufferedReproFloat
-from repro.core.repro_type import ReproFloat
+from paper.buffer import DEFAULT_BUFFER_SIZE, BufferedReproFloat
+from paper.repro_type import ReproFloat
 
 
 class TestBasics:

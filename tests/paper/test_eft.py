@@ -1,4 +1,4 @@
-"""Tests for error-free transformations (repro.core.eft)."""
+"""Tests for error-free transformations (``benchmarks/paper/eft.py``)."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.eft import (
+from paper.eft import (
     exact_sum_fraction,
     extract,
     extract_array,

@@ -18,7 +18,8 @@ from paper.operators import (
     shared_aggregate,
     sort_aggregate,
 )
-from repro.core import ReproducibleSummer
+from paper.state import SummationState
+from repro.core import RsumParams
 from repro.fp.ieee import float_to_bits
 
 values_strategy = st.lists(
@@ -42,10 +43,10 @@ def oracle_bits(keys, values):
     """Per-group scalar RSUM, element at a time — the ground truth."""
     out = {}
     for key in np.unique(keys):
-        summer = ReproducibleSummer("double", 2)
+        oracle = SummationState(RsumParams.double(2))
         for v in values[keys == key]:
-            summer.add(v)
-        out[int(key)] = float_to_bits(float(summer.result()))
+            oracle.add(v)
+        out[int(key)] = float_to_bits(float(oracle.finalize()))
     return out
 
 

@@ -294,7 +294,7 @@ class TestOperatorsMatchGroupSum:
     def test_equation4_buffers_match_group_sum(self, workload):
         """The Equation-4 buffer size the paper's default operator ran
         with changes no bit."""
-        from repro.core import optimal_buffer_size
+        from paper.tuning import optimal_buffer_size
 
         spec = BufferedReproSpec("double", 2, optimal_buffer_size(200, 8))
         ours = partition_and_aggregate(workload.keys, workload.values, spec)

@@ -10,9 +10,9 @@ from paper.reduction import (
     simulate_mimd_sum,
     tree_reduce,
 )
-from repro.core import ReproducibleSummer, reproducible_sum
+from paper.state import SummationState
+from repro.core import reproducible_sum
 from repro.core.params import RsumParams
-from repro.core.state import SummationState
 from repro.fp.ieee import same_bits
 
 
@@ -20,9 +20,9 @@ class TestReductionTopologies:
     def make_states(self, values, parts):
         states = []
         for chunk in np.array_split(values, parts):
-            summer = ReproducibleSummer()
-            summer.add_array(chunk)
-            states.append(summer.state)
+            state = SummationState(RsumParams.double(2))
+            state.add_array(chunk)
+            states.append(state)
         return states
 
     def test_all_topologies_identical(self, exp_values):
@@ -83,6 +83,7 @@ class TestMimdSimulation:
             )
 
     def test_matches_plain_sum(self, exp_values):
+        # the scalar states' reduction equals the engine's ladder
         assert same_bits(
             simulate_mimd_sum(exp_values), reproducible_sum(exp_values)
         )

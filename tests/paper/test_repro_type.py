@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from paper.repro_type import ReproFloat
+from repro.core import repro_spec_name
 from repro.core.params import RsumParams
-from repro.core.repro_type import ReproFloat, repro_spec_name
 
 
 class TestNaming:

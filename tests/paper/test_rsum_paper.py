@@ -1,11 +1,14 @@
-"""The verbatim Algorithm 2 (paper.rsum_paper) against the production
-summation state."""
+"""The verbatim Algorithm 2 (paper.rsum_paper) against both the scalar
+summation state (paper.state) and the engine's ladder that
+``repro.reproducible_sum`` runs."""
 
 import numpy as np
+import pytest
 
 from paper.rsum_paper import ScalarRsumPaper
+from paper.state import SummationState
+from repro.core import reproducible_sum
 from repro.core.params import RsumParams
-from repro.core.state import SummationState
 from repro.fp.ieee import same_bits
 
 
@@ -65,6 +68,18 @@ class TestScalarRsumPaper:
         fresh = SummationState(params)
         fresh.add_array(np.array(values))
         assert float(paper.result()) == float(fresh.finalize()) == sum(values)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", ["double", "float"])
+    def test_agrees_with_engine_ladder(self, rng, dtype, levels):
+        exponents = rng.uniform(-12, 12, size=600)
+        values = (rng.choice([-1.0, 1.0], 600) * np.exp2(exponents)).astype(
+            np.float32 if dtype == "float" else np.float64)
+        values = np.concatenate([values, [0.0, -0.0, 2.0**40]])
+        paper = ScalarRsumPaper(RsumParams.for_dtype(values.dtype, levels))
+        paper.add_many(values)
+        assert same_bits(paper.result(),
+                         reproducible_sum(values, dtype, levels))
 
     def test_non_grid_alignment_still_sums(self):
         ref = ScalarRsumPaper(RsumParams.double(2), grid_aligned=False)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.params import RsumParams
 from paper.rsum_simd import SimdRsum, default_vector_width
-from repro.core.state import SummationState
+from paper.state import SummationState
+from repro.core.params import RsumParams
 from repro.fp.ieee import same_bits
 
 

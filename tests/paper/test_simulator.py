@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.core.tuning import optimal_buffer_size
 from paper.simulator import (
     DTYPES,
     HASWELL_EP,
@@ -26,6 +25,7 @@ from paper.simulator import (
     sort_baseline_series,
     table3_geomeans,
 )
+from paper.tuning import optimal_buffer_size
 
 
 class TestMachine:

@@ -1,12 +1,14 @@
-"""Tests for SummationState — the reproducibility engine room."""
+"""Tests for SummationState — the scalar Algorithm 2 state, the oracle
+the engine's ladder is held against (``benchmarks/paper/state.py``)."""
 
 import math
 
 import numpy as np
 import pytest
 
+from paper.state import SummationState
 from repro.core.params import RsumParams
-from repro.core.state import LadderOverflowError, SummationState
+from repro.errors import LadderOverflowError
 from repro.fp.ieee import same_bits
 
 

@@ -37,14 +37,9 @@ SERVING = frozenset({
     "repro.aggregation.retractable",
     "repro.client",
     "repro.core",
-    "repro.core.buffer",
-    "repro.core.eft",
     "repro.core.params",
-    "repro.core.repro_type",
     "repro.core.rsum",
-    "repro.core.state",
     "repro.core.stats",
-    "repro.core.tuning",
     "repro.distributed",
     "repro.distributed.coordinator",
     "repro.distributed.pool",

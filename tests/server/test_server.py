@@ -26,10 +26,13 @@ from repro.errors import (
     BindError,
     CatalogError,
     ConfigError,
+    DataError,
+    LadderOverflowError,
     ParseError,
     ProtocolError,
     QueryTimeout,
     ReproError,
+    error_code,
     error_from_wire,
     error_to_wire,
 )
@@ -230,6 +233,36 @@ def test_typed_errors_cross_the_wire(served):
             s.execute("SELECT nope FROM t")
         # The connection survives errors.
         assert s.execute("SELECT COUNT(*) FROM t").scalar() == 0
+
+
+def test_ladder_overflow_is_one_typed_error(served):
+    """A repro SUM past the ladder's range (|v| >= 2**986) fails as the
+    same typed error in-process, on executor processes and over the
+    wire — and the fleet that raised it still answers."""
+    db, server = served
+    db.execute("CREATE TABLE big (k INT, v DOUBLE)")
+    db.execute("INSERT INTO big VALUES (1, 1.0), (2, 2e300)")
+    query = "SELECT k, SUM(v) FROM big GROUP BY k"
+    errors = []
+    for workers in (1, 2):
+        session = db.session(workers=workers)
+        try:
+            with pytest.raises(DataError) as info:
+                session.execute(query)
+            errors.append(info.value)
+            assert session.execute(
+                "SELECT COUNT(*) FROM big").scalar() == 2
+        finally:
+            session.close()
+    with repro.connect(server.address, workers=2) as s:
+        with pytest.raises(DataError) as info:
+            s.execute(query)
+        errors.append(info.value)
+    for err in errors:
+        assert type(err) is LadderOverflowError
+        assert isinstance(err, OverflowError)
+        assert error_code(err) == "ladder_overflow"
+    assert len({str(err) for err in errors}) == 1
 
 
 def test_lexer_and_dml_errors_are_typed_on_the_wire(served):

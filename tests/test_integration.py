@@ -85,13 +85,47 @@ class TestEngineMatchesLibrary:
                 assert sql.sums.tobytes() == lib.sums.tobytes(), (mode, dtype)
 
     def test_rsum_sql_equals_reproducible_sum(self, workload):
-        db = Database(sum_mode="ieee")
-        db.execute("CREATE TABLE t (v DOUBLE)")
-        db.table("t").bulk_load({"v": workload.values})
-        sql_value = db.execute("SELECT RSUM(v, 2) FROM t").scalar()
-        assert repro.same_bits(
-            sql_value, repro.reproducible_sum(workload.values, levels=2)
-        )
+        """DOUBLE and FLOAT columns, levels 2-4 as the session's
+        ``levels`` and as ``RSUM(v, L)``, values holding NaN, +-inf,
+        subnormals and -0.0: SQL's bits equal the library sum's, and a
+        summer fed two halves and merged."""
+        base = workload.values[:5_000]
+        tiny = np.array([5e-324, 1e-310, -2.5e-320, 1e-40, -1e-42, -0.0])
+        cases = {
+            "plain": base,
+            "subnormal": np.concatenate([base * 1e-300, tiny]),
+            "negzero": np.array([-0.0, -0.0]),
+            "posinf": np.concatenate([base, tiny, [np.inf]]),
+            "neginf": np.concatenate([[-np.inf], base]),
+            "nan": np.concatenate([base, [np.nan], tiny]),
+            "infs": np.array([np.inf, 1.0, -np.inf]),
+        }
+        for column, dtype in (("DOUBLE", "double"), ("FLOAT", "float")):
+            for name, values in cases.items():
+                values = values.astype(np.float64 if dtype == "double"
+                                       else np.float32)
+                for levels in (2, 3, 4):
+                    library = repro.reproducible_sum(values, dtype, levels)
+                    left = repro.ReproducibleSummer(dtype, levels)
+                    right = repro.ReproducibleSummer(dtype, levels)
+                    left.add_array(values[: values.size // 2])
+                    right.add_array(values[values.size // 2:])
+                    left.merge(right)
+                    results = [left.result()]
+                    for mode, sql in (
+                        ("repro", "SELECT SUM(v) FROM t"),
+                        ("ieee", f"SELECT RSUM(v, {levels}) FROM t"),
+                    ):
+                        db = Database(sum_mode=mode, levels=levels,
+                                      morsel_size=1024)
+                        db.execute(f"CREATE TABLE t (v {column})")
+                        db.table("t").bulk_load({"v": values})
+                        results.append(db.execute(sql).arrays[0])
+                    for got in results:
+                        got = np.asarray(got).reshape(-1)
+                        assert got.dtype == library.dtype, (name, dtype)
+                        assert got.tobytes() == library.tobytes(), (
+                            name, dtype, levels)
 
     def test_tpch_q1_stable_under_everything(self):
         db = Database(sum_mode="repro")
@@ -112,8 +146,8 @@ class TestEngineMatchesLibrary:
 class TestTuningConsistency:
     def test_model_agrees_with_figure9_rule(self):
         """The offline rule and the cost model pick similar depths."""
-        from repro.core import choose_partition_depth
         from paper.simulator import CostModel, dtype_model
+        from paper.tuning import choose_partition_depth
 
         model = CostModel()
         dt = dtype_model("repro<float,2>").buffered()

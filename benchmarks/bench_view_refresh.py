@@ -14,8 +14,10 @@ Reported series (``sum_mode="repro"``, ``workers=1``):
 * **full recompute** — the Q1 GROUP BY over the whole lineitem table
   (what every query pays without a view);
 * **incremental refresh** — ``REFRESH MATERIALIZED VIEW`` after
-  inserting a 1% delta: only the delta rows are merged into the
-  retractable partial states.
+  inserting a 1% delta: only the delta rows are merged into the view's
+  group table (the one a SELECT builds).  The delta is insert-only; a
+  refresh whose delta deletes a row rebuilds the view from its live
+  rows, which costs about a full recompute.
 
 Everything lands in ``BENCH_pr.json`` for the CI bench-regression
 gate: ns/element per leg plus the ``view_refresh_incremental_over_full``

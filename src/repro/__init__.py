@@ -19,8 +19,8 @@ Quickstart::
     # Bit-reproducible GROUP BY SUM.
     table = repro.group_sum(keys, values)
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for the
-paper-vs-measured record.
+See README.md for the architecture, the SQL engine and the
+benchmarks.
 """
 
 from .aggregation.api import group_sum

@@ -3,7 +3,6 @@
 * ``grouped`` — :class:`GroupedSummation` (one rsum ladder per group,
   exact merge) and ``add_blocked_multi``, the ladder update every
   reproducible SUM goes through;
-* ``retractable`` — its full-grid twin for incremental view maintenance;
 * ``external_agg`` — the spilling aggregation a memory budget selects;
 * ``api`` — :func:`group_sum`, SQL's SUM path over two arrays, returning
   a :class:`GroupByResult`.
@@ -16,12 +15,10 @@ benches that measure them, in ``benchmarks/paper/operators``.
 from .api import group_sum
 from .grouped import GroupedSummation
 from .result import GroupByResult
-from .retractable import RetractableGroupedSummation
 
 __all__ = [
     "GroupByResult",
     "GroupedSummation",
-    "RetractableGroupedSummation",
     "group_sum",
 ]
 
@@ -38,6 +35,9 @@ _RETIRED = {
     "batches and run SELECT k, SUM(v) ... GROUP BY k (repro.open())",
     "spec_from_options": "repro.group_sum takes reproducible, dtype and "
     "levels itself; the specs are in paper.operators",
+    "RetractableGroupedSummation": "no state subtracts any more: a "
+    "materialized-view REFRESH whose delta deletes a row rebuilds the "
+    "view from its live rows; GroupedSummation merges the rest",
 }
 
 

@@ -53,7 +53,6 @@ from .pipeline import (
 )
 from .join import HashJoin
 from .matview import (
-    MaintenanceGroupTable,
     MaterializedView,
     ViewDefinitionError,
     match_view,
@@ -127,7 +126,6 @@ __all__ = [
     "BindError",
     "HashJoin",
     "MaterializedView",
-    "MaintenanceGroupTable",
     "ViewDefinitionError",
     "match_view",
     "Batch",
@@ -157,3 +155,19 @@ __all__ = [
     "parse_date",
     "type_from_name",
 ]
+
+
+_RETIRED = {
+    "MaintenanceGroupTable": "a materialized view holds the plain "
+    "VectorizedGroupTable a SELECT builds; a REFRESH whose delta deletes "
+    "a row rebuilds it from the view's live rows",
+}
+
+
+def __getattr__(name):
+    # ImportError, not AttributeError: ``from repro.engine import X``
+    # would replace an AttributeError's message with its own.
+    if name in _RETIRED:
+        raise ImportError(f"repro.engine.{name} is retired: "
+                          f"{_RETIRED[name]}", name=name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,7 +8,6 @@ knows nothing about what is inside them; each state class owns its
 whole life cycle::
 
     update(batch, cache, gids, morsel, ngroups)   consume one morsel
-    retract(...)                 exact inverse of update (where one exists)
     merge(other, mapping, ngroups)   fold a partial in; mapping[g] is the
                                      target group of other's group g
     finalize(ngroups)            per-group results, table gid order
@@ -24,10 +23,11 @@ ladder sums fill so the table can feed them with one call.
 session mode on the first morsel: :class:`PlainSum` (exact int64 for
 INT / BOOL / bare DECIMAL columns; IEEE floats in ``ieee`` mode) and
 :class:`LadderSum` (the reproducible rsum ladder of ``repro`` mode and
-``RSUM``; built ``retractable`` it keeps the full grid so deletes
-subtract exactly).  For the repro accumulator update and merge are
-*exact*, which is what makes a parallel, spilled or sharded GROUP BY
-bit-reproducible.
+``RSUM``).  For the repro accumulator update and merge are *exact*,
+which is what makes a parallel, spilled or sharded GROUP BY — and an
+insert-only view refresh — bit-reproducible.  No state subtracts: a
+view refresh whose delta deletes a row rebuilds the view
+(:mod:`repro.engine.matview`).
 
 AVG, VARIANCE and STDDEV are not states: the table finalizes them from
 a shared :class:`SumState` / :class:`Moment2State` and the common
@@ -39,7 +39,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..aggregation.grouped import GroupedSummation, add_blocked_multi
-from ..aggregation.retractable import RetractableGroupedSummation
 from ..core.params import RsumParams
 from ..errors import SpillFormatError
 from ..fp.formats import BINARY32, BINARY64
@@ -57,6 +56,7 @@ __all__ = [
     "Moment2State",
     "PlainSum",
     "SumState",
+    "run_extremes",
     "sum_value_kind",
     "update_ladders",
 ]
@@ -92,11 +92,6 @@ class CountState:
         self.counts = _grown(self.counts, ngroups)
         if gids.size:
             self.counts += np.bincount(gids, minlength=ngroups)
-
-    def retract(self, batch, cache, gids, morsel, ngroups: int) -> None:
-        self.counts = _grown(self.counts, ngroups)
-        if gids.size:
-            self.counts -= np.bincount(gids, minlength=ngroups)
 
     def merge(self, other: "CountState", mapping, ngroups: int) -> None:
         self.counts = _grown(self.counts, ngroups)
@@ -151,15 +146,6 @@ class PlainSum:
             with np.errstate(invalid="ignore"):
                 np.add.at(self.sums, gids, values)
 
-    def retract(self, values, gids, morsel, ngroups: int) -> None:
-        """Inverse of :meth:`add` — exact for the int64 accumulators
-        only; IEEE subtraction carries rounding residue, so float plain
-        sums are excluded from incremental view maintenance (see
-        :meth:`AggregateSpec.supports_retraction`)."""
-        self.sums = _grown(self.sums, ngroups)
-        if gids.size:
-            np.subtract.at(self.sums, gids, values)
-
     def merge(self, other: "PlainSum", mapping, ngroups: int) -> None:
         self.sums = _grown(self.sums, ngroups)
         with np.errstate(invalid="ignore"):  # +inf + -inf, as in add()
@@ -187,29 +173,19 @@ class PlainSum:
 
 
 class LadderSum:
-    """Reproducible sums: one rsum ladder per group, exact merge.
-
-    ``retractable=True`` (incremental view maintenance) keeps the
-    full-grid :class:`~repro.aggregation.retractable.
-    RetractableGroupedSummation` instead of the truncated L-level
-    ladder, which adds an exact :meth:`retract`; its ``finalize``
-    renders down to the truncated ladder first, so the produced bits
-    equal the query-time accumulator's.
-    """
+    """Reproducible sums: one rsum ladder per group, exact merge."""
 
     kind = "repro"
 
-    def __init__(self, dtype, levels: int, retractable: bool = False):
+    def __init__(self, dtype, levels: int):
         self.dtype = np.dtype(dtype)
         self.levels = levels
-        self.retractable = retractable
         fmt = BINARY32 if self.dtype == np.float32 else BINARY64
         self.params = RsumParams(fmt, levels)
-        table = RetractableGroupedSummation if retractable else GroupedSummation
-        self.grouped = table(self.params, 0)
+        self.grouped = GroupedSummation(self.params, 0)
 
     def empty_like(self):
-        return LadderSum(self.dtype, self.levels, self.retractable)
+        return LadderSum(self.dtype, self.levels)
 
     def approx_bytes(self) -> int:
         return self.grouped.nbytes()
@@ -219,23 +195,11 @@ class LadderSum:
             self.grouped.resize(ngroups)
 
     def add(self, values, gids, morsel, ngroups: int) -> None:
-        if not self.retractable:
-            # Queued, not fed: the table makes one update_ladders call
-            # per parameter set when every state has seen the morsel.
-            accs, rows = morsel.ladders.setdefault(self.params, ([], []))
-            accs.append(self)
-            rows.append(values)
-            return
-        self._grow(ngroups)
-        if gids.size:
-            self.grouped.add_pairs(gids, values.astype(self.params.fmt.dtype))
-
-    def retract(self, values, gids, morsel, ngroups: int) -> None:
-        self._grow(ngroups)
-        if gids.size:
-            self.grouped.retract_pairs(
-                gids, values.astype(self.params.fmt.dtype)
-            )
+        # Queued, not fed: the table makes one update_ladders call per
+        # parameter set when every state has seen the morsel.
+        accs, rows = morsel.ladders.setdefault(self.params, ([], []))
+        accs.append(self)
+        rows.append(values)
 
     def merge(self, other: "LadderSum", mapping, ngroups: int) -> None:
         self._grow(ngroups)
@@ -277,11 +241,11 @@ def update_ladders(accs, rows, gids: np.ndarray, morsel, ngroups: int) -> None:
 _ACCUMULATORS = {cls.kind: cls for cls in (PlainSum, LadderSum)}
 
 
-def _float_accumulator(dtype, mode: str, levels: int, retractable: bool):
+def _float_accumulator(dtype, mode: str, levels: int):
     if mode == "ieee":
         return PlainSum(dtype)
     if mode == "repro":
-        return LadderSum(dtype, levels, retractable)
+        return LadderSum(dtype, levels)
     raise ValueError(f"unknown sum mode {mode!r}")
 
 
@@ -320,20 +284,16 @@ class SumState:
 
     tag = "sum"
 
-    def __init__(self, arg: ast.Expr, mode: str, levels: int,
-                 retractable: bool = False):
+    def __init__(self, arg: ast.Expr, mode: str, levels: int):
         self.arg = arg
         self.mode = mode
         self.levels = levels
-        self.retractable = retractable
         self.acc = None
 
     def new_accumulator(self, kind: str, scale, dtype):
         if kind in ("decimal", "int"):
             return PlainSum(np.int64, scale)
-        return _float_accumulator(
-            dtype, self.mode, self.levels, self.retractable
-        )
+        return _float_accumulator(dtype, self.mode, self.levels)
 
     def _input(self, batch, cache):
         kind, scale = sum_value_kind(
@@ -350,10 +310,6 @@ class SumState:
     def update(self, batch, cache, gids, morsel, ngroups: int) -> None:
         values = self._input(batch, cache)
         self.acc.add(values, gids, morsel, ngroups)
-
-    def retract(self, batch, cache, gids, morsel, ngroups: int) -> None:
-        values = self._input(batch, cache)
-        self.acc.retract(values, gids, morsel, ngroups)
 
     def merge(self, other: "SumState", mapping, ngroups: int) -> None:
         if other.acc is None:
@@ -381,19 +337,18 @@ class SumState:
 class Moment2State:
     """SUM(x) and SUM(x*x) behind the VARIANCE / STDDEV family — the
     paper's footnote-2 recipe: with a reproducible SUM these become
-    reproducible too.  ``x*x`` is element-wise (order-free), so
-    retracting the squares is as exact as adding them was.  Counts live
-    in the table's common :class:`CountState`."""
+    reproducible too.  ``x*x`` is element-wise (order-free), so the
+    squares merge as exactly as the values do.  Counts live in the
+    table's common :class:`CountState`."""
 
     tag = "moment2"
 
-    def __init__(self, arg: ast.Expr, mode: str, levels: int,
-                 retractable: bool = False):
+    def __init__(self, arg: ast.Expr, mode: str, levels: int):
         self.arg = arg
         self.mode = mode
         self.levels = levels
-        self.sum_x = _float_accumulator(np.float64, mode, levels, retractable)
-        self.sum_xx = _float_accumulator(np.float64, mode, levels, retractable)
+        self.sum_x = _float_accumulator(np.float64, mode, levels)
+        self.sum_xx = _float_accumulator(np.float64, mode, levels)
 
     def _powers(self, batch, cache):
         values = np.asarray(cache.values(self.arg, batch.nrows),
@@ -404,11 +359,6 @@ class Moment2State:
         x, xx = self._powers(batch, cache)
         self.sum_x.add(x, gids, morsel, ngroups)
         self.sum_xx.add(xx, gids, morsel, ngroups)
-
-    def retract(self, batch, cache, gids, morsel, ngroups: int) -> None:
-        x, xx = self._powers(batch, cache)
-        self.sum_x.retract(x, gids, morsel, ngroups)
-        self.sum_xx.retract(xx, gids, morsel, ngroups)
 
     def merge(self, other: "Moment2State", mapping, ngroups: int) -> None:
         self.sum_x.merge(other.sum_x, mapping, ngroups)
@@ -459,87 +409,47 @@ def _canonical_distinct_codes(values: np.ndarray):
 
 
 class DistinctState:
-    """COUNT(DISTINCT expr): per-group collections of canonical values.
+    """COUNT(DISTINCT expr): one set of canonical values per group.
 
     The partial state is a plain set per group, so update and merge are
     *exact* for any morsel split, worker count, or join build side —
     the same horizontal-merge property the repro SUM states have, which
     is what keeps COUNT(DISTINCT) in the bit-reproducible family.  Each
     morsel is dictionary-encoded once and the (gid, code) pairs
-    deduplicated vectorized before the Python collections are touched.
-
-    ``retractable=True`` (incremental view maintenance) keeps a
-    ``{member: occurrences}`` dict per group instead: a deleted row
-    decrements its value's refcount and the member only disappears with
-    its last occurrence.  Finalize counts members either way, so both
-    forms are byte-identical over the same live rows.
+    deduplicated vectorized before the Python sets are touched.
     """
 
     tag = "distinct"
 
-    def __init__(self, arg: ast.Expr, retractable: bool = False):
+    def __init__(self, arg: ast.Expr):
         self.arg = arg
-        self.retractable = retractable
-        #: one set (or refcount dict) per group
-        self.groups: list = []
+        #: one set per group
+        self.groups: list[set] = []
         #: running total of members, maintained incrementally so
         #: :meth:`approx_bytes` is O(1) (budget accounting runs per
         #: morsel)
         self.member_count = 0
 
     def _grow(self, ngroups: int) -> None:
-        empty = dict if self.retractable else set
         while len(self.groups) < ngroups:
-            self.groups.append(empty())
-
-    def _pairs(self, batch, cache, gids):
-        """``(pair codes, base, members)``: row ``i`` holds member
-        ``members[code % base]`` in group ``code // base``."""
-        codes, members = _canonical_distinct_codes(
-            cache.values(self.arg, batch.nrows)
-        )
-        base = max(len(members), 1)
-        return gids.astype(np.int64) * base + codes, base, members
+            self.groups.append(set())
 
     def update(self, batch, cache, gids, morsel, ngroups: int) -> None:
         self._grow(ngroups)
         if not gids.size:
             return
-        if self.retractable:
-            self._count(batch, cache, gids, +1)
-            return
-        pairs, base, members = self._pairs(batch, cache, gids)
+        codes, members = _canonical_distinct_codes(
+            cache.values(self.arg, batch.nrows)
+        )
+        # row i holds member members[code % base] in group code // base
+        base = max(len(members), 1)
+        pairs = gids.astype(np.int64) * base + codes
         for pair in np.unique(pairs).tolist():
             gid, code = divmod(pair, base)
             group = self.groups[gid]
             before = len(group)
             group.add(members[code])
             self.member_count += len(group) - before
-
-    def retract(self, batch, cache, gids, morsel, ngroups: int) -> None:
-        self._grow(ngroups)
-        if gids.size:
-            self._count(batch, cache, gids, -1)
-
-    def _count(self, batch, cache, gids, sign: int) -> None:
-        pairs, base, members = self._pairs(batch, cache, gids)
-        pairs, counts = np.unique(pairs, return_counts=True)
-        for pair, count in zip(pairs.tolist(), counts.tolist()):
-            gid, code = divmod(pair, base)
-            group = self.groups[gid]
-            member = members[code]
-            total = group.get(member, 0) + sign * count
-            if total > 0:
-                if member not in group:
-                    self.member_count += 1
-                group[member] = total
-            elif total == 0 and member in group:
-                del group[member]
-                self.member_count -= 1
-            elif total < 0:
-                raise ValueError(
-                    f"retract of unseen DISTINCT value {member!r}"
-                )
 
     def merge(self, other: "DistinctState", mapping, ngroups: int) -> None:
         self._grow(ngroups)
@@ -548,11 +458,7 @@ class DistinctState:
                 continue
             target = self.groups[mapping[gid]]
             before = len(target)
-            if self.retractable:
-                for member, count in theirs.items():
-                    target[member] = target.get(member, 0) + count
-            else:
-                target |= theirs
+            target |= theirs
             self.member_count += len(target) - before
 
     def finalize(self, ngroups: int) -> np.ndarray:
@@ -562,12 +468,10 @@ class DistinctState:
         )
 
     def approx_bytes(self) -> int:
-        # ~one collection header per group plus ~64 bytes per member
-        # (slot + boxed value; 96 with a refcount) — a deliberate
-        # over-estimate so budgets spill DISTINCT state early rather
-        # than late.
-        per_member = 96 if self.retractable else 64
-        return 64 * len(self.groups) + per_member * self.member_count
+        # ~one set header per group plus ~64 bytes per member (slot +
+        # boxed value) — a deliberate over-estimate so budgets spill
+        # DISTINCT state early rather than late.
+        return 64 * len(self.groups) + 64 * self.member_count
 
     def dump(self) -> dict:
         return {"tag": self.tag, "sets": [set(g) for g in self.groups]}
@@ -578,16 +482,40 @@ class DistinctState:
         self.member_count = sum(len(group) for group in self.groups)
 
 
+def run_extremes(is_min: bool, values: np.ndarray,
+                 starts: np.ndarray) -> np.ndarray:
+    """MIN (``is_min``) or MAX of each run of ``values`` that begins at
+    ``starts`` — ``reduceat``, with zeros ordered as IEEE 754-2019
+    ``minimum`` / ``maximum`` order them: ``-0.0 < +0.0``.
+
+    ``np.minimum`` / ``np.maximum`` return their second argument on a
+    tie, which would let arrival order pick the sign of a zero extreme;
+    here a zero MIN is ``-0.0`` when the run holds a ``-0.0``, a zero
+    MAX ``+0.0`` when it holds a ``+0.0``.  Both the per-morsel reduce
+    and the merge go through this one function.
+    """
+    out = (np.minimum if is_min else np.maximum).reduceat(values, starts)
+    if values.dtype.kind == "f":
+        tied = out == 0
+        if tied.any():
+            # A zero MIN means no run member is below zero, so a set
+            # sign bit marks a -0.0 (a NaN would have made the MIN
+            # NaN); a zero MAX is -0.0 only when every member is.
+            either = np.logical_or if is_min else np.logical_and
+            negative = either.reduceat(np.signbit(values), starts)
+            out[tied] = np.where(negative[tied], -0.0, 0.0)
+    return out
+
+
 class MinMaxState:
-    """MIN / MAX: one extreme per group (not retractable — a bounded
-    extreme forgets the runner-up)."""
+    """MIN / MAX: one extreme per group."""
 
     tag = "minmax"
 
     def __init__(self, arg: ast.Expr, is_min: bool):
         self.arg = arg
+        self.is_min = is_min
         self.name = "MIN" if is_min else "MAX"
-        self.ufunc = np.minimum if is_min else np.maximum
         self.extremes: np.ndarray | None = None
         self.seen = np.zeros(0, dtype=bool)
 
@@ -609,7 +537,10 @@ class MinMaxState:
         self.seen[fresh] = True
         old = idx[known]
         if old.size:
-            self.extremes[old] = self.ufunc(self.extremes[old], ext[known])
+            pairs = np.stack([self.extremes[old], ext[known]], axis=1)
+            self.extremes[old] = run_extremes(
+                self.is_min, pairs.ravel(), np.arange(0, 2 * old.size, 2)
+            )
 
     def add(self, values, gids, morsel, ngroups: int) -> None:
         """One ``reduceat`` per sorted run of the morsel."""
@@ -617,7 +548,7 @@ class MinMaxState:
         if gids.size:
             self._combine(
                 morsel.seg_gids,
-                self.ufunc.reduceat(morsel.take(values), morsel.starts),
+                run_extremes(self.is_min, morsel.take(values), morsel.starts),
             )
 
     def update(self, batch, cache, gids, morsel, ngroups: int) -> None:

@@ -1,26 +1,23 @@
 """Incrementally-maintained reproducible materialized aggregate views.
 
 The paper's exact-merge property has a corollary it highlights for
-pre-aggregation: because partial aggregate states merge *exactly*,
-they also subtract exactly, so a materialized ``GROUP BY`` can be kept
-up to date by **merging** the partial states of inserted rows and
-**retracting** those of deleted rows — and the refreshed view is
+pre-aggregation: because partial aggregate states merge *exactly*, a
+materialized ``GROUP BY`` can be kept up to date by **merging** the
+partial states of inserted rows into it — and the refreshed view is
 byte-identical to recomputing it from scratch, under any
-``workers x morsel_size x memory_budget`` configuration.
+``workers x morsel_size x memory_budget`` configuration.  No state
+subtracts: a REFRESH whose delta deletes a row (DELETE, UPDATE)
+rebuilds the view from the rows live at its target watermark.
 
 The pieces:
 
-* :class:`MaintenanceGroupTable` — the query group table
-  (:class:`~repro.engine.vectorized.VectorizedGroupTable`: same key
-  path, expression cache and state sharing as every SELECT) with its
-  states built in retractable form (full-grid rsum ladders, int64
-  counts/sums, refcounted DISTINCT sets) plus a per-group live-row
-  count that drives *empty-group elimination*: a group whose COUNT(*)
-  reaches zero disappears from the view, exactly as it would from a
-  fresh query.
 * :class:`MaterializedView` — the catalog object: the bound + optimized
-  definition, the maintenance state, the consumed row-version
-  watermark, and the finalized contents served to matching queries.
+  definition, the maintenance state (the plain
+  :class:`~repro.engine.vectorized.VectorizedGroupTable` a SELECT
+  builds: same key path, expression cache, state sharing and ladder
+  update), the consumed row-version watermark, and the finalized
+  contents served to matching queries.  Without subtraction a group
+  only ever empties through a rebuild, which never registers it.
 * :func:`match_view` / :func:`plan_view_scan` — the planner rewrite:
   an aggregate query whose (table, predicate, group keys) equal a
   *fresh* view's and whose aggregates are a subset of the view's is
@@ -28,10 +25,11 @@ The pieces:
   ``ViewScan``.  Stale views (or sessions whose SUM configuration
   changed) fall back to the base scan.
 
-Views whose aggregates cannot retract exactly — MIN/MAX, or the
-ieee/sorted SUM family, where float subtraction leaves residue — are
-kept in ``full`` maintenance mode: ``REFRESH`` recomputes them through
-the regular query pipeline instead of applying the delta.
+Views whose aggregates do not merge to a from-scratch result's bits —
+the ieee SUM family, whose bits depend on the row split — and MIN/MAX
+views are kept in ``full`` maintenance mode (see
+:meth:`~repro.engine.operators.AggregateSpec.maintains_incrementally`):
+``REFRESH`` recomputes them through the regular query pipeline.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BindError
-from .aggregates import CountState
 from .operators import Batch, SumConfig
 from .optimizer import optimize
 from .physical import (
@@ -65,7 +62,6 @@ from .vectorized import VectorizedGroupTable
 
 __all__ = [
     "ViewDefinitionError",
-    "MaintenanceGroupTable",
     "MaterializedView",
     "match_view",
     "plan_view_scan",
@@ -74,57 +70,6 @@ __all__ = [
 
 class ViewDefinitionError(BindError):
     """The SELECT cannot define an incrementally-maintainable view."""
-
-
-# ---------------------------------------------------------------------------
-# Maintenance state
-# ---------------------------------------------------------------------------
-
-
-class MaintenanceGroupTable(VectorizedGroupTable):
-    """The query group table built retractable, plus live-row counts.
-
-    ``update`` consumes inserted-row batches, ``retract`` consumes
-    deleted-row batches; both are exact, so any interleaving over the
-    same live multiset lands on the same bytes.  ``finalize_live``
-    additionally drops groups whose live-row count is zero, which is
-    what makes the view contents byte-identical to a from-scratch
-    recomputation (a fresh query never sees the vanished group).
-    """
-
-    def __init__(self, group_exprs, specs):
-        super().__init__(group_exprs, specs, retractable=True)
-        #: live rows per group (the empty-group elimination driver);
-        #: riding ``states`` it is updated, retracted and merged with
-        #: the aggregates
-        self.row_counts = CountState()
-        self.states.append(self.row_counts)
-
-    def retract(self, batch: Batch) -> None:
-        args = self._prepare(batch)
-        for state in self.states:
-            state.retract(batch, *args)
-
-    def finalize_live(self):
-        """``(key_arrays, result_arrays, ngroups)`` over *live* groups,
-        canonical (sorted-key) order — the from-scratch result shape."""
-        key_arrays, results, ngroups = self.finalize()
-        if not self.group_exprs:
-            # Global aggregate: the one group always exists, exactly as
-            # it does for a fresh query over an empty table.
-            return key_arrays, results, ngroups
-        counts = self.row_counts.finalize(ngroups)
-        order = self._canonical_order()
-        if order is not None:
-            counts = counts[order]
-        live = counts > 0
-        if live.all():
-            return key_arrays, results, ngroups
-        return (
-            [arr[live] for arr in key_arrays],
-            [arr[live] for arr in results],
-            int(np.count_nonzero(live)),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +181,12 @@ class MaterializedView:
         self.items = shape.items
         self.specs = _dedup_specs(shape.aggregate.aggregates, sum_config)
         self.agg_sqls = frozenset(spec.sql for spec in self.specs)
-        #: 'incremental' when every aggregate state retracts exactly;
-        #: 'full' otherwise (REFRESH recomputes through the pipeline).
+        #: 'incremental' when every aggregate state merges an inserted
+        #: delta exactly; 'full' otherwise (REFRESH recomputes through
+        #: the pipeline).
         self.maintenance = (
             "incremental"
-            if all(spec.supports_retraction() for spec in self.specs)
+            if all(spec.maintains_incrementally() for spec in self.specs)
             else "full"
         )
         #: columns the delta scan needs (the optimizer's projection
@@ -257,10 +203,13 @@ class MaterializedView:
             key: shape.scan.columns[key][1]
             for key in (projected or self.scan_keys)
         }
-        self._maintenance_table = (
-            MaintenanceGroupTable(self.group_exprs, self.specs)
-            if self.maintenance == "incremental" else None
-        )
+        #: the maintenance state of an incremental view: the group table
+        #: over the rows live at :attr:`watermark`.  ``None`` until the
+        #: next refresh rebuilds it — before the first, after
+        #: :meth:`restore_served` (checkpoints persist served results,
+        #: not states) and after a failed refresh (which may have fed
+        #: part of its delta)
+        self._group_table: VectorizedGroupTable | None = None
         #: base-table watermark the maintenance state has consumed
         self.watermark = 0
         self.key_arrays: list[np.ndarray] = []
@@ -276,12 +225,6 @@ class MaterializedView:
         self.refresh_count = 0
         #: durable store logging REFRESHes (None = in-memory database)
         self._storage = None
-        #: set by :meth:`restore_served` and by a failed refresh: the
-        #: maintenance table must be rebuilt from the base table before
-        #: the next incremental refresh (checkpoints persist served
-        #: results, not the retractable states; a failed refresh may
-        #: have applied part of its delta)
-        self._needs_rebuild = False
 
     # -- freshness ---------------------------------------------------------
     def is_fresh(self) -> bool:
@@ -321,10 +264,11 @@ class MaterializedView:
         """Bring the view up to the base table's watermark.
 
         Incremental mode merges the partial states of rows inserted
-        since the consumed watermark and retracts those of rows deleted
-        since; full mode recomputes through the regular query pipeline.
-        Returns the number of delta rows consumed (incremental) or the
-        number of rows scanned (full).
+        since the consumed watermark into the kept group table; a
+        delta that deletes a row rebuilds the table from the rows live
+        at the target instead.  Full mode recomputes through the
+        regular query pipeline.  Returns the number of inserted rows
+        merged, or of rows scanned by a rebuild or recompute.
 
         ``to_version`` pins the refresh at an explicit row-version
         watermark instead of the table's current one.  WAL recovery
@@ -339,10 +283,9 @@ class MaterializedView:
             try:
                 consumed = self._refresh_incremental(context, target)
             except BaseException:
-                # The maintenance table may hold part of the delta; the
-                # next refresh rebuilds it at the unchanged watermark,
-                # as recovery does.
-                self._needs_rebuild = True
+                # The group table may hold part of the delta; the next
+                # refresh rebuilds it, as it does after recovery.
+                self._group_table = None
                 raise
         else:
             consumed = self._refresh_full(context, target)
@@ -356,9 +299,12 @@ class MaterializedView:
             self._storage.log_view_refreshed(self, context)
         return consumed
 
-    def _delta_batches(self, mask: np.ndarray, context: ExecutionContext,
-                      keep_empty: bool):
-        """Delta rows under ``mask`` as filtered morsel-sized batches."""
+    def _batches(self, mask: np.ndarray, context: ExecutionContext):
+        """``(batches, nrows)``: the rows under ``mask`` (``nrows``,
+        counted before the view's predicate) as filtered morsel-sized
+        batches — at least one, possibly empty, so state dtypes prime
+        exactly as the pipeline's one-empty-morsel scan primes them and
+        an empty table's view bits match an empty table's query bits."""
         data = self.table.masked_scan(mask, self.scan_columns)
         renamed = {
             key: data[source]
@@ -367,8 +313,7 @@ class MaterializedView:
         nrows = len(next(iter(renamed.values()))) if renamed else 0
         batches = []
         if nrows == 0:
-            if keep_empty:
-                batches.append(Batch(renamed, self.types))
+            batches.append(Batch(renamed, self.types))
         else:
             for start in range(0, nrows, context.morsel_size):
                 batches.append(Batch(
@@ -385,54 +330,39 @@ class MaterializedView:
             filtered.append(batch)
         return filtered, nrows
 
-    def _ensure_maintenance(self, context: ExecutionContext) -> None:
-        """Rebuild the retractable maintenance state after recovery or a
-        failed refresh.
-
-        A checkpoint persists the view's *served* arrays but not the
-        maintenance group table; the first incremental refresh after a
-        restore reconstructs it by replaying every row live at the
-        consumed watermark through ``update``.  Exact merging makes the
-        rebuilt states finalize to the same bytes the lost ones would
-        have, so refreshes pick up exactly where the crashed process
-        left off.  Deferred to refresh time (not restore time) because
-        a fuzzy checkpoint's view watermark may be ahead of its table
-        image — the missing rows arrive via WAL replay.
-        """
-        if not self._needs_rebuild:
-            return
-        table = MaintenanceGroupTable(self.group_exprs, self.specs)
-        mask = self.table.snapshot_mask(self.watermark)
-        batches, _ = self._delta_batches(mask, context, keep_empty=True)
-        for batch in batches:
-            table.update(batch)
-        self._maintenance_table = table
-        self._needs_rebuild = False
-
     def _refresh_incremental(self, context: ExecutionContext,
                              target: int) -> int:
-        self._ensure_maintenance(context)
         inserted, deleted = self.table.delta_masks(
             self.watermark, upto=target
         )
-        # The insert side always feeds at least one (possibly empty)
-        # batch: state dtypes prime exactly as the pipeline's
-        # one-empty-morsel scan primes them, so an empty table's view
-        # bits match an empty table's query bits.
-        ins_batches, ins_rows = self._delta_batches(
-            inserted, context, keep_empty=not self._populated
+        if self._group_table is None or deleted.any():
+            return self._rebuild(context, target)
+        batches, rows = self._batches(inserted, context)
+        for batch in batches:
+            self._group_table.update(batch)
+        self._store(*self._group_table.finalize())
+        return rows
+
+    def _rebuild(self, context: ExecutionContext, target: int) -> int:
+        """Build the group table from every row live at ``target``.
+
+        The first refresh, the first after recovery or a failed
+        refresh, and every refresh whose delta deletes a row land
+        here.  Exact merging makes the rebuilt states finalize to the
+        bytes a from-scratch query returns, so an incremental view
+        never has to subtract.  Deferred to refresh time (not restore
+        time) because a fuzzy checkpoint's view watermark may be ahead
+        of its table image — the missing rows arrive via WAL replay.
+        """
+        table = VectorizedGroupTable(self.group_exprs, self.specs)
+        batches, rows = self._batches(
+            self.table.snapshot_mask(target), context
         )
-        del_batches, del_rows = self._delta_batches(
-            deleted, context, keep_empty=False
-        )
-        table = self._maintenance_table
-        for batch in ins_batches:
+        for batch in batches:
             table.update(batch)
-        for batch in del_batches:
-            table.retract(batch)
-        key_arrays, results, ngroups = table.finalize_live()
-        self._store(key_arrays, results, ngroups)
-        return int(ins_rows + del_rows)
+        self._store(*table.finalize())
+        self._group_table = table
+        return rows
 
     def _refresh_full(self, context: ExecutionContext, target: int) -> int:
         from .executor import compute_grouped_arrays
@@ -465,10 +395,10 @@ class MaterializedView:
         """Install checkpointed served state (recovery path).
 
         The served arrays come back exactly as they were dumped — the
-        checkpoint holds their raw bits.  The retractable maintenance
-        state is *not* checkpointed; :attr:`_needs_rebuild` defers its
-        reconstruction to the first incremental refresh, by which time
-        WAL replay has delivered every base row up to ``watermark``.
+        checkpoint holds their raw bits.  The maintenance state is
+        *not* checkpointed: the next refresh of an incremental view
+        rebuilds it (:meth:`_rebuild`), by which time WAL replay has
+        delivered every base row up to its target.
         """
         self.watermark = int(watermark)
         self.key_arrays = [np.array(arr, copy=True) for arr in key_arrays]
@@ -484,14 +414,7 @@ class MaterializedView:
                 self.watermark, self.key_arrays, self.agg_results,
                 self.ngroups,
             )
-            if self.maintenance == "incremental":
-                self._needs_rebuild = True
-
-    def state_bytes(self) -> int:
-        """Resident bytes of the maintenance state (0 in full mode)."""
-        if self._maintenance_table is None:
-            return 0
-        return self._maintenance_table.approx_bytes()
+        self._group_table = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         fresh = "fresh" if self.is_fresh() else "stale"

@@ -308,16 +308,18 @@ class AggregateSpec:
         if name not in ("COUNT", "SUM", "RSUM", "AVG", "MIN", "MAX") + _VAR_NAMES:
             raise ExprError(f"unknown aggregate {name!r}")
 
-    def supports_retraction(self) -> bool:
-        """True when the state a retractable group table builds for
-        this call has a ``retract`` that is the *exact* inverse of
-        ``update``.
+    def maintains_incrementally(self) -> bool:
+        """True when a materialized view may keep this call's state
+        across REFRESHes, merging in only the rows inserted since
+        (a delta that deletes a row rebuilds the view either way).
 
-        MIN/MAX cannot retract (a bounded extreme forgets the runner-
-        up), and the ieee/sorted SUM family is excluded because IEEE
-        float subtraction leaves rounding residue — the reproducible
-        modes are what make incremental view maintenance exact, which
-        is the paper's pre-aggregation argument in practice.
+        That is exact — the merged state finalizes to a from-scratch
+        query's bits — for counts, DISTINCT sets and the reproducible
+        ladders; the ``ieee`` SUM family is excluded because its bits
+        depend on how the rows were split, so such views recompute
+        under a fixed shape.  MIN/MAX recompute too: they did when a
+        refresh subtracted deleted rows (a bounded extreme forgets its
+        runner-up), and which views are incremental is kept as it was.
         """
         name = self.call.name
         if name == "COUNT" or name == "RSUM":

@@ -2,10 +2,9 @@
 
 :class:`VectorizedGroupTable` is the one aggregate runtime: the
 in-memory pipeline, the external (spill) aggregation, the shard
-executors and — built retractable, as :class:`~repro.engine.matview.
-MaintenanceGroupTable` — materialized-view maintenance all construct
-it, the query paths through :data:`repro.engine.pipeline.
-make_group_table`.  One feeder: every morsel arrives through
+executors and materialized-view maintenance all construct it, the
+query paths through :data:`repro.engine.pipeline.make_group_table`.
+One feeder: every morsel arrives through
 :meth:`~VectorizedGroupTable.update`.  The table owns three things:
 
 * the **key registry** — group keys get dense gids in first-arrival
@@ -313,17 +312,12 @@ def _variance(name: str, sums, squares, counts) -> np.ndarray:
 
 class VectorizedGroupTable:
     """Worker-local GROUP BY state: a key registry plus the shared
-    physical states of an aggregate list.
+    physical states of an aggregate list."""
 
-    ``retractable`` builds every state in its exactly invertible form
-    (view maintenance; see :meth:`AggregateSpec.supports_retraction`).
-    """
-
-    def __init__(self, group_exprs, specs: list[AggregateSpec],
-                 retractable: bool = False):
+    def __init__(self, group_exprs, specs: list[AggregateSpec]):
         self.group_exprs = tuple(group_exprs)
         self.specs = specs
-        self.states, self._spec_plan = self._build_plan(specs, retractable)
+        self.states, self._spec_plan = self._build_plan(specs)
         self._key_to_gid: dict = {}
         self._keys: list[tuple] = []
         self._key_dtypes: list | None = None
@@ -373,7 +367,7 @@ class VectorizedGroupTable:
 
     # -- shared physical-state plan ---------------------------------------
     @staticmethod
-    def _build_plan(specs: list[AggregateSpec], retractable: bool = False):
+    def _build_plan(specs: list[AggregateSpec]):
         """``(states, plan)``: the distinct physical states and, per
         spec, ``result(final)`` rendering its output from
         ``final(state)`` — the finalized value of a state, computed
@@ -394,7 +388,7 @@ class VectorizedGroupTable:
         def need_sum(arg, mode, levels):
             return need(
                 ("sum", arg.sql(), mode, levels),
-                lambda: SumState(arg, mode, levels, retractable),
+                lambda: SumState(arg, mode, levels),
             )
 
         plan = []
@@ -403,7 +397,7 @@ class VectorizedGroupTable:
             mode = spec.sum_config.mode
             arg = spec.call.args[0] if spec.call.args else None
             if name == "COUNT" and spec.call.distinct:
-                state = DistinctState(arg, retractable)
+                state = DistinctState(arg)
                 states.append(state)
             elif name == "COUNT":
                 state = need_count()
@@ -426,7 +420,7 @@ class VectorizedGroupTable:
             else:  # VARIANCE/STDDEV family
                 moment = need(
                     ("moment2", arg.sql(), mode, spec.levels),
-                    lambda: Moment2State(arg, mode, spec.levels, retractable),
+                    lambda: Moment2State(arg, mode, spec.levels),
                 )
                 plan.append(
                     lambda final, n=name, m=moment, c=need_count():
@@ -438,22 +432,17 @@ class VectorizedGroupTable:
 
     # -- morsel consumption ------------------------------------------------
     def update(self, batch: Batch) -> None:
-        args = self._prepare(batch)
+        cache = ExprCache(batch.columns, batch.types)
+        gids = self._group_ids(batch, cache)
+        morsel = SortedMorsel(gids, self.ladder)
+        ngroups = self.ngroups
         for state in self.states:
-            state.update(batch, *args)
-        _, gids, morsel, ngroups = args
+            state.update(batch, cache, gids, morsel, ngroups)
         # One ladder call per parameter set, after every state has
         # queued its values: each accumulator still consumes exactly
         # its own value sequence, so batching cannot move a bit.
         for accs, rows in morsel.ladders.values():
             update_ladders(accs, rows, gids, morsel, ngroups)
-
-    def _prepare(self, batch: Batch):
-        """``(cache, gids, morsel, ngroups)`` — what every state's
-        ``update`` / ``retract`` takes after the batch."""
-        cache = ExprCache(batch.columns, batch.types)
-        gids = self._group_ids(batch, cache)
-        return cache, gids, SortedMorsel(gids, self.ladder), self.ngroups
 
     def _group_ids(self, batch: Batch, cache: ExprCache) -> np.ndarray:
         if not self.group_exprs:

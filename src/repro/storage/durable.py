@@ -31,10 +31,11 @@ claim rather than a slogan.  The moving parts that make it hold:
   record carries its row-version watermark and replay skips anything
   the image already contains — applying the log twice is a no-op.
 * **Exact-merge view rebuild.** A view's maintenance state is not
-  persisted; it is rebuilt by feeding the base rows visible at the
-  view's consumed watermark back through the retractable states.
-  Exact merge guarantees the rebuilt state finalizes to the same
-  bytes the incrementally-built one did.
+  persisted; the view's next refresh rebuilds it from the base rows
+  live at that refresh's target watermark — the path a refresh whose
+  delta deletes a row takes anyway.  Exact merge guarantees the
+  rebuilt state finalizes to the same bytes the incrementally-built
+  one would have.
 * **One refresh per view.** A ``refresh_view`` record is a watermark
   plus an execution shape, not a delta, so replay runs the last one
   per view (:class:`_PendingRefreshes`) instead of one per record;
@@ -195,7 +196,8 @@ class _PendingRefreshes:
     not a delta: an incremental view consumes ``(its watermark, the
     record's]`` whatever refreshes lay between (exact merge — one
     refresh over the union of N deltas finishes to the bytes the N
-    did), and a full-mode recompute pinned at a watermark reads no
+    did; a window that deletes a row is one rebuild at the record's
+    watermark), and a full-mode recompute pinned at a watermark reads no
     earlier refresh at all.  So replay keeps the last record per view
     while table records stream past and runs one refresh per view —
     at the end of the scan, or before a DDL record is applied.

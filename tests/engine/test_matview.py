@@ -1,12 +1,14 @@
 """Mutable tables + incrementally-maintained materialized views.
 
-Covers the PR-5 acceptance criteria:
+Covers:
 
-* retraction round-trips for every partial-state class (NaN / -0.0 /
-  inf included), with empty-group elimination;
+* which views are ``incremental`` (insert-only deltas merge into the
+  kept group table; a delta that deletes a row rebuilds it) and which
+  are ``full``;
 * REFRESH after any INSERT/DELETE interleaving is byte-identical to
   recreating the view from scratch, across
-  workers x morsel_size x memory_budget;
+  workers x morsel_size x memory_budget — also when the deleted rows
+  raised a ladder, were NaN / inf / -0.0, or emptied a group;
 * the view-matching rewrite serves fresh views (EXPLAIN ViewScan) and
   falls back to the base scan when stale;
 * SELECT DISTINCT as a zero-aggregate GROUP BY;
@@ -17,20 +19,10 @@ import numpy as np
 import pytest
 
 from repro.engine import Database
-from repro.engine.aggregates import (
-    CountState,
-    DistinctState,
-    LadderSum,
-    Moment2State,
-    PlainSum,
-    SumState,
-)
-from repro.engine.expr import ExprCache
-from repro.engine.matview import MaintenanceGroupTable, ViewDefinitionError
-from repro.engine.operators import AggregateSpec, Batch, SumConfig
+from repro.engine.matview import ViewDefinitionError
+from repro.engine.operators import AggregateSpec, SumConfig
 from repro.engine.sql import parse, parse_expression
 from repro.engine.sql import ast
-from repro.engine.vectorized import SortedMorsel
 
 
 # ---------------------------------------------------------------------------
@@ -49,189 +41,52 @@ def result_bits(result):
     return tuple(result.names), tuple(pieces)
 
 
-def state_snapshot(state):
-    """Comparable byte-level identity of one partial aggregate state."""
-    if isinstance(state, CountState):
-        return ("count", tuple(state.counts.tolist()))
-    if isinstance(state, PlainSum):
-        return ("plain", tuple(state.sums.tolist()), state.scale)
-    if isinstance(state, LadderSum):
-        return ("rsum", state.grouped.state_identity())
-    if isinstance(state, SumState):
-        return ("sumstate", None if state.acc is None
-                else state_snapshot(state.acc))
-    if isinstance(state, Moment2State):
-        return (
-            "moment2",
-            state_snapshot(state.sum_x),
-            state_snapshot(state.sum_xx),
-        )
-    if isinstance(state, DistinctState):
-        return (
-            "distinct",
-            tuple(
-                tuple(sorted((repr(k), v) for k, v in counts.items()))
-                for counts in state.groups
-            ),
-            state.member_count,
-        )
-    raise TypeError(f"no snapshot for {state!r}")
-
-
-class RetractableStates:
-    """The states a retractable table builds for one aggregate (AVG is
-    its shared SUM + COUNT, the VARIANCE family its second moment +
-    COUNT), driven with explicit group ids."""
-
-    def __init__(self, sql, mode):
-        self.spec = AggregateSpec(parse_expression(sql), SumConfig(mode))
-        self.states = MaintenanceGroupTable((), [self.spec]).states
-
-    def _apply(self, method, values, gids, ngroups):
-        batch = make_batch(values)
-        cache = ExprCache(batch.columns, batch.types)
-        for state in self.states:
-            getattr(state, method)(
-                batch, cache, gids, SortedMorsel(gids), ngroups
-            )
-
-    def update(self, values, gids, ngroups):
-        self._apply("update", values, gids, ngroups)
-
-    def retract(self, values, gids, ngroups):
-        self._apply("retract", values, gids, ngroups)
-
-    def snapshot(self):
-        return tuple(state_snapshot(state) for state in self.states)
-
-    def finalize(self, ngroups):
-        return self.states[0].finalize(ngroups)
-
-
-def make_batch(values, extra=None):
-    columns = {"v": np.asarray(values)}
-    if extra:
-        columns.update({k: np.asarray(a) for k, a in extra.items()})
-    return Batch(columns, {})
-
-
 # ---------------------------------------------------------------------------
-# retraction round-trips, per partial-state class
+# maintenance mode, per aggregate
 # ---------------------------------------------------------------------------
 
 
-SPEC_SQLS = [
-    "COUNT(*)",
-    "COUNT(DISTINCT v)",
-    "SUM(v)",
-    "RSUM(v)",
-    "AVG(v)",
-    "STDDEV(v)",
-    "VAR_POP(v)",
-]
-
-
-class TestRetractionRoundTrips:
-    @pytest.mark.parametrize("sql", SPEC_SQLS)
-    @pytest.mark.parametrize("mode", ["repro"])
-    def test_merge_then_retract_restores_state(self, sql, mode):
-        rng = np.random.default_rng(hash(sql) % 2**31)
-        state = RetractableStates(sql, mode)
-        assert state.spec.supports_retraction()
-
-        base = rng.uniform(-10, 10, size=50) * np.exp2(
-            rng.uniform(-40, 40, size=50)
-        )
-        gids = rng.integers(0, 5, size=50)
-        state.update(base, gids, 5)
-        before = state.snapshot()
-
-        # The adversarial delta: NaN, +/-inf, -0.0, a ladder-promoting
-        # huge value, and duplicates of existing values.
-        delta = np.array(
-            [np.nan, np.inf, -np.inf, -0.0, 0.0, 2.0**70, base[0], base[0]]
-        )
-        delta_gids = np.array([0, 1, 2, 3, 4, 0, 1, 1])
-        state.update(delta, delta_gids, 5)
-        assert state.snapshot() != before
-        state.retract(delta, delta_gids, 5)
-        assert state.snapshot() == before
-
-    def test_int_sum_round_trip(self):
-        state = RetractableStates("SUM(v)", "ieee")
-        gids = np.array([0, 1, 0])
-        state.update(np.array([5, 7, -2], dtype=np.int64), gids, 2)
-        before = state.snapshot()
-        delta = np.array([100, -3, 9], dtype=np.int64)
-        state.update(delta, gids, 2)
-        state.retract(delta, gids, 2)
-        assert state.snapshot() == before
-
-    def test_refcounted_distinct_keeps_surviving_duplicates(self):
-        state = RetractableStates("COUNT(DISTINCT v)", "repro")
-        gids = np.array([0, 0, 0])
-        state.update(np.array([1.0, 1.0, 2.0]), gids, 1)
-        assert state.finalize(1).tolist() == [2]
-        # Retract ONE of the two 1.0 occurrences: the member survives.
-        state.retract(np.array([1.0]), np.array([0]), 1)
-        assert state.finalize(1).tolist() == [2]
-        state.retract(np.array([1.0]), np.array([0]), 1)
-        assert state.finalize(1).tolist() == [1]
-
-    def test_refcounted_distinct_rejects_unseen_retract(self):
-        state = RetractableStates("COUNT(DISTINCT v)", "repro")
-        state.update(np.array([1.0]), np.array([0]), 1)
-        with pytest.raises(ValueError):
-            state.retract(np.array([9.0]), np.array([0]), 1)
-
-    def test_min_max_not_retractable(self):
+class TestMaintenanceMode:
+    def test_min_max_not_incremental(self):
         for sql in ("MIN(v)", "MAX(v)"):
             spec = AggregateSpec(parse_expression(sql), SumConfig("repro"))
-            assert not spec.supports_retraction()
+            assert not spec.maintains_incrementally()
 
-    def test_float_sum_not_retractable_outside_repro(self):
+    def test_float_sum_not_incremental_outside_repro(self):
         for mode in ("ieee",):
             spec = AggregateSpec(parse_expression("SUM(v)"), SumConfig(mode))
-            assert not spec.supports_retraction()
-            # RSUM forces the repro state, so it retracts in any mode.
+            assert not spec.maintains_incrementally()
+            # RSUM forces the repro state, so it is incremental in any
+            # mode.
             rspec = AggregateSpec(parse_expression("RSUM(v)"), SumConfig(mode))
-            assert rspec.supports_retraction()
+            assert rspec.maintains_incrementally()
+
+    @pytest.mark.parametrize("sql", [
+        "COUNT(*)", "COUNT(DISTINCT v)", "SUM(v)", "RSUM(v)", "AVG(v)",
+        "STDDEV(v)", "VAR_POP(v)",
+    ])
+    def test_repro_aggregates_incremental(self, sql):
+        spec = AggregateSpec(parse_expression(sql), SumConfig("repro"))
+        assert spec.maintains_incrementally()
 
 
-class TestMaintenanceTable:
-    def specs(self, *sqls, mode="repro"):
-        config = SumConfig(mode)
-        return [AggregateSpec(parse_expression(s), config) for s in sqls]
+class TestRetiredNames:
+    def test_retractable_ladder_names_the_rebuild(self):
+        with pytest.raises(ImportError, match="rebuilds the view") as err:
+            from repro.aggregation import (  # noqa: F401
+                RetractableGroupedSummation,
+            )
+        assert "GroupedSummation merges" in str(err.value)
 
-    def test_empty_group_elimination(self):
-        table = MaintenanceGroupTable(
-            (ast.ColumnRef("k"),), self.specs("SUM(v)", "COUNT(*)")
-        )
-        batch = make_batch(
-            np.array([1.0, 2.0, 3.0]),
-            extra={"k": np.array([10, 20, 10])},
-        )
-        table.update(batch)
-        _, _, ngroups = table.finalize_live()
-        assert ngroups == 2
-        # Delete every k=20 row: the group must vanish.
-        table.retract(make_batch(
-            np.array([2.0]), extra={"k": np.array([20])}
-        ))
-        key_arrays, results, ngroups = table.finalize_live()
-        assert ngroups == 1
-        assert key_arrays[0].tolist() == [10]
-        assert results[1].tolist() == [2]
+    def test_maintenance_table_names_its_successor(self):
+        with pytest.raises(ImportError, match="VectorizedGroupTable") as err:
+            from repro.engine import MaintenanceGroupTable  # noqa: F401
+        assert "rebuilds it" in str(err.value)
 
-    def test_global_group_survives_total_retraction(self):
-        table = MaintenanceGroupTable((), self.specs("COUNT(*)", "SUM(v)"))
-        batch = make_batch(np.array([1.5, 2.5]))
-        gidsless = batch
-        table.update(gidsless)
-        table.retract(gidsless)
-        _, results, ngroups = table.finalize_live()
-        assert ngroups == 1  # global aggregates always emit one row
-        assert results[0].tolist() == [0]
+    def test_unknown_engine_attribute_is_an_attribute_error(self):
+        import repro.engine
+
+        assert not hasattr(repro.engine, "no_such_name")
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +172,22 @@ class TestMaterializedViews:
         assert "ViewScan(vk" in db.explain(QUERY_SQL)
 
     def test_refresh_consumes_delta_rows_only(self):
+        """An insert-only REFRESH merges (and returns) its delta rows; a
+        delete-bearing one rebuilds from the live rows and returns how
+        many it scanned, as a full-mode recompute does."""
         db = fresh_db()
         db.execute(VIEW_SQL)
-        db.execute("INSERT INTO obs VALUES (1,'a',4.0),(9,'z',1.0)")
-        db.execute("DELETE FROM obs WHERE k = 3")
-        consumed = db.execute("REFRESH MATERIALIZED VIEW vk")
-        assert consumed == 4  # 2 inserts + 2 deleted rows
+        db.execute(
+            "CREATE MATERIALIZED VIEW ext AS "
+            "SELECT k, MIN(v) AS lo FROM obs GROUP BY k"
+        )
         assert db.view("vk").maintenance == "incremental"
+        assert db.view("ext").maintenance == "full"
+        db.execute("INSERT INTO obs VALUES (1,'a',4.0),(9,'z',1.0)")
+        assert db.execute("REFRESH MATERIALIZED VIEW vk") == 2
+        db.execute("DELETE FROM obs WHERE k = 3")  # 2 of 9 rows
+        assert db.execute("REFRESH MATERIALIZED VIEW vk") == 7
+        assert db.execute("REFRESH MATERIALIZED VIEW ext") == 7
 
     def test_view_matches_subset_of_aggregates_and_having(self):
         db = fresh_db()
@@ -578,6 +442,163 @@ class TestMaterializedViews:
         db.execute("DELETE FROM t WHERE x = 9")
         inserted, deleted = table.delta_masks(3)
         assert not inserted.any() and not deleted.any()
+
+
+# ---------------------------------------------------------------------------
+# Deletes rebuild: held against a from-scratch SELECT after every step
+# ---------------------------------------------------------------------------
+
+
+class ViewTwin:
+    """One statement stream into two databases: ``db`` keeps the view
+    ``mv`` over ``t``, ``scratch`` answers the same query from the
+    base rows."""
+
+    def __init__(self, query, vtype="DOUBLE", **knobs):
+        self.query = query + " ORDER BY k"
+        self.db = Database(sum_mode="repro", morsel_size=2, **knobs)
+        self.scratch = Database(sum_mode="repro", **knobs)
+        self.execute(f"CREATE TABLE t (i INT, k INT, v {vtype})")
+        self.db.execute(f"CREATE MATERIALIZED VIEW mv AS {query}")
+        assert self.db.view("mv").maintenance == "incremental"
+
+    def execute(self, sql):
+        for db in (self.db, self.scratch):
+            db.execute(sql)
+
+    def insert(self, rows):
+        # NaN / inf have no SQL literal spelling; one versioned chunk
+        # through the storage API is the same DML event.
+        for db in (self.db, self.scratch):
+            db.table("t").insert_rows(
+                [{"i": i, "k": k, "v": v} for i, k, v in rows]
+            )
+
+    def refresh_and_check(self):
+        self.db.execute("REFRESH MATERIALIZED VIEW mv")
+        assert "ViewScan(mv" in self.db.explain(self.query)
+        served = result_bits(self.db.execute(self.query))
+        assert served == result_bits(self.scratch.execute(self.query))
+        return served
+
+
+TWIN_QUERY = (
+    "SELECT k, SUM(v) AS sv, COUNT(*) AS c, AVG(v) AS av, "
+    "RSUM(v, 3) AS rv, STDDEV(v) AS sd, COUNT(DISTINCT v) AS dv "
+    "FROM t GROUP BY k"
+)
+
+
+class TestDeletesRebuild:
+    def test_deleting_the_row_that_raised_a_ladder(self):
+        """2**90 lifts group 1's ladder far above its other rows: once
+        it is deleted the view must hold the low ladder a fresh query
+        builds, and keep merging small inserts into it."""
+        twin = ViewTwin(TWIN_QUERY)
+        twin.insert([(1, 1, 0.1), (2, 1, 0.3), (3, 2, 1.5), (4, 1, 1e-3)])
+        twin.refresh_and_check()
+        twin.insert([(5, 1, 2.0**90), (6, 1, 0.7)])
+        raised = twin.refresh_and_check()
+        twin.execute("DELETE FROM t WHERE i = 5")
+        assert twin.refresh_and_check() != raised
+        twin.insert([(7, 1, 1e-17), (8, 1, 0.2), (9, 2, -0.25)])
+        twin.refresh_and_check()
+
+    @pytest.mark.parametrize("special", [
+        float("nan"), float("inf"), float("-inf"), -0.0,
+    ], ids=["nan", "inf", "-inf", "-0.0"])
+    def test_deleting_special_values(self, special):
+        twin = ViewTwin(TWIN_QUERY)
+        twin.insert([
+            (1, 1, 0.5), (2, 1, special), (3, 2, special), (4, 2, 0.0),
+            (5, 3, 2.5),
+        ])
+        twin.refresh_and_check()
+        twin.execute("DELETE FROM t WHERE i = 2 OR i = 3")
+        twin.refresh_and_check()
+        twin.insert([(6, 1, 0.125), (7, 2, special), (8, 2, 3.0)])
+        twin.refresh_and_check()
+        twin.execute("DELETE FROM t WHERE i = 7")
+        twin.refresh_and_check()
+
+    def test_group_emptied_then_refilled(self):
+        twin = ViewTwin(TWIN_QUERY)
+        twin.insert([(1, 1, 0.5), (2, 2, 1e20), (3, 2, -1e20), (4, 3, 1.0)])
+        twin.refresh_and_check()
+        twin.execute("DELETE FROM t WHERE k = 2")
+        twin.refresh_and_check()
+        assert 2 not in twin.db.execute(twin.query).column("k").tolist()
+        twin.insert([(5, 2, 0.25), (6, 1, 2.0)])
+        twin.refresh_and_check()
+        assert 2 in twin.db.execute(twin.query).column("k").tolist()
+
+    @pytest.mark.parametrize("agg", [
+        "COUNT(*)", "COUNT(DISTINCT v)", "SUM(v)", "RSUM(v)", "AVG(v)",
+        "STDDEV(v)", "VAR_POP(v)",
+    ])
+    def test_deleting_a_merged_delta_restores_the_view(self, agg):
+        """Rows merged by an insert-only REFRESH and then deleted leave
+        the view with the bits it held before they arrived."""
+        twin = ViewTwin(f"SELECT k, {agg} AS a FROM t GROUP BY k")
+        twin.insert([(1, 1, 0.1), (2, 1, 2.5), (3, 2, -1e-3), (4, 2, 7.0)])
+        before = twin.refresh_and_check()
+        twin.insert([(100, 1, 1e15), (101, 2, 0.3), (102, 2, -2.0**-60)])
+        assert twin.refresh_and_check() != before
+        twin.execute("DELETE FROM t WHERE i >= 100")
+        assert twin.refresh_and_check() == before
+
+    def test_int_sum_round_trips_a_delete(self):
+        twin = ViewTwin("SELECT k, SUM(i) AS si, COUNT(*) AS c FROM t GROUP BY k")
+        twin.insert([(2**31 - 1, 1, 0.0), (-7, 1, 0.0), (5, 2, 0.0)])
+        before = twin.refresh_and_check()
+        twin.insert([(2**31 - 2, 1, 0.0), (-(2**31 - 1), 2, 0.0)])
+        assert twin.refresh_and_check() != before
+        twin.execute("DELETE FROM t WHERE i = 2147483646 OR i = -2147483647")
+        assert twin.refresh_and_check() == before
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_rebuild_matches_scratch_at_session_levels(self, levels):
+        twin = ViewTwin(
+            "SELECT k, SUM(v) AS sv, AVG(v) AS av, STDDEV(v) AS sd "
+            "FROM t GROUP BY k",
+            levels=levels,
+        )
+        twin.insert([
+            (i, i % 3, (-1.0) ** i * 2.0 ** (i * 7 % 61 - 30))
+            for i in range(24)
+        ])
+        twin.refresh_and_check()
+        twin.execute("DELETE FROM t WHERE i < 4 OR i > 19")
+        twin.refresh_and_check()
+        twin.insert([(30, 0, 1e-9), (31, 1, 3.25), (32, 2, -2.0**20)])
+        twin.refresh_and_check()
+
+    def test_binary32_column(self):
+        twin = ViewTwin(
+            "SELECT k, SUM(v) AS sv, COUNT(*) AS c, AVG(v) AS av "
+            "FROM t GROUP BY k",
+            vtype="FLOAT",
+        )
+        twin.insert([(1, 1, 0.1), (2, 1, 3e30), (3, 2, -0.0), (4, 2, 1e-40)])
+        twin.refresh_and_check()
+        twin.execute("DELETE FROM t WHERE i = 2")
+        twin.refresh_and_check()
+        twin.insert([(5, 1, 0.7), (6, 2, float("inf"))])
+        twin.refresh_and_check()
+
+    def test_global_view_keeps_its_row_when_every_row_is_deleted(self):
+        db = Database(sum_mode="repro")
+        db.execute("CREATE TABLE t (v DOUBLE)")
+        db.execute("INSERT INTO t VALUES (1.5), (2.5)")
+        sql = "SELECT COUNT(*) AS c, SUM(v) AS s FROM t"
+        db.execute(f"CREATE MATERIALIZED VIEW gv AS {sql}")
+        db.execute("DELETE FROM t WHERE v > 0")
+        db.execute("REFRESH MATERIALIZED VIEW gv")
+        assert "ViewScan(gv" in db.explain(sql)
+        served = db.execute(sql)
+        assert served.rows() == [(0, 0.0)]
+        db.execute("DROP MATERIALIZED VIEW gv")
+        assert result_bits(served) == result_bits(db.execute(sql))
 
 
 # ---------------------------------------------------------------------------

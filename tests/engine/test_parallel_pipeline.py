@@ -146,6 +146,32 @@ class TestReproModesBitIdentical:
             for bits in runs(workers, (1, 2, 3)):
                 assert bits == baseline
 
+    @pytest.mark.parametrize("order", [
+        (0.0, 0.0, -0.0), (0.0, -0.0, 0.0), (-0.0, 0.0, 0.0),
+    ])
+    def test_signed_zero_extremes_split_invariant(self, order):
+        """MIN / MAX order zeros as IEEE 754-2019 ``minimum`` /
+        ``maximum`` do (-0.0 < +0.0): over a zero tie MIN is -0.0 and
+        MAX +0.0 whatever the arrival order, morsel split or worker
+        count (``np.minimum`` alone returns its second argument)."""
+        for workers in WORKERS:
+            with Database(sum_mode="repro", workers=workers) as db:
+                db.execute("CREATE TABLE t (k INT, v DOUBLE)")
+                db.table("t").bulk_load({"k": [1, 1, 1], "v": list(order)})
+                for morsel_size in (1, 65536):
+                    db.execute(f"SET morsel_size = {morsel_size}")
+                    result = db.execute(
+                        "SELECT k, MIN(v) AS lo, MAX(v) AS hi FROM t "
+                        "GROUP BY k"
+                    )
+                    where = f"workers={workers}, morsel_size={morsel_size}"
+                    assert np.signbit(result.column("lo")).tolist() == [
+                        True
+                    ], where
+                    assert np.signbit(result.column("hi")).tolist() == [
+                        False
+                    ], where
+
     def test_projection_preserves_row_order(self, dataset):
         """Filter + project must gather morsels in scan order — and run
         in-process at any worker count."""

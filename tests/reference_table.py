@@ -11,7 +11,9 @@ batched technique with the plainest thing that is obviously right:
 * arguments: every aggregate re-evaluates its expression with the
   un-cached :func:`~repro.engine.expr.evaluate`;
 * ladders: :meth:`GroupedSummation.add_pairs` in row order instead of
-  the blocked scatter; extremes through a private stable ``argsort``;
+  the blocked scatter; extremes through a private stable ``argsort``
+  (reduced by the engine's ``run_extremes``: the sign of a zero MIN /
+  MAX is the IEEE 754-2019 one, not the arrival order's);
   IEEE / int / sorted sums already are ``np.add.at`` / a pair buffer in
   row order, so those go through the accumulator's own ``add``.
 
@@ -29,6 +31,7 @@ from repro.engine.aggregates import (
     MinMaxState,
     Moment2State,
     SumState,
+    run_extremes,
 )
 from repro.engine.expr import evaluate
 from repro.engine.operators import factorize_object
@@ -54,7 +57,7 @@ class _Uncached:
 
 
 def _add(acc, values, gids, ngroups) -> None:
-    if isinstance(acc, LadderSum) and not acc.retractable:
+    if isinstance(acc, LadderSum):
         acc._grow(ngroups)
         if gids.size:
             acc.grouped.add_pairs(gids, values.astype(acc.params.fmt.dtype))
@@ -90,7 +93,7 @@ class PartialGroupTable(VectorizedGroupTable):
                     ))
                     state._combine(
                         sorted_gids[starts],
-                        state.ufunc.reduceat(values[order], starts),
+                        run_extremes(state.is_min, values[order], starts),
                     )
             else:  # counts and DISTINCT sets have one (row-order) update
                 state.update(batch, cache, gids, None, ngroups)

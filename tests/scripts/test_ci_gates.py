@@ -494,7 +494,7 @@ def test_only_the_fixture_runs_the_reference_update(engine_path):
     """``engine_path("scalar")`` provably feeds SELECTs through the
     reference ``update`` (its call counter moves) — and view build,
     REFRESH and the post-recovery rebuild provably never do, even
-    inside the block: they run the query table, built retractable."""
+    inside the block: they build the query table themselves."""
     from reference_table import PartialGroupTable
     from repro.engine import Database
 
@@ -514,10 +514,10 @@ def test_only_the_fixture_runs_the_reference_update(engine_path):
         db.execute("INSERT INTO t VALUES (2, -1e10), (3, 3.0)")
         db.execute("DELETE FROM t WHERE v = 0.5")
         db.execute("REFRESH MATERIALIZED VIEW vm")
-        view._needs_rebuild = True  # what restore_served leaves behind
+        view._group_table = None  # what restore_served leaves behind
         db.execute("INSERT INTO t VALUES (3, 0.125)")
         db.execute("REFRESH MATERIALIZED VIEW vm")
-        assert not view._needs_rebuild
+        assert view._group_table is not None
         assert PartialGroupTable.updates == before
         assert "ViewScan" in db.explain(query)
         served = db.execute(query + " ORDER BY k")

@@ -34,7 +34,6 @@ SERVING = frozenset({
     "repro.aggregation.grouped",
     "repro.aggregation.partition",
     "repro.aggregation.result",
-    "repro.aggregation.retractable",
     "repro.client",
     "repro.core",
     "repro.core.params",

@@ -212,7 +212,7 @@ def test_recovery_replays_ieee_refresh_bit_identically(tmp_path):
         )
     )
     db.execute(f"INSERT INTO t VALUES {rows}")
-    # MIN/MAX cannot retract -> 'full' maintenance -> IEEE recompute.
+    # MIN/MAX views are 'full' maintenance -> IEEE recompute.
     db.execute(
         "CREATE MATERIALIZED VIEW vm AS "
         "SELECT k, SUM(f) AS sf, MIN(f) AS lo FROM t GROUP BY k"
@@ -251,7 +251,7 @@ def test_directory_written_with_retired_engine_knobs_still_opens(tmp_path):
     statements = (
         "CREATE TABLE t (k INT, f DOUBLE)",
         f"INSERT INTO t VALUES {rows}",
-        # MIN cannot retract -> full (shape-dependent IEEE) recompute.
+        # MIN -> full maintenance (shape-dependent IEEE) recompute.
         "CREATE MATERIALIZED VIEW vm AS "
         "SELECT k, SUM(f) AS sf, MIN(f) AS lo FROM t GROUP BY k",
         "DELETE FROM t WHERE k = 3",
@@ -579,10 +579,10 @@ def test_directory_written_by_the_parent_commit_still_serves_its_bits(tmp_path):
         )) == golden["served_vm2"]
 
         # Replaying the WAL's REFRESH already rebuilt the maintenance
-        # state from the checkpointed served arrays; this one is a delta.
+        # state from the base rows; this one merges an insert-only delta.
         db.execute(golden["follow_up"])
         assert db.execute("REFRESH MATERIALIZED VIEW vm") == 3
-        assert not view._needs_rebuild
+        assert view._group_table is not None
         assert "ViewScan" in db.explain(query)
         assert bits(db.execute(query)) == golden["after_refresh"]
         db.checkpoint()

@@ -40,8 +40,9 @@ CONFIG = dict(sum_mode="repro", checkpoint_interval=None)
 SHAPE = dict(workers=2, morsel_size=3)
 
 #: per view: the sum mode of the session that creates it and the
-#: definitions DROP + CREATE alternates between.  ``vr`` retracts
-#: exactly (incremental maintenance); ``vi`` is IEEE and holds a MIN,
+#: definitions DROP + CREATE alternates between.  ``vr`` merges
+#: inserts exactly and rebuilds on a delete (incremental maintenance);
+#: ``vi`` is IEEE and holds a MIN,
 #: so every REFRESH recomputes it (full maintenance).
 VIEWS = {
     "vr": ("repro", (
@@ -269,21 +270,18 @@ def test_n_logged_refreshes_replay_as_one_per_view(tmp_path, monkeypatch):
         trio.close()
     refreshes, rebuilds = [], []
     refresh = MaterializedView.refresh
-    ensure = MaterializedView._ensure_maintenance
+    rebuild = MaterializedView._rebuild
 
     def counted_refresh(view, context, to_version=None):
         refreshes.append(view.name)
         return refresh(view, context, to_version)
 
-    def counted_ensure(view, context):
-        if view._needs_rebuild:
-            rebuilds.append(view.name)
-        return ensure(view, context)
+    def counted_rebuild(view, context, target):
+        rebuilds.append(view.name)
+        return rebuild(view, context, target)
 
     monkeypatch.setattr(MaterializedView, "refresh", counted_refresh)
-    monkeypatch.setattr(
-        MaterializedView, "_ensure_maintenance", counted_ensure
-    )
+    monkeypatch.setattr(MaterializedView, "_rebuild", counted_rebuild)
     recovered = repro.open(str(tmp_path), **CONFIG)
     try:
         assert sorted(refreshes) == ["vi", "vr"]

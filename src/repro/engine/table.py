@@ -128,6 +128,39 @@ class VersionClock:
             return self._next
 
 
+def _null_first(value):
+    """Sort key of an object column's dictionary: ``None`` (NULL)
+    before every real value, matching the object-key sort convention
+    of the group finalizers (``np.unique`` cannot order ``None``)."""
+    return (value is not None, value)
+
+
+def _extend(codes: np.ndarray, uniques: np.ndarray,
+            tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An object column's dictionary ``(codes, uniques)`` extended over
+    ``tail``, the rows appended after it: values new to the dictionary
+    merge into the sorted ``uniques``, the old codes are remapped by one
+    take, and only the tail goes through Python."""
+    values = tail.tolist()
+    known = uniques.tolist()
+    index = {value: j for j, value in enumerate(known)}
+    fresh = set(values).difference(index)
+    if fresh:
+        merged = sorted((*known, *fresh), key=_null_first)
+        index = {value: j for j, value in enumerate(merged)}
+        remap = np.fromiter(
+            map(index.__getitem__, known), dtype=np.int64, count=len(known)
+        )
+        codes = remap[codes]
+        uniques = np.empty(len(merged), dtype=object)
+        uniques[:] = merged
+    # one C-level sweep: no generator frame per row
+    tail_codes = np.fromiter(
+        map(index.__getitem__, values), dtype=np.int64, count=len(values)
+    )
+    return np.concatenate((codes, tail_codes)), uniques
+
+
 class Column:
     """One append-only column: a typed NumPy buffer and a row count.
 
@@ -196,9 +229,10 @@ class Column:
         return self._buffer[self._rows : end]
 
     def commit(self, count: int) -> None:
-        """Turn the first ``count`` reserved slots into rows."""
+        """Turn the first ``count`` reserved slots into rows.  A cached
+        dictionary stays: it covers a prefix of the rows, and
+        :meth:`encoding` extends it over the new tail."""
         self._rows += count
-        self._encoding = None
 
     def put(self, indices: np.ndarray, value) -> None:
         """Overwrite rows in a fresh copy of the buffer (one copy plus
@@ -214,35 +248,42 @@ class Column:
     def encoding(self) -> tuple[np.ndarray, np.ndarray]:
         """Dictionary encoding ``(codes, uniques)`` over all physical rows.
 
-        ``uniques`` holds the distinct stored values in sorted order and
-        ``codes[i]`` is the index of row ``i``'s value in ``uniques``.
-        Cached until the next append — the column-store analogue of a
+        ``uniques`` holds the distinct stored values in sorted order
+        (``None`` first) and ``codes[i]`` is the index of row ``i``'s
+        value in ``uniques`` — the column-store analogue of a
         dictionary-compressed string column, which lets the vectorized
         GROUP BY turn key comparisons into integer arithmetic
-        (:mod:`repro.engine.vectorized`).
+        (:mod:`repro.engine.vectorized`).  Cached: appends extend an
+        object column's dictionary with their rows only (:func:`_extend`),
+        :meth:`put` drops it, and a checkpoint image restores it
+        (:meth:`install_encoding`).
         """
-        if self._encoding is None:
-            arr = self.array()
-            if arr.dtype == object:
-                # ``np.unique`` cannot order ``None`` against strings;
-                # rank NULL before every real value, matching the
-                # object-key sort convention of the group finalizers.
-                values = arr.tolist()
-                ordered = sorted(
-                    set(values), key=lambda v: (v is not None, v)
-                )
-                index = {value: j for j, value in enumerate(ordered)}
-                # one C-level sweep: no generator frame per row
-                codes = np.fromiter(
-                    map(index.__getitem__, values),
-                    dtype=np.int64, count=len(arr),
-                )
-                uniques = np.empty(len(ordered), dtype=object)
-                uniques[:] = ordered
-            else:
-                uniques, codes = np.unique(arr, return_inverse=True)
+        cached = self._encoding
+        if cached is not None and len(cached[0]) == self._rows:
+            return cached
+        arr = self.array()
+        if cached is not None and arr.dtype == object:
+            self._encoding = _extend(*cached, arr[len(cached[0]) :])
+        elif arr.dtype == object:
+            self._encoding = _extend(
+                np.empty(0, dtype=np.int64), np.empty(0, dtype=object), arr
+            )
+        else:
+            uniques, codes = np.unique(arr, return_inverse=True)
             self._encoding = (codes.astype(np.int64, copy=False), uniques)
         return self._encoding
+
+    def install_encoding(self, codes, uniques) -> None:
+        """Adopt ``(codes, uniques)`` — a dictionary over every row, as
+        :meth:`encoding` computes it — as the cached encoding (the
+        caller vouches for it: a checkpoint image's stored dictionary
+        the rows were just rebuilt from)."""
+        if len(codes) != self._rows:
+            raise ValueError(f"column {self.name!r}: dictionary covers "
+                             f"{len(codes)} of {self._rows} rows")
+        self._encoding = (
+            np.array(codes, dtype=np.int64), np.array(uniques, dtype=object)
+        )
 
     def __len__(self) -> int:
         return self._rows
@@ -571,9 +612,11 @@ class Table:
             }
 
     def physical_state(self) -> dict:
-        """Everything a checkpoint image holds, as the keyword arguments
-        of :meth:`restore_physical`: every column's rows (visible and
-        masked), per-row insert/delete versions, the watermark."""
+        """The table's physical state, as the keyword arguments of
+        :meth:`restore_physical`: every column's rows (visible and
+        masked), per-row insert/delete versions, the watermark.  (A
+        checkpoint image stores object columns as their
+        :meth:`storage_dictionaries` instead.)"""
         with self.lock:
             return {
                 "columns": self.column_tails(0),
@@ -607,14 +650,36 @@ class Table:
         """Re-apply one logged UPDATE: mask + append under one version."""
         self._replay(version, indices=indices, columns=columns)
 
+    def storage_dictionaries(self) -> dict:
+        """``{name: (codes, uniques)}`` — :meth:`Column.encoding` over
+        every physical row — for the object-storage columns (VARCHAR,
+        DECIMAL past 18 digits): what a checkpoint image stores for
+        them instead of their rows."""
+        with self.lock:
+            return {
+                name: column.encoding()
+                for name, column in self._columns.items()
+                if column.sql_type.numpy_dtype == np.dtype(object)
+            }
+
     def restore_physical(self, columns: dict, inserted, deleted,
-                         version: int) -> None:
+                         version: int, dictionaries: dict | None = None
+                         ) -> None:
         """Install a checkpointed physical state into a freshly created
         (empty) table: column values, per-row insert/delete versions,
-        and the watermark — the exact layout the image captured."""
+        and the watermark — the exact layout the image captured.
+
+        ``dictionaries`` gives object columns as their storage
+        dictionary ``(codes, uniques)`` instead of in ``columns``: the
+        rows are ``uniques[codes]`` and the pair becomes the column's
+        cached :meth:`Column.encoding`, so nothing re-encodes them."""
+        dictionaries = dictionaries or {}
         with self.lock:
             if self.physical_rows:
                 raise ValueError("restore_physical requires an empty table")
+            columns = dict(columns)
+            for name, (codes, uniques) in dictionaries.items():
+                columns[name] = np.asarray(uniques, dtype=object)[codes]
             nrows = self._stage(columns)
             inserted = self._inserted.checked(inserted)
             deleted = self._deleted.checked(deleted)
@@ -622,6 +687,8 @@ class Table:
                 raise ValueError("row / version length mismatch in image")
             self._apply(int(version), None, nrows, inserted, deleted)
             self._clock.advance_to(self._version)
+            for name, (codes, uniques) in dictionaries.items():
+                self._columns[name].install_encoding(codes, uniques)
 
     # -- access --------------------------------------------------------------
     def column_array(self, name: str, visible_only: bool = True) -> np.ndarray:

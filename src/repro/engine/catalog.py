@@ -43,10 +43,11 @@ class Catalog:
         #: taking a table's statement lock
         self._ddl_lock = threading.Lock()
         #: monotone count of catalog shape changes (table/view create,
-        #: attach, drop).  Plan caches key on it: row content is pinned
-        #: by a read snapshot, but schema identity is not — a DROP +
-        #: re-CREATE under the same name must not serve a plan bound to
-        #: the old table object.
+        #: attach, drop) and of view refreshes.  Plan caches key on it:
+        #: row content is pinned by a read snapshot, but schema identity
+        #: is not — a DROP + re-CREATE under the same name must not
+        #: serve a plan bound to the old table object — and neither is
+        #: which views are fresh at that snapshot.
         self.ddl_epoch = 0
 
     def attach_storage(self, storage) -> None:
@@ -145,6 +146,11 @@ class Catalog:
             if self.storage is not None:
                 view._storage = self.storage
                 self.storage.log_create_view(view)
+
+    def advance_epoch(self) -> None:
+        """A view refreshed: plans made before it must not be served."""
+        with self._ddl_lock:
+            self.ddl_epoch += 1
 
     def get_view(self, name: str):
         try:

@@ -507,12 +507,8 @@ def compute_grouped_arrays(query: PhysicalQuery, context: ExecutionContext,
     through) the finishing stages: ``(key_arrays, result_arrays,
     ngroups)``.
 
-    Also used by full-recompute materialized-view refresh
-    (:mod:`repro.engine.matview`), which stores the raw aggregate
-    state rather than the projected output — always in-process, so no
-    refresh depends on ``workers``.  ``snapshot`` pins the base
-    scan at a row-version watermark so a replayed REFRESH aggregates
-    exactly the rows the original one saw.
+    ``snapshot`` pins the base scan at a row-version watermark (the
+    statement's read snapshot).
     """
     morsels, transform = _instantiate(query.pipeline, context, stats,
                                       snapshot)

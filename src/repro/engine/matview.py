@@ -4,10 +4,9 @@ The paper's exact-merge property has a corollary it highlights for
 pre-aggregation: because partial aggregate states merge *exactly*, a
 materialized ``GROUP BY`` can be kept up to date by **merging** the
 partial states of inserted rows into it — and the refreshed view is
-byte-identical to recomputing it from scratch, under any
-``workers x morsel_size x memory_budget`` configuration.  No state
-subtracts: a REFRESH whose delta deletes a row (DELETE, UPDATE)
-rebuilds the view from the rows live at its target watermark.
+byte-identical to recomputing it from scratch.  No state subtracts: a
+REFRESH whose delta deletes a row (DELETE, UPDATE) rebuilds the view
+from the rows live at its target watermark.
 
 The pieces:
 
@@ -25,11 +24,13 @@ The pieces:
   ``ViewScan``.  Stale views (or sessions whose SUM configuration
   changed) fall back to the base scan.
 
-Views whose aggregates do not merge to a from-scratch result's bits —
-the ieee SUM family, whose bits depend on the row split — and MIN/MAX
-views are kept in ``full`` maintenance mode (see
-:meth:`~repro.engine.operators.AggregateSpec.maintains_incrementally`):
-``REFRESH`` recomputes them through the regular query pipeline.
+Every view is maintained this one way, whatever it aggregates.  The
+view feeds its rows in physical order, so no REFRESH depends on an
+execution knob: the ladders, COUNT / DISTINCT and MIN / MAX
+(:func:`~repro.engine.aggregates.run_extremes` orders zero ties) are
+order-free, and the ``ieee`` SUM family accumulates row by row, so an
+ieee view carries the bits of an unbudgeted ``workers=1`` SELECT.  The
+kept table is not bounded by ``memory_budget``: a REFRESH never spills.
 """
 
 from __future__ import annotations
@@ -39,13 +40,8 @@ import numpy as np
 from ..errors import BindError
 from .operators import Batch, SumConfig
 from .optimizer import optimize
-from .physical import (
-    PhysicalQuery,
-    PhysViewScan,
-    _dedup_specs,
-    plan_physical,
-)
-from .pipeline import ExecutionContext, PipelineStats, apply_where
+from .physical import PhysicalQuery, PhysViewScan, _dedup_specs
+from .pipeline import ExecutionContext, apply_where
 from .plan import (
     Aggregate,
     Filter,
@@ -169,9 +165,7 @@ class MaterializedView:
             raise ViewDefinitionError(
                 "materialized views must read exactly one base table"
             )
-        logical = optimize(bind_select(select, get_table))
-        shape = _AggregateShape(logical)
-        self.logical = logical
+        shape = _AggregateShape(optimize(bind_select(select, get_table)))
         self.table = shape.scan.table
         self.table_name = self.table.name
         self.predicate_sql = shape.predicate_sql
@@ -181,14 +175,6 @@ class MaterializedView:
         self.items = shape.items
         self.specs = _dedup_specs(shape.aggregate.aggregates, sum_config)
         self.agg_sqls = frozenset(spec.sql for spec in self.specs)
-        #: 'incremental' when every aggregate state merges an inserted
-        #: delta exactly; 'full' otherwise (REFRESH recomputes through
-        #: the pipeline).
-        self.maintenance = (
-            "incremental"
-            if all(spec.maintains_incrementally() for spec in self.specs)
-            else "full"
-        )
         #: columns the delta scan needs (the optimizer's projection
         #: pushdown already narrowed the scan to them)
         projected = (
@@ -203,12 +189,11 @@ class MaterializedView:
             key: shape.scan.columns[key][1]
             for key in (projected or self.scan_keys)
         }
-        #: the maintenance state of an incremental view: the group table
-        #: over the rows live at :attr:`watermark`.  ``None`` until the
-        #: next refresh rebuilds it — before the first, after
-        #: :meth:`restore_served` (checkpoints persist served results,
-        #: not states) and after a failed refresh (which may have fed
-        #: part of its delta)
+        #: the maintenance state: the group table over the rows live
+        #: at :attr:`watermark`.  ``None`` until the next refresh
+        #: rebuilds it — before the first, after :meth:`restore_served`
+        #: (checkpoints persist served results, not states) and after
+        #: a failed refresh (which may have fed part of its delta)
         self._group_table: VectorizedGroupTable | None = None
         #: base-table watermark the maintenance state has consumed
         self.watermark = 0
@@ -263,12 +248,12 @@ class MaterializedView:
                 to_version: int | None = None) -> int:
         """Bring the view up to the base table's watermark.
 
-        Incremental mode merges the partial states of rows inserted
-        since the consumed watermark into the kept group table; a
-        delta that deletes a row rebuilds the table from the rows live
-        at the target instead.  Full mode recomputes through the
-        regular query pipeline.  Returns the number of inserted rows
-        merged, or of rows scanned by a rebuild or recompute.
+        Merges the partial states of rows inserted since the consumed
+        watermark into the kept group table; a delta that deletes a
+        row rebuilds the table from the rows live at the target
+        instead.  Returns the number of inserted rows merged, or of
+        rows scanned by a rebuild.  ``context`` only cuts the rows
+        into morsel-sized batches, which no aggregate's bits see.
 
         ``to_version`` pins the refresh at an explicit row-version
         watermark instead of the table's current one.  WAL recovery
@@ -279,16 +264,22 @@ class MaterializedView:
         target = (
             self.table.version if to_version is None else int(to_version)
         )
-        if self.maintenance == "incremental":
-            try:
-                consumed = self._refresh_incremental(context, target)
-            except BaseException:
-                # The group table may hold part of the delta; the next
-                # refresh rebuilds it, as it does after recovery.
-                self._group_table = None
-                raise
-        else:
-            consumed = self._refresh_full(context, target)
+        try:
+            inserted, deleted = self.table.delta_masks(
+                self.watermark, upto=target
+            )
+            if self._group_table is None or deleted.any():
+                consumed = self._rebuild(context, target)
+            else:
+                batches, consumed = self._batches(inserted, context)
+                for batch in batches:
+                    self._group_table.update(batch)
+                self._store(*self._group_table.finalize())
+        except BaseException:
+            # The group table may hold part of the delta; the next
+            # refresh rebuilds it, as it does after recovery.
+            self._group_table = None
+            raise
         self.watermark = target
         self._populated = True
         self._served = (
@@ -296,7 +287,7 @@ class MaterializedView:
         )
         self.refresh_count += 1
         if self._storage is not None:
-            self._storage.log_view_refreshed(self, context)
+            self._storage.log_view_refreshed(self)
         return consumed
 
     def _batches(self, mask: np.ndarray, context: ExecutionContext):
@@ -330,29 +321,16 @@ class MaterializedView:
             filtered.append(batch)
         return filtered, nrows
 
-    def _refresh_incremental(self, context: ExecutionContext,
-                             target: int) -> int:
-        inserted, deleted = self.table.delta_masks(
-            self.watermark, upto=target
-        )
-        if self._group_table is None or deleted.any():
-            return self._rebuild(context, target)
-        batches, rows = self._batches(inserted, context)
-        for batch in batches:
-            self._group_table.update(batch)
-        self._store(*self._group_table.finalize())
-        return rows
-
     def _rebuild(self, context: ExecutionContext, target: int) -> int:
         """Build the group table from every row live at ``target``.
 
         The first refresh, the first after recovery or a failed
         refresh, and every refresh whose delta deletes a row land
         here.  Exact merging makes the rebuilt states finalize to the
-        bytes a from-scratch query returns, so an incremental view
-        never has to subtract.  Deferred to refresh time (not restore
-        time) because a fuzzy checkpoint's view watermark may be ahead
-        of its table image — the missing rows arrive via WAL replay.
+        bytes a from-scratch query returns, so a view never has to
+        subtract.  Deferred to refresh time (not restore time) because
+        a fuzzy checkpoint's view watermark may be ahead of its table
+        image — the missing rows arrive via WAL replay.
         """
         table = VectorizedGroupTable(self.group_exprs, self.specs)
         batches, rows = self._batches(
@@ -363,18 +341,6 @@ class MaterializedView:
         self._store(*table.finalize())
         self._group_table = table
         return rows
-
-    def _refresh_full(self, context: ExecutionContext, target: int) -> int:
-        from .executor import compute_grouped_arrays
-
-        physical = plan_physical(self.logical, context, self.sum_config)
-        # a throwaway record: a REFRESH (or its WAL replay) is not the
-        # session's last SELECT
-        key_arrays, results, ngroups = compute_grouped_arrays(
-            physical, context, PipelineStats(), snapshot=target
-        )
-        self._store(key_arrays, results, ngroups)
-        return int(np.count_nonzero(self.table.snapshot_mask(target)))
 
     def _store(self, key_arrays, results, ngroups: int) -> None:
         # Copy: finalize may hand back a state's internal array (e.g.
@@ -396,9 +362,9 @@ class MaterializedView:
 
         The served arrays come back exactly as they were dumped — the
         checkpoint holds their raw bits.  The maintenance state is
-        *not* checkpointed: the next refresh of an incremental view
-        rebuilds it (:meth:`_rebuild`), by which time WAL replay has
-        delivered every base row up to its target.
+        *not* checkpointed: the next refresh rebuilds it
+        (:meth:`_rebuild`), by which time WAL replay has delivered
+        every base row up to its target.
         """
         self.watermark = int(watermark)
         self.key_arrays = [np.array(arr, copy=True) for arr in key_arrays]
@@ -420,7 +386,7 @@ class MaterializedView:
         fresh = "fresh" if self.is_fresh() else "stale"
         return (
             f"MaterializedView({self.name!r} ON {self.table_name}, "
-            f"{self.maintenance}, {self.ngroups} groups, {fresh})"
+            f"{self.ngroups} groups, {fresh})"
         )
 
 

@@ -307,23 +307,3 @@ class AggregateSpec:
             self.levels = call.args[1].value  # checked by the binder
         if name not in ("COUNT", "SUM", "RSUM", "AVG", "MIN", "MAX") + _VAR_NAMES:
             raise ExprError(f"unknown aggregate {name!r}")
-
-    def maintains_incrementally(self) -> bool:
-        """True when a materialized view may keep this call's state
-        across REFRESHes, merging in only the rows inserted since
-        (a delta that deletes a row rebuilds the view either way).
-
-        That is exact — the merged state finalizes to a from-scratch
-        query's bits — for counts, DISTINCT sets and the reproducible
-        ladders; the ``ieee`` SUM family is excluded because its bits
-        depend on how the rows were split, so such views recompute
-        under a fixed shape.  MIN/MAX recompute too: they did when a
-        refresh subtracted deleted rows (a bounded extreme forgets its
-        runner-up), and which views are incremental is kept as it was.
-        """
-        name = self.call.name
-        if name == "COUNT" or name == "RSUM":
-            return True
-        if name in ("MIN", "MAX"):
-            return False
-        return self.sum_config.mode == "repro"

@@ -195,8 +195,7 @@ class PhysViewScan:
         view = self.view
         return (
             f"ViewScan({view.name}, table={view.table_name}, "
-            f"{view.maintenance}, ~{view.ngroups} groups, "
-            f"watermark={view.watermark})"
+            f"~{view.ngroups} groups, watermark={view.watermark})"
         )
 
 

@@ -155,8 +155,9 @@ class ExecutionContext:
         #: ``(sql text, snapshot, catalog ddl epoch)`` -> planned
         #: PhysicalQuery, filled by the session's SELECT path.  The
         #: snapshot pins row content, the DDL epoch pins schema
-        #: identity, and any SET clears the cache — so a hit replays
-        #: planning whose every input is provably unchanged.
+        #: identity and view freshness, and any SET clears the cache —
+        #: so a hit replays planning whose every input is provably
+        #: unchanged.
         self._plan_cache = BoundedLRU(self.DEFAULT_PLAN_CACHE_SIZE)
         #: Lifetime plan-cache counts, kept only for the end-to-end
         #: tracer (``benchmarks/e2e``), which diffs them; a statement's
@@ -305,9 +306,9 @@ class ExecutionContext:
 class PipelineStats:
     """One statement's accounting record.
 
-    The session opens one for each SELECT and INSERT ... SELECT (a
-    REFRESH or a WAL replay opens a throwaway one) and hands it down;
-    operators and drivers fill it, none builds its own.
+    The session opens one for each SELECT and INSERT ... SELECT and
+    hands it down; operators and drivers fill it, none builds its own
+    (a REFRESH runs no pipeline and fills none).
 
     ``seconds`` is CPU time per operator class (paper Table IV's
     breakdown): ``scan``, ``join_build``, ``selection``,

@@ -151,9 +151,9 @@ class Session:
         Repeated SELECTs skip parse/bind/optimize/lower entirely when
         nothing a plan depends on has moved: the plan cache is keyed by
         ``(sql text, snapshot, catalog DDL epoch)``, so any committed
-        write (new snapshot), any DDL (new epoch), or any ``SET``
-        (cache cleared) plans afresh.  Only SELECT plans ever enter the
-        cache, so a hit cannot shadow a DML statement.
+        write (new snapshot), any DDL or REFRESH (new epoch), or any
+        ``SET`` (cache cleared) plans afresh.  Only SELECT plans ever
+        enter the cache, so a hit cannot shadow a DML statement.
         """
         context = self.execution_context
         snapshot = self.pin_snapshot()
@@ -203,11 +203,7 @@ class Session:
             )
             self.catalog.create_view(view)
             try:
-                # The initial population is a write to the view: hold
-                # the base table's statement lock so no DML can slip
-                # between the delta read and the consumed watermark.
-                with view.table.lock:
-                    view.refresh(self.execution_context)
+                self._refresh(view)
             except BaseException:
                 # A failed initial population must not leave a broken
                 # view registered (it would also block DROP TABLE).
@@ -215,9 +211,7 @@ class Session:
                 raise
             return 0
         if isinstance(stmt, ast.RefreshMaterializedView):
-            view = self.catalog.get_view(stmt.name)
-            with view.table.lock:
-                return view.refresh(self.execution_context)
+            return self._refresh(self.catalog.get_view(stmt.name))
         if isinstance(stmt, ast.DropMaterializedView):
             self.catalog.drop_view(stmt.name, stmt.if_exists)
             return 0
@@ -231,6 +225,17 @@ class Session:
         if isinstance(stmt, ast.Delete):
             return self._execute_delete(stmt)
         raise TypeError(f"unsupported statement {stmt!r}")
+
+    def _refresh(self, view) -> int:
+        # A refresh is a write to the view: hold the base table's
+        # statement lock so no DML can slip between the delta read and
+        # the consumed watermark.
+        with view.table.lock:
+            consumed = view.refresh(self.execution_context)
+        # A SELECT planned while the view was stale reads the base
+        # table; at the same snapshot only a new epoch re-plans it.
+        self.catalog.advance_epoch()
+        return consumed
 
     def view(self, name: str):
         """The named materialized view (catalog accessor)."""

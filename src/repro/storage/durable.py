@@ -60,10 +60,12 @@ claim rather than a slogan.  The moving parts that make it hold:
   delta deletes a row takes anyway.  Exact merge guarantees the
   rebuilt state finalizes to the same bytes the incrementally-built
   one would have.
-* **One refresh per view.** A ``refresh_view`` record is a watermark
-  plus an execution shape, not a delta, so replay runs the last one
-  per view (:class:`_PendingRefreshes`) instead of one per record;
-  ``refresh_count`` still counts them all.
+* **One refresh per view.** A ``refresh_view`` record is a watermark,
+  not a delta, so replay runs the last one per view
+  (:class:`_PendingRefreshes`) instead of one per record;
+  ``refresh_count`` still counts them all.  No refresh depends on an
+  execution knob, so the record carries none (the ``ctx`` shape older
+  writers logged is ignored).
 * **Torn-tail truncation.** A crash mid-append leaves a half record;
   recovery truncates to the last intact record.  Damage *before*
   intact records raises :class:`~repro.errors.WalCorruptError` —
@@ -312,64 +314,6 @@ def _load_table(catalog, spec: dict):
     return table
 
 
-# ---------------------------------------------------------------------------
-# Execution-shape capture for REFRESH replay
-# ---------------------------------------------------------------------------
-
-#: The knobs a refresh's bits can depend on: REFRESH runs in-process,
-#: so ``workers`` is not one (records older writers logged with it
-#: replay unchanged — :class:`ExecutionContext` still takes it).
-_CTX_KNOBS = ("morsel_size", "join_build", "memory_budget_bytes")
-
-#: Knobs older writers logged that no longer exist, which a replay
-#: ignores (any other unknown key stays an error).  ``vectorized`` /
-#: ``fused`` chose between engines whose bits were identical in every
-#: sum mode.  The ``spill_*`` pair (partition fan-out, merge fan-in)
-#: shaped how the external aggregation split and re-merged its state:
-#: repro and sorted bits cannot depend on that (every split is an exact
-#: merge away from every other), and an ieee-mode view makes no
-#: cross-version bit promise.
-_RETIRED_CTX_KNOBS = ("vectorized", "fused")
-
-
-def _context_spec(context) -> dict:
-    """The bit-relevant execution knobs of a refresh, for the WAL."""
-    return {knob: getattr(context, knob) for knob in _CTX_KNOBS}
-
-
-class _ContextCache:
-    """Recovery-time :class:`ExecutionContext` pool, one per distinct
-    logged execution shape (old logs without a shape share a default)."""
-
-    def __init__(self):
-        self._contexts: dict = {}
-
-    def get(self, spec: dict | None):
-        from ..engine.pipeline import DEFAULT_MORSEL_SIZE, ExecutionContext
-
-        key = (
-            None if spec is None
-            else tuple(sorted((k, spec[k]) for k in spec))
-        )
-        context = self._contexts.get(key)
-        if context is None:
-            if spec is None:
-                context = ExecutionContext(1, DEFAULT_MORSEL_SIZE)
-            else:
-                context = ExecutionContext(**{
-                    knob: value for knob, value in spec.items()
-                    if knob not in _RETIRED_CTX_KNOBS
-                    and not knob.startswith("spill_")
-                })
-            self._contexts[key] = context
-        return context
-
-    def close(self) -> None:
-        for context in self._contexts.values():
-            context.close()
-        self._contexts.clear()
-
-
 #: record ops that create or drop a catalog object
 _DDL_OPS = frozenset((
     "create_table", "attach_table", "drop_table", "create_view", "drop_view",
@@ -379,20 +323,23 @@ _DDL_OPS = frozenset((
 class _PendingRefreshes:
     """The logged REFRESHes replay has read and not yet run.
 
-    A ``refresh_view`` record is a watermark plus an execution shape,
-    not a delta: an incremental view consumes ``(its watermark, the
-    record's]`` whatever refreshes lay between (exact merge — one
-    refresh over the union of N deltas finishes to the bytes the N
-    did; a window that deletes a row is one rebuild at the record's
-    watermark), and a full-mode recompute pinned at a watermark reads no
-    earlier refresh at all.  So replay keeps the last record per view
-    while table records stream past and runs one refresh per view —
-    at the end of the scan, or before a DDL record is applied.
+    A ``refresh_view`` record is a watermark, not a delta: a view
+    consumes ``(its watermark, the record's]`` whatever refreshes lay
+    between (exact merge — one refresh over the union of N deltas
+    finishes to the bytes the N did; a window that deletes a row is
+    one rebuild at the record's watermark).  So replay keeps the last
+    record per view while table records stream past and runs one
+    refresh per view — at the end of the scan, or before a DDL record
+    is applied.  No refresh depends on an execution knob, so all of
+    them run under one default context, and the ``ctx`` shape older
+    writers logged in each record is ignored.
     """
 
-    def __init__(self, catalog, contexts: _ContextCache):
+    def __init__(self, catalog):
+        from ..engine.pipeline import ExecutionContext
+
         self._catalog = catalog
-        self._contexts = contexts
+        self._context = ExecutionContext()
         #: view name -> [last record, records seen]
         self._pending: dict = {}
 
@@ -410,14 +357,7 @@ class _PendingRefreshes:
             count = view.refresh_count + seen
             watermark = int(record["watermark"])
             if watermark > view.watermark or not view._populated:
-                # Replay under the *original* execution shape: repro
-                # views are shape-invariant anyway, but an IEEE-mode
-                # full recompute is only bit-faithful with the same
-                # morsel x budget configuration.
-                view.refresh(
-                    self._contexts.get(record.get("ctx")),
-                    to_version=watermark,
-                )
+                view.refresh(self._context, to_version=watermark)
             view.refresh_count = count
 
 
@@ -485,23 +425,19 @@ class DurableStore:
     def open_catalog(self, catalog) -> None:
         """Restore ``catalog`` from checkpoint + WAL, then attach for
         logging.  The catalog must be empty."""
-        contexts = _ContextCache()
         first_segment = 1
         next_lsn = 1
-        try:
-            image_path = os.path.join(self.path, CHECKPOINT_FILE)
-            if os.path.exists(image_path):
-                image = self._read_checkpoint(image_path)
-                first_segment = int(image["wal_segment"])
-                next_lsn = int(image["next_lsn"])
-                self._restore_image(catalog, image)
-            refreshes = _PendingRefreshes(catalog, contexts)
-            for record in scan_wal(self.path, first_segment, repair=True):
-                self._apply(catalog, record, refreshes)
-                next_lsn = int(record["lsn"]) + 1
-            refreshes.flush()
-        finally:
-            contexts.close()
+        image_path = os.path.join(self.path, CHECKPOINT_FILE)
+        if os.path.exists(image_path):
+            image = self._read_checkpoint(image_path)
+            first_segment = int(image["wal_segment"])
+            next_lsn = int(image["next_lsn"])
+            self._restore_image(catalog, image)
+        refreshes = _PendingRefreshes(catalog)
+        for record in scan_wal(self.path, first_segment, repair=True):
+            self._apply(catalog, record, refreshes)
+            next_lsn = int(record["lsn"]) + 1
+        refreshes.flush()
         self.wal = WriteAheadLog(self.path, sync=self.wal_sync)
         self.wal.set_next_lsn(next_lsn)
         self.attach(catalog)
@@ -788,12 +724,11 @@ class DurableStore:
     def log_drop_view(self, name: str) -> None:
         self._append({"op": "drop_view", "name": name})
 
-    def log_view_refreshed(self, view, context) -> None:
+    def log_view_refreshed(self, view) -> None:
         self._append({
             "op": "refresh_view",
             "name": view.name,
             "watermark": int(view.watermark),
-            "ctx": _context_spec(context),
         })
 
     def log_set_default(self, name: str, value) -> None:

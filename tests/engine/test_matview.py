@@ -2,9 +2,8 @@
 
 Covers:
 
-* which views are ``incremental`` (insert-only deltas merge into the
-  kept group table; a delta that deletes a row rebuilds it) and which
-  are ``full``;
+* every view, whatever it aggregates, merges an insert-only delta into
+  the kept group table and rebuilds it when the delta deletes a row;
 * REFRESH after any INSERT/DELETE interleaving is byte-identical to
   recreating the view from scratch, across
   workers x morsel_size x memory_budget — also when the deleted rows
@@ -20,8 +19,7 @@ import pytest
 
 from repro.engine import Database
 from repro.engine.matview import ViewDefinitionError
-from repro.engine.operators import AggregateSpec, SumConfig
-from repro.engine.sql import parse, parse_expression
+from repro.engine.sql import parse
 from repro.engine.sql import ast
 
 
@@ -39,35 +37,6 @@ def result_bits(result):
         else:
             pieces.append(arr.tobytes())
     return tuple(result.names), tuple(pieces)
-
-
-# ---------------------------------------------------------------------------
-# maintenance mode, per aggregate
-# ---------------------------------------------------------------------------
-
-
-class TestMaintenanceMode:
-    def test_min_max_not_incremental(self):
-        for sql in ("MIN(v)", "MAX(v)"):
-            spec = AggregateSpec(parse_expression(sql), SumConfig("repro"))
-            assert not spec.maintains_incrementally()
-
-    def test_float_sum_not_incremental_outside_repro(self):
-        for mode in ("ieee",):
-            spec = AggregateSpec(parse_expression("SUM(v)"), SumConfig(mode))
-            assert not spec.maintains_incrementally()
-            # RSUM forces the repro state, so it is incremental in any
-            # mode.
-            rspec = AggregateSpec(parse_expression("RSUM(v)"), SumConfig(mode))
-            assert rspec.maintains_incrementally()
-
-    @pytest.mark.parametrize("sql", [
-        "COUNT(*)", "COUNT(DISTINCT v)", "SUM(v)", "RSUM(v)", "AVG(v)",
-        "STDDEV(v)", "VAR_POP(v)",
-    ])
-    def test_repro_aggregates_incremental(self, sql):
-        spec = AggregateSpec(parse_expression(sql), SumConfig("repro"))
-        assert spec.maintains_incrementally()
 
 
 class TestRetiredNames:
@@ -146,6 +115,37 @@ VIEW_SQL = (
 QUERY_SQL = "SELECT k, SUM(v) AS sv, COUNT(*) AS c FROM obs GROUP BY k ORDER BY k"
 
 
+#: every aggregate a view can keep
+AGGREGATES = [
+    "COUNT(*)", "COUNT(DISTINCT v)", "SUM(v)", "RSUM(v)", "AVG(v)",
+    "STDDEV(v)", "VAR_POP(v)", "MIN(v)", "MAX(v)",
+]
+
+
+class TestEveryViewMerges:
+    @pytest.mark.parametrize("mode", ["repro", "ieee"])
+    @pytest.mark.parametrize("agg", AGGREGATES)
+    def test_insert_only_refresh_merges_its_delta(self, agg, mode):
+        """Whatever a view aggregates, in either sum mode, an
+        insert-only REFRESH merges just its delta rows and serves the
+        bits of a serial SELECT."""
+        query = f"SELECT k, {agg} AS a FROM obs GROUP BY k ORDER BY k"
+        db = fresh_db(sum_mode=mode, morsel_size=2)
+        db.execute(
+            f"CREATE MATERIALIZED VIEW mv AS "
+            f"SELECT k, {agg} AS a FROM obs GROUP BY k"
+        )
+        scratch = fresh_db(sum_mode=mode)
+        insert = "INSERT INTO obs VALUES (1,'a',1e16),(3,'c',0.0),(4,'d',-2.5)"
+        for target in (db, scratch):
+            target.execute(insert)
+        assert db.execute("REFRESH MATERIALIZED VIEW mv") == 3
+        assert "ViewScan(mv" in db.explain(query)
+        assert result_bits(db.execute(query)) == result_bits(
+            scratch.execute(query)
+        )
+
+
 class TestMaterializedViews:
     def test_create_serves_and_explains_viewscan(self):
         db = fresh_db()
@@ -172,19 +172,18 @@ class TestMaterializedViews:
         assert "ViewScan(vk" in db.explain(QUERY_SQL)
 
     def test_refresh_consumes_delta_rows_only(self):
-        """An insert-only REFRESH merges (and returns) its delta rows; a
-        delete-bearing one rebuilds from the live rows and returns how
-        many it scanned, as a full-mode recompute does."""
+        """An insert-only REFRESH merges (and returns) its delta rows —
+        a MIN view's too; a delete-bearing one rebuilds from the live
+        rows and returns how many it scanned."""
         db = fresh_db()
         db.execute(VIEW_SQL)
         db.execute(
             "CREATE MATERIALIZED VIEW ext AS "
             "SELECT k, MIN(v) AS lo FROM obs GROUP BY k"
         )
-        assert db.view("vk").maintenance == "incremental"
-        assert db.view("ext").maintenance == "full"
         db.execute("INSERT INTO obs VALUES (1,'a',4.0),(9,'z',1.0)")
         assert db.execute("REFRESH MATERIALIZED VIEW vk") == 2
+        assert db.execute("REFRESH MATERIALIZED VIEW ext") == 2
         db.execute("DELETE FROM obs WHERE k = 3")  # 2 of 9 rows
         assert db.execute("REFRESH MATERIALIZED VIEW vk") == 7
         assert db.execute("REFRESH MATERIALIZED VIEW ext") == 7
@@ -265,29 +264,31 @@ class TestMaterializedViews:
             scratch.execute(QUERY_SQL)
         )
 
-    def test_min_max_views_use_full_recompute(self):
+    def test_min_max_views_merge_inserts_and_rebuild_on_delete(self):
+        query = (
+            "SELECT k, MIN(v) AS lo, MAX(v) AS hi FROM obs GROUP BY k "
+            "ORDER BY k"
+        )
         db = fresh_db()
         db.execute(
             "CREATE MATERIALIZED VIEW ext AS "
             "SELECT k, MIN(v) AS lo, MAX(v) AS hi FROM obs GROUP BY k"
         )
-        assert db.view("ext").maintenance == "full"
-        db.execute("DELETE FROM obs WHERE v > 5.0")
-        db.execute("REFRESH MATERIALIZED VIEW ext")
-        served = db.execute(
-            "SELECT k, MIN(v) AS lo, MAX(v) AS hi FROM obs GROUP BY k ORDER BY k"
-        )
         scratch = fresh_db()
-        scratch.execute("DELETE FROM obs WHERE v > 5.0")
-        expected = scratch.execute(
-            "SELECT k, MIN(v) AS lo, MAX(v) AS hi FROM obs GROUP BY k ORDER BY k"
-        )
-        assert result_bits(served) == result_bits(expected)
-
-    def test_ieee_views_use_full_recompute(self):
-        db = fresh_db(sum_mode="ieee")
-        db.execute(VIEW_SQL)
-        assert db.view("vk").maintenance == "full"
+        # (statement, rows the REFRESH after it merges or rebuilds from)
+        for sql, refreshed in (
+            # 0.0 meets the -0.0 already in group 3: a zero tie
+            ("INSERT INTO obs VALUES (3,'c',0.0),(1,'a',-7.0),(4,'d',2.0)", 3),
+            ("DELETE FROM obs WHERE v > 5.0", 9),
+            ("INSERT INTO obs VALUES (3,'c',-0.0),(2,'b',8.0)", 2),
+        ):
+            db.execute(sql)
+            scratch.execute(sql)
+            assert db.execute("REFRESH MATERIALIZED VIEW ext") == refreshed
+            assert "ViewScan(ext" in db.explain(query)
+            assert result_bits(db.execute(query)) == result_bits(
+                scratch.execute(query)
+            )
 
     def test_count_distinct_view_refcounts(self):
         db = fresh_db()
@@ -295,7 +296,6 @@ class TestMaterializedViews:
             "CREATE MATERIALIZED VIEW dv AS "
             "SELECT k, COUNT(DISTINCT s) AS ds FROM obs GROUP BY k"
         )
-        assert db.view("dv").maintenance == "incremental"
         # k=1 has s in {'a','a','b'}; deleting one 'a' row must keep
         # the distinct count at 2.
         db.execute("DELETE FROM obs WHERE k = 1 AND v = 1.5")
@@ -460,7 +460,6 @@ class ViewTwin:
         self.scratch = Database(sum_mode="repro", **knobs)
         self.execute(f"CREATE TABLE t (i INT, k INT, v {vtype})")
         self.db.execute(f"CREATE MATERIALIZED VIEW mv AS {query}")
-        assert self.db.view("mv").maintenance == "incremental"
 
     def execute(self, sql):
         for db in (self.db, self.scratch):

@@ -2,8 +2,9 @@
 
 The session opens a :class:`~repro.engine.pipeline.PipelineStats` for
 each SELECT and INSERT ... SELECT and hands it down; operators and
-drivers fill it.  A REFRESH (or its WAL replay) fills a throwaway one,
-so none of them leaks into, or inherits from, another statement's.
+drivers fill it.  A REFRESH (or its WAL replay) runs no pipeline and
+fills none, so no record leaks into, or inherits from, another
+statement's.
 """
 
 import pytest
@@ -41,10 +42,9 @@ def test_view_served_select_reports_a_fresh_record():
     assert stats.seconds == {}
 
 
-def test_full_mode_refresh_leaves_the_last_select_record():
+def test_refresh_leaves_the_last_select_record():
     db = _db()
     db.execute(VIEW)
-    assert db.view("ext").maintenance == "full"
     db.execute("SELECT k, SUM(v) FROM t GROUP BY k")
     record = db.last_pipeline_stats
     db.execute("INSERT INTO t VALUES (3, 1.5)")
@@ -75,6 +75,24 @@ def test_plan_cache_hit_is_flagged_per_statement():
     db.execute("INSERT INTO t VALUES (4, 1.0)")  # a new snapshot
     db.execute(query)
     assert not db.last_pipeline_stats.plan_cache_hit
+
+
+def test_refresh_replans_a_select_planned_while_the_view_was_stale():
+    """REFRESH moves no snapshot, so only the catalog epoch keeps the
+    base-scan plan made while the view was stale from being served."""
+    db = _db()
+    db.execute(VIEW)
+    db.execute("INSERT INTO t VALUES (3, 1.5)")
+    db.execute(SERVED)
+    assert db.last_pipeline_stats.morsel_count > 0
+    db.execute(SERVED)
+    assert db.last_pipeline_stats.plan_cache_hit
+    db.execute("REFRESH MATERIALIZED VIEW ext")
+    assert "ViewScan(ext" in db.explain(SERVED)
+    db.execute(SERVED)
+    stats = db.last_pipeline_stats
+    assert not stats.plan_cache_hit
+    assert stats.morsel_count == 0
 
 
 def test_sharded_record_is_sized_by_the_driver():

@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.engine import executor
 from repro.engine.session import Database
 from repro.errors import (
     CheckpointError,
@@ -195,8 +194,9 @@ def test_checkpoint_then_wal_tail_recovery(tmp_path):
 
 
 def test_recovery_replays_ieee_refresh_bit_identically(tmp_path):
-    """IEEE full-recompute views are shape-dependent; the WAL logs the
-    refresh's execution shape so replay reproduces those exact bits."""
+    """An IEEE view's bits depend on row order, not on the execution
+    shape: the replayed REFRESH, under no logged shape, reproduces
+    them exactly."""
     config = dict(
         sum_mode="ieee", workers=2, morsel_size=257,
         checkpoint_interval=None,
@@ -212,13 +212,11 @@ def test_recovery_replays_ieee_refresh_bit_identically(tmp_path):
         )
     )
     db.execute(f"INSERT INTO t VALUES {rows}")
-    # MIN/MAX views are 'full' maintenance -> IEEE recompute.
     db.execute(
         "CREATE MATERIALIZED VIEW vm AS "
         "SELECT k, SUM(f) AS sf, MIN(f) AS lo FROM t GROUP BY k"
     )
     view = db.view("vm")
-    assert view.maintenance == "full"
     want = {name: arr.copy() for name, arr in view.agg_results.items()}
     db.simulate_crash()
     recovered = repro.open(str(tmp_path), **config)
@@ -235,10 +233,8 @@ def test_directory_written_with_retired_engine_knobs_still_opens(tmp_path):
     """Writers before the ``vectorized`` / ``fused`` switches were
     retired logged both in every ``refresh_view`` record's ``ctx`` and
     could persist them as session defaults.  Such a directory must
-    recover to the bits of a never-crashed run — the two names (and
-    only those) are ignored on replay."""
-    from repro.storage.durable import _ContextCache, _context_spec
-
+    recover to the bits of a never-crashed run: replay ignores a
+    record's ``ctx`` whole, and the retired defaults select nothing."""
     config = dict(sum_mode="ieee", workers=2, morsel_size=257)
     rng = np.random.default_rng(11)
     rows = ", ".join(
@@ -251,7 +247,6 @@ def test_directory_written_with_retired_engine_knobs_still_opens(tmp_path):
     statements = (
         "CREATE TABLE t (k INT, f DOUBLE)",
         f"INSERT INTO t VALUES {rows}",
-        # MIN -> full maintenance (shape-dependent IEEE) recompute.
         "CREATE MATERIALIZED VIEW vm AS "
         "SELECT k, SUM(f) AS sf, MIN(f) AS lo FROM t GROUP BY k",
         "DELETE FROM t WHERE k = 3",
@@ -268,18 +263,19 @@ def test_directory_written_with_retired_engine_knobs_still_opens(tmp_path):
     db = repro.open(str(tmp_path), checkpoint_interval=None, **config)
     storage = db.storage
 
-    def log_as_the_old_writer_did(view, context):
+    def log_as_the_old_writer_did(view):
         storage._append({
             "op": "refresh_view",
             "name": view.name,
             "watermark": int(view.watermark),
-            "ctx": dict(_context_spec(context), vectorized=False, fused=False),
+            "ctx": {"morsel_size": 257, "join_build": "auto",
+                    "memory_budget_bytes": None, "vectorized": False,
+                    "fused": False},
         })
 
     storage.log_view_refreshed = log_as_the_old_writer_did
     for statement in statements:
         db.execute(statement)
-    assert "vectorized" not in _context_spec(db.execution_context)
     storage.log_set_default("vectorized", False)  # Database.set_default refuses
     storage.log_set_default("workers", 3)
     db.simulate_crash()
@@ -296,13 +292,64 @@ def test_directory_written_with_retired_engine_knobs_still_opens(tmp_path):
     finally:
         recovered.close()
 
-    # Exactly those two keys: any other unknown knob is still an error.
-    contexts = _ContextCache()
+
+def test_budgeted_ieee_min_max_view_serves_serial_select_bits(tmp_path):
+    """An ieee SUM / AVG / VARIANCE + MIN / MAX view kept by a session
+    whose budget spills, with two workers, serves the bits of an
+    unbudgeted ``workers=1`` SELECT — after its build, an insert-only
+    REFRESH, a delete-bearing one, a crash and the REFRESHes after."""
+    view_sql = (
+        "SELECT k, SUM(f) AS sf, AVG(f) AS af, VARIANCE(f) AS vf, "
+        "MIN(f) AS lo, MAX(f) AS hi FROM t GROUP BY k"
+    )
+    query = view_sql + " ORDER BY k"
+    # 1000-row morsels: a key's rows land in several spilled runs, and
+    # a SELECT under this budget merges their partial sums
+    config = dict(sum_mode="ieee", workers=2, memory_budget=4096,
+                  morsel_size=1000, checkpoint_interval=None)
+    rng = np.random.default_rng(35)
+
+    def insert(n):
+        keys = rng.integers(0, 4000, size=n)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
+        return "INSERT INTO t VALUES " + ", ".join(
+            f"({int(k)}, {float(v)!r})" for k, v in zip(keys, values)
+        )
+
+    serial = Database(sum_mode="ieee")
+    db = repro.open(str(tmp_path), **config)
+
+    def run(sql):
+        serial.execute(sql)
+        return db.execute(sql)
+
+    def served_as_serial(db):
+        assert "ViewScan(vm" in db.explain(query)
+        assert (_harness._result_bytes(db.execute(query))
+                == _harness._result_bytes(serial.execute(query)))
+
     try:
-        with pytest.raises(TypeError):
-            contexts.get({"workers": 1, "turbo": True})
+        run("CREATE TABLE t (k INT, f DOUBLE)")
+        run(insert(12000))
+        db.execute(f"CREATE MATERIALIZED VIEW vm AS {view_sql}")
+        db.execute(query.replace("GROUP BY k", "WHERE f > 0.0 GROUP BY k"))
+        assert db.last_pipeline_stats.spilled_runs > 0  # the budget spills
+        served_as_serial(db)
+        for sql in (insert(3000),                   # merges the delta
+                    "DELETE FROM t WHERE k < 500",  # rebuilds
+                    insert(2000)):
+            run(sql)
+            db.execute("REFRESH MATERIALIZED VIEW vm")
+            served_as_serial(db)
+        db.simulate_crash()
+        db = repro.open(str(tmp_path), **config)
+        served_as_serial(db)
+        run(insert(2000))
+        db.execute("REFRESH MATERIALIZED VIEW vm")
+        served_as_serial(db)
     finally:
-        contexts.close()
+        db.close()
+        serial.close()
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +618,6 @@ def test_directory_written_by_the_parent_commit_still_serves_its_bits(tmp_path):
         assert db.sum_config.mode == db.view("vm2").sum_config.mode == "repro"
         view = db.view("vm")
         assert view.sum_config.mode == "repro"
-        assert view.maintenance == "incremental"
         assert "ViewScan" in db.explain(query)
         assert bits(db.execute(query)) == golden["served"]
         assert bits(db.execute(
@@ -594,15 +640,16 @@ def test_directory_written_by_the_parent_commit_still_serves_its_bits(tmp_path):
 
 
 def test_directory_with_retired_spill_knobs_opens_serves_and_refreshes(
-        tmp_path, monkeypatch):
+        tmp_path):
     """``parent_commit_spill_dir`` was written by the commit before
     ``spill_partitions`` / ``spill_merge_fanin`` were retired, with
     non-default values of both in ``set_default`` records and in the
-    logged shape of two REFRESHes of a budgeted full-recompute view
-    (external, spilled, multi-pass at that commit).  The defaults
-    select nothing, the replay ignores the two knobs, and the view
-    serves and refreshes to the repro bits that commit recorded
-    (``parent_commit_spill_dir.json``)."""
+    logged shape of two REFRESHes of a budgeted view (recomputed
+    through an external, spilled, multi-pass aggregation at that
+    commit).  The defaults select nothing, the replay ignores the
+    logged shape, and the view — which now merges its inserts and
+    never spills — serves and refreshes to the repro bits that commit
+    recorded (``parent_commit_spill_dir.json``)."""
     import json
     import pathlib
     import shutil
@@ -641,34 +688,21 @@ def test_directory_with_retired_spill_knobs_opens_serves_and_refreshes(
         assert db.session_defaults["morsel_size"] == 64
         assert "spill_partitions" not in db.session_defaults
         assert "spill_merge_fanin" not in db.session_defaults
-        view = db.view("vm")
-        assert view.maintenance == "full"
         assert "ViewScan" in db.explain(query)
         assert bits(db.execute(query)) == golden["served"]
 
-        db.execute(golden["follow_up"])
-        # a REFRESH fills a record of its own, not last_pipeline_stats
-        refreshes = []
-        real = executor.compute_grouped_arrays
-
-        def spy(query, context, stats, snapshot=None):
-            refreshes.append(stats)
-            return real(query, context, stats, snapshot)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(executor, "compute_grouped_arrays", spy)
-            db.execute("REFRESH MATERIALIZED VIEW vm")
-        [stats] = refreshes
-        assert stats.external and stats.spilled_runs > 0
+        inserted = db.execute(golden["follow_up"])
+        # the replayed REFRESH rebuilt the view; this one merges
+        assert db.execute("REFRESH MATERIALIZED VIEW vm") == inserted
         assert "ViewScan" in db.explain(query)
         assert bits(db.execute(query)) == golden["after_refresh"]
     finally:
         db.close()
-    # What this version logged carries the budget and no spill shape,
-    # and opens again.
-    ctx = [r["ctx"] for r in scan_wal(str(tmp_path / "dir"), 1, repair=False)
-           if r["op"] == "refresh_view"][-1]
-    assert sorted(ctx) == ["join_build", "memory_budget_bytes", "morsel_size"]
+    # What this version logged carries no execution shape, and opens
+    # again.
+    last = [r for r in scan_wal(str(tmp_path / "dir"), 1, repair=False)
+            if r["op"] == "refresh_view"][-1]
+    assert "ctx" not in last
     with repro.open(str(tmp_path / "dir"), sum_mode="repro",
                     checkpoint_interval=None) as db:
         assert "ViewScan" in db.explain(query)
@@ -770,7 +804,6 @@ def test_directory_with_retired_sorted_mode_opens_as_repro(tmp_path):
         assert db.session_defaults["sum_mode"] == "repro"
         view = db.view("vm")
         assert view.sum_config.mode == "repro"
-        assert view.maintenance == "incremental"
         assert "ViewScan" in db.explain(query)
         served = bits(db.execute(query))
         assert served == golden["served_repro"]

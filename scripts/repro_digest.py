@@ -49,6 +49,12 @@ Env overrides (so matrix legs vary without changing the command line):
 * ``REPRO_DIGEST_TPCH_SCALE`` — TPC-H scale factor (the nightly deep
   matrix runs x10 the PR default).
 
+A text query loads its data once per (query, mode) and steps through
+the knob vectors with ``SET``: every vector after the first must be a
+plan-cache hit (the script exits otherwise), so the gate also covers a
+cached plan lowered again under new knobs.  The callable legs build a
+fresh database per vector.
+
 The workers axis extends the gate across *process* boundaries: a leg
 whose aggregates run on executor processes (shard ``s`` of ``N`` is
 every ``N``-th row from row ``s``) and exchange partial group tables
@@ -609,7 +615,18 @@ def canonical_bytes(result):
     return b"\x1e".join(pieces)
 
 
+def _set_knobs(db, config) -> None:
+    """Step a loaded database to one knob vector through ``SET``."""
+    worker_count, morsel_size, build_side, budget = config
+    db.execute(f"SET workers = {worker_count}")
+    db.execute(f"SET morsel_size = {morsel_size}")
+    db.execute(f"SET join_build = '{build_side}'")
+    db.execute(f"SET memory_budget = {budget or 0}")
+
+
 def digest_lines(workers, build_sides, budgets=(None,), queries=QUERIES):
+    """One digest line per (query, mode); a text query steps one loaded
+    database through the knob vectors (see the module docstring)."""
     lines = []
     spill_budget = None if None in budgets else min(budgets)
     for query_id, source, sql, sweeps_builds in queries:
@@ -617,39 +634,62 @@ def digest_lines(workers, build_sides, budgets=(None,), queries=QUERIES):
             reference = None
             reference_config = None
             sides = build_sides if sweeps_builds else ("auto",)
-            for config in itertools.product(workers, MORSEL_SIZES, sides, budgets):
-                worker_count, morsel_size, build_side, budget = config
-                db = Database(
-                    sum_mode=mode,
-                    workers=worker_count,
-                    morsel_size=morsel_size,
-                    join_build=build_side,
-                    memory_budget=budget,
-                )
-                try:
-                    _load(db, source)
-                    if callable(sql):
-                        result = sql(db)
+            configs = itertools.product(workers, MORSEL_SIZES, sides, budgets)
+            warm = None
+            if not callable(sql):
+                warm = Database(sum_mode=mode)
+                _load(warm, source)
+            try:
+                for config in configs:
+                    if warm is None:
+                        payload = _run_callable(sql, mode, config)
                     else:
-                        result = db.execute(sql)
-                        _check_engine_path(query_id, sql, db, config, spill_budget)
-                    payload = canonical_bytes(result)
-                finally:
-                    # Tear down executor processes before the next
-                    # config spins its own.
-                    db.close()
-                if reference is None:
-                    reference = payload
-                    reference_config = config
-                elif payload != reference:
-                    raise SystemExit(
-                        f"NON-REPRODUCIBLE: {query_id} "
-                        f"[{mode}] at {config} differs "
-                        f"from {reference_config}"
-                    )
+                        _set_knobs(warm, config)
+                        result = warm.execute(sql)
+                        if reference is not None and not (
+                            warm.last_pipeline_stats.plan_cache_hit
+                        ):
+                            raise SystemExit(
+                                f"{query_id} [{mode}] at {config} planned "
+                                "afresh: a SET must keep the cached plan"
+                            )
+                        _check_engine_path(
+                            query_id, sql, warm, config, spill_budget
+                        )
+                        payload = canonical_bytes(result)
+                    if reference is None:
+                        reference = payload
+                        reference_config = config
+                    elif payload != reference:
+                        raise SystemExit(
+                            f"NON-REPRODUCIBLE: {query_id} "
+                            f"[{mode}] at {config} differs "
+                            f"from {reference_config}"
+                        )
+            finally:
+                if warm is not None:
+                    warm.close()
             digest = hashlib.sha256(reference).hexdigest()
             lines.append(f"{query_id} {mode} {digest}")
     return lines
+
+
+def _run_callable(run, mode, config) -> bytes:
+    """A callable leg on its own database built at ``config``."""
+    worker_count, morsel_size, build_side, budget = config
+    db = Database(
+        sum_mode=mode,
+        workers=worker_count,
+        morsel_size=morsel_size,
+        join_build=build_side,
+        memory_budget=budget,
+    )
+    try:
+        return canonical_bytes(run(db))
+    finally:
+        # Tear down executor processes before the next config spins
+        # its own.
+        db.close()
 
 
 def main(argv=None):

@@ -42,12 +42,12 @@ class Catalog:
         #: orders DDL against checkpoint capture; never held while
         #: taking a table's statement lock
         self._ddl_lock = threading.Lock()
-        #: monotone count of catalog shape changes (table/view create,
-        #: attach, drop) and of view refreshes.  Plan caches key on it:
-        #: row content is pinned by a read snapshot, but schema identity
-        #: is not — a DROP + re-CREATE under the same name must not
-        #: serve a plan bound to the old table object — and neither is
-        #: which views are fresh at that snapshot.
+        #: monotone count of table shape changes (create, attach,
+        #: drop).  Plan caches key on it: a cached logical plan binds
+        #: table objects and their schemas — a DROP + re-CREATE under
+        #: the same name must not serve a plan bound to the old table —
+        #: but never a view (views are matched while lowering, at each
+        #: query's snapshot), so view DDL and REFRESH leave it alone.
         self.ddl_epoch = 0
 
     def attach_storage(self, storage) -> None:
@@ -142,15 +142,9 @@ class Catalog:
             if view.name in self._tables:
                 raise CatalogError(f"{view.name!r} names a table")
             self._views[view.name] = view
-            self.ddl_epoch += 1
             if self.storage is not None:
                 view._storage = self.storage
                 self.storage.log_create_view(view)
-
-    def advance_epoch(self) -> None:
-        """A view refreshed: plans made before it must not be served."""
-        with self._ddl_lock:
-            self.ddl_epoch += 1
 
     def get_view(self, name: str):
         try:
@@ -163,7 +157,6 @@ class Catalog:
         with self._ddl_lock:
             if low in self._views:
                 del self._views[low]
-                self.ddl_epoch += 1
                 if self.storage is not None:
                     self.storage.log_drop_view(low)
                 return True

@@ -8,15 +8,15 @@ Execution is now planner-driven::
 The binder (:mod:`repro.engine.plan`) resolves columns and types
 against the catalog, the optimizer (:mod:`repro.engine.optimizer`)
 rewrites the tree (constant folding, predicate/projection pushdown,
-join-key extraction, build-side choice), and the physical planner
-(:mod:`repro.engine.physical`) picks concrete operators per node.
-This module only *runs* physical queries: it materializes scan
-morsels, builds hash-join tables for the pipeline-breaker sides,
-streams probe morsels through the operator chains of
-:mod:`repro.engine.pipeline` (or hands a ``ShardedAggregate`` to the
-executor processes of :mod:`repro.distributed`), and applies the
-finishing stages (HAVING, output projection, ORDER BY, LIMIT) on the
-gathered arrays.
+join-key extraction) into a plan that reads no data, and :func:`lower`
+picks concrete operators at the query's snapshot
+(:mod:`repro.engine.physical`).  Otherwise this module *runs* physical
+queries: it materializes scan morsels, builds hash-join tables for the
+pipeline-breaker sides, streams probe morsels through the operator
+chains of :mod:`repro.engine.pipeline` (or hands a ``ShardedAggregate``
+to the executor processes of :mod:`repro.distributed`), and applies
+the finishing stages (HAVING, output projection, ORDER BY, LIMIT) on
+the gathered arrays.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "compute_grouped_arrays",
     "execute_select",
     "explain_select",
+    "lower",
 ]
 
 
@@ -106,17 +107,17 @@ def _to_python(value):
 # ---------------------------------------------------------------------------
 
 
-def _plan(stmt: ast.Select, get_table, sum_config: SumConfig,
-          context: ExecutionContext, views=None, snapshot=None):
-    """Bind, optimize, and lower one SELECT.
+def lower(logical, sum_config: SumConfig, context: ExecutionContext,
+          views=None, snapshot=None) -> PhysicalQuery:
+    """Lower an optimized logical plan at the query's ``snapshot`` and
+    the context's knobs (``logical`` is not mutated).
 
     ``views`` (optional) is a ``table_name -> [MaterializedView]``
-    lookup; when a matching view is fresh *as of the query's snapshot*
-    the query is lowered onto a ``ViewScan`` instead of a base-table
-    pipeline — the view's served state is captured at plan time, so a
+    lookup; when a matching view is fresh *as of the snapshot* the
+    query is lowered onto a ``ViewScan`` instead of a base-table
+    pipeline — the view's served state is captured here, so a
     concurrent REFRESH cannot tear the result.
     """
-    logical = optimize(bind_select(stmt, get_table))
     if views is not None:
         from .matview import match_view, plan_view_scan
 
@@ -124,48 +125,22 @@ def _plan(stmt: ast.Select, get_table, sum_config: SumConfig,
         if view is not None:
             served = view.serve_as_of(snapshot)
             if served is not None:
-                return logical, plan_view_scan(logical, view, context, served)
-    physical = plan_physical(logical, context, sum_config)
-    return logical, physical
+                return plan_view_scan(logical, view, context, served)
+    return plan_physical(logical, context, sum_config, snapshot)
 
 
 def explain_select(stmt: ast.Select, get_table, sum_config: SumConfig,
                    context: ExecutionContext, views=None,
                    snapshot=None) -> str:
-    """EXPLAIN text: optimized logical plan + chosen physical plan."""
-    logical, physical = _plan(
-        stmt, get_table, sum_config, context, views, snapshot
-    )
+    """EXPLAIN text: optimized logical plan + its lowering at ``snapshot``."""
+    logical = optimize(bind_select(stmt, get_table))
+    physical = lower(logical, sum_config, context, views, snapshot)
     return (
         "== optimized logical plan ==\n"
         + render_plan(logical)
         + "\n\n== physical plan ==\n"
         + render_physical(physical)
     )
-
-
-def plan_select(stmt: ast.Select, get_table, sum_config: SumConfig,
-                context: ExecutionContext, views=None, snapshot=None):
-    """Plan one SELECT and return the physical query, for callers that
-    cache plans across executions (the session's plan cache).  The
-    plan is a pure function of the statement, the catalog state pinned
-    by ``snapshot``, and the context's knobs — re-running it via
-    :func:`run_planned` under the same snapshot replays the original
-    execution bit-identically."""
-    _, physical = _plan(
-        stmt, get_table, sum_config, context, views, snapshot
-    )
-    return physical
-
-
-def run_planned(physical, context: ExecutionContext,
-                stats: PipelineStats | None = None,
-                snapshot=None) -> QueryResult:
-    """Execute an already-planned physical query, filling ``stats``
-    (``None``: the caller keeps no record, a throwaway one is filled)."""
-    if stats is None:
-        stats = PipelineStats()
-    return _run_physical(physical, context, stats, snapshot)
 
 
 def execute_select(
@@ -186,9 +161,8 @@ def execute_select(
     """
     if context is None:
         context = ExecutionContext()
-    _, physical = _plan(
-        stmt, get_table, sum_config, context, views, snapshot
-    )
+    physical = lower(optimize(bind_select(stmt, get_table)), sum_config,
+                     context, views, snapshot)
     return run_planned(physical, context, stats, snapshot)
 
 
@@ -409,9 +383,13 @@ def _build_join(op: PhysProbe, context: ExecutionContext,
 # ---------------------------------------------------------------------------
 
 
-def _run_physical(query: PhysicalQuery, context: ExecutionContext,
-                  stats: PipelineStats,
-                  snapshot=None) -> QueryResult:
+def run_planned(query: PhysicalQuery, context: ExecutionContext,
+                stats: PipelineStats | None = None,
+                snapshot=None) -> QueryResult:
+    """Execute a lowered physical query, filling ``stats`` (``None``:
+    the caller keeps no record, a throwaway one is filled)."""
+    if stats is None:
+        stats = PipelineStats()
     if query.view_scan is not None:
         # Serve from the matched materialized view's finalized state —
         # no base-table scan, no aggregation.  The state tuple was

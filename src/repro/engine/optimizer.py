@@ -1,6 +1,6 @@
 """Rule-based logical-plan optimizer.
 
-Four passes run in order over the bound plan
+Three passes run in order over the bound plan
 (:mod:`repro.engine.plan`):
 
 1. **constant folding** — literal-only subexpressions collapse to one
@@ -15,15 +15,17 @@ Four passes run in order over the bound plan
    the join may not move below it, and ON conjuncts of an outer join
    must be pure equi-keys (anything else would change which rows are
    *preserved* rather than which rows *match*);
-3. **join-input ordering** — each join's build side is the input with
-   the smaller estimated cardinality (textbook selectivity guesses over
-   base-table row counts), so the hash table is built on the smaller
-   relation; outer joins pin the build to the null-introducing side;
-4. **projection pushdown** — each scan is restricted to the columns
+3. **projection pushdown** — each scan is restricted to the columns
    some ancestor actually consumes (subsuming the ad-hoc restriction
    the vectorized path used to do in the executor).
 
-None of these passes may change result *values* — and in the repro sum
+The passes read no rows: the optimized plan is a function of the SQL
+text and the schema, which is what lets a session cache it across
+snapshots.  The one choice that reads data — each join's build side,
+the input with the smaller :func:`estimate_rows` at the query's
+snapshot — is made while lowering (:mod:`repro.engine.physical`).
+
+None of these choices may change result *values* — and in the repro sum
 modes they cannot change result *bits* either, because the aggregate
 states are exact under any re-ordering or re-chunking of their input.
 That is the paper's point applied to planning: plan choice becomes a
@@ -60,7 +62,6 @@ def optimize(node: LogicalNode) -> LogicalNode:
     """Run every rule pass; returns the rewritten plan root."""
     node = _fold_node(node)
     node = _push_predicates(node)
-    node = _choose_build_sides(node)
     _push_projections(node, needed=None)
     return node
 
@@ -303,7 +304,7 @@ def _push_predicates(node: LogicalNode) -> LogicalNode:
 
 
 # ---------------------------------------------------------------------------
-# Pass 3: join-input ordering (build-side choice)
+# Cardinality estimates (read while lowering, at the query's snapshot)
 # ---------------------------------------------------------------------------
 
 #: Textbook selectivity guesses per predicate shape.
@@ -335,48 +336,36 @@ def _selectivity(expr: ast.Expr) -> float:
     return _SEL_DEFAULT
 
 
-def estimate_rows(node: LogicalNode) -> int:
-    """Crude cardinality estimate used only to order join inputs."""
+def estimate_rows(node: LogicalNode, snapshot: int | None = None) -> int:
+    """Crude cardinality estimate at ``snapshot`` (``None``: every row
+    version) — textbook selectivity guesses over
+    :meth:`~repro.engine.table.Table.rows_at`, used to order join
+    inputs and to bound group counts."""
     if isinstance(node, Scan):
-        rows = float(max(node.rows, 1))
+        rows = float(max(node.table.rows_at(snapshot), 1))
         if node.predicate is not None:
             rows *= _selectivity(node.predicate)
         return max(1, int(rows))
     if isinstance(node, Dual):
         return 1
     if isinstance(node, Filter):
-        return max(
-            1, int(estimate_rows(node.child) * _selectivity(node.predicate))
-        )
+        rows = estimate_rows(node.child, snapshot)
+        return max(1, int(rows * _selectivity(node.predicate)))
     if isinstance(node, Join):
-        left = estimate_rows(node.left)
-        right = estimate_rows(node.right)
+        left = estimate_rows(node.left, snapshot)
+        right = estimate_rows(node.right, snapshot)
         # FK-join assumption: output about as large as the bigger input.
         return max(left, right)
     if isinstance(node, Aggregate):
-        return max(1, estimate_rows(node.child) // 10)
+        return max(1, estimate_rows(node.child, snapshot) // 10)
     if isinstance(node, Limit):
-        return min(node.count, estimate_rows(node.child))
-    return estimate_rows(node.children()[0]) if node.children() else 1
-
-
-def _choose_build_sides(node: LogicalNode) -> LogicalNode:
-    for child in node.children():
-        _choose_build_sides(child)
-    if isinstance(node, Join):
-        node.est_rows = estimate_rows(node)
-        if node.kind == "left":
-            # The preserved (left) side must stream as the probe input.
-            node.build_side = "right"
-        else:
-            left = estimate_rows(node.left)
-            right = estimate_rows(node.right)
-            node.build_side = "left" if left <= right else "right"
-    return node
+        return min(node.count, estimate_rows(node.child, snapshot))
+    children = node.children()
+    return estimate_rows(children[0], snapshot) if children else 1
 
 
 # ---------------------------------------------------------------------------
-# Pass 4: projection pushdown
+# Pass 3: projection pushdown
 # ---------------------------------------------------------------------------
 
 

@@ -19,9 +19,12 @@ The logical tree (:mod:`repro.engine.plan`, rewritten by
 * the **finishing** stages executed on the gathered result arrays:
   HAVING, output projection, ORDER BY, LIMIT.
 
-The planner never executes anything, so ``EXPLAIN`` can render the
-chosen operators (where group ids come from, in-process or on executor
-processes, which join side builds) without touching the data.
+Lowering is where a plan first reads data, at the query's snapshot:
+join build sides, the external and the shard choice all read
+:func:`~repro.engine.optimizer.estimate_rows` there.  It never mutates
+the logical plan, so a session caches that plan and lowers it per
+SELECT.  The planner executes nothing, so ``EXPLAIN`` can render the
+chosen operators without running the query.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ class PhysScan:
     predicate: ast.Expr | None = None
     #: resolved keys whose storage dictionary encodings ride the batch
     encode_keys: tuple[str, ...] = ()
+    #: row versions the scan can see (``Table.rows_at`` the snapshot)
     rows: int = 0
 
     def describe(self) -> str:
@@ -89,6 +93,7 @@ class PhysScan:
             parts.append(f"filter={self.predicate.sql()}")
         if self.encode_keys:
             parts.append(f"dict_keys=[{', '.join(self.encode_keys)}]")
+        parts.append(f"~{self.rows} rows")
         return f"Scan({', '.join(parts)})"
 
 
@@ -221,9 +226,10 @@ class PhysicalQuery:
 
 
 class _PlannerState:
-    def __init__(self, context, sum_config: SumConfig):
+    def __init__(self, context, sum_config: SumConfig, snapshot):
         self.context = context
         self.sum_config = sum_config
+        self.snapshot = snapshot
         #: group-key resolved names that want dictionary encodings
         self.encode_wanted: set[str] = set()
         #: resolved keys nulled by a LEFT join (types no longer apply)
@@ -245,7 +251,7 @@ def _build_pipeline(node: LogicalNode, state: _PlannerState) -> PhysPipeline:
         )
         scan = PhysScan(
             node.table, node.binding, column_map, types,
-            node.predicate, encode, node.rows,
+            node.predicate, encode, node.table.rows_at(state.snapshot),
         )
         chain = PhysPipeline(scan)
         if node.predicate is not None:
@@ -258,12 +264,16 @@ def _build_pipeline(node: LogicalNode, state: _PlannerState) -> PhysPipeline:
         chain.ops.append(PhysFilter(node.predicate))
         return chain
     if isinstance(node, Join):
-        build_side = node.build_side
-        override = getattr(state.context, "join_build", "auto")
-        if override != "auto" and node.kind == "inner":
-            build_side = override
-        if build_side == "auto":
+        left_rows = estimate_rows(node.left, state.snapshot)
+        right_rows = estimate_rows(node.right, state.snapshot)
+        if node.kind == "left":
+            # The preserved (left) side must stream as the probe input.
             build_side = "right"
+        elif state.context.join_build != "auto":
+            build_side = state.context.join_build
+        else:
+            # The smaller estimated input builds the hash table.
+            build_side = "left" if left_rows <= right_rows else "right"
         if build_side == "left":
             build_node, probe_node = node.left, node.right
             build_keys, probe_keys = node.left_keys, node.right_keys
@@ -280,7 +290,7 @@ def _build_pipeline(node: LogicalNode, state: _PlannerState) -> PhysPipeline:
             PhysProbe(
                 _build_pipeline(build_node, state),
                 build_keys, probe_keys, node.kind, probe_is_left,
-                build_side, estimate_rows(build_node),
+                build_side, left_rows if build_side == "left" else right_rows,
             )
         )
         if node.residual is not None:
@@ -289,9 +299,10 @@ def _build_pipeline(node: LogicalNode, state: _PlannerState) -> PhysPipeline:
     raise TypeError(f"cannot lower {node!r} into a pipeline")
 
 
-def plan_physical(root: LogicalNode, context,
-                  sum_config: SumConfig) -> PhysicalQuery:
-    """Lower an optimized logical plan into a physical query."""
+def plan_physical(root: LogicalNode, context, sum_config: SumConfig,
+                  snapshot: int | None = None) -> PhysicalQuery:
+    """Lower an optimized logical plan into a physical query, reading
+    row counts at ``snapshot`` (``None``: every row version)."""
     limit = None
     order_by: tuple[ast.OrderItem, ...] = ()
     having = None
@@ -310,7 +321,7 @@ def plan_physical(root: LogicalNode, context,
         having = node.predicate
         node = node.child
 
-    state = _PlannerState(context, sum_config)
+    state = _PlannerState(context, sum_config, snapshot)
     aggregate = None
     if isinstance(node, Aggregate):
         specs = _dedup_specs(node.aggregates, sum_config)
@@ -329,7 +340,8 @@ def plan_physical(root: LogicalNode, context,
             # which the operator does not implement; the budget is
             # documented as covering grouped aggregation only.
             est_bytes = estimate_group_state_bytes(
-                _group_count_bound(node), len(node.group_exprs), specs
+                _group_count_bound(node, snapshot), len(node.group_exprs),
+                specs,
             )
             if est_bytes > budget:
                 aggregate.external = True
@@ -489,15 +501,16 @@ def _shardable(chain: PhysPipeline, streamed: bool = True) -> bool:
     return True
 
 
-def _group_count_bound(node: Aggregate) -> int:
+def _group_count_bound(node: Aggregate, snapshot) -> int:
     """Upper estimate of an aggregate's group count: its input row
-    estimate, or the product of the per-key bounds where that is
-    smaller.  A key that is a dictionary-encoded base column has at
-    most as many values as its storage dictionary — which covers every
-    physical row, so the bound holds at any snapshot — plus the NULL a
-    LEFT join may add; any other key is bounded by the rows alone.
+    estimate at ``snapshot``, or the product of the per-key bounds
+    where that is smaller.  A key that is a dictionary-encoded base
+    column has at most as many values as its storage dictionary — which
+    covers every physical row, so the bound holds at any snapshot (and
+    only grows) — plus the NULL a LEFT join may add; any other key is
+    bounded by the rows alone.
     """
-    rows = max(1, estimate_rows(node.child))
+    rows = max(1, estimate_rows(node.child, snapshot))
     bound = 1
     for expr in node.group_exprs:
         scan = isinstance(expr, ast.ColumnRef) and _scan_of(node.child, expr)

@@ -113,9 +113,10 @@ class ExecutionContext:
     #: any other table is not) — the LRU exists purely to bound memory.
     DEFAULT_JOIN_CACHE_SIZE = 8
 
-    #: Bound on cached physical plans per context.  Keys embed the read
-    #: snapshot, so entries from superseded snapshots go cold and ride
-    #: out the LRU; the bound just caps how many linger.
+    #: Bound on cached logical plans per context — one per distinct
+    #: SELECT text at the current DDL epoch (entries from an older
+    #: epoch go cold and ride out the LRU); the bound just caps how
+    #: many linger.
     DEFAULT_PLAN_CACHE_SIZE = 32
 
     def __init__(self, workers: int = 1,
@@ -152,12 +153,11 @@ class ExecutionContext:
         #: embed every build-side table's content version at the read
         #: snapshot, so entries can never serve stale rows.
         self._join_cache = BoundedLRU(self.DEFAULT_JOIN_CACHE_SIZE)
-        #: ``(sql text, snapshot, catalog ddl epoch)`` -> planned
-        #: PhysicalQuery, filled by the session's SELECT path.  The
-        #: snapshot pins row content, the DDL epoch pins schema
-        #: identity and view freshness, and any SET clears the cache —
-        #: so a hit replays planning whose every input is provably
-        #: unchanged.
+        #: ``(sql text, catalog ddl epoch)`` -> optimized logical plan,
+        #: filled by the session's SELECT path.  A logical plan reads
+        #: no rows and no knob — the DDL epoch pins the tables it bound
+        #: — and every SELECT lowers it afresh at its own snapshot and
+        #: the current knobs, so nothing ever invalidates an entry.
         self._plan_cache = BoundedLRU(self.DEFAULT_PLAN_CACHE_SIZE)
         #: Lifetime plan-cache counts, kept only for the end-to-end
         #: tracer (``benchmarks/e2e``), which diffs them; a statement's
@@ -226,9 +226,10 @@ class ExecutionContext:
         Accepted names: :attr:`PARAM_NAMES` (``memory_budget`` 0, NULL,
         or 'unbounded' clears it).
 
-        Every successful SET drops the cached plans.  Cached join
-        builds stay: their key (:func:`~repro.engine.executor.build_signature`,
-        join shape) depends on no knob.
+        Both caches survive it: a cached logical plan holds no knob
+        (the next SELECT lowers it under the new value), and a cached
+        join build's key (:func:`~repro.engine.executor.build_signature`,
+        join shape) depends on none.
         """
         key = name.lower()
         if key == "memory_budget":
@@ -260,11 +261,6 @@ class ExecutionContext:
                 f"unknown session parameter {name!r}; valid parameters: "
                 + ", ".join(self.PARAM_NAMES)
             )
-        # Every knob can shape planning (operator choice, morsel/worker
-        # configuration baked into the physical plan), so any successful
-        # SET drops cached plans wholesale — SETs are rare, plans are
-        # cheap to rebuild once.
-        self._plan_cache.clear()
 
     def shard_pool(self):
         """The context's executor fleet — ``workers`` processes, one per
@@ -329,7 +325,7 @@ class PipelineStats:
         self.merge_seconds = 0.0
         self.finalize_seconds = 0.0
         self.wall_seconds = 0.0
-        #: True when the session served the plan from its plan cache.
+        #: True when the session took the logical plan from its cache.
         self.plan_cache_hit = False
         #: Hash-join builds taken from / added to the context's join
         #: cache by this statement.

@@ -13,8 +13,10 @@ The SQL front end no longer executes the AST directly.  A SELECT is
 
 and the optimizer (:mod:`repro.engine.optimizer`) then rewrites the
 tree — constant folding, equi-join key extraction, predicate and
-projection pushdown, build-side choice — before the physical planner
+projection pushdown — before the physical planner
 (:mod:`repro.engine.physical`) lowers it onto the morsel pipeline.
+A logical plan holds only what the SQL text and the schema decide: it
+reads no rows, so one bound plan serves every snapshot.
 
 Binding resolves every :class:`~repro.engine.sql.ast.ColumnRef` to a
 *resolved key*: the bare column name when it is unique across the FROM
@@ -87,13 +89,19 @@ class Scan(LogicalNode):
     columns: dict[str, tuple[str, SqlType]]
     projected: tuple[str, ...] | None = None
     predicate: ast.Expr | None = None
-    rows: int = 0
 
     def output_columns(self):
         return {key: sql_type for key, (_, sql_type) in self.columns.items()}
 
     def describe(self) -> str:
-        return _scan_describe(self)
+        parts = [self.table.name]
+        if self.binding != self.table.name:
+            parts[0] = f"{self.table.name} AS {self.binding}"
+        if self.projected is not None:
+            parts.append(f"columns=[{', '.join(self.projected)}]")
+        if self.predicate is not None:
+            parts.append(f"filter={self.predicate.sql()}")
+        return f"Scan({', '.join(parts)})"
 
 
 @dataclass
@@ -136,8 +144,6 @@ class Join(LogicalNode):
     left_keys: tuple[ast.Expr, ...] = ()
     right_keys: tuple[ast.Expr, ...] = ()
     residual: ast.Expr | None = None
-    build_side: str = "auto"  # 'left' | 'right' once the optimizer ran
-    est_rows: int = 0
 
     def children(self):
         return (self.left, self.right)
@@ -156,8 +162,6 @@ class Join(LogicalNode):
         parts.append(f"keys=[{keys}]" if keys else "keys=[]")
         if self.residual is not None:
             parts.append(f"residual={self.residual.sql()}")
-        if self.build_side != "auto":
-            parts.append(f"build={self.build_side}")
         return f"Join({', '.join(parts)})"
 
 
@@ -336,7 +340,7 @@ def _bind_from(item, scope: _Scope) -> LogicalNode:
             )
             for column in table.schema.names()
         }
-        return Scan(table, binding, columns, rows=len(table))
+        return Scan(table, binding, columns)
     # ast.Join
     left = _bind_from(item.left, scope)
     right = _bind_from(item.right, scope)
@@ -488,25 +492,9 @@ def plan_column_types(node: LogicalNode) -> dict[str, SqlType | None]:
     return types
 
 
-def _scan_describe(scan: Scan) -> str:
-    parts = [scan.table.name]
-    if scan.binding != scan.table.name:
-        parts[0] = f"{scan.table.name} AS {scan.binding}"
-    if scan.projected is not None:
-        parts.append(f"columns=[{', '.join(scan.projected)}]")
-    if scan.predicate is not None:
-        parts.append(f"filter={scan.predicate.sql()}")
-    parts.append(f"~{scan.rows} rows")
-    return f"Scan({', '.join(parts)})"
-
-
 def render_plan(node: LogicalNode, indent: int = 0) -> str:
     """Indented one-node-per-line plan text (EXPLAIN's logical half)."""
-    if isinstance(node, Scan):
-        line = _scan_describe(node)
-    else:
-        line = node.describe()
-    lines = ["  " * indent + line]
+    lines = ["  " * indent + node.describe()]
     for child in node.children():
         lines.append(render_plan(child, indent + 1))
     return "\n".join(lines)

@@ -39,11 +39,13 @@ import numpy as np
 from ..errors import BindError, ReproError
 from .catalog import Catalog
 from .executor import (
-    QueryResult, execute_select, explain_select, plan_select, run_planned,
+    QueryResult, execute_select, explain_select, lower, run_planned,
 )
 from .expr import evaluate
 from .operators import SumConfig
+from .optimizer import optimize
 from .pipeline import DEFAULT_MORSEL_SIZE, ExecutionContext, PipelineStats
+from .plan import bind_select
 from .sql import ast, parse
 from .types import DateType, DecimalSqlType, type_from_name
 
@@ -131,8 +133,13 @@ class Session:
         """Pin one snapshot across every SELECT in the block.
 
         Reads inside the block see the database exactly as it stood at
-        entry — byte-identically — regardless of concurrent (or even
-        this session's own) writes.  Yields the pinned version.
+        entry, regardless of concurrent (or even this session's own)
+        writes, and plans read row counts there too: repro bits repeat
+        byte-identically.  IEEE bits may not when a later SELECT lowers
+        differently — another session's REFRESH retired the view state
+        an earlier one was served from, or new keys grew the dictionary
+        behind a budgeted GROUP BY's external choice.  Yields the
+        pinned version.
         """
         previous = self._pinned
         self._pinned = self.catalog.clock.stable
@@ -148,18 +155,19 @@ class Session:
         Returns a :class:`QueryResult` for SELECT and the affected row
         count (an int) for DDL/DML.
 
-        Repeated SELECTs skip parse/bind/optimize/lower entirely when
-        nothing a plan depends on has moved: the plan cache is keyed by
-        ``(sql text, snapshot, catalog DDL epoch)``, so any committed
-        write (new snapshot), any DDL or REFRESH (new epoch), or any
-        ``SET`` (cache cleared) plans afresh.  Only SELECT plans ever
-        enter the cache, so a hit cannot shadow a DML statement.
+        A repeated SELECT skips parse, bind and optimize: the plan cache
+        holds its optimized logical plan, which reads no data, keyed by
+        ``(sql text, catalog DDL epoch)``.  Every SELECT, hit or miss,
+        lowers that plan at its own snapshot and the current knobs
+        (:func:`~repro.engine.executor.lower`), so no write, REFRESH or
+        ``SET`` invalidates an entry.  Only SELECT plans ever enter the
+        cache, so a hit cannot shadow a DML statement.
         """
         context = self.execution_context
         snapshot = self.pin_snapshot()
-        plan_key = (sql_text, snapshot, self.catalog.ddl_epoch)
-        physical = context._plan_cache.get(plan_key)
-        hit = physical is not None
+        plan_key = (sql_text, self.catalog.ddl_epoch)
+        logical = context._plan_cache.get(plan_key)
+        hit = logical is not None
         if not hit:
             stmt = parse(sql_text)
             if not isinstance(stmt, ast.Select):
@@ -171,12 +179,11 @@ class Session:
         if hit:
             context.plan_cache_hits += 1
         else:
-            physical = plan_select(
-                stmt, self.catalog.get, self.sum_config, context,
-                views=self.catalog.views_on, snapshot=snapshot,
-            )
+            logical = optimize(bind_select(stmt, self.catalog.get))
             context.plan_cache_misses += 1
-            context._plan_cache.put(plan_key, physical)
+            context._plan_cache.put(plan_key, logical)
+        physical = lower(logical, self.sum_config, context,
+                         views=self.catalog.views_on, snapshot=snapshot)
         result = run_planned(physical, context, stats, snapshot)
         self.last_pipeline_stats = stats
         return result
@@ -231,11 +238,7 @@ class Session:
         # statement lock so no DML can slip between the delta read and
         # the consumed watermark.
         with view.table.lock:
-            consumed = view.refresh(self.execution_context)
-        # A SELECT planned while the view was stale reads the base
-        # table; at the same snapshot only a new epoch re-plans it.
-        self.catalog.advance_epoch()
-        return consumed
+            return view.refresh(self.execution_context)
 
     def view(self, name: str):
         """The named materialized view (catalog accessor)."""

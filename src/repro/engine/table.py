@@ -393,6 +393,19 @@ class Table:
         """Number of stored row versions (visible + masked)."""
         return len(self._deleted)
 
+    def rows_at(self, snapshot: int | None = None) -> int:
+        """Row versions inserted at or before ``snapshot`` (every one
+        when ``None``) — the planner's cardinality input, an upper
+        bound on the rows visible there (versions masked since still
+        count).  Statements append at the tail under :attr:`lock`, so
+        insert versions are non-decreasing in physical order and this
+        is one binary search."""
+        with self.lock:
+            inserted = self._inserted.array()
+            if snapshot is None:
+                return len(inserted)
+            return int(np.searchsorted(inserted, snapshot, side="right"))
+
     @property
     def version(self) -> int:
         """The current row-version watermark."""

@@ -196,14 +196,17 @@ class TestPlanAndJoinCaches:
             assert context.plan_cache_hits == hits + 1
             assert after == before
 
-    def test_dml_means_plan_cache_miss_and_fresh_rows(self):
+    def test_dml_keeps_the_plan_and_reads_fresh_rows(self):
+        # The cached plan is logical: the write moves the snapshot the
+        # hit is lowered at, not the key.
         with _make_db() as db:
             context = db.execution_context
             db.execute(JOIN_FLOAT_KEY)
             hits = context.plan_cache_hits
             db.execute("INSERT INTO r VALUES (4.0, 'dee', 'd', 11.0)")
             after = db.execute(JOIN_FLOAT_KEY)
-            assert context.plan_cache_hits == hits  # new snapshot
+            assert context.plan_cache_hits == hits + 1
+            assert db.last_pipeline_stats.plan_cache_hit
             assert "d" in [row[0] for row in after.rows()]
 
     def test_ddl_epoch_guards_same_name_recreate(self):
@@ -220,13 +223,17 @@ class TestPlanAndJoinCaches:
                 "SELECT k, SUM(v) FROM g GROUP BY k"
             ).rows() == [("b", 2.0)]
 
-    def test_set_clears_plan_cache(self):
+    def test_plan_survives_set_and_lowers_under_the_new_knob(self):
         with _make_db() as db:
             context = db.execution_context
             db.execute(JOIN_FLOAT_KEY)
-            assert len(context._plan_cache) == 1
+            morsels = db.last_pipeline_stats.morsel_count
             db.execute("SET morsel_size = 64")
-            assert len(context._plan_cache) == 0
+            assert len(context._plan_cache) == 1
+            db.execute(JOIN_FLOAT_KEY)
+            stats = db.last_pipeline_stats
+            assert stats.plan_cache_hit
+            assert stats.morsel_count > morsels
 
     def test_join_build_cached_across_executions(self):
         with _make_db() as db:

@@ -249,15 +249,16 @@ class TestPlanChoices:
         assert "fused" not in plan.lower()
 
 
-class TestPlanCacheInvalidation:
-    """Plans never outlive the knobs they were made under; join builds
-    do."""
+class TestPlanCacheAcrossKnobs:
+    """A cached plan holds no knob: every SELECT lowers it under the
+    session's current ones.  Join builds survive a SET too."""
 
-    @pytest.mark.parametrize("knob", (
-        "SET workers = 2",
-        "SET memory_budget = 4096",
+    @pytest.mark.parametrize("knob, flag", (
+        ("SET workers = 2", "sharded"),
+        ("SET memory_budget = 4096", "external"),
     ))
-    def test_execution_knobs_invalidate(self, dataset, knob):
+    def test_execution_knobs_relower_a_cached_plan(self, dataset, knob,
+                                                   flag):
         db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset)
         db.execute("CREATE TABLE r (k INT, w DOUBLE)")
         db.table("r").bulk_load({"k": [0, 1, 2], "w": [1.0, 2.0, 3.0]})
@@ -266,13 +267,20 @@ class TestPlanCacheInvalidation:
         # served from the context's join cache
         query = ("SELECT t.k, SUM(v) FROM t LEFT JOIN r ON t.k = r.k "
                  "GROUP BY t.k")
-        before = result_bits(db.execute(query))
-        assert context._join_cache and context._plan_cache
-        db.execute(knob)
-        # plans bake the knobs in; a built join depends on neither
-        assert not context._plan_cache and context._join_cache
-        assert result_bits(db.execute(query)) == before
-        assert db.last_pipeline_stats.join_cache_hits == 1
+        joined = result_bits(db.execute(query))
+        summed = result_bits(db.execute(SUMS_QUERY))
+        assert not getattr(db.last_pipeline_stats, flag)
+        assert context._join_cache and len(context._plan_cache) == 2
+        try:
+            db.execute(knob)
+            assert len(context._plan_cache) == 2 and context._join_cache
+            assert result_bits(db.execute(SUMS_QUERY)) == summed
+            stats = db.last_pipeline_stats
+            assert stats.plan_cache_hit and getattr(stats, flag)
+            assert result_bits(db.execute(query)) == joined
+            assert db.last_pipeline_stats.join_cache_hits == 1
+        finally:
+            db.close()
 
     def test_set_fused_is_an_unknown_name(self, dataset):
         # Not a knob: the name is unknown, not a silently ignored

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Database
 from repro.engine.optimizer import estimate_rows, fold_expr, optimize
+from repro.engine.physical import PhysProbe, plan_physical
 from repro.engine.plan import (
     Aggregate,
     BindError,
@@ -214,34 +215,50 @@ class TestProjectionPushdown:
         assert set(scan.projected) == {"k", "v", "shared"}
 
 
+def probe_for(db, sql):
+    """The one hash-join probe of the plan lowered at the session's
+    snapshot and knobs."""
+    physical = plan_physical(plan_for(db, sql), db.execution_context,
+                             db.sum_config, db.default_session.pin_snapshot())
+    (probe,) = [op for op in physical.pipeline.ops
+                if isinstance(op, PhysProbe)]
+    return probe
+
+
 class TestBuildSideChoice:
+    """Lowering picks each join's build side; the logical plan carries
+    none."""
+
     def test_smaller_estimated_side_builds(self, db):
         # b (2 rows) is smaller than a (3 rows): with a on the left the
-        # optimizer should build on the right.
-        plan = plan_for(db, "SELECT SUM(v) FROM a, b WHERE a.k = b.k")
-        join = plan.child.child
-        assert join.build_side == "right"
-        plan = plan_for(db, "SELECT SUM(v) FROM b, a WHERE a.k = b.k")
-        join = plan.child.child
-        assert join.build_side == "left"
+        # planner should build on the right.
+        sql = "SELECT SUM(v) FROM a, b WHERE a.k = b.k"
+        assert probe_for(db, sql).build_side == "right"
+        sql = "SELECT SUM(v) FROM b, a WHERE a.k = b.k"
+        assert probe_for(db, sql).build_side == "left"
 
     def test_filters_shift_estimates(self, db):
         # An equality filter on a shrinks its estimate below b's.
-        plan = plan_for(
-            db, "SELECT SUM(w) FROM a, b WHERE a.k = b.k AND v = 2"
-        )
-        join = plan.child.child
+        sql = "SELECT SUM(w) FROM a, b WHERE a.k = b.k AND v = 2"
+        join = plan_for(db, sql).child.child
         assert estimate_rows(join.left) < estimate_rows(join.right)
-        assert join.build_side == "left"
+        probe = probe_for(db, sql)
+        assert probe.build_side == "left"
+        assert probe.est_build_rows == estimate_rows(join.left)
 
     def test_left_join_pins_build_right(self, db):
-        plan = plan_for(
-            db, "SELECT v, w FROM a LEFT JOIN b ON a.k = b.k"
-        )
-        join = plan
-        while not isinstance(join, Join):
-            join = join.child
-        assert join.build_side == "right"
+        db.execute("SET join_build = left")
+        probe = probe_for(db, "SELECT v, w FROM a LEFT JOIN b ON a.k = b.k")
+        assert probe.build_side == "right" and probe.probe_is_left
+
+    def test_logical_join_names_no_build_side(self, db):
+        text = db.explain("SELECT SUM(v) FROM a, b WHERE a.k = b.k")
+        logical, physical = text.split("== physical plan ==")
+        assert "Join(inner, keys=[a.k = b.k])" in logical
+        assert "build=right, ~2 build rows" in physical
+        # row estimates ride the physical scans, not the logical ones
+        assert "rows" not in logical
+        assert "Scan(b, columns=[b.k], ~2 rows)" in physical
 
 
 class TestPlanShape:

@@ -12,7 +12,7 @@ import pytest
 import repro.core
 import repro.engine
 from repro.engine import Database
-from repro.engine.executor import run_planned
+from repro.engine.executor import lower, run_planned
 from repro.engine.pipeline import BoundedLRU
 from repro.tpch import Q3_SQL, load_tpch
 
@@ -72,14 +72,18 @@ def test_plan_cache_hit_is_flagged_per_statement():
     assert not db.last_pipeline_stats.plan_cache_hit
     db.execute(query)
     assert db.last_pipeline_stats.plan_cache_hit
-    db.execute("INSERT INTO t VALUES (4, 1.0)")  # a new snapshot
+    db.execute("INSERT INTO t VALUES (4, 1.0)")  # a new snapshot, same plan
+    assert (4, 1.0) in db.execute(query).rows()
+    assert db.last_pipeline_stats.plan_cache_hit
+    db.execute("CREATE TABLE u (k INT)")  # DDL: a new epoch
     db.execute(query)
     assert not db.last_pipeline_stats.plan_cache_hit
 
 
-def test_refresh_replans_a_select_planned_while_the_view_was_stale():
-    """REFRESH moves no snapshot, so only the catalog epoch keeps the
-    base-scan plan made while the view was stale from being served."""
+def test_refresh_lets_a_cached_plan_serve_from_the_view():
+    """The cached plan names no view: the SELECT planned while the
+    view was stale is lowered onto the view once a REFRESH made it
+    fresh at the query's snapshot — a hit, with no base scan."""
     db = _db()
     db.execute(VIEW)
     db.execute("INSERT INTO t VALUES (3, 1.5)")
@@ -91,7 +95,7 @@ def test_refresh_replans_a_select_planned_while_the_view_was_stale():
     assert "ViewScan(ext" in db.explain(SERVED)
     db.execute(SERVED)
     stats = db.last_pipeline_stats
-    assert not stats.plan_cache_hit
+    assert stats.plan_cache_hit
     assert stats.morsel_count == 0
 
 
@@ -111,11 +115,14 @@ def test_run_planned_takes_no_record():
     sql = "SELECT k, SUM(v) FROM t GROUP BY k"
     db.execute(sql)
     record = db.last_pipeline_stats
-    physical = session.execution_context._plan_cache.get(
-        (sql, session.pin_snapshot(), db.catalog.ddl_epoch)
+    logical = session.execution_context._plan_cache.get(
+        (sql, db.catalog.ddl_epoch)
     )
+    snapshot = session.pin_snapshot()
+    physical = lower(logical, session.sum_config,
+                     session.execution_context, snapshot=snapshot)
     result = run_planned(physical, session.execution_context, None,
-                         session.pin_snapshot())
+                         snapshot)
     assert db.last_pipeline_stats is record  # not the session's statement
     assert result.rows() == db.execute(sql).rows()
 

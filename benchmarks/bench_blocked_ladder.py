@@ -6,12 +6,18 @@ groups are first seen mid-input and the row partition decides between
 the scatter and the reference.  ``rsum_add_blocked_declined``: the same
 keys with values of ±2**U(-30, 30), where most rows belong to groups
 not yet on the prevailing ladder and take the reference — the only
-number the cold path has.  Kernel micro-entries with no end-to-end twin
+number the cold path has.  ``rsum_add_blocked_q1``: TPC-H Q1's five
+ladder inputs (the SUM and AVG arguments) into its 4 groups at SF 0.05,
+all five tables in one call per block — the kernel under ``q1_lowcard``,
+timed beside its IEEE twin (``np.bincount`` per input), so the ladder's
+own cost over a plain sum reads off one line.  Kernel micro-entries
 (``groupby_highcard`` in ``BENCH_<pr>.json`` is dominated by key
 registration, and no served statement declines more than 4 % of its
 rows), which is why they stay in ``baseline.json``; the query-level
 numbers live in the end-to-end benchmark.
 """
+
+import datetime
 
 import gc
 import time
@@ -32,6 +38,7 @@ from repro.aggregation.grouped import (
 from repro.core.params import RsumParams
 from repro.engine import DEFAULT_MORSEL_SIZE
 from repro.fp.formats import BINARY64
+from repro.tpch.dbgen import generate_lineitem_arrays
 
 ROUNDS = 7
 
@@ -114,3 +121,82 @@ def test_blocked_ladder_declined_report():
               * np.exp2(rng.uniform(-30, 30, PAIRS_ROWS)))
     _report("declined", _first_seen_gids(keys), values,
             "+-2**U(-30, 30)", lambda c: c.reference >= 0.8 * PAIRS_ROWS)
+
+
+Q1_SCALE = 0.05
+Q1_GROUPS = 4
+
+
+def _q1_inputs():
+    """Q1's rows after its WHERE: group ids over (returnflag,
+    linestatus) and the five ladder inputs."""
+    data = generate_lineitem_arrays(Q1_SCALE)
+    keep = data["l_shipdate"] <= datetime.date(1998, 9, 2).toordinal()
+    _, gids = np.unique(
+        data["l_returnflag"][keep] + data["l_linestatus"][keep],
+        return_inverse=True)
+    price = data["l_extendedprice"][keep]
+    disc = data["l_discount"][keep]
+    disc_price = price * (1 - disc)
+    return gids.ravel().astype(np.int64), [
+        data["l_quantity"][keep], price, disc_price,
+        disc_price * (1 + data["l_tax"][keep]), disc]
+
+
+def _best(run) -> float:
+    best = float("inf")
+    for _ in range(ROUNDS):
+        gc.collect()
+        started = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def test_blocked_ladder_q1_report():
+    """The ladder update under TPC-H Q1: five tables, 4 groups, one
+    call per block; bit-equal to per-table ``add_pairs``."""
+    name = "rsum_add_blocked_q1"
+    gids, cols = _q1_inputs()
+    rows = gids.size
+    params = RsumParams(BINARY64)
+    morsel = DEFAULT_MORSEL_SIZE
+
+    def ladder(counters=None):
+        tables = [GroupedSummation(params, Q1_GROUPS) for _ in cols]
+        for pos in range(0, rows, morsel):
+            add_blocked_multi(tables, gids[pos:pos + morsel],
+                              [col[pos:pos + morsel] for col in cols],
+                              counters)
+        return tables
+
+    def ieee():
+        for pos in range(0, rows, morsel):
+            span = gids[pos:pos + morsel]
+            for col in cols:
+                np.bincount(span, weights=col[pos:pos + morsel],
+                            minlength=Q1_GROUPS)
+
+    counters = LadderCounters()
+    for table, col in zip(ladder(counters), cols):
+        reference = GroupedSummation.from_pairs(params, gids, col, Q1_GROUPS)
+        assert table.state_tuples() == reference.state_tuples()
+        assert table.finalize().tobytes() == reference.finalize().tobytes()
+    assert (counters.scatter, counters.reference) == (len(cols) * rows, 0)
+
+    best, best_ieee = _best(ladder), _best(ieee)
+    record_kernel(name, ns_per_element(best, rows))
+    record_config(name, rows=rows, groups=Q1_GROUPS, scale_factor=Q1_SCALE,
+                  morsel_size=morsel, tables=len(cols),
+                  ieee_bincount_ns_per_element=round(
+                      ns_per_element(best_ieee, rows), 4))
+    emit(
+        "blocked_ladder_q1",
+        f"add_blocked_multi on TPC-H Q1's {len(cols)} ladder inputs, "
+        f"{rows} rows into {Q1_GROUPS} groups (SF {Q1_SCALE}, "
+        f"morsel={morsel}): {best * 1e3:.2f} ms, "
+        f"{ns_per_element(best, rows):.1f} ns/row; IEEE np.bincount over "
+        f"the same inputs: {best_ieee * 1e3:.2f} ms, "
+        f"{ns_per_element(best_ieee, rows):.1f} ns/row "
+        f"(ladder / IEEE {best / best_ieee:.2f}x).",
+    )

@@ -1,0 +1,325 @@
+/*
+ * The ladder update of repro.aggregation.grouped.add_blocked_multi: one
+ * block of (group id, value) rows into several same-parameter
+ * GroupedSummation tables, one pass per table.
+ *
+ * Per row: classify (finite, fits under the table's prevailing ladder E,
+ * group on E), extract L levels against scalar anchors a_l = 1.5 * 2**e_l
+ * with e_l = E - l*W, and add each level's quantum q = k * 2**(e_l - m)
+ * as the int64 k straight into s[l][g].  Each quantum is exactly the one
+ * the NumPy reference (GroupedSummation.add_pairs) computes for the row,
+ * so the state equals the reference's under any blocking; grouped.py
+ * carries the proof.  Rows the ladder declines come back as indices for
+ * the reference to take.
+ *
+ * No state lives outside the arguments: two threads may run the kernel
+ * at once on different tables.  Build without -ffast-math and with
+ * -ffp-contract=off, which keep (r + a) - a from being folded or fused.
+ *
+ * The file includes itself once per value type: the part after #else is
+ * the template, instantiated for double (suffix f64) and float (f32).
+ */
+#ifndef LADDER_T
+
+#include <float.h>
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+#if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
+#error "the ladder kernel needs float and double arithmetic in their own precision"
+#endif
+
+/* GroupedSummation's e0 for a group on no ladder yet. */
+#define EMPTY_E0 (-(INT64_C(1) << 40))
+/* The ladder of a table whose block is all zeros: nothing to do. */
+#define ALL_ZERO INT64_MIN
+
+/* Why the kernel declines a whole block (the return value), or why the
+ * first declined row was (io counter C_FIRST); grouped.py names them. */
+enum { TAKEN = 0, NON_FINITE = 1, OFF_LADDER = 2, SUBNORMAL = 3 };
+
+/* The int64 `io` array: the parameters, then T_SLOTS per table, then the
+ * counters. */
+enum { P_LEVELS, P_M, P_W, P_EMIN, P_EMIN_GRID, P_EMAX_GRID, P_TABLES };
+enum { T_NGROUPS, T_LADDER, T_NCOLD, T_SLOTS };
+enum { C_TAKEN, C_DECLINED, C_FIRST };
+
+static int64_t floor_div(int64_t a, int64_t b)
+{
+    int64_t q = a / b;
+    return (a % b != 0 && (a < 0) != (b < 0)) ? q - 1 : q;
+}
+
+/* GroupedSummation._needed_e0 of one finite non-zero magnitude. */
+static int64_t needed_e0(double peak, const int64_t *io)
+{
+    int exp;
+    int64_t w = io[P_W], needed;
+    frexp(peak, &exp);
+    needed = -floor_div(-(exp - 1 + io[P_M] - w + 2), w) * w;
+    return needed > io[P_EMIN_GRID] ? needed : io[P_EMIN_GRID];
+}
+
+/* GroupedSummation._propagate: canonicalise s into [0, 2**(m-2)),
+ * moving the whole multiples into the carry counter c. */
+static void propagate(int64_t *s, int64_t *c, int64_t ngroups, int64_t m)
+{
+    const int64_t unit = INT64_C(1) << (m - 2);
+    for (int64_t g = 0; g < ngroups; g++) {
+        int64_t low = s[g] & (unit - 1);
+        c[g] += (s[g] - low) / unit;
+        s[g] = low;
+    }
+}
+
+#define LADDER_T double
+#define LADDER_BITS uint64_t
+#define LADDER_NAME(name) name##_f64
+#include "_ladder.c"
+#undef LADDER_T
+#undef LADDER_BITS
+#undef LADDER_NAME
+
+#define LADDER_T float
+#define LADDER_BITS uint32_t
+#define LADDER_NAME(name) name##_f32
+#include "_ladder.c"
+
+#else /* the template: LADDER_T is the value type, LADDER_BITS its width */
+
+/*
+ * |x| as its bits, which order like the magnitudes: every comparison of
+ * magnitudes below is one of these, and NaN/+-inf sit above all finite
+ * ones.
+ */
+static LADDER_BITS LADDER_NAME(magnitude)(LADDER_T x)
+{
+    LADDER_BITS bits;
+    memcpy(&bits, &x, sizeof bits);
+    return bits & (LADDER_BITS)~((LADDER_BITS)1 << (8 * sizeof bits - 1));
+}
+
+static LADDER_BITS LADDER_NAME(bits_of)(double x)
+{
+    return LADDER_NAME(magnitude)((LADDER_T)x);
+}
+
+static LADDER_T LADDER_NAME(value_of)(LADDER_BITS bits)
+{
+    LADDER_T x;
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+/*
+ * The block decisions of one table, made before any state moves: the
+ * reason the table declines the whole block, or TAKEN with *ladder set to
+ * the ladder E the block runs on (ALL_ZERO when every value is +-0).
+ */
+static int64_t LADDER_NAME(plan)(int64_t n, const LADDER_T *v,
+                                 const int64_t *e0, int64_t ngroups,
+                                 const int64_t *io, int64_t *ladder)
+{
+    const LADDER_BITS inf = LADDER_NAME(bits_of)(INFINITY);
+    const int64_t m = io[P_M], w = io[P_W];
+    LADDER_BITS top = 0, lane[4] = {0, 0, 0, 0};
+    int64_t hi = EMPTY_E0, e, i;
+    double peak;
+    for (i = 0; i + 4 <= n; i += 4) {  /* four independent maxima */
+        for (int j = 0; j < 4; j++) {
+            LADDER_BITS a = LADDER_NAME(magnitude)(v[i + j]);
+            lane[j] = a > lane[j] ? a : lane[j];
+        }
+    }
+    for (; i < n; i++) {
+        LADDER_BITS a = LADDER_NAME(magnitude)(v[i]);
+        top = a > top ? a : top;
+    }
+    for (int j = 0; j < 4; j++)
+        top = lane[j] > top ? lane[j] : top;
+    *ladder = ALL_ZERO;
+    if (top == 0)
+        return TAKEN;
+    if (top >= inf) {  /* rank the block by its finite |max| */
+        top = 0;
+        for (i = 0; i < n; i++) {
+            LADDER_BITS a = LADDER_NAME(magnitude)(v[i]);
+            top = a > top && a < inf ? a : top;
+        }
+        if (top == 0)
+            return NON_FINITE;
+    }
+    peak = (double)LADDER_NAME(value_of)(top);
+    if (peak >= ldexp(1.0, (int)(io[P_EMAX_GRID] - m + w - 1)))
+        return OFF_LADDER;  /* the reference raises its range error */
+    for (int64_t g = 0; g < ngroups; g++)
+        hi = e0[g] > hi ? e0[g] : hi;
+    e = hi == EMPTY_E0 ? needed_e0(peak, io) : hi;
+    if (e - (io[P_LEVELS] - 1) * w < io[P_EMIN])
+        return SUBNORMAL;
+    *ladder = e;
+    return TAKEN;
+}
+
+/*
+ * One level of the extraction: the row's residual r against the anchor
+ * whose bits are a_bits.  Stores the level's k, returns the next residual.
+ */
+static LADDER_T LADDER_NAME(extract)(LADDER_T r, LADDER_BITS a_bits,
+                                     int64_t *k)
+{
+    const LADDER_T a = LADDER_NAME(value_of)(a_bits), t = r + a;
+    LADDER_BITS t_bits;
+    memcpy(&t_bits, &t, sizeof t_bits);
+    *k = (int64_t)t_bits - (int64_t)a_bits;
+    return r - (t - a);
+}
+
+/* A row fits under E below this magnitude. */
+static LADDER_BITS LADDER_NAME(fits_under)(int64_t e, const int64_t *io)
+{
+    return LADDER_NAME(bits_of)(ldexp(1.0, (int)(e - io[P_M] + io[P_W] - 1)));
+}
+
+/* The row rule: taken when it fits under E and its group sits on E. */
+static int LADDER_NAME(taken)(LADDER_T v, LADDER_BITS fits, int64_t group,
+                              int64_t e)
+{
+    return LADDER_NAME(magnitude)(v) < fits && group == e;
+}
+
+/*
+ * Run one block on ladder E for one table: seed, accumulate, propagate.
+ * `state` is e0, s[0..L), c[0..L).  Returns how many rows it declined,
+ * and sets *first, if still TAKEN, to why the first of them was.
+ *
+ * The quantum needs no scaling: |r| < 2**(e_l - 3) (W <= m - 2), so
+ * t = r + a_l stays in a_l's binade, q = t - a_l is exact, and
+ * k = q / 2**(e_l - m) is the difference of the significands of t and
+ * a_l, read off their bits.
+ */
+static int64_t LADDER_NAME(update)(int64_t n, const int64_t *gids,
+                                   const LADDER_T *v, void *const *state,
+                                   int64_t ngroups, const int64_t *io,
+                                   int64_t e, int64_t *first)
+{
+    const int64_t nlevels = io[P_LEVELS], m = io[P_M], w = io[P_W];
+    int64_t *e0 = state[0], *s0 = state[1], *s1 = state[2];
+    const LADDER_BITS fits = LADDER_NAME(fits_under)(e, io);
+    /* a row needs exactly E from here up (any non-zero row does on the
+     * floor ladder, which nothing sits below) */
+    const LADDER_BITS needs = e > io[P_EMIN_GRID]
+        ? LADDER_NAME(bits_of)(ldexp(1.0, (int)(e - m - 1))) : 1;
+    /* a_0's bits; a_{l+1} is a_l with W less in the exponent field */
+    const LADDER_BITS anchor = LADDER_NAME(bits_of)(ldexp(1.5, (int)e));
+    const LADDER_BITS step = (LADDER_BITS)w << m;
+    int64_t lo = e, ncold = 0;
+
+    for (int64_t g = 0; g < ngroups; g++)
+        lo = e0[g] < lo ? e0[g] : lo;
+    if (lo == EMPTY_E0) {
+        /* An empty group that receives a row needing exactly E is put on
+         * E first, as the reference's |max| would put it; every fitting
+         * row of it is then taken, wherever it sits in the block. */
+        for (int64_t i = 0; i < n; i++) {
+            LADDER_BITS a = LADDER_NAME(magnitude)(v[i]);
+            if (a >= needs && a < fits && e0[gids[i]] == EMPTY_E0)
+                e0[gids[i]] = e;
+        }
+    }
+    /* From here on no e0 moves, so ladder_declined reads the same rule. */
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t g = gids[i];
+        LADDER_T r = v[i];
+        int64_t k, k1;
+        if (!LADDER_NAME(taken)(r, fits, e0[g], e)) {
+            if (ncold++ == 0 && *first == TAKEN)
+                *first = LADDER_NAME(magnitude)(r)
+                    < LADDER_NAME(bits_of)(INFINITY) ? OFF_LADDER : NON_FINITE;
+            continue;
+        }
+        if (nlevels == 2) {  /* the default, unrolled */
+            r = LADDER_NAME(extract)(r, anchor, &k);
+            LADDER_NAME(extract)(r, anchor - step, &k1);
+            s0[g] += k;
+            s1[g] += k1;
+            continue;
+        }
+        for (int64_t l = 0; l < nlevels; l++) {
+            r = LADDER_NAME(extract)(r, anchor - (LADDER_BITS)l * step, &k);
+            ((int64_t *)state[1 + l])[g] += k;
+        }
+    }
+    for (int64_t l = 0; l < nlevels; l++)
+        propagate(state[1 + l], state[1 + nlevels + l], ngroups, m);
+    return ncold;
+}
+
+/*
+ * One block of n rows into `ntables` tables sharing the parameters in
+ * `io`.  ptrs holds gids, the tables' values rows, then for each table
+ * its state arrays e0, s[0..L), c[0..L) (1 + 2L pointers).  Every
+ * gids[i] is below each table's ngroups.
+ *
+ * Returns TAKEN, or the reason the whole block is declined, decided
+ * table by table in order before any state moves.  On TAKEN, each
+ * table's slot holds its ladder and how many rows it declined (their
+ * indices: ladder_declined), and the counters hold the rows taken, the
+ * rows declined and why the first declined row was.
+ */
+int64_t LADDER_NAME(ladder_block)(int64_t n, int64_t ntables,
+                                  void *const *ptrs, int64_t *io)
+{
+    const int64_t *gids = ptrs[0];
+    void *const *vals = ptrs + 1, *const *states = ptrs + 1 + ntables;
+    const int64_t width = 1 + 2 * io[P_LEVELS];
+    int64_t *counters = io + P_TABLES + T_SLOTS * ntables;
+
+    for (int64_t t = 0; t < ntables; t++) {
+        int64_t *slot = io + P_TABLES + T_SLOTS * t;
+        int64_t reason = LADDER_NAME(plan)(
+            n, vals[t], states[t * width], slot[T_NGROUPS], io,
+            slot + T_LADDER);
+        if (reason != TAKEN)
+            return reason;
+    }
+    counters[C_TAKEN] = counters[C_DECLINED] = counters[C_FIRST] = 0;
+    for (int64_t t = 0; t < ntables; t++) {
+        int64_t *slot = io + P_TABLES + T_SLOTS * t;
+        slot[T_NCOLD] = 0;
+        if (slot[T_LADDER] == ALL_ZERO) {
+            counters[C_TAKEN] += n;  /* an exact no-op, as in the reference */
+            continue;
+        }
+        slot[T_NCOLD] = LADDER_NAME(update)(
+            n, gids, vals[t], states + t * width, slot[T_NGROUPS], io,
+            slot[T_LADDER], counters + C_FIRST);
+        counters[C_TAKEN] += n - slot[T_NCOLD];
+        counters[C_DECLINED] += slot[T_NCOLD];
+    }
+    return TAKEN;
+}
+
+/*
+ * After ladder_block, the indices of the rows table t declined, in
+ * ascending order, into `cold` (its T_NCOLD of them): the row rule read
+ * again against the same e0, which the block moved before classifying
+ * only.
+ */
+void LADDER_NAME(ladder_declined)(int64_t n, int64_t ntables, int64_t t,
+                                  void *const *ptrs, const int64_t *io,
+                                  int64_t *cold)
+{
+    const int64_t *gids = ptrs[0];
+    const LADDER_T *v = ptrs[1 + t];
+    const int64_t *e0 = ptrs[1 + ntables + t * (1 + 2 * io[P_LEVELS])];
+    const int64_t e = io[P_TABLES + T_SLOTS * t + T_LADDER];
+    const LADDER_BITS fits = LADDER_NAME(fits_under)(e, io);
+    int64_t ncold = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (!LADDER_NAME(taken)(v[i], fits, e0[gids[i]], e))
+            cold[ncold++] = i;
+}
+
+#endif

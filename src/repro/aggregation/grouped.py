@@ -3,12 +3,11 @@ reproducible sum runs.
 
 The paper's problem with RSUM inside GROUP BY is that the HPC tuning
 assumes *one* long vector, while a GROUP BY juggles many interleaved
-sums.  The buffered operators solve this at the algorithm level; this
-module solves it at the kernel level: :class:`GroupedSummation` runs the
-anchor extraction of Algorithm 2 for *all* groups at once using NumPy
-element-wise arithmetic, with per-element anchors selected by group id.
-SQL's SUM / RSUM, ``repro.group_sum`` and ``repro.reproducible_sum``
-(one group) all feed it through :func:`add_blocked_multi`.
+sums.  :class:`GroupedSummation` keeps one Algorithm 2 state per group
+(top exponent ``e0``, per-level running sums ``s`` and carry counters
+``c`` as int64 arrays).  SQL's SUM / RSUM, ``repro.group_sum`` and
+``repro.reproducible_sum`` (one group) all feed it through
+:func:`add_blocked_multi`.
 
 The final per-group states are bit-identical to feeding each group's
 values through its own scalar Algorithm 2 state — the independent
@@ -18,39 +17,35 @@ test suite holds this module against — because:
 * the ladder of a group depends only on the group's max |value| (fixed
   extractor grid), so it can be computed up-front in one segmented max;
 * contributions ``q`` are a pure element-wise function of (value,
-  level anchor), so NumPy lanes and a scalar loop round identically;
+  level anchor), so NumPy lanes and a scalar C loop round identically;
 * contributions are accumulated as exact int64 quanta (bounds checked:
   ``|k| <= 2**(W-1)`` and chunks are capped so sums stay below 2**62).
 
 There are two updates and no third.  :meth:`GroupedSummation.add_pairs`
-is the **reference**: the chunked element-wise extraction above, held
-directly against the scalar Algorithm-2 state, and the update every
-other path is tested against.  :func:`add_blocked_multi` is what the
-engine calls: it splits a morsel *by row*, and rows whose group sits on
-the table's prevailing ladder **scatter**-accumulate with one scalar
-anchor per level and no sort — float64 sums of the integral quanta are
-exact in any order while no group receives more than the exactness
-window, ``1 << (54 - W)`` rows.  A row the scatter declines — it is
-NaN/±inf, it would raise a ladder, its group sits on another ladder or
-on none, or its whole block has no scatter (subnormal bottom level, no
+is the **reference**: the chunked element-wise NumPy extraction above,
+held directly against the scalar Algorithm-2 state, and the update
+every other path is tested against.  :func:`add_blocked_multi` is what
+the engine calls: one compiled loop per block of rows (``_ladder.c``,
+built on first import, see :mod:`._native`) that does what the paper's
+C++ does per row — classify, extract against one scalar anchor per
+level, add the int64 quanta into the group's levels — for every table
+of the call.  A row it declines — NaN/±inf, a row that would raise a
+ladder, a row whose group sits on another ladder or on none, or the
+whole block when it has no ladder pass (subnormal bottom level, no
 window, a finite magnitude past the ladder range, no finite non-zero
-value at all) — takes the reference.  Carry-free partial states are exact under any chunking, so
-*which* exact update takes a row is invisible in the bits; this is the
-paper's "summation on batches" (§V) at the kernel level, with the
-preprocessing kept off the per-row path.  The paper's C++ reaches the
-same place with AVX + summation buffers, which we model in
-``benchmarks/paper/simulator``.
+value at all) — takes the reference.  Carry-free partial states are
+exact under any chunking, so *which* exact update takes a row is
+invisible in the bits; this is the paper's "summation on batches" (§V)
+at the kernel level.
 """
 
 from __future__ import annotations
-
-import math
-import threading
 
 import numpy as np
 
 from ..core.params import RsumParams
 from ..errors import LadderOverflowError
+from ._native import load_ladder
 
 __all__ = [
     "GroupedSummation",
@@ -64,6 +59,12 @@ _EMPTY_E0 = -(2**40)
 #: Chunk cap keeping int64 contribution sums exact:
 #: chunk * 2**(W-1) <= 2**22 * 2**39 = 2**61 < 2**63 (binary64, W=40).
 _CHUNK = 1 << 22
+
+#: The compiled ladder update; building it is part of importing.
+_KERNEL = load_ladder()
+
+#: ``ladder_block``'s decline codes, by number (``_ladder.c``).
+_REASONS = (None, "non_finite", "off_ladder", "subnormal")
 
 
 class GroupedSummation:
@@ -82,11 +83,14 @@ class GroupedSummation:
         self._emin_grid = -(-fmt.min_exponent // self._w) * self._w
         self._emax_grid = (fmt.max_exponent // self._w) * self._w
         self._dtype = fmt.dtype if fmt.dtype is not None else np.dtype(np.float64)
-        #: Exactness window: how many level quanta (``|k| <= 2**(w-1)``)
-        #: float64 sums exactly in any order — ``n * 2**(w-1) <= 2**53``
-        #: — or 0 when the parameters leave no such window.
+        #: Window: the most rows of one group one compiled block takes —
+        #: ``n * 2**(w-1) <= 2**53`` keeps its int64 level sums far from
+        #: overflow — or 0 when the compiled update does not run this
+        #: format (binary16, formats with no NumPy dtype of their own).
         self._window = (
-            1 << (54 - self._w) if self._dtype.itemsize in (4, 8) else 0
+            1 << (54 - self._w)
+            if fmt.dtype is not None and self._dtype.itemsize in (4, 8)
+            else 0
         )
         self.e0 = np.full(ngroups, _EMPTY_E0, dtype=np.int64)
         self.s = [np.zeros(ngroups, dtype=np.int64) for _ in range(self._L)]
@@ -96,6 +100,8 @@ class GroupedSummation:
         self.neg_cnt = np.zeros(ngroups, dtype=np.int64)
         #: what the arrays above are row prefixes of once :meth:`resize`d
         self._spare: np.ndarray | None = None
+        #: (e0, *s, *c) and their addresses, for the compiled update
+        self._addresses: tuple | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -329,6 +335,29 @@ class GroupedSummation:
         self.nan_cnt, self.pos_cnt, self.neg_cnt = rows[-3:]
         self.ngroups = ngroups
 
+    def state_addresses(self) -> tuple:
+        """Addresses of ``e0``, ``s[0..L)``, ``c[0..L)`` — the state
+        arrays the compiled update writes in place — recomputed only
+        when one of them was replaced (:meth:`resize`, a spill load)."""
+        arrays = (self.e0, *self.s, *self.c)
+        cached = self._addresses
+        if cached is None or any(
+                old is not new for old, new in zip(cached[0], arrays)):
+            for arr in arrays:
+                if (arr.dtype != np.int64 or arr.shape != (self.ngroups,)
+                        or not arr.flags.c_contiguous
+                        or not arr.flags.writeable):
+                    raise ValueError("ladder state arrays must be "
+                                     "writeable contiguous int64")
+            cached = self._addresses = (
+                arrays, tuple(arr.ctypes.data for arr in arrays))
+        return cached[1]
+
+    def __getstate__(self) -> dict:
+        # a copy or an unpickled table owns other arrays: its addresses
+        # are computed afresh
+        return {**self.__dict__, "_addresses": None}
+
     def nbytes(self) -> int:
         """Resident bytes of the per-group ladder arrays (the memory
         the engine's budget accounting charges for one repro-sum
@@ -360,46 +389,14 @@ class GroupedSummation:
         )
 
 
-#: Largest element count kept as persistent per-thread scratch (beyond
-#: it, buffers are allocated per call rather than pinned).
-_SCRATCH_CAP = 1 << 18
-
-_SCRATCH = threading.local()
-
-
-def _scratch(slot: str, count: int, dtype) -> np.ndarray:
-    """Thread-local 1-D scratch of ``count`` elements, one per ``slot``.
-
-    The scatter's temporaries are as large as its block, so freshly
-    allocating them every call means every pass streams through
-    cold pages.  Reusing one buffer per thread and slot keeps those
-    pages warm in cache from block to block; per-worker tables make the
-    kernels thread-confined, so ``threading.local`` is the whole story.
-    Oversized requests fall back to plain allocation to keep the pinned
-    footprint bounded.
-    """
-    if count > _SCRATCH_CAP:
-        return np.empty(count, dtype=dtype)
-    bufs = getattr(_SCRATCH, "bufs", None)
-    if bufs is None:
-        bufs = _SCRATCH.bufs = {}
-    key = (slot, np.dtype(dtype))
-    buf = bufs.get(key)
-    if buf is None or buf.size < count:
-        buf = bufs[key] = np.empty(
-            min(max(count, 1 << 14), _SCRATCH_CAP), dtype=dtype
-        )
-    return buf[:count]
-
-
 class LadderCounters:
     """Which update the rows fed to :func:`add_blocked_multi` took, in
-    rows summed over tables: scatter-accumulated on their table's
-    prevailing ladder, or handed to the reference — and why the first
-    row that went there did (``off_ladder``: it raises a ladder, or its
-    group sits on another one or on none; ``non_finite``;
-    ``subnormal`` / ``window``: the parameters leave the block no
-    scatter at all)."""
+    rows summed over tables: taken by the compiled ladder on their
+    table's prevailing ladder (``scatter``), or handed to the reference
+    — and why the first row that went there did (``off_ladder``: it
+    raises a ladder, or its group sits on another one or on none;
+    ``non_finite``; ``subnormal`` / ``window``: the parameters leave the
+    block no ladder pass at all)."""
 
     __slots__ = ("scatter", "reference", "first_decline")
 
@@ -423,6 +420,8 @@ def _same_params(tables) -> list:
     for table in tables[1:]:
         if table.params != tables[0].params:
             raise ValueError("ladder tables must share identical parameters")
+    if len({id(table) for table in tables}) != len(tables):
+        raise ValueError("ladder tables must be distinct")
     return tables
 
 
@@ -434,56 +433,62 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     per-table :meth:`GroupedSummation.add_pairs`.
 
     Ladder states are exact under any chunking and permutation of their
-    input, so each table's rows are split *by row*.  With ``E`` the
-    table's prevailing ladder (its highest top exponent; for an empty
-    table, the one the block's ``|max|`` calls for) and ``m``, ``w``
-    the mantissa bits and ``W``:
+    input, so each table's rows are split *by row*.  The input is cut
+    into blocks, and each block is one call into the compiled kernel
+    (``_ladder.c``) covering every table.  With ``E`` the table's
+    prevailing ladder at the start of the block (its highest top
+    exponent; for an empty table, the one the block's finite ``|max|``
+    calls for) and ``m``, ``w`` the mantissa bits and ``W``, the kernel
+    runs one pass per table and per row:
 
-    * **warm** rows — ``|v| < 2**(E-m+w-1)`` (the row fits under ``E``)
-      and the group sits on ``E`` — scatter-accumulate with one scalar
-      anchor per level and ``np.bincount``: no sort, no gather.
-    * **cold** rows — NaN/±inf, rows that would raise a ladder, rows of
-      groups on another ladder or on none — are declined: after the
-      scatter they take the update every other path is tested against,
-      ``table.add_pairs(gids[cold], vals[cold])``, with every filter
-      and demotion of the reference.
+    * **classify** — the row is *taken* when ``|v| < 2**(E-m+w-1)``
+      (it fits under ``E``; NaN/±inf never do) and its group sits on
+      ``E``; otherwise it is *declined*;
+    * **extract** — ``L`` levels against the scalar anchors
+      ``1.5 * 2**e_l``, ``e_l = E - l*w``;
+    * **accumulate** — each level's quantum, as an int64 count of
+      ``2**(e_l - m)``, straight into ``s[l]`` of its group; the state
+      is carry-propagated once per call.
+
+    Declined rows come back as indices and take the update every other
+    path is tested against, ``table.add_pairs(gids[i], vals[i])``, with
+    every filter and demotion of the reference.
 
     **Seeding.**  An empty group that receives a row needing exactly
     ``E`` (``2**(E-m-1) <= |v|``, or just ``v != 0`` on the floor
-    ladder) is put on ``E`` first, which makes its fitting rows warm.
-    The reference puts a group on the ladder of its own ``|max|``; that
-    row proves the max calls for at least ``E``, and a row calling for
-    more is cold and demotes the group afterwards exactly as a later
-    chunk would.  A group whose rows are all zero or all below ``E``'s
-    class is not seeded — the reference leaves it empty, or on a lower
-    ladder — so those rows are cold.
+    ladder) is put on ``E`` first, which makes all of its fitting rows
+    in the block taken.  The reference puts a group on the ladder of
+    its own ``|max|``; that row proves the max calls for at least
+    ``E``, and a row calling for more is declined and demotes the group
+    afterwards exactly as a later chunk would.  A group whose rows are
+    all zero or all below ``E``'s class is not seeded — the reference
+    leaves it empty, or on a lower ladder — so those rows are declined.
 
-    **Exactness of the scatter.**  A warm row has ``|v| < 2**(eb+1)``
-    with ``eb + m - w + 2 <= E``, so every level quantum
+    **Exactness.**  A taken row has ``|v| < 2**(eb+1)`` with
+    ``eb + m - w + 2 <= E``, so every level quantum
     ``q = k * 2**(e_l - m)`` has ``|k| <= 2**(w-1)`` whether ``m`` is
-    52 or 23.  The extraction runs element-wise in the table dtype with
-    anchors ``ldexp(1.5, e_l)`` (exact: one significand bit), so each
-    quantum is the one the reference computes; cold positions are
-    zero-filled, and a zero extracts a zero quantum at every level — an
-    exact no-op, as in the zero-filtering reference (``s += 0`` on a
-    canonical state, then an idempotent propagate).  ``np.bincount``
-    sums its weights in float64 (every binary32 quantum converts
-    exactly) and *per bin*: with at most ``n`` rows in a group, every
-    partial sum is an integer multiple of ``2**(e_l - m)`` with integer
-    part at most ``n * 2**(w-1)``, representable and closed under
-    addition in any order while ``n <= 2**(54-w)``.  ``np.ldexp`` lifts
-    the bin sums to whole int64 quanta exactly (the shift can leave the
-    power-of-two-float range near ``emin``, so no ``2.0**p``) and they
-    join the carry-propagated state before the next block.
+    52 or 23.  The extraction runs in the table's dtype with anchors
+    that carry one significand bit (exact), built without
+    ``-ffast-math`` and with ``-ffp-contract=off``, so ``t = r + a``
+    and ``q = t - a`` are evaluated as written and each quantum is the
+    one the reference's element-wise extraction computes.  Since
+    ``|r| < 2**(e_l - 3)`` (``W <= m - 2``), ``t`` stays in the
+    anchor's binade, so ``k`` — the reference's ``q * 2**(m - e_l)`` —
+    is the difference of the bit patterns of ``t`` and ``a``: no
+    scaling, nothing to round.  A zero row adds ``k = 0`` at every
+    level.  The block bounds the int64 sums: no group receives more
+    than the window ``1 << (54 - w)`` rows of one block, so a level
+    gains at most ``2**53`` quanta over its canonical ``< 2**(m-2)``.
+    Integer addition is exact in any order.
 
-    So the window — ``1 << (54 - w)``, 16 384 at ``W = 40``, derived
-    from the parameters and not a knob — bounds the rows of one group,
-    not of one block: when no group receives more the input is one
-    block (a scratch buffer's worth at a time), otherwise it is taken
-    a window at a time.  Subnormal bottom levels, a format with no
-    window (binary16), a block with no finite non-zero value and a
-    finite magnitude past the ladder range decline the whole block of
-    every table: the reference then runs table by table, so a
+    So the window — 16 384 rows at ``W = 40``, derived from the
+    parameters and not a knob — bounds the rows of one group, not of one
+    block: when no group receives more the input is one block of up to
+    ``_CHUNK`` rows, otherwise it is taken a window at a time.
+    Subnormal bottom levels, a format with no window (binary16), a
+    block with no finite non-zero value and a finite magnitude past the
+    ladder range decline the whole block of every table before any
+    state moves: the reference then runs table by table, so a
     :class:`LadderOverflowError` leaves the earlier tables applied and
     the later ones untouched, as a loop over ``add_pairs`` would.
     ``counters`` records rows per update.
@@ -492,8 +497,8 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     if not tables:
         return
     first = tables[0]
-    gids = np.asarray(group_ids, dtype=np.int64)
-    rows = [np.asarray(r, dtype=first._dtype) for r in values_rows]
+    gids = np.ascontiguousarray(group_ids, dtype=np.int64)
+    rows = [np.ascontiguousarray(r, dtype=first._dtype) for r in values_rows]
     if (gids.ndim != 1 or len(rows) != len(tables)
             or any(r.shape != gids.shape for r in rows)):
         raise ValueError("one equal-length 1-D values row per table required")
@@ -517,7 +522,7 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     # outnumber a block's rows.
     if n <= window or (ngroups >= window
                        and int(np.bincount(gids).max()) <= window):
-        step = min(n, _SCRATCH_CAP)
+        step = min(n, _CHUNK)
     else:
         step = window
     for pos in range(0, n, step):
@@ -530,121 +535,35 @@ def _add_block(tables: list, gids: np.ndarray, rows: list,
     """One block of :func:`add_blocked_multi` (which carries the
     proof): in-range ids, at most ``window`` rows per group."""
     first = tables[0]
-    m, w = first._m, first._w
-    n = gids.size
-    plans = []  # (table, values, ladder, |max|, min |v| or 0, table empty)
-    reason = None  # why the scatter declines the whole block, if it does
-    for table, vals in zip(tables, rows):
-        # max/min propagate NaN and catch ±inf without a full |.| pass
-        vmin, vmax = float(vals.min()), float(vals.max())
-        top = max(vmax, -vmin)
-        if top == 0:
-            continue  # all zeros: an exact no-op, as in the reference
-        # the finite |max| ranks the block; NaN/±inf rows go cold alone
-        peak = top
-        if not top < math.inf:
-            peak = float(np.abs(vals[np.isfinite(vals)]).max(initial=0))
-            if peak == 0:
-                reason = "non_finite"
-                break
-        if peak >= math.ldexp(1.0, first._emax_grid - m + w - 1):
-            reason = "off_ladder"  # the reference raises its range error
-            break
-        e0 = int(table.e0.max())
-        empty = e0 == _EMPTY_E0
-        if empty:
-            e0 = int(first._needed_e0(first._dtype.type(peak)))
-        if e0 - (first._L - 1) * w < first._emin:
-            reason = "subnormal"
-            break
-        # known without a pass when the block is single-signed
-        least = vmin if vmin > 0 else -vmax if vmax < 0 else 0.0
-        plans.append((table, vals, e0, top, least, empty))
-    if reason is not None:
-        counters.decline(n * len(tables), reason)
+    n, ntables = gids.size, len(tables)
+    # gids, the values rows, then each table's state arrays
+    ptrs = np.array(
+        [arr.ctypes.data for arr in (gids, *rows)]
+        + [addr for table in tables for addr in table.state_addresses()],
+        dtype=np.uintp)
+    # the parameters, (ngroups, ladder, declined rows) per table, and
+    # the counters (rows taken, rows declined, why the first was)
+    io = np.zeros(6 + 3 * ntables + 3, dtype=np.int64)
+    io[:6] = (first._L, first._m, first._w, first._emin,
+              first._emin_grid, first._emax_grid)
+    slots = io[6:6 + 3 * ntables].reshape(ntables, 3)
+    slots[:, 0] = [table.ngroups for table in tables]
+    reason = _KERNEL.block[first._dtype](n, ntables, ptrs.ctypes.data,
+                                         io.ctypes.data)
+    if reason:
+        counters.decline(n * ntables, _REASONS[reason])
         for table, vals in zip(tables, rows):
             table.add_pairs(gids, vals)
         return
-    counters.scatter += n * (len(tables) - len(plans))
-
-    for table, vals, e0, top, least, empty in plans:
-        cold = _cold_rows(table, gids, vals, e0, top, least, empty)
-        ncold = 0 if cold is None else cold.size
-        counters.scatter += n - ncold
-        if ncold < n:
-            _scatter(table, gids, vals, e0, cold)
-        if ncold:
-            counters.decline(ncold, "off_ladder" if math.isfinite(
-                vals[cold[0]]) else "non_finite")
-            table.add_pairs(gids[cold], vals[cold])
-
-
-def _cold_rows(table: GroupedSummation, gids: np.ndarray, vals: np.ndarray,
-               e0: int, top: float, least: float,
-               empty: bool) -> np.ndarray | None:
-    """Seed the empty groups a row of this block puts on ``e0``; return
-    the indices of the rows that cannot scatter there (``None``: every
-    row can).  ``top`` is the block's ``|max|`` (NaN or inf if it holds
-    one), ``least`` its smallest ``|v|`` where known, else 0; ``empty``:
-    no group of the table is on a ladder yet."""
-    m, w = table._m, table._w
-    fits_under = math.ldexp(1.0, e0 - m + w - 1)
-    fits = top < fits_under
-    lo = _EMPTY_E0 if empty else int(table.e0.min())
-    if fits and lo == e0:
-        return None  # steady state: one ladder, and it holds the block
-    # a row needs exactly ``e0`` from here up (any non-zero one does on
-    # the floor ladder, which nothing sits below)
-    needs = (np.ldexp(table._dtype.type(1), e0 - m - 1)
-             if e0 > table._emin_grid
-             else np.finfo(table._dtype).smallest_subnormal)
-    if fits and empty and least >= needs:
-        table.e0[gids] = e0  # every row seeds its group
-        return None
-    idx = None  # rows that may be cold; None = every row
-    if lo == e0:
-        idx = np.flatnonzero(~(np.abs(vals) < fits_under))
-    elif not empty:
-        off = (table.e0 != e0).take(gids)
-        if not fits:
-            off |= ~(np.abs(vals) < fits_under)
-        idx = np.flatnonzero(off)
-    g, v = (gids, vals) if idx is None else (gids[idx], vals[idx])
-    mag = np.abs(v)
-    warm = mag < fits_under
-    if lo == _EMPTY_E0:
-        seeds = g[warm & (mag >= needs)]
-        if not empty:
-            seeds = seeds[table.e0[seeds] == _EMPTY_E0]
-        table.e0[seeds] = e0
-    warm &= (table.e0 == e0).take(g)
-    cold = np.flatnonzero(~warm)
-    if cold.size == 0:
-        return None
-    return cold if idx is None else idx[cold]
-
-
-def _scatter(table: GroupedSummation, gids: np.ndarray, vals: np.ndarray,
-             e0: int, cold: np.ndarray | None) -> None:
-    """Scatter-accumulate the rows of one block on ladder ``e0``, the
-    ``cold`` ones zero-filled (see :func:`add_blocked_multi`)."""
-    m, w, levels = table._m, table._w, table._L
-    dt = table._dtype.type
-    q = _scratch("q", gids.size, table._dtype)
-    r = _scratch("r", gids.size, table._dtype)
-    src = vals
-    if cold is not None:
-        np.copyto(r, vals)
-        r[cold] = 0
-        src = r
-    for level in range(levels):
-        e_l = e0 - level * w
-        anchor = np.ldexp(dt(1.5), e_l)
-        np.add(src, anchor, out=q)
-        np.subtract(q, anchor, out=q)
-        if level + 1 < levels:
-            np.subtract(src, q, out=r)
-            src = r
-        sums = np.bincount(gids, weights=q, minlength=table.ngroups)
-        table.s[level] += np.ldexp(sums, m - e_l).astype(np.int64)
-    table._propagate()
+    taken, declined, why = io[-3:].tolist()
+    counters.scatter += taken
+    if declined:
+        counters.decline(declined, _REASONS[why])
+        for t, (table, vals) in enumerate(zip(tables, rows)):
+            ncold = int(slots[t, 2])
+            if ncold:
+                idx = np.empty(ncold, dtype=np.int64)
+                _KERNEL.declined[first._dtype](
+                    n, ntables, t, ptrs.ctypes.data, io.ctypes.data,
+                    idx.ctypes.data)
+                table.add_pairs(gids[idx], vals[idx])

@@ -40,12 +40,12 @@ Per morsel :meth:`~VectorizedGroupTable.update`:
 4. feeds the rsum ladders last, **one call per parameter set**: every
    ``LadderSum`` of equal ``(dtype, levels)`` — SUM, AVG's numerator,
    both moments of VARIANCE — queued its values in step 3 and they go
-   through the blocked kernel (:func:`~repro.aggregation.grouped.
-   add_blocked_multi`) together; it scatter-accumulates every row
-   whose group sits on its table's prevailing ladder and hands the
-   stragglers to the reference chunk update.  Batching is bit-neutral:
-   each accumulator still consumes exactly its own value sequence, only
-   the dispatch is shared.
+   through the compiled ladder update (:func:`~repro.aggregation.
+   grouped.add_blocked_multi`) together; one C loop per block adds
+   every row whose group sits on its table's prevailing ladder and
+   hands the stragglers to the reference chunk update.  Batching is
+   bit-neutral: each accumulator still consumes exactly its own value
+   sequence, only the dispatch is shared.
 
 Reproducibility is preserved *by construction*: the repro-mode states
 are exact under any permutation and chunking of their input (the

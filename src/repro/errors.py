@@ -37,6 +37,7 @@ __all__ = [
     "SpillFormatError",
     "WalCorruptError",
     "CheckpointError",
+    "KernelBuildError",
     "error_code",
     "error_to_wire",
     "error_from_wire",
@@ -175,6 +176,15 @@ class CheckpointError(StorageError):
     code = "checkpoint_error"
 
 
+class KernelBuildError(ReproError):
+    """The compiled ladder update could not be built or loaded at
+    import: no C compiler, a compiler that failed, or an unwritable
+    build cache.  The package needs a C compiler next to NumPy; there
+    is no uncompiled fallback."""
+
+    code = "kernel_build_error"
+
+
 #: code -> class, for re-raising a faithful type client-side.
 _WIRE_TYPES = {
     cls.code: cls
@@ -194,6 +204,7 @@ _WIRE_TYPES = {
         SpillFormatError,
         WalCorruptError,
         CheckpointError,
+        KernelBuildError,
     )
 }
 

@@ -614,3 +614,33 @@ def test_plain_sum_merge_opposite_infinities_is_quiet_nan():
         left.merge(right, gids, 2)
     sums = left.finalize(2)
     assert np.isnan(sums[0]) and sums[1] == 3.0
+
+
+@st.composite
+def deep_ladder_cases(draw, base):
+    """``base``'s cases with ``levels`` redrawn from 3 and 4."""
+    case = draw(base)
+    params = case["params"] if isinstance(case, dict) else case[0]
+    deep = RsumParams(params.fmt, levels=draw(st.sampled_from((3, 4))),
+                      w=params.w)
+    if isinstance(case, dict):
+        return {**case, "params": deep}
+    return (deep, *case[1:])
+
+
+class TestDeepLadders:
+    """The two properties above at ``levels`` 3 and 4, in binary64 and
+    binary32 (``W = 18``): every extra level is one more extraction per
+    row in the compiled loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=deep_ladder_cases(scatter_or_reference_cases()))
+    def test_equals_looped_add_pairs(self, case):
+        TestScatterOrReference.test_equals_looped_add_pairs.hypothesis \
+            .inner_test(TestScatterOrReference(), case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=deep_ladder_cases(partition_cases()))
+    def test_row_partition_equals_reference(self, case):
+        TestRowPartition.test_equals_reference.hypothesis.inner_test(
+            TestRowPartition(), case)

@@ -29,6 +29,7 @@ ENTRY_POINTS = (
 SERVING = frozenset({
     "repro",
     "repro.aggregation",
+    "repro.aggregation._native",
     "repro.aggregation.api",
     "repro.aggregation.external_agg",
     "repro.aggregation.grouped",

@@ -9,8 +9,11 @@ actually measured errors of this implementation against exact oracles.
 family on Kamat & Nandi's adversarial inputs for the textbook
 one-pass formula — a large mean over a small spread, mixed magnitudes,
 near-constant groups — against an exact ``Fraction`` oracle, in both
-sum modes.  It records the engine as it is (``SUM(x*x) - SUM(x)**2/n``
-over rounded sums) and asserts nothing about the error.
+sum modes, and gates ``repro``: its VARIANCE is within 1e-12 relative
+of exact on every input (the exact combine of
+:mod:`repro.core.stats` rounds once).  ``ieee`` runs the same combine
+over rounded IEEE sums and is reported against nothing but its
+documented bound.
 """
 
 import math
@@ -115,8 +118,10 @@ def test_table2_conventional_vs_rsum_l2(benchmark):
 
 def test_variance_accuracy_report():
     """VARIANCE / STDDEV relative error against exact rationals, per
-    input, in ``repro`` and ``ieee`` (the worst group where grouped)."""
+    input, in ``repro`` and ``ieee`` (the worst group where grouped);
+    repro's VARIANCE must be within 1e-12 of exact on every input."""
     body = []
+    worst_repro = []
     rng = np.random.default_rng(0)
     for label, groups, make in VARIANCE_INPUTS:
         keys = np.arange(VARIANCE_ROWS) % groups
@@ -138,6 +143,7 @@ def test_variance_accuracy_report():
                     for k, _, std in got),
                 got[0][1],
             )
+        worst_repro.append(row["repro"][0])
         body.append([
             label, f"{float(exact[0]):.6g}",
             f"{row['repro'][2]:.6g}", format_sci(row["repro"][0]),
@@ -157,7 +163,11 @@ def test_variance_accuracy_report():
         ),
         "Exact: Fraction arithmetic over the stored doubles; STDDEV's\n"
         "reference is the double nearest sqrt(exact VAR).  rel = worst\n"
-        "group.  The engine computes SUM(x*x) - SUM(x)**2/n from rounded\n"
-        "sums and clamps at 0, so ieee can read 0 (rel error 1).",
+        "group.  Both modes form n*SUM(x*x) - SUM(x)**2 exactly, x*x\n"
+        "split into hi + lo, and round once: repro over unrounded\n"
+        "4-level ladders (exact), ieee over rounded IEEE sums (bound\n"
+        "3(n-1)u SUM(x*x)/(n-ddof)), reading 0 when negative (rel 1).",
     )
     assert len(body) == len(VARIANCE_INPUTS)
+    for (label, *_), repro_rel in zip(VARIANCE_INPUTS, worst_repro):
+        assert repro_rel <= 1e-12, (label, repro_rel)

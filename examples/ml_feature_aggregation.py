@@ -42,7 +42,7 @@ def features_reproducible(customers, amounts, ncustomers):
     totals = np.zeros(ncustomers)
     totals[table.keys.astype(np.int64)] = table.sums
     mean = reproducible_mean(amounts, levels=3)
-    std = reproducible_std(amounts, levels=3)
+    std = reproducible_std(amounts)
     return (totals - mean) / std
 
 

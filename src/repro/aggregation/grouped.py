@@ -306,6 +306,32 @@ class GroupedSummation:
         res = np.where(has_nan, dt(np.nan), res)
         return res
 
+    def exact(self):
+        """Per-group sums *before* Equation 1 rounds them:
+        ``(integers, exponents, nonfinite)`` with each finite group's
+        ladder holding exactly ``integers[g] * 2**exponents[g]`` —
+        ``integers`` an object array of Python ints, ``exponents``
+        int64 (0 for an empty group) — and ``nonfinite`` marking the
+        groups that saw a NaN or ±inf, whose integer is meaningless.
+
+        Level ``l`` holds ``s[l] + c[l] * 2**(m-2)`` units of
+        ``2**(e0 - l*W - m)``, so the levels fold top-down into one
+        integer in units of the bottom level's (one level in int64 while
+        its carries leave room: a level is one object array, not two)."""
+        carry_bits = self._m - 2
+        integers = np.zeros(self.ngroups, dtype=object)
+        for s, c in zip(self.s, self.c):
+            if np.abs(c).max(initial=0) < 1 << (62 - carry_bits):
+                level = (s + (c << carry_bits)).astype(object)
+            else:
+                level = s.astype(object) + (c.astype(object) << carry_bits)
+            integers = (integers << self._w) + level
+        valid = self.e0 > _EMPTY_E0
+        exponents = np.where(
+            valid, self.e0 - (self._L - 1) * self._w - self._m, 0)
+        nonfinite = (self.nan_cnt | self.pos_cnt | self.neg_cnt) > 0
+        return integers, exponents, nonfinite
+
     def resize(self, ngroups: int) -> None:
         """Grow the table to ``ngroups`` (new groups start empty).
 

@@ -40,6 +40,12 @@ import numpy as np
 
 from ..aggregation.grouped import GroupedSummation, add_blocked_multi
 from ..core.params import RsumParams
+from ..core.stats import (
+    MOMENT2_PARAMS,
+    exact_float_sums,
+    second_moment,
+    square_halves,
+)
 from ..errors import SpillFormatError
 from ..fp.formats import BINARY32, BINARY64
 from ..storage.spill import dump_grouped_summation, load_grouped_summation
@@ -71,7 +77,18 @@ def _grown(arr: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+#: Payload tags no state writes any more -> the tag that replaced them;
+#: a payload carrying one fails typed, naming its successor.
+_RETIRED_TAGS = {"moment2": "moment2_exact"}
+
+
 def _expect_tag(data, tag: str) -> None:
+    retired = data.get("tag") if isinstance(data, dict) else None
+    if retired in _RETIRED_TAGS:
+        raise SpillFormatError(
+            f"retired state payload tag {retired!r}: its successor is "
+            f"{_RETIRED_TAGS[retired]!r}"
+        )
     if not isinstance(data, dict) or data.get("tag") != tag:
         raise SpillFormatError(
             f"state payload tag mismatch: wanted {tag!r}, "
@@ -335,53 +352,79 @@ class SumState:
 
 
 class Moment2State:
-    """SUM(x) and SUM(x*x) behind the VARIANCE / STDDEV family — the
-    paper's footnote-2 recipe: with a reproducible SUM these become
-    reproducible too.  ``x*x`` is element-wise (order-free), so the
-    squares merge as exactly as the values do.  Counts live in the
-    table's common :class:`CountState`."""
+    """The second moment behind the VARIANCE / STDDEV family — the
+    paper's footnote-2 recipe, made exact.  Three sums per group —
+    ``Σx`` and ``Σhi`` / ``Σlo`` of the exact squares ``x·x = hi + lo``
+    (:func:`~repro.core.stats.square_halves`) — are ladders of
+    :data:`~repro.core.stats.MOMENT2_PARAMS` in ``repro`` mode (4
+    levels, whatever the session's ``levels``) and IEEE sums in
+    ``ieee`` mode; the squares are element-wise, so they merge, spill
+    and cross the shard exchange as exactly as the values do.
+    Finalize reads the table's common :class:`CountState` and forms
+    ``n·Σx² − (Σx)²`` from the *unrounded* sums in Python integers
+    (:func:`~repro.core.stats.second_moment`), once per group; each
+    spelling divides it by its own ``n·(n − ddof)`` and rounds once.
+    ``repro.reproducible_variance`` runs the same sums and combine
+    over one group."""
 
-    tag = "moment2"
+    #: successor of ``moment2`` (``SUM(x)`` and ``SUM(x*x)`` of the
+    #: rounded squares, at the session's ``levels``)
+    tag = "moment2_exact"
 
-    def __init__(self, arg: ast.Expr, mode: str, levels: int):
+    def __init__(self, arg: ast.Expr, mode: str, count: CountState):
         self.arg = arg
         self.mode = mode
-        self.levels = levels
-        self.sum_x = _float_accumulator(np.float64, mode, levels)
-        self.sum_xx = _float_accumulator(np.float64, mode, levels)
+        self.count = count
+        self.sum_x, self.sum_hi, self.sum_lo = (
+            _float_accumulator(np.float64, mode, MOMENT2_PARAMS.levels)
+            for _ in range(3)
+        )
 
-    def _powers(self, batch, cache):
-        values = np.asarray(cache.values(self.arg, batch.nrows),
-                            dtype=np.float64)
-        return values, values * values
+    def _sums(self):
+        return self.sum_x, self.sum_hi, self.sum_lo
+
+    def _inputs(self, batch, cache):
+        """``(x, hi, lo)`` of one morsel, in :meth:`_sums` order."""
+        x = np.asarray(cache.values(self.arg, batch.nrows), dtype=np.float64)
+        return (x, *square_halves(x))
 
     def update(self, batch, cache, gids, morsel, ngroups: int) -> None:
-        x, xx = self._powers(batch, cache)
-        self.sum_x.add(x, gids, morsel, ngroups)
-        self.sum_xx.add(xx, gids, morsel, ngroups)
+        for acc, values in zip(self._sums(), self._inputs(batch, cache)):
+            acc.add(values, gids, morsel, ngroups)
 
     def merge(self, other: "Moment2State", mapping, ngroups: int) -> None:
-        self.sum_x.merge(other.sum_x, mapping, ngroups)
-        self.sum_xx.merge(other.sum_xx, mapping, ngroups)
+        for acc, theirs in zip(self._sums(), other._sums()):
+            acc.merge(theirs, mapping, ngroups)
 
     def finalize(self, ngroups: int):
-        """``(SUM(x), SUM(x*x))`` per group."""
-        return self.sum_x.finalize(ngroups), self.sum_xx.finalize(ngroups)
+        """:func:`~repro.core.stats.second_moment` per group, with the
+        counts it was formed over: ``(moment, counts)``."""
+        exact = []
+        for acc in self._sums():
+            if isinstance(acc, LadderSum):
+                acc._grow(ngroups)
+                exact.append(acc.grouped.exact())
+            else:
+                exact.append(exact_float_sums(acc.finalize(ngroups)))
+        counts = self.count.finalize(ngroups)
+        return second_moment(counts, *exact), counts
 
     def approx_bytes(self) -> int:
-        return self.sum_x.approx_bytes() + self.sum_xx.approx_bytes()
+        return sum(acc.approx_bytes() for acc in self._sums())
 
     def dump(self) -> dict:
         return {
             "tag": self.tag,
             "sum_x": self.sum_x.dump(),
-            "sum_xx": self.sum_xx.dump(),
+            "sum_hi": self.sum_hi.dump(),
+            "sum_lo": self.sum_lo.dump(),
         }
 
     def load(self, data: dict) -> None:
         _expect_tag(data, self.tag)
         self.sum_x = _load_accumulator(data["sum_x"])
-        self.sum_xx = _load_accumulator(data["sum_xx"])
+        self.sum_hi = _load_accumulator(data["sum_hi"])
+        self.sum_lo = _load_accumulator(data["sum_lo"])
 
 
 # ---------------------------------------------------------------------------

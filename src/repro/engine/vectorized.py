@@ -39,11 +39,12 @@ Per morsel :meth:`~VectorizedGroupTable.update`:
    ``ufunc.reduceat`` segments; counts, sums and ladders never sort;
 4. feeds the rsum ladders last, **one call per parameter set**: every
    ``LadderSum`` of equal ``(dtype, levels)`` — SUM, AVG's numerator,
-   both moments of VARIANCE — queued its values in step 3 and they go
-   through the compiled ladder update (:func:`~repro.aggregation.
-   grouped.add_blocked_multi`) together; one C loop per block adds
-   every row whose group sits on its table's prevailing ladder and
-   hands the stragglers to the reference chunk update.  Batching is
+   the three sums of VARIANCE's second moment — queued its values in
+   step 3 and they go through the compiled ladder update
+   (:func:`~repro.aggregation.grouped.add_blocked_multi`) together;
+   one C loop per block adds every row whose group sits on its
+   table's prevailing ladder and hands the stragglers to the
+   reference chunk update.  Batching is
    bit-neutral: each accumulator still consumes exactly its own value
    sequence, only the dispatch is shared.
 
@@ -64,6 +65,7 @@ import numpy as np
 
 from ..aggregation.grouped import LadderCounters
 from ..aggregation.partition import stable_group_order
+from ..core.stats import variance
 from ..errors import SpillFormatError
 from .aggregates import (
     CountState,
@@ -296,18 +298,11 @@ def _avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums / np.maximum(counts, 1)
 
 
-def _variance(name: str, sums, squares, counts) -> np.ndarray:
-    """VARIANCE / STDDEV (``_SAMP`` default, ``_POP``) from SUM(x),
-    SUM(x*x) and COUNT — the paper's footnote-2 recipe."""
-    counts = counts.astype(np.float64)
-    ddof = 0.0 if name.endswith("_POP") else 1.0
-    denominator = np.maximum(counts - ddof, 1.0)
-    # A group that saw +inf has inf - inf = NaN here: the right answer,
-    # not worth a RuntimeWarning.
-    with np.errstate(invalid="ignore"):
-        variance = squares - sums * sums / np.maximum(counts, 1.0)
-    variance = np.maximum(variance, 0.0) / denominator
-    return np.sqrt(variance) if name.startswith("STDDEV") else variance
+def _variance_family(name: str, moment, counts) -> np.ndarray:
+    """VARIANCE / STDDEV (``_SAMP`` default, ``_POP``) from the exact
+    second moment (:meth:`Moment2State.finalize`), rounded once."""
+    var = variance(moment, counts, 0 if name.endswith("_POP") else 1)
+    return np.sqrt(var) if name.startswith("STDDEV") else var
 
 
 class VectorizedGroupTable:
@@ -417,14 +412,14 @@ class VectorizedGroupTable:
                     c=need_count(): _avg(final(s), final(c))
                 )
                 continue
-            else:  # VARIANCE/STDDEV family
+            else:  # VARIANCE/STDDEV family: the depth is the state's own
                 moment = need(
-                    ("moment2", arg.sql(), mode, spec.levels),
-                    lambda: Moment2State(arg, mode, spec.levels),
+                    ("moment2", arg.sql(), mode),
+                    lambda: Moment2State(arg, mode, need_count()),
                 )
                 plan.append(
-                    lambda final, n=name, m=moment, c=need_count():
-                    _variance(n, *final(m), final(c))
+                    lambda final, n=name, m=moment:
+                    _variance_family(n, *final(m))
                 )
                 continue
             plan.append(lambda final, s=state: final(s))

@@ -1,6 +1,7 @@
 """Tests for the vectorised multi-group RSUM kernel."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,6 +170,52 @@ class TestMerge:
         )
         a.merge(b)
         assert math.isnan(a.finalize()[0])
+
+
+def _level_sum(grouped, g):
+    """Group ``g``'s ladder value, level by level, in ``Fraction``s."""
+    m, w = grouped._m, grouped._w
+    return sum(
+        (Fraction(int(s[g])) + Fraction(int(c[g])) * 2 ** (m - 2))
+        * Fraction(2) ** (int(grouped.e0[g]) - level * w - m)
+        for level, (s, c) in enumerate(zip(grouped.s, grouped.c))
+    )
+
+
+class TestExact:
+    """``exact()`` is the unrounded ladder value the second moment
+    combines: ``integers * 2**exponents``, level by level."""
+
+    def test_holds_inputs_within_the_band_exactly(self, rng):
+        grouped = GroupedSummation(RsumParams.double(4), 3)
+        gids = rng.integers(0, 2, size=3000)
+        values = 1e9 + rng.normal(size=3000)
+        grouped.add_pairs(gids, values)
+        integers, exponents, nonfinite = grouped.exact()
+        for g in range(2):
+            exact = sum(map(Fraction, values[gids == g].tolist()))
+            assert integers[g] * Fraction(2) ** int(exponents[g]) == exact
+            assert _level_sum(grouped, g) == exact
+        assert integers[2] == 0 and exponents[2] == 0
+        assert not nonfinite.any()
+
+    def test_carries_past_int64_room_fold_in_python_ints(self):
+        grouped = GroupedSummation.from_pairs(
+            RsumParams.double(4), np.array([0, 1]), np.array([3.0, -5.0]), 2
+        )
+        for c in grouped.c:
+            c[:] = [1 << 40, -(1 << 40)]
+        integers, exponents, _ = grouped.exact()
+        for g in range(2):
+            assert (integers[g] * Fraction(2) ** int(exponents[g])
+                    == _level_sum(grouped, g))
+
+    def test_marks_groups_that_saw_non_finite_values(self):
+        grouped = GroupedSummation.from_pairs(
+            params(), np.arange(4), np.array([1.0, np.nan, np.inf, -np.inf]),
+            4,
+        )
+        assert grouped.exact()[2].tolist() == [False, True, True, True]
 
 
 class TestValidation:

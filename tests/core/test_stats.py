@@ -114,6 +114,21 @@ class TestMoments:
             reproducible_variance(exp_values)
         )
 
+    def test_variance_is_the_correctly_rounded_exact_value(self, rng):
+        values = 1e9 + rng.normal(size=5000)
+        rows = [Fraction(v) for v in values.tolist()]
+        n, total = len(rows), sum(rows)
+        exact = (n * sum(f * f for f in rows) - total * total) / (n * (n - 1))
+        assert reproducible_variance(values, ddof=1) == float(exact)
+
+    @pytest.mark.parametrize("function", [reproducible_variance,
+                                          reproducible_std])
+    def test_levels_is_retired(self, function):
+        with pytest.raises(TypeError, match="fixed depth of 4 levels"):
+            function([1.0, 2.0], levels=3)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            function([1.0, 2.0], depth=3)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             reproducible_mean([])

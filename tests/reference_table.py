@@ -79,9 +79,10 @@ class PartialGroupTable(VectorizedGroupTable):
                 values = state._input(batch, cache)
                 _add(state.acc, values, gids, ngroups)
             elif isinstance(state, Moment2State):
-                x, xx = state._powers(batch, cache)
-                _add(state.sum_x, x, gids, ngroups)
-                _add(state.sum_xx, xx, gids, ngroups)
+                # x, and hi / lo of the exact squares
+                for acc, values in zip(state._sums(),
+                                       state._inputs(batch, cache)):
+                    _add(acc, values, gids, ngroups)
             elif isinstance(state, MinMaxState):
                 values = _eval_values(state.arg, batch)
                 state._grow(ngroups, values.dtype)

@@ -4,10 +4,14 @@ Run files and shard-exchange frames written by one commit are read by
 the next (a rolling restart, a spill directory that outlives a
 process), so ``dump_table`` bytes may only change on purpose.  The
 golden blob was generated at the commit *before* the aggregate states
-moved into :mod:`repro.engine.aggregates` (``python
-tests/storage/test_wire_format.py`` rewrites it — only ever do that
-for a deliberate format change).  Its third frame is a ``sorted``-mode
-table, a mode since retired: it must fail typed, never load.
+moved into :mod:`repro.engine.aggregates`; its live frames were
+rewritten when the VARIANCE family's second moment became exact
+(``python tests/storage/test_wire_format.py --retire-live`` moves the
+live frames to the retired tail and writes new ones — only ever do
+that for a deliberate format change).  The retired frames must fail
+typed, never load: a ``sorted``-mode table, a mode since retired, and
+the ieee and repro tables whose VARIANCE state was ``moment2`` (sums
+of the rounded squares), which name their successor.
 """
 
 import importlib.util
@@ -42,6 +46,9 @@ GOLDEN = pathlib.Path(__file__).with_name("golden_spill_tables.bin")
 MODES = ("ieee", "repro")
 #: the golden blob's frame written by the retired ``sorted`` mode
 RETIRED_FRAME = 2
+#: the golden blob's frames whose VARIANCE state is the retired
+#: ``moment2`` payload, by the mode that wrote them
+RETIRED_MOMENT2_FRAMES = {"ieee": 3, "repro": 4}
 
 #: Every aggregate, over every value kind the sum dispatch knows
 #: (float64, float32, int, bare DECIMAL), object and float extremes,
@@ -95,13 +102,17 @@ def _table(mode):
     )
 
 
-def golden_blob() -> bytes:
-    """One frame per sum mode: a seeded table fed two morsels (then the
-    retired mode's frame, kept as it was written)."""
-    retired = list(iter_frames(GOLDEN.read_bytes()))[RETIRED_FRAME]
+def golden_blob(retire_live: bool = False) -> bytes:
+    """One frame per sum mode: a seeded table fed two morsels, then the
+    retired frames, kept as they were written — ``retire_live`` appends
+    the blob's current live frames to them."""
+    frames = list(iter_frames(GOLDEN.read_bytes()))
+    retired = frames[len(MODES):]
+    if retire_live:
+        retired += frames[:len(MODES)]
     return b"".join(
         frame_payload(dump_table(_seeded_table(mode))) for mode in MODES
-    ) + frame_payload(retired)
+    ) + b"".join(frame_payload(frame) for frame in retired)
 
 
 def test_dump_table_bytes_equal_parent_commit_golden():
@@ -112,6 +123,15 @@ def test_retired_sorted_payload_fails_typed():
     payload = list(iter_frames(GOLDEN.read_bytes()))[RETIRED_FRAME]
     with pytest.raises(SpillFormatError, match="unknown sum impl kind 'sorted'"):
         load_table_into(payload, _table("repro"))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_retired_moment2_payload_fails_typed_naming_its_successor(mode):
+    payload = list(iter_frames(GOLDEN.read_bytes()))[
+        RETIRED_MOMENT2_FRAMES[mode]]
+    with pytest.raises(SpillFormatError,
+                       match="'moment2': its successor is 'moment2_exact'"):
+        load_table_into(payload, _table(mode))
 
 
 def _seeded_table(mode):
@@ -219,5 +239,5 @@ def test_sharded_and_spilled_runs_match_in_memory_bits():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_bytes(golden_blob())
+    GOLDEN.write_bytes(golden_blob(retire_live="--retire-live" in sys.argv))
     sys.stdout.write(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)\n")

@@ -10,8 +10,10 @@ number the cold path has.  ``rsum_add_blocked_q1``: TPC-H Q1's five
 ladder inputs (the SUM and AVG arguments) into its 4 groups at SF 0.05,
 all five tables in one call per block — the kernel under ``q1_lowcard``,
 timed beside its IEEE twin (``np.bincount`` per input), so the ladder's
-own cost over a plain sum reads off one line.  Kernel micro-entries
-(``groupby_highcard`` in ``BENCH_<pr>.json`` is dominated by key
+own cost over a plain sum reads off one line; it also records the time
+spent inside the ``ctypes`` kernel calls, so the share the Python
+wrapper adds to the ladder call reads off the same line.  Kernel
+micro-entries (``groupby_highcard`` in ``BENCH_<pr>.json`` is dominated by key
 registration, and no served statement declines more than 4 % of its
 rows), which is why they stay in ``baseline.json``; the query-level
 numbers live in the end-to-end benchmark.
@@ -21,6 +23,7 @@ import datetime
 
 import gc
 import time
+from unittest import mock
 
 import numpy as np
 from _common import (
@@ -30,6 +33,7 @@ from _common import (
     record_kernel,
     standard_pairs,
 )
+from repro.aggregation import grouped as grouped_mod
 from repro.aggregation.grouped import (
     GroupedSummation,
     LadderCounters,
@@ -153,6 +157,44 @@ def _best(run) -> float:
     return best
 
 
+class _StopwatchKernel:
+    """The loaded kernel with a stopwatch around each ``ctypes`` call:
+    ``seconds`` sums the time spent inside the compiled code."""
+
+    def __init__(self, kernel):
+        self.seconds = 0.0
+        self.block = {dtype: self._timed(fn)
+                      for dtype, fn in kernel.block.items()}
+        self.declined = {dtype: self._timed(fn)
+                         for dtype, fn in kernel.declined.items()}
+
+    def _timed(self, fn):
+        def call(*args):
+            started = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                self.seconds += time.perf_counter() - started
+        return call
+
+
+def _inside_kernel_share(run) -> float:
+    """The share of ``run``'s time spent inside kernel calls, in its
+    fastest of ``ROUNDS`` stopwatched rounds (both clocks in the same
+    round, so the share never exceeds 1)."""
+    best, share = float("inf"), 0.0
+    for _ in range(ROUNDS):
+        stopwatch = _StopwatchKernel(grouped_mod._KERNEL)
+        gc.collect()
+        with mock.patch.object(grouped_mod, "_KERNEL", stopwatch):
+            started = time.perf_counter()
+            run()
+            elapsed = time.perf_counter() - started
+        if elapsed < best:
+            best, share = elapsed, stopwatch.seconds / elapsed
+    return share
+
+
 def test_blocked_ladder_q1_report():
     """The ladder update under TPC-H Q1: five tables, 4 groups, one
     call per block; bit-equal to per-table ``add_pairs``."""
@@ -185,17 +227,22 @@ def test_blocked_ladder_q1_report():
     assert (counters.scatter, counters.reference) == (len(cols) * rows, 0)
 
     best, best_ieee = _best(ladder), _best(ieee)
+    inside = best * _inside_kernel_share(ladder)
     record_kernel(name, ns_per_element(best, rows))
     record_config(name, rows=rows, groups=Q1_GROUPS, scale_factor=Q1_SCALE,
                   morsel_size=morsel, tables=len(cols),
                   ieee_bincount_ns_per_element=round(
-                      ns_per_element(best_ieee, rows), 4))
+                      ns_per_element(best_ieee, rows), 4),
+                  kernel_calls_ns_per_element=round(
+                      ns_per_element(inside, rows), 4))
     emit(
         "blocked_ladder_q1",
         f"add_blocked_multi on TPC-H Q1's {len(cols)} ladder inputs, "
         f"{rows} rows into {Q1_GROUPS} groups (SF {Q1_SCALE}, "
         f"morsel={morsel}): {best * 1e3:.2f} ms, "
-        f"{ns_per_element(best, rows):.1f} ns/row; IEEE np.bincount over "
+        f"{ns_per_element(best, rows):.1f} ns/row, of which "
+        f"{inside * 1e3:.2f} ms inside the ctypes kernel calls (wrapper "
+        f"{1 - inside / best:.0%}); IEEE np.bincount over "
         f"the same inputs: {best_ieee * 1e3:.2f} ms, "
         f"{ns_per_element(best_ieee, rows):.1f} ns/row "
         f"(ladder / IEEE {best / best_ieee:.2f}x).",

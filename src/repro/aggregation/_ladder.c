@@ -12,6 +12,13 @@
  * carries the proof.  Rows the ladder declines come back as indices for
  * the reference to take.
  *
+ * The whole-block rule: plan already reads every value for the block's
+ * |max|.  When that |max| (before any non-finite re-rank) fits under E
+ * and every group of the table sits on E, no row of the block can be
+ * declined, so the block is *whole*: update extracts and adds each row
+ * without reading the row rule.  Only blocks that can decline run the
+ * classify loop.
+ *
  * No state lives outside the arguments: two threads may run the kernel
  * at once on different tables.  Build without -ffast-math and with
  * -ffp-contract=off, which keep (r + a) - a from being folded or fused.
@@ -42,7 +49,7 @@ enum { TAKEN = 0, NON_FINITE = 1, OFF_LADDER = 2, SUBNORMAL = 3 };
 /* The int64 `io` array: the parameters, then T_SLOTS per table, then the
  * counters. */
 enum { P_LEVELS, P_M, P_W, P_EMIN, P_EMIN_GRID, P_EMAX_GRID, P_TABLES };
-enum { T_NGROUPS, T_LADDER, T_NCOLD, T_SLOTS };
+enum { T_NGROUPS, T_LADDER, T_NCOLD, T_WHOLE, T_SLOTS };
 enum { C_TAKEN, C_DECLINED, C_FIRST };
 
 static int64_t floor_div(int64_t a, int64_t b)
@@ -112,19 +119,26 @@ static LADDER_T LADDER_NAME(value_of)(LADDER_BITS bits)
     return x;
 }
 
+/* A row fits under E below this magnitude. */
+static LADDER_BITS LADDER_NAME(fits_under)(int64_t e, const int64_t *io)
+{
+    return LADDER_NAME(bits_of)(ldexp(1.0, (int)(e - io[P_M] + io[P_W] - 1)));
+}
+
 /*
  * The block decisions of one table, made before any state moves: the
- * reason the table declines the whole block, or TAKEN with *ladder set to
- * the ladder E the block runs on (ALL_ZERO when every value is +-0).
+ * reason the table declines the whole block, or TAKEN with slot[T_LADDER]
+ * set to the ladder E the block runs on (ALL_ZERO when every value is
+ * +-0) and slot[T_WHOLE] to whether the block is whole (no row declines).
  */
 static int64_t LADDER_NAME(plan)(int64_t n, const LADDER_T *v,
-                                 const int64_t *e0, int64_t ngroups,
-                                 const int64_t *io, int64_t *ladder)
+                                 const int64_t *e0, const int64_t *io,
+                                 int64_t *slot)
 {
     const LADDER_BITS inf = LADDER_NAME(bits_of)(INFINITY);
-    const int64_t m = io[P_M], w = io[P_W];
-    LADDER_BITS top = 0, lane[4] = {0, 0, 0, 0};
-    int64_t hi = EMPTY_E0, e, i;
+    const int64_t m = io[P_M], w = io[P_W], ngroups = slot[T_NGROUPS];
+    LADDER_BITS top = 0, peak_bits, lane[4] = {0, 0, 0, 0};
+    int64_t hi = EMPTY_E0, lo = -EMPTY_E0, e, i;
     double peak;
     for (i = 0; i + 4 <= n; i += 4) {  /* four independent maxima */
         for (int j = 0; j < 4; j++) {
@@ -138,27 +152,34 @@ static int64_t LADDER_NAME(plan)(int64_t n, const LADDER_T *v,
     }
     for (int j = 0; j < 4; j++)
         top = lane[j] > top ? lane[j] : top;
-    *ladder = ALL_ZERO;
+    slot[T_LADDER] = ALL_ZERO;
+    slot[T_WHOLE] = 0;
     if (top == 0)
         return TAKEN;
+    peak_bits = top;
     if (top >= inf) {  /* rank the block by its finite |max| */
-        top = 0;
+        peak_bits = 0;
         for (i = 0; i < n; i++) {
             LADDER_BITS a = LADDER_NAME(magnitude)(v[i]);
-            top = a > top && a < inf ? a : top;
+            peak_bits = a > peak_bits && a < inf ? a : peak_bits;
         }
-        if (top == 0)
+        if (peak_bits == 0)
             return NON_FINITE;
     }
-    peak = (double)LADDER_NAME(value_of)(top);
+    peak = (double)LADDER_NAME(value_of)(peak_bits);
     if (peak >= ldexp(1.0, (int)(io[P_EMAX_GRID] - m + w - 1)))
         return OFF_LADDER;  /* the reference raises its range error */
-    for (int64_t g = 0; g < ngroups; g++)
+    for (int64_t g = 0; g < ngroups; g++) {
         hi = e0[g] > hi ? e0[g] : hi;
+        lo = e0[g] < lo ? e0[g] : lo;
+    }
     e = hi == EMPTY_E0 ? needed_e0(peak, io) : hi;
     if (e - (io[P_LEVELS] - 1) * w < io[P_EMIN])
         return SUBNORMAL;
-    *ladder = e;
+    slot[T_LADDER] = e;
+    /* |max| fits under E (so every row is finite) and every group is on
+     * E: the row rule takes every row */
+    slot[T_WHOLE] = lo == e && top < LADDER_NAME(fits_under)(e, io);
     return TAKEN;
 }
 
@@ -176,12 +197,6 @@ static LADDER_T LADDER_NAME(extract)(LADDER_T r, LADDER_BITS a_bits,
     return r - (t - a);
 }
 
-/* A row fits under E below this magnitude. */
-static LADDER_BITS LADDER_NAME(fits_under)(int64_t e, const int64_t *io)
-{
-    return LADDER_NAME(bits_of)(ldexp(1.0, (int)(e - io[P_M] + io[P_W] - 1)));
-}
-
 /* The row rule: taken when it fits under E and its group sits on E. */
 static int LADDER_NAME(taken)(LADDER_T v, LADDER_BITS fits, int64_t group,
                               int64_t e)
@@ -190,65 +205,87 @@ static int LADDER_NAME(taken)(LADDER_T v, LADDER_BITS fits, int64_t group,
 }
 
 /*
- * Run one block on ladder E for one table: seed, accumulate, propagate.
- * `state` is e0, s[0..L), c[0..L).  Returns how many rows it declined,
- * and sets *first, if still TAKEN, to why the first of them was.
+ * Extract one taken row r of group g at every level and add its quanta
+ * into s[l][g].
  *
  * The quantum needs no scaling: |r| < 2**(e_l - 3) (W <= m - 2), so
  * t = r + a_l stays in a_l's binade, q = t - a_l is exact, and
  * k = q / 2**(e_l - m) is the difference of the significands of t and
  * a_l, read off their bits.
  */
+static inline void LADDER_NAME(add_row)(LADDER_T r, int64_t g,
+                                        void *const *state, int64_t nlevels,
+                                        LADDER_BITS anchor, LADDER_BITS step)
+{
+    int64_t k, k1;
+    if (nlevels == 2) {  /* the default, unrolled */
+        r = LADDER_NAME(extract)(r, anchor, &k);
+        LADDER_NAME(extract)(r, anchor - step, &k1);
+        ((int64_t *)state[1])[g] += k;
+        ((int64_t *)state[2])[g] += k1;
+        return;
+    }
+    for (int64_t l = 0; l < nlevels; l++) {
+        r = LADDER_NAME(extract)(r, anchor - (LADDER_BITS)l * step, &k);
+        ((int64_t *)state[1 + l])[g] += k;
+    }
+}
+
+/*
+ * Run one block on ladder E for one table: seed, accumulate, propagate.
+ * `state` is e0, s[0..L), c[0..L).  A whole block takes every row as it
+ * comes; any other block is classified row by row.  Returns how many rows
+ * it declined, and sets *first, if still TAKEN, to why the first of them
+ * was.
+ */
 static int64_t LADDER_NAME(update)(int64_t n, const int64_t *gids,
                                    const LADDER_T *v, void *const *state,
                                    int64_t ngroups, const int64_t *io,
-                                   int64_t e, int64_t *first)
+                                   int64_t e, int64_t whole, int64_t *first)
 {
     const int64_t nlevels = io[P_LEVELS], m = io[P_M], w = io[P_W];
-    int64_t *e0 = state[0], *s0 = state[1], *s1 = state[2];
-    const LADDER_BITS fits = LADDER_NAME(fits_under)(e, io);
-    /* a row needs exactly E from here up (any non-zero row does on the
-     * floor ladder, which nothing sits below) */
-    const LADDER_BITS needs = e > io[P_EMIN_GRID]
-        ? LADDER_NAME(bits_of)(ldexp(1.0, (int)(e - m - 1))) : 1;
+    int64_t *e0 = state[0];
     /* a_0's bits; a_{l+1} is a_l with W less in the exponent field */
     const LADDER_BITS anchor = LADDER_NAME(bits_of)(ldexp(1.5, (int)e));
     const LADDER_BITS step = (LADDER_BITS)w << m;
-    int64_t lo = e, ncold = 0;
+    int64_t ncold = 0;
 
-    for (int64_t g = 0; g < ngroups; g++)
-        lo = e0[g] < lo ? e0[g] : lo;
-    if (lo == EMPTY_E0) {
-        /* An empty group that receives a row needing exactly E is put on
-         * E first, as the reference's |max| would put it; every fitting
-         * row of it is then taken, wherever it sits in the block. */
+    if (whole) {
+        for (int64_t i = 0; i < n; i++)
+            LADDER_NAME(add_row)(v[i], gids[i], state, nlevels, anchor, step);
+    } else {
+        const LADDER_BITS fits = LADDER_NAME(fits_under)(e, io);
+        /* a row needs exactly E from here up (any non-zero row does on
+         * the floor ladder, which nothing sits below) */
+        const LADDER_BITS needs = e > io[P_EMIN_GRID]
+            ? LADDER_NAME(bits_of)(ldexp(1.0, (int)(e - m - 1))) : 1;
+        int64_t lo = e;
+        for (int64_t g = 0; g < ngroups; g++)
+            lo = e0[g] < lo ? e0[g] : lo;
+        if (lo == EMPTY_E0) {
+            /* An empty group that receives a row needing exactly E is
+             * put on E first, as the reference's |max| would put it;
+             * every fitting row of it is then taken, wherever it sits in
+             * the block. */
+            for (int64_t i = 0; i < n; i++) {
+                LADDER_BITS a = LADDER_NAME(magnitude)(v[i]);
+                if (a >= needs && a < fits && e0[gids[i]] == EMPTY_E0)
+                    e0[gids[i]] = e;
+            }
+        }
+        /* From here on no e0 moves, so ladder_declined reads the same
+         * rule. */
         for (int64_t i = 0; i < n; i++) {
-            LADDER_BITS a = LADDER_NAME(magnitude)(v[i]);
-            if (a >= needs && a < fits && e0[gids[i]] == EMPTY_E0)
-                e0[gids[i]] = e;
-        }
-    }
-    /* From here on no e0 moves, so ladder_declined reads the same rule. */
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t g = gids[i];
-        LADDER_T r = v[i];
-        int64_t k, k1;
-        if (!LADDER_NAME(taken)(r, fits, e0[g], e)) {
-            if (ncold++ == 0 && *first == TAKEN)
-                *first = LADDER_NAME(magnitude)(r)
-                    < LADDER_NAME(bits_of)(INFINITY) ? OFF_LADDER : NON_FINITE;
-            continue;
-        }
-        if (nlevels == 2) {  /* the default, unrolled */
-            r = LADDER_NAME(extract)(r, anchor, &k);
-            LADDER_NAME(extract)(r, anchor - step, &k1);
-            s0[g] += k;
-            s1[g] += k1;
-            continue;
-        }
-        for (int64_t l = 0; l < nlevels; l++) {
-            r = LADDER_NAME(extract)(r, anchor - (LADDER_BITS)l * step, &k);
-            ((int64_t *)state[1 + l])[g] += k;
+            const int64_t g = gids[i];
+            const LADDER_T r = v[i];
+            if (!LADDER_NAME(taken)(r, fits, e0[g], e)) {
+                if (ncold++ == 0 && *first == TAKEN)
+                    *first = LADDER_NAME(magnitude)(r)
+                        < LADDER_NAME(bits_of)(INFINITY)
+                        ? OFF_LADDER : NON_FINITE;
+                continue;
+            }
+            LADDER_NAME(add_row)(r, g, state, nlevels, anchor, step);
         }
     }
     for (int64_t l = 0; l < nlevels; l++)
@@ -257,30 +294,32 @@ static int64_t LADDER_NAME(update)(int64_t n, const int64_t *gids,
 }
 
 /*
- * One block of n rows into `ntables` tables sharing the parameters in
+ * Rows [start, stop) into `ntables` tables sharing the parameters in
  * `io`.  ptrs holds gids, the tables' values rows, then for each table
- * its state arrays e0, s[0..L), c[0..L) (1 + 2L pointers).  Every
- * gids[i] is below each table's ngroups.
+ * its state arrays e0, s[0..L), c[0..L) (1 + 2L pointers); the caller
+ * builds ptrs and io once and calls this once per block.  Every gids[i]
+ * is below each table's ngroups.
  *
  * Returns TAKEN, or the reason the whole block is declined, decided
  * table by table in order before any state moves.  On TAKEN, each
- * table's slot holds its ladder and how many rows it declined (their
- * indices: ladder_declined), and the counters hold the rows taken, the
- * rows declined and why the first declined row was.
+ * table's slot holds its ladder, whether the block was whole for it and
+ * how many rows it declined (their indices: ladder_declined), and the
+ * counters hold the rows taken, the rows declined and why the first
+ * declined row was.
  */
-int64_t LADDER_NAME(ladder_block)(int64_t n, int64_t ntables,
-                                  void *const *ptrs, int64_t *io)
+int64_t LADDER_NAME(ladder_block)(int64_t start, int64_t stop,
+                                  int64_t ntables, void *const *ptrs,
+                                  int64_t *io)
 {
-    const int64_t *gids = ptrs[0];
+    const int64_t n = stop - start, *gids = (const int64_t *)ptrs[0] + start;
     void *const *vals = ptrs + 1, *const *states = ptrs + 1 + ntables;
     const int64_t width = 1 + 2 * io[P_LEVELS];
     int64_t *counters = io + P_TABLES + T_SLOTS * ntables;
 
     for (int64_t t = 0; t < ntables; t++) {
-        int64_t *slot = io + P_TABLES + T_SLOTS * t;
         int64_t reason = LADDER_NAME(plan)(
-            n, vals[t], states[t * width], slot[T_NGROUPS], io,
-            slot + T_LADDER);
+            n, (const LADDER_T *)vals[t] + start, states[t * width], io,
+            io + P_TABLES + T_SLOTS * t);
         if (reason != TAKEN)
             return reason;
     }
@@ -293,8 +332,9 @@ int64_t LADDER_NAME(ladder_block)(int64_t n, int64_t ntables,
             continue;
         }
         slot[T_NCOLD] = LADDER_NAME(update)(
-            n, gids, vals[t], states + t * width, slot[T_NGROUPS], io,
-            slot[T_LADDER], counters + C_FIRST);
+            n, gids, (const LADDER_T *)vals[t] + start, states + t * width,
+            slot[T_NGROUPS], io, slot[T_LADDER], slot[T_WHOLE],
+            counters + C_FIRST);
         counters[C_TAKEN] += n - slot[T_NCOLD];
         counters[C_DECLINED] += slot[T_NCOLD];
     }
@@ -302,12 +342,13 @@ int64_t LADDER_NAME(ladder_block)(int64_t n, int64_t ntables,
 }
 
 /*
- * After ladder_block, the indices of the rows table t declined, in
- * ascending order, into `cold` (its T_NCOLD of them): the row rule read
- * again against the same e0, which the block moved before classifying
- * only.
+ * After ladder_block, the indices of the rows of [start, stop) table t
+ * declined, in ascending order, into `cold` (its T_NCOLD of them): the
+ * row rule read again against the same e0, which the block moved before
+ * classifying only.
  */
-void LADDER_NAME(ladder_declined)(int64_t n, int64_t ntables, int64_t t,
+void LADDER_NAME(ladder_declined)(int64_t start, int64_t stop,
+                                  int64_t ntables, int64_t t,
                                   void *const *ptrs, const int64_t *io,
                                   int64_t *cold)
 {
@@ -317,7 +358,7 @@ void LADDER_NAME(ladder_declined)(int64_t n, int64_t ntables, int64_t t,
     const int64_t e = io[P_TABLES + T_SLOTS * t + T_LADDER];
     const LADDER_BITS fits = LADDER_NAME(fits_under)(e, io);
     int64_t ncold = 0;
-    for (int64_t i = 0; i < n; i++)
+    for (int64_t i = start; i < stop; i++)
         if (!LADDER_NAME(taken)(v[i], fits, e0[gids[i]], e))
             cold[ncold++] = i;
 }

@@ -31,7 +31,7 @@ SOURCE = Path(__file__).with_name("_ladder.c")
 
 #: ``-ffast-math`` / ``-march=native`` stay out: either may fold the
 #: anchor extraction ``(r + a) - a`` or change its rounding.
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 LIBS = ("-lm",)
 
 _REQUIREMENT = ("repro needs a C compiler (cc) next to NumPy: it builds its "
@@ -87,10 +87,10 @@ def _build(compiler: str, target: Path) -> None:
 
 class LadderKernel:
     """The loaded kernel, per table value dtype (``float64`` or
-    ``float32``): ``block[dtype](n, ntables, ptrs, io)`` runs one block
-    and ``declined[dtype](n, ntables, t, ptrs, io, out)`` lists the rows
-    table ``t`` declined (addresses as ints; ``_ladder.c`` has the
-    layouts)."""
+    ``float32``): ``block[dtype](start, stop, ntables, ptrs, io)`` runs
+    rows ``[start, stop)`` as one block and ``declined[dtype](start,
+    stop, ntables, t, ptrs, io, out)`` lists the rows of it table ``t``
+    declined (addresses as ints; ``_ladder.c`` has the layouts)."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -101,10 +101,10 @@ class LadderKernel:
                               (np.dtype(np.float32), "f32")):
             block = getattr(lib, f"ladder_block_{suffix}")
             block.restype = i64
-            block.argtypes = [i64, i64, ptr, ptr]
+            block.argtypes = [i64, i64, i64, ptr, ptr]
             declined = getattr(lib, f"ladder_declined_{suffix}")
             declined.restype = None
-            declined.argtypes = [i64, i64, i64, ptr, ptr, ptr]
+            declined.argtypes = [i64, i64, i64, i64, ptr, ptr, ptr]
             self.block[dtype], self.declined[dtype] = block, declined
 
 

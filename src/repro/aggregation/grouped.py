@@ -461,11 +461,13 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     Ladder states are exact under any chunking and permutation of their
     input, so each table's rows are split *by row*.  The input is cut
     into blocks, and each block is one call into the compiled kernel
-    (``_ladder.c``) covering every table.  With ``E`` the table's
-    prevailing ladder at the start of the block (its highest top
-    exponent; for an empty table, the one the block's finite ``|max|``
-    calls for) and ``m``, ``w`` the mantissa bits and ``W``, the kernel
-    runs one pass per table and per row:
+    (``_ladder.c``) covering every table; the call's pointers and
+    parameters are built once and each block passes only its row range
+    (:class:`_Blocks`).  With ``E`` the table's prevailing ladder at
+    the start of the block (its highest top exponent; for an empty
+    table, the one the block's finite ``|max|`` calls for) and ``m``,
+    ``w`` the mantissa bits and ``W``, the kernel runs one pass per
+    table and per row:
 
     * **classify** — the row is *taken* when ``|v| < 2**(E-m+w-1)``
       (it fits under ``E``; NaN/±inf never do) and its group sits on
@@ -475,6 +477,16 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     * **accumulate** — each level's quantum, as an int64 count of
       ``2**(e_l - m)``, straight into ``s[l]`` of its group; the state
       is carry-propagated once per call.
+
+    **Whole blocks.**  The kernel's first pass over a block already
+    reads every value for the block's ``|max|``.  When that ``|max|``
+    fits under ``E`` (a NaN/±inf row ranks above every finite one, so
+    it never does) and every group of the table sits on ``E``, the row
+    rule takes every row, so the block is *whole*: the kernel extracts
+    and adds each row without classifying it.  Only a block that can
+    decline a row runs the classify loop.  The states are the same
+    either way; the whole-block pass just skips a test whose answer is
+    known.
 
     Declined rows come back as indices and take the update every other
     path is tested against, ``table.add_pairs(gids[i], vals[i])``, with
@@ -551,45 +563,63 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
         step = min(n, _CHUNK)
     else:
         step = window
+    blocks = _Blocks(tables, gids, rows)
     for pos in range(0, n, step):
-        _add_block(tables, gids[pos:pos + step],
-                   [r[pos:pos + step] for r in rows], counters)
+        _add_block(blocks, pos, min(pos + step, n), counters)
 
 
-def _add_block(tables: list, gids: np.ndarray, rows: list,
+class _Blocks:
+    """The kernel arguments of one :func:`add_blocked_multi` call,
+    built once and shared by its blocks, which pass only their row
+    range: ``ptrs`` — ``gids``, the values rows, then each table's state
+    arrays — and ``io`` — the parameters, ``(ngroups, ladder, declined
+    rows, whole)`` per table, and the counters (rows taken, rows
+    declined, why the first was); ``_ladder.c`` has the layouts.  The
+    state addresses hold for the whole call: the reference takes the
+    declined rows into the same arrays, in place."""
+
+    __slots__ = ("tables", "gids", "rows", "ptrs", "io", "slots",
+                 "addresses", "block", "declined")
+
+    def __init__(self, tables: list, gids: np.ndarray, rows: list):
+        first = tables[0]
+        self.tables, self.gids, self.rows = tables, gids, rows
+        self.ptrs = np.array(
+            [arr.ctypes.data for arr in (gids, *rows)]
+            + [addr for table in tables for addr in table.state_addresses()],
+            dtype=np.uintp)
+        self.io = np.zeros(6 + 4 * len(tables) + 3, dtype=np.int64)
+        self.io[:6] = (first._L, first._m, first._w, first._emin,
+                       first._emin_grid, first._emax_grid)
+        self.slots = self.io[6:6 + 4 * len(tables)].reshape(len(tables), 4)
+        self.slots[:, 0] = [table.ngroups for table in tables]
+        self.addresses = (self.ptrs.ctypes.data, self.io.ctypes.data)
+        self.block = _KERNEL.block[first._dtype]
+        self.declined = _KERNEL.declined[first._dtype]
+
+
+def _add_block(blocks: _Blocks, start: int, stop: int,
                counters: LadderCounters) -> None:
-    """One block of :func:`add_blocked_multi` (which carries the
-    proof): in-range ids, at most ``window`` rows per group."""
-    first = tables[0]
-    n, ntables = gids.size, len(tables)
-    # gids, the values rows, then each table's state arrays
-    ptrs = np.array(
-        [arr.ctypes.data for arr in (gids, *rows)]
-        + [addr for table in tables for addr in table.state_addresses()],
-        dtype=np.uintp)
-    # the parameters, (ngroups, ladder, declined rows) per table, and
-    # the counters (rows taken, rows declined, why the first was)
-    io = np.zeros(6 + 3 * ntables + 3, dtype=np.int64)
-    io[:6] = (first._L, first._m, first._w, first._emin,
-              first._emin_grid, first._emax_grid)
-    slots = io[6:6 + 3 * ntables].reshape(ntables, 3)
-    slots[:, 0] = [table.ngroups for table in tables]
-    reason = _KERNEL.block[first._dtype](n, ntables, ptrs.ctypes.data,
-                                         io.ctypes.data)
+    """Rows ``[start, stop)`` of :func:`add_blocked_multi` (which carries
+    the proof) as one block: in-range ids, at most ``window`` rows per
+    group."""
+    tables, gids, rows = blocks.tables, blocks.gids, blocks.rows
+    ntables = len(tables)
+    ptrs, io = blocks.addresses
+    reason = blocks.block(start, stop, ntables, ptrs, io)
     if reason:
-        counters.decline(n * ntables, _REASONS[reason])
+        counters.decline((stop - start) * ntables, _REASONS[reason])
         for table, vals in zip(tables, rows):
-            table.add_pairs(gids, vals)
+            table.add_pairs(gids[start:stop], vals[start:stop])
         return
-    taken, declined, why = io[-3:].tolist()
+    taken, declined, why = blocks.io[-3:].tolist()
     counters.scatter += taken
     if declined:
         counters.decline(declined, _REASONS[why])
         for t, (table, vals) in enumerate(zip(tables, rows)):
-            ncold = int(slots[t, 2])
+            ncold = int(blocks.slots[t, 2])
             if ncold:
                 idx = np.empty(ncold, dtype=np.int64)
-                _KERNEL.declined[first._dtype](
-                    n, ntables, t, ptrs.ctypes.data, io.ctypes.data,
-                    idx.ctypes.data)
+                blocks.declined(start, stop, ntables, t, ptrs, io,
+                                idx.ctypes.data)
                 table.add_pairs(gids[idx], vals[idx])

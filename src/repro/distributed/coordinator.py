@@ -145,10 +145,8 @@ def run_sharded_grouped_pipeline(query, context, stats, snapshot=None):
     stats.start(nshards)
     stats.sharded = True
 
-    source_columns = list(scan.column_map.values())
-    if not source_columns and table.schema.names():
-        # COUNT(*)-only plans still need row counts per shard.
-        source_columns = [table.schema.names()[0]]
+    # COUNT(*)-only plans still need row counts per shard.
+    source_columns = table.projection(list(scan.column_map.values()))
     # Only a pinned read names content exactly — live rows can change
     # between the name and the scan — so what an unpinned one ships gets
     # a name nothing will ask for again (sessions always pin).
@@ -169,7 +167,9 @@ def run_sharded_grouped_pipeline(query, context, stats, snapshot=None):
             token = (*slot, table.content_version(snapshot), *once)
             lacking = _lacking(pool, slot, token)
             if lacking:
-                columns = table.scan(source_columns, snapshot)
+                columns, _, copied = table.read(source_columns,
+                                                snapshot=snapshot)
+                stats.scan_rows_copied += copied
                 for shard in lacking:
                     replica = {
                         name: arr[shard::nshards]

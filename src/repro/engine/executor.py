@@ -171,39 +171,47 @@ def execute_select(
 # ---------------------------------------------------------------------------
 
 
-def _scan_morsels(scan: PhysScan, morsel_size: int,
+def _scan_morsels(scan: PhysScan, morsel_size: int, stats: PipelineStats,
                   snapshot=None) -> list[Batch]:
     """Materialize one scan's morsel list (column views, renamed to the
     binder's resolved keys, with dictionary encodings riding along).
 
-    ``snapshot`` pins row visibility at that version watermark; the
-    table hands back consistent array copies, so the morsels stay
-    valid while concurrent writers mutate the table.
+    ``snapshot`` pins row visibility at that version watermark.  One
+    :meth:`Table.read` decides visibility for the columns and the key
+    codes alike, and hands back read-only views that never change —
+    slices of the table's buffers unless a delete is visible — so the
+    morsels stay valid while concurrent writers mutate the table; the
+    rows it had to copy go to ``stats.scan_rows_copied``.
     """
     if scan.table is None:
         batch = Batch({}, {})
         batch.nrows = 1  # SELECT 1 + 1
         return [batch]
-    source_columns = list(scan.column_map.values())
-    encodings = scan.table.key_encodings(
+    data, encodings, copied = scan.table.read(
+        scan.table.projection(list(scan.column_map.values())),
         [scan.column_map[key] for key in scan.encode_keys],
-        snapshot=snapshot,
+        snapshot,
     )
+    stats.scan_rows_copied += copied
     reverse = {source: key for key, source in scan.column_map.items()}
+    renamed = {reverse.get(name, name): arr for name, arr in data.items()}
+    encodings = {
+        reverse.get(name, name): pair for name, pair in encodings.items()
+    }
+    nrows = len(next(iter(renamed.values()))) if renamed else 0
     morsels = []
-    offset = 0
-    for chunk in scan.table.morsels(morsel_size, source_columns,
-                                    snapshot=snapshot):
-        nrows = len(next(iter(chunk.values()))) if chunk else 0
-        renamed = {
-            reverse.get(name, name): arr for name, arr in chunk.items()
-        }
-        chunk_encodings = {
-            reverse.get(name, name): (codes[offset:offset + nrows], uniques)
-            for name, (codes, uniques) in encodings.items()
-        } or None
-        morsels.append(Batch(renamed, scan.types, chunk_encodings))
-        offset += nrows
+    # max(nrows, 1): an empty scan still yields one empty morsel, so
+    # downstream operators see the column dtypes
+    for start in range(0, max(nrows, 1), morsel_size):
+        stop = start + morsel_size
+        morsels.append(Batch(
+            {name: arr[start:stop] for name, arr in renamed.items()},
+            scan.types,
+            {
+                name: (codes[start:stop], uniques)
+                for name, (codes, uniques) in encodings.items()
+            } or None,
+        ))
     return morsels
 
 
@@ -246,7 +254,8 @@ def _instantiate(chain: PhysPipeline, context: ExecutionContext,
     chain's filters and probes to one morsel.
     """
     started = time.perf_counter()
-    morsels = _scan_morsels(chain.source, context.morsel_size, snapshot)
+    morsels = _scan_morsels(chain.source, context.morsel_size, stats,
+                            snapshot)
     stats.add_seconds("scan", time.perf_counter() - started)
 
     steps = []

@@ -271,7 +271,9 @@ class MaterializedView:
             if self._group_table is None or deleted.any():
                 consumed = self._rebuild(context, target)
             else:
-                batches, consumed = self._batches(inserted, context)
+                batches, consumed = self._batches(
+                    self.table.masked_scan(inserted, self.scan_columns),
+                    context)
                 for batch in batches:
                     self._group_table.update(batch)
                 self._store(*self._group_table.finalize())
@@ -290,13 +292,12 @@ class MaterializedView:
             self._storage.log_view_refreshed(self)
         return consumed
 
-    def _batches(self, mask: np.ndarray, context: ExecutionContext):
-        """``(batches, nrows)``: the rows under ``mask`` (``nrows``,
+    def _batches(self, data: dict, context: ExecutionContext):
+        """``(batches, nrows)``: the scanned ``data`` (``nrows`` rows,
         counted before the view's predicate) as filtered morsel-sized
         batches — at least one, possibly empty, so state dtypes prime
         exactly as the pipeline's one-empty-morsel scan primes them and
         an empty table's view bits match an empty table's query bits."""
-        data = self.table.masked_scan(mask, self.scan_columns)
         renamed = {
             key: data[source]
             for key, source in zip(self.scan_keys, self.scan_columns)
@@ -334,7 +335,7 @@ class MaterializedView:
         """
         table = VectorizedGroupTable(self.group_exprs, self.specs)
         batches, rows = self._batches(
-            self.table.snapshot_mask(target), context
+            self.table.scan(self.scan_columns, snapshot=target), context
         )
         for batch in batches:
             table.update(batch)

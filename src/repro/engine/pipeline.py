@@ -331,6 +331,11 @@ class PipelineStats:
         #: cache by this statement.
         self.join_cache_hits = 0
         self.join_cache_misses = 0
+        #: Rows this statement's table scans copied: 0 when every scan
+        #: was a slice of the table's buffers, the visible rows of each
+        #: scan whose snapshot saw a delete otherwise
+        #: (:meth:`repro.engine.table.Table.read`).
+        self.scan_rows_copied = 0
         #: The most partial-table state (``approx_bytes``) resident at
         #: once: the tables alive at the finish; for an external run
         #: also the sink's own peak while scanning.

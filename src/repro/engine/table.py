@@ -53,6 +53,18 @@ fresh copy of that vector.  The same rule makes statements atomic:
 values are coerced and written past the row count first, and become
 rows only when every column has taken them.
 
+Scans are slices
+----------------
+
+Statements append at the tail, so insert versions never decrease in
+physical order, and the table tracks the lowest delete version it
+holds.  A snapshot below that version sees exactly the physical prefix
+``[0, rows_at(snapshot))``: :meth:`Table.read` then hands out
+``buffer[:n]`` of every column and dictionary — no mask, no copy —
+and only a snapshot that sees a delete pays for a masked copy.  What a
+read returns is read-only either way: writing into it raises instead
+of reaching the table.
+
 Statements arrive as columns
 ----------------------------
 
@@ -70,6 +82,7 @@ call.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -78,6 +91,14 @@ from ..errors import BindError, DataError
 from .types import BIGINT, SqlType
 
 __all__ = ["Column", "Table", "Schema", "VersionClock"]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a read-only array (a new view when it is a slice of
+    storage; the flag never reaches the buffer it views)."""
+    arr = arr.view()
+    arr.flags.writeable = False
+    return arr
 
 
 class VersionClock:
@@ -167,7 +188,8 @@ class Column:
     Rows ``[0, len(self))`` of the buffer are the column; the slots
     past them are where the next statement *stages* its values
     (:meth:`reserve`) before :meth:`commit` turns them into rows.  A
-    view from :meth:`array` therefore never changes: appends write past
+    view from :meth:`array` — and every slice :meth:`Table.read` hands
+    out of it, read-only — therefore never changes: appends write past
     it, growth and :meth:`put` move to a fresh buffer.  Callers must
     hold the owning table's lock (every :class:`Table` accessor does).
     """
@@ -358,6 +380,9 @@ class Table:
         self._inserted = Column("<inserted>", BIGINT)
         #: per physical row: watermark of the deleting statement, 0 = live
         self._deleted = Column("<deleted>", BIGINT)
+        #: the lowest delete version in ``_deleted`` (inf: none yet) — a
+        #: snapshot below it sees a prefix of the rows (:meth:`read`)
+        self._first_delete = math.inf
         #: monotone DML watermark (bumped once per mutating statement)
         self._version = 0
         #: version source — private until a catalog attaches its own
@@ -520,7 +545,13 @@ class Table:
         otherwise); ``version`` becomes the watermark.  Nothing here
         can fail half-way."""
         if hits is not None and len(hits):
+            overwritten = self._deleted.array()[hits]
             self._deleted.put(hits, version)
+            if np.any(overwritten == self._first_delete):
+                # a replay re-masked a row holding the lowest version
+                self._first_delete = self._lowest_delete()
+            else:
+                self._first_delete = min(self._first_delete, version)
         if nrows:
             self._inserted.reserve(nrows)[:] = (
                 version if inserted is None else inserted
@@ -529,7 +560,15 @@ class Table:
             for column in (*self._columns.values(), self._inserted,
                            self._deleted):
                 column.commit(nrows)
+            if not np.isscalar(deleted):  # an image's rows may be masked
+                self._first_delete = self._lowest_delete()
         self._version = version
+
+    def _lowest_delete(self) -> int | float:
+        """The lowest delete version any row holds (inf: none)."""
+        deleted = self._deleted.array()
+        masked = deleted[deleted != 0]
+        return int(masked.min()) if masked.size else math.inf
 
     def _live(self, physical_indices) -> np.ndarray:
         """The subset of ``physical_indices`` that is not yet masked."""
@@ -711,27 +750,83 @@ class Table:
                 return arr[self.valid_mask()]
             return arr
 
+    def _visible(self, snapshot: int | None) -> int | np.ndarray:
+        """The one visibility decision of a read (under :attr:`lock`):
+        ``n`` when the rows visible at ``snapshot`` (now, when ``None``)
+        are exactly the physical prefix ``[0, n)`` — no delete at or
+        before it — and their mask otherwise."""
+        if snapshot is None:
+            if self._first_delete == math.inf:
+                return self.physical_rows
+            return self.valid_mask()
+        if snapshot < self._first_delete:
+            return self.rows_at(snapshot)
+        return self.snapshot_mask(snapshot)
+
+    def read(self, columns: list[str] | None = None, encode=(),
+             snapshot: int | None = None) -> tuple[dict, dict, int]:
+        """Visible rows in physical order: ``(arrays, encodings,
+        copied)``, all under one visibility decision.
+
+        ``arrays`` maps the named columns (every column when ``None``)
+        to their visible rows; ``encodings`` maps each object-storage
+        column named in ``encode`` to ``(codes, uniques)``, its storage
+        dictionary (:meth:`Column.encoding`) with ``codes`` over the
+        same rows (other columns are skipped — their keys factorize
+        cheaply with :func:`numpy.unique`).  ``snapshot`` pins
+        visibility at a row-version watermark: rows of later (or still
+        in-flight) statements are excluded.
+
+        Every array is read-only and never changes, so it is safe to
+        read lock-free while writers go on.  When no delete is visible
+        at the snapshot each one is a slice of the table's own buffer
+        and ``copied`` is 0; otherwise the visible rows are copied out
+        through their mask and ``copied`` counts them.
+        """
+        names = self.schema.names() if columns is None else [
+            name.lower() for name in columns
+        ]
+        keys = []
+        for name in encode:
+            column = self._columns.get(name.lower())
+            if (column is not None
+                    and column.sql_type.numpy_dtype == np.dtype(object)):
+                keys.append(column.name)
+        if not names and not keys:  # nothing to decide visibility for
+            return {}, {}, 0
+        with self.lock:
+            visible = self._visible(snapshot)
+            if isinstance(visible, int):
+                rows, count, copied = slice(0, visible), visible, 0
+            else:
+                rows, count = visible, len(visible)
+                copied = int(np.count_nonzero(visible))
+            arrays = {
+                name: _read_only(self._columns[name].array()[:count][rows])
+                for name in names
+            }
+            encodings = {}
+            for name in keys:
+                codes, uniques = self._columns[name].encoding()
+                encodings[name] = (_read_only(codes[:count][rows]), uniques)
+        return arrays, encodings, copied
+
     def scan(self, columns: list[str] | None = None,
              snapshot: int | None = None) -> dict:
-        """Visible rows in physical order, as column arrays.
+        """Visible rows in physical order, as column arrays: the
+        ``arrays`` of :meth:`read` — read-only views that never change,
+        slices of the table's buffers unless the snapshot sees a delete.
 
         ``columns`` restricts the scan to the named columns (projection
         pushdown for the vectorized pipeline); ``None`` scans all.
-        ``snapshot`` pins visibility at a row-version watermark — rows
-        from later (or still in-flight) statements are excluded; the
-        returned arrays are consistent copies, safe to read lock-free.
+        ``snapshot`` pins visibility at a row-version watermark.
         """
-        with self.lock:
-            if snapshot is None:
-                mask = self.valid_mask()
-            else:
-                mask = self.snapshot_mask(snapshot)
-            return self.masked_scan(mask, columns)
+        return self.read(columns, snapshot=snapshot)[0]
 
     def masked_scan(self, mask: np.ndarray, columns: list[str] | None = None) -> dict:
         """Arbitrary physical-row selection as column arrays (physical
-        order).  Used with :meth:`delta_masks` to read a view's
-        insert/delete delta."""
+        order; fresh copies).  Used with :meth:`delta_masks` to read a
+        view's insert/delete delta."""
         names = self.schema.names() if columns is None else [
             name.lower() for name in columns
         ]
@@ -745,22 +840,16 @@ class Table:
                 snapshot: int | None = None):
         """Visible rows as columnar chunks of at most ``morsel_size`` rows.
 
-        Chunks are zero-copy views over the scan arrays, yielded in
-        physical order; an empty table yields one empty morsel so
-        downstream operators still see the column dtypes.  This is the
-        scan interface of the morsel-driven pipeline
-        (:mod:`repro.engine.pipeline`).  ``columns`` restricts the scan
-        (projection pushdown); the chunk row count is preserved even if
-        the restriction is empty.  ``snapshot`` pins row visibility as
-        in :meth:`scan`.
+        Chunks are zero-copy views over the :meth:`scan` arrays, yielded
+        in physical order; an empty table yields one empty morsel so
+        downstream operators still see the column dtypes.  ``columns``
+        restricts the scan (projection pushdown); the chunk row count is
+        preserved even if the restriction is empty.  ``snapshot`` pins
+        row visibility as in :meth:`scan`.
         """
         if morsel_size < 1:
             raise ValueError("morsel_size must be >= 1")
-        if columns is not None and not columns and self.schema.names():
-            # Keep one column so chunk row counts survive (COUNT(*)-only
-            # plans still need to know how many rows each morsel has).
-            columns = [self.schema.names()[0]]
-        data = self.scan(columns, snapshot=snapshot)
+        data = self.scan(self.projection(columns), snapshot=snapshot)
         names = list(data.keys())
         nrows = len(data[names[0]]) if names else 0
         if nrows == 0:
@@ -772,31 +861,22 @@ class Table:
                 for name, arr in data.items()
             }
 
-    def key_encodings(self, columns, snapshot: int | None = None) -> dict:
-        """Dictionary encodings for the named object-dtype columns.
+    def projection(self, columns: list[str] | None) -> list[str] | None:
+        """The columns a scan of ``columns`` reads: ``columns``, or the
+        first column when that is an empty list — a scan keeps one
+        column so its row count survives (COUNT(*)-only plans still
+        need to know how many rows each morsel has)."""
+        if columns is not None and not columns and self.schema.names():
+            return [self.schema.names()[0]]
+        return columns
 
-        Returns ``{name: (codes, uniques)}`` where ``codes`` covers the
-        *visible* rows in physical (scan) order — pinned at
-        ``snapshot`` when given, matching :meth:`scan`.  Columns with
-        non-object storage are skipped — their keys already factorize
-        cheaply with :func:`numpy.unique`.
-        """
-        out = {}
-        with self.lock:
-            mask = None
-            for name in columns:
-                low = name.lower()
-                column = self._columns.get(low)
-                if column is None or column.sql_type.numpy_dtype != np.dtype(object):
-                    continue
-                if mask is None:
-                    if snapshot is None:
-                        mask = self.valid_mask()
-                    else:
-                        mask = self.snapshot_mask(snapshot)
-                codes, uniques = column.encoding()
-                out[low] = (codes[: len(mask)][mask], uniques)
-        return out
+    def key_encodings(self, columns, snapshot: int | None = None) -> dict:
+        """Dictionary encodings for the named object-dtype columns: the
+        ``encodings`` of :meth:`read` — ``{name: (codes, uniques)}``
+        with ``codes`` read-only over the *visible* rows in physical
+        (scan) order, pinned at ``snapshot`` when given.  Columns with
+        non-object storage are skipped."""
+        return self.read([], columns, snapshot)[1]
 
     def dictionary_size(self, name: str) -> int:
         """Distinct values the named column's storage dictionary holds

@@ -548,9 +548,9 @@ class TestRowPartition:
         sizes = []
         real = grouped_mod._add_block
 
-        def spy(tables_, gids_, rows_, counters_):
-            sizes.append(gids_.size)
-            real(tables_, gids_, rows_, counters_)
+        def spy(blocks_, start_, stop_, counters_):
+            sizes.append(stop_ - start_)
+            real(blocks_, start_, stop_, counters_)
 
         counters = LadderCounters()
         with mock.patch.object(grouped_mod, "_add_block", spy):

@@ -30,7 +30,7 @@ from repro.aggregation.grouped import (
 from repro.core.params import RsumParams
 from repro.engine import Database
 from repro.errors import KernelBuildError, ReproError
-from repro.fp.formats import BINARY64
+from repro.fp.formats import BINARY32, BINARY64
 from repro.tpch import Q1_SQL, load_lineitem
 from repro.tpch.dbgen import generate_lineitem_arrays
 
@@ -138,6 +138,141 @@ def test_one_table_twice_is_refused():
         add_blocked_multi([table, table], np.array([0, 1]),
                           [np.ones(2), np.ones(2)])
     assert table.finalize().tolist() == [0.0, 0.0]
+
+
+class TestWholeBlocks:
+    """A block whose ``|max|`` fits under ``E`` while every group sits on
+    ``E`` is *whole*: the kernel adds its rows without the row rule.
+    Each class of block below runs as one kernel call into a whole table
+    and a table that makes the case, and must leave states bit-identical
+    to per-table ``add_pairs``, with the counters the row rule gives."""
+
+    NGROUPS, ROWS = 4, 4000
+
+    def _tables(self, params, seeds):
+        tables = []
+        for seed_gids, seed_vals in seeds:
+            table = GroupedSummation(params, self.NGROUPS)
+            table.add_pairs(np.asarray(seed_gids),
+                            np.asarray(seed_vals, dtype=params.fmt.dtype))
+            tables.append(table)
+        return tables
+
+    def _run(self, params, seeds, gids, cols):
+        """One block through the kernel, the same through
+        ``add_blocked_multi``, and per table through ``add_pairs``:
+        returns the counters and each table's whole flag."""
+        blocked = self._tables(params, seeds)
+        blocks = grouped_mod._Blocks(blocked, gids, cols)
+        counters = LadderCounters()
+        grouped_mod._add_block(blocks, 0, gids.size, counters)
+        whole = blocks.slots[:, 3].tolist()
+        public = self._tables(params, seeds)
+        again = LadderCounters()
+        add_blocked_multi(public, gids, cols, again)
+        reference = self._tables(params, seeds)
+        for table, col in zip(reference, cols):
+            table.add_pairs(gids, col)
+        for ref, got, via in zip(reference, blocked, public):
+            assert got.state_tuples() == ref.state_tuples()
+            assert via.state_tuples() == ref.state_tuples()
+            assert got.finalize().tobytes() == ref.finalize().tobytes()
+        assert ((again.scatter, again.reference, again.first_decline)
+                == (counters.scatter, counters.reference,
+                    counters.first_decline))
+        return counters, whole
+
+    def _block(self, params, rng):
+        gids = rng.integers(0, self.NGROUPS, self.ROWS)
+        vals = rng.normal(0.0, 100.0, self.ROWS).astype(params.fmt.dtype)
+        return gids, vals
+
+    def _on_e(self):
+        """Every group on the ladder ``|v| ~ 1`` calls for."""
+        return (list(range(self.NGROUPS)), [1.0] * self.NGROUPS)
+
+    @staticmethod
+    def _fits(params, table) -> float:
+        """The least magnitude that no longer fits under the table's E."""
+        m, w = params.fmt.mantissa_bits, params.w
+        return float(np.ldexp(1.0, int(table.e0.max()) - m + w - 1))
+
+    @pytest.mark.parametrize("fmt", [BINARY64, BINARY32], ids=["f64", "f32"])
+    def test_whole_block(self, fmt, rng):
+        params = RsumParams(fmt)
+        gids, vals = self._block(params, rng)
+        counters, whole = self._run(params, [self._on_e()] * 2, gids,
+                                    [vals, -vals])
+        assert whole == [1, 1]
+        assert (counters.scatter, counters.reference,
+                counters.first_decline) == (2 * self.ROWS, 0, None)
+
+    def test_one_group_off_e(self, rng):
+        params = RsumParams(BINARY64)
+        gids, vals = self._block(params, rng)
+        below = (list(range(self.NGROUPS)), [1.0, 1.0, 1.0, 2.0**-30])
+        probe = self._tables(params, [below])[0]
+        assert probe.e0[3] < probe.e0[0]
+        small = np.where(gids == 3, vals * 2.0**-40, vals)
+        counters, whole = self._run(params, [self._on_e(), below], gids,
+                                    [vals, small])
+        assert whole == [1, 0]
+        off = int(np.count_nonzero(gids == 3))
+        assert (counters.scatter, counters.reference,
+                counters.first_decline) == (
+                    2 * self.ROWS - off, off, "off_ladder")
+
+    def test_one_row_past_fits(self, rng):
+        params = RsumParams(BINARY64)
+        gids, vals = self._block(params, rng)
+        fits = self._fits(params, self._tables(params, [self._on_e()])[0])
+        past = vals.copy()
+        past[self.ROWS // 2] = -fits
+        counters, whole = self._run(params, [self._on_e()] * 2, gids,
+                                    [vals, past])
+        assert whole == [1, 0]
+        assert (counters.scatter, counters.reference,
+                counters.first_decline) == (
+                    2 * self.ROWS - 1, 1, "off_ladder")
+        # just under the bound is whole
+        under = vals.copy()
+        under[self.ROWS // 2] = np.nextafter(fits, 0.0)
+        assert self._run(params, [self._on_e()], gids, [under])[1] == [1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row(self, bad, rng):
+        params = RsumParams(BINARY64)
+        gids, vals = self._block(params, rng)
+        spoiled = vals.copy()
+        spoiled[7] = bad
+        counters, whole = self._run(params, [self._on_e()] * 2, gids,
+                                    [spoiled, vals])
+        assert whole == [0, 1]
+        assert (counters.scatter, counters.reference,
+                counters.first_decline) == (
+                    2 * self.ROWS - 1, 1, "non_finite")
+
+    @pytest.mark.parametrize("fmt", [BINARY64, BINARY32], ids=["f64", "f32"])
+    def test_all_zero_block(self, fmt, rng):
+        params = RsumParams(fmt)
+        gids = rng.integers(0, self.NGROUPS, self.ROWS)
+        zeros = np.where(rng.random(self.ROWS) < 0.5, -0.0, 0.0).astype(
+            fmt.dtype)
+        counters, whole = self._run(
+            params, [self._on_e(), ([], [])], gids, [zeros, zeros])
+        assert whole == [0, 0]  # nothing to add: no pass at all
+        assert (counters.scatter, counters.reference,
+                counters.first_decline) == (2 * self.ROWS, 0, None)
+
+    def test_binary32_group_off_e(self, rng):
+        params = RsumParams(BINARY32)
+        gids, vals = self._block(params, rng)
+        below = (list(range(self.NGROUPS)), [1.0, 1.0, 2.0**-30, 1.0])
+        small = np.where(gids == 2, vals * np.float32(2.0**-20), vals)
+        counters, whole = self._run(params, [self._on_e(), below], gids,
+                                    [vals, small])
+        assert whole == [1, 0]
+        assert counters.reference == int(np.count_nonzero(gids == 2))
 
 
 def _q1_inputs(scale_factor: float):

@@ -303,3 +303,54 @@ def test_insert_select_records_timings():
     assert s.last_pipeline_stats is not before
     assert sum(s.last_pipeline_stats.seconds.values()) > 0.0
     assert s.last_pipeline_stats.morsel_count == 1
+
+
+def test_held_slice_scan_survives_appends_and_updates():
+    """A reader pins a snapshot and holds a slice scan — views of the
+    table's own buffers, no copy — while a writer appends within the
+    buffers' capacity, appends past it (the buffers move) and UPDATEs
+    every row: what the reader holds still equals a fresh read at its
+    snapshot, bit for bit."""
+    db = Database(sum_mode="repro")
+    writer = db.session()
+    writer.execute("CREATE TABLE t (k VARCHAR(4), f DOUBLE)")
+    writer.execute("INSERT INTO t VALUES " + ", ".join(
+        f"('k{i % 7}', {i / 3!r})" for i in range(300)))
+    writer.execute("INSERT INTO t VALUES ('k0', 0.5)")  # capacity 600
+    table = db.table("t")
+    reader = db.session()
+    writes = threading.Event()
+
+    def write():
+        writer.execute("INSERT INTO t VALUES " + ", ".join(
+            f"('w{i % 3}', {-i / 7!r})" for i in range(200)))  # in place
+        writer.execute("INSERT INTO t VALUES " + ", ".join(
+            f"('x{i % 5}', {i * 1.5!r})" for i in range(900)))  # moves
+        writer.execute("UPDATE t SET f = f + 1.0, k = 'u'")
+        writes.set()
+
+    with reader.snapshot() as pinned:
+        arrays, encodings, copied = table.read(["k", "f"], ["k"], pinned)
+        assert copied == 0
+        buffers = table.column_tails(0)
+        assert all(np.shares_memory(arrays[n], buffers[n]) for n in arrays)
+        held = {name: arr.copy() for name, arr in arrays.items()}
+        held_codes = encodings["k"][0].copy()
+        before = _result_bytes(reader.execute(
+            "SELECT k, SUM(f) FROM t GROUP BY k ORDER BY k"))
+        thread = threading.Thread(target=write)
+        thread.start()
+        thread.join()
+        assert writes.is_set()
+        fresh, fresh_encodings, _ = table.read(["k", "f"], ["k"], pinned)
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable
+            assert arr.tolist() == held[name].tolist() == fresh[name].tolist()
+        codes, uniques = encodings["k"]
+        assert codes.tobytes() == held_codes.tobytes()
+        assert (uniques[codes].tolist()
+                == fresh_encodings["k"][1][fresh_encodings["k"][0]].tolist())
+        assert _result_bytes(reader.execute(
+            "SELECT k, SUM(f) FROM t GROUP BY k ORDER BY k")) == before
+    assert len(table) == 1401
+    assert table.physical_rows == 2 * 1401

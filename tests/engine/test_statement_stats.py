@@ -7,6 +7,7 @@ fills none, so no record leaks into, or inherits from, another
 statement's.
 """
 
+import numpy as np
 import pytest
 
 import repro.core
@@ -14,7 +15,8 @@ import repro.engine
 from repro.engine import Database
 from repro.engine.executor import lower, run_planned
 from repro.engine.pipeline import BoundedLRU
-from repro.tpch import Q3_SQL, load_tpch
+from repro.engine.table import Table
+from repro.tpch import Q1_SQL, Q3_SQL, load_lineitem, load_tpch
 
 VIEW = ("CREATE MATERIALIZED VIEW ext AS "
         "SELECT k, MIN(v) AS lo, MAX(v) AS hi FROM t GROUP BY k")
@@ -26,6 +28,39 @@ def _db(**knobs):
     db.execute("CREATE TABLE t (k INT, v DOUBLE)")
     db.execute("INSERT INTO t VALUES (1, 0.5), (2, 0.25), (1, 4.0)")
     return db
+
+
+def _bits(result) -> list:
+    return [np.asarray(arr).tobytes() if np.asarray(arr).dtype != object
+            else np.asarray(arr).tolist() for arr in result.arrays]
+
+
+def test_scans_copy_rows_only_when_a_delete_is_visible():
+    """``scan_rows_copied``: Q1 over a table no DELETE touched slices
+    its columns (0); once its snapshot sees a delete the scan copies the
+    visible rows, and the bits equal those of a table that holds only
+    the survivors and slices them."""
+    db = Database(sum_mode="repro")
+    load_lineitem(db, scale_factor=0.002)
+    db.execute(Q1_SQL)
+    assert db.last_pipeline_stats.scan_rows_copied == 0
+
+    reader = db.session()
+    with reader.snapshot():
+        db.execute("DELETE FROM lineitem WHERE l_quantity > 40")
+        reader.execute(Q1_SQL)  # pinned before the delete: a slice
+        assert reader.last_pipeline_stats.scan_rows_copied == 0
+    masked = db.execute(Q1_SQL)
+    table = db.table("lineitem")
+    assert db.last_pipeline_stats.scan_rows_copied == len(table) > 0
+
+    survivors = Database(sum_mode="repro")
+    kept = Table("lineitem", table.schema)
+    kept.bulk_load(table.scan())
+    survivors.catalog.add(kept)
+    sliced = survivors.execute(Q1_SQL)
+    assert survivors.last_pipeline_stats.scan_rows_copied == 0
+    assert _bits(sliced) == _bits(masked)
 
 
 def test_view_served_select_reports_a_fresh_record():

@@ -246,6 +246,30 @@ class TestVersionedStorage:
             [False, False, False, True, True, True, False] + [True] * 6
         )
 
+    @pytest.mark.parametrize("deleted", [False, True])
+    def test_scanned_arrays_are_read_only(self, deleted):
+        """Whatever a scan hands out — slices of the buffers, or copies
+        once a delete is visible — refuses writes: the table's rows
+        stay as they were."""
+        table = Table("t", Schema([("s", VarcharType(3)), ("f", DOUBLE)]))
+        table.insert_rows([{"s": s, "f": float(i)}
+                           for i, s in enumerate("abcab")])
+        if deleted:
+            table.mask_rows(np.array([1]))
+        before = table.rows()
+        arrays, encodings, copied = table.read(["s", "f"], ["s"])
+        assert (copied > 0) == deleted
+        codes = encodings["s"][0]
+        for arr in (arrays["f"], arrays["s"], codes,
+                    table.scan(["f"])["f"],
+                    table.key_encodings(["s"])["s"][0],
+                    next(table.morsels(2, ["f"]))["f"]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+            with pytest.raises(ValueError, match="read-only"):
+                arr += arr
+        assert table.rows() == before
+
     def test_delete_keeps_the_dictionary_encoding_append_drops_it(self):
         table = Table("t", Schema([("s", VarcharType(3)), ("f", DOUBLE)]))
         table.insert_rows([{"s": s, "f": 0.0} for s in "abcab"])

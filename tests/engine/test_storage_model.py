@@ -8,8 +8,13 @@ the real :class:`~repro.engine.table.Table` answering every question
 exactly like :class:`reference_storage.ListTable`: ``scan`` at every
 past watermark, every ``delta_masks`` window, ``column_tails``,
 ``physical_rows``, ``version`` and ``key_encodings``.  Along the way
-every array the table hands out is kept, and must still show what it
-showed when it was handed out.
+every array the table hands out — every scan at every watermark
+included — is kept, and must still show what it showed when it was
+handed out, across later statements, buffer moves and a restore.
+
+A read is a slice of the table's buffers exactly when no delete is
+visible at its snapshot, and a masked copy otherwise; either way what
+it returns is read-only.
 """
 
 from __future__ import annotations
@@ -144,6 +149,11 @@ class Pair:
             (f"<state {k}>", v) for k, v in table.physical_state().items()
             if isinstance(v, np.ndarray)
         )
+        for w in range(table.version + 1):
+            arrays, encodings, _ = table.read(None, OBJECT_COLUMNS, w)
+            views.update((f"<scan {w} {k}>", v) for k, v in arrays.items())
+            views.update((f"<scan {w} codes {k}>", codes)
+                         for k, (codes, _) in encodings.items())
         for what, view in views.items():
             frozen = view.tolist() if view.dtype == object else view.tobytes()
             self.held.append((what, view, frozen))
@@ -187,6 +197,7 @@ class Pair:
                 values, ordered = model.key_values(name, w)
                 assert uniques.tolist() == ordered
                 assert uniques[codes].tolist() == values
+            self.check_path(w)
         for start in {0, model.physical_rows // 2, model.physical_rows}:
             _same_columns(
                 table.column_tails(start), model.column_tails(start),
@@ -195,6 +206,26 @@ class Pair:
         state = table.physical_state()
         assert state["inserted"].tolist() == model.inserted
         assert state["deleted"].tolist() == model.deleted
+
+    def check_path(self, w: int) -> None:
+        """A read at ``w`` shares memory with the column buffers and the
+        storage dictionaries exactly when no delete is visible there;
+        it is read-only and counts the rows it copied either way."""
+        table, model = self.table, self.model
+        sliced = not any(0 < d <= w for d in model.deleted)
+        arrays, encodings, copied = table.read(None, OBJECT_COLUMNS, w)
+        visible = len(model.visible(w))
+        assert copied == (0 if sliced else visible)
+        buffers = table.column_tails(0)
+        dictionaries = table.storage_dictionaries()
+        pairs = [(arrays[name], buffers[name]) for name in arrays] + [
+            (codes, dictionaries[name][0])
+            for name, (codes, _) in encodings.items()
+        ]
+        for got, storage in pairs:
+            assert not got.flags.writeable
+            if visible:
+                assert np.shares_memory(got, storage) == sliced
 
 
 def _step(draw, pair: Pair) -> None:

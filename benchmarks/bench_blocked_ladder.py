@@ -12,7 +12,9 @@ all five tables in one call per block — the kernel under ``q1_lowcard``,
 timed beside its IEEE twin (``np.bincount`` per input), so the ladder's
 own cost over a plain sum reads off one line; it also records the time
 spent inside the ``ctypes`` kernel calls, so the share the Python
-wrapper adds to the ladder call reads off the same line.  Kernel
+wrapper adds to the ladder call reads off the same line, and how many
+calls a pass makes (one per morsel: a block is cut by int64 headroom
+alone, ``GroupedSummation.block_rows``).  Kernel
 micro-entries (``groupby_highcard`` in ``BENCH_<pr>.json`` is dominated by key
 registration, and no served statement declines more than 4 % of its
 rows), which is why they stay in ``baseline.json``; the query-level
@@ -159,10 +161,12 @@ def _best(run) -> float:
 
 class _StopwatchKernel:
     """The loaded kernel with a stopwatch around each ``ctypes`` call:
-    ``seconds`` sums the time spent inside the compiled code."""
+    ``seconds`` sums the time spent inside the compiled code, ``calls``
+    counts the calls."""
 
     def __init__(self, kernel):
         self.seconds = 0.0
+        self.calls = 0
         self.block = {dtype: self._timed(fn)
                       for dtype, fn in kernel.block.items()}
         self.declined = {dtype: self._timed(fn)
@@ -170,6 +174,7 @@ class _StopwatchKernel:
 
     def _timed(self, fn):
         def call(*args):
+            self.calls += 1
             started = time.perf_counter()
             try:
                 return fn(*args)
@@ -178,10 +183,11 @@ class _StopwatchKernel:
         return call
 
 
-def _inside_kernel_share(run) -> float:
+def _inside_kernel_share(run) -> tuple:
     """The share of ``run``'s time spent inside kernel calls, in its
     fastest of ``ROUNDS`` stopwatched rounds (both clocks in the same
-    round, so the share never exceeds 1)."""
+    round, so the share never exceeds 1), and the kernel calls one
+    ``run`` makes."""
     best, share = float("inf"), 0.0
     for _ in range(ROUNDS):
         stopwatch = _StopwatchKernel(grouped_mod._KERNEL)
@@ -192,7 +198,7 @@ def _inside_kernel_share(run) -> float:
             elapsed = time.perf_counter() - started
         if elapsed < best:
             best, share = elapsed, stopwatch.seconds / elapsed
-    return share
+    return share, stopwatch.calls
 
 
 def test_blocked_ladder_q1_report():
@@ -227,10 +233,14 @@ def test_blocked_ladder_q1_report():
     assert (counters.scatter, counters.reference) == (len(cols) * rows, 0)
 
     best, best_ieee = _best(ladder), _best(ieee)
-    inside = best * _inside_kernel_share(ladder)
+    share, kernel_calls = _inside_kernel_share(ladder)
+    inside = best * share
+    # one block per morsel: 5 at SF 0.05
+    assert kernel_calls == -(-rows // morsel), kernel_calls
     record_kernel(name, ns_per_element(best, rows))
     record_config(name, rows=rows, groups=Q1_GROUPS, scale_factor=Q1_SCALE,
                   morsel_size=morsel, tables=len(cols),
+                  kernel_calls=kernel_calls,
                   ieee_bincount_ns_per_element=round(
                       ns_per_element(best_ieee, rows), 4),
                   kernel_calls_ns_per_element=round(
@@ -241,7 +251,8 @@ def test_blocked_ladder_q1_report():
         f"{rows} rows into {Q1_GROUPS} groups (SF {Q1_SCALE}, "
         f"morsel={morsel}): {best * 1e3:.2f} ms, "
         f"{ns_per_element(best, rows):.1f} ns/row, of which "
-        f"{inside * 1e3:.2f} ms inside the ctypes kernel calls (wrapper "
+        f"{inside * 1e3:.2f} ms inside {kernel_calls} ctypes kernel calls "
+        f"(wrapper "
         f"{1 - inside / best:.0%}); IEEE np.bincount over "
         f"the same inputs: {best_ieee * 1e3:.2f} ms, "
         f"{ns_per_element(best_ieee, rows):.1f} ns/row "

@@ -18,11 +18,13 @@ test suite holds this module against — because:
   extractor grid), so it can be computed up-front in one segmented max;
 * contributions ``q`` are a pure element-wise function of (value,
   level anchor), so NumPy lanes and a scalar C loop round identically;
-* contributions are accumulated as exact int64 quanta (bounds checked:
-  ``|k| <= 2**(W-1)`` and chunks are capped so sums stay below 2**62).
+* contributions are accumulated as exact int64 quanta: ``|k| <=
+  2**(W-1)``, and every update is cut into blocks of at most
+  :attr:`GroupedSummation.block_rows` rows, so a level sum stays
+  below 2**63.
 
 There are two updates and no third.  :meth:`GroupedSummation.add_pairs`
-is the **reference**: the chunked element-wise NumPy extraction above,
+is the **reference**: the blocked element-wise NumPy extraction above,
 held directly against the scalar Algorithm-2 state, and the update
 every other path is tested against.  :func:`add_blocked_multi` is what
 the engine calls: one compiled loop per block of rows (``_ladder.c``,
@@ -31,12 +33,15 @@ C++ does per row — classify, extract against one scalar anchor per
 level, add the int64 quanta into the group's levels — for every table
 of the call.  A row it declines — NaN/±inf, a row that would raise a
 ladder, a row whose group sits on another ladder or on none, or the
-whole block when it has no ladder pass (subnormal bottom level, no
-window, a finite magnitude past the ladder range, no finite non-zero
-value at all) — takes the reference.  Carry-free partial states are
-exact under any chunking, so *which* exact update takes a row is
-invisible in the bits; this is the paper's "summation on batches" (§V)
-at the kernel level.
+whole block when it has no ladder pass (subnormal bottom level, a
+format the kernel has no instance for, a finite magnitude past the
+ladder range, no finite non-zero value at all) — takes the reference.
+Carry-free partial states are exact under any chunking, so *which*
+exact update takes a row is invisible in the bits; this is the paper's
+"summation on batches" (§V) at the kernel level.  Its block bound
+``NB <= 2**(m-W-1)`` (§III-C) exists because the paper's running sums
+are floats; here the one bound is int64 headroom, the same for both
+updates.
 """
 
 from __future__ import annotations
@@ -55,10 +60,6 @@ __all__ = [
 
 #: Ladder sentinel for "group has no finite non-zero value yet".
 _EMPTY_E0 = -(2**40)
-
-#: Chunk cap keeping int64 contribution sums exact:
-#: chunk * 2**(W-1) <= 2**22 * 2**39 = 2**61 < 2**63 (binary64, W=40).
-_CHUNK = 1 << 22
 
 #: The compiled ladder update; building it is part of importing.
 _KERNEL = load_ladder()
@@ -83,15 +84,15 @@ class GroupedSummation:
         self._emin_grid = -(-fmt.min_exponent // self._w) * self._w
         self._emax_grid = (fmt.max_exponent // self._w) * self._w
         self._dtype = fmt.dtype if fmt.dtype is not None else np.dtype(np.float64)
-        #: Window: the most rows of one group one compiled block takes —
-        #: ``n * 2**(w-1) <= 2**53`` keeps its int64 level sums far from
-        #: overflow — or 0 when the compiled update does not run this
-        #: format (binary16, formats with no NumPy dtype of their own).
-        self._window = (
-            1 << (54 - self._w)
-            if fmt.dtype is not None and self._dtype.itemsize in (4, 8)
-            else 0
-        )
+        #: The most rows one block of either update takes: ``n`` rows
+        #: add at most ``n * 2**(w-1) <= 2**61`` quanta to a level on
+        #: top of its canonical ``s < 2**(m-2)``, below 2**63 whatever
+        #: their groups; 2**22 caps the reference's temporaries.
+        self.block_rows = 1 << min(22, 62 - self._w)
+        #: whether the compiled update runs this format (not binary16,
+        #: nor a format with no NumPy dtype of its own)
+        self._compiled = (fmt.dtype is not None
+                          and self._dtype.itemsize in (4, 8))
         self.e0 = np.full(ngroups, _EMPTY_E0, dtype=np.int64)
         self.s = [np.zeros(ngroups, dtype=np.int64) for _ in range(self._L)]
         self.c = [np.zeros(ngroups, dtype=np.int64) for _ in range(self._L)]
@@ -120,15 +121,16 @@ class GroupedSummation:
         return grouped
 
     def add_pairs(self, group_ids: np.ndarray, values: np.ndarray) -> None:
-        """Add a batch of pairs (chunked to keep int64 sums exact)."""
+        """Add a batch of pairs, :attr:`block_rows` at a time."""
         gids = np.asarray(group_ids, dtype=np.int64)
         vals = np.asarray(values, dtype=self._dtype)
         if gids.shape != vals.shape or gids.ndim != 1:
             raise ValueError("group_ids and values must be equal-length 1-D")
         if gids.size and (gids.min() < 0 or gids.max() >= self.ngroups):
             raise IndexError("group id out of range")
-        for start in range(0, gids.size, _CHUNK):
-            self._add_chunk(gids[start : start + _CHUNK], vals[start : start + _CHUNK])
+        step = self.block_rows
+        for start in range(0, gids.size, step):
+            self._add_chunk(gids[start : start + step], vals[start : start + step])
 
     def add_sorted_runs(self, group_ids: np.ndarray, values: np.ndarray) -> None:
         """:meth:`add_pairs` under the name of the retired sorted segment
@@ -421,7 +423,7 @@ class LadderCounters:
     table's prevailing ladder (``scatter``), or handed to the reference
     — and why the first row that went there did (``off_ladder``: it
     raises a ladder, or its group sits on another one or on none;
-    ``non_finite``; ``subnormal`` / ``window``: the parameters leave the
+    ``non_finite``; ``subnormal`` / ``format``: the parameters leave the
     block no ladder pass at all)."""
 
     __slots__ = ("scatter", "reference", "first_decline")
@@ -460,14 +462,14 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
 
     Ladder states are exact under any chunking and permutation of their
     input, so each table's rows are split *by row*.  The input is cut
-    into blocks, and each block is one call into the compiled kernel
-    (``_ladder.c``) covering every table; the call's pointers and
-    parameters are built once and each block passes only its row range
-    (:class:`_Blocks`).  With ``E`` the table's prevailing ladder at
-    the start of the block (its highest top exponent; for an empty
-    table, the one the block's finite ``|max|`` calls for) and ``m``,
-    ``w`` the mantissa bits and ``W``, the kernel runs one pass per
-    table and per row:
+    into blocks of :attr:`GroupedSummation.block_rows` rows, and each
+    block is one call into the compiled kernel (``_ladder.c``) covering
+    every table; the call's pointers and parameters are built once and
+    each block passes only its row range (:class:`_Blocks`).  With
+    ``E`` the table's prevailing ladder at the start of the block (its
+    highest top exponent; for an empty table, the one the block's
+    finite ``|max|`` calls for) and ``m``, ``w`` the mantissa bits and
+    ``W``, the kernel runs one pass per table and per row:
 
     * **classify** — the row is *taken* when ``|v| < 2**(E-m+w-1)``
       (it fits under ``E``; NaN/±inf never do) and its group sits on
@@ -514,22 +516,22 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     anchor's binade, so ``k`` — the reference's ``q * 2**(m - e_l)`` —
     is the difference of the bit patterns of ``t`` and ``a``: no
     scaling, nothing to round.  A zero row adds ``k = 0`` at every
-    level.  The block bounds the int64 sums: no group receives more
-    than the window ``1 << (54 - w)`` rows of one block, so a level
-    gains at most ``2**53`` quanta over its canonical ``< 2**(m-2)``.
-    Integer addition is exact in any order.
+    level.  The block bounds the int64 sums: it holds ``n <=
+    2**min(22, 62 - w)`` rows, so however they fall into groups, a
+    level of one group gains at most ``n * 2**(w-1) <= 2**61`` in
+    magnitude over its canonical ``0 <= s < 2**(m-2)`` before the
+    call's carry propagation — below ``2**63``.  Integer addition is
+    exact in any order, and the reference's blocks obey the same bound.
 
-    So the window — 16 384 rows at ``W = 40``, derived from the
-    parameters and not a knob — bounds the rows of one group, not of one
-    block: when no group receives more the input is one block of up to
-    ``_CHUNK`` rows, otherwise it is taken a window at a time.
-    Subnormal bottom levels, a format with no window (binary16), a
-    block with no finite non-zero value and a finite magnitude past the
-    ladder range decline the whole block of every table before any
-    state moves: the reference then runs table by table, so a
-    :class:`LadderOverflowError` leaves the earlier tables applied and
-    the later ones untouched, as a loop over ``add_pairs`` would.
-    ``counters`` records rows per update.
+    The bound is per block, derived from the parameters and not a knob:
+    2**22 rows at ``W = 40`` (a default morsel is one block), 4 096 at
+    ``W = 50``.  Subnormal bottom levels, a format the kernel has no
+    instance for (binary16), a block with no finite non-zero value and
+    a finite magnitude past the ladder range decline the whole block of
+    every table before any state moves: the reference then runs table
+    by table, so a :class:`LadderOverflowError` leaves the earlier
+    tables applied and the later ones untouched, as a loop over
+    ``add_pairs`` would.  ``counters`` records rows per update.
     """
     tables = _same_params(tables)
     if not tables:
@@ -549,20 +551,12 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
         raise IndexError("group id out of range")
     if counters is None:
         counters = LadderCounters()
-    window = first._window
-    if not window:
-        counters.decline(n * len(tables), "window")
+    if not first._compiled:
+        counters.decline(n * len(tables), "format")
         for table, vals in zip(tables, rows):
             table.add_pairs(gids, vals)
         return
-    # Counting rows per group costs a pass over the rows and saves one
-    # over the groups per block avoided: tried only when the groups
-    # outnumber a block's rows.
-    if n <= window or (ngroups >= window
-                       and int(np.bincount(gids).max()) <= window):
-        step = min(n, _CHUNK)
-    else:
-        step = window
+    step = first.block_rows
     blocks = _Blocks(tables, gids, rows)
     for pos in range(0, n, step):
         _add_block(blocks, pos, min(pos + step, n), counters)
@@ -601,8 +595,8 @@ class _Blocks:
 def _add_block(blocks: _Blocks, start: int, stop: int,
                counters: LadderCounters) -> None:
     """Rows ``[start, stop)`` of :func:`add_blocked_multi` (which carries
-    the proof) as one block: in-range ids, at most ``window`` rows per
-    group."""
+    the proof) as one block: in-range ids, at most ``block_rows``
+    rows."""
     tables, gids, rows = blocks.tables, blocks.gids, blocks.rows
     ntables = len(tables)
     ptrs, io = blocks.addresses

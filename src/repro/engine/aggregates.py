@@ -38,7 +38,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..aggregation.grouped import GroupedSummation, add_blocked_multi
+from ..aggregation.grouped import (
+    GroupedSummation,
+    LadderCounters,
+    add_blocked_multi,
+)
 from ..core.params import RsumParams
 from ..core.stats import (
     MOMENT2_PARAMS,
@@ -242,17 +246,19 @@ class LadderSum:
         return acc
 
 
-def update_ladders(accs, rows, gids: np.ndarray, morsel, ngroups: int) -> None:
+def update_ladders(accs, rows, gids: np.ndarray, counters: LadderCounters,
+                   ngroups: int) -> None:
     """Feed one morsel into ``k`` same-parameter :class:`LadderSum`
     accumulators (``rows[i]`` goes to ``accs[i]``) with one call into
     :func:`~repro.aggregation.grouped.add_blocked_multi` — exact, so
     neither its blocking nor which of its two updates takes a row can
-    change the bits."""
+    change the bits; ``counters`` is the group table's account of which
+    update took the rows."""
     groupeds = []
     for acc in accs:
         acc._grow(ngroups)
         groupeds.append(acc.grouped)
-    add_blocked_multi(groupeds, gids, rows, morsel.counters)
+    add_blocked_multi(groupeds, gids, rows, counters)
 
 
 _ACCUMULATORS = {cls.kind: cls for cls in (PlainSum, LadderSum)}

@@ -356,7 +356,7 @@ class PipelineStats:
         #: cumulative): scatter-accumulated on their table's prevailing
         #: ladder vs. handed to the reference, and why the first row
         #: that went there did (``off_ladder`` / ``non_finite`` /
-        #: ``subnormal`` / ``window``; ``None`` when none did).  See
+        #: ``subnormal`` / ``format``; ``None`` when none did).  See
         #: :func:`repro.aggregation.grouped.add_blocked_multi`.
         self.ladder_rows_scatter = 0
         self.ladder_rows_reference = 0

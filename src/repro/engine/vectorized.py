@@ -121,15 +121,10 @@ class SortedMorsel:
     segment starts, and the per-segment gids.  When the ids are already
     non-decreasing (single group, pre-sorted input) the permutation is
     the identity and :meth:`take` returns the input array untouched.
-    ``counters`` is the owning group table's ladder-path accounting,
-    carried here because the morsel is the one per-update object every
-    state sees.
     """
 
-    def __init__(self, gids: np.ndarray,
-                 counters: LadderCounters | None = None):
+    def __init__(self, gids: np.ndarray):
         self.gids = gids
-        self.counters = counters
         #: ``RsumParams -> ([LadderSum], [values])`` queued by
         #: :meth:`LadderSum.add`; the table feeds each slot with one
         #: :func:`update_ladders` call once every state has queued
@@ -429,7 +424,7 @@ class VectorizedGroupTable:
     def update(self, batch: Batch) -> None:
         cache = ExprCache(batch.columns, batch.types)
         gids = self._group_ids(batch, cache)
-        morsel = SortedMorsel(gids, self.ladder)
+        morsel = SortedMorsel(gids)
         ngroups = self.ngroups
         for state in self.states:
             state.update(batch, cache, gids, morsel, ngroups)
@@ -437,7 +432,7 @@ class VectorizedGroupTable:
         # queued its values: each accumulator still consumes exactly
         # its own value sequence, so batching cannot move a bit.
         for accs, rows in morsel.ladders.values():
-            update_ladders(accs, rows, gids, morsel, ngroups)
+            update_ladders(accs, rows, gids, self.ladder, ngroups)
 
     def _group_ids(self, batch: Batch, cache: ExprCache) -> np.ndarray:
         if not self.group_exprs:

@@ -9,12 +9,15 @@ unbatched :meth:`GroupedSummation.add_pairs`.
 """
 
 import warnings
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aggregation import grouped as grouped_mod
 from repro.aggregation.grouped import (
     _EMPTY_E0,
     GroupedSummation,
@@ -30,7 +33,12 @@ from repro.fp.formats import BINARY16, BINARY32, BINARY64
 P64 = RsumParams(BINARY64)
 P64L3 = RsumParams(BINARY64, levels=3)
 P32 = RsumParams(BINARY32)
-WINDOW = 1 << (54 - P64.w)
+#: W = 50 cuts blocks at 4 096 rows, cheap to step over
+P50 = RsumParams(BINARY64, w=50)
+ROWS50 = GroupedSummation(P50, 0).block_rows
+#: a row count the walk tests scale by (inputs of a few SPAN rows are
+#: one block at the default W)
+SPAN = 1 << 14
 G = 4
 N = 1024
 
@@ -62,6 +70,27 @@ def check(params, ngroups, gids, cols, seed=None, reps=1, morsel=None):
     return counters
 
 
+@contextmanager
+def recorded_blocks():
+    """The row count of every kernel block ``add_blocked_multi`` cuts
+    inside the ``with``."""
+    sizes = []
+    real = grouped_mod._add_block
+
+    def spy(blocks, start, stop, counters):
+        sizes.append(stop - start)
+        real(blocks, start, stop, counters)
+
+    with mock.patch.object(grouped_mod, "_add_block", spy):
+        yield sizes
+
+
+def cut(n, params):
+    """The blocks ``n`` rows are cut into under ``params``."""
+    step = GroupedSummation(params, 0).block_rows
+    return [min(step, n - pos) for pos in range(0, n, step)]
+
+
 def seed_uniform(*magnitudes, ngroups=G):
     """Table ``i`` gets one value of ``magnitudes[i]`` per group (the
     last magnitude repeats), so it sits on one uniform ladder."""
@@ -86,21 +115,25 @@ def rng():
 
 class TestBlockedWalk:
     @pytest.mark.parametrize(
-        "n", (WINDOW - 1, WINDOW, WINDOW + 1, 4 * WINDOW + 7)
+        "n", (ROWS50 - 1, ROWS50, ROWS50 + 1, 4 * ROWS50 + 7)
     )
-    def test_lengths_around_the_window(self, rng, n):
-        counters = check(
-            P64, G, rng.integers(0, G, n),
-            [rng.normal(size=n) * 100, rng.normal(size=n)],
-            seed=seed_uniform(1e4),
-        )
+    def test_lengths_around_block_rows(self, rng, n):
+        # one group takes every row: the int64 bound is per block,
+        # whatever the groups
+        with recorded_blocks() as sizes:
+            counters = check(
+                P50, G, np.zeros(n, dtype=np.int64),
+                [rng.normal(size=n) * 100, rng.normal(size=n)],
+                seed=seed_uniform(1e4),
+            )
+        assert sizes == cut(n, P50)
         assert (counters.reference, counters.scatter) == (0, 2 * n)
         assert counters.first_decline is None
 
     def test_cold_start_seeds_then_scatters(self, rng):
         # every group holds a value of the block maximum's class, so
         # empty ladders are seeded in place and nothing is declined
-        n = 4 * WINDOW + 7
+        n = 4 * SPAN + 7
         counters = check(P64, G, rng.integers(0, G, n),
                          [rng.uniform(1.0, 2.0, size=n) for _ in range(3)])
         assert (counters.reference, counters.scatter) == (0, 3 * n)
@@ -110,9 +143,9 @@ class TestBlockedWalk:
     def test_non_finite_block_alone_goes_sorted(self, rng, bad):
         # the non-finite row is declined, no more: the block is ranked
         # by its finite |max|, so a ±inf goes cold alone as a NaN does
-        n = 5 * WINDOW
+        n = 5 * SPAN
         values = rng.normal(size=n)
-        values[2 * WINDOW + 17] = bad
+        values[2 * SPAN + 17] = bad
         counters = check(P64, G, rng.integers(0, G, n),
                          [values, rng.normal(size=n)],
                          seed=seed_uniform(100.0))
@@ -120,20 +153,26 @@ class TestBlockedWalk:
         assert counters.first_decline == "non_finite"
 
     def test_demote_mid_morsel(self, rng):
-        # One huge value in block 2 raises one group's ladder: that row
-        # is declined alone, and from the next block on the raised ladder
-        # prevails, so only that group's rows still scatter.
-        n = 4 * WINDOW
+        # One huge value raises one group's ladder.  The morsel is one
+        # block, so that row is declined alone and the reference
+        # demotes its group after the block.
+        n = 4 * SPAN
         gids = rng.integers(0, G, n)
         values = rng.normal(size=n)
-        values[WINDOW + 5] = 1e60
+        values[SPAN + 5] = 1e60
         counters = check(P64, G, gids, [values], seed=seed_uniform(1.0))
-        declined = 1 + int((gids[2 * WINDOW:] != gids[WINDOW + 5]).sum())
+        assert (counters.reference, counters.scatter) == (1, n - 1)
+        assert counters.first_decline == "off_ladder"
+        # Fed in two calls, the raised ladder prevails in the second,
+        # so only that group's rows still scatter there.
+        counters = check(P64, G, gids, [values], seed=seed_uniform(1.0),
+                         morsel=2 * SPAN)
+        declined = 1 + int((gids[2 * SPAN:] != gids[SPAN + 5]).sum())
         assert (counters.reference, counters.scatter) == (declined, n - declined)
         assert counters.first_decline == "off_ladder"
 
     def test_all_zero_column(self, rng):
-        n = 2 * WINDOW + 3
+        n = 2 * SPAN + 3
         counters = check(P64, G, rng.integers(0, G, n),
                          [np.zeros(n), rng.normal(size=n)],
                          seed=seed_uniform(10.0))
@@ -142,7 +181,7 @@ class TestBlockedWalk:
         check(P64, G, rng.integers(0, G, n), [np.zeros(n), np.zeros(n)])
 
     def test_tables_on_different_uniform_ladders(self, rng):
-        n = 2 * WINDOW
+        n = 2 * SPAN
         counters = check(P64, G, rng.integers(0, G, n),
                          [rng.normal(size=n), rng.normal(size=n) * 1e20],
                          seed=seed_uniform(1.0, 1e21))
@@ -152,7 +191,7 @@ class TestBlockedWalk:
         # group 0 holds the prevailing ladder and scatters; the
         # straggler on a lower ladder and the two empty groups (not
         # seeded by values this small) take the reference, block by block
-        n = 3 * WINDOW
+        n = 3 * SPAN
         gids = rng.integers(0, G, n)
         counters = check(P64, G, gids, [rng.normal(size=n)], seed=seed_split)
         declined = int((gids != 0).sum())
@@ -160,34 +199,38 @@ class TestBlockedWalk:
         assert counters.first_decline == "off_ladder"
 
     def test_binary32(self, rng):
-        # W = 18 puts the binary32 window at 2**36 rows: one block per
+        # W = 18 cuts binary32 blocks at 2**22 rows: one block per
         # call, seeded in place.
-        n = 2 * WINDOW + 5
+        n = 2 * SPAN + 5
         cols = [rng.normal(size=n).astype(np.float32) for _ in range(2)]
         counters = check(P32, G, rng.integers(0, G, n), cols, reps=2)
         assert (counters.reference, counters.scatter) == (0, 4 * n)
-        cols[1][WINDOW + 1] = np.float32(np.nan)
+        cols[1][SPAN + 1] = np.float32(np.nan)
         counters = check(P32, G, rng.integers(0, G, n), cols,
                          seed=seed_uniform(np.float32(50.0)))
         assert counters.reference == 1
         assert counters.first_decline == "non_finite"
 
-    def test_narrow_window(self, rng):
+    def test_wide_w_takes_a_morsel_whole(self, rng):
+        # W = 45 cuts at 2**17 rows: a morsel of 1 537 rows, one group
+        # taking most of them, is one block
         params = RsumParams(BINARY64, w=45)
-        narrow = 1 << (54 - 45)
-        n = 3 * narrow + 1
-        counters = check(params, G, rng.integers(0, G, n),
-                         [rng.uniform(50.0, 200.0, size=n)],
-                         seed=seed_uniform(150.0))
+        n = 3 * 512 + 1
+        gids = np.where(rng.random(n) < 0.9, 0, rng.integers(0, G, n))
+        with recorded_blocks() as sizes:
+            counters = check(params, G, gids,
+                             [rng.uniform(50.0, 200.0, size=n)],
+                             seed=seed_uniform(150.0))
+        assert sizes == [n]
         assert (counters.reference, counters.scatter) == (0, n)
 
-    def test_no_window_walks_everything_sorted(self, rng):
-        # binary16 rows have no float64-exact scatter: all reference
+    def test_no_kernel_format_walks_everything_sorted(self, rng):
+        # the kernel has no binary16 instance: all reference
         n = 100
         counters = check(RsumParams(BINARY16), G, rng.integers(0, G, n),
                          [rng.uniform(1.0, 2.0, size=n)], reps=2)
         assert (counters.reference, counters.scatter) == (2 * n, 0)
-        assert counters.first_decline == "window"
+        assert counters.first_decline == "format"
 
     def test_subnormal_bottom_level_walks_the_block(self, rng):
         # the floor ladder's bottom level lies below the normal range
@@ -199,7 +242,7 @@ class TestBlockedWalk:
 
     def test_high_cardinality_sorted_input(self, rng):
         ngroups = 3000
-        gids = np.sort(rng.integers(0, ngroups, 2 * WINDOW))
+        gids = np.sort(rng.integers(0, ngroups, 2 * SPAN))
         check(P64, ngroups, gids, [rng.exponential(size=gids.size)])
 
     def test_validates(self):
@@ -315,12 +358,12 @@ class TestDeclinedRegimes:
         # steady state, k non-finite rows among finite ones: exactly k
         # declined per affected table — one ±inf used to take its whole
         # block, in every table of the call
-        n = 3 * WINDOW + 11
+        n = 3 * SPAN + 11
         dtype = params.fmt.dtype
         cols = [rng.normal(size=n).astype(dtype) for _ in range(3)]
-        for block in range(3):  # one ±inf per window block
-            cols[0][block * WINDOW + 17] = (-1) ** block * np.inf
-        cols[1][[5, WINDOW + 5, WINDOW + 6]] = [np.nan, np.inf, -np.inf]
+        for third in range(3):  # one ±inf per third of the input
+            cols[0][third * SPAN + 17] = (-1) ** third * np.inf
+        cols[1][[5, SPAN + 5, SPAN + 6]] = [np.nan, np.inf, -np.inf]
         counters = check(params, G, rng.integers(0, G, n), cols,
                          seed=seed_uniform(dtype.type(100.0)))
         assert (counters.reference, counters.scatter) == (6, 3 * n - 6)
@@ -435,7 +478,7 @@ HOT = FIRST_FILLER - 1
 @st.composite
 def partition_cases(draw):
     fmt, w = draw(st.sampled_from(
-        ((BINARY64, None), (BINARY64, 45), (BINARY32, None))))
+        ((BINARY64, None), (BINARY64, 45), (BINARY64, 50), (BINARY32, None))))
     params = RsumParams(fmt, levels=draw(st.integers(1, 3)), w=w)
     tables = [
         (draw(st.sampled_from(("normal", "floor"))),
@@ -463,26 +506,21 @@ class TestRowPartition:
     @settings(max_examples=120, deadline=None)
     @given(case=partition_cases())
     def test_equals_reference(self, case):
-        from unittest import mock
-
-        from repro.aggregation import grouped as grouped_mod
-
         params, tables, hot, seed = case
         rng = np.random.default_rng(seed)
         dtype = params.fmt.dtype
         m, w = params.fmt.mantissa_bits, params.w
         probe = GroupedSummation(params, 1)
-        window = probe._window
-        hot = hot and window <= 512  # > window rows has to stay cheap
+        hot = hot and w == 50  # > block_rows rows has to stay cheap
         nfill = 700
         ngroups = FIRST_FILLER + nfill
 
         # rows per group: residents and role groups a handful each, the
         # fillers one each (so the average group is tiny), the hot
-        # group more than two windows' worth
+        # group eight blocks' worth at W = 50, 2**15 + 50 rows
         counts = np.ones(ngroups, dtype=np.int64)
         counts[:FIRST_FILLER] = rng.integers(3, 9, FIRST_FILLER)
-        counts[HOT] = 2 * window + 50 if hot else 1
+        counts[HOT] = 8 * probe.block_rows + 50 if hot else 1
         gids = rng.permutation(np.repeat(np.arange(ngroups), counts))
         # "late": the group's rows all sit in the second half
         late = RESIDENTS + ROLES.index("late")
@@ -521,8 +559,8 @@ class TestRowPartition:
                 sel = np.flatnonzero(gids == group["non_finite"])
                 vals[sel[:3]] = [np.nan, np.inf, -np.inf]
             if hot:
-                # quanta near 2**(w-1) with random low bits: more than
-                # a window of them in one float64 bin would round
+                # level-0 quanta in [2**(w-2), 2**(w-1)): from about
+                # 2**14.4 of them at W = 50 one int64 sum would wrap
                 sel = gids == HOT
                 vals[sel] = np.abs(self._values(
                     rng, int(sel.sum()), fits, fits, dtype))
@@ -545,27 +583,18 @@ class TestRowPartition:
                 table.add_pairs(seed_gids, seed_vals)
         for table, col in zip(reference, cols):
             table.add_pairs(gids, col)
-        sizes = []
-        real = grouped_mod._add_block
-
-        def spy(blocks_, start_, stop_, counters_):
-            sizes.append(stop_ - start_)
-            real(blocks_, start_, stop_, counters_)
-
         counters = LadderCounters()
-        with mock.patch.object(grouped_mod, "_add_block", spy):
+        with recorded_blocks() as sizes:
             add_blocked_multi(blocked, gids, cols, counters)
 
         for ref, got in zip(reference, blocked):
             assert got.state_tuples() == ref.state_tuples()
             assert got.finalize().tobytes() == ref.finalize().tobytes()
         assert counters.scatter + counters.reference == gids.size * len(cols)
-        # per-group rule: tiny groups make the input one block, one
-        # group past the window brings the window blocks back
-        if hot:
-            assert max(sizes) == window and sum(sizes) == gids.size
-        else:
-            assert sizes == [gids.size]
+        # one block unless the input has more than block_rows rows,
+        # however they fall into groups
+        assert sizes == cut(gids.size, params)
+        assert (len(sizes) > 1) == hot
         for table, (kind, e0, roles, group) in zip(blocked, expect):
             if "zeros" in roles:
                 assert table.e0[group["zeros"]] == _EMPTY_E0

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from paper.state import SummationState
-from repro.aggregation.grouped import GroupedSummation
+from repro.aggregation.grouped import GroupedSummation, add_blocked_multi
 from repro.core.params import RsumParams
 from repro.errors import LadderOverflowError
+from repro.fp.formats import BINARY64
 from repro.fp.ieee import same_bits
 
 
@@ -95,6 +96,28 @@ class TestBatchingAndOrder:
             params(), np.array([], dtype=np.int64), np.array([]), 4
         )
         assert grouped.finalize().tolist() == [0.0] * 4
+
+    def test_int64_headroom_at_the_widest_w(self):
+        # W = 50: each row adds a level-0 quantum of ~2**49, so 2**15 rows
+        # of one group wrap an int64 sum unless the reference's blocks
+        # are cut at 2**(62 - W) rows
+        p = RsumParams(BINARY64, w=50)
+        n, value = 1 << 15, 1.9 * 2.0**46
+        gids, values = np.zeros(n, dtype=np.int64), np.full(n, value)
+        reference = GroupedSummation.from_pairs(p, gids, values, 1)
+        blocked = GroupedSummation(p, 1)
+        add_blocked_multi([blocked], gids, [values])
+        assert reference.state_tuples() == blocked.state_tuples()
+        assert (reference.finalize().tobytes()
+                == blocked.finalize().tobytes())
+        integers, exponents, _ = reference.exact()
+        assert (integers[0] * Fraction(2) ** int(exponents[0])
+                == n * Fraction(value))
+        exact = math.fsum(values)
+        # Equation 6 on the grid-aligned ladder at L = 2, plus the
+        # final rounding
+        bound = n * 2.0 ** -p.w * value + abs(exact) * 2.0**-53
+        assert abs(float(reference.finalize()[0]) - exact) <= bound
 
 
 class TestSpecials:

@@ -542,23 +542,20 @@ class TestBlockedLadderScatter:
                        expect_reference=int(np.isinf(values).sum()))
 
     def test_binary32_applies(self, rng):
-        # PR 10: the scatter fast path runs binary32 ladders through
-        # the same float64 bucket trick — exact while no group receives
-        # more than 2**(54-w) rows.
+        # binary32 ladders run the kernel's float instance, cut by the
+        # same int64 bound as binary64 (2**22 rows at W = 18)
         gids = rng.integers(0, G, N)
         _check_scatter(P32, G, gids, [rng.normal(size=N).astype(np.float32)],
                        premut=_seed_uniform(np.float32(150.0)))
 
-    def test_window_boundary_straddle(self, rng):
-        # The window 2**(54-w) is format-independent (the float64
-        # bincount accumulator bounds it, not the value dtype): 2**14
-        # rows for binary64, 2**36 for binary32 at the default widths.
-        # It bounds the rows of one *group* in one block, so straddle a
-        # narrow window (wide w) with a single group: exactly-at-window
-        # is one block, one addend past it must be split — and with
-        # many groups of few rows the same length is one block again.
-        params = RsumParams(BINARY64, w=45)
-        limit = 1 << (54 - 45)
+    def test_block_rows_boundary_straddle(self, rng):
+        # One int64 bound cuts the blocks, 2**min(22, 62-w) rows
+        # whatever their groups: 4 096 at the widest w = 50.  Exactly
+        # at the bound is one block, one addend past it two — with a
+        # single group and with many groups of few rows alike (the
+        # cuts are pinned in test_blocked_ladder.py).
+        params = RsumParams(BINARY64, w=50)
+        limit = GroupedSummation(params, 0).block_rows
         values = rng.uniform(50.0, 200.0, size=limit + 1)
         _check_scatter(params, 1, np.zeros(limit, dtype=np.int64),
                        [values[:limit]],

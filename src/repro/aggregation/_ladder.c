@@ -23,8 +23,13 @@
  * at once on different tables.  Build without -ffast-math and with
  * -ffp-contract=off, which keep (r + a) - a from being folded or fused.
  *
+ * The library also holds GroupedSummation.finalize (Equation 1,
+ * ladder_finalize), whose operations are the NumPy oracle's
+ * (tests/reference_finalize.py) in the same order.
+ *
  * The file includes itself once per value type: the part after #else is
- * the template, instantiated for double (suffix f64) and float (f32).
+ * the template, instantiated for double (suffix f64) and float (f32),
+ * and for binary16's Equation 1 alone (f16).
  */
 #ifndef LADDER_T
 
@@ -69,31 +74,76 @@ static int64_t needed_e0(double peak, const int64_t *io)
 }
 
 /* GroupedSummation._propagate: canonicalise s into [0, 2**(m-2)),
- * moving the whole multiples into the carry counter c. */
+ * moving the whole multiples into the carry counter c.  s - low is a
+ * whole multiple of 2**(m-2), so the arithmetic shift (gcc and clang
+ * shift a negative int64 arithmetically) is its exact quotient. */
 static void propagate(int64_t *s, int64_t *c, int64_t ngroups, int64_t m)
 {
-    const int64_t unit = INT64_C(1) << (m - 2);
+    const int64_t low_bits = (INT64_C(1) << (m - 2)) - 1;
     for (int64_t g = 0; g < ngroups; g++) {
-        int64_t low = s[g] & (unit - 1);
-        c[g] += (s[g] - low) / unit;
-        s[g] = low;
+        c[g] += s[g] >> (m - 2);
+        s[g] &= low_bits;
     }
 }
 
+/* x rounded to binary16's precision and range, to nearest even: what
+ * NumPy's float16 arithmetic does to each float result.  Within the
+ * half range the float x is exact in double, and (x + c) - c with
+ * c = 1.5 * 2**(e+42) rounds it to a multiple of 2**(e-10), the half
+ * ulp of x's binade e (of 2**-24 below the normal range). */
+static float half_round(float x)
+{
+    int e;
+    double c, r;
+    if (x == 0 || !(fabsf(x) <= FLT_MAX))
+        return x;
+    frexpf(x, &e);
+    c = ldexp(1.5, (e <= -14 ? -14 : e - 1) + 42);
+    r = ((double)x + c) - c;
+    return copysignf(fabs(r) > 65504.0 ? INFINITY : (float)r, x);
+}
+
+#define LADDER_ROUND(x) (x)
 #define LADDER_T double
 #define LADDER_BITS uint64_t
+#define LADDER_MANT 52
+#define LADDER_EMIN (-1022)
+#define LADDER_EMAX 1023
+#define LADDER_LDEXP ldexp
 #define LADDER_NAME(name) name##_f64
 #include "_ladder.c"
 #undef LADDER_T
 #undef LADDER_BITS
+#undef LADDER_MANT
+#undef LADDER_EMIN
+#undef LADDER_EMAX
+#undef LADDER_LDEXP
 #undef LADDER_NAME
 
+/* float carries the f32 ladder; its f16 instance is Equation 1 alone,
+ * in float with every result rounded to binary16 (no ladder update). */
 #define LADDER_T float
 #define LADDER_BITS uint32_t
+#define LADDER_MANT 23
+#define LADDER_EMIN (-126)
+#define LADDER_EMAX 127
+#define LADDER_LDEXP ldexpf
+
+#undef LADDER_ROUND
+#define LADDER_ROUND(x) half_round(x)
+#define LADDER_HALF
+#define LADDER_NAME(name) name##_f16
+#include "_ladder.c"
+#undef LADDER_HALF
+#undef LADDER_NAME
+#undef LADDER_ROUND
+
+#define LADDER_ROUND(x) (x)
 #define LADDER_NAME(name) name##_f32
 #include "_ladder.c"
 
 #else /* the template: LADDER_T is the value type, LADDER_BITS its width */
+#ifndef LADDER_HALF
 
 /*
  * |x| as its bits, which order like the magnitudes: every comparison of
@@ -361,6 +411,75 @@ void LADDER_NAME(ladder_declined)(int64_t start, int64_t stop,
     for (int64_t i = start; i < stop; i++)
         if (!LADDER_NAME(taken)(v[i], fits, e0[gids[i]], e))
             cold[ncold++] = i;
+}
+
+#endif /* LADDER_HALF */
+
+/* 2**k in LADDER_T: built from its bits inside the normal range, and
+ * LADDER_LDEXP's (a subnormal, zero or inf) outside it. */
+static LADDER_T LADDER_NAME(pow2)(int64_t k)
+{
+    LADDER_BITS bits;
+    LADDER_T x;
+    if (k < LADDER_EMIN || k > LADDER_EMAX)
+        return LADDER_LDEXP((LADDER_T)1, (int)(k < -4096 ? -4096
+                                               : k > 4096 ? 4096 : k));
+    bits = (LADDER_BITS)(k - LADDER_EMIN + 1) << LADDER_MANT;
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+/* ldexp(x, k), exact as libm's: x * 2**k rounds once, like ldexp, when
+ * 2**k is normal. */
+static LADDER_T LADDER_NAME(scale)(LADDER_T x, int64_t k)
+{
+    if (k < LADDER_EMIN || k > LADDER_EMAX)
+        return LADDER_LDEXP(x, (int)(k < -4096 ? -4096
+                                     : k > 4096 ? 4096 : k));
+    return x * LADDER_NAME(pow2)(k);
+}
+
+/*
+ * GroupedSummation.finalize, Equation 1: per group, from the bottom
+ * level up, res += s[l] * 2**(e_l - m) + c[l] * 2**(e_l - 2) over the
+ * levels with e_l = e0 - l*W >= emin, each operation rounded in the
+ * table's format and in this order; then +inf, -inf and NaN override
+ * (NaN also for +inf beside -inf).  `state` is e0, s[0..L), c[0..L),
+ * then the NaN, +inf and -inf counters.
+ */
+void LADDER_NAME(ladder_finalize)(int64_t ngroups, int64_t nlevels,
+                                  int64_t m, int64_t w, int64_t emin,
+                                  void *const *state, LADDER_T *out)
+{
+    const int64_t *e0 = state[0];
+    const int64_t *nan = state[1 + 2 * nlevels];
+    const int64_t *pos = state[2 + 2 * nlevels];
+    const int64_t *neg = state[3 + 2 * nlevels];
+    for (int64_t g = 0; g < ngroups; g++) {
+        LADDER_T res = 0;
+        if (e0[g] > EMPTY_E0) {
+            for (int64_t l = nlevels - 1; l >= 0; l--) {
+                const int64_t e = e0[g] - l * w;
+                LADDER_T s, c, offset, carries;
+                if (e < emin)
+                    continue;
+                s = LADDER_ROUND((LADDER_T)((const int64_t *)state[1 + l])[g]);
+                c = LADDER_ROUND(
+                    (LADDER_T)((const int64_t *)state[1 + nlevels + l])[g]);
+                offset = LADDER_ROUND(LADDER_NAME(scale)(s, e - m));
+                carries = LADDER_ROUND(
+                    c * LADDER_ROUND(LADDER_NAME(pow2)(e - 2)));
+                res = LADDER_ROUND(res + LADDER_ROUND(offset + carries));
+            }
+        }
+        if (pos[g] > 0)
+            res = INFINITY;
+        if (neg[g] > 0)
+            res = -INFINITY;
+        if (nan[g] > 0 || (pos[g] > 0 && neg[g] > 0))
+            res = NAN;
+        out[g] = res;
+    }
 }
 
 #endif

@@ -90,15 +90,25 @@ class LadderKernel:
     ``float32``): ``block[dtype](start, stop, ntables, ptrs, io)`` runs
     rows ``[start, stop)`` as one block and ``declined[dtype](start,
     stop, ntables, t, ptrs, io, out)`` lists the rows of it table ``t``
-    declined (addresses as ints; ``_ladder.c`` has the layouts)."""
+    declined.  ``finalize[dtype](ngroups, levels, m, w, emin, state,
+    out)`` is Equation 1 for ``float64``, ``float32`` and ``float16``
+    (whose ``out`` is ``float32``: every value it writes is a
+    ``float16``).  Addresses are ints; ``_ladder.c`` has the layouts."""
 
     def __init__(self, path: Path):
         self.path = path
         lib = ctypes.CDLL(str(path))
-        self.block, self.declined = {}, {}
+        self.block, self.declined, self.finalize = {}, {}, {}
         i64, ptr = ctypes.c_int64, ctypes.c_void_p
         for dtype, suffix in ((np.dtype(np.float64), "f64"),
-                              (np.dtype(np.float32), "f32")):
+                              (np.dtype(np.float32), "f32"),
+                              (np.dtype(np.float16), "f16")):
+            finalize = getattr(lib, f"ladder_finalize_{suffix}")
+            finalize.restype = None
+            finalize.argtypes = [i64, i64, i64, i64, i64, ptr, ptr]
+            self.finalize[dtype] = finalize
+            if suffix == "f16":  # Equation 1 only: no ladder update
+                continue
             block = getattr(lib, f"ladder_block_{suffix}")
             block.restype = i64
             block.argtypes = [i64, i64, i64, ptr, ptr]

@@ -290,23 +290,23 @@ class GroupedSummation:
     # Finalisation / interop
     # ------------------------------------------------------------------
     def finalize(self) -> np.ndarray:
-        """Per-group reproducible sums (Equation 1, vectorised)."""
-        dt = self._dtype.type
-        res = np.zeros(self.ngroups, dtype=self._dtype)
-        valid = self.e0 > _EMPTY_E0
-        for level in range(self._L - 1, -1, -1):
-            e_l = self.e0 - level * self._w
-            active = valid & (e_l >= self._emin)
-            exp = np.where(active, e_l, 0).astype(np.int32)
-            offset = np.ldexp(self.s[level].astype(self._dtype), exp - self._m)
-            carries = self.c[level].astype(self._dtype) * np.ldexp(dt(0.25), exp)
-            term = offset + carries
-            res = np.where(active, res + term, res)
-        has_nan = (self.nan_cnt > 0) | ((self.pos_cnt > 0) & (self.neg_cnt > 0))
-        res = np.where(self.pos_cnt > 0, dt(np.inf), res)
-        res = np.where(self.neg_cnt > 0, dt(-np.inf), res)
-        res = np.where(has_nan, dt(np.nan), res)
-        return res
+        """Per-group reproducible sums (Equation 1): one compiled loop
+        over the groups (``ladder_finalize`` in ``_ladder.c``), every
+        IEEE operation of the equation in the table's format and in a
+        fixed order."""
+        dtype = self._dtype
+        out = np.empty(self.ngroups,
+                       dtype=np.float32 if dtype == np.float16 else dtype)
+        if self.ngroups:
+            arrays = [np.ascontiguousarray(arr, dtype=np.int64) for arr in (
+                self.e0, *self.s, *self.c,
+                self.nan_cnt, self.pos_cnt, self.neg_cnt)]
+            state = np.array([arr.ctypes.data for arr in arrays],
+                             dtype=np.uintp)
+            _KERNEL.finalize[dtype](
+                self.ngroups, self._L, self._m, self._w, self._emin,
+                state.ctypes.data, out.ctypes.data)
+        return out.astype(dtype, copy=False)
 
     def exact(self):
         """Per-group sums *before* Equation 1 rounds them:

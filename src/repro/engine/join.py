@@ -13,9 +13,9 @@ and the group table names each group by the key code the join
 assigned that build row once per build (:class:`BuildRowKeys`) — kept
 across statements while the join is cached.
 
-Key canonicalisation follows the engine's GROUP BY key table
-(:func:`repro.engine.operators._key_identity`): ``-0.0`` joins with
-``0.0`` and ``NaN`` joins with ``NaN``.  Float keys are normalised to
+Key canonicalisation follows the engine's GROUP BY key registry
+(:func:`repro.engine.operators.canonical_float_bits`): ``-0.0`` joins
+with ``0.0`` and ``NaN`` joins with ``NaN``.  Float keys are normalised to
 canonical bit patterns and matched as integers, which sidesteps every
 NaN-comparison pitfall and makes the match a plain ``searchsorted``.
 

@@ -237,8 +237,10 @@ def canonical_float_bits(values: np.ndarray) -> np.ndarray:
     float identity: ``-0.0`` folds into ``0.0``, every NaN payload
     collapses to the canonical NaN, float32 promotes exactly.  This is
     the one definition of float-key equality shared by GROUP BY keys
-    (:func:`_key_identity`), COUNT(DISTINCT), and the hash join."""
-    out = values.astype(np.float64)
+    (the group table's key registry), COUNT(DISTINCT), and the hash
+    join."""
+    with np.errstate(invalid="ignore"):  # a signaling NaN promotes quiet
+        out = values.astype(np.float64)
     if out is values:
         out = out.copy()
     out[out == 0.0] = 0.0

@@ -50,7 +50,6 @@ from .plan import (
 )
 from .sql import ast
 from .types import DecimalSqlType
-from .vectorized import _KEY_BYTES_BASE, _KEY_BYTES_PER_COLUMN
 
 __all__ = [
     "PhysScan",
@@ -533,11 +532,14 @@ def _scan_of(node: LogicalNode, column: ast.ColumnRef) -> Scan | None:
 
 #: Per-group state-size model for the external-aggregation decision
 #: (rough, deliberately pessimistic — see plan_physical).  The key
-#: costs reuse the constants behind the runtime spill accounting
-#: (:meth:`~repro.engine.vectorized.VectorizedGroupTable.approx_bytes`),
-#: so the planner's estimate and the operator's budget checks cannot
-#: drift apart.
+#: costs are what the runtime spill accounting
+#: (:meth:`~repro.engine.vectorized.VectorizedGroupTable.approx_bytes`)
+#: reads off the key registry: per group one gid in the identity index,
+#: per key column the key and its identity (8 bytes each; an object
+#: key counts its reference).
 _DISTINCT_GROUP_BYTES = 96
+_KEY_BYTES_BASE = 8
+_KEY_BYTES_PER_COLUMN = 16
 
 
 def _spec_state_bytes(spec: AggregateSpec) -> int:

@@ -10,7 +10,13 @@ One feeder: every morsel arrives through
 * the **key registry** — group keys get dense gids in first-arrival
   order, NaN keys collapse and ``-0.0`` joins ``0.0``; finalize emits
   groups in canonical (sorted-key) order, so output is independent of
-  arrival order;
+  arrival order.  The registry is columnar: the keys are one array per
+  key column in gid order, and a key row is looked up by its identity
+  — one int64 per column (integers by value, floats by canonical
+  bits, strings and ``None`` through a per-column dict) — in one
+  sorted index with ``np.searchsorted``, so registering keys makes no
+  Python object per key (:meth:`~VectorizedGroupTable.
+  _register_columns`);
 * the **spec -> shared-state plan** — ``AVG(x)`` reuses the ``SUM(x)``
   state and one common ``COUNT`` state, the six VARIANCE/STDDEV
   spellings share one second-moment state.  Sharing is bit-safe
@@ -30,10 +36,11 @@ Per morsel :meth:`~VectorizedGroupTable.update`:
    determines the group (:meth:`~VectorizedGroupTable._gids_from_rows`:
    the join factorised its build keys once per build, so a
    group is named by its build key code, no key column is gathered and
-   no key tuple registered); otherwise dictionary-encoded key columns (see
+   no key registered); otherwise dictionary-encoded key columns (see
    :meth:`repro.engine.table.Column.encoding`) combine with pure
    integer radix arithmetic through a persistent code -> gid table and
-   other keys go through ``np.unique``;
+   other keys go through ``np.unique``, and only the morsel's distinct
+   new keys reach the registry;
 3. hands every state the same morsel, carrying one lazy stable sort
    by group id (:class:`SortedMorsel`) that only MIN/MAX reads — its
    ``ufunc.reduceat`` segments; counts, sums and ladders never sort;
@@ -60,6 +67,8 @@ table that lives under ``tests/``.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -100,13 +109,6 @@ _LUT_MAX = 1 << 20
 #: Radix-combine guard: the product of the per-key dictionary sizes must
 #: stay below this for the composite int64 codes to be collision-free.
 _RADIX_MAX = 1 << 62
-
-#: Rough per-group cost of one key-table entry (dict slot + tuple), and
-#: per key member within the tuple — used by the memory-budget
-#: accounting of the external aggregation (order of magnitude is all
-#: the spill heuristics need).
-_KEY_BYTES_BASE = 64
-_KEY_BYTES_PER_COLUMN = 32
 
 
 # ---------------------------------------------------------------------------
@@ -179,24 +181,18 @@ class SortedMorsel:
 # The group table
 # ---------------------------------------------------------------------------
 
-#: Dict stand-in for NaN group keys: ``nan != nan``, so a raw NaN can
-#: never be found again in the key table; ``np.unique`` collapses NaNs
-#: within a morsel and the key dict must do the same across morsels.
-_NAN_KEY = object()
-
-
-def _key_identity(key: tuple) -> tuple:
-    """Hash/equality form of a key tuple: NaN -> sentinel, -0.0 -> 0.0."""
-    out = []
-    for value in key:
-        if isinstance(value, (float, np.floating)):
-            if value != value:  # NaN
-                out.append(_NAN_KEY)
-                continue
-            if value == 0.0:
-                value = type(value)(0.0)
-        out.append(value)
-    return tuple(out)
+def _canonical_objects(values: list) -> list:
+    """Object key values in the key identity's canonical form: every NaN
+    is ``np.nan`` (one object, so a dict finds it again by identity,
+    though ``nan != nan``) and a float zero is ``+0.0``; strings,
+    ``None`` and everything else as themselves."""
+    return [
+        np.nan if value != value
+        else type(value)(0.0)
+        if value == 0 and isinstance(value, (float, np.floating))
+        else value
+        for value in values
+    ]
 
 
 def canonical_key_order(key_columns, distinct: bool = False) -> np.ndarray:
@@ -237,10 +233,10 @@ def canonical_key_order(key_columns, distinct: bool = False) -> np.ndarray:
 
 def factorize_keys(columns) -> tuple[np.ndarray, list[np.ndarray]]:
     """``(row_code, key_columns)``: distinct-key codes of the rows of
-    ``columns`` under the key identity :func:`_key_identity` applies
-    (one NaN group, ``-0.0`` is ``0.0``; strings and ``None`` as
-    themselves), and each code's key as the registry would output it
-    — the first row holding it, NaN canonical and ``-0.0`` as ``0.0``.
+    ``columns`` under the group tables' key identity (one NaN group,
+    ``-0.0`` is ``0.0``; strings and ``None`` as themselves), and each
+    code's key as the registry would output it — the first row holding
+    it, NaN canonical and ``-0.0`` as ``0.0``.
     """
     parts = []
     for col in columns:
@@ -248,7 +244,7 @@ def factorize_keys(columns) -> tuple[np.ndarray, list[np.ndarray]]:
             index: dict = {}
             codes = np.fromiter(
                 (index.setdefault(value, len(index))
-                 for value in _key_identity(col.tolist())),
+                 for value in _canonical_objects(col.tolist())),
                 np.int64, len(col),
             )
         else:
@@ -258,19 +254,36 @@ def factorize_keys(columns) -> tuple[np.ndarray, list[np.ndarray]]:
             codes = codes.astype(np.int64, copy=False)
         parts.append((codes, int(codes.max(initial=0)) + 1))
     first, row_code = _distinct_rows(parts)
-    key_columns = []
-    for col in columns:
-        col = col[first]
-        if col.dtype == object:
-            values = [np.nan if member is _NAN_KEY else member
-                      for member in _key_identity(col.tolist())]
-            col = np.empty(len(values), dtype=object)
-            col[:] = values
-        elif col.dtype.kind == "f":
-            col[col == 0.0] = 0.0
-            col[np.isnan(col)] = np.nan
-        key_columns.append(col)
-    return row_code, key_columns
+    return row_code, [_canonical_keys(col[first]) for col in columns]
+
+
+def _canonical_keys(col: np.ndarray) -> np.ndarray:
+    """A freshly gathered key column in canonical form, in place: one
+    NaN, ``0.0`` for ``-0.0`` (:func:`_canonical_objects` for
+    objects)."""
+    if col.dtype == object:
+        col[:] = _canonical_objects(col.tolist())
+    elif col.dtype.kind == "f":
+        col[col == 0.0] = 0.0
+        col[np.isnan(col)] = np.nan
+    return col
+
+
+def _identity(col: np.ndarray, objects: dict | None) -> np.ndarray:
+    """One int64 per value of a key column, equal exactly when the
+    values are one key: integers (BOOL, DATE) by value,
+    floats by :func:`~repro.engine.operators.canonical_float_bits`, and
+    objects (strings, ``None``) by ``objects`` — the column's own
+    value -> number dict, which grows by the values it has not seen."""
+    if objects is not None:
+        return np.fromiter(
+            (objects.setdefault(value, len(objects))
+             for value in _canonical_objects(col.tolist())),
+            np.int64, len(col),
+        )
+    if col.dtype.kind == "f":
+        return canonical_float_bits(col).view(np.int64)
+    return col.astype(np.int64, copy=False)
 
 
 def _distinct_rows(parts) -> tuple[np.ndarray, np.ndarray]:
@@ -308,17 +321,18 @@ class VectorizedGroupTable:
         self.group_exprs = tuple(group_exprs)
         self.specs = specs
         self.states, self._spec_plan = self._build_plan(specs)
-        self._key_to_gid: dict = {}
-        self._keys: list[tuple] = []
         self._key_dtypes: list | None = None
-        #: ``(ngroups, columns)`` memo for :meth:`_key_columns`: every
-        #: registration grows ``ngroups``, which retires it
-        self._key_columns_memo = None
-        if not self.group_exprs:
-            # Aggregation without grouping: one global group, always
-            # present (so zero-row inputs still produce one output row).
-            self._key_to_gid[()] = 0
-            self._keys.append(())
+        #: The key registry (:meth:`_register_columns`): every group's
+        #: key, one array per key column in gid order and canonical
+        #: form (``None`` before the first key) ...
+        self._key_cols: list[np.ndarray] | None = None
+        #: ... per object column its value -> number dict (``None`` for
+        #: the others) ...
+        self._key_objects: list = []
+        #: ... and the keys' identities (:func:`_identity`; a void row
+        #: of them for several columns), sorted, with each one's gid.
+        self._index: np.ndarray | None = None
+        self._index_gids = np.empty(0, dtype=np.int64)
         #: Persistent code -> gid table of :meth:`_gids_from_codes`;
         #: ``_lut_bases`` records which code space it indexes.
         self._lut: np.ndarray | None = None
@@ -339,19 +353,25 @@ class VectorizedGroupTable:
     def ngroups(self) -> int:
         if self._row_keys is not None:
             return len(self._gid_codes)
-        return len(self._keys)
+        if not self.group_exprs:
+            # Aggregation without grouping: one global group, always
+            # present (so zero-row inputs still produce one output row).
+            return 1
+        return len(self._index_gids)
 
     def approx_bytes(self) -> int:
-        """Resident-memory estimate: key registry, code table and every
+        """Resident bytes of the key registry, the code tables and every
         aggregate state.  Used by the external aggregation's budget
-        accounting (:mod:`repro.aggregation.external_agg`); a rough
-        upper bound is all it needs."""
+        accounting (:mod:`repro.aggregation.external_agg`); object keys
+        count their references and dicts, not the strings."""
         if self._row_keys is not None:
             keys = self._gid_codes.nbytes + self._row_lut.nbytes
         else:
-            keys = self.ngroups * (
-                _KEY_BYTES_BASE + _KEY_BYTES_PER_COLUMN * len(self.group_exprs)
-            )
+            keys = self._index_gids.nbytes + sum(
+                arr.nbytes for arr in (self._index, *(self._key_cols or ()))
+                if arr is not None
+            ) + sum(sys.getsizeof(objects) for objects in self._key_objects
+                    if objects is not None)
         lut = 0 if self._lut is None else self._lut.nbytes
         return keys + lut + sum(state.approx_bytes() for state in self.states)
 
@@ -477,7 +497,11 @@ class VectorizedGroupTable:
         if self._key_dtypes is None:
             self._key_dtypes = [uniques.dtype for _, uniques, _ in parts]
         if total >= _RADIX_MAX:
-            return self._gids_past_radix(parts)
+            # a composite code would overflow int64: register the rows
+            # by their key values instead
+            return self._register_columns(
+                [uniques[codes] for codes, uniques, _ in parts]
+            )
         combined = parts[0][0]
         for codes, _, base in parts[1:]:
             combined = combined * base + codes
@@ -491,27 +515,14 @@ class VectorizedGroupTable:
             ),
         )
 
-    def _gids_past_radix(self, parts) -> np.ndarray:
-        """Key parts whose radix space would overflow int64: re-densify
-        the running composite after every key, so it never exceeds
-        rows x base, and read each distinct key off a representative
-        row instead of decoding the composite."""
-        first, inverse = _distinct_rows(
-            [(codes, base) for codes, _, base in parts]
-        )
-        lut = self._register_columns(
-            [uniques[codes[first]] for codes, uniques, _ in parts]
-        )
-        return lut[inverse]
-
     def _gids_from_rows(self, rows: np.ndarray, keys) -> np.ndarray:
         """Morsel gids from the build-row index a probe carried
         (:data:`~repro.engine.operators.BUILD_ROW`), when the planner
         found every group key to be a function of that build row.
         ``keys`` (a :class:`~repro.engine.join.BuildRowKeys`) factorised
         the build's keys once per build, so a row's key is its
-        ``row_code``: no key column is gathered and no key tuple
-        registered — key values are read at finalize.  The table keeps
+        ``row_code``: no key column is gathered and no key registered
+        — key values are read at finalize.  The table keeps
         a build code -> gid array and each gid's code; codes not seen
         before get the next dense gids from one ``np.unique``.  A table
         that already holds groups named otherwise (by key value, or by
@@ -554,7 +565,7 @@ class VectorizedGroupTable:
                          decode) -> np.ndarray:
         """Composite key codes -> table gids, registering new keys
         (``decode(distinct codes)`` -> their per-key value columns)
-        through :meth:`_bulk_register` like every other path.
+        through :meth:`_register_columns` like every other path.
 
         ``stable`` names a code space that means the same thing in
         every morsel (the storage dictionaries' sizes; ``None`` when it
@@ -577,11 +588,6 @@ class VectorizedGroupTable:
         lut = self._register_columns(decode(dense))
         return lut[inverse.astype(np.int64, copy=False)]
 
-    def _register_columns(self, key_columns) -> np.ndarray:
-        return self._bulk_register(
-            list(zip(*[col.tolist() for col in key_columns]))
-        )
-
     @staticmethod
     def _decode_columns(dense: np.ndarray, uniques: list,
                         bases: list[int]) -> list:
@@ -596,79 +602,73 @@ class VectorizedGroupTable:
         key_cols.reverse()
         return key_cols
 
-    def _ident_is_key(self) -> bool:
-        """True when key tuples *are* their identity form — no float
-        key columns (the only dtype :func:`_key_identity` rewrites) and
-        no object columns (which may hold floats or None)."""
-        dtypes = self._key_dtypes
-        if dtypes is None or len(dtypes) != len(self.group_exprs):
-            return not self.group_exprs
-        return all(
-            dt is not None and np.dtype(dt).kind in "iubUSM"
-            for dt in dtypes
-        )
+    def _register_columns(self, key_columns) -> np.ndarray:
+        """Gids of the key rows ``key_columns`` (one array per key
+        column), registering the rows not seen before.
 
-    def _bulk_register(self, keys: list) -> np.ndarray:
-        """Register many key tuples at once; returns their gids.
-
-        The bulk paths (exact merge, spill-run restore) pay one
-        C-level dict sweep for the hits and only run Python-level work
-        for genuinely new keys — the difference between O(n) dict ops
-        and O(n) Python function calls matters when the external
-        aggregation re-merges thousands of groups per run file.
+        The rows become one identity each (:func:`_identity` per
+        column; a void view of the row when there are several) and are
+        looked up in the sorted identity index with one
+        ``np.searchsorted``.  The misses take the next gids in the order
+        given (a key twice among them takes one), append their keys to
+        the key columns and merge into the index.  No Python object is
+        made per key, except for object columns' new values.
         """
-        if self._ident_is_key():
-            idents = keys
+        if not len(key_columns[0]):
+            return np.empty(0, dtype=np.int64)
+        if self._key_cols is None:
+            dtypes = self._key_dtypes or [
+                np.asarray(col).dtype for col in key_columns]
+            self._key_cols = [np.empty(0, dtype=dt) for dt in dtypes]
+            self._key_objects = [{} if np.dtype(dt).kind in "OUS" else None
+                                 for dt in dtypes]
+        columns = [np.asarray(col, dtype=stored.dtype)
+                   for col, stored in zip(key_columns, self._key_cols)]
+        parts = [_identity(col, objects)
+                 for col, objects in zip(columns, self._key_objects)]
+        if len(parts) == 1:
+            idents = parts[0]
         else:
-            idents = [_key_identity(key) for key in keys]
-        table = self._key_to_gid
-        stored = self._keys
-        hits = list(map(table.get, idents))
-        if None not in hits:
-            # Steady state (merges, spill restores): every key already
-            # registered — one C-level conversion, no Python loop.
-            return np.fromiter(hits, np.int64, len(hits))
-        fast = idents is keys
-        if fast:
-            # Identity keys: insert every miss speculatively with one
-            # C-level ``dict.update``.  Registered gids are < base, so
-            # -1 marks the miss slots unambiguously.  Callers pass
-            # within-call-distinct keys; if a duplicate slips in the
-            # update self-overwrites (the size delta betrays it) and
-            # the speculative insert is unwound below.
-            base = len(stored)
-            gids = np.fromiter(
-                (-1 if h is None else h for h in hits),
-                np.int64, len(hits),
-            )
-            misses = [k for k, h in zip(keys, hits) if h is None]
-            table.update(zip(misses, range(base, base + len(misses))))
-            if len(table) == base + len(misses):
-                stored.extend(misses)
-                gids[gids < 0] = np.arange(
-                    base, base + len(misses), dtype=np.int64
-                )
+            idents = np.stack(parts, axis=1).view(
+                np.dtype((np.void, 8 * len(parts)))).ravel()
+        index, known = self._index, len(self._index_gids)
+        if known:
+            pos = np.searchsorted(index, idents)
+            pos[pos == known] = 0
+            gids = self._index_gids[pos]
+            hit = index[pos] == idents
+            if hit.all():
                 return gids
-            for key in misses:
-                if table.get(key, -1) >= base:
-                    del table[key]
-        mapping = np.empty(len(keys), dtype=np.int64)
-        for g, gid in enumerate(hits):
-            if gid is None:
-                fresh = len(stored)
-                gid = table.setdefault(idents[g], fresh)
-                if gid == fresh:
-                    if fast:
-                        stored.append(keys[g])
-                    else:
-                        # the canonical NaN, not the first arrival's
-                        # payload: output keys must not depend on order
-                        stored.append(tuple(
-                            np.nan if member is _NAN_KEY else member
-                            for member in idents[g]
-                        ))
-            mapping[g] = gid
-        return mapping
+            miss = np.flatnonzero(~hit)
+        else:
+            gids = np.empty(len(idents), dtype=np.int64)
+            miss = np.arange(len(idents))
+        fresh = idents[miss]
+        if fresh.dtype.kind == "i" and bool((fresh[1:] > fresh[:-1]).all()):
+            # sorted and distinct already (a batch decoded from
+            # np.unique codes): the misses are their own index order
+            new = np.arange(known, known + len(fresh), dtype=np.int64)
+            gids[miss] = new
+            rows = miss
+        else:
+            fresh, first, inverse = np.unique(
+                fresh, return_index=True, return_inverse=True)
+            arrival = np.argsort(first)
+            new = np.empty(len(fresh), dtype=np.int64)
+            new[arrival] = np.arange(known, known + len(fresh))
+            gids[miss] = new[inverse]
+            rows = miss[first[arrival]]
+        self._key_cols = [
+            np.concatenate((stored, _canonical_keys(col[rows])))
+            for stored, col in zip(self._key_cols, columns)
+        ]
+        if known:
+            at = np.searchsorted(index, fresh)
+            self._index = np.insert(index, at, fresh)
+            self._index_gids = np.insert(self._index_gids, at, new)
+        else:
+            self._index, self._index_gids = fresh, new
+        return gids
 
     # -- exact merge -------------------------------------------------------
     def merge(self, other: "VectorizedGroupTable") -> None:
@@ -694,29 +694,16 @@ class VectorizedGroupTable:
         return canonical_key_order(self._key_columns())
 
     def _key_columns(self) -> list[np.ndarray]:
-        """Every key column materialized in one transpose, memoized:
-        finalisation reads each column twice (ordering + output), and
-        the C-level ``np.array`` over a transposed tuple beats a
-        Python assignment loop per group."""
-        memo = self._key_columns_memo
-        if memo is not None and memo[0] == self.ngroups:
-            return memo[1]
-        nkeys = len(self.group_exprs)
-        dtypes = self._key_dtypes if self._key_dtypes else [object] * nkeys
+        """Every group's key, one array per key column in gid order:
+        the registry's own arrays (never written in place: a
+        registration replaces them), or the build keys of the
+        build-row groups."""
         if self._row_keys is not None:
-            columns = self._row_keys.key_columns(self._gid_codes)
-        elif not self._keys:
-            columns = [np.empty(0, dtype=dt) for dt in dtypes]
-        else:
-            columns = [
-                np.array(values, dtype=dt)
-                for values, dt in zip(zip(*self._keys), dtypes)
-            ]
-        self._key_columns_memo = (self.ngroups, columns)
-        return columns
-
-    def _key_column(self, i: int) -> np.ndarray:
-        return self._key_columns()[i]
+            return self._row_keys.key_columns(self._gid_codes)
+        if self._key_cols is not None:
+            return self._key_cols
+        dtypes = self._key_dtypes or [object] * len(self.group_exprs)
+        return [np.empty(0, dtype=dt) for dt in dtypes]
 
     def finalize(self, ordered: bool = True):
         """Returns (key_arrays, result_arrays, ngroups), in canonical
@@ -724,11 +711,9 @@ class VectorizedGroupTable:
         sorts several tables' outputs as one."""
         ngroups = self.ngroups
         order = self._canonical_order() if ordered else None
-        key_arrays = []
-        if self.group_exprs:
-            for i in range(len(self.group_exprs)):
-                col = self._key_column(i)
-                key_arrays.append(col if order is None else col[order])
+        key_arrays = self._key_columns() if self.group_exprs else []
+        if order is not None:
+            key_arrays = [col[order] for col in key_arrays]
         finals: dict[int, object] = {}
 
         def final(state):

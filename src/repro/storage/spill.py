@@ -507,11 +507,9 @@ def _load_key_column(data: dict, ngroups: int) -> np.ndarray:
     if codes.shape != (ngroups,):
         raise SpillFormatError("key code length mismatch")
     if data["enc"] == "object":
-        out = np.empty(ngroups, dtype=object)
-        uniques = data["uniques"]
-        for i, code in enumerate(codes.tolist()):
-            out[i] = uniques[code]
-        return out
+        uniques = np.empty(len(data["uniques"]), dtype=object)
+        uniques[:] = data["uniques"]
+        return uniques[codes]
     dtype = np.dtype(data["dtype"]).newbyteorder("=")
     uniques = np.asarray(data["uniques"])
     if data["enc"] == "bits":
@@ -528,9 +526,7 @@ def dump_table(table) -> bytes:
     """Serialize one partial group table into spill payload bytes."""
     ngroups = table.ngroups
     nkeys = len(table.group_exprs)
-    keys = []
-    for i in range(nkeys):
-        keys.append(_dump_key_column(table._key_column(i)))
+    keys = [_dump_key_column(col) for col in table._key_columns()]
     payload = {
         "version": 1,
         "nkeys": nkeys,
@@ -571,8 +567,7 @@ def load_table_into(payload: bytes, table) -> None:
         _load_key_column(column, ngroups) for column in data["keys"]
     ]
     if nkeys:
-        keys = list(zip(*[column.tolist() for column in key_columns]))
-        mapping = table._bulk_register(keys)
+        mapping = table._register_columns(key_columns)
         if table.ngroups != ngroups or not np.array_equal(
             mapping, np.arange(ngroups, dtype=np.int64)
         ):

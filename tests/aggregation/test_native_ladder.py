@@ -140,6 +140,27 @@ def test_one_table_twice_is_refused():
     assert table.finalize().tolist() == [0.0, 0.0]
 
 
+def test_propagate_carries_negative_level_sums():
+    # W = 50: a row adds up to 2**49 quanta to a level, so a block of
+    # negative rows drives the level sums far below zero before the
+    # kernel's carry propagation (an arithmetic shift) moves them into
+    # the counters; the reference propagates with NumPy
+    params = RsumParams(BINARY64, w=50)
+    rows = GroupedSummation(params, 0).block_rows - 96
+    rng = np.random.default_rng(50)
+    gids = rng.integers(0, 3, rows)
+    vals = -rng.uniform(1.0, 1.9, rows) * 2.0**46
+    vals[gids == 2] *= -1.0 / 3.0  # one group of mixed signs
+    vals[::7] = -vals[::7]
+    kernel = GroupedSummation(params, 3)
+    add_blocked_multi([kernel], gids, [vals])
+    reference = GroupedSummation(params, 3)
+    reference.add_pairs(gids, vals)
+    assert kernel.state_tuples() == reference.state_tuples()
+    assert min(min(c) for _, _, c, *_ in kernel.state_tuples()) < 0
+    assert kernel.finalize().tobytes() == reference.finalize().tobytes()
+
+
 class TestWholeBlocks:
     """A block whose ``|max|`` fits under ``E`` while every group sits on
     ``E`` is *whole*: the kernel adds its rows without the row rule.

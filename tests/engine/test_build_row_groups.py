@@ -203,21 +203,21 @@ def test_dump_and_load_of_build_row_table():
 
 
 # ---------------------------------------------------------------------------
-# Traffic: the Q3 shape registers no key tuple and factorises once
+# Traffic: the Q3 shape registers no key and factorises once
 # ---------------------------------------------------------------------------
 
-def test_q3_registers_no_key_tuple_and_factorises_once(monkeypatch):
+def test_q3_registers_no_key_and_factorises_once(monkeypatch):
     db = Database(sum_mode="repro")  # every knob at its default
     load_tpch(db, scale_factor=0.01)
     assert RULE in db.explain(Q3_SQL)
     registered = []
-    real = VectorizedGroupTable._bulk_register
+    real = VectorizedGroupTable._register_columns
 
-    def spy(table, keys):
-        registered.append(len(keys))
-        return real(table, keys)
+    def spy(table, key_columns):
+        registered.append(len(key_columns[0]))
+        return real(table, key_columns)
 
-    monkeypatch.setattr(VectorizedGroupTable, "_bulk_register", spy)
+    monkeypatch.setattr(VectorizedGroupTable, "_register_columns", spy)
     first = _bits(db.execute(Q3_SQL))
     context = db.execution_context
     joins = list(context._join_cache.values())

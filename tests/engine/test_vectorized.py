@@ -301,8 +301,8 @@ class TestRetiredOptions:
 
 class TestRadixOverflow:
     """Key parts whose composite code space would overflow int64 are
-    re-densified per key instead of radix-combined: same groups, same
-    bits."""
+    registered by their key values instead of radix-combined: same
+    groups, same bits."""
 
     QUERY = (
         "SELECT k, s, v AS g, SUM(v) AS sv, COUNT(*) AS c, MIN(v) AS lo "
@@ -318,15 +318,18 @@ class TestRadixOverflow:
                      morsel_size=97)
         expected = result_bits(db.execute(self.QUERY))
         taken = []
-        real = vectorized.VectorizedGroupTable._gids_past_radix
+        table_class = vectorized.VectorizedGroupTable
+        real = table_class._register_columns
 
-        def spy(table, parts):
-            taken.append(len(parts))
-            return real(table, parts)
+        def spy(table, key_columns):
+            taken.append(len(key_columns))
+            return real(table, key_columns)
 
-        monkeypatch.setattr(
-            vectorized.VectorizedGroupTable, "_gids_past_radix", spy
-        )
+        def no_codes(*args):
+            pytest.fail("keys past the radix guard were radix-combined")
+
+        monkeypatch.setattr(table_class, "_register_columns", spy)
+        monkeypatch.setattr(table_class, "_gids_from_codes", no_codes)
         monkeypatch.setattr(vectorized, "_RADIX_MAX", 4)
         assert result_bits(db.execute(self.QUERY)) == expected
         assert taken and set(taken) == {3}

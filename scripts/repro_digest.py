@@ -39,10 +39,9 @@ every spill partition back into one table would.
 Env overrides (so matrix legs vary without changing the command line):
 
 * ``REPRO_DIGEST_WORKERS`` — comma-separated worker counts (``1`` =
-  in-process, ``N`` = every eligible aggregate dealt by position to
-  ``N`` executor processes with partial-state exchange; default
-  ``1,2,3`` — 3 is a stride that does not divide the ``obs`` (4 000)
-  and ``edge`` (10) row counts, so shards are uneven there);
+  one group table, ``N`` = every in-memory aggregate's morsels split
+  over ``N`` partial tables, morsel ``i`` into table ``i mod N``,
+  merged exactly; default ``1,2,3``);
 * ``REPRO_DIGEST_BUILD_SIDES`` — hash-join build sides for join legs;
 * ``REPRO_DIGEST_MEMORY_BUDGETS`` — comma-separated byte budgets;
   ``unbounded`` (or ``0``) disables spilling for that run;
@@ -55,11 +54,10 @@ plan-cache hit (the script exits otherwise), so the gate also covers a
 cached plan lowered again under new knobs.  The callable legs build a
 fresh database per vector.
 
-The workers axis extends the gate across *process* boundaries: a leg
-whose aggregates run on executor processes (shard ``s`` of ``N`` is
-every ``N``-th row from row ``s``) and exchange partial group tables
-over the spill wire format must digest byte-identically to the
-in-process legs.
+The workers axis extends the gate to the exact merge of a split: a leg
+whose aggregates feed ``N`` partial tables (morsel ``i`` into table
+``i mod N``) merged before the finalize must digest byte-identically
+to the one-table legs.
 """
 
 import argparse
@@ -677,19 +675,14 @@ def digest_lines(workers, build_sides, budgets=(None,), queries=QUERIES):
 def _run_callable(run, mode, config) -> bytes:
     """A callable leg on its own database built at ``config``."""
     worker_count, morsel_size, build_side, budget = config
-    db = Database(
+    with Database(
         sum_mode=mode,
         workers=worker_count,
         morsel_size=morsel_size,
         join_build=build_side,
         memory_budget=budget,
-    )
-    try:
+    ) as db:
         return canonical_bytes(run(db))
-    finally:
-        # Tear down executor processes before the next config spins
-        # its own.
-        db.close()
 
 
 def main(argv=None):
@@ -698,8 +691,9 @@ def main(argv=None):
         "--workers",
         default=os.environ.get("REPRO_DIGEST_WORKERS", "1,2,3"),
         help=(
-            "comma-separated worker counts to sweep (1 = in-process, "
-            "N = N executor processes; default 1,2,3)"
+            "comma-separated worker counts to sweep (1 = one group "
+            "table, N = each aggregate split over N partial tables; "
+            "default 1,2,3)"
         ),
     )
     parser.add_argument(

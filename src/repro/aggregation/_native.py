@@ -3,7 +3,7 @@
 The C source ships inside the package and is compiled on first import
 with the system C compiler into a per-user cache directory, keyed by a
 hash of the source, the flags and the platform; every later import
-(a server, each executor process) finds the shared object there and
+(a server, another Python process) finds the shared object there and
 only loads it.  A build writes a temporary file in the cache and
 ``os.replace``-s it into place, so processes building at once never
 load a half-written file.  There is no fallback: without a compiler the

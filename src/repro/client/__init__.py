@@ -18,7 +18,9 @@ codes.
 
 Session options passed to :func:`connect` (``sum_mode``, ``workers``,
 ``memory_budget``, ...) travel in the hello frame and
-configure the server-side session, same knobs as ``db.session()``.
+configure the server-side session, same knobs as ``db.session()``;
+``workers`` splits an aggregate over partial tables inside the server
+process, it starts no process.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ operator choice (:mod:`repro.engine.physical`, inspectable via
 ``EXPLAIN``), columnar storage with MonetDB-style delete+append
 updates, a bit-reproducible hash equi-join (:mod:`repro.engine.join`),
 a morsel-driven pipeline with partial-aggregate/exact-merge GROUP BY
-(in-process, or over ``workers`` executor processes:
-:mod:`repro.distributed`), and a SUM implementation selectable per
+(its morsels split over ``workers`` partial tables:
+:mod:`repro.engine.pipeline`), and a SUM implementation selectable per
 session (``ieee`` / ``repro``) plus the explicit
 ``RSUM(expr, L)`` aggregate the paper proposes in Section V-D.  In the
 repro mode the result bits are invariant under the ``workers``,

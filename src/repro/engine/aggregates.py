@@ -12,7 +12,7 @@ whole life cycle::
                                      target group of other's group g
     finalize(ngroups)            per-group results, table gid order
     approx_bytes()               resident size, for the memory budget
-    dump() / load(data)          the spill / shard-exchange payload tree
+    dump() / load(data)          the spill payload tree
 
 ``cache`` is the morsel's :class:`~repro.engine.expr.ExprCache` and
 ``morsel`` its :class:`~repro.engine.vectorized.SortedMorsel`: one lazy
@@ -24,7 +24,7 @@ session mode on the first morsel: :class:`PlainSum` (exact int64 for
 INT / BOOL / bare DECIMAL columns; IEEE floats in ``ieee`` mode) and
 :class:`LadderSum` (the reproducible rsum ladder of ``repro`` mode and
 ``RSUM``).  For the repro accumulator update and merge are *exact*,
-which is what makes a parallel, spilled or sharded GROUP BY — and an
+which is what makes a split or spilled GROUP BY — and an
 insert-only view refresh — bit-reproducible.  No state subtracts: a
 view refresh whose delta deletes a row rebuilds the view
 (:mod:`repro.engine.matview`).
@@ -364,8 +364,8 @@ class Moment2State:
     (:func:`~repro.core.stats.square_halves`) — are ladders of
     :data:`~repro.core.stats.MOMENT2_PARAMS` in ``repro`` mode (4
     levels, whatever the session's ``levels``) and IEEE sums in
-    ``ieee`` mode; the squares are element-wise, so they merge, spill
-    and cross the shard exchange as exactly as the values do.
+    ``ieee`` mode; the squares are element-wise, so they merge and
+    spill as exactly as the values do.
     Finalize reads the table's common :class:`CountState` and forms
     ``n·Σx² − (Σx)²`` from the *unrounded* sums in Python integers
     (:func:`~repro.core.stats.second_moment`), once per group; each

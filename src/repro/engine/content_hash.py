@@ -5,15 +5,15 @@ of the rows' *values* under the engine's key identity: ``-0.0`` hashes
 with ``0.0``, every NaN payload with every other, floats otherwise by
 their exact bits, integers by value, Python objects (strings, ``None``)
 through blake2b (:func:`value_hash`).  Nothing here depends on
-``PYTHONHASHSEED`` or any other per-process state, so every thread,
-executor process and run sends equal values the same way.
+``PYTHONHASHSEED`` or any other per-process state, so every process
+and run sends equal values the same way.
 
 The one router is this hash modulo a fan-out: the spill partitioner over
 a query's group keys
 (:func:`repro.aggregation.external_agg.partition_ids`) — the one place
-where equal keys must meet.  Shard executors need no router: partial
-states merge exactly, so which rows a process receives is invisible in
-the bits and :mod:`repro.distributed` deals them by position.
+where equal keys must meet.  The ``workers`` split needs no router:
+partial states merge exactly, so which table a morsel feeds is
+invisible in the bits and the pipeline deals morsels by position.
 """
 
 from __future__ import annotations

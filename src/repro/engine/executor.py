@@ -13,10 +13,9 @@ picks concrete operators at the query's snapshot
 (:mod:`repro.engine.physical`).  Otherwise this module *runs* physical
 queries: it materializes scan morsels, builds hash-join tables for the
 pipeline-breaker sides, streams probe morsels through the operator
-chains of :mod:`repro.engine.pipeline` (or hands a ``ShardedAggregate``
-to the executor processes of :mod:`repro.distributed`), and applies
-the finishing stages (HAVING, output projection, ORDER BY, LIMIT) on
-the gathered arrays.
+chains of :mod:`repro.engine.pipeline`, and applies the finishing
+stages (HAVING, output projection, ORDER BY, LIMIT) on the gathered
+arrays.
 """
 
 from __future__ import annotations
@@ -217,9 +216,8 @@ def _scan_morsels(scan: PhysScan, morsel_size: int, stats: PipelineStats,
 
 def _concat_batches(batches: list[Batch]) -> Batch:
     """One build-side Batch from a materialized pipeline's morsels —
-    real arrays throughout: the hash join is cached and shipped to
-    executor processes, so nothing in it may still be waiting to be
-    gathered."""
+    real arrays throughout: the hash join is cached across statements,
+    so nothing in it may still be waiting to be gathered."""
     kept = [b for b in batches if b.nrows]
     batches = kept or batches[:1]
     first = batches[0]
@@ -281,30 +279,9 @@ def _instantiate(chain: PhysPipeline, context: ExecutionContext,
     return morsels, transform
 
 
-def _materialize_build(op: PhysProbe, context: ExecutionContext,
-                       stats: PipelineStats,
-                       snapshot=None) -> Batch:
-    """Materialize one probe's build side (a pipeline breaker) into a
-    single batch.  Shared by the in-process join build and the sharded
-    coordinator, which broadcasts the batch to shard executors."""
-    build_morsels, build_transform = _instantiate(
-        op.build, context, stats, snapshot
-    )
-    started = time.perf_counter()
-    built = []
-    for batch in build_morsels:
-        if build_transform is not None:
-            batch = build_transform(batch)
-        built.append(batch)
-    result = _concat_batches(built)
-    stats.add_seconds("join_build", time.perf_counter() - started)
-    return result
-
-
 def build_signature(chain: PhysPipeline, snapshot=None) -> tuple:
     """``(structure, content)`` of one build pipeline — the one
-    description of it, behind the join cache key and the shard
-    coordinator's broadcast token alike.
+    description of it, behind the join cache key.
 
     ``structure``: scan shape (table, binding, projection, pushed
     filter, encodings) plus the op chain, recursing through nested
@@ -358,7 +335,7 @@ def _build_join(op: PhysProbe, context: ExecutionContext,
     content version at the snapshot) and the join's own shape, so DML on
     a build table can never be served a stale build and a write to any
     other table keeps the hit.  Snapshot-less executions (internal
-    replays, shard workers) always rebuild.
+    replays) always rebuild.
     """
     key = None
     if snapshot is not None:
@@ -375,10 +352,14 @@ def _build_join(op: PhysProbe, context: ExecutionContext,
             stats.add_seconds("join_build", time.perf_counter() - started)
             return cached
         stats.join_cache_misses += 1
-    build_batch = _materialize_build(op, context, stats, snapshot)
+    build_morsels, build_transform = _instantiate(
+        op.build, context, stats, snapshot
+    )
     started = time.perf_counter()
+    if build_transform is not None:
+        build_morsels = [build_transform(batch) for batch in build_morsels]
     join = HashJoin(
-        build_batch, op.build_keys, op.probe_keys,
+        _concat_batches(build_morsels), op.build_keys, op.probe_keys,
         op.kind, op.probe_is_left,
     )
     stats.add_seconds("join_build", time.perf_counter() - started)
@@ -409,16 +390,9 @@ def run_planned(query: PhysicalQuery, context: ExecutionContext,
             query, key_arrays, dict(agg_results), ngroups
         )
     elif query.aggregate is not None:
-        run = compute_grouped_arrays
-        if query.aggregate.sharded:
-            # No local scan at all: executor processes hold the shard
-            # replicas and return framed partial group tables that
-            # merge exactly (imported lazily — most sessions run
-            # in-process).
-            from ..distributed.coordinator import (
-                run_sharded_grouped_pipeline as run,
-            )
-        key_arrays, results, ngroups = run(query, context, stats, snapshot)
+        key_arrays, results, ngroups = compute_grouped_arrays(
+            query, context, stats, snapshot
+        )
         agg_env = {
             spec.sql: arr
             for spec, arr in zip(query.aggregate.specs, results)

@@ -242,8 +242,8 @@ class BuildRowKeys:
     """Dictionary of the :data:`~repro.engine.operators.BUILD_ROW`
     encoding: the GROUP BY key of every build row of one built join,
     factorised once per build.  A cached join keeps it for every later
-    statement; snapshot-less executions (executor processes) rebuild
-    the join, so they factorise once per statement.
+    statement; snapshot-less executions rebuild the join, so they
+    factorise once per statement.
 
     ``specs`` is the planner's rule
     (:func:`repro.engine.physical._build_row_rule`), one ``(kind, key,

@@ -100,8 +100,8 @@ class Batch:
     (:meth:`select` composes each *distinct* index once), and a column
     is gathered when an expression first reads it.  ``columns`` holds
     the visible columns; whoever needs real arrays for all of them
-    (``SELECT *``, a build side about to be cached or shipped, a
-    spill or exchange payload) iterates it or takes ``dict(columns)``.
+    (``SELECT *``, a build side about to be cached, a spill payload)
+    iterates it or takes ``dict(columns)``.
 
     ``codes`` / ``dictionaries`` are the dictionary encodings of key
     columns, selected along with the rows and never part of the visible

@@ -7,20 +7,19 @@ The logical tree (:mod:`repro.engine.plan`, rewritten by
   per-morsel operators (filters and hash-join probes); pipeline
   breakers (join build sides) become nested pipelines that are
   materialized before the stream starts;
-* an optional **aggregate sink** — always the one group table of
-  :mod:`repro.engine.vectorized`, fed by the chain's own operators,
-  in-process or — with ``context.workers > 1`` and a chain the
-  executors can run (:func:`_shardable`) — on that many executor
-  processes.  The other per-plan decision about it is taken here, from
-  the plan shape and the schema dtypes alone: whether one probe's build
-  row determines the group (:func:`_build_row_rule`), in which case
-  that probe carries its build-row index along and the table takes
-  group ids from it;
+* an optional **aggregate sink** — always the group table of
+  :mod:`repro.engine.vectorized`, fed by the chain's own operators
+  (``context.workers`` of them, merged exactly at the finish).  The
+  other per-plan decision about it is taken here, from the plan shape
+  and the schema dtypes alone: whether one probe's build row
+  determines the group (:func:`_build_row_rule`), in which case that
+  probe carries its build-row index along and the table takes group
+  ids from it;
 * the **finishing** stages executed on the gathered result arrays:
   HAVING, output projection, ORDER BY, LIMIT.
 
 Lowering is where a plan first reads data, at the query's snapshot:
-join build sides, the external and the shard choice all read
+join build sides and the external choice read
 :func:`~repro.engine.optimizer.estimate_rows` there.  It never mutates
 the logical plan, so a session caches that plan and lowers it per
 SELECT.  The planner executes nothing, so ``EXPLAIN`` can render the
@@ -157,30 +156,27 @@ class PhysAggregate:
     external: bool = False
     memory_budget_bytes: int | None = None
     est_state_bytes: int = 0
-    #: True when the plan runs as a ShardedAggregate: the table is
-    #: dealt row by row to ``workers`` executor processes and partial
-    #: group tables are exchanged back over the spill wire format
-    #: (:mod:`repro.distributed`).  Bits are identical either way in
-    #: repro mode — the reproducibility CI sweeps the worker count.
-    sharded: bool = False
 
     def describe(self, workers: int, morsel_size: int,
                  build_row_probe: PhysProbe | None = None) -> str:
         group = ", ".join(e.sql() for e in self.group_exprs)
         aggs = ", ".join(spec.sql for spec in self.specs)
         extra = ""
-        if build_row_probe is not None:
-            extra = f", group_ids=build_row({build_row_probe.keys_sql()})"
         if self.external:
             extra = (
                 f", external(partitions={external_agg.SPILL_PARTITIONS}, "
                 f"budget={self.memory_budget_bytes}B, "
                 f"~{self.est_state_bytes}B state)"
             )
-        name = (f"ShardedAggregate(workers={workers})" if self.sharded
-                else "Aggregate")
+        else:
+            if workers > 1:
+                extra = f", workers={workers}"
+            if build_row_probe is not None:
+                extra += (
+                    f", group_ids=build_row({build_row_probe.keys_sql()})"
+                )
         return (
-            f"{name}[morsel_size={morsel_size}{extra}]"
+            f"Aggregate[morsel_size={morsel_size}{extra}]"
             f"(group=[{group}], aggs=[{aggs}])"
         )
 
@@ -359,17 +355,6 @@ def plan_physical(root: LogicalNode, context, sum_config: SumConfig,
     if aggregate is not None and not aggregate.external:
         _build_row_rule(chain, aggregate.group_exprs)
 
-    # Multi-process execution: chosen when the session sets workers > 1
-    # and the chain is filters and inner probes over real scans whose
-    # every build side is small enough to broadcast to the executors
-    # (LEFT joins and the external spill path run in-process).  Result
-    # bits in repro mode are invariant under this choice —
-    # executors run the same operators over a disjoint row partition
-    # and the partial states merge exactly.
-    if (aggregate is not None and context.workers > 1
-            and not aggregate.external and _shardable(chain)):
-        aggregate.sharded = True
-
     from .plan import plan_column_types
 
     column_types = plan_column_types(root)
@@ -474,30 +459,6 @@ def _build_row_rule(chain: PhysPipeline, group_exprs) -> None:
         if len(specs) == len(group_exprs):
             op.group_keys = tuple(specs)
             return
-
-
-#: Largest estimated build-side row count the planner will broadcast
-#: to every shard executor; past this, shipping the build to each
-#: worker dwarfs the sharded scan it parallelises.
-_BROADCAST_BUILD_MAX_ROWS = 1 << 20
-
-
-def _shardable(chain: PhysPipeline, streamed: bool = True) -> bool:
-    """Can this chain run on the shard executors?  Filters and inner
-    probes over real scans throughout (the coordinator materializes
-    every build side from the catalog), and the builds the executors
-    receive (``streamed`` chain only) of bounded estimated size."""
-    if chain.source.table is None:
-        return False
-    for op in chain.ops:
-        if isinstance(op, PhysProbe):
-            if op.kind != "inner" or not _shardable(op.build, False) or (
-                streamed and op.est_build_rows > _BROADCAST_BUILD_MAX_ROWS
-            ):
-                return False
-        elif not isinstance(op, PhysFilter):
-            return False
-    return True
 
 
 def _group_count_bound(node: Aggregate, snapshot) -> int:

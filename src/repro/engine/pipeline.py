@@ -14,34 +14,32 @@ indices, and a column is gathered when the projection or an aggregate
 state first reads it.
 
 One grouped driver: :func:`run_grouped_pipeline` feeds every morsel, in
-scan order, into one sink — a group table, or under a memory budget the
-spilling one of :mod:`repro.aggregation.external_agg` — and ends in
-:func:`finish_grouped`, the one merge -> finalize -> stats epilogue,
-which the shard coordinator calls for its executors' partials too.
+scan order, into its sink — ``workers`` group tables, morsel ``i`` into
+table ``i mod workers``, or under a memory budget the spilling one of
+:mod:`repro.aggregation.external_agg` — and ends in
+:func:`finish_grouped`, the one merge -> finalize -> stats epilogue.
 
-In-process execution is serial.  ``workers = N > 1`` is served by
-executor *processes* (:mod:`repro.distributed`): the planner runs every
-aggregate whose chain qualifies as a ``ShardedAggregate`` over ``N`` of
-them, and everything else — projections, LEFT joins, external
-aggregates — here.  Because the repro aggregate states merge *exactly*
+Execution is in-process and serial; ``workers = N`` splits the input
+of an in-memory aggregate into ``N`` partial tables that merge in index
+order, the merge a spilled partition takes.  Because the repro
+aggregate states merge *exactly*
 (:meth:`~repro.aggregation.grouped.GroupedSummation.merge`), the
 repro-mode result bits are identical for **every** ``(workers,
-morsel_size)`` combination.  IEEE mode keeps plain float partials, so its results may
-drift with the split — the engine-layer demonstration of the paper's
-motivating problem.
+morsel_size)`` combination.  IEEE mode keeps plain float partials, so
+its results may drift with the split — the engine-layer demonstration
+of the paper's motivating problem.
 
 Accounting: the session opens one :class:`PipelineStats` per statement
 and every operator and driver here fills it — CPU seconds per operator
-class, the driver's wall-clock, busy time per process that fed rows,
-spill, exchange, ladder and cache counters.
+class, the driver's wall-clock, spill, ladder and cache counters.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import tempfile
 import time
-import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -67,11 +65,10 @@ __all__ = [
 
 #: THE constructor of per-morsel group tables —
 #: ``make_group_table(group_exprs, specs)``.
-#: The grouped driver, its spilling sink, the shard executors and the
-#: shard coordinator all build their tables through this one symbol
-#: (looked up on this module at call time), so no query can select a
-#: different runtime; the differential tests substitute their
-#: row-order reference table by patching it.
+#: The grouped driver and its spilling sink build their tables through
+#: this one symbol (looked up on this module at call time), so no query
+#: can select a different runtime; the differential tests substitute
+#: their row-order reference table by patching it.
 make_group_table = VectorizedGroupTable
 
 #: Default morsel size: big enough to amortise NumPy dispatch, small
@@ -123,14 +120,11 @@ class ExecutionContext:
                  morsel_size: int = DEFAULT_MORSEL_SIZE,
                  join_build: str = "auto",
                  memory_budget_bytes: int | None = None):
-        #: Degree of parallelism: the number of executor *processes* a
-        #: qualifying aggregate plan runs on as a ShardedAggregate —
-        #: executor ``s`` of ``workers`` aggregates every
-        #: ``workers``-th row from row ``s`` on and returns its partial
-        #: group table over the spill wire format
-        #: (:mod:`repro.distributed`).  ``1`` runs every plan
-        #: in-process.  Repro-mode bits are invariant under this knob —
-        #: the reproducibility CI sweeps it.
+        #: How many partial group tables an in-memory aggregate splits
+        #: its morsels over (morsel ``i`` feeds table ``i mod
+        #: workers``); they merge exactly, in index order, before the
+        #: finalize.  ``1`` is one table.  Repro-mode bits are
+        #: invariant under this knob — the reproducibility CI sweeps it.
         self.workers = self._check_workers(workers)
         self.morsel_size = self._check_morsel_size(morsel_size)
         #: Force the hash-join build side for inner joins ('left' /
@@ -146,8 +140,6 @@ class ExecutionContext:
         #: the budget.  In repro mode the result bits are
         #: invariant under this knob — the reproducibility CI sweeps it.
         self.memory_budget_bytes = self._check_budget(memory_budget_bytes)
-        self._shard_pool = None
-        self._shard_finalizer = None
         #: Build-chain signature -> materialized :class:`HashJoin`,
         #: filled by :func:`repro.engine.executor._build_join`.  Keys
         #: embed every build-side table's content version at the read
@@ -235,12 +227,7 @@ class ExecutionContext:
         if key == "memory_budget":
             self.memory_budget_bytes = self._check_budget(value)
         elif key == "workers":
-            workers = self._check_workers(value)
-            if workers != self.workers:
-                # The fleet is sized for the old count; a fresh one is
-                # spawned lazily on the next sharded query.
-                self._close_shard_pool()
-            self.workers = workers
+            self.workers = self._check_workers(value)
         elif key == "morsel_size":
             self.morsel_size = self._check_morsel_size(value)
         elif key == "join_build":
@@ -248,7 +235,7 @@ class ExecutionContext:
         elif key in ("shards", "shard_workers"):
             raise ConfigError(
                 f"session parameter {name!r} is retired: workers counts "
-                "the executor processes, one per shard"
+                "the partial tables an aggregate splits over"
             )
         elif key == "memory_budget_bytes" or key.startswith("spill_"):
             raise ConfigError(
@@ -262,42 +249,6 @@ class ExecutionContext:
                 + ", ".join(self.PARAM_NAMES)
             )
 
-    def shard_pool(self):
-        """The context's executor fleet — ``workers`` processes, one per
-        shard — created lazily and reused across queries (shipped
-        replicas only pay off if the processes survive between queries).
-        A fleet with a dead executor is replaced; ``SET workers`` closes
-        the old one; shut down by :meth:`close` or, failing that, a GC
-        finalizer."""
-        if self._shard_pool is not None and not self._shard_pool.alive():
-            self._close_shard_pool()
-        if self._shard_pool is None:
-            from ..distributed.pool import ShardWorkerPool
-
-            self._shard_pool = ShardWorkerPool(self.workers)
-            self._shard_finalizer = weakref.finalize(
-                self, self._shard_pool.close
-            )
-        return self._shard_pool
-
-    def discard_shard_pool(self) -> None:
-        """Tear down a poisoned executor fleet (a dead executor, a
-        broken pipe): the next sharded query spawns a fresh one."""
-        self._close_shard_pool()
-
-    def _close_shard_pool(self) -> None:
-        if self._shard_pool is not None:
-            if self._shard_finalizer is not None:
-                self._shard_finalizer.detach()
-                self._shard_finalizer = None
-            self._shard_pool.close()
-            self._shard_pool = None
-
-    def close(self) -> None:
-        """Shut down any executor processes now (sessions call this on
-        close; GC would get there eventually via the finalizer)."""
-        self._close_shard_pool()
-
 
 class PipelineStats:
     """One statement's accounting record.
@@ -307,15 +258,9 @@ class PipelineStats:
     (a REFRESH runs no pipeline and fills none).
 
     ``seconds`` is CPU time per operator class (paper Table IV's
-    breakdown): ``scan``, ``join_build``, ``selection``,
-    ``aggregation`` and ``shard_exchange``.  A ShardedAggregate reports
-    its executors' CPU time summed across processes as
-    ``aggregation``, which can exceed the wall-clock.
-    ``wall_seconds`` is the driver's wall-clock, from :meth:`start` to
-    finalized output.  ``worker_busy[w]`` is the CPU time of process
-    ``w`` that fed rows — the one in-process feeder, or each executor
-    of a ShardedAggregate (``workers`` of them) — how the work was
-    split, not how long anyone waited.
+    breakdown): ``scan``, ``join_build``, ``selection`` and
+    ``aggregation``.  ``wall_seconds`` is the driver's wall-clock, from
+    :meth:`start` to finalized output.
     """
 
     def __init__(self):
@@ -345,16 +290,10 @@ class PipelineStats:
         self.external = False
         self.spilled_runs = 0
         self.spilled_bytes = 0
-        #: True when the plan ran as a ShardedAggregate across executor
-        #: processes (:mod:`repro.distributed`); ``exchange_bytes``
-        #: then counts framed bytes over the wire (shard replicas
-        #: shipped + partial tables returned).
-        self.sharded = False
-        self.exchange_bytes = 0
         #: Which update this query's reproducible sums took, in rows
-        #: summed over tables and executors (per query, not
-        #: cumulative): scatter-accumulated on their table's prevailing
-        #: ladder vs. handed to the reference, and why the first row
+        #: summed over tables (per query, not cumulative):
+        #: scatter-accumulated on their table's prevailing ladder vs.
+        #: handed to the reference, and why the first row
         #: that went there did (``off_ladder`` / ``non_finite`` /
         #: ``subnormal`` / ``format``; ``None`` when none did).  See
         #: :func:`repro.aggregation.grouped.add_blocked_multi`.
@@ -363,11 +302,10 @@ class PipelineStats:
         self.ladder_first_decline: str | None = None
 
     def start(self, workers: int = 1) -> None:
-        """Stamp the driver's start; size the per-process lists."""
+        """Stamp the driver's start; ``workers`` is how many partial
+        group tables it feeds."""
         self.started = time.perf_counter()
         self.workers = workers
-        self.worker_busy = [0.0] * workers
-        self.worker_morsels = [0] * workers
 
     def add_seconds(self, label: str, dt: float) -> None:
         self.seconds[label] = self.seconds.get(label, 0.0) + dt
@@ -410,22 +348,20 @@ def _feed(morsels: list[Batch], transform, consume, stats: PipelineStats):
         t2 = time.thread_time()
         selection += t1 - t0
         consumption += t2 - t1
-    stats.morsel_count = stats.worker_morsels[0] = len(morsels)
-    stats.worker_busy[0] = selection + consumption
+    stats.morsel_count = len(morsels)
     return selection, consumption
 
 
 def finish_grouped(partitions, group_exprs, specs, ladder,
                    stats: PipelineStats, fed_seconds: float):
-    """The epilogue of every grouped driver — in-process, spilling,
-    sharded.
+    """The epilogue of every grouped driver — in memory or spilling.
 
     ``partitions`` yields ``(held, sources)`` per key-disjoint unit of
-    partial state: everything, for an in-memory or sharded run; one
-    spill partition at a time for an external one.  ``sources`` merge
-    in order into the first of them; a callable one returns an unframed
-    ``dump_table`` payload (a spill run, a shard's reply), read and
-    loaded only when its turn comes.  Each unit is finalized and
+    partial state: the ``workers`` split tables, for an in-memory run;
+    one spill partition at a time for an external one.  ``sources``
+    merge in order into the first of them; a callable one returns an
+    unframed ``dump_table`` payload (a spill run), read and loaded only
+    when its turn comes.  Each unit is finalized and
     dropped before the next is asked for, so only one is ever whole;
     ``held`` is the bytes of partial tables alive beside it.  Units
     finalize unordered; their outputs are put in canonical key order
@@ -487,19 +423,21 @@ def run_grouped_pipeline(
     transform=None,
     external: bool = False,
 ):
-    """In-process GROUP BY: every morsel into one sink, then finish.
+    """In-process GROUP BY: every morsel into the sink, then finish.
 
     ``transform`` (optional) is a per-morsel operator chain — filters
-    and hash-join probes composed by the physical planner.
-    ``external`` (the planner's choice under a memory budget) makes the
-    sink a spilling one over ``context.memory_budget_bytes`` instead of
-    a plain table; in repro mode the returned bits are the
-    same either way.
+    and hash-join probes composed by the physical planner.  The sink is
+    ``context.workers`` group tables, morsel ``i`` feeding table ``i
+    mod workers``, merged in index order at the finish.  ``external``
+    (the planner's choice under a memory budget) makes it one spilling
+    sink over ``context.memory_budget_bytes`` instead; in repro mode
+    the returned bits are the same either way.
 
     Returns ``(key_arrays, result_arrays, ngroups)`` in canonical
     (sorted-key) group order.
     """
-    stats.start()
+    workers = 1 if external else context.workers
+    stats.start(workers)
     stats.external = external
 
     with (tempfile.TemporaryDirectory(prefix="repro-spill-") if external
@@ -509,16 +447,26 @@ def run_grouped_pipeline(
                 group_exprs, specs, make_group_table,
                 context.memory_budget_bytes, spill_dir,
             )
+            tables = [sink]
         else:
-            sink = make_group_table(group_exprs, specs)
-        selection, aggregation = _feed(morsels, transform, sink.update, stats)
+            tables = [make_group_table(group_exprs, specs)
+                      for _ in range(workers)]
+        updates = itertools.cycle([table.update for table in tables])
+        selection, aggregation = _feed(
+            morsels, transform, lambda batch: next(updates)(batch), stats,
+        )
         if external:
             partitions = external_agg.spilled_partitions(sink, stats)
         else:
-            partitions = [(0, [sink])]
+            partitions = [
+                (sum(table.approx_bytes() for table in tables[1:]), tables)
+            ]
         stats.add_seconds("selection", selection)
+        # the merge root (the first table) ends up with every table's
+        # ladder counters
         return finish_grouped(
-            partitions, group_exprs, specs, sink.ladder, stats, aggregation,
+            partitions, group_exprs, specs, tables[0].ladder, stats,
+            aggregation,
         )
 
 

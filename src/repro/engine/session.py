@@ -9,9 +9,9 @@ PR 7 splits the old monolithic ``Database`` in two:
   delegate to an implicit default session.
 * :class:`Session` owns what is *per connection* — the SUM
   configuration, the execution knobs (``workers`` / ``morsel_size`` /
-  ``memory_budget`` / ``join_build``), its executor processes, the
-  accounting record of its last query, and snapshot pinning.  Both the
-  local embedding (``db.session()``) and the network client
+  ``memory_budget`` / ``join_build``), the accounting record of its
+  last query, and snapshot pinning.  Both the local embedding
+  (``db.session()``) and the network client
   (:func:`repro.client.connect`) present this same surface, so code
   written against one runs unchanged against the other.
 
@@ -32,7 +32,6 @@ Algorithm 1 verbatim.
 from __future__ import annotations
 
 import contextlib
-import weakref
 
 import numpy as np
 
@@ -252,8 +251,8 @@ class Session:
 
         Shows the optimized logical plan (pushdown rules applied) and
         the chosen physical operators — where the group ids come from,
-        in-process or on executor processes, hash-join build sides —
-        without executing the query.
+        the ``workers`` split, hash-join build sides — without
+        executing the query.
         """
         stmt = parse(sql_text)
         if isinstance(stmt, ast.Explain):
@@ -263,13 +262,9 @@ class Session:
         return self._explain(stmt)
 
     def close(self) -> None:
-        """Release session resources — its executor processes, if any
-        ran.  The catalog belongs to the database and is untouched.
-        Idempotent, and safe on a session whose ``__init__`` failed
-        partway (e.g. an invalid knob)."""
-        context = getattr(self, "execution_context", None)
-        if context is not None:
-            context.close()
+        """Nothing to release: a session holds no process, thread or
+        file (the catalog belongs to the database).  Kept so a session
+        closes like the client connection it mirrors."""
 
     def __enter__(self) -> Session:
         return self
@@ -419,9 +414,6 @@ class Database:
             "join_build": join_build,
             "memory_budget": memory_budget,
         }
-        #: every session ever created over this database (weakly held)
-        #: so :meth:`close` can tear all of them down
-        self._sessions = weakref.WeakSet()
         try:
             if path is not None:
                 from ..storage.durable import DurableStore
@@ -439,8 +431,8 @@ class Database:
                 # ``vectorized`` / ``fused`` / ``buffer_size`` / the
                 # spill shape / ``shard_workers`` — select nothing; a
                 # retired ``sum_mode`` selects its successor, and
-                # ``shards = N > 0``, which ran aggregates on N
-                # executor processes, selects ``workers = N``).
+                # ``shards = N > 0``, which split aggregates N ways,
+                # selects ``workers = N``).
                 persisted = storage.persistent_defaults
                 for name, value in persisted.items():
                     if name == "sum_mode":
@@ -451,7 +443,7 @@ class Database:
                     self.session_defaults["workers"] = persisted["shards"]
             # Created eagerly: constructing it validates every default
             # knob at Database() time, exactly as the monolithic class
-            # did (executor processes are still spawned lazily).
+            # did.
             self._default_session = self.session()
             if self._storage is not None:
                 self._storage.start_checkpointer()
@@ -477,18 +469,13 @@ class Database:
         options = dict(self.session_defaults)
         options.update(overrides)
         session = Session(self, **options)
-        self._sessions.add(session)
         return session
 
     def close(self) -> None:
-        """Tear down every session created over this database —
-        executor processes included — then fsync and release durable
-        storage (WAL handle, directory lock).  The
-        catalog stays readable (a later ``session()`` works), but
-        nothing lingers after exit.  Idempotent, and safe on a
-        database whose ``__init__`` failed partway."""
-        for session in list(getattr(self, "_sessions", ()) or ()):
-            session.close()
+        """Fsync and release durable storage (WAL handle, directory
+        lock).  The catalog stays readable (a later ``session()``
+        works), but nothing lingers after exit.  Idempotent, and safe
+        on a database whose ``__init__`` failed partway."""
         storage = getattr(self, "_storage", None)
         if storage is not None:
             storage.close()
@@ -538,7 +525,7 @@ class Database:
         # A session built with the new default runs the knob's
         # validator before anything is logged: a logged bad value would
         # fail every later open of the directory.
-        Session(self, **dict(self.session_defaults, **{name: value})).close()
+        Session(self, **dict(self.session_defaults, **{name: value}))
         self.session_defaults[name] = value
         if self._storage is not None:
             self._storage.log_set_default(name, value)
@@ -546,8 +533,6 @@ class Database:
     def simulate_crash(self) -> None:
         """Testing hook: abandon the data directory as ``kill -9``
         would — handles dropped, no final fsync, no checkpoint."""
-        for session in list(self._sessions):
-            session.close()
         storage = self._require_storage()
         storage.simulate_crash()
 

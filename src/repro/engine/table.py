@@ -438,8 +438,8 @@ class Table:
 
     def content_version(self, snapshot: int | None = None) -> int:
         """What names this table's rows as ``snapshot`` sees them — the
-        key of everything that copies them (shard replicas, join
-        builds): the watermark when the snapshot covers every statement
+        key of everything that copies them (cached join builds): the
+        watermark when the snapshot covers every statement
         the table has seen (an in-flight writer has already raised it
         past a reader pinned before), the snapshot itself otherwise."""
         if snapshot is None or snapshot >= self._version:

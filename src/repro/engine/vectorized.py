@@ -1,8 +1,8 @@
 """The group table of every aggregate — SELECT, view build and REFRESH.
 
 :class:`VectorizedGroupTable` is the one aggregate runtime: the
-in-memory pipeline, the external (spill) aggregation, the shard
-executors and materialized-view maintenance all construct it, the
+in-memory pipeline, the external (spill) aggregation and
+materialized-view maintenance all construct it, the
 query paths through :data:`repro.engine.pipeline.make_group_table`.
 One feeder: every morsel arrives through
 :meth:`~VectorizedGroupTable.update`.  The table owns three things:
@@ -345,7 +345,7 @@ class VectorizedGroupTable:
         self._row_lut: np.ndarray | None = None
         self._gid_codes: np.ndarray | None = None
         #: Which ladder update this table's rows took (scatter vs
-        #: reference); merged with the executors' and reported on
+        #: reference); merged with the other partial tables' and reported on
         #: :class:`~repro.engine.pipeline.PipelineStats`.
         self.ladder = LadderCounters()
 
@@ -672,7 +672,8 @@ class VectorizedGroupTable:
 
     # -- exact merge -------------------------------------------------------
     def merge(self, other: "VectorizedGroupTable") -> None:
-        """Fold a worker-local table in (exact for repro aggregates)."""
+        """Fold another partial table in — a ``workers`` split's or a
+        spill run's (exact for repro aggregates)."""
         if self._key_dtypes is None:
             self._key_dtypes = other._key_dtypes
         if not self.group_exprs:

@@ -103,8 +103,8 @@ class LadderOverflowError(DataError, OverflowError):
     The top anchor must remain a normal number, which caps handled
     magnitudes at roughly ``2**(E_max + W - m - 2)`` (about ``2**986``
     for binary64 with W = 40); the paper's implementation has the same
-    restriction.  The same type reaches the caller in-process, from an
-    executor process and over the wire."""
+    restriction.  The same type reaches the caller in-process and over
+    the wire."""
 
     code = "ladder_overflow"
 

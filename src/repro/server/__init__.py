@@ -264,7 +264,6 @@ class ReproServer:
     # -- connection handling -----------------------------------------------
     async def _serve_connection(self, reader, writer) -> None:
         self._connections += 1
-        session = None
         try:
             session = await self._handshake(reader, writer)
             if session is None:
@@ -284,11 +283,6 @@ class ReproServer:
         except (ConnectionError, ProtocolError, asyncio.IncompleteReadError):
             pass  # client vanished or spoke garbage: drop the connection
         finally:
-            if session is not None:
-                # Non-blocking (pool shutdown with wait=False), and must
-                # run even when this task is being cancelled at server
-                # stop — so no await here.
-                session.close()
             writer.close()
             try:
                 await writer.wait_closed()

@@ -51,8 +51,10 @@ def _parse_args(argv=None):
                         choices=SumConfig.MODES,
                         help="default SUM semantics for new sessions")
     parser.add_argument("--workers", type=int, default=1,
-                        help="default degree of parallelism: N executor "
-                             "processes per session (1 = in-process)")
+                        help="default partial group tables each in-memory "
+                             "aggregate splits its morsels over, merged "
+                             "exactly in the server process (1 = one "
+                             "table)")
     parser.add_argument("--max-inflight", type=int, default=8,
                         help="statements executing concurrently")
     parser.add_argument("--max-backlog", type=int, default=32,

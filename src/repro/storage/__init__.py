@@ -14,12 +14,10 @@ into framed, checksummed run files that the external GROUP BY operator
 from .durable import DurableStore
 from .spill import (
     SPILL_MAGIC,
-    FrameDecoder,
     SpillFormatError,
     dump_grouped_summation,
     dump_table,
     frame_payload,
-    iter_frames,
     load_grouped_summation,
     load_table_into,
     read_run_file,
@@ -31,13 +29,11 @@ from .wal import WriteAheadLog
 __all__ = [
     "SPILL_MAGIC",
     "DurableStore",
-    "FrameDecoder",
     "SpillFormatError",
     "WriteAheadLog",
     "dump_grouped_summation",
     "dump_table",
     "frame_payload",
-    "iter_frames",
     "load_grouped_summation",
     "load_table_into",
     "read_run_file",

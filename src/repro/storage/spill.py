@@ -30,13 +30,12 @@ Ownership: **a decoded array is a read-only view over the frame it came
 from; whoever keeps one copies it.**  :func:`read_frame` hands back a
 read-only ``memoryview`` of the verified payload and
 :func:`decode_payload` builds its arrays over that view, so reading a
-checkpoint, a WAL segment, a run file or an exchange frame touches each
-array's bytes once — in the copy its keeper makes (``Table._stage``, a
-state's ``load``, a view's ``restore_served``).  A write to a decoded
-array raises, so a keeper that forgot its copy fails at once instead of
+checkpoint, a WAL segment or a run file touches each array's bytes
+once — in the copy its keeper makes (``Table._stage``, a state's
+``load``, a view's ``restore_served``).  A write to a decoded array
+raises, so a keeper that forgot its copy fails at once instead of
 corrupting a buffer it shares; and a kept view would pin its whole
-frame in memory.  Only the stream :class:`FrameDecoder` copies payloads
-out, because the buffer it parses keeps moving.
+frame in memory.
 """
 
 from __future__ import annotations
@@ -53,14 +52,12 @@ from ..fp.formats import format_by_name
 
 __all__ = [
     "SPILL_MAGIC",
-    "FrameDecoder",
     "SpillFormatError",
     "dump_grouped_summation",
     "decode_payload",
     "dump_table",
     "encode_payload",
     "frame_payload",
-    "iter_frames",
     "load_grouped_summation",
     "load_table_into",
     "read_frame",
@@ -243,11 +240,7 @@ class _Reader:
 
 
 def encode_payload(value) -> bytes:
-    """Serialize one payload tree with the tagged spill codec.
-
-    The distributed exchange ships shard replicas and control payloads
-    as codec trees inside :func:`frame_payload` frames — the same bytes
-    a run file holds, minus the filesystem."""
+    """Serialize one payload tree with the tagged spill codec."""
     out = bytearray()
     _encode(value, out)
     return bytes(out)
@@ -265,15 +258,14 @@ def decode_payload(raw):
 
 
 # ---------------------------------------------------------------------------
-# Framing: one layout for run files AND the shard-exchange wire
+# Framing: one layout for run files, checkpoints and WAL records
 #
 # The frame is self-delimiting (magic | u64 payload length | payload |
 # crc32 | end marker), so the same bytes work as an on-disk run file,
-# an in-memory buffer, or a stream of back-to-back frames on a pipe —
-# the spill format *is* the wire protocol.  Every reader — one blob,
-# a stream, the WAL's segment walk — goes through read_frame, which
-# validates magic, length, end marker, and CRC; damage raises, never
-# mis-reads.
+# an in-memory buffer, or back-to-back records in a WAL segment.  Every
+# reader — one blob, the WAL's segment walk — goes through read_frame,
+# which validates magic, length, end marker, and CRC; damage raises,
+# never mis-reads.
 # ---------------------------------------------------------------------------
 
 _HEAD_LEN = len(SPILL_MAGIC) + 8
@@ -312,8 +304,8 @@ _MAX_FRAME = 1 << 40
 def read_frame(blob, pos: int = 0, context: str = "frame"):
     """THE frame parser: verify the frame that starts at ``blob[pos]``
     and return ``(payload, end offset)`` — or ``None`` when ``blob``
-    ends before the frame does (a stream reader waits for more bytes,
-    everyone else calls that truncation).  Any damage raises: magic,
+    ends before the frame does (the WAL's segment walk reads that as a
+    torn tail, everyone else as truncation).  Any damage raises: magic,
     length cap, end marker, CRC.  The payload is a read-only
     ``memoryview`` of ``blob``, not a copy."""
     head = pos + _HEAD_LEN
@@ -347,59 +339,6 @@ def unframe_payload(blob, context: str = "frame") -> memoryview:
             "(truncated, or trailing bytes)"
         )
     return parsed[0]
-
-
-class FrameDecoder:
-    """Incremental reader for a stream of back-to-back frames.
-
-    Feed arbitrary byte chunks (socket reads, pipe messages, file
-    slices); complete payloads come back verified, in order.  Chunk
-    boundaries carry no meaning — any split of the same byte stream
-    decodes to the same payload sequence.  A stream that ends mid-frame
-    is truncation: :meth:`finish` raises rather than letting a partial
-    partial-aggregate state pass as complete.
-    """
-
-    def __init__(self, context: str = "frame stream"):
-        self._context = context
-        self._buffer = bytearray()
-        self.frames_decoded = 0
-
-    def feed(self, chunk: bytes) -> list[bytes]:
-        """Absorb ``chunk``; return every newly completed payload."""
-        self._buffer += chunk
-        payloads = []
-        pos = 0
-        while True:
-            parsed = read_frame(
-                self._buffer, pos, f"{self._context}[{self.frames_decoded}]"
-            )
-            if parsed is None:
-                break
-            payload, pos = parsed
-            # Copy out and let go: the buffer is about to move, which a
-            # bytearray refuses while a view of it is alive.
-            payloads.append(bytes(payload))
-            payload.release()
-            self.frames_decoded += 1
-        del self._buffer[:pos]
-        return payloads
-
-    def finish(self) -> None:
-        """Assert the stream ended on a frame boundary."""
-        if self._buffer:
-            raise SpillFormatError(
-                f"{self._context}: stream truncated mid-frame "
-                f"({len(self._buffer)} dangling bytes after "
-                f"{self.frames_decoded} complete frames)"
-            )
-
-
-def iter_frames(blob: bytes, context: str = "frame stream"):
-    """Yield each verified payload of a concatenated-frame blob."""
-    decoder = FrameDecoder(context)
-    yield from decoder.feed(blob)
-    decoder.finish()
 
 
 def write_run_file(path: str, payload: bytes) -> int:

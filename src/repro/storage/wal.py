@@ -5,7 +5,7 @@ row effects, CREATE/DROP TABLE, CREATE/REFRESH/DROP MATERIALIZED VIEW,
 persistent ``SET`` defaults — is appended here as **one spill frame**
 (:func:`repro.storage.spill.frame_payload` around the tagged codec):
 the same self-delimiting ``magic | length | payload | crc32 | end``
-layout PR 4 built for run files and PR 8 reused as the shard wire.
+layout the external aggregation's run files use.
 Column data inside a record travels as raw little-endian array bytes,
 so the IEEE bit patterns that make results reproducible are the bit
 patterns that hit the disk.

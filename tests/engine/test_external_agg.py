@@ -402,15 +402,14 @@ def test_memory_budget_property_setter():
         Database(memory_budget=-5)
 
 
-def test_set_workers_resets_pool():
+def test_set_workers_splits_in_memory_plans_only():
     with _build(sum_mode="repro", workers=2, morsel_size=193) as db:
-        db.execute(QUERY)  # spins up the two executor processes
-        pool = db.execution_context._shard_pool
+        db.execute(QUERY)
+        assert db.last_pipeline_stats.workers == 2
         db.execute("SET workers = 3")
-        assert pool.closed
         db.execute(QUERY)
         assert db.last_pipeline_stats.workers == 3
-        # an external plan runs in-process: the fleet is left alone
+        # an external plan has one spilling sink
         db.memory_budget = 1
         db.execute(QUERY)
         assert db.last_pipeline_stats.workers == 1

@@ -107,16 +107,16 @@ class TestJoinBitEquivalence:
                 assert got == base, (build, morsel)
 
     @pytest.mark.parametrize("workers", (2, 3))
-    def test_bits_invariant_under_sharded_joins(self, workers):
+    def test_bits_invariant_under_split_joins(self, workers):
         with _make_db("repro") as db:
             base = [_result_bits(db.execute(q)) for q in QUERIES]
-        with _make_db("repro", workers=workers) as db:
+        with _make_db("repro", workers=workers, morsel_size=257) as db:
             for query, expect in zip(QUERIES, base):
-                assert "ShardedAggregate(" in db.explain(query)
+                assert f", workers={workers}" in db.explain(query)
                 assert _result_bits(db.execute(query)) == expect, query
                 stats = db.last_pipeline_stats
-                assert stats.sharded
-                assert stats.exchange_bytes > 0
+                assert stats.workers == workers
+                assert stats.morsel_count > workers
 
     def test_join_matches_fsum_oracle(self):
         import math

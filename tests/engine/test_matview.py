@@ -749,7 +749,7 @@ class TestSelectDistinct:
                     bits = result_bits(db.execute(
                         "SELECT DISTINCT k, s FROM obs ORDER BY k, s"
                     ))
-                    assert db.last_pipeline_stats.sharded is (workers > 1)
+                    assert db.last_pipeline_stats.workers == workers
                 if reference is None:
                     reference = bits
                 assert bits == reference

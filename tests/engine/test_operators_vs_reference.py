@@ -253,30 +253,31 @@ class TestPlanCacheAcrossKnobs:
     """A cached plan holds no knob: every SELECT lowers it under the
     session's current ones.  Join builds survive a SET too."""
 
-    @pytest.mark.parametrize("knob, flag", (
-        ("SET workers = 2", "sharded"),
-        ("SET memory_budget = 4096", "external"),
-    ))
+    @pytest.mark.parametrize("knob, attribute, value", (
+        ("SET workers = 2", "workers", 2),
+        ("SET memory_budget = 4096", "external", True),
+    ), ids=("SET workers = 2-split", "SET memory_budget = 4096-external"))
     def test_execution_knobs_relower_a_cached_plan(self, dataset, knob,
-                                                   flag):
+                                                   attribute, value):
         db = make_db("k INT, s VARCHAR(1), v DOUBLE", dataset)
         db.execute("CREATE TABLE r (k INT, w DOUBLE)")
         db.table("r").bulk_load({"k": [0, 1, 2], "w": [1.0, 2.0, 3.0]})
         context = db.execution_context
-        # a LEFT join runs in-process at any worker count: the build is
-        # served from the context's join cache
+        # a LEFT join's build is served from the context's join cache
+        # under any knob
         query = ("SELECT t.k, SUM(v) FROM t LEFT JOIN r ON t.k = r.k "
                  "GROUP BY t.k")
         joined = result_bits(db.execute(query))
         summed = result_bits(db.execute(SUMS_QUERY))
-        assert not getattr(db.last_pipeline_stats, flag)
+        assert getattr(db.last_pipeline_stats, attribute) != value
         assert context._join_cache and len(context._plan_cache) == 2
         try:
             db.execute(knob)
             assert len(context._plan_cache) == 2 and context._join_cache
             assert result_bits(db.execute(SUMS_QUERY)) == summed
             stats = db.last_pipeline_stats
-            assert stats.plan_cache_hit and getattr(stats, flag)
+            assert stats.plan_cache_hit
+            assert getattr(stats, attribute) == value
             assert result_bits(db.execute(query)) == joined
             assert db.last_pipeline_stats.join_cache_hits == 1
         finally:
@@ -425,7 +426,7 @@ class TestBlockedLadderPath:
         for knobs in ({}, {"workers": 2}):
             bits, stats = run(**knobs)
             assert bits == expected, knobs
-            assert stats.sharded is ("workers" in knobs)
+            assert stats.workers == knobs.get("workers", 1)
             assert scatter_share(stats) >= 0.8, (knobs, stats.ladder_rows_reference)
 
 

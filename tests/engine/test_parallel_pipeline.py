@@ -3,12 +3,12 @@ engine layer.
 
 For repro mode, ``Database.execute`` must return bit-identical
 result arrays for every ``(workers, morsel_size)`` combination —
-``workers=1`` in-process, which must match the pre-refactor serial
-whole-column kernels (``grouped_float_sum``) bit-for-bit, and
-``workers=2`` on two executor processes.  IEEE mode is *allowed* (and
-shown) to drift under the same knobs.  Each worker count is one
-database whose morsel size is ``SET`` in place, so a fleet is spawned
-per worker count, not per case.
+``workers=1`` is one group table, which must match the pre-refactor
+serial whole-column kernels (``grouped_float_sum``) bit-for-bit, and
+``workers=N`` splits the morsels over ``N`` partial tables merged
+exactly.  IEEE mode is *allowed* (and shown) to drift under the same
+knobs.  Each worker count is one database whose morsel size is ``SET``
+in place.
 """
 
 import numpy as np
@@ -32,12 +32,11 @@ N_ROWS = 240
 N_KEYS = 8
 
 
-@pytest.fixture(scope="module")
-def dataset():
+def _dataset(key_pool, labels):
     rng = np.random.default_rng(42)
-    keys = rng.integers(0, N_KEYS, size=N_ROWS)
-    labels = np.array(["x", "y", "z"], dtype=object)[
-        rng.integers(0, 3, size=N_ROWS)
+    keys = np.array(key_pool)[rng.integers(0, len(key_pool), size=N_ROWS)]
+    labels = np.array(labels, dtype=object)[
+        rng.integers(0, len(labels), size=N_ROWS)
     ]
     # ~40 binades with mixed signs: hard enough that IEEE association
     # visibly matters, well inside the repro ladder range.
@@ -47,12 +46,23 @@ def dataset():
     return keys, labels, values
 
 
+@pytest.fixture(scope="module")
+def dataset():
+    return _dataset(range(N_KEYS), ["x", "y", "z"])
+
+
+#: DOUBLE keys NaN, -0.0 and 0.0 (one group each for NaN and the zeros)
+#: beside VARCHAR NULLs
+EDGE_DATASET = _dataset([float("nan"), -0.0, 0.0, 1.5], ["x", None, "y"])
+
+
 def make_db(dataset, sum_mode, workers=1, morsel_size=DEFAULT_MORSEL_SIZE,
             levels=2):
     keys, labels, values = dataset
     db = Database(sum_mode=sum_mode, workers=workers, morsel_size=morsel_size,
                   levels=levels)
-    db.execute("CREATE TABLE g (k INT, s VARCHAR(1), v DOUBLE)")
+    key_type = "DOUBLE" if keys.dtype.kind == "f" else "INT"
+    db.execute(f"CREATE TABLE g (k {key_type}, s VARCHAR(1), v DOUBLE)")
     db.table("g").bulk_load(
         {"k": keys.tolist(), "s": labels.tolist(), "v": values.tolist()}
     )
@@ -65,7 +75,7 @@ QUERY = (
 
 
 def result_bits(result):
-    """Bit-exact encoding; object columns by value (an executor's
+    """Bit-exact encoding; object columns by value (a merged table's
     strings are equal, not the same objects)."""
     return tuple(
         repr(arr.tolist()).encode() if arr.dtype == object else arr.tobytes()
@@ -74,13 +84,24 @@ def result_bits(result):
 
 
 class TestReproModesBitIdentical:
-    @pytest.mark.parametrize("mode, levels", REPRO_CONFIGS)
-    def test_bits_invariant_under_workers_and_morsel_size(self, dataset, mode,
-                                                          levels):
+    @pytest.mark.parametrize("mode, levels, worker_counts, edge_keys", [
+        *(pytest.param(*config.values, WORKERS, False, id=config.id)
+          for config in REPRO_CONFIGS),
+        # more partial tables than morsels at every morsel size: most
+        # tables stay empty and still merge
+        pytest.param("repro", 2, (N_ROWS + 1,), False,
+                     id="workers-above-morsels"),
+        pytest.param("repro", 2, (3,), True,
+                     id="workers3-nan-zero-null-keys"),
+    ])
+    def test_bits_invariant_under_workers_and_morsel_size(
+            self, dataset, mode, levels, worker_counts, edge_keys):
+        if edge_keys:
+            dataset = EDGE_DATASET
         baseline = result_bits(
             make_db(dataset, mode, levels=levels).execute(QUERY)
         )
-        for workers in WORKERS:
+        for workers in worker_counts:
             with make_db(dataset, mode, workers, levels=levels) as db:
                 for morsel_size in MORSEL_SIZES:
                     db.execute(f"SET morsel_size = {morsel_size}")
@@ -90,7 +111,10 @@ class TestReproModesBitIdentical:
                         f"workers={workers}, "
                         f"morsel_size={morsel_size}"
                     )
-                    assert db.last_pipeline_stats.sharded is (workers > 1)
+                    stats = db.last_pipeline_stats
+                    assert stats.workers == workers
+                    if workers > N_ROWS:
+                        assert stats.morsel_count < workers
 
     @pytest.mark.parametrize("mode", ("repro",))
     def test_workers1_matches_pre_refactor_serial_kernel(self, dataset, mode):
@@ -173,14 +197,14 @@ class TestReproModesBitIdentical:
                     ], where
 
     def test_projection_preserves_row_order(self, dataset):
-        """Filter + project must gather morsels in scan order — and run
-        in-process at any worker count."""
+        """Filter + project must gather morsels in scan order at any
+        worker count: a projection has no partial tables to split."""
         serial = make_db(dataset, "ieee").execute(
             "SELECT v FROM g WHERE v > 0"
         )
         with make_db(dataset, "ieee", workers=2, morsel_size=11) as db:
             split = db.execute("SELECT v FROM g WHERE v > 0")
-            assert not db.last_pipeline_stats.sharded
+            assert db.last_pipeline_stats.workers == 1
             assert db.last_pipeline_stats.morsel_count == -(-N_ROWS // 11)
         assert split.column("v").tobytes() == serial.column("v").tobytes()
 
@@ -193,9 +217,10 @@ class TestIeeeModeCanDiffer:
         Algorithm 1 experiment.
 
         Serial order sums (1 + 1e16) + 1 - 1e16 = 0.0 (each +1 is
-        absorbed); two executor processes, dealt every other row, sum
-        the small and large values separately, (1 + 1) + (1e16 - 1e16)
-        = 2.0.
+        absorbed); two partial tables, fed every other one-row morsel,
+        sum the small and large values separately, (1 + 1) + (1e16 -
+        1e16) = 2.0.  At the default morsel size the four rows are one
+        morsel, and the split changes nothing.
         """
         rows = [1.0, 1e16, 1.0, -1e16]
 
@@ -208,7 +233,7 @@ class TestIeeeModeCanDiffer:
 
         serial = ieee_sum(1, DEFAULT_MORSEL_SIZE)
         split = ieee_sum(2, 1)
-        assert serial == 0.0
+        assert serial == 0.0 == ieee_sum(2, DEFAULT_MORSEL_SIZE)
         assert split == 2.0
         assert serial != split
 
@@ -286,10 +311,7 @@ class TestExecutionContext:
                 db.execute(QUERY)
                 stats = db.last_pipeline_stats
             assert stats is not None
-            assert stats.sharded is (workers > 1)
-            # executor s of 2 is dealt every other row: 120 rows each
-            assert stats.morsel_count == workers * -(-N_ROWS // workers // 16)
-            assert len(stats.worker_busy) == workers
-            assert sum(stats.worker_morsels) == stats.morsel_count
-            assert all(count > 0 for count in stats.worker_morsels)
+            assert stats.workers == workers
+            # the split deals morsels, it does not re-cut them
+            assert stats.morsel_count == -(-N_ROWS // 16)
             assert stats.wall_seconds > 0.0

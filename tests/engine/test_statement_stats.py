@@ -134,13 +134,12 @@ def test_refresh_lets_a_cached_plan_serve_from_the_view():
     assert stats.morsel_count == 0
 
 
-def test_sharded_record_is_sized_by_the_driver():
+def test_split_record_is_sized_by_the_driver():
     with _db(workers=2) as db:
         db.execute("SELECT k, SUM(v) FROM t GROUP BY k")
         stats = db.last_pipeline_stats
-        assert stats.sharded and stats.workers == 2
-        assert len(stats.worker_busy) == len(stats.worker_morsels) == 2
-        assert {"shard_exchange", "aggregation"} <= stats.seconds.keys()
+        assert stats.workers == 2
+        assert "aggregation" in stats.seconds
         assert stats.wall_seconds > 0
 
 

@@ -401,9 +401,9 @@ class TestCountDistinct:
         configs = [dict(knobs, levels=levels) for knobs in configs]
         baseline = None
         for knobs in configs:
-            # The reference shards too: its executors are forked inside
-            # the block, so they build its tables and split like the
-            # query table's (IEEE bits then agree as well).
+            # The reference splits too: every partial table is built
+            # inside the block, split like the query table's (IEEE bits
+            # then agree as well).
             with engine_path("scalar"):
                 expected, _, _ = self.run_all(members, sum_mode, **knobs)
             bits, plans, stats = self.run_all(members, sum_mode, **knobs)
@@ -412,9 +412,9 @@ class TestCountDistinct:
                 baseline = baseline or bits
                 assert bits == baseline, knobs
             grouped, joined = stats[0], plans[-1]
-            sharded = "workers" in knobs and "memory_budget" not in knobs
+            split = "workers" in knobs and "memory_budget" not in knobs
             assert grouped.external is ("memory_budget" in knobs)
-            assert grouped.sharded is sharded
+            assert grouped.workers == (2 if split else 1)
             # names.label is a column of the probe's build row — unless
             # the aggregate is external, which keeps the generic keys
             # and renders its spill shape instead
@@ -422,7 +422,7 @@ class TestCountDistinct:
                 "memory_budget" not in knobs)
             assert (", external(partitions=4" in joined) is (
                 "memory_budget" in knobs)
-            assert joined.count("ShardedAggregate(") == sharded
+            assert joined.count(", workers=2") == split
 
     def test_nan_and_signed_zero_members(self):
         data = {

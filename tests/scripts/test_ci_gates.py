@@ -231,14 +231,14 @@ def test_parse_workers_and_sides(digest):
 
 
 def test_digest_shards_invisible(digest):
-    """A leg exchanging partial states across executor processes
-    (``workers`` > 1: shard s of N is every N-th row) must digest
-    byte-identically to the in-process legs; the shards axis is gone."""
+    """A leg splitting aggregates over partial tables (``workers`` > 1:
+    morsel i feeds table i mod N) must digest byte-identically to the
+    one-table legs; the shards axis is gone."""
     queries = _edge_queries(digest)
-    in_process = digest.digest_lines([1], ("auto",), (None,), queries)
-    sharded = digest.digest_lines([2], ("auto",), (None,), queries)
+    one_table = digest.digest_lines([1], ("auto",), (None,), queries)
+    split = digest.digest_lines([2], ("auto",), (None,), queries)
     mixed = digest.digest_lines([1, 3], ("auto",), (None,), queries)
-    assert in_process == sharded == mixed
+    assert one_table == split == mixed
     assert not hasattr(digest, "parse_shards")
     with pytest.raises(TypeError):
         digest.digest_lines([1], ("auto",), (None,), queries, shards_counts=(2,))

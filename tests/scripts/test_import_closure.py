@@ -3,7 +3,7 @@
 An AST walk of every import statement (function-level ones included:
 a lazy import still runs when its caller does) from the serving entry
 points — the server and its ``__main__``, the client, an embedded
-session, the durable store and an executor process — yields the
+session and the durable store — yields the
 modules a served statement can load.  That set is pinned here, so a
 module joins it only on purpose.  Every other module under
 ``src/repro`` must be named in :data:`LIBRARY`, the inputs the
@@ -23,7 +23,6 @@ ENTRY_POINTS = (
     "repro.client",
     "repro.engine.session",
     "repro.storage.durable",
-    "repro.distributed.worker",
 )
 
 SERVING = frozenset({
@@ -40,10 +39,6 @@ SERVING = frozenset({
     "repro.core.params",
     "repro.core.rsum",
     "repro.core.stats",
-    "repro.distributed",
-    "repro.distributed.coordinator",
-    "repro.distributed.pool",
-    "repro.distributed.worker",
     "repro.engine",
     "repro.engine.aggregates",
     "repro.engine.catalog",

@@ -746,10 +746,11 @@ def test_directory_with_retired_shard_workers_opens_serves_sharded_and_refreshes
     'shard_workers', 1)`` sit in its checkpoint image, the latter again
     in a WAL record, beside one table and one refreshed view.  The
     retired ``shard_workers`` selects nothing, ``shards = 2`` opens as
-    its successor ``workers = 2`` (two executor processes), and the
-    directory serves and refreshes to the bits that commit recorded
-    (``parent_commit_shard_dir.json``; that commit routed rows by
-    content hash, this one by position — same bits)."""
+    its successor ``workers = 2`` (two partial tables per aggregate),
+    and the directory serves and refreshes to the bits that commit
+    recorded (``parent_commit_shard_dir.json``; that commit routed rows
+    to executor processes by content hash, this one splits morsels in
+    process — same bits)."""
     import json
     import pathlib
     import shutil
@@ -780,10 +781,10 @@ def test_directory_with_retired_shard_workers_opens_serves_sharded_and_refreshes
         assert "shard_workers" not in db.session_defaults
         assert "ViewScan" in db.explain(query)
         _assert_view_bits(db, db.execute(query), bits, golden["served"])
-        assert "ShardedAggregate(workers=2)[" in db.explain(sharded)
+        assert "Aggregate[morsel_size=65536, workers=2](" in db.explain(
+            sharded)
         assert bits(db.execute(sharded)) == golden["served_sharded"]
-        stats = db.last_pipeline_stats
-        assert stats.sharded and stats.workers == 2
+        assert db.last_pipeline_stats.workers == 2
 
         db.execute(golden["follow_up"])
         db.execute("REFRESH MATERIALIZED VIEW vm")

@@ -21,14 +21,12 @@ from repro.engine.types import DOUBLE, INT, VarcharType
 from repro.engine.vectorized import VectorizedGroupTable
 from repro.fp.formats import BINARY32, BINARY64
 from repro.storage.spill import (
-    FrameDecoder,
     SpillFormatError,
     decode_payload,
     dump_grouped_summation,
     dump_table,
     encode_payload,
     frame_payload,
-    iter_frames,
     load_grouped_summation,
     load_table_into,
     read_run_file,
@@ -257,25 +255,10 @@ def test_state_payload_tag_mismatch_raises():
         load_table_into(payload, wrong)
 
 
-# -- wire protocol: streamed frames, truncation, corruption ----------------
+# -- framing: truncation, corruption --------------------------------------
 #
-# PR 8 turns the run-file framing into the shard exchange wire format.
-# The contract under test: a streamed multi-frame payload round-trips
-# exactly under arbitrary chunking, and *every* possible truncation or
-# single-byte corruption raises SpillFormatError — never a wrong answer.
-
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-
-def _sample_payloads():
-    return [
-        encode_payload({"version": 1, "columns": {"f": np.arange(4) * 0.5}}),
-        encode_payload([1, "two", 3.5, None, True]),
-        encode_payload({"empty": np.array([], dtype=np.float64)}),
-        b"",
-        b"\x00" * 37,
-    ]
+# The contract under test: *every* possible truncation or single-byte
+# corruption of a frame raises SpillFormatError — never a wrong answer.
 
 
 def test_frame_round_trip_bytes_match_run_file(tmp_path):
@@ -284,51 +267,8 @@ def test_frame_round_trip_bytes_match_run_file(tmp_path):
     path = str(tmp_path / "one.spill")
     write_run_file(path, payload)
     with open(path, "rb") as handle:
-        assert handle.read() == blob  # wire bytes == on-disk bytes
+        assert handle.read() == blob  # in-memory bytes == on-disk bytes
     assert unframe_payload(blob) == payload
-
-
-def test_iter_frames_multi_frame_stream():
-    payloads = _sample_payloads()
-    blob = b"".join(frame_payload(p) for p in payloads)
-    assert list(iter_frames(blob)) == payloads
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_streamed_frames_round_trip_any_chunking(data):
-    payloads = _sample_payloads()
-    blob = b"".join(frame_payload(p) for p in payloads)
-    # Cut the stream at arbitrary positions and feed the pieces.
-    ncuts = data.draw(st.integers(0, 12))
-    cuts = sorted(
-        data.draw(
-            st.lists(
-                st.integers(0, len(blob)), min_size=ncuts, max_size=ncuts
-            )
-        )
-    )
-    decoder = FrameDecoder()
-    out = []
-    start = 0
-    for cut in cuts + [len(blob)]:
-        out.extend(decoder.feed(blob[start:cut]))
-        start = cut
-    decoder.finish()
-    assert out == payloads
-    assert decoder.frames_decoded == len(payloads)
-
-
-def test_stream_truncated_at_every_prefix():
-    frame = frame_payload(encode_payload({"x": 1}))
-    for end in range(len(frame)):
-        decoder = FrameDecoder()
-        decoder.feed(frame[:end])
-        if end == 0:
-            decoder.finish()  # an empty stream is a valid empty stream
-            continue
-        with pytest.raises(SpillFormatError):
-            decoder.finish()
 
 
 def test_truncated_blob_never_returns_payload():
@@ -355,24 +295,6 @@ def test_corruption_at_every_byte_offset():
         raise AssertionError(
             f"byte {offset} corruption yielded a payload: {result!r}"
         )
-
-
-def test_corrupt_middle_frame_identifies_stream_position():
-    payloads = _sample_payloads()[:3]
-    frames = [bytearray(frame_payload(p)) for p in payloads]
-    frames[1][len(frames[1]) // 2] ^= 0x01  # flip a payload byte
-    blob = b"".join(bytes(f) for f in frames)
-    decoder = FrameDecoder(context="exchange")
-    with pytest.raises(SpillFormatError, match="exchange"):
-        decoder.feed(blob)
-
-
-def test_decoded_stream_payloads_decode_back():
-    table_payload = {"rows": np.linspace(0.0, 1.0, 9)}
-    blob = frame_payload(encode_payload(table_payload))
-    (raw,) = iter_frames(blob)
-    restored = decode_payload(raw)
-    np.testing.assert_array_equal(restored["rows"], table_payload["rows"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Wire-format pin: spill/exchange payload bytes are part of the contract.
+"""Wire-format pin: spill payload bytes are part of the contract.
 
-Run files and shard-exchange frames written by one commit are read by
-the next (a rolling restart, a spill directory that outlives a
-process), so ``dump_table`` bytes may only change on purpose.  The
+Run files written by one commit are read by the next (a rolling
+restart, a spill directory that outlives a process), so ``dump_table``
+bytes may only change on purpose.  The
 golden blob was generated at the commit *before* the aggregate states
 moved into :mod:`repro.engine.aggregates`; its live frames were
 rewritten when the VARIANCE family's second moment became exact
@@ -36,8 +36,8 @@ from repro.storage.spill import (
     dump_table,
     encode_payload,
     frame_payload,
-    iter_frames,
     load_table_into,
+    read_frame,
     read_run_file,
     unframe_payload,
 )
@@ -102,11 +102,21 @@ def _table(mode):
     )
 
 
+def golden_frames() -> list:
+    """The golden blob's payloads, in order (it is back-to-back
+    frames)."""
+    blob, pos, frames = GOLDEN.read_bytes(), 0, []
+    while pos < len(blob):
+        payload, pos = read_frame(blob, pos, str(GOLDEN))
+        frames.append(payload)
+    return frames
+
+
 def golden_blob(retire_live: bool = False) -> bytes:
     """One frame per sum mode: a seeded table fed two morsels, then the
     retired frames, kept as they were written — ``retire_live`` appends
     the blob's current live frames to them."""
-    frames = list(iter_frames(GOLDEN.read_bytes()))
+    frames = golden_frames()
     retired = frames[len(MODES):]
     if retire_live:
         retired += frames[:len(MODES)]
@@ -120,14 +130,14 @@ def test_dump_table_bytes_equal_parent_commit_golden():
 
 
 def test_retired_sorted_payload_fails_typed():
-    payload = list(iter_frames(GOLDEN.read_bytes()))[RETIRED_FRAME]
+    payload = golden_frames()[RETIRED_FRAME]
     with pytest.raises(SpillFormatError, match="unknown sum impl kind 'sorted'"):
         load_table_into(payload, _table("repro"))
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_retired_moment2_payload_fails_typed_naming_its_successor(mode):
-    payload = list(iter_frames(GOLDEN.read_bytes()))[
+    payload = golden_frames()[
         RETIRED_MOMENT2_FRAMES[mode]]
     with pytest.raises(SpillFormatError,
                        match="'moment2': its successor is 'moment2_exact'"):
@@ -152,7 +162,7 @@ def _finalized_bits(table):
 
 @pytest.mark.parametrize("index", range(len(MODES)), ids=MODES)
 def test_golden_payload_loads_to_the_live_table_bits(index):
-    payload = list(iter_frames(GOLDEN.read_bytes()))[index]
+    payload = golden_frames()[index]
     restored = _table(MODES[index])
     load_table_into(payload, restored)
     assert _finalized_bits(restored) == _finalized_bits(
@@ -160,15 +170,15 @@ def test_golden_payload_loads_to_the_live_table_bits(index):
     )
 
 
-@pytest.mark.parametrize("route", ["run file", "exchange frame"])
+@pytest.mark.parametrize("route", ["run file", "in-memory frame"])
 @pytest.mark.parametrize("index", range(len(MODES)), ids=MODES)
 def test_restored_tables_own_their_state(index, route, tmp_path):
-    """A payload off a run file or an exchange frame is a read-only
+    """A payload off a run file or an in-memory frame is a read-only
     view, and so is every array decoded from it: a restored table that
     then updates, merges and finalizes to the live table's bits has
     copied every array it kept (a write into the frame would raise)."""
     mode = MODES[index]
-    frame = list(iter_frames(GOLDEN.read_bytes()))[index]
+    frame = golden_frames()[index]
     frame = frame_payload(frame)
 
     def restored():
@@ -197,7 +207,7 @@ def test_restored_tables_own_their_state(index, route, tmp_path):
 def test_retired_composite_tags_are_rejected(tag):
     """No query path has produced the unshared AVG / VAR composites
     since the one-runtime change; a payload carrying one is damage."""
-    payload = list(iter_frames(GOLDEN.read_bytes()))[1]
+    payload = golden_frames()[1]
     data = decode_payload(payload)
     data["states"][0] = {"tag": tag, "count": data["states"][0]}
     with pytest.raises(SpillFormatError):
@@ -224,17 +234,18 @@ def _mixed_query_bits(digest, **knobs):
         db.close()
 
 
-def test_sharded_and_spilled_runs_match_in_memory_bits():
-    """The payload is what crosses the process boundary (``workers``)
-    and the disk (``memory_budget``): both must serve the same bits."""
+def test_split_and_spilled_runs_match_in_memory_bits():
+    """The payload is what crosses the disk (``memory_budget``); the
+    ``workers`` split merges the same states in memory: both must serve
+    the one table's bits."""
     digest = _load_digest_script()
     expected, stats = _mixed_query_bits(digest)
-    assert not stats.sharded and not stats.external
-    sharded, stats = _mixed_query_bits(digest, workers=2)
-    assert stats.sharded and stats.exchange_bytes > 0
+    assert stats.workers == 1 and not stats.external
+    split, stats = _mixed_query_bits(digest, workers=2, morsel_size=257)
+    assert stats.workers == 2 and stats.morsel_count > 2
     spilled, stats = _mixed_query_bits(digest, memory_budget=4096)
     assert stats.external and stats.spilled_runs > 0
-    assert sharded == expected
+    assert split == expected
     assert spilled == expected
 
 

@@ -256,7 +256,11 @@ class GroupedSummation:
             mapping = np.asarray(mapping, dtype=np.int64)
             if mapping.size != other.ngroups:
                 raise ValueError("mapping must cover all source groups")
-            if np.unique(mapping).size != mapping.size:
+            # one mark per target group, O(n + ngroups): a target hit
+            # twice leaves fewer marks than sources
+            hit = np.zeros(self.ngroups, dtype=bool)
+            hit[mapping] = True
+            if np.count_nonzero(hit) != mapping.size:
                 raise ValueError("mapping must be injective")
 
         np.add.at(self.nan_cnt, mapping, other.nan_cnt)

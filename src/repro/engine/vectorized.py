@@ -38,9 +38,14 @@ Per morsel :meth:`~VectorizedGroupTable.update`:
    group is named by its build key code, no key column is gathered and
    no key registered); otherwise dictionary-encoded key columns (see
    :meth:`repro.engine.table.Column.encoding`) combine with pure
-   integer radix arithmetic through a persistent code -> gid table and
-   other keys go through ``np.unique``, and only the morsel's distinct
-   new keys reach the registry;
+   integer radix arithmetic through a persistent code -> gid table,
+   and only the morsel's distinct new keys reach the registry.  The
+   one sort left per morsel is an unencoded key column's own
+   ``np.unique`` (:meth:`~VectorizedGroupTable._encode_values`): its
+   codes are dense already, and every code space the table knows to be
+   bounded — composite codes, dictionary codes, build codes — yields
+   its distinct codes from a mark array (:func:`_distinct_codes`; a
+   sort only when a few codes meet a large space);
 3. hands every state the same morsel, carrying one lazy stable sort
    by group id (:class:`SortedMorsel`) that only MIN/MAX reads — its
    ``ufunc.reduceat`` segments; counts, sums and ladders never sort;
@@ -103,8 +108,15 @@ __all__ = [
 ]
 
 #: Composite-code spaces at most this large use a persistent
-#: code -> gid lookup table instead of a per-morsel ``np.unique``.
+#: code -> gid lookup table instead of per-morsel registration.
 _LUT_MAX = 1 << 20
+
+#: Bytes of scratch a bounded code space may take per code looked at
+#: instead of sorting them (:func:`_distinct_codes`): a mark array (one
+#: byte per slot) up to 64 slots per code, a slot -> index array (eight)
+#: up to 8.  Past that ``np.unique`` is cheaper — a late LUT fill of a
+#: few new codes, say — and the two give the same arrays.
+_SCRATCH_PER_CODE = 64
 
 #: Radix-combine guard: the product of the per-key dictionary sizes must
 #: stay below this for the composite int64 codes to be collision-free.
@@ -302,6 +314,30 @@ def _distinct_rows(parts) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse.astype(np.int64, copy=False)
 
 
+def _distinct_codes(codes: np.ndarray, total: int) -> np.ndarray:
+    """``np.unique(codes)`` of codes known to lie in ``[0, total)``:
+    marked in a ``total``-slot array and read back in order — O(n +
+    total), no sort — while the space is small next to the codes."""
+    if total > _SCRATCH_PER_CODE * len(codes):
+        return np.unique(codes)
+    mark = np.zeros(total, dtype=bool)
+    mark[codes] = True
+    return np.flatnonzero(mark)
+
+
+def _dense_codes(codes: np.ndarray, total: int):
+    """``(distinct, inverse)`` of codes in ``[0, total)``, as
+    ``np.unique(codes, return_inverse=True)`` gives them: the
+    :func:`_distinct_codes` and each code's index among them."""
+    if 8 * total > _SCRATCH_PER_CODE * len(codes):
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        return distinct, inverse.astype(np.int64, copy=False)
+    distinct = _distinct_codes(codes, total)
+    index = np.empty(total, dtype=np.int64)
+    index[distinct] = np.arange(len(distinct))
+    return distinct, index[codes]
+
+
 def _avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums / np.maximum(counts, 1)
 
@@ -496,6 +532,11 @@ class VectorizedGroupTable:
             total *= base
         if self._key_dtypes is None:
             self._key_dtypes = [uniques.dtype for _, uniques, _ in parts]
+        if len(parts) == 1 and not all_encoded:
+            # _encode_values' codes are the dense inverse of its
+            # uniques already: register those in index order
+            codes, uniques, _ = parts[0]
+            return self._register_columns([uniques])[codes]
         if total >= _RADIX_MAX:
             # a composite code would overflow int64: register the rows
             # by their key values instead
@@ -524,26 +565,28 @@ class VectorizedGroupTable:
         ``row_code``: no key column is gathered and no key registered
         — key values are read at finalize.  The table keeps
         a build code -> gid array and each gid's code; codes not seen
-        before get the next dense gids from one ``np.unique``.  A table
+        before get the next dense gids in code order; the build codes
+        are a bounded space, so :func:`_distinct_codes` finds them
+        without a sort unless a few arrive into a large build.  A table
         that already holds groups named otherwise (by key value, or by
         another build's codes) registers these rows' keys by value.
         """
         codes = keys.row_code[rows]
+        total = len(keys.columns[0])
         if keys is not self._row_keys:
             if self.ngroups:
                 self._to_registry()
-                dense, inverse = np.unique(codes, return_inverse=True)
-                return self._register_columns(keys.key_columns(dense))[
-                    inverse.astype(np.int64, copy=False)
-                ]
+                dense, inverse = _dense_codes(codes, total)
+                return self._register_columns(
+                    keys.key_columns(dense))[inverse]
             self._row_keys = keys
             self._key_dtypes = list(keys.dtypes)
-            self._row_lut = np.full(len(keys.columns[0]), -1, dtype=np.int64)
+            self._row_lut = np.full(total, -1, dtype=np.int64)
             self._gid_codes = np.empty(0, dtype=np.int64)
         gids = self._row_lut[codes]
         missing = gids < 0
         if missing.any():
-            fresh = np.unique(codes[missing])
+            fresh = _distinct_codes(codes[missing], total)
             base = len(self._gid_codes)
             self._row_lut[fresh] = np.arange(
                 base, base + len(fresh), dtype=np.int64
@@ -569,9 +612,12 @@ class VectorizedGroupTable:
 
         ``stable`` names a code space that means the same thing in
         every morsel (the storage dictionaries' sizes; ``None`` when it
-        does not): a persistent code -> gid table then replaces the
-        per-morsel ``np.unique`` entirely.  Spaces beyond ``_LUT_MAX``
+        does not): a persistent code -> gid table then sends only codes
+        it has not seen to the registry.  Spaces beyond ``_LUT_MAX``
         degrade to per-morsel registration — same bits, no cache.
+        Either way the codes lie in ``[0, total)``, so their distinct
+        values come from :func:`_distinct_codes` / :func:`_dense_codes`:
+        a mark array, and a sort only when few codes meet a large space.
         """
         if stable is not None and total <= _LUT_MAX:
             if self._lut is None or self._lut_bases != stable:
@@ -580,13 +626,12 @@ class VectorizedGroupTable:
             gids = self._lut[codes]
             missing = gids < 0
             if missing.any():
-                fresh = np.unique(codes[missing])
+                fresh = _distinct_codes(codes[missing], total)
                 self._lut[fresh] = self._register_columns(decode(fresh))
                 gids = self._lut[codes]
             return gids
-        dense, inverse = np.unique(codes, return_inverse=True)
-        lut = self._register_columns(decode(dense))
-        return lut[inverse.astype(np.int64, copy=False)]
+        dense, inverse = _dense_codes(codes, total)
+        return self._register_columns(decode(dense))[inverse]
 
     @staticmethod
     def _decode_columns(dense: np.ndarray, uniques: list,

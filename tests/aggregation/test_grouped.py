@@ -178,6 +178,16 @@ class TestMerge:
         with pytest.raises(ValueError):
             a.merge(b, mapping=np.array([1, 1]))
 
+    def test_injective_mapping_into_more_groups(self):
+        a = GroupedSummation(params(), 6)
+        b = GroupedSummation.from_pairs(
+            params(), np.arange(3), np.array([1.0, 2.0, 4.0]), 3
+        )
+        with pytest.raises(ValueError, match="injective"):
+            a.merge(b, mapping=np.array([5, 0, 5]))
+        a.merge(b, mapping=np.array([5, 0, 3]))
+        assert a.finalize().tolist() == [2.0, 0.0, 0.0, 4.0, 0.0, 1.0]
+
     def test_mismatched_params_rejected(self):
         a = GroupedSummation(RsumParams.double(2), 2)
         b = GroupedSummation(RsumParams.double(3), 2)

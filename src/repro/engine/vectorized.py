@@ -41,10 +41,10 @@ Per morsel :meth:`~VectorizedGroupTable.update`:
    integer radix arithmetic through a persistent code -> gid table,
    and only the morsel's distinct new keys reach the registry.  The
    one sort left per morsel is an unencoded key column's own
-   ``np.unique`` (:meth:`~VectorizedGroupTable._encode_values`): its
-   codes are dense already, and every code space the table knows to be
-   bounded — composite codes, dictionary codes, build codes — yields
-   its distinct codes from a mark array (:func:`_distinct_codes`; a
+   ``np.unique`` (:meth:`~VectorizedGroupTable._encode_values`): every
+   code space the table knows to be bounded — its codes, composite
+   codes, dictionary codes, build codes — yields its distinct codes
+   from a mark array (:func:`_distinct_codes`, :func:`_dense_codes`; a
    sort only when a few codes meet a large space);
 3. hands every state the same morsel, carrying one lazy stable sort
    by group id (:class:`SortedMorsel`) that only MIN/MAX reads — its
@@ -112,10 +112,14 @@ __all__ = [
 _LUT_MAX = 1 << 20
 
 #: Bytes of scratch a bounded code space may take per code looked at
-#: instead of sorting them (:func:`_distinct_codes`): a mark array (one
-#: byte per slot) up to 64 slots per code, a slot -> index array (eight)
-#: up to 8.  Past that ``np.unique`` is cheaper — a late LUT fill of a
-#: few new codes, say — and the two give the same arrays.
+#: instead of sorting them: a mark array (:func:`_distinct_codes`, one
+#: byte per slot) up to 64 slots per code, a mark array and a slot ->
+#: index array (:func:`_dense_codes`, nine bytes) up to 8.  A bound on
+#: memory first — a composite space past the LUT nears 2^62 — it also
+#: keeps to the faster side: k random codes into 2^20 slots (2-core
+#: Xeon, NumPy 2.4) are marked faster than ``np.unique`` finds them up
+#: to 256 slots per code, and marked and indexed faster than it gives
+#: their inverse up to 8 (up to 64 in 2^16 slots).
 _SCRATCH_PER_CODE = 64
 
 #: Radix-combine guard: the product of the per-key dictionary sizes must
@@ -532,11 +536,6 @@ class VectorizedGroupTable:
             total *= base
         if self._key_dtypes is None:
             self._key_dtypes = [uniques.dtype for _, uniques, _ in parts]
-        if len(parts) == 1 and not all_encoded:
-            # _encode_values' codes are the dense inverse of its
-            # uniques already: register those in index order
-            codes, uniques, _ = parts[0]
-            return self._register_columns([uniques])[codes]
         if total >= _RADIX_MAX:
             # a composite code would overflow int64: register the rows
             # by their key values instead

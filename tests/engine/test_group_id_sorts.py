@@ -1,11 +1,11 @@
 """Group ids sort only what is not already dense.
 
 An unencoded key column is sorted once per morsel, by its own
-``np.unique`` (:meth:`VectorizedGroupTable._encode_values`); its codes
-are dense, so the table registers the uniques in index order.  A
-storage dictionary's codes and a join's build codes lie in a bounded
-space the table knows, and their distinct values come from a mark
-array (:func:`repro.engine.vectorized._distinct_codes`), not a sort.
+``np.unique`` (:meth:`VectorizedGroupTable._encode_values`).  Its
+codes, a storage dictionary's codes and a join's build codes lie in a
+bounded space the table knows, and their distinct values come from a
+mark array (:func:`repro.engine.vectorized._distinct_codes`), not a
+sort.
 These tests count the sorts, hold the mark array against
 ``np.unique`` and pin that gids and key columns come out in the order
 the two-sort path registered them.

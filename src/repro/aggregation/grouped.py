@@ -213,11 +213,15 @@ class GroupedSummation:
         moving = valid & grows
         if not moving.any():
             return
+        # A shift of L levels or more clears every level: clamped to
+        # L, each shift in 1..L is one mask.
         shifts = np.zeros(self.ngroups, dtype=np.int64)
-        shifts[moving] = (target_e0[moving] - self.e0[moving]) // self._w
-        for sigma in np.unique(shifts[moving]):
-            mask = shifts == sigma
-            sig = int(sigma)
+        shifts[moving] = np.minimum(
+            (target_e0[moving] - self.e0[moving]) // self._w, self._L)
+        for sig in range(1, self._L + 1):
+            mask = shifts == sig
+            if not mask.any():
+                continue
             for level in range(self._L - 1, -1, -1):
                 src = level - sig
                 if src >= 0:
@@ -277,11 +281,13 @@ class GroupedSummation:
         self._demote_to(target)
 
         joint = self.e0[mapping]  # per-source-group target ladder
+        # A source shifted L levels or more adds nothing.
         shifts = np.zeros(other.ngroups, dtype=np.int64)
         shifts[src_valid] = (joint[src_valid] - other.e0[src_valid]) // self._w
-        for sigma in np.unique(shifts[src_valid]):
-            mask = src_valid & (shifts == sigma)
-            sig = int(sigma)
+        for sig in range(self._L):
+            mask = src_valid & (shifts == sig)
+            if not mask.any():
+                continue
             tgt = mapping[mask]
             for level in range(self._L):
                 src = level - sig

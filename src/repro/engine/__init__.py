@@ -68,10 +68,7 @@ from .plan import BindError, bind_select, render_plan
 from .session import Database, Session
 from .sql import SqlLexError, SqlParseError, parse, parse_expression, tokenize
 from .table import VersionClock
-from .vectorized import (
-    SortedMorsel,
-    VectorizedGroupTable,
-)
+from .vectorized import VectorizedGroupTable
 from .table import Column, Schema, Table
 from .types import (
     BIGINT,
@@ -106,7 +103,6 @@ __all__ = [
     "DEFAULT_MORSEL_SIZE",
     "AggregateSpec",
     "VectorizedGroupTable",
-    "SortedMorsel",
     "run_grouped_pipeline",
     "run_projection_pipeline",
     "Table",
@@ -161,6 +157,10 @@ _RETIRED = {
     "MaintenanceGroupTable": "a materialized view holds the plain "
     "VectorizedGroupTable a SELECT builds; a REFRESH whose delta deletes "
     "a row rebuilds it from the view's live rows",
+    "SortedMorsel": "no state sorts a morsel: MIN / MAX fold each morsel "
+    "in by scatter (np.minimum.at / np.maximum.at) like every other "
+    "state, and VectorizedGroupTable.update passes the ladder queue as a "
+    "plain dict",
 }
 
 

@@ -7,7 +7,7 @@ group table (:mod:`repro.engine.vectorized`) owns a list of states and
 knows nothing about what is inside them; each state class owns its
 whole life cycle::
 
-    update(batch, cache, gids, morsel, ngroups)   consume one morsel
+    update(batch, cache, gids, ladders, ngroups)  consume one morsel
     merge(other, mapping, ngroups)   fold a partial in; mapping[g] is the
                                      target group of other's group g
     finalize(ngroups)            per-group results, table gid order
@@ -15,9 +15,10 @@ whole life cycle::
     dump() / load(data)          the spill payload tree
 
 ``cache`` is the morsel's :class:`~repro.engine.expr.ExprCache` and
-``morsel`` its :class:`~repro.engine.vectorized.SortedMorsel`: one lazy
-stable sort by group id, which only MIN/MAX reads, and the queue the
-ladder sums fill so the table can feed them with one call.
+``ladders`` the queue the ladder sums fill so the table can feed them
+with one call.  Every state updates in place per group by scatter
+(``np.bincount``, ``np.add.at``, ``np.minimum.at`` / ``np.maximum.at``);
+none sorts the morsel.
 
 ``SUM`` picks one of two accumulators from its input type and the
 session mode on the first morsel: :class:`PlainSum` (exact int64 for
@@ -54,7 +55,7 @@ from ..errors import SpillFormatError
 from ..fp.formats import BINARY32, BINARY64
 from ..storage.spill import dump_grouped_summation, load_grouped_summation
 from .expr import ExprError
-from .operators import canonical_float_bits, factorize_object
+from .operators import canonical_float_bits, distinct_codes, factorize_object
 from .sql import ast
 from .types import DecimalSqlType
 
@@ -66,7 +67,6 @@ __all__ = [
     "Moment2State",
     "PlainSum",
     "SumState",
-    "run_extremes",
     "sum_value_kind",
     "update_ladders",
 ]
@@ -109,7 +109,7 @@ class CountState:
     def __init__(self):
         self.counts = np.zeros(0, dtype=np.int64)
 
-    def update(self, batch, cache, gids, morsel, ngroups: int) -> None:
+    def update(self, batch, cache, gids, ladders, ngroups: int) -> None:
         self.counts = _grown(self.counts, ngroups)
         if gids.size:
             self.counts += np.bincount(gids, minlength=ngroups)
@@ -156,7 +156,7 @@ class PlainSum:
     def approx_bytes(self) -> int:
         return self.sums.nbytes
 
-    def add(self, values, gids, morsel, ngroups: int) -> None:
+    def add(self, values, gids, ladders, ngroups: int) -> None:
         """Unbuffered accumulation in physical row order, so the
         order-*sensitive* IEEE mode means the same thing under every
         morsel split the reference table is held against."""
@@ -215,10 +215,10 @@ class LadderSum:
         if self.grouped.ngroups < ngroups:
             self.grouped.resize(ngroups)
 
-    def add(self, values, gids, morsel, ngroups: int) -> None:
+    def add(self, values, gids, ladders, ngroups: int) -> None:
         # Queued, not fed: the table makes one update_ladders call per
         # parameter set when every state has seen the morsel.
-        accs, rows = morsel.ladders.setdefault(self.params, ([], []))
+        accs, rows = ladders.setdefault(self.params, ([], []))
         accs.append(self)
         rows.append(values)
 
@@ -330,9 +330,9 @@ class SumState:
             self.acc = self.new_accumulator(kind, scale, values.dtype)
         return values
 
-    def update(self, batch, cache, gids, morsel, ngroups: int) -> None:
+    def update(self, batch, cache, gids, ladders, ngroups: int) -> None:
         values = self._input(batch, cache)
-        self.acc.add(values, gids, morsel, ngroups)
+        self.acc.add(values, gids, ladders, ngroups)
 
     def merge(self, other: "SumState", mapping, ngroups: int) -> None:
         if other.acc is None:
@@ -394,9 +394,9 @@ class Moment2State:
         x = np.asarray(cache.values(self.arg, batch.nrows), dtype=np.float64)
         return (x, *square_halves(x))
 
-    def update(self, batch, cache, gids, morsel, ngroups: int) -> None:
+    def update(self, batch, cache, gids, ladders, ngroups: int) -> None:
         for acc, values in zip(self._sums(), self._inputs(batch, cache)):
-            acc.add(values, gids, morsel, ngroups)
+            acc.add(values, gids, ladders, ngroups)
 
     def merge(self, other: "Moment2State", mapping, ngroups: int) -> None:
         for acc, theirs in zip(self._sums(), other._sums()):
@@ -483,7 +483,7 @@ class DistinctState:
         while len(self.groups) < ngroups:
             self.groups.append(set())
 
-    def update(self, batch, cache, gids, morsel, ngroups: int) -> None:
+    def update(self, batch, cache, gids, ladders, ngroups: int) -> None:
         self._grow(ngroups)
         if not gids.size:
             return
@@ -493,7 +493,7 @@ class DistinctState:
         # row i holds member members[code % base] in group code // base
         base = max(len(members), 1)
         pairs = gids.astype(np.int64) * base + codes
-        for pair in np.unique(pairs).tolist():
+        for pair in distinct_codes(pairs, ngroups * base).tolist():
             gid, code = divmod(pair, base)
             group = self.groups[gid]
             before = len(group)
@@ -531,33 +531,52 @@ class DistinctState:
         self.member_count = sum(len(group) for group in self.groups)
 
 
-def run_extremes(is_min: bool, values: np.ndarray,
-                 starts: np.ndarray) -> np.ndarray:
-    """MIN (``is_min``) or MAX of each run of ``values`` that begins at
-    ``starts`` — ``reduceat``, with zeros ordered as IEEE 754-2019
-    ``minimum`` / ``maximum`` order them: ``-0.0 < +0.0``.
+def _fold_extremes(is_min: bool, extremes: np.ndarray, seen: np.ndarray,
+                   idx: np.ndarray, values: np.ndarray) -> None:
+    """``extremes[idx[i]] = min(extremes[idx[i]], values[i])`` (MAX when
+    not ``is_min``) for every ``i`` in arrival order, in place — the
+    one update of MIN / MAX, for a morsel (``idx`` its gids) and for a
+    merge (``idx`` the mapped groups of the partial's extremes).
 
-    ``np.minimum`` / ``np.maximum`` return their second argument on a
-    tie, which would let arrival order pick the sign of a zero extreme;
-    here a zero MIN is ``-0.0`` when the run holds a ``-0.0``, a zero
-    MAX ``+0.0`` when it holds a ``+0.0``.  Both the per-morsel reduce
-    and the merge go through this one function.
+    A group not ``seen`` starts at its first-arriving value (the least
+    row index, found by ``np.minimum.at`` over the row indices); folding
+    that value in once more leaves it as it is.  The first NaN to
+    arrive wins, payload and all: ``np.minimum`` keeps a NaN
+    accumulator and returns a NaN it meets.  Zeros are ordered as IEEE
+    754-2019 ``minimum`` / ``maximum`` order them, ``-0.0 < +0.0``, in
+    any arrival order: ``np.minimum`` / ``np.maximum`` may return either
+    argument on a tie, so the sign of a zero extreme is set afterwards
+    from every zero that met it — a zero MIN is ``-0.0`` when one of
+    them was, a zero MAX ``+0.0`` when one was.
     """
-    out = (np.minimum if is_min else np.maximum).reduceat(values, starts)
-    if values.dtype.kind == "f":
-        tied = out == 0
-        if tied.any():
-            # A zero MIN means no run member is below zero, so a set
-            # sign bit marks a -0.0 (a NaN would have made the MIN
-            # NaN); a zero MAX is -0.0 only when every member is.
-            either = np.logical_or if is_min else np.logical_and
-            negative = either.reduceat(np.signbit(values), starts)
-            out[tied] = np.where(negative[tied], -0.0, 0.0)
-    return out
+    if not seen.all():
+        unseen = np.flatnonzero(~seen[idx])
+        first = np.full(len(extremes), len(idx), dtype=np.intp)
+        np.minimum.at(first, idx[unseen], unseen)
+        fresh = np.flatnonzero(first < len(idx))
+        extremes[fresh] = values[first[fresh]]
+        seen[fresh] = True
+    zeros = np.flatnonzero(values == 0) if values.dtype.kind == "f" else []
+    if len(zeros):
+        groups = idx[zeros]
+        before = np.signbit(extremes[groups])
+    with np.errstate(invalid="ignore"):  # a NaN meeting a NaN
+        (np.minimum if is_min else np.maximum).at(extremes, idx, values)
+    if len(zeros):
+        # A zero MIN means nothing below zero met it, so a set sign bit
+        # marks a -0.0; a zero MAX is -0.0 only when every zero was.
+        either = np.logical_or if is_min else np.logical_and
+        negative = either(before, np.signbit(values[zeros]))
+        tied = extremes[groups] == 0
+        groups, negative = groups[tied], negative[tied]
+        extremes[groups] = 0.0 if is_min else -0.0
+        extremes[groups[negative if is_min else ~negative]] = \
+            -0.0 if is_min else 0.0
 
 
 class MinMaxState:
-    """MIN / MAX: one extreme per group."""
+    """MIN / MAX: one extreme per group, folded in by scatter
+    (:func:`_fold_extremes`)."""
 
     tag = "minmax"
 
@@ -579,29 +598,14 @@ class MinMaxState:
             grown_seen[: len(self.seen)] = self.seen
             self.seen = grown_seen
 
-    def _combine(self, idx: np.ndarray, ext: np.ndarray) -> None:
-        known = self.seen[idx]
-        fresh = idx[~known]
-        self.extremes[fresh] = ext[~known]
-        self.seen[fresh] = True
-        old = idx[known]
-        if old.size:
-            pairs = np.stack([self.extremes[old], ext[known]], axis=1)
-            self.extremes[old] = run_extremes(
-                self.is_min, pairs.ravel(), np.arange(0, 2 * old.size, 2)
-            )
-
-    def add(self, values, gids, morsel, ngroups: int) -> None:
-        """One ``reduceat`` per sorted run of the morsel."""
+    def add(self, values, gids, ladders, ngroups: int) -> None:
         self._grow(ngroups, values.dtype)
         if gids.size:
-            self._combine(
-                morsel.seg_gids,
-                run_extremes(self.is_min, morsel.take(values), morsel.starts),
-            )
+            _fold_extremes(self.is_min, self.extremes, self.seen, gids,
+                           values)
 
-    def update(self, batch, cache, gids, morsel, ngroups: int) -> None:
-        self.add(cache.values(self.arg, batch.nrows), gids, morsel, ngroups)
+    def update(self, batch, cache, gids, ladders, ngroups: int) -> None:
+        self.add(cache.values(self.arg, batch.nrows), gids, ladders, ngroups)
 
     def merge(self, other: "MinMaxState", mapping, ngroups: int) -> None:
         if other.extremes is None:
@@ -609,7 +613,8 @@ class MinMaxState:
         self._grow(ngroups, other.extremes.dtype)
         src = np.flatnonzero(other.seen)
         if src.size:
-            self._combine(np.asarray(mapping)[src], other.extremes[src])
+            _fold_extremes(self.is_min, self.extremes, self.seen,
+                           np.asarray(mapping)[src], other.extremes[src])
 
     def finalize(self, ngroups: int) -> np.ndarray:
         if (self.extremes is None or len(self.extremes) < ngroups

@@ -27,7 +27,7 @@ The pieces:
 Every view is maintained this one way, whatever it aggregates.  The
 view feeds its rows in physical order, so no REFRESH depends on an
 execution knob: the ladders, COUNT / DISTINCT and MIN / MAX
-(:func:`~repro.engine.aggregates.run_extremes` orders zero ties) are
+(:class:`~repro.engine.aggregates.MinMaxState` orders zero ties) are
 order-free, and the ``ieee`` SUM family accumulates row by row, so an
 ieee view carries the bits of an unbudgeted ``workers=1`` SELECT.  The
 kept table is not bounded by ``memory_budget``: a REFRESH never spills.

@@ -52,6 +52,8 @@ __all__ = [
     "SumConfig",
     "AggregateSpec",
     "canonical_float_bits",
+    "dense_codes",
+    "distinct_codes",
     "factorize_object",
 ]
 
@@ -269,6 +271,47 @@ def factorize_object(arr: np.ndarray):
     for value, code in table.items():
         uniques[code] = value
     return codes, uniques
+
+
+#: Bytes of scratch a bounded code space may take per code looked at
+#: instead of sorting them: a mark array (:func:`distinct_codes`, one
+#: byte per slot) up to 64 slots per code, a mark array and a slot ->
+#: index array (:func:`dense_codes`, nine bytes) up to 8.  A bound on
+#: memory first — a composite space past the LUT nears 2^62 — it also
+#: keeps to the faster side: k random codes into 2^20 slots (2-core
+#: Xeon, NumPy 2.4) are marked faster than ``np.unique`` finds them up
+#: to 256 slots per code, and marked and indexed faster than it gives
+#: their inverse up to 8 (up to 64 in 2^16 slots).
+_SCRATCH_PER_CODE = 64
+
+
+def distinct_codes(codes: np.ndarray, total: int) -> np.ndarray:
+    """``np.unique(codes)`` of codes known to lie in ``[0, total)``:
+    marked in a ``total``-slot array and read back in order — O(n +
+    total), no sort — while the space is small next to the codes, else
+    ``np.sort`` and the repeats dropped (a bare ``np.unique`` of int64
+    hashes, about 40x slower on 2^18 codes under NumPy 2.4)."""
+    if total > _SCRATCH_PER_CODE * len(codes):
+        ordered = np.sort(codes)
+        keep = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+        return ordered[keep]
+    mark = np.zeros(total, dtype=bool)
+    mark[codes] = True
+    return np.flatnonzero(mark)
+
+
+def dense_codes(codes: np.ndarray, total: int):
+    """``(distinct, inverse)`` of codes in ``[0, total)``, as
+    ``np.unique(codes, return_inverse=True)`` gives them: the
+    :func:`distinct_codes` and each code's index among them."""
+    if 8 * total > _SCRATCH_PER_CODE * len(codes):
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        return distinct, inverse.astype(np.int64, copy=False)
+    distinct = distinct_codes(codes, total)
+    index = np.empty(total, dtype=np.int64)
+    index[distinct] = np.arange(len(distinct))
+    return distinct, index[codes]
 
 
 def _object_sort_rank(col: np.ndarray) -> np.ndarray:

@@ -44,11 +44,12 @@ Per morsel :meth:`~VectorizedGroupTable.update`:
    ``np.unique`` (:meth:`~VectorizedGroupTable._encode_values`): every
    code space the table knows to be bounded — its codes, composite
    codes, dictionary codes, build codes — yields its distinct codes
-   from a mark array (:func:`_distinct_codes`, :func:`_dense_codes`; a
-   sort only when a few codes meet a large space);
-3. hands every state the same morsel, carrying one lazy stable sort
-   by group id (:class:`SortedMorsel`) that only MIN/MAX reads — its
-   ``ufunc.reduceat`` segments; counts, sums and ladders never sort;
+   from a mark array (:func:`~repro.engine.operators.distinct_codes`,
+   :func:`~repro.engine.operators.dense_codes`; a sort only when a few
+   codes meet a large space);
+3. hands every state the morsel's group ids; every state updates in
+   place per group — ``np.bincount``, ``np.add.at``, MIN/MAX's
+   ``np.minimum.at`` / ``np.maximum.at`` — so no state sorts the morsel;
 4. feeds the rsum ladders last, **one call per parameter set**: every
    ``LadderSum`` of equal ``(dtype, levels)`` — SUM, AVG's numerator,
    the three sums of VARIANCE's second moment — queued its values in
@@ -64,7 +65,7 @@ Reproducibility is preserved *by construction*: the repro-mode states
 are exact under any permutation and chunking of their input (the
 paper's Algorithm 3 horizontal-merge property, which
 ``benchmarks/paper/rsum_simd.py`` demonstrates lane-wise), so
-re-ordering a morsel by group id cannot change the final bits.  IEEE
+how the ladder update blocks a morsel cannot change the final bits.  IEEE
 sums accumulate unbuffered in physical row order, so even the
 *non*-reproducible mode means the same thing under every split.  The
 differential tests hold all of this against a row-order reference
@@ -78,7 +79,6 @@ import sys
 import numpy as np
 
 from ..aggregation.grouped import LadderCounters
-from ..aggregation.partition import stable_group_order
 from ..core.stats import variance
 from ..errors import SpillFormatError
 from .aggregates import (
@@ -96,13 +96,14 @@ from .operators import (
     Batch,
     _object_sort_rank,
     canonical_float_bits,
+    dense_codes,
+    distinct_codes,
     factorize_object,
 )
 from .sql import ast
 
 __all__ = [
     "VectorizedGroupTable",
-    "SortedMorsel",
     "canonical_key_order",
     "factorize_keys",
 ]
@@ -111,86 +112,9 @@ __all__ = [
 #: code -> gid lookup table instead of per-morsel registration.
 _LUT_MAX = 1 << 20
 
-#: Bytes of scratch a bounded code space may take per code looked at
-#: instead of sorting them: a mark array (:func:`_distinct_codes`, one
-#: byte per slot) up to 64 slots per code, a mark array and a slot ->
-#: index array (:func:`_dense_codes`, nine bytes) up to 8.  A bound on
-#: memory first — a composite space past the LUT nears 2^62 — it also
-#: keeps to the faster side: k random codes into 2^20 slots (2-core
-#: Xeon, NumPy 2.4) are marked faster than ``np.unique`` finds them up
-#: to 256 slots per code, and marked and indexed faster than it gives
-#: their inverse up to 8 (up to 64 in 2^16 slots).
-_SCRATCH_PER_CODE = 64
-
 #: Radix-combine guard: the product of the per-key dictionary sizes must
 #: stay below this for the composite int64 codes to be collision-free.
 _RADIX_MAX = 1 << 62
-
-
-# ---------------------------------------------------------------------------
-# Shared morsel sort
-# ---------------------------------------------------------------------------
-
-class SortedMorsel:
-    """One stable sort of a morsel's group ids, shared by the states
-    that read segments (MIN/MAX; counts, sums and ladders never sort).
-
-    Lazily computes the permutation putting rows in group-id order, the
-    segment starts, and the per-segment gids.  When the ids are already
-    non-decreasing (single group, pre-sorted input) the permutation is
-    the identity and :meth:`take` returns the input array untouched.
-    """
-
-    def __init__(self, gids: np.ndarray):
-        self.gids = gids
-        #: ``RsumParams -> ([LadderSum], [values])`` queued by
-        #: :meth:`LadderSum.add`; the table feeds each slot with one
-        #: :func:`update_ladders` call once every state has queued
-        self.ladders: dict = {}
-        self._ready = False
-        self._identity = False
-        self._order: np.ndarray | None = None
-        self._starts: np.ndarray | None = None
-        self._seg_gids: np.ndarray | None = None
-
-    def _ensure(self) -> None:
-        if self._ready:
-            return
-        gids = self.gids
-        if gids.size == 0:
-            self._identity = True
-            self._starts = np.empty(0, dtype=np.int64)
-            self._seg_gids = gids
-        else:
-            if bool((gids[1:] >= gids[:-1]).all()):
-                self._identity = True
-            else:
-                self._order = stable_group_order(gids)
-                gids = gids[self._order]
-            self._starts = np.flatnonzero(
-                np.concatenate(([True], gids[1:] != gids[:-1]))
-            )
-            self._seg_gids = gids[self._starts]
-        self._ready = True
-
-    @property
-    def starts(self) -> np.ndarray:
-        """Segment start offsets into the sorted order."""
-        self._ensure()
-        return self._starts
-
-    @property
-    def seg_gids(self) -> np.ndarray:
-        """The distinct gids, one per segment, in sorted-gid order."""
-        self._ensure()
-        return self._seg_gids
-
-    def take(self, values: np.ndarray) -> np.ndarray:
-        """``values`` permuted into group-id order (no-op if sorted)."""
-        self._ensure()
-        if self._identity:
-            return values
-        return values[self._order]
 
 
 # ---------------------------------------------------------------------------
@@ -316,30 +240,6 @@ def _distinct_rows(parts) -> tuple[np.ndarray, np.ndarray]:
         combined, return_index=True, return_inverse=True
     )
     return first, inverse.astype(np.int64, copy=False)
-
-
-def _distinct_codes(codes: np.ndarray, total: int) -> np.ndarray:
-    """``np.unique(codes)`` of codes known to lie in ``[0, total)``:
-    marked in a ``total``-slot array and read back in order — O(n +
-    total), no sort — while the space is small next to the codes."""
-    if total > _SCRATCH_PER_CODE * len(codes):
-        return np.unique(codes)
-    mark = np.zeros(total, dtype=bool)
-    mark[codes] = True
-    return np.flatnonzero(mark)
-
-
-def _dense_codes(codes: np.ndarray, total: int):
-    """``(distinct, inverse)`` of codes in ``[0, total)``, as
-    ``np.unique(codes, return_inverse=True)`` gives them: the
-    :func:`_distinct_codes` and each code's index among them."""
-    if 8 * total > _SCRATCH_PER_CODE * len(codes):
-        distinct, inverse = np.unique(codes, return_inverse=True)
-        return distinct, inverse.astype(np.int64, copy=False)
-    distinct = _distinct_codes(codes, total)
-    index = np.empty(total, dtype=np.int64)
-    index[distinct] = np.arange(len(distinct))
-    return distinct, index[codes]
 
 
 def _avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -484,14 +384,15 @@ class VectorizedGroupTable:
     def update(self, batch: Batch) -> None:
         cache = ExprCache(batch.columns, batch.types)
         gids = self._group_ids(batch, cache)
-        morsel = SortedMorsel(gids)
+        # RsumParams -> ([LadderSum], [values]), queued by LadderSum.add
+        ladders: dict = {}
         ngroups = self.ngroups
         for state in self.states:
-            state.update(batch, cache, gids, morsel, ngroups)
+            state.update(batch, cache, gids, ladders, ngroups)
         # One ladder call per parameter set, after every state has
         # queued its values: each accumulator still consumes exactly
         # its own value sequence, so batching cannot move a bit.
-        for accs, rows in morsel.ladders.values():
+        for accs, rows in ladders.values():
             update_ladders(accs, rows, gids, self.ladder, ngroups)
 
     def _group_ids(self, batch: Batch, cache: ExprCache) -> np.ndarray:
@@ -565,7 +466,7 @@ class VectorizedGroupTable:
         — key values are read at finalize.  The table keeps
         a build code -> gid array and each gid's code; codes not seen
         before get the next dense gids in code order; the build codes
-        are a bounded space, so :func:`_distinct_codes` finds them
+        are a bounded space, so :func:`distinct_codes` finds them
         without a sort unless a few arrive into a large build.  A table
         that already holds groups named otherwise (by key value, or by
         another build's codes) registers these rows' keys by value.
@@ -575,7 +476,7 @@ class VectorizedGroupTable:
         if keys is not self._row_keys:
             if self.ngroups:
                 self._to_registry()
-                dense, inverse = _dense_codes(codes, total)
+                dense, inverse = dense_codes(codes, total)
                 return self._register_columns(
                     keys.key_columns(dense))[inverse]
             self._row_keys = keys
@@ -585,7 +486,7 @@ class VectorizedGroupTable:
         gids = self._row_lut[codes]
         missing = gids < 0
         if missing.any():
-            fresh = _distinct_codes(codes[missing], total)
+            fresh = distinct_codes(codes[missing], total)
             base = len(self._gid_codes)
             self._row_lut[fresh] = np.arange(
                 base, base + len(fresh), dtype=np.int64
@@ -615,7 +516,7 @@ class VectorizedGroupTable:
         it has not seen to the registry.  Spaces beyond ``_LUT_MAX``
         degrade to per-morsel registration — same bits, no cache.
         Either way the codes lie in ``[0, total)``, so their distinct
-        values come from :func:`_distinct_codes` / :func:`_dense_codes`:
+        values come from :func:`distinct_codes` / :func:`dense_codes`:
         a mark array, and a sort only when few codes meet a large space.
         """
         if stable is not None and total <= _LUT_MAX:
@@ -625,11 +526,11 @@ class VectorizedGroupTable:
             gids = self._lut[codes]
             missing = gids < 0
             if missing.any():
-                fresh = _distinct_codes(codes[missing], total)
+                fresh = distinct_codes(codes[missing], total)
                 self._lut[fresh] = self._register_columns(decode(fresh))
                 gids = self._lut[codes]
             return gids
-        dense, inverse = _dense_codes(codes, total)
+        dense, inverse = dense_codes(codes, total)
         return self._register_columns(decode(dense))[inverse]
 
     @staticmethod

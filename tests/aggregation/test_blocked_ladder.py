@@ -24,7 +24,6 @@ from repro.aggregation.grouped import (
     LadderCounters,
     add_blocked_multi,
 )
-from repro.aggregation.partition import stable_group_order
 from repro.core.params import RsumParams
 from repro.engine.aggregates import PlainSum
 from repro.errors import LadderOverflowError
@@ -601,34 +600,6 @@ class TestRowPartition:
             if "below" in roles and kind == "normal":
                 assert table.e0[group["below"]] == e0 - w
             assert table.e0[0] == e0
-
-
-class TestStableGroupOrder:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        ids=st.lists(st.integers(0, 300), max_size=200),
-        scale=st.sampled_from((1, 257, 1 << 20, 1 << 33)),
-        presorted=st.booleans(),
-    )
-    def test_equals_stable_argsort(self, ids, scale, presorted):
-        # scale spreads the ids over < 2**16, < 2**32 and >= 2**32
-        # (the merge-sort fallback); duplicates make stability visible
-        gids = np.asarray(ids, dtype=np.int64) * scale
-        if presorted:
-            gids = np.sort(gids)
-        expected = np.argsort(gids, kind="stable")
-        assert stable_group_order(gids).tolist() == expected.tolist()
-
-    def test_negative_ids_fall_back(self):
-        gids = np.array([3, -1, 3, 0, -1], dtype=np.int64)
-        expected = np.argsort(gids, kind="stable")
-        assert stable_group_order(gids).tolist() == expected.tolist()
-
-    def test_boundaries(self):
-        for top in ((1 << 16) - 1, 1 << 16, (1 << 32) - 1, 1 << 32):
-            gids = np.array([top, 0, top, 1, 0, top - 1], dtype=np.int64)
-            expected = np.argsort(gids, kind="stable")
-            assert stable_group_order(gids).tolist() == expected.tolist()
 
 
 def test_plain_sum_merge_opposite_infinities_is_quiet_nan():

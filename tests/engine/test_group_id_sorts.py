@@ -4,7 +4,7 @@ An unencoded key column is sorted once per morsel, by its own
 ``np.unique`` (:meth:`VectorizedGroupTable._encode_values`).  Its
 codes, a storage dictionary's codes and a join's build codes lie in a
 bounded space the table knows, and their distinct values come from a
-mark array (:func:`repro.engine.vectorized._distinct_codes`), not a
+mark array (:func:`repro.engine.operators.distinct_codes`), not a
 sort.
 These tests count the sorts, hold the mark array against
 ``np.unique`` and pin that gids and key columns come out in the order
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import VectorizedGroupTable, vectorized
+from repro.engine import VectorizedGroupTable, operators
 from repro.engine.expr import ExprCache
 from repro.engine.join import HashJoin
 from repro.engine.operators import AggregateSpec, Batch, SumConfig
@@ -138,11 +138,11 @@ def test_distinct_codes_equal_np_unique(case):
     # the size rule picks one way; both must give np.unique's arrays
     for scratch in (None, 0, 1 << 40):
         with mock.patch.object(
-                vectorized, "_SCRATCH_PER_CODE",
-                vectorized._SCRATCH_PER_CODE if scratch is None
+                operators, "_SCRATCH_PER_CODE",
+                operators._SCRATCH_PER_CODE if scratch is None
                 else scratch):
-            distinct = vectorized._distinct_codes(codes, total)
-            dense, index = vectorized._dense_codes(codes, total)
+            distinct = operators.distinct_codes(codes, total)
+            dense, index = operators.dense_codes(codes, total)
         assert distinct.tolist() == expected.tolist()
         assert dense.tolist() == expected.tolist()
         assert index.dtype == np.int64

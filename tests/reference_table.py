@@ -11,11 +11,14 @@ batched technique with the plainest thing that is obviously right:
 * arguments: every aggregate re-evaluates its expression with the
   un-cached :func:`~repro.engine.expr.evaluate`;
 * ladders: :meth:`GroupedSummation.add_pairs` in row order instead of
-  the blocked scatter; extremes through a private stable ``argsort``
-  (reduced by the engine's ``run_extremes``: the sign of a zero MIN /
-  MAX is the IEEE 754-2019 one, not the arrival order's);
-  IEEE / int / sorted sums already are ``np.add.at`` / a pair buffer in
-  row order, so those go through the accumulator's own ``add``.
+  the blocked scatter; IEEE / int / sorted sums already are
+  ``np.add.at`` / a pair buffer in row order, so those go through the
+  accumulator's own ``add``;
+* extremes: a private stable ``argsort`` and one ``reduceat`` per run
+  (:func:`reference_extremes`) instead of the engine's scatter, with
+  the two rules stated on their own — the sign of a zero MIN / MAX is
+  the IEEE 754-2019 one (``-0.0 < +0.0``), not the arrival order's, and
+  a group's first-arriving NaN is its extreme, payload and all.
 
 No query can reach it: ``conftest.engine_path("scalar")`` is the only
 door.  :func:`grouped_float_sum` is the even older whole-column oracle
@@ -31,7 +34,6 @@ from repro.engine.aggregates import (
     MinMaxState,
     Moment2State,
     SumState,
-    run_extremes,
 )
 from repro.engine.expr import evaluate
 from repro.engine.operators import factorize_object
@@ -86,16 +88,7 @@ class PartialGroupTable(VectorizedGroupTable):
             elif isinstance(state, MinMaxState):
                 values = _eval_values(state.arg, batch)
                 state._grow(ngroups, values.dtype)
-                if gids.size:
-                    order = np.argsort(gids, kind="stable")
-                    sorted_gids = gids[order]
-                    starts = np.flatnonzero(np.concatenate(
-                        ([True], sorted_gids[1:] != sorted_gids[:-1])
-                    ))
-                    state._combine(
-                        sorted_gids[starts],
-                        run_extremes(state.is_min, values[order], starts),
-                    )
+                reference_extremes(state, gids, values)
             else:  # counts and DISTINCT sets have one (row-order) update
                 state.update(batch, cache, gids, None, ngroups)
 
@@ -126,6 +119,54 @@ class PartialGroupTable(VectorizedGroupTable):
             dense_uniq, uniques, [len(uniq) for uniq in uniques]
         ))
         return lut[morsel_gids.astype(np.int64)]
+
+
+def _run_extremes(is_min: bool, values: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """MIN (``is_min``) or MAX of each run of ``values`` that begins at
+    ``starts``: ``reduceat``, then a zero extreme is ``-0.0`` (MIN) when
+    the run holds a ``-0.0`` and ``+0.0`` (MAX) when it holds a
+    ``+0.0``, and a run holding a NaN yields its first NaN (``reduceat``
+    may return the canonical NaN instead)."""
+    with np.errstate(invalid="ignore"):
+        out = (np.minimum if is_min else np.maximum).reduceat(values, starts)
+    if values.dtype.kind != "f":
+        return out
+    tied = out == 0
+    if tied.any():
+        either = np.logical_or if is_min else np.logical_and
+        negative = either.reduceat(np.signbit(values), starts)
+        out[tied] = np.where(negative[tied], -0.0, 0.0)
+    nans = np.flatnonzero(np.isnan(values))
+    if nans.size:
+        run = np.searchsorted(starts, nans, side="right") - 1
+        first = np.concatenate(([True], run[1:] != run[:-1]))
+        out[run[first]] = values[nans[first]]
+    return out
+
+
+def reference_extremes(state: MinMaxState, idx: np.ndarray,
+                       values: np.ndarray) -> None:
+    """Fold ``values[i]`` into group ``idx[i]`` of a grown
+    :class:`MinMaxState`: a stable sort by group, one extreme per run
+    (:func:`_run_extremes`), and each run's extreme against the group's
+    held one as a run of two."""
+    if not idx.size:
+        return
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], sorted_idx[1:] != sorted_idx[:-1])))
+    groups = sorted_idx[starts]
+    runs = _run_extremes(state.is_min, values[order], starts)
+    known = state.seen[groups]
+    state.extremes[groups[~known]] = runs[~known]
+    state.seen[groups[~known]] = True
+    held = groups[known]
+    if held.size:
+        pairs = np.stack([state.extremes[held], runs[known]], axis=1)
+        state.extremes[held] = _run_extremes(
+            state.is_min, pairs.ravel(), np.arange(0, 2 * held.size, 2))
 
 
 def grouped_float_sum(values: np.ndarray, gids: np.ndarray, ngroups: int,

@@ -32,7 +32,6 @@ SERVING = frozenset({
     "repro.aggregation.api",
     "repro.aggregation.external_agg",
     "repro.aggregation.grouped",
-    "repro.aggregation.partition",
     "repro.aggregation.result",
     "repro.client",
     "repro.core",

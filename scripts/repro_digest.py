@@ -106,21 +106,37 @@ EXTREMES_QUERY = (
     "SELECT k, MIN(v) AS lo, MAX(v) AS hi, AVG(v) AS av "
     "FROM vm GROUP BY k ORDER BY k"
 )
+#: The leg's third view, keyed by a VARCHAR label: its refresh morsels
+#: carry the label's storage dictionary, which grows and re-sorts as
+#: labels arrive.  Checked against scratch, not digested.
+LABEL_QUERY = (
+    "SELECT s, SUM(v) AS sv, COUNT(*) AS c, MIN(v) AS lo, "
+    "COUNT(DISTINCT v) AS dv FROM vm GROUP BY s ORDER BY s"
+)
+#: labels in arrival order: later ones sort before earlier ones
+LABELS = "tmxbqae"
+
+
+def _label(key: int, row: int, step: int) -> str:
+    """Row ``row``'s label: one of the first ``step + 2``
+    :data:`LABELS` (drawn from no random stream)."""
+    return LABELS[(key + row) % min(step + 2, len(LABELS))]
 
 
 def _view_maintenance(db):
     """The view-maintenance leg: replay a seeded interleaving of
-    INSERT / DELETE / REFRESH against two materialized views, assert
+    INSERT / DELETE / REFRESH against three materialized views, assert
     each final served result is byte-identical to the from-scratch base
     scan over the same table, and return the first for the digest (the
-    second, MIN / MAX / AVG, is checked only).
+    second, MIN / MAX / AVG, and the third, keyed by a VARCHAR label,
+    are checked only).
 
     The interleaving is deterministic, so every matrix leg — any
     workers / morsel_size / memory_budget / OS / Python —
     must digest identically.
     """
     rng = np.random.default_rng(20180418)
-    db.execute("CREATE TABLE vm (k INT, v DOUBLE)")
+    db.execute("CREATE TABLE vm (k INT, s VARCHAR(1), v DOUBLE)")
     db.execute(
         "CREATE MATERIALIZED VIEW vm_agg AS "
         "SELECT k, SUM(v) AS sv, COUNT(*) AS c, AVG(v) AS av, "
@@ -130,9 +146,18 @@ def _view_maintenance(db):
         "CREATE MATERIALIZED VIEW vm_ext AS "
         "SELECT k, MIN(v) AS lo, MAX(v) AS hi, AVG(v) AS av FROM vm GROUP BY k"
     )
-    views = (("vm_agg", VIEW_QUERY), ("vm_ext", EXTREMES_QUERY))
+    db.execute(
+        "CREATE MATERIALIZED VIEW vm_lbl AS "
+        "SELECT s, SUM(v) AS sv, COUNT(*) AS c, MIN(v) AS lo, "
+        "COUNT(DISTINCT v) AS dv FROM vm GROUP BY s"
+    )
+    views = (
+        ("vm_agg", VIEW_QUERY),
+        ("vm_ext", EXTREMES_QUERY),
+        ("vm_lbl", LABEL_QUERY),
+    )
     table = db.table("vm")
-    for _ in range(14):
+    for step in range(14):
         action = rng.random()
         if action < 0.6 or len(table) < 20:
             count = int(rng.integers(5, 60))
@@ -143,8 +168,12 @@ def _view_maintenance(db):
             values[rng.random(count) < 0.04] = np.nan
             values[rng.random(count) < 0.04] = np.inf
             values[rng.random(count) < 0.04] = -0.0
+            first = table.physical_rows
             table.insert_rows(
-                [{"k": int(k), "v": float(v)} for k, v in zip(keys, values)]
+                [
+                    {"k": int(k), "s": _label(int(k), first + j, step), "v": float(v)}
+                    for j, (k, v) in enumerate(zip(keys, values))
+                ]
             )
         else:
             key = int(rng.integers(0, 9))

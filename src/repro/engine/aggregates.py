@@ -492,12 +492,18 @@ class DistinctState:
         )
         # row i holds member members[code % base] in group code // base
         base = max(len(members), 1)
-        pairs = gids.astype(np.int64) * base + codes
-        for pair in distinct_codes(pairs, ngroups * base).tolist():
-            gid, code = divmod(pair, base)
+        pairs = distinct_codes(gids.astype(np.int64) * base + codes,
+                               ngroups * base)
+        # sorted, so each touched group's members are one run
+        touched, member_codes = np.divmod(pairs, base)
+        cuts = np.flatnonzero(touched[1:] != touched[:-1]) + 1
+        bounds = [0, *cuts.tolist(), len(pairs)]
+        member_codes = member_codes.tolist()
+        for gid, lo, hi in zip(touched[bounds[:-1]].tolist(), bounds,
+                               bounds[1:]):
             group = self.groups[gid]
             before = len(group)
-            group.add(members[code])
+            group.update(map(members.__getitem__, member_codes[lo:hi]))
             self.member_count += len(group) - before
 
     def merge(self, other: "DistinctState", mapping, ngroups: int) -> None:

@@ -171,11 +171,13 @@ def execute_select(
 
 
 def _scan_morsels(scan: PhysScan, morsel_size: int, stats: PipelineStats,
-                  snapshot=None) -> list[Batch]:
+                  snapshot=None, start: int = 0) -> list[Batch]:
     """Materialize one scan's morsel list (column views, renamed to the
     binder's resolved keys, with dictionary encodings riding along).
 
-    ``snapshot`` pins row visibility at that version watermark.  One
+    ``snapshot`` pins row visibility at that version watermark, and
+    ``start`` skips the physical rows before it (a view's insert
+    delta, :meth:`~repro.engine.matview.MaterializedView.refresh`).  One
     :meth:`Table.read` decides visibility for the columns and the key
     codes alike, and hands back read-only views that never change —
     slices of the table's buffers unless a delete is visible — so the
@@ -189,7 +191,7 @@ def _scan_morsels(scan: PhysScan, morsel_size: int, stats: PipelineStats,
     data, encodings, copied = scan.table.read(
         scan.table.projection(list(scan.column_map.values())),
         [scan.column_map[key] for key in scan.encode_keys],
-        snapshot,
+        snapshot, start,
     )
     stats.scan_rows_copied += copied
     reverse = {source: key for key, source in scan.column_map.items()}
@@ -245,15 +247,16 @@ def _concat_batches(batches: list[Batch]) -> Batch:
 
 
 def _instantiate(chain: PhysPipeline, context: ExecutionContext,
-                 stats: PipelineStats, snapshot=None):
-    """Materialize scan morsels and build every hash join in the chain.
+                 stats: PipelineStats, snapshot=None, start: int = 0):
+    """Materialize scan morsels and build every hash join in the chain;
+    the source scan reads from physical row ``start`` on.
 
     Returns ``(morsels, transform)`` where ``transform`` applies the
     chain's filters and probes to one morsel.
     """
     started = time.perf_counter()
     morsels = _scan_morsels(chain.source, context.morsel_size, stats,
-                            snapshot)
+                            snapshot, start)
     stats.add_seconds("scan", time.perf_counter() - started)
 
     steps = []

@@ -17,6 +17,8 @@ The pieces:
   update), the consumed row-version watermark, and the finalized
   contents served to matching queries.  Without subtraction a group
   only ever empties through a rebuild, which never registers it.
+  A REFRESH runs the definition's plan through the query pipeline
+  into the kept table (:meth:`MaterializedView.refresh`).
 * :func:`match_view` / :func:`plan_view_scan` — the planner rewrite:
   an aggregate query whose (table, predicate, group keys) equal a
   *fresh* view's and whose aggregates are a subset of the view's is
@@ -25,8 +27,9 @@ The pieces:
   changed) fall back to the base scan.
 
 Every view is maintained this one way, whatever it aggregates.  The
-view feeds its rows in physical order, so no REFRESH depends on an
-execution knob: the ladders, COUNT / DISTINCT and MIN / MAX
+view feeds its rows in physical order into one table, so no REFRESH
+depends on an execution knob (``workers`` and ``memory_budget`` do
+not apply to it): the ladders, COUNT / DISTINCT and MIN / MAX
 (:class:`~repro.engine.aggregates.MinMaxState` orders zero ties) are
 order-free, and the ``ieee`` SUM family accumulates row by row, so an
 ieee view carries the bits of an unbudgeted ``workers=1`` SELECT.  The
@@ -37,11 +40,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..aggregation.grouped import LadderCounters
 from ..errors import BindError
-from .operators import Batch, SumConfig
+from .executor import _instantiate
+from .operators import SumConfig
 from .optimizer import optimize
-from .physical import PhysicalQuery, PhysViewScan, _dedup_specs
-from .pipeline import ExecutionContext, apply_where
+from .physical import (
+    PhysicalQuery, PhysViewScan, _dedup_specs, plan_physical,
+)
+from .pipeline import ExecutionContext, PipelineStats, _feed, finish_grouped
 from .plan import (
     Aggregate,
     Filter,
@@ -124,7 +131,6 @@ class _AggregateShape:
             predicates.append(child.predicate)
         self.scan = child
         self.predicate_sql = _combined_sql(predicates)
-        self.predicates = tuple(predicates)
         self.group_sqls = tuple(e.sql() for e in node.group_exprs)
         self.agg_sqls = tuple(a.sql() for a in node.aggregates)
 
@@ -165,30 +171,16 @@ class MaterializedView:
             raise ViewDefinitionError(
                 "materialized views must read exactly one base table"
             )
-        shape = _AggregateShape(optimize(bind_select(select, get_table)))
+        #: the optimized logical plan every refresh lowers and runs
+        self.plan = optimize(bind_select(select, get_table))
+        shape = _AggregateShape(self.plan)
         self.table = shape.scan.table
         self.table_name = self.table.name
         self.predicate_sql = shape.predicate_sql
-        self.predicates = shape.predicates
         self.group_exprs = shape.aggregate.group_exprs
         self.group_sqls = shape.group_sqls
-        self.items = shape.items
         self.specs = _dedup_specs(shape.aggregate.aggregates, sum_config)
         self.agg_sqls = frozenset(spec.sql for spec in self.specs)
-        #: columns the delta scan needs (the optimizer's projection
-        #: pushdown already narrowed the scan to them)
-        projected = (
-            shape.scan.projected if shape.scan.projected is not None
-            else tuple(shape.scan.columns)
-        )
-        self.scan_columns = [
-            shape.scan.columns[key][0] for key in projected
-        ] or self.table.schema.names()[:1]
-        self.scan_keys = list(projected) or self.scan_columns
-        self.types = {
-            key: shape.scan.columns[key][1]
-            for key in (projected or self.scan_keys)
-        }
         #: the maintenance state: the group table over the rows live
         #: at :attr:`watermark`.  ``None`` until the next refresh
         #: rebuilds it — before the first, after :meth:`restore_served`
@@ -245,15 +237,27 @@ class MaterializedView:
 
     # -- refresh -----------------------------------------------------------
     def refresh(self, context: ExecutionContext,
-                to_version: int | None = None) -> int:
+                to_version: int | None = None,
+                stats: PipelineStats | None = None) -> int:
         """Bring the view up to the base table's watermark.
 
-        Merges the partial states of rows inserted since the consumed
-        watermark into the kept group table; a delta that deletes a
-        row rebuilds the table from the rows live at the target
-        instead.  Returns the number of inserted rows merged, or of
-        rows scanned by a rebuild.  ``context`` only cuts the rows
-        into morsel-sized batches, which no aggregate's bits see.
+        A query run: the view's plan is lowered at the target
+        watermark as a SELECT's is, and its scan morsels (dictionary
+        encodings riding along) pass the plan's filters into the kept
+        group table through the pipeline's feeder, filling ``stats``
+        (``None``: a throwaway record).  An insert-only delta is the
+        rows visible at the target from physical row
+        :meth:`~repro.engine.table.Table.rows_at` the consumed
+        watermark on — insert versions never decrease in physical
+        order.  A delta that deletes a row feeds a fresh table every
+        row live at the target instead, as do the first refresh, the
+        first after recovery (a fuzzy checkpoint's view watermark may
+        be ahead of its table image until WAL replay delivers the
+        rows) and the first after a failed one.  Exact merging makes
+        either finalize to a from-scratch query's bytes.  Returns the
+        rows scanned, counted before the view's predicate.
+        ``context`` only cuts them into morsels, which no aggregate's
+        bits see; ``workers`` and ``memory_budget`` do not apply.
 
         ``to_version`` pins the refresh at an explicit row-version
         watermark instead of the table's current one.  WAL recovery
@@ -264,19 +268,32 @@ class MaterializedView:
         target = (
             self.table.version if to_version is None else int(to_version)
         )
+        if stats is None:
+            stats = PipelineStats()
         try:
-            inserted, deleted = self.table.delta_masks(
-                self.watermark, upto=target
-            )
-            if self._group_table is None or deleted.any():
-                consumed = self._rebuild(context, target)
+            table = self._group_table
+            start = self.table.rows_at(self.watermark)
+            if table is None or self.table.deletes_between(
+                    self.watermark, target):
+                table = VectorizedGroupTable(self.group_exprs, self.specs)
+                start = 0
             else:
-                batches, consumed = self._batches(
-                    self.table.masked_scan(inserted, self.scan_columns),
-                    context)
-                for batch in batches:
-                    self._group_table.update(batch)
-                self._store(*self._group_table.finalize())
+                table.ladder = LadderCounters()  # this refresh's rows
+            physical = plan_physical(self.plan, context, self.sum_config,
+                                     target)
+            morsels, transform = _instantiate(
+                physical.pipeline, context, stats, target, start
+            )
+            stats.start()
+            selection, aggregation = _feed(
+                morsels, transform, table.update, stats
+            )
+            stats.add_seconds("selection", selection)
+            self._store(*finish_grouped(
+                [(0, [table])], self.group_exprs, self.specs, table.ladder,
+                stats, aggregation,
+            ))
+            self._group_table = table
         except BaseException:
             # The group table may hold part of the delta; the next
             # refresh rebuilds it, as it does after recovery.
@@ -290,58 +307,7 @@ class MaterializedView:
         self.refresh_count += 1
         if self._storage is not None:
             self._storage.log_view_refreshed(self)
-        return consumed
-
-    def _batches(self, data: dict, context: ExecutionContext):
-        """``(batches, nrows)``: the scanned ``data`` (``nrows`` rows,
-        counted before the view's predicate) as filtered morsel-sized
-        batches — at least one, possibly empty, so state dtypes prime
-        exactly as the pipeline's one-empty-morsel scan primes them and
-        an empty table's view bits match an empty table's query bits."""
-        renamed = {
-            key: data[source]
-            for key, source in zip(self.scan_keys, self.scan_columns)
-        }
-        nrows = len(next(iter(renamed.values()))) if renamed else 0
-        batches = []
-        if nrows == 0:
-            batches.append(Batch(renamed, self.types))
-        else:
-            for start in range(0, nrows, context.morsel_size):
-                batches.append(Batch(
-                    {
-                        key: arr[start : start + context.morsel_size]
-                        for key, arr in renamed.items()
-                    },
-                    self.types,
-                ))
-        filtered = []
-        for batch in batches:
-            for predicate in self.predicates:
-                batch = apply_where(batch, predicate)
-            filtered.append(batch)
-        return filtered, nrows
-
-    def _rebuild(self, context: ExecutionContext, target: int) -> int:
-        """Build the group table from every row live at ``target``.
-
-        The first refresh, the first after recovery or a failed
-        refresh, and every refresh whose delta deletes a row land
-        here.  Exact merging makes the rebuilt states finalize to the
-        bytes a from-scratch query returns, so a view never has to
-        subtract.  Deferred to refresh time (not restore time) because
-        a fuzzy checkpoint's view watermark may be ahead of its table
-        image — the missing rows arrive via WAL replay.
-        """
-        table = VectorizedGroupTable(self.group_exprs, self.specs)
-        batches, rows = self._batches(
-            self.table.scan(self.scan_columns, snapshot=target), context
-        )
-        for batch in batches:
-            table.update(batch)
-        self._store(*table.finalize())
-        self._group_table = table
-        return rows
+        return sum(batch.nrows for batch in morsels)
 
     def _store(self, key_arrays, results, ngroups: int) -> None:
         # Copy: finalize may hand back a state's internal array (e.g.
@@ -364,7 +330,7 @@ class MaterializedView:
         The served arrays come back exactly as they were dumped — the
         checkpoint holds their raw bits.  The maintenance state is
         *not* checkpointed: the next refresh rebuilds it
-        (:meth:`_rebuild`), by which time WAL replay has delivered
+        (:meth:`refresh`), by which time WAL replay has delivered
         every base row up to its target.
         """
         self.watermark = int(watermark)

@@ -253,9 +253,10 @@ class ExecutionContext:
 class PipelineStats:
     """One statement's accounting record.
 
-    The session opens one for each SELECT and INSERT ... SELECT and
-    hands it down; operators and drivers fill it, none builds its own
-    (a REFRESH runs no pipeline and fills none).
+    The session opens one for each SELECT, INSERT ... SELECT, REFRESH
+    and CREATE MATERIALIZED VIEW and hands it down; operators and
+    drivers fill it, none builds its own (a caller that keeps no record
+    — WAL replay's refreshes — hands down a throwaway one).
 
     ``seconds`` is CPU time per operator class (paper Table IV's
     breakdown): ``scan``, ``join_build``, ``selection`` and

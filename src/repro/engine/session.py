@@ -65,7 +65,8 @@ class Session:
     ``levels``) and the execution shape (``workers``,
     ``morsel_size``, ``join_build``, ``memory_budget``) —
     plus :attr:`last_pipeline_stats`, the accounting record of the
-    most recent SELECT or INSERT ... SELECT.  Catalog state (tables,
+    most recent pipeline run: SELECT, INSERT ... SELECT, REFRESH or
+    CREATE MATERIALIZED VIEW.  Catalog state (tables,
     views) is shared with every other session of the same database.
 
     Every SELECT pins the database's committed-version watermark at
@@ -94,8 +95,9 @@ class Session:
             workers, morsel_size, join_build,
             memory_budget_bytes=memory_budget,
         )
-        #: the :class:`PipelineStats` of the last SELECT or
-        #: INSERT ... SELECT (``None`` before the first)
+        #: the :class:`PipelineStats` of the last SELECT, INSERT ...
+        #: SELECT, REFRESH or CREATE MATERIALIZED VIEW (``None`` before
+        #: the first)
         self.last_pipeline_stats: PipelineStats | None = None
         #: explicit pin from :meth:`snapshot` (``None`` = pin per query)
         self._pinned: int | None = None
@@ -236,8 +238,11 @@ class Session:
         # A refresh is a write to the view: hold the base table's
         # statement lock so no DML can slip between the delta read and
         # the consumed watermark.
+        stats = PipelineStats()
         with view.table.lock:
-            return view.refresh(self.execution_context)
+            consumed = view.refresh(self.execution_context, stats=stats)
+        self.last_pipeline_stats = stats
+        return consumed
 
     def view(self, name: str):
         """The named materialized view (catalog accessor)."""

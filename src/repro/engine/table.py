@@ -348,12 +348,14 @@ class Table:
     statement that appended them (their *insert version*) and, in the
     delete vector, the watermark of the statement that masked them
     (their *delete version*; 0 = live).  A consumer that snapshotted
-    the watermark at time ``W`` can later ask :meth:`delta_masks` for
-    exactly the rows inserted or deleted since ``W`` — the delta feed
-    behind incrementally-maintained materialized views
-    (:mod:`repro.engine.matview`) — or scan with ``snapshot=W`` to see
-    the table exactly as it stood at ``W`` (the MVCC read path behind
-    the serving layer, :mod:`repro.server`).
+    the watermark at time ``W`` can later read exactly the rows
+    inserted since ``W`` — :meth:`read` from physical row
+    :meth:`rows_at` ``W`` on — and ask :meth:`deletes_between` whether
+    any row live at ``W`` is gone: the delta feed behind
+    incrementally-maintained materialized views
+    (:mod:`repro.engine.matview`).  Or it scans with ``snapshot=W`` to
+    see the table exactly as it stood at ``W`` (the MVCC read path
+    behind the serving layer, :mod:`repro.server`).
 
     Storage is arrays only (see the module docstring): one
     :class:`Column` per schema column plus two ``int64`` columns of
@@ -383,6 +385,10 @@ class Table:
         #: the lowest delete version in ``_deleted`` (inf: none yet) — a
         #: snapshot below it sees a prefix of the rows (:meth:`read`)
         self._first_delete = math.inf
+        #: the highest delete version in ``_deleted`` (0: none yet) — no
+        #: row is gone since a watermark at or past it
+        #: (:meth:`deletes_between`)
+        self._last_delete = 0
         #: monotone DML watermark (bumped once per mutating statement)
         self._version = 0
         #: version source — private until a catalog attaches its own
@@ -451,36 +457,29 @@ class Table:
         with self.lock:
             return self._deleted.array() == 0
 
-    def snapshot_mask(self, snapshot: int) -> np.ndarray:
+    def snapshot_mask(self, snapshot: int, start: int = 0) -> np.ndarray:
         """Physical-row visibility at version ``snapshot``: inserted at
-        or before it, not deleted at or before it."""
+        or before it, not deleted at or before it — of the rows from
+        ``start`` on."""
         with self.lock:
-            ins, del_ = self._inserted.array(), self._deleted.array()
+            ins = self._inserted.array()[start:]
+            del_ = self._deleted.array()[start:]
             return (ins <= snapshot) & ((del_ == 0) | (del_ > snapshot))
 
-    def delta_masks(self, since: int,
-                    upto: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Physical-row masks of the delta between watermark ``since``
-        and ``upto`` (default: now): ``(inserted, deleted)``.
-
-        ``inserted`` marks rows appended after ``since`` that are still
-        live at ``upto``; ``deleted`` marks rows that were live at
-        ``since`` and have been masked by ``upto``.  Rows both appended
-        *and* masked inside the window cancel out and appear in neither
-        mask.  The bounded form is what lets WAL recovery re-run a
-        REFRESH to exactly its logged watermark even though later
-        mutations are already in the table.
-        """
+    def deletes_between(self, since: int, upto: int) -> bool:
+        """True when a row live at watermark ``since`` is masked at
+        ``upto`` — the delta a materialized view cannot merge.  A row
+        both appended and masked inside the window cancels out: it is
+        not live at ``since``.  O(1) unless a delete landed after
+        ``since``; then one pass over the rows appended by ``since``.
+        The bounded window is what lets WAL recovery re-run a REFRESH
+        at exactly its logged watermark even though later mutations
+        are already in the table."""
         with self.lock:
-            ins, del_ = self._inserted.array(), self._deleted.array()
-            if upto is None:
-                inserted = (ins > since) & (del_ == 0)
-                deleted = (ins <= since) & (del_ > since)
-            else:
-                alive_at_upto = (del_ == 0) | (del_ > upto)
-                inserted = (ins > since) & (ins <= upto) & alive_at_upto
-                deleted = (ins <= since) & (del_ > since) & (del_ <= upto)
-            return inserted, deleted
+            if self._last_delete <= since:
+                return False
+            masked = self._deleted.array()[: self.rows_at(since)]
+            return bool(np.any((masked > since) & (masked <= upto)))
 
     def changed_between(self, a: int, b: int) -> bool:
         """True when any insert or delete landed in version window
@@ -552,6 +551,7 @@ class Table:
                 self._first_delete = self._lowest_delete()
             else:
                 self._first_delete = min(self._first_delete, version)
+            self._last_delete = version
         if nrows:
             self._inserted.reserve(nrows)[:] = (
                 version if inserted is None else inserted
@@ -562,6 +562,7 @@ class Table:
                 column.commit(nrows)
             if not np.isscalar(deleted):  # an image's rows may be masked
                 self._first_delete = self._lowest_delete()
+                self._last_delete = int(self._deleted.array().max())
         self._version = version
 
     def _lowest_delete(self) -> int | float:
@@ -750,21 +751,24 @@ class Table:
                 return arr[self.valid_mask()]
             return arr
 
-    def _visible(self, snapshot: int | None) -> int | np.ndarray:
-        """The one visibility decision of a read (under :attr:`lock`):
-        ``n`` when the rows visible at ``snapshot`` (now, when ``None``)
-        are exactly the physical prefix ``[0, n)`` — no delete at or
-        before it — and their mask otherwise."""
+    def _visible(self, snapshot: int | None,
+                 start: int = 0) -> int | np.ndarray:
+        """The one visibility decision of a read (under :attr:`lock`)
+        over the physical rows from ``start`` on: ``n`` when the rows
+        visible at ``snapshot`` (now, when ``None``) are exactly
+        ``[start, n)`` — no delete at or before it — and their mask
+        over ``[start, physical_rows)`` otherwise."""
         if snapshot is None:
             if self._first_delete == math.inf:
                 return self.physical_rows
-            return self.valid_mask()
+            return self._deleted.array()[start:] == 0
         if snapshot < self._first_delete:
             return self.rows_at(snapshot)
-        return self.snapshot_mask(snapshot)
+        return self.snapshot_mask(snapshot, start)
 
     def read(self, columns: list[str] | None = None, encode=(),
-             snapshot: int | None = None) -> tuple[dict, dict, int]:
+             snapshot: int | None = None,
+             start: int = 0) -> tuple[dict, dict, int]:
         """Visible rows in physical order: ``(arrays, encodings,
         copied)``, all under one visibility decision.
 
@@ -775,7 +779,10 @@ class Table:
         same rows (other columns are skipped — their keys factorize
         cheaply with :func:`numpy.unique`).  ``snapshot`` pins
         visibility at a row-version watermark: rows of later (or still
-        in-flight) statements are excluded.
+        in-flight) statements are excluded.  ``start`` skips the
+        physical rows before it: from :meth:`rows_at` a watermark on,
+        the rows visible at ``snapshot`` are the ones inserted since
+        that watermark, and no mask is taken over the rows before it.
 
         Every array is read-only and never changes, so it is safe to
         read lock-free while writers go on.  When no delete is visible
@@ -795,20 +802,24 @@ class Table:
         if not names and not keys:  # nothing to decide visibility for
             return {}, {}, 0
         with self.lock:
-            visible = self._visible(snapshot)
+            visible = self._visible(snapshot, start)
             if isinstance(visible, int):
-                rows, count, copied = slice(0, visible), visible, 0
+                rows, stop, copied = slice(None), visible, 0
             else:
-                rows, count = visible, len(visible)
+                rows, stop = visible, start + len(visible)
                 copied = int(np.count_nonzero(visible))
             arrays = {
-                name: _read_only(self._columns[name].array()[:count][rows])
+                name: _read_only(
+                    self._columns[name].array()[start:stop][rows]
+                )
                 for name in names
             }
             encodings = {}
             for name in keys:
                 codes, uniques = self._columns[name].encoding()
-                encodings[name] = (_read_only(codes[:count][rows]), uniques)
+                encodings[name] = (
+                    _read_only(codes[start:stop][rows]), uniques
+                )
         return arrays, encodings, copied
 
     def scan(self, columns: list[str] | None = None,
@@ -822,19 +833,6 @@ class Table:
         ``snapshot`` pins visibility at a row-version watermark.
         """
         return self.read(columns, snapshot=snapshot)[0]
-
-    def masked_scan(self, mask: np.ndarray, columns: list[str] | None = None) -> dict:
-        """Arbitrary physical-row selection as column arrays (physical
-        order; fresh copies).  Used with :meth:`delta_masks` to read a
-        view's insert/delete delta."""
-        names = self.schema.names() if columns is None else [
-            name.lower() for name in columns
-        ]
-        with self.lock:
-            n = len(mask)
-            return {
-                name: self._columns[name].array()[:n][mask] for name in names
-            }
 
     def morsels(self, morsel_size: int, columns: list[str] | None = None,
                 snapshot: int | None = None):

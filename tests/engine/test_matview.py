@@ -7,7 +7,8 @@ Covers:
 * REFRESH after any INSERT/DELETE interleaving is byte-identical to
   recreating the view from scratch, across
   workers x morsel_size x memory_budget — also when the deleted rows
-  raised a ladder, were NaN / inf / -0.0, or emptied a group;
+  raised a ladder, were NaN / inf / -0.0, or emptied a group, and for
+  a VARCHAR key whose storage dictionary rides the refresh morsels;
 * the view-matching rewrite serves fresh views (EXPLAIN ViewScan) and
   falls back to the base scan when stale;
 * SELECT DISTINCT as a zero-aggregate GROUP BY;
@@ -434,14 +435,15 @@ class TestMaterializedViews:
         db.execute("INSERT INTO t VALUES (3)")
         db.execute("DELETE FROM t WHERE x = 1")
         assert table.version == 3
-        inserted, deleted = table.delta_masks(1)
-        assert inserted.tolist() == [False, False, True]
-        assert deleted.tolist() == [True, False, False]
+        start = table.rows_at(1)
+        assert table.read(["x"], start=start)[0]["x"].tolist() == [3]
+        assert table.deletes_between(1, table.version)
         # A row inserted and deleted inside the window cancels out.
         db.execute("INSERT INTO t VALUES (9)")
         db.execute("DELETE FROM t WHERE x = 9")
-        inserted, deleted = table.delta_masks(3)
-        assert not inserted.any() and not deleted.any()
+        start = table.rows_at(3)
+        assert table.read(["x"], start=start)[0]["x"].tolist() == []
+        assert not table.deletes_between(3, table.version)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +600,65 @@ class TestDeletesRebuild:
         assert served.rows() == [(0, 0.0)]
         db.execute("DROP MATERIALIZED VIEW gv")
         assert result_bits(served) == result_bits(db.execute(sql))
+
+
+class TestVarcharKeyedView:
+    """A VARCHAR-keyed view's morsels carry the scan's dictionary
+    encoding; across insert-only deltas (the dictionary grows and
+    re-sorts, or keeps its size) and delete-bearing ones it serves the
+    bytes of a from-scratch SELECT."""
+
+    QUERY = (
+        "SELECT s, SUM(v) AS sv, COUNT(*) AS c, MIN(v) AS lo, "
+        "COUNT(DISTINCT v) AS dv FROM t{where} GROUP BY s"
+    )
+
+    @pytest.mark.parametrize("where", ["", " WHERE v <> 2.5"],
+                             ids=["all", "filtered"])
+    def test_refreshes_match_scratch(self, where, monkeypatch):
+        from repro.engine.vectorized import VectorizedGroupTable
+
+        encoded = []
+        update = VectorizedGroupTable.update
+
+        def spy(table, batch):
+            encoded.append(batch.encoding("s") is not None)
+            return update(table, batch)
+
+        monkeypatch.setattr(VectorizedGroupTable, "update", spy)
+        query = self.QUERY.format(where=where)
+        ordered = query + " ORDER BY s"
+        db = Database(sum_mode="repro", morsel_size=2)
+        scratch = Database(sum_mode="repro")
+        for target in (db, scratch):
+            target.execute("CREATE TABLE t (i INT, s VARCHAR(4), v DOUBLE)")
+        db.execute(f"CREATE MATERIALIZED VIEW mv AS {query}")
+        view = db.view("mv")
+
+        def step(sql, rebuilds):
+            for target in (db, scratch):
+                target.execute(sql)
+            kept = view._group_table
+            encoded.clear()
+            db.execute("REFRESH MATERIALIZED VIEW mv")
+            assert (view._group_table is not kept) == rebuilds
+            assert encoded and all(encoded)
+            assert "ViewScan(mv" in db.explain(ordered)
+            served = result_bits(db.execute(ordered))
+            assert served == result_bits(scratch.execute(ordered))
+
+        step("INSERT INTO t VALUES (1,'m',0.5),(2,'x',2.5),(3,'m',1e16),"
+             "(4,'x',-1.0),(5,'m',-1e16)", rebuilds=False)
+        # new keys sort before the old ones: the dictionary re-codes
+        step("INSERT INTO t VALUES (6,'a',0.25),(7,'m',2.5),(8,'b',3.0)",
+             rebuilds=False)
+        # known keys only: the dictionary keeps its size
+        step("INSERT INTO t VALUES (9,'x',7.0),(10,'a',-0.0)", rebuilds=False)
+        step("DELETE FROM t WHERE s = 'm'", rebuilds=True)
+        step("INSERT INTO t VALUES (11,'',1.5),(12,'m',4.0)",
+             rebuilds=False)
+        step("UPDATE t SET v = 9.5 WHERE i = 2", rebuilds=True)
+        step("INSERT INTO t VALUES (13,'zz',0.125)", rebuilds=False)
 
 
 # ---------------------------------------------------------------------------

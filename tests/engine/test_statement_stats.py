@@ -1,10 +1,9 @@
 """One accounting record per statement: ``last_pipeline_stats``.
 
 The session opens a :class:`~repro.engine.pipeline.PipelineStats` for
-each SELECT and INSERT ... SELECT and hands it down; operators and
-drivers fill it.  A REFRESH (or its WAL replay) runs no pipeline and
-fills none, so no record leaks into, or inherits from, another
-statement's.
+each SELECT, INSERT ... SELECT, REFRESH and CREATE MATERIALIZED VIEW
+and hands it down; operators and drivers fill it, so no record leaks
+into, or inherits from, another statement's.
 """
 
 import numpy as np
@@ -77,14 +76,26 @@ def test_view_served_select_reports_a_fresh_record():
     assert stats.seconds == {}
 
 
-def test_refresh_leaves_the_last_select_record():
-    db = _db()
-    db.execute(VIEW)
+def test_refresh_fills_its_own_record():
+    """A REFRESH is a pipeline run with its own record: an insert-only
+    delta of 1 row into a multi-morsel table feeds that 1 row."""
+    db = Database(sum_mode="repro", morsel_size=2)
+    db.execute("CREATE TABLE t (k INT, v DOUBLE)")
+    db.execute("INSERT INTO t VALUES (1, 0.5), (2, 0.25), (1, 2.0), (3, 1.0), "
+               "(2, 4.0)")
+    db.execute("CREATE MATERIALIZED VIEW mv AS "
+               "SELECT k, SUM(v) AS s FROM t GROUP BY k")
+    created = db.last_pipeline_stats
+    assert created.morsel_count == 3 and created.ladder_rows_scatter == 5
     db.execute("SELECT k, SUM(v) FROM t GROUP BY k")
     record = db.last_pipeline_stats
     db.execute("INSERT INTO t VALUES (3, 1.5)")
-    db.execute("REFRESH MATERIALIZED VIEW ext")
-    assert db.last_pipeline_stats is record
+    assert db.execute("REFRESH MATERIALIZED VIEW mv") == 1
+    stats = db.last_pipeline_stats
+    assert stats is not record and stats is not created
+    assert stats.morsel_count == 1
+    assert stats.ladder_rows_scatter + stats.ladder_rows_reference == 1
+    assert stats.seconds.keys() >= {"scan", "aggregation"}
 
 
 def test_repeated_q3_counts_its_own_join_cache_hit():

@@ -148,19 +148,23 @@ class TestVersionedStorage:
         table.mask_rows(np.array([0]))
         assert table.version == 3
 
-    def test_delta_masks_window(self):
+    def test_delta_window(self):
+        """Since a watermark: the rows read from :meth:`rows_at` it on
+        are the inserts, :meth:`deletes_between` flags the deletes."""
         table = self.make_table()
         table.insert_rows([{"i": 1, "f": 0.1}, {"i": 2, "f": 0.2}])
         watermark = table.version
         table.insert_row({"i": 3, "f": 0.3})
         table.mask_rows(np.array([0]))
-        inserted, deleted = table.delta_masks(watermark)
-        assert inserted.tolist() == [False, False, True]
-        assert deleted.tolist() == [True, False, False]
-        # Nothing before the watermark appears as an insert.
-        inserted_all, deleted_all = table.delta_masks(0)
-        assert inserted_all.tolist() == [False, True, True]
-        assert not deleted_all.any()
+        start = table.rows_at(watermark)
+        assert table.read(["i"], start=start)[0]["i"].tolist() == [3]
+        assert table.deletes_between(watermark, table.version)
+        # the window ends at upto: the mask came after the insert
+        assert not table.deletes_between(watermark, watermark + 1)
+        # Since watermark 0 every live row is an insert, none a delete.
+        since_zero = table.read(["i"], start=table.rows_at(0))[0]
+        assert since_zero["i"].tolist() == [2, 3]
+        assert not table.deletes_between(0, table.version)
 
     def test_insert_then_delete_within_window_cancels(self):
         table = self.make_table()
@@ -168,18 +172,29 @@ class TestVersionedStorage:
         watermark = table.version
         table.insert_row({"i": 9, "f": 9.9})
         table.mask_rows(np.array([1]))
-        inserted, deleted = table.delta_masks(watermark)
-        assert not inserted.any()
-        assert not deleted.any()
+        start = table.rows_at(watermark)
+        assert table.read(["i"], start=start)[0]["i"].tolist() == []
+        assert not table.deletes_between(watermark, table.version)
 
-    def test_masked_scan_reads_delta_rows(self):
+    def test_deletes_between_survives_a_restore(self):
+        """A checkpoint image's masked rows still count as deletes."""
+        table = self.make_table()
+        table.insert_rows([{"i": 1, "f": 0.1}, {"i": 2, "f": 0.2}])
+        table.mask_rows(np.array([1]))
+        restored = self.make_table()
+        restored.restore_physical(**table.physical_state())
+        assert restored.deletes_between(1, 2)
+        assert not restored.deletes_between(2, 2)
+        restored.replay_mask(3, [0])
+        assert restored.deletes_between(2, 3)
+
+    def test_read_from_start_reads_delta_rows(self):
         table = self.make_table()
         table.insert_rows([{"i": 1, "f": 0.1}, {"i": 2, "f": 0.2}])
         watermark = table.version
         table.insert_rows([{"i": 3, "f": 0.3}])
-        inserted, _ = table.delta_masks(watermark)
-        data = table.masked_scan(inserted, ["i"])
-        assert data["i"].tolist() == [3]
+        data, _, copied = table.read(["i"], start=table.rows_at(watermark))
+        assert data["i"].tolist() == [3] and copied == 0
 
     def test_incremental_array_cache_preserves_handed_out_views(self):
         table = self.make_table()

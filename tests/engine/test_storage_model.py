@@ -6,7 +6,8 @@ schema with every SQL type, including empty statements, statements that
 fail, and enough rows to cross several capacity doublings, must leave
 the real :class:`~repro.engine.table.Table` answering every question
 exactly like :class:`reference_storage.ListTable`: ``scan`` at every
-past watermark, every ``delta_masks`` window, ``column_tails``,
+past watermark, every delta window (the rows read from ``rows_at`` a
+watermark on, ``deletes_between``), ``column_tails``,
 ``physical_rows``, ``version`` and ``key_encodings``.  Along the way
 every array the table hands out — every scan at every watermark
 included — is kept, and must still show what it showed when it was
@@ -184,10 +185,21 @@ class Pair:
         for w in marks:
             _same_columns(table.scan(snapshot=w), model.scan(w), ("scan", w))
             for upto in (None, *range(w, model.version + 1)):
-                got = table.delta_masks(w, upto)
+                # the delta since w: what a view merges, and whether a
+                # row it holds is gone
                 want = model.delta_masks(w, upto)
-                _same(got[0], want[0], ("inserted", w, upto))
-                _same(got[1], want[1], ("deleted", w, upto))
+                rows = np.flatnonzero(want[0]).tolist()
+                got, codes, _ = table.read(
+                    None, OBJECT_COLUMNS, upto, table.rows_at(w)
+                )
+                _same_columns(
+                    got, {name: model._array(name, rows) for name in got},
+                    ("inserted", w, upto),
+                )
+                for name, (code, uniques) in codes.items():
+                    _same(uniques[code], got[name], ("codes", w, upto))
+                end = model.version if upto is None else upto
+                assert table.deletes_between(w, end) == bool(want[1].any())
                 changed = bool(want[0].any() or want[1].any())
                 if upto is not None and changed:
                     assert table.changed_between(w, upto)

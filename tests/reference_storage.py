@@ -5,8 +5,10 @@ arrays — one Python ``list`` of boxed storage values per column, two
 more lists of per-row insert/delete versions — kept as the oracle of
 the storage-model property test (``tests/engine/test_storage_model.py``).
 It answers the same questions as the real table (``scan`` at a
-watermark, ``delta_masks``, ``column_tails``, ``key_encodings``, ...)
-by the most literal means available: loops over rows.
+watermark, the delta since one — ``delta_masks`` states it as the
+inserted rows and the deleted ones —, ``column_tails``,
+``key_encodings``, ...) by the most literal means available: loops
+over rows.
 
 The one deliberate difference from that old code is statement
 atomicity: every statement validates all of its values before it

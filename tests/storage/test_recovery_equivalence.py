@@ -270,18 +270,16 @@ def test_n_logged_refreshes_replay_as_one_per_view(tmp_path, monkeypatch):
         trio.close()
     refreshes, rebuilds = [], []
     refresh = MaterializedView.refresh
-    rebuild = MaterializedView._rebuild
 
-    def counted_refresh(view, context, to_version=None):
+    def counted_refresh(view, context, to_version=None, stats=None):
         refreshes.append(view.name)
-        return refresh(view, context, to_version)
-
-    def counted_rebuild(view, context, target):
-        rebuilds.append(view.name)
-        return rebuild(view, context, target)
+        kept = view._group_table
+        consumed = refresh(view, context, to_version, stats)
+        if view._group_table is not kept:  # a rebuild: a new table
+            rebuilds.append(view.name)
+        return consumed
 
     monkeypatch.setattr(MaterializedView, "refresh", counted_refresh)
-    monkeypatch.setattr(MaterializedView, "_rebuild", counted_rebuild)
     recovered = repro.open(str(tmp_path), **CONFIG)
     try:
         assert sorted(refreshes) == ["vi", "vr"]

@@ -1,6 +1,7 @@
-"""Hash-join benchmarks: probe kernel throughput and TPC-H Q3.
+"""Hash-join benchmarks: probe kernel throughput and TPC-H Q3's
+aggregate stage.
 
-Three series, all landing in ``BENCH_pr.json`` for the CI
+Two series, both landing in ``BENCH_pr.json`` for the CI
 bench-regression gate:
 
 * **probe micro-kernel** — :class:`repro.engine.join.HashJoin.probe`
@@ -9,17 +10,16 @@ bench-regression gate:
   The vectorized kernel must beat the Python loop by the recorded
   speedup floor — joins are on the hot path of every multi-table
   query, so a regression here is a regression everywhere;
-* **Q3 end-to-end** — the planner-driven customer x orders x lineitem
-  pipeline in repro mode (ns per lineitem row), measured at both
-  forced build sides.  The two sides must return **bit-identical**
-  results: the planner's build-side choice is a pure performance
-  decision, which is exactly what reproducible aggregation buys;
 * **Q3 build-row GROUP BY** — Q3's aggregate stage alone: lineitem
   morsels probe one cached orders build and feed the group table
   through the build-row rule (``GROUP BY l_orderkey, o_orderdate,
   o_shippriority``, every key read off the matched orders row), then
   finalize (ns per probe row).  This is the group-id path the join's
   once-per-build key factorisation serves.
+
+Q3 end to end is the served ``q3_join_topk`` workload of
+``benchmarks/e2e``; that its bits do not depend on the build side is a
+tier-1 test (``tests/tpch/test_tpch_multi.py``).
 """
 
 import datetime
@@ -28,17 +28,12 @@ import time
 import numpy as np
 
 from _common import emit, ns_per_element, record_kernel, record_speedup, table
-from repro.engine import Database
 from repro.engine.join import HashJoin
 from repro.engine.operators import AggregateSpec, Batch, SumConfig
 from repro.engine.sql import parse_expression
 from repro.engine.vectorized import VectorizedGroupTable
-from repro.tpch import load_tpch, run_q3
 from repro.tpch.dbgen import generate_lineitem_arrays, generate_orders_arrays
 
-SCALE = 0.01        # ~60k lineitem rows, ~15k orders, ~1.5k customers
-MORSEL_SIZE = 4096
-ROWS = int(SCALE * 6_000_000)
 REPS = 5
 
 BUILD_ROWS = 20_000
@@ -58,17 +53,6 @@ Q3_GROUP_KEYS = (
 
 #: Acceptance floor: the vectorized probe vs. a Python dict probe.
 PROBE_SPEEDUP_FLOOR = 2.0
-
-
-def _result_bits(result):
-    out = []
-    for arr in result.arrays:
-        arr = np.asarray(arr)
-        if arr.dtype.kind == "O":
-            out.append(repr(arr.tolist()).encode())
-        else:
-            out.append(arr.tobytes())
-    return tuple(out)
 
 
 def measure_best(fn, reps=REPS):
@@ -159,17 +143,6 @@ def q3_groupby_series():
     return best, nrows
 
 
-def measure_q3(build_side: str):
-    db = Database(
-        sum_mode="repro", workers=1, morsel_size=MORSEL_SIZE,
-        join_build=build_side,
-    )
-    load_tpch(db, scale_factor=SCALE)
-    run_q3(db)  # warm-up (key dictionaries, pools)
-    best, result = measure_best(lambda: run_q3(db))
-    return best, _result_bits(result)
-
-
 def test_join_report():
     vector_seconds, python_seconds = probe_kernel_series()
     probe_speedup = python_seconds / vector_seconds
@@ -178,10 +151,6 @@ def test_join_report():
     )
     record_speedup("join_probe_vectorized", probe_speedup)
 
-    left_seconds, left_bits = measure_q3("left")
-    right_seconds, right_bits = measure_q3("right")
-    record_kernel("q3_repro_build_left", ns_per_element(left_seconds, ROWS))
-    record_kernel("q3_repro_build_right", ns_per_element(right_seconds, ROWS))
     groupby_seconds, groupby_rows = q3_groupby_series()
     record_kernel("q3_build_row_groupby",
                   ns_per_element(groupby_seconds, groupby_rows))
@@ -195,29 +164,19 @@ def test_join_report():
                  round(ns_per_element(vector_seconds, PROBE_ROWS), 1)],
                 ["probe kernel (python dict)", round(python_seconds, 4),
                  round(ns_per_element(python_seconds, PROBE_ROWS), 1)],
-                ["Q3 repro, build=left", round(left_seconds, 4),
-                 round(ns_per_element(left_seconds, ROWS), 1)],
-                ["Q3 repro, build=right", round(right_seconds, 4),
-                 round(ns_per_element(right_seconds, ROWS), 1)],
                 [f"Q3 build-row GROUP BY (SF={GROUPBY_SCALE})",
                  round(groupby_seconds, 4),
                  round(ns_per_element(groupby_seconds, groupby_rows), 1)],
             ],
             title=(
                 f"hash join: {BUILD_ROWS} build x {PROBE_ROWS} probe rows; "
-                f"TPC-H Q3 at SF={SCALE}, workers=1"
+                f"TPC-H Q3 aggregate stage at SF={GROUPBY_SCALE}"
             ),
         ),
-        "Q3 runs customer |x| orders |x| lineitem through the planner\n"
-        "(predicate pushdown into the scans, projection at the scans,\n"
-        "build sides forced per run).  Repro-mode result bits must be\n"
-        "identical for both build sides — plan choice is a pure\n"
-        "performance decision under exact-merge aggregation.",
+        "The Q3 stage probes one cached orders build with lineitem\n"
+        "morsels and takes group ids from the matched build row.",
     )
 
-    assert left_bits == right_bits, (
-        "repro Q3 bits differ between join build sides"
-    )
     assert probe_speedup >= PROBE_SPEEDUP_FLOOR, (
         f"vectorized probe speedup {probe_speedup:.2f}x below the "
         f"{PROBE_SPEEDUP_FLOOR}x floor"

@@ -2,10 +2,9 @@
 """Canonical-query reproducibility digest for the CI matrix.
 
 Runs a fixed query set in repro mode across every
-``(workers, morsel_size, memory_budget)`` combination — and,
-for the join queries, every hash-join build side — asserts the result
-bits are identical *within* this process, and writes one digest line
-per (query, mode) to ``--out`` (default ``repro_digest.txt``).
+``(workers, morsel_size, memory_budget)`` combination, asserts the
+result bits are identical *within* this process, and writes one digest
+line per (query, mode) to ``--out`` (default ``repro_digest.txt``).
 
 The digest deliberately excludes the execution knobs: a leg running
 ``--workers 1,2`` and a leg running ``--workers 4,8`` — or a different
@@ -14,15 +13,16 @@ byte-identical files.  The CI compare job downloads every leg's digest
 and fails if any two differ, which is the paper's reproducibility
 claim turned into a cross-platform gate.  The join legs (TPC-H Q3 and
 an adversarial NaN/-0.0-key join) extend that gate to the planner:
-plan choice, probe order, and build side must be invisible in
-repro-mode bits.  The memory-budget axis extends it to out-of-core
-execution: an unbounded run, a tight budget that forces the external
-aggregation to spill partitions to disk, and a pathological 1-byte
-budget that spills after every morsel must all agree bit for bit.
-Plan shape is held to the gate *across legs*: where an aggregate's
-group ids come from is the planner's decision, and the script asserts
-it on EXPLAIN — on every unbudgeted config at the optimizer's own build
-side ``tpch_q3`` takes the build-row rule (its keys are functions of
+plan choice and probe order must be invisible in repro-mode bits (the
+planner alone picks a hash join's build side; that the bits do not
+depend on it is a tier-1 test).  The memory-budget axis extends it to
+out-of-core execution: an unbounded run, a tight budget that forces the
+external aggregation to spill partitions to disk, and a pathological
+1-byte budget that spills after every morsel must all agree bit for
+bit.  Plan shape is held to the gate *across legs*: where an
+aggregate's group ids come from is the planner's decision, and the
+script asserts it on EXPLAIN — on every unbudgeted config ``tpch_q3``
+takes the build-row rule (its keys are functions of
 the orders probe's build row) and ``join_edge_fused`` (a pinned name:
 adversarial DOUBLE keys, so the generic key path through the lazy
 probe) does not, and on a spill leg (no ``unbounded`` in the sweep)
@@ -42,7 +42,6 @@ Env overrides (so matrix legs vary without changing the command line):
   one group table, ``N`` = every in-memory aggregate's morsels split
   over ``N`` partial tables, morsel ``i`` into table ``i mod N``,
   merged exactly; default ``1,2,3``);
-* ``REPRO_DIGEST_BUILD_SIDES`` — hash-join build sides for join legs;
 * ``REPRO_DIGEST_MEMORY_BUDGETS`` — comma-separated byte budgets;
   ``unbounded`` (or ``0``) disables spilling for that run;
 * ``REPRO_DIGEST_TPCH_SCALE`` — TPC-H scale factor (the nightly deep
@@ -487,21 +486,21 @@ def _load(db, which):
     db.table("edge").bulk_load({"k": keys.tolist(), "v": values.tolist()})
 
 
-#: (query_id, data source, SQL or callable(db) -> result, sweeps join
-#: build sides?).  Callables own their data loading and DML replay
-#: (``source`` is ``None``) — the view_maintenance leg interleaves
-#: INSERT/DELETE/REFRESH and digests the served view contents.
+#: (query_id, data source, SQL or callable(db) -> result).  Callables
+#: own their data loading and DML replay (``source`` is ``None``) — the
+#: view_maintenance leg interleaves INSERT/DELETE/REFRESH and digests
+#: the served view contents.
 QUERIES = (
-    ("tpch_q1", "tpch", Q1_SQL, False),
-    ("tpch_q6", "tpch", Q6_SQL, False),
-    ("tpch_q3", "tpch", Q3_SQL, True),
-    ("mixed_aggs", "mixed", MIXED_QUERY, False),
-    ("edge_keys", "edge", EDGE_QUERY, False),
-    ("join_edge_keys", "join_edge", JOIN_EDGE_QUERY, True),
-    ("join_edge_fused", "join_edge", JOIN_EDGE_FUSED_QUERY, True),
-    ("view_maintenance", None, _view_maintenance, False),
-    ("concurrent_serving", None, _concurrent_serving, False),
-    ("durability", None, _durability, False),
+    ("tpch_q1", "tpch", Q1_SQL),
+    ("tpch_q6", "tpch", Q6_SQL),
+    ("tpch_q3", "tpch", Q3_SQL),
+    ("mixed_aggs", "mixed", MIXED_QUERY),
+    ("edge_keys", "edge", EDGE_QUERY),
+    ("join_edge_keys", "join_edge", JOIN_EDGE_QUERY),
+    ("join_edge_fused", "join_edge", JOIN_EDGE_FUSED_QUERY),
+    ("view_maintenance", None, _view_maintenance),
+    ("concurrent_serving", None, _concurrent_serving),
+    ("durability", None, _durability),
 )
 
 #: Join legs whose group-id path is pinned: does EXPLAIN name the
@@ -515,10 +514,10 @@ def _check_engine_path(query_id, sql, db, config, spill_budget):
     """The pinned group-id path on unbudgeted configs, the external
     aggregation at ``spill_budget`` (a spill leg's smallest budget, else
     ``None``); see the module docstring."""
-    _, _, build_side, budget = config
+    budget = config[-1]
     if budget is None:
         expected = BUILD_ROW_RULE.get(query_id)
-        if expected is not None and build_side == "auto" and (
+        if expected is not None and (
             "group_ids=build_row(" in db.explain(sql)
         ) is not expected:
             raise SystemExit(
@@ -597,13 +596,6 @@ def parse_workers(text: str) -> list[int]:
     return workers
 
 
-def parse_build_sides(text: str) -> tuple[str, ...]:
-    sides = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not sides or any(s not in ("auto", "left", "right") for s in sides):
-        raise SystemExit(f"bad build sides {text!r}")
-    return sides
-
-
 def parse_budgets(text: str) -> tuple:
     """Parse the memory-budget sweep: ``unbounded`` / ``none`` / ``0``
     mean no budget; anything else is a byte count."""
@@ -644,24 +636,22 @@ def canonical_bytes(result):
 
 def _set_knobs(db, config) -> None:
     """Step a loaded database to one knob vector through ``SET``."""
-    worker_count, morsel_size, build_side, budget = config
+    worker_count, morsel_size, budget = config
     db.execute(f"SET workers = {worker_count}")
     db.execute(f"SET morsel_size = {morsel_size}")
-    db.execute(f"SET join_build = '{build_side}'")
     db.execute(f"SET memory_budget = {budget or 0}")
 
 
-def digest_lines(workers, build_sides, budgets=(None,), queries=QUERIES):
+def digest_lines(workers, budgets=(None,), queries=QUERIES):
     """One digest line per (query, mode); a text query steps one loaded
     database through the knob vectors (see the module docstring)."""
     lines = []
     spill_budget = None if None in budgets else min(budgets)
-    for query_id, source, sql, sweeps_builds in queries:
+    for query_id, source, sql in queries:
         for mode in MODES:
             reference = None
             reference_config = None
-            sides = build_sides if sweeps_builds else ("auto",)
-            configs = itertools.product(workers, MORSEL_SIZES, sides, budgets)
+            configs = itertools.product(workers, MORSEL_SIZES, budgets)
             warm = None
             if not callable(sql):
                 warm = Database(sum_mode=mode)
@@ -703,12 +693,11 @@ def digest_lines(workers, build_sides, budgets=(None,), queries=QUERIES):
 
 def _run_callable(run, mode, config) -> bytes:
     """A callable leg on its own database built at ``config``."""
-    worker_count, morsel_size, build_side, budget = config
+    worker_count, morsel_size, budget = config
     with Database(
         sum_mode=mode,
         workers=worker_count,
         morsel_size=morsel_size,
-        join_build=build_side,
         memory_budget=budget,
     ) as db:
         return canonical_bytes(run(db))
@@ -726,11 +715,6 @@ def main(argv=None):
         ),
     )
     parser.add_argument(
-        "--build-sides",
-        default=os.environ.get("REPRO_DIGEST_BUILD_SIDES", "auto,left,right"),
-        help="comma-separated hash-join build sides for the join legs",
-    )
-    parser.add_argument(
         "--memory-budgets",
         default=os.environ.get("REPRO_DIGEST_MEMORY_BUDGETS", "unbounded"),
         help=(
@@ -742,10 +726,9 @@ def main(argv=None):
     parser.add_argument("--out", default="repro_digest.txt")
     args = parser.parse_args(argv)
     workers = parse_workers(args.workers)
-    build_sides = parse_build_sides(args.build_sides)
     budgets = parse_budgets(args.memory_budgets)
 
-    lines = digest_lines(workers, build_sides, budgets, QUERIES)
+    lines = digest_lines(workers, budgets, QUERIES)
     if None not in budgets and max(budgets) > 1:
         check_resident_bound(max(budgets))
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -754,7 +737,6 @@ def main(argv=None):
         print(line)
     print(
         f"\nwrote {args.out} (workers swept: {workers}, "
-        f"build sides swept: {list(build_sides)}, "
         f"memory budgets swept: {list(budgets)}, "
         f"tpch scale: {tpch_scale()})"
     )

@@ -12,9 +12,10 @@ a morsel-driven pipeline with partial-aggregate/exact-merge GROUP BY
 session (``ieee`` / ``repro``) plus the explicit
 ``RSUM(expr, L)`` aggregate the paper proposes in Section V-D.  In the
 repro mode the result bits are invariant under the ``workers``,
-``morsel_size``, ``join_build`` and ``memory_budget`` execution knobs
-(the latter via the out-of-core external aggregation of
-:mod:`repro.aggregation.external_agg`); in IEEE mode they may drift.
+``morsel_size`` and ``memory_budget`` execution knobs (the latter via
+the out-of-core external aggregation of
+:mod:`repro.aggregation.external_agg`) and under the planner's choice
+of hash-join build side; in IEEE mode they may drift.
 """
 
 from ..errors import (

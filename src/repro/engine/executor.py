@@ -352,7 +352,7 @@ def _build_join(op: PhysProbe, context: ExecutionContext,
         cached = context._join_cache.get(key)
         if cached is not None:
             stats.join_cache_hits += 1
-            stats.add_seconds("join_build", time.perf_counter() - started)
+            stats.add_seconds("hash_build", time.perf_counter() - started)
             return cached
         stats.join_cache_misses += 1
     build_morsels, build_transform = _instantiate(
@@ -365,7 +365,7 @@ def _build_join(op: PhysProbe, context: ExecutionContext,
         _concat_batches(build_morsels), op.build_keys, op.probe_keys,
         op.kind, op.probe_is_left,
     )
-    stats.add_seconds("join_build", time.perf_counter() - started)
+    stats.add_seconds("hash_build", time.perf_counter() - started)
     if key is not None:
         context._join_cache.put(key, join)
     return join

@@ -264,8 +264,6 @@ def _build_pipeline(node: LogicalNode, state: _PlannerState) -> PhysPipeline:
         if node.kind == "left":
             # The preserved (left) side must stream as the probe input.
             build_side = "right"
-        elif state.context.join_build != "auto":
-            build_side = state.context.join_build
         else:
             # The smaller estimated input builds the hash table.
             build_side = "left" if left_rows <= right_rows else "right"

@@ -101,8 +101,6 @@ class BoundedLRU(OrderedDict):
 class ExecutionContext:
     """Execution knobs threaded from the session into the pipeline."""
 
-    JOIN_BUILD_SIDES = ("auto", "left", "right")
-
     #: Bound on cached hash-join builds per context.  Entries hold the
     #: materialized build batch, so the bound is deliberately small;
     #: keys embed every build table's content version, making a stale
@@ -118,7 +116,6 @@ class ExecutionContext:
 
     def __init__(self, workers: int = 1,
                  morsel_size: int = DEFAULT_MORSEL_SIZE,
-                 join_build: str = "auto",
                  memory_budget_bytes: int | None = None):
         #: How many partial group tables an in-memory aggregate splits
         #: its morsels over (morsel ``i`` feeds table ``i mod
@@ -127,11 +124,6 @@ class ExecutionContext:
         #: invariant under this knob — the reproducibility CI sweeps it.
         self.workers = self._check_workers(workers)
         self.morsel_size = self._check_morsel_size(morsel_size)
-        #: Force the hash-join build side for inner joins ('left' /
-        #: 'right'); 'auto' lets the optimizer pick by estimated
-        #: cardinality.  In repro mode the result bits are
-        #: identical either way — the reproducibility CI sweeps this.
-        self.join_build = self._check_join_build(join_build)
         #: Aggregation memory budget in bytes; ``None`` (or 0 through
         #: the setters) means unbounded.  When set, the physical
         #: planner chooses the external (spill-to-disk) GROUP BY for
@@ -158,7 +150,7 @@ class ExecutionContext:
         self.plan_cache_misses = 0
 
     #: Every knob ``SET <name> = <value>`` accepts, for error messages.
-    PARAM_NAMES = ("memory_budget", "workers", "morsel_size", "join_build")
+    PARAM_NAMES = ("memory_budget", "workers", "morsel_size")
 
     # -- knob validation: one validator per knob, for the constructor
     # -- and ``SET`` alike -------------------------------------------------
@@ -192,15 +184,6 @@ class ExecutionContext:
         return value
 
     @classmethod
-    def _check_join_build(cls, value) -> str:
-        side = str(value).lower()
-        if side not in cls.JOIN_BUILD_SIDES:
-            raise ConfigError(
-                f"join_build must be one of {cls.JOIN_BUILD_SIDES}"
-            )
-        return side
-
-    @classmethod
     def _check_budget(cls, value) -> int | None:
         if value is None:
             return None
@@ -231,7 +214,11 @@ class ExecutionContext:
         elif key == "morsel_size":
             self.morsel_size = self._check_morsel_size(value)
         elif key == "join_build":
-            self.join_build = self._check_join_build(value)
+            raise ConfigError(
+                f"session parameter {name!r} is retired: the planner "
+                "builds a hash join on its smaller estimated input, and "
+                "repro bits are the same on either side"
+            )
         elif key in ("shards", "shard_workers"):
             raise ConfigError(
                 f"session parameter {name!r} is retired: workers counts "
@@ -259,7 +246,7 @@ class PipelineStats:
     — WAL replay's refreshes — hands down a throwaway one).
 
     ``seconds`` is CPU time per operator class (paper Table IV's
-    breakdown): ``scan``, ``join_build``, ``selection`` and
+    breakdown): ``scan``, ``hash_build``, ``selection`` and
     ``aggregation``.  ``wall_seconds`` is the driver's wall-clock, from
     :meth:`start` to finalized output.
     """

@@ -9,7 +9,7 @@ PR 7 splits the old monolithic ``Database`` in two:
   delegate to an implicit default session.
 * :class:`Session` owns what is *per connection* — the SUM
   configuration, the execution knobs (``workers`` / ``morsel_size`` /
-  ``memory_budget`` / ``join_build``), the accounting record of its
+  ``memory_budget``), the accounting record of its
   last query, and snapshot pinning.  Both the local embedding
   (``db.session()``) and the network client
   (:func:`repro.client.connect`) present this same surface, so code
@@ -63,7 +63,7 @@ class Session:
 
     Owns the session-scoped knobs — SUM semantics (``sum_mode`` /
     ``levels``) and the execution shape (``workers``,
-    ``morsel_size``, ``join_build``, ``memory_budget``) —
+    ``morsel_size``, ``memory_budget``) —
     plus :attr:`last_pipeline_stats`, the accounting record of the
     most recent pipeline run: SELECT, INSERT ... SELECT, REFRESH or
     CREATE MATERIALIZED VIEW.  Catalog state (tables,
@@ -86,14 +86,12 @@ class Session:
     def __init__(self, database: Database, sum_mode: str = "ieee",
                  levels: int = 2, workers: int = 1,
                  morsel_size: int = DEFAULT_MORSEL_SIZE,
-                 join_build: str = "auto",
                  memory_budget: int | None = None):
         self.database = database
         self.catalog = database.catalog
         self.sum_config = SumConfig(sum_mode, levels)
         self.execution_context = ExecutionContext(
-            workers, morsel_size, join_build,
-            memory_budget_bytes=memory_budget,
+            workers, morsel_size, memory_budget_bytes=memory_budget,
         )
         #: the :class:`PipelineStats` of the last SELECT, INSERT ...
         #: SELECT, REFRESH or CREATE MATERIALIZED VIEW (``None`` before
@@ -403,7 +401,6 @@ class Database:
 
     def __init__(self, sum_mode: str = "ieee", levels: int = 2,
                  workers: int = 1, morsel_size: int = DEFAULT_MORSEL_SIZE,
-                 join_build: str = "auto",
                  memory_budget: int | None = None,
                  path: str | None = None, wal_sync: str = "commit",
                  checkpoint_interval: float | None = 60.0):
@@ -416,7 +413,6 @@ class Database:
             "levels": levels,
             "workers": workers,
             "morsel_size": morsel_size,
-            "join_build": join_build,
             "memory_budget": memory_budget,
         }
         try:
@@ -434,10 +430,10 @@ class Database:
                 # have in the process that set them (names this
                 # version no longer has — an older writer's
                 # ``vectorized`` / ``fused`` / ``buffer_size`` / the
-                # spill shape / ``shard_workers`` — select nothing; a
-                # retired ``sum_mode`` selects its successor, and
-                # ``shards = N > 0``, which split aggregates N ways,
-                # selects ``workers = N``).
+                # spill shape / ``shard_workers`` / the forced join
+                # build side — select nothing; a retired ``sum_mode``
+                # selects its successor, and ``shards = N > 0``, which
+                # split aggregates N ways, selects ``workers = N``).
                 persisted = storage.persistent_defaults
                 for name, value in persisted.items():
                     if name == "sum_mode":

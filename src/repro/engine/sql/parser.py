@@ -319,8 +319,7 @@ class _Parser:
 
     def parse_set(self) -> ast.SetParam:
         """``SET name = value`` — value is a literal, TRUE/FALSE/NULL,
-        or a bare identifier (e.g. ``SET join_build = left``,
-        ``SET memory_budget = unbounded``)."""
+        or a bare identifier (e.g. ``SET memory_budget = unbounded``)."""
         self.expect_kw("SET")
         name = self.expect_ident()
         self.expect_op("=")
@@ -338,8 +337,9 @@ class _Parser:
         if self.accept_kw("NULL"):
             return ast.SetParam(name, None)
         if tok.kind == "KEYWORD":
-            # Bare words that happen to be keywords (SET join_build =
-            # LEFT) read as their lower-cased string value.
+            # Bare words that happen to be keywords (``LEFT``) read as
+            # their lower-cased string value, so a knob's validator —
+            # or a retired name's notice — answers, not the parser.
             return ast.SetParam(name, str(self.advance().value).lower())
         raise SqlParseError(f"expected a SET value, found {tok!r}")
 

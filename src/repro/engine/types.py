@@ -204,6 +204,8 @@ class VarcharType(SqlType):
         return np.dtype(object)
 
     def coerce(self, value):
+        if value is None:  # NULL: a LEFT JOIN's fill, kept as such
+            return None
         s = str(value)
         if len(s) > self.length:
             raise DataError(f"string too long for {self.name}: {s!r}")

@@ -65,3 +65,50 @@ def engine_path(monkeypatch):
             yield
 
     return select
+
+
+@pytest.fixture
+def build_side(monkeypatch):
+    """Pick every inner hash join's build side, with no knob to set.
+
+    The planner builds on the input with the smaller
+    ``estimate_rows``; ``with build_side("left"):`` reads the other
+    input of every join it lowers as ``sys.maxsize`` rows, so the left
+    input builds (``"right"`` likewise) and EXPLAIN shows ``build=left``
+    / ``build=right``.  A LEFT join builds on the right whatever it
+    says.  ``build_side(None)`` patches nothing (the planner's own
+    choice).  Lowering runs per SELECT, so the block may hold the
+    ``Database`` or not.
+    """
+    from contextlib import contextmanager
+
+    from repro.engine import physical
+    from repro.engine.plan import Join
+
+    lower, estimate = physical._build_pipeline, physical.estimate_rows
+
+    @contextmanager
+    def select(side):
+        assert side in (None, "left", "right"), side
+        # id -> (input, side); holding the input keeps its id unique
+        inputs = {}
+
+        def build_pipeline(node, state):
+            if isinstance(node, Join):
+                inputs[id(node.left)] = (node.left, "left")
+                inputs[id(node.right)] = (node.right, "right")
+            return lower(node, state)
+
+        def estimate_rows(node, snapshot=None):
+            role = inputs.get(id(node), (None, None))[1]
+            if role is not None and role != side:
+                return sys.maxsize
+            return estimate(node, snapshot)
+
+        with monkeypatch.context() as patch:
+            if side:
+                patch.setattr(physical, "_build_pipeline", build_pipeline)
+                patch.setattr(physical, "estimate_rows", estimate_rows)
+            yield
+
+    return select

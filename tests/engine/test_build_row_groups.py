@@ -89,18 +89,22 @@ QUERIES = {
         "ON fact.ok = dim.ok WHERE v > -1e8 GROUP BY g"),
 }
 
+#: ``(knobs, build side)``: ``None`` is the planner's own choice
+#: (``dim``, the smaller input), ``left`` / ``right`` come from the
+#: ``build_side`` fixture
 KNOBS = (
-    {}, {"morsel_size": 257}, {"morsel_size": 65536},
-    {"join_build": "left"}, {"join_build": "right"},
-    {"workers": 2}, {"workers": 2, "morsel_size": 257, "join_build": "right"},
-    {"memory_budget": 1},
+    ({}, None), ({"morsel_size": 257}, None), ({"morsel_size": 65536}, None),
+    ({}, "left"), ({}, "right"),
+    ({"workers": 2}, None), ({"workers": 2, "morsel_size": 257}, "right"),
+    ({"memory_budget": 1}, None),
 )
 
 
 @pytest.mark.parametrize("duplicate_keys", (False, True))
 @pytest.mark.parametrize("shape", sorted(QUERIES))
 def test_build_row_groups_match_the_registry(shape, duplicate_keys,
-                                             engine_path, monkeypatch):
+                                             engine_path, monkeypatch,
+                                             build_side):
     query = QUERIES[shape]
     with engine_path("scalar"), _schema(duplicate_keys) as db:
         reference = _bits(db.execute(query))
@@ -110,15 +114,15 @@ def test_build_row_groups_match_the_registry(shape, duplicate_keys,
             assert RULE not in db.explain(query)
             registry = _bits(db.execute(query))
     assert registry == reference
-    for knobs in KNOBS:
-        with _schema(duplicate_keys, **knobs) as db:
+    for knobs, build in KNOBS:
+        with build_side(build), _schema(duplicate_keys, **knobs) as db:
             plan = db.explain(query)
+            assert f"build={build or 'right'}," in plan
             # external plans keep the registry; building on ``fact``
             # puts the group keys on the probe side
-            takes_rule = "memory_budget" not in knobs \
-                and knobs.get("join_build") != "left"
+            takes_rule = "memory_budget" not in knobs and build != "left"
             assert (RULE in plan) is takes_rule, plan
-            assert _bits(db.execute(query)) == reference, knobs
+            assert _bits(db.execute(query)) == reference, (knobs, build)
 
 
 def test_float_keys_come_out_canonical():

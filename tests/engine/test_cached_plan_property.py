@@ -4,7 +4,7 @@ text and the schema decide.
 The session caches a SELECT's optimized *logical* plan under ``(sql
 text, catalog DDL epoch)`` and lowers it at every execution's own
 snapshot and knobs.  Under drawn interleavings of INSERT / DELETE /
-UPDATE / REFRESH / ``SET`` (all four knobs) / DROP + re-CREATE, over a
+UPDATE / REFRESH / ``SET`` (all three knobs) / DROP + re-CREATE, over a
 table with a view per sum mode and a join partner, a warm session's
 SELECT must return the bits of a fresh session with the same knobs, in
 ``repro`` and in ``ieee`` — and after any write that is not DDL, the
@@ -46,7 +46,6 @@ R_ROWS = st.lists(
 KNOBS = {
     "workers": st.sampled_from([1, 2]),
     "morsel_size": st.sampled_from([1, 3, 65536]),
-    "join_build": st.sampled_from(["auto", "left", "right"]),
     "memory_budget": st.sampled_from([0, 1, 4096]),
 }
 STEPS = st.one_of(
@@ -142,8 +141,7 @@ def test_cached_plan_gives_a_fresh_plans_bits(initial, partner, steps):
         warm = {mode: db.session(sum_mode=mode) for mode in MODES}
         for mode, session in warm.items():
             session.execute(f"CREATE MATERIALIZED VIEW tv_{mode} AS {VIEW_BODY}")
-        knobs = {"workers": 1, "morsel_size": 65536, "join_build": "auto",
-                 "memory_budget": 0}
+        knobs = {"workers": 1, "morsel_size": 65536, "memory_budget": 0}
         _check(db, warm, knobs, expect_hit=False)
         for step in steps:
             ddl = _apply(db, warm, knobs, step)

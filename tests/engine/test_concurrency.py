@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Database
+from repro.engine.pipeline import DEFAULT_MORSEL_SIZE
 
 MATRIX = [
     # (workers, the query table?, under a memory budget that spills?)
@@ -264,7 +265,7 @@ def test_view_serving_respects_snapshots():
 
 def test_sessions_isolate_knobs_but_share_catalog():
     db = Database(sum_mode="repro")
-    a = db.session(workers=4, join_build="left")
+    a = db.session(workers=4, morsel_size=64)
     b = db.session()
     a.execute("CREATE TABLE t (f DOUBLE)")
     a.execute("INSERT INTO t VALUES (1.5)")
@@ -274,8 +275,8 @@ def test_sessions_isolate_knobs_but_share_catalog():
     b.execute("SET workers = 2")
     assert a.execution_context.workers == 4
     assert b.execution_context.workers == 2
-    assert a.execution_context.join_build == "left"
-    assert b.execution_context.join_build == "auto"
+    assert a.execution_context.morsel_size == 64
+    assert b.execution_context.morsel_size == DEFAULT_MORSEL_SIZE
     a.memory_budget = 1 << 20
     assert b.memory_budget is None
 

@@ -101,7 +101,7 @@ def test_rsum_level_literal_is_bound(db, literal):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("workers", 0), ("morsel_size", -1), ("join_build", "sideways"),
+    ("workers", 0), ("morsel_size", -1),
     ("sum_mode", "sorted"), ("levels", 0), ("memory_budget", -5),
 ])
 def test_set_default_validates_before_logging(tmp_path, name, value):

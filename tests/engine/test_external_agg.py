@@ -358,8 +358,6 @@ def test_set_pragma_round_trip():
     assert db.memory_budget is None
     db.execute("SET workers = 2")
     assert db.execution_context.workers == 2
-    db.execute("SET join_build = left")
-    assert db.execution_context.join_build == "left"
 
 
 def test_set_pragma_validation():

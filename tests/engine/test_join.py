@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.engine import Database
+from repro.engine import ConfigError, Database, ReproError
 
 
 def make_db(mode="repro", **knobs):
@@ -116,20 +116,22 @@ class TestInnerJoin:
         with pytest.raises(NotImplementedError):
             db.execute("SELECT COUNT(*) FROM fact, dim")
 
-    def test_float_probe_outside_int64_range_never_matches(self):
+    def test_float_probe_outside_int64_range_never_matches(
+            self, build_side):
         """A float probe key beyond the int64 range must not wrap into
         a spurious match against an integer build key — and the result
         must not depend on the build side."""
+        sql = "SELECT fl.k, tag FROM fl, big WHERE fl.k = big.k"
         rows = {}
         for build in ("left", "right"):
-            db = Database(join_build=build)
+            db = Database()
             db.execute("CREATE TABLE big (k BIGINT, tag DOUBLE)")
             db.execute("CREATE TABLE fl (k DOUBLE)")
             db.table("big").bulk_load({"k": [-(2 ** 63)], "tag": [1.0]})
             db.table("fl").bulk_load({"k": [1e30, float(-(2 ** 63))]})
-            rows[build] = db.execute(
-                "SELECT fl.k, tag FROM fl, big WHERE fl.k = big.k"
-            ).rows()
+            with build_side(build):
+                assert f"build={build}" in db.explain(sql)
+                rows[build] = db.execute(sql).rows()
         assert rows["left"] == rows["right"]
         assert rows["left"] == [(float(-(2 ** 63)), 1.0)]
 
@@ -260,7 +262,13 @@ class TestEdgeKeys:
         assert sv == 1.0 + 6.0 + 2.0 + 4.0
         assert sw == 10.0 + 10.0 + 20.0 + 30.0
 
-    def test_edge_keys_bit_stable_across_configs(self):
+    def test_edge_keys_bit_stable_across_configs(self, build_side):
+        """NaN / -0.0 / inf join keys: the same repro bits built on
+        either input, at every worker count and morsel size."""
+        sql = (
+            "SELECT jl.k, SUM(v), SUM(w) FROM jl, jr "
+            "WHERE jl.k = jr.k GROUP BY jl.k ORDER BY jl.k"
+        )
         reference = None
         for workers in (1, 2):
             with self.setup_db(workers=workers) as db:
@@ -268,11 +276,9 @@ class TestEdgeKeys:
                     (2, 64), ("left", "right")
                 ):
                     db.execute(f"SET morsel_size = {morsel}")
-                    db.execute(f"SET join_build = {build}")
-                    bits = result_bits(db.execute(
-                        "SELECT jl.k, SUM(v), SUM(w) FROM jl, jr "
-                        "WHERE jl.k = jr.k GROUP BY jl.k ORDER BY jl.k"
-                    ))
+                    with build_side(build):
+                        assert f"build={build}" in db.explain(sql)
+                        bits = result_bits(db.execute(sql))
                     if reference is None:
                         reference = bits
                     assert bits == reference, (workers, morsel, build)
@@ -284,25 +290,36 @@ class TestReproducibility:
         "WHERE fact.k = dim.k GROUP BY grp ORDER BY grp"
     )
 
-    def test_bits_identical_across_all_knobs(self, engine_path):
+    def test_bits_identical_across_all_knobs(self, engine_path,
+                                             build_side):
         reference = None
         for workers, path in itertools.product((1, 2), (None, "scalar")):
-            # one database (one executor fleet) per worker count and
-            # path, the other knobs SET in place
+            # one database per worker count and path, the morsel size
+            # SET in place, the build side picked per statement
             with engine_path(path), make_db("repro", workers=workers) as db:
                 for morsel, build in itertools.product(
-                    (2, 64), ("auto", "left", "right")
+                    (2, 64), (None, "left", "right")
                 ):
                     db.execute(f"SET morsel_size = {morsel}")
-                    db.execute(f"SET join_build = {build}")
-                    bits = result_bits(db.execute(self.QUERY))
+                    with build_side(build):
+                        bits = result_bits(db.execute(self.QUERY))
                     if reference is None:
                         reference = bits
                     assert bits == reference, (workers, morsel, build, path)
 
-    def test_build_side_knob_validated(self):
-        with pytest.raises(ValueError):
-            Database(join_build="sideways")
+    def test_build_side_knob_is_retired(self):
+        """The planner alone picks the build side: the retired knob is
+        refused at every entry point, ``SET`` naming the retirement."""
+        db = make_db()
+        with pytest.raises(ConfigError, match="retired"):
+            db.execute("SET join_build = left")
+        with pytest.raises(ReproError, match="unknown session option"):
+            db.session(join_build="left")
+        with pytest.raises(ReproError, match="unknown session option"):
+            db.set_default("join_build", "left")
+        with pytest.raises(TypeError):
+            Database(join_build="left")
+        assert not hasattr(db.execution_context, "join_build")
 
 
 class TestFinishingStagesWithJoins:

@@ -96,13 +96,16 @@ QUERIES = (JOIN_FLOAT_KEY, JOIN_STRING_KEY, JOIN_THEN_FILTER)
 
 
 class TestJoinBitEquivalence:
-    def test_bits_invariant_across_build_side_and_morsel(self, engine_path):
+    def test_bits_invariant_across_build_side_and_morsel(
+            self, engine_path, build_side):
         with engine_path("scalar"), _make_db() as db:
             base = [_result_bits(db.execute(q)) for q in QUERIES]
         for build, morsel in itertools.product(
             ("left", "right"), (1 << 16, 257),
         ):
-            with _make_db(join_build=build, morsel_size=morsel) as db:
+            with build_side(build), _make_db(morsel_size=morsel) as db:
+                for query in QUERIES:
+                    assert f"build={build}" in db.explain(query)
                 got = [_result_bits(db.execute(query)) for query in QUERIES]
                 assert got == base, (build, morsel)
 

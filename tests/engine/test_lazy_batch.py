@@ -231,30 +231,33 @@ SHAPES = {
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_build_row_rule_shows_in_explain_and_never_in_bits(shape, engine_path):
+def test_build_row_rule_shows_in_explain_and_never_in_bits(
+        shape, engine_path, build_side):
     takes_rule, query = SHAPES[shape]
     # by name: the engine reads ``ORDER BY 1`` as a constant, not an ordinal
     query += " ORDER BY " + query.split("GROUP BY ")[1]
     with engine_path("scalar"), _star_schema() as db:
         expected = _bits(db.execute(query))
-    for knobs in ({}, {"morsel_size": 257},
-                  {"join_build": "left"}, {"join_build": "right"},
-                  {"memory_budget": 1}, {"workers": 2}):
-        with _star_schema(**knobs) as db:
+    for knobs, build in (({}, None), ({"morsel_size": 257}, None),
+                         ({}, "left"), ({}, "right"),
+                         ({"memory_budget": 1}, None),
+                         ({"workers": 2}, None)):
+        with build_side(build), _star_schema(**knobs) as db:
             plan = db.explain(query)
-            if not knobs:
+            if not knobs and build is None:
                 assert (RULE in plan) is takes_rule, plan
             if "memory_budget" in knobs:
                 assert RULE not in plan  # external keeps the generic keys
-            assert _bits(db.execute(query)) == expected, (shape, knobs)
+            assert _bits(db.execute(query)) == expected, (shape, knobs,
+                                                          build)
 
 
-@pytest.mark.parametrize("knobs", [{}, {"join_build": "left"}])
-def test_left_join_inside_a_build_side_declines_the_rule(knobs):
+@pytest.mark.parametrize("build", [None, "left"])
+def test_left_join_inside_a_build_side_declines_the_rule(build, build_side):
     """The shape ``left_join_inside_build`` is there for: the streamed
     chain is inner probes only, the LEFT probe is one level down."""
     _, query = SHAPES["left_join_inside_build"]
-    with _star_schema(**knobs) as db:
+    with build_side(build), _star_schema() as db:
         plan = db.explain(query)
     physical = plan[plan.index("== physical plan =="):]
     streamed, nested = physical.split("[build side]", 1)

@@ -259,9 +259,6 @@ KNOB_VALUES = {
                 (0, 2.5, "x", None)),
     "morsel_size": ([(1, 1), (1000, 1000), (1000.0, 1000)],
                     (0, 1000.7, "x", None)),
-    "join_build": ([("auto", "auto"), ("left", "left"), ("LEFT", "left"),
-                    ("Right", "right")],
-                   ("sideways", 1, None)),
     "memory_budget": ([(None, None), (0, None), (4096, 4096),
                        ("unbounded", None)],
                       (1.5, "lots")),
@@ -286,9 +283,8 @@ class TestExecutionContext:
     def test_every_entry_point_takes_the_same_values(self, entry):
         """One validator per knob behind every entry point: at the
         parent the constructor ran ``workers=2.5`` as 2 and
-        ``morsel_size=1000.7`` as 1000, raised a bare ``ValueError``
-        for ``workers='x'`` and rejected the ``'LEFT'`` that ``SET``
-        took."""
+        ``morsel_size=1000.7`` as 1000 and raised a bare
+        ``ValueError`` for ``workers='x'``."""
         for knob, (accepted, rejected) in KNOB_VALUES.items():
             attribute = "memory_budget_bytes" if knob == "memory_budget" \
                 else knob

@@ -246,9 +246,12 @@ class TestBuildSideChoice:
         assert probe.build_side == "left"
         assert probe.est_build_rows == estimate_rows(join.left)
 
-    def test_left_join_pins_build_right(self, db):
-        db.execute("SET join_build = left")
-        probe = probe_for(db, "SELECT v, w FROM a LEFT JOIN b ON a.k = b.k")
+    def test_left_join_pins_build_right(self, db, build_side):
+        # the preserved (left) input streams even where it is the
+        # smaller estimate
+        with build_side("left"):
+            probe = probe_for(
+                db, "SELECT v, w FROM a LEFT JOIN b ON a.k = b.k")
         assert probe.build_side == "right" and probe.probe_is_left
 
     def test_logical_join_names_no_build_side(self, db):

@@ -44,6 +44,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             vc.coerce("abcd")
 
+    def test_varchar_null_stays_null(self):
+        """NULL is no string: not ``'None'``, whatever the length."""
+        vc = VarcharType(3)
+        assert vc.coerce(None) is None
+        assert vc.coerce_column(["ab", None]).tolist() == ["ab", None]
+        table = Table("t", Schema([("k", INT), ("s", VarcharType(1))]))
+        table.insert_rows([{"k": 1, "s": None}, {"k": 2, "s": "x"}])
+        assert table.scan()["s"].tolist() == [None, "x"]
+
     def test_date_roundtrip(self):
         ordinal = DATE.coerce("1998-12-01")
         assert DATE.to_python(ordinal) == datetime.date(1998, 12, 1)

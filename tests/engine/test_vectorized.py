@@ -253,7 +253,7 @@ class TestRetiredOptions:
         assert "unknown session parameter" in str(err.value)
         for name in db.execution_context.PARAM_NAMES:
             assert name in str(err.value)
-        assert len(db.execution_context.PARAM_NAMES) == 4
+        assert len(db.execution_context.PARAM_NAMES) == 3
 
     def test_session_knob_is_rejected(self):
         db = Database()

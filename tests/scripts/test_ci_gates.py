@@ -225,9 +225,8 @@ def test_parse_workers_and_sides(digest):
         digest.parse_workers(",")
     with pytest.raises(SystemExit):
         digest.parse_workers("0")
-    assert digest.parse_build_sides("auto,left") == ("auto", "left")
-    with pytest.raises(SystemExit):
-        digest.parse_build_sides("sideways")
+    # the planner alone picks a join's build side: no axis sweeps it
+    assert not hasattr(digest, "parse_build_sides")
 
 
 def test_digest_shards_invisible(digest):
@@ -235,13 +234,13 @@ def test_digest_shards_invisible(digest):
     morsel i feeds table i mod N) must digest byte-identically to the
     one-table legs; the shards axis is gone."""
     queries = _edge_queries(digest)
-    one_table = digest.digest_lines([1], ("auto",), (None,), queries)
-    split = digest.digest_lines([2], ("auto",), (None,), queries)
-    mixed = digest.digest_lines([1, 3], ("auto",), (None,), queries)
+    one_table = digest.digest_lines([1], (None,), queries)
+    split = digest.digest_lines([2], (None,), queries)
+    mixed = digest.digest_lines([1, 3], (None,), queries)
     assert one_table == split == mixed
     assert not hasattr(digest, "parse_shards")
     with pytest.raises(TypeError):
-        digest.digest_lines([1], ("auto",), (None,), queries, shards_counts=(2,))
+        digest.digest_lines([1], (None,), queries, shards_counts=(2,))
 
 
 def test_tpch_scale_env_override(digest, monkeypatch):
@@ -262,9 +261,9 @@ def test_digest_stable_and_budget_invisible(digest):
     repeat runs AND across memory-budget sweeps (a leg spilling to
     disk must hash to the same bytes as one that never spills)."""
     queries = _edge_queries(digest)
-    unbounded = digest.digest_lines([1, 2], ("auto",), (None,), queries)
-    again = digest.digest_lines([1, 2], ("auto",), (None,), queries)
-    spilling = digest.digest_lines([1], ("auto",), (1,), queries)
+    unbounded = digest.digest_lines([1, 2], (None,), queries)
+    again = digest.digest_lines([1, 2], (None,), queries)
+    spilling = digest.digest_lines([1], (1,), queries)
     assert unbounded == again
     assert unbounded == spilling
     assert len(unbounded) == len(digest.MODES)
@@ -281,7 +280,7 @@ def test_digest_detects_non_reproducibility(digest, monkeypatch):
 
     monkeypatch.setattr(digest, "canonical_bytes", flaky)
     with pytest.raises(SystemExit, match="NON-REPRODUCIBLE"):
-        digest.digest_lines([1], ("auto",), (None,), _edge_queries(digest))
+        digest.digest_lines([1], (None,), _edge_queries(digest))
 
 
 def test_digest_asserts_kernel_on_unbudgeted_legs(digest, monkeypatch):
@@ -296,15 +295,15 @@ def test_digest_asserts_kernel_on_unbudgeted_legs(digest, monkeypatch):
         if entry[0] in digest.BUILD_ROW_RULE
     )
     assert [entry[0] for entry in queries] == ["tpch_q3", "join_edge_fused"]
-    lines = digest.digest_lines([1], ("auto",), (None,), queries)
+    lines = digest.digest_lines([1], (None,), queries)
     assert len(lines) == 2 * len(digest.MODES)
     with monkeypatch.context() as patch:
         patch.setattr(physical, "_build_row_rule", lambda chain, keys: None)
         with pytest.raises(SystemExit, match="tpch_q3.*does not take"):
-            digest.digest_lines([1], ("auto",), (None,), queries)
+            digest.digest_lines([1], (None,), queries)
     monkeypatch.setitem(digest.BUILD_ROW_RULE, "join_edge_fused", True)
     with pytest.raises(SystemExit, match="join_edge_fused.*does not take"):
-        digest.digest_lines([1], ("auto",), (None,), queries[1:])
+        digest.digest_lines([1], (None,), queries[1:])
 
 
 def test_digest_asserts_interpreter_on_spill_legs(digest):
@@ -312,11 +311,11 @@ def test_digest_asserts_interpreter_on_spill_legs(digest):
     query external at its smallest budget — a budget too generous to
     force that is a broken leg, not a pass."""
     queries = _edge_queries(digest)
-    assert digest.digest_lines([1], ("auto",), (1 << 30, 1), queries)
+    assert digest.digest_lines([1], (1 << 30, 1), queries)
     with pytest.raises(SystemExit, match="did not run the external"):
-        digest.digest_lines([1], ("auto",), (1 << 30,), queries)
+        digest.digest_lines([1], (1 << 30,), queries)
     # With an unbounded run in the sweep the leg is an in-memory leg.
-    assert digest.digest_lines([1], ("auto",), (None, 1 << 30), queries)
+    assert digest.digest_lines([1], (None, 1 << 30), queries)
 
 
 def test_digest_spill_leg_holds_the_budget_to_the_finish(
@@ -346,7 +345,7 @@ def test_digest_spill_leg_holds_the_budget_to_the_finish(
     )
     for budgets in ("65536,1", "unbounded,65536", "1"):
         assert digest.main([
-            "--workers", "2,1", "--build-sides", "auto",
+            "--workers", "2,1",
             "--memory-budgets", budgets, "--out", str(tmp_path / "d.txt"),
         ]) == 0
     assert calls == [(65536,)]
@@ -370,16 +369,13 @@ def test_every_set_name_is_documented_and_exercised(digest):
     rows = dict(re.findall(r"^\| `(\w+)` \| (.*?) \|", table, re.M))
     assert set(ExecutionContext.PARAM_NAMES) <= set(rows)
     assert ExecutionContext.PARAM_NAMES == (
-        "memory_budget", "workers", "morsel_size", "join_build",
+        "memory_budget", "workers", "morsel_size",
     )
     retired = ("memory_budget_bytes", "spill_partitions", "spill_merge_fanin",
-               "shard_workers", "shards")
+               "shard_workers", "shards", "join_build")
     assert not set(retired) & set(rows)
 
-    sample = {
-        "memory_budget": 4096, "workers": 2, "morsel_size": 128,
-        "join_build": "left",
-    }
+    sample = {"memory_budget": 4096, "workers": 2, "morsel_size": 128}
     settable = {name for name, where in rows.items() if "`SET " in where}
     assert settable == set(ExecutionContext.PARAM_NAMES)
     db = Database()
@@ -405,13 +401,16 @@ def test_digest_has_no_engine_axis(digest, capsys):
     with pytest.raises(SystemExit):
         digest.main(["--fused", "on,off"])
     assert "unrecognized arguments: --fused" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        digest.main(["--build-sides", "auto,left,right"])
+    assert "unrecognized arguments: --build-sides" in capsys.readouterr().err
 
 
 def test_digest_main_writes_file(digest, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(digest, "QUERIES", _edge_queries(digest))
     out = tmp_path / "digest.txt"
     code = digest.main([
-        "--workers", "1", "--build-sides", "auto",
+        "--workers", "1",
         "--memory-budgets", "unbounded,1", "--out", str(out),
     ])
     assert code == 0

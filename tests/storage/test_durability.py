@@ -805,6 +805,64 @@ def test_directory_with_retired_shard_workers_opens_serves_sharded_and_refreshes
         assert bits(db.execute(sharded)) == golden["after_refresh_sharded"]
 
 
+def test_directory_with_retired_join_build_opens_and_serves_its_bits(
+        tmp_path):
+    """``parent_commit_join_build_dir`` was written by the commit before
+    ``join_build`` was retired: ``set_default('join_build', 'right')``
+    in its checkpoint image and ``'left'`` in a WAL record, beside two
+    tables and a refreshed view.  That commit built its join on ``a``
+    (the persisted ``left``); this one builds on ``b``, the smaller
+    input, and takes the build-row group ids.  The default selects
+    nothing, and the directory serves and refreshes to the bits that
+    commit recorded (``parent_commit_join_build_dir.json``)."""
+    import json
+    import pathlib
+    import shutil
+
+    from repro.storage.wal import scan_wal
+
+    here = pathlib.Path(__file__).parent
+    golden = json.loads(
+        (here / "parent_commit_join_build_dir.json").read_text())
+    shutil.copytree(here / "parent_commit_join_build_dir", tmp_path / "dir")
+    assert [(r["name"], r["value"])
+            for r in scan_wal(str(tmp_path / "dir"), 1, repair=False)
+            if r["op"] == "set_default"] == [("join_build", "left")]
+    assert "build=left" in golden["parent_plan"]
+    join, view = golden["join_sql"], golden["view_sql"] + " ORDER BY k"
+
+    def bits(result):
+        return {
+            name: (np.asarray(arr).tobytes().hex()
+                   if np.asarray(arr).dtype != object
+                   else repr(np.asarray(arr).tolist()))
+            for name, arr in zip(result.names, result.arrays)
+        }
+
+    with repro.open(str(tmp_path / "dir"), sum_mode="repro",
+                    checkpoint_interval=None) as db:
+        assert "join_build" not in db.session_defaults
+        assert db.storage.persistent_defaults["join_build"] == "left"
+        plan = db.explain(join)
+        assert "build=right" in plan and "group_ids=build_row(" in plan
+        assert bits(db.execute(join)) == golden["served_join"]
+        assert "ViewScan" in db.explain(view)
+        assert bits(db.execute(view)) == golden["served_view"]
+
+        db.execute(golden["follow_up"])
+        db.execute("REFRESH MATERIALIZED VIEW va")
+        assert bits(db.execute(join)) == golden["after_refresh_join"]
+        assert bits(db.execute(view)) == golden["after_refresh_view"]
+        db.checkpoint()
+    # What this version checkpointed over it opens again, the retired
+    # default still on disk and still selecting nothing.
+    with repro.open(str(tmp_path / "dir"), sum_mode="repro",
+                    checkpoint_interval=None) as db:
+        assert "join_build" not in db.session_defaults
+        assert bits(db.execute(join)) == golden["after_refresh_join"]
+        assert bits(db.execute(view)) == golden["after_refresh_view"]
+
+
 def test_directory_with_retired_sorted_mode_opens_as_repro(tmp_path):
     """``parent_commit_sorted_dir`` was written by the commit before
     ``sum_mode='sorted'`` was retired: a persisted ``sorted`` default

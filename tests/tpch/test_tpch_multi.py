@@ -24,6 +24,15 @@ from repro.tpch import (
 SCALE = 0.002
 
 
+def _bits(result):
+    return tuple(
+        np.asarray(arr).tobytes()
+        if np.asarray(arr).dtype.kind != "O"
+        else repr(np.asarray(arr).tolist()).encode()
+        for arr in result.arrays
+    )
+
+
 @pytest.fixture(scope="module")
 def db():
     database = Database(sum_mode="repro")
@@ -89,16 +98,8 @@ class TestQ3:
         assert len(revenues) == 10
         assert list(revenues) == sorted(revenues, reverse=True)
 
-    def test_repro_bits_stable_across_execution_knobs(self, db):
-        def bits(result):
-            return tuple(
-                np.asarray(arr).tobytes()
-                if np.asarray(arr).dtype.kind != "O"
-                else repr(np.asarray(arr).tolist()).encode()
-                for arr in result.arrays
-            )
-
-        reference = bits(run_q3(db))
+    def test_repro_bits_stable_across_execution_knobs(self, db, build_side):
+        reference = _bits(run_q3(db))
         for workers in (1, 2):
             with Database(sum_mode="repro", workers=workers) as other:
                 for name in ("lineitem", "orders", "customer", "supplier",
@@ -108,10 +109,30 @@ class TestQ3:
                     (64, 4096), ("left", "right")
                 ):
                     other.execute(f"SET morsel_size = {morsel}")
-                    other.execute(f"SET join_build = {build}")
-                    assert bits(run_q3(other)) == reference, (
-                        workers, morsel, build
-                    )
+                    with build_side(build):
+                        assert _bits(run_q3(other)) == reference, (
+                            workers, morsel, build
+                        )
+
+    def test_bits_equal_built_on_either_side(self, db, build_side):
+        """Built on its left inputs Q3 takes group ids from the orders
+        build row; built on its right inputs (lineitem, then orders)
+        it registers the generic keys.  Same repro bits."""
+        plans, bits = {}, {}
+        for build in ("left", "right"):
+            with build_side(build):
+                plans[build] = db.explain(Q3_SQL)
+                bits[build] = _bits(run_q3(db))
+        for build, plan in plans.items():
+            probes = [line for line in plan.splitlines()
+                      if "HashJoinProbe(" in line]
+            assert len(probes) == 2
+            assert all(f"build={build}," in line for line in probes), plan
+        assert "group_ids=build_row(" in plans["left"]
+        assert "group_ids=" not in plans["right"]
+        assert bits["left"] == bits["right"], (
+            "repro Q3 bits differ between join build sides"
+        )
 
     def test_explain_shows_planner_decisions(self, db, engine_path):
         text = db.explain(Q3_SQL)

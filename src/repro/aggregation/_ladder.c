@@ -16,8 +16,10 @@
  * |max|.  When that |max| (before any non-finite re-rank) fits under E
  * and every group of the table sits on E, no row of the block can be
  * declined, so the block is *whole*: update extracts and adds each row
- * without reading the row rule.  Only blocks that can decline run the
- * classify loop.
+ * without reading the row rule.  Any other block is one classifying
+ * pass that also seeds the empty groups a row puts on E; the few rows
+ * that wait on a seed (too small to put their own group on E) are
+ * settled after it, from a deferred list.
  *
  * No state lives outside the arguments: two threads may run the kernel
  * at once on different tables.  Build without -ffast-math and with
@@ -283,15 +285,21 @@ static inline void LADDER_NAME(add_row)(LADDER_T r, int64_t g,
 
 /*
  * Run one block on ladder E for one table: seed, accumulate, propagate.
- * `state` is e0, s[0..L), c[0..L).  A whole block takes every row as it
- * comes; any other block is classified row by row.  Returns how many rows
- * it declined, and sets *first, if still TAKEN, to why the first of them
- * was.
+ * `state` is e0, s[0..L), c[0..L); `deferred` has room for n row
+ * indices.  A whole block takes every row as it comes.  Any other block
+ * is one pass that classifies each row against the group's e0 as it
+ * stands: a fitting row of a group on E is taken; a fitting row of an
+ * empty group that needs exactly E puts the group on E and is taken; a
+ * fitting row of an empty group that does not is deferred, and taken
+ * after the pass if its group was put on E meanwhile; every other row
+ * is declined.  Returns how many rows it declined, and sets *first, if
+ * still TAKEN, to why the first of them in row order was.
  */
 static int64_t LADDER_NAME(update)(int64_t n, const int64_t *gids,
                                    const LADDER_T *v, void *const *state,
                                    int64_t ngroups, const int64_t *io,
-                                   int64_t e, int64_t whole, int64_t *first)
+                                   int64_t e, int64_t whole, int64_t *first,
+                                   int64_t *deferred)
 {
     const int64_t nlevels = io[P_LEVELS], m = io[P_M], w = io[P_W];
     int64_t *e0 = state[0];
@@ -305,38 +313,47 @@ static int64_t LADDER_NAME(update)(int64_t n, const int64_t *gids,
             LADDER_NAME(add_row)(v[i], gids[i], state, nlevels, anchor, step);
     } else {
         const LADDER_BITS fits = LADDER_NAME(fits_under)(e, io);
+        const LADDER_BITS inf = LADDER_NAME(bits_of)(INFINITY);
         /* a row needs exactly E from here up (any non-zero row does on
          * the floor ladder, which nothing sits below) */
         const LADDER_BITS needs = e > io[P_EMIN_GRID]
             ? LADDER_NAME(bits_of)(ldexp(1.0, (int)(e - m - 1))) : 1;
-        int64_t lo = e;
-        for (int64_t g = 0; g < ngroups; g++)
-            lo = e0[g] < lo ? e0[g] : lo;
-        if (lo == EMPTY_E0) {
-            /* An empty group that receives a row needing exactly E is
-             * put on E first, as the reference's |max| would put it;
-             * every fitting row of it is then taken, wherever it sits in
-             * the block. */
-            for (int64_t i = 0; i < n; i++) {
-                LADDER_BITS a = LADDER_NAME(magnitude)(v[i]);
-                if (a >= needs && a < fits && e0[gids[i]] == EMPTY_E0)
-                    e0[gids[i]] = e;
-            }
-        }
-        /* From here on no e0 moves, so ladder_declined reads the same
-         * rule. */
+        int64_t ndeferred = 0, first_cold = n, why = TAKEN;
         for (int64_t i = 0; i < n; i++) {
             const int64_t g = gids[i];
             const LADDER_T r = v[i];
-            if (!LADDER_NAME(taken)(r, fits, e0[g], e)) {
-                if (ncold++ == 0 && *first == TAKEN)
-                    *first = LADDER_NAME(magnitude)(r)
-                        < LADDER_NAME(bits_of)(INFINITY)
-                        ? OFF_LADDER : NON_FINITE;
-                continue;
+            const LADDER_BITS a = LADDER_NAME(magnitude)(r);
+            if (a < fits) {
+                if (e0[g] == EMPTY_E0) {
+                    if (a < needs) {
+                        deferred[ndeferred++] = i;
+                        continue;
+                    }
+                    e0[g] = e;
+                }
+                if (e0[g] == e) {
+                    LADDER_NAME(add_row)(r, g, state, nlevels, anchor, step);
+                    continue;
+                }
             }
-            LADDER_NAME(add_row)(r, g, state, nlevels, anchor, step);
+            if (ncold++ == 0) {
+                first_cold = i;
+                why = a < inf ? OFF_LADDER : NON_FINITE;
+            }
         }
+        /* A deferred row fits (so it is finite): its group is on E now,
+         * or it is declined as off the ladder. */
+        for (int64_t j = 0; j < ndeferred; j++) {
+            const int64_t i = deferred[j], g = gids[i];
+            if (e0[g] == e) {
+                LADDER_NAME(add_row)(v[i], g, state, nlevels, anchor, step);
+            } else if (ncold++ == 0 || i < first_cold) {
+                first_cold = i;
+                why = OFF_LADDER;
+            }
+        }
+        if (ncold && *first == TAKEN)
+            *first = why;
     }
     for (int64_t l = 0; l < nlevels; l++)
         propagate(state[1 + l], state[1 + nlevels + l], ngroups, m);
@@ -346,9 +363,10 @@ static int64_t LADDER_NAME(update)(int64_t n, const int64_t *gids,
 /*
  * Rows [start, stop) into `ntables` tables sharing the parameters in
  * `io`.  ptrs holds gids, the tables' values rows, then for each table
- * its state arrays e0, s[0..L), c[0..L) (1 + 2L pointers); the caller
- * builds ptrs and io once and calls this once per block.  Every gids[i]
- * is below each table's ngroups.
+ * its state arrays e0, s[0..L), c[0..L) (1 + 2L pointers), then an
+ * int64 scratch array with room for stop - start row indices; the
+ * caller builds ptrs and io once and calls this once per block.  Every
+ * gids[i] is below each table's ngroups.
  *
  * Returns TAKEN, or the reason the whole block is declined, decided
  * table by table in order before any state moves.  On TAKEN, each
@@ -364,6 +382,7 @@ int64_t LADDER_NAME(ladder_block)(int64_t start, int64_t stop,
     const int64_t n = stop - start, *gids = (const int64_t *)ptrs[0] + start;
     void *const *vals = ptrs + 1, *const *states = ptrs + 1 + ntables;
     const int64_t width = 1 + 2 * io[P_LEVELS];
+    int64_t *deferred = states[ntables * width];
     int64_t *counters = io + P_TABLES + T_SLOTS * ntables;
 
     for (int64_t t = 0; t < ntables; t++) {
@@ -384,7 +403,7 @@ int64_t LADDER_NAME(ladder_block)(int64_t start, int64_t stop,
         slot[T_NCOLD] = LADDER_NAME(update)(
             n, gids, (const LADDER_T *)vals[t] + start, states + t * width,
             slot[T_NGROUPS], io, slot[T_LADDER], slot[T_WHOLE],
-            counters + C_FIRST);
+            counters + C_FIRST, deferred);
         counters[C_TAKEN] += n - slot[T_NCOLD];
         counters[C_DECLINED] += slot[T_NCOLD];
     }
@@ -394,8 +413,9 @@ int64_t LADDER_NAME(ladder_block)(int64_t start, int64_t stop,
 /*
  * After ladder_block, the indices of the rows of [start, stop) table t
  * declined, in ascending order, into `cold` (its T_NCOLD of them): the
- * row rule read again against the same e0, which the block moved before
- * classifying only.
+ * row rule read again against the e0 the block left: the pass takes a
+ * row exactly when it fits and its group is on E by the pass's end (a
+ * group put on E stays there), which is what the rule reads.
  */
 void LADDER_NAME(ladder_declined)(int64_t start, int64_t stop,
                                   int64_t ntables, int64_t t,

@@ -64,6 +64,11 @@ _EMPTY_E0 = -(2**40)
 #: The compiled ladder update; building it is part of importing.
 _KERNEL = load_ladder()
 
+#: The reference update maxes a chunk's magnitudes over every group of
+#: the table while the table has at most this many groups per row, and
+#: sorts the chunk's own ids beyond.
+_DENSE_GROUPS_PER_ROW = 8
+
 #: ``ladder_block``'s decline codes, by number (``_ladder.c``).
 _REASONS = (None, "non_finite", "off_ladder", "subnormal")
 
@@ -180,6 +185,9 @@ class GroupedSummation:
             yield level, np.ldexp(q, shift).astype(np.int64)
 
     def _add_chunk(self, gids: np.ndarray, vals: np.ndarray) -> None:
+        """One block of the reference update, in time and memory
+        proportional to its rows: only the groups it touches move,
+        every other group is canonical already."""
         keep = self._count_non_finite(gids, vals) & (vals != 0)
         if not keep.all():
             gids = gids[keep]
@@ -188,58 +196,68 @@ class GroupedSummation:
             return
 
         # Ladder update: per-group max |value| decides the top exponent.
-        groupmax = np.zeros(self.ngroups, dtype=self._dtype)
-        np.maximum.at(groupmax, gids, np.abs(vals))
-        touched = groupmax > 0
-        target = self.e0.copy()
-        target[touched] = np.maximum(
-            target[touched], self._needed_e0(groupmax[touched])
-        )
-        self._demote_to(target)
+        groups, peaks = self._touched(gids, np.abs(vals))
+        self._demote_to(groups, np.maximum(
+            self.e0[groups], self._needed_e0(peaks)))
 
         for level, k in self._elementwise_quanta(gids, vals):
             np.add.at(self.s[level], gids, k)
-        self._propagate()
+        self._propagate(groups)
+
+    def _touched(self, gids: np.ndarray, mags: np.ndarray):
+        """``(groups, peaks)``: the distinct ids of ``gids``, ascending,
+        and the largest of ``mags`` in each.  A chunk with rows to
+        spare against the table's groups takes a max over every group
+        (no sort); a smaller one sorts its own ids, so the cost is the
+        chunk's, not the table's."""
+        if self.ngroups <= _DENSE_GROUPS_PER_ROW * gids.size:
+            peaks = np.zeros(self.ngroups, dtype=mags.dtype)
+            np.maximum.at(peaks, gids, mags)
+            groups = np.flatnonzero(peaks)
+            return groups, peaks[groups]
+        groups, inverse = np.unique(gids, return_inverse=True)
+        peaks = np.zeros(groups.size, dtype=mags.dtype)
+        np.maximum.at(peaks, inverse, mags)
+        return groups, peaks
 
     # ------------------------------------------------------------------
     # Ladder maintenance
     # ------------------------------------------------------------------
-    def _demote_to(self, target_e0: np.ndarray) -> None:
-        """Raise group ladders to ``target_e0`` (level shift, exact)."""
-        valid = self.e0 > _EMPTY_E0
-        grows = target_e0 > self.e0
-        fresh = ~valid & (target_e0 > _EMPTY_E0)
-        self.e0[fresh] = target_e0[fresh]
-        moving = valid & grows
-        if not moving.any():
-            return
-        # A shift of L levels or more clears every level: clamped to
-        # L, each shift in 1..L is one mask.
-        shifts = np.zeros(self.ngroups, dtype=np.int64)
-        shifts[moving] = np.minimum(
-            (target_e0[moving] - self.e0[moving]) // self._w, self._L)
-        for sig in range(1, self._L + 1):
-            mask = shifts == sig
-            if not mask.any():
-                continue
-            for level in range(self._L - 1, -1, -1):
-                src = level - sig
-                if src >= 0:
-                    self.s[level][mask] = self.s[src][mask]
-                    self.c[level][mask] = self.c[src][mask]
-                else:
-                    self.s[level][mask] = 0
-                    self.c[level][mask] = 0
-        self.e0[moving] = target_e0[moving]
+    def _demote_to(self, groups: np.ndarray, target_e0: np.ndarray) -> None:
+        """Raise the ladders of the distinct ``groups`` to ``target_e0``
+        (one per group, never below its ladder; level shift, exact)."""
+        e0 = self.e0[groups]
+        moving = (e0 > _EMPTY_E0) & (target_e0 > e0)
+        if moving.any():
+            # A shift of L levels or more clears every level: clamped
+            # to L, each shift in 1..L is one index set.
+            shifts = np.minimum(
+                (target_e0[moving] - e0[moving]) // self._w, self._L)
+            rows = groups[moving]
+            for sig in range(1, self._L + 1):
+                at = rows[shifts == sig]
+                if not at.size:
+                    continue
+                for level in range(self._L - 1, -1, -1):
+                    src = level - sig
+                    if src >= 0:
+                        self.s[level][at] = self.s[src][at]
+                        self.c[level][at] = self.c[src][at]
+                    else:
+                        self.s[level][at] = 0
+                        self.c[level][at] = 0
+        self.e0[groups] = target_e0
 
-    def _propagate(self) -> None:
-        """Vectorised carry propagation: canonicalise s into [0, 2**(m-2))."""
+    def _propagate(self, groups=slice(None)) -> None:
+        """Vectorised carry propagation: canonicalise s into
+        [0, 2**(m-2)), of the distinct ``groups`` (every group by
+        default)."""
         quantum_bits = self._m - 2
-        for level in range(self._L):
-            s = self.s[level]
-            d = s >> quantum_bits  # arithmetic shift == floor division
-            np.subtract(s, d << quantum_bits, out=s)
-            self.c[level] += d
+        for s, c in zip(self.s, self.c):
+            low = s[groups]
+            carry = low >> quantum_bits  # arithmetic shift == floor division
+            s[groups] = low - (carry << quantum_bits)
+            c[groups] += carry
 
     # ------------------------------------------------------------------
     # Merging (thread-private tables into the shared table)
@@ -275,10 +293,9 @@ class GroupedSummation:
         if not src_valid.any():
             return
         # Raise both sides to the joint ladder.
-        target = self.e0.copy()
         tgt_idx = mapping[src_valid]
-        np.maximum.at(target, tgt_idx, other.e0[src_valid])
-        self._demote_to(target)
+        self._demote_to(tgt_idx, np.maximum(
+            self.e0[tgt_idx], other.e0[src_valid]))
 
         joint = self.e0[mapping]  # per-source-group target ladder
         # A source shifted L levels or more adds nothing.
@@ -360,11 +377,13 @@ class GroupedSummation:
         spare = self._spare
         if (spare is None or spare.shape[1] < ngroups
                 or any(arr.base is not spare for arr in arrays)):
-            # Grow geometrically: a table that gains groups every
-            # morsel pays one allocation and copy per doubling, not
-            # nine per morsel.
+            # Grow geometrically, to a power of two: a table that
+            # gains groups every morsel pays one allocation and copy
+            # per doubling, not nine per morsel, and one whose groups
+            # fit the first power of two never pays another.
+            capacity = 1 << (max(ngroups, 2 * self.ngroups) - 1).bit_length()
             spare = self._spare = np.zeros(
-                (len(arrays), max(ngroups, 2 * self.ngroups)), dtype=np.int64)
+                (len(arrays), capacity), dtype=np.int64)
             spare[0] = _EMPTY_E0
             for row, arr in zip(spare, arrays):
                 row[:self.ngroups] = arr
@@ -496,7 +515,7 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     it never does) and every group of the table sits on ``E``, the row
     rule takes every row, so the block is *whole*: the kernel extracts
     and adds each row without classifying it.  Only a block that can
-    decline a row runs the classify loop.  The states are the same
+    decline a row, or seed a group, runs the classifying pass.  The states are the same
     either way; the whole-block pass just skips a test whose answer is
     known.
 
@@ -506,13 +525,18 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
 
     **Seeding.**  An empty group that receives a row needing exactly
     ``E`` (``2**(E-m-1) <= |v|``, or just ``v != 0`` on the floor
-    ladder) is put on ``E`` first, which makes all of its fitting rows
-    in the block taken.  The reference puts a group on the ladder of
-    its own ``|max|``; that row proves the max calls for at least
+    ladder) is put on ``E`` by that row, which makes all of its fitting
+    rows in the block taken.  The reference puts a group on the ladder
+    of its own ``|max|``; that row proves the max calls for at least
     ``E``, and a row calling for more is declined and demotes the group
-    afterwards exactly as a later chunk would.  A group whose rows are
-    all zero or all below ``E``'s class is not seeded — the reference
-    leaves it empty, or on a lower ladder — so those rows are declined.
+    afterwards exactly as a later chunk would.  Seeding is part of the
+    one classifying pass: a fitting row that reaches its group while
+    the group is still empty and does not need ``E`` itself is
+    deferred, and taken after the pass if a later row put its group on
+    ``E``.  A group whose rows are all zero or all below ``E``'s class
+    is not seeded — the reference leaves it empty, or on a lower ladder
+    — so those rows are declined.  The first declined row in row order
+    names the reason, deferred or not.
 
     **Exactness.**  A taken row has ``|v| < 2**(eb+1)`` with
     ``eb + m - w + 2 <= E``, so every level quantum
@@ -575,22 +599,26 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
 class _Blocks:
     """The kernel arguments of one :func:`add_blocked_multi` call,
     built once and shared by its blocks, which pass only their row
-    range: ``ptrs`` — ``gids``, the values rows, then each table's state
-    arrays — and ``io`` — the parameters, ``(ngroups, ladder, declined
-    rows, whole)`` per table, and the counters (rows taken, rows
-    declined, why the first was); ``_ladder.c`` has the layouts.  The
-    state addresses hold for the whole call: the reference takes the
-    declined rows into the same arrays, in place."""
+    range: ``ptrs`` — ``gids``, the values rows, each table's state
+    arrays, then the block's scratch for deferred row indices — and
+    ``io`` — the parameters, ``(ngroups, ladder, declined rows, whole)``
+    per table, and the counters (rows taken, rows declined, why the
+    first was); ``_ladder.c`` has the layouts.  The state addresses hold
+    for the whole call: the reference takes the declined rows into the
+    same arrays, in place."""
 
-    __slots__ = ("tables", "gids", "rows", "ptrs", "io", "slots",
-                 "addresses", "block", "declined")
+    __slots__ = ("tables", "gids", "rows", "deferred", "ptrs", "io",
+                 "slots", "addresses", "block", "declined")
 
     def __init__(self, tables: list, gids: np.ndarray, rows: list):
         first = tables[0]
         self.tables, self.gids, self.rows = tables, gids, rows
+        self.deferred = np.empty(min(gids.size, first.block_rows),
+                                 dtype=np.int64)
         self.ptrs = np.array(
             [arr.ctypes.data for arr in (gids, *rows)]
-            + [addr for table in tables for addr in table.state_addresses()],
+            + [addr for table in tables for addr in table.state_addresses()]
+            + [self.deferred.ctypes.data],
             dtype=np.uintp)
         self.io = np.zeros(6 + 4 * len(tables) + 3, dtype=np.int64)
         self.io[:6] = (first._L, first._m, first._w, first._emin,

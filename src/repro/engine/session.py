@@ -517,7 +517,9 @@ class Database:
     def set_default(self, name: str, value) -> None:
         """Set a session-construction default, durably when the
         database is: recovered processes see it applied before their
-        first session is built."""
+        first session is built.  The default session behind
+        :meth:`execute` takes it at once, as a reopened directory's
+        would."""
         if name not in self.session_defaults:
             raise ReproError(
                 f"unknown session option {name!r}; valid: "
@@ -526,10 +528,14 @@ class Database:
         # A session built with the new default runs the knob's
         # validator before anything is logged: a logged bad value would
         # fail every later open of the directory.
-        Session(self, **dict(self.session_defaults, **{name: value}))
+        probe = Session(self, **dict(self.session_defaults, **{name: value}))
         self.session_defaults[name] = value
         if self._storage is not None:
             self._storage.log_set_default(name, value)
+        if name in ("sum_mode", "levels"):
+            self._default_session.sum_config = probe.sum_config
+        else:
+            self._default_session.execution_context.set_param(name, value)
 
     def simulate_crash(self) -> None:
         """Testing hook: abandon the data directory as ``kill -9``

@@ -39,12 +39,16 @@ Per morsel :meth:`~VectorizedGroupTable.update`:
    no key registered); otherwise dictionary-encoded key columns (see
    :meth:`repro.engine.table.Column.encoding`) combine with pure
    integer radix arithmetic through a persistent code -> gid table,
-   and only the morsel's distinct new keys reach the registry.  The
-   one sort left per morsel is an unencoded key column's own
-   ``np.unique`` (:meth:`~VectorizedGroupTable._encode_values`): every
-   code space the table knows to be bounded — its codes, composite
-   codes, dictionary codes, build codes — yields its distinct codes
-   from a mark array (:func:`~repro.engine.operators.distinct_codes`,
+   and only the morsel's distinct new keys reach the registry.  An
+   unencoded key column gets its codes from
+   :meth:`~VectorizedGroupTable._encode_values`: an integer column
+   whose values span a few slots per row is offset into a bounded
+   space, and the one sort left per morsel is the ``np.unique`` of a
+   float, string or widely spread integer column.  Every code space
+   the table knows to be bounded — such integer offsets, its codes,
+   composite codes, dictionary codes, build codes — yields its
+   distinct codes from a mark array
+   (:func:`~repro.engine.operators.distinct_codes`,
    :func:`~repro.engine.operators.dense_codes`; a sort only when a few
    codes meet a large space);
 3. hands every state the morsel's group ids; every state updates in
@@ -91,6 +95,7 @@ from .aggregates import (
 )
 from .expr import ExprCache
 from .operators import (
+    _SCRATCH_PER_CODE,
     BUILD_ROW,
     AggregateSpec,
     Batch,
@@ -115,6 +120,12 @@ _LUT_MAX = 1 << 20
 #: Radix-combine guard: the product of the per-key dictionary sizes must
 #: stay below this for the composite int64 codes to be collision-free.
 _RADIX_MAX = 1 << 62
+
+#: An unencoded integer key column whose values span at most this many
+#: slots per row takes its codes from a mark array
+#: (:meth:`VectorizedGroupTable._encode_values`); the bound is
+#: :func:`~repro.engine.operators.dense_codes`' own for an inverse.
+_INT_SPAN_PER_ROW = _SCRATCH_PER_CODE // 8
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +429,33 @@ class VectorizedGroupTable:
 
     @staticmethod
     def _encode_values(arr: np.ndarray):
-        """Dictionary-encode one unencoded key column (codes, uniques)."""
+        """Dictionary-encode one unencoded key column ``(codes,
+        uniques)``: an object column by first arrival
+        (:func:`~repro.engine.operators.factorize_object`), any other
+        exactly as ``np.unique(arr, return_inverse=True)`` gives it
+        (``uniques`` sorted, in the column's dtype; int64 codes).
+
+        An integer column whose values span at most
+        :data:`_INT_SPAN_PER_ROW` slots per row is offset by its minimum
+        into ``[0, span)`` and coded by :func:`~repro.engine.operators.
+        dense_codes`' mark array, with no sort.  The offsets are taken
+        in int64 (an int8 ``0 - (-128)`` would wrap in its own dtype),
+        wrapping past 2**63 for uint64 alike on both sides, so their
+        difference is exact; the span is a Python int (``max - min``
+        of int64 extremes overflows int64).  Floats, strings and wider
+        integer spans sort."""
         if arr.dtype == object:
-            codes, uniques = factorize_object(arr)
-        else:
-            uniques, codes = np.unique(arr, return_inverse=True)
-            codes = codes.astype(np.int64, copy=False)
-        return codes, uniques
+            return factorize_object(arr)
+        if arr.dtype.kind in "iu" and len(arr):
+            low = int(arr.min())
+            span = int(arr.max()) - low + 1
+            if span <= _INT_SPAN_PER_ROW * len(arr):
+                base = np.int64((low + (1 << 63)) % (1 << 64) - (1 << 63))
+                distinct, codes = dense_codes(
+                    arr.astype(np.int64, copy=False) - base, span)
+                return codes, (distinct + base).astype(arr.dtype)
+        uniques, codes = np.unique(arr, return_inverse=True)
+        return codes.astype(np.int64, copy=False), uniques
 
     def _gids_from_parts(self, parts, all_encoded: bool) -> np.ndarray:
         """Composite ``(codes, uniques, base)`` key parts -> table gids.

@@ -404,6 +404,73 @@ class TestDeclinedRegimes:
             3 * N, "off_ladder")
 
 
+#: a row of no class: below what E = 40 (the ladder of 1.0) needs,
+#: 2**-13, so it cannot put an empty group on E by itself
+TINY = 2.0 ** -20
+LEVELS = pytest.mark.parametrize(
+    "params", [RsumParams(BINARY64, levels=L) for L in (2, 3, 4)],
+    ids=("L2", "L3", "L4"))
+
+
+class TestOnePassSeeding:
+    """A block that seeds empty groups is one classifying pass; rows
+    too small to seed their group wait for the end of it.  Group 0 sits
+    on E from the seed; the others start empty."""
+
+    #: (group, value) rows, and how many of them the reference takes
+    ROWS = [
+        (0, 1.0),
+        (1, TINY), (1, 0.5), (1, -TINY),   # tiny before and after the seed
+        (2, TINY), (2, -TINY),             # never seeded: declined
+        (3, 0.0), (3, np.nan),             # zero and NaN, never seeded
+        (4, 0.0), (4, 0.75), (4, -0.0),    # zeros around the seed
+        (5, -0.0),                         # a lone zero
+        (6, -TINY), (6, 0.25),             # seeded by the last row
+    ]
+    DECLINED = 2 + 2 + 1
+
+    @staticmethod
+    def _check(params, rows):
+        gids = np.array([g for g, _ in rows], dtype=np.int64)
+        values = np.array([v for _, v in rows])
+        return check(params, 8, gids, [values, -values],
+                     seed=lambda tables: [t.add_pairs([0], [1.0])
+                                          for t in tables])
+
+    @LEVELS
+    def test_seeds_in_one_pass(self, params):
+        counters = self._check(params, self.ROWS)
+        assert counters.reference == 2 * self.DECLINED
+        assert counters.scatter == 2 * (len(self.ROWS) - self.DECLINED)
+
+    @LEVELS
+    @pytest.mark.parametrize("seed", range(6))
+    def test_any_row_order(self, params, seed):
+        order = np.random.default_rng(seed).permutation(len(self.ROWS))
+        counters = self._check(params, [self.ROWS[i] for i in order])
+        assert counters.reference == 2 * self.DECLINED
+
+    @LEVELS
+    def test_a_group_all_below_needs(self, params):
+        rows = [(0, 1.0)] + [(1, TINY * k) for k in (1, -2, 3, 0)]
+        counters = self._check(params, rows)
+        assert (counters.reference, counters.first_decline) == (
+            2 * 4, "off_ladder")
+
+    @LEVELS
+    @pytest.mark.parametrize("rows, reason", (
+        # the deferred row is declined first in row order ...
+        ([(0, 1.0), (2, TINY), (3, np.nan)], "off_ladder"),
+        # ... or after the NaN that is declined as it comes
+        ([(0, 1.0), (3, np.nan), (2, TINY)], "non_finite"),
+        # a deferred row that is taken names nothing
+        ([(0, 1.0), (2, TINY), (2, 0.5), (3, np.inf)], "non_finite"),
+    ), ids=("deferred_first", "immediate_first", "deferred_taken"))
+    def test_first_decline_in_row_order(self, params, rows, reason):
+        counters = self._check(params, rows)
+        assert counters.first_decline == reason
+
+
 @st.composite
 def scatter_or_reference_cases(draw):
     fmt, centre, spread = draw(st.sampled_from((

@@ -1,16 +1,25 @@
 """Tests for the vectorised multi-group RSUM kernel."""
 
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paper.state import SummationState
-from repro.aggregation.grouped import GroupedSummation, add_blocked_multi
+from repro.aggregation import grouped as grouped_mod
+from repro.aggregation.grouped import (
+    _EMPTY_E0,
+    GroupedSummation,
+    add_blocked_multi,
+)
 from repro.core.params import RsumParams
 from repro.errors import LadderOverflowError
-from repro.fp.formats import BINARY64
+from repro.fp.formats import BINARY32, BINARY64
 from repro.fp.ieee import same_bits
 
 
@@ -271,3 +280,106 @@ class TestGroupedResize:
         grouped = GroupedSummation(params(), 10)
         with pytest.raises(ValueError):
             grouped.resize(5)
+
+    def test_a_table_that_fits_its_first_power_of_two_never_regrows(self):
+        grouped = GroupedSummation(params(), 0)
+        grouped.resize(28_000)
+        spare = grouped._spare
+        grouped.resize(32_768)
+        assert grouped._spare is spare
+        assert all(arr.base is spare for arr in (grouped.e0, *grouped.s))
+
+
+def _whole_table_add_pairs(table, gids, vals):
+    """The reference update as it ran over every group of the table per
+    chunk: a max over all groups, a copied ``e0``, and demotion and
+    carry propagation of every group."""
+    w, levels = table._w, table._L
+    for start in range(0, gids.size, table.block_rows):
+        g = gids[start:start + table.block_rows]
+        v = vals[start:start + table.block_rows]
+        keep = table._count_non_finite(g, v) & (v != 0)
+        g, v = g[keep], v[keep]
+        if not g.size:
+            continue
+        groupmax = np.zeros(table.ngroups, dtype=table._dtype)
+        np.maximum.at(groupmax, g, np.abs(v))
+        touched = groupmax > 0
+        target = table.e0.copy()
+        target[touched] = np.maximum(
+            target[touched], table._needed_e0(groupmax[touched]))
+        valid = table.e0 > _EMPTY_E0
+        fresh = ~valid & (target > _EMPTY_E0)
+        moving = valid & (target > table.e0)
+        shifts = np.zeros(table.ngroups, dtype=np.int64)
+        shifts[moving] = np.minimum(
+            (target[moving] - table.e0[moving]) // w, levels)
+        for sig in range(1, levels + 1):
+            mask = shifts == sig
+            for level in range(levels - 1, -1, -1):
+                src = level - sig
+                table.s[level][mask] = table.s[src][mask] if src >= 0 else 0
+                table.c[level][mask] = table.c[src][mask] if src >= 0 else 0
+        table.e0[fresh | moving] = target[fresh | moving]
+        for level, k in table._elementwise_quanta(g, v):
+            np.add.at(table.s[level], g, k)
+        for level in range(levels):
+            d = table.s[level] >> (table._m - 2)
+            table.s[level] -= d << (table._m - 2)
+            table.c[level] += d
+
+
+@st.composite
+def _chunks(draw):
+    """Several chunks into one table: magnitudes over wide binades (so
+    ladders mix and demote), NaN, ±inf and ±0 sprinkled, few rows
+    against many groups or many against few."""
+    fmt = draw(st.sampled_from((BINARY64, BINARY32)))
+    rsum = RsumParams(fmt, levels=draw(st.integers(1, 4)))
+    ngroups = draw(st.sampled_from((1, 7, 300, 5000)))
+    chunks = []
+    for _ in range(draw(st.integers(1, 5))):
+        rows = draw(st.sampled_from((1, 2, 40, 900)))
+        chunks.append((rows, draw(st.integers(0, 2**32 - 1))))
+    return rsum, ngroups, chunks, draw(st.sampled_from((0, 8, 1 << 30)))
+
+
+class TestReferenceCostsItsRows:
+    """The reference update moves only the groups a chunk touches."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_chunks())
+    def test_state_equals_the_whole_table_update(self, case):
+        rsum, ngroups, chunks, dense = case
+        dtype = rsum.fmt.dtype
+        got, expected = (GroupedSummation(rsum, ngroups) for _ in range(2))
+        for rows, seed in chunks:
+            rng = np.random.default_rng(seed)
+            gids = rng.integers(0, ngroups, rows)
+            with np.errstate(over="ignore", under="ignore"):
+                vals = (rng.choice([-1.0, 1.0], rows) * np.ldexp(
+                    rng.uniform(1, 2, rows), rng.integers(-60, 60, rows))
+                        ).astype(dtype)
+            special = rng.random(rows) < 0.1
+            vals[special] = rng.choice(
+                [np.nan, np.inf, -np.inf, 0.0, -0.0], int(special.sum()))
+            # both ways of finding the touched groups
+            with mock.patch.object(grouped_mod, "_DENSE_GROUPS_PER_ROW",
+                                   dense):
+                got.add_pairs(gids, vals)
+            _whole_table_add_pairs(expected, gids, vals)
+            assert got.state_tuples() == expected.state_tuples()
+        assert got.finalize().tobytes() == expected.finalize().tobytes()
+
+    def test_two_rows_allocate_nothing_per_group(self):
+        ngroups = 1 << 18
+        grouped = GroupedSummation(params(), ngroups)
+        grouped.add_pairs(np.arange(ngroups), np.linspace(1.0, 2.0, ngroups))
+        gids, vals = np.array([3, 7]), np.array([0.5, 1e-3])
+        tracemalloc.start()
+        try:
+            grouped.add_pairs(gids, vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10  # one group's float64 max alone is 2 MiB

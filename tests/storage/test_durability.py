@@ -921,6 +921,31 @@ def test_persistent_defaults_survive_reopen(tmp_path):
         reopened.close()
 
 
+@pytest.mark.parametrize("name, value, read", [
+    ("morsel_size", 64, lambda db: db.execution_context.morsel_size),
+    ("workers", 3, lambda db: db.execution_context.workers),
+    ("memory_budget", 1 << 20, lambda db: db.memory_budget),
+    ("sum_mode", "repro", lambda db: db.sum_config.mode),
+    ("levels", 3, lambda db: db.sum_config.levels),
+], ids=("morsel_size", "workers", "memory_budget", "sum_mode", "levels"))
+def test_a_default_reads_the_same_before_and_after_reopen(tmp_path, name,
+                                                          value, read):
+    db = repro.open(str(tmp_path), checkpoint_interval=None)
+    try:
+        db.execute("CREATE TABLE t (f DOUBLE)")
+        db.execute("INSERT INTO t VALUES " + ", ".join(["(0.5)"] * 200))
+        db.set_default(name, value)
+        before = read(db)
+        db.execute("SELECT SUM(f) FROM t")
+        morsels = db.last_pipeline_stats.morsel_count
+    finally:
+        db.close()
+    with repro.open(str(tmp_path), checkpoint_interval=None) as reopened:
+        assert read(reopened) == before == value
+        reopened.execute("SELECT SUM(f) FROM t")
+        assert reopened.last_pipeline_stats.morsel_count == morsels
+
+
 def test_background_checkpointer_compacts(tmp_path):
     db = repro.open(
         str(tmp_path), sum_mode="repro", checkpoint_interval=0.05

@@ -90,10 +90,10 @@ class LadderKernel:
     ``float32``): ``block[dtype](start, stop, ntables, ptrs, io)`` runs
     rows ``[start, stop)`` as one block and ``declined[dtype](start,
     stop, ntables, t, ptrs, io, out)`` lists the rows of it table ``t``
-    declined.  ``finalize[dtype](ngroups, levels, m, w, emin, state,
-    out)`` is Equation 1 for ``float64``, ``float32`` and ``float16``
-    (whose ``out`` is ``float32``: every value it writes is a
-    ``float16``).  Addresses are ints; ``_ladder.c`` has the layouts."""
+    declined.  ``finalize[dtype](ngroups, levels, m, w, emin, block,
+    stride, carries, counts, out)`` is Equation 1 for ``float64``, ``float32``
+    and ``float16`` (whose ``out`` is ``float32``: every value it writes
+    is a ``float16``).  Addresses are ints; ``_ladder.c`` has the layouts."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -105,7 +105,8 @@ class LadderKernel:
                               (np.dtype(np.float16), "f16")):
             finalize = getattr(lib, f"ladder_finalize_{suffix}")
             finalize.restype = None
-            finalize.argtypes = [i64, i64, i64, i64, i64, ptr, ptr]
+            finalize.argtypes = [i64, i64, i64, i64, i64, ptr, i64, ptr,
+                                 ptr, ptr]
             self.finalize[dtype] = finalize
             if suffix == "f16":  # Equation 1 only: no ladder update
                 continue

@@ -69,8 +69,21 @@ _KERNEL = load_ladder()
 #: sorts the chunk's own ids beyond.
 _DENSE_GROUPS_PER_ROW = 8
 
+#: ``GroupedSummation._ladder``'s "known" field (``_ladder.c``'s
+#: ``L_KNOWN``).
+_KNOWN = 0
+
 #: ``ladder_block``'s decline codes, by number (``_ladder.c``).
 _REASONS = (None, "non_finite", "off_ladder", "subnormal")
+
+
+def _grown_rows(rows: np.ndarray, ngroups: int,
+                 capacity: int) -> np.ndarray:
+    """``rows`` grown to ``capacity`` columns, the first ``ngroups``
+    kept, the rest zero."""
+    grown = np.zeros((len(rows), capacity), dtype=np.int64)
+    grown[:, :ngroups] = rows[:, :ngroups]
+    return grown
 
 
 class GroupedSummation:
@@ -89,25 +102,43 @@ class GroupedSummation:
         self._emin_grid = -(-fmt.min_exponent // self._w) * self._w
         self._emax_grid = (fmt.max_exponent // self._w) * self._w
         self._dtype = fmt.dtype if fmt.dtype is not None else np.dtype(np.float64)
-        #: The most rows one block of either update takes: ``n`` rows
-        #: add at most ``n * 2**(w-1) <= 2**61`` quanta to a level on
-        #: top of its canonical ``s < 2**(m-2)``, below 2**63 whatever
-        #: their groups; 2**22 caps the reference's temporaries.
+        #: The most rows one block of either update takes, and the most
+        #: the compiled update adds between two carry propagations
+        #: (:meth:`reserve`): ``n`` rows add at most ``n * 2**(w-1) <=
+        #: 2**61`` quanta to a level on top of its canonical ``s <
+        #: 2**(m-2)``, below 2**63 whatever their groups; 2**22 caps the
+        #: reference's temporaries.
         self.block_rows = 1 << min(22, 62 - self._w)
         #: whether the compiled update runs this format (not binary16,
         #: nor a format with no NumPy dtype of its own)
         self._compiled = (fmt.dtype is not None
                           and self._dtype.itemsize in (4, 8))
-        self.e0 = np.full(ngroups, _EMPTY_E0, dtype=np.int64)
-        self.s = [np.zeros(ngroups, dtype=np.int64) for _ in range(self._L)]
-        self.c = [np.zeros(ngroups, dtype=np.int64) for _ in range(self._L)]
-        self.nan_cnt = np.zeros(ngroups, dtype=np.int64)
-        self.pos_cnt = np.zeros(ngroups, dtype=np.int64)
-        self.neg_cnt = np.zeros(ngroups, dtype=np.int64)
-        #: what the arrays above are row prefixes of once :meth:`resize`d
+        #: The state block, ``L + 1`` rows of its capacity: e0, then the
+        #: level sums, group-major (``s[l][g]`` at ``g*L + l`` of the
+        #: slab rows 1..L make, so a row's update touches one stretch).
+        #: The arrays below are views of its first ``ngroups`` groups
+        #: (:meth:`resize`).
         self._spare: np.ndarray | None = None
-        #: (e0, *s, *c) and their addresses, for the compiled update
+        #: The carry counters c[0..L), ``L`` rows of the same capacity,
+        #: allocated by the first carry propagation or whoever takes
+        #: them (:meth:`_carries`); ``None`` means all zero.
+        self._carry: np.ndarray | None = None
+        #: The NaN, +inf and -inf counters likewise, allocated when a
+        #: non-finite value arrives (:meth:`_counters`).
+        self._tally: np.ndarray | None = None
+        #: rows the compiled update added since the level sums were last
+        #: carry-propagated (:meth:`_settle`)
+        self._pending = 0
+        #: What the compiled update knows of ``e0`` (``_ladder.c``'s
+        #: ``L_*``): whether it is known, the highest ladder, and how
+        #: many of the first groups sit on it.  An empty table knows it;
+        #: anything that writes ``e0`` outside the kernel forgets it.
+        self._ladder = np.array([1, _EMPTY_E0, 0], dtype=np.int64)
+        #: (the block, the addresses of e0, the level slab and
+        #: ``_ladder``) for the compiled update
         self._addresses: tuple | None = None
+        self.ngroups = 0
+        self.resize(ngroups)
 
     # ------------------------------------------------------------------
     # Construction
@@ -150,9 +181,10 @@ class GroupedSummation:
         """Count NaN / ±inf per group; returns the finite mask."""
         finite = np.isfinite(vals)
         if not finite.all():
-            np.add.at(self.nan_cnt, gids[np.isnan(vals)], 1)
-            np.add.at(self.pos_cnt, gids[vals == np.inf], 1)
-            np.add.at(self.neg_cnt, gids[vals == -np.inf], 1)
+            nan, pos, neg = self._counters()
+            np.add.at(nan, gids[np.isnan(vals)], 1)
+            np.add.at(pos, gids[vals == np.inf], 1)
+            np.add.at(neg, gids[vals == -np.inf], 1)
         return finite
 
     def _needed_e0(self, maxima: np.ndarray) -> np.ndarray:
@@ -171,7 +203,7 @@ class GroupedSummation:
         ladders, or levels below the normal range): yields each level's
         int64 quanta for all elements at once.  Caller owns the ladder
         demotion beforehand and :meth:`_propagate` after."""
-        e0_elem = self.e0[gids]
+        e0_elem = self._e0[gids]
         r = vals
         for level in range(self._L):
             e_l = e0_elem - level * self._w
@@ -198,10 +230,10 @@ class GroupedSummation:
         # Ladder update: per-group max |value| decides the top exponent.
         groups, peaks = self._touched(gids, np.abs(vals))
         self._demote_to(groups, np.maximum(
-            self.e0[groups], self._needed_e0(peaks)))
+            self._e0[groups], self._needed_e0(peaks)))
 
         for level, k in self._elementwise_quanta(gids, vals):
-            np.add.at(self.s[level], gids, k)
+            np.add.at(self._s[level], gids, k)
         self._propagate(groups)
 
     def _touched(self, gids: np.ndarray, mags: np.ndarray):
@@ -226,7 +258,7 @@ class GroupedSummation:
     def _demote_to(self, groups: np.ndarray, target_e0: np.ndarray) -> None:
         """Raise the ladders of the distinct ``groups`` to ``target_e0``
         (one per group, never below its ladder; level shift, exact)."""
-        e0 = self.e0[groups]
+        e0 = self._e0[groups]
         moving = (e0 > _EMPTY_E0) & (target_e0 > e0)
         if moving.any():
             # A shift of L levels or more clears every level: clamped
@@ -241,19 +273,22 @@ class GroupedSummation:
                 for level in range(self._L - 1, -1, -1):
                     src = level - sig
                     if src >= 0:
-                        self.s[level][at] = self.s[src][at]
-                        self.c[level][at] = self.c[src][at]
+                        self._s[level][at] = self._s[src][at]
+                        if self._c is not None:
+                            self._c[level][at] = self._c[src][at]
                     else:
-                        self.s[level][at] = 0
-                        self.c[level][at] = 0
-        self.e0[groups] = target_e0
+                        self._s[level][at] = 0
+                        if self._c is not None:
+                            self._c[level][at] = 0
+        self._e0[groups] = target_e0
+        self._ladder[_KNOWN] = 0
 
     def _propagate(self, groups=slice(None)) -> None:
         """Vectorised carry propagation: canonicalise s into
         [0, 2**(m-2)), of the distinct ``groups`` (every group by
         default)."""
         quantum_bits = self._m - 2
-        for s, c in zip(self.s, self.c):
+        for s, c in zip(self._s, self._carries()):
             low = s[groups]
             carry = low >> quantum_bits  # arithmetic shift == floor division
             s[groups] = low - (carry << quantum_bits)
@@ -285,22 +320,22 @@ class GroupedSummation:
             if np.count_nonzero(hit) != mapping.size:
                 raise ValueError("mapping must be injective")
 
-        np.add.at(self.nan_cnt, mapping, other.nan_cnt)
-        np.add.at(self.pos_cnt, mapping, other.pos_cnt)
-        np.add.at(self.neg_cnt, mapping, other.neg_cnt)
+        if other._tally is not None:
+            for mine, theirs in zip(self._counters(), other._counts):
+                np.add.at(mine, mapping, theirs)
 
-        src_valid = other.e0 > _EMPTY_E0
+        src_valid = other._e0 > _EMPTY_E0
         if not src_valid.any():
             return
         # Raise both sides to the joint ladder.
         tgt_idx = mapping[src_valid]
         self._demote_to(tgt_idx, np.maximum(
-            self.e0[tgt_idx], other.e0[src_valid]))
+            self._e0[tgt_idx], other._e0[src_valid]))
 
-        joint = self.e0[mapping]  # per-source-group target ladder
+        joint = self._e0[mapping]  # per-source-group target ladder
         # A source shifted L levels or more adds nothing.
         shifts = np.zeros(other.ngroups, dtype=np.int64)
-        shifts[src_valid] = (joint[src_valid] - other.e0[src_valid]) // self._w
+        shifts[src_valid] = (joint[src_valid] - other._e0[src_valid]) // self._w
         for sig in range(self._L):
             mask = src_valid & (shifts == sig)
             if not mask.any():
@@ -309,30 +344,36 @@ class GroupedSummation:
             for level in range(self._L):
                 src = level - sig
                 if src >= 0:
-                    np.add.at(self.s[level], tgt, other.s[src][mask])
-                    np.add.at(self.c[level], tgt, other.c[src][mask])
+                    np.add.at(self._s[level], tgt, other.s[src][mask])
+                    np.add.at(self._carries()[level], tgt,
+                              other.c[src][mask])
+        # each target level took at most one canonical source level
+        # on top of its own headroom: one propagation settles both
         self._propagate()
+        self._pending = 0
 
     # ------------------------------------------------------------------
     # Finalisation / interop
     # ------------------------------------------------------------------
     def finalize(self) -> np.ndarray:
         """Per-group reproducible sums (Equation 1): one compiled loop
-        over the groups (``ladder_finalize`` in ``_ladder.c``), every
-        IEEE operation of the equation in the table's format and in a
-        fixed order."""
+        over the groups (``ladder_finalize`` in ``_ladder.c``) that
+        reads the state block by its base address and row stride, takes
+        each level sum canonical as it reads it (the update defers carry
+        propagation, :meth:`reserve`; the state is left as it is), and
+        does every IEEE operation of the equation in the table's format
+        and in a fixed order."""
         dtype = self._dtype
         out = np.empty(self.ngroups,
                        dtype=np.float32 if dtype == np.float16 else dtype)
         if self.ngroups:
-            arrays = [np.ascontiguousarray(arr, dtype=np.int64) for arr in (
-                self.e0, *self.s, *self.c,
-                self.nan_cnt, self.pos_cnt, self.neg_cnt)]
-            state = np.array([arr.ctypes.data for arr in arrays],
-                             dtype=np.uintp)
+            spare = self._spare
             _KERNEL.finalize[dtype](
                 self.ngroups, self._L, self._m, self._w, self._emin,
-                state.ctypes.data, out.ctypes.data)
+                spare.ctypes.data, spare.shape[1],
+                *(None if rows is None else rows.ctypes.data
+                  for rows in (self._carry, self._tally)),
+                out.ctypes.data)
         return out.astype(dtype, copy=False)
 
     def exact(self):
@@ -355,75 +396,177 @@ class GroupedSummation:
             else:
                 level = s.astype(object) + (c.astype(object) << carry_bits)
             integers = (integers << self._w) + level
-        valid = self.e0 > _EMPTY_E0
+        valid = self._e0 > _EMPTY_E0
         exponents = np.where(
-            valid, self.e0 - (self._L - 1) * self._w - self._m, 0)
-        nonfinite = (self.nan_cnt | self.pos_cnt | self.neg_cnt) > 0
+            valid, self._e0 - (self._L - 1) * self._w - self._m, 0)
+        nonfinite = np.zeros(self.ngroups, dtype=bool)
+        if self._tally is not None:
+            nan, pos, neg = self._counts
+            nonfinite = (nan | pos | neg) > 0
         return integers, exponents, nonfinite
+
+    @property
+    def s(self) -> list:
+        """The level sums ``s[0..L)``, canonical: in ``[0, 2**(m-2))``
+        (reading them settles the carries the update deferred)."""
+        self._settle()
+        return self._s
+
+    @property
+    def c(self) -> list:
+        """The carry counters ``c[0..L)`` of the canonical level sums."""
+        self._settle()
+        return self._carries()
+
+    def _settle(self) -> None:
+        """Carry-propagate every group if the compiled update left rows
+        unpropagated."""
+        if self._pending:
+            self._propagate()
+            self._pending = 0
+
+    def reserve(self, rows: int) -> None:
+        """Make room for the compiled update to add ``rows`` rows without
+        propagating carries.  A level sum holds at most ``2**(m-2) +
+        pending * 2**(w-1)`` in magnitude, so ``pending`` rows up to
+        :attr:`block_rows` keep it below ``2**62``, and the reference
+        update's own block on top of them below ``2**63``.  The carries
+        are propagated here only once that headroom runs out, and
+        before a reader of the canonical arrays (:attr:`s`, :attr:`c`,
+        :meth:`merge`, :meth:`exact`, :meth:`state_tuples`);
+        :meth:`finalize` takes the sums canonical as it reads them."""
+        if self._pending + rows > self.block_rows:
+            self._settle()
+        self._pending += rows
 
     def resize(self, ngroups: int) -> None:
         """Grow the table to ``ngroups`` (new groups start empty).
 
         Used by the engine's group tables when previously unseen keys
         arrive; existing group states are untouched, so growth cannot
-        affect any bits.
+        affect any bits.  The state is one block, grown geometrically to
+        a power of two: a table that gains groups every morsel pays one
+        allocation and copy per doubling, and one whose groups fit the
+        first power of two never pays another.
         """
         if ngroups < self.ngroups:
             raise ValueError("cannot shrink a grouped summation")
-        if ngroups == self.ngroups:
-            return
-        arrays = [self.e0, *self.s, *self.c,
-                  self.nan_cnt, self.pos_cnt, self.neg_cnt]
         spare = self._spare
-        if (spare is None or spare.shape[1] < ngroups
-                or any(arr.base is not spare for arr in arrays)):
-            # Grow geometrically, to a power of two: a table that
-            # gains groups every morsel pays one allocation and copy
-            # per doubling, not nine per morsel, and one whose groups
-            # fit the first power of two never pays another.
+        if spare is not None and ngroups == self.ngroups:
+            return
+        if spare is None or spare.shape[1] < ngroups:
             capacity = 1 << (max(ngroups, 2 * self.ngroups) - 1).bit_length()
-            spare = self._spare = np.zeros(
-                (len(arrays), capacity), dtype=np.int64)
-            spare[0] = _EMPTY_E0
-            for row, arr in zip(spare, arrays):
-                row[:self.ngroups] = arr
-        self.e0, *rows = (row[:ngroups] for row in spare)
-        self.s, self.c = rows[:self._L], rows[self._L:2 * self._L]
-        self.nan_cnt, self.pos_cnt, self.neg_cnt = rows[-3:]
+            grown = np.zeros((1 + self._L, capacity), dtype=np.int64)
+            grown[0] = _EMPTY_E0
+            n = self.ngroups
+            if spare is not None:
+                grown[0, :n] = spare[0, :n]
+                self._levels(grown)[:n] = self._levels(spare)[:n]
+            self._spare = grown
+            if self._carry is not None:
+                self._carry = _grown_rows(self._carry, n, capacity)
+            if self._tally is not None:
+                self._tally = _grown_rows(self._tally, n, capacity)
         self.ngroups = ngroups
+        self._place()
+
+    def _levels(self, block: np.ndarray) -> np.ndarray:
+        """The level-sum slab of ``block``, one row of ``L`` per group."""
+        return block[1:1 + self._L].reshape(block.shape[1], self._L)
+
+    def _place(self) -> None:
+        """Point the state arrays at the first ``ngroups`` groups of the
+        block."""
+        n, spare = self.ngroups, self._spare
+        levels = self._levels(spare)[:n]
+        self._e0 = spare[0, :n]
+        self._s = [levels[:, level] for level in range(self._L)]
+        self._c, self._counts = (
+            None if rows is None else [row[:n] for row in rows]
+            for rows in (self._carry, self._tally))
+
+    @property
+    def e0(self) -> np.ndarray:
+        """Each group's top ladder exponent (:data:`_EMPTY_E0` for a
+        group on none).  Whoever takes it may write it: the compiled
+        update forgets what it knew of it (so write it through this
+        property, not through an array held across an update)."""
+        self._ladder[_KNOWN] = 0
+        return self._e0
+
+    def _carries(self) -> list:
+        """The carry counters, to be written (allocated on first use:
+        from then on :meth:`finalize` reads them)."""
+        if self._carry is None:
+            self._carry = np.zeros((self._L, self._spare.shape[1]),
+                                   dtype=np.int64)
+            self._place()
+        return self._c
+
+    def _counters(self) -> list:
+        """The NaN, +inf and -inf counters, to be written (allocated
+        on first use: from then on :meth:`finalize` reads them)."""
+        if self._tally is None:
+            self._tally = np.zeros((3, self._spare.shape[1]), dtype=np.int64)
+            self._place()
+        return self._counts
+
+    @property
+    def nan_cnt(self) -> np.ndarray:
+        return self._counters()[0]
+
+    @property
+    def pos_cnt(self) -> np.ndarray:
+        return self._counters()[1]
+
+    @property
+    def neg_cnt(self) -> np.ndarray:
+        return self._counters()[2]
+
+    def load(self, e0, s, c, nan_cnt, pos_cnt, neg_cnt) -> None:
+        """Copy a saved state (per-group arrays of this table's
+        ``ngroups``; canonical level sums) into the block."""
+        for view, arr in zip((self.e0, *self._s), (e0, *s)):
+            view[:] = arr
+        if any(arr.any() for arr in c):
+            for view, arr in zip(self._carries(), c):
+                view[:] = arr
+        if any(arr.any() for arr in (nan_cnt, pos_cnt, neg_cnt)):
+            for row, arr in zip(self._counters(), (nan_cnt, pos_cnt, neg_cnt)):
+                row[:] = arr
+        self._pending = 0
 
     def state_addresses(self) -> tuple:
-        """Addresses of ``e0``, ``s[0..L)``, ``c[0..L)`` — the state
-        arrays the compiled update writes in place — recomputed only
-        when one of them was replaced (:meth:`resize`, a spill load)."""
-        arrays = (self.e0, *self.s, *self.c)
+        """Addresses of ``e0``, of the level-sum slab and of what the
+        compiled update knows of ``e0`` — the arrays it reads and writes
+        in place — recomputed only when :meth:`resize` replaced the
+        block."""
+        spare = self._spare
         cached = self._addresses
-        if cached is None or any(
-                old is not new for old, new in zip(cached[0], arrays)):
-            for arr in arrays:
-                if (arr.dtype != np.int64 or arr.shape != (self.ngroups,)
-                        or not arr.flags.c_contiguous
-                        or not arr.flags.writeable):
-                    raise ValueError("ladder state arrays must be "
-                                     "writeable contiguous int64")
-            cached = self._addresses = (
-                arrays, tuple(arr.ctypes.data for arr in arrays))
+        if cached is None or cached[0] is not spare:
+            base = spare.ctypes.data
+            cached = self._addresses = (spare, (
+                base, base + spare.strides[0], self._ladder.ctypes.data))
         return cached[1]
 
     def __getstate__(self) -> dict:
-        # a copy or an unpickled table owns other arrays: its addresses
-        # are computed afresh
-        return {**self.__dict__, "_addresses": None}
+        # the arrays are views of the block: a copy re-points them
+        self._settle()
+        state = dict(self.__dict__)
+        for name in ("_e0", "_s", "_c", "_counts"):  # views
+            del state[name]
+        return {**state, "_addresses": None}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._place()
 
     def nbytes(self) -> int:
-        """Resident bytes of the per-group ladder arrays (the memory
-        the engine's budget accounting charges for one repro-sum
-        state)."""
-        per_level = sum(s.nbytes + c.nbytes for s, c in zip(self.s, self.c))
-        return (
-            self.e0.nbytes + per_level
-            + self.nan_cnt.nbytes + self.pos_cnt.nbytes + self.neg_cnt.nbytes
-        )
+        """Bytes of the per-group ladder arrays (the memory the engine's
+        budget accounting charges for one repro-sum state): every array
+        the state may hold, the carry and non-finite counters whether
+        allocated yet or not."""
+        return self.ngroups * 8 * (2 * self._L + 4)
 
     def state_tuples(self) -> list:
         """Canonical identity per group (for reproducibility
@@ -436,7 +579,7 @@ class GroupedSummation:
             ((int(e0), tuple(s[g]), tuple(c[g])) if e0 > _EMPTY_E0
              else empty) + (bool(nan), bool(pos), bool(neg))
             for g, (e0, nan, pos, neg) in enumerate(zip(
-                self.e0, self.nan_cnt, self.pos_cnt, self.neg_cnt))
+                self._e0, *(self._counts or [np.zeros(self.ngroups)] * 3)))
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -506,8 +649,10 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     * **extract** — ``L`` levels against the scalar anchors
       ``1.5 * 2**e_l``, ``e_l = E - l*w``;
     * **accumulate** — each level's quantum, as an int64 count of
-      ``2**(e_l - m)``, straight into ``s[l]`` of its group; the state
-      is carry-propagated once per call.
+      ``2**(e_l - m)``, straight into ``s[l]`` of its group (a group's
+      ``L`` sums sit side by side); carries are propagated only when
+      the int64 headroom runs out (:meth:`GroupedSummation.reserve`)
+      or a reader needs the canonical sums.
 
     **Whole blocks.**  The kernel's first pass over a block already
     reads every value for the block's ``|max|``.  When that ``|max|``
@@ -515,9 +660,14 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     it never does) and every group of the table sits on ``E``, the row
     rule takes every row, so the block is *whole*: the kernel extracts
     and adds each row without classifying it.  Only a block that can
-    decline a row, or seed a group, runs the classifying pass.  The states are the same
-    either way; the whole-block pass just skips a test whose answer is
-    known.
+    decline a row, or seed a group, runs the classifying pass, and
+    there a row of the table's first groups known to sit on ``E`` (a
+    table appends new groups after those it has) is taken without
+    reading its group's ladder.  The states are the same either way;
+    both passes just skip a test whose answer is known.  The table's
+    top ladder and that prefix are what the last call left
+    (``GroupedSummation._ladder``), unless something outside the
+    kernel wrote ``e0`` since; only then is ``e0`` scanned.
 
     Declined rows come back as indices and take the update every other
     path is tested against, ``table.add_pairs(gids[i], vals[i])``, with
@@ -550,12 +700,15 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
     anchor's binade, so ``k`` — the reference's ``q * 2**(m - e_l)`` —
     is the difference of the bit patterns of ``t`` and ``a``: no
     scaling, nothing to round.  A zero row adds ``k = 0`` at every
-    level.  The block bounds the int64 sums: it holds ``n <=
-    2**min(22, 62 - w)`` rows, so however they fall into groups, a
-    level of one group gains at most ``n * 2**(w-1) <= 2**61`` in
-    magnitude over its canonical ``0 <= s < 2**(m-2)`` before the
-    call's carry propagation — below ``2**63``.  Integer addition is
-    exact in any order, and the reference's blocks obey the same bound.
+    level.  :meth:`GroupedSummation.reserve` bounds the int64 sums: at
+    most ``n <= 2**min(22, 62 - w)`` rows are added between two carry
+    propagations, so however they fall into groups, a level of one
+    group gains at most ``n * 2**(w-1) <= 2**61`` in magnitude over its
+    canonical ``0 <= s < 2**(m-2)``, and a reference block of as many
+    rows on top of that stays below ``2**63``.  Integer addition is
+    exact in any order and carry propagation only moves whole
+    multiples of ``2**(m-2)`` into ``c``, so when it runs cannot move a
+    bit.
 
     The bound is per block, derived from the parameters and not a knob:
     2**22 rows at ``W = 40`` (a default morsel is one block), 4 096 at
@@ -599,13 +752,14 @@ def add_blocked_multi(tables: list, group_ids: np.ndarray, values_rows: list,
 class _Blocks:
     """The kernel arguments of one :func:`add_blocked_multi` call,
     built once and shared by its blocks, which pass only their row
-    range: ``ptrs`` — ``gids``, the values rows, each table's state
-    arrays, then the block's scratch for deferred row indices — and
-    ``io`` — the parameters, ``(ngroups, ladder, declined rows, whole)``
-    per table, and the counters (rows taken, rows declined, why the
-    first was); ``_ladder.c`` has the layouts.  The state addresses hold
-    for the whole call: the reference takes the declined rows into the
-    same arrays, in place."""
+    range: ``ptrs`` — ``gids``, the values rows, each table's
+    :meth:`~GroupedSummation.state_addresses`, then the block's scratch
+    for deferred row indices — and ``io`` — the parameters, ``(ngroups,
+    ladder, declined rows, whole, on-ladder prefix)`` per table, and the
+    counters (rows taken, rows declined, why the first was);
+    ``_ladder.c`` has the layouts.  The state addresses hold for the
+    whole call: the reference takes the declined rows into the same
+    arrays, in place."""
 
     __slots__ = ("tables", "gids", "rows", "deferred", "ptrs", "io",
                  "slots", "addresses", "block", "declined")
@@ -620,10 +774,10 @@ class _Blocks:
             + [addr for table in tables for addr in table.state_addresses()]
             + [self.deferred.ctypes.data],
             dtype=np.uintp)
-        self.io = np.zeros(6 + 4 * len(tables) + 3, dtype=np.int64)
+        self.io = np.zeros(6 + 5 * len(tables) + 3, dtype=np.int64)
         self.io[:6] = (first._L, first._m, first._w, first._emin,
                        first._emin_grid, first._emax_grid)
-        self.slots = self.io[6:6 + 4 * len(tables)].reshape(len(tables), 4)
+        self.slots = self.io[6:6 + 5 * len(tables)].reshape(len(tables), 5)
         self.slots[:, 0] = [table.ngroups for table in tables]
         self.addresses = (self.ptrs.ctypes.data, self.io.ctypes.data)
         self.block = _KERNEL.block[first._dtype]
@@ -638,6 +792,8 @@ def _add_block(blocks: _Blocks, start: int, stop: int,
     tables, gids, rows = blocks.tables, blocks.gids, blocks.rows
     ntables = len(tables)
     ptrs, io = blocks.addresses
+    for table in tables:
+        table.reserve(stop - start)
     reason = blocks.block(start, stop, ntables, ptrs, io)
     if reason:
         counters.decline((stop - start) * ntables, _REASONS[reason])

@@ -11,11 +11,13 @@ One feeder: every morsel arrives through
   order, NaN keys collapse and ``-0.0`` joins ``0.0``; finalize emits
   groups in canonical (sorted-key) order, so output is independent of
   arrival order.  The registry is columnar: the keys are one array per
-  key column in gid order, and a key row is looked up by its identity
-  — one int64 per column (integers by value, floats by canonical
-  bits, strings and ``None`` through a per-column dict) — in one
-  sorted index with ``np.searchsorted``, so registering keys makes no
-  Python object per key (:meth:`~VectorizedGroupTable.
+  key column in gid order.  A single integer key is looked up by
+  direct address in a key -> gid array over the span of its keys
+  (:meth:`~VectorizedGroupTable._gids_direct`); any other key row by
+  its identity — one int64 per column (integers by value, floats by
+  canonical bits, strings and ``None`` through a per-column dict) — in
+  one sorted index with ``np.searchsorted``.  Either way registering
+  keys makes no Python object per key (:meth:`~VectorizedGroupTable.
   _register_columns`);
 * the **spec -> shared-state plan** — ``AVG(x)`` reuses the ``SUM(x)``
   state and one common ``COUNT`` state, the six VARIANCE/STDDEV
@@ -36,17 +38,20 @@ Per morsel :meth:`~VectorizedGroupTable.update`:
    determines the group (:meth:`~VectorizedGroupTable._gids_from_rows`:
    the join factorised its build keys once per build, so a
    group is named by its build key code, no key column is gathered and
-   no key registered); otherwise dictionary-encoded key columns (see
+   no key registered); from the direct key -> gid array for a single
+   unencoded integer key (one subtract and one gather); otherwise
+   dictionary-encoded key columns (see
    :meth:`repro.engine.table.Column.encoding`) combine with pure
    integer radix arithmetic through a persistent code -> gid table,
    and only the morsel's distinct new keys reach the registry.  An
-   unencoded key column gets its codes from
+   unencoded key column of any other kind gets its codes from
    :meth:`~VectorizedGroupTable._encode_values`: an integer column
    whose values span a few slots per row is offset into a bounded
    space, and the one sort left per morsel is the ``np.unique`` of a
-   float, string or widely spread integer column.  Every code space
-   the table knows to be bounded — such integer offsets, its codes,
-   composite codes, dictionary codes, build codes — yields its
+   float, string or widely spread integer column; a one-column key's
+   codes are then its gids into the registry as they come.  Every
+   code space the table knows to be bounded — integer offsets, its
+   codes, composite codes, dictionary codes, build codes — yields its
    distinct codes from a mark array
    (:func:`~repro.engine.operators.distinct_codes`,
    :func:`~repro.engine.operators.dense_codes`; a sort only when a few
@@ -114,7 +119,9 @@ __all__ = [
 ]
 
 #: Composite-code spaces at most this large use a persistent
-#: code -> gid lookup table instead of per-morsel registration.
+#: code -> gid lookup table instead of per-morsel registration; a
+#: single integer key's direct key -> gid array spans at most this many
+#: keys.
 _LUT_MAX = 1 << 20
 
 #: Radix-combine guard: the product of the per-key dictionary sizes must
@@ -123,8 +130,11 @@ _RADIX_MAX = 1 << 62
 
 #: An unencoded integer key column whose values span at most this many
 #: slots per row takes its codes from a mark array
-#: (:meth:`VectorizedGroupTable._encode_values`); the bound is
-#: :func:`~repro.engine.operators.dense_codes`' own for an inverse.
+#: (:meth:`VectorizedGroupTable._encode_values`), and a single integer
+#: key its gids from a direct key -> gid array spanning at most this
+#: many slots per row fed (:meth:`VectorizedGroupTable._gids_direct`);
+#: the bound is :func:`~repro.engine.operators.dense_codes`' own for an
+#: inverse.
 _INT_SPAN_PER_ROW = _SCRATCH_PER_CODE // 8
 
 
@@ -281,9 +291,18 @@ class VectorizedGroupTable:
         #: the others) ...
         self._key_objects: list = []
         #: ... and the keys' identities (:func:`_identity`; a void row
-        #: of them for several columns), sorted, with each one's gid.
+        #: of them for several columns), sorted, with each one's gid —
+        #: built from the key column only when a table on the direct
+        #: table below needs it (:meth:`_leave_direct`).
         self._index: np.ndarray | None = None
         self._index_gids = np.empty(0, dtype=np.int64)
+        #: Direct-address key -> gid table of a single unencoded integer
+        #: key (:meth:`_gids_direct`): ``_direct[key - _direct_low]`` is
+        #: the key's gid, -1 for a key not seen; ``None`` off that path.
+        self._direct: np.ndarray | None = None
+        self._direct_low = 0
+        #: rows fed through ``_direct``, which bound its span
+        self._direct_rows = 0
         #: Persistent code -> gid table of :meth:`_gids_from_codes`;
         #: ``_lut_bases`` records which code space it indexes.
         self._lut: np.ndarray | None = None
@@ -308,7 +327,7 @@ class VectorizedGroupTable:
             # Aggregation without grouping: one global group, always
             # present (so zero-row inputs still produce one output row).
             return 1
-        return len(self._index_gids)
+        return 0 if self._key_cols is None else len(self._key_cols[0])
 
     def approx_bytes(self) -> int:
         """Resident bytes of the key registry, the code tables and every
@@ -323,8 +342,9 @@ class VectorizedGroupTable:
                 if arr is not None
             ) + sum(sys.getsizeof(objects) for objects in self._key_objects
                     if objects is not None)
-        lut = 0 if self._lut is None else self._lut.nbytes
-        return keys + lut + sum(state.approx_bytes() for state in self.states)
+        luts = sum(lut.nbytes for lut in (self._lut, self._direct)
+                   if lut is not None)
+        return keys + luts + sum(state.approx_bytes() for state in self.states)
 
     # -- shared physical-state plan ---------------------------------------
     @staticmethod
@@ -423,9 +443,88 @@ class VectorizedGroupTable:
             else:
                 all_encoded = False
                 arr = cache.values(expr, batch.nrows)
+                if len(self.group_exprs) == 1 and arr.dtype.kind in "iu":
+                    gids = self._gids_direct(arr)
+                    if gids is not None:
+                        return gids
                 codes, uniques = self._encode_values(arr)
             parts.append((codes, uniques, max(len(uniques), 1)))
         return self._gids_from_parts(parts, all_encoded)
+
+    def _gids_direct(self, arr: np.ndarray) -> np.ndarray | None:
+        """Gids of a single unencoded integer key column by direct
+        address, or ``None`` when the table keeps (or now takes) the
+        sorted index instead.
+
+        The table ``_direct`` covers the keys ``[_direct_low, _direct_low
+        + span)``; a morsel's gids are ``_direct[arr - _direct_low]``,
+        one subtract and one gather.  The keys it has not seen take the
+        next gids in ascending key order — the order registering
+        ``np.unique``'s sorted keys gives — found by
+        :func:`~repro.engine.operators.distinct_codes` over their
+        offsets, and are appended to the key column; the sorted
+        identity index is not kept.  The span may grow at either end
+        while it stays within :data:`_INT_SPAN_PER_ROW` slots per row
+        fed so far and within :data:`_LUT_MAX`; a morsel that would push
+        it past either converts the table to the index for good
+        (:meth:`_leave_direct`).  Offsets are taken in int64 (an int8
+        ``0 - (-128)`` would wrap in its own dtype), wrapping past 2**63
+        for uint64 alike on both sides, so their difference is exact;
+        the span is a Python int (``max - min`` of int64 extremes
+        overflows int64); keys are stored in the column's own dtype."""
+        if self._direct is None and (
+                self._key_cols is not None or self._row_keys is not None):
+            return None  # the table is on the sorted index already
+        if self._key_dtypes is None:
+            self._key_dtypes = [arr.dtype]
+        dtype = np.dtype(self._key_dtypes[0])
+        if arr.dtype != dtype:
+            self._leave_direct()
+            return None
+        if not len(arr):
+            return np.empty(0, dtype=np.int64)
+        low, high = int(arr.min()), int(arr.max())
+        lut, start = self._direct, self._direct_low
+        if lut is not None:
+            low, high = min(low, start), max(high, start + len(lut) - 1)
+        span = high - low + 1
+        rows = self._direct_rows + len(arr)
+        if span > min(_LUT_MAX, _INT_SPAN_PER_ROW * rows):
+            self._leave_direct()
+            return None
+        if lut is None or len(lut) != span:
+            grown = np.full(span, -1, dtype=np.int64)
+            if lut is not None:
+                grown[start - low:start - low + len(lut)] = lut
+            self._direct, self._direct_low, lut = grown, low, grown
+        self._direct_rows = rows
+        base = np.int64((low + (1 << 63)) % (1 << 64) - (1 << 63))
+        offsets = arr.astype(np.int64, copy=False) - base
+        gids = lut[offsets]
+        missing = gids < 0
+        if missing.any():
+            fresh = distinct_codes(offsets[missing], span)
+            known = self.ngroups
+            lut[fresh] = np.arange(known, known + len(fresh), dtype=np.int64)
+            keys = (fresh + base).astype(dtype)
+            if self._key_cols is None:
+                self._key_cols, self._key_objects = [keys], [None]
+            else:
+                self._key_cols = [np.concatenate((self._key_cols[0], keys))]
+            gids = lut[offsets]
+        return gids
+
+    def _leave_direct(self) -> None:
+        """Take a table off the direct table for good: its keys' sorted
+        identity index, built by one sort of the key column, serves
+        every later lookup (:meth:`_register_columns`)."""
+        if self._direct is None:
+            return
+        self._direct = None
+        if self._key_cols is not None:
+            idents = _identity(self._key_cols[0], None)
+            order = np.argsort(idents, kind="stable")
+            self._index, self._index_gids = idents[order], order
 
     @staticmethod
     def _encode_values(arr: np.ndarray):
@@ -433,16 +532,16 @@ class VectorizedGroupTable:
         uniques)``: an object column by first arrival
         (:func:`~repro.engine.operators.factorize_object`), any other
         exactly as ``np.unique(arr, return_inverse=True)`` gives it
-        (``uniques`` sorted, in the column's dtype; int64 codes).
+        (``uniques`` sorted, in the column's dtype; int64 codes).  Every
+        code in ``[0, len(uniques))`` occurs.  A single integer key
+        takes the direct table first (:meth:`_gids_direct`); this codes
+        composite keys' columns and the integer keys it declines.
 
         An integer column whose values span at most
         :data:`_INT_SPAN_PER_ROW` slots per row is offset by its minimum
         into ``[0, span)`` and coded by :func:`~repro.engine.operators.
-        dense_codes`' mark array, with no sort.  The offsets are taken
-        in int64 (an int8 ``0 - (-128)`` would wrap in its own dtype),
-        wrapping past 2**63 for uint64 alike on both sides, so their
-        difference is exact; the span is a Python int (``max - min``
-        of int64 extremes overflows int64).  Floats, strings and wider
+        dense_codes`' mark array, with no sort, its offsets taken as
+        :meth:`_gids_direct` takes them.  Floats, strings and wider
         integer spans sort."""
         if arr.dtype == object:
             return factorize_object(arr)
@@ -468,6 +567,12 @@ class VectorizedGroupTable:
             total *= base
         if self._key_dtypes is None:
             self._key_dtypes = [uniques.dtype for _, uniques, _ in parts]
+        if len(parts) == 1 and not all_encoded:
+            # _encode_values' codes are dense and complete already:
+            # every unique is a distinct key, in the order np.unique's
+            # dense codes would decode them
+            codes, uniques, _ = parts[0]
+            return self._register_columns([uniques])[codes]
         if total >= _RADIX_MAX:
             # a composite code would overflow int64: register the rows
             # by their key values instead
@@ -537,9 +642,11 @@ class VectorizedGroupTable:
 
     def _gids_from_codes(self, codes: np.ndarray, total: int, stable,
                          decode) -> np.ndarray:
-        """Composite key codes -> table gids, registering new keys
-        (``decode(distinct codes)`` -> their per-key value columns)
-        through :meth:`_register_columns` like every other path.
+        """Composite or dictionary key codes -> table gids, registering
+        new keys (``decode(distinct codes)`` -> their per-key value
+        columns) through :meth:`_register_columns` like every other
+        path.  (A one-column key coded by :meth:`_encode_values` skips
+        this: its codes are dense already, :meth:`_gids_from_parts`.)
 
         ``stable`` names a code space that means the same thing in
         every morsel (the storage dictionaries' sizes; ``None`` when it
@@ -588,10 +695,14 @@ class VectorizedGroupTable:
         ``np.searchsorted``.  The misses take the next gids in the order
         given (a key twice among them takes one), append their keys to
         the key columns and merge into the index.  No Python object is
-        made per key, except for object columns' new values.
+        made per key, except for object columns' new values.  A table
+        on the direct key -> gid array builds its index first and stays
+        on it (:meth:`_leave_direct`): a merge, a spill restore, keys a
+        join's build rows name.
         """
         if not len(key_columns[0]):
             return np.empty(0, dtype=np.int64)
+        self._leave_direct()
         if self._key_cols is None:
             dtypes = self._key_dtypes or [
                 np.asarray(col).dtype for col in key_columns]

@@ -382,24 +382,20 @@ def load_grouped_summation(data: dict):
         params = RsumParams(
             format_by_name(data["fmt"]), data["levels"], data["w"]
         )
-        grouped = GroupedSummation(params, int(data["ngroups"]))
-        # The ladder adds into these in place: copy them off the frame.
-        levels = [np.array(level, dtype=np.int64) for level in data["s"]]
-        carries = [np.array(level, dtype=np.int64) for level in data["c"]]
+        ngroups = int(data["ngroups"])
+        levels, carries = list(data["s"]), list(data["c"])
         if len(levels) != params.levels or len(carries) != params.levels:
             raise SpillFormatError("level count mismatch in rsum payload")
-        grouped.e0 = np.array(data["e0"], dtype=np.int64)
-        grouped.s = levels
-        grouped.c = carries
-        grouped.nan_cnt = np.array(data["nan"], dtype=np.int64)
-        grouped.pos_cnt = np.array(data["pos"], dtype=np.int64)
-        grouped.neg_cnt = np.array(data["neg"], dtype=np.int64)
-        for arr in (
-            grouped.e0, grouped.nan_cnt, grouped.pos_cnt, grouped.neg_cnt,
-            *grouped.s, *grouped.c,
-        ):
-            if arr.shape != (grouped.ngroups,):
-                raise SpillFormatError("rsum array length mismatch")
+        arrays = [np.asarray(arr, dtype=np.int64) for arr in (
+            data["e0"], *levels, *carries, data["nan"], data["pos"],
+            data["neg"])]
+        if any(arr.shape != (ngroups,) for arr in arrays):
+            raise SpillFormatError("rsum array length mismatch")
+        # copied off the frame into the table's own state block
+        grouped = GroupedSummation(params, ngroups)
+        grouped.load(arrays[0], arrays[1:1 + params.levels],
+                     arrays[1 + params.levels:1 + 2 * params.levels],
+                     *arrays[-3:])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpillFormatError(f"bad GroupedSummation payload: {exc}") from exc
     return grouped

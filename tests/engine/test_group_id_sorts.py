@@ -2,14 +2,17 @@
 
 An unencoded float or string key column, or an integer one whose
 values span many slots per row, is sorted once per morsel, by its own
-``np.unique`` (:meth:`VectorizedGroupTable._encode_values`).  An
-integer key of a bounded span, the codes of any key, a storage
-dictionary's codes and a join's build codes lie in a bounded space the
-table knows, and their distinct values come from a mark array
-(:func:`repro.engine.operators.distinct_codes`), not a sort.
-These tests count the sorts, hold the mark array and the integer
-encoding against ``np.unique`` and pin that gids and key columns come
-out in the order the two-sort path registered them.
+``np.unique`` (:meth:`VectorizedGroupTable._encode_values`), and its
+codes are the morsel's gids into the registry: no second pass.  A
+single integer key of a bounded span finds its gids in the table's
+direct key -> gid array (:meth:`VectorizedGroupTable._gids_direct`),
+with no sort and no lookup in the sorted index.  The codes of a
+composite key, a storage dictionary's codes and a join's build codes
+lie in a bounded space the table knows, and their distinct values come
+from a mark array (:func:`repro.engine.operators.distinct_codes`), not
+a sort.  These tests count the sorts, hold the mark array and the
+integer encoding against ``np.unique`` and pin that gids and key
+columns come out in the order the two-sort path registered them.
 """
 
 from unittest import mock
@@ -68,6 +71,46 @@ def _per_morsel(sorts, table, batches) -> list[int]:
 
 def _values(n: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, n)
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """Counts ``np.searchsorted`` and ``np.insert`` calls — the sorted
+    index's lookup and growth — while ``lookups.counting`` is set."""
+    class Spy:
+        counting = False
+        calls = 0
+
+    spy = Spy()
+    for name in ("searchsorted", "insert"):
+        real = getattr(np, name)
+
+        def counted(*args, _real=real, **kwargs):
+            if spy.counting:
+                spy.calls += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    return spy
+
+
+def test_the_pairs_shape_takes_gids_by_one_gather(sorts, lookups):
+    # the paper's pairs input: 2**18 rows into 2**15 integer keys, four
+    # default morsels, new keys arriving in every one
+    rng = np.random.default_rng(48)
+    keys = rng.integers(0, 1 << 15, 1 << 18)
+    batches = [Batch({"k": keys[i:i + (1 << 16)],
+                      "v": _values(1 << 16)}, {})
+               for i in range(0, 1 << 18, 1 << 16)]
+    table = _table("k")
+    lookups.counting = True
+    try:
+        assert _per_morsel(sorts, table, batches) == [0] * 4
+    finally:
+        lookups.counting = False
+    assert lookups.calls == 0
+    assert table._direct is not None and table._index is None
+    assert table.ngroups == len(np.unique(keys))
 
 
 def test_a_bounded_int_key_takes_gids_without_sorting(sorts):
@@ -293,3 +336,31 @@ def test_gids_and_keys_come_out_in_the_two_sort_order(pool, dtype, seed):
         assert gids.tolist() == _two_sort_gids(reference, arr).tolist()
         assert _key_bits(table) == _key_bits(reference)
     assert table.ngroups == len(table._key_columns()[0])
+
+
+@pytest.mark.parametrize("pool, dtype", (
+    (FLOAT_KEYS, np.float64),
+    (STRING_KEYS, object),
+), ids=("float", "string"))
+def test_a_one_part_key_takes_its_codes_as_gids(pool, dtype, monkeypatch):
+    # _encode_values' codes are dense already: no second dense pass
+    calls = []
+    real = vectorized.dense_codes
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    rng = np.random.default_rng(7)
+    table, reference = _table("k"), _table("k")
+    for size in (7, 40, 1, 0, 120):
+        arr = np.array([pool[i] for i in rng.integers(0, len(pool), size)],
+                       dtype=dtype)
+        batch = Batch({"k": arr}, {})
+        with monkeypatch.context() as patch:
+            patch.setattr(vectorized, "dense_codes", spy)
+            gids = table._group_ids(batch,
+                                    ExprCache(batch.columns, batch.types))
+        assert calls == []
+        assert gids.tolist() == _two_sort_gids(reference, arr).tolist()
+        assert _key_bits(table) == _key_bits(reference)
